@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-runner lint determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-json bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test race race-runner lint determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -97,12 +97,6 @@ bench-gate:
 # commit diff is the written justification the baseline header asks for.
 bench-baseline:
 	bash scripts/bless_bench_allocs.sh
-
-# Machine-readable performance snapshot: fast-sweep wall clock (serial and
-# parallel), ns/event, and allocs/op of the gated benchmarks, written to
-# BENCH_7.json (override with BENCH_JSON_OUT). CI uploads it as an artifact.
-bench-json:
-	bash scripts/bench_json.sh
 
 # CPU and heap profile of the serial fast sweep plus pprof -top summaries;
 # artifacts land in PROFILE_OUT (default /tmp/bmstore-profile).

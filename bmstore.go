@@ -52,10 +52,10 @@ type Config struct {
 	// it off; integrity-sensitive work leaves it on.
 	CaptureData bool
 
-	// DisableFastPath forces the classic process-per-command data path even
-	// on rigs with no tracer or fault injector. The event-fused fast path is
-	// timing-neutral by construction (see DESIGN.md §11), so this exists for
-	// A/B verification and debugging, not correctness.
+	// DisableFastPath forces the classic process-per-command data path.
+	// Every rig — traced, faulted or bare — runs the event-fused path by
+	// default; it is timing-neutral by construction (see DESIGN.md §11), so
+	// this exists as the reference for A/B verification, not correctness.
 	//
 	// Deprecated: pass WithClassicPath() to the testbed constructor instead.
 	// The field keeps delegating for one release and will then be removed.

@@ -18,21 +18,16 @@ type Scenario struct {
 	Body   func(tb *Testbed, p *sim.Proc)
 }
 
-// TraceDigest executes the scenario once with a digest tracer attached and
-// returns the canonical event-stream digest plus the number of events it
-// covers. The digest folds in every scheduler event, engine pipeline stage,
-// MI exchange, host doorbell/completion and SSD media operation with its
-// virtual timestamp — two runs behaved identically iff their digests match.
-func (s Scenario) TraceDigest() (digest string, events uint64) {
-	tr := trace.NewDigest()
-	cfg := s.Config
-	cfg.Tracer = tr
+// Run executes the scenario once on a fresh rig built from Config with opts
+// applied on top, and returns the finished testbed (clock, injector and
+// metrics are still readable on it).
+func (s Scenario) Run(opts ...Option) *Testbed {
 	var tb *Testbed
 	var err error
 	if s.Direct {
-		tb, err = NewDirectTestbed(cfg)
+		tb, err = NewDirectTestbed(s.Config, opts...)
 	} else {
-		tb, err = NewBMStoreTestbed(cfg)
+		tb, err = NewBMStoreTestbed(s.Config, opts...)
 	}
 	if err != nil {
 		// A scenario is a fixed, known-good configuration; failing to build
@@ -40,6 +35,17 @@ func (s Scenario) TraceDigest() (digest string, events uint64) {
 		panic("bmstore: scenario testbed: " + err.Error())
 	}
 	tb.Run(func(p *sim.Proc) { s.Body(tb, p) })
+	return tb
+}
+
+// TraceDigest executes the scenario once with a digest tracer attached and
+// returns the canonical event-stream digest plus the number of events it
+// covers. The digest folds in every scheduler event, engine pipeline stage,
+// MI exchange, host doorbell/completion and SSD media operation with its
+// virtual timestamp — two runs behaved identically iff their digests match.
+func (s Scenario) TraceDigest() (digest string, events uint64) {
+	tr := trace.NewDigest()
+	s.Run(WithTrace(tr))
 	return tr.Digest(), tr.Events()
 }
 

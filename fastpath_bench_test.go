@@ -3,9 +3,11 @@ package bmstore
 import (
 	"testing"
 
+	"bmstore/internal/fault"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
+	"bmstore/internal/trace"
 )
 
 // BenchmarkIOPathThroughput prices one 4 KiB I/O end to end through the
@@ -16,10 +18,38 @@ import (
 // every carrier on the path — kernel events, MMIO/IRQ messages, engine and
 // SSD command records, PRP segment lists, completion carriers — comes from
 // a per-env free list, and with CaptureData off no payload bytes are
-// materialised. The warm-up batch below runs at the measured depth so the
-// timed region starts with every pool primed, every ring page touched, and
-// the queues already wrapped.
-func BenchmarkIOPathThroughput(b *testing.B) {
+// materialised.
+func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b) }
+
+// BenchmarkIOPathTracedThroughput is the same loop with a digest tracer
+// attached — what every fleet host, the figures gate and the crash sweep
+// run. The trace emits are nil-checked probes on the fused chain and the
+// digest folds words, so it too must stay at 0 allocs/op.
+func BenchmarkIOPathTracedThroughput(b *testing.B) {
+	tr := trace.NewDigest()
+	benchIOPath(b, WithTrace(tr))
+	if tr.Events() == 0 {
+		b.Fatal("tracer observed nothing")
+	}
+}
+
+// BenchmarkIOPathArmedFaultsThroughput is the same loop with a fault
+// injector armed but never firing (one rule per data-path point, all at a
+// far-future t=): what a chaos or fault rig pays on every command that no
+// rule hits. Rule evaluation walks a slice and must allocate nothing.
+func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
+	rules, err := fault.ParseSpec("ssd-stall,t=1000h;backend-stall,t=1000h;media-slow,t=1000h;pcie-replay,t=1000h")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchIOPath(b, WithFaults(rules...))
+}
+
+// benchIOPath runs the shared 4 KiB R/W QD 8 loop on a two-SSD rig built
+// with opts. The warm-up batch runs at the measured depth so the timed
+// region starts with every pool primed, every ring page touched, and the
+// queues already wrapped.
+func benchIOPath(b *testing.B, opts ...Option) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.NumSSDs = 2
@@ -29,7 +59,7 @@ func BenchmarkIOPathThroughput(b *testing.B) {
 		c.CapacityBytes = 1 << 30
 		return c
 	}
-	tb, err := NewBMStoreTestbed(cfg)
+	tb, err := NewBMStoreTestbed(cfg, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -68,7 +68,7 @@ var sharedFlags = []sharedFlag{
 	{"timeline-out", "write recorded timelines as Chrome/Perfetto trace-event JSON to this file (- for stdout; implies recording)"},
 	{"sample", "timeline sampling rate: keep every Nth request (with -timeline)"},
 	{"slowest", "retain the K slowest requests' complete timelines (with -timeline)"},
-	{"classic", "force the classic process-per-command data path (A/B baseline; output is identical, only wall-clock changes)"},
+	{"classic", "force the classic process-per-command data path (A/B reference; output is identical apart from trace digests, which fold the kernel's per-process records)"},
 	{"parallel", "max concurrent rigs (1 = serial)"},
 	{"faults", "fault-injection spec, e.g. 'ssd-stall,t=20ms,dur=10ms;media-slow,nth=100,count=-1,dur=2ms' (enables driver timeout/retry recovery)"},
 	{"chaos", "run a chaos campaign instead of the workload: 'seed,count' (e.g. '1,20'; count defaults to 1) — seeded fault schedules under a write-then-verify workload, exit 1 on any invariant violation"},

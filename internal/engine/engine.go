@@ -77,7 +77,7 @@ type Engine struct {
 	mDispatch *obs.Counter
 	mFlushes  *obs.Counter
 	// flt is the rig's fault injector, cached like tr/met; the back-end
-	// submit path consults it for injected stalls.
+	// submit path (classic and fused) consults it for injected stalls.
 	flt *fault.Injector
 
 	// Crash state (see crash.go): dead latches while the card is down;
@@ -100,8 +100,9 @@ type Engine struct {
 	chip     *hostmem.Memory
 	free     []uint64 // recycled chip-memory pages for PRP lists
 
-	// fast is true when the rig is eligible for the event-fused I/O path
-	// (no tracer, no fault injector); cached at construction like tr/met.
+	// fast is true when the rig runs the event-fused I/O path (Env.FastPath:
+	// always, unless the classic reference path was asked for); cached at
+	// construction like tr/met.
 	fast bool
 	// Data-path free lists (see fastpath.go).
 	feIOFree  []*feIO

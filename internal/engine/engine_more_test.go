@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
+	"bmstore/internal/trace"
 )
 
 // Chip-memory PRP list pages must recycle: a long stream of large I/Os
@@ -129,4 +131,20 @@ func TestStoreAndForwardCorrectness(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A tracer and a fault injector are probes on the fused path, not reasons
+// to leave it; only the classic-path override selects the
+// process-per-command code.
+func TestObserversDoNotGateFusedPath(t *testing.T) {
+	env := sim.NewEnv(1)
+	env.SetTracer(trace.NewDigest())
+	env.SetFaults(fault.New(fault.Rule{Point: fault.BackendSubmit, Duration: 1}))
+	if !New(env, DefaultConfig()).fast {
+		t.Fatal("engine built on a traced, faulted environment is off the fused path")
+	}
+	env.SetFastPath(false)
+	if New(env, DefaultConfig()).fast {
+		t.Fatal("SetFastPath(false) no longer selects the classic path")
+	}
 }

@@ -1,18 +1,21 @@
 package engine
 
-// This file implements the BMS-Engine's event-fused I/O fast path: the
+// This file implements the BMS-Engine's event-fused I/O data path: the
 // continuation-passing rewrite of the front-end fetch loop, the Fig. 6
 // pipeline (dispatch → map → QoS → PRP rewrite → forward), and the backend
-// submit path. It follows the same rules as the SSD's fast path (see
+// submit path. It follows the same rules as the SSD's fused path (see
 // internal/ssd/fastpath.go and DESIGN.md §11): every virtual-time sleep
 // becomes an Env.Schedule at the identical program point, synchronous steps
-// keep their call order, and per-command records come from free lists. The
-// path is only taken when Env.FastPath holds (no tracer, no fault injector);
+// — trace emits (`engine dispatch`/`map`) and the `backend-stall` fault
+// window in the submit gate loop included — keep their call order, and
+// per-command records come from free lists. It is the path every rig runs
+// (Env.FastPath holds unless the rig asked for the classic reference path);
 // admin queues always use the classic process-based path.
 
 import (
 	"encoding/binary"
 
+	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
@@ -214,6 +217,10 @@ func (io *feIO) start() {
 		return
 	}
 	io.epoch = e.epoch
+	if e.tr != nil {
+		e.tr.Emit(e.env.Now(), "engine", "dispatch",
+			uint64(f.id)<<32|uint64(io.sq.id)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
+	}
 	ns := f.ns
 	if ns == nil || io.cmd.NSID != FrontNSID {
 		io.fail(nvme.StatusInvalidNamespace)
@@ -256,6 +263,9 @@ func (io *feIO) mapped() {
 	if err != nil {
 		io.fail(nvme.StatusInternal)
 		return
+	}
+	if tr := io.e.tr; tr != nil {
+		tr.Emit(io.e.env.Now(), "engine", "map", io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
 	}
 	io.qosT0 = io.e.env.Now()
 	io.ns.admitCB(io.nBytes, io.admittedFn)
@@ -426,8 +436,9 @@ type beSubmit struct {
 	done      func(nvme.Completion)
 	submitted func()
 
-	gateFn func(any)
-	slotFn func(any)
+	gateFn    func(any)
+	slotFn    func(any)
+	stalledFn func()
 }
 
 // submitIOCB is submitIO for callback-chain callers: done runs on command
@@ -435,9 +446,9 @@ type beSubmit struct {
 // program point where submitIO would have returned to its caller (after the
 // SQE push). The quiesce gate and queue-depth waits park this record on the
 // same events and FIFOs the classic path uses, so mixed classic/fast
-// submitters keep their relative order. Injected backend stalls need no
-// handling here: the fast path only exists when no fault injector is
-// attached.
+// submitters keep their relative order. An injected backend stall holds the
+// record for the rule's window and then re-runs the gate, the loop shape of
+// submitIO's stall block.
 func (b *backend) submitIOCB(cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion), submitted func()) {
 	var s *beSubmit
 	if n := len(b.submitFree); n > 0 {
@@ -447,6 +458,7 @@ func (b *backend) submitIOCB(cmd nvme.Command, qhint int, skey uint64, done func
 		s = &beSubmit{b: b}
 		s.gateFn = s.gate
 		s.slotFn = s.slot
+		s.stalledFn = s.stalled
 	}
 	s.cmd, s.qhint, s.skey, s.done, s.submitted = cmd, qhint, skey, done, submitted
 	s.t0 = b.e.env.Now()
@@ -455,7 +467,8 @@ func (b *backend) submitIOCB(cmd nvme.Command, qhint int, skey uint64, done func
 }
 
 // gate re-checks the quiesce gate, parking on it while closed — the loop
-// shape of waitGate.
+// shape of waitGate — then sits out any injected host-adaptor stall before
+// queueing for an SQ slot.
 func (s *beSubmit) gate(any) {
 	b := s.b
 	if b.e.dead || b.e.epoch != s.epoch {
@@ -469,10 +482,23 @@ func (s *beSubmit) gate(any) {
 		b.gateWait = append(b.gateWait, ev)
 		return
 	}
+	if flt := b.e.flt; flt != nil {
+		now := b.e.env.Now()
+		if end := sim.Time(flt.StallUntil(fault.BackendSubmit, b.dev.Config().Serial, int64(now))); end > now {
+			if b.e.tr != nil {
+				b.e.tr.Emit(now, "fault", "backend-stall", uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
+			}
+			// Re-check the gate afterwards in case a quiesce started meanwhile.
+			b.e.env.Schedule(end-now, s.stalledFn)
+			return
+		}
+	}
 	sq := b.ioSQs[s.qhint%len(b.ioSQs)]
 	s.sq = sq
 	sq.slots.AcquireCB(s.slotFn)
 }
+
+func (s *beSubmit) stalled() { s.gate(nil) }
 
 func (s *beSubmit) slot(any) {
 	b, sq := s.b, s.sq

@@ -24,6 +24,7 @@ type Namespace struct {
 	buffer      []*bufEntry // the QoS command buffer (Fig. 5)
 	bufFree     []*bufEntry // recycled buffer entries
 	dispatching bool
+	dispatchFn  func() // dispatchStep, bound once at creation
 
 	boundTo *function
 
@@ -71,6 +72,7 @@ func (e *Engine) CreateNamespace(name string, sizeBytes uint64, ssds []int) (*Na
 		qos:       newQoSBucket(e.env, QoSLimits{}),
 		env:       e.env,
 	}
+	ns.dispatchFn = ns.dispatchStep
 	if e.met != nil {
 		comp := e.met.Component("engine/ns/" + name)
 		ns.mBuffered = comp.Gauge("qos_buffered")
@@ -201,9 +203,11 @@ func (ns *Namespace) admit(p *sim.Proc, nBytes int) {
 
 // admitCB is admit for callback-chain callers: cb runs at the program point
 // where admit would have returned — immediately on under-threshold commands,
-// or when the dispatcher re-admits the parked entry. The park path shares
-// the classic buffer and dispatcher process, so mixed classic/fast
-// submitters drain in the same FIFO order.
+// or when the dispatcher re-admits the parked entry. The dispatcher itself
+// is a continuation too (dispatchStep): a capped tenant parks nearly every
+// command, and a process per park is both the dominant spawn cost of a fleet
+// host and — with few other goroutine hand-offs left on the fused path —
+// thousands of finished-but-unreaped goroutines the Go runtime never frees.
 func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
 		cb(nil)
@@ -223,7 +227,9 @@ func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	ns.mBuffered.Inc(ns.env.Now())
 	if !ns.dispatching {
 		ns.dispatching = true
-		ns.env.Go("engine/qos-dispatch", func(dp *sim.Proc) { ns.dispatch(dp) })
+		// One queue hop from now: the classic dispatcher's process-start
+		// position.
+		ns.env.Schedule(0, ns.dispatchFn)
 	}
 }
 
@@ -242,17 +248,37 @@ func (ns *Namespace) getBufEntry(ev *sim.Event, nBytes int) *bufEntry {
 func (ns *Namespace) dispatch(p *sim.Proc) {
 	defer func() { ns.dispatching = false }()
 	for len(ns.buffer) > 0 {
-		head := ns.buffer[0]
-		ok, wait := ns.qos.Admit(head.nBytes)
+		ok, wait := ns.qos.Admit(ns.buffer[0].nBytes)
 		if !ok {
 			p.Sleep(wait)
 			continue
 		}
-		ns.buffer = ns.buffer[1:]
-		ns.mBuffered.Dec(p.Now())
-		ev := head.ev
-		head.ev = nil
-		ns.bufFree = append(ns.bufFree, head)
-		ev.Trigger(nil)
+		ns.release()
 	}
+}
+
+// dispatchStep is dispatch as a continuation: the token wait becomes a
+// Schedule at the same queue position (Admit never returns a wait below
+// 1 µs, so it is always a real hop, as Sleep's is).
+func (ns *Namespace) dispatchStep() {
+	for len(ns.buffer) > 0 {
+		ok, wait := ns.qos.Admit(ns.buffer[0].nBytes)
+		if !ok {
+			ns.env.Schedule(wait, ns.dispatchFn)
+			return
+		}
+		ns.release()
+	}
+	ns.dispatching = false
+}
+
+// release re-admits the head of the command buffer.
+func (ns *Namespace) release() {
+	head := ns.buffer[0]
+	ns.buffer = ns.buffer[1:]
+	ns.mBuffered.Dec(ns.env.Now())
+	ev := head.ev
+	head.ev = nil
+	ns.bufFree = append(ns.bufFree, head)
+	ev.Trigger(nil)
 }

@@ -1,12 +1,18 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"bmstore"
 	"bmstore/internal/crash"
 	"bmstore/internal/engine"
+	"bmstore/internal/fault"
 	"bmstore/internal/obs/timeline"
+	"bmstore/internal/sim"
+	"bmstore/internal/trace"
 )
 
 // TestCrashSweepClean is the tentpole gate: kill the engine at every
@@ -129,5 +135,76 @@ func TestCrashSweepCheckpointTamper(t *testing.T) {
 	}
 	if len(pt.Violations) == 0 {
 		t.Fatal("checkpoint tampered but the oracle caught nothing — the restore path is not load-bearing")
+	}
+}
+
+// TestCrashPointPathEquivalence holds the crash rigs — engine-crash rule,
+// recovery manager, tracer — to the classic reference path at every crash
+// point of one seed: after dropping the kernel's own "sim" records the two
+// paths' trace dumps must be byte-equal (every doorbell, dispatch, media
+// issue, the crash and the recovery, timeouts and retries), and the point
+// reports — oracle verdicts, driver books, journal replay, recovery time —
+// must match field for field.
+func TestCrashPointPathEquivalence(t *testing.T) {
+	const seed, horizon = 1, 5 * sim.Second
+	instants, err := discoverCrashInstants(seed, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(in crashInstant, opts ...bmstore.Option) (string, uint64, crash.PointReport) {
+		var dump bytes.Buffer
+		tr := trace.New(trace.Options{Dump: &dump})
+		pt := runCrashPoint(seed, in, crash.Config{}, tr, horizon, opts...)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		pt.Digest = "" // folds the kernel records, which legitimately differ
+		var recs strings.Builder
+		for _, ln := range strings.SplitAfter(dump.String(), "\n") {
+			if f := strings.Fields(ln); len(f) > 1 && f[1] == "sim" {
+				continue
+			}
+			recs.WriteString(ln)
+		}
+		return recs.String(), tr.Events(), pt
+	}
+	for _, in := range instants {
+		fused, nFused, ptFused := run(in)
+		classic, nClassic, ptClassic := run(in, bmstore.WithClassicPath())
+		if !ptFused.Injected || !strings.Contains(fused, " crash ") || !strings.Contains(fused, " recover ") {
+			t.Errorf("%s: the crash or the recovery left no record", in.Stage)
+		}
+		if fused != classic {
+			t.Errorf("%s: component records diverged between the fused and classic paths (%d vs %d bytes)",
+				in.Stage, len(fused), len(classic))
+		}
+		if !reflect.DeepEqual(ptFused, ptClassic) {
+			t.Errorf("%s: point reports diverged:\nfused:   %+v\nclassic: %+v", in.Stage, ptFused, ptClassic)
+		}
+		if nFused >= nClassic {
+			t.Errorf("%s: fused run traced %d events, classic %d; the crash rig is not on the fused path",
+				in.Stage, nFused, nClassic)
+		}
+	}
+}
+
+// TestTracedSweepRigsTakeFusedPath: a -trace-digest sweep hands every rig a
+// tracer, and a faulted sweep an injector; neither may move a rig off the
+// fused data path any more.
+func TestTracedSweepRigsTakeFusedPath(t *testing.T) {
+	rules, err := fault.ParseSpec("media-slow,t=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHarness(Fast(), 1, trace.NewSet(trace.Options{})).WithFaults(rules)
+	tb, err := bmstore.NewBMStoreTestbed(h.config("fused/probe", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Env.Tracer() == nil || tb.Env.Faults() == nil {
+		t.Fatal("harness attached no tracer or no injector")
+	}
+	if !tb.Env.FastPath() {
+		t.Fatal("a traced, faulted sweep rig is off the fused path")
 	}
 }

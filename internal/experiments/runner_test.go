@@ -116,3 +116,28 @@ func TestHarnessSerial(t *testing.T) {
 		t.Fatal("untraced harness attached a tracer")
 	}
 }
+
+// PinProcs caps a default GOMAXPROCS at the worker count for the duration of
+// a run, and keeps its hands off a value somebody chose.
+func TestPinProcs(t *testing.T) {
+	n := runtime.NumCPU()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	restore := PinProcs(1)
+	if got := runtime.GOMAXPROCS(0); n > 1 && got != 1 {
+		t.Errorf("one worker on %d CPUs runs at GOMAXPROCS %d, want 1", n, got)
+	}
+	restore()
+	if got := runtime.GOMAXPROCS(0); got != n {
+		t.Errorf("restore left GOMAXPROCS at %d, want %d", got, n)
+	}
+	PinProcs(0)()
+	PinProcs(n + 1)()
+	if got := runtime.GOMAXPROCS(0); got != n {
+		t.Errorf("an uncapped pool moved GOMAXPROCS to %d", got)
+	}
+	runtime.GOMAXPROCS(n + 3)
+	PinProcs(1)
+	if got := runtime.GOMAXPROCS(0); got != n+3 {
+		t.Errorf("an explicit GOMAXPROCS %d was overridden to %d", n+3, got)
+	}
+}

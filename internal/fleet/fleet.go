@@ -102,7 +102,11 @@ type Options struct {
 	// Metrics optionally attaches a per-host registry family.
 	Metrics *obs.Set
 
-	DisableFastPath bool // force the classic data path on every host
+	// DisableFastPath puts every host on the classic process-per-command
+	// reference path. Hosts run the fused data path by default, tracer and
+	// fault rules included; reports are identical either way apart from
+	// the digests (which fold the kernel's per-process records).
+	DisableFastPath bool
 }
 
 func (o Options) withDefaults() Options {
@@ -225,6 +229,7 @@ func Run(o Options) *Result {
 		PerHost:     make([]HostResult, o.Hosts),
 	}
 	pool := experiments.NewPool(o.Parallel)
+	defer experiments.PinProcs(o.Parallel)()
 	for w := 0; w < waves; w++ {
 		lo := w * o.WaveSize
 		hi := lo + o.WaveSize

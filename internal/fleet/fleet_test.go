@@ -9,6 +9,7 @@ import (
 
 	"bmstore/internal/crash"
 	"bmstore/internal/fault"
+	"bmstore/internal/obs"
 	"bmstore/internal/sim"
 )
 
@@ -280,5 +281,43 @@ func TestFleetHostCrashMidWave(t *testing.T) {
 	}
 	if h := r.PerHost[victim]; h.Healthy {
 		t.Error("dead victim host reported healthy")
+	}
+}
+
+// TestFleetHostTakesFusedPath: a fleet host always carries a digest tracer,
+// and that used to put every host on the process-per-command path — ~19.5
+// process resumes per tenant I/O. On the fused path what is left is the
+// tenant job's own submit and completion hand-offs plus the control plane.
+func TestFleetHostTakesFusedPath(t *testing.T) {
+	// Default options: the fast-scale firmware window and the 8000-IOPS cap
+	// give the host thousands of tenant I/Os to amortise the control plane.
+	o := Options{Seed: 7, Metrics: obs.NewSet(obs.Options{})}
+	hr := RunHost(o, 0)
+	if !hr.Healthy || hr.Ops == 0 {
+		t.Fatalf("host unhealthy (%s) or idle (%d ops)", hr.Reason, hr.Ops)
+	}
+	var resumes, spawns uint64
+	for _, c := range o.Metrics.Registry(rigName(0)).Snapshot().Components {
+		if c.Name != "sim" {
+			continue
+		}
+		for _, ctr := range c.Counters {
+			switch ctr.Name {
+			case "proc_resumes":
+				resumes = ctr.Value
+			case "procs_spawned":
+				spawns = ctr.Value
+			}
+		}
+	}
+	if resumes == 0 {
+		t.Fatal("the host's registry recorded no kernel counters")
+	}
+	if perIO := float64(resumes) / float64(hr.Ops); perIO > 5 {
+		t.Errorf("%.1f process resumes per tenant I/O (%d over %d ops); a traced host is off the fused path",
+			perIO, resumes, hr.Ops)
+	}
+	if spawns > hr.Ops/10 {
+		t.Errorf("%d processes spawned for %d tenant I/Os; something still spawns per command", spawns, hr.Ops)
 	}
 }

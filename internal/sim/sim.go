@@ -54,9 +54,9 @@ type Env struct {
 	tracer  *trace.Tracer
 	faults  *fault.Injector
 
-	// fastOK enables the data-path fast path (see FastPath). It defaults
-	// to true and exists so A/B tests and CLIs can force the classic
-	// process-based path on an otherwise eligible environment.
+	// fastOK selects the fused data path (see FastPath). It defaults to true
+	// and exists so A/B tests and CLIs can force the classic process-based
+	// reference path.
 	fastOK bool
 
 	// nEvents counts queue entries fired since the environment was
@@ -90,27 +90,29 @@ func NewEnv(seed int64) *Env {
 	}
 }
 
-// SetFastPath enables or disables the event-fused I/O fast path on an
-// otherwise eligible environment. Like the observers, components consult
-// FastPath at construction time, so call this before building anything on
-// the environment. The fast path never changes virtual-time behaviour —
-// disabling it exists for A/B verification of exactly that property.
+// SetFastPath enables or disables the event-fused I/O data path. Like the
+// observers, components consult FastPath at construction time, so call this
+// before building anything on the environment. The fused path never changes
+// virtual-time behaviour — disabling it exists for A/B verification of
+// exactly that property.
 func (e *Env) SetFastPath(on bool) { e.fastOK = on }
 
 // FastPath reports whether data-path components may use their fused
-// callback-chain fast path instead of spawning a process per command. It is
-// false only when a tracer or a fault injector is attached: the fast path
-// is hop-for-hop timing-identical to the classic path but emits no
-// spawn/resume trace records, so traced (digest) runs and faulted runs take
-// the classic path and stay byte-identical to their committed artifacts.
+// callback-chain data path instead of spawning a process per command. It is
+// true unless SetFastPath(false) was called: the fused chain is the data
+// path of every rig — bare, traced, faulted, chaos and crash alike — so the
+// configuration the gates validate is the one the benchmarks measure.
 //
-// A metrics registry — including sampled request timelines and worst-K tail
-// forensics (obs.Options.Timeline) — deliberately does NOT gate the fast
-// path: observation is passive (never schedules events), both paths carry
-// the same instrumentation points, and the always-on telemetry contract is
-// that we can observe the exact configuration we benchmark. The A/B
-// equivalence tests in fastpath_metrics_ab_test.go pin this down.
-func (e *Env) FastPath() bool { return e.fastOK && e.tracer == nil && e.faults == nil }
+// Observers never gate it. The fused chain carries the same component trace
+// emits and the same fault points as the classic code, as nil-checked probes
+// at the same program points and in the same call order; a metrics registry
+// (sampled timelines and worst-K forensics included) is passive and never
+// schedules events. What a traced run no longer contains is the kernel's
+// spawn/resume records of per-command processes that no longer exist, which
+// is why a digest is comparable between the two paths only after dropping
+// the "sim" subsystem (the A/B tests in fastpath_trace_ab_test.go and
+// fastpath_metrics_ab_test.go pin both halves down).
+func (e *Env) FastPath() bool { return e.fastOK }
 
 // Events returns the number of queue entries fired so far — the kernel-level
 // cost measure behind the driver's events-per-I/O accounting.

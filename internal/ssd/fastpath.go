@@ -1,24 +1,32 @@
 package ssd
 
-// This file implements the SSD's event-fused I/O fast path: a
+// This file implements the SSD's event-fused I/O data path: a
 // continuation-passing rewrite of fetchLoop/exec/execIO that replaces the
 // per-queue fetch process and the per-command execution process with pooled
-// state machines driven directly by scheduler callbacks.
+// state machines driven directly by scheduler callbacks. It is the path every
+// rig runs — bare, traced, faulted, chaos and crash alike; the process-based
+// code in ssd.go/io.go is the reference the A/B tests compare it against.
 //
 // The rewrite is hop-for-hop timing-identical to the classic path — every
 // virtual-time sleep becomes an Env.Schedule at the same program point, and
 // every synchronous classic step (pacer reservations, RNG draws, resource
-// acquisition, DMA bookings) runs at the same call position — so queue order,
-// tie-breaking, and therefore every timestamp in the simulation are
-// unchanged. What disappears is the overhead that carries no virtual time:
-// goroutine handoffs, per-command process spawns, and per-command heap
-// allocations. See DESIGN.md §11 for the exact fusion rules and the proof
-// obligations each continuation discharges.
+// acquisition, DMA bookings, trace emits, fault-rule evaluations) runs at the
+// same call position — so queue order, tie-breaking, and therefore every
+// timestamp, every component trace record and every fault firing in the
+// simulation are unchanged. What disappears is the overhead that carries no
+// virtual time: goroutine handoffs, per-command process spawns (and with them
+// the kernel's spawn/resume trace records), and per-command heap allocations.
+// See DESIGN.md §11 for the exact fusion rules and the proof obligations
+// each continuation discharges.
+//
+// The tracer (d.tr) and the fault injector (d.flt) are nil-checked probes
+// here exactly as in the classic code: `ssd issue`/`complete`, the
+// `ssd-stall` window in the fetch step, `media` latency/status, and the
+// CaptureData hazards (`media-corrupt`, `misdirected-read`, `torn-write`).
 //
 // Eligibility (d.fast, cached at construction): the environment's FastPath
-// must hold (no tracer — traced runs must keep emitting spawn/resume records
-// to stay byte-identical to committed digests — and no fault injector), and
-// the device must use the built-in flash timing model (cfg.Media
+// must hold (it does unless the rig asked for the classic reference path),
+// and the device must use the built-in flash timing model (cfg.Media
 // implementations receive a *sim.Proc and may block it). The admin queue
 // (SQ 0) always takes the classic path: admin commands are rare, stateful,
 // and not worth fusing.
@@ -26,6 +34,7 @@ package ssd
 import (
 	"encoding/binary"
 
+	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
@@ -68,8 +77,8 @@ func newSQFetch(d *SSD, sq *subQueue) *sqFetch {
 	return f
 }
 
-// step is one iteration of the classic fetch loop: exit checks, then the
-// SQE DMA fetch.
+// step is one iteration of the classic fetch loop: exit checks, the
+// injected-stall window, then the SQE DMA fetch.
 func (f *sqFetch) step() {
 	d, sq := f.d, f.sq
 	if sq.head == sq.tail {
@@ -79,6 +88,18 @@ func (f *sqFetch) step() {
 	if d.resetting || !d.ready || d.gone() {
 		sq.fetching = false
 		return
+	}
+	if d.flt != nil {
+		// Injected controller stall: the fetch engine freezes until the
+		// window ends, then re-runs the exit checks (the classic `continue`).
+		now := d.env.Now()
+		if end := d.flt.StallUntil(fault.SSDStall, d.cfg.Serial, now); end > now {
+			if d.tr != nil {
+				d.tr.Emit(now, "fault", "ssd-stall", uint64(sq.id), uint64(end-now), d.cfg.Serial)
+			}
+			d.env.Schedule(end-now, f.stepFn)
+			return
+		}
 	}
 	done := d.port.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, f.buf[:])
 	d.after(done-d.env.Now(), f.decodedFn)
@@ -201,7 +222,7 @@ type ssdIO struct {
 	n       int
 	segs    []nvme.Segment
 	t0      sim.Time // post-PRP-walk timestamp: stats + media attribution base
-	mt0     sim.Time // write-path media phase start
+	mt0     sim.Time // media phase start (after any injected latency spike)
 	lat     sim.Time // single-stripe NAND latency
 	media   sim.Time
 	acq0    sim.Time // single-stripe die-acquire start (die-wait attribution)
@@ -209,12 +230,19 @@ type ssdIO struct {
 
 	remaining int // outstanding parallel NAND stripes
 
+	// Injected-fault state of this command (zero when no injector is
+	// attached): the status a fired media rule carries across its latency
+	// spike, and the CaptureData hazards evaluated at issue.
+	fltStatus nvme.Status
+	hzd       hazards
+
 	walker *cpsPRP  // lazy: only commands with PRP lists need it
 	dbuf   []byte   // pooled read-payload staging (CaptureData only)
 	bufs   [][]byte // pooled write-payload segment buffers (CaptureData only)
 
 	startFn      func()
 	walkFn       func()
+	mediaFltFn   func()
 	flushDoneFn  func()
 	wzDoneFn     func()
 	dieAcqFn     func(any)
@@ -236,6 +264,7 @@ func (d *SSD) getIO(sq *subQueue, cmd nvme.Command, sqHead uint32) *ssdIO {
 		io = &ssdIO{d: d}
 		io.startFn = io.start
 		io.walkFn = io.walkAttempt
+		io.mediaFltFn = io.mediaFaulted
 		io.flushDoneFn = io.flushDone
 		io.wzDoneFn = io.wzDone
 		io.dieAcqFn = io.dieAcquired
@@ -276,8 +305,7 @@ func (d *SSD) getPage() []byte {
 }
 
 // start runs at the position of the classic exec process's first activation
-// and mirrors execIO's dispatch exactly (tracer and fault hooks compile out:
-// the fast path only exists when both are absent).
+// and mirrors execIO's dispatch exactly.
 func (io *ssdIO) start() {
 	d := io.d
 	if d.resetting {
@@ -347,6 +375,42 @@ func (io *ssdIO) walkAttempt() {
 	if d.tl {
 		io.alias = obs.DevKey(d.cfg.Serial, io.sq.id, io.cmd.CID)
 	}
+	if d.tr != nil {
+		d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
+	}
+	if d.flt != nil {
+		io.injectFaults()
+		return
+	}
+	io.startMedia()
+}
+
+// injectFaults is execIO's fault block: the read-path media rule (latency
+// spike, status, or both), then — at the instant the spike ends — the
+// CaptureData hazards.
+func (io *ssdIO) injectFaults() {
+	d := io.d
+	io.fltStatus = 0
+	if io.cmd.Opcode == nvme.IORead {
+		if r := d.mediaFault(io.devByte); r != nil {
+			io.fltStatus = nvme.Status(r.Status)
+			d.after(sim.Time(r.Duration), io.mediaFltFn)
+			return
+		}
+	}
+	io.mediaFaulted()
+}
+
+func (io *ssdIO) mediaFaulted() {
+	if io.fltStatus != 0 {
+		io.finish(io.fltStatus)
+		return
+	}
+	io.hzd = io.d.dataHazards(io.cmd.Opcode, io.devByte, io.n)
+	io.startMedia()
+}
+
+func (io *ssdIO) startMedia() {
 	if io.cmd.Opcode == nvme.IORead {
 		io.startRead()
 	} else {
@@ -358,6 +422,7 @@ func (io *ssdIO) walkAttempt() {
 
 func (io *ssdIO) startRead() {
 	d := io.d
+	io.mt0 = d.env.Now()
 	stripes := (io.n + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
 	if stripes == 1 {
 		// Jitter draws at the classic argument-evaluation position, before
@@ -398,10 +463,17 @@ func (io *ssdIO) nandDone() {
 }
 
 // readPaced is classic dmaOut: the media phase ends here, then payload
-// segments stream upstream.
+// segments stream upstream. A misdirected read shifts only the data source
+// by one block; a corrupt read flips one byte mid-way through the first
+// segment — both exactly as doRead/dmaOut do.
 func (io *ssdIO) readPaced() {
 	d := io.d
-	io.media = d.env.Now() - io.t0
+	io.media = d.env.Now() - io.mt0
+	src := io.devByte
+	if io.hzd.misdirect {
+		src += BlockSize
+	}
+	corrupt := io.hzd.corrupt
 	var last sim.Time
 	off := 0
 	for _, seg := range io.segs {
@@ -410,7 +482,11 @@ func (io *ssdIO) readPaced() {
 			if cap(io.dbuf) < seg.Len {
 				io.dbuf = make([]byte, seg.Len)
 			}
-			data = d.readBytesInto(io.dbuf[:seg.Len], io.devByte+uint64(off), seg.Len)
+			data = d.readBytesInto(io.dbuf[:seg.Len], src+uint64(off), seg.Len)
+			if corrupt && len(data) > 0 {
+				data[len(data)/2] ^= 0xA5
+				corrupt = false
+			}
 		}
 		if t := d.port.DMAWrite(seg.Addr, seg.Len, data); t > last {
 			last = t
@@ -469,10 +545,23 @@ func (io *ssdIO) writeDone() {
 	d := io.d
 	io.media = d.env.Now() - io.mt0
 	if d.cfg.CaptureData {
+		// A torn write persists only the first half of the payload while
+		// still completing with success (see doWrite).
+		keep := io.n
+		if io.hzd.torn {
+			keep = io.n / 2
+		}
 		off := 0
 		for i := range io.segs {
-			d.writeBytes(io.devByte+uint64(off), io.bufs[i])
-			off += len(io.bufs[i])
+			b := io.bufs[i]
+			if off >= keep {
+				break
+			}
+			if off+len(b) > keep {
+				b = b[:keep-off]
+			}
+			d.writeBytes(io.devByte+uint64(off), b)
+			off += len(b)
 		}
 	}
 	d.WriteStats.Record(io.n, d.env.Now()-io.t0)
@@ -517,6 +606,9 @@ func (io *ssdIO) finishMedia() {
 				d.met.SpanPhases(io.alias, now-m, now, int64(io.t0), now-m)
 			}
 		}
+	}
+	if d.tr != nil {
+		d.tr.Emit(d.env.Now(), "ssd", "complete", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(d.env.Now()-io.t0), d.cfg.Serial)
 	}
 	io.finish(nvme.StatusSuccess)
 }

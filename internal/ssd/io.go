@@ -19,6 +19,47 @@ type hazards struct {
 	torn      bool // persist only the first half of the write payload
 }
 
+// mediaFault evaluates the injected media fault of a read starting at
+// devByte — a latency spike (Duration), an unrecoverable/transient status
+// (Status), or both — and returns the fired rule, or nil. The die is the one
+// serving the operation's first stripe, so die-targeted rules model a single
+// failing NAND package. Callers hold a non-nil injector.
+func (d *SSD) mediaFault(devByte uint64) *fault.Rule {
+	die := int(devByte / uint64(d.cfg.StripeBytes) % uint64(d.cfg.Dies))
+	r := d.flt.HitMedia(d.cfg.Serial, die, d.env.Now())
+	if r != nil && d.tr != nil {
+		d.tr.Emit(d.env.Now(), "fault", "media", uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
+	}
+	return r
+}
+
+// dataHazards evaluates the data-hazard faults of one read or write. They
+// are evaluated only when the rig captures real data (there is no payload to
+// damage otherwise), so hazard rules on a digest-only rig count zero
+// injections instead of silently "firing". Callers hold a non-nil injector.
+func (d *SSD) dataHazards(op uint8, devByte uint64, n int) (hzd hazards) {
+	if !d.cfg.CaptureData {
+		return hzd
+	}
+	hit := func(pt fault.Point) bool {
+		if d.flt.Hit(pt, d.cfg.Serial, d.env.Now()) == nil {
+			return false
+		}
+		if d.tr != nil {
+			d.tr.Emit(d.env.Now(), "fault", pt.String(), devByte, uint64(n), d.cfg.Serial)
+		}
+		return true
+	}
+	switch op {
+	case nvme.IORead:
+		hzd.corrupt = hit(fault.MediaCorrupt)
+		hzd.misdirect = hit(fault.ReadMisdirect)
+	case nvme.IOWrite:
+		hzd.torn = hit(fault.WriteTorn)
+	}
+	return hzd
+}
+
 // execIO handles one NVM command from an I/O queue and returns its status.
 // sqID is the submission queue the command arrived on; with the CID it forms
 // the device-domain span alias the engine backend may have registered.
@@ -69,51 +110,19 @@ func (d *SSD) execIO(p *sim.Proc, sqID uint16, cmd nvme.Command) nvme.Status {
 	if d.tr != nil {
 		d.tr.Emit(start, "ssd", "issue", uint64(cmd.Opcode)<<56|devByte, uint64(n), d.cfg.Serial)
 	}
-	// Injected media fault on the read path: a latency spike (Duration),
-	// an unrecoverable/transient status (Status), or both. The die is the
-	// one serving the operation's first stripe, so die-targeted rules model
-	// a single failing NAND package.
-	if d.flt != nil && cmd.Opcode == nvme.IORead {
-		die := int(devByte / uint64(d.cfg.StripeBytes) % uint64(d.cfg.Dies))
-		if r := d.flt.HitMedia(d.cfg.Serial, die, p.Now()); r != nil {
-			if d.tr != nil {
-				d.tr.Emit(p.Now(), "fault", "media", uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
-			}
-			if r.Duration > 0 {
-				p.Sleep(sim.Time(r.Duration))
-			}
-			if r.Status != 0 {
-				return nvme.Status(r.Status)
-			}
-		}
-	}
-	// Data-hazard faults: evaluated only when the rig captures real data
-	// (there is no payload to damage otherwise), so hazard rules on a
-	// digest-only rig count zero injections instead of silently "firing".
 	var hzd hazards
-	if d.flt != nil && d.cfg.CaptureData {
-		switch cmd.Opcode {
-		case nvme.IORead:
-			if d.flt.Hit(fault.MediaCorrupt, d.cfg.Serial, p.Now()) != nil {
-				hzd.corrupt = true
-				if d.tr != nil {
-					d.tr.Emit(p.Now(), "fault", "media-corrupt", devByte, uint64(n), d.cfg.Serial)
+	if d.flt != nil {
+		if cmd.Opcode == nvme.IORead {
+			if r := d.mediaFault(devByte); r != nil {
+				if r.Duration > 0 {
+					p.Sleep(sim.Time(r.Duration))
 				}
-			}
-			if d.flt.Hit(fault.ReadMisdirect, d.cfg.Serial, p.Now()) != nil {
-				hzd.misdirect = true
-				if d.tr != nil {
-					d.tr.Emit(p.Now(), "fault", "misdirected-read", devByte, uint64(n), d.cfg.Serial)
-				}
-			}
-		case nvme.IOWrite:
-			if d.flt.Hit(fault.WriteTorn, d.cfg.Serial, p.Now()) != nil {
-				hzd.torn = true
-				if d.tr != nil {
-					d.tr.Emit(p.Now(), "fault", "torn-write", devByte, uint64(n), d.cfg.Serial)
+				if r.Status != 0 {
+					return nvme.Status(r.Status)
 				}
 			}
 		}
+		hzd = d.dataHazards(cmd.Opcode, devByte, n)
 	}
 	var media sim.Time
 	if cmd.Opcode == nvme.IORead {

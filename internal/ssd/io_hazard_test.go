@@ -7,6 +7,7 @@ import (
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
+	"bmstore/internal/trace"
 )
 
 // hazardHarness builds a harness with a fault injector attached before the
@@ -144,4 +145,20 @@ func TestDataHazardsInertWithoutCaptureData(t *testing.T) {
 			t.Fatalf("hazard rules fired %d times on a dataless rig", n)
 		}
 	})
+}
+
+// A tracer and a fault injector are probes on the fused path, not reasons
+// to leave it; only the classic-path override (or a pluggable medium, which
+// blocks a process) selects the process-per-command code.
+func TestObserversDoNotGateFusedPath(t *testing.T) {
+	env := sim.NewEnv(7)
+	env.SetTracer(trace.NewDigest())
+	env.SetFaults(fault.New(fault.Rule{Point: fault.SSDStall, Duration: 1}))
+	if !New(env, P4510("SN001")).fast {
+		t.Fatal("SSD built on a traced, faulted environment is off the fused path")
+	}
+	env.SetFastPath(false)
+	if New(env, P4510("SN001")).fast {
+		t.Fatal("SetFastPath(false) no longer selects the classic path")
+	}
 }

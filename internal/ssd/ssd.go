@@ -178,9 +178,9 @@ type SSD struct {
 	onReady   []func()
 	jitterRng *rand.Rand
 
-	// fast enables the fused I/O path (fastpath.go): no tracer, no fault
-	// injector, built-in flash model. Cached at construction like the
-	// other observers. The free lists below pool the fast path's command
+	// fast enables the fused I/O path (fastpath.go): the environment's
+	// FastPath and the built-in flash model. Cached at construction like
+	// the observers. The free lists below pool the fast path's command
 	// records, NAND stripe records, PRP list pages, and the (classic-path
 	// too) deferred interrupt posts.
 	fast        bool

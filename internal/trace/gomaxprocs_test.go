@@ -1,8 +1,7 @@
 // GOMAXPROCS invariance: the schedulers beneath the worker pool must never
 // leak into simulation results. The traced sweep pins the digest and the
-// rendered tables; an untraced sweep of the same cells pins the event-fused
-// fast path (tracing forces the classic path, so only the untraced leg
-// executes the fused code).
+// rendered tables; an untraced sweep of the same cells pins that attaching
+// the tracer changes no table (both legs run the fused data path).
 package trace_test
 
 import (
@@ -14,8 +13,8 @@ import (
 )
 
 // untracedSweep runs the same representative subset as sweep() with no
-// tracer attached — the fast-path configuration — and returns the rendered
-// tables plus the fidelity JSON export.
+// tracer attached and returns the rendered tables plus the fidelity JSON
+// export.
 func untracedSweep(parallel int) (string, string) {
 	h := experiments.NewHarness(tinyScale(), parallel, nil)
 	pick := map[string]bool{"fig1": true, "fig12": true, "fig13a": true, "abl-zerocopy": true, "abl-qos": true}
@@ -59,7 +58,7 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 	base := runs[0]
 	if base.tabs != base.fastTabs {
-		t.Error("fast-path tables differ from traced (classic-path) tables at GOMAXPROCS=1")
+		t.Error("untraced tables differ from traced tables at GOMAXPROCS=1")
 	}
 	for _, r := range runs[1:] {
 		if r.tabs != base.tabs {
@@ -72,11 +71,11 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: combined digest %s != %s at GOMAXPROCS=%d", r.procs, r.digest, base.digest, base.procs)
 		}
 		if r.fastTabs != base.fastTabs {
-			t.Errorf("GOMAXPROCS=%d: fast-path tables differ from GOMAXPROCS=%d", r.procs, base.procs)
+			t.Errorf("GOMAXPROCS=%d: untraced tables differ from GOMAXPROCS=%d", r.procs, base.procs)
 		}
 		if r.fastJSON != base.fastJSON {
-			t.Errorf("GOMAXPROCS=%d: fast-path JSON differs from GOMAXPROCS=%d", r.procs, base.procs)
+			t.Errorf("GOMAXPROCS=%d: untraced JSON differs from GOMAXPROCS=%d", r.procs, base.procs)
 		}
 	}
-	t.Logf("digest %s stable across GOMAXPROCS 1/2/8, fast == classic", base.digest)
+	t.Logf("digest %s stable across GOMAXPROCS 1/2/8, traced == untraced", base.digest)
 }

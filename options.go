@@ -75,10 +75,10 @@ func WithCrashRecovery(cc crash.Config) Option {
 	return func(c *Config) { c.CrashRecovery = &cc }
 }
 
-// WithClassicPath forces the classic process-per-command data path even on
-// rigs with no tracer or fault injector. The event-fused fast path is
-// timing-neutral by construction (see DESIGN.md §11), so this exists for
-// A/B verification and debugging, not correctness.
+// WithClassicPath forces the classic process-per-command data path. Every
+// rig — traced, faulted or bare — runs the event-fused path by default; it
+// is timing-neutral by construction (see DESIGN.md §11), so this exists as
+// the reference for A/B verification, not correctness.
 func WithClassicPath() Option {
 	return func(c *Config) { c.DisableFastPath = true }
 }

@@ -2,10 +2,11 @@
 # Alloc-regression gate for the simulation hot paths.
 #
 # Runs the kernel scheduler throughput benchmarks (internal/sim) and the
-# end-to-end I/O path benchmarks (BenchmarkIOPathThroughput and its
-# sampled-timeline variant BenchmarkIOPathSampledTimeline, root package)
-# with -benchmem and compares each benchmark's allocs/op against the
-# committed baseline in scripts/bench_allocs_baseline.txt. The kernel
+# end-to-end I/O path benchmarks (root package: BenchmarkIOPathThroughput
+# bare, and the same loop under each thing the gates attach — a digest
+# tracer, an armed fault injector, sampled timelines) with -benchmem and
+# compares each benchmark's allocs/op against the committed baseline in
+# scripts/bench_allocs_baseline.txt. The kernel
 # free-lists events, the fused data path pools every per-command carrier,
 # and the Schedule fast path allocates nothing, so the baselines are 0
 # allocs/op; any change that reintroduces a per-event or per-I/O allocation
@@ -22,7 +23,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_allocs_baseline.txt
 out=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
 out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|SampledTimeline)$' -benchtime=1000x -benchmem .)
+out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=1000x -benchmem .)
 echo "$out"
 
 status=0

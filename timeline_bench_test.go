@@ -3,11 +3,8 @@ package bmstore
 import (
 	"testing"
 
-	"bmstore/internal/host"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
-	"bmstore/internal/sim"
-	"bmstore/internal/ssd"
 )
 
 // BenchmarkIOPathSampledTimeline prices the same fused 4 KiB I/O path as
@@ -22,76 +19,15 @@ import (
 // reporting. This is the allocation half of the always-on telemetry
 // contract — sampling must be cheap enough to leave on in production runs.
 func BenchmarkIOPathSampledTimeline(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	cfg.NumSSDs = 2
-	cfg.Engine.ChunkBytes = 1 << 24
-	cfg.Metrics = obs.New(obs.Options{
+	met := obs.New(obs.Options{
 		SeriesInterval: obs.DefaultSeriesInterval,
 		Timeline:       timeline.Config{SampleEvery: 64, WorstK: 16},
 	})
-	cfg.SSD = func(i int) ssd.Config {
-		c := ssd.P4510("BT" + string(rune('A'+i)))
-		c.CapacityBytes = 1 << 30
-		return c
-	}
-	tb, err := NewBMStoreTestbed(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	tb.Run(func(p *sim.Proc) {
-		if err := tb.Console.CreateNamespace(p, "vol", 64<<20, []int{0, 1}); err != nil {
-			panic(err)
-		}
-		if err := tb.Console.Bind(p, "vol", 0); err != nil {
-			panic(err)
-		}
-		drv, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
-		if err != nil {
-			panic(err)
-		}
-		env := p.Env()
-		dev := drv.BlockDev(0)
-		const qd = 8
-		var claimed, target, active int
-		var batch *sim.Event
-		worker := func(wp *sim.Proc) {
-			for claimed < target {
-				i := claimed
-				claimed++
-				lba := uint64(i&1023) * 8
-				var err error
-				if i&3 == 3 {
-					err = dev.WriteAt(wp, lba, 1, nil)
-				} else {
-					err = dev.ReadAt(wp, lba, 1, nil)
-				}
-				if err != nil {
-					panic(err)
-				}
-			}
-			if active--; active == 0 {
-				batch.Trigger(nil)
-			}
-		}
-		drain := func(n int) {
-			target = claimed + n
-			active = qd
-			batch = env.NewEvent()
-			for w := 0; w < qd; w++ {
-				env.Go("bench/ioworker", worker)
-			}
-			p.Wait(batch)
-		}
-		// The warm-up also fills the worst-K heap, so timed-region retention
-		// is the 1-in-64 sample stream alone — well under one alloc per op.
-		drain(4096)
-		b.ResetTimer()
-		drain(b.N)
-		b.StopTimer()
-	})
-	if rec := cfg.Metrics.Timeline(); rec.Requests() == 0 {
+	// The warm-up batch also fills the worst-K heap, so timed-region
+	// retention is the 1-in-64 sample stream alone — well under one alloc
+	// per op.
+	benchIOPath(b, WithMetrics(met))
+	if met.Timeline().Requests() == 0 {
 		b.Fatal("recorder observed no requests")
 	}
 }
