@@ -93,8 +93,6 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	// Every mode below fans rigs out on at most -parallel workers.
-	defer experiments.PinProcs(ropts.Parallel)()
 	if ropts.Chaos != "" {
 		start := time.Now()
 		return cli.RunChaos(ropts.Chaos, ropts.Parallel, os.Stdout, os.Stderr,

@@ -56,9 +56,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Every mode below fans rigs out on at most -parallel workers; the
-	// process exits with the cap in place, so nothing restores it.
-	experiments.PinProcs(ropts.Parallel)
 	if ropts.Chaos != "" {
 		start := time.Now()
 		os.Exit(cli.RunChaos(ropts.Chaos, ropts.Parallel, os.Stdout, os.Stderr,

@@ -19,7 +19,15 @@ import (
 // SSD command records, PRP segment lists, completion carriers — comes from
 // a per-env free list, and with CaptureData off no payload bytes are
 // materialised.
-func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b) }
+func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8) }
+
+// BenchmarkIOPathDeepQueue is the same loop over 4 queues x QD 128 — the
+// shape of fio's rand-r-128 case that Table V and the repo benchmark's
+// rand4k workload run. With 512 I/Os in flight nearly every read queues for
+// a NAND die (sim.Resource under contention) and the event heap is hundreds
+// deep, neither of which the one-queue QD 8 loop reaches; both must stay
+// allocation-free.
+func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128) }
 
 // BenchmarkIOPathTracedThroughput is the same loop with a digest tracer
 // attached — what every fleet host, the figures gate and the crash sweep
@@ -27,7 +35,7 @@ func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b) }
 // digest folds words, so it too must stay at 0 allocs/op.
 func BenchmarkIOPathTracedThroughput(b *testing.B) {
 	tr := trace.NewDigest()
-	benchIOPath(b, WithTrace(tr))
+	benchIOPath(b, 1, 8, WithTrace(tr))
 	if tr.Events() == 0 {
 		b.Fatal("tracer observed nothing")
 	}
@@ -42,14 +50,15 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchIOPath(b, WithFaults(rules...))
+	benchIOPath(b, 1, 8, WithFaults(rules...))
 }
 
-// benchIOPath runs the shared 4 KiB R/W QD 8 loop on a two-SSD rig built
-// with opts. The warm-up batch runs at the measured depth so the timed
-// region starts with every pool primed, every ring page touched, and the
-// queues already wrapped.
-func benchIOPath(b *testing.B, opts ...Option) {
+// benchIOPath runs the shared 4 KiB R/W loop, qd I/Os in flight on each of
+// the tenant's first `queues` queue pairs, on a two-SSD rig built with opts.
+// The warm-up batch runs at the measured depth so the timed region starts
+// with every pool primed, every ring page touched, and the queues already
+// wrapped.
+func benchIOPath(b *testing.B, queues, qd int, opts ...Option) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.NumSSDs = 2
@@ -76,8 +85,10 @@ func benchIOPath(b *testing.B, opts ...Option) {
 			panic(err)
 		}
 		env := p.Env()
-		dev := drv.BlockDev(0)
-		const qd = 8
+		devs := make([]host.BlockDevice, queues)
+		for q := range devs {
+			devs[q] = drv.BlockDev(q)
+		}
 		var claimed, target, active int
 		var batch *sim.Event
 		worker := func(wp *sim.Proc) {
@@ -85,6 +96,7 @@ func benchIOPath(b *testing.B, opts ...Option) {
 				i := claimed
 				claimed++
 				lba := uint64(i&1023) * 8
+				dev := devs[(i>>2)%queues] // >>2: every queue sees the 3:1 mix
 				var err error
 				if i&3 == 3 {
 					err = dev.WriteAt(wp, lba, 1, nil)
@@ -101,9 +113,9 @@ func benchIOPath(b *testing.B, opts ...Option) {
 		}
 		drain := func(n int) {
 			target = claimed + n
-			active = qd
+			active = queues * qd
 			batch = env.NewEvent()
-			for w := 0; w < qd; w++ {
+			for w := queues * qd; w > 0; w-- {
 				env.Go("bench/ioworker", worker)
 			}
 			p.Wait(batch)

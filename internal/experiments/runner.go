@@ -32,23 +32,6 @@ func NewPool(workers int) *Pool {
 	return &Pool{workers: workers}
 }
 
-// PinProcs caps GOMAXPROCS at the number of rigs that will run at once (when
-// that is below the CPU count) and returns the function that restores it. A
-// simulation is one goroutine hand-off after another; with more Ps than
-// running rigs the idle Ps steal every resumed goroutine, so each hand-off
-// crosses OS threads — 9.1 instead of 6.2 µs per simulated I/O for a lone
-// rig on two cores. Results never depend on it. A GOMAXPROCS somebody has
-// already moved off its default (the environment variable, the invariance
-// tests' explicit calls) is left alone; workers <= 0 means no cap.
-func PinProcs(workers int) (restore func()) {
-	n := runtime.NumCPU()
-	if workers <= 0 || workers >= n || runtime.GOMAXPROCS(0) != n {
-		return func() {}
-	}
-	prev := runtime.GOMAXPROCS(workers)
-	return func() { runtime.GOMAXPROCS(prev) }
-}
-
 // Workers returns the concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 

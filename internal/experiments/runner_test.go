@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"bmstore/internal/sim"
 )
 
 func TestPoolDefaultWorkers(t *testing.T) {
@@ -60,7 +62,9 @@ func TestPoolSerialOrder(t *testing.T) {
 
 // A panicking job must not take down its siblings, and the re-panic must be
 // deterministic: always the lowest-indexed failure, no matter which worker
-// hit it first.
+// hit it first. Job 3 panics inside a simulation process: the kernel raises
+// that in the goroutine driving the environment — the pool's worker — so it
+// is a job failure like any other, not the end of the program.
 func TestPoolPanicPropagation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran [12]int32
@@ -71,13 +75,22 @@ func TestPoolPanicPropagation(t *testing.T) {
 					t.Fatalf("workers=%d: expected panic", workers)
 				}
 				msg := fmt.Sprint(r)
-				if !strings.Contains(msg, "job 3 panicked: boom-3") {
+				if !strings.Contains(msg, `job 3 panicked: sim: process "rig" panicked: boom-3`) {
 					t.Fatalf("workers=%d: panic %q, want lowest failed job 3", workers, msg)
 				}
 			}()
 			NewPool(workers).Each(len(ran), func(i int) {
 				atomic.AddInt32(&ran[i], 1)
-				if i == 3 || i == 7 {
+				if i == 3 {
+					env := sim.NewEnv(int64(i))
+					defer env.Shutdown()
+					env.Go("rig", func(p *sim.Proc) {
+						p.Sleep(sim.Microsecond)
+						panic(fmt.Sprintf("boom-%d", i))
+					})
+					env.Run()
+				}
+				if i == 7 {
 					panic(fmt.Sprintf("boom-%d", i))
 				}
 			})
@@ -114,30 +127,5 @@ func TestHarnessSerial(t *testing.T) {
 	}
 	if cfg.Tracer != nil {
 		t.Fatal("untraced harness attached a tracer")
-	}
-}
-
-// PinProcs caps a default GOMAXPROCS at the worker count for the duration of
-// a run, and keeps its hands off a value somebody chose.
-func TestPinProcs(t *testing.T) {
-	n := runtime.NumCPU()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
-	restore := PinProcs(1)
-	if got := runtime.GOMAXPROCS(0); n > 1 && got != 1 {
-		t.Errorf("one worker on %d CPUs runs at GOMAXPROCS %d, want 1", n, got)
-	}
-	restore()
-	if got := runtime.GOMAXPROCS(0); got != n {
-		t.Errorf("restore left GOMAXPROCS at %d, want %d", got, n)
-	}
-	PinProcs(0)()
-	PinProcs(n + 1)()
-	if got := runtime.GOMAXPROCS(0); got != n {
-		t.Errorf("an uncapped pool moved GOMAXPROCS to %d", got)
-	}
-	runtime.GOMAXPROCS(n + 3)
-	PinProcs(1)
-	if got := runtime.GOMAXPROCS(0); got != n+3 {
-		t.Errorf("an explicit GOMAXPROCS %d was overridden to %d", n+3, got)
 	}
 }

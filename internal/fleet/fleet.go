@@ -229,7 +229,6 @@ func Run(o Options) *Result {
 		PerHost:     make([]HostResult, o.Hosts),
 	}
 	pool := experiments.NewPool(o.Parallel)
-	defer experiments.PinProcs(o.Parallel)()
 	for w := 0; w < waves; w++ {
 		lo := w * o.WaveSize
 		hi := lo + o.WaveSize

@@ -72,25 +72,59 @@ func BenchmarkSchedulerMetricsOnThroughput(b *testing.B) {
 }
 
 // BenchmarkProcessSleepThroughput measures the per-event cost when every
-// event resumes a blocked process: the goroutine-handoff path plus the
-// timeout-event machinery behind Proc.Sleep. One op is one completed sleep.
+// event resumes a blocked process: the coroutine switch into the process and
+// back plus the timeout-event machinery behind Proc.Sleep. One op is one
+// completed sleep. A warm-up round creates the coroutines and primes the
+// free lists, so the timed region allocates only the 16 Procs.
 func BenchmarkProcessSleepThroughput(b *testing.B) {
 	const procs = 16
 	env := NewEnv(1)
-	per := b.N / procs
-	extra := b.N % procs
+	round := func(total int) {
+		per := total / procs
+		extra := total % procs
+		for i := 0; i < procs; i++ {
+			n := per
+			if i < extra {
+				n++
+			}
+			env.Go("sleeper", func(p *Proc) {
+				for j := 0; j < n; j++ {
+					p.Sleep(100 * Nanosecond)
+				}
+			})
+		}
+		env.Run()
+	}
+	round(procs)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < procs; i++ {
-		n := per
-		if i < extra {
-			n++
+	round(b.N)
+	b.StopTimer()
+	env.Shutdown()
+}
+
+// BenchmarkProcessSpawn measures a short-lived process end to end — Go, one
+// Sleep, return — 512 at a time, the way fio starts a worker per queue slot
+// and the classic data path one per command. One op is one process. A
+// warm-up batch fills the coroutine pool, so the timed region shows the
+// steady state: the Proc and its Done event, 2 allocs/op (pinned by make
+// bench-gate), and no goroutine created.
+func BenchmarkProcessSpawn(b *testing.B) {
+	const batch = 512
+	env := NewEnv(1)
+	body := func(p *Proc) { p.Sleep(100 * Nanosecond) }
+	spawn := func(n int) {
+		for i := 0; i < n; i++ {
+			env.Go("short", body)
 		}
-		env.Go("sleeper", func(p *Proc) {
-			for j := 0; j < n; j++ {
-				p.Sleep(100 * Nanosecond)
-			}
-		})
+		env.Run()
 	}
-	env.Run()
+	spawn(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for left := b.N; left > 0; left -= batch {
+		spawn(min(left, batch))
+	}
+	b.StopTimer()
+	env.Shutdown()
 }

@@ -1,13 +1,18 @@
 package sim
 
+import "fmt"
+
 // Proc is a simulation process: sequential code that advances virtual time
 // by blocking on events. All Proc methods must be called from within the
-// process's own function.
+// process's own function. The function runs on a coroutine borrowed from the
+// environment's pool from its first activation until it returns; a finished
+// Proc holds neither the coroutine nor the function.
 type Proc struct {
 	env    *Env
 	id     uint64 // spawn sequence number; orders deterministic shutdown
 	name   string
-	resume chan resumeMsg
+	fn     func(p *Proc) // the body, until it starts
+	co     *coro         // the coroutine running the body, while it runs
 	done   bool
 	doneEv *Event
 }
@@ -24,10 +29,32 @@ func (p *Proc) Done() *Event { return p.doneEv }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// yield hands control back to the scheduler and blocks until resumed.
+// run executes the process body on the current coroutine. The bookkeeping
+// is deferred so that it also happens when the body panics or exits via
+// runtime.Goexit — notably when a test calls t.FailNow inside a process.
+func (p *Proc) run() {
+	defer func() {
+		p.done, p.co = true, nil
+		delete(p.env.live, p)
+		p.doneEv.Trigger(nil)
+	}()
+	defer func() {
+		if r := recover(); r != nil && r != errAborted {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+}
+
+// yield switches back to the scheduler and returns when the process is
+// resumed.
 func (p *Proc) yield() resumeMsg {
-	p.env.yield <- struct{}{}
-	m := <-p.resume
+	c := p.co
+	c.yield(struct{}{})
+	m := c.msg
+	c.msg = resumeMsg{}
 	if m.abort {
 		panic(errAborted)
 	}

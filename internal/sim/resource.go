@@ -7,7 +7,7 @@ type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters []*Event
+	waiters fifo[*Event]
 }
 
 // NewResource returns a resource with capacity units.
@@ -34,7 +34,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	ev := r.env.pooledEvent()
-	r.waiters = append(r.waiters, ev)
+	r.waiters.push(ev)
 	p.Wait(ev)
 }
 
@@ -55,7 +55,7 @@ func (r *Resource) AcquireCB(cb func(val any)) {
 	}
 	ev := r.env.pooledEvent()
 	ev.callbacks = append(ev.callbacks, cb)
-	r.waiters = append(r.waiters, ev)
+	r.waiters.push(ev)
 }
 
 // TryAcquire obtains a unit only if one is immediately free.
@@ -73,10 +73,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
 	}
-	if len(r.waiters) > 0 {
-		ev := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		ev.Trigger(nil) // unit passes to the waiter; inUse unchanged
+	if r.waiters.n > 0 {
+		r.waiters.pop().Trigger(nil) // unit passes to the waiter; inUse unchanged
 		return
 	}
 	r.inUse--

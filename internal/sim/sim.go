@@ -4,11 +4,13 @@
 // virtual time, so microsecond-scale device behaviour can be reproduced
 // faithfully regardless of host speed.
 //
-// Concurrency model: simulation processes are goroutines, but exactly one
-// goroutine (either the scheduler or a single process) runs at any moment.
-// Control is handed off explicitly through channels, so simulation state
-// never needs locking and event ordering is fully deterministic: events fire
-// in (time, sequence) order.
+// Concurrency model: a simulation process is a runtime coroutine (iter.Pull)
+// that the scheduler switches into and that switches straight back when the
+// process blocks or returns. Exactly one of them — the scheduler or a single
+// process — runs at any moment and the hand-off is a direct switch that never
+// passes through the Go scheduler, so simulation state never needs locking,
+// a run costs the same at any GOMAXPROCS, and event ordering is fully
+// deterministic: events fire in (time, sequence) order.
 //
 // An Env is strictly single-threaded; parallelism in this codebase lives
 // *between* environments, never inside one. Independent rigs each own an Env
@@ -19,6 +21,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"bmstore/internal/fault"
@@ -44,10 +47,17 @@ const (
 type Env struct {
 	now   Time
 	queue eventQueue
-	seq   uint64
+	// lane holds the entries pushed for the current instant (at == now) in
+	// push order; see enqueue.
+	lane fifo[scheduled]
+	seq  uint64
 
-	yield chan struct{} // signalled by a process when it blocks or exits
-	live  map[*Proc]struct{}
+	live map[*Proc]struct{}
+	// coFree is the pool of parked coroutines: a process that returns leaves
+	// its coroutine here and the next process to start takes it over, so at
+	// steady state starting a process creates no goroutine. Shutdown stops
+	// the parked ones.
+	coFree []*coro
 
 	seed    int64
 	procSeq uint64
@@ -83,7 +93,6 @@ type Env struct {
 // The seed feeds the per-name deterministic streams returned by Rand.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield:  make(chan struct{}),
 		live:   make(map[*Proc]struct{}),
 		seed:   seed,
 		fastOK: true,
@@ -243,10 +252,30 @@ func (q *eventQueue) siftDown(i int) {
 	}
 }
 
-func (e *Env) push(at Time, ev *Event) {
+// enqueue stamps it with the next sequence number and queues it. An entry
+// for the current instant — a Trigger, a process start, Schedule(0, …): a
+// fifth to a quarter of all pushes — goes to the zero-delay lane, a plain
+// FIFO, instead of the heap. Every heap entry for this instant was pushed at
+// an earlier one and so carries a smaller seq than anything in the lane, and
+// the lane is in seq order by construction, so run fires heap entries while
+// their time equals now, then the lane: exactly (time, seq) order, without
+// sifting the entries that would have left the heap at once anyway. The
+// clock never advances while the lane holds entries, which keeps every lane
+// entry's time equal to now.
+func (e *Env) enqueue(it scheduled) {
 	e.seq++
-	e.queue.push(scheduled{at: at, seq: e.seq, ev: ev})
+	it.seq = e.seq
+	if it.at == e.now {
+		e.lane.push(it)
+	} else {
+		e.queue.push(it)
+	}
 }
+
+func (e *Env) push(at Time, ev *Event) { e.enqueue(scheduled{at: at, ev: ev}) }
+
+// pending returns the number of queued entries.
+func (e *Env) pending() int { return len(e.queue.s) + e.lane.n }
 
 // Schedule runs fn in scheduler context after delay. It is the lightweight,
 // callback-style alternative to starting a process; device models use it for
@@ -257,8 +286,7 @@ func (e *Env) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
-	e.seq++
-	e.queue.push(scheduled{at: e.now + delay, seq: e.seq, fn: fn})
+	e.enqueue(scheduled{at: e.now + delay, fn: fn})
 }
 
 // Run processes events until the queue is empty, then returns the final
@@ -320,8 +348,8 @@ func (e *Env) RunUntilEventWatched(ev *Event, horizon Time) (Time, *Diagnosis) {
 	}
 	d := &Diagnosis{
 		At:         e.now,
-		HorizonHit: len(e.queue.s) > 0,
-		Pending:    len(e.queue.s),
+		HorizonHit: e.pending() > 0,
+		Pending:    e.pending(),
 	}
 	procs := make([]*Proc, 0, len(e.live))
 	for p := range e.live {
@@ -342,21 +370,31 @@ func (e *Env) RunUntilEventWatched(ev *Event, horizon Time) (Time, *Diagnosis) {
 }
 
 // run is the scheduler hot loop shared by Run, RunUntil and RunUntilEvent:
-// pop in (time, seq) order until the queue drains, the next entry lies
+// take entries in (time, seq) order until none is left, the next one lies
 // beyond limit (when limit >= 0), or until has fired (when non-nil).
 func (e *Env) run(limit Time, until *Event) Time {
-	for len(e.queue.s) > 0 {
+	for {
 		if until != nil && until.processed {
 			break
 		}
-		if limit >= 0 && e.queue.s[0].at > limit {
+		var it scheduled
+		if e.lane.n > 0 && (len(e.queue.s) == 0 || e.queue.s[0].at > e.now) {
+			if limit >= 0 && e.now > limit {
+				break
+			}
+			it = e.lane.pop()
+		} else if len(e.queue.s) > 0 {
+			if limit >= 0 && e.queue.s[0].at > limit {
+				break
+			}
+			it = e.queue.pop()
+			if it.at < e.now {
+				panic("sim: event queue went backwards")
+			}
+			e.now = it.at
+		} else {
 			break
 		}
-		it := e.queue.pop()
-		if it.at < e.now {
-			panic("sim: event queue went backwards")
-		}
-		e.now = it.at
 		e.nEvents++
 		e.cEvents.Inc()
 		if e.tracer != nil {
@@ -392,8 +430,13 @@ func (e *Env) fire(ev *Event) {
 		e.resume(p, resumeMsg{val: ev.val, ev: ev})
 	}
 	if ev.pooled {
-		ev.waiters = ws[:0] // keep the capacity across recycles
-		e.recycle(ev)
+		// Keep both arrays across recycles so a reused event appends
+		// without allocating, but empty them: a parked event must not keep
+		// finished processes or per-command callbacks alive.
+		clear(cbs)
+		clear(ws)
+		*ev = Event{env: e, pooled: true, callbacks: cbs[:0], waiters: ws[:0]}
+		e.evFree = append(e.evFree, ev)
 	}
 }
 
@@ -419,32 +462,64 @@ func (e *Env) pooledEvent() *Event {
 	return &Event{env: e, pooled: true}
 }
 
-// recycle resets a pooled event (keeping its waiter-slice capacity) and
-// returns it to the free list.
-func (e *Env) recycle(ev *Event) {
-	ev.val = nil
-	ev.pending = false
-	ev.processed = false
-	ev.aborted = false
-	ev.callbacks = nil
-	ev.waiters = ev.waiters[:0]
-	e.evFree = append(e.evFree, ev)
-}
-
 type resumeMsg struct {
 	val   any
 	ev    *Event
 	abort bool
 }
 
-// resume hands control to process p and blocks until it yields back.
+// coro is one runtime coroutine that runs process bodies, one after
+// another: it parks in Env.coFree between them.
+type coro struct {
+	next  func() (struct{}, bool) // switch into the coroutine
+	yield func(struct{}) bool     // switch back out of it; false once stopped
+	stop  func()                  // end a parked coroutine
+	p     *Proc                   // the process the next activation runs
+	msg   resumeMsg               // why the blocked process is being resumed
+}
+
+// newCoro creates a coroutine; its first next() runs c.p.
+func (e *Env) newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			c.p.run()
+			c.p = nil
+			e.coFree = append(e.coFree, c)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// resume hands control to process p and returns when it blocks or finishes.
+// A panic in the process body (or a runtime.Goexit, as from t.FailNow)
+// surfaces here, in the goroutine that called Run.
 func (e *Env) resume(p *Proc, m resumeMsg) {
 	e.cResumes.Inc()
 	if e.tracer != nil && !m.abort {
 		e.tracer.Emit(e.now, "sim", "resume", p.id, 0, p.name)
 	}
-	p.resume <- m
-	<-e.yield
+	c := p.co
+	if c == nil { // first activation
+		if m.abort {
+			p.fn, p.done = nil, true
+			delete(e.live, p)
+			return
+		}
+		if n := len(e.coFree); n > 0 {
+			c = e.coFree[n-1]
+			e.coFree = e.coFree[:n-1]
+		} else {
+			c = e.newCoro()
+		}
+		c.p, p.co = p, c
+	}
+	c.msg = m // read by the yield this wakes; a starting body reads none
+	c.next()
 }
 
 // Blocked reports how many processes are alive but currently blocked. After
@@ -452,11 +527,14 @@ func (e *Env) resume(p *Proc, m resumeMsg) {
 // that will never fire (often intentional: server loops).
 func (e *Env) Blocked() int { return len(e.live) }
 
-// Shutdown aborts every live process: each blocked process's wait panics
-// with an internal sentinel that the process wrapper recovers. Use it in
-// tests to avoid goroutine leaks from server-style processes. Processes are
-// unwound in spawn order, so shutdown — like everything else on the
-// environment — is deterministic and safe to include in a trace digest.
+// Shutdown aborts every live process — each blocked process's wait panics
+// with an internal sentinel that the process wrapper recovers, a process
+// that never started is simply dropped — and then stops the parked
+// coroutines, so an environment that was shut down holds no goroutine. Use
+// it when a rig is done to avoid leaking the goroutines of server-style
+// processes. Processes are unwound in spawn order, so shutdown — like
+// everything else on the environment — is deterministic and safe to include
+// in a trace digest.
 func (e *Env) Shutdown() {
 	for len(e.live) > 0 {
 		procs := make([]*Proc, 0, len(e.live))
@@ -474,20 +552,25 @@ func (e *Env) Shutdown() {
 			e.resume(p, resumeMsg{abort: true})
 		}
 	}
+	for _, c := range e.coFree {
+		c.stop()
+	}
+	e.coFree = nil
 }
 
 // Go starts fn as a new simulation process named name. The process begins
-// running at the current virtual time, before Go returns to the scheduler...
-// precisely: the process is started immediately if called from scheduler
-// context, or scheduled for the same timestamp when called from another
-// process. Go returns a *Proc handle whose Done event fires when fn returns.
+// running at the current virtual time, once the scheduler reaches its
+// zero-delay start event, so processes start in the order they were spawned.
+// Go returns a *Proc handle whose Done event fires when fn returns. fn runs
+// on a pooled coroutine: a panic in it reaches the caller of Run as
+// `sim: process "<name>" panicked: …`.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
 	p := &Proc{
 		env:    e,
 		id:     e.procSeq,
 		name:   name,
-		resume: make(chan resumeMsg),
+		fn:     fn,
 		doneEv: e.NewEvent(),
 	}
 	e.live[p] = struct{}{}
@@ -495,29 +578,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.tracer != nil {
 		e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
 	}
-	go func() {
-		m := <-p.resume // wait for first activation
-		// The completion handoff runs as a deferred function so that it
-		// also happens when fn exits via runtime.Goexit — notably when a
-		// test calls t.Fatal from inside a simulation process. Without it
-		// the scheduler would wait forever for the yield.
-		defer func() {
-			p.done = true
-			delete(e.live, p)
-			if !m.abort {
-				p.doneEv.Trigger(nil)
-			}
-			e.yield <- struct{}{}
-		}()
-		if !m.abort {
-			defer func() {
-				if r := recover(); r != nil && r != errAborted {
-					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-				}
-			}()
-			fn(p)
-		}
-	}()
 	// Activate via a zero-delay pooled event so start order is deterministic.
 	start := e.pooledEvent()
 	start.waiters = append(start.waiters, p)

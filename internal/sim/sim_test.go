@@ -318,6 +318,42 @@ func TestResourceReleasePanicsWhenIdle(t *testing.T) {
 	r.Release()
 }
 
+// A resource under contention allocates nothing at steady state, for
+// callback and process waiters alike: the waiter events, their callback
+// slices and the FIFO's storage are all reused.
+func TestContendedAcquireDoesNotAllocate(t *testing.T) {
+	env := NewEnv(1)
+	r := NewResource(env, 1)
+	granted := 0
+	cb := func(any) { granted++ }
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 9; i++ { // one immediate grant, eight queued
+			r.AcquireCB(cb)
+		}
+		for i := 0; i < 9; i++ {
+			r.Release()
+			env.Run()
+		}
+	}); n != 0 {
+		t.Errorf("contended AcquireCB: %v allocs per 9 grants, want 0", n)
+	}
+	if granted != 101*9 || r.InUse() != 0 {
+		t.Fatalf("%d grants, %d units in use", granted, r.InUse())
+	}
+
+	for i := 0; i < 8; i++ {
+		env.Go("user", func(p *Proc) {
+			for {
+				r.Use(p, 10, nil)
+			}
+		})
+	}
+	if n := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now() + 1000) }); n != 0 {
+		t.Errorf("contended Acquire: %v allocs per 100 grants, want 0", n)
+	}
+	env.Shutdown()
+}
+
 func TestPacerRate(t *testing.T) {
 	env := NewEnv(1)
 	pc := NewPacer(env, 1e9) // 1 GB/s => 1 byte per ns

@@ -8,8 +8,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
-sim=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
-io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=1000x -benchmem .)
+sim=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$' -benchtime=100x -benchmem ./internal/sim/)
+io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
 
 {
 	cat <<'EOF'
@@ -20,14 +20,15 @@ io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=1000x -benchmem .)
 # steady state allocation-free, and the fused I/O path pools every carrier
 # (commands, CQEs, IRQ posts, PRP segments), so the end-to-end
 # BenchmarkIOPathThroughput is pinned at 0 allocs/op too — and so are the
-# variants that run what the gates run: a digest tracer attached
+# variants that run what the experiments and gates run: 512 I/Os in flight,
+# where commands queue for a die (DeepQueue), a digest tracer attached
 # (TracedThroughput), a fault injector armed but never firing
 # (ArmedFaultsThroughput), and always-on telemetry (SampledTimeline, where
-# every request carries a pooled timeline and 1-in-64 are retained). At the
-# gate's short benchtimes one-time warm-up (proc stacks, free-list priming)
-# still shows through for the process benchmark: 101 B/op rounds to
-# 1 alloc/op. Raising these numbers needs a written justification;
-# regenerate with `make bench-baseline`.
+# every request carries a pooled timeline and 1-in-64 are retained).
+# Processes run on pooled coroutines, so a spawn costs its Proc and Done
+# event (ProcessSpawn: 2) and nothing else; the process benchmarks create
+# their coroutines in an untimed warm-up round. Raising these numbers needs
+# a written justification; regenerate with `make bench-baseline`.
 EOF
 	printf '%s\n%s\n' "$sim" "$io" | awk '
 		$1 ~ /^Benchmark/ {

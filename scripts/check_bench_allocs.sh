@@ -1,29 +1,32 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the simulation hot paths.
 #
-# Runs the kernel scheduler throughput benchmarks (internal/sim) and the
-# end-to-end I/O path benchmarks (root package: BenchmarkIOPathThroughput
-# bare, and the same loop under each thing the gates attach — a digest
-# tracer, an armed fault injector, sampled timelines) with -benchmem and
-# compares each benchmark's allocs/op against the committed baseline in
-# scripts/bench_allocs_baseline.txt. The kernel
-# free-lists events, the fused data path pools every per-command carrier,
+# Runs the kernel benchmarks (internal/sim: scheduler and process-sleep
+# throughput, process spawn) and the end-to-end I/O path benchmarks (root
+# package: BenchmarkIOPathThroughput bare at QD 8, the same loop 512 deep
+# where commands queue for a die, and under each thing the gates attach — a
+# digest tracer, an armed fault injector, sampled timelines) with -benchmem
+# and compares each benchmark's allocs/op against the committed baseline in
+# scripts/bench_allocs_baseline.txt. The kernel free-lists events and pools
+# process coroutines, the fused data path pools every per-command carrier,
 # and the Schedule fast path allocates nothing, so the baselines are 0
-# allocs/op; any change that reintroduces a per-event or per-I/O allocation
-# fails this gate. Re-bless intentional changes with `make bench-baseline`.
+# allocs/op (2 for a spawned process: the Proc and its Done event); any
+# change that reintroduces a per-event or per-I/O allocation fails this
+# gate. Re-bless intentional changes with `make bench-baseline`.
 #
 # Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
-# baselines account for it. The I/O path benchmark runs 1000x so its fixed
-# per-batch setup (worker processes) amortises to 0.
+# baselines account for it. The I/O path benchmarks run 4000x so their fixed
+# per-batch setup (one worker process per queue slot, 512 of them for the
+# deep queue) amortises to 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
-out=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
+out=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$' -benchtime=100x -benchmem ./internal/sim/)
 out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=1000x -benchmem .)
+out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
 echo "$out"
 
 status=0
