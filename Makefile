@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-runner lint determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test race race-runner lint gates determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -42,6 +42,13 @@ lint:
 # asserting bit-identical trace digests (see internal/trace/replay_test.go).
 determinism:
 	$(GO) test -run Determinism -count=1 ./...
+
+# "Every pinned digest is unchanged", in one command: the replay suite plus
+# the five smoke gates, each of which compares against a committed digest or
+# a serial/parallel twin. CI runs the same targets as separate steps, for
+# per-gate logs. With figures-gate and bench-gate this is the full check
+# that a change to the data path moved no virtual nanosecond and no alloc.
+gates: determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke
 
 # Fault-injection smoke: a faulted fiosim run must complete (the driver's
 # timeout/retry recovery absorbs the injections), count them, and stay

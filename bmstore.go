@@ -52,15 +52,6 @@ type Config struct {
 	// it off; integrity-sensitive work leaves it on.
 	CaptureData bool
 
-	// DisableFastPath forces the classic process-per-command data path.
-	// Every rig — traced, faulted or bare — runs the event-fused path by
-	// default; it is timing-neutral by construction (see DESIGN.md §11), so
-	// this exists as the reference for A/B verification, not correctness.
-	//
-	// Deprecated: pass WithClassicPath() to the testbed constructor instead.
-	// The field keeps delegating for one release and will then be removed.
-	DisableFastPath bool
-
 	Engine     engine.Config
 	Controller controller.Config
 	// BMCLatency is the console <-> card network + BMC forwarding delay.
@@ -223,9 +214,6 @@ func newEnv(cfg *Config) *sim.Env {
 	if len(cfg.Faults) > 0 {
 		env.SetFaults(fault.New(cfg.Faults...))
 	}
-	if cfg.DisableFastPath {
-		env.SetFastPath(false)
-	}
 	return env
 }
 
@@ -243,7 +231,7 @@ func newSSDLink(env *sim.Env, lanes int, name string) *pcie.Link {
 // configuration is invalid or backend bring-up errors (which injected
 // faults can now force). Observability and fault wiring composes through
 // the variadic options (WithTrace, WithMetrics, WithTimeline, WithFaults,
-// WithClassicPath), applied to a copy of cfg in order.
+// WithCrashRecovery), applied to a copy of cfg in order.
 func NewBMStoreTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	cfg = cfg.With(opts...)
 	if err := cfg.Validate(); err != nil {

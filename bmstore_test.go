@@ -12,7 +12,7 @@ import (
 	"bmstore/internal/ssd"
 )
 
-func smallTestbed(t *testing.T, numSSDs int) *Testbed {
+func smallTestbed(t *testing.T, numSSDs int, opts ...Option) *Testbed {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NumSSDs = numSSDs
@@ -23,7 +23,7 @@ func smallTestbed(t *testing.T, numSSDs int) *Testbed {
 		return c
 	}
 	cfg.CaptureData = true
-	tb, err := NewBMStoreTestbed(cfg)
+	tb, err := NewBMStoreTestbed(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

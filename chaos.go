@@ -124,13 +124,6 @@ func chaosDriverConfig() host.DriverConfig {
 // recorded (pass trace.NewDigest() for a standalone replay); met, when
 // non-nil, collects the rig's metrics.
 func RunChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, met *obs.Registry) ChaosRun {
-	return runChaosSchedule(sch, opts, tr, met)
-}
-
-// runChaosSchedule is RunChaosSchedule with extra rig options on top of the
-// campaign rig — how the path A/B tests put the same schedule on the classic
-// reference path.
-func runChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, met *obs.Registry, rigOpts ...Option) ChaosRun {
 	run := ChaosRun{Seed: sch.Seed}
 	run.Report.Schedule = sch
 	horizon := opts.Horizon
@@ -138,7 +131,7 @@ func runChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, m
 		horizon = 5 * sim.Second
 	}
 
-	tb, err := NewBMStoreTestbed(chaosConfig(sch.Seed, sch.Rules, tr, met), rigOpts...)
+	tb, err := NewBMStoreTestbed(chaosConfig(sch.Seed, sch.Rules, tr, met))
 	if err != nil {
 		run.Findings = []chaos.Finding{{Name: "rig-build", Detail: err.Error()}}
 		return run

@@ -180,8 +180,7 @@ func realMain() int {
 func runSweep(run *cli.Run, sc experiments.Scale, sel []experiments.Experiment, only, jsonOut, checkDir, writeGoldens string) int {
 	h := experiments.NewHarness(sc, run.Opts.Parallel, run.Traces).
 		WithMetrics(run.Metrics).
-		WithFaults(run.Rules).
-		WithClassicPath(run.Opts.Classic)
+		WithFaults(run.Rules)
 
 	fmt.Printf("BM-Store evaluation reproduction (scale=%s)\n\n", sc.Name)
 	sweepStart := time.Now()
@@ -335,17 +334,16 @@ func runCrashSweep(run *cli.Run, seed int64, seeds, point int, jsonOut string) i
 // Returns the process exit code: 1 when a wave trips the health gate.
 func runFleet(run *cli.Run, sc experiments.Scale, hosts, wave, ssds int, seed int64, replayHost int, jsonOut string) int {
 	o := fleet.Options{
-		Hosts:           hosts,
-		WaveSize:        wave,
-		Seed:            seed,
-		SSDsPerHost:     ssds,
-		Parallel:        run.Opts.Parallel,
-		FWCommitMin:     sc.FWCommitMin,
-		FWCommitMax:     sc.FWCommitMax,
-		Faults:          run.Rules,
-		Traces:          run.Traces,
-		Metrics:         run.Metrics,
-		DisableFastPath: run.Opts.Classic,
+		Hosts:       hosts,
+		WaveSize:    wave,
+		Seed:        seed,
+		SSDsPerHost: ssds,
+		Parallel:    run.Opts.Parallel,
+		FWCommitMin: sc.FWCommitMin,
+		FWCommitMax: sc.FWCommitMax,
+		Faults:      run.Rules,
+		Traces:      run.Traces,
+		Metrics:     run.Metrics,
 	}
 	start := time.Now()
 	if replayHost >= 0 {

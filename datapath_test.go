@@ -1,0 +1,234 @@
+package bmstore
+
+import (
+	"bytes"
+	"reflect"
+	"regexp"
+	"runtime"
+	"testing"
+
+	"bmstore/internal/chaos"
+	"bmstore/internal/fault"
+	"bmstore/internal/fio"
+	"bmstore/internal/host"
+	"bmstore/internal/obs"
+	"bmstore/internal/obs/timeline"
+	"bmstore/internal/sim"
+	"bmstore/internal/trace"
+)
+
+// dataPathOutcome is what one run of the mixed workload leaves behind: the
+// fio aggregates of a random and a large-block sequential job and the rig's
+// final virtual clock.
+type dataPathOutcome struct {
+	rand, seq *fio.Result
+	end       sim.Time
+}
+
+// runDataPath drives a two-SSD rig through a mixed random workload, a
+// 128 KiB sequential one (PRP-list walk, multi-extent splitting) and a
+// payload round trip. CaptureData is on, so the data path's pooled staging
+// buffers and PRP segment caches carry real payload bytes — a stale pooled
+// buffer corrupts the round trip, which fails the test.
+func runDataPath(t *testing.T, opts ...Option) (out dataPathOutcome) {
+	t.Helper()
+	tb := smallTestbed(t, 2, opts...)
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	tb.Run(func(p *sim.Proc) {
+		must(tb.Console.CreateNamespace(p, "vol", 64<<20, []int{0, 1}))
+		must(tb.Console.Bind(p, "vol", 0))
+		drv, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
+		must(err)
+		devs := []host.BlockDevice{drv.BlockDev(0), drv.BlockDev(1)}
+		out.rand = fio.Run(p, devs, fio.Spec{
+			Name: "randrw", Pattern: fio.RandRW, BlockSize: 4096,
+			IODepth: 16, NumJobs: 2, Runtime: 4 * sim.Millisecond,
+		})
+		out.seq = fio.Run(p, devs, fio.Spec{
+			Name: "seq", Pattern: fio.SeqWrite, BlockSize: 128 << 10,
+			IODepth: 8, NumJobs: 2, Runtime: 4 * sim.Millisecond,
+		})
+		// Payload round trip after thousands of pooled-buffer reuses: write a
+		// recognisable pattern, flush, read it back.
+		bd := devs[0]
+		data := make([]byte, 64<<10)
+		for i := range data {
+			data[i] = byte(i * 7)
+		}
+		must(bd.WriteAt(p, 900, 16, data))
+		must(bd.(interface{ Flush(*sim.Proc) error }).Flush(p))
+		got := make([]byte, len(data))
+		must(bd.ReadAt(p, 900, 16, got))
+		if !bytes.Equal(got, data) {
+			panic("payload round trip corrupted the data")
+		}
+		out.end = p.Now()
+	})
+	return out
+}
+
+// TestTelemetryIsTimingNeutral pins the always-on telemetry boundary: a
+// metrics registry — sampled timelines and worst-K forensics included — is a
+// passive observer, so attaching one must not move the virtual clock or any
+// fio aggregate (full latency histograms included) of the bare run. A
+// divergence means an observation point schedules or reorders events.
+func TestTelemetryIsTimingNeutral(t *testing.T) {
+	met := obs.New(obs.Options{
+		SeriesInterval: obs.DefaultSeriesInterval,
+		Timeline:       timeline.Config{SampleEvery: 8, WorstK: 8},
+	})
+	bare := runDataPath(t)
+	observed := runDataPath(t, WithMetrics(met))
+	if bare.end != observed.end {
+		t.Fatalf("virtual end time diverged: bare %d, with telemetry %d", bare.end, observed.end)
+	}
+	if !reflect.DeepEqual(bare.rand, observed.rand) {
+		t.Errorf("rand-rw fio results diverged: bare lat %.2fus, with telemetry %.2fus",
+			bare.rand.AvgLatencyUS(), observed.rand.AvgLatencyUS())
+	}
+	if !reflect.DeepEqual(bare.seq, observed.seq) {
+		t.Errorf("seq fio results diverged: bare lat %.2fus, with telemetry %.2fus",
+			bare.seq.AvgLatencyUS(), observed.seq.AvgLatencyUS())
+	}
+	var buf bytes.Buffer
+	if err := timeline.WriteTrace(&buf, []timeline.RigDump{met.Timeline().Dump("ab")}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"bmstore_rig"`)) {
+		t.Error("trace export looks empty; the recorder never saw the workload")
+	}
+}
+
+// faultRecords matches the fired-fault records of a trace dump.
+var faultRecords = regexp.MustCompile(`(?m)^ *\d+ fault .*$`)
+
+// TestFaultRulesFireOnTheSameCommand walks every data-path fault kind with
+// an nth= and a t= rule (stall windows have only t=) on the campaign rig's
+// write-then-verify workload. Each rule must fire, be visible as a `fault`
+// record in the trace and — for the three CaptureData hazards — damage bytes
+// the oracle catches; and a replay of the same schedule must fire it on the
+// same commands at the same virtual instants (byte-equal trace dumps) with
+// the same evidence (workload tallies, driver counters, oracle violations
+// and their LBAs).
+func TestFaultRulesFireOnTheSameCommand(t *testing.T) {
+	faultedRun := func(t *testing.T, sch chaos.Schedule) (string, ChaosRun) {
+		var dump bytes.Buffer
+		tr := trace.New(trace.Options{Dump: &dump})
+		run := RunChaosSchedule(sch, ChaosOptions{}, tr, nil)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return dump.String(), run
+	}
+	for _, tc := range []struct {
+		spec   string
+		hazard bool
+	}{
+		{"media-err,nth=5,status=0x281", false},
+		{"media-err,t=1ms,status=0x281", false},
+		{"media-slow,nth=7,count=3,dur=400us", false},
+		{"media-slow,t=1ms,dur=400us", false},
+		{"ssd-stall,t=200us,dur=2ms,target=CH0", false},
+		{"backend-stall,t=200us,dur=2ms,target=CH0", false},
+		{"media-corrupt,nth=9", true},
+		{"media-corrupt,t=1ms,count=2", true},
+		{"misdirected-read,nth=4", true},
+		{"misdirected-read,t=1ms", true},
+		{"torn-write,nth=11", true},
+		{"torn-write,t=900us,count=2", true},
+	} {
+		tc := tc
+		t.Run(tc.spec, func(t *testing.T) {
+			rules, err := fault.ParseSpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch := chaos.Schedule{Seed: 7, Hazard: tc.hazard, Rules: rules}
+			dump, run := faultedRun(t, sch)
+			fired := faultRecords.FindAllString(dump, -1)
+			if run.Report.Injected == 0 || len(fired) == 0 {
+				t.Fatalf("rule never fired (injected %d)", run.Report.Injected)
+			}
+			if tc.hazard && len(run.Report.Violations) == 0 {
+				t.Errorf("hazard fired %d times but the oracle saw no damaged block", run.Report.Injected)
+			}
+			again, rerun := faultedRun(t, sch)
+			if again != dump {
+				t.Errorf("replay diverged: fault records %v, then %v", fired, faultRecords.FindAllString(again, -1))
+			}
+			if !reflect.DeepEqual(run.Report, rerun.Report) || !reflect.DeepEqual(run.Findings, rerun.Findings) {
+				t.Errorf("replay evidence diverged:\nfirst:  %+v\nreplay: %+v", run.Report, rerun.Report)
+			}
+			t.Logf("injected %d, violations %d, first firing: %s",
+				run.Report.Injected, len(run.Report.Violations), fired[0])
+		})
+	}
+}
+
+// TestQoSParksSpawnNoGoroutines guards the fused path's QoS dispatcher. A
+// capped tenant parks nearly every command, and the dispatcher used to be a
+// process per park: on the fused path, with almost no other goroutine
+// hand-offs left per I/O, the Go scheduler starved those finished goroutines
+// of their last instructions, thousands of them stayed behind (5 294 on a
+// fleet host with 7 live processes) and the runtime never frees their
+// stacks' descriptors. The dispatcher is a continuation now, so the
+// goroutine count sampled after every capped I/O must stay at the rig's
+// handful of long-lived processes.
+func TestQoSParksSpawnNoGoroutines(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NumSSDs = 1
+	met := obs.NewRegistry()
+	tb, err := NewBMStoreTestbed(cfg, WithTrace(trace.NewDigest()), WithMetrics(met))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, iosPerJob = 1, 4000
+	var base, peak int
+	tb.Run(func(p *sim.Proc) {
+		// A fleet host's tenant: one 8000-IOPS namespace under a depth-1 job,
+		// so the command buffer drains — and the dispatcher ends — per park.
+		if err := tb.Console.CreateNamespace(p, "vol", 64<<30, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Console.Bind(p, "vol", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Console.SetQoS(p, "vol", 8000, 0); err != nil {
+			t.Fatal(err)
+		}
+		drv, err := tb.AttachTenant(p, 1, host.DefaultDriverConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var done []*sim.Event
+		for j := 0; j < jobs; j++ {
+			bd := drv.BlockDev(j)
+			done = append(done, tb.Go("tenant", func(tp *sim.Proc) {
+				for i := 0; i < iosPerJob; i++ {
+					if err := bd.ReadAt(tp, uint64(i), 1, nil); err != nil {
+						panic(err)
+					}
+					if n := runtime.NumGoroutine(); n > peak {
+						peak = n
+					}
+				}
+			}).Done())
+		}
+		base = runtime.NumGoroutine() // every process of the run exists now
+		for _, ev := range done {
+			p.Wait(ev)
+		}
+	})
+	parked := counterValue(t, met.Snapshot(), "engine/ns/vol", "qos_parked")
+	if parked < jobs*iosPerJob/2 {
+		t.Fatalf("only %d of %d commands parked; the cap is not biting", parked, jobs*iosPerJob)
+	}
+	if peak > base+8 {
+		t.Fatalf("goroutines grew from %d to %d over %d QoS parks; the dispatcher is spawning per park",
+			base, peak, parked)
+	}
+}

@@ -1,9 +1,9 @@
 // Package cli is the single home of the run-options surface shared by the
 // simulator's binaries. fiosim, bmstore-bench and the fleet entrypoint all
 // expose the same observability and fault-injection flags — tracing,
-// metrics, timelines, fault specs, chaos campaigns, the classic-path A/B
-// switch and the worker bound — and before this package each binary carried
-// its own near-duplicate flag block and wiring. RunOptions registers the
+// metrics, timelines, fault specs, chaos campaigns and the worker bound —
+// and before this package each binary carried its own near-duplicate flag
+// block and wiring. RunOptions registers the
 // flags once (identical names, defaults and help text everywhere — a parity
 // test pins this), validates the combinations that used to fail silently,
 // and Build turns them into a Run: the trace/metrics families plus per-rig
@@ -43,7 +43,6 @@ type RunOptions struct {
 	TimelineOut string
 	SampleEvery int
 	SlowestK    int
-	Classic     bool
 	Parallel    int
 	Faults      string
 	Chaos       string
@@ -68,7 +67,6 @@ var sharedFlags = []sharedFlag{
 	{"timeline-out", "write recorded timelines as Chrome/Perfetto trace-event JSON to this file (- for stdout; implies recording)"},
 	{"sample", "timeline sampling rate: keep every Nth request (with -timeline)"},
 	{"slowest", "retain the K slowest requests' complete timelines (with -timeline)"},
-	{"classic", "force the classic process-per-command data path (A/B reference; output is identical apart from trace digests, which fold the kernel's per-process records)"},
 	{"parallel", "max concurrent rigs (1 = serial)"},
 	{"faults", "fault-injection spec, e.g. 'ssd-stall,t=20ms,dur=10ms;media-slow,nth=100,count=-1,dur=2ms' (enables driver timeout/retry recovery)"},
 	{"chaos", "run a chaos campaign instead of the workload: 'seed,count' (e.g. '1,20'; count defaults to 1) — seeded fault schedules under a write-then-verify workload, exit 1 on any invariant violation"},
@@ -97,7 +95,6 @@ func (o *RunOptions) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.TimelineOut, "timeline-out", "", usageOf("timeline-out"))
 	fs.IntVar(&o.SampleEvery, "sample", 64, usageOf("sample"))
 	fs.IntVar(&o.SlowestK, "slowest", 16, usageOf("slowest"))
-	fs.BoolVar(&o.Classic, "classic", false, usageOf("classic"))
 	fs.IntVar(&o.Parallel, "parallel", runtime.GOMAXPROCS(0), usageOf("parallel"))
 	fs.StringVar(&o.Faults, "faults", "", usageOf("faults"))
 	fs.StringVar(&o.Chaos, "chaos", "", usageOf("chaos"))
@@ -195,10 +192,9 @@ func (r *Run) Close() error {
 }
 
 // RigOptions returns the bmstore.Option slice wiring one named rig: its
-// child tracer and metrics registry, the fault schedule, and the
-// classic-path override. This is the only way the binaries attach
-// observability to a testbed — none of them touches the deprecated Config
-// fields.
+// child tracer and metrics registry and the fault schedule. This is the only
+// way the binaries attach observability to a testbed — none of them touches
+// the deprecated Config fields.
 func (r *Run) RigOptions(rig string) []bmstore.Option {
 	var opts []bmstore.Option
 	if r.Traces != nil {
@@ -209,9 +205,6 @@ func (r *Run) RigOptions(rig string) []bmstore.Option {
 	}
 	if len(r.Rules) > 0 {
 		opts = append(opts, bmstore.WithFaults(r.Rules...))
-	}
-	if r.Opts.Classic {
-		opts = append(opts, bmstore.WithClassicPath())
 	}
 	return opts
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -81,11 +82,26 @@ func TestBinariesUseSharedFlagSurface(t *testing.T) {
 		}
 		// The acceptance criterion behind the redesign: no direct writes to
 		// the deprecated Config observability fields anywhere in cmd/.
-		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults =", ".DisableFastPath ="} {
+		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults ="} {
 			if strings.Contains(text, field) {
 				t.Errorf("%s: writes deprecated Config field %q directly; use bmstore.Option wiring", rel, strings.TrimSuffix(field, " ="))
 			}
 		}
+	}
+}
+
+// TestClassicFlagIsGone: -classic selected the process-per-command data path,
+// which no longer exists. The shared surface must not keep accepting (and
+// ignoring) it: parsing it is the standard unknown-flag usage error, which
+// the binaries' flag.ExitOnError turns into exit status 2.
+func TestClassicFlagIsGone(t *testing.T) {
+	var o RunOptions
+	fs := flag.NewFlagSet("bin", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o.RegisterFlags(fs)
+	err := fs.Parse([]string{"-classic"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -classic") {
+		t.Errorf("parsing -classic: got %v, want the unknown-flag error", err)
 	}
 }
 

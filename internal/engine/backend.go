@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
-	"bmstore/internal/obs/timeline"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
@@ -267,67 +265,6 @@ func (b *backend) adminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	return p.Wait(ev).(nvme.Completion)
 }
 
-// submitIO sends one I/O command to the SSD, respecting the quiesce gate
-// and queue-depth flow control. done runs in scheduler context on
-// completion. qhint spreads submitters over the queue pairs. skey, when
-// non-zero, is the host-side span key; the backend aliases it to the
-// device-side (serial, queue, CID) coordinates so the SSD can attribute
-// its media time to the right request span.
-func (b *backend) submitIO(p *sim.Proc, cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion)) {
-	epoch := b.e.epoch
-	if b.e.dead {
-		return // crash swallowed the command before the host adaptor saw it
-	}
-	subT0 := b.e.env.Now()
-	b.waitGate(p)
-	if b.e.dead || b.e.epoch != epoch {
-		return // the gate wait spanned a crash
-	}
-	if b.e.flt != nil {
-		// Injected host-adaptor stall: submissions to this SSD are held for
-		// the rule's window (a congested or wedged back-end path), re-checking
-		// the gate afterwards in case a quiesce started meanwhile.
-		for {
-			end := b.e.flt.StallUntil(fault.BackendSubmit, b.dev.Config().Serial, int64(b.e.env.Now()))
-			if sim.Time(end) <= b.e.env.Now() {
-				break
-			}
-			if b.e.tr != nil {
-				b.e.tr.Emit(b.e.env.Now(), "fault", "backend-stall", uint64(b.idx), uint64(sim.Time(end)-b.e.env.Now()), b.dev.Config().Serial)
-			}
-			p.Sleep(sim.Time(end) - b.e.env.Now())
-			b.waitGate(p)
-			if b.e.dead || b.e.epoch != epoch {
-				return
-			}
-		}
-	}
-	sq := b.ioSQs[qhint%len(b.ioSQs)]
-	sq.slots.Acquire(p)
-	if b.e.dead || b.e.epoch != epoch {
-		sq.slots.Release()
-		return // the slot wait spanned a crash; hand the slot straight back
-	}
-	cid := b.allocCID()
-	cmd.CID = cid
-	cmd.NSID = b.backendNSID
-	b.inflight++
-	if b.e.met != nil {
-		if skey != 0 {
-			if b.e.tl {
-				// Quiesce-gate plus backend SQ slot wait, measured from
-				// submit entry to the slot grant.
-				b.e.met.SpanWait(skey, timeline.WaitBackend, int64(b.e.env.Now()-subT0))
-			}
-			b.e.met.SpanAlias(skey, obs.DevKey(b.dev.Config().Serial, sq.id, cid))
-		}
-		b.mInflight.Inc(b.e.env.Now())
-		b.mSubmits.Inc()
-	}
-	b.pending[cid] = b.getPending(sq, done)
-	b.push(sq, cmd)
-}
-
 // onIRQ scans the completion queue named by the MSI vector.
 func (b *backend) onIRQ(vec int) {
 	var cq *beCQ
@@ -376,17 +313,6 @@ func (b *backend) complete(cpl nvme.Completion) {
 }
 
 // --- quiesce gate (hot-upgrade / hot-plug support) ---
-
-// waitGate parks the calling submitter while the gate is closed. Commands
-// held here are the "stored I/O context" of the paper: the host sees added
-// latency, never an error.
-func (b *backend) waitGate(p *sim.Proc) {
-	for b.gateClosed {
-		ev := b.e.env.NewEvent()
-		b.gateWait = append(b.gateWait, ev)
-		p.Wait(ev)
-	}
-}
 
 // closeGate stops new submissions and waits for in-flight commands on this
 // SSD to drain. If the device is gone (surprise removal) the drain would

@@ -6,8 +6,8 @@ package engine
 // at one virtual instant the card loses every piece of volatile state —
 // and the state extraction/restore hooks the manager builds on:
 // TakeCheckpoint/RestoreCheckpoint over the per-function namespace maps
-// and backend allocation state, a write-ack journal hook fired on both the
-// classic and fused I/O paths, and Recover to bring a dead card back.
+// and backend allocation state, a write-ack journal hook fired by the I/O
+// path, and Recover to bring a dead card back.
 //
 // Crash semantics: in-flight commands vanish without completions (the
 // host driver's timeout/retry machinery turns them into the in-doubt

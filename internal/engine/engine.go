@@ -77,7 +77,7 @@ type Engine struct {
 	mDispatch *obs.Counter
 	mFlushes  *obs.Counter
 	// flt is the rig's fault injector, cached like tr/met; the back-end
-	// submit path (classic and fused) consults it for injected stalls.
+	// submit path consults it for injected stalls.
 	flt *fault.Injector
 
 	// Crash state (see crash.go): dead latches while the card is down;
@@ -100,10 +100,6 @@ type Engine struct {
 	chip     *hostmem.Memory
 	free     []uint64 // recycled chip-memory pages for PRP lists
 
-	// fast is true when the rig runs the event-fused I/O path (Env.FastPath:
-	// always, unless the classic reference path was asked for); cached at
-	// construction like tr/met.
-	fast bool
 	// Data-path free lists (see fastpath.go).
 	feIOFree  []*feIO
 	feIRQFree []*feIRQ
@@ -134,7 +130,6 @@ func New(env *sim.Env, cfg Config) *Engine {
 		tr:       env.Tracer(),
 		met:      env.Metrics(),
 		flt:      env.Faults(),
-		fast:     env.FastPath(),
 		chip:     hostmem.New(cfg.ChipMemBytes),
 		Firmware: "BMS_1.0",
 	}

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"fmt"
+	"bytes"
+	"strings"
 	"testing"
 
 	"bmstore/internal/fault"
@@ -49,6 +50,7 @@ func TestChipMemoryPRPListRecycling(t *testing.T) {
 func TestQoSBufferFIFOOrder(t *testing.T) {
 	env := sim.NewEnv(3)
 	ns := &Namespace{env: env, qos: newQoSBucket(env, QoSLimits{IOPS: 1000})}
+	ns.dispatchFn = ns.dispatchStep
 	// Exhaust the burst.
 	for {
 		if ok, _ := ns.qos.Admit(4096); !ok {
@@ -58,10 +60,9 @@ func TestQoSBufferFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Go(fmt.Sprintf("cmd%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i)) // deterministic arrival order
-			ns.admit(p, 4096)
-			order = append(order, i)
+		// Deterministic arrival order, one command per nanosecond.
+		env.Schedule(sim.Time(i), func() {
+			ns.admitCB(4096, func(any) { order = append(order, i) })
 		})
 	}
 	env.Run()
@@ -133,18 +134,36 @@ func TestStoreAndForwardCorrectness(t *testing.T) {
 	})
 }
 
-// A tracer and a fault injector are probes on the fused path, not reasons
-// to leave it; only the classic-path override selects the
-// process-per-command code.
+// A tracer and a fault injector are probes on the data path, not reasons to
+// fall back to a process per command: with both attached, a batch of reads
+// spawns no process at all.
 func TestObserversDoNotGateFusedPath(t *testing.T) {
 	env := sim.NewEnv(1)
-	env.SetTracer(trace.NewDigest())
+	var dump bytes.Buffer
+	tr := trace.New(trace.Options{Dump: &dump})
+	env.SetTracer(tr)
 	env.SetFaults(fault.New(fault.Rule{Point: fault.BackendSubmit, Duration: 1}))
-	if !New(env, DefaultConfig()).fast {
-		t.Fatal("engine built on a traced, faulted environment is off the fused path")
+	h := newFeHarnessEnv(t, env, 1, nil)
+	ns, _ := h.eng.CreateNamespace("v", 2*testChunk, []int{0})
+	h.eng.Bind(0, ns)
+	var before int
+	h.run(func(p *sim.Proc) {
+		h.initFunc(p, 0, 64)
+		buf := h.mem.AllocPages(1)
+		tr.Flush()
+		before = dump.Len()
+		for i := 0; i < 20; i++ {
+			if cpl := h.rw(p, 0, nvme.IORead, uint64(i), make([]byte, ssd.BlockSize), buf); cpl.Status.IsError() {
+				t.Fatalf("read %d: %#x", i, cpl.Status)
+			}
+		}
+	})
+	tr.Flush()
+	io := dump.String()[before:]
+	if !strings.Contains(io, " engine dispatch") || !strings.Contains(io, " ssd    issue") {
+		t.Fatal("the reads left no engine or ssd records; the tracer is not attached")
 	}
-	env.SetFastPath(false)
-	if New(env, DefaultConfig()).fast {
-		t.Fatal("SetFastPath(false) no longer selects the classic path")
+	if strings.Contains(io, " spawn ") {
+		t.Fatalf("traced, faulted reads spawned processes:\n%s", io)
 	}
 }

@@ -1,16 +1,16 @@
 package engine
 
-// This file implements the BMS-Engine's event-fused I/O data path: the
-// continuation-passing rewrite of the front-end fetch loop, the Fig. 6
-// pipeline (dispatch → map → QoS → PRP rewrite → forward), and the backend
-// submit path. It follows the same rules as the SSD's fused path (see
-// internal/ssd/fastpath.go and DESIGN.md §11): every virtual-time sleep
-// becomes an Env.Schedule at the identical program point, synchronous steps
-// — trace emits (`engine dispatch`/`map`) and the `backend-stall` fault
-// window in the submit gate loop included — keep their call order, and
-// per-command records come from free lists. It is the path every rig runs
-// (Env.FastPath holds unless the rig asked for the classic reference path);
-// admin queues always use the classic process-based path.
+// This file is the BMS-Engine's I/O data path: the front-end fetch of an I/O
+// submission queue, the Fig. 6 pipeline (dispatch → LBA map → QoS admission →
+// global-PRP rewrite → forward), the host adaptor's submit to a back-end SSD,
+// and the completion's way back to the tenant's CQ. Like the SSD's data path
+// (internal/ssd/fastpath.go; rules in DESIGN.md §11) it is written in
+// continuation-passing style: every wait in virtual time is an Env.Schedule
+// or a resource/event callback naming the next step, synchronous steps —
+// trace emits (`engine dispatch`/`map`) and the `backend-stall` fault window
+// in the submit gate loop included — keep a fixed call order, and
+// per-command records come from free lists. Admin queues are served by
+// processes instead (frontend.go).
 
 import (
 	"encoding/binary"
@@ -42,8 +42,9 @@ func (e *Engine) getPage() []byte {
 	return make([]byte, nvme.PageSize)
 }
 
-// feFetch is the continuation form of the front-end fetchLoop, one per I/O
-// submission queue.
+// feFetch is the target controller's front half for one I/O submission
+// queue: it DMA-reads SQEs from host memory in order and hands each to its
+// own pipeline record.
 type feFetch struct {
 	f   *function
 	sq  *feSQ
@@ -87,8 +88,8 @@ func (ff *feFetch) decoded() {
 	f.e.after(f.e.cfg.FetchLatency, ff.dispatchFn)
 }
 
-// dispatch starts the command's pipeline one queue hop from now (the classic
-// process-start position) and continues fetching immediately.
+// dispatch starts the command's pipeline one queue hop from now and
+// continues fetching immediately.
 func (ff *feFetch) dispatch() {
 	e := ff.f.e
 	io := e.getFeIO(ff.f, ff.sq, ff.pendCmd, ff.pendHead)
@@ -96,9 +97,9 @@ func (ff *feFetch) dispatch() {
 	ff.step()
 }
 
-// cpsHostPRP is the retry-walk reader for host-memory PRP lists: the
-// continuation counterpart of hostPRPReader, fetching one missing list page
-// per attempt with identical DMA bookings and waits.
+// cpsHostPRP is the retry-walk reader for PRP lists that live in host
+// memory: a walk that misses a list page records it, the page is fetched over
+// DMA (charging the round trip to the pipeline), and the walk retries.
 type cpsHostPRP struct {
 	pages   map[uint64][]byte
 	used    []uint64
@@ -118,8 +119,9 @@ func (w *cpsHostPRP) ReadU64(addr uint64) uint64 {
 	return 0
 }
 
-// feIO is one pooled in-flight front-end command: the continuation form of
-// handleIO / forwardFlush.
+// feIO is one pooled in-flight front-end command: steps 2-3 of the paper's
+// Fig. 6 (LBA mapping, QoS admission, PRP rewriting into global PRPs,
+// forwarding to the host adaptor) and the join of the sub-completions.
 type feIO struct {
 	e      *Engine
 	f      *function
@@ -201,19 +203,19 @@ func (e *Engine) putFeIO(io *feIO) {
 	e.feIOFree = append(e.feIOFree, io)
 }
 
-// fail posts an error completion and recycles the record: the continuation
-// form of handleIO's fail helper.
+// fail posts an error completion and recycles the record.
 func (io *feIO) fail(st nvme.Status) {
 	f, sq, cmd, sqHead := io.f, io.sq, io.cmd, io.sqHead
 	io.e.putFeIO(io)
 	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: st})
 }
 
-// start runs at the classic handleIO process's first activation position.
 func (io *feIO) start() {
 	f, e := io.f, io.e
 	if e.dead || e.crashDispatchHit() {
-		e.putFeIO(io) // the command vanishes; host timeout covers it
+		// Hard crash: the command vanishes without a CQE; the host driver's
+		// timeout machinery classifies it into the in-doubt window.
+		e.putFeIO(io)
 		return
 	}
 	io.epoch = e.epoch
@@ -236,6 +238,8 @@ func (io *feIO) start() {
 		io.fail(nvme.StatusInvalidOpcode)
 		return
 	}
+	// The span key mirrors the one the host driver used at SpanStart; the
+	// engine only adds stage marks to an already-live span.
 	io.skey = 0
 	if e.met != nil {
 		io.skey = obs.SpanKey(uint8(f.id), io.sq.id, io.cmd.CID)
@@ -250,7 +254,7 @@ func (io *feIO) start() {
 		return
 	}
 	io.nBytes = int(io.nlb) * int(ns.blockSize)
-	e.after(e.cfg.MapLatency, io.mappedFn)
+	e.after(e.cfg.MapLatency, io.mappedFn) // LBA mapping (step 2)
 }
 
 func (io *feIO) mapped() {
@@ -267,6 +271,8 @@ func (io *feIO) mapped() {
 	if tr := io.e.tr; tr != nil {
 		tr.Emit(io.e.env.Now(), "engine", "map", io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
 	}
+	// QoS admission: over-threshold commands park in the command buffer
+	// until the dispatcher re-admits them.
 	io.qosT0 = io.e.env.Now()
 	io.ns.admitCB(io.nBytes, io.admittedFn)
 }
@@ -280,8 +286,11 @@ func (io *feIO) admitted(any) {
 		io.e.met.SpanWait(io.skey, timeline.WaitQoS, int64(io.e.env.Now()-io.qosT0))
 	}
 	io.start0 = io.e.env.Now()
-	// PRP conversion: the in-pipeline tag path needs no memory touch; list
-	// transfers walk the host PRPs (fetching list pages) then assemble.
+	// PRP conversion to global PRPs, splitting the transfer when it crosses
+	// a chunk boundary. A single extent covered by at most two pages is
+	// tagged in the pipeline without touching memory; transfers with PRP
+	// lists fetch the host list, rewrite every entry, and park the rewritten
+	// list in chip memory, exactly as §IV-C describes.
 	if subs, ok := io.f.simpleSub(io.cmd, io.extents, io.nBytes, io.subs[:0]); ok {
 		io.subs = subs
 		io.forward()
@@ -316,8 +325,8 @@ func (io *feIO) walkAttempt() {
 	io.forward()
 }
 
-// forward joins the classic pipeline after buildSubCommands: span mark, then
-// the submit loop with one ForwardLatency hop per sub-command.
+// forward closes the map+qos stage and hands the sub-commands to the host
+// adaptor (step 3), one ForwardLatency hop per sub-command.
 func (io *feIO) forward() {
 	e := io.e
 	if e.met != nil {
@@ -344,7 +353,7 @@ func (io *feIO) forwardSub() {
 	bcmd := nvme.Command{Opcode: io.cmd.Opcode, PRP1: sub.prp1, PRP2: sub.prp2}
 	bcmd.SetSLBA(sub.physLBA)
 	bcmd.SetNLB(sub.blocks)
-	be.submitIOCB(bcmd, int(io.f.id)*7+int(io.sq.id), io.skey, io.subDoneFn, io.forwardNextFn)
+	be.submit(bcmd, int(io.f.id)*7+int(io.sq.id), io.skey, io.subDoneFn, io.forwardNextFn)
 }
 
 func (io *feIO) subDone(c nvme.Completion) {
@@ -380,7 +389,7 @@ func (io *feIO) subDone(c nvme.Completion) {
 	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst})
 }
 
-// --- flush fan-out (continuation form of forwardFlush) ---
+// --- flush: fanned out to every backend the namespace touches ---
 
 func (io *feIO) startFlush() {
 	io.ssds = io.ns.ssdSetInto(io.ssds[:0])
@@ -403,7 +412,7 @@ func (io *feIO) flushNext() {
 	idx := io.ssds[io.subIdx]
 	io.subIdx++
 	be := io.e.backends[idx]
-	be.submitIOCB(nvme.Command{Opcode: nvme.IOFlush}, int(io.f.id), 0, io.flushDoneFn, io.flushNextFn)
+	be.submit(nvme.Command{Opcode: nvme.IOFlush}, int(io.f.id), 0, io.flushDoneFn, io.flushNextFn)
 }
 
 func (io *feIO) flushDone(c nvme.Completion) {
@@ -422,7 +431,7 @@ func (io *feIO) flushFinish() {
 	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst})
 }
 
-// --- backend submit (continuation form of submitIO) ---
+// --- backend submit ---
 
 // beSubmit is one pooled in-flight submission attempt.
 type beSubmit struct {
@@ -441,15 +450,14 @@ type beSubmit struct {
 	stalledFn func()
 }
 
-// submitIOCB is submitIO for callback-chain callers: done runs on command
-// completion exactly as submitIO's done does, and submitted runs at the
-// program point where submitIO would have returned to its caller (after the
-// SQE push). The quiesce gate and queue-depth waits park this record on the
-// same events and FIFOs the classic path uses, so mixed classic/fast
-// submitters keep their relative order. An injected backend stall holds the
-// record for the rule's window and then re-runs the gate, the loop shape of
-// submitIO's stall block.
-func (b *backend) submitIOCB(cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion), submitted func()) {
+// submit sends one I/O command to the SSD, respecting the quiesce gate
+// and queue-depth flow control. done runs in scheduler context on command
+// completion; submitted runs right after the SQE push, so a caller can pace
+// its next submission. qhint spreads submitters over the queue pairs. skey,
+// when non-zero, is the host-side span key; the backend aliases it to the
+// device-side (serial, queue, CID) coordinates so the SSD can attribute its
+// media time to the right request span.
+func (b *backend) submit(cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion), submitted func()) {
 	var s *beSubmit
 	if n := len(b.submitFree); n > 0 {
 		s = b.submitFree[n-1]
@@ -466,9 +474,10 @@ func (b *backend) submitIOCB(cmd nvme.Command, qhint int, skey uint64, done func
 	s.gate(nil)
 }
 
-// gate re-checks the quiesce gate, parking on it while closed — the loop
-// shape of waitGate — then sits out any injected host-adaptor stall before
-// queueing for an SQ slot.
+// gate re-checks the quiesce gate, parking on it while closed — commands
+// held here are the "stored I/O context" of the paper: the host sees added
+// latency, never an error — then sits out any injected host-adaptor stall (a
+// congested or wedged back-end path) before queueing for an SQ slot.
 func (s *beSubmit) gate(any) {
 	b := s.b
 	if b.e.dead || b.e.epoch != s.epoch {
@@ -516,8 +525,8 @@ func (s *beSubmit) slot(any) {
 	if b.e.met != nil {
 		if s.skey != 0 {
 			if b.e.tl {
-				// Same measurement window as the classic submitIO: submit
-				// entry to backend SQ slot grant.
+				// Quiesce-gate plus backend SQ slot wait, measured from
+				// submit entry to the slot grant.
 				b.e.met.SpanWait(s.skey, timeline.WaitBackend, int64(b.e.env.Now()-s.t0))
 			}
 			b.e.met.SpanAlias(s.skey, obs.DevKey(b.dev.Config().Serial, sq.id, cid))
@@ -544,8 +553,8 @@ func (b *backend) getPending(sq *beSQ, done func(nvme.Completion)) *bePending {
 }
 
 // doneMsg is a pooled deferred completion delivery: the CompleteLatency
-// stage of backend.complete without a per-completion closure. It is used on
-// classic and fast paths alike (the Schedule position is unchanged).
+// stage of backend.complete without a per-completion closure (admin and I/O
+// completions alike).
 type doneMsg struct {
 	b   *backend
 	fn  func(nvme.Completion)
@@ -573,7 +582,7 @@ func (m *doneMsg) fire() {
 	fn(cpl)
 }
 
-// feIRQ is a pooled deferred front-end MSI post (classic and fast paths).
+// feIRQ is a pooled deferred front-end MSI post.
 type feIRQ struct {
 	e   *Engine
 	run func()

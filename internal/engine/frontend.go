@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"bmstore/internal/nvme"
-	"bmstore/internal/obs"
-	"bmstore/internal/obs/timeline"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
@@ -38,7 +36,7 @@ type feSQ struct {
 	head     uint32
 	tail     uint32
 	fetching bool
-	fs       *feFetch // fast-path fetch state, created on first doorbell
+	fs       *feFetch // I/O queue fetch state, created on first doorbell
 }
 
 type feCQ struct {
@@ -114,24 +112,29 @@ func (f *function) doorbell(qid uint16, isCQ bool, val uint32) {
 		return
 	}
 	sq.tail = val % sq.ring.Entries
-	if !sq.fetching {
-		sq.fetching = true
-		if f.e.fast && qid != 0 {
-			if sq.fs == nil {
-				sq.fs = newFeFetch(f, sq)
-			}
-			f.e.env.Schedule(0, sq.fs.stepFn)
-			return
-		}
-		f.e.env.Go(fmt.Sprintf("engine/fn%d/sq%d", f.id, qid), func(p *sim.Proc) {
-			f.fetchLoop(p, sq)
-		})
+	if sq.fetching {
+		return
 	}
+	sq.fetching = true
+	if qid == 0 {
+		// Admin queues are served by processes: rare, stateful commands.
+		f.e.env.Go(fmt.Sprintf("engine/fn%d/sq%d", f.id, qid), func(p *sim.Proc) {
+			f.adminFetchLoop(p, sq)
+		})
+		return
+	}
+	// I/O queues run the Fig. 6 pipeline as a continuation chain
+	// (fastpath.go), starting one queue hop from now.
+	if sq.fs == nil {
+		sq.fs = newFeFetch(f, sq)
+	}
+	f.e.env.Schedule(0, sq.fs.stepFn)
 }
 
-// fetchLoop is the target controller's front half: it DMA-reads SQEs from
-// host memory in order and hands each to its own pipeline process.
-func (f *function) fetchLoop(p *sim.Proc, sq *feSQ) {
+// adminFetchLoop is the target controller's front half for the admin queue:
+// it DMA-reads SQEs from host memory in order and hands each to its own
+// process. I/O queues run the same steps as continuations (feFetch).
+func (f *function) adminFetchLoop(p *sim.Proc, sq *feSQ) {
 	defer func() { sq.fetching = false }()
 	for sq.head != sq.tail {
 		if !f.enabled {
@@ -146,11 +149,7 @@ func (f *function) fetchLoop(p *sim.Proc, sq *feSQ) {
 		sq.head = sq.ring.Next(sq.head)
 		sqHead := sq.head
 		p.Sleep(f.e.cfg.FetchLatency)
-		if sq.id == 0 {
-			f.e.env.Go("engine/admin", func(ap *sim.Proc) { f.handleAdmin(ap, sq, cmd, sqHead) })
-		} else {
-			f.e.env.Go("engine/io", func(ip *sim.Proc) { f.handleIO(ip, sq, cmd, sqHead) })
-		}
+		f.e.env.Go("engine/admin", func(ap *sim.Proc) { f.handleAdmin(ap, sq, cmd, sqHead) })
 	}
 }
 
@@ -272,163 +271,6 @@ func (f *function) adminIdentify(p *sim.Proc, cmd nvme.Command) nvme.Status {
 // function (each PF/VF exposes exactly one).
 const FrontNSID = 1
 
-// handleIO is steps 2-3 of the paper's Fig. 6: LBA mapping, QoS admission,
-// PRP rewriting into global PRPs, and forwarding to the host adaptor.
-func (f *function) handleIO(p *sim.Proc, sq *feSQ, cmd nvme.Command, sqHead uint32) {
-	if f.e.dead || f.e.crashDispatchHit() {
-		// Hard crash: the command vanishes without a CQE; the host driver's
-		// timeout machinery classifies it into the in-doubt window.
-		return
-	}
-	epoch := f.e.epoch
-	if tr := f.e.tr; tr != nil {
-		tr.Emit(f.e.env.Now(), "engine", "dispatch",
-			uint64(f.id)<<32|uint64(sq.id)<<16|uint64(cmd.Opcode), uint64(cmd.CID), "")
-	}
-	fail := func(st nvme.Status) {
-		f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: st})
-	}
-	ns := f.ns
-	if ns == nil || cmd.NSID != FrontNSID {
-		fail(nvme.StatusInvalidNamespace)
-		return
-	}
-	switch cmd.Opcode {
-	case nvme.IOFlush:
-		f.forwardFlush(p, sq, cmd, sqHead, ns)
-		return
-	case nvme.IORead, nvme.IOWrite:
-	default:
-		fail(nvme.StatusInvalidOpcode)
-		return
-	}
-	// The span key mirrors the one the host driver used at SpanStart; the
-	// engine only adds stage marks to an already-live span.
-	skey := uint64(0)
-	if f.e.met != nil {
-		skey = obs.SpanKey(uint8(f.id), sq.id, cmd.CID)
-		f.e.met.SpanMark(skey, obs.MarkDispatch, f.e.env.Now())
-	}
-	f.e.mDispatch.Inc()
-
-	slba := cmd.SLBA()
-	nlb := cmd.NLB()
-	if slba+uint64(nlb) > ns.SizeLBA {
-		fail(nvme.StatusLBAOutOfRange)
-		return
-	}
-	nBytes := int(nlb) * int(ns.blockSize)
-
-	// LBA mapping (step 2).
-	p.Sleep(f.e.cfg.MapLatency)
-	if f.e.dead || f.e.epoch != epoch {
-		return
-	}
-	extents, err := ns.mt.LookupRange(slba, nlb)
-	if err != nil {
-		fail(nvme.StatusInternal)
-		return
-	}
-	if tr := f.e.tr; tr != nil {
-		tr.Emit(f.e.env.Now(), "engine", "map", slba, uint64(nlb)<<32|uint64(len(extents)), "")
-	}
-
-	// QoS admission: over-threshold commands park in the command buffer
-	// until the dispatcher re-admits them.
-	qosT0 := p.Now()
-	ns.admit(p, nBytes)
-	if f.e.dead || f.e.epoch != epoch {
-		return // the QoS park outlived a crash
-	}
-	if f.e.tl {
-		f.e.met.SpanWait(skey, timeline.WaitQoS, int64(p.Now()-qosT0))
-	}
-
-	// PRP conversion to global PRPs.
-	start := p.Now()
-	subs, listPages, st := f.buildSubCommands(p, cmd, extents, nBytes)
-	if st.IsError() {
-		f.e.freeChipPages(listPages)
-		fail(st)
-		return
-	}
-	if f.e.met != nil {
-		// map+qos stage closes once admission and PRP rewriting are done.
-		f.e.met.SpanMark(skey, obs.MarkMapped, p.Now())
-	}
-
-	// Forward to the host adaptor (step 3) and join sub-completions.
-	remaining := len(subs)
-	worst := nvme.StatusSuccess
-	isRead := cmd.Opcode == nvme.IORead
-	for _, sub := range subs {
-		be := f.e.backends[sub.ssd]
-		bcmd := nvme.Command{Opcode: cmd.Opcode, PRP1: sub.prp1, PRP2: sub.prp2}
-		bcmd.SetSLBA(sub.physLBA)
-		bcmd.SetNLB(sub.blocks)
-		p.Sleep(f.e.cfg.ForwardLatency)
-		if f.e.dead || f.e.epoch != epoch {
-			// Crash mid-forward: the chip-memory list pages are lost with
-			// the card's state (not recycled), like real on-chip RAM.
-			return
-		}
-		be.submitIO(p, bcmd, int(f.id)*7+int(sq.id), skey, func(c nvme.Completion) {
-			if f.e.dead || f.e.epoch != epoch {
-				return // completion raced a crash; the CQE is lost with the card
-			}
-			if c.Status.IsError() && worst == nvme.StatusSuccess {
-				worst = c.Status
-			}
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			if f.e.met != nil {
-				f.e.met.SpanMark(skey, obs.MarkBackendDone, f.e.env.Now())
-			}
-			f.e.freeChipPages(listPages)
-			lat := f.e.env.Now() - start
-			if isRead {
-				ns.ReadStats.Record(nBytes, lat)
-			} else {
-				ns.WriteStats.Record(nBytes, lat)
-			}
-			if f.e.onWriteAck != nil && !isRead && !worst.IsError() {
-				f.e.journalAck(f, slba, nlb, subs)
-			}
-			f.postCQE(sq.cqid, nvme.Completion{
-				CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst,
-			})
-		})
-	}
-}
-
-// forwardFlush fans a flush out to every backend the namespace touches.
-func (f *function) forwardFlush(p *sim.Proc, sq *feSQ, cmd nvme.Command, sqHead uint32, ns *Namespace) {
-	ssds := ns.ssdSet()
-	remaining := len(ssds)
-	if remaining == 0 {
-		f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead)})
-		return
-	}
-	f.e.mFlushes.Inc()
-	worst := nvme.StatusSuccess
-	for _, idx := range ssds {
-		be := f.e.backends[idx]
-		be.submitIO(p, nvme.Command{Opcode: nvme.IOFlush}, int(f.id), 0, func(c nvme.Completion) {
-			if c.Status.IsError() && worst == nvme.StatusSuccess {
-				worst = c.Status
-			}
-			remaining--
-			if remaining == 0 {
-				f.postCQE(sq.cqid, nvme.Completion{
-					CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst,
-				})
-			}
-		})
-	}
-}
-
 // subCommand is one per-extent backend command with rewritten PRPs.
 type subCommand struct {
 	ssd     int
@@ -436,28 +278,6 @@ type subCommand struct {
 	blocks  uint32
 	prp1    uint64
 	prp2    uint64
-}
-
-// buildSubCommands converts the host PRPs into global PRPs, splitting the
-// transfer when it crosses a chunk boundary. The fast path (single extent,
-// at most two pages) tags PRP1/PRP2 in the pipeline without touching
-// memory; transfers with PRP lists fetch the host list, rewrite every
-// entry, and park the rewritten list in chip memory, exactly as §IV-C
-// describes.
-func (f *function) buildSubCommands(p *sim.Proc, cmd nvme.Command, extents []Extent, nBytes int) ([]subCommand, []uint64, nvme.Status) {
-	// Fast path: no PRP list, no split.
-	if subs, ok := f.simpleSub(cmd, extents, nBytes, nil); ok {
-		return subs, nil, nvme.StatusSuccess
-	}
-
-	// General path: walk the host PRPs (fetching list pages from host
-	// memory), then rebuild per-extent global PRP sets.
-	segs, err := nvme.WalkPRPs(&hostPRPReader{e: f.e, p: p}, cmd.PRP1, cmd.PRP2, nBytes)
-	if err != nil {
-		return nil, nil, nvme.StatusInvalidField
-	}
-	subs, allLists, _ := f.assembleSubs(segs, extents, nil, nil, nil)
-	return subs, allLists, nvme.StatusSuccess
 }
 
 // simpleSub handles the no-list no-split case: a single extent covered by at
@@ -544,29 +364,4 @@ func (f *function) buildGlobalPRPs(segs []nvme.Segment, lists []uint64) (uint64,
 		slot++
 	}
 	return prp1, prp2, lists
-}
-
-// hostPRPReader walks PRP list pages that live in host memory, charging the
-// fetch round trips to the pipeline.
-type hostPRPReader struct {
-	e     *Engine
-	p     *sim.Proc
-	pages map[uint64][]byte
-}
-
-func (r *hostPRPReader) ReadU64(addr uint64) uint64 {
-	pg := addr &^ uint64(nvme.PageSize-1)
-	b, ok := r.pages[pg]
-	if !ok {
-		if r.pages == nil {
-			r.pages = make(map[uint64][]byte)
-		}
-		b = make([]byte, nvme.PageSize)
-		done := r.e.hostPort.DMARead(pg, nvme.PageSize, b)
-		if w := done - r.p.Now(); w > 0 {
-			r.p.Sleep(w)
-		}
-		r.pages[pg] = b
-	}
-	return binary.LittleEndian.Uint64(b[addr-pg:])
 }

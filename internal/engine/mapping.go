@@ -148,7 +148,7 @@ func (mt *MappingTable) LookupRange(hostLBA uint64, blocks uint32) ([]Extent, er
 }
 
 // LookupRangeInto is LookupRange appending into a caller-provided slice
-// (pass out[:0] to reuse capacity across commands on the I/O fast path).
+// (pass out[:0] to reuse capacity across commands on the I/O data path).
 func (mt *MappingTable) LookupRangeInto(out []Extent, hostLBA uint64, blocks uint32) ([]Extent, error) {
 	cs := mt.ChunkLBAs()
 	for blocks > 0 {

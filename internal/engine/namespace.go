@@ -155,13 +155,8 @@ func (ns *Namespace) SetQoS(l QoSLimits) {
 // Limits returns the current QoS limits.
 func (ns *Namespace) Limits() QoSLimits { return ns.qos.limits }
 
-// ssdSet returns the distinct backend indices this namespace touches.
-func (ns *Namespace) ssdSet() []int {
-	return ns.ssdSetInto(nil)
-}
-
-// ssdSetInto is ssdSet appending into a caller-provided slice (pass out[:0]
-// to reuse capacity on the I/O fast path).
+// ssdSetInto appends the distinct backend indices this namespace touches to
+// out (pass out[:0] to reuse capacity) and returns it.
 func (ns *Namespace) ssdSetInto(out []int) []int {
 	var seen [MaxSSDID + 1]bool
 	for _, c := range ns.chunks {
@@ -178,36 +173,12 @@ func (ns *Namespace) MappingEntries() []Entry {
 	return append([]Entry(nil), ns.chunks...)
 }
 
-// admit passes the command through the QoS threshold check; commands over
-// the limit join the namespace's command buffer and wait for the
-// dispatcher to re-admit them in FIFO order.
-func (ns *Namespace) admit(p *sim.Proc, nBytes int) {
-	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
-		return
-	}
-	if len(ns.buffer) == 0 {
-		if ok, _ := ns.qos.Admit(nBytes); ok {
-			return
-		}
-	}
-	be := ns.getBufEntry(ns.env.NewEvent(), nBytes)
-	ns.buffer = append(ns.buffer, be)
-	ns.mParked.Inc()
-	ns.mBuffered.Inc(ns.env.Now())
-	if !ns.dispatching {
-		ns.dispatching = true
-		ns.env.Go("engine/qos-dispatch", func(dp *sim.Proc) { ns.dispatch(dp) })
-	}
-	p.Wait(be.ev)
-}
-
-// admitCB is admit for callback-chain callers: cb runs at the program point
-// where admit would have returned — immediately on under-threshold commands,
-// or when the dispatcher re-admits the parked entry. The dispatcher itself
-// is a continuation too (dispatchStep): a capped tenant parks nearly every
-// command, and a process per park is both the dominant spawn cost of a fleet
-// host and — with few other goroutine hand-offs left on the fused path —
-// thousands of finished-but-unreaped goroutines the Go runtime never frees.
+// admitCB passes the command through the QoS threshold check: cb runs
+// immediately for an under-threshold command; a command over the limit joins
+// the namespace's command buffer (Fig. 5) and cb runs when the dispatcher
+// re-admits it, in FIFO order. The dispatcher is a continuation too
+// (dispatchStep): a capped tenant parks nearly every command, so a process
+// per park would be the dominant spawn cost of a fleet host.
 func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
 		cb(nil)
@@ -227,8 +198,7 @@ func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	ns.mBuffered.Inc(ns.env.Now())
 	if !ns.dispatching {
 		ns.dispatching = true
-		// One queue hop from now: the classic dispatcher's process-start
-		// position.
+		// The dispatcher starts one queue hop from now.
 		ns.env.Schedule(0, ns.dispatchFn)
 	}
 }
@@ -243,23 +213,9 @@ func (ns *Namespace) getBufEntry(ev *sim.Event, nBytes int) *bufEntry {
 	return &bufEntry{ev: ev, nBytes: nBytes}
 }
 
-// dispatch is the command dispatcher of Fig. 5: it drains the buffer in
-// order as tokens accrue.
-func (ns *Namespace) dispatch(p *sim.Proc) {
-	defer func() { ns.dispatching = false }()
-	for len(ns.buffer) > 0 {
-		ok, wait := ns.qos.Admit(ns.buffer[0].nBytes)
-		if !ok {
-			p.Sleep(wait)
-			continue
-		}
-		ns.release()
-	}
-}
-
-// dispatchStep is dispatch as a continuation: the token wait becomes a
-// Schedule at the same queue position (Admit never returns a wait below
-// 1 µs, so it is always a real hop, as Sleep's is).
+// dispatchStep is the command dispatcher of Fig. 5: it drains the buffer in
+// order as tokens accrue, re-scheduling itself for each token wait (Admit
+// never returns a wait below 1 µs, so the wait is always a real hop).
 func (ns *Namespace) dispatchStep() {
 	for len(ns.buffer) > 0 {
 		ok, wait := ns.qos.Admit(ns.buffer[0].nBytes)

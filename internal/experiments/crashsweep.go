@@ -218,14 +218,12 @@ func seqDist(a, b uint64) uint64 {
 	return b - a
 }
 
-// runCrashPoint executes one crash-point rig and fills its report. rigOpts
-// go on top of the sweep rig; the path A/B test uses them to put the same
-// point on the classic reference path.
-func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Tracer, horizon sim.Time, rigOpts ...bmstore.Option) crash.PointReport {
+// runCrashPoint executes one crash-point rig and fills its report.
+func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Tracer, horizon sim.Time) crash.PointReport {
 	pt := crash.PointReport{Stage: in.Stage, CrashAt: in.At}
 	rules := []fault.Rule{{Point: fault.EngineCrash, At: in.At}}
 	cfg := crashRigConfig(seed, rules, tr)
-	tb, err := bmstore.NewBMStoreTestbed(cfg, append(rigOpts, bmstore.WithCrashRecovery(cc))...)
+	tb, err := bmstore.NewBMStoreTestbed(cfg, bmstore.WithCrashRecovery(cc))
 	if err != nil {
 		pt.Findings = append(pt.Findings, "rig-build: "+err.Error())
 		return pt

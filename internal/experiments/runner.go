@@ -103,7 +103,6 @@ type Harness struct {
 	traces  *trace.Set
 	metrics *obs.Set
 	faults  []fault.Rule
-	classic bool
 }
 
 // NewHarness returns a harness running at the given scale with up to
@@ -137,16 +136,6 @@ func (h *Harness) WithFaults(rules []fault.Rule) *Harness {
 	return h
 }
 
-// WithClassicPath forces every rig onto the classic process-per-command
-// data path (see bmstore.WithClassicPath). The fused path is
-// timing-neutral, so this only changes wall-clock cost and the kernel's
-// share of a trace digest; it exists for A/B verification. Returns the
-// harness for chaining.
-func (h *Harness) WithClassicPath(on bool) *Harness {
-	h.classic = on
-	return h
-}
-
 // Parallelism returns the harness's worker bound.
 func (h *Harness) Parallelism() int { return h.pool.Workers() }
 
@@ -155,7 +144,7 @@ func (h *Harness) each(n int, fn func(i int)) { h.pool.Each(n, fn) }
 
 // config returns the testbed configuration for one named rig: DefaultConfig
 // plus the seed, with the harness's cross-cutting wiring (tracer, metrics,
-// faults, classic path) composed through the bmstore.Option API. Rig names
+// faults) composed through the bmstore.Option API. Rig names
 // must be unique across the run; the convention is "<experiment>/<cell>".
 func (h *Harness) config(rig string, seed int64) bmstore.Config {
 	cfg := bmstore.DefaultConfig()
@@ -164,9 +153,9 @@ func (h *Harness) config(rig string, seed int64) bmstore.Config {
 }
 
 // Options returns the per-rig option slice the harness would compose into a
-// config: the rig's child tracer and metrics registry, the shared fault
-// schedule, and the classic-path override. Exposed so drivers that build
-// their own Config (the fleet simulator) reuse the exact wiring.
+// config: the rig's child tracer and metrics registry and the shared fault
+// schedule. Exposed so drivers that build their own Config (the fleet
+// simulator) reuse the exact wiring.
 func (h *Harness) Options(rig string) []bmstore.Option {
 	var opts []bmstore.Option
 	if h.traces != nil {
@@ -177,9 +166,6 @@ func (h *Harness) Options(rig string) []bmstore.Option {
 	}
 	if len(h.faults) > 0 {
 		opts = append(opts, bmstore.WithFaults(h.faults...))
-	}
-	if h.classic {
-		opts = append(opts, bmstore.WithClassicPath())
 	}
 	return opts
 }

@@ -101,12 +101,6 @@ type Options struct {
 	Traces *trace.Set
 	// Metrics optionally attaches a per-host registry family.
 	Metrics *obs.Set
-
-	// DisableFastPath puts every host on the classic process-per-command
-	// reference path. Hosts run the fused data path by default, tracer and
-	// fault rules included; reports are identical either way apart from
-	// the digests (which fold the kernel's per-process records).
-	DisableFastPath bool
 }
 
 func (o Options) withDefaults() Options {
@@ -312,9 +306,6 @@ func runHost(o Options, hostIdx int) HostResult {
 	}
 	if len(rules) > 0 {
 		opts = append(opts, bmstore.WithFaults(rules...))
-	}
-	if o.DisableFastPath {
-		opts = append(opts, bmstore.WithClassicPath())
 	}
 	if o.CrashRecovery != nil {
 		cfg.CaptureData = true

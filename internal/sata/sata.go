@@ -56,8 +56,18 @@ type Media struct {
 	Seeks, SequentialHits uint64
 }
 
-// NewMedia returns an HDD medium.
+// NewMedia returns an HDD medium. It panics on a profile the mechanical
+// model cannot run — every constructor goes through here, so a bad profile
+// fails at construction rather than as a negative sleep mid-run.
 func NewMedia(env *sim.Env, prof HDDProfile, name string) *Media {
+	switch {
+	case prof.TransferBps <= 0:
+		panic(fmt.Sprintf("sata: HDDProfile.TransferBps must be positive, got %v", prof.TransferBps))
+	case prof.RPM <= 0:
+		panic(fmt.Sprintf("sata: HDDProfile.RPM must be positive, got %v", prof.RPM))
+	case prof.CapacityBytes == 0:
+		panic("sata: HDDProfile.CapacityBytes must be positive, got 0")
+	}
 	return &Media{
 		env:      env,
 		prof:     prof,
@@ -143,8 +153,5 @@ func BridgeConfig(env *sim.Env, serial string, prof HDDProfile) (ssd.Config, *Me
 // NewBridgedDisk builds the bridged device directly.
 func NewBridgedDisk(env *sim.Env, serial string, prof HDDProfile) (*ssd.SSD, *Media) {
 	cfg, media := BridgeConfig(env, serial, prof)
-	if prof.TransferBps <= 0 {
-		panic(fmt.Sprintf("sata: bad profile %+v", prof))
-	}
 	return ssd.New(env, cfg), media
 }

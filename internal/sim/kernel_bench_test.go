@@ -105,7 +105,7 @@ func BenchmarkProcessSleepThroughput(b *testing.B) {
 
 // BenchmarkProcessSpawn measures a short-lived process end to end — Go, one
 // Sleep, return — 512 at a time, the way fio starts a worker per queue slot
-// and the classic data path one per command. One op is one process. A
+// and a bridged device one per media operation. One op is one process. A
 // warm-up batch fills the coroutine pool, so the timed region shows the
 // steady state: the Proc and its Done event, 2 allocs/op (pinned by make
 // bench-gate), and no goroutine created.

@@ -45,8 +45,8 @@ func (r *Resource) Acquire(p *Proc) {
 // Acquire's blocked waiter would have resumed, so mixing AcquireCB and
 // Acquire callers on one resource preserves FIFO grant order and timing.
 // The waiter event comes from the kernel free list and never escapes, so a
-// contended AcquireCB costs no allocation beyond cb itself (callers on the
-// fast path pass a callback stored once in a pooled per-command record).
+// contended AcquireCB costs no allocation beyond cb itself (the I/O data
+// path passes a callback stored once in a pooled per-command record).
 func (r *Resource) AcquireCB(cb func(val any)) {
 	if r.inUse < r.cap {
 		r.inUse++

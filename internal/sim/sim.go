@@ -64,11 +64,6 @@ type Env struct {
 	tracer  *trace.Tracer
 	faults  *fault.Injector
 
-	// fastOK selects the fused data path (see FastPath). It defaults to true
-	// and exists so A/B tests and CLIs can force the classic process-based
-	// reference path.
-	fastOK bool
-
 	// nEvents counts queue entries fired since the environment was
 	// created. It is always maintained (one add per event) so the host
 	// driver can report events-per-I/O without a metrics registry.
@@ -93,35 +88,10 @@ type Env struct {
 // The seed feeds the per-name deterministic streams returned by Rand.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		live:   make(map[*Proc]struct{}),
-		seed:   seed,
-		fastOK: true,
+		live: make(map[*Proc]struct{}),
+		seed: seed,
 	}
 }
-
-// SetFastPath enables or disables the event-fused I/O data path. Like the
-// observers, components consult FastPath at construction time, so call this
-// before building anything on the environment. The fused path never changes
-// virtual-time behaviour — disabling it exists for A/B verification of
-// exactly that property.
-func (e *Env) SetFastPath(on bool) { e.fastOK = on }
-
-// FastPath reports whether data-path components may use their fused
-// callback-chain data path instead of spawning a process per command. It is
-// true unless SetFastPath(false) was called: the fused chain is the data
-// path of every rig — bare, traced, faulted, chaos and crash alike — so the
-// configuration the gates validate is the one the benchmarks measure.
-//
-// Observers never gate it. The fused chain carries the same component trace
-// emits and the same fault points as the classic code, as nil-checked probes
-// at the same program points and in the same call order; a metrics registry
-// (sampled timelines and worst-K forensics included) is passive and never
-// schedules events. What a traced run no longer contains is the kernel's
-// spawn/resume records of per-command processes that no longer exist, which
-// is why a digest is comparable between the two paths only after dropping
-// the "sim" subsystem (the A/B tests in fastpath_trace_ab_test.go and
-// fastpath_metrics_ab_test.go pin both halves down).
-func (e *Env) FastPath() bool { return e.fastOK }
 
 // Events returns the number of queue entries fired so far — the kernel-level
 // cost measure behind the driver's events-per-I/O accounting.

@@ -1,35 +1,32 @@
 package ssd
 
-// This file implements the SSD's event-fused I/O data path: a
-// continuation-passing rewrite of fetchLoop/exec/execIO that replaces the
-// per-queue fetch process and the per-command execution process with pooled
-// state machines driven directly by scheduler callbacks. It is the path every
-// rig runs — bare, traced, faulted, chaos and crash alike; the process-based
-// code in ssd.go/io.go is the reference the A/B tests compare it against.
+// This file is the SSD's I/O data path: what the controller does with a
+// command from an I/O submission queue, from SQE fetch to CQE post. It is
+// written in continuation-passing style. Each step is a method bound once to
+// a pooled record (sqFetch per queue, ssdIO per command, nandStripe per
+// parallel NAND read), and each wait in virtual time — a DMA round trip, the
+// controller's command latency, a die, a pacer — is an Env.Schedule or a
+// resource callback that names the next step. A command therefore costs no
+// process, no goroutine hand-off and, at steady state, no heap allocation;
+// DESIGN.md §11 gives the rules the chain follows and what holds its timing
+// in place.
 //
-// The rewrite is hop-for-hop timing-identical to the classic path — every
-// virtual-time sleep becomes an Env.Schedule at the same program point, and
-// every synchronous classic step (pacer reservations, RNG draws, resource
-// acquisition, DMA bookings, trace emits, fault-rule evaluations) runs at the
-// same call position — so queue order, tie-breaking, and therefore every
-// timestamp, every component trace record and every fault firing in the
-// simulation are unchanged. What disappears is the overhead that carries no
-// virtual time: goroutine handoffs, per-command process spawns (and with them
-// the kernel's spawn/resume trace records), and per-command heap allocations.
-// See DESIGN.md §11 for the exact fusion rules and the proof obligations
-// each continuation discharges.
+// Order matters inside a step: pacer reservations, RNG draws, die acquires,
+// DMA bookings, trace emits and fault-rule evaluations are synchronous, and
+// the sequence in which they happen decides queue order and tie-breaking,
+// hence every timestamp downstream. Comments below call out the positions
+// that are load-bearing.
 //
-// The tracer (d.tr) and the fault injector (d.flt) are nil-checked probes
-// here exactly as in the classic code: `ssd issue`/`complete`, the
-// `ssd-stall` window in the fetch step, `media` latency/status, and the
-// CaptureData hazards (`media-corrupt`, `misdirected-read`, `torn-write`).
+// The tracer (d.tr) and the fault injector (d.flt) are nil-checked probes:
+// `ssd issue`/`complete`, the `ssd-stall` window in the fetch step, `media`
+// latency/status, and the CaptureData hazards (`media-corrupt`,
+// `misdirected-read`, `torn-write`).
 //
-// Eligibility (d.fast, cached at construction): the environment's FastPath
-// must hold (it does unless the rig asked for the classic reference path),
-// and the device must use the built-in flash timing model (cfg.Media
-// implementations receive a *sim.Proc and may block it). The admin queue
-// (SQ 0) always takes the classic path: admin commands are rare, stateful,
-// and not worth fusing.
+// A device whose Config.Media is set keeps this whole chain — PRP walk, DMA,
+// hazards, trace emits, stats, CQE — and swaps only the flash timing model
+// for the pluggable medium (see mediaProc). The admin queue (SQ 0) is served
+// by processes instead (ssd.go, admin.go): admin commands are rare and
+// stateful.
 
 import (
 	"encoding/binary"
@@ -51,10 +48,23 @@ func (d *SSD) after(delay sim.Time, fn func()) {
 	fn()
 }
 
-// sqFetch is the continuation form of fetchLoop: one per submission queue,
-// created on the first fast-path doorbell and reused for the queue's
-// lifetime. Fetch stays strictly sequential per queue, exactly like the
-// classic fetch process.
+// mediaProc carries one operation of a pluggable medium (Config.Media).
+// Media methods block a *sim.Proc for the operation's service time — an HDD
+// queues for its actuator, a remote target for its network — so the chain
+// lends them a short-lived process: op makes the blocking call, then the
+// chain resumes at the continuation the flash model would have reached.
+// Processes are pooled coroutines, so this is one spawn per media operation
+// and no virtual time.
+func (d *SSD) mediaProc(op func(p *sim.Proc), then func()) {
+	d.env.Go("ssd/media", func(p *sim.Proc) {
+		op(p)
+		then()
+	})
+}
+
+// sqFetch is the fetch engine of one I/O submission queue, created on the
+// queue's first doorbell and reused for its lifetime. Fetch is strictly
+// sequential per queue; execution of the fetched commands is parallel.
 type sqFetch struct {
 	d   *SSD
 	sq  *subQueue
@@ -77,8 +87,8 @@ func newSQFetch(d *SSD, sq *subQueue) *sqFetch {
 	return f
 }
 
-// step is one iteration of the classic fetch loop: exit checks, the
-// injected-stall window, then the SQE DMA fetch.
+// step is one iteration of the fetch loop: exit checks, the injected-stall
+// window, then the SQE DMA fetch.
 func (f *sqFetch) step() {
 	d, sq := f.d, f.sq
 	if sq.head == sq.tail {
@@ -91,7 +101,7 @@ func (f *sqFetch) step() {
 	}
 	if d.flt != nil {
 		// Injected controller stall: the fetch engine freezes until the
-		// window ends, then re-runs the exit checks (the classic `continue`).
+		// window ends, then re-runs the exit checks.
 		now := d.env.Now()
 		if end := d.flt.StallUntil(fault.SSDStall, d.cfg.Serial, now); end > now {
 			if d.tr != nil {
@@ -113,11 +123,9 @@ func (f *sqFetch) decoded() {
 	d.after(d.cfg.CmdLatency, f.dispatchFn)
 }
 
-// dispatch mirrors the classic loop's `env.Go(exec)` + next iteration: the
-// command's state machine starts one queue hop later (the position of the
-// classic process-start event), while the fetch loop continues immediately —
-// preserving the interleaving of this queue's next SQE fetch with the
-// command's own DMA bookings.
+// dispatch hands the decoded command to its own state machine, which starts
+// one queue hop later, and continues fetching immediately: this queue's next
+// SQE fetch is booked on the link before the command's own DMAs.
 func (f *sqFetch) dispatch() {
 	d := f.d
 	io := d.getIO(f.sq, f.pendCmd, f.pendHead)
@@ -125,13 +133,12 @@ func (f *sqFetch) dispatch() {
 	f.step()
 }
 
-// cpsPRP is the fast path's PRP list walker. The classic prpReader blocks
-// the executing process mid-walk to fetch each list page; a continuation
-// cannot block, so the fast path walks with this cache-only reader, records
-// the first page it misses, fetches that page (same DMA booking, same
-// virtual-time wait), and retries. The walk itself consumes no virtual time
-// and page fetches are sequential either way, so the DMA call sequence and
-// timestamps are identical to the classic path's.
+// cpsPRP is the PRP list walker. A continuation cannot block mid-walk to
+// fetch a list page the way a real controller's PRP fetch engine stalls, so
+// the walk runs against this cache-only reader, records the first page it
+// misses, fetches that page over DMA, and retries. The walk itself consumes
+// no virtual time, so this is one sequential page fetch per list page, each
+// charged its round trip — what a blocking walk would cost.
 type cpsPRP struct {
 	pages   map[uint64][]byte
 	used    []uint64 // insertion order, for recycling into the page pool
@@ -151,8 +158,7 @@ func (w *cpsPRP) ReadU64(addr uint64) uint64 {
 	return 0
 }
 
-// nandStripe is one pooled parallel-NAND read: the continuation form of the
-// classic per-stripe "ssd/nand" process.
+// nandStripe is one pooled parallel-NAND read of a multi-stripe command.
 type nandStripe struct {
 	d   *SSD
 	io  *ssdIO
@@ -186,18 +192,15 @@ func (s *nandStripe) start() {
 
 func (s *nandStripe) acquired(any) {
 	if a := s.io.alias; a != 0 {
-		// Same value the classic stripe process measures: elapsed around
-		// dies.Use minus the service time, i.e. pure queueing for the die.
+		// Pure queueing for the die: the service time starts now.
 		s.d.met.SpanWaitDev(a, timeline.WaitDie, int64(s.d.env.Now()-s.t0))
 	}
 	s.d.after(s.lat, s.doneFn)
 }
 
 // done releases the die, then — only when this is the last outstanding
-// stripe — schedules the parent continuation at zero delay, mirroring the
-// classic stripe process's done-event trigger: the classic parent resumes
-// during the fire of the chronologically last stripe's done event, one queue
-// hop after that stripe's release.
+// stripe — schedules the parent continuation one queue hop after the
+// release, so waiters on the freed die are served first.
 func (s *nandStripe) done() {
 	d, io := s.d, s.io
 	s.io = nil
@@ -209,9 +212,8 @@ func (s *nandStripe) done() {
 	}
 }
 
-// ssdIO is one pooled in-flight I/O command: the continuation form of the
-// classic exec/execIO process. All bound continuation funcs are created once
-// when the record is first allocated and reused across commands.
+// ssdIO is one pooled in-flight I/O command. All bound continuation funcs are
+// created once when the record is first allocated and reused across commands.
 type ssdIO struct {
 	d      *SSD
 	sq     *subQueue
@@ -304,8 +306,8 @@ func (d *SSD) getPage() []byte {
 	return make([]byte, nvme.PageSize)
 }
 
-// start runs at the position of the classic exec process's first activation
-// and mirrors execIO's dispatch exactly.
+// start validates the command and dispatches on its opcode. sq.id and the CID
+// form the device-domain span alias the engine backend may have registered.
 func (io *ssdIO) start() {
 	d := io.d
 	if d.resetting {
@@ -314,6 +316,10 @@ func (io *ssdIO) start() {
 	}
 	switch io.cmd.Opcode {
 	case nvme.IOFlush:
+		if m := d.cfg.Media; m != nil {
+			d.mediaProc(func(p *sim.Proc) { m.Flush(p) }, io.flushDoneFn)
+			return
+		}
 		d.after(d.cfg.FlushLatency, io.flushDoneFn)
 		return
 	case nvme.IORead, nvme.IOWrite, nvme.IOWriteZeroes:
@@ -371,6 +377,8 @@ func (io *ssdIO) walkAttempt() {
 	}
 	io.segs = segs
 	io.t0 = d.env.Now()
+	// Device-domain alias for timeline attribution (die waits, NAND/DMA
+	// phase intervals); zero when timeline recording is off.
 	io.alias = 0
 	if d.tl {
 		io.alias = obs.DevKey(d.cfg.Serial, io.sq.id, io.cmd.CID)
@@ -385,9 +393,8 @@ func (io *ssdIO) walkAttempt() {
 	io.startMedia()
 }
 
-// injectFaults is execIO's fault block: the read-path media rule (latency
-// spike, status, or both), then — at the instant the spike ends — the
-// CaptureData hazards.
+// injectFaults evaluates the read-path media rule (latency spike, status, or
+// both), then — at the instant the spike ends — the CaptureData hazards.
 func (io *ssdIO) injectFaults() {
 	d := io.d
 	io.fltStatus = 0
@@ -423,18 +430,20 @@ func (io *ssdIO) startMedia() {
 func (io *ssdIO) startRead() {
 	d := io.d
 	io.mt0 = d.env.Now()
+	if m := d.cfg.Media; m != nil {
+		d.mediaProc(func(p *sim.Proc) { m.Read(p, io.devByte, io.n) }, io.readPacedFn)
+		return
+	}
 	stripes := (io.n + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
 	if stripes == 1 {
-		// Jitter draws at the classic argument-evaluation position, before
-		// the die acquire.
+		// The jitter draw precedes the die acquire.
 		io.lat = d.jitter(d.cfg.NANDReadLatency)
 		io.acq0 = d.env.Now()
 		d.dies.AcquireCB(io.dieAcqFn)
 		return
 	}
-	// Parallel stripes: latencies draw in loop order at dispatch time and
-	// each stripe starts one queue hop later, both exactly as the classic
-	// spawn loop does.
+	// Stripes read in parallel across the die pool: latencies draw in loop
+	// order now, and each stripe starts one queue hop later.
 	io.remaining = stripes
 	for i := 0; i < stripes; i++ {
 		s := d.getStripe(io, d.jitter(d.cfg.NANDReadLatency))
@@ -454,18 +463,23 @@ func (io *ssdIO) dieDone() {
 	io.nandDone()
 }
 
-// nandDone books the internal read bus; for the multi-stripe path it runs
-// one hop after the last stripe's release (see nandStripe.done).
+// nandDone books the internal read bus — the pacer that bounds sequential
+// read bandwidth at the paper's 3.3 GB/s. For a multi-stripe read it runs one
+// hop after the last stripe's release (see nandStripe.done).
 func (io *ssdIO) nandDone() {
 	d := io.d
 	done := d.readPacer.Reserve(int64(io.n))
 	d.after(done-d.env.Now(), io.readPacedFn)
 }
 
-// readPaced is classic dmaOut: the media phase ends here, then payload
-// segments stream upstream. A misdirected read shifts only the data source
-// by one block; a corrupt read flips one byte mid-way through the first
-// segment — both exactly as doRead/dmaOut do.
+// readPaced ends the media phase (NAND array + internal read bus, or the
+// pluggable medium's service time) and streams the payload upstream, one DMA
+// per PRP segment. A misdirected read serves the neighbouring block's bytes
+// (an FTL mapping slip): only the data source shifts — timing, stats and the
+// completion status all describe the block that was asked for. A corrupt read
+// flips one byte mid-way through the first segment — deep enough to land in
+// payload body rather than a caller-side header, modelling corruption the
+// device's ECC missed.
 func (io *ssdIO) readPaced() {
 	d := io.d
 	io.media = d.env.Now() - io.mt0
@@ -521,21 +535,28 @@ func (io *ssdIO) startWrite() {
 	d.after(last-d.env.Now(), io.writeFetchFn)
 }
 
+// writeFetched starts the media phase once the payload has arrived: cache
+// admission behind the sustained-write pacer, which models the flash program
+// rate behind the cache and so bounds write bandwidth and IOPS.
 func (io *ssdIO) writeFetched() {
 	d := io.d
 	io.mt0 = d.env.Now()
+	if m := d.cfg.Media; m != nil {
+		d.mediaProc(func(p *sim.Proc) { m.Write(p, io.devByte, io.n) }, io.writeDoneFn)
+		return
+	}
 	if io.alias != 0 {
 		// The pacer's backlog is the queueing delay this write will see
 		// behind earlier writes' program time — the write-side analog of
-		// read die-queue wait. Read before Reserve, as in the classic path.
+		// read die-queue wait. Read it before Reserve adds this write.
 		d.met.SpanWaitDev(io.alias, timeline.WaitDie, int64(d.writePacer.Backlog()))
 	}
 	done := d.writePacer.Reserve(int64(io.n))
 	d.after(done-d.env.Now(), io.writePacedFn)
 }
 
-// writePaced draws the cache jitter after the pacer wait completes — the
-// classic RNG call position — and sleeps it out.
+// writePaced draws the cache jitter once the pacer wait is over and sits out
+// the cache insertion.
 func (io *ssdIO) writePaced() {
 	d := io.d
 	d.after(d.jitter(d.cfg.WriteCacheLatency), io.writeDoneFn)
@@ -546,7 +567,8 @@ func (io *ssdIO) writeDone() {
 	io.media = d.env.Now() - io.mt0
 	if d.cfg.CaptureData {
 		// A torn write persists only the first half of the payload while
-		// still completing with success (see doWrite).
+		// still completing with success: the tail keeps whatever bytes the
+		// media held before (power-cut tearing past the write cache).
 		keep := io.n
 		if io.hzd.torn {
 			keep = io.n / 2
@@ -571,8 +593,8 @@ func (io *ssdIO) writeDone() {
 }
 
 // wbuf returns the i-th pooled write segment buffer sized to n. The buffer
-// is zeroed on reuse so sparse source pages read back as zeroes, matching
-// the fresh allocation the classic path makes.
+// is zeroed on reuse so sparse source pages read back as zeroes, as a fresh
+// allocation would.
 func (io *ssdIO) wbuf(i, n int) []byte {
 	for len(io.bufs) <= i {
 		io.bufs = append(io.bufs, nil)
@@ -597,8 +619,9 @@ func (io *ssdIO) finishMedia() {
 		d.mMedia.Record(int64(io.media))
 		d.met.SpanMedia(obs.DevKey(d.cfg.Serial, io.sq.id, io.cmd.CID), int64(io.media))
 		if io.alias != 0 {
-			// Phase intervals derived from (t0, media, now), mirroring the
-			// classic execIO attribution point exactly.
+			// Phase intervals derived from (t0, media, now): a read's media
+			// phase leads and its upstream DMA follows; a write fetches over
+			// DMA first and its media phase trails.
 			now, m := int64(d.env.Now()), int64(io.media)
 			if io.cmd.Opcode == nvme.IORead {
 				d.met.SpanPhases(io.alias, int64(io.t0), int64(io.t0)+m, int64(io.t0)+m, now)
@@ -613,8 +636,7 @@ func (io *ssdIO) finishMedia() {
 	io.finish(nvme.StatusSuccess)
 }
 
-// finish posts the CQE and recycles the record: the continuation mirror of
-// the classic exec process's epilogue.
+// finish posts the CQE and recycles the record.
 func (io *ssdIO) finish(status nvme.Status) {
 	d := io.d
 	var cpl nvme.Completion

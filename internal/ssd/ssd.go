@@ -72,7 +72,8 @@ type Config struct {
 
 // Media abstracts the storage medium's timing. Implementations block the
 // calling process for the duration of the media operation; data movement
-// and protocol handling stay in the device.
+// and protocol handling stay in the device, which lends each operation a
+// short-lived "ssd/media" process to block (see mediaProc in fastpath.go).
 type Media interface {
 	Read(p *sim.Proc, startByte uint64, n int)
 	Write(p *sim.Proc, startByte uint64, n int)
@@ -129,7 +130,7 @@ type subQueue struct {
 	head     uint32
 	tail     uint32
 	fetching bool
-	fs       *sqFetch // fast-path fetch state machine (nil until first use)
+	fs       *sqFetch // I/O queue fetch state machine (nil until first doorbell)
 }
 
 type compQueue struct {
@@ -178,12 +179,8 @@ type SSD struct {
 	onReady   []func()
 	jitterRng *rand.Rand
 
-	// fast enables the fused I/O path (fastpath.go): the environment's
-	// FastPath and the built-in flash model. Cached at construction like
-	// the observers. The free lists below pool the fast path's command
-	// records, NAND stripe records, PRP list pages, and the (classic-path
-	// too) deferred interrupt posts.
-	fast        bool
+	// Free lists of the I/O data path (fastpath.go): command records, NAND
+	// stripe records, PRP list pages and deferred interrupt posts.
 	ioFree      []*ssdIO
 	stripeFree  []*nandStripe
 	pageFree    [][]byte
@@ -229,7 +226,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 		fwActive:   cfg.Firmware,
 		store:      make(map[uint64][]byte),
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
-		fast:       env.FastPath() && cfg.Media == nil,
 	}
 	if d.met = env.Metrics(); d.met != nil {
 		d.tl = d.met.TimelineEnabled()
@@ -363,27 +359,31 @@ func (d *SSD) doorbell(qid uint16, isCQ bool, val uint32) {
 		return
 	}
 	sq.tail = val % sq.ring.Entries
-	if !sq.fetching {
-		sq.fetching = true
-		if d.fast && qid != 0 {
-			// Fused fetch: starts one queue hop from now — the position of
-			// the classic fetch process's start event.
-			if sq.fs == nil {
-				sq.fs = newSQFetch(d, sq)
-			}
-			d.env.Schedule(0, sq.fs.stepFn)
-			return
-		}
-		d.env.Go(fmt.Sprintf("ssd/%s/sq%d", d.cfg.Serial, qid), func(p *sim.Proc) {
-			d.fetchLoop(p, sq)
-		})
+	if sq.fetching {
+		return
 	}
+	sq.fetching = true
+	if qid == 0 {
+		// The admin queue is served by processes: admin commands are rare
+		// and stateful (namespace management, firmware commit and reset).
+		d.env.Go(fmt.Sprintf("ssd/%s/sq%d", d.cfg.Serial, qid), func(p *sim.Proc) {
+			d.adminFetchLoop(p, sq)
+		})
+		return
+	}
+	// I/O queues are served by the continuation chain in fastpath.go; the
+	// fetch starts one queue hop from now.
+	if sq.fs == nil {
+		sq.fs = newSQFetch(d, sq)
+	}
+	d.env.Schedule(0, sq.fs.stepFn)
 }
 
-// fetchLoop drains one submission queue: it DMA-reads SQEs in arrival order
-// and spawns one execution process per command, preserving the paper's
-// pipeline (fetch is sequential per queue; execution is parallel).
-func (d *SSD) fetchLoop(p *sim.Proc, sq *subQueue) {
+// adminFetchLoop drains the admin submission queue: it DMA-reads SQEs in
+// arrival order and spawns one execution process per command (fetch is
+// sequential; execution is parallel). I/O queues run the same steps as
+// continuations (sqFetch in fastpath.go).
+func (d *SSD) adminFetchLoop(p *sim.Proc, sq *subQueue) {
 	defer func() { sq.fetching = false }()
 	for sq.head != sq.tail {
 		if d.resetting || !d.ready || d.gone() {
@@ -409,21 +409,12 @@ func (d *SSD) fetchLoop(p *sim.Proc, sq *subQueue) {
 		sq.head = sq.ring.Next(sq.head)
 		sqHead := sq.head
 		p.Sleep(d.cfg.CmdLatency)
-		d.env.Go("ssd/exec", func(p *sim.Proc) { d.exec(p, sq, cmd, sqHead) })
+		d.env.Go("ssd/exec", func(p *sim.Proc) {
+			cpl := nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead)}
+			cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
+			d.postCQE(sq.cqid, cpl)
+		})
 	}
-}
-
-func (d *SSD) exec(p *sim.Proc, sq *subQueue, cmd nvme.Command, sqHead uint32) {
-	var cpl nvme.Completion
-	cpl.CID = cmd.CID
-	cpl.SQID = sq.id
-	cpl.SQHead = uint16(sqHead)
-	if sq.id == 0 {
-		cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
-	} else {
-		cpl.Status = d.execIO(p, sq.id, cmd)
-	}
-	d.postCQE(sq.cqid, cpl)
 }
 
 // postCQE writes the completion into the CQ ring upstream and raises the
@@ -451,9 +442,9 @@ func (d *SSD) postCQE(cqid uint16, cpl nvme.Completion) {
 	d.postIRQ(delay, int(cqid))
 }
 
-// irqPost is a pooled deferred interrupt: the completion-side replacement
-// for a per-CQE closure. It is used by classic and fast paths alike — the
-// Schedule push position is unchanged, so it is trace-neutral.
+// irqPost is a pooled deferred interrupt: the MSI-X for a posted CQE is
+// raised once the CQE's DMA write has landed upstream, without a closure per
+// completion. Admin and I/O completions share it.
 type irqPost struct {
 	d   *SSD
 	vec int

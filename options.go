@@ -11,9 +11,9 @@ import (
 // Option composes observability and fault wiring onto a Config at testbed
 // construction: NewBMStoreTestbed(cfg, WithTrace(tr), WithFaults(rules...))
 // replaces poking the deprecated Config.Tracer / Config.Metrics /
-// Config.Faults / Config.DisableFastPath fields directly. Options apply in
-// order, so a later option can override an earlier one; the struct fields
-// keep delegating for one release and are then removed.
+// Config.Faults fields directly. Options apply in order, so a later option
+// can override an earlier one; the struct fields keep delegating for one
+// release and are then removed.
 type Option func(*Config)
 
 // With returns a copy of the configuration with opts applied. The
@@ -75,10 +75,12 @@ func WithCrashRecovery(cc crash.Config) Option {
 	return func(c *Config) { c.CrashRecovery = &cc }
 }
 
-// WithClassicPath forces the classic process-per-command data path. Every
-// rig — traced, faulted or bare — runs the event-fused path by default; it
-// is timing-neutral by construction (see DESIGN.md §11), so this exists as
-// the reference for A/B verification, not correctness.
+// WithClassicPath has no effect: there is one data path, and the
+// process-per-command code this option used to select is gone.
+//
+// Deprecated: it is kept only so the frozen benchmark (bench/probes.go, the
+// engine.classic_path_ratio probe) still builds, and is to be deleted
+// together with that probe by the next benchmark PR. Nothing else may call it.
 func WithClassicPath() Option {
-	return func(c *Config) { c.DisableFastPath = true }
+	return func(*Config) {}
 }

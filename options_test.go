@@ -23,7 +23,6 @@ func TestOptionsCompose(t *testing.T) {
 		WithTrace(tr),
 		WithMetrics(reg),
 		WithFaults(rule),
-		WithClassicPath(),
 		nil,
 	)
 	if cfg.Tracer != tr {
@@ -34,9 +33,6 @@ func TestOptionsCompose(t *testing.T) {
 	}
 	if len(cfg.Faults) != 1 || cfg.Faults[0].Point != fault.SSDMediaRead {
 		t.Errorf("WithFaults did not append the rule: %+v", cfg.Faults)
-	}
-	if !cfg.DisableFastPath {
-		t.Error("WithClassicPath did not set Config.DisableFastPath")
 	}
 
 	// WithFaults appends; two applications accumulate.
