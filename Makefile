@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-runner lint gates determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test fuzz-smoke race race-runner lint gates determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -9,6 +9,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Ten seconds of native fuzzing on the event queue's fire order: random
+# programs of pushes and clock moves against a sorted reference
+# (internal/sim FuzzFireOrder). The committed corpus under testdata/fuzz
+# already runs as part of `make test`; this looks for new inputs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 10s ./internal/sim
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

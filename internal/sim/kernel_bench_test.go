@@ -37,6 +37,44 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerDeepThroughput is the scheduler's hot loop with 4096
+// entries pending — the depth of a 128 KiB sequential run, and the shape of
+// the repo benchmark's sim.sched_ns_per_event_deep probe — and delays of
+// 0.1 to 164 µs, so four pushes in five land in the timing wheel and the
+// fifth in the far heap. BenchmarkSchedulerThroughput's 64 entries 100 ns
+// apart cannot see what depth costs. An untimed warm-up takes the wheel's
+// arena and the heap to their high-water marks, so the timed region shows
+// the steady state: 0 allocs/op, pinned by make bench-gate.
+func BenchmarkSchedulerDeepThroughput(b *testing.B) {
+	const pending = 4096
+	env := NewEnv(1)
+	fired, left := 0, 0
+	var tick func()
+	tick = func() {
+		fired++
+		if left > 0 {
+			left--
+			env.Schedule(100+Time(left%pending)*40, tick)
+		}
+	}
+	run := func(n int) {
+		fired, left = 0, n
+		for i := 0; i < pending && left > 0; i++ {
+			left--
+			env.Schedule(Time(i), tick)
+		}
+		env.Run()
+	}
+	run(4 * pending)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer()
+	if fired != b.N {
+		b.Fatalf("fired %d of %d scheduled events", fired, b.N)
+	}
+}
+
 // BenchmarkSchedulerMetricsOnThroughput is BenchmarkSchedulerThroughput with
 // a metrics registry attached: the kernel's counters are plain scalar
 // increments cached at SetMetrics time, so enabling observability must keep

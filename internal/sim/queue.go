@@ -5,10 +5,10 @@ package sim
 // strict insertion order; blocked getters are served in arrival order.
 type Queue[T any] struct {
 	env     *Env
-	items   []T
+	items   fifo[T]
 	cap     int
-	getters []*Event // each fires with the delivered item
-	putters []*putWait[T]
+	getters fifo[*Event] // each fires with the delivered item
+	putters fifo[*putWait[T]]
 	closed  bool
 }
 
@@ -23,13 +23,13 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 }
 
 // Len returns the number of buffered items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Put appends v, blocking the calling process while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
-	if q.cap > 0 && len(q.items) >= q.cap && len(q.getters) == 0 {
+	if q.cap > 0 && q.items.n >= q.cap && q.getters.n == 0 {
 		w := &putWait[T]{item: v, ev: q.env.NewEvent()}
-		q.putters = append(q.putters, w)
+		q.putters.push(w)
 		p.Wait(w.ev)
 		return
 	}
@@ -38,7 +38,7 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 
 // TryPut appends v without blocking; it reports false if the queue is full.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.cap > 0 && len(q.items) >= q.cap && len(q.getters) == 0 {
+	if q.cap > 0 && q.items.n >= q.cap && q.getters.n == 0 {
 		return false
 	}
 	q.deliver(v)
@@ -47,22 +47,20 @@ func (q *Queue[T]) TryPut(v T) bool {
 
 // deliver hands v to a waiting getter or buffers it.
 func (q *Queue[T]) deliver(v T) {
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		g.Trigger(v)
+	if q.getters.n > 0 {
+		q.getters.pop().Trigger(v)
 		return
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	if len(q.items) > 0 {
+	if q.items.n > 0 {
 		return q.pop()
 	}
 	ev := q.env.NewEvent()
-	q.getters = append(q.getters, ev)
+	q.getters.push(ev)
 	v := p.Wait(ev)
 	return v.(T)
 }
@@ -70,7 +68,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 // TryGet removes the head item without blocking.
 func (q *Queue[T]) TryGet() (T, bool) {
 	var zero T
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
 		return zero, false
 	}
 	return q.pop(), true
@@ -80,22 +78,20 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // consuming it. Useful with WaitAny to select over multiple queues.
 func (q *Queue[T]) GetEvent() *Event {
 	ev := q.env.NewEvent()
-	if len(q.items) > 0 {
+	if q.items.n > 0 {
 		ev.Trigger(q.pop())
 		return ev
 	}
-	q.getters = append(q.getters, ev)
+	q.getters.push(ev)
 	return ev
 }
 
 func (q *Queue[T]) pop() T {
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	// Admit one blocked putter now that space freed up.
-	if len(q.putters) > 0 && (q.cap <= 0 || len(q.items) < q.cap) {
-		w := q.putters[0]
-		q.putters = q.putters[1:]
-		q.items = append(q.items, w.item)
+	if q.putters.n > 0 && (q.cap <= 0 || q.items.n < q.cap) {
+		w := q.putters.pop()
+		q.items.push(w.item)
 		w.ev.Trigger(nil)
 	}
 	return v

@@ -58,6 +58,34 @@ func TestQueueSelectAcrossTwoQueues(t *testing.T) {
 	env.Shutdown()
 }
 
+// A queue that is put to and got from without ever draining reuses its ring:
+// no slide off the backing array, no reallocation on the next append.
+func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
+	env := NewEnv(1)
+	q := NewQueue[int](env, 0)
+	for i := 0; i < 3; i++ {
+		q.TryPut(i) // resident items: the queue never drains
+	}
+	next, want := 3, 0
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 5; i++ {
+			q.TryPut(next)
+			next++
+		}
+		for i := 0; i < 5; i++ {
+			if v, ok := q.TryGet(); !ok || v != want {
+				t.Fatalf("got %d (%v), want %d", v, ok, want)
+			}
+			want++
+		}
+	}); n != 0 {
+		t.Errorf("steady-state put/get: %v allocs per 5 items, want 0", n)
+	}
+	if q.Len() != 3 {
+		t.Fatalf("%d items resident, want 3", q.Len())
+	}
+}
+
 func TestShutdownIsIdempotent(t *testing.T) {
 	env := NewEnv(1)
 	env.Go("stuck", func(p *Proc) { p.Wait(env.NewEvent()) })

@@ -77,6 +77,31 @@ func TestRunUntilEventWatchedHorizon(t *testing.T) {
 	env.Shutdown()
 }
 
+// The diagnosis counts what is queued in both tiers of the event queue: an
+// entry inside the wheel's horizon and one far beyond it are two pending
+// events, and a lone far entry is a horizon hit, not a deadlock.
+func TestWatchedDiagnosisCountsBothTiers(t *testing.T) {
+	env := NewEnv(1)
+	never := env.NewEvent()
+	env.Schedule(50*Microsecond, func() {})
+	env.Schedule(5*Millisecond, func() {})
+	if env.near.n != 1 || len(env.far.s) != 1 {
+		t.Fatalf("%d near and %d far entries, want one of each", env.near.n, len(env.far.s))
+	}
+	now, diag := env.RunUntilEventWatched(never, 10*Microsecond)
+	if diag == nil || !diag.HorizonHit || diag.Pending != 2 || now != 0 {
+		t.Fatalf("at %d: %v, want a horizon hit at 0 with 2 pending", now, diag)
+	}
+	now, diag = env.RunUntilEventWatched(never, Millisecond)
+	if diag == nil || !diag.HorizonHit || diag.Pending != 1 || now != 50*Microsecond {
+		t.Fatalf("at %d: %v, want a horizon hit at 50us with the far entry pending", now, diag)
+	}
+	now, diag = env.RunUntilEventWatched(never, Second)
+	if diag == nil || diag.HorizonHit || diag.Pending != 0 || now != 5*Millisecond {
+		t.Fatalf("at %d: %v, want a deadlock at 5ms with nothing pending", now, diag)
+	}
+}
+
 func TestWatchedDiagnosisIsDigestStable(t *testing.T) {
 	run := func() string {
 		env := NewEnv(9)

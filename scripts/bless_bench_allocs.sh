@@ -16,8 +16,10 @@ io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
 # allocs/op ceilings for the hot-path benchmarks, checked by
 # scripts/check_bench_allocs.sh (make bench-gate, CI).
 #
-# The event free-list and the Schedule callback fast path make the kernel's
-# steady state allocation-free, and the fused I/O path pools every carrier
+# The event free-list, the Schedule callback fast path and the timing
+# wheel's recycled node arena make the kernel's steady state allocation-free
+# at any queue depth (SchedulerDeepThroughput: 4096 pending, both queue
+# tiers in use), and the fused I/O path pools every carrier
 # (commands, CQEs, IRQ posts, PRP segments), so the end-to-end
 # BenchmarkIOPathThroughput is pinned at 0 allocs/op too — and so are the
 # variants that run what the experiments and gates run: 512 I/Os in flight,

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the simulation hot paths.
 #
-# Runs the kernel benchmarks (internal/sim: scheduler and process-sleep
-# throughput, process spawn) and the end-to-end I/O path benchmarks (root
-# package: BenchmarkIOPathThroughput bare at QD 8, the same loop 512 deep
-# where commands queue for a die, and under each thing the gates attach — a
-# digest tracer, an armed fault injector, sampled timelines) with -benchmem
+# Runs the kernel benchmarks (internal/sim: scheduler throughput at 64 and
+# at 4096 pending entries, process-sleep throughput, process spawn) and the
+# end-to-end I/O path benchmarks (root package: BenchmarkIOPathThroughput
+# bare at QD 8, the same loop 512 deep where commands queue for a die, and
+# under each thing the gates attach — a digest tracer, an armed fault
+# injector, sampled timelines) with -benchmem
 # and compares each benchmark's allocs/op against the committed baseline in
 # scripts/bench_allocs_baseline.txt. The kernel free-lists events and pools
 # process coroutines, the fused data path pools every per-command carrier,
@@ -32,7 +33,9 @@ echo "$out"
 status=0
 while read -r name allowed; do
     case "$name" in ''|\#*) continue ;; esac
-    got=$(printf '%s\n' "$out" | awk -v n="$name" 'index($1, n) == 1 {print $(NF-1)}')
+    # Exact name, with or without go test's -<procs> suffix: a prefix match
+    # would count BenchmarkFoo and BenchmarkFooBar under one baseline line.
+    got=$(printf '%s\n' "$out" | awk -v n="$name" '{ b = $1; sub(/-[0-9]+$/, "", b) } b == n {print $(NF-1)}')
     if [ -z "$got" ]; then
         echo "bench-gate: benchmark $name did not run" >&2
         status=1
