@@ -10,12 +10,17 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing on the event queue's fire order: random
-# programs of pushes and clock moves against a sorted reference
-# (internal/sim FuzzFireOrder). The committed corpus under testdata/fuzz
-# already runs as part of `make test`; this looks for new inputs.
+# Ten seconds of native fuzzing, split over the three targets: the event
+# queue's fire order against a sorted reference (internal/sim
+# FuzzFireOrder), and the two on-disk decoders against hostile pages and
+# record streams, each differentially against the copying decoder it
+# replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords). The committed
+# corpora under testdata/fuzz already run as part of `make test`; this
+# looks for new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 4s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 3s ./internal/apps/minidb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 3s ./internal/apps/kvstore
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

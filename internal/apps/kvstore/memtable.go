@@ -15,20 +15,19 @@ type memtable struct {
 
 func newMemtable() *memtable { return &memtable{} }
 
+// put stores its own copies of key and value; a nil or empty value is a
+// tombstone.
 func (m *memtable) put(key, value []byte) {
 	i := sort.Search(len(m.kvs), func(i int) bool {
 		return bytes.Compare(m.kvs[i].Key, key) >= 0
 	})
-	k := append([]byte(nil), key...)
-	var v []byte
-	if value != nil {
-		v = append([]byte(nil), value...)
-	}
+	v := append([]byte(nil), value...) // detach from the caller's buffer (or the WAL ring)
 	if i < len(m.kvs) && bytes.Equal(m.kvs[i].Key, key) {
 		m.bytes += len(v) - len(m.kvs[i].Value)
 		m.kvs[i].Value = v
 		return
 	}
+	k := append([]byte(nil), key...) // detach likewise; only a new key is kept
 	m.kvs = append(m.kvs, KV{})
 	copy(m.kvs[i+1:], m.kvs[i:])
 	m.kvs[i] = KV{Key: k, Value: v}

@@ -41,48 +41,49 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	bs := s.cfg.BlockBytes
 	t := &table{s: s}
 
-	// Build data blocks.
-	var blocksBuf []byte
-	cur := make([]byte, 0, bs)
-	flushBlock := func() {
-		if len(cur) == 0 {
-			return
+	// Build the table image in one buffer, each record encoded where it
+	// will be written from: data blocks zero-padded to bs, then the index
+	// and bloom filter. The capacity is a guess (records, plus a sixteenth
+	// for padding and metadata); append makes up any shortfall.
+	var recBytes int
+	for _, kv := range kvs {
+		recBytes += recordLen(kv.Key, kv.Value)
+	}
+	all := make([]byte, 0, recBytes+recBytes/16+4*bs)
+	padBlock := func() {
+		if fill := len(all) % bs; fill > 0 {
+			all = append(all, make([]byte, bs-fill)...)
 		}
-		pad := make([]byte, bs-len(cur))
-		blocksBuf = append(blocksBuf, cur...)
-		blocksBuf = append(blocksBuf, pad...)
-		cur = cur[:0]
 	}
 	t.bloom = newBloom(len(kvs), s.cfg.BloomBitsPerKey)
 	for _, kv := range kvs {
-		rec := encodeRecord(0, kv.Key, kv.Value)
-		if len(cur)+len(rec) > bs && len(cur) > 0 {
-			flushBlock()
+		n := recordLen(kv.Key, kv.Value)
+		if n > bs {
+			return nil, fmt.Errorf("kvstore: record larger than table block (%d > %d)", n, bs)
 		}
-		if len(rec) > bs {
-			return nil, fmt.Errorf("kvstore: record larger than table block (%d > %d)", len(rec), bs)
+		if len(all)%bs+n > bs {
+			padBlock()
 		}
-		if len(cur) == 0 {
-			t.blockFirstKey = append(t.blockFirstKey, append([]byte(nil), kv.Key...))
+		if len(all)%bs == 0 {
+			first := append([]byte(nil), kv.Key...) // detach: kv.Key may alias a block of a table being compacted
+			t.blockFirstKey = append(t.blockFirstKey, first)
 		}
-		cur = append(cur, rec...)
+		all = appendRecord(all, 0, kv.Key, kv.Value)
 		t.bloom.add(kv.Key)
-		t.dataBytes += len(rec)
 	}
-	flushBlock()
-	t.nDataBlocks = len(blocksBuf) / bs
+	padBlock()
+	t.dataBytes = recBytes
+	t.nDataBlocks = len(all) / bs
 	t.entries = len(kvs)
-	t.minKey = append([]byte(nil), kvs[0].Key...)
-	t.maxKey = append([]byte(nil), kvs[len(kvs)-1].Key...)
+	t.minKey = append([]byte(nil), kvs[0].Key...)          // detach, as above
+	t.maxKey = append([]byte(nil), kvs[len(kvs)-1].Key...) // detach, as above
 
 	// Index + bloom serialised after the data (read back only on open).
-	meta := encodeMeta(t)
-	metaBlocks := (len(meta) + bs - 1) / bs
-	meta = append(meta, make([]byte, metaBlocks*bs-len(meta))...)
+	all = appendMeta(all, t)
+	padBlock()
 
 	devBS := s.dev.BlockSize()
-	perTB := bs / devBS
-	totalDevBlocks := uint64((t.nDataBlocks + metaBlocks) * perTB)
+	totalDevBlocks := uint64(len(all) / devBS)
 	base, err := s.alloc.alloc(totalDevBlocks)
 	if err != nil {
 		return nil, err
@@ -91,13 +92,9 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	t.blocks = totalDevBlocks
 
 	// Write sequentially in 256K chunks (compaction/flush I/O pattern).
-	all := append(blocksBuf, meta...)
 	const chunk = 256 << 10
 	for off := 0; off < len(all); off += chunk {
-		end := off + chunk
-		if end > len(all) {
-			end = len(all)
-		}
+		end := min(off+chunk, len(all))
 		lba := base + uint64(off/devBS)
 		if err := s.dev.WriteAt(p, lba, uint32((end-off)/devBS), all[off:end]); err != nil {
 			return nil, err
@@ -109,23 +106,16 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	return t, nil
 }
 
-// encodeMeta serialises the index and bloom filter.
-func encodeMeta(t *table) []byte {
-	var b []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(t.blockFirstKey)))
-	b = append(b, tmp[:4]...)
+// appendMeta serialises the index and bloom filter onto the end of b.
+func appendMeta(b []byte, t *table) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.blockFirstKey)))
 	for _, k := range t.blockFirstKey {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(k)))
-		b = append(b, tmp[:4]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
 		b = append(b, k...)
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(t.bloom.bits)))
-	b = append(b, tmp[:4]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.bloom.bits)))
 	b = append(b, t.bloom.bits...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(t.bloom.k))
-	b = append(b, tmp[:4]...)
-	return b
+	return binary.LittleEndian.AppendUint32(b, uint32(t.bloom.k))
 }
 
 // readDataBlock fetches data block i (one table block) from the device.
@@ -160,16 +150,20 @@ func (t *table) get(p *sim.Proc, key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	for _, kv := range decodeBlock(blk) {
-		c := bytes.Compare(kv.Key, key)
-		if c == 0 {
-			return kv.Value, true, nil
+	// Walk the block's records where they lie. The value returned aliases
+	// blk, which nothing else holds.
+	for off := 0; ; {
+		rec, end, ok := nextRecord(blk, off)
+		if !ok {
+			return nil, false, nil
 		}
-		if c > 0 {
-			break
+		if c := bytes.Compare(rec.key, key); c == 0 {
+			return rec.value, true, nil
+		} else if c > 0 {
+			return nil, false, nil
 		}
+		off = end
 	}
-	return nil, false, nil
 }
 
 // iter reads the table from the block containing start onward into a merge
@@ -201,14 +195,21 @@ func (t *table) iter(p *sim.Proc, start []byte) (*mergeIter, error) {
 }
 
 // decodeBlock parses the records of one data block (same CRC-framed record
-// format as the WAL, with LSN 0).
+// format as the WAL, with LSN 0). The keys and values alias b.
 func decodeBlock(b []byte) []KV {
-	recs := decodeRecords(b)
-	out := make([]KV, len(recs))
-	for i, r := range recs {
-		out[i] = KV{Key: r.key, Value: r.value}
+	var out []KV
+	for off := 0; ; {
+		rec, end, ok := nextRecord(b, off)
+		if !ok {
+			return out
+		}
+		if out == nil {
+			// Records of one block are of a size: the first predicts the count.
+			out = make([]KV, 0, len(b)/end+1)
+		}
+		out = append(out, KV{Key: rec.key, Value: rec.value})
+		off = end
 	}
-	return out
 }
 
 // openTable reconstructs a table from its manifest descriptor by reading
@@ -242,7 +243,7 @@ func (s *Store) openTable(p *sim.Proc, d tableDesc) (*table, error) {
 		}
 		kvs := decodeBlock(blk)
 		if len(kvs) > 0 {
-			t.maxKey = append([]byte(nil), kvs[len(kvs)-1].Key...)
+			t.maxKey = append([]byte(nil), kvs[len(kvs)-1].Key...) // detach from blk
 		}
 	}
 	return t, nil
@@ -264,7 +265,7 @@ func decodeMeta(t *table, b []byte) error {
 		if off+kl > len(b) {
 			return fmt.Errorf("kvstore: truncated index key")
 		}
-		t.blockFirstKey = append(t.blockFirstKey, append([]byte(nil), b[off:off+kl]...))
+		t.blockFirstKey = append(t.blockFirstKey, append([]byte(nil), b[off:off+kl]...)) // detach from the meta read buffer
 		off += kl
 	}
 	if off+4 > len(b) {
@@ -275,7 +276,7 @@ func decodeMeta(t *table, b []byte) error {
 	if off+bl+4 > len(b) {
 		return fmt.Errorf("kvstore: truncated bloom bits")
 	}
-	t.bloom.bits = append([]byte(nil), b[off:off+bl]...)
+	t.bloom.bits = append([]byte(nil), b[off:off+bl]...) // detach from the meta read buffer
 	off += bl
 	t.bloom.k = int(binary.LittleEndian.Uint32(b[off:]))
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"bmstore/internal/sim"
@@ -23,7 +24,12 @@ type wal struct {
 
 	nextLSN uint64
 
+	// pending is the batch being gathered; spare is the previous batch's
+	// buffer, free again once its device write has returned. Records are
+	// encoded straight into pending and the batch is padded and written
+	// from it, so a record is copied once on its way to the device.
 	pending  []byte
+	spare    []byte
 	waiters  []*sim.Event
 	flushing bool
 }
@@ -36,19 +42,25 @@ func newWAL(s *Store, base, blocks uint64) *wal {
 	return &wal{s: s, baseBlock: base, blocks: blocks, nextLSN: 1}
 }
 
-func encodeRecord(lsn uint64, key, value []byte) []byte {
+// recordLen is the encoded size of one record.
+func recordLen(key, value []byte) int { return walRecordHeader + len(key) + len(value) }
+
+// appendRecord encodes one record onto the end of dst.
+func appendRecord(dst []byte, lsn uint64, key, value []byte) []byte {
 	vlen := uint32(len(value))
 	if value == nil {
 		vlen = 0xFFFFFFFF
 	}
-	b := make([]byte, walRecordHeader+len(key)+len(value))
+	n := recordLen(key, value)
+	dst = slices.Grow(dst, n)
+	b := dst[len(dst) : len(dst)+n]
 	binary.LittleEndian.PutUint64(b[4:], lsn)
 	binary.LittleEndian.PutUint32(b[12:], uint32(len(key)))
 	binary.LittleEndian.PutUint32(b[16:], vlen)
 	copy(b[walRecordHeader:], key)
 	copy(b[walRecordHeader+len(key):], value)
 	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
-	return b
+	return dst[:len(dst)+n]
 }
 
 type walRecord struct {
@@ -57,37 +69,51 @@ type walRecord struct {
 	value []byte // nil = tombstone
 }
 
-// decodeRecords parses a batch byte stream; it stops at the first invalid
-// record (torn write or stale bytes).
+// nextRecord parses the record at b[off:] and returns it with the offset
+// of the one after; ok is false at the first invalid record (torn write,
+// stale bytes, padding). The record's key and value are sub-slices of b.
+// A value of no bytes decodes as nil, like a tombstone.
+func nextRecord(b []byte, off int) (rec walRecord, end int, ok bool) {
+	if off+walRecordHeader > len(b) {
+		return walRecord{}, off, false
+	}
+	crc := binary.LittleEndian.Uint32(b[off:])
+	klen := binary.LittleEndian.Uint32(b[off+12:])
+	vlen := binary.LittleEndian.Uint32(b[off+16:])
+	if vlen == 0xFFFFFFFF {
+		vlen = 0
+	}
+	if klen == 0 || klen > 1<<20 || vlen > 1<<24 ||
+		off+walRecordHeader+int(klen)+int(vlen) > len(b) {
+		return walRecord{}, off, false
+	}
+	vstart := off + walRecordHeader + int(klen)
+	end = vstart + int(vlen)
+	if crc32.ChecksumIEEE(b[off+4:end]) != crc {
+		return walRecord{}, off, false
+	}
+	rec = walRecord{
+		lsn: binary.LittleEndian.Uint64(b[off+4:]),
+		key: b[off+walRecordHeader : vstart : vstart],
+	}
+	if vlen > 0 {
+		rec.value = b[vstart:end:end]
+	}
+	return rec, end, true
+}
+
+// decodeRecords parses a batch byte stream up to its first invalid record.
+// The records alias b.
 func decodeRecords(b []byte) []walRecord {
 	var out []walRecord
-	off := 0
-	for off+walRecordHeader <= len(b) {
-		crc := binary.LittleEndian.Uint32(b[off:])
-		lsn := binary.LittleEndian.Uint64(b[off+4:])
-		klen := binary.LittleEndian.Uint32(b[off+12:])
-		vlen := binary.LittleEndian.Uint32(b[off+16:])
-		tomb := vlen == 0xFFFFFFFF
-		if tomb {
-			vlen = 0
+	for off := 0; ; {
+		rec, end, ok := nextRecord(b, off)
+		if !ok {
+			return out
 		}
-		if klen == 0 || klen > 1<<20 || vlen > 1<<24 ||
-			off+walRecordHeader+int(klen)+int(vlen) > len(b) {
-			break
-		}
-		end := off + walRecordHeader + int(klen) + int(vlen)
-		if crc32.ChecksumIEEE(b[off+4:end]) != crc {
-			break
-		}
-		key := append([]byte(nil), b[off+walRecordHeader:off+walRecordHeader+int(klen)]...)
-		var val []byte
-		if !tomb {
-			val = append([]byte(nil), b[off+walRecordHeader+int(klen):end]...)
-		}
-		out = append(out, walRecord{lsn: lsn, key: key, value: val})
+		out = append(out, rec)
 		off = end
 	}
-	return out
 }
 
 // append adds one record and blocks until it is durable. It returns the
@@ -95,7 +121,7 @@ func decodeRecords(b []byte) []walRecord {
 func (w *wal) append(p *sim.Proc, key, value []byte) (uint64, error) {
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.pending = append(w.pending, encodeRecord(lsn, key, value)...)
+	w.pending = appendRecord(w.pending, lsn, key, value)
 	ev := w.s.env.NewEvent()
 	w.waiters = append(w.waiters, ev)
 	if !w.flushing {
@@ -115,7 +141,8 @@ func (w *wal) commitLoop(p *sim.Proc) {
 		p.Sleep(w.s.cfg.GroupCommitWait)
 		batch := w.pending
 		waiters := w.waiters
-		w.pending = nil
+		w.pending = w.spare[:0]
+		w.spare = nil
 		w.waiters = nil
 		bs := w.s.dev.BlockSize()
 		nBlocks := uint64((len(batch) + bs - 1) / bs)
@@ -125,11 +152,12 @@ func (w *wal) commitLoop(p *sim.Proc) {
 		if w.writeBlock+nBlocks > w.blocks {
 			w.writeBlock = 0 // keep the batch contiguous
 		}
-		buf := make([]byte, nBlocks*uint64(bs))
-		copy(buf, batch)
-		if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), buf); err == nil {
+		// Zero-pad to whole blocks in place.
+		batch = append(batch, make([]byte, int(nBlocks)*bs-len(batch))...)
+		if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), batch); err == nil {
 			w.writeBlock += nBlocks
 		}
+		w.spare = batch
 		for _, ev := range waiters {
 			ev.Trigger(nil)
 		}
@@ -179,7 +207,7 @@ func (w *wal) recover(p *sim.Proc, flushedLSN uint64) error {
 		}
 		var batchBytes int
 		for _, r := range batch {
-			batchBytes += walRecordHeader + len(r.key) + len(r.value)
+			batchBytes += recordLen(r.key, r.value)
 		}
 		for b := blk; b < blk+uint64((batchBytes+bs-1)/bs) && b < w.blocks; b++ {
 			consumed[b] = true

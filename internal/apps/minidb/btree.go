@@ -1,8 +1,10 @@
 package minidb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bmstore/internal/sim"
 )
@@ -10,15 +12,32 @@ import (
 // Clustered B+tree over uint64 keys and variable-length rows.
 //
 // Page layout (leaf):   u8 kind | u16 n | n * (u64 key, u16 len) dir |
-// row payloads packed from the end.  Simplified here to an in-memory
-// decoded form cached per frame would complicate eviction; instead nodes
-// are re-encoded into the frame after every mutation — cheap at these
-// fan-outs and keeps the on-disk image the single source of truth.
+// row payloads packed from the end.
 //
 // Page layout (internal): u8 kind | u16 n | n * (u64 sepKey, u32 child).
 // child[i] covers keys < sepKey[i]; the last child covers the rest, so an
 // internal node stores n separators and n+1 children (the final child id
 // rides after the array).
+//
+// Ownership rule: a page image is copied once per device crossing and
+// encoded once per image consumed.
+//
+//   - Coming in, pager.fault reads a page into a fresh buffer and decodeNode
+//     turns it into a node whose rows are sub-slices of that buffer: no row is
+//     copied. The buffer is never written again — the frame drops its own
+//     reference (frame.setNode) and nothing recycles it — so the rows stay
+//     valid for as long as anything holds them.
+//   - While resident, the decoded node is the page. put mutates it and marks
+//     the frame dirty; nothing is re-encoded. Rows are immutable: put
+//     replaces a row's slice and never edits its bytes, and it takes
+//     ownership of the slice it is given (Txn.Write and decodeRedo detach it
+//     from their callers' buffers). get and scan therefore hand out the rows
+//     themselves; callers must not modify them.
+//   - Going out, frame.image encodes the node straight into the buffer the
+//     device write is issued from — the checkpoint's journal blob, or
+//     writeback's private image — once per image written. Only dirty frames
+//     are ever written, and eviction takes only clean ones, so dropping an
+//     evicted frame's node loses nothing.
 const (
 	nodeLeaf     = 1
 	nodeInternal = 2
@@ -27,6 +46,9 @@ const (
 // maxLeafPayload leaves room for the header and entry directory.
 const maxLeafPayload = PageSize - 64
 
+// leafDirEntry is the directory cost of one row: u64 key + u16 length.
+const leafDirEntry = 10
+
 type leafEntry struct {
 	key uint64
 	row []byte
@@ -34,6 +56,9 @@ type leafEntry struct {
 
 type leafNode struct {
 	entries []leafEntry
+	// size is the directory plus payload bytes the entries encode to,
+	// maintained by put and splitLeaf.
+	size int
 }
 
 type internalNode struct {
@@ -41,40 +66,52 @@ type internalNode struct {
 	children []pageID // len(seps)+1
 }
 
+// decodeNode parses a page image. A leaf's rows alias data; the caller
+// must not write to data afterwards.
 func decodeNode(data []byte) (any, error) {
+	if len(data) != PageSize {
+		return nil, fmt.Errorf("minidb: corrupt page: %d bytes", len(data))
+	}
+	n := int(binary.LittleEndian.Uint16(data[1:]))
 	switch data[0] {
 	case nodeLeaf:
-		n := int(binary.LittleEndian.Uint16(data[1:]))
-		ln := &leafNode{}
-		dir := 3
-		off := PageSize
-		for i := 0; i < n; i++ {
-			key := binary.LittleEndian.Uint64(data[dir:])
-			l := int(binary.LittleEndian.Uint16(data[dir+8:]))
-			dir += 10
-			off -= l
-			row := append([]byte(nil), data[off:off+l]...)
-			ln.entries = append(ln.entries, leafEntry{key: key, row: row})
+		dirEnd := 3 + leafDirEntry*n
+		if dirEnd > PageSize {
+			return nil, fmt.Errorf("minidb: corrupt page: leaf directory of %d rows", n)
 		}
+		ln := &leafNode{entries: make([]leafEntry, n)}
+		off := PageSize
+		for i := range ln.entries {
+			dir := 3 + leafDirEntry*i
+			l := int(binary.LittleEndian.Uint16(data[dir+8:]))
+			if off-l < dirEnd {
+				return nil, fmt.Errorf("minidb: corrupt page: leaf row %d of %d bytes overruns the directory", i, l)
+			}
+			off -= l
+			ln.entries[i] = leafEntry{key: binary.LittleEndian.Uint64(data[dir:]), row: data[off : off+l : off+l]}
+		}
+		ln.size = dirEnd - 3 + PageSize - off
 		return ln, nil
 	case nodeInternal:
-		n := int(binary.LittleEndian.Uint16(data[1:]))
-		in := &internalNode{}
+		if 3+12*n+4 > PageSize {
+			return nil, fmt.Errorf("minidb: corrupt page: internal node of %d separators", n)
+		}
+		in := &internalNode{seps: make([]uint64, n), children: make([]pageID, n+1)}
 		off := 3
-		for i := 0; i < n; i++ {
-			in.seps = append(in.seps, binary.LittleEndian.Uint64(data[off:]))
-			in.children = append(in.children, pageID(binary.LittleEndian.Uint32(data[off+8:])))
+		for i := range in.seps {
+			in.seps[i] = binary.LittleEndian.Uint64(data[off:])
+			in.children[i] = pageID(binary.LittleEndian.Uint32(data[off+8:]))
 			off += 12
 		}
-		in.children = append(in.children, pageID(binary.LittleEndian.Uint32(data[off:])))
+		in.children[n] = pageID(binary.LittleEndian.Uint32(data[off:]))
 		return in, nil
 	default:
-		return nil, fmt.Errorf("minidb: unknown node kind %d", data[0])
+		return nil, fmt.Errorf("minidb: corrupt page: unknown node kind %d", data[0])
 	}
 }
 
+// encode writes the leaf's page image into data, whatever data held.
 func (ln *leafNode) encode(data []byte) {
-	clear(data)
 	data[0] = nodeLeaf
 	binary.LittleEndian.PutUint16(data[1:], uint16(len(ln.entries)))
 	dir := 3
@@ -82,22 +119,21 @@ func (ln *leafNode) encode(data []byte) {
 	for _, e := range ln.entries {
 		binary.LittleEndian.PutUint64(data[dir:], e.key)
 		binary.LittleEndian.PutUint16(data[dir+8:], uint16(len(e.row)))
-		dir += 10
+		dir += leafDirEntry
 		off -= len(e.row)
 		copy(data[off:], e.row)
 	}
+	clear(data[dir:off])
 }
 
-func (ln *leafNode) bytes() int {
-	n := 0
-	for _, e := range ln.entries {
-		n += 10 + len(e.row)
-	}
-	return n
+// search returns the position of key, or where it would be inserted.
+func (ln *leafNode) search(key uint64) (int, bool) {
+	return slices.BinarySearchFunc(ln.entries, key, func(e leafEntry, key uint64) int {
+		return cmp.Compare(e.key, key)
+	})
 }
 
 func (in *internalNode) encode(data []byte) {
-	clear(data)
 	data[0] = nodeInternal
 	binary.LittleEndian.PutUint16(data[1:], uint16(len(in.seps)))
 	off := 3
@@ -107,6 +143,7 @@ func (in *internalNode) encode(data []byte) {
 		off += 12
 	}
 	binary.LittleEndian.PutUint32(data[off:], uint32(in.children[len(in.seps)]))
+	clear(data[off+4:])
 }
 
 // maxInternalFanout bounds internal node size well inside a page.
@@ -120,14 +157,14 @@ type btree struct {
 	db *DB
 }
 
-// node returns the decoded form of a frame, caching it.
+// node returns the decoded form of a frame, decoding it on first use.
 func (bt *btree) node(f *frame) any {
 	if f.node == nil {
 		n, err := decodeNode(f.data)
 		if err != nil {
 			panic(err)
 		}
-		f.node = n
+		f.setNode(n)
 	}
 	return f.node
 }
@@ -150,16 +187,18 @@ func (bt *btree) findResident(key uint64) (*frame, *leafNode, pageID, bool) {
 	}
 }
 
+// child returns the subtree covering key: the first whose separator is
+// above it.
 func (in *internalNode) child(key uint64) pageID {
-	for i, s := range in.seps {
-		if key < s {
-			return in.children[i]
-		}
+	i, found := slices.BinarySearch(in.seps, key)
+	if found {
+		i++ // a separator is the first key of the subtree to its right
 	}
-	return in.children[len(in.seps)]
+	return in.children[i]
 }
 
-// get returns the row for key.
+// get returns the row for key. The row is the tree's own; see the
+// ownership rule above.
 func (bt *btree) get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	for {
 		_, leaf, missing, ok := bt.findResident(key)
@@ -169,16 +208,15 @@ func (bt *btree) get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 			}
 			continue
 		}
-		for _, e := range leaf.entries {
-			if e.key == key {
-				return e.row, true, nil
-			}
+		if i, found := leaf.search(key); found {
+			return leaf.entries[i].row, true, nil
 		}
 		return nil, false, nil
 	}
 }
 
-// put inserts or updates key. The mutation itself never yields.
+// put inserts or updates key and takes ownership of row. The mutation
+// itself never yields.
 func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 	if len(row) > maxLeafPayload/2 {
 		return fmt.Errorf("minidb: row of %d bytes too large", len(row))
@@ -191,23 +229,17 @@ func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 			}
 			continue
 		}
-		// Ensure a split has a free frame without yielding mid-mutation:
-		// pre-reserve pool space by faulting nothing but allocating later;
-		// pool inserts evict, and eviction can yield. To stay atomic, do
-		// the whole mutation, then let the pool settle on the next fault.
-		idx := 0
-		for idx < len(leaf.entries) && leaf.entries[idx].key < key {
-			idx++
-		}
-		if idx < len(leaf.entries) && leaf.entries[idx].key == key {
-			leaf.entries[idx].row = append([]byte(nil), row...)
+		idx, found := leaf.search(key)
+		if found {
+			leaf.size += len(row) - len(leaf.entries[idx].row)
+			leaf.entries[idx].row = row
 		} else {
 			leaf.entries = append(leaf.entries, leafEntry{})
 			copy(leaf.entries[idx+1:], leaf.entries[idx:])
-			leaf.entries[idx] = leafEntry{key: key, row: append([]byte(nil), row...)}
+			leaf.entries[idx] = leafEntry{key: key, row: row}
+			leaf.size += leafDirEntry + len(row)
 		}
-		if leaf.bytes() <= maxLeafPayload {
-			leaf.encode(f.data)
+		if leaf.size <= maxLeafPayload {
 			bt.db.pool.markDirty(f)
 			return nil
 		}
@@ -219,44 +251,43 @@ func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 func (bt *btree) splitLeaf(p *sim.Proc, f *frame, leaf *leafNode) error {
 	mid := len(leaf.entries) / 2
 	right := &leafNode{entries: append([]leafEntry(nil), leaf.entries[mid:]...)}
+	for _, e := range right.entries {
+		right.size += leafDirEntry + len(e.row)
+	}
 	leaf.entries = leaf.entries[:mid]
+	leaf.size -= right.size
 	sep := right.entries[0].key
 
-	rf, err := bt.db.pool.alloc(p)
-	if err != nil {
-		return err
-	}
-	// Re-encode both halves (left frame may have been evicted while alloc
-	// yielded; re-fault it).
+	// Making room for the new page may have evicted the left one (it is
+	// clean until marked below); re-fault it.
+	rf := bt.db.pool.alloc()
 	lf, ok := bt.db.pool.get(f.id)
 	if !ok {
+		var err error
 		if lf, err = bt.db.pool.fault(p, f.id); err != nil {
 			return err
 		}
 	}
-	leaf.encode(lf.data)
-	lf.node = leaf
+	lf.setNode(leaf)
 	bt.db.pool.markDirty(lf)
-	right.encode(rf.data)
-	rf.node = right
+	rf.setNode(right)
 	bt.db.pool.markDirty(rf)
 	return bt.insertSep(p, lf.id, sep, rf.id)
+}
+
+// growRoot puts a new root above left and right.
+func (bt *btree) growRoot(left pageID, sep uint64, right pageID) {
+	nf := bt.db.pool.alloc()
+	nf.setNode(&internalNode{seps: []uint64{sep}, children: []pageID{left, right}})
+	bt.db.pool.markDirty(nf)
+	bt.db.root = nf.id
 }
 
 // insertSep adds (sep -> right) next to child left in its parent, growing
 // the tree upward as needed. Parents are located by a fresh root walk.
 func (bt *btree) insertSep(p *sim.Proc, left pageID, sep uint64, right pageID) error {
-	// Root split.
 	if left == bt.db.root {
-		nf, err := bt.db.pool.alloc(p)
-		if err != nil {
-			return err
-		}
-		root := &internalNode{seps: []uint64{sep}, children: []pageID{left, right}}
-		root.encode(nf.data)
-		nf.node = root
-		bt.db.pool.markDirty(nf)
-		bt.db.root = nf.id
+		bt.growRoot(left, sep, right)
 		return nil
 	}
 	for {
@@ -303,8 +334,6 @@ func (bt *btree) insertSep(p *sim.Proc, left pageID, sep uint64, right pageID) e
 		copy(pnode.children[idx+2:], pnode.children[idx+1:])
 		pnode.children[idx+1] = right
 		if len(pnode.children) <= maxInternalFanout {
-			pnode.encode(parent.data)
-			parent.node = pnode
 			bt.db.pool.markDirty(parent)
 			return nil
 		}
@@ -317,43 +346,40 @@ func (bt *btree) insertSep(p *sim.Proc, left pageID, sep uint64, right pageID) e
 		}
 		pnode.seps = pnode.seps[:mid]
 		pnode.children = pnode.children[:mid+1]
-		rf, err := bt.db.pool.alloc(p)
-		if err != nil {
-			return err
-		}
+		// As in splitLeaf: the new page may have pushed the parent out.
+		rf := bt.db.pool.alloc()
 		pf, ok := bt.db.pool.get(parent.id)
 		if !ok {
+			var err error
 			if pf, err = bt.db.pool.fault(p, parent.id); err != nil {
 				return err
 			}
 		}
-		pnode.encode(pf.data)
-		pf.node = pnode
+		pf.setNode(pnode)
 		bt.db.pool.markDirty(pf)
-		rn.encode(rf.data)
-		rf.node = rn
+		rf.setNode(rn)
 		bt.db.pool.markDirty(rf)
 		left, sep, right = pf.id, up, rf.id
 		if left == bt.db.root {
-			nf, err := bt.db.pool.alloc(p)
-			if err != nil {
-				return err
-			}
-			root := &internalNode{seps: []uint64{sep}, children: []pageID{left, right}}
-			root.encode(nf.data)
-			nf.node = root
-			bt.db.pool.markDirty(nf)
-			bt.db.root = nf.id
+			bt.growRoot(left, sep, right)
 			return nil
 		}
 	}
 }
 
-// scan returns up to limit rows with key >= start in key order.
+// maxScanPresize caps how much of a scan's result is allocated before any
+// row is found: limit is the caller's wish, not the table's size.
+const maxScanPresize = 256
+
+// scan returns up to limit rows with key >= start in key order. The rows
+// are the tree's own; see the ownership rule above.
 func (bt *btree) scan(p *sim.Proc, start uint64, limit int) ([]Row, error) {
-	var out []Row
+	if limit <= 0 {
+		return nil, nil
+	}
+	out := make([]Row, 0, min(limit, maxScanPresize))
 	key := start
-	for len(out) < limit {
+	for {
 		_, leaf, missing, ok := bt.findResident(key)
 		if !ok {
 			if _, err := bt.db.pool.fault(p, missing); err != nil {
@@ -361,11 +387,9 @@ func (bt *btree) scan(p *sim.Proc, start uint64, limit int) ([]Row, error) {
 			}
 			continue
 		}
-		for _, e := range leaf.entries {
-			if e.key < key {
-				continue
-			}
-			out = append(out, Row{Key: e.key, Data: append([]byte(nil), e.row...)})
+		from, _ := leaf.search(key)
+		for _, e := range leaf.entries[from:] {
+			out = append(out, Row{Key: e.key, Data: e.row})
 			if len(out) >= limit {
 				return out, nil
 			}
@@ -382,10 +406,10 @@ func (bt *btree) scan(p *sim.Proc, start uint64, limit int) ([]Row, error) {
 		}
 		key = last + 1
 	}
-	return out, nil
 }
 
-// Row is one scanned record.
+// Row is one scanned record. Data is the engine's own copy of the row:
+// read it, do not modify it.
 type Row struct {
 	Key  uint64
 	Data []byte

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
@@ -116,11 +116,8 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*DB, err
 		haveSuper = true
 	case !haveSuper:
 		// Fresh database: empty root leaf, epoch 1.
-		f, err := db.pool.alloc(p)
-		if err != nil {
-			return nil, err
-		}
-		(&leafNode{}).encode(f.data)
+		f := db.pool.alloc()
+		f.setNode(&leafNode{})
 		db.root = f.id
 		db.epoch = 1
 		sb = superblock{Epoch: 1, CkptLSN: 0, Root: db.root, NextPage: db.pool.nextPage}
@@ -192,13 +189,10 @@ type journalRec struct {
 }
 
 // writeJournal persists the planned checkpoint: header block (JSON meta +
-// CRC over the images) followed by the page images.
-func (db *DB) writeJournal(p *sim.Proc, rec journalRec, images [][]byte) error {
+// CRC over the images) followed by blob, the page images of rec.Pages back
+// to back.
+func (db *DB) writeJournal(p *sim.Proc, rec journalRec, blob []byte) error {
 	bs := db.dev.BlockSize()
-	var blob []byte
-	for _, img := range images {
-		blob = append(blob, img...)
-	}
 	meta, _ := json.Marshal(rec)
 	head := make([]byte, blocksPerPage*4096)
 	binary.LittleEndian.PutUint32(head, 0xD1DB00DD)
@@ -294,24 +288,25 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 
 	db.writeLock.Acquire(p)
 	cpLSN := db.redo.nextLSN - 1
-	var rec journalRec
-	var images [][]byte
-	versions := make(map[pageID]uint64)
 	// Snapshot in sorted page order: map iteration order must not leak
 	// into the journal layout or the write sequence, or the trace digest
 	// stops being a pure function of the seed.
-	var dirty []pageID
+	dirty := make([]pageID, 0, db.pool.dirty)
 	for id, f := range db.pool.frames {
 		if f.dirty {
 			dirty = append(dirty, id)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	for _, id := range dirty {
+	slices.Sort(dirty)
+	// Each dirty page is encoded once, straight into the buffer that is
+	// both the journal blob and, page by page, the source of the in-place
+	// writes.
+	blob := make([]byte, len(dirty)*PageSize)
+	versions := make([]uint64, len(dirty))
+	for i, id := range dirty {
 		f := db.pool.frames[id]
-		rec.Pages = append(rec.Pages, id)
-		images = append(images, append([]byte(nil), f.data...))
-		versions[id] = f.version
+		f.image(blob[i*PageSize : (i+1)*PageSize])
+		versions[i] = f.version
 	}
 	newRoot, newNext := db.root, db.pool.nextPage
 	oldLSN := db.ckptLSN
@@ -324,23 +319,20 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	// mixed-epoch page tree under the old root — the narrow window a real
 	// engine closes with page-level redo; see DESIGN.md.)
 	maxPages := int(db.journalBlks/blocksPerPage) - 2
-	for start := 0; start < len(rec.Pages); start += maxPages {
-		end := start + maxPages
-		if end > len(rec.Pages) {
-			end = len(rec.Pages)
-		}
+	for start := 0; start < len(dirty); start += maxPages {
+		end := min(start+maxPages, len(dirty))
 		pass := journalRec{
-			Pages: rec.Pages[start:end],
+			Pages: dirty[start:end],
 			Super: superblock{Epoch: db.epoch + 1, CkptLSN: oldLSN, Root: newRoot, NextPage: newNext},
 		}
-		if end == len(rec.Pages) {
+		if end == len(dirty) {
 			pass.Super.CkptLSN = cpLSN
 		}
-		if err := db.checkpointPass(p, pass, images[start:end]); err != nil {
+		if err := db.checkpointPass(p, pass, blob[start*PageSize:end*PageSize]); err != nil {
 			return err
 		}
 	}
-	if len(rec.Pages) == 0 {
+	if len(dirty) == 0 {
 		// Nothing dirty: still advance the checkpoint LSN.
 		pass := journalRec{Super: superblock{Epoch: db.epoch + 1, CkptLSN: cpLSN, Root: newRoot, NextPage: newNext}}
 		if err := db.checkpointPass(p, pass, nil); err != nil {
@@ -351,23 +343,24 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	// A snapshot page becomes clean only if nothing touched it since the
 	// snapshot; pages re-dirtied during the checkpoint stay dirty for the
 	// next one.
-	for id, v := range versions {
-		if f, ok := db.pool.frames[id]; ok && f.version == v {
-			f.dirty = false
+	for i, id := range dirty {
+		if f, ok := db.pool.frames[id]; ok && f.version == versions[i] {
+			db.pool.markClean(f)
 		}
 	}
 	db.Stats.Checkpoints++
 	return nil
 }
 
-// checkpointPass journals a batch of page images, writes them in place,
-// and commits the superblock for this epoch.
-func (db *DB) checkpointPass(p *sim.Proc, rec journalRec, images [][]byte) error {
-	if err := db.writeJournal(p, rec, images); err != nil {
+// checkpointPass journals a batch of page images (blob holds those of
+// rec.Pages back to back), writes them in place, and commits the superblock
+// for this epoch.
+func (db *DB) checkpointPass(p *sim.Proc, rec journalRec, blob []byte) error {
+	if err := db.writeJournal(p, rec, blob); err != nil {
 		return err
 	}
 	for i, id := range rec.Pages {
-		if err := db.dev.WriteAt(p, db.pool.pageLBA(id), blocksPerPage, images[i]); err != nil {
+		if err := db.dev.WriteAt(p, db.pool.pageLBA(id), blocksPerPage, blob[i*PageSize:(i+1)*PageSize]); err != nil {
 			return err
 		}
 	}
@@ -428,7 +421,8 @@ func (tx *Txn) ReadRange(p *sim.Proc, key uint64, n int) ([]Row, error) {
 // Write buffers an insert/update of key.
 func (tx *Txn) Write(key uint64, row []byte) {
 	tx.db.Stats.Writes++
-	tx.writes = append(tx.writes, redoRecord{key: key, row: append([]byte(nil), row...)})
+	own := append([]byte(nil), row...) // detach from the caller's buffer; the tree keeps this copy
+	tx.writes = append(tx.writes, redoRecord{key: key, row: own})
 }
 
 // Commit applies the transaction under the writer lock, logs it, and waits

@@ -1,0 +1,13 @@
+package minidb
+
+// DirtyFrames returns the buffer pool's running count of dirty frames and
+// a recount over the frames themselves, for tests to hold against each
+// other.
+func (db *DB) DirtyFrames() (tracked, counted int) {
+	for _, f := range db.pool.frames {
+		if f.dirty {
+			counted++
+		}
+	}
+	return db.pool.dirty, counted
+}

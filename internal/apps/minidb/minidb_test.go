@@ -250,7 +250,8 @@ func TestConcurrentCommitsSerialize(t *testing.T) {
 }
 
 // Model check: random ops with periodic checkpoints and a final crash
-// reopen match a plain map.
+// reopen match a plain map, and after every operation the pool's running
+// dirty-frame count (what eviction and pressure decide on) equals a recount.
 func TestRandomOpsWithCheckpointsMatchModel(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {
@@ -281,6 +282,9 @@ func TestRandomOpsWithCheckpointsMatchModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				model[k] = v
+			}
+			if tracked, counted := db.DirtyFrames(); tracked != counted {
+				t.Fatalf("op %d: pool tracks %d dirty frames, a recount finds %d", op, tracked, counted)
 			}
 		}
 		// Crash reopen: durability of every committed write.

@@ -8,7 +8,7 @@
 package minidb
 
 import (
-	"sort"
+	"slices"
 
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
@@ -22,16 +22,40 @@ type pageID uint32
 
 // frame is one buffer-pool slot. version counts modifications so a
 // checkpoint can tell whether a page was re-dirtied after its snapshot.
+//
+// A frame holds its page in exactly one form. Until the btree layer first
+// looks at it, that is data, the image the device returned. From setNode
+// on it is node, the decoded B+tree node, and data is dropped: nothing
+// re-encodes a page until image is asked for the bytes (see btree.go).
 type frame struct {
 	id      pageID
 	data    []byte
 	dirty   bool
 	version uint64
 	ref     bool // clock bit
-	// node caches the decoded B+tree node for this page; it is kept
-	// consistent by the btree layer, which re-encodes into data after
-	// every mutation.
-	node any
+	node    any  // *leafNode or *internalNode
+}
+
+// setNode makes n the frame's page content.
+func (f *frame) setNode(n any) {
+	f.node = n
+	f.data = nil
+}
+
+// image writes the page's current on-disk form into dst (PageSize bytes),
+// whatever dst held.
+func (f *frame) image(dst []byte) {
+	switch n := f.node.(type) {
+	case *leafNode:
+		n.encode(dst)
+	case *internalNode:
+		n.encode(dst)
+	default:
+		// Not decoded yet: data is the image. A page that alloc created
+		// and the tree has not filled has neither, and is zeros.
+		copied := copy(dst, f.data)
+		clear(dst[copied:])
+	}
 }
 
 // pager is the buffer pool plus the on-disk page file. Pages live after
@@ -43,6 +67,7 @@ type pager struct {
 	capacity int    // pool size in frames
 
 	frames map[pageID]*frame
+	dirty  int // frames with the dirty bit set; see markDirty, markClean, insert
 	clock  []pageID
 	hand   int
 
@@ -58,8 +83,19 @@ type pager struct {
 
 // markDirty records a modification to a resident page.
 func (pg *pager) markDirty(f *frame) {
-	f.dirty = true
+	if !f.dirty {
+		f.dirty = true
+		pg.dirty++
+	}
 	f.version++
+}
+
+// markClean records that a resident page's current content is on disk.
+func (pg *pager) markClean(f *frame) {
+	if f.dirty {
+		f.dirty = false
+		pg.dirty--
+	}
 }
 
 func newPager(env *sim.Env, dev host.BlockDevice, baseBlk uint64, poolPages int) *pager {
@@ -101,21 +137,17 @@ func (pg *pager) fault(p *sim.Proc, id pageID) (*frame, error) {
 		return f, nil
 	}
 	f := &frame{id: id, data: data, ref: true}
-	if err := pg.insert(p, f); err != nil {
-		return nil, err
-	}
+	pg.insert(f)
 	return f, nil
 }
 
 // alloc creates a brand-new zeroed page resident in the pool.
-func (pg *pager) alloc(p *sim.Proc) (*frame, error) {
+func (pg *pager) alloc() *frame {
 	id := pg.nextPage
 	pg.nextPage++
-	f := &frame{id: id, data: make([]byte, PageSize), dirty: true, version: 1, ref: true}
-	if err := pg.insert(p, f); err != nil {
-		return nil, err
-	}
-	return f, nil
+	f := &frame{id: id, dirty: true, version: 1, ref: true}
+	pg.insert(f)
+	return f
 }
 
 // minCleanFloor keeps enough clean frames resident that concurrent tree
@@ -126,9 +158,9 @@ const minCleanFloor = 8
 // Dirty pages are never written back here (no-steal): when clean frames
 // run out the pool overflows its nominal capacity and asks the DB for a
 // checkpoint, which is what makes room again.
-func (pg *pager) insert(p *sim.Proc, f *frame) error {
+func (pg *pager) insert(f *frame) {
 	for len(pg.frames) >= pg.capacity {
-		if pg.cleanCount() <= minCleanFloor || !pg.evictClean() {
+		if len(pg.frames)-pg.dirty <= minCleanFloor || !pg.evictClean() {
 			pg.Overflows++
 			if pg.onPressure != nil {
 				pg.onPressure()
@@ -136,20 +168,11 @@ func (pg *pager) insert(p *sim.Proc, f *frame) error {
 			break
 		}
 	}
-	_ = p
+	if f.dirty {
+		pg.dirty++
+	}
 	pg.frames[f.id] = f
 	pg.clock = append(pg.clock, f.id)
-	return nil
-}
-
-func (pg *pager) cleanCount() int {
-	n := 0
-	for _, f := range pg.frames {
-		if !f.dirty {
-			n++
-		}
-	}
-	return n
 }
 
 // evictClean runs the clock hand over at most two sweeps looking for a
@@ -184,10 +207,11 @@ func (pg *pager) evictClean() bool {
 
 func (pg *pager) writeback(p *sim.Proc, f *frame) error {
 	pg.Writebacks++
-	f.dirty = false
-	// Copy so a concurrent modification between I/O start and finish
-	// doesn't tear the written image.
-	img := append([]byte(nil), f.data...)
+	pg.markClean(f)
+	// A private image, so a modification between I/O start and finish
+	// doesn't tear what is written.
+	img := make([]byte, PageSize)
+	f.image(img)
 	return pg.dev.WriteAt(p, pg.pageLBA(f.id), blocksPerPage, img)
 }
 
@@ -200,7 +224,7 @@ func (pg *pager) flushAll(p *sim.Proc) error {
 	}
 	// Sorted, not map order: the writeback sequence is device I/O and must
 	// be a pure function of the workload for the determinism digests.
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		if f, ok := pg.frames[id]; ok && f.dirty {
 			if err := pg.writeback(p, f); err != nil {

@@ -3,6 +3,7 @@ package minidb
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"bmstore/internal/sim"
@@ -19,7 +20,12 @@ type redoLog struct {
 	writeBlock uint64
 	nextLSN    uint64
 
+	// pending is the batch being gathered; spare is the previous batch's
+	// buffer, free again once its device write has returned. Records are
+	// encoded straight into pending and the batch is padded and written
+	// from it, so a record is copied once on its way to the device.
 	pending  []byte
+	spare    []byte
 	waiters  []*sim.Event
 	flushing bool
 
@@ -36,14 +42,17 @@ type redoRecord struct {
 	row []byte
 }
 
-func encodeRedo(lsn, key uint64, row []byte) []byte {
-	b := make([]byte, redoHeader+len(row))
+// appendRedo encodes one record onto the end of dst.
+func appendRedo(dst []byte, lsn, key uint64, row []byte) []byte {
+	n := redoHeader + len(row)
+	dst = slices.Grow(dst, n)
+	b := dst[len(dst) : len(dst)+n]
 	binary.LittleEndian.PutUint64(b[4:], lsn)
 	binary.LittleEndian.PutUint64(b[12:], key)
 	binary.LittleEndian.PutUint32(b[20:], uint32(len(row)))
-	copy(b[24:], row)
+	copy(b[redoHeader:], row)
 	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
-	return b
+	return dst[:len(dst)+n]
 }
 
 func decodeRedo(b []byte) []redoRecord {
@@ -61,7 +70,8 @@ func decodeRedo(b []byte) []redoRecord {
 		if crc32.ChecksumIEEE(b[off+4:end]) != crc {
 			break
 		}
-		out = append(out, redoRecord{lsn: lsn, key: key, row: append([]byte(nil), b[off+24:end]...)})
+		row := append([]byte(nil), b[off+24:end]...) // detach from b, recovery's image of the whole ring; the tree keeps this copy
+		out = append(out, redoRecord{lsn: lsn, key: key, row: row})
 		off = end
 	}
 	return out
@@ -71,7 +81,7 @@ func decodeRedo(b []byte) []redoRecord {
 func (r *redoLog) append(key uint64, row []byte) uint64 {
 	lsn := r.nextLSN
 	r.nextLSN++
-	r.pending = append(r.pending, encodeRedo(lsn, key, row)...)
+	r.pending = appendRedo(r.pending, lsn, key, row)
 	return lsn
 }
 
@@ -93,7 +103,8 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 		p.Sleep(r.db.cfg.GroupCommitWait)
 		batch := r.pending
 		waiters := r.waiters
-		r.pending = nil
+		r.pending = r.spare[:0]
+		r.spare = nil
 		r.waiters = nil
 		bs := r.db.dev.BlockSize()
 		nBlocks := uint64((len(batch) + bs - 1) / bs)
@@ -101,13 +112,14 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 			if r.writeBlock+nBlocks > r.blocks {
 				r.writeBlock = 0
 			}
-			buf := make([]byte, nBlocks*uint64(bs))
-			copy(buf, batch)
-			if err := r.db.dev.WriteAt(p, r.baseBlock+r.writeBlock, uint32(nBlocks), buf); err == nil {
+			// Zero-pad to whole blocks in place.
+			batch = append(batch, make([]byte, int(nBlocks)*bs-len(batch))...)
+			if err := r.db.dev.WriteAt(p, r.baseBlock+r.writeBlock, uint32(nBlocks), batch); err == nil {
 				r.writeBlock += nBlocks
 			}
 			r.Commits++
 		}
+		r.spare = batch
 		for _, ev := range waiters {
 			ev.Trigger(nil)
 		}

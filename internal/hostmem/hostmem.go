@@ -129,7 +129,8 @@ func (m *Memory) check(addr, n uint64) {
 	if addr == 0 && n > 0 {
 		panic("hostmem: DMA to physical address 0")
 	}
-	if addr+n > m.size {
+	// Not addr+n > m.size: that sum wraps for an address near 2^64.
+	if n > m.size || addr > m.size-n {
 		panic(fmt.Sprintf("hostmem: access [%#x,%#x) beyond size %#x", addr, addr+n, m.size))
 	}
 }

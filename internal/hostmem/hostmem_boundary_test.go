@@ -2,8 +2,34 @@ package hostmem
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 )
+
+// TestAccessNearTopOfAddressSpacePanics: an address so high that addr+n
+// wraps past 2^64 (a hostile PRP entry) must fail the bounds check like any
+// other out-of-range access, not pass it and materialise a page.
+func TestAccessNearTopOfAddressSpacePanics(t *testing.T) {
+	addr := ^uint64(0) - 100
+	for name, access := range map[string]func(*Memory){
+		"Read":  func(m *Memory) { m.Read(addr, make([]byte, 4096)) },
+		"Write": func(m *Memory) { m.Write(addr, make([]byte, 4096)) },
+	} {
+		m := New(1 << 20)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "beyond size") {
+					t.Errorf("%s at %#x: recovered %q, want a \"beyond size\" panic", name, addr, msg)
+				}
+			}()
+			access(m)
+		}()
+		if m.TouchedPages() != 0 {
+			t.Errorf("%s at %#x materialised %d pages", name, addr, m.TouchedPages())
+		}
+	}
+}
 
 // TestWriteAtPageEdges: writes that end exactly on a page boundary, start
 // exactly on one, and straddle three pages must all round-trip, and only

@@ -9,7 +9,6 @@ type Queue[T any] struct {
 	cap     int
 	getters fifo[*Event] // each fires with the delivered item
 	putters fifo[*putWait[T]]
-	closed  bool
 }
 
 type putWait[T any] struct {
