@@ -10,17 +10,20 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the three targets: the event
+# Ten seconds of native fuzzing, split over the four targets: the event
 # queue's fire order against a sorted reference (internal/sim
-# FuzzFireOrder), and the two on-disk decoders against hostile pages and
-# record streams, each differentially against the copying decoder it
-# replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords). The committed
-# corpora under testdata/fuzz already run as part of `make test`; this
-# looks for new inputs.
+# FuzzFireOrder), the two on-disk decoders against hostile pages and record
+# streams, each differentially against the copying decoder it replaced
+# (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), and the target
+# controller's PRP-list fetch against a one-shot walk over resident memory,
+# on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch). The
+# committed corpora under testdata/fuzz already run as part of `make test`;
+# this looks for new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 4s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 3s ./internal/apps/minidb
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 3s ./internal/apps/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 3s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 2s ./internal/apps/minidb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 2s ./internal/apps/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 3s ./internal/nvmet
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

@@ -61,30 +61,9 @@ type Config struct {
 	HostLinkLanes int
 	SSDLinkLanes  int
 
-	// Tracer, when non-nil, is attached to the simulation environment
-	// before any component is built: the scheduler and every instrumented
-	// subsystem stream their events into it, yielding a run digest (and
-	// optionally a human-readable dump). Leave nil for zero-cost runs.
-	//
-	// Deprecated: pass WithTrace(tr) to the testbed constructor instead.
-	// The field keeps delegating for one release and will then be removed.
-	Tracer *trace.Tracer
-
-	// Metrics, when non-nil, is attached to the simulation environment
-	// before any component is built: every instrumented subsystem registers
-	// its counters, gauges, latency histograms and request spans there, and
-	// the registry can be exported after the run (see internal/obs). Like
-	// the tracer, metrics are per rig — no process-wide globals — and nil
-	// means zero overhead. Metrics are passive observers: attaching a
-	// registry never changes simulated behaviour or trace digests.
-	//
-	// Deprecated: pass WithMetrics(r) to the testbed constructor instead.
-	// The field keeps delegating for one release and will then be removed.
-	Metrics *obs.Registry
-
 	// Timeline enables sampled request-timeline recording and worst-K tail
 	// forensics (see internal/obs/timeline), set via WithTimeline. When no
-	// Metrics registry is supplied, the constructor builds one carrying the
+	// metrics registry is supplied, the constructor builds one carrying the
 	// recorder (reachable via Testbed.Metrics()); when one is supplied it
 	// must itself have been built with timeline recording, or Validate
 	// rejects the configuration instead of silently recording nothing.
@@ -97,19 +76,12 @@ type Config struct {
 	// driver for post-recovery re-attach. Requires CaptureData.
 	CrashRecovery *crash.Config
 
-	// Faults is the declarative fault schedule of the rig (see
-	// internal/fault). A per-rig injector is built from these rules and
-	// attached to the environment before any component, so the SSDs, links,
-	// MCTP endpoints and engine backends cache it at construction. Rules are
-	// plain values: the same slice can seed any number of rigs (each gets
-	// its own injector state), which keeps determinism sweeps and parallel
-	// runs independent. Empty means no injection and zero overhead. The
-	// live injector is reachable afterwards via tb.Env.Faults().
-	//
-	// Deprecated: pass WithFaults(rules...) to the testbed constructor
-	// instead. The field keeps delegating for one release and will then be
-	// removed.
-	Faults []fault.Rule
+	// Set by WithTrace, WithMetrics and WithFaults; attached to the
+	// simulation environment before any component is built, because
+	// components cache those pointers at construction.
+	tracer  *trace.Tracer
+	metrics *obs.Registry
+	faults  []fault.Rule
 }
 
 // Validate checks the configuration for the mistakes that otherwise
@@ -127,13 +99,13 @@ func (c *Config) Validate() error {
 	if c.Kernel == (host.KernelProfile{}) {
 		return fmt.Errorf("bmstore: config needs a kernel profile (e.g. host.CentOS)")
 	}
-	if fault.HasDataHazards(c.Faults) && !c.CaptureData {
+	if fault.HasDataHazards(c.faults) && !c.CaptureData {
 		return fmt.Errorf("bmstore: fault schedule contains data-hazard rules (media-corrupt/torn-write/misdirected-read) but Config.CaptureData is off — no payload bytes exist to damage or verify, so the rules would be inert; set CaptureData: true")
 	}
 	if c.CrashRecovery != nil && !c.CaptureData {
 		return fmt.Errorf("bmstore: WithCrashRecovery needs Config.CaptureData — the journal redoes payload bytes at recovery, and without capture there is nothing to journal or verify")
 	}
-	if c.Timeline != (timeline.Config{}) && c.Metrics != nil && c.Metrics.Timeline() == nil {
+	if c.Timeline != (timeline.Config{}) && c.metrics != nil && c.metrics.Timeline() == nil {
 		return fmt.Errorf("bmstore: WithTimeline combined with a metrics registry that records no timelines — build the registry with obs.Options.Timeline, or drop WithMetrics and let the constructor build one")
 	}
 	return nil
@@ -198,21 +170,21 @@ func (c *Config) ssdConfig(env *sim.Env, i int) ssd.Config {
 // WithTimeline without WithMetrics materialises the timeline-carrying
 // registry here, and the testbed must remember it for Metrics().
 func newEnv(cfg *Config) *sim.Env {
-	if cfg.Timeline != (timeline.Config{}) && cfg.Metrics == nil {
-		cfg.Metrics = obs.New(obs.Options{
+	if cfg.Timeline != (timeline.Config{}) && cfg.metrics == nil {
+		cfg.metrics = obs.New(obs.Options{
 			SeriesInterval: obs.DefaultSeriesInterval,
 			Timeline:       cfg.Timeline,
 		})
 	}
 	env := sim.NewEnv(cfg.Seed)
-	if cfg.Tracer != nil {
-		env.SetTracer(cfg.Tracer)
+	if cfg.tracer != nil {
+		env.SetTracer(cfg.tracer)
 	}
-	if cfg.Metrics != nil {
-		env.SetMetrics(cfg.Metrics)
+	if cfg.metrics != nil {
+		env.SetMetrics(cfg.metrics)
 	}
-	if len(cfg.Faults) > 0 {
-		env.SetFaults(fault.New(cfg.Faults...))
+	if len(cfg.faults) > 0 {
+		env.SetFaults(fault.New(cfg.faults...))
 	}
 	return env
 }
@@ -300,10 +272,9 @@ func NewDirectTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 }
 
 // Metrics returns the rig's metrics registry: the one supplied via
-// WithMetrics (or the deprecated Config.Metrics field), or the registry the
-// constructor built to carry WithTimeline's recorder. Nil when the rig runs
-// without metrics.
-func (tb *Testbed) Metrics() *obs.Registry { return tb.cfg.Metrics }
+// WithMetrics, or the registry the constructor built to carry WithTimeline's
+// recorder. Nil when the rig runs without metrics.
+func (tb *Testbed) Metrics() *obs.Registry { return tb.cfg.metrics }
 
 // Run starts fn as a root simulation process, drives the simulation until
 // fn returns (server processes like the controller's monitor keep ticking

@@ -103,10 +103,7 @@ func chaosConfig(seed int64, rules []fault.Rule, tr *trace.Tracer, met *obs.Regi
 		c.CapacityBytes = 1 << 30
 		return c
 	}
-	cfg.Faults = rules
-	cfg.Tracer = tr
-	cfg.Metrics = met
-	return cfg
+	return cfg.With(WithFaults(rules...), WithTrace(tr), WithMetrics(met))
 }
 
 // chaosDriverConfig is the recovering tenant driver: timeouts, aborts and

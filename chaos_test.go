@@ -124,8 +124,7 @@ func TestChaosRunReplaysDigestIdentical(t *testing.T) {
 // silent-data-damage rules on a rig that carries no payload bytes is a
 // configuration error, not a silently-inert campaign.
 func TestValidateRejectsDataHazardsWithoutCapture(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Faults = []fault.Rule{{Point: fault.MediaCorrupt, Target: "PHLJ0000", Count: 1}}
+	cfg := DefaultConfig().With(WithFaults(fault.Rule{Point: fault.MediaCorrupt, Target: "PHLJ0000", Count: 1}))
 	err := cfg.Validate()
 	if err == nil || !strings.Contains(err.Error(), "CaptureData") {
 		t.Fatalf("want CaptureData validation error, got %v", err)

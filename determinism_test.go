@@ -45,9 +45,7 @@ func benchScenario(seed int64) Scenario {
 }
 
 func runScenario(s Scenario, tr *trace.Tracer) {
-	cfg := s.Config
-	cfg.Tracer = tr
-	tb, err := NewBMStoreTestbed(cfg)
+	tb, err := NewBMStoreTestbed(s.Config, WithTrace(tr))
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ import (
 // SSD command records, PRP segment lists, completion carriers — comes from
 // a per-env free list, and with CaptureData off no payload bytes are
 // materialised.
-func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8) }
+func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8, 1) }
 
 // BenchmarkIOPathDeepQueue is the same loop over 4 queues x QD 128 — the
 // shape of fio's rand-r-128 case that Table V and the repo benchmark's
@@ -27,7 +27,15 @@ func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8) }
 // a NAND die (sim.Resource under contention) and the event heap is hundreds
 // deep, neither of which the one-queue QD 8 loop reaches; both must stay
 // allocation-free.
-func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128) }
+func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128, 1) }
+
+// BenchmarkIOPathLargeIO is the QD 8 loop at 32 blocks = 128 KiB per I/O, the
+// size of the repo benchmark's seq128k workload: the driver builds a PRP list
+// per command, the engine and then the SSD each walk it through the target
+// controller's list reader (a list-page DMA fetch and a retry per command,
+// twice), and every read stripes over four NAND dies. None of that runs at
+// 4 KiB, so this row is the list path's allocs/op ceiling.
+func BenchmarkIOPathLargeIO(b *testing.B) { benchIOPath(b, 1, 8, 32) }
 
 // BenchmarkIOPathTracedThroughput is the same loop with a digest tracer
 // attached — what every fleet host, the figures gate and the crash sweep
@@ -35,7 +43,7 @@ func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128) }
 // digest folds words, so it too must stay at 0 allocs/op.
 func BenchmarkIOPathTracedThroughput(b *testing.B) {
 	tr := trace.NewDigest()
-	benchIOPath(b, 1, 8, WithTrace(tr))
+	benchIOPath(b, 1, 8, 1, WithTrace(tr))
 	if tr.Events() == 0 {
 		b.Fatal("tracer observed nothing")
 	}
@@ -50,15 +58,20 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchIOPath(b, 1, 8, WithFaults(rules...))
+	benchIOPath(b, 1, 8, 1, WithFaults(rules...))
 }
 
-// benchIOPath runs the shared 4 KiB R/W loop, qd I/Os in flight on each of
-// the tenant's first `queues` queue pairs, on a two-SSD rig built with opts.
-// The warm-up batch runs at the measured depth so the timed region starts
-// with every pool primed, every ring page touched, and the queues already
-// wrapped.
-func benchIOPath(b *testing.B, queues, qd int, opts ...Option) {
+// benchIOPath runs the shared R/W loop, qd I/Os of `blocks` 4 KiB blocks in
+// flight on each of the tenant's first `queues` queue pairs, on a two-SSD rig
+// built with opts. The warm-up batch runs at the measured depth so the timed
+// region starts with every pool primed, every ring page touched, and the
+// queues already wrapped.
+func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
+	const nsBlocks = 64 << 20 / 4096
+	// I/Os start 8 blocks apart (their own size apart once that is larger),
+	// on up to 1024 distinct offsets inside the namespace.
+	stride := max(8, blocks)
+	offsets := min(1024, nsBlocks/stride)
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.NumSSDs = 2
@@ -74,7 +87,7 @@ func benchIOPath(b *testing.B, queues, qd int, opts ...Option) {
 	}
 	b.ReportAllocs()
 	tb.Run(func(p *sim.Proc) {
-		if err := tb.Console.CreateNamespace(p, "vol", 64<<20, []int{0, 1}); err != nil {
+		if err := tb.Console.CreateNamespace(p, "vol", nsBlocks*4096, []int{0, 1}); err != nil {
 			panic(err)
 		}
 		if err := tb.Console.Bind(p, "vol", 0); err != nil {
@@ -95,13 +108,13 @@ func benchIOPath(b *testing.B, queues, qd int, opts ...Option) {
 			for claimed < target {
 				i := claimed
 				claimed++
-				lba := uint64(i&1023) * 8
+				lba := uint64(i%offsets) * uint64(stride)
 				dev := devs[(i>>2)%queues] // >>2: every queue sees the 3:1 mix
 				var err error
 				if i&3 == 3 {
-					err = dev.WriteAt(wp, lba, 1, nil)
+					err = dev.WriteAt(wp, lba, uint32(blocks), nil)
 				} else {
-					err = dev.ReadAt(wp, lba, 1, nil)
+					err = dev.ReadAt(wp, lba, uint32(blocks), nil)
 				}
 				if err != nil {
 					panic(err)

@@ -42,8 +42,7 @@ func faultCfg(seed int64, numSSDs int, rules ...fault.Rule) Config {
 		c.FWCommitMax = 15 * sim.Millisecond
 		return c
 	}
-	cfg.Faults = rules
-	return cfg
+	return cfg.With(WithFaults(rules...))
 }
 
 // hotUnplugScenario: the namespace lives on SSD 1 ("TBB"), which is
@@ -199,8 +198,7 @@ func counterValue(t *testing.T, snap obs.Snapshot, comp, name string) uint64 {
 func TestHotUnplugRecoveryVisibleInMetrics(t *testing.T) {
 	var res *fio.Result
 	s := hotUnplugScenario(42, &res)
-	s.Config.Metrics = obs.NewRegistry()
-	tb, err := NewBMStoreTestbed(s.Config)
+	tb, err := NewBMStoreTestbed(s.Config, WithMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +223,7 @@ func TestHotUnplugRecoveryVisibleInMetrics(t *testing.T) {
 	if got := tb.Env.Faults().Injected(); got == 0 {
 		t.Fatal("no faults recorded as injected")
 	}
-	snap := s.Config.Metrics.Snapshot()
+	snap := tb.Metrics().Snapshot()
 	for _, name := range []string{"timeouts", "aborts", "retries"} {
 		if v := counterValue(t, snap, "host/driver0", name); v == 0 {
 			t.Errorf("host/driver0 %s = 0, want > 0", name)

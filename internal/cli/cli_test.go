@@ -80,13 +80,6 @@ func TestBinariesUseSharedFlagSurface(t *testing.T) {
 				t.Errorf("%s: registers shared flag -%s locally instead of through internal/cli", rel, f.name)
 			}
 		}
-		// The acceptance criterion behind the redesign: no direct writes to
-		// the deprecated Config observability fields anywhere in cmd/.
-		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults ="} {
-			if strings.Contains(text, field) {
-				t.Errorf("%s: writes deprecated Config field %q directly; use bmstore.Option wiring", rel, strings.TrimSuffix(field, " ="))
-			}
-		}
 	}
 }
 

@@ -43,7 +43,7 @@ type backend struct {
 	ready  bool
 	nextRR int
 
-	// Data-path free lists (see fastpath.go).
+	// Data-path free lists (see pipeline.go).
 	submitFree []*beSubmit
 	pendFree   []*bePending
 	doneFree   []*doneMsg
@@ -145,10 +145,10 @@ func (b *backend) init(p *sim.Proc) error {
 		ring:  nvme.Ring{Base: b.allocRing(adminDepth, nvme.CQESize), Entries: adminDepth, EntrySz: nvme.CQESize},
 		phase: true,
 	}
-	b.port.MMIOWrite(0, ssd.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	b.port.MMIOWrite(0, ssd.RegASQ, b.adminSQ.ring.Base)
-	b.port.MMIOWrite(0, ssd.RegACQ, b.adminCQ.ring.Base)
-	b.port.MMIOWrite(0, ssd.RegCC, 1)
+	b.port.MMIOWrite(0, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
+	b.port.MMIOWrite(0, nvme.RegASQ, b.adminSQ.ring.Base)
+	b.port.MMIOWrite(0, nvme.RegACQ, b.adminCQ.ring.Base)
+	b.port.MMIOWrite(0, nvme.RegCC, 1)
 	p.Sleep(50 * sim.Microsecond) // controller enable time
 
 	// Identify the controller to learn total capacity.

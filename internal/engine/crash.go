@@ -175,8 +175,8 @@ func (e *Engine) enterCrash() {
 	e.dead = true
 	e.epoch++
 	for _, f := range e.funcs {
-		if f.enabled {
-			f.disable()
+		if f.ctl.Enabled() {
+			f.ctl.Disable()
 		}
 	}
 	// Bound namespaces lose their volatile translation state; recovery

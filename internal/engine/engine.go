@@ -100,10 +100,7 @@ type Engine struct {
 	chip     *hostmem.Memory
 	free     []uint64 // recycled chip-memory pages for PRP lists
 
-	// Data-path free lists (see fastpath.go).
-	feIOFree  []*feIO
-	feIRQFree []*feIRQ
-	pageFree  [][]byte
+	feIOFree []*feIO // free list of data-path command records (pipeline.go)
 
 	funcs    []*function
 	backends []*backend
@@ -161,7 +158,12 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // AttachHost wires the engine's upstream port (created by pcie.Connect with
 // the engine as device).
-func (e *Engine) AttachHost(port *pcie.Port) { e.hostPort = port }
+func (e *Engine) AttachHost(port *pcie.Port) {
+	e.hostPort = port
+	for _, f := range e.funcs {
+		f.ctl.Attach(port)
+	}
+}
 
 // SetVDMHandler registers the BMS-Controller's MCTP endpoint for
 // vendor-defined messages arriving from the host link.
@@ -187,7 +189,7 @@ func (e *Engine) RegWrite(fn pcie.FuncID, off uint64, val uint64) {
 	if int(fn) >= len(e.funcs) {
 		return
 	}
-	e.funcs[fn].regWrite(off, val)
+	e.funcs[fn].ctl.RegWrite(off, val)
 }
 
 // Function returns the per-function state (for binding and monitoring).

@@ -119,10 +119,10 @@ func (h *feHarness) initFunc(p *sim.Proc, fn pcie.FuncID, depth uint32) {
 	acq := h.mem.AllocPages(1)
 	h.qs[qkey{fn, 0, false}] = &hq{ring: nvme.Ring{Base: asq, Entries: 32, EntrySz: nvme.SQESize}}
 	h.qs[qkey{fn, 0, true}] = &hq{ring: nvme.Ring{Base: acq, Entries: 32, EntrySz: nvme.CQESize}, phase: true}
-	h.port.MMIOWrite(fn, regAQAOff, 31<<16|31)
-	h.port.MMIOWrite(fn, regASQOff, asq)
-	h.port.MMIOWrite(fn, regACQOff, acq)
-	h.port.MMIOWrite(fn, regCCOff, 1)
+	h.port.MMIOWrite(fn, nvme.RegAQA, 31<<16|31)
+	h.port.MMIOWrite(fn, nvme.RegASQ, asq)
+	h.port.MMIOWrite(fn, nvme.RegACQ, acq)
+	h.port.MMIOWrite(fn, nvme.RegCC, 1)
 	cqb := h.mem.AllocPages(int((depth*nvme.CQESize + 4095) / 4096))
 	sqb := h.mem.AllocPages(int((depth*nvme.SQESize + 4095) / 4096))
 	cpl := h.submit(p, fn, 0, nvme.Command{Opcode: nvme.AdminCreateIOCQ, PRP1: cqb, CDW10: (depth-1)<<16 | 1})

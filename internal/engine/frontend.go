@@ -5,53 +5,33 @@ import (
 	"fmt"
 
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmet"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
 
 // function is one host-visible PF/VF: a complete virtual NVMe controller.
 // Tenants drive it with the stock kernel NVMe driver — this is the
-// transparency property that lets BM-Store deploy on bare-metal hosts.
+// transparency property that lets BM-Store deploy on bare-metal hosts. The
+// queue protocol is the shared target controller's (internal/nvmet); the
+// function is its owner and supplies what is the engine's own: the Fig. 6
+// pipeline for I/O commands (pipeline.go) and the tenant-visible admin set.
 type function struct {
-	e  *Engine
-	id pcie.FuncID
-
-	regAQA, regASQ, regACQ uint64
-	enabled                bool
-
-	sqs map[uint16]*feSQ
-	cqs map[uint16]*feCQ
+	e   *Engine
+	id  pcie.FuncID
+	ctl *nvmet.Controller
 
 	ns *Namespace
-
-	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
-	// host memory, so one reusable buffer replaces a per-CQE escape.
-	cqeBuf [nvme.CQESize]byte
-}
-
-type feSQ struct {
-	id       uint16
-	ring     nvme.Ring
-	cqid     uint16
-	head     uint32
-	tail     uint32
-	fetching bool
-	fs       *feFetch // I/O queue fetch state, created on first doorbell
-}
-
-type feCQ struct {
-	id    uint16
-	ring  nvme.Ring
-	tail  uint32
-	phase bool
 }
 
 func newFunction(e *Engine, id pcie.FuncID) *function {
-	return &function{
-		e: e, id: id,
-		sqs: make(map[uint16]*feSQ),
-		cqs: make(map[uint16]*feCQ),
-	}
+	f := &function{e: e, id: id}
+	f.ctl = nvmet.New(e.env, f, id, nvmet.Config{
+		FetchLatency: e.cfg.FetchLatency,
+		FetchProc:    fmt.Sprintf("engine/fn%d/sq0", id),
+		ExecProc:     "engine/admin",
+	})
+	return f
 }
 
 // Bound returns the namespace bound to this function, if any.
@@ -60,128 +40,27 @@ func (f *function) Bound() *Namespace { return f.ns }
 // ID returns the PCIe function ID.
 func (f *function) ID() pcie.FuncID { return f.id }
 
-func (f *function) regWrite(off, val uint64) {
-	if qid, isCQ, ok := nvme.DoorbellQueue(off); ok {
-		f.doorbell(qid, isCQ, uint32(val))
-		return
-	}
-	switch off {
-	case regAQAOff:
-		f.regAQA = val
-	case regASQOff:
-		f.regASQ = val
-	case regACQOff:
-		f.regACQ = val
-	case regCCOff:
-		if val&1 == 1 && !f.enabled {
-			f.enable()
-		} else if val&1 == 0 {
-			f.disable()
-		}
-	}
+// MayFetch implements nvmet.Owner: a live card always fetches (a dead one
+// sees no doorbells, Engine.RegWrite drops them, and is disabled).
+func (f *function) MayFetch() bool { return true }
+
+// MayPost implements nvmet.Owner: a dead card posts no completions.
+func (f *function) MayPost() bool { return !f.e.dead }
+
+// FetchStall implements nvmet.Owner; no fault point freezes the front end.
+func (f *function) FetchStall(uint16) sim.Time { return 0 }
+
+// StartIO implements nvmet.Owner: the command's Fig. 6 pipeline starts one
+// queue hop from now.
+func (f *function) StartIO(sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
+	f.e.env.Schedule(0, f.e.getFeIO(f, sq, cmd, sqHead).startFn)
 }
 
-// Front-end register offsets mirror the standard NVMe controller map.
-const (
-	regCCOff  = 0x14
-	regAQAOff = 0x24
-	regASQOff = 0x28
-	regACQOff = 0x30
-)
-
-func (f *function) enable() {
-	asqs := uint32(f.regAQA&0xFFF) + 1
-	acqs := uint32(f.regAQA>>16&0xFFF) + 1
-	f.sqs[0] = &feSQ{id: 0, ring: nvme.Ring{Base: f.regASQ, Entries: asqs, EntrySz: nvme.SQESize}}
-	f.cqs[0] = &feCQ{id: 0, ring: nvme.Ring{Base: f.regACQ, Entries: acqs, EntrySz: nvme.CQESize}, phase: true}
-	f.enabled = true
-}
-
-func (f *function) disable() {
-	f.enabled = false
-	f.sqs = make(map[uint16]*feSQ)
-	f.cqs = make(map[uint16]*feCQ)
-}
-
-func (f *function) doorbell(qid uint16, isCQ bool, val uint32) {
-	if !f.enabled || isCQ {
-		return
-	}
-	sq, ok := f.sqs[qid]
-	if !ok {
-		return
-	}
-	sq.tail = val % sq.ring.Entries
-	if sq.fetching {
-		return
-	}
-	sq.fetching = true
-	if qid == 0 {
-		// Admin queues are served by processes: rare, stateful commands.
-		f.e.env.Go(fmt.Sprintf("engine/fn%d/sq%d", f.id, qid), func(p *sim.Proc) {
-			f.adminFetchLoop(p, sq)
-		})
-		return
-	}
-	// I/O queues run the Fig. 6 pipeline as a continuation chain
-	// (fastpath.go), starting one queue hop from now.
-	if sq.fs == nil {
-		sq.fs = newFeFetch(f, sq)
-	}
-	f.e.env.Schedule(0, sq.fs.stepFn)
-}
-
-// adminFetchLoop is the target controller's front half for the admin queue:
-// it DMA-reads SQEs from host memory in order and hands each to its own
-// process. I/O queues run the same steps as continuations (feFetch).
-func (f *function) adminFetchLoop(p *sim.Proc, sq *feSQ) {
-	defer func() { sq.fetching = false }()
-	for sq.head != sq.tail {
-		if !f.enabled {
-			return
-		}
-		var buf [nvme.SQESize]byte
-		done := f.e.hostPort.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, buf[:])
-		if w := done - p.Now(); w > 0 {
-			p.Sleep(w)
-		}
-		cmd := nvme.DecodeCommand(&buf)
-		sq.head = sq.ring.Next(sq.head)
-		sqHead := sq.head
-		p.Sleep(f.e.cfg.FetchLatency)
-		f.e.env.Go("engine/admin", func(ap *sim.Proc) { f.handleAdmin(ap, sq, cmd, sqHead) })
-	}
-}
-
-// postCQE writes one completion entry into the function's CQ in host
-// memory and raises the MSI for it (step 7 of the paper's Fig. 6).
-func (f *function) postCQE(cqid uint16, cpl nvme.Completion) {
-	if f.e.dead {
-		return // a dead card posts no completions
-	}
-	cq, ok := f.cqs[cqid]
-	if !ok {
-		return
-	}
-	cpl.Phase = cq.phase
-	cpl.Encode(&f.cqeBuf)
-	addr := cq.ring.SlotAddr(cq.tail)
-	cq.tail = cq.ring.Next(cq.tail)
-	if cq.tail == 0 {
-		cq.phase = !cq.phase
-	}
-	done := f.e.hostPort.DMAWrite(addr, nvme.CQESize, f.cqeBuf[:])
-	delay := done - f.e.env.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	f.e.postIRQ(delay, f.id, int(cqid))
-}
-
-// handleAdmin services tenant-visible admin commands locally. Management
-// operations (namespace creation, firmware, …) are NOT exposed here — they
-// belong to the out-of-band path through the BMS-Controller.
-func (f *function) handleAdmin(p *sim.Proc, sq *feSQ, cmd nvme.Command, sqHead uint32) {
+// ExecAdmin implements nvmet.Owner: it services tenant-visible admin
+// commands locally. Management operations (namespace creation, firmware, …)
+// are NOT exposed here — they belong to the out-of-band path through the
+// BMS-Controller.
+func (f *function) ExecAdmin(p *sim.Proc, sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
 	if f.e.dead {
 		return
 	}
@@ -190,42 +69,19 @@ func (f *function) handleAdmin(p *sim.Proc, sq *feSQ, cmd nvme.Command, sqHead u
 	if f.e.dead || f.e.epoch != epoch {
 		return // the admin command raced a crash; host times out and retries
 	}
-	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead)}
+	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.ID, SQHead: uint16(sqHead)}
 	switch cmd.Opcode {
 	case nvme.AdminIdentify:
 		cpl.Status = f.adminIdentify(p, cmd)
-	case nvme.AdminCreateIOCQ:
-		qid := uint16(cmd.CDW10)
-		size := cmd.CDW10>>16 + 1
-		if qid == 0 || size < 2 {
-			cpl.Status = nvme.StatusInvalidQueueID
-			break
-		}
-		f.cqs[qid] = &feCQ{id: qid, ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.CQESize}, phase: true}
-	case nvme.AdminCreateIOSQ:
-		qid := uint16(cmd.CDW10)
-		size := cmd.CDW10>>16 + 1
-		cqid := uint16(cmd.CDW11 >> 16)
-		if qid == 0 || size < 2 {
-			cpl.Status = nvme.StatusInvalidQueueID
-			break
-		}
-		if _, ok := f.cqs[cqid]; !ok {
-			cpl.Status = nvme.StatusInvalidQueueID
-			break
-		}
-		f.sqs[qid] = &feSQ{id: qid, ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.SQESize}, cqid: cqid}
-	case nvme.AdminDeleteIOSQ:
-		delete(f.sqs, uint16(cmd.CDW10))
-	case nvme.AdminDeleteIOCQ:
-		delete(f.cqs, uint16(cmd.CDW10))
+	case nvme.AdminCreateIOCQ, nvme.AdminCreateIOSQ, nvme.AdminDeleteIOSQ, nvme.AdminDeleteIOCQ:
+		cpl.Status = f.ctl.QueueAdmin(cmd)
 	case nvme.AdminSetFeatures, nvme.AdminGetFeatures, nvme.AdminAbort:
 		// accepted, no effect in the model
 	default:
 		// NS management, firmware, format: vendor-only, via out-of-band.
 		cpl.Status = nvme.StatusInvalidOpcode
 	}
-	f.postCQE(sq.cqid, cpl)
+	f.ctl.PostCQE(sq.CQID, cpl)
 }
 
 func (f *function) adminIdentify(p *sim.Proc, cmd nvme.Command) nvme.Status {

@@ -140,15 +140,11 @@ type Extent struct {
 	Blocks  uint32
 }
 
-// LookupRange translates [hostLBA, hostLBA+blocks) into one extent per
-// chunk crossed. Commands rarely cross a 64 GB chunk boundary, but the
-// engine splits them correctly when they do.
-func (mt *MappingTable) LookupRange(hostLBA uint64, blocks uint32) ([]Extent, error) {
-	return mt.LookupRangeInto(nil, hostLBA, blocks)
-}
-
-// LookupRangeInto is LookupRange appending into a caller-provided slice
-// (pass out[:0] to reuse capacity across commands on the I/O data path).
+// LookupRangeInto translates [hostLBA, hostLBA+blocks) into one extent per
+// chunk crossed, appending into out (pass out[:0] to reuse capacity across
+// commands on the I/O data path, or nil for a fresh slice). Commands rarely
+// cross a 64 GB chunk boundary, but the engine splits them correctly when
+// they do.
 func (mt *MappingTable) LookupRangeInto(out []Extent, hostLBA uint64, blocks uint32) ([]Extent, error) {
 	cs := mt.ChunkLBAs()
 	for blocks > 0 {

@@ -82,7 +82,7 @@ func TestLookupRangeSplitsAtChunkBoundary(t *testing.T) {
 	mt := NewMappingTable(8, 1<<20, 4096) // 256 LBAs per chunk
 	mt.Set(0, Entry{SSD: 0, Chunk: 0})
 	mt.Set(1, Entry{SSD: 1, Chunk: 0})
-	exts, err := mt.LookupRange(250, 12) // crosses chunk 0 -> 1
+	exts, err := mt.LookupRangeInto(nil, 250, 12) // crosses chunk 0 -> 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLookupRangeSplitsAtChunkBoundary(t *testing.T) {
 	}
 }
 
-// Property: LookupRange covers exactly the requested range in order, each
+// Property: LookupRangeInto covers exactly the requested range in order, each
 // extent stays within one chunk, and per-LBA results agree with Lookup.
 func TestLookupRangeCoversProperty(t *testing.T) {
 	mt := NewMappingTable(8, 1<<20, 4096)
@@ -109,7 +109,7 @@ func TestLookupRangeCoversProperty(t *testing.T) {
 	f := func(start uint32, blocks uint16) bool {
 		s := uint64(start) % (limit - 600)
 		n := uint32(blocks%600) + 1
-		exts, err := mt.LookupRange(s, n)
+		exts, err := mt.LookupRangeInto(nil, s, n)
 		if err != nil {
 			return false
 		}

@@ -1,123 +1,25 @@
 package engine
 
-// This file is the BMS-Engine's I/O data path: the front-end fetch of an I/O
-// submission queue, the Fig. 6 pipeline (dispatch → LBA map → QoS admission →
+// This file is the BMS-Engine's I/O data path: the Fig. 6 pipeline a command
+// enters once the target controller (internal/nvmet) has fetched it from a
+// function's I/O submission queue (dispatch → LBA map → QoS admission →
 // global-PRP rewrite → forward), the host adaptor's submit to a back-end SSD,
 // and the completion's way back to the tenant's CQ. Like the SSD's data path
-// (internal/ssd/fastpath.go; rules in DESIGN.md §11) it is written in
+// (internal/ssd/io.go; rules in DESIGN.md §11) it is written in
 // continuation-passing style: every wait in virtual time is an Env.Schedule
 // or a resource/event callback naming the next step, synchronous steps —
 // trace emits (`engine dispatch`/`map`) and the `backend-stall` fault window
 // in the submit gate loop included — keep a fixed call order, and
-// per-command records come from free lists. Admin queues are served by
-// processes instead (frontend.go).
+// per-command records come from free lists.
 
 import (
-	"encoding/binary"
-
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmet"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
-	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
-
-// after runs fn once delay has elapsed, mirroring Proc.Sleep's
-// run-immediately semantics at zero delay.
-func (e *Engine) after(delay sim.Time, fn func()) {
-	if delay > 0 {
-		e.env.Schedule(delay, fn)
-		return
-	}
-	fn()
-}
-
-func (e *Engine) getPage() []byte {
-	if n := len(e.pageFree); n > 0 {
-		b := e.pageFree[n-1]
-		e.pageFree = e.pageFree[:n-1]
-		return b
-	}
-	return make([]byte, nvme.PageSize)
-}
-
-// feFetch is the target controller's front half for one I/O submission
-// queue: it DMA-reads SQEs from host memory in order and hands each to its
-// own pipeline record.
-type feFetch struct {
-	f   *function
-	sq  *feSQ
-	buf [nvme.SQESize]byte
-
-	pendCmd  nvme.Command
-	pendHead uint32
-
-	stepFn     func()
-	decodedFn  func()
-	dispatchFn func()
-}
-
-func newFeFetch(f *function, sq *feSQ) *feFetch {
-	ff := &feFetch{f: f, sq: sq}
-	ff.stepFn = ff.step
-	ff.decodedFn = ff.decoded
-	ff.dispatchFn = ff.dispatch
-	return ff
-}
-
-func (ff *feFetch) step() {
-	f, sq := ff.f, ff.sq
-	if sq.head == sq.tail {
-		sq.fetching = false
-		return
-	}
-	if !f.enabled {
-		sq.fetching = false
-		return
-	}
-	done := f.e.hostPort.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, ff.buf[:])
-	f.e.after(done-f.e.env.Now(), ff.decodedFn)
-}
-
-func (ff *feFetch) decoded() {
-	f, sq := ff.f, ff.sq
-	ff.pendCmd = nvme.DecodeCommand(&ff.buf)
-	sq.head = sq.ring.Next(sq.head)
-	ff.pendHead = sq.head
-	f.e.after(f.e.cfg.FetchLatency, ff.dispatchFn)
-}
-
-// dispatch starts the command's pipeline one queue hop from now and
-// continues fetching immediately.
-func (ff *feFetch) dispatch() {
-	e := ff.f.e
-	io := e.getFeIO(ff.f, ff.sq, ff.pendCmd, ff.pendHead)
-	e.env.Schedule(0, io.startFn)
-	ff.step()
-}
-
-// cpsHostPRP is the retry-walk reader for PRP lists that live in host
-// memory: a walk that misses a list page records it, the page is fetched over
-// DMA (charging the round trip to the pipeline), and the walk retries.
-type cpsHostPRP struct {
-	pages   map[uint64][]byte
-	used    []uint64
-	miss    uint64
-	missSet bool
-}
-
-func (w *cpsHostPRP) ReadU64(addr uint64) uint64 {
-	pg := addr &^ uint64(nvme.PageSize-1)
-	if b, ok := w.pages[pg]; ok {
-		return binary.LittleEndian.Uint64(b[addr-pg:])
-	}
-	if !w.missSet {
-		w.missSet = true
-		w.miss = pg
-	}
-	return 0
-}
 
 // feIO is one pooled in-flight front-end command: steps 2-3 of the paper's
 // Fig. 6 (LBA mapping, QoS admission, PRP rewriting into global PRPs,
@@ -125,7 +27,7 @@ func (w *cpsHostPRP) ReadU64(addr uint64) uint64 {
 type feIO struct {
 	e      *Engine
 	f      *function
-	sq     *feSQ
+	sq     *nvmet.SQ
 	cmd    nvme.Command
 	sqHead uint32
 
@@ -144,7 +46,7 @@ type feIO struct {
 	scratch    []nvme.Segment
 	extScratch []nvme.Segment
 	ssds       []int
-	walker     *cpsHostPRP
+	walk       nvmet.PRPWalk
 
 	remaining int
 	subIdx    int
@@ -161,7 +63,7 @@ type feIO struct {
 	flushDoneFn   func(nvme.Completion)
 }
 
-func (e *Engine) getFeIO(f *function, sq *feSQ, cmd nvme.Command, sqHead uint32) *feIO {
+func (e *Engine) getFeIO(f *function, sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) *feIO {
 	var io *feIO
 	if n := len(e.feIOFree); n > 0 {
 		io = e.feIOFree[n-1]
@@ -183,13 +85,7 @@ func (e *Engine) getFeIO(f *function, sq *feSQ, cmd nvme.Command, sqHead uint32)
 }
 
 func (e *Engine) putFeIO(io *feIO) {
-	if w := io.walker; w != nil && len(w.used) > 0 {
-		for _, pg := range w.used {
-			e.pageFree = append(e.pageFree, w.pages[pg])
-			delete(w.pages, pg)
-		}
-		w.used = w.used[:0]
-	}
+	io.f.ctl.ReleasePRPs(&io.walk)
 	io.f, io.sq, io.ns = nil, nil, nil
 	if io.extents != nil {
 		io.extents = io.extents[:0]
@@ -203,11 +99,11 @@ func (e *Engine) putFeIO(io *feIO) {
 	e.feIOFree = append(e.feIOFree, io)
 }
 
-// fail posts an error completion and recycles the record.
-func (io *feIO) fail(st nvme.Status) {
-	f, sq, cmd, sqHead := io.f, io.sq, io.cmd, io.sqHead
+// finish recycles the record and posts the command's completion.
+func (io *feIO) finish(st nvme.Status) {
+	f, sq, cid, sqHead := io.f, io.sq, io.cmd.CID, io.sqHead
 	io.e.putFeIO(io)
-	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: st})
+	f.ctl.PostCQE(sq.CQID, nvme.Completion{CID: cid, SQID: sq.ID, SQHead: uint16(sqHead), Status: st})
 }
 
 func (io *feIO) start() {
@@ -221,11 +117,11 @@ func (io *feIO) start() {
 	io.epoch = e.epoch
 	if e.tr != nil {
 		e.tr.Emit(e.env.Now(), "engine", "dispatch",
-			uint64(f.id)<<32|uint64(io.sq.id)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
+			uint64(f.id)<<32|uint64(io.sq.ID)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
 	}
 	ns := f.ns
 	if ns == nil || io.cmd.NSID != FrontNSID {
-		io.fail(nvme.StatusInvalidNamespace)
+		io.finish(nvme.StatusInvalidNamespace)
 		return
 	}
 	io.ns = ns
@@ -235,14 +131,14 @@ func (io *feIO) start() {
 		return
 	case nvme.IORead, nvme.IOWrite:
 	default:
-		io.fail(nvme.StatusInvalidOpcode)
+		io.finish(nvme.StatusInvalidOpcode)
 		return
 	}
 	// The span key mirrors the one the host driver used at SpanStart; the
 	// engine only adds stage marks to an already-live span.
 	io.skey = 0
 	if e.met != nil {
-		io.skey = obs.SpanKey(uint8(f.id), io.sq.id, io.cmd.CID)
+		io.skey = obs.SpanKey(uint8(f.id), io.sq.ID, io.cmd.CID)
 		e.met.SpanMark(io.skey, obs.MarkDispatch, e.env.Now())
 	}
 	e.mDispatch.Inc()
@@ -250,11 +146,11 @@ func (io *feIO) start() {
 	io.slba = io.cmd.SLBA()
 	io.nlb = io.cmd.NLB()
 	if io.slba+uint64(io.nlb) > ns.SizeLBA {
-		io.fail(nvme.StatusLBAOutOfRange)
+		io.finish(nvme.StatusLBAOutOfRange)
 		return
 	}
 	io.nBytes = int(io.nlb) * int(ns.blockSize)
-	e.after(e.cfg.MapLatency, io.mappedFn) // LBA mapping (step 2)
+	e.env.After(e.cfg.MapLatency, io.mappedFn) // LBA mapping (step 2)
 }
 
 func (io *feIO) mapped() {
@@ -265,7 +161,7 @@ func (io *feIO) mapped() {
 	var err error
 	io.extents, err = io.ns.mt.LookupRangeInto(io.extents[:0], io.slba, io.nlb)
 	if err != nil {
-		io.fail(nvme.StatusInternal)
+		io.finish(nvme.StatusInternal)
 		return
 	}
 	if tr := io.e.tr; tr != nil {
@@ -300,24 +196,12 @@ func (io *feIO) admitted(any) {
 }
 
 func (io *feIO) walkAttempt() {
-	e := io.e
-	w := io.walker
-	if w == nil {
-		w = &cpsHostPRP{pages: make(map[uint64][]byte)}
-		io.walker = w
-	}
-	w.missSet = false
-	segs, err := nvme.WalkPRPsInto(io.scratch[:0], w, io.cmd.PRP1, io.cmd.PRP2, io.nBytes)
-	if w.missSet {
-		b := e.getPage()
-		done := e.hostPort.DMARead(w.miss, nvme.PageSize, b)
-		w.pages[w.miss] = b
-		w.used = append(w.used, w.miss)
-		e.after(done-e.env.Now(), io.walkFn)
-		return
+	segs, pending, err := io.f.ctl.WalkPRPs(&io.walk, io.scratch[:0], io.cmd.PRP1, io.cmd.PRP2, io.nBytes, io.walkFn)
+	if pending {
+		return // a host PRP-list page is on its way; walkFn retries
 	}
 	if err != nil {
-		io.fail(nvme.StatusInvalidField)
+		io.finish(nvme.StatusInvalidField)
 		return
 	}
 	io.scratch = segs
@@ -342,7 +226,7 @@ func (io *feIO) forwardNext() {
 	if io.subIdx >= len(io.subs) {
 		return // all submitted; completions drive the rest
 	}
-	io.e.after(io.e.cfg.ForwardLatency, io.forwardSubFn)
+	io.e.env.After(io.e.cfg.ForwardLatency, io.forwardSubFn)
 }
 
 func (io *feIO) forwardSub() {
@@ -353,7 +237,7 @@ func (io *feIO) forwardSub() {
 	bcmd := nvme.Command{Opcode: io.cmd.Opcode, PRP1: sub.prp1, PRP2: sub.prp2}
 	bcmd.SetSLBA(sub.physLBA)
 	bcmd.SetNLB(sub.blocks)
-	be.submit(bcmd, int(io.f.id)*7+int(io.sq.id), io.skey, io.subDoneFn, io.forwardNextFn)
+	be.submit(bcmd, int(io.f.id)*7+int(io.sq.ID), io.skey, io.subDoneFn, io.forwardNextFn)
 }
 
 func (io *feIO) subDone(c nvme.Completion) {
@@ -381,12 +265,10 @@ func (io *feIO) subDone(c nvme.Completion) {
 	} else {
 		io.ns.WriteStats.Record(io.nBytes, lat)
 	}
-	f, sq, cmd, sqHead, worst := io.f, io.sq, io.cmd, io.sqHead, io.worst
-	if e.onWriteAck != nil && cmd.Opcode == nvme.IOWrite && !worst.IsError() {
-		e.journalAck(f, io.slba, io.nlb, io.subs)
+	if e.onWriteAck != nil && io.cmd.Opcode == nvme.IOWrite && !io.worst.IsError() {
+		e.journalAck(io.f, io.slba, io.nlb, io.subs)
 	}
-	e.putFeIO(io)
-	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst})
+	io.finish(io.worst)
 }
 
 // --- flush: fanned out to every backend the namespace touches ---
@@ -394,8 +276,7 @@ func (io *feIO) subDone(c nvme.Completion) {
 func (io *feIO) startFlush() {
 	io.ssds = io.ns.ssdSetInto(io.ssds[:0])
 	if len(io.ssds) == 0 {
-		io.worst = nvme.StatusSuccess
-		io.flushFinish()
+		io.finish(nvme.StatusSuccess)
 		return
 	}
 	io.e.mFlushes.Inc()
@@ -421,14 +302,8 @@ func (io *feIO) flushDone(c nvme.Completion) {
 	}
 	io.remaining--
 	if io.remaining == 0 {
-		io.flushFinish()
+		io.finish(io.worst)
 	}
-}
-
-func (io *feIO) flushFinish() {
-	f, sq, cmd, sqHead, worst := io.f, io.sq, io.cmd, io.sqHead, io.worst
-	io.e.putFeIO(io)
-	f.postCQE(sq.cqid, nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead), Status: worst})
 }
 
 // --- backend submit ---
@@ -580,31 +455,4 @@ func (m *doneMsg) fire() {
 	m.fn = nil
 	b.doneFree = append(b.doneFree, m)
 	fn(cpl)
-}
-
-// feIRQ is a pooled deferred front-end MSI post.
-type feIRQ struct {
-	e   *Engine
-	run func()
-	fid pcie.FuncID
-	vec int
-}
-
-func (e *Engine) postIRQ(delay sim.Time, fid pcie.FuncID, vec int) {
-	var m *feIRQ
-	if n := len(e.feIRQFree); n > 0 {
-		m = e.feIRQFree[n-1]
-		e.feIRQFree = e.feIRQFree[:n-1]
-	} else {
-		m = &feIRQ{e: e}
-		m.run = m.fire
-	}
-	m.fid, m.vec = fid, vec
-	e.env.Schedule(delay, m.run)
-}
-
-func (m *feIRQ) fire() {
-	e, fid, vec := m.e, m.fid, m.vec
-	e.feIRQFree = append(e.feIRQFree, m)
-	e.hostPort.RaiseIRQ(fid, vec)
 }

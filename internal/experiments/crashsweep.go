@@ -94,9 +94,7 @@ func crashRigConfig(seed int64, rules []fault.Rule, tr *trace.Tracer) bmstore.Co
 		c.CapacityBytes = 1 << 30
 		return c
 	}
-	cfg.Faults = rules
-	cfg.Tracer = tr
-	return cfg
+	return cfg.With(bmstore.WithFaults(rules...), bmstore.WithTrace(tr))
 }
 
 // crashDriverConfig is the recovering tenant driver, sized so the default

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bmstore"
 	"bmstore/internal/sim"
 )
 
@@ -125,7 +126,11 @@ func TestHarnessSerial(t *testing.T) {
 	if cfg.Seed != 99 {
 		t.Fatalf("config seed = %d", cfg.Seed)
 	}
-	if cfg.Tracer != nil {
+	tb, err := bmstore.NewDirectTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Env.Tracer() != nil {
 		t.Fatal("untraced harness attached a tracer")
 	}
 }

@@ -7,7 +7,7 @@
 //
 // The package follows the same nil-means-free discipline as internal/trace
 // and internal/obs: an Injector is attached per rig through
-// bmstore.Config.Faults (which hands it to sim.Env before any component is
+// bmstore.WithFaults (which hands it to sim.Env before any component is
 // built), components cache the pointer at construction, and a nil injector
 // costs one pointer compare per potential injection point. Injection points
 // live in the components' callers-of-truth (the SSD command pipeline, the

@@ -13,15 +13,6 @@ import (
 	"bmstore/internal/trace"
 )
 
-// Register offsets of the standard NVMe controller map (the same whether
-// the function is a raw SSD or a BMS-Engine PF/VF).
-const (
-	regCC  = 0x14
-	regAQA = 0x24
-	regASQ = 0x28
-	regACQ = 0x30
-)
-
 // adminDepth is the admin queue-pair depth, fixed at attach and reused by
 // Reattach when it reprograms AQA after a controller crash.
 const adminDepth = 32
@@ -193,10 +184,10 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 
 	// Admin queue pair.
 	d.admin = d.newQueue(0, adminDepth, 4096)
-	port.MMIOWrite(fn, regAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	port.MMIOWrite(fn, regASQ, d.admin.sqRing.Base)
-	port.MMIOWrite(fn, regACQ, d.admin.cqRing.Base)
-	port.MMIOWrite(fn, regCC, 1)
+	port.MMIOWrite(fn, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
+	port.MMIOWrite(fn, nvme.RegASQ, d.admin.sqRing.Base)
+	port.MMIOWrite(fn, nvme.RegACQ, d.admin.cqRing.Base)
+	port.MMIOWrite(fn, nvme.RegCC, 1)
 	p.Sleep(20 * sim.Microsecond) // CSTS.RDY poll
 
 	// Identify controller.
@@ -456,11 +447,11 @@ func (d *Driver) Reattach(p *sim.Proc) error {
 	d.reclaimQueue(d.admin)
 
 	port, fn := d.port, d.fn
-	port.MMIOWrite(fn, regCC, 0)
-	port.MMIOWrite(fn, regAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	port.MMIOWrite(fn, regASQ, d.admin.sqRing.Base)
-	port.MMIOWrite(fn, regACQ, d.admin.cqRing.Base)
-	port.MMIOWrite(fn, regCC, 1)
+	port.MMIOWrite(fn, nvme.RegCC, 0)
+	port.MMIOWrite(fn, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
+	port.MMIOWrite(fn, nvme.RegASQ, d.admin.sqRing.Base)
+	port.MMIOWrite(fn, nvme.RegACQ, d.admin.cqRing.Base)
+	port.MMIOWrite(fn, nvme.RegCC, 1)
 	p.Sleep(20 * sim.Microsecond) // CSTS.RDY poll
 
 	page := d.h.Mem.AllocPages(1)

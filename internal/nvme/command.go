@@ -65,13 +65,14 @@ const (
 
 // Command-specific status values used by this implementation.
 const (
-	StatusInvalidQueueID    Status = 0x101
-	StatusInvalidQueueSz    Status = 0x102
-	StatusInvalidFWSlot     Status = 0x106
-	StatusInvalidFWImage    Status = 0x107
-	StatusNSInsufficientCap Status = 0x115
-	StatusNSIDUnavailable   Status = 0x116
-	StatusNSAlreadyAttached Status = 0x118
+	StatusInvalidQueueID       Status = 0x101
+	StatusInvalidQueueSz       Status = 0x102
+	StatusInvalidFWSlot        Status = 0x106
+	StatusInvalidFWImage       Status = 0x107
+	StatusInvalidQueueDeletion Status = 0x10C // deleting a CQ that still has an SQ bound
+	StatusNSInsufficientCap    Status = 0x115
+	StatusNSIDUnavailable      Status = 0x116
+	StatusNSAlreadyAttached    Status = 0x118
 )
 
 // Media-error status values (SCT=2).

@@ -115,7 +115,7 @@ func TestPRPSinglePage(t *testing.T) {
 	if p1 != 0x2000 || p2 != 0 || lists != nil {
 		t.Fatalf("got %#x %#x %v", p1, p2, lists)
 	}
-	segs, err := WalkPRPs(mem, p1, p2, 4096)
+	segs, err := WalkPRPsInto(nil, mem, p1, p2, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPRPOffsetFirstPage(t *testing.T) {
 	if p1 != 0x2064 || p2 != 0x3000 || lists != nil {
 		t.Fatalf("got %#x %#x %v", p1, p2, lists)
 	}
-	segs, err := WalkPRPs(mem, p1, p2, 5000)
+	segs, err := WalkPRPsInto(nil, mem, p1, p2, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPRPList(t *testing.T) {
 	if p2 != lists[0] {
 		t.Fatal("PRP2 does not point at the list")
 	}
-	segs, err := WalkPRPs(mem, p1, p2, 32*4096)
+	segs, err := WalkPRPsInto(nil, mem, p1, p2, 32*4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPRPChainedList(t *testing.T) {
 	if got := ListPagesFor(buf, n); got != 2 {
 		t.Fatalf("ListPagesFor = %d", got)
 	}
-	segs, err := WalkPRPs(mem, p1, p2, n)
+	segs, err := WalkPRPsInto(nil, mem, p1, p2, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +199,13 @@ func TestPRPChainedList(t *testing.T) {
 
 func TestWalkPRPsErrors(t *testing.T) {
 	mem := hostmem.New(1 << 20)
-	if _, err := WalkPRPs(mem, 0x2000, 0, 8192); err == nil {
+	if _, err := WalkPRPsInto(nil, mem, 0x2000, 0, 8192); err == nil {
 		t.Fatal("missing PRP2 accepted")
 	}
-	if _, err := WalkPRPs(mem, 0x2000, 0x3001, 8192); err == nil {
+	if _, err := WalkPRPsInto(nil, mem, 0x2000, 0x3001, 8192); err == nil {
 		t.Fatal("misaligned PRP2 accepted")
 	}
-	if _, err := WalkPRPs(mem, 0x2000, 0, 0); err == nil {
+	if _, err := WalkPRPsInto(nil, mem, 0x2000, 0, 0); err == nil {
 		t.Fatal("zero-length walk accepted")
 	}
 }
@@ -220,7 +220,7 @@ func TestPRPRoundTripProperty(t *testing.T) {
 		n := (int(kb%2048) + 1) * 1024 // 1KB .. 2MB
 		buf := base + o
 		p1, p2, _ := BuildPRPs(mem, buf, n)
-		segs, err := WalkPRPs(mem, p1, p2, n)
+		segs, err := WalkPRPsInto(nil, mem, p1, p2, n)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,9 @@
 package nvme
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // PageSize is the memory page size assumed by the PRP mechanism (MPS=4K).
 const PageSize = 4096
@@ -73,18 +76,24 @@ func BuildPRPs(w PageWriter, buf uint64, n int) (prp1, prp2 uint64, lists []uint
 	return prp1, prp2, lists
 }
 
-// WalkPRPs resolves a PRP1/PRP2 pair describing n bytes into the ordered
-// physical segments of the transfer, reading list pages through r.
-func WalkPRPs(r PageReader, prp1, prp2 uint64, n int) ([]Segment, error) {
-	return WalkPRPsInto(nil, r, prp1, prp2, n)
-}
+// The constant-text errors of WalkPRPsInto are sentinels: the target
+// controller's retry walk (internal/nvmet) reads a not-yet-fetched list page
+// as zeroes, so its first attempt on every command with a PRP list ends in
+// ErrNullPRP only to be discarded — building it must cost nothing.
+var (
+	ErrZeroLength  = errors.New("nvme: zero-length PRP walk")
+	ErrMissingPRP2 = errors.New("nvme: transfer needs PRP2 but it is zero")
+	ErrNullPRP     = errors.New("nvme: null PRP entry")
+)
 
-// WalkPRPsInto is WalkPRPs appending into a caller-provided slice (pass
-// segs[:0] to reuse its capacity across commands — the data path's
-// per-command segment cache). On error the returned slice is nil.
+// WalkPRPsInto resolves a PRP1/PRP2 pair describing n bytes into the ordered
+// physical segments of the transfer, reading list pages through r and
+// appending into segs (pass segs[:0] to reuse its capacity across commands —
+// the data path's per-command segment cache — or nil for a fresh slice). On
+// error the returned slice is nil.
 func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Segment, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("nvme: zero-length PRP walk")
+		return nil, ErrZeroLength
 	}
 	first := int(PageSize - prp1%PageSize)
 	if first > n {
@@ -96,7 +105,7 @@ func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Seg
 		return segs, nil
 	}
 	if prp2 == 0 {
-		return nil, fmt.Errorf("nvme: transfer needs PRP2 but it is zero")
+		return nil, ErrMissingPRP2
 	}
 	if n <= PageSize {
 		if prp2%PageSize != 0 {
@@ -113,15 +122,17 @@ func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Seg
 			return nil, fmt.Errorf("nvme: PRP list page %#x not aligned", cur)
 		}
 		entry := r.ReadU64(cur + uint64(slot)*8)
+		if entry == 0 {
+			// Data entry or chain pointer alike: following a null chain
+			// pointer would read a "list" at physical address 0.
+			return nil, ErrNullPRP
+		}
 		pagesLeft := (n + PageSize - 1) / PageSize
 		if slot == prpPerList-1 && pagesLeft > 1 {
 			// Chain pointer to the next list page.
 			cur = entry
 			slot = 0
 			continue
-		}
-		if entry == 0 {
-			return nil, fmt.Errorf("nvme: null PRP entry")
 		}
 		if entry%PageSize != 0 {
 			return nil, fmt.Errorf("nvme: PRP entry %#x not page aligned", entry)

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"errors"
 	"testing"
 
 	"bmstore/internal/hostmem"
@@ -76,7 +77,7 @@ func TestPRPListChainBoundary(t *testing.T) {
 		if got := ListPagesFor(buf, n); got != tc.lists {
 			t.Fatalf("%d pages: ListPagesFor = %d, want %d", tc.pages, got, tc.lists)
 		}
-		segs, err := WalkPRPs(mem, p1, p2, n)
+		segs, err := WalkPRPsInto(nil, mem, p1, p2, n)
 		if err != nil {
 			t.Fatalf("%d pages: %v", tc.pages, err)
 		}
@@ -116,7 +117,24 @@ func TestWalkPRPChainCorruption(t *testing.T) {
 
 	// Null out a data entry on the second list page.
 	mem.WriteU64(lists[1], 0)
-	if _, err := WalkPRPs(mem, p1, p2, n); err == nil {
+	if _, err := WalkPRPsInto(nil, mem, p1, p2, n); err == nil {
 		t.Fatal("null PRP entry accepted")
+	}
+}
+
+// TestWalkPRPsRejectsNullChainPointer: the last slot of a list page that
+// chains on is a pointer to the next list page, and a null one must end the
+// walk like a null data entry — following it would read a list at physical
+// address 0.
+func TestWalkPRPsRejectsNullChainPointer(t *testing.T) {
+	mem := hostmem.New(16 << 20)
+	n := (prpPerList + 8) * PageSize // first page, then a list that chains on
+	p1, p2, lists := BuildPRPs(mem, mem.AllocPages(prpPerList+8), n)
+	if len(lists) != 2 {
+		t.Fatalf("layout uses %d list pages, want 2", len(lists))
+	}
+	mem.WriteU64(lists[0]+(prpPerList-1)*8, 0)
+	if _, err := WalkPRPsInto(nil, mem, p1, p2, n); !errors.Is(err, ErrNullPRP) {
+		t.Fatalf("walk over a null chain pointer: %v, want ErrNullPRP", err)
 	}
 }

@@ -1,5 +1,15 @@
 package nvme
 
+// Controller registers on BAR0 (the subset of the NVMe register map the
+// model uses); the host driver, the engine's host adaptor and the target
+// controller all address them by these offsets.
+const (
+	RegCC  = 0x14 // controller configuration (bit 0: enable)
+	RegAQA = 0x24 // admin queue attributes: ACQS<<16 | ASQS (sizes-1)
+	RegASQ = 0x28 // admin SQ base
+	RegACQ = 0x30 // admin CQ base
+)
+
 // Doorbell register layout on BAR0 (CAP.DSTRD = 0): submission queue y's
 // tail doorbell at 0x1000 + 2y*4, completion queue y's head doorbell at
 // 0x1000 + (2y+1)*4.

@@ -1,0 +1,403 @@
+// Package nvmet is the NVMe target controller: the device side of the queue
+// protocol, written once. The paper's transparency claim is that both faces
+// of the card speak stock NVMe — a tenant's unmodified driver sees each PF/VF
+// of the BMS-Engine as "a complete virtual NVMe controller" (Fig. 6), and the
+// host adaptor drives unmodified SSDs below — so the engine's front end and
+// the SSD model each hold one Controller and keep only what is theirs.
+//
+// A Controller owns the register window (CC/AQA/ASQ/ACQ and the doorbells),
+// the SQ/CQ tables, SQE fetch (a process for the admin queue, a continuation
+// chain per I/O queue), Create/Delete I/O SQ/CQ, the PRP-list reader with its
+// page pool, and CQE post + interrupt. What a command *does* belongs to the
+// Owner, which also answers the few questions on which the two devices
+// differ. DESIGN.md §11's rule holds throughout: the order of the
+// synchronous work inside a step — liveness checks, fault probes, DMA
+// bookings, Schedule calls — is part of the timing model.
+package nvmet
+
+import (
+	"encoding/binary"
+
+	"bmstore/internal/nvme"
+	"bmstore/internal/pcie"
+	"bmstore/internal/sim"
+)
+
+// Owner is the device behind a Controller: it executes the commands the
+// controller fetches and gates the controller on its own liveness.
+type Owner interface {
+	// MayFetch reports whether the device accepts doorbells and fetches
+	// SQEs right now. It is consulted only while the controller is enabled,
+	// at every doorbell and before every SQE fetch, so an implementation
+	// that latches state or emits a trace record does so at fixed positions.
+	MayFetch() bool
+	// MayPost reports whether the device can still post completions; a
+	// false answer drops the CQE and its interrupt without a trace.
+	MayPost() bool
+	// FetchStall returns how long queue sqid's fetch engine must freeze
+	// from now (an injected controller stall); zero means fetch on. The
+	// liveness checks re-run when the window ends.
+	FetchStall(sqid uint16) sim.Time
+	// StartIO takes ownership of a command fetched from an I/O queue. The
+	// controller books the queue's next SQE fetch right after it returns,
+	// before the command's own work can book anything.
+	StartIO(sq *SQ, cmd nvme.Command, sqHead uint32)
+	// ExecAdmin executes one admin command on its own process and posts its
+	// completion. Queue management opcodes come back through QueueAdmin.
+	ExecAdmin(p *sim.Proc, sq *SQ, cmd nvme.Command, sqHead uint32)
+}
+
+// Config is what a Controller needs to know about its device up front.
+type Config struct {
+	// FetchLatency is the controller's processing time per fetched SQE.
+	FetchLatency sim.Time
+	// FetchProc and ExecProc name the admin queue's fetch process and the
+	// per-command execution processes (trace digests fold spawn names).
+	FetchProc, ExecProc string
+}
+
+// SQ is one submission queue. Fetch is strictly sequential per queue;
+// execution of the fetched commands is up to the owner.
+type SQ struct {
+	ID   uint16
+	CQID uint16 // completion queue the queue's commands complete into
+
+	c        *Controller
+	ring     nvme.Ring
+	head     uint32
+	tail     uint32
+	fetching bool
+	buf      [nvme.SQESize]byte
+
+	// I/O queue fetch chain: the command parked between SQE decode and the
+	// FetchLatency continuation, and the steps, bound at the first doorbell.
+	pendCmd    nvme.Command
+	pendHead   uint32
+	stepFn     func()
+	decodedFn  func()
+	dispatchFn func()
+}
+
+type compQueue struct {
+	ring  nvme.Ring
+	tail  uint32
+	phase bool
+}
+
+// Controller is one NVMe controller as seen from above its PCIe port.
+type Controller struct {
+	env   *sim.Env
+	owner Owner
+	cfg   Config
+	port  *pcie.Port
+	fn    pcie.FuncID
+
+	regAQA, regASQ, regACQ uint64
+	enabled                bool
+
+	sqs map[uint16]*SQ
+	cqs map[uint16]*compQueue
+
+	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
+	// upstream memory, so one reusable buffer replaces a per-CQE escape.
+	cqeBuf   [nvme.CQESize]byte
+	pageFree [][]byte
+	irqFree  []*irqPost
+}
+
+// New returns a disabled controller for function fn. Attach gives it the
+// port it fetches, posts and interrupts through.
+func New(env *sim.Env, owner Owner, fn pcie.FuncID, cfg Config) *Controller {
+	c := &Controller{env: env, owner: owner, fn: fn, cfg: cfg}
+	c.Disable()
+	return c
+}
+
+// Attach connects the controller beneath port.
+func (c *Controller) Attach(port *pcie.Port) { c.port = port }
+
+// Enabled reports whether CC.EN is set.
+func (c *Controller) Enabled() bool { return c.enabled }
+
+// RegWrite is the controller's BAR0 write surface: the configuration
+// registers and the doorbell window. Writes to other offsets are ignored.
+func (c *Controller) RegWrite(off, val uint64) {
+	if qid, isCQ, ok := nvme.DoorbellQueue(off); ok {
+		c.doorbell(qid, isCQ, uint32(val))
+		return
+	}
+	switch off {
+	case nvme.RegAQA:
+		c.regAQA = val
+	case nvme.RegASQ:
+		c.regASQ = val
+	case nvme.RegACQ:
+		c.regACQ = val
+	case nvme.RegCC:
+		if val&1 == 1 && !c.enabled {
+			c.enable()
+		} else if val&1 == 0 {
+			c.Disable()
+		}
+	}
+}
+
+// enable brings the controller up with the admin queue pair described by
+// the configuration registers.
+func (c *Controller) enable() {
+	asqs := uint32(c.regAQA&0xFFF) + 1
+	acqs := uint32(c.regAQA>>16&0xFFF) + 1
+	c.sqs[0] = &SQ{c: c, ring: nvme.Ring{Base: c.regASQ, Entries: asqs, EntrySz: nvme.SQESize}}
+	c.cqs[0] = &compQueue{ring: nvme.Ring{Base: c.regACQ, Entries: acqs, EntrySz: nvme.CQESize}, phase: true}
+	c.enabled = true
+}
+
+// Disable clears CC.EN and forgets every queue; whoever drives the
+// controller must re-initialise it. A fetch in flight notices at its next
+// step.
+func (c *Controller) Disable() {
+	c.enabled = false
+	c.sqs = make(map[uint16]*SQ)
+	c.cqs = make(map[uint16]*compQueue)
+}
+
+func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
+	if !c.enabled || !c.owner.MayFetch() {
+		return // doorbells to a dead controller are lost, as on hardware
+	}
+	if isCQ {
+		return // CQ head doorbell: nothing blocks on it in this model
+	}
+	sq, ok := c.sqs[qid]
+	if !ok {
+		return
+	}
+	sq.tail = val % sq.ring.Entries
+	if sq.fetching {
+		return
+	}
+	sq.fetching = true
+	if qid == 0 {
+		// The admin queue is served by processes: admin commands are rare
+		// and stateful (namespace management, firmware commit and reset).
+		c.env.Go(c.cfg.FetchProc, func(p *sim.Proc) { c.adminFetchLoop(p, sq) })
+		return
+	}
+	// I/O queues are served by a continuation chain, starting one queue hop
+	// from now.
+	if sq.stepFn == nil {
+		sq.stepFn, sq.decodedFn, sq.dispatchFn = sq.step, sq.decoded, sq.dispatch
+	}
+	c.env.Schedule(0, sq.stepFn)
+}
+
+// adminFetchLoop drains the admin submission queue: it DMA-reads SQEs in
+// arrival order and spawns one execution process per command. I/O queues
+// run the same steps as continuations (step, decoded, dispatch).
+func (c *Controller) adminFetchLoop(p *sim.Proc, sq *SQ) {
+	defer func() { sq.fetching = false }()
+	for sq.head != sq.tail {
+		if !c.enabled || !c.owner.MayFetch() {
+			return
+		}
+		if stall := c.owner.FetchStall(sq.ID); stall > 0 {
+			p.Sleep(stall)
+			continue // re-check liveness after the stall
+		}
+		done := c.port.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, sq.buf[:])
+		if w := done - p.Now(); w > 0 {
+			p.Sleep(w)
+		}
+		cmd := nvme.DecodeCommand(&sq.buf)
+		sq.head = sq.ring.Next(sq.head)
+		sqHead := sq.head
+		p.Sleep(c.cfg.FetchLatency)
+		c.env.Go(c.cfg.ExecProc, func(ap *sim.Proc) { c.owner.ExecAdmin(ap, sq, cmd, sqHead) })
+	}
+}
+
+// step is one iteration of an I/O queue's fetch loop: exit checks, the
+// injected-stall window, then the SQE DMA fetch.
+func (sq *SQ) step() {
+	c := sq.c
+	if sq.head == sq.tail || !c.enabled || !c.owner.MayFetch() {
+		sq.fetching = false
+		return
+	}
+	if stall := c.owner.FetchStall(sq.ID); stall > 0 {
+		c.env.Schedule(stall, sq.stepFn)
+		return
+	}
+	done := c.port.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, sq.buf[:])
+	c.env.After(done-c.env.Now(), sq.decodedFn)
+}
+
+func (sq *SQ) decoded() {
+	sq.pendCmd = nvme.DecodeCommand(&sq.buf)
+	sq.head = sq.ring.Next(sq.head)
+	sq.pendHead = sq.head
+	sq.c.env.After(sq.c.cfg.FetchLatency, sq.dispatchFn)
+}
+
+// dispatch hands the decoded command to the owner and continues fetching
+// immediately: this queue's next SQE fetch is booked on the link before the
+// command's own DMAs.
+func (sq *SQ) dispatch() {
+	sq.c.owner.StartIO(sq, sq.pendCmd, sq.pendHead)
+	sq.step()
+}
+
+// QueueAdmin executes Create/Delete I/O Submission/Completion Queue. Queue
+// 0 is the admin pair and can be neither created nor deleted (Delete I/O SQ
+// is opcode 0x00, so an all-zero SQE lands here); an existing queue is never
+// silently replaced; a CQ outlives every SQ that completes into it.
+func (c *Controller) QueueAdmin(cmd nvme.Command) nvme.Status {
+	qid := uint16(cmd.CDW10)
+	size := cmd.CDW10>>16 + 1
+	_, sqExists := c.sqs[qid]
+	_, cqExists := c.cqs[qid]
+	switch cmd.Opcode {
+	case nvme.AdminCreateIOCQ:
+		if qid == 0 || size < 2 || cqExists {
+			return nvme.StatusInvalidQueueID
+		}
+		c.cqs[qid] = &compQueue{ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.CQESize}, phase: true}
+	case nvme.AdminCreateIOSQ:
+		cqid := uint16(cmd.CDW11 >> 16)
+		if _, ok := c.cqs[cqid]; !ok || qid == 0 || size < 2 || sqExists {
+			return nvme.StatusInvalidQueueID
+		}
+		c.sqs[qid] = &SQ{ID: qid, CQID: cqid, c: c, ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.SQESize}}
+	case nvme.AdminDeleteIOSQ:
+		if qid == 0 || !sqExists {
+			return nvme.StatusInvalidQueueID
+		}
+		delete(c.sqs, qid)
+	case nvme.AdminDeleteIOCQ:
+		if qid == 0 || !cqExists {
+			return nvme.StatusInvalidQueueID
+		}
+		for _, sq := range c.sqs {
+			if sq.CQID == qid {
+				return nvme.StatusInvalidQueueDeletion
+			}
+		}
+		delete(c.cqs, qid)
+	default:
+		return nvme.StatusInvalidOpcode
+	}
+	return nvme.StatusSuccess
+}
+
+// PostCQE writes one completion entry into CQ cqid upstream and raises the
+// interrupt for it once the write has landed (step 7 of the paper's Fig. 6).
+func (c *Controller) PostCQE(cqid uint16, cpl nvme.Completion) {
+	if !c.owner.MayPost() {
+		return // the command is lost; the driver's timeout covers it
+	}
+	cq, ok := c.cqs[cqid]
+	if !ok {
+		return
+	}
+	cpl.Phase = cq.phase
+	cpl.Encode(&c.cqeBuf)
+	addr := cq.ring.SlotAddr(cq.tail)
+	cq.tail = cq.ring.Next(cq.tail)
+	if cq.tail == 0 {
+		cq.phase = !cq.phase
+	}
+	done := c.port.DMAWrite(addr, nvme.CQESize, c.cqeBuf[:])
+	delay := done - c.env.Now()
+	if delay < 0 {
+		delay = 0
+	}
+	var m *irqPost
+	if n := len(c.irqFree); n > 0 {
+		m = c.irqFree[n-1]
+		c.irqFree = c.irqFree[:n-1]
+	} else {
+		m = &irqPost{c: c}
+		m.run = m.fire
+	}
+	m.vec = int(cqid)
+	c.env.Schedule(delay, m.run)
+}
+
+// irqPost is a pooled deferred interrupt: the MSI-X for a posted CQE (vector
+// = CQ id) is raised once the CQE's DMA write has landed upstream, without a
+// closure per completion.
+type irqPost struct {
+	c   *Controller
+	vec int
+	run func()
+}
+
+func (m *irqPost) fire() {
+	c, vec := m.c, m.vec
+	c.irqFree = append(c.irqFree, m)
+	c.port.RaiseIRQ(c.fn, vec)
+}
+
+// PRPWalk is the PRP-list reader of one in-flight command. A continuation
+// cannot block mid-walk to fetch a list page the way a real controller's
+// PRP fetch engine stalls, so the walk runs against this cache-only reader,
+// records the first page it misses, fetches that page over DMA, and retries.
+// The walk itself consumes no virtual time, so this is one sequential page
+// fetch per list page, each charged its round trip — what a blocking walk
+// would cost. The zero value is ready; commands without a PRP list never
+// touch it.
+type PRPWalk struct {
+	pages   map[uint64][]byte
+	used    []uint64 // fetch order, for recycling into the page pool
+	miss    uint64
+	missSet bool
+}
+
+// ReadU64 implements nvme.PageReader over the pages fetched so far.
+func (w *PRPWalk) ReadU64(addr uint64) uint64 {
+	pg := addr &^ uint64(nvme.PageSize-1)
+	if b, ok := w.pages[pg]; ok {
+		return binary.LittleEndian.Uint64(b[addr-pg:])
+	}
+	if !w.missSet {
+		w.missSet = true
+		w.miss = pg
+	}
+	return 0
+}
+
+// WalkPRPs resolves a command's PRPs into segs, fetching at most one missing
+// list page per attempt. When it had to fetch, it reports pending: retry —
+// the caller's own attempt step — runs when the page has arrived (at once if
+// the round trip is already over), and the returned segments mean nothing.
+func (c *Controller) WalkPRPs(w *PRPWalk, segs []nvme.Segment, prp1, prp2 uint64, n int, retry func()) (out []nvme.Segment, pending bool, err error) {
+	w.missSet = false
+	out, err = nvme.WalkPRPsInto(segs, w, prp1, prp2, n)
+	if !w.missSet {
+		return out, false, err
+	}
+	var b []byte
+	if k := len(c.pageFree); k > 0 {
+		b = c.pageFree[k-1]
+		c.pageFree = c.pageFree[:k-1]
+	} else {
+		b = make([]byte, nvme.PageSize)
+	}
+	done := c.port.DMARead(w.miss, nvme.PageSize, b)
+	if w.pages == nil {
+		w.pages = make(map[uint64][]byte)
+	}
+	w.pages[w.miss] = b
+	w.used = append(w.used, w.miss)
+	c.env.After(done-c.env.Now(), retry)
+	return nil, true, nil
+}
+
+// ReleasePRPs returns a finished command's list pages to the pool.
+func (c *Controller) ReleasePRPs(w *PRPWalk) {
+	for _, pg := range w.used {
+		c.pageFree = append(c.pageFree, w.pages[pg])
+		delete(w.pages, pg)
+	}
+	w.used = w.used[:0]
+}

@@ -1,0 +1,625 @@
+package nvmet
+
+// Conformance tests for the target controller, driven the way a host drives
+// it — SQEs and CQEs in memory, doorbells and configuration registers over a
+// PCIe port — with a scripted fake owner behind it: no engine and no SSD.
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"bmstore/internal/hostmem"
+	"bmstore/internal/nvme"
+	"bmstore/internal/pcie"
+	"bmstore/internal/sim"
+)
+
+// testFn is the controller's function number: non-zero, so an interrupt
+// raised for the wrong function shows.
+const testFn pcie.FuncID = 5
+
+// ioOp is the opcode the tests put in I/O commands; the fake owner executes
+// anything.
+const ioOp = nvme.IORead
+
+type started struct {
+	cid    uint16
+	sqHead uint32
+	at     sim.Time
+}
+
+type irqRec struct {
+	fn  pcie.FuncID
+	vec int
+}
+
+// fakeOwner executes every I/O command by waiting ioDelay(cid) and posting a
+// successful completion, and every admin command after 1 µs.
+type fakeOwner struct {
+	r *rig
+
+	mayFetch, mayPost bool
+	stallUntil        sim.Time // FetchStall freezes fetch until this instant
+	ioDelay           func(cid uint16) sim.Time
+	onStart           func(cid uint16) // runs inside StartIO, before it returns
+
+	started   []started
+	completed []uint16 // CIDs, in the order their completions were posted
+}
+
+func (o *fakeOwner) MayFetch() bool { return o.mayFetch }
+func (o *fakeOwner) MayPost() bool  { return o.mayPost }
+
+func (o *fakeOwner) FetchStall(uint16) sim.Time {
+	if now := o.r.env.Now(); now < o.stallUntil {
+		return o.stallUntil - now
+	}
+	return 0
+}
+
+func (o *fakeOwner) StartIO(sq *SQ, cmd nvme.Command, sqHead uint32) {
+	o.started = append(o.started, started{cmd.CID, sqHead, o.r.env.Now()})
+	if o.onStart != nil {
+		o.onStart(cmd.CID)
+	}
+	delay := sim.Microsecond
+	if o.ioDelay != nil {
+		delay = o.ioDelay(cmd.CID)
+	}
+	o.r.env.Schedule(delay, func() {
+		o.completed = append(o.completed, cmd.CID)
+		o.r.c.PostCQE(sq.CQID, nvme.Completion{CID: cmd.CID, SQID: sq.ID, SQHead: uint16(sqHead)})
+	})
+}
+
+func (o *fakeOwner) ExecAdmin(p *sim.Proc, sq *SQ, cmd nvme.Command, sqHead uint32) {
+	p.Sleep(sim.Microsecond)
+	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.ID, SQHead: uint16(sqHead)}
+	switch cmd.Opcode {
+	case nvme.AdminCreateIOCQ, nvme.AdminCreateIOSQ, nvme.AdminDeleteIOCQ, nvme.AdminDeleteIOSQ:
+		cpl.Status = o.r.c.QueueAdmin(cmd)
+	}
+	o.r.c.PostCQE(sq.CQID, cpl)
+}
+
+// hostQ is the host's view of one queue pair.
+type hostQ struct {
+	id     uint16
+	sq, cq nvme.Ring
+	tail   uint32 // next SQ slot to fill
+	head   uint32 // next CQ slot to look at
+	phase  bool   // phase tag a new CQE at head carries
+}
+
+type rig struct {
+	t     *testing.T
+	env   *sim.Env
+	mem   *hostmem.Memory
+	port  *pcie.Port
+	c     *Controller
+	own   *fakeOwner
+	irqs  []irqRec
+	admin *hostQ
+	cid   uint16
+}
+
+type regDev struct{ r *rig }
+
+func (d regDev) RegWrite(fn pcie.FuncID, off, val uint64) {
+	if fn == testFn {
+		d.r.c.RegWrite(off, val)
+	}
+}
+
+const adminDepth = 8
+
+func newRig(t *testing.T) *rig {
+	r := &rig{t: t, env: sim.NewEnv(1), mem: hostmem.New(64 << 20)}
+	r.own = &fakeOwner{r: r, mayFetch: true, mayPost: true}
+	r.c = New(r.env, r.own, testFn, Config{
+		FetchLatency: 500 * sim.Nanosecond,
+		FetchProc:    "test/sq0",
+		ExecProc:     "test/exec",
+	})
+	link := pcie.NewLink(r.env, 4, 300*sim.Nanosecond)
+	r.port = pcie.Connect(r.env, link, pcie.NewRoot(r.env, r.mem),
+		func(fn pcie.FuncID, vec int) { r.irqs = append(r.irqs, irqRec{fn, vec}) }, nil, regDev{r})
+	r.c.Attach(r.port)
+	r.admin = r.newQ(0, adminDepth)
+	r.enable()
+	return r
+}
+
+func (r *rig) newQ(id uint16, depth uint32) *hostQ {
+	return &hostQ{
+		id:    id,
+		sq:    nvme.Ring{Base: r.mem.AllocPages(1), Entries: depth, EntrySz: nvme.SQESize},
+		cq:    nvme.Ring{Base: r.mem.AllocPages(1), Entries: depth, EntrySz: nvme.CQESize},
+		phase: true,
+	}
+}
+
+// enable programs the admin queue registers and sets CC.EN, rewinding the
+// host's view of the admin pair as a driver's re-init does.
+func (r *rig) enable() {
+	r.admin.tail, r.admin.head, r.admin.phase = 0, 0, true
+	r.mem.Write(r.admin.cq.Base, make([]byte, adminDepth*nvme.CQESize))
+	r.port.MMIOWrite(testFn, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
+	r.port.MMIOWrite(testFn, nvme.RegASQ, r.admin.sq.Base)
+	r.port.MMIOWrite(testFn, nvme.RegACQ, r.admin.cq.Base)
+	r.port.MMIOWrite(testFn, nvme.RegCC, 1)
+	r.env.Run()
+}
+
+// push writes cmd into the queue's next SQ slot under a fresh CID, which it
+// returns; ring makes the controller see it.
+func (r *rig) push(q *hostQ, cmd nvme.Command) uint16 {
+	r.cid++
+	cmd.CID = r.cid
+	var b [nvme.SQESize]byte
+	cmd.Encode(&b)
+	r.mem.Write(q.sq.SlotAddr(q.tail), b[:])
+	q.tail = q.sq.Next(q.tail)
+	return cmd.CID
+}
+
+func (r *rig) ring(q *hostQ) {
+	r.port.MMIOWrite(testFn, nvme.SQDoorbell(q.id), uint64(q.tail))
+}
+
+// reap consumes every new CQE of q, as a driver's interrupt handler does.
+func (r *rig) reap(q *hostQ) []nvme.Completion {
+	var out []nvme.Completion
+	for {
+		var b [nvme.CQESize]byte
+		r.mem.Read(q.cq.SlotAddr(q.head), b[:])
+		cpl := nvme.DecodeCompletion(&b)
+		if cpl.Phase != q.phase {
+			return out
+		}
+		out = append(out, cpl)
+		q.head = q.cq.Next(q.head)
+		if q.head == 0 {
+			q.phase = !q.phase
+		}
+	}
+}
+
+// adminCmd runs one admin command to completion and returns its status.
+func (r *rig) adminCmd(cmd nvme.Command) nvme.Status {
+	r.t.Helper()
+	cid := r.push(r.admin, cmd)
+	r.ring(r.admin)
+	r.env.Run()
+	got := r.reap(r.admin)
+	if len(got) != 1 || got[0].CID != cid || got[0].SQID != 0 {
+		r.t.Fatalf("admin opcode %#x (cid %d): reaped %+v, want exactly its completion", cmd.Opcode, cid, got)
+	}
+	return got[0].Status
+}
+
+func createCQ(q *hostQ) nvme.Command {
+	return nvme.Command{Opcode: nvme.AdminCreateIOCQ, PRP1: q.cq.Base, CDW10: (q.cq.Entries-1)<<16 | uint32(q.id)}
+}
+
+func createSQ(q *hostQ, cqid uint16) nvme.Command {
+	return nvme.Command{Opcode: nvme.AdminCreateIOSQ, PRP1: q.sq.Base, CDW10: (q.sq.Entries-1)<<16 | uint32(q.id), CDW11: uint32(cqid) << 16}
+}
+
+// pair creates I/O queue pair id (SQ id completing into CQ id).
+func (r *rig) pair(id uint16, depth uint32) *hostQ {
+	r.t.Helper()
+	q := r.newQ(id, depth)
+	if st := r.adminCmd(createCQ(q)); st != nvme.StatusSuccess {
+		r.t.Fatalf("create CQ %d: status %#x", id, st)
+	}
+	if st := r.adminCmd(createSQ(q, id)); st != nvme.StatusSuccess {
+		r.t.Fatalf("create SQ %d: status %#x", id, st)
+	}
+	r.irqs = nil
+	return q
+}
+
+func (r *rig) startedCIDs() []uint16 {
+	var out []uint16
+	for _, s := range r.own.started {
+		out = append(out, s.cid)
+	}
+	return out
+}
+
+func TestQueueAdminStatuses(t *testing.T) {
+	r := newRig(t)
+	q1, q2 := r.newQ(1, 4), r.newQ(2, 4)
+	del := func(op uint8, qid uint16) nvme.Command { return nvme.Command{Opcode: op, CDW10: uint32(qid)} }
+	tiny := createCQ(r.newQ(3, 4))
+	tiny.CDW10 = 3 // one entry
+	steps := []struct {
+		name string
+		cmd  nvme.Command
+		want nvme.Status
+	}{
+		{"create CQ 0", createCQ(r.newQ(0, 4)), nvme.StatusInvalidQueueID},
+		{"create one-entry CQ", tiny, nvme.StatusInvalidQueueID},
+		{"create CQ 1", createCQ(q1), nvme.StatusSuccess},
+		{"create CQ 1 over the live one", createCQ(q1), nvme.StatusInvalidQueueID},
+		{"create SQ 0", createSQ(r.newQ(0, 4), 1), nvme.StatusInvalidQueueID},
+		{"create SQ 1 into unknown CQ 9", createSQ(q1, 9), nvme.StatusInvalidQueueID},
+		{"create SQ 1", createSQ(q1, 1), nvme.StatusSuccess},
+		{"create SQ 1 over the live one", createSQ(q1, 1), nvme.StatusInvalidQueueID},
+		{"create SQ 2 sharing CQ 1", createSQ(q2, 1), nvme.StatusSuccess},
+		{"all-zero SQE = delete SQ 0", nvme.Command{}, nvme.StatusInvalidQueueID},
+		{"delete CQ 0", del(nvme.AdminDeleteIOCQ, 0), nvme.StatusInvalidQueueID},
+		{"delete unknown SQ 7", del(nvme.AdminDeleteIOSQ, 7), nvme.StatusInvalidQueueID},
+		{"delete unknown CQ 7", del(nvme.AdminDeleteIOCQ, 7), nvme.StatusInvalidQueueID},
+		{"delete CQ 1 with SQs 1 and 2 bound", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusInvalidQueueDeletion},
+		{"delete SQ 1", del(nvme.AdminDeleteIOSQ, 1), nvme.StatusSuccess},
+		{"delete CQ 1 with SQ 2 bound", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusInvalidQueueDeletion},
+		{"delete SQ 2", del(nvme.AdminDeleteIOSQ, 2), nvme.StatusSuccess},
+		{"delete CQ 1", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusSuccess},
+		{"delete CQ 1 again", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusInvalidQueueID},
+	}
+	// 19 commands through an 8-deep admin pair: the admin rings wrap twice
+	// on the way, and every step's completion arriving at all proves the
+	// admin queue survived the step before it.
+	for _, s := range steps {
+		if got := r.adminCmd(s.cmd); got != s.want {
+			t.Errorf("%s: status %#x, want %#x", s.name, got, s.want)
+		}
+	}
+	for _, irq := range r.irqs {
+		if irq != (irqRec{testFn, 0}) {
+			t.Fatalf("admin completion interrupted %+v, want function %d vector 0", irq, testFn)
+		}
+	}
+	if len(r.irqs) != len(steps) {
+		t.Errorf("%d interrupts for %d admin completions", len(r.irqs), len(steps))
+	}
+}
+
+func TestDoorbellToUnknownOrDisabledQueueIgnored(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 8)
+	events := r.env.Events()
+	quiet := func(what string) {
+		t.Helper()
+		r.env.Run()
+		if len(r.own.started) != 0 || len(r.irqs) != 0 {
+			t.Fatalf("%s: started %v, interrupts %v; want nothing", what, r.startedCIDs(), r.irqs)
+		}
+		// Each doorbell is one MMIO delivery event and must cause no other.
+		if events++; r.env.Events() != events {
+			t.Fatalf("%s: %d events, want %d (the MMIO delivery alone)", what, r.env.Events(), events)
+		}
+	}
+	r.port.MMIOWrite(testFn, nvme.SQDoorbell(9), 3)
+	quiet("SQ doorbell of a queue that does not exist")
+	r.port.MMIOWrite(testFn, nvme.CQDoorbell(1), 3)
+	quiet("CQ head doorbell")
+	r.push(q, nvme.Command{Opcode: ioOp})
+	r.port.MMIOWrite(testFn, nvme.RegCC, 0)
+	quiet("disable")
+	r.ring(q)
+	quiet("SQ doorbell of a disabled controller")
+	r.port.MMIOWrite(testFn, 0x40, 1)
+	quiet("write to a register the model does not have")
+}
+
+// TestRingWrapAndPhaseFlip runs 14 commands — three and a half laps — through
+// a depth-4 queue pair and checks every CQE's slot, phase tag and SQ head
+// pointer, and every interrupt's function and vector.
+func TestRingWrapAndPhaseFlip(t *testing.T) {
+	const depth, total = 4, 14
+	r := newRig(t)
+	q := r.pair(3, depth)
+	var cids []uint16
+	for len(cids) < total {
+		// A ring holds depth-1 entries; fill it, let it drain, go again.
+		for n := 0; n < depth-1 && len(cids) < total; n++ {
+			cids = append(cids, r.push(q, nvme.Command{Opcode: ioOp}))
+		}
+		// The second batch rings with the tail one lap too far: a doorbell
+		// value past the ring is reduced modulo its size, never followed off
+		// the ring. RunUntil, so a fetch engine that runs away ends the test
+		// with a count instead of hanging it.
+		val := uint64(q.tail)
+		if len(cids) == 2*(depth-1) {
+			val += depth
+		}
+		r.port.MMIOWrite(testFn, nvme.SQDoorbell(q.id), val)
+		r.env.RunUntil(r.env.Now() + sim.Millisecond)
+		if got := len(r.own.started); got != len(cids) {
+			t.Fatalf("after ringing tail %d: %d commands fetched, want %d", val, got, len(cids))
+		}
+		for len(r.reap(q)) > 0 {
+		}
+	}
+	if !slices.Equal(r.startedCIDs(), cids) {
+		t.Fatalf("fetched %v, want %v", r.startedCIDs(), cids)
+	}
+	// The CQ is depth entries and 14 = 3*4+2 completions were posted, so the
+	// ring now holds completions 12, 13 (lap 3) then 10, 11 (lap 2); laps 0
+	// and 2 carry phase 1, laps 1 and 3 phase 0. Each was also seen in its
+	// own lap: reap above only consumes entries whose phase matches.
+	for slot, i := range []int{12, 13, 10, 11} {
+		var b [nvme.CQESize]byte
+		r.mem.Read(q.cq.SlotAddr(uint32(slot)), b[:])
+		got := nvme.DecodeCompletion(&b)
+		want := nvme.Completion{CID: cids[i], SQID: q.id, SQHead: uint16((i + 1) % depth), Phase: (i/depth)%2 == 0}
+		if got != want {
+			t.Errorf("CQ slot %d: %+v, want %+v (completion %d)", slot, got, want, i)
+		}
+	}
+	if q.head != total%depth || q.phase {
+		t.Errorf("host consumed up to slot %d phase %v, want slot %d phase false", q.head, q.phase, total%depth)
+	}
+	if len(r.irqs) != total {
+		t.Fatalf("%d interrupts, want %d", len(r.irqs), total)
+	}
+	for _, irq := range r.irqs {
+		if irq != (irqRec{testFn, int(q.id)}) {
+			t.Fatalf("interrupt %+v, want function %d vector %d (the CQ id)", irq, testFn, q.id)
+		}
+	}
+}
+
+func TestDisableMidChainAndReenable(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 8)
+	first := r.push(q, nvme.Command{Opcode: ioOp})
+	r.push(q, nvme.Command{Opcode: ioOp})
+	r.push(q, nvme.Command{Opcode: ioOp})
+	// CC.EN is cleared while the chain is between two fetches: inside the
+	// first command's dispatch.
+	r.own.onStart = func(uint16) { r.c.RegWrite(nvme.RegCC, 0) }
+	r.ring(q)
+	r.env.Run()
+	if got := r.startedCIDs(); !slices.Equal(got, []uint16{first}) {
+		t.Fatalf("fetched %v after a disable inside the first dispatch, want only %d", got, first)
+	}
+	// The first command's completion found its CQ gone.
+	if got := r.reap(q); len(got) != 0 || len(r.irqs) != 0 {
+		t.Fatalf("a disabled controller posted %+v and raised %v", got, r.irqs)
+	}
+
+	// Re-initialise as a driver does: same ring memory, host indices rewound.
+	r.own.onStart, r.own.started = nil, nil
+	r.enable()
+	q.tail = 0
+	for _, cmd := range []nvme.Command{createCQ(q), createSQ(q, q.id)} {
+		if st := r.adminCmd(cmd); st != nvme.StatusSuccess {
+			t.Fatalf("re-create opcode %#x: status %#x (queues must not survive a disable)", cmd.Opcode, st)
+		}
+	}
+	again := r.push(q, nvme.Command{Opcode: ioOp})
+	r.ring(q)
+	r.env.Run()
+	if len(r.own.started) != 1 || r.own.started[0].cid != again || r.own.started[0].sqHead != 1 {
+		t.Fatalf("after re-enable fetched %+v, want cid %d from slot 0 (head 1 after it)", r.own.started, again)
+	}
+	if got := r.reap(q); len(got) != 1 || got[0].CID != again {
+		t.Fatalf("after re-enable reaped %+v, want cid %d in slot 0 with phase 1", got, again)
+	}
+}
+
+// TestFetchOrderIsDoorbellOrder: fetch is strictly sequential per queue and
+// in ring order however the doorbells batch the entries, while the owner's
+// executions overlap and finish in any order.
+func TestFetchOrderIsDoorbellOrder(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 16)
+	// Later commands finish sooner: 60 µs, 50 µs, … 10 µs.
+	base := r.cid
+	r.own.ioDelay = func(cid uint16) sim.Time { return sim.Time(7-(cid-base)) * 10 * sim.Microsecond }
+	var cids []uint16
+	for i := 0; i < 3; i++ {
+		cids = append(cids, r.push(q, nvme.Command{Opcode: ioOp}))
+	}
+	r.ring(q) // tail 3
+	for i := 0; i < 3; i++ {
+		cids = append(cids, r.push(q, nvme.Command{Opcode: ioOp}))
+	}
+	r.ring(q) // tail 6, arriving while the first batch is being fetched
+	r.env.Run()
+
+	if !slices.Equal(r.startedCIDs(), cids) {
+		t.Fatalf("fetch order %v, want submission order %v", r.startedCIDs(), cids)
+	}
+	for i := 1; i < len(r.own.started); i++ {
+		if r.own.started[i].at <= r.own.started[i-1].at {
+			t.Fatalf("commands %d and %d dispatched at %d and %d: fetch is one SQE at a time",
+				i-1, i, r.own.started[i-1].at, r.own.started[i].at)
+		}
+	}
+	rev := slices.Clone(cids)
+	slices.Reverse(rev)
+	if !slices.Equal(r.own.completed, rev) {
+		t.Fatalf("completion order %v, want %v: executions must overlap, not serialise behind the fetch", r.own.completed, rev)
+	}
+	var reaped []uint16
+	for _, c := range r.reap(q) {
+		reaped = append(reaped, c.CID)
+	}
+	if !slices.Equal(reaped, rev) {
+		t.Fatalf("CQ holds %v, want completion order %v", reaped, rev)
+	}
+}
+
+func TestMayPostFalseDropsCQEAndIRQ(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 8)
+	r.own.mayPost = false
+	r.push(q, nvme.Command{Opcode: ioOp})
+	r.push(q, nvme.Command{Opcode: ioOp})
+	r.ring(q)
+	r.env.Run()
+	if len(r.own.completed) != 2 {
+		t.Fatalf("owner completed %v, want both commands", r.own.completed)
+	}
+	ringBytes := make([]byte, 8*nvme.CQESize)
+	r.mem.Read(q.cq.Base, ringBytes)
+	if !bytes.Equal(ringBytes, make([]byte, len(ringBytes))) {
+		t.Fatal("CQE bytes landed in host memory although the owner may not post")
+	}
+	if len(r.irqs) != 0 {
+		t.Fatalf("interrupts %v although the owner may not post", r.irqs)
+	}
+	// The dropped completions consumed no CQ slot.
+	r.own.mayPost = true
+	cid := r.push(q, nvme.Command{Opcode: ioOp})
+	r.ring(q)
+	r.env.Run()
+	if got := r.reap(q); len(got) != 1 || got[0].CID != cid || q.head != 1 {
+		t.Fatalf("reaped %+v with host head %d, want cid %d in slot 0", got, q.head, cid)
+	}
+}
+
+func TestMayFetchAndStallGateFetch(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 8)
+	first := r.push(q, nvme.Command{Opcode: ioOp})
+	events := r.env.Events()
+	r.own.mayFetch = false
+	r.ring(q)
+	r.env.Run()
+	r.own.mayFetch = true
+	r.env.Run()
+	if len(r.own.started) != 0 || r.env.Events() != events+1 {
+		t.Fatalf("fetched %v in %d events: a doorbell rung while the owner may not fetch is lost on arrival, not deferred",
+			r.startedCIDs(), r.env.Events()-events)
+	}
+
+	// Ring again into a stall window: fetch resumes when it ends.
+	r.own.stallUntil = r.env.Now() + 50*sim.Microsecond
+	second := r.push(q, nvme.Command{Opcode: ioOp})
+	r.ring(q)
+	r.env.Run()
+	if !slices.Equal(r.startedCIDs(), []uint16{first, second}) {
+		t.Fatalf("fetched %v, want %v", r.startedCIDs(), []uint16{first, second})
+	}
+	if at := r.own.started[0].at; at < r.own.stallUntil {
+		t.Fatalf("first dispatch at %d, inside the stall window ending %d", at, r.own.stallUntil)
+	}
+
+	// Liveness is re-checked when a stall ends, and mid-chain.
+	r.own.started = nil
+	r.own.stallUntil = r.env.Now() + 50*sim.Microsecond
+	r.push(q, nvme.Command{Opcode: ioOp})
+	r.ring(q)
+	r.env.RunUntil(r.own.stallUntil - sim.Microsecond)
+	r.own.mayFetch = false
+	r.env.Run()
+	if len(r.own.started) != 0 {
+		t.Fatalf("fetched %v after the owner stopped fetching during a stall", r.startedCIDs())
+	}
+}
+
+// listTransfer lays out an n-byte transfer at a page-aligned buffer and
+// returns its PRPs and list pages.
+func listTransfer(mem *hostmem.Memory, n int) (prp1, prp2 uint64, lists []uint64) {
+	buf := mem.AllocPages((n + nvme.PageSize - 1) / nvme.PageSize)
+	return nvme.BuildPRPs(mem, buf, n)
+}
+
+// walkToEnd drives the retry walk as an owner's attempt step does and
+// returns the result, the number of attempts and the finish time.
+func (r *rig) walkToEnd(w *PRPWalk, prp1, prp2 uint64, n int) (segs []nvme.Segment, err error, attempts int, at sim.Time) {
+	var attempt func()
+	attempt = func() {
+		attempts++
+		out, pending, e := r.c.WalkPRPs(w, nil, prp1, prp2, n, attempt)
+		if !pending {
+			segs, err, at = out, e, r.env.Now()
+		}
+	}
+	attempt()
+	r.env.Run()
+	return segs, err, attempts, at
+}
+
+// TestChainedPRPListChargedSequentially: a transfer whose PRP list chains
+// over three pages costs three list-page DMA round trips back to back — what
+// a blocking PRP fetch engine would pay — and its pages go back to the pool.
+func TestChainedPRPListChargedSequentially(t *testing.T) {
+	const perList = nvme.PageSize / 8
+	n := (1 + 2*(perList-1) + 5) * nvme.PageSize // first page + two full lists + 5 entries
+	r := newRig(t)
+	prp1, prp2, lists := listTransfer(r.mem, n)
+	if len(lists) != 3 {
+		t.Fatalf("transfer uses %d list pages, want 3", len(lists))
+	}
+	want, err := nvme.WalkPRPsInto(nil, r.mem, prp1, prp2, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One idle-link round trip, measured on a twin rig's port.
+	twin := newRig(t)
+	if twin.env.Now() != r.env.Now() {
+		t.Fatal("twin rigs disagree on the clock after bring-up")
+	}
+	roundTrip := twin.port.DMARead(lists[0], nvme.PageSize, nil) - twin.env.Now()
+
+	var w PRPWalk
+	t0 := r.env.Now()
+	segs, err, attempts, at := r.walkToEnd(&w, prp1, prp2, n)
+	if err != nil || !slices.Equal(segs, want) {
+		t.Fatalf("retry walk: %d segments, err %v; want the %d of the one-shot walk", len(segs), err, len(want))
+	}
+	if attempts != 4 || !slices.Equal(w.used, lists) {
+		t.Fatalf("%d attempts fetched %#x, want 4 attempts fetching %#x in chain order", attempts, w.used, lists)
+	}
+	if got := at - t0; got != 3*roundTrip {
+		t.Fatalf("walk took %d ns, want 3 sequential list-page round trips of %d ns", got, roundTrip)
+	}
+	r.c.ReleasePRPs(&w)
+	if len(r.c.pageFree) != 3 || len(w.used) != 0 || len(w.pages) != 0 {
+		t.Fatalf("after release: pool %d pages, walk holds %d/%d; want 3 and none", len(r.c.pageFree), len(w.used), len(w.pages))
+	}
+	// The next command's walk is served from the pool.
+	if _, err, _, _ := r.walkToEnd(&w, prp1, prp2, n); err != nil || len(r.c.pageFree) != 0 {
+		t.Fatalf("second walk: err %v, pool %d pages, want the three pooled pages in use", err, len(r.c.pageFree))
+	}
+	r.c.ReleasePRPs(&w)
+	if len(r.c.pageFree) != 3 {
+		t.Fatalf("pool holds %d pages after the second release, want 3", len(r.c.pageFree))
+	}
+}
+
+// TestPRPWalkWarmAllocatesNothing: the first attempt of every command with a
+// PRP list ends in a discarded ErrNullPRP, so the miss-then-hit walk of a
+// 128 KiB transfer must not allocate once its page pool is warm.
+func TestPRPWalkWarmAllocatesNothing(t *testing.T) {
+	const n = 128 << 10
+	r := newRig(t)
+	prp1, prp2, _ := listTransfer(r.mem, n)
+	var (
+		w        PRPWalk
+		segs     []nvme.Segment
+		attempts int
+		attempt  func()
+	)
+	attempt = func() {
+		attempts++
+		out, pending, err := r.c.WalkPRPs(&w, segs[:0], prp1, prp2, n, attempt)
+		if pending {
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = out
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		attempt()
+		r.env.Run()
+		r.c.ReleasePRPs(&w)
+	})
+	if allocs != 0 {
+		t.Errorf("miss-then-hit walk allocates %.1f times per command, want 0", allocs)
+	}
+	if attempts != 2*101 || len(segs) != n/nvme.PageSize {
+		t.Fatalf("%d attempts and %d segments over 101 walks, want one miss and one hit each", attempts, len(segs))
+	}
+}

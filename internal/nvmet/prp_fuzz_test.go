@@ -1,0 +1,145 @@
+package nvmet
+
+import (
+	"slices"
+	"testing"
+
+	"bmstore/internal/hostmem"
+	"bmstore/internal/nvme"
+)
+
+// Address map of a fuzzed PRP layout. Everything the walk can dereference
+// stays inside the rig's bounded memory: the data buffer (never read, only
+// pointed at), and the list pages, which the input places on any of 64 page
+// slots — two list pages of one chain may land on the same slot.
+const (
+	fuzzDataBase  = 1 << 20
+	fuzzListBase  = 4 << 20
+	fuzzListSlots = 64
+	fuzzMaxBytes  = 2<<20 + nvme.PageSize
+)
+
+// fuzzInput reads a fuzz input byte by byte; an exhausted input reads as
+// zeros, so every prefix of an input is an input.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) byte() byte {
+	if len(in.b) == 0 {
+		return 0
+	}
+	v := in.b[0]
+	in.b = in.b[1:]
+	return v
+}
+
+func (in *fuzzInput) uint(nbytes int) (v uint64) {
+	for i := 0; i < nbytes; i++ {
+		v |= uint64(in.byte()) << (8 * i)
+	}
+	return v
+}
+
+// fuzzPlacer is the nvme.PageWriter that puts each list page where the
+// input says.
+type fuzzPlacer struct {
+	mem *hostmem.Memory
+	in  *fuzzInput
+}
+
+func (p fuzzPlacer) AllocPages(int) uint64 {
+	return fuzzListBase + uint64(p.in.byte()%fuzzListSlots)*nvme.PageSize
+}
+func (p fuzzPlacer) WriteU64(addr, v uint64) { p.mem.WriteU64(addr, v) }
+
+// fuzzLayout decodes an input into a PRP pair over mem: PRP1 offset (2
+// bytes), length (3 bytes, 1 B … 2 MiB + 1 page), one placement byte per list
+// page, then 5-byte corruption records until the input ends.
+func fuzzLayout(mem *hostmem.Memory, data []byte) (prp1, prp2 uint64, n int) {
+	in := &fuzzInput{data}
+	off := in.uint(2) % nvme.PageSize
+	n = 1 + int(in.uint(3)%fuzzMaxBytes)
+	prp1, prp2, lists := nvme.BuildPRPs(fuzzPlacer{mem, in}, fuzzDataBase+off, n)
+	for len(in.b) > 0 {
+		op, which, slot, arg := in.byte()%8, in.byte(), in.uint(2)%(nvme.PageSize/8), uint64(in.byte())
+		listSlot := fuzzListBase + arg%fuzzListSlots*nvme.PageSize
+		var entry uint64 // ops 0-4 rewrite one entry of one of the layout's list pages
+		if op < 5 {
+			if len(lists) == 0 {
+				continue
+			}
+			entry = lists[int(which)%len(lists)] + slot*8
+		}
+		switch op {
+		case 0: // null entry (a null chain pointer when slot is the last)
+			mem.WriteU64(entry, 0)
+		case 1: // unaligned entry
+			mem.WriteU64(entry, mem.ReadU64(entry)|(1+arg))
+		case 2: // pointer to a list page: a chain pointer mid-list, or a re-aimed chain at the last slot
+			mem.WriteU64(entry, listSlot)
+		case 3: // pointer into the middle of a list page
+			mem.WriteU64(entry, listSlot+8*(1+arg))
+		case 4: // chain into the data buffer, which reads as zeros
+			mem.WriteU64(entry, fuzzDataBase+arg*nvme.PageSize)
+		case 5:
+			prp2 = 0
+		case 6:
+			prp2 |= 8 * (1 + arg)
+		case 7:
+			prp2 = listSlot
+		}
+	}
+	return prp1, prp2, n
+}
+
+// touchRecorder reads list entries straight from memory and notes each page
+// the first time the walk touches it.
+type touchRecorder struct {
+	mem   *hostmem.Memory
+	pages []uint64
+}
+
+func (r *touchRecorder) ReadU64(addr uint64) uint64 {
+	if pg := addr &^ (nvme.PageSize - 1); !slices.Contains(r.pages, pg) {
+		r.pages = append(r.pages, pg)
+	}
+	return r.mem.ReadU64(addr)
+}
+
+// FuzzPRPFetch: over any PRP layout — valid or corrupted with null,
+// unaligned and misplaced chain pointers — the controller's retry walk must
+// agree with the trivially correct reference, one nvme.WalkPRPsInto over the
+// fully resident memory: same segments or same error, having fetched exactly
+// the list pages the reference reads, each once, in the order it reads them.
+func FuzzPRPFetch(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			t.Skip("more corruption records only repeat fewer")
+		}
+		r := newRig(t)
+		prp1, prp2, n := fuzzLayout(r.mem, data)
+
+		ref := &touchRecorder{mem: r.mem}
+		want, wantErr := nvme.WalkPRPsInto(nil, ref, prp1, prp2, n)
+
+		var w PRPWalk
+		got, err, attempts, _ := r.walkToEnd(&w, prp1, prp2, n)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("prp1 %#x prp2 %#x n %d: retry walk says %v, one-shot walk %v", prp1, prp2, n, err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("prp1 %#x prp2 %#x n %d: retry walk resolved %d segments, one-shot walk %d, or different ones",
+				prp1, prp2, n, len(got), len(want))
+		}
+		if !slices.Equal(w.used, ref.pages) {
+			t.Fatalf("prp1 %#x prp2 %#x n %d: fetched list pages %#x, the one-shot walk reads %#x", prp1, prp2, n, w.used, ref.pages)
+		}
+		if attempts != len(w.used)+1 {
+			t.Fatalf("%d attempts for %d list pages, want one fetch per failed attempt", attempts, len(w.used))
+		}
+		r.c.ReleasePRPs(&w)
+		if len(r.c.pageFree) != len(ref.pages) || len(w.pages) != 0 {
+			t.Fatalf("released %d pages to the pool with %d still held, want all %d back", len(r.c.pageFree), len(w.pages), len(ref.pages))
+		}
+	})
+}

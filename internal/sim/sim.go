@@ -260,6 +260,17 @@ func (e *Env) Schedule(delay Time, fn func()) {
 	e.enqueue(scheduled{at: e.now + delay, fn: fn})
 }
 
+// After runs fn once delay has elapsed: the continuation mirror of
+// Proc.Sleep, including its run-immediately semantics when delay is zero or
+// negative (a completion time already in the past).
+func (e *Env) After(delay Time, fn func()) {
+	if delay > 0 {
+		e.Schedule(delay, fn)
+		return
+	}
+	fn()
+}
+
 // Run processes events until the queue is empty, then returns the final
 // virtual time. Processes still blocked on untriggered events remain blocked;
 // call Shutdown to unwind them.

@@ -132,6 +132,28 @@ func TestScheduleCallback(t *testing.T) {
 	}
 }
 
+// TestAfterMirrorsSleep: a positive delay is one scheduled event; a zero or
+// negative one (a completion time already in the past) runs the continuation
+// inline and schedules nothing, as Proc.Sleep(0) returns without yielding.
+func TestAfterMirrorsSleep(t *testing.T) {
+	env := NewEnv(1)
+	var at []Time
+	note := func() { at = append(at, env.Now()) }
+	env.After(0, note)
+	env.After(-5, note)
+	if len(at) != 2 || env.pending() != 0 {
+		t.Fatalf("After(<=0): ran %d of 2 inline with %d events queued", len(at), env.pending())
+	}
+	env.After(9, note)
+	if len(at) != 2 || env.pending() != 1 {
+		t.Fatalf("After(9): ran inline or queued %d events", env.pending())
+	}
+	env.Run()
+	if len(at) != 3 || at[2] != 9 {
+		t.Fatalf("After(9) fired at %v, want 9", at[2:])
+	}
+}
+
 func TestRunUntilStopsEarly(t *testing.T) {
 	env := NewEnv(1)
 	fired := false

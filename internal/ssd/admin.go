@@ -33,16 +33,8 @@ func (d *SSD) execAdmin(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Status) {
 	switch cmd.Opcode {
 	case nvme.AdminIdentify:
 		return 0, d.adminIdentify(p, cmd)
-	case nvme.AdminCreateIOCQ:
-		return 0, d.adminCreateCQ(cmd)
-	case nvme.AdminCreateIOSQ:
-		return 0, d.adminCreateSQ(cmd)
-	case nvme.AdminDeleteIOCQ:
-		delete(d.cqs, uint16(cmd.CDW10))
-		return 0, nvme.StatusSuccess
-	case nvme.AdminDeleteIOSQ:
-		delete(d.sqs, uint16(cmd.CDW10))
-		return 0, nvme.StatusSuccess
+	case nvme.AdminCreateIOCQ, nvme.AdminCreateIOSQ, nvme.AdminDeleteIOCQ, nvme.AdminDeleteIOSQ:
+		return 0, d.ctl.QueueAdmin(cmd)
 	case nvme.AdminSetFeatures, nvme.AdminGetFeatures, nvme.AdminAbort:
 		return 0, nvme.StatusSuccess
 	case nvme.AdminGetLogPage:
@@ -99,38 +91,6 @@ func (d *SSD) adminIdentify(p *sim.Proc, cmd nvme.Command) nvme.Status {
 		return nvme.StatusInvalidField
 	}
 	d.dmaOutPage(p, cmd.PRP1, page)
-	return nvme.StatusSuccess
-}
-
-func (d *SSD) adminCreateCQ(cmd nvme.Command) nvme.Status {
-	qid := uint16(cmd.CDW10)
-	size := cmd.CDW10>>16 + 1
-	if qid == 0 || size < 2 {
-		return nvme.StatusInvalidQueueID
-	}
-	d.cqs[qid] = &compQueue{
-		id:    qid,
-		ring:  nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.CQESize},
-		phase: true,
-	}
-	return nvme.StatusSuccess
-}
-
-func (d *SSD) adminCreateSQ(cmd nvme.Command) nvme.Status {
-	qid := uint16(cmd.CDW10)
-	size := cmd.CDW10>>16 + 1
-	cqid := uint16(cmd.CDW11 >> 16)
-	if qid == 0 || size < 2 {
-		return nvme.StatusInvalidQueueID
-	}
-	if _, ok := d.cqs[cqid]; !ok {
-		return nvme.StatusInvalidQueueID
-	}
-	d.sqs[qid] = &subQueue{
-		id:   qid,
-		ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.SQESize},
-		cqid: cqid,
-	}
 	return nvme.StatusSuccess
 }
 
@@ -242,7 +202,7 @@ func (d *SSD) beginReset(dur sim.Time, newVer string) {
 		d.fwStaged = nil
 		d.upgrades++
 		d.resetting = false
-		d.disable() // queues are gone; owner must re-initialise
+		d.ctl.Disable() // queues are gone; owner must re-initialise
 		cbs := d.onReady
 		d.onReady = nil
 		for _, fn := range cbs {

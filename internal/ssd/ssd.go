@@ -1,8 +1,9 @@
-// Package ssd models an NVMe SSD at the protocol and performance level: it
-// fetches 64-byte SQEs from whatever memory sits upstream (host DRAM when
-// direct-attached, BMS-Engine chip memory when behind BM-Store), executes
-// admin and I/O commands, moves data by DMA through its PCIe port, posts
-// CQEs, and raises interrupts.
+// Package ssd models an NVMe SSD at the protocol and performance level. Its
+// NVMe face — SQE fetch from whatever memory sits upstream (host DRAM when
+// direct-attached, BMS-Engine chip memory when behind BM-Store), queue
+// management, CQE post and interrupts — is the shared target controller
+// (internal/nvmet); this package is the device behind it: it executes admin
+// and I/O commands and moves data by DMA through its PCIe port.
 //
 // Performance comes from three calibrated mechanisms: a pool of NAND dies
 // bounding random-read parallelism, a read-path pacer bounding sequential
@@ -12,11 +13,11 @@
 package ssd
 
 import (
-	"fmt"
 	"math/rand"
 
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmet"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -73,7 +74,7 @@ type Config struct {
 // Media abstracts the storage medium's timing. Implementations block the
 // calling process for the duration of the media operation; data movement
 // and protocol handling stay in the device, which lends each operation a
-// short-lived "ssd/media" process to block (see mediaProc in fastpath.go).
+// short-lived "ssd/media" process to block (see mediaProc in io.go).
 type Media interface {
 	Read(p *sim.Proc, startByte uint64, n int)
 	Write(p *sim.Proc, startByte uint64, n int)
@@ -109,36 +110,10 @@ func P4510(serial string) Config {
 // BlockSize is the logical block size of every namespace (LBA format 0).
 const BlockSize = nvme.LBASize
 
-// Register offsets on BAR0 (subset of the NVMe controller register map).
-const (
-	RegCC  = 0x14 // controller configuration (bit 0: enable)
-	RegAQA = 0x24 // admin queue attributes: ACQS<<16 | ASQS (sizes-1)
-	RegASQ = 0x28 // admin SQ base
-	RegACQ = 0x30 // admin CQ base
-)
-
 type namespace struct {
 	id       uint32
 	startLBA uint64 // offset into the flat device LBA space
 	sizeLBA  uint64
-}
-
-type subQueue struct {
-	id       uint16
-	ring     nvme.Ring
-	cqid     uint16
-	head     uint32
-	tail     uint32
-	fetching bool
-	fs       *sqFetch // I/O queue fetch state machine (nil until first doorbell)
-}
-
-type compQueue struct {
-	id    uint16
-	ring  nvme.Ring
-	tail  uint32
-	phase bool
-	irqFn pcie.FuncID
 }
 
 // SSD is one simulated NVMe device.
@@ -146,21 +121,16 @@ type SSD struct {
 	env  *sim.Env
 	cfg  Config
 	port *pcie.Port
+	ctl  *nvmet.Controller // the device's NVMe face; the SSD is its owner
 	tr   *trace.Tracer
 	// flt is the rig's fault injector, cached at construction (nil when
 	// injection is off). Fault rules target this device by its serial.
 	flt *fault.Injector
 
-	ready     bool
 	resetting bool
 	// dropped latches once a fault.SSDDrop rule arms: the device has been
 	// surprise-removed and never answers again.
 	dropped bool
-
-	regASQ, regACQ, regAQA uint64
-
-	sqs map[uint16]*subQueue
-	cqs map[uint16]*compQueue
 
 	nss       map[uint32]*namespace
 	nextNSID  uint32
@@ -179,15 +149,10 @@ type SSD struct {
 	onReady   []func()
 	jitterRng *rand.Rand
 
-	// Free lists of the I/O data path (fastpath.go): command records, NAND
-	// stripe records, PRP list pages and deferred interrupt posts.
-	ioFree      []*ssdIO
-	stripeFree  []*nandStripe
-	pageFree    [][]byte
-	irqPostFree []*irqPost
-	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
-	// host memory, so one reusable buffer replaces a per-CQE escape.
-	cqeBuf [nvme.CQESize]byte
+	// Free lists of the I/O data path (io.go): command records and NAND
+	// stripe records.
+	ioFree     []*ssdIO
+	stripeFree []*nandStripe
 
 	// ReadStats and WriteStats accumulate device-level I/O accounting,
 	// exposed to the BMS-Controller's I/O monitor.
@@ -215,8 +180,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 		cfg:        cfg,
 		tr:         env.Tracer(),
 		flt:        env.Faults(),
-		sqs:        make(map[uint16]*subQueue),
-		cqs:        make(map[uint16]*compQueue),
 		nss:        make(map[uint32]*namespace),
 		nextNSID:   1,
 		totalLBAs:  cfg.CapacityBytes / BlockSize,
@@ -227,6 +190,11 @@ func New(env *sim.Env, cfg Config) *SSD {
 		store:      make(map[uint64][]byte),
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
 	}
+	d.ctl = nvmet.New(env, d, 0, nvmet.Config{
+		FetchLatency: cfg.CmdLatency,
+		FetchProc:    "ssd/" + cfg.Serial + "/sq0",
+		ExecProc:     "ssd/exec",
+	})
 	if d.met = env.Metrics(); d.met != nil {
 		d.tl = d.met.TimelineEnabled()
 		comp := d.met.Component("ssd/" + cfg.Serial)
@@ -251,7 +219,10 @@ func (d *SSD) jitter(t sim.Time) sim.Time {
 
 // Attach connects the SSD beneath the given port. The port's device must be
 // this SSD (pcie.Connect(..., dev)).
-func (d *SSD) Attach(port *pcie.Port) { d.port = port }
+func (d *SSD) Attach(port *pcie.Port) {
+	d.port = port
+	d.ctl.Attach(port)
+}
 
 // Config returns the device configuration.
 func (d *SSD) Config() Config { return d.cfg }
@@ -264,7 +235,7 @@ func (d *SSD) Upgrades() int { return d.upgrades }
 
 // Ready reports whether the controller is enabled, not resetting, and not
 // surprise-removed.
-func (d *SSD) Ready() bool { return d.ready && !d.resetting && !d.gone() }
+func (d *SSD) Ready() bool { return d.ctl.Enabled() && !d.resetting && !d.gone() }
 
 // gone reports whether the device has been surprise-removed by a
 // fault.SSDDrop rule, latching the state on first observation. Once gone,
@@ -299,173 +270,43 @@ func (d *SSD) Namespaces() []uint32 {
 
 // RegWrite implements pcie.RegDevice: the doorbell and config register
 // surface of the controller.
-func (d *SSD) RegWrite(fn pcie.FuncID, off uint64, val uint64) {
-	if qid, isCQ, ok := nvme.DoorbellQueue(off); ok {
-		d.doorbell(qid, isCQ, uint32(val))
-		return
+func (d *SSD) RegWrite(_ pcie.FuncID, off uint64, val uint64) { d.ctl.RegWrite(off, val) }
+
+// MayFetch implements nvmet.Owner: a controller that is resetting, or a
+// surprise-removed device, accepts no doorbells and fetches no SQEs.
+func (d *SSD) MayFetch() bool { return !d.resetting && !d.gone() }
+
+// MayPost implements nvmet.Owner: a removed device posts nothing; the
+// command is lost.
+func (d *SSD) MayPost() bool { return !d.gone() }
+
+// FetchStall implements nvmet.Owner with the injected controller stall: the
+// fetch engine of the queue freezes until the window ends (commands already
+// executing are unaffected).
+func (d *SSD) FetchStall(sqid uint16) sim.Time {
+	if d.flt == nil {
+		return 0
 	}
-	switch off {
-	case RegAQA:
-		d.regAQA = val
-	case RegASQ:
-		d.regASQ = val
-	case RegACQ:
-		d.regACQ = val
-	case RegCC:
-		if val&1 == 1 && !d.ready {
-			d.enable()
-		} else if val&1 == 0 {
-			d.disable()
-		}
-	default:
-		panic(fmt.Sprintf("ssd: write to unknown register %#x", off))
+	now := d.env.Now()
+	end := d.flt.StallUntil(fault.SSDStall, d.cfg.Serial, now)
+	if end <= now {
+		return 0
 	}
+	if d.tr != nil {
+		d.tr.Emit(now, "fault", "ssd-stall", uint64(sqid), uint64(end-now), d.cfg.Serial)
+	}
+	return end - now
 }
 
-// enable brings the controller up with the admin queue pair from the
-// configuration registers.
-func (d *SSD) enable() {
-	asqs := uint32(d.regAQA&0xFFF) + 1
-	acqs := uint32(d.regAQA>>16&0xFFF) + 1
-	d.sqs[0] = &subQueue{
-		id:   0,
-		ring: nvme.Ring{Base: d.regASQ, Entries: asqs, EntrySz: nvme.SQESize},
-	}
-	d.cqs[0] = &compQueue{
-		id:    0,
-		ring:  nvme.Ring{Base: d.regACQ, Entries: acqs, EntrySz: nvme.CQESize},
-		phase: true,
-	}
-	d.ready = true
+// StartIO implements nvmet.Owner: the command's state machine (io.go) starts
+// one queue hop from now.
+func (d *SSD) StartIO(sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
+	d.env.Schedule(0, d.getIO(sq, cmd, sqHead).startFn)
 }
 
-func (d *SSD) disable() {
-	d.ready = false
-	d.sqs = make(map[uint16]*subQueue)
-	d.cqs = make(map[uint16]*compQueue)
-}
-
-func (d *SSD) doorbell(qid uint16, isCQ bool, val uint32) {
-	if !d.ready || d.resetting || d.gone() {
-		return // doorbells to a dead controller are lost, as on hardware
-	}
-	if isCQ {
-		// CQ head doorbell: host consumed entries; nothing blocks on it in
-		// this model, so just accept it.
-		return
-	}
-	sq, ok := d.sqs[qid]
-	if !ok {
-		return
-	}
-	sq.tail = val % sq.ring.Entries
-	if sq.fetching {
-		return
-	}
-	sq.fetching = true
-	if qid == 0 {
-		// The admin queue is served by processes: admin commands are rare
-		// and stateful (namespace management, firmware commit and reset).
-		d.env.Go(fmt.Sprintf("ssd/%s/sq%d", d.cfg.Serial, qid), func(p *sim.Proc) {
-			d.adminFetchLoop(p, sq)
-		})
-		return
-	}
-	// I/O queues are served by the continuation chain in fastpath.go; the
-	// fetch starts one queue hop from now.
-	if sq.fs == nil {
-		sq.fs = newSQFetch(d, sq)
-	}
-	d.env.Schedule(0, sq.fs.stepFn)
-}
-
-// adminFetchLoop drains the admin submission queue: it DMA-reads SQEs in
-// arrival order and spawns one execution process per command (fetch is
-// sequential; execution is parallel). I/O queues run the same steps as
-// continuations (sqFetch in fastpath.go).
-func (d *SSD) adminFetchLoop(p *sim.Proc, sq *subQueue) {
-	defer func() { sq.fetching = false }()
-	for sq.head != sq.tail {
-		if d.resetting || !d.ready || d.gone() {
-			return
-		}
-		// Injected controller stall: the fetch engine freezes until the
-		// window ends (commands already executing are unaffected).
-		if d.flt != nil {
-			if end := d.flt.StallUntil(fault.SSDStall, d.cfg.Serial, p.Now()); end > p.Now() {
-				if d.tr != nil {
-					d.tr.Emit(p.Now(), "fault", "ssd-stall", uint64(sq.id), uint64(end-p.Now()), d.cfg.Serial)
-				}
-				p.Sleep(end - p.Now())
-				continue // re-check liveness after the stall
-			}
-		}
-		var buf [nvme.SQESize]byte
-		done := d.port.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, buf[:])
-		if wait := done - p.Now(); wait > 0 {
-			p.Sleep(wait)
-		}
-		cmd := nvme.DecodeCommand(&buf)
-		sq.head = sq.ring.Next(sq.head)
-		sqHead := sq.head
-		p.Sleep(d.cfg.CmdLatency)
-		d.env.Go("ssd/exec", func(p *sim.Proc) {
-			cpl := nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead)}
-			cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
-			d.postCQE(sq.cqid, cpl)
-		})
-	}
-}
-
-// postCQE writes the completion into the CQ ring upstream and raises the
-// interrupt for it.
-func (d *SSD) postCQE(cqid uint16, cpl nvme.Completion) {
-	if d.gone() {
-		return // a removed device posts nothing; the command is lost
-	}
-	cq, ok := d.cqs[cqid]
-	if !ok {
-		return
-	}
-	cpl.Phase = cq.phase
-	cpl.Encode(&d.cqeBuf)
-	addr := cq.ring.SlotAddr(cq.tail)
-	cq.tail = cq.ring.Next(cq.tail)
-	if cq.tail == 0 {
-		cq.phase = !cq.phase
-	}
-	done := d.port.DMAWrite(addr, nvme.CQESize, d.cqeBuf[:])
-	delay := done - d.env.Now()
-	if delay < 0 {
-		delay = 0
-	}
-	d.postIRQ(delay, int(cqid))
-}
-
-// irqPost is a pooled deferred interrupt: the MSI-X for a posted CQE is
-// raised once the CQE's DMA write has landed upstream, without a closure per
-// completion. Admin and I/O completions share it.
-type irqPost struct {
-	d   *SSD
-	vec int
-	run func()
-}
-
-func (d *SSD) postIRQ(delay sim.Time, vec int) {
-	var m *irqPost
-	if n := len(d.irqPostFree); n > 0 {
-		m = d.irqPostFree[n-1]
-		d.irqPostFree = d.irqPostFree[:n-1]
-	} else {
-		m = &irqPost{d: d}
-		m.run = m.fire
-	}
-	m.vec = vec
-	d.env.Schedule(delay, m.run)
-}
-
-func (m *irqPost) fire() {
-	d, vec := m.d, m.vec
-	d.irqPostFree = append(d.irqPostFree, m)
-	d.port.RaiseIRQ(0, vec)
+// ExecAdmin implements nvmet.Owner: one admin command, on its own process.
+func (d *SSD) ExecAdmin(p *sim.Proc, sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
+	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.ID, SQHead: uint16(sqHead)}
+	cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
+	d.ctl.PostCQE(sq.CQID, cpl)
 }

@@ -65,10 +65,10 @@ func newHarnessOn(t *testing.T, env *sim.Env, cfg Config) *harness {
 	acq := mem.AllocPages(1)
 	h.sqs[0] = &hSQ{ring: nvme.Ring{Base: asq, Entries: qd, EntrySz: nvme.SQESize}}
 	h.cqs[0] = &hCQ{ring: nvme.Ring{Base: acq, Entries: qd, EntrySz: nvme.CQESize}, phase: true}
-	port.MMIOWrite(0, RegAQA, uint64(qd-1)<<16|uint64(qd-1))
-	port.MMIOWrite(0, RegASQ, asq)
-	port.MMIOWrite(0, RegACQ, acq)
-	port.MMIOWrite(0, RegCC, 1)
+	port.MMIOWrite(0, nvme.RegAQA, uint64(qd-1)<<16|uint64(qd-1))
+	port.MMIOWrite(0, nvme.RegASQ, asq)
+	port.MMIOWrite(0, nvme.RegACQ, acq)
+	port.MMIOWrite(0, nvme.RegCC, 1)
 	return h
 }
 

@@ -5,11 +5,6 @@
 // set must be byte-identical no matter how many workers ran the sweep.
 package trace_test
 
-//lint:file-ignore SA1019 The neutrality tests toggle observability on a
-// prebuilt Scenario.Config between two otherwise-identical runs, which
-// means writing the deprecated Config.Metrics field directly; the
-// bmstore.Option constructor path is covered by options_test.go.
-
 import (
 	"bytes"
 	"testing"
@@ -38,13 +33,14 @@ func TestMetricsDoNotPerturbDigests(t *testing.T) {
 		s := s
 		t.Run(name, func(t *testing.T) {
 			off, nOff := s.TraceDigest()
-			s.Config.Metrics = obs.NewRegistry()
+			reg := obs.NewRegistry()
+			s.Config = s.Config.With(bmstore.WithMetrics(reg))
 			on, nOn := s.TraceDigest()
 			if on != off || nOn != nOff {
 				t.Fatalf("metrics perturbed the trace:\n  off: %s (%d events)\n  on : %s (%d events)",
 					off, nOff, on, nOn)
 			}
-			if agg := s.Config.Metrics.SpanAggregate(); agg.Finished[obs.OpRead]+agg.Finished[obs.OpWrite] == 0 {
+			if agg := reg.SpanAggregate(); agg.Finished[obs.OpRead]+agg.Finished[obs.OpWrite] == 0 {
 				t.Fatal("metrics registry recorded no finished spans — neutrality test observed nothing")
 			}
 		})

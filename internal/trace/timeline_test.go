@@ -5,16 +5,12 @@
 // how many OS threads the Go runtime used.
 package trace_test
 
-//lint:file-ignore SA1019 The neutrality tests toggle observability on a
-// prebuilt Scenario.Config between two otherwise-identical runs, which
-// means writing the deprecated Config.Metrics field directly; the
-// bmstore.Option constructor path is covered by options_test.go.
-
 import (
 	"bytes"
 	"runtime"
 	"testing"
 
+	"bmstore"
 	"bmstore/internal/experiments"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
@@ -38,13 +34,14 @@ func TestTimelineDoesNotPerturbDigests(t *testing.T) {
 		s := s
 		t.Run(name, func(t *testing.T) {
 			off, nOff := s.TraceDigest()
-			s.Config.Metrics = obs.New(timelineOptions())
+			reg := obs.New(timelineOptions())
+			s.Config = s.Config.With(bmstore.WithMetrics(reg))
 			on, nOn := s.TraceDigest()
 			if on != off || nOn != nOff {
 				t.Fatalf("timeline recording perturbed the trace:\n  off: %s (%d events)\n  on : %s (%d events)",
 					off, nOff, on, nOn)
 			}
-			rec := s.Config.Metrics.Timeline()
+			rec := reg.Timeline()
 			if rec.Requests() == 0 {
 				t.Fatal("recorder observed no requests — neutrality test observed nothing")
 			}

@@ -9,11 +9,10 @@ import (
 )
 
 // Option composes observability and fault wiring onto a Config at testbed
-// construction: NewBMStoreTestbed(cfg, WithTrace(tr), WithFaults(rules...))
-// replaces poking the deprecated Config.Tracer / Config.Metrics /
-// Config.Faults fields directly. Options apply in order, so a later option
-// can override an earlier one; the struct fields keep delegating for one
-// release and are then removed.
+// construction: NewBMStoreTestbed(cfg, WithTrace(tr), WithFaults(rules...)).
+// Options are the only way to attach a tracer, a metrics registry or a fault
+// schedule. They apply in order, so a later option can override an earlier
+// one.
 type Option func(*Config)
 
 // With returns a copy of the configuration with opts applied. The
@@ -34,7 +33,7 @@ func (c Config) With(opts ...Option) Config {
 // digest (and optionally a human-readable dump). One tracer per rig — for
 // sweeps, hand out children of a trace.Set.
 func WithTrace(tr *trace.Tracer) Option {
-	return func(c *Config) { c.Tracer = tr }
+	return func(c *Config) { c.tracer = tr }
 }
 
 // WithMetrics attaches a metrics registry to the rig: every instrumented
@@ -43,7 +42,7 @@ func WithTrace(tr *trace.Tracer) Option {
 // a registry never changes simulated behaviour or trace digests. One
 // registry per rig — for sweeps, hand out children of an obs.Set.
 func WithMetrics(r *obs.Registry) Option {
-	return func(c *Config) { c.Metrics = r }
+	return func(c *Config) { c.metrics = r }
 }
 
 // WithFaults arms declarative fault rules on the rig (see internal/fault).
@@ -51,7 +50,7 @@ func WithMetrics(r *obs.Registry) Option {
 // are plain values — the same slice can seed any number of rigs, each of
 // which builds its own injector state.
 func WithFaults(rules ...fault.Rule) Option {
-	return func(c *Config) { c.Faults = append(c.Faults[:len(c.Faults):len(c.Faults)], rules...) }
+	return func(c *Config) { c.faults = append(c.faults[:len(c.faults):len(c.faults)], rules...) }
 }
 
 // WithTimeline enables sampled request-timeline recording and worst-K tail

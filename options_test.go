@@ -12,8 +12,8 @@ import (
 )
 
 // TestOptionsCompose checks the functional-options constructor: each With*
-// lands on the matching Config field, later options win, and nil options
-// are ignored.
+// lands on the matching (unexported) Config field, WithFaults accumulates,
+// and nil options are ignored.
 func TestOptionsCompose(t *testing.T) {
 	tr := trace.NewDigest()
 	reg := obs.NewRegistry()
@@ -25,26 +25,27 @@ func TestOptionsCompose(t *testing.T) {
 		WithFaults(rule),
 		nil,
 	)
-	if cfg.Tracer != tr {
-		t.Error("WithTrace did not set Config.Tracer")
+	if cfg.tracer != tr {
+		t.Error("WithTrace did not attach the tracer")
 	}
-	if cfg.Metrics != reg {
-		t.Error("WithMetrics did not set Config.Metrics")
+	if cfg.metrics != reg {
+		t.Error("WithMetrics did not attach the registry")
 	}
-	if len(cfg.Faults) != 1 || cfg.Faults[0].Point != fault.SSDMediaRead {
-		t.Errorf("WithFaults did not append the rule: %+v", cfg.Faults)
+	if len(cfg.faults) != 1 || cfg.faults[0].Point != fault.SSDMediaRead {
+		t.Errorf("WithFaults did not append the rule: %+v", cfg.faults)
 	}
 
 	// WithFaults appends; two applications accumulate.
 	cfg = cfg.With(WithFaults(rule))
-	if len(cfg.Faults) != 2 {
-		t.Errorf("second WithFaults should append, got %d rules", len(cfg.Faults))
+	if len(cfg.faults) != 2 {
+		t.Errorf("second WithFaults should append, got %d rules", len(cfg.faults))
 	}
 }
 
-// TestOptionsConstructor checks the wiring end to end: a testbed built with
-// options behaves as one with the (deprecated) fields set directly — same
-// trace digest, same attached observability.
+// TestOptionsConstructor checks the wiring end to end: a testbed built from
+// a Config with the options applied up front (Config.With, what sweep
+// drivers pass around) behaves as one handed the options at construction —
+// same trace digest, same attached observability.
 func TestOptionsConstructor(t *testing.T) {
 	run := func(tb *Testbed) {
 		tb.Run(func(p *sim.Proc) {
@@ -55,9 +56,7 @@ func TestOptionsConstructor(t *testing.T) {
 	}
 
 	trA, trB := trace.NewDigest(), trace.NewDigest()
-	cfgA := DefaultConfig()
-	cfgA.Tracer = trA // deprecated path, kept delegating for one release
-	tbA, err := NewBMStoreTestbed(cfgA)
+	tbA, err := NewBMStoreTestbed(DefaultConfig().With(WithTrace(trA)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestOptionsConstructor(t *testing.T) {
 	run(tbB)
 
 	if trA.Digest() != trB.Digest() {
-		t.Errorf("options-built testbed diverged from field-built: %s vs %s", trA.Digest(), trB.Digest())
+		t.Errorf("constructor options diverged from Config.With: %s vs %s", trA.Digest(), trB.Digest())
 	}
 	if tbB.Metrics() != nil {
 		t.Error("testbed without WithMetrics/WithTimeline reports a registry")

@@ -26,8 +26,12 @@ apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 # variants that run what the experiments and gates run: 512 I/Os in flight,
 # where commands queue for a die (DeepQueue), a digest tracer attached
 # (TracedThroughput), a fault injector armed but never firing
-# (ArmedFaultsThroughput), and always-on telemetry (SampledTimeline, where
-# every request carries a pooled timeline and 1-in-64 are retained).
+# (ArmedFaultsThroughput), always-on telemetry (SampledTimeline, where
+# every request carries a pooled timeline and 1-in-64 are retained), and
+# 128 KiB I/Os (LargeIO: a PRP list per command, built by the driver and
+# fetched and walked through the target controller's list reader in the
+# engine and again in the SSD, reads striped over four dies — 4 allocs/op
+# while the walker built an error per missed list page, 0 since).
 # Processes run on pooled coroutines, so a spawn costs its Proc and Done
 # event (ProcessSpawn: 2) and nothing else; the process benchmarks create
 # their coroutines in an untimed warm-up round. The application tier

@@ -4,9 +4,10 @@
 # Runs the kernel benchmarks (internal/sim: scheduler throughput at 64 and
 # at 4096 pending entries, process-sleep throughput, process spawn) and the
 # end-to-end I/O path benchmarks (root package: BenchmarkIOPathThroughput
-# bare at QD 8, the same loop 512 deep where commands queue for a die, and
-# under each thing the gates attach — a digest tracer, an armed fault
-# injector, sampled timelines) with -benchmem
+# bare at QD 8, the same loop 512 deep where commands queue for a die, at
+# 128 KiB per I/O where every command carries a PRP list, and under each
+# thing the gates attach — a digest tracer, an armed fault injector, sampled
+# timelines) with -benchmem
 # and compares each benchmark's allocs/op against the committed baseline in
 # scripts/bench_allocs_baseline.txt. The kernel free-lists events and pools
 # process coroutines, the fused data path pools every per-command carrier,
