@@ -14,7 +14,10 @@
 // way to check a result is not a seed artifact. Runs are independent
 // simulations, so -parallel M executes up to M of them concurrently;
 // stdout (results and digests, in seed order) is byte-identical for any M —
-// timing goes to stderr.
+// timing goes to stderr. A run that dies (a fault schedule that takes a drive
+// away for good fails tenant I/O, and fio stops at the first error) is
+// reported on stderr as one line naming the run, its seed and the error; the
+// other runs still report, and the exit status is 1.
 //
 // The observability and fault flags (-trace, -metrics, -timeline, -faults,
 // -chaos, ...) are the shared run-option surface of internal/cli, identical
@@ -98,19 +101,29 @@ func main() {
 	rig := func(i int) string { return fmt.Sprintf("run%04d", i) }
 	results := make([]*fio.Result, *runs)
 	injected := make([]uint64, *runs)
+	errs := make([]error, *runs)
 	start := time.Now()
 	experiments.NewPool(ropts.Parallel).Each(*runs, func(i int) {
 		cfg := bmstore.DefaultConfig()
 		cfg.Seed = *seed + int64(i)
 		cfg.NumSSDs = *ssds
-		results[i], injected[i] = runOne(cfg, run.RigOptions(rig(i)), run.DriverConfig(), *scheme, *ssds, spec)
+		results[i], injected[i], errs[i] = runOne(cfg, run.RigOptions(rig(i)), run.DriverConfig(), *scheme, *ssds, spec)
 	})
 	wall := time.Since(start).Seconds()
 
 	fmt.Printf("%s on %s (%d SSDs): bs=%d iodepth=%d numjobs=%d\n",
 		*rw, *scheme, *ssds, *bs, *iodepth, *numjobs)
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			fmt.Fprintf(os.Stderr, "fiosim: run %d (seed %d) failed: %v\n", i, *seed+int64(i), err)
+		}
+	}
 	if *runs == 1 {
-		printResult(results[0])
+		if failed == 0 {
+			printResult(results[0])
+		}
 		if ropts.Faults != "" {
 			fmt.Printf("  faults    : %d injected\n", injected[0])
 		}
@@ -120,15 +133,20 @@ func main() {
 		}
 	} else {
 		var sum, min, max float64
+		ok := 0 // runs that completed
 		for i, res := range results {
+			if res == nil {
+				continue // reported on stderr above
+			}
 			iops := res.IOPS()
 			sum += iops
-			if i == 0 || iops < min {
+			if ok == 0 || iops < min {
 				min = iops
 			}
-			if i == 0 || iops > max {
+			if ok == 0 || iops > max {
 				max = iops
 			}
+			ok++
 			line := fmt.Sprintf("  run %-3d seed %-6d: %8.0f IOPS  %8.1f MB/s  %6.1f us",
 				i, *seed+int64(i), iops, res.BandwidthMBs(), res.AvgLatencyUS())
 			if tr := run.Tracer(rig(i)); tr != nil {
@@ -136,9 +154,11 @@ func main() {
 			}
 			fmt.Println(line)
 		}
-		mean := sum / float64(*runs)
-		fmt.Printf("  IOPS mean : %.0f  (min %.0f, max %.0f, spread %.1f%%)\n",
-			mean, min, max, (max-min)/mean*100)
+		if ok > 0 {
+			mean := sum / float64(ok)
+			fmt.Printf("  IOPS mean : %.0f  (min %.0f, max %.0f, spread %.1f%%)\n",
+				mean, min, max, (max-min)/mean*100)
+		}
 		if ropts.Faults != "" {
 			var tot uint64
 			for _, n := range injected {
@@ -188,14 +208,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if failed > 0 {
+		run.Close() // os.Exit skips the deferred one
+		os.Exit(1)
+	}
 }
 
 // runOne builds the scheme's rig on a private environment — observability
 // and faults composed through opts — and runs spec. The second result is
-// the number of faults the rig's injector fired.
-func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, scheme string, ssds int, spec fio.Spec) (*fio.Result, uint64) {
-	var res *fio.Result
+// the number of faults the rig's injector fired. A run that dies inside the
+// simulation — fio panics on the first I/O error, which is what a fault
+// schedule that removes a drive for good ends in — comes back as an error
+// carrying the panic's message (it names the process and the status), with
+// whatever the injector had counted until then.
+func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, scheme string, ssds int, spec fio.Spec) (res *fio.Result, injected uint64, err error) {
 	var tbEnv *sim.Env
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("%v", r)
+		}
+		if tbEnv == nil {
+			return // the rig was never built
+		}
+		if err != nil {
+			tbEnv.Shutdown() // the panic skipped Testbed.Run's own
+		}
+		if flt := tbEnv.Faults(); flt != nil {
+			injected = flt.Injected()
+		}
+	}()
 	switch scheme {
 	case "native", "vfio", "spdk":
 		if scheme == "spdk" {
@@ -264,11 +305,7 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", scheme)
 		os.Exit(2)
 	}
-	var n uint64
-	if flt := tbEnv.Faults(); flt != nil {
-		n = flt.Injected()
-	}
-	return res, n
+	return res, 0, nil
 }
 
 func printResult(res *fio.Result) {

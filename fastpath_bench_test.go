@@ -65,7 +65,10 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 // flight on each of the tenant's first `queues` queue pairs, on a two-SSD rig
 // built with opts. The warm-up batch runs at the measured depth so the timed
 // region starts with every pool primed, every ring page touched, and the
-// queues already wrapped.
+// queues already wrapped. Besides time and allocations it reports the kernel
+// events fired per I/O over the timed region ("events/op"), which at a fixed
+// -benchtime is exact and repeats: make bench-gate pins it, so an observer or
+// a fault probe that starts scheduling shows there.
 func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 	const nsBlocks = 64 << 20 / 4096
 	// I/Os start 8 blocks apart (their own size apart once that is larger),
@@ -135,7 +138,9 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 		}
 		drain(4096)
 		b.ResetTimer()
+		events := env.Events()
 		drain(b.N)
 		b.StopTimer()
+		b.ReportMetric(float64(env.Events()-events)/float64(b.N), "events/op")
 	})
 }

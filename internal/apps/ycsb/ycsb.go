@@ -141,10 +141,13 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 	res := &Result{Workload: wl.Name, Duration: cfg.Duration}
 	end := p.Now() + cfg.Duration
 	inserted := cfg.Records
+	// The generator's constants depend on the key count alone and cost one
+	// math.Pow per key to compute: once per run, a copy per thread.
+	consts := zipfian(cfg.Records)
 	var done []*sim.Event
 	for th := 0; th < cfg.Threads; th++ {
 		rng := env.Rand(fmt.Sprintf("ycsb/%s/%s/%d", cfg.Seed, wl.Name, th))
-		zipf := NewZipfian(rng, cfg.Records)
+		zipf := consts.withRand(rng)
 		proc := env.Go(fmt.Sprintf("ycsb/%s/t%d", wl.Name, th), func(tp *sim.Proc) {
 			for tp.Now() < end {
 				k := nextKey(wl, rng, zipf, inserted)
@@ -239,13 +242,23 @@ type Zipfian struct {
 	eta   float64
 }
 
-func NewZipfian(rng *rand.Rand, n int) *Zipfian {
+func NewZipfian(rng *rand.Rand, n int) *Zipfian { return zipfian(n).withRand(rng) }
+
+// zipfian returns a generator over n keys that has its constants and no
+// random source yet.
+func zipfian(n int) Zipfian {
 	const theta = 0.99
-	z := &Zipfian{rng: rng, n: n, theta: theta}
+	z := Zipfian{n: n, theta: theta}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
 	return z
+}
+
+// withRand returns a copy of z that draws from rng.
+func (z Zipfian) withRand(rng *rand.Rand) *Zipfian {
+	z.rng = rng
+	return &z
 }
 
 func zeta(n int, theta float64) float64 {

@@ -5,6 +5,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/hostmem"
+	"bmstore/internal/nvmet"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -191,6 +192,10 @@ func (e *Engine) RegWrite(fn pcie.FuncID, off uint64, val uint64) {
 	}
 	e.funcs[fn].ctl.RegWrite(off, val)
 }
+
+// SinksReg implements pcie.RegSinker: every function is a stock NVMe
+// controller, whose CQ head doorbells change nothing.
+func (e *Engine) SinksReg(_ pcie.FuncID, off uint64) bool { return nvmet.SinksReg(off) }
 
 // Function returns the per-function state (for binding and monitoring).
 func (e *Engine) Function(fn pcie.FuncID) *function { return e.funcs[fn] }

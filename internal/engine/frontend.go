@@ -50,10 +50,14 @@ func (f *function) MayPost() bool { return !f.e.dead }
 // FetchStall implements nvmet.Owner; no fault point freezes the front end.
 func (f *function) FetchStall(uint16) sim.Time { return 0 }
 
-// StartIO implements nvmet.Owner: the command's Fig. 6 pipeline starts one
-// queue hop from now.
+// StartIO implements nvmet.Owner: the command's Fig. 6 pipeline starts here,
+// inside the controller's dispatch step. Its first stage books nothing the
+// queue's next SQE fetch books — it waits out MapLatency, or posts an error
+// CQE on the other direction of the host link, or rings a back-end doorbell
+// on another link — so running it before that fetch is booked rather than
+// one queue hop after moves no reservation.
 func (f *function) StartIO(sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
-	f.e.env.Schedule(0, f.e.getFeIO(f, sq, cmd, sqHead).startFn)
+	f.e.getFeIO(f, sq, cmd, sqHead).start()
 }
 
 // ExecAdmin implements nvmet.Owner: it services tenant-visible admin

@@ -52,7 +52,6 @@ type feIO struct {
 	subIdx    int
 	worst     nvme.Status
 
-	startFn       func()
 	mappedFn      func()
 	admittedFn    func(any)
 	walkFn        func()
@@ -70,7 +69,6 @@ func (e *Engine) getFeIO(f *function, sq *nvmet.SQ, cmd nvme.Command, sqHead uin
 		e.feIOFree = e.feIOFree[:n-1]
 	} else {
 		io = &feIO{e: e}
-		io.startFn = io.start
 		io.mappedFn = io.mapped
 		io.admittedFn = io.admitted
 		io.walkFn = io.walkAttempt

@@ -356,7 +356,17 @@ func (d *Driver) IRQ(vec int) {
 				d.ioc.Completed++
 			}
 			delete(q.wait, cpl.CID)
-			ev.Trigger(d.getCpl(cpl))
+			// An I/O waiter's first act on waking is to sleep the completion
+			// cost (ioAttempt), so it can be resumed right here and is back
+			// in the event queue before the next CQE is read: no entry just
+			// to wake it. An admin waiter carries straight on, and so would
+			// an I/O waiter under a zero-cost kernel profile; those queue,
+			// rather than run on inside this handler.
+			if q.id != 0 && d.completeLatency() > 0 {
+				ev.Fire(d.getCpl(cpl))
+			} else {
+				ev.Trigger(d.getCpl(cpl))
+			}
 		} else if q.zombie[cpl.CID] {
 			// Straggler completion for a timed-out command: nobody is
 			// waiting anymore, but the slot can go back into circulation.
@@ -581,10 +591,8 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	nBytes := int(blocks) * nvme.LBASize
 	// In-path submission cost.
 	sub := d.h.Kernel.SubmitLatency
-	comp := d.h.Kernel.CompleteLatency
 	if d.cfg.VM != nil {
 		sub += d.cfg.VM.ExtraSubmit
-		comp += d.cfg.VM.ExtraComplete
 	}
 	p.Sleep(sub)
 
@@ -660,7 +668,9 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	} else {
 		cpl = d.putCpl(p.Wait(ev).(*nvme.Completion))
 	}
-	p.Sleep(comp)
+	// The first thing a woken attempt does: IRQ resumes it in place on the
+	// strength of this.
+	p.Sleep(d.completeLatency())
 	if op == nvme.IORead && buf != nil && !cpl.Status.IsError() {
 		d.h.Mem.Read(q.buf[slot], buf)
 	}
@@ -675,6 +685,17 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	q.free = append(q.free, slot)
 	q.slots.Release()
 	return cpl.Status, false
+}
+
+// completeLatency is the in-path completion cost of one I/O: MSI to the
+// submitter's wake-up, plus interrupt injection when the driver runs in a
+// guest.
+func (d *Driver) completeLatency() sim.Time {
+	comp := d.h.Kernel.CompleteLatency
+	if d.cfg.VM != nil {
+		comp += d.cfg.VM.ExtraComplete
+	}
+	return comp
 }
 
 // abort issues an NVMe Abort for (sqid, cid) after a command timeout. It is

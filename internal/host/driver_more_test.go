@@ -1,6 +1,8 @@
 package host_test
 
 import (
+	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
+	"bmstore/internal/trace"
 )
 
 func TestDriverRejectsBadConfig(t *testing.T) {
@@ -112,5 +115,73 @@ func TestPerIOCPUReflectsVM(t *testing.T) {
 	bare := newNativeRig(t, host.CentOS("3.10.0"), nil, false)
 	if r.drv.BlockDev(0).PerIOCPU() <= bare.drv.BlockDev(0).PerIOCPU() {
 		t.Fatal("VM per-IO CPU should exceed bare metal")
+	}
+}
+
+// TestCompletionWakeUpQueuesOnlyWhenTheWaiterWouldRunOn: the interrupt
+// handler resumes an I/O waiter inside itself (sim.Event.Fire), which is
+// sound because the waiter's first act is to sleep the kernel's completion
+// cost. Under a profile whose completion cost is zero that sleep returns at
+// once and the process would carry on — return to its caller, submit again —
+// in the middle of the handler; there the wake-up must go through the event
+// queue as it always did. The kernel's own trace records tell the two apart:
+// at the instant the reader resumes from its wait, one queue entry fired
+// (the MSI delivery) or two (the delivery, then the wake-up).
+func TestCompletionWakeUpQueuesOnlyWhenTheWaiterWouldRunOn(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		comp  sim.Time
+		fires int
+	}{
+		{"completion cost 2.1us: resumed in place", 2100 * sim.Nanosecond, 1},
+		{"completion cost zero: queued", 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := host.CentOS("3.10.0")
+			k.CompleteLatency = tc.comp
+			r := newNativeRig(t, k, nil, false)
+			var dump bytes.Buffer
+			tr := trace.New(trace.Options{Dump: &dump})
+			r.env.SetTracer(tr) // after attach: the kernel's records only
+			var returned sim.Time
+			r.env.Go("reader", func(p *sim.Proc) {
+				if err := r.drv.BlockDev(0).ReadAt(p, 64, 1, nil); err != nil {
+					t.Error(err)
+				}
+				returned = p.Now()
+				p.Sleep(10) // keep the process's own Done event off that instant
+			})
+			r.env.Run()
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// The reader resumes to start, after its submit-cost sleep, and
+			// from its wait on the completion: the third resume is the one.
+			var at string
+			resumes := 0
+			lines := strings.Split(dump.String(), "\n")
+			for _, l := range lines {
+				if f := strings.Fields(l); len(f) > 2 && f[1] == "sim" && f[2] == "resume" && strings.HasSuffix(l, " reader") {
+					if resumes++; resumes == 3 {
+						at = f[0]
+					}
+				}
+			}
+			if at == "" {
+				t.Fatalf("reader resumed %d times, want at least 3", resumes)
+			}
+			fires := 0
+			for _, l := range lines {
+				if f := strings.Fields(l); len(f) > 2 && f[0] == at && f[1] == "sim" && f[2] == "fire" {
+					fires++
+				}
+			}
+			if fires != tc.fires {
+				t.Errorf("%d queue entries fired at t=%s ns, where the reader resumes from its wait; want %d", fires, at, tc.fires)
+			}
+			if woke, _ := strconv.ParseInt(at, 10, 64); returned != woke+tc.comp {
+				t.Errorf("ReadAt returned at %d, want %d ns after the wake-up at %d", returned, tc.comp, woke)
+			}
+		})
 	}
 }

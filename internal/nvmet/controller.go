@@ -142,6 +142,15 @@ func (c *Controller) RegWrite(off, val uint64) {
 	}
 }
 
+// SinksReg reports whether a write to BAR0 offset off is one the controller
+// discards in every state: a CQ head doorbell (see doorbell). Owners pass it
+// through as their pcie.RegSinker answer, so such a write costs its link
+// booking and no delivery event.
+func SinksReg(off uint64) bool {
+	_, isCQ, ok := nvme.DoorbellQueue(off)
+	return ok && isCQ
+}
+
 // enable brings the controller up with the admin queue pair described by
 // the configuration registers.
 func (c *Controller) enable() {
@@ -166,7 +175,9 @@ func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
 		return // doorbells to a dead controller are lost, as on hardware
 	}
 	if isCQ {
-		return // CQ head doorbell: nothing blocks on it in this model
+		// CQ head doorbell: nothing blocks on it in this model, which is
+		// what SinksReg tells the port — one that asks delivers none.
+		return
 	}
 	sq, ok := c.sqs[qid]
 	if !ok {
@@ -184,7 +195,9 @@ func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
 		return
 	}
 	// I/O queues are served by a continuation chain, starting one queue hop
-	// from now.
+	// from now: step books the SQE read on the link, and events already
+	// queued for this instant book theirs first. The hop is part of the
+	// timing model (TestFetchStartsOneHopAfterTheDoorbell).
 	if sq.stepFn == nil {
 		sq.stepFn, sq.decodedFn, sq.dispatchFn = sq.step, sq.decoded, sq.dispatch
 	}
@@ -232,6 +245,16 @@ func (sq *SQ) step() {
 	c.env.After(done-c.env.Now(), sq.decodedFn)
 }
 
+// decoded runs when the SQE has arrived and starts the controller's
+// per-command processing time. Nothing observes this instant — the entry was
+// copied when the read was booked, and nothing reads head before dispatch —
+// yet waiting out round trip and FetchLatency as one After from step is not
+// equivalent: dispatch's queue entry would then be pushed a round trip
+// earlier, ahead of every entry pushed meanwhile for the same nanosecond,
+// and what dispatch does (the next SQE read, the owner's first step) books
+// links those entries book too. One small traced rig in a hundred emits
+// different records that way (TestModelledBehaviourPinned carries two such
+// seeds), so the two waits stay two events.
 func (sq *SQ) decoded() {
 	sq.pendCmd = nvme.DecodeCommand(&sq.buf)
 	sq.head = sq.ring.Next(sq.head)
@@ -291,6 +314,9 @@ func (c *Controller) QueueAdmin(cmd nvme.Command) nvme.Status {
 
 // PostCQE writes one completion entry into CQ cqid upstream and raises the
 // interrupt for it once the write has landed (step 7 of the paper's Fig. 6).
+// The MSI books the link at that landing instant and not here: reserving its
+// slot now would put it ahead of every write posted in between
+// (TestInterruptBooksTheLinkWhenTheCQELands).
 func (c *Controller) PostCQE(cqid uint16, cpl nvme.Completion) {
 	if !c.owner.MayPost() {
 		return // the command is lost; the driver's timeout covers it

@@ -11,6 +11,7 @@ import (
 
 	"bmstore/internal/hostmem"
 	"bmstore/internal/nvme"
+	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
@@ -100,22 +101,34 @@ type rig struct {
 	c     *Controller
 	own   *fakeOwner
 	irqs  []irqRec
+	irqAt []sim.Time // arrival instant of each entry of irqs
+	regAt []sim.Time // arrival instant of every delivered register write
 	admin *hostQ
 	cid   uint16
 }
 
+// regDev is the device under the port, wired as the engine and the SSD wire
+// theirs: register writes go to the controller, and so does the question of
+// which ones need no delivery.
 type regDev struct{ r *rig }
 
 func (d regDev) RegWrite(fn pcie.FuncID, off, val uint64) {
+	d.r.regAt = append(d.r.regAt, d.r.env.Now())
 	if fn == testFn {
 		d.r.c.RegWrite(off, val)
 	}
 }
 
+func (d regDev) SinksReg(_ pcie.FuncID, off uint64) bool { return SinksReg(off) }
+
 const adminDepth = 8
 
-func newRig(t *testing.T) *rig {
+func newRig(t *testing.T) *rig { return newRigWith(t, nil) }
+
+// newRigWith builds the rig with a metrics registry attached (nil for none).
+func newRigWith(t *testing.T, met *obs.Registry) *rig {
 	r := &rig{t: t, env: sim.NewEnv(1), mem: hostmem.New(64 << 20)}
+	r.env.SetMetrics(met)
 	r.own = &fakeOwner{r: r, mayFetch: true, mayPost: true}
 	r.c = New(r.env, r.own, testFn, Config{
 		FetchLatency: 500 * sim.Nanosecond,
@@ -124,7 +137,10 @@ func newRig(t *testing.T) *rig {
 	})
 	link := pcie.NewLink(r.env, 4, 300*sim.Nanosecond)
 	r.port = pcie.Connect(r.env, link, pcie.NewRoot(r.env, r.mem),
-		func(fn pcie.FuncID, vec int) { r.irqs = append(r.irqs, irqRec{fn, vec}) }, nil, regDev{r})
+		func(fn pcie.FuncID, vec int) {
+			r.irqs = append(r.irqs, irqRec{fn, vec})
+			r.irqAt = append(r.irqAt, r.env.Now())
+		}, nil, regDev{r})
 	r.c.Attach(r.port)
 	r.admin = r.newQ(0, adminDepth)
 	r.enable()
@@ -217,7 +233,7 @@ func (r *rig) pair(id uint16, depth uint32) *hostQ {
 	if st := r.adminCmd(createSQ(q, id)); st != nvme.StatusSuccess {
 		r.t.Fatalf("create SQ %d: status %#x", id, st)
 	}
-	r.irqs = nil
+	r.irqs, r.irqAt = nil, nil
 	return q
 }
 
@@ -282,28 +298,79 @@ func TestDoorbellToUnknownOrDisabledQueueIgnored(t *testing.T) {
 	r := newRig(t)
 	q := r.pair(1, 8)
 	events := r.env.Events()
-	quiet := func(what string) {
+	quiet := func(what string, deliveries uint64) {
 		t.Helper()
 		r.env.Run()
 		if len(r.own.started) != 0 || len(r.irqs) != 0 {
 			t.Fatalf("%s: started %v, interrupts %v; want nothing", what, r.startedCIDs(), r.irqs)
 		}
-		// Each doorbell is one MMIO delivery event and must cause no other.
-		if events++; r.env.Events() != events {
+		// A posted write is one MMIO delivery event and must cause no other.
+		if events += deliveries; r.env.Events() != events {
 			t.Fatalf("%s: %d events, want %d (the MMIO delivery alone)", what, r.env.Events(), events)
 		}
 	}
 	r.port.MMIOWrite(testFn, nvme.SQDoorbell(9), 3)
-	quiet("SQ doorbell of a queue that does not exist")
-	r.port.MMIOWrite(testFn, nvme.CQDoorbell(1), 3)
-	quiet("CQ head doorbell")
+	quiet("SQ doorbell of a queue that does not exist", 1)
+	// A CQ head doorbell is not delivered at all by a port whose device
+	// answers SinksReg (next test); one that reaches the controller anyway
+	// is discarded, and never mistaken for the SQ doorbell of the same id.
+	r.c.RegWrite(nvme.CQDoorbell(1), 3)
+	quiet("CQ head doorbell handed straight to the controller", 0)
 	r.push(q, nvme.Command{Opcode: ioOp})
 	r.port.MMIOWrite(testFn, nvme.RegCC, 0)
-	quiet("disable")
+	quiet("disable", 1)
 	r.ring(q)
-	quiet("SQ doorbell of a disabled controller")
+	quiet("SQ doorbell of a disabled controller", 1)
 	r.port.MMIOWrite(testFn, 0x40, 1)
-	quiet("write to a register the model does not have")
+	quiet("write to a register the model does not have", 1)
+}
+
+// TestCQHeadDoorbellTakesTheLinkAndNoEvent: the controller discards a CQ
+// head doorbell in every state, says so through SinksReg, and the port then
+// delivers none — the reaper's write still occupies the link and counts in
+// its byte counter exactly as a delivered write does, which a twin rig that
+// posts an (ignored, but delivered) SQ doorbell instead shows.
+func TestCQHeadDoorbellTakesTheLinkAndNoEvent(t *testing.T) {
+	post := func(off uint64, n int) (events uint64, delivered int, downBytes uint64, nextDMA sim.Time) {
+		r := newRigWith(t, obs.NewRegistry())
+		r.pair(1, 8)
+		e0, w0 := r.env.Events(), len(r.regAt)
+		down := r.env.Metrics().Component("pcie/link0").Counter("down_bytes")
+		b0 := down.Value()
+		for i := 0; i < n; i++ {
+			r.port.MMIOWrite(testFn, off, uint64(i))
+		}
+		downBytes = down.Value() - b0
+		// What the next transfer on the same direction of the link sees: a
+		// page, so that the wire and not the memory sets its time.
+		nextDMA = r.port.DMARead(r.mem.AllocPages(1), nvme.PageSize, nil) - r.env.Now()
+		r.env.Run()
+		if len(r.own.started) != 0 || len(r.irqs) != 0 {
+			t.Fatalf("offset %#x: started %v, interrupts %v; want nothing", off, r.startedCIDs(), r.irqs)
+		}
+		return r.env.Events() - e0, len(r.regAt) - w0, downBytes, nextDMA
+	}
+	_, _, _, idle := post(0, 0)
+	sqEvents, sqDelivered, sqBytes, sqNext := post(nvme.SQDoorbell(9), 3)
+	cqEvents, cqDelivered, cqBytes, cqNext := post(nvme.CQDoorbell(1), 3)
+	if sqEvents != 3 || sqDelivered != 3 {
+		t.Fatalf("three SQ doorbells: %d events, %d deliveries; want 3 and 3", sqEvents, sqDelivered)
+	}
+	if cqEvents != 0 || cqDelivered != 0 {
+		t.Fatalf("three CQ head doorbells: %d events, %d deliveries; want none", cqEvents, cqDelivered)
+	}
+	if cqBytes != sqBytes || cqBytes != 3*uint64(pcie.WireBytes(4)) {
+		t.Fatalf("down_bytes moved %d for CQ doorbells and %d for SQ doorbells, want %d for both", cqBytes, sqBytes, 3*pcie.WireBytes(4))
+	}
+	if cqNext != sqNext || cqNext <= idle {
+		t.Fatalf("a page read behind the doorbells takes %d ns (CQ) and %d ns (SQ), %d ns on an idle link: a sunk write must book the link like a delivered one",
+			cqNext, sqNext, idle)
+	}
+	for _, off := range []uint64{nvme.SQDoorbell(0), nvme.SQDoorbell(7), nvme.RegCC, nvme.RegAQA, 0x40} {
+		if SinksReg(off) {
+			t.Errorf("SinksReg(%#x) = true: only CQ head doorbells are discarded in every state", off)
+		}
+	}
 }
 
 // TestRingWrapAndPhaseFlip runs 14 commands — three and a half laps — through
@@ -621,5 +688,89 @@ func TestPRPWalkWarmAllocatesNothing(t *testing.T) {
 	}
 	if attempts != 2*101 || len(segs) != n/nvme.PageSize {
 		t.Fatalf("%d attempts and %d segments over 101 walks, want one miss and one hit each", attempts, len(segs))
+	}
+}
+
+// The two tests below pin hop positions that are part of the timing model
+// (DESIGN.md §11, "what stays and why"): each looks like a wasted event and
+// is not, because something else queued for the same instant books the same
+// direction of the link in between. Both build that coincidence and read the
+// booking order off completion times.
+
+// TestFetchStartsOneHopAfterTheDoorbell: an SQ doorbell's delivery only
+// latches the queue and schedules the fetch; the SQE read is booked one
+// queue hop later. An event already queued for the delivery instant
+// therefore books the downstream direction first, and the SQE fetch queues
+// behind it. (Running step inside the doorbell books the SQE first: the
+// page read below then completes late by the SQE's wire time.)
+func TestFetchStartsOneHopAfterTheDoorbell(t *testing.T) {
+	// run rings one command in and, when at is not negative, queues a page
+	// read on the same port for that instant right after the ring. It
+	// returns the doorbell's arrival, the read's completion and the dispatch.
+	run := func(at sim.Time) (doorbell, pageDone, dispatch sim.Time) {
+		r := newRig(t)
+		q := r.pair(1, 8)
+		page := r.mem.AllocPages(1)
+		r.push(q, nvme.Command{Opcode: ioOp})
+		regs := len(r.regAt)
+		r.ring(q)
+		if at >= 0 {
+			r.env.Schedule(at-r.env.Now(), func() { pageDone = r.port.DMARead(page, nvme.PageSize, nil) })
+		}
+		r.env.Run()
+		if len(r.own.started) != 1 || len(r.regAt) != regs+1 {
+			t.Fatalf("fetched %v after %d register writes, want one command and one doorbell", r.startedCIDs(), len(r.regAt)-regs)
+		}
+		return r.regAt[regs], pageDone, r.own.started[0].at
+	}
+	arrival, _, alone := run(-1)
+	idle := newRig(t)
+	pageTime := idle.port.DMARead(idle.mem.AllocPages(1), nvme.PageSize, nil) - idle.env.Now()
+
+	again, pageDone, behind := run(arrival)
+	if again != arrival {
+		t.Fatalf("doorbell arrived at %d, then at %d on a twin rig", arrival, again)
+	}
+	if got := pageDone - arrival; got != pageTime {
+		t.Errorf("a page read queued for the doorbell's instant took %d ns, %d ns on an idle link: the SQE fetch was booked ahead of it, at the doorbell", got, pageTime)
+	}
+	if behind <= alone {
+		t.Errorf("dispatch at %d with the link busy, %d without: the SQE fetch did not queue behind the page read", behind, alone)
+	}
+}
+
+// TestInterruptBooksTheLinkWhenTheCQELands: PostCQE books the CQE write and
+// nothing else; the MSI books the upstream direction at the instant the CQE
+// lands. A posted write that follows the CQE onto the link therefore goes
+// out right behind it, and the interrupt behind that write. (Booking the
+// MSI when the CQE is posted reserves its slot early: the write below then
+// lands late by the MSI's wire time, and the interrupt overtakes it.)
+func TestInterruptBooksTheLinkWhenTheCQELands(t *testing.T) {
+	r := newRig(t)
+	q := r.pair(1, 8)
+	page := r.mem.AllocPages(1)
+
+	// What a CQE-sized write followed at once by a page write costs on an
+	// idle link, measured on a twin port.
+	twin := newRig(t)
+	twin.port.DMAWrite(twin.mem.AllocPages(1), nvme.CQESize, nil)
+	want := twin.port.DMAWrite(twin.mem.AllocPages(1), nvme.PageSize, nil) - twin.env.Now()
+
+	var posted, pageDone sim.Time
+	r.env.Schedule(sim.Microsecond, func() {
+		posted = r.env.Now()
+		r.c.PostCQE(q.id, nvme.Completion{CID: 1, SQID: q.id})
+	})
+	// Queued for the same instant, after the post and before the interrupt.
+	r.env.Schedule(sim.Microsecond, func() { pageDone = r.port.DMAWrite(page, nvme.PageSize, nil) })
+	r.env.Run()
+	if len(r.irqs) != 1 || len(r.reap(q)) != 1 {
+		t.Fatalf("%d interrupts, want one with its CQE", len(r.irqs))
+	}
+	if got := pageDone - posted; got != want {
+		t.Errorf("a page write posted behind the CQE landed after %d ns, want %d: something else was booked between them", got, want)
+	}
+	if r.irqAt[0] <= pageDone {
+		t.Errorf("interrupt at %d, page write landed at %d: the MSI was booked before the CQE had landed", r.irqAt[0], pageDone)
 	}
 }

@@ -150,6 +150,16 @@ type RegDevice interface {
 	RegWrite(fn FuncID, offset uint64, val uint64)
 }
 
+// RegSinker is an optional companion to RegDevice. A device that discards
+// writes to some register in every state it can be in — nothing it does or
+// records depends on the write arriving — says so here, and the port then
+// books the write on the link like any other but schedules no delivery for
+// it. The answer must be a pure function of the arguments; a port asks on
+// every posted write.
+type RegSinker interface {
+	SinksReg(fn FuncID, offset uint64) bool
+}
+
 // VDMHandler receives PCIe vendor-defined messages (the MCTP transport).
 type VDMHandler interface {
 	VDMReceive(pkt []byte)
@@ -165,6 +175,7 @@ type Port struct {
 	irq      func(fn FuncID, vector int)
 	vdmUp    func(pkt []byte)
 	dev      RegDevice
+	sink     RegSinker // dev's RegSinker side, or nil
 
 	// Free lists for in-flight doorbell and interrupt deliveries. A port is
 	// single-threaded (it belongs to one Env), so plain slices suffice. Each
@@ -236,7 +247,8 @@ func Connect(env *sim.Env, link *Link, upstream DMATarget, irq func(FuncID, int)
 	if link == nil {
 		panic("pcie: nil link")
 	}
-	return &Port{env: env, link: link, upstream: upstream, irq: irq, vdmUp: vdmUp, dev: dev}
+	sink, _ := dev.(RegSinker)
+	return &Port{env: env, link: link, upstream: upstream, irq: irq, vdmUp: vdmUp, dev: dev, sink: sink}
 }
 
 // Link returns the underlying link (for tests and monitors).
@@ -250,13 +262,18 @@ func (pt *Port) SetIRQ(fn func(FuncID, int)) { pt.irq = fn }
 // --- Host-side operations (called by whatever is above the link) ---
 
 // MMIOWrite posts a register write to the device function. Posted writes do
-// not block the caller; the device sees the write after the wire delay.
+// not block the caller; the device sees the write after the wire delay. A
+// write the device sinks (RegSinker) occupies the link all the same and is
+// then dropped at the far end, which takes no event.
 func (pt *Port) MMIOWrite(fn FuncID, offset uint64, val uint64) {
 	if pt.dev == nil {
 		panic("pcie: MMIO write to port with no device")
 	}
 	pt.link.mDown.AddAt(int64(pt.env.Now()), uint64(WireBytes(4)))
 	done := pt.link.toDev.Reserve(WireBytes(4))
+	if pt.sink != nil && pt.sink.SinksReg(fn, offset) {
+		return
+	}
 	delay := done - pt.env.Now() + pt.link.Latency
 	m := pt.newMMIO()
 	m.fn, m.off, m.val = fn, offset, val

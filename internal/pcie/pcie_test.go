@@ -66,6 +66,42 @@ func TestMMIOWriteIsPostedAndDelayed(t *testing.T) {
 	}
 }
 
+// sinkAbove is a RegDevice that sinks every register at or above an offset.
+type sinkAbove struct {
+	regSink
+	from uint64
+}
+
+func (s *sinkAbove) SinksReg(_ FuncID, off uint64) bool { return off >= s.from }
+
+// TestSunkRegisterWriteBooksTheLinkAndDeliversNothing: a write the device
+// says it discards (RegSinker) occupies the downstream direction like any
+// other posted write, and then costs no event and no RegWrite call.
+func TestSunkRegisterWriteBooksTheLinkAndDeliversNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	dev := &sinkAbove{from: 0x2000}
+	pt := Connect(env, NewLink(env, 4, 300*sim.Nanosecond), NewRoot(env, hostmem.New(1<<24)), nil, nil, dev)
+	behind := func(off uint64) sim.Time {
+		for i := 0; i < 4; i++ {
+			pt.MMIOWrite(0, off, uint64(i))
+		}
+		took := pt.DMARead(0x8000, 4096, nil) - env.Now()
+		env.RunUntil(env.Now() + 10*sim.Microsecond) // drain link and queue
+		return took
+	}
+	delivered := behind(0x1000)
+	if len(dev.writes) != 4 || env.Events() != 4 {
+		t.Fatalf("delivered register: %d writes in %d events, want 4 in 4", len(dev.writes), env.Events())
+	}
+	sunk := behind(0x2000)
+	if len(dev.writes) != 4 || env.Events() != 4 {
+		t.Fatalf("sunk register: %d writes and %d events in all, want the first four only", len(dev.writes), env.Events())
+	}
+	if sunk != delivered {
+		t.Fatalf("a page read behind four writes took %d ns when they were sunk, %d ns when delivered", sunk, delivered)
+	}
+}
+
 func TestDMAWriteLandsInHostMemory(t *testing.T) {
 	env, root, pt, _ := testRig(t)
 	data := []byte("zero-copy path")

@@ -35,6 +35,31 @@ func (ev *Event) TriggerDelayed(delay Time, val any) {
 	ev.env.push(ev.env.now+delay, ev)
 }
 
+// Fire fires the event now, inside the call, instead of queueing a
+// zero-delay entry for it as Trigger does: callbacks run, then the waiting
+// processes resume one after another in the order they began to wait, each
+// running until it next blocks or returns; a pooled event is recycled; and
+// Wait, WaitAny and WaitTimeout see exactly what they see after Trigger (a
+// WaitAny loser is detached, a WaitTimeout winner aborts its timer). It
+// costs no kernel event. Firing an event that was already triggered, fired
+// or aborted is a no-op.
+//
+// The caller must be in scheduler context — a Schedule callback or an event
+// callback, never a process — and must be indifferent to what the woken
+// code does before it yields, because that code now runs in the middle of
+// the caller rather than after it and after everything else already queued
+// for this instant. The safe shape is a waiter whose first act on waking is
+// to block again (a Sleep that models the wake-up's own cost): it is back in
+// the queue before Fire returns, and only the position of that next entry
+// among same-instant ones differs from Trigger's.
+func (ev *Event) Fire(val any) {
+	if ev.pending || ev.processed {
+		return
+	}
+	ev.val = val
+	ev.env.fire(ev)
+}
+
 // Abort permanently prevents an untriggered event from firing. Processes
 // already waiting stay blocked (use control messages, not Abort, to wake
 // them); it mainly stops stale timeouts from running callbacks.

@@ -272,6 +272,9 @@ func (d *SSD) Namespaces() []uint32 {
 // surface of the controller.
 func (d *SSD) RegWrite(_ pcie.FuncID, off uint64, val uint64) { d.ctl.RegWrite(off, val) }
 
+// SinksReg implements pcie.RegSinker: CQ head doorbells change nothing.
+func (d *SSD) SinksReg(_ pcie.FuncID, off uint64) bool { return nvmet.SinksReg(off) }
+
 // MayFetch implements nvmet.Owner: a controller that is resetting, or a
 // surprise-removed device, accepts no doorbells and fetches no SQEs.
 func (d *SSD) MayFetch() bool { return !d.resetting && !d.gone() }
@@ -299,7 +302,11 @@ func (d *SSD) FetchStall(sqid uint16) sim.Time {
 }
 
 // StartIO implements nvmet.Owner: the command's state machine (io.go) starts
-// one queue hop from now.
+// one queue hop from now. The hop is part of the timing model, not slack: the
+// command's first step books payload DMAs on this SSD's link, and whatever is
+// already queued for this instant — the controller's own next SQE fetch, a
+// doorbell the host adaptor is about to post — books it first
+// (TestCommandStartsOneHopAfterDispatch).
 func (d *SSD) StartIO(sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) {
 	d.env.Schedule(0, d.getIO(sq, cmd, sqHead).startFn)
 }

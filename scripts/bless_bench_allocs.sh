@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Re-bless scripts/bench_allocs_baseline.txt (`make bench-baseline`): rerun
 # the gated benchmarks at the gate's own benchtimes and rewrite the baseline
-# from what they report. Use after an intentional allocation change — the
+# from what they report — allocs/op, and events/op for the benchmarks that
+# report it. Use after an intentional allocation change — the
 # diff the commit carries IS the written justification the baseline header
 # asks for.
 set -euo pipefail
@@ -14,7 +15,8 @@ apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 
 {
 	cat <<'EOF'
-# allocs/op ceilings for the hot-path benchmarks, checked by
+# allocs/op ceilings for the hot-path benchmarks — and, where a row has a
+# third column, events/op ceilings — checked by
 # scripts/check_bench_allocs.sh (make bench-gate, CI).
 #
 # The event free-list, the Schedule callback fast path and the timing
@@ -39,8 +41,13 @@ apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 # BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A guest and
 # a minidb + sysbench guest, 20x — is pinned at its measured allocs/op plus
 # 5 %, rounded up: a ceiling against a per-row or per-record allocation
-# coming back. Raising these numbers needs a written justification;
-# regenerate with `make bench-baseline`.
+# coming back. The six BenchmarkIOPath rows carry a second ceiling: kernel
+# events fired per I/O over the timed region (the benchmark's events/op,
+# exact and repeatable at the gate's fixed -benchtime), at their measured
+# values — a fused event that comes apart again, or an observer or fault
+# probe that starts scheduling, shows there in seconds (DESIGN.md §11 has
+# the event list these numbers come from). Raising any of these numbers
+# needs a written justification; regenerate with `make bench-baseline`.
 EOF
 	printf '%s\n%s\n%s\n' "$sim" "$io" "$apps" | awk '
 		$1 ~ /^Benchmark/ {
@@ -48,7 +55,9 @@ EOF
 			sub(/-[0-9]+$/, "", name)
 			n = $(NF-1)
 			if (name == "BenchmarkAppsMixedRound") n = int((n * 105 + 99) / 100)
-			print name, n
+			events = ""
+			for (i = 2; i < NF; i++) if ($(i+1) == "events/op") events = " " $i
+			print name, n events
 		}'
 } > "$baseline"
 echo "bench-baseline: wrote $baseline:"

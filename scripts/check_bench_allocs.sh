@@ -23,6 +23,13 @@
 # allocates by design (rows, values, page buffers), so its ceiling guards
 # against a per-row or per-record allocation coming back, not against any.
 #
+# The I/O path benchmarks also report events/op — kernel events fired per I/O
+# over the timed region — and a baseline row with a third column pins that
+# too. The simulation is seeded and the benchtime fixed, so the number is
+# exact: it moves only when the data path fires a different number of events
+# per command, which is what the gate is for (a fusion undone, an observer or
+# a fault probe that starts scheduling).
+#
 # Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
@@ -42,7 +49,7 @@ out+=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 echo "$out"
 
 status=0
-while read -r name allowed; do
+while read -r name allowed events; do
     case "$name" in ''|\#*) continue ;; esac
     # Exact name, with or without go test's -<procs> suffix: a prefix match
     # would count BenchmarkFoo and BenchmarkFooBar under one baseline line.
@@ -57,6 +64,17 @@ while read -r name allowed; do
         status=1
     else
         echo "bench-gate: ok   $name allocs/op = $got (baseline $allowed)"
+    fi
+    [ -n "$events" ] || continue
+    got=$(printf '%s\n' "$out" | awk -v n="$name" '{ b = $1; sub(/-[0-9]+$/, "", b) } b == n { for (i = 2; i < NF; i++) if ($(i+1) == "events/op") print $i }')
+    if [ -z "$got" ]; then
+        echo "bench-gate: benchmark $name reported no events/op" >&2
+        status=1
+    elif awk -v g="$got" -v a="$events" 'BEGIN { exit !(g + 0 > a + 0) }'; then
+        echo "bench-gate: FAIL $name events/op = $got, baseline $events" >&2
+        status=1
+    else
+        echo "bench-gate: ok   $name events/op = $got (baseline $events)"
     fi
 done < "$baseline"
 exit $status

@@ -5,6 +5,10 @@
 # timeout/abort/retry machinery absorbs every fault — report a nonzero
 # injected count, and print byte-identical results and trace digests for
 # any -parallel value.
+#
+# A second case pins what a schedule the driver cannot absorb looks like: the
+# only drive dropped for good fails tenant I/O, and fiosim must say so in one
+# line per run on stderr and exit 1 — no panic, no goroutine dump.
 set -euo pipefail
 
 SPEC='ssd-stall,t=10ms,dur=8ms;media-slow,nth=50,count=-1,dur=1ms'
@@ -30,4 +34,17 @@ if ! echo "$out_serial" | grep -Eq 'faults +: [1-9][0-9]* injected'; then
 	echo "expected a nonzero injected-fault count" >&2
 	exit 1
 fi
+# shellcheck disable=SC2086
+if dead_err=$(go run ./cmd/fiosim $ARGS -faults 'ssd-drop,t=5ms,target=PHLJ0000' -parallel 1 2>&1 >/dev/null); then
+	echo "a run whose only drive is dropped exited 0" >&2
+	exit 1
+fi
+dead_err=$(echo "$dead_err" | grep -v '^exit status' | grep -v 'simulated in' || true)
+if [ "$(echo "$dead_err" | grep -c '^fiosim: run [01] (seed 4[23]) failed: .*I/O error')" != 2 ] ||
+	[ "$(echo "$dead_err" | wc -l)" != 2 ]; then
+	echo "expected one 'fiosim: run N (seed S) failed: ...' line per dead run and nothing else, got:" >&2
+	echo "$dead_err" >&2
+	exit 1
+fi
+echo "$dead_err"
 echo "fault smoke OK"
