@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fuzz-smoke race race-runner lint gates determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test fuzz-smoke race race-runner lint gates modelpin-diff determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -10,20 +10,22 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the four targets: the event
-# queue's fire order against a sorted reference (internal/sim
-# FuzzFireOrder), the two on-disk decoders against hostile pages and record
-# streams, each differentially against the copying decoder it replaced
-# (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), and the target
-# controller's PRP-list fetch against a one-shot walk over resident memory,
-# on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch). The
-# committed corpora under testdata/fuzz already run as part of `make test`;
-# this looks for new inputs.
+# Ten seconds of native fuzzing, split over the five targets: the event
+# queue's fire order against a sorted reference and Env.Rand's stream
+# against math/rand's under any seed and draw program (internal/sim
+# FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
+# pages and record streams, each differentially against the copying decoder
+# it replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), and the
+# target controller's PRP-list fetch against a one-shot walk over resident
+# memory, on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch).
+# The committed corpora under testdata/fuzz already run as part of
+# `make test`; this looks for new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 3s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime 2s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 2s ./internal/apps/minidb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 2s ./internal/apps/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 3s ./internal/nvmet
+	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 2s ./internal/nvmet
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.
@@ -64,6 +66,17 @@ determinism:
 # per-gate logs. With figures-gate and bench-gate this is the full check
 # that a change to the data path moved no virtual nanosecond and no alloc.
 gates: determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke
+
+# Timing-neutrality against another commit, beyond what pinned seeds and
+# goldens see: TestModelledBehaviourPinned's rigs at seeds 1..SEEDS on this
+# tree and on REF (unpacked into a temporary directory), every logged
+# records:hash compared; non-zero exit on any difference. ~0.1 s per rig and
+# side — a few minutes at the default 400 seeds. Run it before claiming that
+# a change to the kernel or the data path moves no modelled time.
+SEEDS ?= 400
+modelpin-diff:
+	@test -n "$(REF)" || { echo "usage: make modelpin-diff REF=<commit> [SEEDS=400]"; exit 2; }
+	bash scripts/modelpin_diff.sh "$(REF)" "$(SEEDS)"
 
 # Fault-injection smoke: a faulted fiosim run must complete (the driver's
 # timeout/retry recovery absorbs the injections), count them, and stay

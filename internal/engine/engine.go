@@ -100,6 +100,9 @@ type Engine struct {
 	hostPort *pcie.Port
 	chip     *hostmem.Memory
 	free     []uint64 // recycled chip-memory pages for PRP lists
+	// listScratch is where one global-PRP list page is encoded before it is
+	// stored in chip memory (buildGlobalPRPs).
+	listScratch [hostmem.PageSize]byte
 
 	feIOFree []*feIO // free list of data-path command records (pipeline.go)
 
@@ -217,18 +220,6 @@ func (e *Engine) allocChipPage() uint64 {
 func (e *Engine) freeChipPages(pages []uint64) {
 	e.free = append(e.free, pages...)
 }
-
-// chipWriter adapts chip memory for nvme.BuildPRPs-style list writing.
-type chipWriter struct{ e *Engine }
-
-func (w chipWriter) AllocPages(n int) uint64 {
-	if n != 1 {
-		panic("engine: chip PRP lists are built page by page")
-	}
-	return w.e.allocChipPage()
-}
-
-func (w chipWriter) WriteU64(addr uint64, v uint64) { w.e.chip.WriteU64(addr, v) }
 
 // --- DMA request routing (the zero-copy mechanism) ---
 

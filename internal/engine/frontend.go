@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"bmstore/internal/nvme"
 	"bmstore/internal/nvmet"
@@ -165,6 +166,8 @@ func (f *function) simpleSub(cmd nvme.Command, extents []Extent, nBytes int, sub
 // caller's subs/lists slices (pass nil for fresh ones) and returns the
 // per-extent scratch segment slice for reuse; it consumes no virtual time.
 func (f *function) assembleSubs(segs []nvme.Segment, extents []Extent, subs []subCommand, lists []uint64, extScratch []nvme.Segment) ([]subCommand, []uint64, []nvme.Segment) {
+	// An extent's share of the transfer is at most all of its segments.
+	extScratch = slices.Grow(extScratch[:0], len(segs))
 	segIdx, segOff := 0, 0
 	for _, ext := range extents {
 		extBytes := int(ext.Blocks) * int(f.ns.blockSize)
@@ -195,8 +198,11 @@ func (f *function) assembleSubs(segs []nvme.Segment, extents []Extent, subs []su
 }
 
 // buildGlobalPRPs lays tagged segments out as PRP1/PRP2, writing a chained
-// global-PRP list into chip memory when more than two entries are needed.
-// Allocated list pages are appended to lists.
+// global-PRP list into chip memory when more than two entries are needed:
+// each list page is encoded in the engine's scratch and stored with one
+// write of exactly the entries it holds, chain pointer included, so what a
+// recycled page held beyond them stays. Allocated list pages are appended to
+// lists.
 func (f *function) buildGlobalPRPs(segs []nvme.Segment, lists []uint64) (uint64, uint64, []uint64) {
 	prp1 := EncodeGlobalPRP(f.id, segs[0].Addr, false)
 	if len(segs) == 1 {
@@ -205,23 +211,28 @@ func (f *function) buildGlobalPRPs(segs []nvme.Segment, lists []uint64) (uint64,
 	if len(segs) == 2 {
 		return prp1, EncodeGlobalPRP(f.id, segs[1].Addr, false), lists
 	}
-	const perList = nvme.PageSize / 8
-	listAddr := f.e.allocChipPage()
-	lists = append(lists, listAddr)
-	prp2 := listAddr | ChipMemFlag // list pointer into chip memory
-	cur := listAddr
-	slot := 0
-	rest := segs[1:]
-	for i, s := range rest {
-		if slot == perList-1 && len(rest)-i > 1 {
-			next := f.e.allocChipPage()
+	e := f.e
+	cur := e.allocChipPage()
+	lists = append(lists, cur)
+	prp2 := cur | ChipMemFlag // list pointer into chip memory
+	for rest := segs[1:]; len(rest) > 0; {
+		// A page takes all that is left if it fits, else one entry fewer
+		// than it holds and a pointer to the next page.
+		k, next := len(rest), uint64(0)
+		if k > nvme.PRPsPerList {
+			k = nvme.PRPsPerList - 1
+			next = e.allocChipPage()
 			lists = append(lists, next)
-			f.e.chip.WriteU64(cur+uint64(slot)*8, next|ChipMemFlag)
-			cur = next
-			slot = 0
 		}
-		f.e.chip.WriteU64(cur+uint64(slot)*8, EncodeGlobalPRP(f.id, s.Addr, false))
-		slot++
+		page := e.listScratch[:0]
+		for _, s := range rest[:k] {
+			page = binary.LittleEndian.AppendUint64(page, EncodeGlobalPRP(f.id, s.Addr, false))
+		}
+		if next != 0 {
+			page = binary.LittleEndian.AppendUint64(page, next|ChipMemFlag)
+		}
+		e.chip.Write(cur, page)
+		rest, cur = rest[k:], next
 	}
 	return prp1, prp2, lists
 }

@@ -13,6 +13,8 @@ package engine
 // per-command records come from free lists.
 
 import (
+	"slices"
+
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/nvmet"
@@ -190,6 +192,7 @@ func (io *feIO) admitted(any) {
 		io.forward()
 		return
 	}
+	io.scratch = slices.Grow(io.scratch[:0], nvme.PagesSpanned(io.cmd.PRP1, io.nBytes))
 	io.walkAttempt()
 }
 

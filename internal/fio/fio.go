@@ -6,6 +6,7 @@ package fio
 
 import (
 	"fmt"
+	"strconv"
 
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
@@ -101,6 +102,31 @@ func (r *Result) AvgLatencyUS() float64 {
 	return sum / float64(n) / 1e3
 }
 
+// streamName appends the name of worker w of job j's random stream,
+// "fio/<seed>/<name>/j<J>/w<W>", to b. Env.Rand hashes the name, so every
+// byte of it is part of every fio result.
+func (spec *Spec) streamName(b []byte, j, w int) []byte {
+	b = append(b, "fio/"...)
+	b = append(b, spec.Seed...)
+	b = append(b, '/')
+	b = append(b, spec.Name...)
+	b = append(b, "/j"...)
+	b = strconv.AppendInt(b, int64(j), 10)
+	b = append(b, "/w"...)
+	return strconv.AppendInt(b, int64(w), 10)
+}
+
+// procName appends the worker's process name, "fio/<name>/j<J>.<W>" (trace
+// digests fold spawn names), to b.
+func (spec *Spec) procName(b []byte, j, w int) []byte {
+	b = append(b, "fio/"...)
+	b = append(b, spec.Name...)
+	b = append(b, "/j"...)
+	b = strconv.AppendInt(b, int64(j), 10)
+	b = append(b, '.')
+	return strconv.AppendInt(b, int64(w), 10)
+}
+
 // Run executes the spec against the devices and blocks until the runtime
 // elapses and outstanding I/O drains. devs supplies the per-job device;
 // job i uses devs[i%len(devs)] (pass one device to share it, or one per
@@ -118,7 +144,11 @@ func Run(p *sim.Proc, devs []host.BlockDevice, spec Spec) *Result {
 	end := measureStart + spec.Runtime
 	res.Duration = spec.Runtime
 
-	var done []*sim.Event
+	done := make([]*sim.Event, 0, spec.NumJobs*spec.IODepth)
+	// Worker names are built in one buffer, without fmt: a phase starts
+	// NumJobs × IODepth workers, and a deep sequential phase's workers
+	// complete a few I/Os each, so what a worker costs to start shows.
+	var name []byte
 	for j := 0; j < spec.NumJobs; j++ {
 		dev := devs[j%len(devs)]
 		jr := &res.Jobs[j]
@@ -136,8 +166,10 @@ func Run(p *sim.Proc, devs []host.BlockDevice, spec Spec) *Result {
 		base := uint64(jobID) * region
 		var seqOff uint64
 		for w := 0; w < spec.IODepth; w++ {
-			rng := env.Rand(fmt.Sprintf("fio/%s/%s/j%d/w%d", spec.Seed, spec.Name, jobID, w))
-			proc := env.Go(fmt.Sprintf("fio/%s/j%d.%d", spec.Name, jobID, w), func(wp *sim.Proc) {
+			name = spec.streamName(name[:0], jobID, w)
+			rng := env.Rand(string(name))
+			name = spec.procName(name[:0], jobID, w)
+			proc := env.Go(string(name), func(wp *sim.Proc) {
 				for wp.Now() < end {
 					var lba uint64
 					read := false

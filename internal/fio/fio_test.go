@@ -154,3 +154,33 @@ func TestTableIVPresets(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFioWorkerStart is what a phase boundary costs: one Run of a
+// 1 × QD 64 spec whose runtime ends inside the first I/O, so an op is 64
+// worker start-ups — two names, a random stream, a process — and one I/O
+// each. Deep sequential phases restart thousands of workers that complete
+// three or four I/Os apiece, so this is where their allocations are; the
+// allocs/op has a ceiling in scripts/bench_allocs_baseline.txt.
+func BenchmarkFioWorkerStart(b *testing.B) {
+	env := sim.NewEnv(7)
+	dev := &fakeDev{env: env, lat: 50 * sim.Microsecond}
+	spec := fio.Spec{Name: "seqr256", Seed: "round12", Pattern: fio.SeqRead,
+		BlockSize: 128 << 10, IODepth: 64, NumJobs: 1, Runtime: 10 * sim.Microsecond}
+	devs := []host.BlockDevice{dev}
+	round := func() {
+		dev.lbas, dev.sizes = dev.lbas[:0], dev.sizes[:0]
+		main := env.Go("fio", func(p *sim.Proc) { fio.Run(p, devs, spec) })
+		env.RunUntilEvent(main.Done())
+	}
+	round() // coroutines, event free list and the device's record slices grow here
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if dev.reads != 64*(b.N+1) {
+		b.Fatalf("%d reads over %d rounds, want one per worker per round", dev.reads, b.N+1)
+	}
+	env.Shutdown()
+}

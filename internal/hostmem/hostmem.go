@@ -4,7 +4,10 @@
 // real host DRAM — devices never get Go pointers, only physical addresses.
 package hostmem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the memory page size (and NVMe MPS), 4 KiB.
 const PageSize = 4096
@@ -105,24 +108,41 @@ func (m *Memory) ReadU32(addr uint64) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// WriteU64 stores a little-endian uint64 at addr.
+// WriteU64 stores a little-endian uint64 at addr. A word inside one page —
+// every PRP-list slot and queue entry field is — costs one page lookup; a
+// word straddling two pages takes the byte path.
 func (m *Memory) WriteU64(addr uint64, v uint64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+	off := addr % PageSize
+	if off > PageSize-8 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		m.Write(addr, b[:])
+		return
 	}
-	m.Write(addr, b[:])
+	m.check(addr, 8)
+	p := m.pages[addr/PageSize]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.pages[addr/PageSize] = p
+	}
+	binary.LittleEndian.PutUint64(p[off:], v)
 }
 
-// ReadU64 loads a little-endian uint64 from addr.
+// ReadU64 loads a little-endian uint64 from addr; an untouched page reads 0
+// and stays untouched.
 func (m *Memory) ReadU64(addr uint64) uint64 {
-	var b [8]byte
-	m.Read(addr, b[:])
-	var v uint64
-	for i := range b {
-		v |= uint64(b[i]) << (8 * i)
+	off := addr % PageSize
+	if off > PageSize-8 {
+		var b [8]byte
+		m.Read(addr, b[:])
+		return binary.LittleEndian.Uint64(b[:])
 	}
-	return v
+	m.check(addr, 8)
+	p := m.pages[addr/PageSize]
+	if p == nil {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(p[off:])
 }
 
 func (m *Memory) check(addr, n uint64) {

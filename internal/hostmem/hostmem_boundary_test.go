@@ -15,6 +15,14 @@ func TestAccessNearTopOfAddressSpacePanics(t *testing.T) {
 	for name, access := range map[string]func(*Memory){
 		"Read":  func(m *Memory) { m.Read(addr, make([]byte, 4096)) },
 		"Write": func(m *Memory) { m.Write(addr, make([]byte, 4096)) },
+		// The word accessors check before they look a page up, in a page
+		// (addr-3 is 8-aligned) and across two (addr).
+		"ReadU64":           func(m *Memory) { m.ReadU64(addr - 3) },
+		"WriteU64":          func(m *Memory) { m.WriteU64(addr-3, 1) },
+		"ReadU64 straddle":  func(m *Memory) { m.ReadU64(addr&^(PageSize-1) - 4) },
+		"WriteU64 straddle": func(m *Memory) { m.WriteU64(addr&^(PageSize-1)-4, 1) },
+		"ReadU64 at size":   func(m *Memory) { m.ReadU64(m.Size() - 7) },
+		"WriteU64 at size":  func(m *Memory) { m.WriteU64(m.Size()-7, 1) },
 	} {
 		m := New(1 << 20)
 		func() {
@@ -155,5 +163,65 @@ func TestU64AcrossPageBoundary(t *testing.T) {
 	// Both halves landed on their own page.
 	if m.TouchedPages() != 2 {
 		t.Fatalf("touched %d pages, want 2", m.TouchedPages())
+	}
+}
+
+// TestU64Accessors: ReadU64/WriteU64 take a one-lookup path for a word inside
+// a page and the byte path for a word straddling two; either way they agree
+// with Read/Write of the eight little-endian bytes, an unmapped page reads 0
+// without materialising, and physical address 0 is refused.
+func TestU64Accessors(t *testing.T) {
+	const v = uint64(0x8877665544332211)
+	le := []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88}
+	for _, tc := range []struct {
+		name  string
+		off   uint64 // from the base of a three-page run
+		pages int    // pages a write there materialises
+	}{
+		{"start of a page", PageSize, 1},
+		{"inside a page, unaligned", PageSize + 13, 1},
+		{"last word of a page", 2*PageSize - 8, 1},
+		{"one byte into the next page", 2*PageSize - 7, 2},
+		{"offset 4092, half and half", 2*PageSize - 4, 2},
+		{"last byte in the page before", 2*PageSize - 1, 2},
+	} {
+		m := New(1 << 20)
+		addr := m.AllocPages(3) + tc.off
+		if got := m.ReadU64(addr); got != 0 || m.TouchedPages() != 0 {
+			t.Errorf("%s: unmapped read = %#x with %d pages touched, want 0 and none", tc.name, got, m.TouchedPages())
+		}
+		m.WriteU64(addr, v)
+		if m.TouchedPages() != tc.pages {
+			t.Errorf("%s: write touched %d pages, want %d", tc.name, m.TouchedPages(), tc.pages)
+		}
+		got := make([]byte, 8)
+		m.Read(addr, got)
+		if !bytes.Equal(got, le) {
+			t.Errorf("%s: WriteU64 stored % x, want % x", tc.name, got, le)
+		}
+		// And the other way: bytes stored by Write, read back as a word,
+		// next to neighbours that must not bleed in.
+		m.Write(addr-1, append(append([]byte{0xEE}, le...), 0xEE))
+		if got := m.ReadU64(addr); got != v {
+			t.Errorf("%s: ReadU64 = %#x, want %#x", tc.name, got, v)
+		}
+	}
+
+	for name, access := range map[string]func(*Memory){
+		"ReadU64":  func(m *Memory) { m.ReadU64(0) },
+		"WriteU64": func(m *Memory) { m.WriteU64(0, v) },
+	} {
+		m := New(1 << 20)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "physical address 0") {
+					t.Errorf("%s at 0: recovered %q, want the null-DMA panic", name, msg)
+				}
+			}()
+			access(m)
+		}()
+		if m.TouchedPages() != 0 {
+			t.Errorf("%s at 0 materialised %d pages", name, m.TouchedPages())
+		}
 	}
 }

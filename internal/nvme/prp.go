@@ -8,8 +8,8 @@ import (
 // PageSize is the memory page size assumed by the PRP mechanism (MPS=4K).
 const PageSize = 4096
 
-// prpPerList is the number of 8-byte entries in one PRP list page.
-const prpPerList = PageSize / 8
+// PRPsPerList is the number of 8-byte entries in one PRP list page.
+const PRPsPerList = PageSize / 8
 
 // Segment is one physically contiguous piece of a data transfer.
 type Segment struct {
@@ -63,7 +63,7 @@ func BuildPRPs(w PageWriter, buf uint64, n int) (prp1, prp2 uint64, lists []uint
 	cur := listAddr
 	for i, pg := range pages {
 		remaining := len(pages) - i
-		if slot == prpPerList-1 && remaining > 1 {
+		if slot == PRPsPerList-1 && remaining > 1 {
 			next := w.AllocPages(1)
 			lists = append(lists, next)
 			w.WriteU64(cur+uint64(slot)*8, next)
@@ -128,7 +128,7 @@ func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Seg
 			return nil, ErrNullPRP
 		}
 		pagesLeft := (n + PageSize - 1) / PageSize
-		if slot == prpPerList-1 && pagesLeft > 1 {
+		if slot == PRPsPerList-1 && pagesLeft > 1 {
 			// Chain pointer to the next list page.
 			cur = entry
 			slot = 0
@@ -148,22 +148,34 @@ func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Seg
 	return segs, nil
 }
 
+// PagesSpanned returns how many memory pages a buffer of n > 0 bytes at buf
+// touches — the number of segments its PRP walk resolves.
+func PagesSpanned(buf uint64, n int) int {
+	return (int(buf%PageSize) + n + PageSize - 1) / PageSize
+}
+
+// ListEntries returns how many entries a transfer of n bytes at buf uses of
+// the j-th page of its PRP list (j from 0, in chain order), chain pointer
+// included. The list holds every page after the first; each list page
+// carries PRPsPerList-1 of them and chains on, except the last, which holds
+// what is left — so the count depends on the transfer's shape and the page's
+// position alone, never on what the page contains.
+func ListEntries(buf uint64, n, j int) int {
+	return min(PagesSpanned(buf, n)-1-j*(PRPsPerList-1), PRPsPerList)
+}
+
 // ListPagesFor returns how many PRP list pages a transfer of n bytes
 // starting at buf requires; 0 when PRP1(+PRP2) suffice.
 func ListPagesFor(buf uint64, n int) int {
-	first := int(PageSize - buf%PageSize)
-	if first >= n {
-		return 0
-	}
-	pages := (n - first + PageSize - 1) / PageSize
+	pages := PagesSpanned(buf, n) - 1
 	if pages <= 1 {
 		return 0
 	}
-	// Each list page holds prpPerList-1 data pages plus a chain pointer,
-	// except the last which holds prpPerList.
+	// Each list page holds PRPsPerList-1 data pages plus a chain pointer,
+	// except the last which holds PRPsPerList.
 	lists := 1
-	for pages > prpPerList {
-		pages -= prpPerList - 1
+	for pages > PRPsPerList {
+		pages -= PRPsPerList - 1
 		lists++
 	}
 	return lists

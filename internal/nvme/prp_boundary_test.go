@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"bmstore/internal/hostmem"
@@ -128,13 +129,65 @@ func TestWalkPRPChainCorruption(t *testing.T) {
 // address 0.
 func TestWalkPRPsRejectsNullChainPointer(t *testing.T) {
 	mem := hostmem.New(16 << 20)
-	n := (prpPerList + 8) * PageSize // first page, then a list that chains on
-	p1, p2, lists := BuildPRPs(mem, mem.AllocPages(prpPerList+8), n)
+	n := (PRPsPerList + 8) * PageSize // first page, then a list that chains on
+	p1, p2, lists := BuildPRPs(mem, mem.AllocPages(PRPsPerList+8), n)
 	if len(lists) != 2 {
 		t.Fatalf("layout uses %d list pages, want 2", len(lists))
 	}
-	mem.WriteU64(lists[0]+(prpPerList-1)*8, 0)
+	mem.WriteU64(lists[0]+(PRPsPerList-1)*8, 0)
 	if _, err := WalkPRPsInto(nil, mem, p1, p2, n); !errors.Is(err, ErrNullPRP) {
 		t.Fatalf("walk over a null chain pointer: %v, want ErrNullPRP", err)
+	}
+}
+
+// readCounter counts the list entries a walk reads from each list page, in
+// the order the walk reaches the pages.
+type readCounter struct {
+	mem   *hostmem.Memory
+	pages []uint64
+	reads []int
+}
+
+func (r *readCounter) ReadU64(addr uint64) uint64 {
+	if pg := addr &^ (PageSize - 1); len(r.pages) == 0 || r.pages[len(r.pages)-1] != pg {
+		r.pages = append(r.pages, pg)
+		r.reads = append(r.reads, 0)
+	}
+	r.reads[len(r.reads)-1]++
+	return r.mem.ReadU64(addr)
+}
+
+// TestListEntriesIsWhatTheWalkReads: PagesSpanned and ListEntries predict,
+// from a transfer's address and length alone, how many segments its walk
+// resolves and how many entries it reads from each list page — which is what
+// lets the target controller keep only those entries of a fetched list page.
+func TestListEntriesIsWhatTheWalkReads(t *testing.T) {
+	for _, tc := range []struct {
+		off   uint64 // of the buffer in its first page
+		bytes int
+	}{
+		{0, 3 * PageSize}, {0, 128 << 10}, {512, 128 << 10}, {PageSize - 1, 2*PageSize + 2},
+		{0, 512 * PageSize}, {0, 513 * PageSize}, {0, 514 * PageSize}, {8, 513*PageSize - 8}, {8, 513*PageSize - 7},
+		{0, 1023 * PageSize}, {0, 1024 * PageSize}, {1, 1100*PageSize + 17},
+	} {
+		mem := hostmem.New(64 << 20)
+		buf := mem.AllocPages(1200) + tc.off
+		p1, p2, lists := BuildPRPs(mem, buf, tc.bytes)
+		rc := &readCounter{mem: mem}
+		segs, err := WalkPRPsInto(nil, rc, p1, p2, tc.bytes)
+		if err != nil {
+			t.Fatalf("offset %d, %d bytes: %v", tc.off, tc.bytes, err)
+		}
+		if got := PagesSpanned(buf, tc.bytes); got != len(segs) {
+			t.Errorf("offset %d, %d bytes: PagesSpanned = %d, the walk resolves %d segments", tc.off, tc.bytes, got, len(segs))
+		}
+		if !slices.Equal(rc.pages, lists) {
+			t.Fatalf("offset %d, %d bytes: walk read list pages %#x, built %#x", tc.off, tc.bytes, rc.pages, lists)
+		}
+		for j, want := range rc.reads {
+			if got := ListEntries(buf, tc.bytes, j); got != want {
+				t.Errorf("offset %d, %d bytes: ListEntries(page %d of %d) = %d, the walk reads %d", tc.off, tc.bytes, j, len(lists), got, want)
+			}
+		}
 	}
 }

@@ -101,7 +101,7 @@ type Controller struct {
 	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
 	// upstream memory, so one reusable buffer replaces a per-CQE escape.
 	cqeBuf   [nvme.CQESize]byte
-	pageFree [][]byte
+	listFree [][]byte // PRP-list entry buffers, sized to what each command used
 	irqFree  []*irqPost
 }
 
@@ -372,18 +372,37 @@ func (m *irqPost) fire() {
 // fetch per list page, each charged its round trip — what a blocking walk
 // would cost. The zero value is ready; commands without a PRP list never
 // touch it.
+//
+// A fetch moves a whole list page across the link and keeps the entries the
+// transfer uses of it, which nvme.ListEntries knows from the transfer's shape
+// and the page's position in the chain: a 128 KiB command holds 248 bytes of
+// list, not 4 KiB. The walk reads entries in order, nvme.PRPsPerList from
+// every list page before the last, so the position of the page it missed is
+// its read count divided by that.
 type PRPWalk struct {
-	pages   map[uint64][]byte
-	used    []uint64 // fetch order, for recycling into the page pool
+	fetched []listPage // in fetch order
+	reads   int        // entries the current attempt has read
 	miss    uint64
 	missSet bool
 }
 
-// ReadU64 implements nvme.PageReader over the pages fetched so far.
+// listPage is the used head of one fetched PRP-list page.
+type listPage struct {
+	addr    uint64
+	entries []byte
+}
+
+// ReadU64 implements nvme.PageReader over the pages fetched so far, searched
+// newest first. Only a miss fetches and a fetched page never misses — a page
+// kept short is the list's last, which nothing follows — so no page is held
+// twice and a hit never reads past what was kept.
 func (w *PRPWalk) ReadU64(addr uint64) uint64 {
+	w.reads++
 	pg := addr &^ uint64(nvme.PageSize-1)
-	if b, ok := w.pages[pg]; ok {
-		return binary.LittleEndian.Uint64(b[addr-pg:])
+	for i := len(w.fetched) - 1; i >= 0; i-- {
+		if f := &w.fetched[i]; f.addr == pg {
+			return binary.LittleEndian.Uint64(f.entries[addr-pg:])
+		}
 	}
 	if !w.missSet {
 		w.missSet = true
@@ -397,33 +416,34 @@ func (w *PRPWalk) ReadU64(addr uint64) uint64 {
 // the caller's own attempt step — runs when the page has arrived (at once if
 // the round trip is already over), and the returned segments mean nothing.
 func (c *Controller) WalkPRPs(w *PRPWalk, segs []nvme.Segment, prp1, prp2 uint64, n int, retry func()) (out []nvme.Segment, pending bool, err error) {
-	w.missSet = false
+	w.missSet, w.reads = false, 0
 	out, err = nvme.WalkPRPsInto(segs, w, prp1, prp2, n)
 	if !w.missSet {
 		return out, false, err
 	}
+	// The miss ended the walk, so it was the attempt's last read.
+	need := 8 * nvme.ListEntries(prp1, n, (w.reads-1)/nvme.PRPsPerList)
 	var b []byte
-	if k := len(c.pageFree); k > 0 {
-		b = c.pageFree[k-1]
-		c.pageFree = c.pageFree[:k-1]
-	} else {
-		b = make([]byte, nvme.PageSize)
+	if k := len(c.listFree); k > 0 {
+		b = c.listFree[k-1]
+		c.listFree = c.listFree[:k-1]
 	}
+	if cap(b) < need {
+		b = make([]byte, need) // a too-small pooled buffer is dropped for this one
+	}
+	b = b[:need]
 	done := c.port.DMARead(w.miss, nvme.PageSize, b)
-	if w.pages == nil {
-		w.pages = make(map[uint64][]byte)
-	}
-	w.pages[w.miss] = b
-	w.used = append(w.used, w.miss)
+	w.fetched = append(w.fetched, listPage{w.miss, b})
 	c.env.After(done-c.env.Now(), retry)
 	return nil, true, nil
 }
 
-// ReleasePRPs returns a finished command's list pages to the pool.
+// ReleasePRPs returns a finished command's list buffers to the pool, last
+// fetched first, so a command of the same shape pops each at the size it
+// needs.
 func (c *Controller) ReleasePRPs(w *PRPWalk) {
-	for _, pg := range w.used {
-		c.pageFree = append(c.pageFree, w.pages[pg])
-		delete(w.pages, pg)
+	for i := len(w.fetched) - 1; i >= 0; i-- {
+		c.listFree = append(c.listFree, w.fetched[i].entries)
 	}
-	w.used = w.used[:0]
+	w.fetched = w.fetched[:0]
 }

@@ -94,7 +94,7 @@ type hostQ struct {
 }
 
 type rig struct {
-	t     *testing.T
+	t     testing.TB
 	env   *sim.Env
 	mem   *hostmem.Memory
 	port  *pcie.Port
@@ -123,10 +123,10 @@ func (d regDev) SinksReg(_ pcie.FuncID, off uint64) bool { return SinksReg(off) 
 
 const adminDepth = 8
 
-func newRig(t *testing.T) *rig { return newRigWith(t, nil) }
+func newRig(t testing.TB) *rig { return newRigWith(t, nil) }
 
 // newRigWith builds the rig with a metrics registry attached (nil for none).
-func newRigWith(t *testing.T, met *obs.Registry) *rig {
+func newRigWith(t testing.TB, met *obs.Registry) *rig {
 	r := &rig{t: t, env: sim.NewEnv(1), mem: hostmem.New(64 << 20)}
 	r.env.SetMetrics(met)
 	r.own = &fakeOwner{r: r, mayFetch: true, mayPost: true}
@@ -634,60 +634,130 @@ func TestChainedPRPListChargedSequentially(t *testing.T) {
 	if err != nil || !slices.Equal(segs, want) {
 		t.Fatalf("retry walk: %d segments, err %v; want the %d of the one-shot walk", len(segs), err, len(want))
 	}
-	if attempts != 4 || !slices.Equal(w.used, lists) {
-		t.Fatalf("%d attempts fetched %#x, want 4 attempts fetching %#x in chain order", attempts, w.used, lists)
+	if attempts != 4 || !slices.Equal(w.fetchedPages(), lists) {
+		t.Fatalf("%d attempts fetched %#x, want 4 attempts fetching %#x in chain order", attempts, w.fetchedPages(), lists)
 	}
 	if got := at - t0; got != 3*roundTrip {
 		t.Fatalf("walk took %d ns, want 3 sequential list-page round trips of %d ns", got, roundTrip)
 	}
+	// Each buffer holds the entries the transfer uses of its page: two full
+	// pages (511 entries and the chain pointer) and a five-entry tail.
+	wantLens := []int{nvme.PageSize, nvme.PageSize, 5 * 8}
+	for i, f := range w.fetched {
+		if len(f.entries) != wantLens[i] {
+			t.Fatalf("list page %d kept %d bytes, want %d", i, len(f.entries), wantLens[i])
+		}
+	}
 	r.c.ReleasePRPs(&w)
-	if len(r.c.pageFree) != 3 || len(w.used) != 0 || len(w.pages) != 0 {
-		t.Fatalf("after release: pool %d pages, walk holds %d/%d; want 3 and none", len(r.c.pageFree), len(w.used), len(w.pages))
+	if len(r.c.listFree) != 3 || len(w.fetched) != 0 {
+		t.Fatalf("after release: pool %d buffers, walk holds %d; want 3 and none", len(r.c.listFree), len(w.fetched))
 	}
-	// The next command's walk is served from the pool.
-	if _, err, _, _ := r.walkToEnd(&w, prp1, prp2, n); err != nil || len(r.c.pageFree) != 0 {
-		t.Fatalf("second walk: err %v, pool %d pages, want the three pooled pages in use", err, len(r.c.pageFree))
+	// The next command's walk is served from the pool, each buffer popped at
+	// the size it needs: same three backing arrays, nothing dropped for being
+	// too small.
+	pooled := poolArrays(r.c)
+	if _, err, _, _ := r.walkToEnd(&w, prp1, prp2, n); err != nil || len(r.c.listFree) != 0 {
+		t.Fatalf("second walk: err %v, pool %d buffers, want the three pooled buffers in use", err, len(r.c.listFree))
 	}
 	r.c.ReleasePRPs(&w)
-	if len(r.c.pageFree) != 3 {
-		t.Fatalf("pool holds %d pages after the second release, want 3", len(r.c.pageFree))
+	if got := poolArrays(r.c); !slices.Equal(got, pooled) {
+		t.Fatalf("pool after the second release holds arrays %p, want the same three %p", got, pooled)
 	}
+	// A pooled buffer too small for the page it is popped for is replaced,
+	// not sliced past its capacity: a 5-entry tail cannot serve a full page.
+	r.c.listFree = r.c.listFree[:1]
+	if cap(r.c.listFree[0]) != 5*8 {
+		t.Fatalf("pool bottom has capacity %d, want the 5-entry tail buffer", cap(r.c.listFree[0]))
+	}
+	if segs, err, _, _ := r.walkToEnd(&w, prp1, prp2, n); err != nil || !slices.Equal(segs, want) {
+		t.Fatalf("walk over an undersized pool: %d segments, err %v", len(segs), err)
+	}
+	r.c.ReleasePRPs(&w)
 }
 
-// TestPRPWalkWarmAllocatesNothing: the first attempt of every command with a
-// PRP list ends in a discarded ErrNullPRP, so the miss-then-hit walk of a
-// 128 KiB transfer must not allocate once its page pool is warm.
-func TestPRPWalkWarmAllocatesNothing(t *testing.T) {
+// fetchedPages lists the addresses of the list pages a walk holds, in fetch
+// order.
+func (w *PRPWalk) fetchedPages() []uint64 {
+	var out []uint64
+	for _, f := range w.fetched {
+		out = append(out, f.addr)
+	}
+	return out
+}
+
+// poolArrays identifies the backing arrays of the pooled list buffers, in
+// fetch order of the command that released them.
+func poolArrays(c *Controller) []*byte {
+	var out []*byte
+	for i := len(c.listFree) - 1; i >= 0; i-- {
+		out = append(out, &c.listFree[i][:1][0])
+	}
+	return out
+}
+
+// warmWalk128K returns one command's worth of PRP-list work on a 128 KiB
+// transfer — the first attempt misses the list page, the fetch crosses the
+// link, the retry hits, the buffer goes back to the pool — and the counters
+// it keeps.
+func warmWalk128K(t testing.TB, r *rig) (walk func(), attempts *int, segs *[]nvme.Segment) {
 	const n = 128 << 10
-	r := newRig(t)
 	prp1, prp2, _ := listTransfer(r.mem, n)
 	var (
-		w        PRPWalk
-		segs     []nvme.Segment
-		attempts int
-		attempt  func()
+		w       PRPWalk
+		out     []nvme.Segment
+		tries   int
+		attempt func()
 	)
 	attempt = func() {
-		attempts++
-		out, pending, err := r.c.WalkPRPs(&w, segs[:0], prp1, prp2, n, attempt)
+		tries++
+		got, pending, err := r.c.WalkPRPs(&w, out[:0], prp1, prp2, n, attempt)
 		if pending {
 			return
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs = out
+		out = got
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	return func() {
 		attempt()
 		r.env.Run()
 		r.c.ReleasePRPs(&w)
-	})
-	if allocs != 0 {
+	}, &tries, &out
+}
+
+// TestPRPWalkWarmAllocatesNothing: the first attempt of every command with a
+// PRP list ends in a discarded ErrNullPRP, so the miss-then-hit walk of a
+// 128 KiB transfer must not allocate once its buffer pool is warm.
+func TestPRPWalkWarmAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	walk, attempts, segs := warmWalk128K(t, r)
+	if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
 		t.Errorf("miss-then-hit walk allocates %.1f times per command, want 0", allocs)
 	}
-	if attempts != 2*101 || len(segs) != n/nvme.PageSize {
-		t.Fatalf("%d attempts and %d segments over 101 walks, want one miss and one hit each", attempts, len(segs))
+	if *attempts != 2*101 || len(*segs) != (128<<10)/nvme.PageSize {
+		t.Fatalf("%d attempts and %d segments over 101 walks, want one miss and one hit each", *attempts, len(*segs))
+	}
+	if len(r.c.listFree) != 1 || cap(r.c.listFree[0]) != 31*8 {
+		t.Fatalf("pool holds %d buffers (first of %d bytes), want the one 31-entry buffer every walk used", len(r.c.listFree), cap(r.c.listFree[0]))
+	}
+}
+
+// BenchmarkPRPListFetchWalk128K is the per-command PRP-list cost of a
+// 128 KiB transfer on one face of the card, over a real root complex and
+// host memory: miss, fetch, hit, release. 0 allocs/op (make bench-gate).
+func BenchmarkPRPListFetchWalk128K(b *testing.B) {
+	r := newRig(b)
+	walk, attempts, _ := warmWalk128K(b, r)
+	walk()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		walk()
+	}
+	b.StopTimer()
+	if *attempts != 2*(b.N+1) {
+		b.Fatalf("%d attempts over %d walks, want one miss and one hit each", *attempts, b.N+1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nvmet
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -91,17 +92,32 @@ func fuzzLayout(mem *hostmem.Memory, data []byte) (prp1, prp2 uint64, n int) {
 	return prp1, prp2, n
 }
 
-// touchRecorder reads list entries straight from memory and notes each page
-// the first time the walk touches it.
+// touchRecorder reads list entries straight from memory and notes, for each
+// page in the order the walk first touches them, where in the chain that
+// was (its own read count over nvme.PRPsPerList — a walk reads that many
+// entries from every list page but the last) and how many entries of the
+// page the walk reads in all.
 type touchRecorder struct {
 	mem   *hostmem.Memory
-	pages []uint64
+	reads int
+	pages []touched
+}
+
+type touched struct {
+	addr     uint64
+	position int // in the chain, at first touch
+	entries  int // highest slot read, plus one
 }
 
 func (r *touchRecorder) ReadU64(addr uint64) uint64 {
-	if pg := addr &^ (nvme.PageSize - 1); !slices.Contains(r.pages, pg) {
-		r.pages = append(r.pages, pg)
+	pg := addr &^ (nvme.PageSize - 1)
+	i := slices.IndexFunc(r.pages, func(t touched) bool { return t.addr == pg })
+	if i < 0 {
+		i = len(r.pages)
+		r.pages = append(r.pages, touched{addr: pg, position: r.reads / nvme.PRPsPerList})
 	}
+	r.pages[i].entries = max(r.pages[i].entries, int(addr-pg)/8+1)
+	r.reads++
 	return r.mem.ReadU64(addr)
 }
 
@@ -109,7 +125,11 @@ func (r *touchRecorder) ReadU64(addr uint64) uint64 {
 // unaligned and misplaced chain pointers — the controller's retry walk must
 // agree with the trivially correct reference, one nvme.WalkPRPsInto over the
 // fully resident memory: same segments or same error, having fetched exactly
-// the list pages the reference reads, each once, in the order it reads them.
+// the list pages the reference reads, each once, in the order it reads them —
+// and having kept of each page exactly the entries the reference reads from
+// it: none missing, and on a walk that completes not a byte more (a walk that
+// ends in an error stops short of what its page was fetched for, which is
+// what a transfer of that shape uses of a page at that position).
 func FuzzPRPFetch(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -131,15 +151,31 @@ func FuzzPRPFetch(f *testing.F) {
 			t.Fatalf("prp1 %#x prp2 %#x n %d: retry walk resolved %d segments, one-shot walk %d, or different ones",
 				prp1, prp2, n, len(got), len(want))
 		}
-		if !slices.Equal(w.used, ref.pages) {
-			t.Fatalf("prp1 %#x prp2 %#x n %d: fetched list pages %#x, the one-shot walk reads %#x", prp1, prp2, n, w.used, ref.pages)
+		if len(w.fetched) != len(ref.pages) {
+			t.Fatalf("prp1 %#x prp2 %#x n %d: fetched list pages %#x, the one-shot walk reads %d", prp1, prp2, n, w.fetchedPages(), len(ref.pages))
 		}
-		if attempts != len(w.used)+1 {
-			t.Fatalf("%d attempts for %d list pages, want one fetch per failed attempt", attempts, len(w.used))
+		for i, f := range w.fetched {
+			tp := ref.pages[i]
+			if f.addr != tp.addr {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: fetch %d is page %#x, the one-shot walk's page %d is %#x", prp1, prp2, n, i, f.addr, i, tp.addr)
+			}
+			kept := len(f.entries) / 8
+			if kept < tp.entries || wantErr == nil && kept != tp.entries || kept != nvme.ListEntries(prp1, n, tp.position) {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: kept %d entries of list page %#x (position %d), the one-shot walk reads %d (err %v)",
+					prp1, prp2, n, kept, f.addr, tp.position, tp.entries, wantErr)
+			}
+			inMem := make([]byte, len(f.entries))
+			r.mem.Read(f.addr, inMem)
+			if !bytes.Equal(f.entries, inMem) {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: the entries kept of list page %#x are not the page's first %d", prp1, prp2, n, f.addr, kept)
+			}
+		}
+		if attempts != len(w.fetched)+1 {
+			t.Fatalf("%d attempts for %d list pages, want one fetch per failed attempt", attempts, len(w.fetched))
 		}
 		r.c.ReleasePRPs(&w)
-		if len(r.c.pageFree) != len(ref.pages) || len(w.pages) != 0 {
-			t.Fatalf("released %d pages to the pool with %d still held, want all %d back", len(r.c.pageFree), len(w.pages), len(ref.pages))
+		if len(r.c.listFree) != len(ref.pages) || len(w.fetched) != 0 {
+			t.Fatalf("released %d buffers to the pool with %d still held, want all %d back", len(r.c.listFree), len(w.fetched), len(ref.pages))
 		}
 	})
 }

@@ -140,7 +140,11 @@ func (l *Link) replayPenalty(n int) sim.Time {
 type DMATarget interface {
 	// DMAWrite stores n bytes at physical address addr.
 	DMAWrite(addr uint64, n int, data []byte) sim.Time
-	// DMARead fetches n bytes from physical address addr into buf.
+	// DMARead fetches n bytes from physical address addr: n bytes cross the
+	// link, and the first len(buf) of them are kept. A reader that knows it
+	// wants only the head of what the hardware moves — a PRP-list page is
+	// fetched whole for the few entries a transfer uses — passes a short
+	// buf; len(buf) > n is a caller bug.
 	DMARead(addr uint64, n int, buf []byte) sim.Time
 }
 
@@ -375,7 +379,7 @@ func (r *Root) DMAWrite(addr uint64, n int, data []byte) sim.Time {
 // DMARead implements DMATarget.
 func (r *Root) DMARead(addr uint64, n int, buf []byte) sim.Time {
 	if buf != nil {
-		if len(buf) != n {
+		if len(buf) > n {
 			panic("pcie: DMA length mismatch")
 		}
 		r.Mem.Read(addr, buf)

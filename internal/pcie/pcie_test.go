@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"bmstore/internal/hostmem"
+	"bmstore/internal/obs"
 	"bmstore/internal/sim"
 )
 
@@ -148,6 +149,50 @@ func TestDMALengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	pt.DMAWrite(0x1000, 8, []byte("short"))
+}
+
+// TestShortBufferDMAReadBooksNAndKeepsThePrefix: a read whose buffer is
+// shorter than n moves n bytes all the same — same completion time, same
+// bytes on the downstream direction, same wait for whatever reads next — and
+// keeps the head of them. A buffer longer than n is still a caller bug.
+func TestShortBufferDMAReadBooksNAndKeepsThePrefix(t *testing.T) {
+	page := make([]byte, 4096)
+	for i := range page {
+		page[i] = byte(i*7 + 1)
+	}
+	read := func(keep int) (buf []byte, took sim.Time, down uint64, next sim.Time) {
+		env := sim.NewEnv(1)
+		env.SetMetrics(obs.NewRegistry())
+		mem := hostmem.New(1 << 24)
+		mem.Write(0x5000, page)
+		pt := Connect(env, NewLink(env, 4, 300*sim.Nanosecond), NewRoot(env, mem), nil, nil, nil)
+		buf = make([]byte, keep)
+		took = pt.DMARead(0x5000, len(page), buf) - env.Now()
+		down = env.Metrics().Component("pcie/link0").Counter("down_bytes").Value()
+		next = pt.DMARead(0x9000, 64, nil) - env.Now()
+		return buf, took, down, next
+	}
+	full, fullTook, fullDown, fullNext := read(len(page))
+	if !bytes.Equal(full, page) || fullDown != uint64(WireBytes(len(page))) {
+		t.Fatalf("full-buffer read: content matches %v, %d down-link bytes, want true and %d", bytes.Equal(full, page), fullDown, WireBytes(len(page)))
+	}
+	for _, keep := range []int{248, 8, 0} {
+		got, took, down, next := read(keep)
+		if took != fullTook || down != fullDown || next != fullNext {
+			t.Errorf("keeping %d bytes: read took %d ns, %d down-link bytes, next read %d ns; the full-buffer call %d, %d, %d",
+				keep, took, down, next, fullTook, fullDown, fullNext)
+		}
+		if !bytes.Equal(got, page[:keep]) {
+			t.Errorf("keeping %d bytes: buffer is not the page's first %d", keep, keep)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a buffer longer than the transfer did not panic")
+		}
+	}()
+	_, _, pt, _ := testRig(t)
+	pt.DMARead(0x5000, 8, make([]byte, 9))
 }
 
 func TestBandwidthSaturation(t *testing.T) {

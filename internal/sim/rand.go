@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -10,10 +9,137 @@ import (
 // environment seed and the given name. Distinct names yield independent
 // streams, so adding a new random consumer never perturbs existing ones —
 // the property that keeps experiments reproducible as the model grows.
+//
+// The stream is math/rand's for the same seed, bit for bit — every golden
+// and pinned digest in the repo was drawn from it, so that identity is a
+// compatibility promise (TestRandMatchesMathRand, FuzzRandStream) — from a
+// source that costs what is drawn from it (randSource).
 func (e *Env) Rand(name string) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return rand.New(rand.NewSource(e.seed ^ int64(h.Sum64())))
+	// FNV-1a over the name, in place.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return newRand(e.seed ^ int64(h))
+}
+
+// newRand is rand.New(rand.NewSource(seed)) over a randSource.
+func newRand(seed int64) *rand.Rand {
+	s := new(randSource)
+	s.Seed(seed)
+	return rand.New(s)
+}
+
+// randSource is math/rand's seeded Source — the additive lagged-Fibonacci
+// generator x[n] = x[n-607] + x[n-273] of its rngSource — with the seeding
+// done on demand. math/rand fills all 607 words at Seed by stepping
+// seedrand, x ← 48271·x mod (2³¹−1), 1 841 times, each step waiting on the
+// last: ~10 µs, where a simulation makes thousands of streams (one per fio
+// worker per phase) that draw a handful of numbers each. The recurrence has
+// a closed form, step k is 48271ᵏ·x₀ mod (2³¹−1), so any word can be
+// computed alone from a table of powers: a new stream seeds nothing, each
+// of its first lazyDraws draws seeds the two words it reads, and the last of
+// them seeds the rest in one pass, so a long-lived stream checks one counter
+// against zero per draw and otherwise runs rngSource's loop.
+type randSource struct {
+	tap, feed int
+	left      int    // draws still seeding their own words; 0 once every word is seeded
+	x0        uint64 // the seed, reduced as rngSource.Seed reduces it
+	vec       [rngLen]int64
+}
+
+const (
+	rngLen    = 607
+	rngTap    = 273
+	rngMask   = 1<<63 - 1
+	seedMod   = 1<<31 - 1
+	lazyDraws = 32
+)
+
+// seedPow[k] is 48271ᵏ mod (2³¹−1). rngSource.Seed discards 20 steps, then
+// takes three per word: word i is built from steps 21+3i, 22+3i and 23+3i.
+var seedPow = func() (p [21 + 3*rngLen]uint32) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = uint32(uint64(p[k-1]) * 48271 % seedMod)
+	}
+	return p
+}()
+
+// Seed implements rand.Source.
+func (s *randSource) Seed(seed int64) {
+	s.tap, s.feed = 0, rngLen-rngTap
+	seed %= seedMod
+	if seed < 0 {
+		seed += seedMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0, s.left = uint64(seed), lazyDraws
+}
+
+// word returns what rngSource.Seed stores in vec[i].
+func (s *randSource) word(i int) int64 {
+	p := seedPow[21+3*i:][:3]
+	a, b, c := s.x0*uint64(p[0])%seedMod, s.x0*uint64(p[1])%seedMod, s.x0*uint64(p[2])%seedMod
+	return int64(a<<40^b<<20^c) ^ rngCooked[i]
+}
+
+// seedDraw seeds the two words the draw in progress reads — untouched so
+// far: over the first lazyDraws draws feed and tap each walk down their own
+// stretch of vec — and after the last such draw every word neither has
+// reached.
+func (s *randSource) seedDraw() {
+	s.vec[s.feed], s.vec[s.tap] = s.word(s.feed), s.word(s.tap)
+	if s.left--; s.left > 0 {
+		return
+	}
+	for i := 0; i < s.feed; i++ {
+		s.vec[i] = s.word(i)
+	}
+	for i := rngLen - rngTap; i < s.tap; i++ {
+		s.vec[i] = s.word(i)
+	}
+}
+
+// Int63 implements rand.Source. It and Uint64 are one flat body each: the
+// application generators draw hundreds of numbers per block I/O through
+// these two, and a shared helper between them costs more than the seeding
+// saves.
+func (s *randSource) Int63() int64 {
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	if s.left != 0 {
+		s.seedDraw()
+	}
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	return x & rngMask
+}
+
+// Uint64 implements rand.Source64.
+func (s *randSource) Uint64() uint64 {
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	if s.left != 0 {
+		s.seedDraw()
+	}
+	x := s.vec[feed] + s.vec[tap]
+	s.vec[feed] = x
+	return uint64(x)
 }
 
 // Pacer meters a flow to a byte-per-second rate over virtual time. It is the

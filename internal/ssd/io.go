@@ -28,6 +28,8 @@ package ssd
 // instead (admin.go): they are rare and stateful.
 
 import (
+	"slices"
+
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/nvmet"
@@ -223,6 +225,7 @@ func (io *ssdIO) start() {
 		return
 	}
 	io.n = int(nlb) * BlockSize
+	io.segs = slices.Grow(io.segs[:0], nvme.PagesSpanned(io.cmd.PRP1, io.n))
 	io.walkAttempt()
 }
 

@@ -2,6 +2,7 @@ package bmstore
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -48,15 +49,24 @@ func (m *modelHash) Write(b []byte) (int, error) {
 
 func (m *modelHash) String() string { return fmt.Sprintf("%d:%016x", m.n, m.sum) }
 
+// modelpinSeeds widens TestModelledBehaviourPinned for `make modelpin-diff`:
+// seeds 1…N run after the pinned three and are only logged.
+var modelpinSeeds = flag.Int("modelpin.seeds", 0, "TestModelledBehaviourPinned: also run and log seeds 1..N")
+
 // TestModelledBehaviourPinned is the timing-neutrality proof for changes to
-// the kernel or to where the data path's steps are scheduled: three small
-// traced rigs — a 4 KiB random mix deep enough to queue for dies, a 128 KiB
-// sequential read over two SSDs (PRP lists, striped NAND reads, two-extent
-// splits), and a random mix under fetch stalls, slow media, a wedged host
-// adaptor, link replays and driver timeouts — must emit exactly the
-// component records, at exactly the virtual nanoseconds, that they emitted
-// at the commit the constants below were taken from (PR 17's, before any
-// event was fused). The goldens round to a few digits; this does not.
+// the kernel or to where the data path's steps are scheduled: five small
+// traced rigs must emit exactly the component records, at exactly the
+// virtual nanoseconds, that they emitted at the commit their constants were
+// taken from. The goldens round to a few digits; this does not. The rigs: a
+// 4 KiB random mix deep enough to queue for dies, a 128 KiB sequential read
+// over two SSDs (PRP lists, striped NAND reads, two-extent splits), and a
+// random mix under fetch stalls, slow media, a wedged host adaptor, link
+// replays and driver timeouts (constants from PR 17, before any event was
+// fused); a 128 KiB sequential write (the write-side PRP walk and the SSD's
+// per-segment payload fetches) and a 16 KiB random mix with payload capture
+// on (PRP-list fetches interleaved with DMAs that carry bytes, as the
+// application rigs' are) — constants from PR 18, before PRP-list work went
+// page-at-a-time.
 //
 // Each rig runs at three seeds. 11 is arbitrary. 125 and 132 were picked from
 // a sweep of 400 rigs because they are sensitive to accidental ties, two
@@ -69,9 +79,9 @@ func (m *modelHash) String() string { return fmt.Sprintf("%d:%016x", m.n, m.sum)
 // A change that only restructures events passes unblessed. A change that
 // moves a constant here has moved modelled time, and needs the same written
 // reason a moved golden does. Three seeds prove little about ties that one
-// rig in a hundred hits: to vet a restructuring, put a few hundred seeds in
-// `seeds` on a scratch copy of this tree and of its parent, run both with -v
-// and diff the logged hashes (seeds beyond the pinned three are only logged).
+// rig in a hundred hits: to vet a restructuring, run
+// `make modelpin-diff REF=<parent commit> SEEDS=400`, which runs this test
+// with -modelpin.seeds on this tree and on REF and diffs the logged hashes.
 func TestModelledBehaviourPinned(t *testing.T) {
 	faults, err := fault.ParseSpec("ssd-stall,t=1ms,dur=4ms,target=MPA;media-slow,nth=40,count=-1,dur=300us;" +
 		"backend-stall,t=7ms,dur=1ms,target=MPB;pcie-replay,nth=25,count=-1")
@@ -79,25 +89,37 @@ func TestModelledBehaviourPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []int64{11, 125, 132}
+	for s := 1; s <= *modelpinSeeds; s++ {
+		seeds = append(seeds, int64(s))
+	}
 	rigs := []struct {
-		name   string
-		faults []fault.Rule
-		drv    host.DriverConfig
-		spec   fio.Spec
-		want   []string // records:hash for each of the pinned seeds
+		name    string
+		faults  []fault.Rule
+		capture bool
+		drv     host.DriverConfig
+		spec    fio.Spec
+		want    []string // records:hash for each of the pinned seeds
 	}{
-		{"randrw-4k-4x32", nil, host.DefaultDriverConfig(), fio.Spec{
+		{"randrw-4k-4x32", nil, false, host.DefaultDriverConfig(), fio.Spec{
 			Name: "randrw", Pattern: fio.RandRW, BlockSize: 4096,
 			IODepth: 32, NumJobs: 4, Runtime: 3 * sim.Millisecond,
 		}, []string{"32417:8ca11ef8daedd3da", "32453:1bfc3f294bbef812", "32476:fb6b9024c1b2dc81"}},
-		{"seqread-128k", nil, host.DefaultDriverConfig(), fio.Spec{
+		{"seqread-128k", nil, false, host.DefaultDriverConfig(), fio.Spec{
 			Name: "seqr", Pattern: fio.SeqRead, BlockSize: 128 << 10,
 			IODepth: 8, NumJobs: 2, Runtime: 3 * sim.Millisecond,
 		}, []string{"4039:555d3614b98ee5a2", "4041:2bbc8d30a3cd539c", "4040:b0d65a292b0a394d"}},
-		{"faulted-randrw", faults, recoveryDriverConfig(), fio.Spec{
+		{"faulted-randrw", faults, false, recoveryDriverConfig(), fio.Spec{
 			Name: "faulted", Pattern: fio.RandRW, BlockSize: 4096,
 			IODepth: 8, NumJobs: 2, Runtime: 10 * sim.Millisecond,
 		}, []string{"9971:d121d33634b2815f", "9685:d70a6484d6b5961d", "9364:eff9ddc4316b17ea"}},
+		{"seqwrite-128k", nil, false, host.DefaultDriverConfig(), fio.Spec{
+			Name: "seqw", Pattern: fio.SeqWrite, BlockSize: 128 << 10,
+			IODepth: 8, NumJobs: 2, Runtime: 3 * sim.Millisecond,
+		}, []string{"2364:98395b03f1401d66", "2364:0a2211ad1a50e095", "2364:393937ec0d25663f"}},
+		{"capture-randrw-16k", nil, true, host.DefaultDriverConfig(), fio.Spec{
+			Name: "capture", Pattern: fio.RandRW, BlockSize: 16 << 10,
+			IODepth: 8, NumJobs: 2, Runtime: 3 * sim.Millisecond,
+		}, []string{"10080:f4cf3fb0af95a71e", "10315:09e6266cd25d4bca", "10268:1665e4f2bd4e8ece"}},
 	}
 	for _, rig := range rigs {
 		for i, seed := range seeds {
@@ -105,6 +127,7 @@ func TestModelledBehaviourPinned(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Seed = seed
 				cfg.NumSSDs = 2
+				cfg.CaptureData = rig.capture
 				cfg.Engine.ChunkBytes = 1 << 24
 				cfg.SSD = func(i int) ssd.Config {
 					s := ssd.P4510("MP" + string(rune('A'+i)))

@@ -30,6 +30,16 @@
 # per command, which is what the gate is for (a fusion undone, an observer or
 # a fault probe that starts scheduling).
 #
+# Three rows guard what a 128 KiB command and a phase boundary cost off the
+# kernel: BenchmarkPRPListFetchWalk128K (internal/nvmet: one command's
+# PRP-list work on one face of the card — miss, fetch over a real root
+# complex, hit, release — 0), BenchmarkEnvRand (internal/sim: a named random
+# stream and its first draws — 2, the rand.Rand and its source) and
+# BenchmarkFioWorkerStart (internal/fio: one Run of a 1 × QD 64 spec that
+# ends inside the first I/O, i.e. 64 worker start-ups — at its measured
+# count, ~7 per worker: two for the stream, three for the process and its
+# Done event's first waiter, the name and the closure).
+#
 # Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
@@ -41,7 +51,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
-out=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$' -benchtime=100x -benchmem ./internal/sim/)
+out=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$|^BenchmarkEnvRand$' -benchtime=100x -benchmem ./internal/sim/)
+out+=$'\n'
+out+=$(go test -run '^$' -bench '^BenchmarkPRPListFetchWalk128K$' -benchtime=1000x -benchmem ./internal/nvmet/)
+out+=$'\n'
+out+=$(go test -run '^$' -bench '^BenchmarkFioWorkerStart$' -benchtime=100x -benchmem ./internal/fio/)
 out+=$'\n'
 out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
 out+=$'\n'
