@@ -10,22 +10,25 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the five targets: the event
+# Ten seconds of native fuzzing, split over the six targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program (internal/sim
 # FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
 # pages and record streams, each differentially against the copying decoder
-# it replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), and the
+# it replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), the
 # target controller's PRP-list fetch against a one-shot walk over resident
-# memory, on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch).
+# memory, on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch),
+# and the CID leaf table against the Go map it replaced under any program of
+# put/get/delete/iterate, leaves accounted for (internal/nvme FuzzCIDTable).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 2s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 2s ./internal/apps/minidb
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 2s ./internal/apps/kvstore
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 1s ./internal/apps/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 2s ./internal/nvmet
+	$(GO) test -run '^$$' -fuzz '^FuzzCIDTable$$' -fuzztime 2s ./internal/nvme
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

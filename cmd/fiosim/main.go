@@ -15,9 +15,11 @@
 // simulations, so -parallel M executes up to M of them concurrently;
 // stdout (results and digests, in seed order) is byte-identical for any M —
 // timing goes to stderr. A run that dies (a fault schedule that takes a drive
-// away for good fails tenant I/O, and fio stops at the first error) is
-// reported on stderr as one line naming the run, its seed and the error; the
-// other runs still report, and the exit status is 1.
+// away for good fails tenant I/O, and fio stops at the first error) or wedges
+// (the workload has not finished by a virtual-time horizon computed from the
+// spec, or the rig deadlocks) is reported on stderr as one line naming the
+// run, its seed and the error or the kernel's diagnosis; the other runs still
+// report, and the exit status is 1.
 //
 // The observability and fault flags (-trace, -metrics, -timeline, -faults,
 // -chaos, ...) are the shared run-option surface of internal/cli, identical
@@ -214,15 +216,47 @@ func main() {
 	}
 }
 
+// runHorizon is the virtual time by which a run of spec must be over: the
+// window once per attempt the driver may make of an I/O, one I/O's slowest
+// episode on top (every attempt and its abort timing out, every back-off
+// taken) for the commands still in flight when the window closes, and a
+// second for rig bring-up, which takes about a millisecond. A healthy run ends
+// a few hundred microseconds after its window; the watchdog behind the
+// horizon schedules nothing, so it does not show in any digest.
+func runHorizon(spec fio.Spec, dcfg host.DriverConfig) sim.Time {
+	attempts := sim.Time(dcfg.MaxRetries + 1)
+	episode := attempts*2*dcfg.CmdTimeout + dcfg.RetryBackoff<<uint(dcfg.MaxRetries)
+	return (spec.Ramp+spec.Runtime)*attempts + episode + sim.Second
+}
+
+// diagnosisError renders a watchdog diagnosis on one line: what stopped the
+// run and when, how many processes were left blocked, and the first few.
+func diagnosisError(d *sim.Diagnosis) error {
+	kind := "deadlocked"
+	if d.HorizonHit {
+		kind = "still running at its horizon,"
+	}
+	const show = 4
+	names := d.Blocked
+	if len(names) > show {
+		names = names[:show]
+	}
+	return fmt.Errorf("workload %s t=%v, %d events pending; %d processes blocked, first %q",
+		kind, time.Duration(d.At), d.Pending, len(d.Blocked), names)
+}
+
 // runOne builds the scheme's rig on a private environment — observability
-// and faults composed through opts — and runs spec. The second result is
-// the number of faults the rig's injector fired. A run that dies inside the
-// simulation — fio panics on the first I/O error, which is what a fault
-// schedule that removes a drive for good ends in — comes back as an error
-// carrying the panic's message (it names the process and the status), with
-// whatever the injector had counted until then.
+// and faults composed through opts — and runs spec under a watchdog
+// (runHorizon). The second result is the number of faults the rig's injector
+// fired. A run that dies inside the simulation — fio panics on the first I/O
+// error, which is what a fault schedule that removes a drive for good ends in
+// — comes back as an error carrying the panic's message (it names the process
+// and the status), and one that wedges as an error carrying the watchdog's
+// diagnosis, each with whatever the injector had counted until then.
 func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, scheme string, ssds int, spec fio.Spec) (res *fio.Result, injected uint64, err error) {
 	var tbEnv *sim.Env
+	var diag *sim.Diagnosis
+	horizon := runHorizon(spec, dcfg)
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("%v", r)
@@ -247,7 +281,7 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 			panic(err)
 		}
 		tbEnv = tb.Env
-		tb.Run(func(p *sim.Proc) {
+		diag = tb.RunWatched(func(p *sim.Proc) {
 			if scheme == "vfio" {
 				vm := host.KVMGuest()
 				dcfg.VM = &vm
@@ -269,14 +303,14 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 				}
 			}
 			res = fio.Run(p, devs, spec)
-		})
+		}, horizon)
 	case "bmstore", "bmstore-vm":
 		tb, err := bmstore.NewBMStoreTestbed(cfg, opts...)
 		if err != nil {
 			panic(err)
 		}
 		tbEnv = tb.Env
-		tb.Run(func(p *sim.Proc) {
+		diag = tb.RunWatched(func(p *sim.Proc) {
 			var stripe []int
 			for i := 0; i < ssds; i++ {
 				stripe = append(stripe, i)
@@ -300,10 +334,13 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 				devs = append(devs, drv.BlockDev(i))
 			}
 			res = fio.Run(p, devs, spec)
-		})
+		}, horizon)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", scheme)
 		os.Exit(2)
+	}
+	if diag != nil {
+		return nil, 0, diagnosisError(diag)
 	}
 	return res, 0, nil
 }

@@ -7,8 +7,25 @@ import (
 	"bmstore"
 	"bmstore/internal/cli"
 	"bmstore/internal/fio"
+	"bmstore/internal/host"
 	"bmstore/internal/sim"
 )
+
+// runWith is runOne on a one-SSD BM-Store rig at seed 42 under a fault
+// schedule, with the driver's recovery armed as the CLI arms it.
+func runWith(t *testing.T, spec fio.Spec, faults string) (*fio.Result, uint64, error) {
+	t.Helper()
+	ropts := cli.RunOptions{Faults: faults, Parallel: 1}
+	run, err := ropts.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	cfg := bmstore.DefaultConfig()
+	cfg.Seed = 42
+	cfg.NumSSDs = 1
+	return runOne(cfg, run.RigOptions("run0000"), run.DriverConfig(), "bmstore", 1, spec)
+}
 
 // TestDeadRunIsAnErrorNotAPanic pins fiosim's contract for a run the fault
 // schedule kills: a drive dropped for good exhausts the driver's retries,
@@ -21,19 +38,7 @@ func TestDeadRunIsAnErrorNotAPanic(t *testing.T) {
 		Name: "randread", Pattern: fio.RandRead, BlockSize: 4096,
 		IODepth: 4, NumJobs: 2, Runtime: 2 * sim.Millisecond,
 	}
-	runWith := func(faults string) (*fio.Result, uint64, error) {
-		ropts := cli.RunOptions{Faults: faults, Parallel: 1}
-		run, err := ropts.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer run.Close()
-		cfg := bmstore.DefaultConfig()
-		cfg.Seed = 42
-		cfg.NumSSDs = 1
-		return runOne(cfg, run.RigOptions("run0000"), run.DriverConfig(), "bmstore", 1, spec)
-	}
-	res, injected, err := runWith("ssd-drop,t=1ms,target=PHLJ0000")
+	res, injected, err := runWith(t, spec, "ssd-drop,t=1ms,target=PHLJ0000")
 	if err == nil || res != nil {
 		t.Fatalf("a run whose only drive is dropped returned result %v, error %v; want an error", res, err)
 	}
@@ -48,7 +53,52 @@ func TestDeadRunIsAnErrorNotAPanic(t *testing.T) {
 	if injected == 0 {
 		t.Error("the drop was not counted as injected")
 	}
-	if res, _, err := runWith("media-slow,nth=50,count=-1,dur=100us"); err != nil || res == nil || res.IOPS() == 0 {
+	if res, _, err := runWith(t, spec, "media-slow,nth=50,count=-1,dur=100us"); err != nil || res == nil || res.IOPS() == 0 {
 		t.Fatalf("a survivable schedule: result %v, error %v", res, err)
+	}
+}
+
+// TestWedgedRunEndsWithADiagnosis is ROADMAP 6(e)'s reproducer at fiosim's
+// default shape: with the only drive dropped for good at 4 jobs × QD 128,
+// every timed-out CID is zombied, the zombies outnumber the ring's slots
+// before any I/O has used up its retries, every worker ends up waiting for a
+// slot, and nothing fails — while the BMS-Controller's monitor keeps the
+// event queue from ever draining. runOne used to never return from that; it
+// now stops at the horizon computed from the spec and reports the kernel's
+// diagnosis in one line.
+func TestWedgedRunEndsWithADiagnosis(t *testing.T) {
+	spec := fio.Spec{
+		Name: "randread", Pattern: fio.RandRead, BlockSize: 4096,
+		IODepth: 128, NumJobs: 4, Runtime: 100 * sim.Millisecond, Ramp: 10 * sim.Millisecond,
+	}
+	res, injected, err := runWith(t, spec, "ssd-drop,t=20ms,target=PHLJ0000")
+	if err == nil || res != nil {
+		t.Fatalf("a wedged run returned result %v, error %v; want the watchdog's diagnosis", res, err)
+	}
+	for _, want := range []string{"still running at its horizon", "events pending", "processes blocked", "fio/randread/j0.0"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if strings.ContainsAny(err.Error(), "\n") || len(err.Error()) > 300 {
+		t.Errorf("error is not one short line (%d bytes): %q", len(err.Error()), err)
+	}
+	if injected != 1 {
+		t.Errorf("%d injections counted, want the drop", injected)
+	}
+}
+
+// TestRunHorizonCoversTheAttemptBudget: the horizon is computed, not chosen
+// — the window once per attempt, the slowest single episode, and bring-up.
+func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
+	spec := fio.Spec{Runtime: 100 * sim.Millisecond, Ramp: 10 * sim.Millisecond}
+	if got, want := runHorizon(spec, host.DefaultDriverConfig()), 110*sim.Millisecond+sim.Second; got != want {
+		t.Errorf("horizon without recovery %d, want window + bring-up = %d", got, want)
+	}
+	dcfg := host.DefaultDriverConfig()
+	dcfg.CmdTimeout, dcfg.MaxRetries, dcfg.RetryBackoff = 5*sim.Millisecond, 8, 200*sim.Microsecond
+	want := 9*110*sim.Millisecond + 9*2*5*sim.Millisecond + 256*200*sim.Microsecond + sim.Second
+	if got := runHorizon(spec, dcfg); got != want {
+		t.Errorf("horizon with 8 retries %d, want %d", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/mctp"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -18,7 +19,7 @@ type Console struct {
 	env     *sim.Env
 	ep      *mctp.Endpoint
 	ctrlEID uint8
-	pending map[uint16]*sim.Event
+	pending nvme.CIDTable[sim.Event] // waiting requests by MI request id
 	nextID  uint16
 }
 
@@ -27,11 +28,7 @@ const ConsoleEID = 0x08
 
 // NewConsole creates a console speaking to the controller at ctrlEID.
 func NewConsole(env *sim.Env, ctrlEID uint8, send func(raw []byte)) *Console {
-	c := &Console{
-		env:     env,
-		ctrlEID: ctrlEID,
-		pending: make(map[uint16]*sim.Event),
-	}
+	c := &Console{env: env, ctrlEID: ctrlEID}
 	c.ep = mctp.NewEndpoint(ConsoleEID, send)
 	if flt := env.Faults(); flt != nil {
 		// fault.MCTPRx rules targeting "console" eat response packets on the
@@ -48,8 +45,7 @@ func NewConsole(env *sim.Env, ctrlEID uint8, send func(raw []byte)) *Console {
 		if err != nil || !msg.Response {
 			return
 		}
-		if ev := c.pending[msg.RequestID]; ev != nil {
-			delete(c.pending, msg.RequestID)
+		if ev := c.pending.Delete(msg.RequestID); ev != nil {
 			ev.Trigger(msg)
 		}
 	})
@@ -73,11 +69,11 @@ func (c *Console) Request(p *sim.Proc, opcode uint8, req any, resp any) error {
 	id := c.nextID
 	msg := mctp.MIMessage{Opcode: opcode, RequestID: id, Payload: payload}
 	ev := c.env.NewEvent()
-	c.pending[id] = ev
+	c.pending.Put(id, ev)
 	c.ep.Send(c.ctrlEID, mctp.MsgTypeNVMeMI, msg.Encode())
 	got, ok := p.WaitTimeout(ev, 120*sim.Second)
 	if !ok {
-		delete(c.pending, id)
+		c.pending.Delete(id)
 		return fmt.Errorf("console: MI op %#x timed out", opcode)
 	}
 	rm := got.(mctp.MIMessage)

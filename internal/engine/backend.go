@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
@@ -27,8 +26,14 @@ type backend struct {
 	ioSQs   []*beSQ
 	ioCQs   []*beCQ
 
-	pending map[uint16]*bePending
+	// pending holds the outstanding commands by the CID they were forwarded
+	// under — the hot-upgrade's saved I/O context. CIDs roam the 16-bit space
+	// (allocCID), so it is a leaf table rather than an array.
+	pending nvme.CIDTable[bePending]
 	nextCID uint16
+	// spanDev is the SSD's device id in the metrics registry's span-alias
+	// domain (zero without metrics).
+	spanDev uint32
 
 	capacityLBA uint64
 	backendNSID uint32
@@ -80,13 +85,9 @@ func (e *Engine) AttachBackend(dev *ssd.SSD, link *pcie.Link) int {
 	if idx > MaxSSDID {
 		panic("engine: backend index does not fit the 2-bit mapping field")
 	}
-	b := &backend{
-		e:       e,
-		idx:     idx,
-		dev:     dev,
-		pending: make(map[uint16]*bePending),
-	}
+	b := &backend{e: e, idx: idx, dev: dev}
 	if e.met != nil {
+		b.spanDev = e.met.Device(dev.Config().Serial)
 		comp := e.met.Instance("engine/backend")
 		b.mInflight = comp.Gauge("inflight")
 		b.mSubmits = comp.Counter("io_submitted")
@@ -229,11 +230,13 @@ func (b *backend) init(p *sim.Proc) error {
 	return nil
 }
 
-// allocCID hands out a CID not currently pending.
+// allocCID hands out the next sequential CID that is not pending. The value
+// goes on the wire and into trace records, so the sequence is part of the
+// model.
 func (b *backend) allocCID() uint16 {
 	for {
 		b.nextCID++
-		if _, busy := b.pending[b.nextCID]; !busy {
+		if b.pending.Get(b.nextCID) == nil {
 			return b.nextCID
 		}
 	}
@@ -260,7 +263,7 @@ func (b *backend) adminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	cid := b.allocCID()
 	cmd.CID = cid
 	ev := b.e.env.NewEvent()
-	b.pending[cid] = &bePending{sq: b.adminSQ, done: func(c nvme.Completion) { ev.Trigger(c) }}
+	b.pending.Put(cid, &bePending{sq: b.adminSQ, done: func(c nvme.Completion) { ev.Trigger(c) }})
 	b.push(b.adminSQ, cmd)
 	return p.Wait(ev).(nvme.Completion)
 }
@@ -293,11 +296,10 @@ func (b *backend) onIRQ(vec int) {
 }
 
 func (b *backend) complete(cpl nvme.Completion) {
-	pend, ok := b.pending[cpl.CID]
-	if !ok {
-		return // stale completion from a replaced device
+	pend := b.pending.Delete(cpl.CID)
+	if pend == nil {
+		return // stale completion from a replaced device, or a CID never issued
 	}
-	delete(b.pending, cpl.CID)
 	pend.sq.slots.Release()
 	if pend.sq != b.adminSQ {
 		b.inflight--
@@ -332,20 +334,14 @@ func (b *backend) closeGate(p *sim.Proc) {
 }
 
 // abandonPending synthesises not-ready completions for every outstanding
-// command, in CID order so replay stays deterministic. Real completions
-// from the dead device can no longer arrive, and complete() tolerates
-// stragglers anyway.
+// command, in CID order. Real completions from the dead device can no longer
+// arrive, and complete() tolerates stragglers anyway.
 func (b *backend) abandonPending() {
-	cids := make([]int, 0, len(b.pending))
-	for cid := range b.pending {
-		cids = append(cids, int(cid))
-	}
-	sort.Ints(cids)
-	for _, cid := range cids {
+	for cid := range b.pending.All() {
 		if b.e.tr != nil {
 			b.e.tr.Emit(b.e.env.Now(), "engine", "abandon", uint64(b.idx)<<16|uint64(cid), 0, b.dev.Config().Serial)
 		}
-		b.complete(nvme.Completion{CID: uint16(cid), Status: nvme.StatusNSNotReady})
+		b.complete(nvme.Completion{CID: cid, Status: nvme.StatusNSNotReady})
 	}
 }
 

@@ -22,7 +22,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
@@ -209,20 +208,13 @@ func (e *Engine) enterCrash() {
 }
 
 // crashDropPending forgets every outstanding backend command without
-// completing it, in CID order so replay stays deterministic. Admin waiters
-// would hang forever on a silent drop (adminCmd waits unbounded), so those
-// get a synthetic internal-error completion; I/O commands just vanish.
+// completing it, in CID order. Admin waiters would hang forever on a silent
+// drop (adminCmd waits unbounded), so those get a synthetic internal-error
+// completion; I/O commands just vanish.
 func (b *backend) crashDropPending() int {
-	cids := make([]int, 0, len(b.pending))
-	for cid := range b.pending {
-		cids = append(cids, int(cid))
-	}
-	sort.Ints(cids)
 	dropped := 0
-	for _, c := range cids {
-		cid := uint16(c)
-		pend := b.pending[cid]
-		delete(b.pending, cid)
+	for cid, pend := range b.pending.All() {
+		b.pending.Delete(cid)
 		pend.sq.slots.Release()
 		isAdmin := pend.sq == b.adminSQ
 		done := pend.done
@@ -267,12 +259,11 @@ func (e *Engine) TakeCheckpoint() *Checkpoint {
 			Serial: b.dev.Config().Serial,
 			Chunks: append([]bool(nil), b.chunks...),
 		}
-		for cid, pend := range b.pending {
+		for cid, pend := range b.pending.All() {
 			if pend.sq != b.adminSQ {
 				bc.PendingCIDs = append(bc.PendingCIDs, cid)
 			}
 		}
-		sort.Slice(bc.PendingCIDs, func(i, j int) bool { return bc.PendingCIDs[i] < bc.PendingCIDs[j] })
 		cp.Backends = append(cp.Backends, bc)
 	}
 	return cp

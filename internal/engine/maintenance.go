@@ -58,11 +58,12 @@ func (e *Engine) ReplaceBackend(p *sim.Proc, idx int, dev *ssd.SSD, link *pcie.L
 		return fmt.Errorf("engine: backend %d still has %d commands in flight", idx, b.inflight)
 	}
 	b.dev = dev
+	b.spanDev = e.met.Device(dev.Config().Serial)
 	b.port = pcie.Connect(e.env, link, backendTarget{e}, func(fn pcie.FuncID, vec int) {
 		b.onIRQ(vec)
 	}, nil, dev)
 	dev.Attach(b.port)
-	b.pending = make(map[uint16]*bePending)
+	b.pending = nvme.CIDTable[bePending]{}
 	b.freeRings()
 	b.ready = false
 	keep := b.chunks // chunk allocations survive the swap

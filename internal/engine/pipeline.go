@@ -331,7 +331,7 @@ type beSubmit struct {
 // completion; submitted runs right after the SQE push, so a caller can pace
 // its next submission. qhint spreads submitters over the queue pairs. skey,
 // when non-zero, is the host-side span key; the backend aliases it to the
-// device-side (serial, queue, CID) coordinates so the SSD can attribute its
+// device-side (device, queue, CID) coordinates so the SSD can attribute its
 // media time to the right request span.
 func (b *backend) submit(cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion), submitted func()) {
 	var s *beSubmit
@@ -405,12 +405,12 @@ func (s *beSubmit) slot(any) {
 				// submit entry to the slot grant.
 				b.e.met.SpanWait(s.skey, timeline.WaitBackend, int64(b.e.env.Now()-s.t0))
 			}
-			b.e.met.SpanAlias(s.skey, obs.DevKey(b.dev.Config().Serial, sq.id, cid))
+			b.e.met.SpanAlias(s.skey, obs.DevKey(b.spanDev, sq.id, cid))
 		}
 		b.mInflight.Inc(b.e.env.Now())
 		b.mSubmits.Inc()
 	}
-	b.pending[cid] = b.getPending(sq, s.done)
+	b.pending.Put(cid, b.getPending(sq, s.done))
 	submitted := s.submitted
 	s.sq, s.done, s.submitted = nil, nil, nil
 	b.submitFree = append(b.submitFree, s)

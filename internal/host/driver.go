@@ -3,7 +3,6 @@ package host
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
@@ -116,7 +115,7 @@ type IOCounters struct {
 func (d *Driver) Counters() IOCounters {
 	c := d.ioc
 	for _, q := range d.queues {
-		c.ZombiesLeft += len(q.zombie)
+		c.ZombiesLeft += q.zombies
 	}
 	return c
 }
@@ -143,13 +142,18 @@ type dq struct {
 	phase  bool
 	slots  *sim.Resource
 	free   []uint16 // free slot indices (used as CIDs)
-	wait   map[uint16]*sim.Event
-	// zombie holds CIDs abandoned by a command timeout: the slot stays out
-	// of circulation (the device may still DMA into its buffer) until the
-	// straggler CQE arrives and the IRQ handler reclaims it.
-	zombie map[uint16]bool
-	buf    []uint64 // per-slot data buffer base
-	prpPg  []uint64 // per-slot PRP list page
+	// wait is the per-slot event of the attempt in flight under that CID, nil
+	// when nothing waits. A CID read from a CQE is checked against its length
+	// before it indexes anything here.
+	wait []*sim.Event
+	// zombie flags the CIDs abandoned by a command timeout (zombies counts
+	// them): the slot stays out of circulation (the device may still DMA into
+	// its buffer) until the straggler CQE arrives and the IRQ handler
+	// reclaims it.
+	zombie  []bool
+	zombies int
+	buf     []uint64 // per-slot data buffer base
+	prpPg   []uint64 // per-slot PRP list page
 	// prpLen caches the page count whose entries currently fill each slot's
 	// PRP list. Slot buffers never move, so a repeat of the same transfer
 	// size finds the identical list bytes already in place and skips the
@@ -259,10 +263,10 @@ func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 		cqRing: nvme.Ring{Base: cqb, Entries: depth, EntrySz: nvme.CQESize},
 		phase:  true,
 		slots:  sim.NewResource(d.h.Env, int(depth)-1),
-		wait:   make(map[uint16]*sim.Event),
-		zombie: make(map[uint16]bool),
 	}
 	nSlots := int(depth) - 1
+	q.wait = make([]*sim.Event, nSlots)
+	q.zombie = make([]bool, nSlots)
 	for s := 0; s < nSlots; s++ {
 		q.free = append(q.free, uint16(s))
 		q.buf = append(q.buf, mem.AllocPages(maxIO/4096))
@@ -308,14 +312,6 @@ func (d *Driver) Identity() nvme.IdentifyController { return d.ident }
 // NamespaceBlocks returns the active namespace's size in 4K blocks.
 func (d *Driver) NamespaceBlocks() uint64 { return d.nsBlocks }
 
-// register hooks the driver into the host's interrupt router.
-func (h *Host) register(d *Driver) {
-	if h.drivers == nil {
-		h.drivers = make(map[portFn]*Driver)
-	}
-	h.drivers[portFn{d.port, d.fn}] = d
-}
-
 // IRQ handles one MSI vector for this driver: it reaps the corresponding
 // completion queue.
 func (d *Driver) IRQ(vec int) {
@@ -351,11 +347,18 @@ func (d *Driver) IRQ(vec int) {
 			d.met.SpanMark(obs.SpanKey(uint8(d.fn), q.id, cpl.CID), obs.MarkCQE, h.Env.Now())
 			d.mCQEs.Inc()
 		}
-		if ev := q.wait[cpl.CID]; ev != nil {
+		// The CID is the device's word: one outside the queue's slots can be
+		// neither waited for nor zombied.
+		var ev *sim.Event
+		known := int(cpl.CID) < len(q.wait)
+		if known {
+			ev = q.wait[cpl.CID]
+		}
+		if ev != nil {
+			q.wait[cpl.CID] = nil
 			if q.id != 0 {
 				d.ioc.Completed++
 			}
-			delete(q.wait, cpl.CID)
 			// An I/O waiter's first act on waking is to sleep the completion
 			// cost (ioAttempt), so it can be resumed right here and is back
 			// in the event queue before the next CQE is read: no entry just
@@ -367,15 +370,13 @@ func (d *Driver) IRQ(vec int) {
 			} else {
 				ev.Trigger(d.getCpl(cpl))
 			}
-		} else if q.zombie[cpl.CID] {
+		} else if known && q.zombie[cpl.CID] {
 			// Straggler completion for a timed-out command: nobody is
 			// waiting anymore, but the slot can go back into circulation.
 			if q.id != 0 {
 				d.ioc.Stragglers++
 			}
-			delete(q.zombie, cpl.CID)
-			q.free = append(q.free, cpl.CID)
-			q.slots.Release()
+			q.unzombie(cpl.CID)
 		} else if q.id != 0 {
 			// A CQE for a CID nobody issued or already reaped: duplicate or
 			// fabricated completion. Nothing to deliver — just book it so
@@ -404,26 +405,34 @@ func (d *Driver) ReclaimZombies() int {
 	return n
 }
 
-// reclaimQueue recycles one queue's zombied CIDs in CID order (determinism:
-// the zombie set is a map).
+// reclaimQueue recycles one queue's zombied CIDs in CID order.
 func (d *Driver) reclaimQueue(q *dq) int {
-	if len(q.zombie) == 0 {
-		return 0
-	}
-	cids := make([]uint16, 0, len(q.zombie))
-	for cid := range q.zombie {
-		cids = append(cids, cid)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-	for _, cid := range cids {
-		delete(q.zombie, cid)
-		q.free = append(q.free, cid)
-		q.slots.Release()
+	n := q.zombies
+	for cid := 0; q.zombies > 0; cid++ {
+		if !q.zombie[cid] {
+			continue
+		}
+		q.unzombie(uint16(cid))
 		if q.id != 0 {
 			d.ioc.Reclaimed++
 		}
 	}
-	return len(cids)
+	return n
+}
+
+// zombify parks the CID of an attempt that timed out.
+func (q *dq) zombify(cid uint16) {
+	q.wait[cid] = nil
+	q.zombie[cid] = true
+	q.zombies++
+}
+
+// unzombie puts a zombied CID's slot back into circulation.
+func (q *dq) unzombie(cid uint16) {
+	q.zombie[cid] = false
+	q.zombies--
+	q.free = append(q.free, cid)
+	q.slots.Release()
 }
 
 // Reattach re-initialises a controller that came back from a crash: the
@@ -648,8 +657,7 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	if d.cfg.CmdTimeout > 0 {
 		got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
 		if !ok {
-			delete(q.wait, cmd.CID)
-			q.zombie[cmd.CID] = true
+			q.zombify(cmd.CID)
 			d.ioc.Timeouts++
 			d.mTimeouts.Inc()
 			if d.tr != nil {
@@ -728,8 +736,7 @@ func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	d.port.MMIOWrite(d.fn, nvme.SQDoorbell(q.id), uint64(q.tail))
 	got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
 	if !ok {
-		delete(q.wait, slot)
-		q.zombie[slot] = true
+		q.zombify(slot)
 		return
 	}
 	d.putCpl(got.(*nvme.Completion))

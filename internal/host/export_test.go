@@ -1,0 +1,29 @@
+package host
+
+import "bmstore/internal/nvme"
+
+// InjectCQE plays a device that posts cpl into I/O queue qIdx's completion
+// ring and interrupts: the entry goes where the driver looks next, under the
+// phase it expects. The real device's own tail does not move, so a test that
+// injects must see to it that the device posts nothing afterwards.
+func (d *Driver) InjectCQE(qIdx int, cpl nvme.Completion) {
+	q := d.queues[qIdx]
+	cpl.Phase = q.phase
+	var raw [nvme.CQESize]byte
+	cpl.Encode(&raw)
+	d.h.Mem.Write(q.cqRing.SlotAddr(q.cqHead), raw[:])
+	d.IRQ(int(q.id))
+}
+
+// QueueState is the slot bookkeeping of I/O queue qIdx: the free list in
+// stack order, the zombie-flagged CIDs in ascending order, the zombie count
+// kept beside the flags, and the slots out of circulation.
+func (d *Driver) QueueState(qIdx int) (free, zombies []uint16, zombieCount, inUse int) {
+	q := d.queues[qIdx]
+	for cid, z := range q.zombie {
+		if z {
+			zombies = append(zombies, uint16(cid))
+		}
+	}
+	return append([]uint16(nil), q.free...), zombies, q.zombies, q.slots.InUse()
+}

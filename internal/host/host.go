@@ -19,14 +19,15 @@ type Host struct {
 	Root   *pcie.Root
 	Kernel KernelProfile
 
-	drivers map[portFn]*Driver
+	ports []*hostPort
 }
 
-// portFn identifies one function on one link: several single-function
-// devices (SSDs) can coexist with a multi-function device (the BMS-Engine).
-type portFn struct {
-	port *pcie.Port
-	fn   pcie.FuncID
+// hostPort is one link below the host with the drivers attached to its
+// functions, indexed by function: several single-function devices (SSDs) can
+// coexist with a multi-function device (the BMS-Engine).
+type hostPort struct {
+	port    *pcie.Port
+	drivers []*Driver
 }
 
 // Connect attaches a device below this host on the given link and wires
@@ -34,13 +35,28 @@ type portFn struct {
 // vdmUp, usually nil, receives vendor-defined messages the device sends
 // upstream (the MCTP path used by the management examples).
 func (h *Host) Connect(link *pcie.Link, dev pcie.RegDevice, vdmUp func([]byte)) *pcie.Port {
-	port := pcie.Connect(h.Env, link, h.Root, nil, vdmUp, dev)
-	port.SetIRQ(func(fn pcie.FuncID, vec int) {
-		if d := h.drivers[portFn{port, fn}]; d != nil {
-			d.IRQ(vec)
+	hp := &hostPort{port: pcie.Connect(h.Env, link, h.Root, nil, vdmUp, dev)}
+	hp.port.SetIRQ(func(fn pcie.FuncID, vec int) {
+		// An interrupt from a function no driver is bound to goes nowhere.
+		if int(fn) < len(hp.drivers) && hp.drivers[fn] != nil {
+			hp.drivers[fn].IRQ(vec)
 		}
 	})
-	return port
+	h.ports = append(h.ports, hp)
+	return hp.port
+}
+
+// register hooks the driver into the interrupt routing of its port.
+func (h *Host) register(d *Driver) {
+	for _, hp := range h.ports {
+		if hp.port == d.port {
+			for len(hp.drivers) <= int(d.fn) {
+				hp.drivers = append(hp.drivers, nil)
+			}
+			hp.drivers[d.fn] = d
+			return
+		}
+	}
 }
 
 // New returns a host with the given memory size and kernel.

@@ -95,8 +95,12 @@ type Controller struct {
 	regAQA, regASQ, regACQ uint64
 	enabled                bool
 
-	sqs map[uint16]*SQ
-	cqs map[uint16]*compQueue
+	// Queue tables, indexed by queue id and grown to the highest id created;
+	// a deleted queue leaves a nil entry. Ids arrive off the wire (doorbell
+	// offsets, admin commands, the owner's CQ id), so every use goes through
+	// sq and cq, which bounds-check.
+	sqs []*SQ
+	cqs []*compQueue
 
 	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
 	// upstream memory, so one reusable buffer replaces a per-CQE escape.
@@ -156,8 +160,8 @@ func SinksReg(off uint64) bool {
 func (c *Controller) enable() {
 	asqs := uint32(c.regAQA&0xFFF) + 1
 	acqs := uint32(c.regAQA>>16&0xFFF) + 1
-	c.sqs[0] = &SQ{c: c, ring: nvme.Ring{Base: c.regASQ, Entries: asqs, EntrySz: nvme.SQESize}}
-	c.cqs[0] = &compQueue{ring: nvme.Ring{Base: c.regACQ, Entries: acqs, EntrySz: nvme.CQESize}, phase: true}
+	c.sqs = []*SQ{{c: c, ring: nvme.Ring{Base: c.regASQ, Entries: asqs, EntrySz: nvme.SQESize}}}
+	c.cqs = []*compQueue{{ring: nvme.Ring{Base: c.regACQ, Entries: acqs, EntrySz: nvme.CQESize}, phase: true}}
 	c.enabled = true
 }
 
@@ -166,8 +170,32 @@ func (c *Controller) enable() {
 // step.
 func (c *Controller) Disable() {
 	c.enabled = false
-	c.sqs = make(map[uint16]*SQ)
-	c.cqs = make(map[uint16]*compQueue)
+	c.sqs, c.cqs = nil, nil
+}
+
+// sq returns submission queue qid, or nil when there is none.
+func (c *Controller) sq(qid uint16) *SQ {
+	if int(qid) < len(c.sqs) {
+		return c.sqs[qid]
+	}
+	return nil
+}
+
+// cq returns completion queue qid, or nil when there is none.
+func (c *Controller) cq(qid uint16) *compQueue {
+	if int(qid) < len(c.cqs) {
+		return c.cqs[qid]
+	}
+	return nil
+}
+
+// setQueue stores q under qid, growing the table to reach it.
+func setQueue[Q any](tab []*Q, qid uint16, q *Q) []*Q {
+	for len(tab) <= int(qid) {
+		tab = append(tab, nil)
+	}
+	tab[qid] = q
+	return tab
 }
 
 func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
@@ -179,8 +207,8 @@ func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
 		// what SinksReg tells the port — one that asks delivers none.
 		return
 	}
-	sq, ok := c.sqs[qid]
-	if !ok {
+	sq := c.sq(qid)
+	if sq == nil {
 		return
 	}
 	sq.tail = val % sq.ring.Entries
@@ -277,35 +305,34 @@ func (sq *SQ) dispatch() {
 func (c *Controller) QueueAdmin(cmd nvme.Command) nvme.Status {
 	qid := uint16(cmd.CDW10)
 	size := cmd.CDW10>>16 + 1
-	_, sqExists := c.sqs[qid]
-	_, cqExists := c.cqs[qid]
+	sqExists, cqExists := c.sq(qid) != nil, c.cq(qid) != nil
 	switch cmd.Opcode {
 	case nvme.AdminCreateIOCQ:
 		if qid == 0 || size < 2 || cqExists {
 			return nvme.StatusInvalidQueueID
 		}
-		c.cqs[qid] = &compQueue{ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.CQESize}, phase: true}
+		c.cqs = setQueue(c.cqs, qid, &compQueue{ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.CQESize}, phase: true})
 	case nvme.AdminCreateIOSQ:
 		cqid := uint16(cmd.CDW11 >> 16)
-		if _, ok := c.cqs[cqid]; !ok || qid == 0 || size < 2 || sqExists {
+		if c.cq(cqid) == nil || qid == 0 || size < 2 || sqExists {
 			return nvme.StatusInvalidQueueID
 		}
-		c.sqs[qid] = &SQ{ID: qid, CQID: cqid, c: c, ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.SQESize}}
+		c.sqs = setQueue(c.sqs, qid, &SQ{ID: qid, CQID: cqid, c: c, ring: nvme.Ring{Base: cmd.PRP1, Entries: size, EntrySz: nvme.SQESize}})
 	case nvme.AdminDeleteIOSQ:
 		if qid == 0 || !sqExists {
 			return nvme.StatusInvalidQueueID
 		}
-		delete(c.sqs, qid)
+		c.sqs[qid] = nil
 	case nvme.AdminDeleteIOCQ:
 		if qid == 0 || !cqExists {
 			return nvme.StatusInvalidQueueID
 		}
 		for _, sq := range c.sqs {
-			if sq.CQID == qid {
+			if sq != nil && sq.CQID == qid {
 				return nvme.StatusInvalidQueueDeletion
 			}
 		}
-		delete(c.cqs, qid)
+		c.cqs[qid] = nil
 	default:
 		return nvme.StatusInvalidOpcode
 	}
@@ -321,8 +348,8 @@ func (c *Controller) PostCQE(cqid uint16, cpl nvme.Completion) {
 	if !c.owner.MayPost() {
 		return // the command is lost; the driver's timeout covers it
 	}
-	cq, ok := c.cqs[cqid]
-	if !ok {
+	cq := c.cq(cqid)
+	if cq == nil {
 		return
 	}
 	cpl.Phase = cq.phase

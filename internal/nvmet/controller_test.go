@@ -275,10 +275,18 @@ func TestQueueAdminStatuses(t *testing.T) {
 		{"delete SQ 2", del(nvme.AdminDeleteIOSQ, 2), nvme.StatusSuccess},
 		{"delete CQ 1", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusSuccess},
 		{"delete CQ 1 again", del(nvme.AdminDeleteIOCQ, 1), nvme.StatusInvalidQueueID},
+		// The queue tables are indexed by id: one past their end, and the
+		// largest id the wire can carry, are queues that do not exist.
+		{"delete SQ 3, one past the table", del(nvme.AdminDeleteIOSQ, 3), nvme.StatusInvalidQueueID},
+		{"delete SQ 65535", del(nvme.AdminDeleteIOSQ, 65535), nvme.StatusInvalidQueueID},
+		{"delete CQ 65535", del(nvme.AdminDeleteIOCQ, 65535), nvme.StatusInvalidQueueID},
+		{"create SQ 1 into CQ 65535", createSQ(q1, 65535), nvme.StatusInvalidQueueID},
+		{"create SQ 1 into deleted CQ 1", createSQ(q1, 1), nvme.StatusInvalidQueueID},
+		{"create CQ 1 where one was deleted", createCQ(q1), nvme.StatusSuccess},
 	}
-	// 19 commands through an 8-deep admin pair: the admin rings wrap twice
-	// on the way, and every step's completion arriving at all proves the
-	// admin queue survived the step before it.
+	// 25 commands through an 8-deep admin pair: the admin rings wrap three
+	// times on the way, and every step's completion arriving at all proves
+	// the admin queue survived the step before it.
 	for _, s := range steps {
 		if got := r.adminCmd(s.cmd); got != s.want {
 			t.Errorf("%s: status %#x, want %#x", s.name, got, s.want)
@@ -323,6 +331,43 @@ func TestDoorbellToUnknownOrDisabledQueueIgnored(t *testing.T) {
 	quiet("SQ doorbell of a disabled controller", 1)
 	r.port.MMIOWrite(testFn, 0x40, 1)
 	quiet("write to a register the model does not have", 1)
+}
+
+// TestQueueIDsOffTheTableAreUnknownQueues: queue ids reach the controller
+// from the other side of the wire — a doorbell's offset, the CQ id an owner
+// completes into — and index its tables. The largest id there is, an id one
+// past the table, and the id of a deleted queue all name no queue: the
+// doorbell starts nothing and the completion is dropped without a DMA or an
+// interrupt, exactly as for a queue that never existed.
+func TestQueueIDsOffTheTableAreUnknownQueues(t *testing.T) {
+	r := newRig(t)
+	q1, q2 := r.pair(1, 8), r.pair(2, 8)
+	for _, op := range []uint8{nvme.AdminDeleteIOSQ, nvme.AdminDeleteIOCQ} {
+		if st := r.adminCmd(nvme.Command{Opcode: op, CDW10: uint32(q2.id)}); st != nvme.StatusSuccess {
+			t.Fatalf("delete opcode %#x of queue 2: status %#x", op, st)
+		}
+	}
+	r.irqs, r.irqAt = nil, nil
+	r.push(q2, nvme.Command{Opcode: ioOp})
+	for _, qid := range []uint16{q2.id, 3, 65535} {
+		events := r.env.Events()
+		r.port.MMIOWrite(testFn, nvme.SQDoorbell(qid), 1)
+		r.c.PostCQE(qid, nvme.Completion{CID: 7, SQID: qid})
+		r.env.Run()
+		if len(r.own.started) != 0 || len(r.irqs) != 0 || len(r.reap(q2)) != 0 {
+			t.Fatalf("queue %d: started %v, interrupts %v; want nothing", qid, r.startedCIDs(), r.irqs)
+		}
+		if got := r.env.Events() - events; got != 1 {
+			t.Fatalf("queue %d: %d events, want the doorbell's delivery alone (a posted CQE schedules its interrupt)", qid, got)
+		}
+	}
+	// The neighbour below the deleted queue still works.
+	cid := r.push(q1, nvme.Command{Opcode: ioOp})
+	r.ring(q1)
+	r.env.Run()
+	if got := r.reap(q1); len(got) != 1 || got[0].CID != cid {
+		t.Fatalf("queue 1 after the no-ops: reaped %+v, want cid %d", got, cid)
+	}
 }
 
 // TestCQHeadDoorbellTakesTheLinkAndNoEvent: the controller discards a CQ

@@ -21,9 +21,10 @@
 //     components cache instrument pointers at construction and a rig built
 //     without a registry pays one nil check per observation point.
 //
-// The package depends only on internal/stats and the standard library
-// (timestamps travel as plain int64), so the sim kernel can hold a
-// *Registry without an import cycle.
+// The package depends only on internal/stats, the CID table of internal/nvme
+// (which imports nothing of the simulator) and the standard library —
+// timestamps travel as plain int64 — so the sim kernel can hold a *Registry
+// without an import cycle.
 package obs
 
 import (
@@ -71,7 +72,6 @@ func New(opts Options) *Registry {
 		instSeq: make(map[string]int),
 		tl:      timeline.NewRecorder(opts.Timeline),
 	}
-	r.spans.init()
 	return r
 }
 

@@ -232,8 +232,8 @@ func TestSpanCollision(t *testing.T) {
 func TestSpanAliasMedia(t *testing.T) {
 	r := NewRegistry()
 	key := SpanKey(1, 1, 1)
-	ak1 := DevKey("SSDA", 3, 7)
-	ak2 := DevKey("SSDB", 3, 7)
+	ak1 := DevKey(r.Device("SSDA"), 3, 7)
+	ak2 := DevKey(r.Device("SSDB"), 3, 7)
 	if ak1 == ak2 {
 		t.Fatal("distinct serials produced the same alias key")
 	}
@@ -258,8 +258,102 @@ func TestSpanAliasMedia(t *testing.T) {
 	if agg := r.SpanAggregate(); agg.Media[OpRead].Mean() != 55 {
 		t.Fatal("stale alias still attributed media time")
 	}
-	if len(r.spans.alias) != 0 {
-		t.Fatalf("%d alias entries leaked", len(r.spans.alias))
+	if n := r.spans.alias.count(); n != 0 {
+		t.Fatalf("%d alias entries leaked", n)
+	}
+}
+
+// TestSpanKeysIndexWithoutColliding: spans are found by indexing with
+// (function, queue, CID) and aliases with (device, queue, CID), so the same
+// CID on another queue, function or device is another entry, and a key
+// beyond what any level of the tables holds finds nothing.
+func TestSpanKeysIndexWithoutColliding(t *testing.T) {
+	r := NewRegistry()
+	keys := []uint64{SpanKey(0, 1, 7), SpanKey(0, 2, 7), SpanKey(1, 1, 7), SpanKey(0, 1, 8), SpanKey(255, 65535, 65535), SpanKey(0, 1, 0)}
+	for i, k := range keys {
+		r.SpanStart(k, OpRead, int64(i))
+	}
+	if agg := r.SpanAggregate(); agg.Collisions != 0 || agg.Live != uint64(len(keys)) {
+		t.Fatalf("%d distinct keys: collisions %d live %d", len(keys), agg.Collisions, agg.Live)
+	}
+	a, b := r.Device("SSDA"), r.Device("SSDB")
+	if a == 0 || b == 0 || a == b || r.Device("SSDA") != a || r.Device("SSDB") != b {
+		t.Fatalf("device ids %d and %d, then %d and %d; want two non-zero ids, each stable", a, b, r.Device("SSDA"), r.Device("SSDB"))
+	}
+	aliases := []uint64{DevKey(a, 1, 7), DevKey(b, 1, 7), DevKey(a, 2, 7), DevKey(a, 1, 8), DevKey(b, 65535, 65535), DevKey(b, 1, 0)}
+	for i, ak := range aliases {
+		r.SpanAlias(keys[i], ak)
+	}
+	for i, ak := range aliases {
+		if got := r.spans.alias.get(ak); got == nil || got != r.spans.live.get(keys[i]) {
+			t.Fatalf("alias %#x does not lead to the span of key %#x", ak, keys[i])
+		}
+	}
+
+	// Keys nothing was stored under, at every level: an unknown function or
+	// device, a queue past the function's table, a CID in a leaf that does
+	// not exist, and top halves SpanKey and DevKey never produce.
+	for _, k := range []uint64{SpanKey(2, 1, 7), SpanKey(1, 2, 7), SpanKey(1, 1, 0x4007), SpanKey(254, 65535, 65535), 1 << 40, 300<<32 | 5<<16 | 5} {
+		r.SpanMark(k, MarkDispatch, 99)
+		r.SpanError(k)
+		r.SpanAlias(k, DevKey(a, 9, 9))
+		r.SpanStart(k|1<<40, OpRead, 0)
+	}
+	for _, ak := range []uint64{DevKey(b+1, 1, 7), DevKey(a, 3, 7), DevKey(a, 1, 0x4007), ^uint64(0)} {
+		r.SpanMedia(ak, 1000)
+	}
+	r.SpanAlias(keys[0], DevKey(b+1, 1, 7)) // devices nobody interned
+	r.SpanAlias(keys[0], DevKey(b+200, 1, 7))
+	if n, m := r.spans.live.count(), r.spans.alias.count(); n != len(keys) || m != len(aliases) {
+		t.Fatalf("%d live spans and %d aliases after lookups that should all miss, want %d and %d", n, m, len(keys), len(aliases))
+	}
+	for i, k := range keys {
+		if sp := r.spans.live.get(k); sp.set != 1<<MarkStart || sp.errored || sp.media != 0 || sp.ts[MarkStart] != int64(i) {
+			t.Fatalf("span %#x was touched through another key: %+v", k, sp)
+		}
+	}
+	before := r.SpanAggregate().Dropped
+	r.SpanFinish(SpanKey(3, 1, 7), 5)
+	if got := r.SpanAggregate().Dropped; got != before+1 {
+		t.Fatalf("finish of an unknown key: dropped %d -> %d, want one more", before, got)
+	}
+	for _, k := range keys {
+		r.SpanFinish(k, 100)
+	}
+	if n, m := r.spans.live.count(), r.spans.alias.count(); n != 0 || m != 0 {
+		t.Fatalf("%d spans and %d aliases left after every finish", n, m)
+	}
+}
+
+// TestAliasRepointedByCIDReuse: the backend reuses a CID as soon as its
+// command completes, which can be before the host has finished the span that
+// command belonged to. The alias then leads to the newer span, and the older
+// span's finish must leave it alone: an alias is removed only if it still
+// points at the span being torn down.
+func TestAliasRepointedByCIDReuse(t *testing.T) {
+	r := NewRegistry()
+	older, newer := SpanKey(0, 1, 1), SpanKey(0, 1, 2)
+	ak := DevKey(r.Device("SSDA"), 3, 7)
+	ts := [numMarks]int64{0, 1, 2, 3, 90, 95, 100}
+	for _, key := range []uint64{older, newer} {
+		r.SpanStart(key, OpRead, ts[MarkStart])
+		for m := MarkDoorbell; m < MarkFinish; m++ {
+			r.SpanMark(key, m, ts[m])
+		}
+		r.SpanAlias(key, ak)
+	}
+	r.SpanFinish(older, ts[MarkFinish])
+	if r.spans.alias.get(ak) != r.spans.live.get(newer) {
+		t.Fatal("the older span's finish removed an alias that had moved on to the newer span")
+	}
+	r.SpanMedia(ak, 55)
+	r.SpanFinish(newer, ts[MarkFinish])
+	agg := r.SpanAggregate()
+	if m := &agg.Media[OpRead]; m.N() != 1 || m.Mean() != 55 || agg.Finished[OpRead] != 2 {
+		t.Fatalf("media n=%d mean=%v over %d finished spans; want the newer span alone to carry 55", m.N(), m.Mean(), agg.Finished[OpRead])
+	}
+	if n := r.spans.alias.count(); n != 0 {
+		t.Fatalf("%d alias entries leaked", n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"math"
+
+	"bmstore/internal/nvme"
 	"bmstore/internal/obs/timeline"
 	"bmstore/internal/stats"
 )
@@ -19,8 +22,13 @@ import (
 //
 // The NAND/media phase happens inside an SSD that only sees the backend's
 // rewritten command, not the tenant's. The engine backend bridges the gap
-// by registering an alias key in the device domain (serial, backend queue,
-// backend CID); the SSD attributes its media time through that alias.
+// by registering an alias key in the device domain (device, backend queue,
+// backend CID); the SSD attributes its media time through that alias. The
+// device is a small integer the registry interns from the SSD's serial
+// (Registry.Device) when the SSD and the backend are built, not per command.
+//
+// Both kinds of key are found by indexing, never by hashing: a table per
+// (function or device, queue), grown on demand, holds the spans by CID.
 
 // Op is the I/O direction of a span.
 type Op uint8
@@ -98,16 +106,29 @@ func SpanKey(fn uint8, qid, cid uint16) uint64 {
 	return uint64(fn)<<32 | uint64(qid)<<16 | uint64(cid)
 }
 
-// DevKey builds the device-domain alias key from the SSD serial and the
-// backend-side queue/CID pair. The serial is folded with FNV-1a so distinct
-// devices land in distinct key ranges; aliases live in their own map, so
-// the host and device domains can never collide with each other.
-func DevKey(serial string, qid, cid uint16) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(serial); i++ {
-		h = (h ^ uint64(serial[i])) * 1099511628211
+// DevKey builds the device-domain alias key from the SSD's interned device id
+// (Registry.Device) and the backend-side queue/CID pair. Device ids start at
+// one, so no alias key is zero; aliases live in their own tables, so the host
+// and device domains can never collide with each other.
+func DevKey(dev uint32, qid, cid uint16) uint64 {
+	return uint64(dev)<<32 | uint64(qid)<<16 | uint64(cid)
+}
+
+// Device interns an SSD serial as the small integer DevKey takes, the same
+// one for the same serial: the SSD and the engine backend in front of it each
+// ask once, at construction. A nil registry answers zero, which no device is
+// interned as.
+func (r *Registry) Device(serial string) uint32 {
+	if r == nil {
+		return 0
 	}
-	return h<<32 ^ uint64(qid)<<16 ^ uint64(cid)
+	for i, s := range r.spans.devs {
+		if s == serial {
+			return uint32(i + 1)
+		}
+	}
+	r.spans.devs = append(r.spans.devs, serial)
+	return uint32(len(r.spans.devs))
 }
 
 // span is one in-flight request's lifecycle record. When the registry has a
@@ -136,12 +157,68 @@ var markPoint = [numMarks]timeline.Point{
 	MarkFinish:      timeline.PtFinish,
 }
 
+// spanDomain finds spans by key: indexed by the key's top half (function or
+// device), then by queue, then — the CID of a backend command roams the whole
+// 16-bit space — through a leaf table. Every level grows only as far as the
+// keys stored need, and a lookup with a key beyond any level finds nothing.
+type spanDomain [][]nvme.CIDTable[span]
+
+// table returns the CID table key falls into, or nil when no key was ever
+// stored under its function or device and queue.
+func (d spanDomain) table(key uint64) *nvme.CIDTable[span] {
+	if hi := key >> 32; hi < uint64(len(d)) {
+		if qs, q := d[hi], uint16(key>>16); int(q) < len(qs) {
+			return &qs[q]
+		}
+	}
+	return nil
+}
+
+func (d spanDomain) get(key uint64) *span {
+	if t := d.table(key); t != nil {
+		return t.Get(uint16(key))
+	}
+	return nil
+}
+
+// put stores sp under key, whose top half the caller has bounded.
+func (d *spanDomain) put(key uint64, sp *span) {
+	hi, q := key>>32, uint16(key>>16)
+	for uint64(len(*d)) <= hi {
+		*d = append(*d, nil)
+	}
+	qs := &(*d)[hi]
+	for len(*qs) <= int(q) {
+		*qs = append(*qs, nvme.CIDTable[span]{})
+	}
+	(*qs)[q].Put(uint16(key), sp)
+}
+
+// delete removes and returns the span stored under key, or returns nil.
+func (d spanDomain) delete(key uint64) *span {
+	if t := d.table(key); t != nil {
+		return t.Delete(uint16(key))
+	}
+	return nil
+}
+
+// count counts the entries; it walks every table, so it is for export and tests.
+func (d spanDomain) count() (n int) {
+	for _, qs := range d {
+		for i := range qs {
+			n += qs[i].Len()
+		}
+	}
+	return n
+}
+
 // spanTable is the registry's span state: live spans by host key, alias
-// entries by device key, recycled span records, and the folded stage
-// histograms.
+// entries by device key, the interned device serials, recycled span records,
+// and the folded stage histograms.
 type spanTable struct {
-	live  map[uint64]*span
-	alias map[uint64]*span
+	live  spanDomain
+	alias spanDomain
+	devs  []string // serial of device id i+1
 	free  []*span
 
 	stage    [numOps][NumStages]stats.Hist
@@ -154,21 +231,16 @@ type spanTable struct {
 	errored    uint64 // spans closed on the error path (timeout, bad status)
 }
 
-func (t *spanTable) init() {
-	t.live = make(map[uint64]*span)
-	t.alias = make(map[uint64]*span)
-}
-
 // SpanStart opens a span for the I/O identified by key at virtual time t.
 // If the key is already live (possible on multi-driver direct rigs, where
 // every driver shares function 0), the old span is abandoned and counted as
 // a collision.
 func (r *Registry) SpanStart(key uint64, op Op, t int64) {
-	if r == nil {
-		return
+	if r == nil || key>>32 > math.MaxUint8 {
+		return // SpanKey builds no such key
 	}
 	tb := &r.spans
-	if old, ok := tb.live[key]; ok {
+	if old := tb.live.get(key); old != nil {
 		tb.collisions++
 		tb.unalias(old)
 		if old.rec != nil {
@@ -184,7 +256,7 @@ func (r *Registry) SpanStart(key uint64, op Op, t int64) {
 	if r.tl != nil {
 		sp.rec = r.tl.Start(op == OpWrite, t)
 	}
-	tb.live[key] = sp
+	tb.live.put(key, sp)
 }
 
 // SpanMark records one lifecycle timestamp. Unknown keys are ignored (an
@@ -193,7 +265,7 @@ func (r *Registry) SpanMark(key uint64, m Mark, t int64) {
 	if r == nil {
 		return
 	}
-	if sp, ok := r.spans.live[key]; ok {
+	if sp := r.spans.live.get(key); sp != nil {
 		sp.ts[m] = t
 		sp.set |= 1 << m
 		if sp.rec != nil {
@@ -209,7 +281,7 @@ func (r *Registry) SpanQD(key uint64, qd int64) {
 	if r == nil || r.tl == nil {
 		return
 	}
-	if sp, ok := r.spans.live[key]; ok && sp.rec != nil {
+	if sp := r.spans.live.get(key); sp != nil && sp.rec != nil {
 		sp.rec.QD = qd
 	}
 }
@@ -220,7 +292,7 @@ func (r *Registry) SpanWait(key uint64, w timeline.Wait, d int64) {
 	if r == nil || r.tl == nil {
 		return
 	}
-	if sp, ok := r.spans.live[key]; ok {
+	if sp := r.spans.live.get(key); sp != nil {
 		sp.rec.AddWait(w, d)
 	}
 }
@@ -231,7 +303,7 @@ func (r *Registry) SpanWaitDev(alias uint64, w timeline.Wait, d int64) {
 	if r == nil || r.tl == nil {
 		return
 	}
-	if sp, ok := r.spans.alias[alias]; ok {
+	if sp := r.spans.alias.get(alias); sp != nil {
 		sp.rec.AddWait(w, d)
 	}
 }
@@ -245,8 +317,8 @@ func (r *Registry) SpanPhases(alias uint64, nandStart, nandEnd, dmaStart, dmaEnd
 	if r == nil || r.tl == nil {
 		return
 	}
-	sp, ok := r.spans.alias[alias]
-	if !ok || sp.rec == nil {
+	sp := r.spans.alias.get(alias)
+	if sp == nil || sp.rec == nil {
 		return
 	}
 	rec := sp.rec
@@ -266,8 +338,11 @@ func (r *Registry) SpanAlias(key, alias uint64) {
 	if r == nil {
 		return
 	}
-	if sp, ok := r.spans.live[key]; ok {
-		r.spans.alias[alias] = sp
+	if alias>>32 > uint64(len(r.spans.devs)) {
+		return // not a device Device has interned: DevKey builds no such key
+	}
+	if sp := r.spans.live.get(key); sp != nil {
+		r.spans.alias.put(alias, sp)
 		sp.aliases = append(sp.aliases, alias)
 	}
 }
@@ -279,7 +354,7 @@ func (r *Registry) SpanMedia(alias uint64, d int64) {
 	if r == nil {
 		return
 	}
-	if sp, ok := r.spans.alias[alias]; ok {
+	if sp := r.spans.alias.get(alias); sp != nil {
 		if d > sp.media {
 			sp.media = d
 		}
@@ -294,7 +369,7 @@ func (r *Registry) SpanError(key uint64) {
 	if r == nil {
 		return
 	}
-	if sp, ok := r.spans.live[key]; ok {
+	if sp := r.spans.live.get(key); sp != nil {
 		sp.errored = true
 	}
 }
@@ -306,12 +381,11 @@ func (r *Registry) SpanFinish(key uint64, t int64) {
 		return
 	}
 	tb := &r.spans
-	sp, ok := tb.live[key]
-	if !ok {
+	sp := tb.live.delete(key)
+	if sp == nil {
 		tb.dropped++
 		return
 	}
-	delete(tb.live, key)
 	tb.unalias(sp)
 	sp.ts[MarkFinish] = t
 	sp.set |= 1 << MarkFinish
@@ -378,8 +452,8 @@ func (t *spanTable) fold(sp *span) {
 
 func (t *spanTable) unalias(sp *span) {
 	for _, ak := range sp.aliases {
-		if t.alias[ak] == sp {
-			delete(t.alias, ak)
+		if tab := t.alias.table(ak); tab != nil && tab.Get(uint16(ak)) == sp {
+			tab.Delete(uint16(ak))
 		}
 	}
 }
@@ -413,7 +487,7 @@ func (t *spanTable) mergeInto(agg *SpanAgg) {
 	agg.Collisions += t.collisions
 	agg.Dropped += t.dropped
 	agg.Errored += t.errored
-	agg.Live += uint64(len(t.live))
+	agg.Live += uint64(t.live.count())
 }
 
 // SpanAgg is the merged breakdown state of one or more registries.

@@ -74,8 +74,8 @@ func (d *SSD) adminIdentify(p *sim.Proc, cmd nvme.Command) nvme.Status {
 		}
 		ic.Encode(page)
 	case nvme.CNSNamespace:
-		ns, ok := d.nss[cmd.NSID]
-		if !ok {
+		ns := d.ns(cmd.NSID)
+		if ns == nil {
 			return nvme.StatusInvalidNamespace
 		}
 		in := nvme.IdentifyNamespace{NSZE: ns.sizeLBA, NCAP: ns.sizeLBA, NUSE: 0}
@@ -127,22 +127,21 @@ func (d *SSD) adminNSManagement(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Sta
 		if sizeLBA == 0 {
 			return 0, nvme.StatusInvalidField
 		}
-		if len(d.nss) >= d.cfg.MaxNamespaces {
+		if len(d.Namespaces()) >= d.cfg.MaxNamespaces {
 			return 0, nvme.StatusNSIDUnavailable
 		}
 		if d.allocLBA+sizeLBA > d.totalLBAs {
 			return 0, nvme.StatusNSInsufficientCap
 		}
-		id := d.nextNSID
-		d.nextNSID++
-		d.nss[id] = &namespace{id: id, startLBA: d.allocLBA, sizeLBA: sizeLBA}
+		id := uint32(len(d.nss))
+		d.nss = append(d.nss, &namespace{id: id, startLBA: d.allocLBA, sizeLBA: sizeLBA})
 		d.allocLBA += sizeLBA
 		return id, nvme.StatusSuccess
 	case 1: // delete
-		if _, ok := d.nss[cmd.NSID]; !ok {
+		if d.ns(cmd.NSID) == nil {
 			return 0, nvme.StatusInvalidNamespace
 		}
-		delete(d.nss, cmd.NSID)
+		d.nss[cmd.NSID] = nil
 		return 0, nvme.StatusSuccess
 	default:
 		return 0, nvme.StatusInvalidField
@@ -222,8 +221,8 @@ func (d *SSD) NotifyResetDone(fn func()) {
 }
 
 func (d *SSD) adminFormat(cmd nvme.Command) nvme.Status {
-	ns, ok := d.nss[cmd.NSID]
-	if !ok {
+	ns := d.ns(cmd.NSID)
+	if ns == nil {
 		return nvme.StatusInvalidNamespace
 	}
 	d.zeroBlocks(ns.startLBA, ns.sizeLBA)

@@ -16,7 +16,7 @@ func (d *SSD) CaptureRead(nsid uint32, slba uint64, nlb uint32) []byte {
 	if !d.cfg.CaptureData {
 		return nil
 	}
-	ns := d.nss[nsid]
+	ns := d.ns(nsid)
 	if ns == nil {
 		return nil
 	}
@@ -28,7 +28,7 @@ func (d *SSD) CaptureWrite(nsid uint32, slba uint64, data []byte) {
 	if !d.cfg.CaptureData || len(data) == 0 {
 		return
 	}
-	ns := d.nss[nsid]
+	ns := d.ns(nsid)
 	if ns == nil {
 		return
 	}
@@ -41,7 +41,7 @@ func (d *SSD) CaptureZero(nsid uint32, slba uint64, nlb uint32) {
 	if !d.cfg.CaptureData {
 		return
 	}
-	ns := d.nss[nsid]
+	ns := d.ns(nsid)
 	if ns == nil {
 		return
 	}

@@ -207,8 +207,8 @@ func (io *ssdIO) start() {
 		io.finish(nvme.StatusInvalidOpcode)
 		return
 	}
-	ns, ok := d.nss[io.cmd.NSID]
-	if !ok {
+	ns := d.ns(io.cmd.NSID)
+	if ns == nil {
 		io.finish(nvme.StatusInvalidNamespace)
 		return
 	}
@@ -250,7 +250,7 @@ func (io *ssdIO) walkAttempt() {
 	// phase intervals); zero when timeline recording is off.
 	io.alias = 0
 	if d.tl {
-		io.alias = obs.DevKey(d.cfg.Serial, io.sq.ID, io.cmd.CID)
+		io.alias = obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID)
 	}
 	if d.tr != nil {
 		d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
@@ -536,7 +536,7 @@ func (io *ssdIO) finishMedia() {
 	d := io.d
 	if d.met != nil && io.media > 0 {
 		d.mMedia.Record(int64(io.media))
-		d.met.SpanMedia(obs.DevKey(d.cfg.Serial, io.sq.ID, io.cmd.CID), int64(io.media))
+		d.met.SpanMedia(obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID), int64(io.media))
 		if io.alias != 0 {
 			// Phase intervals derived from (t0, media, now): a read's media
 			// phase leads and its upstream DMA follows; a write fetches over

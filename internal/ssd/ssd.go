@@ -132,8 +132,10 @@ type SSD struct {
 	// surprise-removed and never answers again.
 	dropped bool
 
-	nss       map[uint32]*namespace
-	nextNSID  uint32
+	// nss is the namespace table, indexed by NSID: entry 0 is never used,
+	// NSIDs are handed out in sequence and not reused, a deleted namespace
+	// leaves a nil entry. Commands reach it through ns, which bounds-checks.
+	nss       []*namespace
 	allocLBA  uint64 // bump allocator over the flat device LBA space
 	totalLBAs uint64
 
@@ -162,7 +164,8 @@ type SSD struct {
 	// Per-device instruments, cached at construction; all nil-safe no-ops
 	// when the environment has no metrics registry.
 	met         *obs.Registry
-	tl          bool // timeline recording on (cached from the registry)
+	tl          bool   // timeline recording on (cached from the registry)
+	spanDev     uint32 // this device in the registry's span-alias domain
 	mMedia      *obs.Hist
 	mReadOps    *obs.Counter
 	mWriteOps   *obs.Counter
@@ -180,8 +183,7 @@ func New(env *sim.Env, cfg Config) *SSD {
 		cfg:        cfg,
 		tr:         env.Tracer(),
 		flt:        env.Faults(),
-		nss:        make(map[uint32]*namespace),
-		nextNSID:   1,
+		nss:        make([]*namespace, 1),
 		totalLBAs:  cfg.CapacityBytes / BlockSize,
 		dies:       sim.NewResource(env, cfg.Dies),
 		readPacer:  sim.NewPacer(env, cfg.ReadBandwidth),
@@ -197,6 +199,7 @@ func New(env *sim.Env, cfg Config) *SSD {
 	})
 	if d.met = env.Metrics(); d.met != nil {
 		d.tl = d.met.TimelineEnabled()
+		d.spanDev = d.met.Device(cfg.Serial)
 		comp := d.met.Component("ssd/" + cfg.Serial)
 		d.mMedia = comp.Hist("media_ns")
 		d.mReadOps = comp.Counter("read_ops")
@@ -257,15 +260,21 @@ func (d *SSD) gone() bool {
 // Namespaces returns the active namespace IDs in ascending order.
 func (d *SSD) Namespaces() []uint32 {
 	var ids []uint32
-	for id := range d.nss {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ { // insertion sort; tiny n
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+	for id, ns := range d.nss {
+		if ns != nil {
+			ids = append(ids, uint32(id))
 		}
 	}
 	return ids
+}
+
+// ns returns the active namespace nsid, or nil: NSID 0, one never allocated
+// and a deleted one all name nothing.
+func (d *SSD) ns(nsid uint32) *namespace {
+	if uint64(nsid) < uint64(len(d.nss)) {
+		return d.nss[nsid]
+	}
+	return nil
 }
 
 // RegWrite implements pcie.RegDevice: the doorbell and config register

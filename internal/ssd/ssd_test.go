@@ -272,14 +272,43 @@ func TestLBAOutOfRange(t *testing.T) {
 	})
 }
 
+// TestInvalidNamespaceRejected: the NSID in a command indexes the namespace
+// table. Zero, an id never allocated (next to the table's end and far from
+// it), the broadcast value and a deleted namespace's id all name nothing, on
+// the I/O path, the admin path and the crash manager's capture accessors.
 func TestInvalidNamespaceRejected(t *testing.T) {
 	h := newHarness(t, P4510("SN001"))
 	h.run(func(p *sim.Proc) {
 		h.createIOQueues(p, 64)
 		buf := h.mem.AllocPages(1)
-		cpl := h.rw(p, nvme.IORead, 42, 0, make([]byte, BlockSize), buf)
-		if cpl.Status != nvme.StatusInvalidNamespace {
-			t.Fatalf("status %#x", cpl.Status)
+		gone, live := h.createNS(p, 1000), h.createNS(p, 1000)
+		if cpl := h.submit(p, 0, nvme.Command{Opcode: nvme.AdminNSManagement, NSID: gone, CDW10: 1}); cpl.Status.IsError() {
+			t.Fatalf("delete namespace %d: %#x", gone, cpl.Status)
+		}
+		for _, nsid := range []uint32{0, gone, live + 1, 42, 0xFFFFFFFF} {
+			for name, cpl := range map[string]nvme.Completion{
+				"read":         h.rw(p, nvme.IORead, nsid, 0, make([]byte, BlockSize), buf),
+				"write":        h.rw(p, nvme.IOWrite, nsid, 0, make([]byte, BlockSize), buf),
+				"write zeroes": h.submit(p, 1, nvme.Command{Opcode: nvme.IOWriteZeroes, NSID: nsid}),
+				"identify":     h.submit(p, 0, nvme.Command{Opcode: nvme.AdminIdentify, NSID: nsid, PRP1: buf, CDW10: nvme.CNSNamespace}),
+				"format":       h.submit(p, 0, nvme.Command{Opcode: nvme.AdminFormatNVM, NSID: nsid}),
+				"delete":       h.submit(p, 0, nvme.Command{Opcode: nvme.AdminNSManagement, NSID: nsid, CDW10: 1}),
+			} {
+				if cpl.Status != nvme.StatusInvalidNamespace {
+					t.Errorf("%s on NSID %#x: status %#x, want invalid namespace", name, nsid, cpl.Status)
+				}
+			}
+			h.dev.CaptureWrite(nsid, 0, make([]byte, BlockSize))
+			h.dev.CaptureZero(nsid, 0, 1)
+			if got := h.dev.CaptureRead(nsid, 0, 1); got != nil {
+				t.Errorf("CaptureRead on NSID %#x returned %d bytes", nsid, len(got))
+			}
+		}
+		if cpl := h.rw(p, nvme.IORead, live, 0, make([]byte, BlockSize), buf); cpl.Status.IsError() {
+			t.Fatalf("read of the live namespace %d: %#x", live, cpl.Status)
+		}
+		if got := h.dev.Namespaces(); len(got) != 1 || got[0] != live {
+			t.Fatalf("namespaces %v, want [%d]", got, live)
 		}
 	})
 }

@@ -1,0 +1,108 @@
+package bmstore
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// commandPathPackages are the packages a tenant command passes through
+// between the load generator and the NAND model, observers included.
+// internal/hostmem is not on the list: its page table stays a map, for the
+// measured reason DESIGN §11 "Lookups on the command path" gives.
+var commandPathPackages = []string{"host", "nvmet", "engine", "ssd", "pcie", "obs", "fio"}
+
+// allowedMaps are the struct fields of map type those packages may declare,
+// each with the reason it is not on the path of a command.
+var allowedMaps = map[string]string{
+	"ssd.SSD.store":          "sparse LBA space: one entry per written block, on CaptureData rigs only",
+	"obs.Registry.comps":     "components by name: looked up at construction and export, never per command",
+	"obs.Registry.instSeq":   "next instance index by name prefix: at construction only",
+	"obs.Component.counters": "instruments by name: callers cache the pointer at construction",
+	"obs.Component.gauges":   "instruments by name: callers cache the pointer at construction",
+	"obs.Component.hists":    "instruments by name: callers cache the pointer at construction",
+	"obs.Set.children":       "registries by rig name: at rig construction and export",
+}
+
+// TestCommandPathDeclaresNoMaps keeps hashing off the command path the way
+// TestEventBudgetPerCommand keeps events off it. The hardware this repo
+// models finds a queue by its id, a command by its CID and a namespace by
+// its NSID — by indexing — and so does the model: a struct in a command-path
+// package that holds a map needs a written reason in allowedMaps, as raising
+// an allocs ceiling needs one in its baseline file.
+func TestCommandPathDeclaresNoMaps(t *testing.T) {
+	seen := map[string]bool{}
+	for _, pkg := range commandPathPackages {
+		root := filepath.Join("internal", pkg)
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			fset := token.NewFileSet()
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for field, pos := range mapFields(file) {
+				name := file.Name.Name + "." + field
+				seen[name] = true
+				if allowedMaps[name] == "" {
+					t.Errorf("%s: struct field %s is a map; index by the NVMe identifier instead, or add it to allowedMaps with the reason",
+						fset.Position(pos), name)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name := range allowedMaps {
+		if !seen[name] {
+			t.Errorf("allowedMaps lists %s, which no longer exists: delete the entry", name)
+		}
+	}
+}
+
+// mapFields returns every struct field in file whose type mentions a map, as
+// "Type.field" (the enclosing named type, or "struct" for an anonymous one).
+func mapFields(file *ast.File) map[string]token.Pos {
+	out := map[string]token.Pos{}
+	var typeName string
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			typeName = n.Name.Name
+		case *ast.StructType:
+			owner := typeName
+			if owner == "" {
+				owner = "struct"
+			}
+			for _, f := range n.Fields.List {
+				isMap := false
+				ast.Inspect(f.Type, func(t ast.Node) bool {
+					_, m := t.(*ast.MapType)
+					isMap = isMap || m
+					return !isMap
+				})
+				if !isMap {
+					continue
+				}
+				if len(f.Names) == 0 {
+					out[owner+".(embedded)"] = f.Pos()
+				}
+				for _, id := range f.Names {
+					out[owner+"."+id.Name] = id.Pos()
+				}
+			}
+		case *ast.FuncDecl:
+			typeName = "" // a struct declared inside a function is anonymous to this test
+		}
+		return true
+	})
+	return out
+}

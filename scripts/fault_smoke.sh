@@ -9,6 +9,12 @@
 # A second case pins what a schedule the driver cannot absorb looks like: the
 # only drive dropped for good fails tenant I/O, and fiosim must say so in one
 # line per run on stderr and exit 1 — no panic, no goroutine dump.
+#
+# A third pins the same schedule at fiosim's default 4 x QD 128, where the
+# drop does not fail I/O but wedges the driver (zombied CIDs outnumber the
+# ring; ROADMAP 6e): the run must stop at its computed horizon, print the
+# kernel's diagnosis in one line and exit 1 — it used to spin forever, so the
+# case runs under `timeout`.
 set -euo pipefail
 
 SPEC='ssd-stall,t=10ms,dur=8ms;media-slow,nth=50,count=-1,dur=1ms'
@@ -47,4 +53,17 @@ if [ "$(echo "$dead_err" | grep -c '^fiosim: run [01] (seed 4[23]) failed: .*I/O
 	exit 1
 fi
 echo "$dead_err"
+
+if wedged_err=$(timeout 60 go run ./cmd/fiosim -faults 'ssd-drop,t=20ms,target=PHLJ0000' 2>&1 >/dev/null); then
+	echo "a run wedged by a dropped drive exited 0" >&2
+	exit 1
+fi
+wedged_err=$(echo "$wedged_err" | grep -v '^exit status' | grep -v 'simulated' || true)
+if [ "$(echo "$wedged_err" | grep -c '^fiosim: run 0 (seed 42) failed: workload still running at its horizon, .* processes blocked')" != 1 ] ||
+	[ "$(echo "$wedged_err" | wc -l)" != 1 ]; then
+	echo "expected one 'fiosim: run 0 (seed 42) failed: workload still running at its horizon ...' line and nothing else, got:" >&2
+	echo "$wedged_err" >&2
+	exit 1
+fi
+echo "$wedged_err"
 echo "fault smoke OK"
