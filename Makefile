@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the six targets: the event
+# Ten seconds of native fuzzing, split over the seven targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program (internal/sim
 # FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -18,8 +18,12 @@ test:
 # it replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), the
 # target controller's PRP-list fetch against a one-shot walk over resident
 # memory, on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch),
-# and the CID leaf table against the Go map it replaced under any program of
-# put/get/delete/iterate, leaves accounted for (internal/nvme FuzzCIDTable).
+# the CID leaf table against the Go map it replaced under any program of
+# put/get/delete/iterate, leaves accounted for (internal/nvme FuzzCIDTable),
+# and the initiator's reap against a device that writes any sixteen bytes
+# anywhere in a CQ ring and interrupts when it likes — differentially against
+# a reference reaper, then through the driver's CID accounting on top of it
+# (internal/host FuzzInitiatorReap).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -27,8 +31,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 2s ./internal/apps/minidb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 1s ./internal/apps/kvstore
-	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 2s ./internal/nvmet
-	$(GO) test -run '^$$' -fuzz '^FuzzCIDTable$$' -fuzztime 2s ./internal/nvme
+	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 1s ./internal/nvmet
+	$(GO) test -run '^$$' -fuzz '^FuzzCIDTable$$' -fuzztime 1s ./internal/nvme
+	$(GO) test -run '^$$' -fuzz '^FuzzInitiatorReap$$' -fuzztime 2s ./internal/host
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

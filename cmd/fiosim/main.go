@@ -218,14 +218,15 @@ func main() {
 
 // runHorizon is the virtual time by which a run of spec must be over: the
 // window once per attempt the driver may make of an I/O, one I/O's slowest
-// episode on top (every attempt and its abort timing out, every back-off
+// episode on top (every attempt sitting out its wait for a slot, then for the
+// CQE, then its Abort's waits for an admin slot and a CQE, every back-off
 // taken) for the commands still in flight when the window closes, and a
 // second for rig bring-up, which takes about a millisecond. A healthy run ends
 // a few hundred microseconds after its window; the watchdog behind the
 // horizon schedules nothing, so it does not show in any digest.
 func runHorizon(spec fio.Spec, dcfg host.DriverConfig) sim.Time {
 	attempts := sim.Time(dcfg.MaxRetries + 1)
-	episode := attempts*2*dcfg.CmdTimeout + dcfg.RetryBackoff<<uint(dcfg.MaxRetries)
+	episode := attempts*4*dcfg.CmdTimeout + dcfg.RetryBackoff<<uint(dcfg.MaxRetries)
 	return (spec.Ramp+spec.Runtime)*attempts + episode + sim.Second
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // runWith is runOne on a one-SSD BM-Store rig at seed 42 under a fault
-// schedule, with the driver's recovery armed as the CLI arms it.
-func runWith(t *testing.T, spec fio.Spec, faults string) (*fio.Result, uint64, error) {
+// schedule, with the driver's recovery armed as the CLI arms it unless a
+// mutate changes that.
+func runWith(t *testing.T, spec fio.Spec, faults string, mutate ...func(*host.DriverConfig)) (*fio.Result, uint64, error) {
 	t.Helper()
 	ropts := cli.RunOptions{Faults: faults, Parallel: 1}
 	run, err := ropts.Build()
@@ -24,7 +25,11 @@ func runWith(t *testing.T, spec fio.Spec, faults string) (*fio.Result, uint64, e
 	cfg := bmstore.DefaultConfig()
 	cfg.Seed = 42
 	cfg.NumSSDs = 1
-	return runOne(cfg, run.RigOptions("run0000"), run.DriverConfig(), "bmstore", 1, spec)
+	dcfg := run.DriverConfig()
+	for _, m := range mutate {
+		m(&dcfg)
+	}
+	return runOne(cfg, run.RigOptions("run0000"), dcfg, "bmstore", 1, spec)
 }
 
 // TestDeadRunIsAnErrorNotAPanic pins fiosim's contract for a run the fault
@@ -58,20 +63,41 @@ func TestDeadRunIsAnErrorNotAPanic(t *testing.T) {
 	}
 }
 
-// TestWedgedRunEndsWithADiagnosis is ROADMAP 6(e)'s reproducer at fiosim's
-// default shape: with the only drive dropped for good at 4 jobs × QD 128,
-// every timed-out CID is zombied, the zombies outnumber the ring's slots
-// before any I/O has used up its retries, every worker ends up waiting for a
-// slot, and nothing fails — while the BMS-Controller's monitor keeps the
-// event queue from ever draining. runOne used to never return from that; it
-// now stops at the horizon computed from the spec and reports the kernel's
-// diagnosis in one line.
-func TestWedgedRunEndsWithADiagnosis(t *testing.T) {
-	spec := fio.Spec{
-		Name: "randread", Pattern: fio.RandRead, BlockSize: 4096,
-		IODepth: 128, NumJobs: 4, Runtime: 100 * sim.Millisecond, Ramp: 10 * sim.Millisecond,
+// deepSpec is fiosim's default shape: 4 jobs × QD 128.
+var deepSpec = fio.Spec{
+	Name: "randread", Pattern: fio.RandRead, BlockSize: 4096,
+	IODepth: 128, NumJobs: 4, Runtime: 100 * sim.Millisecond, Ramp: 10 * sim.Millisecond,
+}
+
+// TestDeepQueueDropFailsLikeAShallowOne: with the only drive dropped for good
+// at 4 jobs × QD 128, every timed-out CID is zombied and the zombies
+// outnumber the ring's slots before any I/O has used up its retries. The wait
+// for a slot is bounded like the wait for a CQE, so the run ends in the same
+// one-line I/O error as at 2 × QD 4 — it used to wedge every worker on the
+// slot count for good.
+func TestDeepQueueDropFailsLikeAShallowOne(t *testing.T) {
+	res, injected, err := runWith(t, deepSpec, "ssd-drop,t=20ms,target=PHLJ0000")
+	if err == nil || res != nil {
+		t.Fatalf("a run whose only drive is dropped returned result %v, error %v; want an error", res, err)
 	}
-	res, injected, err := runWith(t, spec, "ssd-drop,t=20ms,target=PHLJ0000")
+	for _, want := range []string{`process "fio/randread/`, "I/O error", "status 0x7"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if injected != 1 {
+		t.Errorf("%d injections counted, want the drop", injected)
+	}
+}
+
+// TestWedgedRunEndsWithADiagnosis wedges what is still allowed to wedge: a
+// drive dropped for good under a driver with no command timeout, which waits
+// for its CQEs for ever — while the BMS-Controller's monitor keeps the event
+// queue from ever draining. runOne stops at the horizon computed from the
+// spec and reports the kernel's diagnosis in one line.
+func TestWedgedRunEndsWithADiagnosis(t *testing.T) {
+	noTimeout := func(dcfg *host.DriverConfig) { dcfg.CmdTimeout, dcfg.MaxRetries, dcfg.RetryBackoff = 0, 0, 0 }
+	res, injected, err := runWith(t, deepSpec, "ssd-drop,t=20ms,target=PHLJ0000", noTimeout)
 	if err == nil || res != nil {
 		t.Fatalf("a wedged run returned result %v, error %v; want the watchdog's diagnosis", res, err)
 	}
@@ -89,7 +115,9 @@ func TestWedgedRunEndsWithADiagnosis(t *testing.T) {
 }
 
 // TestRunHorizonCoversTheAttemptBudget: the horizon is computed, not chosen
-// — the window once per attempt, the slowest single episode, and bring-up.
+// — the window once per attempt, the slowest single episode (four bounded
+// waits per attempt: SQ slot, CQE, and the same pair for the Abort), and
+// bring-up.
 func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 	spec := fio.Spec{Runtime: 100 * sim.Millisecond, Ramp: 10 * sim.Millisecond}
 	if got, want := runHorizon(spec, host.DefaultDriverConfig()), 110*sim.Millisecond+sim.Second; got != want {
@@ -97,7 +125,7 @@ func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 	}
 	dcfg := host.DefaultDriverConfig()
 	dcfg.CmdTimeout, dcfg.MaxRetries, dcfg.RetryBackoff = 5*sim.Millisecond, 8, 200*sim.Microsecond
-	want := 9*110*sim.Millisecond + 9*2*5*sim.Millisecond + 256*200*sim.Microsecond + sim.Second
+	want := 9*110*sim.Millisecond + 9*4*5*sim.Millisecond + 256*200*sim.Microsecond + sim.Second
 	if got := runHorizon(spec, dcfg); got != want {
 		t.Errorf("horizon with 8 retries %d, want %d", got, want)
 	}

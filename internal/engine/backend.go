@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -21,10 +22,8 @@ type backend struct {
 	// through it to the SSD, and the SSD's DMA arrives at backendTarget.
 	port *pcie.Port
 
-	adminSQ *beSQ
-	adminCQ *beCQ
-	ioSQs   []*beSQ
-	ioCQs   []*beCQ
+	admin *nvmei.Queue
+	ioQs  []*nvmei.Queue
 
 	// pending holds the outstanding commands by the CID they were forwarded
 	// under — the hot-upgrade's saved I/O context. CIDs roam the 16-bit space
@@ -58,22 +57,8 @@ type backend struct {
 	mSubmits  *obs.Counter
 }
 
-type beSQ struct {
-	id    uint16
-	ring  nvme.Ring
-	tail  uint32
-	slots *sim.Resource
-}
-
-type beCQ struct {
-	id    uint16
-	ring  nvme.Ring
-	head  uint32
-	phase bool
-}
-
 type bePending struct {
-	sq   *beSQ
+	q    *nvmei.Queue
 	done func(nvme.Completion)
 }
 
@@ -119,37 +104,25 @@ func (e *Engine) Start(p *sim.Proc) error {
 }
 
 // allocRing allocates a queue ring in chip memory and returns its base
-// address with the chip-memory flag set (the form the SSD will DMA to).
+// address there; the queue names it to the SSD with ChipMemFlag set.
 func (b *backend) allocRing(entries uint32, entrySz uint32) uint64 {
-	pages := int((entries*entrySz + hostPageSize - 1) / hostPageSize)
+	pages := nvmei.RingPages(entries, entrySz)
 	base := b.e.chip.AllocPages(pages)
 	for i := 0; i < pages; i++ {
-		b.ringPages = append(b.ringPages, base+uint64(i)*hostPageSize)
+		b.ringPages = append(b.ringPages, base+uint64(i)*nvme.PageSize)
 	}
-	return base | ChipMemFlag
+	return base
 }
-
-const hostPageSize = 4096
 
 // init brings the SSD up: admin queues, namespace discovery (creating the
 // whole-disk namespace on a fresh device), and the I/O queue pairs.
 func (b *backend) init(p *sim.Proc) error {
 	cfg := b.e.cfg
 	const adminDepth = 32
-	b.adminSQ = &beSQ{
-		id:    0,
-		ring:  nvme.Ring{Base: b.allocRing(adminDepth, nvme.SQESize), Entries: adminDepth, EntrySz: nvme.SQESize},
-		slots: sim.NewResource(b.e.env, adminDepth-1),
-	}
-	b.adminCQ = &beCQ{
-		id:    0,
-		ring:  nvme.Ring{Base: b.allocRing(adminDepth, nvme.CQESize), Entries: adminDepth, EntrySz: nvme.CQESize},
-		phase: true,
-	}
-	b.port.MMIOWrite(0, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	b.port.MMIOWrite(0, nvme.RegASQ, b.adminSQ.ring.Base)
-	b.port.MMIOWrite(0, nvme.RegACQ, b.adminCQ.ring.Base)
-	b.port.MMIOWrite(0, nvme.RegCC, 1)
+	conn := nvmei.Conn{Env: b.e.env, Mem: b.e.chip, Port: b.port, Tag: ChipMemFlag}
+	sqBase := b.allocRing(adminDepth, nvme.SQESize)
+	b.admin = conn.NewQueue(0, adminDepth, sqBase, b.allocRing(adminDepth, nvme.CQESize))
+	b.admin.Enable()
 	p.Sleep(50 * sim.Microsecond) // controller enable time
 
 	// Identify the controller to learn total capacity.
@@ -195,36 +168,14 @@ func (b *backend) init(p *sim.Proc) error {
 	}
 
 	// I/O queue pairs.
-	b.ioSQs = nil
-	b.ioCQs = nil
+	b.ioQs = nil
 	for i := 0; i < cfg.BackendQPairs; i++ {
-		qid := uint16(i + 1)
-		cq := &beCQ{
-			id:    qid,
-			ring:  nvme.Ring{Base: b.allocRing(cfg.BackendQDepth, nvme.CQESize), Entries: cfg.BackendQDepth, EntrySz: nvme.CQESize},
-			phase: true,
+		cqBase := b.allocRing(cfg.BackendQDepth, nvme.CQESize)
+		q := conn.NewQueue(uint16(i+1), cfg.BackendQDepth, b.allocRing(cfg.BackendQDepth, nvme.SQESize), cqBase)
+		if err := q.Create(p, b.adminCmd); err != nil {
+			return err
 		}
-		cpl = b.adminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOCQ, PRP1: cq.ring.Base,
-			CDW10: (cfg.BackendQDepth-1)<<16 | uint32(qid),
-		})
-		if cpl.Status.IsError() {
-			return fmt.Errorf("create backend CQ %d: status %#x", qid, cpl.Status)
-		}
-		sq := &beSQ{
-			id:    qid,
-			ring:  nvme.Ring{Base: b.allocRing(cfg.BackendQDepth, nvme.SQESize), Entries: cfg.BackendQDepth, EntrySz: nvme.SQESize},
-			slots: sim.NewResource(b.e.env, int(cfg.BackendQDepth)-1),
-		}
-		cpl = b.adminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOSQ, PRP1: sq.ring.Base,
-			CDW10: (cfg.BackendQDepth-1)<<16 | uint32(qid), CDW11: uint32(qid) << 16,
-		})
-		if cpl.Status.IsError() {
-			return fmt.Errorf("create backend SQ %d: status %#x", qid, cpl.Status)
-		}
-		b.ioCQs = append(b.ioCQs, cq)
-		b.ioSQs = append(b.ioSQs, sq)
+		b.ioQs = append(b.ioQs, q)
 	}
 	b.ready = true
 	return nil
@@ -242,15 +193,6 @@ func (b *backend) allocCID() uint16 {
 	}
 }
 
-// push writes one SQE into a chip-memory ring and rings the SSD doorbell.
-func (b *backend) push(sq *beSQ, cmd nvme.Command) {
-	var buf [nvme.SQESize]byte
-	cmd.Encode(&buf)
-	b.e.chip.Write(ChipAddr(sq.ring.SlotAddr(sq.tail)), buf[:])
-	sq.tail = sq.ring.Next(sq.tail)
-	b.port.MMIOWrite(0, nvme.SQDoorbell(sq.id), uint64(sq.tail))
-}
-
 // adminCmd submits one admin command and blocks until its completion. A
 // dead or resetting device would never post the CQE, so the command
 // fails fast with a synthetic not-ready completion instead of hanging the
@@ -259,38 +201,28 @@ func (b *backend) adminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	if !b.dev.Ready() {
 		return nvme.Completion{CID: cmd.CID, Status: nvme.StatusNSNotReady}
 	}
-	b.adminSQ.slots.Acquire(p)
-	cid := b.allocCID()
-	cmd.CID = cid
+	b.admin.Slots.Acquire(p)
+	cmd.CID = b.allocCID()
 	ev := b.e.env.NewEvent()
-	b.pending.Put(cid, &bePending{sq: b.adminSQ, done: func(c nvme.Completion) { ev.Trigger(c) }})
-	b.push(b.adminSQ, cmd)
+	b.pending.Put(cmd.CID, &bePending{q: b.admin, done: func(c nvme.Completion) { ev.Trigger(c) }})
+	b.admin.Push(&cmd)
+	b.admin.Ring()
 	return p.Wait(ev).(nvme.Completion)
 }
 
 // onIRQ scans the completion queue named by the MSI vector.
 func (b *backend) onIRQ(vec int) {
-	var cq *beCQ
+	var q *nvmei.Queue
 	if vec == 0 {
-		cq = b.adminCQ
-	} else if vec-1 < len(b.ioCQs) {
-		cq = b.ioCQs[vec-1]
+		q = b.admin
+	} else if vec-1 < len(b.ioQs) {
+		q = b.ioQs[vec-1]
 	}
-	if cq == nil {
+	if q == nil {
 		return
 	}
-	for {
-		var raw [nvme.CQESize]byte
-		b.e.chip.Read(ChipAddr(cq.ring.SlotAddr(cq.head)), raw[:])
-		cpl := nvme.DecodeCompletion(&raw)
-		if cpl.Phase != cq.phase {
-			return
-		}
-		cq.head = cq.ring.Next(cq.head)
-		if cq.head == 0 {
-			cq.phase = !cq.phase
-		}
-		b.port.MMIOWrite(0, nvme.CQDoorbell(cq.id), uint64(cq.head))
+	var cpl nvme.Completion
+	for q.Next(&cpl) {
 		b.complete(cpl)
 	}
 }
@@ -300,8 +232,8 @@ func (b *backend) complete(cpl nvme.Completion) {
 	if pend == nil {
 		return // stale completion from a replaced device, or a CID never issued
 	}
-	pend.sq.slots.Release()
-	if pend.sq != b.adminSQ {
+	pend.q.Slots.Release()
+	if pend.q != b.admin {
 		b.inflight--
 		b.mInflight.Dec(b.e.env.Now())
 		if b.inflight == 0 && b.drainEv != nil {
@@ -309,7 +241,7 @@ func (b *backend) complete(cpl nvme.Completion) {
 		}
 	}
 	done := pend.done
-	pend.sq, pend.done = nil, nil
+	pend.q, pend.done = nil, nil
 	b.pendFree = append(b.pendFree, pend)
 	b.scheduleDone(done, cpl)
 }

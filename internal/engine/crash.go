@@ -215,10 +215,10 @@ func (b *backend) crashDropPending() int {
 	dropped := 0
 	for cid, pend := range b.pending.All() {
 		b.pending.Delete(cid)
-		pend.sq.slots.Release()
-		isAdmin := pend.sq == b.adminSQ
+		pend.q.Slots.Release()
+		isAdmin := pend.q == b.admin
 		done := pend.done
-		pend.sq, pend.done = nil, nil
+		pend.q, pend.done = nil, nil
 		b.pendFree = append(b.pendFree, pend)
 		if isAdmin {
 			done(nvme.Completion{CID: cid, Status: nvme.StatusInternal})
@@ -260,7 +260,7 @@ func (e *Engine) TakeCheckpoint() *Checkpoint {
 			Chunks: append([]bool(nil), b.chunks...),
 		}
 		for cid, pend := range b.pending.All() {
-			if pend.sq != b.adminSQ {
+			if pend.q != b.admin {
 				bc.PendingCIDs = append(bc.PendingCIDs, cid)
 			}
 		}

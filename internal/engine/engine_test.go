@@ -7,13 +7,16 @@ import (
 
 	"bmstore/internal/hostmem"
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
 )
 
 // feHarness drives the engine's front-end functions the way a host NVMe
-// driver would: rings in host memory, doorbells, MSI completions.
+// driver would, over the shared initiator: rings in host memory, doorbells,
+// MSI completions. Its owner side is the least there can be — sequential
+// CIDs, one waiter per CID, no slot accounting.
 type feHarness struct {
 	t    *testing.T
 	env  *sim.Env
@@ -21,7 +24,7 @@ type feHarness struct {
 	eng  *Engine
 	port *pcie.Port
 
-	qs      map[qkey]*hq
+	qs      map[qkey]*nvmei.Queue
 	nextCID uint16
 	waiting map[uint16]*sim.Event
 }
@@ -29,14 +32,6 @@ type feHarness struct {
 type qkey struct {
 	fn  pcie.FuncID
 	qid uint16
-	cq  bool
-}
-
-type hq struct {
-	ring  nvme.Ring
-	tail  uint32 // SQ use
-	head  uint32 // CQ use
-	phase bool
 }
 
 // testChunk is a small chunk size so chunk-boundary behaviour is testable.
@@ -67,7 +62,7 @@ func newFeHarnessEnv(t *testing.T, env *sim.Env, numSSDs int, mutate func(*Confi
 
 	h := &feHarness{
 		t: t, env: env, mem: mem, eng: eng,
-		qs:      make(map[qkey]*hq),
+		qs:      make(map[qkey]*nvmei.Queue),
 		waiting: make(map[uint16]*sim.Event),
 	}
 	hostLink := pcie.NewLink(env, 16, 250*sim.Nanosecond)
@@ -91,21 +86,12 @@ func newFeHarnessEnv(t *testing.T, env *sim.Env, numSSDs int, mutate func(*Confi
 
 // irq is shared across functions: vector scans that function's CQ.
 func (h *feHarness) irq(fn pcie.FuncID, vec int) {
-	cq := h.qs[qkey{fn, uint16(vec), true}]
-	if cq == nil {
+	q := h.qs[qkey{fn, uint16(vec)}]
+	if q == nil {
 		return
 	}
-	for {
-		var b [nvme.CQESize]byte
-		h.mem.Read(cq.ring.SlotAddr(cq.head), b[:])
-		cpl := nvme.DecodeCompletion(&b)
-		if cpl.Phase != cq.phase {
-			return
-		}
-		cq.head = cq.ring.Next(cq.head)
-		if cq.head == 0 {
-			cq.phase = !cq.phase
-		}
+	var cpl nvme.Completion
+	for q.Next(&cpl) {
 		if ev := h.waiting[cpl.CID]; ev != nil {
 			delete(h.waiting, cpl.CID)
 			ev.Trigger(cpl)
@@ -115,26 +101,18 @@ func (h *feHarness) irq(fn pcie.FuncID, vec int) {
 
 // initFunc brings up function fn: admin queues plus I/O queue pair 1.
 func (h *feHarness) initFunc(p *sim.Proc, fn pcie.FuncID, depth uint32) {
+	conn := nvmei.Conn{Env: h.env, Mem: h.mem, Port: h.port, Fn: fn}
 	asq := h.mem.AllocPages(1)
-	acq := h.mem.AllocPages(1)
-	h.qs[qkey{fn, 0, false}] = &hq{ring: nvme.Ring{Base: asq, Entries: 32, EntrySz: nvme.SQESize}}
-	h.qs[qkey{fn, 0, true}] = &hq{ring: nvme.Ring{Base: acq, Entries: 32, EntrySz: nvme.CQESize}, phase: true}
-	h.port.MMIOWrite(fn, nvme.RegAQA, 31<<16|31)
-	h.port.MMIOWrite(fn, nvme.RegASQ, asq)
-	h.port.MMIOWrite(fn, nvme.RegACQ, acq)
-	h.port.MMIOWrite(fn, nvme.RegCC, 1)
-	cqb := h.mem.AllocPages(int((depth*nvme.CQESize + 4095) / 4096))
-	sqb := h.mem.AllocPages(int((depth*nvme.SQESize + 4095) / 4096))
-	cpl := h.submit(p, fn, 0, nvme.Command{Opcode: nvme.AdminCreateIOCQ, PRP1: cqb, CDW10: (depth-1)<<16 | 1})
-	if cpl.Status.IsError() {
-		h.t.Fatalf("fn%d create cq: %#x", fn, cpl.Status)
+	admin := conn.NewQueue(0, 32, asq, h.mem.AllocPages(1))
+	h.qs[qkey{fn, 0}] = admin
+	admin.Enable()
+	cqb := h.mem.AllocPages(nvmei.RingPages(depth, nvme.CQESize))
+	io := conn.NewQueue(1, depth, h.mem.AllocPages(nvmei.RingPages(depth, nvme.SQESize)), cqb)
+	err := io.Create(p, func(p *sim.Proc, cmd nvme.Command) nvme.Completion { return h.submit(p, fn, 0, cmd) })
+	if err != nil {
+		h.t.Fatalf("fn%d: %v", fn, err)
 	}
-	cpl = h.submit(p, fn, 0, nvme.Command{Opcode: nvme.AdminCreateIOSQ, PRP1: sqb, CDW10: (depth-1)<<16 | 1, CDW11: 1 << 16})
-	if cpl.Status.IsError() {
-		h.t.Fatalf("fn%d create sq: %#x", fn, cpl.Status)
-	}
-	h.qs[qkey{fn, 1, false}] = &hq{ring: nvme.Ring{Base: sqb, Entries: depth, EntrySz: nvme.SQESize}}
-	h.qs[qkey{fn, 1, true}] = &hq{ring: nvme.Ring{Base: cqb, Entries: depth, EntrySz: nvme.CQESize}, phase: true}
+	h.qs[qkey{fn, 1}] = io
 }
 
 func (h *feHarness) submit(p *sim.Proc, fn pcie.FuncID, qid uint16, cmd nvme.Command) nvme.Completion {
@@ -142,16 +120,13 @@ func (h *feHarness) submit(p *sim.Proc, fn pcie.FuncID, qid uint16, cmd nvme.Com
 }
 
 func (h *feHarness) submitAsync(fn pcie.FuncID, qid uint16, cmd nvme.Command) *sim.Event {
-	sq := h.qs[qkey{fn, qid, false}]
+	q := h.qs[qkey{fn, qid}]
 	h.nextCID++
 	cmd.CID = h.nextCID
-	var b [nvme.SQESize]byte
-	cmd.Encode(&b)
-	h.mem.Write(sq.ring.SlotAddr(sq.tail), b[:])
-	sq.tail = sq.ring.Next(sq.tail)
+	q.Push(&cmd)
 	ev := h.env.NewEvent()
 	h.waiting[cmd.CID] = ev
-	h.port.MMIOWrite(fn, nvme.SQDoorbell(qid), uint64(sq.tail))
+	q.Ring()
 	return ev
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"bmstore/internal/fault"
@@ -107,4 +108,61 @@ func TestResumeBackendReinitErrorPath(t *testing.T) {
 			t.Fatalf("read after recovered resume: %#x", cpl.Status)
 		}
 	})
+}
+
+// TestQuiesceLeavesNothingInFlight: when QuiesceBackend returns, the SSD owes
+// nothing and is sent nothing until the resume — the state a firmware reset
+// must find — however shallow the back-end queue. At depth 2 there is one
+// slot: sixteen readers queue for it, and a released slot reaches its next
+// holder one event after the completion that freed it, so the drain can see
+// zero in flight while a submitter already holds the grant. That submitter
+// must park at the gate like every other held command.
+func TestQuiesceLeavesNothingInFlight(t *testing.T) {
+	for _, depth := range []uint32{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("depth %d", depth), func(t *testing.T) {
+			h := newFeHarnessWith(t, 1, func(c *Config) { c.BackendQDepth, c.BackendQPairs = depth, 1 })
+			ns, _ := h.eng.CreateNamespace("v", 4*testChunk, []int{0})
+			h.eng.Bind(0, ns)
+			h.run(func(p *sim.Proc) {
+				h.initFunc(p, 0, 64)
+				var errs, completions int
+				stopAt := p.Now() + 15*sim.Millisecond
+				for i := 0; i < 16; i++ {
+					buf := h.mem.AllocPages(1)
+					h.env.Go("reader", func(jp *sim.Proc) {
+						for jp.Now() < stopAt {
+							if cpl := h.rw(jp, 0, nvme.IORead, uint64(i), make([]byte, ssd.BlockSize), buf); cpl.Status.IsError() {
+								errs++
+							}
+							completions++
+						}
+					})
+				}
+				p.Sleep(5 * sim.Millisecond)
+				h.eng.QuiesceBackend(p, 0)
+				b := h.eng.backends[0]
+				quiet := func(when string) {
+					t.Helper()
+					if b.inflight != 0 || b.pending.Len() != 0 {
+						t.Fatalf("%s: %d commands in flight, %d pending on a quiesced SSD", when, b.inflight, b.pending.Len())
+					}
+				}
+				quiet("when QuiesceBackend returned")
+				served, _ := h.eng.BackendStats(0)
+				p.Sleep(2 * sim.Millisecond)
+				quiet("2 ms into the quiesced window")
+				if now, _ := h.eng.BackendStats(0); now.Ops != served.Ops {
+					t.Fatalf("the SSD served %d reads inside the quiesced window", now.Ops-served.Ops)
+				}
+				before := completions
+				if err := h.eng.ResumeBackend(p, 0); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(10 * sim.Millisecond)
+				if errs != 0 || completions <= before {
+					t.Fatalf("after the resume: %d I/O errors, completions %d -> %d", errs, before, completions)
+				}
+			})
+		})
+	}
 }

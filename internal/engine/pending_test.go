@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
@@ -131,13 +132,13 @@ var scattered = []uint16{0x8000, 0x0001, 0xFFFF, 0x0100, 0x0000, 0x00FF, 0x7FFF}
 
 // plant makes cids pending on sq as if submitted, reporting completions to
 // done, and returns them sorted.
-func plant(b *backend, sq *beSQ, cids []uint16, done func(nvme.Completion)) []uint16 {
+func plant(b *backend, sq *nvmei.Queue, cids []uint16, done func(nvme.Completion)) []uint16 {
 	for _, cid := range cids {
-		if !sq.slots.TryAcquire() {
+		if !sq.Slots.TryAcquire() {
 			panic("no slot")
 		}
 		b.pending.Put(cid, b.getPending(sq, done))
-		if sq != b.adminSQ {
+		if sq != b.admin {
 			b.inflight++
 		}
 	}
@@ -150,7 +151,7 @@ func TestAbandonPendingCompletesInCIDOrder(t *testing.T) {
 	h := newFeHarness(t, 1)
 	b := h.eng.backends[0]
 	var got []nvme.Completion
-	want := plant(b, b.ioSQs[1], scattered, func(c nvme.Completion) { got = append(got, c) })
+	want := plant(b, b.ioQs[1], scattered, func(c nvme.Completion) { got = append(got, c) })
 	b.abandonPending()
 	h.env.Run()
 	if len(got) != len(want) {
@@ -161,8 +162,8 @@ func TestAbandonPendingCompletesInCIDOrder(t *testing.T) {
 			t.Fatalf("completion %d is CID %#04x status %#x, want CID %#04x not-ready (ascending)", i, c.CID, c.Status, want[i])
 		}
 	}
-	if b.pending.Len() != 0 || b.inflight != 0 || b.ioSQs[1].slots.InUse() != 0 {
-		t.Fatalf("after abandon: %d pending, %d in flight, %d slots held", b.pending.Len(), b.inflight, b.ioSQs[1].slots.InUse())
+	if b.pending.Len() != 0 || b.inflight != 0 || b.ioQs[1].Slots.InUse() != 0 {
+		t.Fatalf("after abandon: %d pending, %d in flight, %d slots held", b.pending.Len(), b.inflight, b.ioQs[1].Slots.InUse())
 	}
 }
 
@@ -171,8 +172,8 @@ func TestCrashDropPendingInCIDOrder(t *testing.T) {
 	b := h.eng.backends[0]
 	var adminGot []nvme.Completion
 	adminCIDs := []uint16{0x0200, 0xFFFE, 0x0002}
-	adminWant := plant(b, b.adminSQ, adminCIDs, func(c nvme.Completion) { adminGot = append(adminGot, c) })
-	plant(b, b.ioSQs[0], scattered, func(c nvme.Completion) { t.Errorf("an I/O command dropped by a crash completed: %+v", c) })
+	adminWant := plant(b, b.admin, adminCIDs, func(c nvme.Completion) { adminGot = append(adminGot, c) })
+	plant(b, b.ioQs[0], scattered, func(c nvme.Completion) { t.Errorf("an I/O command dropped by a crash completed: %+v", c) })
 	if n := b.crashDropPending(); n != len(scattered) {
 		t.Fatalf("crashDropPending dropped %d I/O commands, want %d", n, len(scattered))
 	}
@@ -182,7 +183,7 @@ func TestCrashDropPendingInCIDOrder(t *testing.T) {
 			t.Fatalf("admin waiter %d got CID %#04x status %#x, want CID %#04x internal-error (ascending)", i, c.CID, c.Status, adminWant[i])
 		}
 	}
-	if len(adminGot) != len(adminWant) || b.pending.Len() != 0 || b.inflight != 0 || b.ioSQs[0].slots.InUse() != 0 || b.adminSQ.slots.InUse() != 0 {
+	if len(adminGot) != len(adminWant) || b.pending.Len() != 0 || b.inflight != 0 || b.ioQs[0].Slots.InUse() != 0 || b.admin.Slots.InUse() != 0 {
 		t.Fatalf("after the drop: %d of %d admin waiters released, %d pending, %d in flight", len(adminGot), len(adminWant), b.pending.Len(), b.inflight)
 	}
 }
@@ -190,8 +191,8 @@ func TestCrashDropPendingInCIDOrder(t *testing.T) {
 func TestCheckpointListsPendingCIDsAscending(t *testing.T) {
 	h := newFeHarness(t, 1)
 	b := h.eng.backends[0]
-	want := plant(b, b.ioSQs[2], scattered, nil)
-	plant(b, b.adminSQ, []uint16{0x0050}, nil) // admin commands are not I/O context
+	want := plant(b, b.ioQs[2], scattered, nil)
+	plant(b, b.admin, []uint16{0x0050}, nil) // admin commands are not I/O context
 	if got := h.eng.TakeCheckpoint().Backends[0].PendingCIDs; !slices.Equal(got, want) {
 		t.Fatalf("checkpoint lists pending CIDs %#04x, want %#04x", got, want)
 	}
@@ -204,14 +205,14 @@ func TestCompletionForUnknownCIDIgnored(t *testing.T) {
 	h := newFeHarness(t, 1)
 	b := h.eng.backends[0]
 	completed := 0
-	plant(b, b.ioSQs[0], []uint16{0x0105}, func(nvme.Completion) { completed++ })
+	plant(b, b.ioQs[0], []uint16{0x0105}, func(nvme.Completion) { completed++ })
 	for _, cid := range []uint16{0x0104, 0x0005, 0x4105, 0xFFFF, 0} {
 		b.complete(nvme.Completion{CID: cid})
 	}
 	h.env.Run()
-	if completed != 0 || b.pending.Len() != 1 || b.inflight != 1 || b.ioSQs[0].slots.InUse() != 1 {
+	if completed != 0 || b.pending.Len() != 1 || b.inflight != 1 || b.ioQs[0].Slots.InUse() != 1 {
 		t.Fatalf("stray completions: %d delivered, %d pending, %d in flight, %d slots held; want the one planted command untouched",
-			completed, b.pending.Len(), b.inflight, b.ioSQs[0].slots.InUse())
+			completed, b.pending.Len(), b.inflight, b.ioQs[0].Slots.InUse())
 	}
 	b.complete(nvme.Completion{CID: 0x0105})
 	b.complete(nvme.Completion{CID: 0x0105}) // a duplicate of it
@@ -228,7 +229,7 @@ func TestReplaceBackendStartsFromAnEmptyTable(t *testing.T) {
 	b := h.eng.backends[0]
 	h.run(func(p *sim.Proc) {
 		h.eng.QuiesceBackend(p, 0)
-		b.pending.Put(0x4242, &bePending{sq: b.adminSQ})
+		b.pending.Put(0x4242, &bePending{q: b.admin})
 		cfg := ssd.P4510("SN-NEW")
 		cfg.CapacityBytes = 64 << 20
 		if err := h.eng.ReplaceBackend(p, 0, ssd.New(h.env, cfg), pcie.NewLink(h.env, 4, 300*sim.Nanosecond)); err != nil {

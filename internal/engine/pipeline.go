@@ -17,6 +17,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/nvmet"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
@@ -312,7 +313,7 @@ func (io *feIO) flushDone(c nvme.Completion) {
 // beSubmit is one pooled in-flight submission attempt.
 type beSubmit struct {
 	b         *backend
-	sq        *beSQ
+	q         *nvmei.Queue
 	cmd       nvme.Command
 	qhint     int
 	skey      uint64
@@ -357,8 +358,7 @@ func (b *backend) submit(cmd nvme.Command, qhint int, skey uint64, done func(nvm
 func (s *beSubmit) gate(any) {
 	b := s.b
 	if b.e.dead || b.e.epoch != s.epoch {
-		s.sq, s.done, s.submitted = nil, nil, nil
-		b.submitFree = append(b.submitFree, s)
+		b.putSubmit(s)
 		return // crash swallowed the submission; host timeout covers it
 	}
 	if b.gateClosed {
@@ -378,20 +378,26 @@ func (s *beSubmit) gate(any) {
 			return
 		}
 	}
-	sq := b.ioSQs[s.qhint%len(b.ioSQs)]
-	s.sq = sq
-	sq.slots.AcquireCB(s.slotFn)
+	s.q = b.ioQs[s.qhint%len(b.ioQs)]
+	s.q.Slots.AcquireCB(s.slotFn)
 }
 
 func (s *beSubmit) stalled() { s.gate(nil) }
 
 func (s *beSubmit) slot(any) {
-	b, sq := s.b, s.sq
+	b, q := s.b, s.q
 	if b.e.dead || b.e.epoch != s.epoch {
-		sq.slots.Release()
-		s.sq, s.done, s.submitted = nil, nil, nil
-		b.submitFree = append(b.submitFree, s)
+		q.Slots.Release()
+		b.putSubmit(s)
 		return // the slot wait spanned a crash; hand the slot straight back
+	}
+	if b.gateClosed {
+		// The gate closed during the slot wait, and a released slot reaches
+		// its next holder one event later: the drain may already have seen
+		// zero in flight. Give the slot back and park like any held command.
+		q.Slots.Release()
+		s.gate(nil)
+		return
 	}
 	cid := b.allocCID()
 	cmd := s.cmd
@@ -405,27 +411,33 @@ func (s *beSubmit) slot(any) {
 				// submit entry to the slot grant.
 				b.e.met.SpanWait(s.skey, timeline.WaitBackend, int64(b.e.env.Now()-s.t0))
 			}
-			b.e.met.SpanAlias(s.skey, obs.DevKey(b.spanDev, sq.id, cid))
+			b.e.met.SpanAlias(s.skey, obs.DevKey(b.spanDev, q.ID, cid))
 		}
 		b.mInflight.Inc(b.e.env.Now())
 		b.mSubmits.Inc()
 	}
-	b.pending.Put(cid, b.getPending(sq, s.done))
+	b.pending.Put(cid, b.getPending(q, s.done))
 	submitted := s.submitted
-	s.sq, s.done, s.submitted = nil, nil, nil
-	b.submitFree = append(b.submitFree, s)
-	b.push(sq, cmd)
+	b.putSubmit(s)
+	q.Push(&cmd)
+	q.Ring()
 	submitted()
 }
 
-func (b *backend) getPending(sq *beSQ, done func(nvme.Completion)) *bePending {
+// putSubmit recycles a finished (or swallowed) submission record.
+func (b *backend) putSubmit(s *beSubmit) {
+	s.q, s.done, s.submitted = nil, nil, nil
+	b.submitFree = append(b.submitFree, s)
+}
+
+func (b *backend) getPending(q *nvmei.Queue, done func(nvme.Completion)) *bePending {
 	if n := len(b.pendFree); n > 0 {
 		p := b.pendFree[n-1]
 		b.pendFree = b.pendFree[:n-1]
-		p.sq, p.done = sq, done
+		p.q, p.done = q, done
 		return p
 	}
-	return &bePending{sq: sq, done: done}
+	return &bePending{q: q, done: done}
 }
 
 // doneMsg is a pooled deferred completion delivery: the CompleteLatency

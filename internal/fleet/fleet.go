@@ -428,6 +428,7 @@ func runHost(o Options, hostIdx int) HostResult {
 			hr.Counters.Stragglers += c.Stragglers
 			hr.Counters.Spurious += c.Spurious
 			hr.Counters.Reclaimed += c.Reclaimed
+			hr.Counters.SlotTimeouts += c.SlotTimeouts
 			hr.Counters.ZombiesLeft += c.ZombiesLeft
 		}
 	}, o.Horizon)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
 	"bmstore/internal/pcie"
@@ -12,9 +13,11 @@ import (
 	"bmstore/internal/trace"
 )
 
-// adminDepth is the admin queue-pair depth, fixed at attach and reused by
-// Reattach when it reprograms AQA after a controller crash.
+// adminDepth is the admin queue-pair depth.
 const adminDepth = 32
+
+// enableTime is how long the driver polls CSTS.RDY after setting CC.EN.
+const enableTime = 20 * sim.Microsecond
 
 // DriverConfig tunes one driver attachment.
 type DriverConfig struct {
@@ -97,7 +100,7 @@ type IOCounters struct {
 	Submitted  uint64 // I/O attempts rung in (including retries)
 	Completed  uint64 // CQEs delivered to a waiting attempt
 	Timeouts   uint64 // attempts abandoned after CmdTimeout
-	Aborts     uint64 // NVMe Aborts issued for timed-out CIDs
+	Aborts     uint64 // NVMe Aborts raised for timed-out CIDs (sent if an admin slot was to be had)
 	Retries    uint64 // re-submissions after a retryable failure
 	Stragglers uint64 // late CQEs that reclaimed a zombied CID
 	Spurious   uint64 // CQEs matching neither a waiter nor a zombie
@@ -106,6 +109,10 @@ type IOCounters struct {
 	// comes, so the re-attach path forcibly returns the slots. Every
 	// timeout therefore ends as either a Straggler or a Reclaimed.
 	Reclaimed uint64
+	// SlotTimeouts counts attempts that got no SQ slot within CmdTimeout.
+	// They were never sent: no CID, and no part in Submitted, Timeouts or
+	// Aborts.
+	SlotTimeouts uint64
 	// ZombiesLeft is the number of CIDs still parked on zombie lists —
 	// timed-out attempts whose straggler CQE never arrived.
 	ZombiesLeft int
@@ -125,23 +132,21 @@ func (d *Driver) Counters() IOCounters {
 type IOOutcome struct {
 	Status   nvme.Status
 	Attempts int // submission attempts made (1 = no retries)
-	// TimedOut reports that the episode ended without a completion in hand:
-	// the final attempt was abandoned on timeout, so the command's effect is
-	// indeterminate — a write may or may not have reached the media, and may
-	// still land later (the CID is zombied until its straggler CQE arrives).
+	// TimedOut reports that the episode ended without a completion in hand
+	// after an attempt that was sent had been abandoned on timeout, so the
+	// command's effect is indeterminate — a write may or may not have reached
+	// the media, and may still land later (the CID is zombied until its
+	// straggler CQE arrives). An episode none of whose attempts got an SQ slot
+	// ends aborted but not in doubt: nothing was sent.
 	TimedOut bool
 }
 
-// dq is one driver-side queue pair.
+// dq is one driver-side queue pair: the shared initiator's rings and slot
+// count, plus the driver's CID policy — a slot's index is its command's CID,
+// handed out last-freed-first.
 type dq struct {
-	id     uint16
-	sqRing nvme.Ring
-	cqRing nvme.Ring
-	tail   uint32
-	cqHead uint32
-	phase  bool
-	slots  *sim.Resource
-	free   []uint16 // free slot indices (used as CIDs)
+	*nvmei.Queue
+	free []uint16 // free slot indices (used as CIDs)
 	// wait is the per-slot event of the attempt in flight under that CID, nil
 	// when nothing waits. A CID read from a CQE is checked against its length
 	// before it indexes anything here.
@@ -188,11 +193,8 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 
 	// Admin queue pair.
 	d.admin = d.newQueue(0, adminDepth, 4096)
-	port.MMIOWrite(fn, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	port.MMIOWrite(fn, nvme.RegASQ, d.admin.sqRing.Base)
-	port.MMIOWrite(fn, nvme.RegACQ, d.admin.cqRing.Base)
-	port.MMIOWrite(fn, nvme.RegCC, 1)
-	p.Sleep(20 * sim.Microsecond) // CSTS.RDY poll
+	d.admin.Enable()
+	p.Sleep(enableTime)
 
 	// Identify controller.
 	page := h.Mem.AllocPages(1)
@@ -233,19 +235,8 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 	for i := 0; i < cfg.Queues; i++ {
 		qid := uint16(i + 1)
 		q := d.newQueue(qid, cfg.QueueDepth, cfg.MaxIOBytes)
-		cpl = d.AdminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOCQ, PRP1: q.cqRing.Base,
-			CDW10: (cfg.QueueDepth-1)<<16 | uint32(qid),
-		})
-		if cpl.Status.IsError() {
-			return nil, fmt.Errorf("host: create CQ %d failed: %#x", qid, cpl.Status)
-		}
-		cpl = d.AdminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOSQ, PRP1: q.sqRing.Base,
-			CDW10: (cfg.QueueDepth-1)<<16 | uint32(qid), CDW11: uint32(qid) << 16,
-		})
-		if cpl.Status.IsError() {
-			return nil, fmt.Errorf("host: create SQ %d failed: %#x", qid, cpl.Status)
+		if err := q.Create(p, d.AdminCmd); err != nil {
+			return nil, fmt.Errorf("host: %w", err)
 		}
 		d.queues = append(d.queues, q)
 	}
@@ -255,15 +246,10 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 // newQueue allocates rings and per-slot buffers in host memory.
 func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 	mem := d.h.Mem
-	sqb := mem.AllocPages(int((depth*nvme.SQESize + 4095) / 4096))
-	cqb := mem.AllocPages(int((depth*nvme.CQESize + 4095) / 4096))
-	q := &dq{
-		id:     qid,
-		sqRing: nvme.Ring{Base: sqb, Entries: depth, EntrySz: nvme.SQESize},
-		cqRing: nvme.Ring{Base: cqb, Entries: depth, EntrySz: nvme.CQESize},
-		phase:  true,
-		slots:  sim.NewResource(d.h.Env, int(depth)-1),
-	}
+	sqb := mem.AllocPages(nvmei.RingPages(depth, nvme.SQESize))
+	cqb := mem.AllocPages(nvmei.RingPages(depth, nvme.CQESize))
+	conn := nvmei.Conn{Env: d.h.Env, Mem: mem, Port: d.port, Fn: d.fn}
+	q := &dq{Queue: conn.NewQueue(qid, depth, sqb, cqb)}
 	nSlots := int(depth) - 1
 	q.wait = make([]*sim.Event, nSlots)
 	q.zombie = make([]bool, nSlots)
@@ -325,26 +311,16 @@ func (d *Driver) IRQ(vec int) {
 	if q == nil {
 		return
 	}
-	for {
-		var raw [nvme.CQESize]byte
-		h.Mem.Read(q.cqRing.SlotAddr(q.cqHead), raw[:])
-		cpl := nvme.DecodeCompletion(&raw)
-		if cpl.Phase != q.phase {
-			return
-		}
-		q.cqHead = q.cqRing.Next(q.cqHead)
-		if q.cqHead == 0 {
-			q.phase = !q.phase
-		}
-		d.port.MMIOWrite(d.fn, nvme.CQDoorbell(q.id), uint64(q.cqHead))
+	var cpl nvme.Completion
+	for q.Next(&cpl) {
 		if d.tr != nil {
 			d.tr.Emit(h.Env.Now(), "host", "cqe",
 				uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
 		}
-		if d.met != nil && q.id != 0 {
+		if d.met != nil && q.ID != 0 {
 			// Admin completions (q 0) carry no span; flush CQEs miss the
 			// span map and the mark is a no-op.
-			d.met.SpanMark(obs.SpanKey(uint8(d.fn), q.id, cpl.CID), obs.MarkCQE, h.Env.Now())
+			d.met.SpanMark(obs.SpanKey(uint8(d.fn), q.ID, cpl.CID), obs.MarkCQE, h.Env.Now())
 			d.mCQEs.Inc()
 		}
 		// The CID is the device's word: one outside the queue's slots can be
@@ -356,7 +332,7 @@ func (d *Driver) IRQ(vec int) {
 		}
 		if ev != nil {
 			q.wait[cpl.CID] = nil
-			if q.id != 0 {
+			if q.ID != 0 {
 				d.ioc.Completed++
 			}
 			// An I/O waiter's first act on waking is to sleep the completion
@@ -365,7 +341,7 @@ func (d *Driver) IRQ(vec int) {
 			// to wake it. An admin waiter carries straight on, and so would
 			// an I/O waiter under a zero-cost kernel profile; those queue,
 			// rather than run on inside this handler.
-			if q.id != 0 && d.completeLatency() > 0 {
+			if q.ID != 0 && d.completeLatency() > 0 {
 				ev.Fire(d.getCpl(cpl))
 			} else {
 				ev.Trigger(d.getCpl(cpl))
@@ -373,11 +349,11 @@ func (d *Driver) IRQ(vec int) {
 		} else if known && q.zombie[cpl.CID] {
 			// Straggler completion for a timed-out command: nobody is
 			// waiting anymore, but the slot can go back into circulation.
-			if q.id != 0 {
+			if q.ID != 0 {
 				d.ioc.Stragglers++
 			}
 			q.unzombie(cpl.CID)
-		} else if q.id != 0 {
+		} else if q.ID != 0 {
 			// A CQE for a CID nobody issued or already reaped: duplicate or
 			// fabricated completion. Nothing to deliver — just book it so
 			// the invariant checker can flag it.
@@ -413,7 +389,7 @@ func (d *Driver) reclaimQueue(q *dq) int {
 			continue
 		}
 		q.unzombie(uint16(cid))
-		if q.id != 0 {
+		if q.ID != 0 {
 			d.ioc.Reclaimed++
 		}
 	}
@@ -431,8 +407,20 @@ func (q *dq) zombify(cid uint16) {
 func (q *dq) unzombie(cid uint16) {
 	q.zombie[cid] = false
 	q.zombies--
-	q.free = append(q.free, cid)
-	q.slots.Release()
+	q.give(cid)
+}
+
+// take pops the most recently freed slot for a caller holding a unit of Slots.
+func (q *dq) take() uint16 {
+	slot := q.free[len(q.free)-1]
+	q.free = q.free[:len(q.free)-1]
+	return slot
+}
+
+// give puts a slot back into circulation.
+func (q *dq) give(slot uint16) {
+	q.free = append(q.free, slot)
+	q.Slots.Release()
 }
 
 // Reattach re-initialises a controller that came back from a crash: the
@@ -453,25 +441,15 @@ func (q *dq) unzombie(cid uint16) {
 // release cannot submit before CC=1: the recovery process writes every
 // bring-up register without yielding in between.
 func (d *Driver) Reattach(p *sim.Proc) error {
-	reset := func(q *dq) {
-		q.tail, q.cqHead, q.phase = 0, 0, true
-		// Zero the CQ ring: stale pre-crash CQEs still carry phase=1, and the
-		// reap loop would race past the device's tail consuming them.
-		d.h.Mem.Write(q.cqRing.Base, make([]byte, int(q.cqRing.Entries)*nvme.CQESize))
-	}
-	reset(d.admin)
+	d.admin.Rewind()
 	for _, q := range d.queues {
-		reset(q)
+		q.Rewind()
 	}
 	d.reclaimQueue(d.admin)
 
-	port, fn := d.port, d.fn
-	port.MMIOWrite(fn, nvme.RegCC, 0)
-	port.MMIOWrite(fn, nvme.RegAQA, uint64(adminDepth-1)<<16|uint64(adminDepth-1))
-	port.MMIOWrite(fn, nvme.RegASQ, d.admin.sqRing.Base)
-	port.MMIOWrite(fn, nvme.RegACQ, d.admin.cqRing.Base)
-	port.MMIOWrite(fn, nvme.RegCC, 1)
-	p.Sleep(20 * sim.Microsecond) // CSTS.RDY poll
+	d.admin.Disable()
+	d.admin.Enable()
+	p.Sleep(enableTime)
 
 	page := d.h.Mem.AllocPages(1)
 	cpl := d.AdminCmd(p, nvme.Command{Opcode: nvme.AdminIdentify, PRP1: page, CDW10: nvme.CNSController})
@@ -479,20 +457,8 @@ func (d *Driver) Reattach(p *sim.Proc) error {
 		return fmt.Errorf("host: reattach identify failed: %#x", cpl.Status)
 	}
 	for _, q := range d.queues {
-		depth := q.sqRing.Entries
-		cpl = d.AdminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOCQ, PRP1: q.cqRing.Base,
-			CDW10: (depth-1)<<16 | uint32(q.id),
-		})
-		if cpl.Status.IsError() {
-			return fmt.Errorf("host: reattach create CQ %d failed: %#x", q.id, cpl.Status)
-		}
-		cpl = d.AdminCmd(p, nvme.Command{
-			Opcode: nvme.AdminCreateIOSQ, PRP1: q.sqRing.Base,
-			CDW10: (depth-1)<<16 | uint32(q.id), CDW11: uint32(q.id) << 16,
-		})
-		if cpl.Status.IsError() {
-			return fmt.Errorf("host: reattach create SQ %d failed: %#x", q.id, cpl.Status)
+		if err := q.Create(p, d.AdminCmd); err != nil {
+			return fmt.Errorf("host: reattach: %w", err)
 		}
 	}
 	if d.tr != nil {
@@ -507,20 +473,14 @@ func (d *Driver) Reattach(p *sim.Proc) error {
 // AdminCmd submits one admin command and waits for its completion.
 func (d *Driver) AdminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	q := d.admin
-	q.slots.Acquire(p)
-	slot := q.free[len(q.free)-1]
-	q.free = q.free[:len(q.free)-1]
-	cmd.CID = slot
-	var b [nvme.SQESize]byte
-	cmd.Encode(&b)
-	d.h.Mem.Write(q.sqRing.SlotAddr(q.tail), b[:])
-	q.tail = q.sqRing.Next(q.tail)
+	q.Slots.Acquire(p)
+	cmd.CID = q.take()
+	q.Push(&cmd)
 	ev := d.h.Env.PooledEvent()
 	q.wait[cmd.CID] = ev
-	d.port.MMIOWrite(d.fn, nvme.SQDoorbell(q.id), uint64(q.tail))
+	q.Ring()
 	cpl := d.putCpl(p.Wait(ev).(*nvme.Completion))
-	q.free = append(q.free, slot)
-	q.slots.Release()
+	q.give(cmd.CID)
 	return cpl
 }
 
@@ -566,16 +526,19 @@ func (d *Driver) ioEpisode(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	if d.met != nil && op != nvme.IOFlush {
 		spanT0 = d.h.Env.Now()
 	}
+	inDoubt := false
 	for attempt := 0; ; attempt++ {
-		st, timedOut := d.ioAttempt(p, op, lba, blocks, buf, qIdx, spanT0)
-		if !timedOut && !st.IsError() {
+		st, end := d.ioAttempt(p, op, lba, blocks, buf, qIdx, spanT0)
+		if end == completed && !st.IsError() {
 			return IOOutcome{Status: st, Attempts: attempt + 1}
 		}
-		if retryable := timedOut || st.Retryable(); !retryable || attempt >= d.cfg.MaxRetries {
-			if timedOut {
-				// Retries exhausted with no completion in hand: the last
-				// attempt was aborted, so report it that way.
-				return IOOutcome{Status: nvme.StatusAborted, Attempts: attempt + 1, TimedOut: true}
+		inDoubt = inDoubt || end == timedOut
+		if retryable := end != completed || st.Retryable(); !retryable || attempt >= d.cfg.MaxRetries {
+			if end != completed {
+				// Retries exhausted with no completion in hand: report the
+				// command aborted. Its effect is in doubt only if some attempt
+				// reached the device; one that got no slot was never sent.
+				return IOOutcome{Status: nvme.StatusAborted, Attempts: attempt + 1, TimedOut: inDoubt}
 			}
 			return IOOutcome{Status: st, Attempts: attempt + 1}
 		}
@@ -591,12 +554,24 @@ func (d *Driver) ioEpisode(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	}
 }
 
+// attemptEnd is how one submission attempt ended.
+type attemptEnd uint8
+
+const (
+	completed attemptEnd = iota // a CQE came back: the status is the device's
+	timedOut                    // sent, no CQE within CmdTimeout: effect in doubt
+	noSlot                      // no SQ slot within CmdTimeout: never sent
+)
+
 // ioAttempt runs one submission attempt: queue slot, SQE, doorbell, wait.
-// It returns the completion status plus whether the attempt timed out (no
-// CQE within cfg.CmdTimeout). On timeout the CID is zombied — its slot
-// stays reserved until the straggler CQE shows up — and a best-effort NVMe
-// Abort is issued so the device can drop the command.
-func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int, spanT0 int64) (nvme.Status, bool) {
+// It returns the completion status and how the attempt ended. CmdTimeout
+// bounds the wait for a slot as it bounds the wait for the CQE — a dead
+// device's zombies can hold every slot for good — and an attempt that gets
+// none was never on the wire: no CID, no zombie, no Abort. On a CQE timeout
+// the CID is zombied — its slot stays reserved until the straggler CQE shows
+// up — and a best-effort NVMe Abort is issued so the device can drop the
+// command.
+func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int, spanT0 int64) (nvme.Status, attemptEnd) {
 	nBytes := int(blocks) * nvme.LBASize
 	// In-path submission cost.
 	sub := d.h.Kernel.SubmitLatency
@@ -607,10 +582,14 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 
 	q := d.queues[qIdx%len(d.queues)]
 	slotT0 := d.h.Env.Now()
-	q.slots.Acquire(p)
+	if d.cfg.CmdTimeout == 0 {
+		q.Slots.Acquire(p)
+	} else if !q.Slots.AcquireTimeout(p, d.cfg.CmdTimeout) {
+		d.ioc.SlotTimeouts++
+		return nvme.StatusSuccess, noSlot
+	}
 	slotWait := int64(d.h.Env.Now() - slotT0)
-	slot := q.free[len(q.free)-1]
-	q.free = q.free[:len(q.free)-1]
+	slot := q.take()
 	d.ioc.Submitted++
 
 	cmd := nvme.Command{Opcode: op, NSID: d.nsid, CID: slot}
@@ -622,19 +601,16 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 			d.h.Mem.Write(q.buf[slot], buf)
 		}
 	}
-	var b [nvme.SQESize]byte
-	cmd.Encode(&b)
-	d.h.Mem.Write(q.sqRing.SlotAddr(q.tail), b[:])
-	q.tail = q.sqRing.Next(q.tail)
+	q.Push(&cmd)
 	ev := d.waitEvent()
 	q.wait[cmd.CID] = ev
 	if d.tr != nil {
 		d.tr.Emit(d.h.Env.Now(), "host", "doorbell",
-			uint64(d.fn)<<32|uint64(q.id)<<16|uint64(op), uint64(q.tail), "")
+			uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
 	}
 	var spanKey uint64
 	if d.met != nil && op != nvme.IOFlush {
-		spanKey = obs.SpanKey(uint8(d.fn), q.id, cmd.CID)
+		spanKey = obs.SpanKey(uint8(d.fn), q.ID, cmd.CID)
 		spanOp := obs.OpRead
 		if op == nvme.IOWrite {
 			spanOp = obs.OpWrite
@@ -651,7 +627,7 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 		d.mInflight.Inc(now)
 	}
 	d.mDoorbells.Inc()
-	d.port.MMIOWrite(d.fn, nvme.SQDoorbell(q.id), uint64(q.tail))
+	q.Ring()
 
 	var cpl nvme.Completion
 	if d.cfg.CmdTimeout > 0 {
@@ -662,15 +638,15 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 			d.mTimeouts.Inc()
 			if d.tr != nil {
 				d.tr.Emit(d.h.Env.Now(), "host", "timeout",
-					uint64(d.fn)<<32|uint64(q.id)<<16|uint64(cmd.CID), uint64(op), "")
+					uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(cmd.CID), uint64(op), "")
 			}
 			if d.met != nil && op != nvme.IOFlush {
 				d.met.SpanError(spanKey)
 				d.met.SpanFinish(spanKey, d.h.Env.Now())
 				d.mInflight.Dec(d.h.Env.Now())
 			}
-			d.abort(p, q.id, cmd.CID)
-			return nvme.StatusSuccess, true
+			d.abort(p, q.ID, cmd.CID)
+			return nvme.StatusSuccess, timedOut
 		}
 		cpl = d.putCpl(got.(*nvme.Completion))
 	} else {
@@ -690,9 +666,8 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 		d.met.SpanFinish(spanKey, now)
 		d.mInflight.Dec(now)
 	}
-	q.free = append(q.free, slot)
-	q.slots.Release()
-	return cpl.Status, false
+	q.give(slot)
+	return cpl.Status, completed
 }
 
 // completeLatency is the in-path completion cost of one I/O: MSI to the
@@ -709,39 +684,37 @@ func (d *Driver) completeLatency() sim.Time {
 // abort issues an NVMe Abort for (sqid, cid) after a command timeout. It is
 // best-effort: the BMS-Engine and the SSD model both complete Abort with
 // success without touching the target command, which matches how loosely
-// real controllers honour it. The wait is bounded by the same CmdTimeout;
-// if the device is too dead to even complete the abort, the admin slot
-// joins the zombie list too.
+// real controllers honour it. Both waits — for an admin slot, then for the
+// completion — are bounded by the same CmdTimeout: with no slot the Abort is
+// not sent, and if the device is too dead to complete it the admin slot joins
+// the zombie list too.
 func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	d.ioc.Aborts++
 	d.mAborts.Inc()
 	q := d.admin
-	q.slots.Acquire(p)
-	slot := q.free[len(q.free)-1]
-	q.free = q.free[:len(q.free)-1]
+	if !q.Slots.AcquireTimeout(p, d.cfg.CmdTimeout) {
+		return // a device dead enough to have zombied every admin slot
+	}
+	slot := q.take()
 	cmd := nvme.Command{
 		Opcode: nvme.AdminAbort, CID: slot,
 		CDW10: uint32(sqid) | uint32(cid)<<16,
 	}
-	var b [nvme.SQESize]byte
-	cmd.Encode(&b)
-	d.h.Mem.Write(q.sqRing.SlotAddr(q.tail), b[:])
-	q.tail = q.sqRing.Next(q.tail)
+	q.Push(&cmd)
 	ev := d.h.Env.NewEvent()
-	q.wait[cmd.CID] = ev
+	q.wait[slot] = ev
 	if d.tr != nil {
 		d.tr.Emit(d.h.Env.Now(), "host", "abort",
 			uint64(d.fn)<<32|uint64(sqid)<<16|uint64(cid), 0, "")
 	}
-	d.port.MMIOWrite(d.fn, nvme.SQDoorbell(q.id), uint64(q.tail))
+	q.Ring()
 	got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
 	if !ok {
 		q.zombify(slot)
 		return
 	}
 	d.putCpl(got.(*nvme.Completion))
-	q.free = append(q.free, slot)
-	q.slots.Release()
+	q.give(slot)
 }
 
 // splitIO fans a large I/O out as concurrent split requests, the way the

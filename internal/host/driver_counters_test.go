@@ -152,3 +152,76 @@ func TestIOOutcomeIndeterminateWithoutRecovery(t *testing.T) {
 		t.Fatalf("straggler not reclaimed: %+v", c)
 	}
 }
+
+// TestDroppedDriveUnderADeepQueueFailsTheIO: a drive pulled for good answers
+// nothing, so every attempt sent to it leaves a zombied CID, and more attempts
+// are owed (workers × the retry budget) than the queue has slots. The wait for
+// a slot is bounded by CmdTimeout like the wait for a CQE: every episode ends
+// in an error instead of the driver wedging on its own zombies, an attempt
+// that got no slot is counted apart from the ones that were sent, and an
+// episode that never reached the device is a clean error, not an in-doubt one.
+func TestDroppedDriveUnderADeepQueueFailsTheIO(t *testing.T) {
+	dcfg := host.DefaultDriverConfig()
+	dcfg.Queues, dcfg.QueueDepth = 1, 8 // 7 slots
+	dcfg.CmdTimeout, dcfg.MaxRetries, dcfg.RetryBackoff = sim.Millisecond, 3, 100*sim.Microsecond
+	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
+	var early, late []host.IOOutcome
+	write := func(at sim.Time, into *[]host.IOOutcome) {
+		r.env.Go("io", func(p *sim.Proc) {
+			p.Sleep(at)
+			*into = append(*into, r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil))
+		})
+	}
+	for i := 0; i < 4; i++ {
+		write(sim.Millisecond, &early) // 4 workers × 4 attempts against 7 slots
+	}
+	write(50*sim.Millisecond, &late) // arrives when every slot is a zombie
+	r.env.Run()
+
+	if len(early) != 4 || len(late) != 1 {
+		t.Fatalf("%d of 4 early and %d of 1 late episodes ended; the rest are wedged", len(early), len(late))
+	}
+	for _, oc := range early {
+		if oc.Status != nvme.StatusAborted || !oc.TimedOut || oc.Attempts != 4 {
+			t.Errorf("an episode whose first attempt was sent ended %+v, want aborted and in doubt after 4 attempts", oc)
+		}
+	}
+	if oc := late[0]; oc.Status != nvme.StatusAborted || oc.TimedOut || oc.Attempts != 4 {
+		t.Errorf("an episode that never got a slot ended %+v, want a clean abort after 4 attempts", oc)
+	}
+	c := r.drv.Counters()
+	want := host.IOCounters{Submitted: 7, Timeouts: 7, Aborts: 7, Retries: 15, SlotTimeouts: 13, ZombiesLeft: 7}
+	if c != want {
+		t.Errorf("counters %+v, want %+v", c, want)
+	}
+	if c.Submitted != c.Completed+c.Timeouts || c.Aborts != c.Timeouts {
+		t.Errorf("counters %+v break the CID accounting (submitted = completed + timeouts, one abort per timeout)", c)
+	}
+}
+
+// TestAbortGivesUpWithoutAnAdminSlot: the Abort after a timeout is best
+// effort, and on a dead device the Aborts themselves time out and zombie the
+// admin queue's 31 slots. The 32nd must not wait for one for good.
+func TestAbortGivesUpWithoutAnAdminSlot(t *testing.T) {
+	dcfg := host.DefaultDriverConfig()
+	dcfg.Queues, dcfg.QueueDepth, dcfg.CmdTimeout = 1, 64, sim.Millisecond
+	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
+	ended := 0
+	for i := 0; i < 40; i++ {
+		r.env.Go("io", func(p *sim.Proc) {
+			p.Sleep(sim.Millisecond)
+			if oc := r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil); !oc.TimedOut {
+				t.Errorf("write to a pulled drive: %+v, want a timeout", oc)
+			}
+			ended++
+		})
+	}
+	r.env.Run()
+	c := r.drv.Counters()
+	if ended != 40 || c.Timeouts != 40 || c.Aborts != 40 || c.ZombiesLeft != 40 {
+		t.Fatalf("%d of 40 writes ended, counters %+v; want 40 timeouts, each with its abort raised", ended, c)
+	}
+	if n := r.drv.ReclaimZombies(); n != 40+31 {
+		t.Fatalf("ReclaimZombies freed %d slots, want the 40 I/O CIDs and the 31 admin slots the sent Aborts held", n)
+	}
+}

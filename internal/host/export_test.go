@@ -8,12 +8,17 @@ import "bmstore/internal/nvme"
 // injects must see to it that the device posts nothing afterwards.
 func (d *Driver) InjectCQE(qIdx int, cpl nvme.Completion) {
 	q := d.queues[qIdx]
-	cpl.Phase = q.phase
+	head, phase := q.Head()
+	cpl.Phase = phase
 	var raw [nvme.CQESize]byte
 	cpl.Encode(&raw)
-	d.h.Mem.Write(q.cqRing.SlotAddr(q.cqHead), raw[:])
-	d.IRQ(int(q.id))
+	d.h.Mem.Write(q.CQ().SlotAddr(head), raw[:])
+	d.IRQ(int(q.ID))
 }
+
+// CQ is I/O queue qIdx's completion ring, for a test that plays a device
+// writing where it likes.
+func (d *Driver) CQ(qIdx int) nvme.Ring { return d.queues[qIdx].CQ() }
 
 // QueueState is the slot bookkeeping of I/O queue qIdx: the free list in
 // stack order, the zombie-flagged CIDs in ascending order, the zombie count
@@ -25,5 +30,5 @@ func (d *Driver) QueueState(qIdx int) (free, zombies []uint16, zombieCount, inUs
 			zombies = append(zombies, uint16(cid))
 		}
 	}
-	return append([]uint16(nil), q.free...), zombies, q.zombies, q.slots.InUse()
+	return append([]uint16(nil), q.free...), zombies, q.zombies, q.Slots.InUse()
 }

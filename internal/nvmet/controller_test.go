@@ -84,7 +84,11 @@ func (o *fakeOwner) ExecAdmin(p *sim.Proc, sq *SQ, cmd nvme.Command, sqHead uint
 	o.r.c.PostCQE(sq.CQID, cpl)
 }
 
-// hostQ is the host's view of one queue pair.
+// hostQ is the host's view of one queue pair, hand-written on purpose and not
+// built on internal/nvmei: it is the independent reference the target is
+// tested against — a second implementation of the host side would share the
+// first one's misreadings of the protocol — and the tests need a host that
+// can misbehave: push without ringing, ring a tail it never filled.
 type hostQ struct {
 	id     uint16
 	sq, cq nvme.Ring

@@ -38,6 +38,24 @@ func (r *Resource) Acquire(p *Proc) {
 	p.Wait(ev)
 }
 
+// AcquireTimeout is Acquire bounded by d: false means no unit came free in
+// time and the caller holds none. A unit free at once costs no timer and no
+// event. A caller that gives up stays in the waiter queue as an aborted
+// event, which Release steps over.
+func (r *Resource) AcquireTimeout(p *Proc, d Time) bool {
+	if r.inUse < r.cap {
+		r.inUse++
+		return true
+	}
+	ev := r.env.NewEvent() // not pooled: it may be abandoned in the queue
+	r.waiters.push(ev)
+	if _, ok := p.WaitTimeout(ev, d); ok || ev.Triggered() {
+		return true // Triggered: Release passed the unit in the timer's own instant
+	}
+	ev.Abort()
+	return false
+}
+
 // AcquireCB obtains one unit for callback-chain callers: when a unit is
 // immediately free, cb runs synchronously — the same program point where
 // Acquire returns without blocking. Otherwise cb runs in scheduler context
@@ -67,15 +85,18 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// Release returns one unit, waking the oldest waiter if any. The unit is
-// transferred directly to the waiter, so capacity accounting stays exact.
+// Release returns one unit, waking the oldest waiter still waiting, if any.
+// The unit is transferred directly to the waiter, so capacity accounting
+// stays exact.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
 	}
-	if r.waiters.n > 0 {
-		r.waiters.pop().Trigger(nil) // unit passes to the waiter; inUse unchanged
-		return
+	for r.waiters.n > 0 {
+		if ev := r.waiters.pop(); !ev.aborted {
+			ev.Trigger(nil) // unit passes to the waiter; inUse unchanged
+			return
+		}
 	}
 	r.inUse--
 }

@@ -329,6 +329,67 @@ func TestResourceParallelism(t *testing.T) {
 	}
 }
 
+// TestAcquireTimeout walks a one-unit resource through every way a bounded
+// wait can end: a free unit costs what Acquire costs, a unit released in time
+// is granted FIFO, a waiter that gives up holds nothing and is stepped over
+// by the next Release, and a unit passed on in the timer's own instant — the
+// Release ran, the grant is still queued behind the timer — is kept.
+func TestAcquireTimeout(t *testing.T) {
+	events := func(acquire func(*Resource, *Proc)) uint64 {
+		env := NewEnv(1)
+		r := NewResource(env, 1)
+		env.Go("free", func(p *Proc) { acquire(r, p) })
+		env.Run()
+		if r.InUse() != 1 {
+			t.Fatalf("a free unit was not granted")
+		}
+		return env.Events()
+	}
+	if got, want := events(func(r *Resource, p *Proc) { r.AcquireTimeout(p, 100) }), events(func(r *Resource, p *Proc) { r.Acquire(p) }); got != want {
+		t.Fatalf("a free grant under a timeout fired %d events, Acquire fires %d", got, want)
+	}
+
+	type end struct {
+		ok bool
+		at Time
+	}
+	env := NewEnv(1)
+	r := NewResource(env, 1)
+	r.TryAcquire()
+	var ends []end
+	wait := func(d Time) {
+		env.Go("waiter", func(p *Proc) {
+			ok := r.AcquireTimeout(p, d)
+			ends = append(ends, end{ok, p.Now()})
+			if ok {
+				p.Sleep(10)
+				r.Release()
+			}
+		})
+	}
+	// The holder's wake-up at 120 is queued ahead of the second waiter's timer.
+	env.Go("holder", func(p *Proc) {
+		p.Sleep(120)
+		r.Release()
+	})
+	wait(50)  // gives up at 50
+	wait(120) // stepped to past the one that gave up, in its timer's instant
+	wait(200) // granted in time, when that one passes the unit on
+	env.Run()
+	want := []end{{false, 50}, {true, 120}, {true, 130}}
+	if len(ends) != len(want) {
+		t.Fatalf("waiters ended %+v, want %+v", ends, want)
+	}
+	for i := range want {
+		if ends[i] != want[i] {
+			t.Fatalf("waiters ended %+v, want %+v", ends, want)
+		}
+	}
+	if r.InUse() != 0 {
+		t.Fatalf("%d units in use at the end", r.InUse())
+	}
+}
+
 func TestResourceReleasePanicsWhenIdle(t *testing.T) {
 	env := NewEnv(1)
 	r := NewResource(env, 1)

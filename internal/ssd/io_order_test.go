@@ -34,7 +34,7 @@ func TestCommandStartsOneHopAfterDispatch(t *testing.T) {
 		h.env.Schedule(sim.Microsecond, func() { h.dev.StartIO(&nvmet.SQ{ID: 1, CQID: 1}, cmd, 1) })
 		if contend {
 			h.env.Schedule(sim.Microsecond, func() {
-				pageTime = h.port.DMARead(page, nvme.PageSize, nil) - h.env.Now()
+				pageTime = h.conn.Port.DMARead(page, nvme.PageSize, nil) - h.env.Now()
 			})
 		}
 		writes := h.dev.WriteStats.Ops
@@ -46,7 +46,7 @@ func TestCommandStartsOneHopAfterDispatch(t *testing.T) {
 	}
 	idle := newHarness(t, P4510("SN001"))
 	idle.env.Run()
-	want := idle.port.DMARead(idle.mem.AllocPages(1), nvme.PageSize, nil) - idle.env.Now()
+	want := idle.conn.Port.DMARead(idle.mem.AllocPages(1), nvme.PageSize, nil) - idle.env.Now()
 
 	_, alone := run(false)
 	pageTime, behind := run(true)

@@ -7,34 +7,24 @@ import (
 
 	"bmstore/internal/hostmem"
 	"bmstore/internal/nvme"
+	"bmstore/internal/nvmei"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
 
 // harness is a minimal synchronous NVMe host used to drive the SSD model in
-// unit tests: admin + one I/O queue pair, interrupt-driven completions.
+// unit tests, over the shared initiator: admin + one I/O queue pair,
+// interrupt-driven completions, sequential CIDs, no slot accounting.
 type harness struct {
-	t    *testing.T
-	env  *sim.Env
-	mem  *hostmem.Memory
-	dev  *SSD
-	port *pcie.Port
+	t   *testing.T
+	env *sim.Env
+	mem *hostmem.Memory
+	dev *SSD
 
-	sqs     map[uint16]*hSQ
-	cqs     map[uint16]*hCQ
+	conn    nvmei.Conn
+	qs      map[uint16]*nvmei.Queue
 	nextCID uint16
 	waiting map[uint16]*sim.Event
-}
-
-type hSQ struct {
-	ring nvme.Ring
-	tail uint32
-}
-
-type hCQ struct {
-	ring  nvme.Ring
-	head  uint32
-	phase bool
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
@@ -48,8 +38,7 @@ func newHarnessOn(t *testing.T, env *sim.Env, cfg Config) *harness {
 	root := pcie.NewRoot(env, mem)
 	h := &harness{
 		t: t, env: env, mem: mem,
-		sqs:     make(map[uint16]*hSQ),
-		cqs:     make(map[uint16]*hCQ),
+		qs:      make(map[uint16]*nvmei.Queue),
 		waiting: make(map[uint16]*sim.Event),
 	}
 	dev := New(env, cfg)
@@ -57,38 +46,22 @@ func newHarnessOn(t *testing.T, env *sim.Env, cfg Config) *harness {
 	port := pcie.Connect(env, link, root, h.irq, nil, dev)
 	dev.Attach(port)
 	h.dev = dev
-	h.port = port
+	h.conn = nvmei.Conn{Env: env, Mem: mem, Port: port}
 
 	// Admin queue pair.
-	const qd = 32
 	asq := mem.AllocPages(1)
-	acq := mem.AllocPages(1)
-	h.sqs[0] = &hSQ{ring: nvme.Ring{Base: asq, Entries: qd, EntrySz: nvme.SQESize}}
-	h.cqs[0] = &hCQ{ring: nvme.Ring{Base: acq, Entries: qd, EntrySz: nvme.CQESize}, phase: true}
-	port.MMIOWrite(0, nvme.RegAQA, uint64(qd-1)<<16|uint64(qd-1))
-	port.MMIOWrite(0, nvme.RegASQ, asq)
-	port.MMIOWrite(0, nvme.RegACQ, acq)
-	port.MMIOWrite(0, nvme.RegCC, 1)
+	h.qs[0] = h.conn.NewQueue(0, 32, asq, mem.AllocPages(1))
+	h.qs[0].Enable()
 	return h
 }
 
 func (h *harness) irq(fn pcie.FuncID, vec int) {
-	cq := h.cqs[uint16(vec)]
-	if cq == nil {
+	q := h.qs[uint16(vec)]
+	if q == nil {
 		return
 	}
-	for {
-		var b [nvme.CQESize]byte
-		h.mem.Read(cq.ring.SlotAddr(cq.head), b[:])
-		cpl := nvme.DecodeCompletion(&b)
-		if cpl.Phase != cq.phase {
-			return
-		}
-		cq.head = cq.ring.Next(cq.head)
-		if cq.head == 0 {
-			cq.phase = !cq.phase
-		}
-		h.port.MMIOWrite(0, nvme.CQDoorbell(uint16(vec)), uint64(cq.head))
+	var cpl nvme.Completion
+	for q.Next(&cpl) {
 		if ev := h.waiting[cpl.CID]; ev != nil {
 			delete(h.waiting, cpl.CID)
 			ev.Trigger(cpl)
@@ -98,39 +71,25 @@ func (h *harness) irq(fn pcie.FuncID, vec int) {
 
 // submit issues cmd on queue qid and waits for its completion.
 func (h *harness) submit(p *sim.Proc, qid uint16, cmd nvme.Command) nvme.Completion {
-	sq := h.sqs[qid]
+	q := h.qs[qid]
 	h.nextCID++
 	cmd.CID = h.nextCID
-	var b [nvme.SQESize]byte
-	cmd.Encode(&b)
-	h.mem.Write(sq.ring.SlotAddr(sq.tail), b[:])
-	sq.tail = sq.ring.Next(sq.tail)
+	q.Push(&cmd)
 	ev := h.env.NewEvent()
 	h.waiting[cmd.CID] = ev
-	h.port.MMIOWrite(0, nvme.SQDoorbell(qid), uint64(sq.tail))
+	q.Ring()
 	return p.Wait(ev).(nvme.Completion)
 }
 
 // createIOQueues makes I/O queue pair 1 with the given depth.
 func (h *harness) createIOQueues(p *sim.Proc, depth uint32) {
-	cqBase := h.mem.AllocPages(int((depth*nvme.CQESize + 4095) / 4096))
-	sqBase := h.mem.AllocPages(int((depth*nvme.SQESize + 4095) / 4096))
-	cpl := h.submit(p, 0, nvme.Command{
-		Opcode: nvme.AdminCreateIOCQ, PRP1: cqBase,
-		CDW10: (depth-1)<<16 | 1,
-	})
-	if cpl.Status.IsError() {
-		h.t.Fatalf("create CQ: status %#x", cpl.Status)
+	cqBase := h.mem.AllocPages(nvmei.RingPages(depth, nvme.CQESize))
+	q := h.conn.NewQueue(1, depth, h.mem.AllocPages(nvmei.RingPages(depth, nvme.SQESize)), cqBase)
+	err := q.Create(p, func(p *sim.Proc, cmd nvme.Command) nvme.Completion { return h.submit(p, 0, cmd) })
+	if err != nil {
+		h.t.Fatal(err)
 	}
-	cpl = h.submit(p, 0, nvme.Command{
-		Opcode: nvme.AdminCreateIOSQ, PRP1: sqBase,
-		CDW10: (depth-1)<<16 | 1, CDW11: 1 << 16,
-	})
-	if cpl.Status.IsError() {
-		h.t.Fatalf("create SQ: status %#x", cpl.Status)
-	}
-	h.sqs[1] = &hSQ{ring: nvme.Ring{Base: sqBase, Entries: depth, EntrySz: nvme.SQESize}}
-	h.cqs[1] = &hCQ{ring: nvme.Ring{Base: cqBase, Entries: depth, EntrySz: nvme.CQESize}, phase: true}
+	h.qs[1] = q
 }
 
 // createNS makes a namespace of n blocks and returns its NSID.

@@ -14,7 +14,7 @@ import (
 // between the load generator and the NAND model, observers included.
 // internal/hostmem is not on the list: its page table stays a map, for the
 // measured reason DESIGN §11 "Lookups on the command path" gives.
-var commandPathPackages = []string{"host", "nvmet", "engine", "ssd", "pcie", "obs", "fio"}
+var commandPathPackages = []string{"host", "nvmei", "nvmet", "engine", "ssd", "pcie", "obs", "fio"}
 
 // allowedMaps are the struct fields of map type those packages may declare,
 // each with the reason it is not on the path of a command.

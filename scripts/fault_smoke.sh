@@ -11,10 +11,11 @@
 # line per run on stderr and exit 1 — no panic, no goroutine dump.
 #
 # A third pins the same schedule at fiosim's default 4 x QD 128, where the
-# drop does not fail I/O but wedges the driver (zombied CIDs outnumber the
-# ring; ROADMAP 6e): the run must stop at its computed horizon, print the
-# kernel's diagnosis in one line and exit 1 — it used to spin forever, so the
-# case runs under `timeout`.
+# zombied CIDs of the timed-out attempts come to outnumber the ring's slots
+# before any I/O has used up its retries: the wait for a slot is bounded by
+# the command timeout like the wait for a CQE, so the I/O must fail the same
+# clean way — it used to wedge the driver for good, so the case runs under
+# `timeout`.
 set -euo pipefail
 
 SPEC='ssd-stall,t=10ms,dur=8ms;media-slow,nth=50,count=-1,dur=1ms'
@@ -55,13 +56,13 @@ fi
 echo "$dead_err"
 
 if wedged_err=$(timeout 60 go run ./cmd/fiosim -faults 'ssd-drop,t=20ms,target=PHLJ0000' 2>&1 >/dev/null); then
-	echo "a run wedged by a dropped drive exited 0" >&2
+	echo "a deep-queue run whose only drive is dropped exited 0" >&2
 	exit 1
 fi
 wedged_err=$(echo "$wedged_err" | grep -v '^exit status' | grep -v 'simulated' || true)
-if [ "$(echo "$wedged_err" | grep -c '^fiosim: run 0 (seed 42) failed: workload still running at its horizon, .* processes blocked')" != 1 ] ||
+if [ "$(echo "$wedged_err" | grep -c '^fiosim: run 0 (seed 42) failed: .*I/O error: nvme: status 0x7')" != 1 ] ||
 	[ "$(echo "$wedged_err" | wc -l)" != 1 ]; then
-	echo "expected one 'fiosim: run 0 (seed 42) failed: workload still running at its horizon ...' line and nothing else, got:" >&2
+	echo "expected one 'fiosim: run 0 (seed 42) failed: ... I/O error: nvme: status 0x7' line and nothing else, got:" >&2
 	echo "$wedged_err" >&2
 	exit 1
 fi
