@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fuzz-smoke race race-runner lint gates modelpin-diff determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test fuzz-smoke race race-runner lint gates pins modelpin-diff determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -68,19 +68,30 @@ lint:
 determinism:
 	$(GO) test -run Determinism -count=1 ./...
 
-# "Every pinned digest is unchanged", in one command: the replay suite plus
-# the five smoke gates, each of which compares against a committed digest or
-# a serial/parallel twin. CI runs the same targets as separate steps, for
-# per-gate logs. With figures-gate and bench-gate this is the full check
-# that a change to the data path moved no virtual nanosecond and no alloc.
-gates: determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke
+# The cross-commit pins: what traced rigs emit at which virtual nanosecond
+# (TestModelledBehaviourPinned), how many kernel events a command costs
+# (TestEventBudgetPerCommand) and what the observers export for a rig
+# (TestObserverExportsPinned), each against constants taken at an earlier
+# commit. Under a second.
+pins:
+	$(GO) test -run 'TestModelledBehaviourPinned|TestEventBudgetPerCommand|TestObserverExportsPinned' -count=1 .
 
-# Timing-neutrality against another commit, beyond what pinned seeds and
-# goldens see: TestModelledBehaviourPinned's rigs at seeds 1..SEEDS on this
-# tree and on REF (unpacked into a temporary directory), every logged
-# records:hash compared; non-zero exit on any difference. ~0.1 s per rig and
-# side — a few minutes at the default 400 seeds. Run it before claiming that
-# a change to the kernel or the data path moves no modelled time.
+# "Every pinned digest is unchanged", in one command: the replay suite, the
+# cross-commit pins and the five smoke gates, each of which compares against
+# a committed digest or a serial/parallel twin. CI runs the same targets as
+# separate steps, for per-gate logs. With figures-gate and bench-gate this is
+# the full check that a change to the data path moved no virtual nanosecond
+# and no alloc.
+gates: determinism pins fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke
+
+# Neutrality against another commit, beyond what pinned seeds and goldens
+# see: both pin tests' rigs at seeds 1..SEEDS on this tree and on REF
+# (unpacked into a temporary directory), every logged line compared —
+# TestModelledBehaviourPinned's records:hash (no modelled time moved) and
+# TestObserverExportsPinned's export:sha256 (the observers report the same
+# bytes); non-zero exit on any difference. ~0.1 s per rig and side — a few
+# minutes at the default 400 seeds. Run it before claiming that a change to
+# the kernel, the data path or the observers is neutral.
 SEEDS ?= 400
 modelpin-diff:
 	@test -n "$(REF)" || { echo "usage: make modelpin-diff REF=<commit> [SEEDS=400]"; exit 2; }
