@@ -28,10 +28,18 @@ func main() {
 
 	tb.Run(func(p *sim.Proc) {
 		// Two virtual disks: one for MySQL-shaped work, one for RocksDB.
-		tb.Console.CreateNamespace(p, "mysql", 256<<30, []int{0})
-		tb.Console.Bind(p, "mysql", 0)
-		tb.Console.CreateNamespace(p, "rocksdb", 256<<30, []int{1})
-		tb.Console.Bind(p, "rocksdb", 1)
+		if err := tb.Console.CreateNamespace(p, "mysql", 256<<30, []int{0}); err != nil {
+			panic(err)
+		}
+		if err := tb.Console.Bind(p, "mysql", 0); err != nil {
+			panic(err)
+		}
+		if err := tb.Console.CreateNamespace(p, "rocksdb", 256<<30, []int{1}); err != nil {
+			panic(err)
+		}
+		if err := tb.Console.Bind(p, "rocksdb", 1); err != nil {
+			panic(err)
+		}
 
 		vm := host.KVMGuest()
 		dcfg := host.DefaultDriverConfig()

@@ -29,8 +29,12 @@ func main() {
 	}
 
 	tb.Run(func(p *sim.Proc) {
-		tb.Console.CreateNamespace(p, "vol0", 256<<30, []int{0})
-		tb.Console.Bind(p, "vol0", 0)
+		if err := tb.Console.CreateNamespace(p, "vol0", 256<<30, []int{0}); err != nil {
+			panic(err)
+		}
+		if err := tb.Console.Bind(p, "vol0", 0); err != nil {
+			panic(err)
+		}
 		drv, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
 		if err != nil {
 			panic(err)

@@ -74,7 +74,6 @@ type Engine struct {
 	// front end marks span stages through it and the counters below are
 	// nil-safe no-ops when metrics are off.
 	met       *obs.Registry
-	tl        bool // timeline recording on (cached from the registry)
 	mDispatch *obs.Counter
 	mFlushes  *obs.Counter
 	// flt is the rig's fault injector, cached like tr/met; the back-end
@@ -135,7 +134,6 @@ func New(env *sim.Env, cfg Config) *Engine {
 		Firmware: "BMS_1.0",
 	}
 	if e.met != nil {
-		e.tl = e.met.TimelineEnabled()
 		fe := e.met.Component("engine/frontend")
 		e.mDispatch = fe.Counter("io_dispatched")
 		e.mFlushes = fe.Counter("flushes")

@@ -35,7 +35,7 @@ type feIO struct {
 	sqHead uint32
 
 	ns     *Namespace
-	skey   uint64
+	span   *obs.Span // the tenant's request span, found at dispatch; nil without one
 	slba   uint64
 	nlb    uint32
 	nBytes int
@@ -135,13 +135,11 @@ func (io *feIO) start() {
 		io.finish(nvme.StatusInvalidOpcode)
 		return
 	}
-	// The span key mirrors the one the host driver used at SpanStart; the
-	// engine only adds stage marks to an already-live span.
-	io.skey = 0
-	if e.met != nil {
-		io.skey = obs.SpanKey(uint8(f.id), io.sq.ID, io.cmd.CID)
-		e.met.SpanMark(io.skey, obs.MarkDispatch, e.env.Now())
-	}
+	// The span key mirrors the one the host driver used at SpanStart: this is
+	// the engine's one lookup of the request, and everything it records
+	// afterwards — the back end's share included — goes through the handle.
+	io.span = e.met.Span(obs.SpanKey(uint8(f.id), io.sq.ID, io.cmd.CID))
+	io.span.Mark(timeline.PtDispatch, e.env.Now())
 	e.mDispatch.Inc()
 
 	io.slba = io.cmd.SLBA()
@@ -179,9 +177,7 @@ func (io *feIO) admitted(any) {
 		io.e.putFeIO(io) // the QoS park outlived a crash
 		return
 	}
-	if io.e.tl {
-		io.e.met.SpanWait(io.skey, timeline.WaitQoS, int64(io.e.env.Now()-io.qosT0))
-	}
+	io.span.Wait(timeline.WaitQoS, io.e.env.Now()-io.qosT0)
 	io.start0 = io.e.env.Now()
 	// PRP conversion to global PRPs, splitting the transfer when it crosses
 	// a chunk boundary. A single extent covered by at most two pages is
@@ -214,10 +210,7 @@ func (io *feIO) walkAttempt() {
 // forward closes the map+qos stage and hands the sub-commands to the host
 // adaptor (step 3), one ForwardLatency hop per sub-command.
 func (io *feIO) forward() {
-	e := io.e
-	if e.met != nil {
-		e.met.SpanMark(io.skey, obs.MarkMapped, e.env.Now())
-	}
+	io.span.Mark(timeline.PtMapped, io.e.env.Now())
 	io.remaining = len(io.subs)
 	io.worst = nvme.StatusSuccess
 	io.subIdx = 0
@@ -239,7 +232,7 @@ func (io *feIO) forwardSub() {
 	bcmd := nvme.Command{Opcode: io.cmd.Opcode, PRP1: sub.prp1, PRP2: sub.prp2}
 	bcmd.SetSLBA(sub.physLBA)
 	bcmd.SetNLB(sub.blocks)
-	be.submit(bcmd, int(io.f.id)*7+int(io.sq.ID), io.skey, io.subDoneFn, io.forwardNextFn)
+	be.submit(bcmd, int(io.f.id)*7+int(io.sq.ID), io.span, io.subDoneFn, io.forwardNextFn)
 }
 
 func (io *feIO) subDone(c nvme.Completion) {
@@ -256,9 +249,7 @@ func (io *feIO) subDone(c nvme.Completion) {
 		return
 	}
 	e := io.e
-	if e.met != nil {
-		e.met.SpanMark(io.skey, obs.MarkBackendDone, e.env.Now())
-	}
+	io.span.Mark(timeline.PtBackendDone, e.env.Now())
 	e.freeChipPages(io.lists)
 	io.lists = io.lists[:0]
 	lat := e.env.Now() - io.start0
@@ -295,7 +286,7 @@ func (io *feIO) flushNext() {
 	idx := io.ssds[io.subIdx]
 	io.subIdx++
 	be := io.e.backends[idx]
-	be.submit(nvme.Command{Opcode: nvme.IOFlush}, int(io.f.id), 0, io.flushDoneFn, io.flushNextFn)
+	be.submit(nvme.Command{Opcode: nvme.IOFlush}, int(io.f.id), nil, io.flushDoneFn, io.flushNextFn)
 }
 
 func (io *feIO) flushDone(c nvme.Completion) {
@@ -316,7 +307,7 @@ type beSubmit struct {
 	q         *nvmei.Queue
 	cmd       nvme.Command
 	qhint     int
-	skey      uint64
+	span      *obs.Span
 	t0        sim.Time
 	epoch     uint64 // crash generation captured at submit entry
 	done      func(nvme.Completion)
@@ -330,11 +321,11 @@ type beSubmit struct {
 // submit sends one I/O command to the SSD, respecting the quiesce gate
 // and queue-depth flow control. done runs in scheduler context on command
 // completion; submitted runs right after the SQE push, so a caller can pace
-// its next submission. qhint spreads submitters over the queue pairs. skey,
-// when non-zero, is the host-side span key; the backend aliases it to the
+// its next submission. qhint spreads submitters over the queue pairs. span,
+// when non-nil, is the tenant request's span; the backend aliases it to the
 // device-side (device, queue, CID) coordinates so the SSD can attribute its
-// media time to the right request span.
-func (b *backend) submit(cmd nvme.Command, qhint int, skey uint64, done func(nvme.Completion), submitted func()) {
+// media time to the right request.
+func (b *backend) submit(cmd nvme.Command, qhint int, span *obs.Span, done func(nvme.Completion), submitted func()) {
 	var s *beSubmit
 	if n := len(b.submitFree); n > 0 {
 		s = b.submitFree[n-1]
@@ -345,7 +336,7 @@ func (b *backend) submit(cmd nvme.Command, qhint int, skey uint64, done func(nvm
 		s.slotFn = s.slot
 		s.stalledFn = s.stalled
 	}
-	s.cmd, s.qhint, s.skey, s.done, s.submitted = cmd, qhint, skey, done, submitted
+	s.cmd, s.qhint, s.span, s.done, s.submitted = cmd, qhint, span, done, submitted
 	s.t0 = b.e.env.Now()
 	s.epoch = b.e.epoch
 	s.gate(nil)
@@ -405,14 +396,10 @@ func (s *beSubmit) slot(any) {
 	cmd.NSID = b.backendNSID
 	b.inflight++
 	if b.e.met != nil {
-		if s.skey != 0 {
-			if b.e.tl {
-				// Quiesce-gate plus backend SQ slot wait, measured from
-				// submit entry to the slot grant.
-				b.e.met.SpanWait(s.skey, timeline.WaitBackend, int64(b.e.env.Now()-s.t0))
-			}
-			b.e.met.SpanAlias(s.skey, obs.DevKey(b.spanDev, q.ID, cid))
-		}
+		// Quiesce-gate plus backend SQ slot wait, measured from submit entry
+		// to the slot grant.
+		s.span.Wait(timeline.WaitBackend, b.e.env.Now()-s.t0)
+		b.e.met.SpanAlias(s.span, obs.DevKey(b.spanDev, q.ID, cid))
 		b.mInflight.Inc(b.e.env.Now())
 		b.mSubmits.Inc()
 	}
@@ -426,7 +413,7 @@ func (s *beSubmit) slot(any) {
 
 // putSubmit recycles a finished (or swallowed) submission record.
 func (b *backend) putSubmit(s *beSubmit) {
-	s.q, s.done, s.submitted = nil, nil, nil
+	s.q, s.span, s.done, s.submitted = nil, nil, nil, nil
 	b.submitFree = append(b.submitFree, s)
 }
 

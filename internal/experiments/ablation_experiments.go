@@ -52,8 +52,8 @@ func zeroCopyPoint(cfg bmstore.Config, sc Scale, storeAndForward bool) (mbs, lat
 		var lat0 *host.Driver
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("v%d", i)
-			tb.Console.CreateNamespace(p, name, 1536<<30, []int{i})
-			tb.Console.Bind(p, name, uint8(i))
+			must(tb.Console.CreateNamespace(p, name, 1536<<30, []int{i}))
+			must(tb.Console.Bind(p, name, uint8(i)))
 			drv, err := tb.AttachTenant(p, pcie.FuncID(i), host.DefaultDriverConfig())
 			if err != nil {
 				panic(err)
@@ -113,10 +113,10 @@ func qosPoint(cfg bmstore.Config, sc Scale, capped bool) (victimP99US, neighbour
 	cfg.NumSSDs = 1
 	tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
 	tb.Run(func(p *sim.Proc) {
-		tb.Console.CreateNamespace(p, "victim", 256<<30, []int{0})
-		tb.Console.CreateNamespace(p, "noisy", 256<<30, []int{0})
-		tb.Console.Bind(p, "victim", 0)
-		tb.Console.Bind(p, "noisy", 1)
+		must(tb.Console.CreateNamespace(p, "victim", 256<<30, []int{0}))
+		must(tb.Console.CreateNamespace(p, "noisy", 256<<30, []int{0}))
+		must(tb.Console.Bind(p, "victim", 0))
+		must(tb.Console.Bind(p, "noisy", 1))
 		if capped {
 			if err := tb.Console.SetQoS(p, "noisy", 0, 200e6); err != nil {
 				panic(err)

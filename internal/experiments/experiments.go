@@ -26,6 +26,15 @@ func mustTestbed(tb *bmstore.Testbed, err error) *bmstore.Testbed {
 	return tb
 }
 
+// must stops an experiment whose provisioning step failed: a volume that was
+// never created or bound — a fault schedule armed through Harness.WithFaults
+// can do that — must not be measured as if it had been.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // Scale selects run lengths: Fast for tests/benches, Full for the numbers
 // in EXPERIMENTS.md. Virtual time only — absolute results barely move, the
 // confidence intervals shrink.

@@ -146,8 +146,8 @@ func Table6(h *Harness) *Table {
 		cfg.Kernel = k
 		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
 		tb.Run(func(p *sim.Proc) {
-			tb.Console.CreateNamespace(p, "v", 1536<<30, []int{0})
-			tb.Console.Bind(p, "v", 0)
+			must(tb.Console.CreateNamespace(p, "v", 1536<<30, []int{0}))
+			must(tb.Console.Bind(p, "v", 0))
 			drv, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
 			if err != nil {
 				panic(err)
@@ -227,8 +227,8 @@ func Fig10(h *Harness) *Table {
 			var devs []host.BlockDevice
 			for i := 0; i < n; i++ {
 				name := fmt.Sprintf("v%d", i)
-				tb.Console.CreateNamespace(p, name, 1536<<30, []int{i})
-				tb.Console.Bind(p, name, uint8(i))
+				must(tb.Console.CreateNamespace(p, name, 1536<<30, []int{i}))
+				must(tb.Console.Bind(p, name, uint8(i)))
 				drv, err := tb.AttachTenant(p, pcie.FuncID(i), host.DefaultDriverConfig())
 				if err != nil {
 					panic(err)
@@ -369,8 +369,8 @@ func Fig12(h *Harness) *Table {
 			var done []*sim.Event
 			for i := 0; i < 4; i++ {
 				name := fmt.Sprintf("vm%d", i)
-				tb.Console.CreateNamespace(p, name, 256<<30, []int{i})
-				tb.Console.Bind(p, name, uint8(i))
+				must(tb.Console.CreateNamespace(p, name, 256<<30, []int{i}))
+				must(tb.Console.Bind(p, name, uint8(i)))
 				dcfg := host.DefaultDriverConfig()
 				dcfg.VM = &vm
 				drv, err := tb.AttachTenant(p, pcie.FuncID(i), dcfg)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bmstore"
+	"bmstore/internal/fault"
 	"bmstore/internal/sim"
 )
 
@@ -133,4 +134,22 @@ func TestHarnessSerial(t *testing.T) {
 	if tb.Env.Tracer() != nil {
 		t.Fatal("untraced harness attached a tracer")
 	}
+}
+
+// TestProvisioningFailureStopsTheExperiment: a fault schedule armed through
+// WithFaults can fail the out-of-band provisioning itself. The experiment must
+// stop there, on the console's error, and not carry on to measure (or to trip
+// over, several steps later) a rig whose volume was never created or bound.
+func TestProvisioningFailureStopsTheExperiment(t *testing.T) {
+	rules, err := fault.ParseSpec("mctp-drop,count=-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Serial(Fast()).WithFaults(rules)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "console: MI op") {
+			t.Fatalf("the experiment did not stop at the failed provisioning step: %s", msg)
+		}
+	}()
+	qosPoint(h.config("qos/faulted", 1), h.Scale, false)
 }

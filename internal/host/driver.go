@@ -66,7 +66,6 @@ type Driver struct {
 	// a request span per non-flush I/O, keyed by (fn, qid, CID) — the same
 	// identity the engine front end sees on the other side of the wire.
 	met          *obs.Registry
-	tl           bool // timeline recording on (cached from the registry)
 	mInflight    *obs.Gauge
 	mDoorbells   *obs.Counter
 	mCQEs        *obs.Counter
@@ -151,6 +150,10 @@ type dq struct {
 	// when nothing waits. A CID read from a CQE is checked against its length
 	// before it indexes anything here.
 	wait []*sim.Event
+	// span is the per-slot span handle of the I/O in flight under that CID
+	// (nil for a flush), kept for the IRQ handler's CQE mark. Only an I/O
+	// queue of a driver with a metrics registry has the array.
+	span []*obs.Span
 	// zombie flags the CIDs abandoned by a command timeout (zombies counts
 	// them): the slot stays out of circulation (the device may still DMA into
 	// its buffer) until the straggler CQE arrives and the IRQ handler
@@ -187,7 +190,6 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 		d.mAborts = comp.Counter("aborts")
 		d.mRetries = comp.Counter("retries")
 		d.mEventsPerIO = comp.Hist("events_per_io")
-		d.tl = met.TimelineEnabled()
 	}
 	h.register(d)
 
@@ -252,6 +254,9 @@ func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 	q := &dq{Queue: conn.NewQueue(qid, depth, sqb, cqb)}
 	nSlots := int(depth) - 1
 	q.wait = make([]*sim.Event, nSlots)
+	if d.met != nil && qid != 0 {
+		q.span = make([]*obs.Span, nSlots)
+	}
 	q.zombie = make([]bool, nSlots)
 	for s := 0; s < nSlots; s++ {
 		q.free = append(q.free, uint16(s))
@@ -317,18 +322,20 @@ func (d *Driver) IRQ(vec int) {
 			d.tr.Emit(h.Env.Now(), "host", "cqe",
 				uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
 		}
-		if d.met != nil && q.ID != 0 {
-			// Admin completions (q 0) carry no span; flush CQEs miss the
-			// span map and the mark is a no-op.
-			d.met.SpanMark(obs.SpanKey(uint8(d.fn), q.ID, cpl.CID), obs.MarkCQE, h.Env.Now())
-			d.mCQEs.Inc()
-		}
 		// The CID is the device's word: one outside the queue's slots can be
-		// neither waited for nor zombied.
+		// neither waited for nor zombied, and has no span.
 		var ev *sim.Event
 		known := int(cpl.CID) < len(q.wait)
 		if known {
 			ev = q.wait[cpl.CID]
+		}
+		if d.met != nil && q.ID != 0 {
+			// Admin completions (q 0) carry no span; a flush's slot holds a
+			// nil handle and the mark is a no-op.
+			if known {
+				q.span[cpl.CID].Mark(timeline.PtCQE, h.Env.Now())
+			}
+			d.mCQEs.Inc()
 		}
 		if ev != nil {
 			q.wait[cpl.CID] = nil
@@ -608,23 +615,27 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 		d.tr.Emit(d.h.Env.Now(), "host", "doorbell",
 			uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
 	}
+	// The span is found once, here; the handle serves this attempt and, from
+	// the slot's entry, the IRQ handler's CQE mark. It stays nil for a flush.
+	var span *obs.Span
 	var spanKey uint64
-	if d.met != nil && op != nvme.IOFlush {
-		spanKey = obs.SpanKey(uint8(d.fn), q.ID, cmd.CID)
-		spanOp := obs.OpRead
-		if op == nvme.IOWrite {
-			spanOp = obs.OpWrite
-		}
-		now := d.h.Env.Now()
-		d.met.SpanStart(spanKey, spanOp, spanT0)
-		d.met.SpanMark(spanKey, obs.MarkDoorbell, now)
-		if d.tl {
+	if d.met != nil {
+		if op != nvme.IOFlush {
+			spanKey = obs.SpanKey(uint8(d.fn), q.ID, cmd.CID)
+			spanOp := obs.OpRead
+			if op == nvme.IOWrite {
+				spanOp = obs.OpWrite
+			}
+			now := d.h.Env.Now()
+			span = d.met.SpanStart(spanKey, spanOp, spanT0)
+			span.Mark(timeline.PtDoorbell, now)
 			// Queue depth as seen at this doorbell (before counting
 			// ourselves), plus the time this attempt waited for an SQ slot.
-			d.met.SpanQD(spanKey, d.mInflight.Value())
-			d.met.SpanWait(spanKey, timeline.WaitHostQ, slotWait)
+			span.QD(d.mInflight.Value())
+			span.Wait(timeline.WaitHostQ, slotWait)
+			d.mInflight.Inc(now)
 		}
-		d.mInflight.Inc(now)
+		q.span[cmd.CID] = span
 	}
 	d.mDoorbells.Inc()
 	q.Ring()
@@ -641,7 +652,7 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 					uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(cmd.CID), uint64(op), "")
 			}
 			if d.met != nil && op != nvme.IOFlush {
-				d.met.SpanError(spanKey)
+				span.Error()
 				d.met.SpanFinish(spanKey, d.h.Env.Now())
 				d.mInflight.Dec(d.h.Env.Now())
 			}
@@ -661,7 +672,7 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	if d.met != nil && op != nvme.IOFlush {
 		now := d.h.Env.Now()
 		if cpl.Status.IsError() {
-			d.met.SpanError(spanKey)
+			span.Error()
 		}
 		d.met.SpanFinish(spanKey, now)
 		d.mInflight.Dec(now)

@@ -393,8 +393,3 @@ func (agg *SpanAgg) WriteBreakdown(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteBreakdown prints the registry's own breakdown table.
-func (r *Registry) WriteBreakdown(w io.Writer) error {
-	return r.SpanAggregate().WriteBreakdown(w)
-}

@@ -4,6 +4,12 @@
 // histograms (the paper's "where does each microsecond go" breakdown), and
 // fixed-interval virtual-time series for queue depth and bandwidth plots.
 //
+// A request in flight is one record, a Span, under the vocabulary of
+// internal/obs/timeline (points, waits, the stage table): the breakdown folds
+// it and the timeline recorder copies it, so the two cannot disagree. A
+// component finds the record once per command, by the command's NVMe
+// identity, and records through the handle (span.go).
+//
 // Three rules keep the layer deterministic and honest:
 //
 //   - Virtual time only. Every instrument takes explicit int64 nanosecond
@@ -86,11 +92,6 @@ func (r *Registry) Timeline() *timeline.Recorder {
 	}
 	return r.tl
 }
-
-// TimelineEnabled reports whether timeline recording is on. Components
-// cache this once at construction so observation points that only feed the
-// timeline (queue depth, wait attribution) cost a single bool test when off.
-func (r *Registry) TimelineEnabled() bool { return r != nil && r.tl != nil }
 
 // Component returns the named component, creating it on first use. Nil-safe:
 // a nil registry returns a nil component, whose instrument getters in turn

@@ -42,13 +42,6 @@ func (s *Set) Registry(name string) *Registry {
 	return r
 }
 
-// Rigs returns how many child registries exist.
-func (s *Set) Rigs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.children)
-}
-
 // sortedNames returns child names sorted; callers hold s.mu.
 func (s *Set) sortedNames() []string {
 	names := make([]string, 0, len(s.children))

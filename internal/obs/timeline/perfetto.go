@@ -186,20 +186,18 @@ func writeWave(tw *traceWriter, pid int, recs []*Rec, worst bool) {
 	}
 }
 
-// stagePoints maps a stage slice name back to its timeline point pair for
-// trace reconstruction. The interior stages suffice: outer request slices
-// carry start/finish, and "device"/"backend" endpoints are implied by their
-// neighbors — but mapping them all keeps ReadTrace simple and exact.
-var stagePoints = map[string][2]Point{
-	"submit":   {PtStart, PtDoorbell},
-	"frontend": {PtDoorbell, PtDispatch},
-	"map+qos":  {PtDispatch, PtMapped},
-	"backend":  {PtMapped, PtBackendDone},
-	"complete": {PtBackendDone, PtCQE},
-	"device":   {PtDoorbell, PtCQE},
-	"nand":     {PtNandStart, PtNandEnd},
-	"dma":      {PtDmaStart, PtDmaEnd},
-	"reap":     {PtCQE, PtFinish},
+// stageByName finds the StageTable row a stage slice was written from, so
+// trace reconstruction can put its two ends back on their points. The
+// interior stages would suffice: outer request slices carry start/finish, and
+// "device"/"backend" endpoints are implied by their neighbors — but mapping
+// them all keeps ReadTrace simple and exact.
+func stageByName(name string) *StageDef {
+	for i := range StageTable {
+		if StageTable[i].Name == name {
+			return &StageTable[i]
+		}
+	}
+	return nil
 }
 
 type traceEvent struct {
@@ -318,9 +316,9 @@ func ReadTrace(r io.Reader) ([]RigDump, error) {
 			if err != nil {
 				return nil, err
 			}
-			if pts, ok := stagePoints[ev.Name]; ok {
-				rec.Mark(pts[0], ts)
-				rec.Mark(pts[1], ts+dur)
+			if st := stageByName(ev.Name); st != nil {
+				rec.Mark(st.From, ts)
+				rec.Mark(st.To, ts+dur)
 				continue
 			}
 			// Outer request slice: "<op> seq=N" with the full args set.

@@ -1,11 +1,17 @@
-// Package timeline records sampled per-request stage timelines and worst-K
-// tail forensics for the always-on telemetry layer.
+// Package timeline is the vocabulary of a request's lifecycle — its points,
+// its wait buckets, the stage table that partitions it — and the recorder
+// that keeps sampled request timelines and worst-K tail forensics for the
+// always-on telemetry layer.
 //
-// A Recorder captures, for a deterministic 1-in-N sample of requests plus
-// the K slowest requests seen, the full lifecycle timeline: every stage
-// timestamp from driver entry through doorbell, engine dispatch, NAND and
-// DMA phases, CQE reap and return — plus the queue depth the request saw at
-// its doorbell and a per-resource wait attribution (host queue slot, QoS
+// A request in flight is one record (obs.Span), and its instants, waits and
+// queue depth live in the Rec inside it, under the names declared here: the
+// breakdown table, the Perfetto trace and the crash sweep all read the same
+// points. A Recorder decides at a request's start whether its timeline is
+// wanted — a deterministic 1-in-N sample, plus every request while worst-K
+// tracking is armed — and at its finish copies the Rec of a request worth
+// keeping: every stage timestamp from driver entry through doorbell, engine
+// dispatch, NAND and DMA phases, CQE reap and return, the queue depth at the
+// doorbell, and a per-resource wait attribution (host queue slot, QoS
 // admission, backend queue, NAND die).
 //
 // The package follows the obs layer's rules: virtual time only (timestamps
@@ -15,18 +21,20 @@
 // library alone so the obs registry — which the sim kernel holds — can embed
 // a Recorder without an import cycle.
 //
-// Allocation discipline: carriers (Rec) come from a free list. An unsampled
-// request either gets no carrier at all (worst-K disabled) or returns its
-// pooled carrier at finish, so steady-state recording is allocation-free on
-// unsampled requests — the property the bench gate pins at 0 allocs/op.
+// Allocation discipline: the recorder allocates only for a timeline it
+// retains, and retained worst-K copies are recycled as they are evicted, so a
+// request that is neither sampled nor among the slowest costs the recorder a
+// counter and a comparison — the property the bench gate pins at 0 allocs/op.
 package timeline
 
 import "sort"
 
-// Point identifies one lifecycle timestamp within a request timeline, in
-// path order. The first four and last three mirror the obs span marks; the
-// NAND/DMA points are device-phase intervals the SSD attributes through the
-// span's device-domain alias.
+// Point identifies one lifecycle timestamp of a request, in path order: the
+// one enumeration the host driver, the engine and the SSD mark, the breakdown
+// folds and the crash sweep derives its crash instants from (it walks the
+// values in order, so they are append-only). The NAND/DMA points bound the
+// device-phase intervals the SSD attributes through the span's device-domain
+// alias.
 type Point uint8
 
 // Timeline points.
@@ -101,8 +109,9 @@ func (w Wait) String() string {
 	return "?"
 }
 
-// Rec is one request's captured timeline: a fixed-size, poolable record.
-// TS entries are valid only where the matching Has bit is set.
+// Rec is one request's timeline: a fixed-size record, the body of a span in
+// flight (obs.Span) and, copied at its finish, a retained sample. TS entries
+// are valid only where the matching Has bit is set.
 type Rec struct {
 	Seq   uint64 // request ordinal within the rig (1-based, every request counted)
 	Write bool
@@ -116,22 +125,19 @@ type Rec struct {
 
 // Mark records one timeline point at virtual time t.
 func (r *Rec) Mark(p Point, t int64) {
-	if r == nil {
-		return
-	}
 	r.TS[p] = t
 	r.set |= 1 << p
 }
 
 // Has reports whether the point was recorded.
-func (r *Rec) Has(p Point) bool { return r != nil && r.set&(1<<p) != 0 }
+func (r *Rec) Has(p Point) bool { return r.set&(1<<p) != 0 }
 
 // AddWait attributes d nanoseconds of waiting to bucket w. Sequential waits
 // (host queue, QoS, backend) accumulate; die waits happen on parallel
 // stripes, so that bucket keeps the maximum — the stripe that gated the
 // media phase.
 func (r *Rec) AddWait(w Wait, d int64) {
-	if r == nil || d <= 0 {
+	if d <= 0 {
 		return
 	}
 	if w == WaitDie {
@@ -170,40 +176,81 @@ func (c Comp) String() string {
 	return "?"
 }
 
-// StageSpan is one derived stage interval of a timeline.
+// StageDef declares one stage of a request's lifetime.
+type StageDef struct {
+	Name     string
+	Comp     Comp
+	From, To Point
+	Sub      bool // sub-interval (nand/dma): inside backend or device, not a partition member
+}
+
+// StageTable is the one declaration of the stages, in path order; the
+// breakdown's stage names and fold (obs.Stage), Rec.Stages and the trace
+// reader all derive from it. The partition rows (Sub unset) are the edges of
+// a path from PtStart to PtFinish: a request through the BMS-Engine walks
+// submit, frontend, map+qos, backend, complete, reap; a direct-attached one
+// has no dispatch point and walks submit, device, reap.
+var StageTable = [...]StageDef{
+	{Name: "submit", Comp: CompHost, From: PtStart, To: PtDoorbell},        // kernel submit path
+	{Name: "frontend", Comp: CompEngine, From: PtDoorbell, To: PtDispatch}, // wire + SQE fetch
+	{Name: "map+qos", Comp: CompEngine, From: PtDispatch, To: PtMapped},    // mapping, QoS, PRP rewrite
+	{Name: "backend", Comp: CompEngine, From: PtMapped, To: PtBackendDone}, // forward + SSD + join
+	{Name: "complete", Comp: CompEngine, From: PtBackendDone, To: PtCQE},   // CQE writeback + MSI
+	{Name: "device", Comp: CompDevice, From: PtDoorbell, To: PtCQE},        // all of the above, direct-attached
+	{Name: "nand", Comp: CompDevice, From: PtNandStart, To: PtNandEnd, Sub: true},
+	{Name: "dma", Comp: CompDevice, From: PtDmaStart, To: PtDmaEnd, Sub: true},
+	{Name: "reap", Comp: CompHost, From: PtCQE, To: PtFinish}, // completion-path kernel cost
+}
+
+// Walk returns the rows of StageTable r realises, as a bit per row: the
+// partition rows that chain from PtStart — each starting where the last one
+// ended — and the sub-intervals with both ends marked. It returns zero unless
+// the chain reaches PtFinish: stages that do not tile the request's lifetime
+// (the pipeline bailed between two marks) would misattribute it.
+func (r *Rec) Walk() (rows uint16) {
+	at := PtStart
+	if !r.Has(at) {
+		return 0
+	}
+	for i := range StageTable {
+		st := &StageTable[i]
+		switch {
+		case st.Sub:
+			if r.Has(st.From) && r.Has(st.To) {
+				rows |= 1 << i
+			}
+		case st.From == at && r.Has(st.To):
+			rows |= 1 << i
+			at = st.To
+		}
+	}
+	if at != PtFinish {
+		return 0
+	}
+	return rows
+}
+
+// StageSpan is one stage interval of a timeline: a StageTable row with the
+// record's instants at its two points.
 type StageSpan struct {
 	Name     string
 	Comp     Comp
 	From, To int64
-	Sub      bool // sub-interval (nand/dma): inside backend, not a partition member
+	Sub      bool
 }
 
 // Stages appends rec's stage intervals to out (reusing its capacity) in
-// fixed path order. Partition stages (Sub=false) tile the request's lifetime
-// exactly, mirroring the obs breakdown's fold; nand/dma are informational
-// sub-intervals of the backend (or device) stage.
+// path order. Partition stages (Sub=false) tile the request's lifetime
+// exactly; nand/dma are informational sub-intervals of the backend (or
+// device) stage.
 func (r *Rec) Stages(out []StageSpan) []StageSpan {
 	out = out[:0]
-	if !r.Has(PtStart) || !r.Has(PtDoorbell) || !r.Has(PtCQE) || !r.Has(PtFinish) {
-		return out
-	}
-	add := func(name string, c Comp, from, to Point, sub bool) {
-		if r.Has(from) && r.Has(to) {
-			out = append(out, StageSpan{Name: name, Comp: c, From: r.TS[from], To: r.TS[to], Sub: sub})
+	rows := r.Walk()
+	for i := range StageTable {
+		if st := &StageTable[i]; rows&(1<<i) != 0 {
+			out = append(out, StageSpan{Name: st.Name, Comp: st.Comp, From: r.TS[st.From], To: r.TS[st.To], Sub: st.Sub})
 		}
 	}
-	add("submit", CompHost, PtStart, PtDoorbell, false)
-	if r.Has(PtDispatch) {
-		add("frontend", CompEngine, PtDoorbell, PtDispatch, false)
-		add("map+qos", CompEngine, PtDispatch, PtMapped, false)
-		add("backend", CompEngine, PtMapped, PtBackendDone, false)
-		add("complete", CompEngine, PtBackendDone, PtCQE, false)
-	} else {
-		add("device", CompDevice, PtDoorbell, PtCQE, false)
-	}
-	add("nand", CompDevice, PtNandStart, PtNandEnd, true)
-	add("dma", CompDevice, PtDmaStart, PtDmaEnd, true)
-	add("reap", CompHost, PtCQE, PtFinish, false)
 	return out
 }
 
@@ -223,9 +270,10 @@ type Config struct {
 	SampleEvery int
 	// WorstK retains the K slowest requests' complete timelines in a bounded
 	// min-heap keyed on end-to-end latency, so tail outliers are explained
-	// even when unsampled. Zero disables; note that a nonzero WorstK gives
-	// every request a pooled carrier (it might turn out slowest), while
-	// sampling alone leaves unsampled requests carrier-free.
+	// even when unsampled. Zero disables; note that a nonzero WorstK makes
+	// every request record its waits, queue depth and device phases (it
+	// might turn out slowest), while sampling alone leaves those of
+	// unsampled requests unrecorded.
 	WorstK int
 	// MaxSamples bounds the retained sample list per rig (memory and
 	// allocation bound for long runs). Zero means DefaultMaxSamples.
@@ -246,11 +294,11 @@ type Recorder struct {
 
 	n          uint64 // request ordinal (counts every request, sampled or not)
 	overflow   uint64 // sampled requests dropped at the MaxSamples cap
-	errDropped uint64 // carriers dropped on the error/abandon path
+	errDropped uint64 // followed requests that ended on the error/abandon path
 
 	samples []*Rec
 	worst   []*Rec // min-heap: root is the least-slow retained record
-	free    []*Rec
+	free    []*Rec // evicted worst-K copies, for reuse
 }
 
 // NewRecorder returns a recorder, or nil when the configuration disables
@@ -266,77 +314,52 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg, max: max}
 }
 
-// Config returns the recorder's configuration (zero on nil).
-func (r *Recorder) Config() Config {
+// Start counts one request into rec, which its caller has initialised — it
+// gets its ordinal — and reports whether the recorder may want its timeline
+// at Finish: the request is sampled, or worst-K tracking is armed. Only then
+// need the caller record more than the stage points on rec (waits, queue
+// depth, device phases) and hand it back through Finish or Drop, exactly once.
+func (r *Recorder) Start(rec *Rec) bool {
 	if r == nil {
-		return Config{}
-	}
-	return r.cfg
-}
-
-// Start observes one request beginning at virtual time t and returns its
-// carrier: a pooled Rec when the request is sampled or worst-K tracking is
-// armed, nil otherwise. The caller marks points on the carrier and must hand
-// it back through Finish or Drop exactly once.
-func (r *Recorder) Start(write bool, t int64) *Rec {
-	if r == nil {
-		return nil
+		return false
 	}
 	r.n++
-	sampled := r.cfg.SampleEvery > 0 && r.n%uint64(r.cfg.SampleEvery) == 0
-	if sampled && len(r.samples) >= r.max {
-		sampled = false
+	rec.Seq = r.n
+	rec.sampled = r.cfg.SampleEvery > 0 && r.n%uint64(r.cfg.SampleEvery) == 0
+	if rec.sampled && len(r.samples) >= r.max {
+		rec.sampled = false
 		r.overflow++
 	}
-	if !sampled && r.cfg.WorstK <= 0 {
-		return nil
-	}
-	rec := r.get()
-	rec.Seq = r.n
-	rec.Write = write
-	rec.sampled = sampled
-	rec.Mark(PtStart, t)
-	return rec
+	return rec.sampled || r.cfg.WorstK > 0
 }
 
-// Finish closes the carrier at virtual time t and routes it: sampled records
-// are retained, records slow enough for the worst-K heap are kept there
-// (cloned when also sampled), everything else returns to the pool.
-func (r *Recorder) Finish(rec *Rec, t int64) {
-	if r == nil || rec == nil {
+// Finish routes a request that closed, PtFinish marked, with rec's points: a
+// copy is retained if it was sampled, another if it is slow enough for the
+// worst-K heap (the two sets evict independently); otherwise nothing is kept.
+func (r *Recorder) Finish(rec *Rec) {
+	if r == nil {
 		return
 	}
-	rec.Mark(PtFinish, t)
-	sampled := rec.sampled
-	if sampled {
-		r.samples = append(r.samples, rec)
+	if rec.sampled {
+		r.samples = append(r.samples, r.keep(rec))
 	}
 	if k := r.cfg.WorstK; k > 0 && (len(r.worst) < k || recMin(r.worst[0], rec)) {
-		keep := rec
-		if sampled {
-			keep = r.get()
-			*keep = *rec
-		}
 		if len(r.worst) == k {
-			evicted := r.popMin()
-			r.recycle(evicted)
+			r.free = append(r.free, r.popMin())
 		}
-		r.push(keep)
-	} else if !sampled {
-		r.recycle(rec)
+		r.push(r.keep(rec))
 	}
 }
 
-// Drop abandons the carrier without retaining it: error-path requests
-// (timeouts, failed attempts) and collision-abandoned spans. Error timings
-// would skew both the sample set and the worst-K heap the way they would
-// skew the breakdown's partition property, so they are counted, not kept.
-func (r *Recorder) Drop(rec *Rec) {
-	if r == nil || rec == nil {
-		return
+// Drop counts a request the recorder was following that ended without a
+// timeline worth keeping: error-path requests (timeouts, failed attempts) and
+// collision-abandoned spans. Error timings would skew both the sample set
+// and the worst-K heap the way they would skew the breakdown's partition
+// property, so they are counted, not kept.
+func (r *Recorder) Drop() {
+	if r != nil {
+		r.errDropped++
 	}
-	r.errDropped++
-	r.recycle(rec)
 }
 
 // Requests returns how many requests were observed (sampled or not).
@@ -371,7 +394,7 @@ func (r *Recorder) Overflow() uint64 {
 	return r.overflow
 }
 
-// Dropped returns how many carriers ended on the error/abandon path.
+// Dropped returns how many followed requests ended on the error/abandon path.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
@@ -459,16 +482,15 @@ func (r *Recorder) popMin() *Rec {
 	return min
 }
 
-func (r *Recorder) get() *Rec {
+// keep returns a retained copy of rec, reusing an evicted one when it can.
+func (r *Recorder) keep(rec *Rec) *Rec {
+	var c *Rec
 	if n := len(r.free); n > 0 {
-		rec := r.free[n-1]
+		c = r.free[n-1]
 		r.free = r.free[:n-1]
-		return rec
+	} else {
+		c = new(Rec)
 	}
-	return &Rec{}
-}
-
-func (r *Recorder) recycle(rec *Rec) {
-	*rec = Rec{}
-	r.free = append(r.free, rec)
+	*c = *rec
+	return c
 }

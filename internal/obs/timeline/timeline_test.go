@@ -4,14 +4,23 @@ import (
 	"testing"
 )
 
+// startRec begins one request the way a span does: the caller initialises the
+// record, the recorder numbers it and says whether it is following it.
+func startRec(r *Recorder, rec *Rec, start int64) bool {
+	*rec = Rec{}
+	rec.Mark(PtStart, start)
+	return r.Start(rec)
+}
+
 // finishRec drives one request through the recorder with the given
 // end-to-end latency, marking enough points for a valid timeline.
-func finishRec(r *Recorder, start, e2e int64) *Rec {
-	rec := r.Start(false, start)
+func finishRec(r *Recorder, start, e2e int64) {
+	var rec Rec
+	startRec(r, &rec, start)
 	rec.Mark(PtDoorbell, start+1)
 	rec.Mark(PtCQE, start+e2e-1)
-	r.Finish(rec, start+e2e)
-	return rec
+	rec.Mark(PtFinish, start+e2e)
+	r.Finish(&rec)
 }
 
 func TestNilRecorderIsFree(t *testing.T) {
@@ -19,15 +28,16 @@ func TestNilRecorderIsFree(t *testing.T) {
 		t.Fatalf("zero config should yield a nil recorder, got %+v", r)
 	}
 	var r *Recorder
-	rec := r.Start(true, 5)
-	if rec != nil {
-		t.Fatal("nil recorder handed out a carrier")
+	var rec Rec
+	if startRec(r, &rec, 5) {
+		t.Fatal("nil recorder follows a request")
 	}
-	// Every method must no-op on nil receivers, carriers included.
-	rec.Mark(PtDoorbell, 6)
-	rec.AddWait(WaitDie, 7)
-	r.Finish(rec, 8)
-	r.Drop(rec)
+	// Every method must no-op on a nil receiver.
+	r.Finish(&rec)
+	r.Drop()
+	if rec.Seq != 0 {
+		t.Fatal("nil recorder numbered a request")
+	}
 	if r.Requests() != 0 || r.Sampled() != 0 || r.WorstLen() != 0 || r.Overflow() != 0 || r.Dropped() != 0 {
 		t.Fatal("nil recorder reported nonzero state")
 	}
@@ -40,16 +50,18 @@ func TestNilRecorderIsFree(t *testing.T) {
 func TestDeterministicSampling(t *testing.T) {
 	r := NewRecorder(Config{SampleEvery: 4})
 	for i := 0; i < 100; i++ {
-		rec := r.Start(false, int64(i)*10)
-		// With worst-K off, only every 4th request gets a carrier at all.
-		if want := (i+1)%4 == 0; (rec != nil) != want {
-			t.Fatalf("request %d: carrier=%v, want %v", i+1, rec != nil, want)
+		var rec Rec
+		followed := startRec(r, &rec, int64(i)*10)
+		// With worst-K off, only every 4th request is followed at all.
+		if want := (i+1)%4 == 0; followed != want {
+			t.Fatalf("request %d: followed=%v, want %v", i+1, followed, want)
 		}
-		if rec != nil {
+		if followed {
 			rec.Mark(PtDoorbell, int64(i)*10+1)
 			rec.Mark(PtCQE, int64(i)*10+4)
+			rec.Mark(PtFinish, int64(i)*10+5)
+			r.Finish(&rec)
 		}
-		r.Finish(rec, int64(i)*10+5)
 	}
 	if r.Requests() != 100 {
 		t.Fatalf("Requests = %d, want 100", r.Requests())
@@ -112,60 +124,69 @@ func TestWorstKTieKeepsFirstSeen(t *testing.T) {
 
 func TestSampledAndWorstAreIndependentCopies(t *testing.T) {
 	// A sampled record that is also among the worst must appear in both sets,
-	// and the worst-set copy must not alias the sample (eviction recycles
-	// worst-set records back into the pool, which would corrupt the sample).
+	// and the two must be separate copies, of each other and of the caller's
+	// record (eviction recycles worst-set records, and the caller's is the
+	// body of a span that goes on to its next request).
 	r := NewRecorder(Config{SampleEvery: 1, WorstK: 1})
-	rec := finishRec(r, 0, 500)
+	var rec Rec
+	startRec(r, &rec, 0)
+	rec.Mark(PtDoorbell, 1)
+	rec.Mark(PtCQE, 499)
+	rec.Mark(PtFinish, 500)
+	r.Finish(&rec)
 	d := r.Dump("rig")
 	if len(d.Samples) != 1 || len(d.Worst) != 1 {
 		t.Fatalf("got %d samples, %d worst; want 1, 1", len(d.Samples), len(d.Worst))
 	}
-	if d.Samples[0] == d.Worst[0] {
-		t.Fatal("worst-set record aliases the sampled record")
-	}
-	if d.Samples[0] != rec {
-		t.Fatal("sample is not the original carrier")
+	if d.Samples[0] == d.Worst[0] || d.Samples[0] == &rec || d.Worst[0] == &rec {
+		t.Fatal("retained records alias each other or the caller's record")
 	}
 	if d.Samples[0].E2E() != d.Worst[0].E2E() || d.Samples[0].Seq != d.Worst[0].Seq {
-		t.Fatal("worst-set clone diverged from the sample")
+		t.Fatal("worst-set copy diverged from the sample")
 	}
-	// Evict the worst-set clone with a slower request: the sample survives.
-	finishRec(r, 10000, 900)
-	if got := r.Dump("rig").Samples[0].E2E(); got != 500 {
-		t.Fatalf("sample corrupted after worst-set eviction: e2e %d, want 500", got)
+	// Reuse the caller's record, as the next request under the span's key
+	// does, and evict the worst-set copy with it: the sample survives both.
+	startRec(r, &rec, 10000)
+	rec.Mark(PtFinish, 10900)
+	r.Finish(&rec)
+	if got := r.Dump("rig").Samples[0]; got.E2E() != 500 || got.Seq != 1 {
+		t.Fatalf("sample corrupted after reuse and worst-set eviction: seq %d e2e %d, want 1 and 500", got.Seq, got.E2E())
 	}
 }
 
-func TestCarrierPoolingSteadyState(t *testing.T) {
+func TestEvictedCopiesAreReused(t *testing.T) {
 	r := NewRecorder(Config{WorstK: 1})
-	// Fill the heap, then run many faster requests: each gets a pooled
-	// carrier and returns it, so the free list stops growing and no record
-	// leaks. Capture a recycled carrier and check it is reused.
-	finishRec(r, 0, 1000)
-	first := r.Start(false, 10)
-	r.Finish(first, 20) // e2e 10 — recycled immediately
-	second := r.Start(false, 30)
-	if second != first {
-		t.Fatal("recycled carrier was not reused")
+	// Each slower request evicts the one retained copy, which serves the
+	// next retention: the recorder allocates for the first two and then
+	// never again, and a request that is not retained costs it nothing.
+	finishRec(r, 0, 100)
+	finishRec(r, 1000, 200)
+	if got := testing.AllocsPerRun(100, func() {
+		finishRec(r, 0, 10)
+		finishRec(r, 0, r.worst[0].E2E()+1)
+	}); got != 0 {
+		t.Fatalf("%v allocations per pair of requests at steady state, want 0", got)
 	}
-	if second.Seq != 3 || second.Has(PtDoorbell) {
-		t.Fatalf("reused carrier kept stale state: %+v", second)
+	if r.WorstLen() != 1 || len(r.free) != 0 {
+		t.Fatalf("worst %d free %d, want 1 and 0", r.WorstLen(), len(r.free))
 	}
-	r.Finish(second, 40)
+	if w := r.worst[0]; w.Seq != r.Requests() || w.Has(PtDispatch) {
+		t.Fatalf("reused copy kept stale state: %+v", w)
+	}
 }
 
-func TestDropCountsAndRecycles(t *testing.T) {
+func TestDropCounts(t *testing.T) {
 	r := NewRecorder(Config{SampleEvery: 1, WorstK: 4})
-	rec := r.Start(false, 0)
-	r.Drop(rec)
+	var rec Rec
+	if !startRec(r, &rec, 0) {
+		t.Fatal("request not followed")
+	}
+	r.Drop()
 	if r.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", r.Dropped())
 	}
 	if r.Sampled() != 0 || r.WorstLen() != 0 {
-		t.Fatal("dropped carrier was retained")
-	}
-	if again := r.Start(false, 10); again != rec {
-		t.Fatal("dropped carrier was not recycled")
+		t.Fatal("dropped request was retained")
 	}
 }
 

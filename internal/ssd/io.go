@@ -85,10 +85,8 @@ func (s *nandStripe) start() {
 }
 
 func (s *nandStripe) acquired(any) {
-	if a := s.io.alias; a != 0 {
-		// Pure queueing for the die: the service time starts now.
-		s.d.met.SpanWaitDev(a, timeline.WaitDie, int64(s.d.env.Now()-s.t0))
-	}
+	// Pure queueing for the die: the service time starts now.
+	s.io.span.Wait(timeline.WaitDie, s.d.env.Now()-s.t0)
 	s.d.env.After(s.lat, s.doneFn)
 }
 
@@ -121,8 +119,8 @@ type ssdIO struct {
 	mt0     sim.Time // media phase start (after any injected latency spike)
 	lat     sim.Time // single-stripe NAND latency
 	media   sim.Time
-	acq0    sim.Time // single-stripe die-acquire start (die-wait attribution)
-	alias   uint64   // device-domain span alias; zero when timeline is off
+	acq0    sim.Time  // single-stripe die-acquire start (die-wait attribution)
+	span    *obs.Span // the request this command is part of, found by its device-domain alias
 
 	remaining int // outstanding parallel NAND stripes
 
@@ -185,8 +183,7 @@ func (d *SSD) putIO(io *ssdIO) {
 	d.ioFree = append(d.ioFree, io)
 }
 
-// start validates the command and dispatches on its opcode. sq.id and the CID
-// form the device-domain span alias the engine backend may have registered.
+// start validates the command and dispatches on its opcode.
 func (io *ssdIO) start() {
 	d := io.d
 	if d.resetting {
@@ -246,12 +243,11 @@ func (io *ssdIO) walkAttempt() {
 	}
 	io.segs = segs
 	io.t0 = d.env.Now()
-	// Device-domain alias for timeline attribution (die waits, NAND/DMA
-	// phase intervals); zero when timeline recording is off.
-	io.alias = 0
-	if d.tl {
-		io.alias = obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID)
-	}
+	// The device's one lookup of the request: this queue and CID under the
+	// device's id are the alias the engine backend registered, if a tenant
+	// request is behind the command. Die waits, media time and the NAND/DMA
+	// phase intervals go through the handle.
+	io.span = d.met.SpanByAlias(obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID))
 	if d.tr != nil {
 		d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
 	}
@@ -371,9 +367,7 @@ func (io *ssdIO) startRead() {
 }
 
 func (io *ssdIO) dieAcquired(any) {
-	if io.alias != 0 {
-		io.d.met.SpanWaitDev(io.alias, timeline.WaitDie, int64(io.d.env.Now()-io.acq0))
-	}
+	io.span.Wait(timeline.WaitDie, io.d.env.Now()-io.acq0)
 	io.d.env.After(io.lat, io.dieDoneFn)
 }
 
@@ -464,12 +458,10 @@ func (io *ssdIO) writeFetched() {
 		d.mediaProc(func(p *sim.Proc) { m.Write(p, io.devByte, io.n) }, io.writeDoneFn)
 		return
 	}
-	if io.alias != 0 {
-		// The pacer's backlog is the queueing delay this write will see
-		// behind earlier writes' program time — the write-side analog of
-		// read die-queue wait. Read it before Reserve adds this write.
-		d.met.SpanWaitDev(io.alias, timeline.WaitDie, int64(d.writePacer.Backlog()))
-	}
+	// The pacer's backlog is the queueing delay this write will see behind
+	// earlier writes' program time — the write-side analog of read die-queue
+	// wait. Read it before Reserve adds this write.
+	io.span.Wait(timeline.WaitDie, d.writePacer.Backlog())
 	done := d.writePacer.Reserve(int64(io.n))
 	d.env.After(done-d.env.Now(), io.writePacedFn)
 }
@@ -536,17 +528,15 @@ func (io *ssdIO) finishMedia() {
 	d := io.d
 	if d.met != nil && io.media > 0 {
 		d.mMedia.Record(int64(io.media))
-		d.met.SpanMedia(obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID), int64(io.media))
-		if io.alias != 0 {
-			// Phase intervals derived from (t0, media, now): a read's media
-			// phase leads and its upstream DMA follows; a write fetches over
-			// DMA first and its media phase trails.
-			now, m := int64(d.env.Now()), int64(io.media)
-			if io.cmd.Opcode == nvme.IORead {
-				d.met.SpanPhases(io.alias, int64(io.t0), int64(io.t0)+m, int64(io.t0)+m, now)
-			} else {
-				d.met.SpanPhases(io.alias, now-m, now, int64(io.t0), now-m)
-			}
+		io.span.Media(io.media)
+		// Phase intervals derived from (t0, media, now): a read's media phase
+		// leads and its upstream DMA follows; a write fetches over DMA first
+		// and its media phase trails.
+		now, m := d.env.Now(), io.media
+		if io.cmd.Opcode == nvme.IORead {
+			io.span.Phases(io.t0, io.t0+m, io.t0+m, now)
+		} else {
+			io.span.Phases(now-m, now, io.t0, now-m)
 		}
 	}
 	if d.tr != nil {

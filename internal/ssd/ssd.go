@@ -164,7 +164,6 @@ type SSD struct {
 	// Per-device instruments, cached at construction; all nil-safe no-ops
 	// when the environment has no metrics registry.
 	met         *obs.Registry
-	tl          bool   // timeline recording on (cached from the registry)
 	spanDev     uint32 // this device in the registry's span-alias domain
 	mMedia      *obs.Hist
 	mReadOps    *obs.Counter
@@ -198,7 +197,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 		ExecProc:     "ssd/exec",
 	})
 	if d.met = env.Metrics(); d.met != nil {
-		d.tl = d.met.TimelineEnabled()
 		d.spanDev = d.met.Device(cfg.Serial)
 		comp := d.met.Component("ssd/" + cfg.Serial)
 		d.mMedia = comp.Hist("media_ns")

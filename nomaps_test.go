@@ -36,9 +36,29 @@ var allowedMaps = map[string]string{
 // an allocs ceiling needs one in its baseline file.
 func TestCommandPathDeclaresNoMaps(t *testing.T) {
 	seen := map[string]bool{}
-	for _, pkg := range commandPathPackages {
-		root := filepath.Join("internal", pkg)
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	eachSourceFile(t, commandPathPackages, func(_ string, fset *token.FileSet, file *ast.File) {
+		for field, pos := range mapFields(file) {
+			name := file.Name.Name + "." + field
+			seen[name] = true
+			if allowedMaps[name] == "" {
+				t.Errorf("%s: struct field %s is a map; index by the NVMe identifier instead, or add it to allowedMaps with the reason",
+					fset.Position(pos), name)
+			}
+		}
+	})
+	for name := range allowedMaps {
+		if !seen[name] {
+			t.Errorf("allowedMaps lists %s, which no longer exists: delete the entry", name)
+		}
+	}
+}
+
+// eachSourceFile parses every non-test Go file under internal/<pkg> for each
+// of pkgs and hands it to visit.
+func eachSourceFile(t *testing.T, pkgs []string, visit func(pkg string, fset *token.FileSet, file *ast.File)) {
+	t.Helper()
+	for _, pkg := range pkgs {
+		err := filepath.WalkDir(filepath.Join("internal", pkg), func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
@@ -47,23 +67,11 @@ func TestCommandPathDeclaresNoMaps(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			for field, pos := range mapFields(file) {
-				name := file.Name.Name + "." + field
-				seen[name] = true
-				if allowedMaps[name] == "" {
-					t.Errorf("%s: struct field %s is a map; index by the NVMe identifier instead, or add it to allowedMaps with the reason",
-						fset.Position(pos), name)
-				}
-			}
+			visit(pkg, fset, file)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-	}
-	for name := range allowedMaps {
-		if !seen[name] {
-			t.Errorf("allowedMaps lists %s, which no longer exists: delete the entry", name)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"testing"
 
 	"bmstore/internal/fault"
@@ -146,13 +147,8 @@ func TestObserverExportsPinned(t *testing.T) {
 					t.Fatalf("the rig does not exercise what it is pinned for: %v", err)
 				}
 				var out bytes.Buffer
-				for _, write := range []func(*obs.Set) error{
-					func(s *obs.Set) error { return s.WriteJSON(&out) },
-					func(s *obs.Set) error { return s.WriteCSV(&out) },
-					func(s *obs.Set) error { return s.WriteBreakdown(&out) },
-					func(s *obs.Set) error { return s.WriteTimeline(&out) },
-				} {
-					if err := write(set); err != nil {
+				for _, write := range []func(io.Writer) error{set.WriteJSON, set.WriteCSV, set.WriteBreakdown, set.WriteTimeline} {
+					if err := write(&out); err != nil {
 						t.Fatal(err)
 					}
 				}

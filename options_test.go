@@ -88,7 +88,7 @@ func TestWithTimelineAutoRegistry(t *testing.T) {
 	if tb.Metrics() == nil {
 		t.Fatal("WithTimeline did not auto-build a metrics registry")
 	}
-	if !tb.Metrics().TimelineEnabled() {
+	if tb.Metrics().Timeline() == nil {
 		t.Error("auto-built registry records no timelines")
 	}
 }
