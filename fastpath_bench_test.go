@@ -37,6 +37,19 @@ func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128, 1) }
 // 4 KiB, so this row is the list path's allocs/op ceiling.
 func BenchmarkIOPathLargeIO(b *testing.B) { benchIOPath(b, 1, 8, 32) }
 
+// BenchmarkIOPathPayload is the QD 8 loop carrying real bytes: payload capture
+// on, every worker writes its own 4 KiB buffer to a block and the next I/O
+// reads that block back into one (1:1, so events/op sits below the 3:1 rows').
+// After the warm-up batch every block the loop touches has been written, so a
+// write is the driver lending the buffer, one DMA copy into the SSD's staging
+// buffer and an exchange with the stored block, and a read is one DMA copy out
+// of the stored block into the lent buffer: no page of host memory and no
+// block of the store is allocated per I/O, and the row is pinned at 0
+// allocs/op like the dataless ones.
+func BenchmarkIOPathPayload(b *testing.B) {
+	benchIOPath(b, 1, 8, 1, func(c *Config) { c.CaptureData = true })
+}
+
 // BenchmarkIOPathTracedThroughput is the same loop with a digest tracer
 // attached — what every fleet host, the figures gate and the crash sweep
 // run. The trace emits are nil-checked probes on the fused chain and the
@@ -63,9 +76,10 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 
 // benchIOPath runs the shared R/W loop, qd I/Os of `blocks` 4 KiB blocks in
 // flight on each of the tenant's first `queues` queue pairs, on a two-SSD rig
-// built with opts. The warm-up batch runs at the measured depth so the timed
-// region starts with every pool primed, every ring page touched, and the
-// queues already wrapped. Besides time and allocations it reports the kernel
+// built with opts; on a rig that captures payload each worker owns a buffer and
+// alternates writing it to a block and reading the block back. The warm-up
+// batch runs at the measured depth so the timed region starts with every pool
+// primed, every ring page touched, and the queues already wrapped. Besides time and allocations it reports the kernel
 // events fired per I/O over the timed region ("events/op"), which at a fixed
 // -benchtime is exact and repeats: make bench-gate pins it, so an observer or
 // a fault probe that starts scheduling shows there.
@@ -84,7 +98,9 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 		c.CapacityBytes = 1 << 30
 		return c
 	}
-	tb, err := NewBMStoreTestbed(cfg, opts...)
+	cfg = cfg.With(opts...)
+	payload := cfg.CaptureData
+	tb, err := NewBMStoreTestbed(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,16 +124,24 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 		var claimed, target, active int
 		var batch *sim.Event
 		worker := func(wp *sim.Proc) {
+			var buf []byte
+			if payload {
+				buf = make([]byte, blocks*4096)
+			}
 			for claimed < target {
 				i := claimed
 				claimed++
 				lba := uint64(i%offsets) * uint64(stride)
 				dev := devs[(i>>2)%queues] // >>2: every queue sees the 3:1 mix
+				write := i&3 == 3
+				if payload {
+					lba, write = uint64((i>>1)%offsets)*uint64(stride), i&1 == 0
+				}
 				var err error
-				if i&3 == 3 {
-					err = dev.WriteAt(wp, lba, uint32(blocks), nil)
+				if write {
+					err = dev.WriteAt(wp, lba, uint32(blocks), buf)
 				} else {
-					err = dev.ReadAt(wp, lba, uint32(blocks), nil)
+					err = dev.ReadAt(wp, lba, uint32(blocks), buf)
 				}
 				if err != nil {
 					panic(err)

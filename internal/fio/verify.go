@@ -177,12 +177,11 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 // probe writes one tagged block just past the verified region, then reads
 // the never-written block after it, then reads the written block back. A rig
 // that carries real payloads returns zeros for the virgin block and the tag
-// for the written one. A rig built without payload capture fails one of the
-// two reads: the driver recycles its per-slot DMA staging buffers, so the
-// virgin read either returns the probe write's residue (same slot — the
-// device never overwrote it) or the written block "reads back" as zeros
-// (another, still-virgin slot). probe runs before any generated fault rule
-// arms, so a failure here is a setup error, never an injected one.
+// for the written one. A rig built without payload capture moves no bytes at
+// all: its device DMAs nothing into the buffer the driver lends it, so both
+// reads leave the zeroed buffer as it was, and the written block "reads back"
+// as zeros. probe runs before any generated fault rule arms, so a failure
+// here is a setup error, never an injected one.
 func probe(p *sim.Proc, dev host.OutcomeBlockDevice, spec VerifySpec, seed int64, bs int) error {
 	lba := spec.RegionBlocks
 	noCapture := fmt.Errorf("fio: verify %q: probe shows the rig is not carrying payload bytes — build it with ssd.Config.CaptureData (bmstore.Config.CaptureData) enabled", spec.Name)
@@ -196,9 +195,6 @@ func probe(p *sim.Proc, dev host.OutcomeBlockDevice, spec VerifySpec, seed int64
 		return fmt.Errorf("fio: verify %q: probe read failed: %v", spec.Name, out.Status)
 	}
 	if !allZero(got) {
-		if bytes.Equal(got, want) {
-			return noCapture
-		}
 		return fmt.Errorf("fio: verify %q: never-written probe block reads back nonzero before any fault armed — the rig is miswired", spec.Name)
 	}
 	zero(got)

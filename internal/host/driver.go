@@ -3,7 +3,9 @@ package host
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
+	"bmstore/internal/hostmem"
 	"bmstore/internal/nvme"
 	"bmstore/internal/nvmei"
 	"bmstore/internal/obs"
@@ -162,6 +164,13 @@ type dq struct {
 	zombies int
 	buf     []uint64 // per-slot data buffer base
 	prpPg   []uint64 // per-slot PRP list page
+	// win lends a caller's payload buffer to its slot's data buffer range for
+	// one attempt (lend, unlend). Made on the queue's first payload, so a queue
+	// that only ever moves dataless I/O allocates nothing for it.
+	win *hostmem.Windows
+	// sum is the checksum each lent write payload had when it was lent; only a
+	// race-detector build (checkLoans) keeps it.
+	sum []uint32
 	// prpLen caches the page count whose entries currently fill each slot's
 	// PRP list. Slot buffers never move, so a repeat of the same transfer
 	// size finds the identical list bytes already in place and skips the
@@ -424,10 +433,44 @@ func (q *dq) take() uint16 {
 	return slot
 }
 
-// give puts a slot back into circulation.
+// give puts a slot back into circulation. The next command to take it must
+// find its data buffer range its own: a slot still on loan is a driver bug.
 func (q *dq) give(slot uint16) {
+	if q.win != nil && q.win.Lent(int(slot)) {
+		panic(fmt.Sprintf("host: queue %d slot %d freed with a payload buffer still lent to it", q.ID, slot))
+	}
 	q.free = append(q.free, slot)
 	q.Slots.Release()
+}
+
+// lend makes buf the memory behind slot's data buffer for one attempt: until
+// unlend, the device's DMA to the slot's PRPs reads or writes buf itself. The
+// caller is blocked in the driver for exactly that long, so the payload is
+// copied once, by the DMA, and nobody owns it twice. What is left to go wrong
+// is another process changing a write payload while it is lent; a
+// race-detector build checks for that.
+func (d *Driver) lend(q *dq, slot uint16, buf []byte, write bool) {
+	if q.win == nil {
+		// newQueue laid the slots out back to back, each a data buffer and
+		// then its PRP list page.
+		stride := q.prpPg[0] + hostmem.PageSize - q.buf[0]
+		q.win = d.h.Mem.NewWindows(q.buf[0], stride, len(q.buf))
+		if checkLoans {
+			q.sum = make([]uint32, len(q.buf))
+		}
+	}
+	q.win.Lend(int(slot), buf)
+	if checkLoans && write {
+		q.sum[slot] = crc32.ChecksumIEEE(buf)
+	}
+}
+
+// unlend takes the payload buffer back; slot's data buffer is pages again.
+func (q *dq) unlend(slot uint16, write bool) {
+	buf := q.win.Reclaim(int(slot))
+	if checkLoans && write && crc32.ChecksumIEEE(buf) != q.sum[slot] {
+		panic(fmt.Sprintf("host: the write payload lent to queue %d slot %d changed while the command was in flight", q.ID, slot))
+	}
 }
 
 // Reattach re-initialises a controller that came back from a crash: the
@@ -492,8 +535,11 @@ func (d *Driver) AdminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 }
 
 // IO performs one read/write/flush on queue qIdx and blocks until done.
-// buf, when non-nil, is copied to/from the slot's DMA buffer (real data
-// through the full path); nil keeps the transfer dataless.
+// buf, when non-nil, is exactly the transfer's length and is lent to the
+// slot's DMA buffer for each attempt (real data through the full path, copied
+// by the device's DMA and by nothing else), so it must not change while IO
+// runs; after a read that failed or timed out its contents are unspecified.
+// nil keeps the transfer dataless.
 func (d *Driver) IO(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int) nvme.Status {
 	return d.IOWithOutcome(p, op, lba, blocks, buf, qIdx).Status
 }
@@ -520,6 +566,11 @@ func (d *Driver) ioEpisode(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	nBytes := int(blocks) * nvme.LBASize
 	if op != nvme.IOFlush && nBytes > d.cfg.MaxIOBytes {
 		panic(fmt.Sprintf("host: %d-byte I/O exceeds driver max %d", nBytes, d.cfg.MaxIOBytes))
+	}
+	// A shorter buffer would persist what an earlier command left in the slot;
+	// a longer one would spill past the transfer.
+	if op != nvme.IOFlush && buf != nil && len(buf) != nBytes {
+		panic(fmt.Sprintf("host: %d-byte buffer for a %d-byte I/O", len(buf), nBytes))
 	}
 	// Block-layer split on old kernels.
 	if sp := d.h.Kernel.SplitBytes; sp > 0 && op != nvme.IOFlush && nBytes > sp {
@@ -600,12 +651,14 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	d.ioc.Submitted++
 
 	cmd := nvme.Command{Opcode: op, NSID: d.nsid, CID: slot}
+	write := op == nvme.IOWrite
+	lent := buf != nil && (write || op == nvme.IORead)
 	if op != nvme.IOFlush {
 		cmd.SetSLBA(lba)
 		cmd.SetNLB(blocks)
 		cmd.PRP1, cmd.PRP2 = d.buildPRPs(q, slot, nBytes)
-		if op == nvme.IOWrite && buf != nil {
-			d.h.Mem.Write(q.buf[slot], buf)
+		if lent {
+			d.lend(q, slot, buf, write)
 		}
 	}
 	q.Push(&cmd)
@@ -644,6 +697,15 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	if d.cfg.CmdTimeout > 0 {
 		got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
 		if !ok {
+			// The caller gets buf back now, but the device may still act on the
+			// command: from here a straggler read lands in the slot's own pages,
+			// and a straggler fetch of a write finds the payload there.
+			if lent {
+				q.unlend(slot, write)
+				if write {
+					d.h.Mem.Write(q.buf[slot], buf)
+				}
+			}
 			q.zombify(cmd.CID)
 			d.ioc.Timeouts++
 			d.mTimeouts.Inc()
@@ -666,8 +728,8 @@ func (d *Driver) ioAttempt(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf
 	// The first thing a woken attempt does: IRQ resumes it in place on the
 	// strength of this.
 	p.Sleep(d.completeLatency())
-	if op == nvme.IORead && buf != nil && !cpl.Status.IsError() {
-		d.h.Mem.Read(q.buf[slot], buf)
+	if lent {
+		q.unlend(slot, write)
 	}
 	if d.met != nil && op != nvme.IOFlush {
 		now := d.h.Env.Now()

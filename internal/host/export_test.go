@@ -1,6 +1,9 @@
 package host
 
-import "bmstore/internal/nvme"
+import (
+	"bmstore/internal/nvme"
+	"bmstore/internal/sim"
+)
 
 // InjectCQE plays a device that posts cpl into I/O queue qIdx's completion
 // ring and interrupts: the entry goes where the driver looks next, under the
@@ -31,4 +34,23 @@ func (d *Driver) QueueState(qIdx int) (free, zombies []uint16, zombieCount, inUs
 		}
 	}
 	return append([]uint16(nil), q.free...), zombies, q.zombies, q.Slots.InUse()
+}
+
+// CheckLoans reports whether this build verifies lent write payloads.
+const CheckLoans = checkLoans
+
+// SlotBuf is the address of the data buffer of I/O queue qIdx's slot.
+func (d *Driver) SlotBuf(qIdx int, slot uint16) uint64 { return d.queues[qIdx].buf[slot] }
+
+// HasWindows reports whether I/O queue qIdx has lent a payload buffer yet.
+func (d *Driver) HasWindows(qIdx int) bool { return d.queues[qIdx].win != nil }
+
+// GiveWhileLent plays a driver bug: a slot of I/O queue qIdx goes back on the
+// free list with a payload buffer still lent to it.
+func (d *Driver) GiveWhileLent(p *sim.Proc, qIdx int) {
+	q := d.queues[qIdx]
+	q.Slots.Acquire(p)
+	slot := q.take()
+	d.lend(q, slot, make([]byte, nvme.LBASize), false)
+	q.give(slot)
 }

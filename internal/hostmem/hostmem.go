@@ -2,6 +2,14 @@
 // sparse, page-granular byte store plus a simple physical allocator. NVMe
 // queues, PRP lists, and data buffers all live here, exactly as they do in
 // real host DRAM — devices never get Go pointers, only physical addresses.
+//
+// A payload buffer is the one exception to "bytes live in pages", and it is
+// still not a pointer a device sees: a driver may lend a Go buffer to a range
+// it owns for the length of one command (Windows), and a DMA that falls
+// wholly inside a lent range moves the buffer's bytes instead of the pages'.
+// The payload is then copied once, by the DMA, and the pages under a data
+// buffer that is always lent never materialise. Addresses, allocation and
+// every access outside a lent range are unaffected.
 package hostmem
 
 import (
@@ -19,6 +27,9 @@ type Memory struct {
 	pages map[uint64]*[PageSize]byte
 	next  uint64 // bump allocator cursor
 	size  uint64
+	// wins is nil until something lends a buffer: a memory that carries no
+	// payload pays one nil compare per access for the mechanism.
+	wins []*Windows
 }
 
 // New returns a memory of the given size in bytes. Allocations start at
@@ -61,6 +72,12 @@ func (m *Memory) AllocPages(n int) uint64 {
 // Write copies data into memory at addr, crossing pages as needed.
 func (m *Memory) Write(addr uint64, data []byte) {
 	m.check(addr, uint64(len(data)))
+	if m.wins != nil {
+		if w := m.lent(addr, len(data)); w != nil {
+			copy(w, data)
+			return
+		}
+	}
 	for len(data) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
 		p := m.pages[pg]
@@ -77,6 +94,12 @@ func (m *Memory) Write(addr uint64, data []byte) {
 // Read copies from memory at addr into buf.
 func (m *Memory) Read(addr uint64, buf []byte) {
 	m.check(addr, uint64(len(buf)))
+	if m.wins != nil {
+		if w := m.lent(addr, len(buf)); w != nil {
+			copy(buf, w)
+			return
+		}
+	}
 	for len(buf) > 0 {
 		pg, off := addr/PageSize, addr%PageSize
 		var n int
@@ -110,10 +133,11 @@ func (m *Memory) ReadU32(addr uint64) uint32 {
 
 // WriteU64 stores a little-endian uint64 at addr. A word inside one page —
 // every PRP-list slot and queue entry field is — costs one page lookup; a
-// word straddling two pages takes the byte path.
+// word straddling two pages takes the byte path, as does every word of a
+// memory that has lent ranges.
 func (m *Memory) WriteU64(addr uint64, v uint64) {
 	off := addr % PageSize
-	if off > PageSize-8 {
+	if off > PageSize-8 || m.wins != nil {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		m.Write(addr, b[:])
@@ -132,7 +156,7 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 // and stays untouched.
 func (m *Memory) ReadU64(addr uint64) uint64 {
 	off := addr % PageSize
-	if off > PageSize-8 {
+	if off > PageSize-8 || m.wins != nil {
 		var b [8]byte
 		m.Read(addr, b[:])
 		return binary.LittleEndian.Uint64(b[:])

@@ -137,6 +137,12 @@ func (l *Link) replayPenalty(n int) sim.Time {
 //
 // A nil data/buf skips content transfer (time is still modelled from n);
 // the fio engines use this to avoid copying payload bytes they never read.
+//
+// data and buf are the initiator's for the length of the call only: an
+// implementation copies out of data, or fills buf, before it returns, and
+// keeps no reference to either and never writes to data. Initiators rely on
+// it — an SSD hands DMAWrite its stored block itself, and reuses or gives away
+// the buffer DMARead filled as soon as it is back.
 type DMATarget interface {
 	// DMAWrite stores n bytes at physical address addr.
 	DMAWrite(addr uint64, n int, data []byte) sim.Time

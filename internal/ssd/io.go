@@ -131,7 +131,7 @@ type ssdIO struct {
 	hzd       hazards
 
 	walk nvmet.PRPWalk // PRP-list pages; only transfers over two pages fetch any
-	dbuf []byte        // pooled read-payload staging (CaptureData only)
+	dbuf []byte        // pooled staging for a read segment that is damaged or straddles blocks (CaptureData only)
 	bufs [][]byte      // pooled write-payload segment buffers (CaptureData only)
 
 	startFn      func()
@@ -406,13 +406,25 @@ func (io *ssdIO) readPaced() {
 	for _, seg := range io.segs {
 		var data []byte
 		if d.cfg.CaptureData {
-			if cap(io.dbuf) < seg.Len {
-				io.dbuf = make([]byte, seg.Len)
-			}
-			data = d.readBytesInto(io.dbuf[:seg.Len], src+uint64(off), seg.Len)
-			if corrupt && len(data) > 0 {
-				data[len(data)/2] ^= 0xA5
-				corrupt = false
+			at := src + uint64(off)
+			if in := int(at % BlockSize); in+seg.Len <= BlockSize && !corrupt {
+				// The DMA copies from where the bytes lie: DMAWrite is done
+				// with data when it returns.
+				blk := d.store.get(at / BlockSize)
+				if blk == nil {
+					blk = &zeroBlock
+				}
+				data = blk[in : in+seg.Len]
+			} else {
+				// Bytes to damage, or to gather from two blocks, are staged.
+				if cap(io.dbuf) < seg.Len {
+					io.dbuf = make([]byte, seg.Len)
+				}
+				data = d.readBytesInto(io.dbuf[:seg.Len], at, seg.Len)
+				if corrupt && len(data) > 0 {
+					data[len(data)/2] ^= 0xA5
+					corrupt = false
+				}
 			}
 		}
 		if t := d.port.DMAWrite(seg.Addr, seg.Len, data); t > last {
@@ -490,10 +502,23 @@ func (io *ssdIO) writeDone() {
 			if off >= keep {
 				break
 			}
+			at := io.devByte + uint64(off)
+			if len(b) == BlockSize && at%BlockSize == 0 && off+BlockSize <= keep {
+				// One whole block, all of it persisted: the staging buffer
+				// becomes the block, and the block it displaces (nil on a
+				// first write) stages this slot's next payload.
+				if old := d.store.put(at/BlockSize, (*block)(b)); old != nil {
+					io.bufs[i] = old[:]
+				} else {
+					io.bufs[i] = nil
+				}
+				off += BlockSize
+				continue
+			}
 			if off+len(b) > keep {
 				b = b[:keep-off]
 			}
-			d.writeBytes(io.devByte+uint64(off), b)
+			d.writeBytes(at, b)
 			off += len(b)
 		}
 	}
@@ -503,9 +528,9 @@ func (io *ssdIO) writeDone() {
 	io.finishMedia()
 }
 
-// wbuf returns the i-th pooled write segment buffer sized to n. The buffer
-// is zeroed on reuse so sparse source pages read back as zeroes, as a fresh
-// allocation would.
+// wbuf returns the i-th pooled write segment buffer sized to n, contents
+// unspecified: the DMARead it is for fills all of it, sparse source pages
+// included.
 func (io *ssdIO) wbuf(i, n int) []byte {
 	for len(io.bufs) <= i {
 		io.bufs = append(io.bufs, nil)
@@ -513,13 +538,9 @@ func (io *ssdIO) wbuf(i, n int) []byte {
 	b := io.bufs[i]
 	if cap(b) < n {
 		b = make([]byte, n)
-		io.bufs[i] = b
 	}
 	b = b[:n]
 	io.bufs[i] = b
-	for j := range b {
-		b[j] = 0
-	}
 	return b
 }
 

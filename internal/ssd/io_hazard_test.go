@@ -20,6 +20,13 @@ func hazardHarness(t *testing.T, rules ...fault.Rule) *harness {
 	return newHarnessOn(t, env, P4510("SN001"))
 }
 
+// stored is what the copying reference path (readBytes) says n bytes from
+// namespace block slba hold: the data path's reads, which DMA straight from
+// the stored blocks, must return exactly this.
+func (h *harness) stored(nsid uint32, slba uint64, n int) []byte {
+	return h.dev.readBytes((h.dev.ns(nsid).startLBA+slba)*BlockSize, n)
+}
+
 func TestMediaCorruptFlipsReadByte(t *testing.T) {
 	h := hazardHarness(t, fault.Rule{Point: fault.MediaCorrupt, Target: "SN001"})
 	h.run(func(p *sim.Proc) {
@@ -47,6 +54,15 @@ func TestMediaCorruptFlipsReadByte(t *testing.T) {
 		}
 		if diff != 1 {
 			t.Fatalf("media-corrupt changed %d bytes, want exactly 1", diff)
+		}
+		// The damage is to the bytes in flight, never to the stored block.
+		want := h.stored(nsid, 10, BlockSize)
+		if !bytes.Equal(want, data) {
+			t.Fatal("a corrupt read damaged the stored block")
+		}
+		want[BlockSize/2] ^= 0xA5
+		if !bytes.Equal(got, want) {
+			t.Fatal("corrupt read is not the stored block with the byte at its middle flipped")
 		}
 		if h.env.Faults().InjectedBy(fault.MediaCorrupt) != 1 {
 			t.Fatal("corrupt injection not counted")
@@ -89,10 +105,49 @@ func TestTornWritePersistsFirstHalf(t *testing.T) {
 		if !bytes.Equal(got[BlockSize/2:], old[BlockSize/2:]) {
 			t.Fatal("torn write should leave the old data in the tail")
 		}
+		if !bytes.Equal(got, h.stored(nsid, 7, BlockSize)) {
+			t.Fatal("read differs from the copying reference path")
+		}
 		if h.env.Faults().InjectedBy(fault.WriteTorn) != 1 {
 			t.Fatal("torn injection not counted")
 		}
 	})
+}
+
+// TestTornMultiBlockWritePersistsWholeBlocksOfThePrefixOnly: of a four-block
+// write torn at half, the first two blocks are stored whole (by exchange) and
+// the last two keep the old data; of a three-block one, the first block is
+// stored whole, the second half-way (by copy) and the third not at all.
+func TestTornMultiBlockWritePersistsWholeBlocksOfThePrefixOnly(t *testing.T) {
+	for _, blocks := range []int{4, 3} {
+		h := hazardHarness(t, fault.Rule{Point: fault.WriteTorn, Nth: 2})
+		h.run(func(p *sim.Proc) {
+			nsid := h.createNS(p, 1<<20)
+			h.createIOQueues(p, 64)
+			n := blocks * BlockSize
+			old := bytes.Repeat([]byte{0x11}, n)
+			next := bytes.Repeat([]byte{0x22}, n)
+			buf := h.mem.AllocPages(blocks)
+			for _, data := range [][]byte{old, next} {
+				if cpl := h.rw(p, nvme.IOWrite, nsid, 7, data, buf); cpl.Status.IsError() {
+					t.Fatalf("write: %#x", cpl.Status)
+				}
+			}
+			want := append(append([]byte{}, next[:n/2]...), old[n/2:]...)
+			if !bytes.Equal(h.stored(nsid, 7, n), want) {
+				t.Fatalf("%d-block torn write: the store is not new data to the half, old data after", blocks)
+			}
+			rbuf := h.mem.AllocPages(blocks)
+			if cpl := h.rw(p, nvme.IORead, nsid, 7, make([]byte, n), rbuf); cpl.Status.IsError() {
+				t.Fatalf("read: %#x", cpl.Status)
+			}
+			got := make([]byte, n)
+			h.mem.Read(rbuf, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-block torn write: read differs from the store", blocks)
+			}
+		})
+	}
 }
 
 func TestMisdirectedReadServesNeighbour(t *testing.T) {
@@ -112,7 +167,7 @@ func TestMisdirectedReadServesNeighbour(t *testing.T) {
 		}
 		got := make([]byte, BlockSize)
 		h.mem.Read(rbuf, got)
-		if !bytes.Equal(got, blkB) {
+		if !bytes.Equal(got, blkB) || !bytes.Equal(got, h.stored(nsid, 21, BlockSize)) {
 			t.Fatal("misdirected read should serve the neighbouring block's data")
 		}
 		if h.env.Faults().InjectedBy(fault.ReadMisdirect) != 1 {

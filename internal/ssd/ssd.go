@@ -146,8 +146,8 @@ type SSD struct {
 	fwActive  string
 	fwStaged  []byte
 	upgrades  int
-	store     map[uint64][]byte // device LBA -> 4K block (CaptureData mode)
-	readyAt   sim.Time          // end of the current reset window
+	store     blockTable // device LBA -> 4K block (CaptureData mode; store.go)
+	readyAt   sim.Time   // end of the current reset window
 	onReady   []func()
 	jitterRng *rand.Rand
 
@@ -188,7 +188,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 		readPacer:  sim.NewPacer(env, cfg.ReadBandwidth),
 		writePacer: sim.NewPacer(env, cfg.WriteBandwidth),
 		fwActive:   cfg.Firmware,
-		store:      make(map[uint64][]byte),
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
 	}
 	d.ctl = nvmet.New(env, d, 0, nvmet.Config{

@@ -205,15 +205,24 @@ func TestReadUnwrittenReturnsZeros(t *testing.T) {
 	h.run(func(p *sim.Proc) {
 		nsid := h.createNS(p, 1<<20)
 		h.createIOQueues(p, 64)
-		rbuf := h.mem.AllocPages(1)
-		h.mem.Write(rbuf, []byte{0xFF, 0xFF}) // pre-dirty the buffer
-		if cpl := h.rw(p, nvme.IORead, nsid, 5, make([]byte, BlockSize), rbuf); cpl.Status.IsError() {
+		rbuf := h.mem.AllocPages(2)
+		h.mem.Write(rbuf, bytes.Repeat([]byte{0xFF}, 2*BlockSize)) // pre-dirty the buffer
+		// Block 5 was never written; block 6 was, so the read crosses from
+		// the shared zero block into a stored one.
+		if cpl := h.rw(p, nvme.IOWrite, nsid, 6, bytes.Repeat([]byte{7}, BlockSize), h.mem.AllocPages(1)); cpl.Status.IsError() {
+			t.Fatalf("write: %#x", cpl.Status)
+		}
+		if cpl := h.rw(p, nvme.IORead, nsid, 5, make([]byte, 2*BlockSize), rbuf); cpl.Status.IsError() {
 			t.Fatalf("read: %#x", cpl.Status)
 		}
-		got := make([]byte, 2)
+		got := make([]byte, 2*BlockSize)
 		h.mem.Read(rbuf, got)
-		if got[0] != 0 || got[1] != 0 {
-			t.Fatalf("unwritten read %v", got)
+		want := append(make([]byte, BlockSize), bytes.Repeat([]byte{7}, BlockSize)...)
+		if !bytes.Equal(got, want) || !bytes.Equal(got, h.stored(nsid, 5, len(got))) {
+			t.Fatal("unwritten block did not read as zeroes beside its written neighbour")
+		}
+		if zeroBlock != (block{}) {
+			t.Fatal("the shared zero block was written")
 		}
 	})
 }

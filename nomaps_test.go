@@ -19,7 +19,7 @@ var commandPathPackages = []string{"host", "nvmei", "nvmet", "engine", "ssd", "p
 // allowedMaps are the struct fields of map type those packages may declare,
 // each with the reason it is not on the path of a command.
 var allowedMaps = map[string]string{
-	"ssd.SSD.store":          "sparse LBA space: one entry per written block, on CaptureData rigs only",
+	"ssd.blockTable.leaves":  "sparse LBA space: one entry per 512-block leaf, consulted once per leaf run, on CaptureData rigs only",
 	"obs.Registry.comps":     "components by name: looked up at construction and export, never per command",
 	"obs.Registry.instSeq":   "next instance index by name prefix: at construction only",
 	"obs.Component.counters": "instruments by name: callers cache the pointer at construction",

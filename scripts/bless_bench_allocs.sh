@@ -35,7 +35,12 @@ apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 # 128 KiB I/Os (LargeIO: a PRP list per command, built by the driver and
 # fetched and walked through the target controller's list reader in the
 # engine and again in the SSD, reads striped over four dies — 4 allocs/op
-# while the walker built an error per missed list page, 0 since).
+# while the walker built an error per missed list page, 0 since), and 4 KiB
+# I/Os that carry their bytes (Payload: capture on, write a block then read it
+# back — the buffer is lent to the driver's slot, copied once by the SSD's
+# DMA and exchanged with the stored block, so no bounce page, staging copy or
+# fresh block is left to allocate; its 1:1 mix fires a hair fewer events than
+# the 3:1 rows).
 # Processes run on pooled coroutines, so a spawn costs its Proc and Done
 # event (ProcessSpawn: 2) and nothing else; the process benchmarks create
 # their coroutines in an untimed warm-up round. The application tier
@@ -43,7 +48,7 @@ apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benc
 # BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A guest and
 # a minidb + sysbench guest, 20x — is pinned at its measured allocs/op plus
 # 5 %, rounded up: a ceiling against a per-row or per-record allocation
-# coming back. The six BenchmarkIOPath rows carry a second ceiling: kernel
+# coming back. The seven BenchmarkIOPath rows carry a second ceiling: kernel
 # events fired per I/O over the timed region (the benchmark's events/op,
 # exact and repeatable at the gate's fixed -benchtime), at their measured
 # values — a fused event that comes apart again, or an observer or fault
