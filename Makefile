@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the seven targets: the event
+# Ten seconds of native fuzzing, split over the nine targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program (internal/sim
 # FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -20,20 +20,26 @@ test:
 # memory, on valid and corrupted PRP chains (internal/nvmet FuzzPRPFetch),
 # the CID leaf table against the Go map it replaced under any program of
 # put/get/delete/iterate, leaves accounted for (internal/nvme FuzzCIDTable),
-# and the initiator's reap against a device that writes any sixteen bytes
+# the initiator's reap against a device that writes any sixteen bytes
 # anywhere in a CQ ring and interrupts when it likes — differentially against
 # a reference reaper, then through the driver's CID accounting on top of it
-# (internal/host FuzzInitiatorReap).
+# (internal/host FuzzInitiatorReap), and the two offline-viewer loaders
+# against any bytes: a crash-sweep or fleet export either fails to load or
+# renders, re-encodes and re-loads to the same value (internal/crash
+# FuzzLoadSweeps, internal/fleet FuzzFleetLoad; their seeds are whole real
+# exports, so minimisation is capped to keep the second fuzzing).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 2s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFireOrder$$' -fuzztime 1s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzRandStream$$' -fuzztime 1s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 2s ./internal/apps/minidb
+	$(GO) test -run '^$$' -fuzz '^FuzzLeafCodec$$' -fuzztime 1s ./internal/apps/minidb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecords$$' -fuzztime 1s ./internal/apps/kvstore
 	$(GO) test -run '^$$' -fuzz '^FuzzPRPFetch$$' -fuzztime 1s ./internal/nvmet
 	$(GO) test -run '^$$' -fuzz '^FuzzCIDTable$$' -fuzztime 1s ./internal/nvme
 	$(GO) test -run '^$$' -fuzz '^FuzzInitiatorReap$$' -fuzztime 2s ./internal/host
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSweeps$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/crash
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetLoad$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/fleet
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

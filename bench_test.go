@@ -25,7 +25,7 @@ func cell(t *experiments.Table, row, col int) float64 {
 
 func BenchmarkFig1SPDKCoreScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig1(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig1(experiments.NewHarness(experiments.Fast(), 1, nil))
 		// last row = 10 cores; report % of native achieved at 8 cores.
 		b.ReportMetric(cell(t, 4, 2), "pct-native@8cores")
 	}
@@ -40,7 +40,7 @@ func BenchmarkTable2FPGAResources(b *testing.B) {
 
 func BenchmarkFig8BareMetal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig8Table5(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig8Table5(experiments.NewHarness(experiments.Fast(), 1, nil))
 		// rand-r-128 BM-Store kIOPS.
 		b.ReportMetric(cell(t, 1, 2), "bms-randr128-kIOPS")
 	}
@@ -48,14 +48,14 @@ func BenchmarkFig8BareMetal(b *testing.B) {
 
 func BenchmarkTable6KernelMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table6(experiments.Serial(experiments.Fast()))
+		t := experiments.Table6(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 0, 2), "centos310-kIOPS")
 	}
 }
 
 func BenchmarkFig9SingleVM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig9Table7(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig9Table7(experiments.NewHarness(experiments.Fast(), 1, nil))
 		// seq-r-256 SPDK/VFIO ratio: the paper's anomaly cell.
 		b.ReportMetric(cell(t, 4, 8), "spdk-seqr-pct-of-vfio")
 	}
@@ -63,21 +63,21 @@ func BenchmarkFig9SingleVM(b *testing.B) {
 
 func BenchmarkFig10SSDScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig10(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig10(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 3, 1), "GBs@4SSD")
 	}
 }
 
 func BenchmarkFig11VMScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig11(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig11(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 4, 1), "GBs@16VM")
 	}
 }
 
 func BenchmarkFig12TailFairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig12(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig12(experiments.NewHarness(experiments.Fast(), 1, nil))
 		// p99 spread across the four VMs for rand-r-128.
 		lo, hi := 1e18, 0.0
 		for r := 0; r < 4; r++ {
@@ -95,28 +95,28 @@ func BenchmarkFig12TailFairness(b *testing.B) {
 
 func BenchmarkFig13aTPCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig13a(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig13a(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 1, 3), "bms-normalized")
 	}
 }
 
 func BenchmarkFig13bSysbench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig13bTable8(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig13bTable8(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 1, 4), "bms-qps-normalized")
 	}
 }
 
 func BenchmarkFig14MixedWorkload(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Fig14(experiments.Serial(experiments.Fast()))
+		t := experiments.Fig14(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 1, 1), "bms-ycsb-ops")
 	}
 }
 
 func BenchmarkTable9Fig15HotUpgrade(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := experiments.Table9Fig15(experiments.Serial(experiments.Fast()))
+		t := experiments.Table9Fig15(experiments.NewHarness(experiments.Fast(), 1, nil))
 		b.ReportMetric(cell(t, 0, 4), "bmstore-proc-ms")
 	}
 }

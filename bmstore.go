@@ -44,9 +44,9 @@ type Config struct {
 	NumSSDs int
 	// SSD returns the configuration of SSD i; nil means a P4510.
 	SSD func(i int) ssd.Config
-	// SSDWithEnv is like SSD but receives the simulation environment,
-	// needed by device configs that carry env-bound state (e.g. the SATA
-	// bridge's mechanical medium). Takes precedence over SSD.
+	// SSDWithEnv is like SSD but receives the simulation environment, for
+	// device configs derived from env-bound state (its clock or RNG
+	// streams). Takes precedence over SSD.
 	SSDWithEnv func(env *sim.Env, i int) ssd.Config
 	// CaptureData materialises payload bytes end to end. Benchmarks turn
 	// it off; integrity-sensitive work leaves it on.

@@ -103,7 +103,7 @@ func TestConsoleErrorPaths(t *testing.T) {
 		if _, err := tb.Console.Counters(p, 9); err == nil {
 			t.Fatal("counters of unbound function succeeded")
 		}
-		if err := tb.Console.DestroyNamespace(p, "v"); err != nil {
+		if err := tb.Console.Request(p, mctp.MIVendorDestroyNS, controller.NameReq{Name: "v"}, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -261,8 +261,8 @@ func TestHotUpgradeUnderLoadNoErrors(t *testing.T) {
 		if maxGapMS < rep.SSDResetMS*0.9 {
 			t.Fatalf("tenant max gap %.0fms vs reset %.0fms: pause invisible?", maxGapMS, rep.SSDResetMS)
 		}
-		if tb.SSDs[0].Upgrades() != 1 {
-			t.Fatalf("device upgrades %d", tb.SSDs[0].Upgrades())
+		if fw := tb.SSDs[0].FirmwareVersion(); fw != "VDV10200" {
+			t.Fatalf("device runs firmware %q after the upgrade", fw)
 		}
 	})
 }
@@ -323,8 +323,8 @@ func TestMonitorSeesTenantTraffic(t *testing.T) {
 		if res.IOPS() == 0 {
 			t.Fatal("no I/O")
 		}
-		samples, err := tb.Console.Monitor(p, 2)
-		if err != nil {
+		var samples []controller.MonitorSample
+		if err := tb.Console.Request(p, mctp.MIVendorMonitorRead, controller.FnReq{Fn: 2}, &samples); err != nil {
 			t.Fatal(err)
 		}
 		if len(samples) < 3 {

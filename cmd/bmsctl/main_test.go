@@ -1,17 +1,19 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
 // TestSubcommandErrorContract walks the offline-subcommand dispatch table
 // and pins the uniform error contract: wrong arity, an unreadable input
-// file, and a malformed input file must each surface as a non-nil error
-// (the caller prints it to stderr and exits 2) — never a panic, never a
-// silent ok.
+// file, a malformed input file and an export that decodes but holds nothing
+// to judge must each surface as a non-nil error (the caller prints it to
+// stderr and exits 2) — never a panic, never a silent ok.
 func TestSubcommandErrorContract(t *testing.T) {
 	dir := t.TempDir()
 	garbled := filepath.Join(dir, "garbled.json")
@@ -50,6 +52,31 @@ func TestSubcommandErrorContract(t *testing.T) {
 		if _, err := sub(argsFor(name, garbled)); err == nil {
 			t.Errorf("%s: malformed input file accepted without error", name)
 		}
+	}
+
+	// Exports that decode but hold nothing to judge: a truncated export
+	// must not read as a passed gate, nor panic the viewer.
+	for i, tc := range []struct{ sub, body string }{
+		{"crash", `[null]`},
+		{"crash", `{}`},
+		{"crash", `[{"seed":1,"points":null}]`},
+		{"fleet", `{"aborted_wave":-1}`},
+		{"fleet", `{}`},
+	} {
+		input := filepath.Join(dir, fmt.Sprintf("hostile%d.json", i))
+		if err := os.WriteFile(input, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s on %s: panic: %v", tc.sub, tc.body, r)
+				}
+			}()
+			if ok, err := subcommands[tc.sub]([]string{input}); err == nil || !strings.Contains(err.Error(), input) {
+				t.Errorf("%s on %s: ok=%v err=%v, want an error naming the file", tc.sub, tc.body, ok, err)
+			}
+		}()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
 	"bmstore/internal/chaos"
@@ -166,6 +167,70 @@ func TestFaultRulesFireOnTheSameCommand(t *testing.T) {
 			t.Logf("injected %d, violations %d, first firing: %s",
 				run.Report.Injected, len(run.Report.Violations), fired[0])
 		})
+	}
+}
+
+// TestMediaErrorReachesTheTenant: a media-error rule aimed at one backend's
+// serial fires once, on that drive only, leaves a `fault media` record under
+// its serial and reaches the tenant behind the BMS-Engine as the injected
+// status — while no tenant command, failed or not, costs a process. A replay
+// of the same seed gives the same digest.
+func TestMediaErrorReachesTheTenant(t *testing.T) {
+	run := func() (io, digest string, firstRead error, injected uint64) {
+		rules, err := fault.ParseSpec("media-err,nth=1,target=PHLJ0001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump bytes.Buffer
+		tr := trace.New(trace.Options{Dump: &dump})
+		cfg := DefaultConfig()
+		cfg.NumSSDs = 2
+		tb, err := NewBMStoreTestbed(cfg, WithTrace(tr), WithFaults(rules...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var mark int
+		tb.Run(func(p *sim.Proc) {
+			must(tb.Console.CreateNamespace(p, "a", 64<<30, []int{0}))
+			must(tb.Console.CreateNamespace(p, "b", 512<<30, []int{1}))
+			must(tb.Console.Bind(p, "a", 0))
+			must(tb.Console.Bind(p, "b", 1))
+			a, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
+			must(err)
+			b, err := tb.AttachTenant(p, 1, host.DefaultDriverConfig())
+			must(err)
+			must(tr.Flush())
+			mark = dump.Len()
+			firstRead = b.BlockDev(0).ReadAt(p, 1<<20, 1, nil)
+			must(b.BlockDev(0).WriteAt(p, 1<<10, 8, nil))
+			must(b.BlockDev(0).ReadAt(p, 1<<26, 1, nil))
+			must(a.BlockDev(0).ReadAt(p, 0, 1, nil))
+		})
+		must(tr.Flush())
+		return dump.String()[mark:], tr.Digest(), firstRead, tb.Env.Faults().Injected()
+	}
+	io, digest, firstRead, injected := run()
+	if firstRead == nil || !strings.Contains(firstRead.Error(), "0x281") {
+		t.Errorf("the first read returned %v, want the injected status 0x281", firstRead)
+	}
+	if injected != 1 || !regexp.MustCompile(`fault +media .* PHLJ0001`).MatchString(io) {
+		t.Errorf("media-err rule: injected %d, want one fired `fault media` record on PHLJ0001", injected)
+	}
+	for _, rec := range []string{`ssd +issue .* PHLJ0001`, `ssd +complete .* PHLJ0001`, `ssd +complete .* PHLJ0000`} {
+		if !regexp.MustCompile(rec).MatchString(io) {
+			t.Errorf("no %q record in the I/O phase of the trace", rec)
+		}
+	}
+	if n := strings.Count(io, " spawn "); n != 0 {
+		t.Errorf("%d processes spawned by four tenant commands, want none:\n%s", n, io)
+	}
+	if _, again, _, _ := run(); again != digest {
+		t.Errorf("same seed, different digests: %s then %s", digest, again)
 	}
 }
 

@@ -1,0 +1,368 @@
+package bmstore
+
+import (
+	"bufio"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"maps"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// allowedOrphans are exports under internal/ that no non-test file reaches,
+// each with the reason it stays: every one is driven by another package's
+// tests.
+var allowedOrphans = map[string]string{
+	"controller.Console.HotPlugPrepare":  "hot-plug console call the scenario tests drive (bmstore, trace replay)",
+	"controller.Console.HotPlugComplete": "hot-plug console call the scenario tests drive (bmstore, trace replay)",
+	"controller.Controller.PhysicalSwap": "the technician's swap between the two hot-plug console calls, in the same scenario tests",
+	"nvmei.Queue.CQ":                     "host's initiator fuzz harness plays the device: it writes CQEs into this ring",
+	"nvmei.Queue.Head":                   "host's initiator fuzz harness plays the device: it writes the next CQE at this index and phase",
+	"sim.Resource.InUse":                 "the engine, nvmei and host harnesses assert an initiator's slot accounting through it",
+	"sim.Resource.TryAcquire":            "the engine and nvmei harnesses fill an initiator's slots through it",
+	"timeline.Recorder.Dropped":          "obs tests assert an error-path request is counted, not kept",
+}
+
+// TestEveryExportHasACaller keeps dead API from accumulating the way
+// TestCommandPathDeclaresNoMaps keeps maps off the command path: an exported
+// func, method, type or package-level var under internal/ must be reached by a
+// non-test file somewhere in the module — the root package, cmd/, bench/ and
+// examples/ count — or carry a reason in allowedOrphans. A method is reached
+// as well when its receiver implements a module or stdlib interface that
+// declares it. Constants are exempt: the NVMe opcode and status tables
+// document the wire format.
+func TestEveryExportHasACaller(t *testing.T) {
+	fset := token.NewFileSet()
+	mod, pkgs := parseModule(t, fset)
+	found, err := orphans(fset, pkgs, stdImporter(fset), mod+"/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := maps.Clone(allowedOrphans)
+	for _, o := range found {
+		if allowedOrphans[o.name] == "" {
+			t.Errorf("%v: nothing outside its tests reaches it; delete it, or add it to allowedOrphans with the reason", o)
+		}
+		delete(stale, o.name)
+	}
+	for name := range stale {
+		t.Errorf("allowedOrphans lists %s, which is reached or no longer exists: delete the entry", name)
+	}
+}
+
+// TestOrphanCheckFlagsAPlantedExport proves the checker on a two-package
+// module: of an export nothing calls and a method only fmt reaches (through
+// fmt.Stringer), it flags exactly the first.
+func TestOrphanCheckFlagsAPlantedExport(t *testing.T) {
+	fset := token.NewFileSet()
+	src := map[string]string{
+		"m/internal/lib": `package lib
+type Thing struct{}
+func New() Thing { return Thing{} }
+func (Thing) String() string { return "thing" }
+func Planted() {}
+`,
+		"m/cmd/app": `package main
+import ("fmt"; "m/internal/lib")
+func main() { fmt.Println(lib.New()) }
+`,
+	}
+	pkgs := map[string][]*ast.File{}
+	for p, s := range src {
+		f, err := parser.ParseFile(fset, p+"/x.go", s, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs[p] = []*ast.File{f}
+	}
+	found, err := orphans(fset, pkgs, stdImporter(fset), "m/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != 1 || found[0].name != "lib.Planted" || found[0].kind != "func" {
+		t.Fatalf("flagged %v, want exactly lib.Planted func", found)
+	}
+}
+
+// orphan is one export nothing reaches.
+type orphan struct {
+	pos  token.Position
+	name string // package.Name or package.Recv.Method
+	kind string // func, method, type or var
+}
+
+func (o orphan) String() string {
+	return fmt.Sprintf("%s:%d %s %s", o.pos.Filename, o.pos.Line, o.name, o.kind)
+}
+
+// stdImporter type-checks standard-library imports from GOROOT source.
+func stdImporter(fset *token.FileSet) types.Importer {
+	return importer.ForCompiler(fset, "source", nil)
+}
+
+// parseModule reads the module path from go.mod and parses every non-test Go
+// file the default build context selects, walking the directory tree itself
+// (skipping testdata, hidden and underscore directories) so that go test's
+// cache sees each file read. Packages are keyed by import path.
+func parseModule(t *testing.T, fset *token.FileSet) (string, map[string][]*ast.File) {
+	t.Helper()
+	gomod, err := os.Open("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gomod.Close()
+	var mod string
+	for sc := bufio.NewScanner(gomod); sc.Scan() && mod == ""; {
+		mod, _ = strings.CutPrefix(sc.Text(), "module ")
+	}
+	if mod == "" {
+		t.Fatal("go.mod names no module")
+	}
+	pkgs := map[string][]*ast.File{}
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ip := mod
+		if dir != "." {
+			ip = path.Join(mod, filepath.ToSlash(dir))
+		}
+		pkgs[ip] = append(pkgs[ip], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod, pkgs
+}
+
+// orphans type-checks pkgs (import path → non-test files; anything else is
+// imported through std) and returns, in declaration order, the exported
+// funcs, methods, types and package-level vars of the packages under scope
+// that no file in pkgs uses outside the declaration itself.
+func orphans(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, scope string) ([]orphan, error) {
+	m := &moduleImporter{
+		fset: fset, files: pkgs, std: std,
+		done: map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	paths := slices.Sorted(maps.Keys(pkgs))
+	for _, p := range paths {
+		if _, err := m.Import(p); err != nil {
+			return nil, err
+		}
+	}
+
+	// Every declaration in scope, with the extent its mentions of itself
+	// fall in; a method's receiver names its type without using it either.
+	type decl struct {
+		orphan
+		obj        types.Object
+		start, end token.Pos
+	}
+	var decls []*decl
+	byObj := map[types.Object]*decl{}
+	add := func(id *ast.Ident, kind, name string, node ast.Node) {
+		d := &decl{orphan{fset.Position(id.Pos()), name, kind}, m.info.Defs[id], node.Pos(), node.End()}
+		decls = append(decls, d)
+		byObj[d.obj] = d
+	}
+	inReceiver := map[*ast.Ident]bool{}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, scope) {
+			continue
+		}
+		for _, f := range pkgs[p] {
+			pkg := f.Name.Name
+			for _, dl := range f.Decls {
+				switch dl := dl.(type) {
+				case *ast.FuncDecl:
+					if dl.Recv != nil {
+						ast.Inspect(dl.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								inReceiver[id] = true
+							}
+							return true
+						})
+					}
+					switch {
+					case !dl.Name.IsExported():
+					case dl.Recv == nil:
+						add(dl.Name, "func", pkg+"."+dl.Name.Name, dl)
+					default:
+						add(dl.Name, "method", pkg+"."+recvName(dl)+"."+dl.Name.Name, dl)
+					}
+				case *ast.GenDecl:
+					for _, spec := range dl.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								add(s.Name, "type", pkg+"."+s.Name.Name, s)
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if dl.Tok == token.VAR && id.IsExported() {
+									add(id, "var", pkg+"."+id.Name, s)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	reached := map[*decl]bool{}
+	for id, obj := range m.info.Uses {
+		if d := byObj[origin(obj)]; d != nil && !inReceiver[id] && (id.Pos() < d.start || id.Pos() >= d.end) {
+			reached[d] = true
+		}
+	}
+
+	// Interfaces a method may be reached through, by method name: every
+	// interface type written in the module, every named one in the packages
+	// it imports, and error.
+	ifaces := map[string][]*types.Interface{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				ifaces[it.Method(i).Name()] = append(ifaces[it.Method(i).Name()], it)
+			}
+		}
+	}
+	for expr, tv := range m.info.Types {
+		if _, ok := expr.(*ast.InterfaceType); ok {
+			addIface(tv.Type)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addIface(tn.Type())
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range m.done {
+		walk(p)
+	}
+
+	var out []orphan
+	for _, d := range decls {
+		if !reached[d] && (d.kind != "method" || !satisfiesInterface(d.obj.(*types.Func), ifaces)) {
+			out = append(out, d.orphan)
+		}
+	}
+	return out, nil
+}
+
+// satisfiesInterface reports whether fn's receiver type, or a pointer to it,
+// implements an interface that declares a method of fn's name.
+func satisfiesInterface(fn *types.Func, ifaces map[string][]*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	for _, it := range ifaces[fn.Name()] {
+		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+			return true
+		}
+	}
+	return false
+}
+
+// origin maps a use of an instantiated generic func, method or field to the
+// declaration it instantiates.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// recvName is the name of a method's receiver type.
+func recvName(fd *ast.FuncDecl) string {
+	t := fd.Recv.List[0].Type
+	if st, ok := t.(*ast.StarExpr); ok {
+		t = st.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	return t.(*ast.Ident).Name
+}
+
+// moduleImporter type-checks module packages from their parsed files, in
+// dependency order as imports demand them, recording every package's
+// definitions and uses in one shared Info; other imports go to std.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	std   types.Importer
+	done  map[string]*types.Package
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.done[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	m.done[path] = p
+	return p, nil
+}

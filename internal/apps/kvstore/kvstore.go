@@ -103,7 +103,8 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, 
 	return s, nil
 }
 
-// Put stores value under key, durable once Put returns (WAL committed).
+// Put stores value under key, durable once Put returns (WAL committed). A nil
+// value deletes key: it is written as a tombstone.
 func (s *Store) Put(p *sim.Proc, key, value []byte) error {
 	s.Stats.Puts++
 	lsn, err := s.wal.append(p, key, value)
@@ -118,11 +119,6 @@ func (s *Store) Put(p *sim.Proc, key, value []byte) error {
 		s.startFlush()
 	}
 	return nil
-}
-
-// Delete removes key (a tombstone write).
-func (s *Store) Delete(p *sim.Proc, key []byte) error {
-	return s.Put(p, key, nil)
 }
 
 // Get fetches the newest value of key; ok is false for missing/deleted.
@@ -335,15 +331,6 @@ func (s *Store) compactLevel(p *sim.Proc, lvl int) error {
 		s.levels[lvl+1] = nil
 	}
 	return nil
-}
-
-// Levels reports the table count per level (observability/tests).
-func (s *Store) Levels() []int {
-	out := make([]int, len(s.levels))
-	for i, ts := range s.levels {
-		out[i] = len(ts)
-	}
-	return out
 }
 
 // KV is one key/value pair.

@@ -84,7 +84,7 @@ func TestPutGetBasics(t *testing.T) {
 		}
 		// Overwrite and delete.
 		s.Put(p, key(5), []byte("new"))
-		s.Delete(p, key(6))
+		s.Put(p, key(6), nil)
 		if v, ok, _ := s.Get(p, key(5)); !ok || string(v) != "new" {
 			t.Fatalf("overwrite lost: %q", v)
 		}
@@ -168,7 +168,7 @@ func TestScanMergesLevels(t *testing.T) {
 		s.WaitIdle(p)
 		// Newer versions in the memtable shadow table data.
 		s.Put(p, key(500), []byte("fresh"))
-		s.Delete(p, key(501))
+		s.Put(p, key(501), nil)
 		got, err := s.Scan(p, key(499), 4)
 		if err != nil {
 			t.Fatal(err)
@@ -220,7 +220,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			s.Put(p, key(i), val(i))
 		}
-		s.Delete(p, key(100))
+		s.Put(p, key(100), nil)
 		// Crash: no Flush, no clean shutdown. Reopen from the device.
 		s2, err := kvstore.Open(p, r.env, r.drv.BlockDev(1), cfg)
 		if err != nil {
@@ -280,7 +280,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 				s.Put(p, k, v)
 				model[string(k)] = string(v)
 			case 5: // delete
-				s.Delete(p, k)
+				s.Put(p, k, nil)
 				delete(model, string(k))
 			default: // get
 				v, ok, err := s.Get(p, k)

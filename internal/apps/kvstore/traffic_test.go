@@ -82,7 +82,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 				for i := 0; i < 2500; i++ {
 					k := wrng.Intn(keys/4)*4 + w
 					if wrng.Intn(8) == 0 {
-						if err := s.Delete(wp, key(k)); err != nil {
+						if err := s.Put(wp, key(k), nil); err != nil {
 							t.Errorf("delete: %v", err)
 						}
 						model[k] = nil
@@ -141,7 +141,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			k := rng.Intn(keys)
 			if i%10 == 9 {
-				s.Delete(p, key(k))
+				s.Put(p, key(k), nil)
 				model[k] = nil
 				continue
 			}

@@ -445,11 +445,6 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 	return nil
 }
 
-// Get is a single-read convenience.
-func (db *DB) Get(p *sim.Proc, key uint64) ([]byte, bool, error) {
-	return db.Begin().Read(p, key)
-}
-
 // Put is a single-write auto-commit convenience.
 func (db *DB) Put(p *sim.Proc, key uint64, row []byte) error {
 	tx := db.Begin()

@@ -66,7 +66,7 @@ func TestPutGetUpdate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := db.Get(p, 42); ok {
+		if _, ok, _ := db.Begin().Read(p, 42); ok {
 			t.Fatal("ghost row")
 		}
 		for i := 0; i < 500; i++ {
@@ -75,13 +75,13 @@ func TestPutGetUpdate(t *testing.T) {
 			}
 		}
 		for i := 0; i < 500; i++ {
-			v, ok, err := db.Get(p, uint64(i))
+			v, ok, err := db.Begin().Read(p, uint64(i))
 			if err != nil || !ok || !bytes.Equal(v, row(i)) {
 				t.Fatalf("get %d: ok=%v err=%v", i, ok, err)
 			}
 		}
 		db.Put(p, 7, []byte("updated"))
-		if v, _, _ := db.Get(p, 7); string(v) != "updated" {
+		if v, _, _ := db.Begin().Read(p, 7); string(v) != "updated" {
 			t.Fatalf("update lost: %q", v)
 		}
 	})
@@ -104,7 +104,7 @@ func TestSplitsAndScan(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i += 997 {
-			v, ok, err := db.Get(p, uint64(i))
+			v, ok, err := db.Begin().Read(p, uint64(i))
 			if err != nil || !ok || !bytes.Equal(v, row(i)) {
 				t.Fatalf("get %d: ok=%v err=%v", i, ok, err)
 			}
@@ -136,14 +136,14 @@ func TestTransactionReadYourWrites(t *testing.T) {
 			t.Fatalf("RYW broken: %q", v)
 		}
 		// Not yet visible elsewhere.
-		v, _, _ = db.Get(p, 1)
+		v, _, _ = db.Begin().Read(p, 1)
 		if string(v) != "committed" {
 			t.Fatalf("uncommitted write leaked: %q", v)
 		}
 		if err := tx.Commit(p); err != nil {
 			t.Fatal(err)
 		}
-		v, _, _ = db.Get(p, 1)
+		v, _, _ = db.Begin().Read(p, 1)
 		if string(v) != "mine" {
 			t.Fatalf("commit lost: %q", v)
 		}
@@ -166,7 +166,7 @@ func TestReopenAfterCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3000; i += 113 {
-			v, ok, err := db2.Get(p, uint64(i))
+			v, ok, err := db2.Begin().Read(p, uint64(i))
 			if err != nil || !ok || !bytes.Equal(v, row(i)) {
 				t.Fatalf("reopen get %d: ok=%v err=%v", i, ok, err)
 			}
@@ -194,7 +194,7 @@ func TestCrashRecoveryReplaysRedo(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 800; i++ {
-			v, ok, _ := db2.Get(p, uint64(i))
+			v, ok, _ := db2.Begin().Read(p, uint64(i))
 			if !ok {
 				t.Fatalf("row %d lost", i)
 			}
@@ -237,7 +237,7 @@ func TestConcurrentCommitsSerialize(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			for i := 0; i < per; i += 37 {
 				k := uint64(w*100000 + i)
-				v, ok, _ := db.Get(p, k)
+				v, ok, _ := db.Begin().Read(p, k)
 				if !ok || !bytes.Equal(v, row(int(k))) {
 					t.Fatalf("writer %d key %d missing", w, i)
 				}
@@ -267,7 +267,7 @@ func TestRandomOpsWithCheckpointsMatchModel(t *testing.T) {
 				}
 			case 6, 7, 8:
 				k := uint64(rng.Intn(1500))
-				v, ok, err := db.Get(p, k)
+				v, ok, err := db.Begin().Read(p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -293,7 +293,7 @@ func TestRandomOpsWithCheckpointsMatchModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k, want := range model {
-			v, ok, _ := db2.Get(p, k)
+			v, ok, _ := db2.Begin().Read(p, k)
 			if !ok || string(v) != want {
 				t.Fatalf("after crash: key %d = %q,%v want %q", k, v, ok, want)
 			}

@@ -142,7 +142,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 		// Reads and scans, most of them faulting.
 		for i := 0; i < 400; i++ {
 			k := uint64(rng.Intn(nBig))
-			v, ok, err := db.Get(p, k)
+			v, ok, err := db.Begin().Read(p, k)
 			if err != nil || !ok || !bytes.Equal(v, model[k]) {
 				t.Fatalf("get %d: ok=%v err=%v", k, ok, err)
 			}
@@ -187,7 +187,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := uint64(0); k < nBig; k += 7 {
-			v, ok, err := db2.Get(p, k)
+			v, ok, err := db2.Begin().Read(p, k)
 			if err != nil || !ok || !bytes.Equal(v, model[k]) {
 				t.Fatalf("after crash: get %d: ok=%v err=%v", k, ok, err)
 			}

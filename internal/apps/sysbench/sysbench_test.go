@@ -103,7 +103,7 @@ func TestTransactionDurability(t *testing.T) {
 		sysbench.Run(p, env, db, cfg)
 		// Every original row is still readable (updates replace, never drop).
 		for i := 0; i < 500; i += 17 {
-			if _, ok, err := db.Get(p, uint64(i)); err != nil || !ok {
+			if _, ok, err := db.Begin().Read(p, uint64(i)); err != nil || !ok {
 				t.Fatalf("row %d lost: ok=%v err=%v", i, ok, err)
 			}
 		}

@@ -45,15 +45,6 @@ func WorkloadB() Workload {
 func WorkloadC() Workload {
 	return Workload{Name: "C", ReadProp: 1.0, Dist: DistZipfian}
 }
-func WorkloadD() Workload {
-	return Workload{Name: "D", ReadProp: 0.95, InsertProp: 0.05, Dist: DistLatest}
-}
-func WorkloadE() Workload {
-	return Workload{Name: "E", ScanProp: 0.95, InsertProp: 0.05, Dist: DistZipfian, MaxScanLen: 100}
-}
-func WorkloadF() Workload {
-	return Workload{Name: "F", ReadProp: 0.5, RMWProp: 0.5, Dist: DistZipfian}
-}
 
 // Config sizes a run.
 type Config struct {
@@ -232,7 +223,7 @@ func nextKey(wl Workload, rng *rand.Rand, z *Zipfian, inserted int) int {
 
 // Zipfian is the Gray et al. bounded zipfian generator YCSB uses
 // (theta 0.99), with the scrambled variant folded in by the caller's use
-// of hashed string keys. Exported for distribution tests.
+// of hashed string keys.
 type Zipfian struct {
 	rng   *rand.Rand
 	n     int
@@ -241,8 +232,6 @@ type Zipfian struct {
 	zetan float64
 	eta   float64
 }
-
-func NewZipfian(rng *rand.Rand, n int) *Zipfian { return zipfian(n).withRand(rng) }
 
 // zipfian returns a generator over n keys that has its constants and no
 // random source yet.

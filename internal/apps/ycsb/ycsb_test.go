@@ -42,24 +42,6 @@ func runOn(t *testing.T, fn func(p *sim.Proc, env *sim.Env, s *kvstore.Store)) {
 	env.Shutdown()
 }
 
-func TestZipfianBoundsAndSkew(t *testing.T) {
-	env := sim.NewEnv(1)
-	rng := env.Rand("zipf")
-	z := ycsb.NewZipfian(rng, 1000)
-	counts := make([]int, 1000)
-	for i := 0; i < 100000; i++ {
-		k := z.Next()
-		if k < 0 || k >= 1000 {
-			t.Fatalf("zipfian out of bounds: %d", k)
-		}
-		counts[k]++
-	}
-	// Head keys dominate: key 0 should beat the median key by a lot.
-	if counts[0] < 20*counts[500]+1 {
-		t.Fatalf("no skew: head %d vs mid %d", counts[0], counts[500])
-	}
-}
-
 func TestWorkloadCThroughputAndReads(t *testing.T) {
 	runOn(t, func(p *sim.Proc, env *sim.Env, s *kvstore.Store) {
 		cfg := ycsb.Config{Records: 3000, ValueBytes: 200, Threads: 4, Duration: 200 * sim.Millisecond}
@@ -101,7 +83,7 @@ func TestWorkloadEScans(t *testing.T) {
 		if err := ycsb.Load(p, s, cfg); err != nil {
 			t.Fatal(err)
 		}
-		res := ycsb.Run(p, env, s, ycsb.WorkloadE(), cfg)
+		res := ycsb.Run(p, env, s, ycsb.Workload{Name: "E", ScanProp: 0.95, InsertProp: 0.05, Dist: ycsb.DistZipfian, MaxScanLen: 100}, cfg)
 		if s.Stats.Scans == 0 {
 			t.Fatal("workload E produced no scans")
 		}

@@ -314,6 +314,3 @@ func (o *Oracle) Overflow() int { return o.overflow }
 
 // InDoubt returns how many write episodes ended indeterminate.
 func (o *Oracle) InDoubt() uint64 { return o.inDoubt }
-
-// TrackedLBAs returns how many LBAs the oracle holds state for.
-func (o *Oracle) TrackedLBAs() int { return len(o.lbas) }

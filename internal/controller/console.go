@@ -91,19 +91,9 @@ func (c *Console) CreateNamespace(p *sim.Proc, name string, sizeBytes uint64, ss
 	return c.Request(p, mctp.MIVendorCreateNS, CreateNSReq{Name: name, SizeBytes: sizeBytes, SSDs: ssds}, nil)
 }
 
-// DestroyNamespace removes an unbound namespace.
-func (c *Console) DestroyNamespace(p *sim.Proc, name string) error {
-	return c.Request(p, mctp.MIVendorDestroyNS, NameReq{Name: name}, nil)
-}
-
 // Bind attaches a namespace to a front-end PF/VF.
 func (c *Console) Bind(p *sim.Proc, name string, fn uint8) error {
 	return c.Request(p, mctp.MIVendorBindNS, BindReq{Name: name, Fn: fn}, nil)
-}
-
-// Unbind detaches whatever namespace function fn exposes.
-func (c *Console) Unbind(p *sim.Proc, fn uint8) error {
-	return c.Request(p, mctp.MIVendorUnbindNS, FnReq{Fn: fn}, nil)
 }
 
 // SetQoS installs rate limits on a namespace.
@@ -122,13 +112,6 @@ func (c *Console) Inventory(p *sim.Proc) (InventoryResp, error) {
 func (c *Console) Counters(p *sim.Proc, fn uint8) (map[string]any, error) {
 	var out map[string]any
 	err := c.Request(p, mctp.MIVendorCounters, FnReq{Fn: fn}, &out)
-	return out, err
-}
-
-// Monitor reads the controller's I/O-monitor history for a function.
-func (c *Console) Monitor(p *sim.Proc, fn uint8) ([]MonitorSample, error) {
-	var out []MonitorSample
-	err := c.Request(p, mctp.MIVendorMonitorRead, FnReq{Fn: fn}, &out)
 	return out, err
 }
 

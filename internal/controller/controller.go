@@ -126,12 +126,6 @@ func New(env *sim.Env, eng *engine.Engine, cfg Config) *Controller {
 	return c
 }
 
-// Namespace looks a managed namespace up by name.
-func (c *Controller) Namespace(name string) (*engine.Namespace, bool) {
-	ns, ok := c.namespaces[name]
-	return ns, ok
-}
-
 func (c *Controller) logf(format string, args ...any) {
 	c.Events = append(c.Events, fmt.Sprintf("[%8.3fms] ", float64(c.env.Now())/1e6)+fmt.Sprintf(format, args...))
 }

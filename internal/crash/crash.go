@@ -140,9 +140,6 @@ func (m *Manager) Config() Config { return m.cfg }
 // Stats snapshots the manager's accounting.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// JournalLen returns the number of records currently journaled.
-func (m *Manager) JournalLen() int { return len(m.journal) }
-
 // onCtlChange fires on every control-plane mutation: checkpoint the new
 // state and clear the journal (the checkpoint models a full cache flush).
 func (m *Manager) onCtlChange() {

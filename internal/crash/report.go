@@ -1,7 +1,9 @@
 package crash
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -59,39 +61,48 @@ func (r *SweepReport) Clean() bool {
 	return true
 }
 
-// LoadSweep reads a SweepReport JSON file (as written by
-// bmstore-bench -crash-sweep).
-func LoadSweep(path string) (*SweepReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r SweepReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("crash: parse %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // LoadSweeps reads a -crash-json export: either a single SweepReport
-// object (one-seed sweep) or an array of them (multi-seed sweep).
+// object (one-seed sweep) or an array of them (multi-seed sweep). A null
+// sweep or one with no points is an error, not a clean sweep: a truncated
+// export must not read as a passed gate.
 func LoadSweeps(path string) ([]*SweepReport, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var many []*SweepReport
-	if err := json.Unmarshal(b, &many); err == nil {
-		if len(many) == 0 {
-			return nil, fmt.Errorf("crash: %s holds no sweep reports", path)
+	reps, err := decodeSweeps(b)
+	if err != nil {
+		return nil, fmt.Errorf("crash: %s: %w", path, err)
+	}
+	return reps, nil
+}
+
+// decodeSweeps parses and checks the bytes of a -crash-json export.
+func decodeSweeps(b []byte) ([]*SweepReport, error) {
+	var reps []*SweepReport
+	if t := bytes.TrimLeft(b, " \t\r\n"); len(t) > 0 && t[0] == '[' {
+		if err := json.Unmarshal(b, &reps); err != nil {
+			return nil, err
 		}
-		return many, nil
+	} else {
+		var one SweepReport
+		if err := json.Unmarshal(b, &one); err != nil {
+			return nil, err
+		}
+		reps = []*SweepReport{&one}
 	}
-	var one SweepReport
-	if err := json.Unmarshal(b, &one); err != nil {
-		return nil, fmt.Errorf("crash: parse %s: %w", path, err)
+	if len(reps) == 0 {
+		return nil, errors.New("holds no sweep reports")
 	}
-	return []*SweepReport{&one}, nil
+	for i, r := range reps {
+		if r == nil {
+			return nil, fmt.Errorf("sweep %d is null", i)
+		}
+		if len(r.Points) == 0 {
+			return nil, fmt.Errorf("sweep %d (seed %d) has no points", i, r.Seed)
+		}
+	}
+	return reps, nil
 }
 
 // WriteText renders the sweep as a deterministic human-readable table.

@@ -95,11 +95,6 @@ type Checkpoint struct {
 // Dead reports whether the engine has hard-crashed and not yet recovered.
 func (e *Engine) Dead() bool { return e.dead }
 
-// Epoch returns the crash generation counter: it increments on every
-// crash, and work started before a crash uses it to detect that it raced
-// one and must not touch the restored state.
-func (e *Engine) Epoch() uint64 { return e.epoch }
-
 // SetCrashHooks registers the crash manager's callbacks: onCrash fires at
 // the crash instant (after volatile state is gone), onWriteAck on every
 // successful write acknowledgement (the journal feed), and onCtlChange on

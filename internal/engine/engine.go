@@ -152,12 +152,6 @@ func New(env *sim.Env, cfg Config) *Engine {
 	return e
 }
 
-// Env returns the simulation environment.
-func (e *Engine) Env() *sim.Env { return e.env }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // AttachHost wires the engine's upstream port (created by pcie.Connect with
 // the engine as device).
 func (e *Engine) AttachHost(port *pcie.Port) {

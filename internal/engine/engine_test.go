@@ -230,8 +230,8 @@ func TestFullPathDataIntegrity(t *testing.T) {
 			t.Fatal("data corrupted through the BM-Store path")
 		}
 		// The two SSDs must each have seen part of the write.
-		r0, w0 := h.eng.BackendStats(0)
-		r1, w1 := h.eng.BackendStats(1)
+		d0, d1 := h.eng.backends[0].dev, h.eng.backends[1].dev
+		r0, w0, r1, w1 := d0.ReadStats, d0.WriteStats, d1.ReadStats, d1.WriteStats
 		if w0.Ops == 0 || w1.Ops == 0 {
 			t.Fatalf("write not split across SSDs: %d/%d", w0.Ops, w1.Ops)
 		}

@@ -38,9 +38,6 @@ func newFunction(e *Engine, id pcie.FuncID) *function {
 // Bound returns the namespace bound to this function, if any.
 func (f *function) Bound() *Namespace { return f.ns }
 
-// ID returns the PCIe function ID.
-func (f *function) ID() pcie.FuncID { return f.id }
-
 // MayFetch implements nvmet.Owner: a live card always fetches (a dead one
 // sees no doorbells, Engine.RegWrite drops them, and is disabled).
 func (f *function) MayFetch() bool { return true }

@@ -128,9 +128,6 @@ func TestGlobalPRPListBytesUnchanged(t *testing.T) {
 		if gp1 != wp1 || gp2 != wp2 || !slices.Equal(gl, wl) {
 			t.Fatalf("%d segments: PRP1 %#x PRP2 %#x lists %#x, the per-entry writer's %#x %#x %#x", n, gp1, gp2, gl, wp1, wp2, wl)
 		}
-		if wantLists := nvme.ListPagesFor(segs[0].Addr, n*nvme.PageSize); len(gl) != wantLists {
-			t.Fatalf("%d segments: %d list pages, want %d", n, len(gl), wantLists)
-		}
 		want, have := make([]byte, chipBytes-hostmem.PageSize), make([]byte, chipBytes-hostmem.PageSize)
 		ref.e.chip.Read(hostmem.PageSize, want)
 		got.e.chip.Read(hostmem.PageSize, have)

@@ -7,7 +7,6 @@ import (
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
-	"bmstore/internal/stats"
 )
 
 // This file is the engine's maintenance surface: the operations the
@@ -141,10 +140,4 @@ func (e *Engine) Counters(fn pcie.FuncID) (IOCounters, bool) {
 		ReadLatP99:  f.ns.ReadStats.Lat.Percentile(0.99),
 		WriteLatP99: f.ns.WriteStats.Lat.Percentile(0.99),
 	}, true
-}
-
-// BackendStats returns the device-level counters of backend idx.
-func (e *Engine) BackendStats(idx int) (read, write stats.IOStats) {
-	d := e.backends[idx].dev
-	return d.ReadStats, d.WriteStats
 }

@@ -148,10 +148,10 @@ func TestQuiesceLeavesNothingInFlight(t *testing.T) {
 					}
 				}
 				quiet("when QuiesceBackend returned")
-				served, _ := h.eng.BackendStats(0)
+				served := b.dev.ReadStats
 				p.Sleep(2 * sim.Millisecond)
 				quiet("2 ms into the quiesced window")
-				if now, _ := h.eng.BackendStats(0); now.Ops != served.Ops {
+				if now := b.dev.ReadStats; now.Ops != served.Ops {
 					t.Fatalf("the SSD served %d reads inside the quiesced window", now.Ops-served.Ops)
 				}
 				before := completions

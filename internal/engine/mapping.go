@@ -94,14 +94,6 @@ func (mt *MappingTable) Set(idx int, e Entry) error {
 	return nil
 }
 
-// Invalidate clears the validity bit of logical chunk idx.
-func (mt *MappingTable) Invalidate(idx int) {
-	if idx < 0 || idx >= mt.Slots() {
-		return
-	}
-	mt.rows[idx/EntriesPerRow].valid &^= 1 << (idx % EntriesPerRow)
-}
-
 // Valid reports whether logical chunk idx has a valid mapping.
 func (mt *MappingTable) Valid(idx int) bool {
 	if idx < 0 || idx >= mt.Slots() {

@@ -152,9 +152,6 @@ func (ns *Namespace) SetQoS(l QoSLimits) {
 	}
 }
 
-// Limits returns the current QoS limits.
-func (ns *Namespace) Limits() QoSLimits { return ns.qos.limits }
-
 // ssdSetInto appends the distinct backend indices this namespace touches to
 // out (pass out[:0] to reuse capacity) and returns it.
 func (ns *Namespace) ssdSetInto(out []int) []int {
@@ -166,11 +163,6 @@ func (ns *Namespace) ssdSetInto(out []int) []int {
 		}
 	}
 	return out
-}
-
-// MappingEntries returns a copy of the chunk map (for management queries).
-func (ns *Namespace) MappingEntries() []Entry {
-	return append([]Entry(nil), ns.chunks...)
 }
 
 // admitCB passes the command through the QoS threshold check: cb runs

@@ -44,7 +44,7 @@ func TestFig8ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := experiments.Fig8Table5(experiments.Serial(experiments.Fast()))
+	tab := experiments.Fig8Table5(experiments.NewHarness(experiments.Fast(), 1, nil))
 	if len(tab.Rows) != 6 {
 		t.Fatalf("%d rows", len(tab.Rows))
 	}
@@ -71,7 +71,7 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := experiments.Fig9Table7(experiments.Serial(experiments.Fast()))
+	tab := experiments.Fig9Table7(experiments.NewHarness(experiments.Fast(), 1, nil))
 	for i, r := range tab.Rows {
 		bms := num(t, tab, i, 7)
 		spdk := num(t, tab, i, 8)
@@ -101,7 +101,7 @@ func TestTable9ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := experiments.Table9Fig15(experiments.Serial(experiments.Fast()))
+	tab := experiments.Table9Fig15(experiments.NewHarness(experiments.Fast(), 1, nil))
 	if len(tab.Rows) != 4 {
 		t.Fatalf("%d rows, want 4 (2 patterns x 2 upgrades)", len(tab.Rows))
 	}

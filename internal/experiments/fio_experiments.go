@@ -72,14 +72,6 @@ func fig1Point(cfg bmstore.Config, sc Scale, cores int) float64 {
 	return bw
 }
 
-// CaseResult is one (scheme, fio case) measurement.
-type CaseResult struct {
-	Case  string
-	KIOPS float64
-	MBs   float64
-	LatUS float64
-}
-
 // Fig8Table5 reproduces the bare-metal single-disk comparison: native disk
 // vs BM-Store across the six Table IV cases (Fig. 8 IOPS/BW, Table V
 // latency). Each (case, scheme) rig is an independent cell — twelve jobs.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,19 +99,6 @@ func ReadResultSet(r io.Reader) (*ResultSet, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// EncodeResult serializes one artifact the same deterministic way
-// WriteJSON does; golden files store exactly these bytes.
-func EncodeResult(res Result) ([]byte, error) {
-	var buf bytes.Buffer
-	b, err := json.MarshalIndent(&res, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	buf.Write(b)
-	buf.WriteByte('\n')
-	return buf.Bytes(), nil
 }
 
 // Select resolves a comma-separated artifact-id list against All(),

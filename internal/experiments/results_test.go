@@ -106,16 +106,15 @@ func TestTableResultMirrorsTable(t *testing.T) {
 	if res.ID != tab.ID || res.Title != tab.Title || len(res.Rows) != len(tab.Rows) {
 		t.Fatalf("Result() = %+v", res)
 	}
-	enc1, err := EncodeResult(res)
-	if err != nil {
-		t.Fatal(err)
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := (&ResultSet{Results: []Result{res}}).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	enc2, err := EncodeResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("EncodeResult not deterministic")
+	if !bytes.Equal(encode(), encode()) {
+		t.Fatal("WriteJSON not deterministic")
 	}
 }
 

@@ -114,9 +114,6 @@ func NewHarness(sc Scale, parallel int, traces *trace.Set) *Harness {
 	return &Harness{Scale: sc, pool: NewPool(parallel), traces: traces}
 }
 
-// Serial returns a one-worker, untraced harness at the given scale.
-func Serial(sc Scale) *Harness { return &Harness{Scale: sc, pool: NewPool(1)} }
-
 // WithMetrics attaches a family of per-rig metrics registries: every rig the
 // harness configures gets its own child registry, and the set's exports
 // afterwards are byte-identical regardless of the worker bound. Returns the

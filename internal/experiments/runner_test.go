@@ -119,7 +119,7 @@ func TestPoolConcurrentClaiming(t *testing.T) {
 }
 
 func TestHarnessSerial(t *testing.T) {
-	h := Serial(Fast())
+	h := NewHarness(Fast(), 1, nil)
 	if h.Parallelism() != 1 {
 		t.Fatalf("Serial harness parallelism = %d", h.Parallelism())
 	}
@@ -145,7 +145,7 @@ func TestProvisioningFailureStopsTheExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := Serial(Fast()).WithFaults(rules)
+	h := NewHarness(Fast(), 1, nil).WithFaults(rules)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "console: MI op") {
 			t.Fatalf("the experiment did not stop at the failed provisioning step: %s", msg)

@@ -174,11 +174,24 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Load reads a Result previously written with WriteJSON.
+// Load reads a Result previously written with WriteJSON. A result with no
+// hosts, or whose host list disagrees with Hosts, is an error: a truncated
+// export must not read as a passed rollout.
 func Load(rd io.Reader) (*Result, error) {
 	var r Result
 	if err := json.NewDecoder(rd).Decode(&r); err != nil {
 		return nil, fmt.Errorf("fleet: decode result: %w", err)
+	}
+	if r.Hosts <= 0 {
+		return nil, fmt.Errorf("fleet: result has no hosts (hosts %d)", r.Hosts)
+	}
+	if len(r.PerHost) != r.Hosts {
+		return nil, fmt.Errorf("fleet: result lists %d hosts, header says %d", len(r.PerHost), r.Hosts)
+	}
+	for i, h := range r.PerHost {
+		if h.Host != i {
+			return nil, fmt.Errorf("fleet: host %d listed at position %d", h.Host, i)
+		}
 	}
 	return &r, nil
 }

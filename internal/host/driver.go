@@ -897,9 +897,6 @@ func (b *nvmeBlockDev) WriteAtOutcome(p *sim.Proc, lba uint64, blocks uint32, da
 	return b.d.IOWithOutcome(p, nvme.IOWrite, lba, blocks, data, b.q)
 }
 
-// Counters exposes the backing driver's CID accounting.
-func (b *nvmeBlockDev) Counters() IOCounters { return b.d.Counters() }
-
 func (b *nvmeBlockDev) PerIOCPU() sim.Time {
 	c := b.d.h.Kernel.PerIOCPU
 	if b.d.cfg.VM != nil {

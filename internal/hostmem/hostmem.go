@@ -42,9 +42,6 @@ func New(size uint64) *Memory {
 	}
 }
 
-// Size returns the configured size in bytes.
-func (m *Memory) Size() uint64 { return m.size }
-
 // Alloc reserves size bytes aligned to align (a power of two, at least 1)
 // and returns the physical address. Alloc never reuses space; the simulated
 // workloads are short enough that a bump allocator suffices, and it keeps
@@ -115,20 +112,6 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 		buf = buf[n:]
 		addr += uint64(n)
 	}
-}
-
-// WriteU32 stores a little-endian uint32 at addr.
-func (m *Memory) WriteU32(addr uint64, v uint32) {
-	var b [4]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	m.Write(addr, b[:])
-}
-
-// ReadU32 loads a little-endian uint32 from addr.
-func (m *Memory) ReadU32(addr uint64) uint32 {
-	var b [4]byte
-	m.Read(addr, b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // WriteU64 stores a little-endian uint64 at addr. A word inside one page —

@@ -21,8 +21,8 @@ func TestAccessNearTopOfAddressSpacePanics(t *testing.T) {
 		"WriteU64":          func(m *Memory) { m.WriteU64(addr-3, 1) },
 		"ReadU64 straddle":  func(m *Memory) { m.ReadU64(addr&^(PageSize-1) - 4) },
 		"WriteU64 straddle": func(m *Memory) { m.WriteU64(addr&^(PageSize-1)-4, 1) },
-		"ReadU64 at size":   func(m *Memory) { m.ReadU64(m.Size() - 7) },
-		"WriteU64 at size":  func(m *Memory) { m.WriteU64(m.Size()-7, 1) },
+		"ReadU64 at size":   func(m *Memory) { m.ReadU64(m.size - 7) },
+		"WriteU64 at size":  func(m *Memory) { m.WriteU64(m.size-7, 1) },
 	} {
 		m := New(1 << 20)
 		func() {
@@ -136,10 +136,10 @@ func TestAllocEdgeCases(t *testing.T) {
 		t.Fatalf("align 0 not byte-tight: %#x then %#x", a, b)
 	}
 
-	rest := m.Size() - (b + 1)
+	rest := m.size - (b + 1)
 	c := m.Alloc(rest, 1)
-	if c+rest != m.Size() {
-		t.Fatalf("exact fit ends at %#x, want %#x", c+rest, m.Size())
+	if c+rest != m.size {
+		t.Fatalf("exact fit ends at %#x, want %#x", c+rest, m.size)
 	}
 	defer func() {
 		if recover() == nil {

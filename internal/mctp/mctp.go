@@ -110,9 +110,6 @@ func NewEndpoint(eid uint8, send func(raw []byte)) *Endpoint {
 	return &Endpoint{eid: eid, send: send, reasm: make(map[reasmKey]*partial)}
 }
 
-// EID returns the endpoint ID.
-func (ep *Endpoint) EID() uint8 { return ep.eid }
-
 // SetHandler registers the complete-message callback. body starts with the
 // one-byte MCTP message type.
 func (ep *Endpoint) SetHandler(fn func(src uint8, msgType uint8, body []byte)) {

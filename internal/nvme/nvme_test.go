@@ -101,12 +101,6 @@ func TestRingArithmetic(t *testing.T) {
 	if r.Next(3) != 0 {
 		t.Fatal("wraparound wrong")
 	}
-	if r.Dist(2, 1) != 3 {
-		t.Fatalf("dist %d", r.Dist(2, 1))
-	}
-	if !r.Full(0, 3) || r.Full(0, 2) {
-		t.Fatal("fullness wrong")
-	}
 }
 
 func TestPRPSinglePage(t *testing.T) {
@@ -174,9 +168,6 @@ func TestPRPChainedList(t *testing.T) {
 	p1, p2, lists := BuildPRPs(mem, buf, n)
 	if len(lists) != 2 {
 		t.Fatalf("list pages %d, want 2", len(lists))
-	}
-	if got := ListPagesFor(buf, n); got != 2 {
-		t.Fatalf("ListPagesFor = %d", got)
 	}
 	segs, err := WalkPRPsInto(nil, mem, p1, p2, n)
 	if err != nil {

@@ -163,20 +163,3 @@ func PagesSpanned(buf uint64, n int) int {
 func ListEntries(buf uint64, n, j int) int {
 	return min(PagesSpanned(buf, n)-1-j*(PRPsPerList-1), PRPsPerList)
 }
-
-// ListPagesFor returns how many PRP list pages a transfer of n bytes
-// starting at buf requires; 0 when PRP1(+PRP2) suffice.
-func ListPagesFor(buf uint64, n int) int {
-	pages := PagesSpanned(buf, n) - 1
-	if pages <= 1 {
-		return 0
-	}
-	// Each list page holds PRPsPerList-1 data pages plus a chain pointer,
-	// except the last which holds PRPsPerList.
-	lists := 1
-	for pages > PRPsPerList {
-		pages -= PRPsPerList - 1
-		lists++
-	}
-	return lists
-}

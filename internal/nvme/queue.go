@@ -46,15 +46,3 @@ func (r Ring) SlotAddr(idx uint32) uint64 {
 
 // Next returns the index after idx with wraparound.
 func (r Ring) Next(idx uint32) uint32 { return (idx + 1) % r.Entries }
-
-// Dist returns how many entries lie between head and tail (tail - head,
-// modulo ring size): the number of occupied slots in a submission queue.
-func (r Ring) Dist(head, tail uint32) uint32 {
-	return (tail + r.Entries - head) % r.Entries
-}
-
-// Full reports whether advancing tail would collide with head (the NVMe
-// convention keeps one slot empty).
-func (r Ring) Full(head, tail uint32) bool {
-	return r.Next(tail) == head
-}

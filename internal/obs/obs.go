@@ -218,14 +218,6 @@ func (c *Counter) Inc() {
 	c.v++
 }
 
-// Add adds n without touching the series.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v += n
-}
-
 // AddAt adds n and accounts it to the series bin containing virtual time t.
 func (c *Counter) AddAt(t int64, n uint64) {
 	if c == nil {
@@ -295,14 +287,6 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Peak returns the highest level ever set (0 on nil).
-func (g *Gauge) Peak() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.peak
-}
-
 // advance integrates the current value over [lastT, t) into the per-bin
 // sums.
 func (g *Gauge) advance(t int64) {
@@ -350,12 +334,4 @@ func (h *Hist) Record(v int64) {
 		return
 	}
 	h.h.Record(v)
-}
-
-// Stats returns the underlying histogram for read access (nil on nil).
-func (h *Hist) Stats() *stats.Hist {
-	if h == nil {
-		return nil
-	}
-	return &h.h
 }

@@ -23,7 +23,6 @@ func TestNilChainIsFree(t *testing.T) {
 	// None of these may panic, and all reads must return zero values.
 	ctr := c.Counter("n")
 	ctr.Inc()
-	ctr.Add(3)
 	ctr.AddAt(10, 4)
 	if ctr.Value() != 0 {
 		t.Fatal("nil counter has a value")
@@ -32,13 +31,13 @@ func TestNilChainIsFree(t *testing.T) {
 	g.Set(0, 5)
 	g.Inc(1)
 	g.Dec(2)
-	if g.Value() != 0 || g.Peak() != 0 {
+	if g.Value() != 0 {
 		t.Fatal("nil gauge has state")
 	}
 	h := c.Hist("h")
 	h.Record(100)
-	if h.Stats() != nil {
-		t.Fatal("nil hist returned stats")
+	if h != nil {
+		t.Fatal("nil component returned a non-nil hist")
 	}
 	sp := r.SpanStart(1, OpRead, 0)
 	if sp != nil || r.Span(1) != nil || r.SpanByAlias(2) != nil {
@@ -100,8 +99,8 @@ func TestGaugeTimeWeighting(t *testing.T) {
 	if want := 1 * 50 / 100.0; math.Abs(bins[1]-want) > 1e-9 {
 		t.Fatalf("bin 1 mean %v, want %v", bins[1], want)
 	}
-	if g.Peak() != 4 || g.Value() != 1 {
-		t.Fatalf("peak %d value %d", g.Peak(), g.Value())
+	if g.peak != 4 || g.Value() != 1 {
+		t.Fatalf("peak %d value %d", g.peak, g.Value())
 	}
 
 	// A gauge with no interval keeps scalar state only.
@@ -109,12 +108,12 @@ func TestGaugeTimeWeighting(t *testing.T) {
 	g2.Inc(10)
 	g2.Inc(20)
 	g2.Dec(30)
-	if g2.Value() != 1 || g2.Peak() != 2 || g2.meanBins(100) != nil {
-		t.Fatalf("intervalless gauge: value %d peak %d", g2.Value(), g2.Peak())
+	if g2.Value() != 1 || g2.peak != 2 || g2.meanBins(100) != nil {
+		t.Fatalf("intervalless gauge: value %d peak %d", g2.Value(), g2.peak)
 	}
 }
 
-// TestRateCounterSeries: AddAt feeds the per-bin series, Inc/Add do not.
+// TestRateCounterSeries: AddAt feeds the per-bin series, Inc does not.
 func TestRateCounterSeries(t *testing.T) {
 	r := New(Options{SeriesInterval: 100})
 	ctr := r.Component("link").RateCounter("bytes")
@@ -534,7 +533,7 @@ func TestLateMarksOnAClosedSpan(t *testing.T) {
 func buildRig(r *Registry, order []string) {
 	for _, name := range order {
 		c := r.Component(name)
-		c.Counter("ops").Add(uint64(len(name)))
+		c.Counter("ops").AddAt(0, uint64(len(name)))
 		c.Gauge("depth").Set(0, int64(len(name)))
 		c.Gauge("depth").Set(1000, 0)
 		c.Hist("lat_ns").Record(int64(1000 * len(name)))

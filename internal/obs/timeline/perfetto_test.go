@@ -267,18 +267,3 @@ func TestWriteWaterfall(t *testing.T) {
 		t.Fatalf("zero-e2e waterfall = %q", buf.String())
 	}
 }
-
-func TestSlowest(t *testing.T) {
-	if rig, rec := Slowest(nil); rig != "" || rec != nil {
-		t.Fatal("Slowest on nothing returned a record")
-	}
-	a := fullRec(2, false, 0, 5000)
-	b := fullRec(4, false, 0, 9000)
-	rig, rec := Slowest([]RigDump{
-		{Name: "x", Samples: []*Rec{a}},
-		{Name: "y", Worst: []*Rec{b}},
-	})
-	if rig != "y" || rec != b {
-		t.Fatalf("Slowest = %q seq %d, want y seq 4", rig, rec.Seq)
-	}
-}

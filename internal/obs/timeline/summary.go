@@ -153,25 +153,3 @@ func WriteWaterfall(w io.Writer, rig string, rec *Rec) error {
 		WaitBackend, us(rec.Waits[WaitBackend]), WaitDie, us(rec.Waits[WaitDie]))
 	return err
 }
-
-// Slowest returns the globally slowest retained record across rigs (worst
-// sets preferred, samples as fallback) and its rig name; nil when nothing
-// was retained. Ties break toward the first rig in order, then lowest Seq.
-func Slowest(rigs []RigDump) (string, *Rec) {
-	var bestRig string
-	var best *Rec
-	consider := func(rig string, rec *Rec) {
-		if best == nil || rec.E2E() > best.E2E() {
-			bestRig, best = rig, rec
-		}
-	}
-	for _, rig := range rigs {
-		for _, rec := range rig.Worst {
-			consider(rig.Name, rec)
-		}
-		for _, rec := range rig.Samples {
-			consider(rig.Name, rec)
-		}
-	}
-	return bestRig, best
-}

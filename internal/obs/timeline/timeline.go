@@ -293,7 +293,6 @@ type Recorder struct {
 	max int
 
 	n          uint64 // request ordinal (counts every request, sampled or not)
-	overflow   uint64 // sampled requests dropped at the MaxSamples cap
 	errDropped uint64 // followed requests that ended on the error/abandon path
 
 	samples []*Rec
@@ -328,7 +327,6 @@ func (r *Recorder) Start(rec *Rec) bool {
 	rec.sampled = r.cfg.SampleEvery > 0 && r.n%uint64(r.cfg.SampleEvery) == 0
 	if rec.sampled && len(r.samples) >= r.max {
 		rec.sampled = false
-		r.overflow++
 	}
 	return rec.sampled || r.cfg.WorstK > 0
 }
@@ -360,38 +358,6 @@ func (r *Recorder) Drop() {
 	if r != nil {
 		r.errDropped++
 	}
-}
-
-// Requests returns how many requests were observed (sampled or not).
-func (r *Recorder) Requests() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
-
-// Sampled returns how many sampled timelines are retained.
-func (r *Recorder) Sampled() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.samples)
-}
-
-// WorstLen returns how many worst-K timelines are currently held.
-func (r *Recorder) WorstLen() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.worst)
-}
-
-// Overflow returns how many sampled requests were dropped at the cap.
-func (r *Recorder) Overflow() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.overflow
 }
 
 // Dropped returns how many followed requests ended on the error/abandon path.

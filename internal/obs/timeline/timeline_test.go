@@ -38,7 +38,7 @@ func TestNilRecorderIsFree(t *testing.T) {
 	if rec.Seq != 0 {
 		t.Fatal("nil recorder numbered a request")
 	}
-	if r.Requests() != 0 || r.Sampled() != 0 || r.WorstLen() != 0 || r.Overflow() != 0 || r.Dropped() != 0 {
+	if r.Dropped() != 0 {
 		t.Fatal("nil recorder reported nonzero state")
 	}
 	d := r.Dump("rig")
@@ -63,13 +63,10 @@ func TestDeterministicSampling(t *testing.T) {
 			r.Finish(&rec)
 		}
 	}
-	if r.Requests() != 100 {
-		t.Fatalf("Requests = %d, want 100", r.Requests())
-	}
-	if r.Sampled() != 25 {
-		t.Fatalf("Sampled = %d, want 25", r.Sampled())
-	}
 	d := r.Dump("rig")
+	if d.Requests != 100 || len(d.Samples) != 25 {
+		t.Fatalf("%d requests, %d samples; want 100 and 25", d.Requests, len(d.Samples))
+	}
 	for i, rec := range d.Samples {
 		if want := uint64((i + 1) * 4); rec.Seq != want {
 			t.Fatalf("sample %d has seq %d, want %d", i, rec.Seq, want)
@@ -82,11 +79,8 @@ func TestMaxSamplesCap(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		finishRec(r, int64(i)*10, 5)
 	}
-	if r.Sampled() != 10 {
-		t.Fatalf("Sampled = %d, want the cap of 10", r.Sampled())
-	}
-	if r.Overflow() != 15 {
-		t.Fatalf("Overflow = %d, want 15", r.Overflow())
+	if len(r.samples) != 10 || r.n != 25 {
+		t.Fatalf("%d samples of %d requests, want the cap of 10 of 25", len(r.samples), r.n)
 	}
 }
 
@@ -167,10 +161,10 @@ func TestEvictedCopiesAreReused(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("%v allocations per pair of requests at steady state, want 0", got)
 	}
-	if r.WorstLen() != 1 || len(r.free) != 0 {
-		t.Fatalf("worst %d free %d, want 1 and 0", r.WorstLen(), len(r.free))
+	if len(r.worst) != 1 || len(r.free) != 0 {
+		t.Fatalf("worst %d free %d, want 1 and 0", len(r.worst), len(r.free))
 	}
-	if w := r.worst[0]; w.Seq != r.Requests() || w.Has(PtDispatch) {
+	if w := r.worst[0]; w.Seq != r.n || w.Has(PtDispatch) {
 		t.Fatalf("reused copy kept stale state: %+v", w)
 	}
 }
@@ -185,7 +179,7 @@ func TestDropCounts(t *testing.T) {
 	if r.Dropped() != 1 {
 		t.Fatalf("Dropped = %d, want 1", r.Dropped())
 	}
-	if r.Sampled() != 0 || r.WorstLen() != 0 {
+	if len(r.samples) != 0 || len(r.worst) != 0 {
 		t.Fatal("dropped request was retained")
 	}
 }

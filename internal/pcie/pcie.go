@@ -59,7 +59,6 @@ type Link struct {
 	toHost  *sim.Pacer // traffic flowing upstream (device -> root)
 	toDev   *sim.Pacer // traffic flowing downstream (root -> device)
 	Latency sim.Time
-	lanes   int
 
 	// Name identifies the link to fault rules (fault.PCIeXfer targets).
 	// Set it before traffic flows; testbeds name their links at build time.
@@ -87,7 +86,6 @@ func NewLink(env *sim.Env, lanes int, latency sim.Time) *Link {
 		toHost:  sim.NewPacer(env, bw),
 		toDev:   sim.NewPacer(env, bw),
 		Latency: latency,
-		lanes:   lanes,
 		flt:     env.Faults(),
 		tr:      env.Tracer(),
 	}
@@ -98,9 +96,6 @@ func NewLink(env *sim.Env, lanes int, latency sim.Time) *Link {
 	}
 	return l
 }
-
-// Lanes returns the configured lane count.
-func (l *Link) Lanes() int { return l.lanes }
 
 // defaultReplayLatency is the extra completion delay of a transaction hit
 // by a link-error replay when the rule specifies no Duration: the LTSSM
@@ -260,9 +255,6 @@ func Connect(env *sim.Env, link *Link, upstream DMATarget, irq func(FuncID, int)
 	sink, _ := dev.(RegSinker)
 	return &Port{env: env, link: link, upstream: upstream, irq: irq, vdmUp: vdmUp, dev: dev, sink: sink}
 }
-
-// Link returns the underlying link (for tests and monitors).
-func (pt *Port) Link() *Link { return pt.link }
 
 // SetIRQ installs (or replaces) the upstream interrupt handler. It exists
 // for late binding: a host can create the port first and wire the handler

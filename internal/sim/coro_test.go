@@ -31,8 +31,8 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 	if want := `sim: process "boom" panicked: kaput`; got != want {
 		t.Fatalf("Run panicked with %v, want %q", got, want)
 	}
-	if env.Now() != 5 || env.Blocked() != 1 {
-		t.Fatalf("after the panic: now %d, %d live processes; want 5 and the bystander", env.Now(), env.Blocked())
+	if env.Now() != 5 || len(env.live) != 1 {
+		t.Fatalf("after the panic: now %d, %d live processes; want 5 and the bystander", env.Now(), len(env.live))
 	}
 	env.Run()
 	if bystanderEnd != 10 || !boom.Done().Processed() {
@@ -68,8 +68,8 @@ func TestGoexitInsideProcessEndsRunCaller(t *testing.T) {
 	if returned {
 		t.Fatal("Run returned normally; the Goexit was swallowed")
 	}
-	if env.Blocked() != 0 {
-		t.Fatalf("%d processes live after shutdown", env.Blocked())
+	if len(env.live) != 0 {
+		t.Fatalf("%d processes live after shutdown", len(env.live))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestShutdownLeavesNoGoroutine(t *testing.T) {
 	if ran || never.Done().Triggered() {
 		t.Fatal("a process that never started ran, or signalled Done, at shutdown")
 	}
-	if env.Blocked() != 0 || len(env.coFree) != 0 {
-		t.Fatalf("after shutdown: %d live processes, %d parked coroutines", env.Blocked(), len(env.coFree))
+	if len(env.live) != 0 || len(env.coFree) != 0 {
+		t.Fatalf("after shutdown: %d live processes, %d parked coroutines", len(env.live), len(env.coFree))
 	}
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after shutdown, %d before NewEnv", after, before)
@@ -134,8 +134,8 @@ func TestCoroutineReuse(t *testing.T) {
 		t.Fatal("victim did not take the parked coroutine")
 	}
 	env.resume(victim, resumeMsg{abort: true}) // what Shutdown does, minus stopping the pool
-	if !unwound || env.Blocked() != 0 || victim.co != nil || len(env.coFree) != 1 || env.coFree[0] != co {
-		t.Fatalf("abort: unwound %v, %d live, %d parked", unwound, env.Blocked(), len(env.coFree))
+	if !unwound || len(env.live) != 0 || victim.co != nil || len(env.coFree) != 1 || env.coFree[0] != co {
+		t.Fatalf("abort: unwound %v, %d live, %d parked", unwound, len(env.live), len(env.coFree))
 	}
 
 	var woke Time

@@ -71,9 +71,6 @@ func (ev *Event) Triggered() bool { return ev.pending || ev.processed }
 // Processed reports whether the event has fired.
 func (ev *Event) Processed() bool { return ev.processed }
 
-// Value returns the value the event fired with (nil before firing).
-func (ev *Event) Value() any { return ev.val }
-
 // AddCallback attaches fn to run in scheduler context when the event fires.
 // If the event already fired, fn runs immediately.
 func (ev *Event) AddCallback(fn func(val any)) {

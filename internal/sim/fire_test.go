@@ -36,8 +36,8 @@ func TestFireRunsCallbacksThenWaitersInsideTheCall(t *testing.T) {
 	if got := env.Events() - events; got != 1 {
 		t.Fatalf("%d events fired, want 1: the Schedule entry, and none for the wake-ups", got)
 	}
-	if !ev.Processed() || ev.Value() != "v" {
-		t.Fatalf("event processed=%v value=%v after Fire", ev.Processed(), ev.Value())
+	if !ev.Processed() || ev.val != "v" {
+		t.Fatalf("event processed=%v value=%v after Fire", ev.Processed(), ev.val)
 	}
 	env.Run()
 	if env.Now() != 15 || len(log) != 9 {
@@ -63,8 +63,8 @@ func TestFireIsANoOpOnATriggeredFiredOrAbortedEvent(t *testing.T) {
 	fired.AddCallback(count)
 	fired.Fire(1)
 	fired.Fire(2)
-	if n != 1 || fired.Value() != 1 {
-		t.Fatalf("double Fire: callback ran %d times with value %v, want once with 1", n, fired.Value())
+	if n != 1 || fired.val != 1 {
+		t.Fatalf("double Fire: callback ran %d times with value %v, want once with 1", n, fired.val)
 	}
 
 	pending := env.NewEvent()
@@ -75,8 +75,8 @@ func TestFireIsANoOpOnATriggeredFiredOrAbortedEvent(t *testing.T) {
 		t.Fatal("Fire ran an event that was already queued to fire later")
 	}
 	env.Run()
-	if n != 2 || pending.Value() != "queued" || env.Now() != 7 {
-		t.Fatalf("queued event: callbacks %d, value %v, clock %d; want its own firing at 7", n, pending.Value(), env.Now())
+	if n != 2 || pending.val != "queued" || env.Now() != 7 {
+		t.Fatalf("queued event: callbacks %d, value %v, clock %d; want its own firing at 7", n, pending.val, env.Now())
 	}
 
 	aborted := env.NewEvent()

@@ -160,9 +160,6 @@ func NewPacer(env *Env, bytesPerSecond float64) *Pacer {
 	return &Pacer{env: env, bps: bytesPerSecond}
 }
 
-// Rate returns the configured bytes-per-second capacity.
-func (pc *Pacer) Rate() float64 { return pc.bps }
-
 // Reserve books n bytes on the wire and returns the virtual time at which
 // the transfer completes. It never blocks; combine with Proc.Sleep or
 // Env.Schedule to model the elapsed transfer.

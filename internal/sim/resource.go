@@ -18,9 +18,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, cap: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.cap }
-
 // InUse returns the number of currently held units.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -99,15 +96,4 @@ func (r *Resource) Release() {
 		}
 	}
 	r.inUse--
-}
-
-// Use runs fn while holding one unit for the given service time: it acquires,
-// sleeps d, runs fn (in process context), and releases.
-func (r *Resource) Use(p *Proc, d Time, fn func()) {
-	r.Acquire(p)
-	p.Sleep(d)
-	if fn != nil {
-		fn()
-	}
-	r.Release()
 }

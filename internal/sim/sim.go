@@ -513,11 +513,6 @@ func (e *Env) resume(p *Proc, m resumeMsg) {
 	c.next()
 }
 
-// Blocked reports how many processes are alive but currently blocked. After
-// Run returns, a nonzero value means some processes are waiting on events
-// that will never fire (often intentional: server loops).
-func (e *Env) Blocked() int { return len(e.live) }
-
 // Shutdown aborts every live process — each blocked process's wait panics
 // with an internal sentinel that the process wrapper recovers, a process
 // that never started is simply dropped — and then stops the parked

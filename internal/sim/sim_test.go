@@ -92,8 +92,8 @@ func TestTriggerIsIdempotent(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("callback ran %d times, want 1", n)
 	}
-	if ev.Value() != 1 {
-		t.Fatalf("value %v, want first trigger's 1", ev.Value())
+	if ev.val != 1 {
+		t.Fatalf("value %v, want first trigger's 1", ev.val)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestWaitAnyPicksEarliest(t *testing.T) {
 	env.Go("p", func(p *Proc) {
 		fast := p.Env().Timeout(5, "fast")
 		slow := p.Env().Timeout(9, "slow")
-		winner = p.WaitAny(slow, fast).Value()
+		winner = p.WaitAny(slow, fast).val
 		// After winning, the process must survive the slow event firing.
 		p.Sleep(10)
 	})
@@ -217,7 +217,7 @@ func TestQueueFIFO(t *testing.T) {
 	})
 	env.Go("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.Put(p, i)
+			q.TryPut(i)
 			p.Sleep(1)
 		}
 	})
@@ -229,29 +229,6 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueCapacityBlocksPutter(t *testing.T) {
-	env := NewEnv(1)
-	q := NewQueue[int](env, 2)
-	var thirdPutAt Time = -1
-	env.Go("producer", func(p *Proc) {
-		q.Put(p, 0)
-		q.Put(p, 1)
-		q.Put(p, 2) // must block until consumer drains one
-		thirdPutAt = p.Now()
-	})
-	env.Go("consumer", func(p *Proc) {
-		p.Sleep(7)
-		q.Get(p)
-	})
-	env.Run()
-	if thirdPutAt != 7 {
-		t.Fatalf("third put completed at %d, want 7", thirdPutAt)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("queue length %d, want 2", q.Len())
-	}
-}
-
 func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[string](env, 0)
@@ -259,13 +236,13 @@ func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 	env.Go("consumer", func(p *Proc) { got = q.Get(p) })
 	env.Go("producer", func(p *Proc) {
 		p.Sleep(3)
-		q.Put(p, "item")
+		q.TryPut("item")
 	})
 	env.Run()
 	if got != "item" {
 		t.Fatalf("got %q", got)
 	}
-	if q.Len() != 0 {
+	if q.items.n != 0 {
 		t.Fatal("item left buffered after direct handoff")
 	}
 }
@@ -273,19 +250,25 @@ func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 func TestTryGetTryPut(t *testing.T) {
 	env := NewEnv(1)
 	q := NewQueue[int](env, 1)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
-	}
 	if !q.TryPut(1) {
 		t.Fatal("TryPut on empty queue failed")
 	}
 	if q.TryPut(2) {
 		t.Fatal("TryPut on full queue succeeded")
 	}
-	v, ok := q.TryGet()
-	if !ok || v != 1 {
-		t.Fatalf("TryGet = %v,%v", v, ok)
+	var got int
+	env.Go("consumer", func(p *Proc) { got = q.Get(p) })
+	env.Run()
+	if got != 1 || !q.TryPut(2) {
+		t.Fatalf("Get = %d; want 1, and room for a put after it", got)
 	}
+}
+
+// use holds one unit of r for d.
+func use(r *Resource, p *Proc, d Time) {
+	r.Acquire(p)
+	p.Sleep(d)
+	r.Release()
 }
 
 func TestResourceSerializes(t *testing.T) {
@@ -294,7 +277,7 @@ func TestResourceSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.Go("user", func(p *Proc) {
-			r.Use(p, 10, nil)
+			use(r, p, 10)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -313,7 +296,7 @@ func TestResourceParallelism(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 4; i++ {
 		env.Go("user", func(p *Proc) {
-			r.Use(p, 10, nil)
+			use(r, p, 10)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -427,7 +410,7 @@ func TestContendedAcquireDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		env.Go("user", func(p *Proc) {
 			for {
-				r.Use(p, 10, nil)
+				use(r, p, 10)
 			}
 		})
 	}
@@ -509,12 +492,12 @@ func TestShutdownUnblocksAll(t *testing.T) {
 		})
 	}
 	env.Run()
-	if env.Blocked() != 5 {
-		t.Fatalf("blocked %d, want 5", env.Blocked())
+	if len(env.live) != 5 {
+		t.Fatalf("blocked %d, want 5", len(env.live))
 	}
 	env.Shutdown()
-	if env.Blocked() != 0 {
-		t.Fatalf("blocked after shutdown: %d", env.Blocked())
+	if len(env.live) != 0 {
+		t.Fatalf("blocked after shutdown: %d", len(env.live))
 	}
 }
 
@@ -555,7 +538,7 @@ func TestResourceMakespanProperty(t *testing.T) {
 		env := NewEnv(1)
 		r := NewResource(env, c)
 		for i := 0; i < n; i++ {
-			env.Go("job", func(p *Proc) { r.Use(p, 100, nil) })
+			env.Go("job", func(p *Proc) { use(r, p, 100) })
 		}
 		end := env.Run()
 		want := Time((n + c - 1) / c * 100)
@@ -581,8 +564,8 @@ func TestShutdownWithPendingEvents(t *testing.T) {
 	})
 	env.RunUntil(1000)
 	env.Shutdown()
-	if env.Blocked() != 0 {
-		t.Fatalf("blocked after shutdown: %d", env.Blocked())
+	if len(env.live) != 0 {
+		t.Fatalf("blocked after shutdown: %d", len(env.live))
 	}
 	if fired {
 		t.Fatal("pending work ran despite shutdown")

@@ -88,10 +88,6 @@ func NewTarget(env *sim.Env, cfg Config, cores int) *Target {
 	return t
 }
 
-// Cores returns the number of polling cores (the host CPU cost of the
-// scheme, which the TCO analysis charges).
-func (t *Target) Cores() int { return len(t.cores) }
-
 // Device is the virtio-blk device a guest sees, backed by one SSD
 // namespace on the host side.
 type Device struct {

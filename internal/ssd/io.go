@@ -22,10 +22,8 @@ package ssd
 // (`media-corrupt`, `misdirected-read`, `torn-write`); the `ssd-stall` window
 // of the fetch step is SSD.FetchStall (ssd.go).
 //
-// A device whose Config.Media is set keeps this whole chain — PRP walk, DMA,
-// hazards, trace emits, stats, CQE — and swaps only the flash timing model
-// for the pluggable medium (see mediaProc). Admin commands run on processes
-// instead (admin.go): they are rare and stateful.
+// Admin commands run on processes instead (admin.go): they are rare and
+// stateful.
 
 import (
 	"slices"
@@ -37,20 +35,6 @@ import (
 	"bmstore/internal/obs/timeline"
 	"bmstore/internal/sim"
 )
-
-// mediaProc carries one operation of a pluggable medium (Config.Media).
-// Media methods block a *sim.Proc for the operation's service time — an HDD
-// queues for its actuator, a remote target for its network — so the chain
-// lends them a short-lived process: op makes the blocking call, then the
-// chain resumes at the continuation the flash model would have reached.
-// Processes are pooled coroutines, so this is one spawn per media operation
-// and no virtual time.
-func (d *SSD) mediaProc(op func(p *sim.Proc), then func()) {
-	d.env.Go("ssd/media", func(p *sim.Proc) {
-		op(p)
-		then()
-	})
-}
 
 // nandStripe is one pooled parallel-NAND read of a multi-stripe command.
 type nandStripe struct {
@@ -192,10 +176,6 @@ func (io *ssdIO) start() {
 	}
 	switch io.cmd.Opcode {
 	case nvme.IOFlush:
-		if m := d.cfg.Media; m != nil {
-			d.mediaProc(func(p *sim.Proc) { m.Flush(p) }, io.flushDoneFn)
-			return
-		}
 		d.env.After(d.cfg.FlushLatency, io.flushDoneFn)
 		return
 	case nvme.IORead, nvme.IOWrite, nvme.IOWriteZeroes:
@@ -345,10 +325,6 @@ func (io *ssdIO) startMedia() {
 func (io *ssdIO) startRead() {
 	d := io.d
 	io.mt0 = d.env.Now()
-	if m := d.cfg.Media; m != nil {
-		d.mediaProc(func(p *sim.Proc) { m.Read(p, io.devByte, io.n) }, io.readPacedFn)
-		return
-	}
 	stripes := (io.n + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
 	if stripes == 1 {
 		// The jitter draw precedes the die acquire.
@@ -385,14 +361,13 @@ func (io *ssdIO) nandDone() {
 	d.env.After(done-d.env.Now(), io.readPacedFn)
 }
 
-// readPaced ends the media phase (NAND array + internal read bus, or the
-// pluggable medium's service time) and streams the payload upstream, one DMA
-// per PRP segment. A misdirected read serves the neighbouring block's bytes
-// (an FTL mapping slip): only the data source shifts — timing, stats and the
-// completion status all describe the block that was asked for. A corrupt read
-// flips one byte mid-way through the first segment — deep enough to land in
-// payload body rather than a caller-side header, modelling corruption the
-// device's ECC missed.
+// readPaced ends the media phase (NAND array + internal read bus) and streams
+// the payload upstream, one DMA per PRP segment. A misdirected read serves the
+// neighbouring block's bytes (an FTL mapping slip): only the data source
+// shifts — timing, stats and the completion status all describe the block
+// that was asked for. A corrupt read flips one byte mid-way through the first
+// segment — deep enough to land in payload body rather than a caller-side
+// header, modelling corruption the device's ECC missed.
 func (io *ssdIO) readPaced() {
 	d := io.d
 	io.media = d.env.Now() - io.mt0
@@ -466,10 +441,6 @@ func (io *ssdIO) startWrite() {
 func (io *ssdIO) writeFetched() {
 	d := io.d
 	io.mt0 = d.env.Now()
-	if m := d.cfg.Media; m != nil {
-		d.mediaProc(func(p *sim.Proc) { m.Write(p, io.devByte, io.n) }, io.writeDoneFn)
-		return
-	}
 	// The pacer's backlog is the queueing delay this write will see behind
 	// earlier writes' program time — the write-side analog of read die-queue
 	// wait. Read it before Reserve adds this write.

@@ -2,7 +2,6 @@ package ssd
 
 import (
 	"bytes"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -204,71 +203,49 @@ func TestDataHazardsInertWithoutCaptureData(t *testing.T) {
 	})
 }
 
-// slowMedia is a pluggable medium that blocks its caller for a fixed service
-// time per operation.
-type slowMedia struct{ ops int }
-
-func (m *slowMedia) Read(p *sim.Proc, _ uint64, _ int)  { m.Flush(p) }
-func (m *slowMedia) Write(p *sim.Proc, _ uint64, _ int) { m.Flush(p) }
-func (m *slowMedia) Flush(p *sim.Proc)                  { m.ops++; p.Sleep(sim.Millisecond) }
-
 // A tracer and a fault injector are probes on the data path, not reasons to
-// fall back to a process per command: with both attached, flash I/O spawns no
-// process at all, and a device on a pluggable medium spawns exactly the one
-// "ssd/media" process per media operation that the blocking Media interface
-// needs — while sharing the rest of the chain (payload, trace records, stats)
-// with flash.
+// fall back to a process per command: with both attached, I/O spawns no
+// process at all, and the chain still leaves its payload, trace records and
+// stats.
 func TestObserversDoNotGateFusedPath(t *testing.T) {
-	for name, media := range map[string]*slowMedia{"flash": nil, "media": {}} {
-		t.Run(name, func(t *testing.T) {
-			env := sim.NewEnv(7)
-			var dump bytes.Buffer
-			tr := trace.New(trace.Options{Dump: &dump})
-			env.SetTracer(tr)
-			env.SetFaults(fault.New(fault.Rule{Point: fault.SSDStall, Duration: 1}))
-			cfg, spawns := P4510("SN001"), 0
-			if media != nil {
-				cfg.Media, spawns = media, 3
-			}
-			h := newHarnessOn(t, env, cfg)
-			var before int
-			var took sim.Time
-			h.run(func(p *sim.Proc) {
-				nsid := h.createNS(p, 1<<20)
-				h.createIOQueues(p, 64)
-				data, got := bytes.Repeat([]byte{0xC3}, BlockSize), make([]byte, BlockSize)
-				buf, rbuf := h.mem.AllocPages(1), h.mem.AllocPages(1)
-				tr.Flush()
-				before, took = dump.Len(), -p.Now()
-				for _, cpl := range []nvme.Completion{
-					h.rw(p, nvme.IOWrite, nsid, 5, data, buf),
-					h.submit(p, 1, nvme.Command{Opcode: nvme.IOFlush, NSID: nsid}),
-					h.rw(p, nvme.IORead, nsid, 5, got, rbuf),
-				} {
-					if cpl.Status.IsError() {
-						t.Fatalf("write, flush or read failed: %#x", cpl.Status)
-					}
-				}
-				took += p.Now()
-				if h.mem.Read(rbuf, got); !bytes.Equal(got, data) {
-					t.Fatal("payload did not round-trip")
-				}
-			})
+	t.Run("flash", func(t *testing.T) {
+		env := sim.NewEnv(7)
+		var dump bytes.Buffer
+		tr := trace.New(trace.Options{Dump: &dump})
+		env.SetTracer(tr)
+		env.SetFaults(fault.New(fault.Rule{Point: fault.SSDStall, Duration: 1}))
+		h := newHarnessOn(t, env, P4510("SN001"))
+		var before int
+		h.run(func(p *sim.Proc) {
+			nsid := h.createNS(p, 1<<20)
+			h.createIOQueues(p, 64)
+			data, got := bytes.Repeat([]byte{0xC3}, BlockSize), make([]byte, BlockSize)
+			buf, rbuf := h.mem.AllocPages(1), h.mem.AllocPages(1)
 			tr.Flush()
-			io := dump.String()[before:]
-			if strings.Count(io, " ssd    issue") != 2 || strings.Count(io, " ssd    complete") != 2 {
-				t.Errorf("want an issue and a complete record for the write and the read, got:\n%s", io)
+			before = dump.Len()
+			for _, cpl := range []nvme.Completion{
+				h.rw(p, nvme.IOWrite, nsid, 5, data, buf),
+				h.submit(p, 1, nvme.Command{Opcode: nvme.IOFlush, NSID: nsid}),
+				h.rw(p, nvme.IORead, nsid, 5, got, rbuf),
+			} {
+				if cpl.Status.IsError() {
+					t.Fatalf("write, flush or read failed: %#x", cpl.Status)
+				}
 			}
-			mediaSpawns := len(regexp.MustCompile(`(?m) spawn .* ssd/media$`).FindAllString(io, -1))
-			if n := strings.Count(io, " spawn "); n != spawns || mediaSpawns != spawns {
-				t.Errorf("%d processes spawned (%d ssd/media), want %d, all ssd/media:\n%s", n, mediaSpawns, spawns, io)
-			}
-			if media != nil && (media.ops != 3 || took < 3*sim.Millisecond) {
-				t.Errorf("medium served %d operations in %v; want 3, a millisecond each", media.ops, took)
-			}
-			if h.dev.ReadStats.Ops != 1 || h.dev.WriteStats.Ops != 1 {
-				t.Errorf("device stats count %d reads, %d writes; want one each", h.dev.ReadStats.Ops, h.dev.WriteStats.Ops)
+			if h.mem.Read(rbuf, got); !bytes.Equal(got, data) {
+				t.Fatal("payload did not round-trip")
 			}
 		})
-	}
+		tr.Flush()
+		io := dump.String()[before:]
+		if strings.Count(io, " ssd    issue") != 2 || strings.Count(io, " ssd    complete") != 2 {
+			t.Errorf("want an issue and a complete record for the write and the read, got:\n%s", io)
+		}
+		if n := strings.Count(io, " spawn "); n != 0 {
+			t.Errorf("%d processes spawned, want none:\n%s", n, io)
+		}
+		if h.dev.ReadStats.Ops != 1 || h.dev.WriteStats.Ops != 1 {
+			t.Errorf("device stats count %d reads, %d writes; want one each", h.dev.ReadStats.Ops, h.dev.WriteStats.Ops)
+		}
+	})
 }

@@ -63,22 +63,6 @@ type Config struct {
 	CaptureData bool
 
 	MaxNamespaces int
-
-	// Media, when non-nil, replaces the flash timing model (die pool,
-	// cache, pacers) with an arbitrary storage medium — the hook behind
-	// §VI-A's SATA-HDD compatibility: the device keeps its NVMe face, the
-	// medium underneath changes (see internal/sata).
-	Media Media
-}
-
-// Media abstracts the storage medium's timing. Implementations block the
-// calling process for the duration of the media operation; data movement
-// and protocol handling stay in the device, which lends each operation a
-// short-lived "ssd/media" process to block (see mediaProc in io.go).
-type Media interface {
-	Read(p *sim.Proc, startByte uint64, n int)
-	Write(p *sim.Proc, startByte uint64, n int)
-	Flush(p *sim.Proc)
 }
 
 // P4510 returns a configuration calibrated against the paper's measured
@@ -229,9 +213,6 @@ func (d *SSD) Config() Config { return d.cfg }
 
 // FirmwareVersion returns the currently active firmware revision.
 func (d *SSD) FirmwareVersion() string { return d.fwActive }
-
-// Upgrades returns how many firmware activations the device has performed.
-func (d *SSD) Upgrades() int { return d.upgrades }
 
 // Ready reports whether the controller is enabled, not resetting, and not
 // surprise-removed.

@@ -146,9 +146,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Hist) Reset() { *h = Hist{} }
-
 // String summarises the distribution for logs.
 func (h *Hist) String() string {
 	return fmt.Sprintf("n=%d mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",

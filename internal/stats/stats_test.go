@@ -193,24 +193,6 @@ func TestHistMergeEmpty(t *testing.T) {
 	}
 }
 
-func TestHistResetThenReuse(t *testing.T) {
-	var h Hist
-	for i := 0; i < 1000; i++ {
-		h.Record(int64(i))
-	}
-	h.Reset()
-	if h.N() != 0 || h.Mean() != 0 || h.Percentile(0.99) != 0 {
-		t.Fatal("reset histogram not empty")
-	}
-	// Stale min/max or counts from before the reset must not leak into new
-	// samples.
-	h.Record(42)
-	if h.N() != 1 || h.Min() != 42 || h.Max() != 42 || h.Percentile(0.5) != 42 {
-		t.Fatalf("after reset+record: n=%d min=%d max=%d p50=%d",
-			h.N(), h.Min(), h.Max(), h.Percentile(0.5))
-	}
-}
-
 // Property: merging K shards is indistinguishable from recording every
 // sample into one histogram — same n, sum, min, max, every bucket count, and
 // therefore every percentile. This is the contract the observability layer's

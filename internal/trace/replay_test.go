@@ -280,8 +280,8 @@ func tinyScale() experiments.Scale {
 
 // sweep runs a representative subset of the evaluation at the given
 // parallelism and returns the rendered tables, the fidelity JSON export,
-// and the per-rig and combined trace digests.
-func sweep(parallel int) (string, string, [][2]string, string) {
+// the number of traced rigs and the combined trace digest.
+func sweep(parallel int) (string, string, int, string) {
 	set := trace.NewSet(trace.Options{})
 	h := experiments.NewHarness(tinyScale(), parallel, set)
 	// fig13a rides along to pin the app stack (minidb checkpoints once
@@ -300,13 +300,14 @@ func sweep(parallel int) (string, string, [][2]string, string) {
 	if err := rset.WriteJSON(&jsonBuf); err != nil {
 		panic(err)
 	}
-	return buf.String(), jsonBuf.String(), set.PerRig(), set.Digest()
+	return buf.String(), jsonBuf.String(), set.Rigs(), set.Digest()
 }
 
 // TestSerialParallelEquivalence is the tentpole's contract: fanning rigs out
 // on a worker pool must not change a single byte of output. Tables must be
-// byte-identical, every per-rig digest must match, and the combined digest
-// (folded in sorted-name order, independent of completion order) must match.
+// byte-identical, and the combined digest — every rig's name, digest and
+// event count folded in sorted-name order, independent of completion order —
+// must match.
 func TestSerialParallelEquivalence(t *testing.T) {
 	serialTabs, serialJSON, serialRigs, serialDigest := sweep(1)
 	parTabs, parJSON, parRigs, parDigest := sweep(4)
@@ -319,22 +320,16 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	if serialJSON != parJSON {
 		t.Errorf("fidelity JSON export differs between -parallel 1 and -parallel 4:\n--- serial ---\n%s\n--- parallel ---\n%s", serialJSON, parJSON)
 	}
-	if len(serialRigs) == 0 {
+	if serialRigs == 0 {
 		t.Fatal("sweep produced no traced rigs")
 	}
-	if len(serialRigs) != len(parRigs) {
-		t.Fatalf("rig count differs: serial %d, parallel %d", len(serialRigs), len(parRigs))
-	}
-	for i := range serialRigs {
-		if serialRigs[i] != parRigs[i] {
-			t.Errorf("rig %q digest diverged: serial %s, parallel %s",
-				serialRigs[i][0], serialRigs[i][1], parRigs[i][1])
-		}
+	if serialRigs != parRigs {
+		t.Fatalf("rig count differs: serial %d, parallel %d", serialRigs, parRigs)
 	}
 	if serialDigest != parDigest {
 		t.Errorf("combined digest diverged: serial %s, parallel %s", serialDigest, parDigest)
 	}
-	t.Logf("%d rigs, combined digest %s", len(serialRigs), serialDigest)
+	t.Logf("%d rigs, combined digest %s", serialRigs, serialDigest)
 }
 
 // TestSetDigestOrderIndependence: a Set's combined digest is a function of

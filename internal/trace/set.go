@@ -94,18 +94,6 @@ func (s *Set) Digest() string {
 	return fmt.Sprintf("fnv64w-set:%016x", h)
 }
 
-// PerRig returns (name, digest) pairs in sorted-name order — the granular
-// form of Digest, for diffing which rig diverged.
-func (s *Set) PerRig() [][2]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][2]string, 0, len(s.children))
-	for _, name := range s.sortedNames() {
-		out = append(out, [2]string{name, s.children[name].tr.Digest()})
-	}
-	return out
-}
-
 // Flush writes the buffered per-rig dumps to w, grouped under one header
 // per rig in sorted-name order. It is a no-op when dumping was not enabled.
 func (s *Set) Flush(w io.Writer) error {

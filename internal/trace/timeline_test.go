@@ -41,12 +41,12 @@ func TestTimelineDoesNotPerturbDigests(t *testing.T) {
 				t.Fatalf("timeline recording perturbed the trace:\n  off: %s (%d events)\n  on : %s (%d events)",
 					off, nOff, on, nOn)
 			}
-			rec := reg.Timeline()
-			if rec.Requests() == 0 {
+			d := reg.Timeline().Dump("")
+			if d.Requests == 0 {
 				t.Fatal("recorder observed no requests — neutrality test observed nothing")
 			}
-			if rec.Sampled() == 0 && rec.WorstLen() == 0 {
-				t.Fatalf("recorder retained nothing from %d requests", rec.Requests())
+			if len(d.Samples) == 0 && len(d.Worst) == 0 {
+				t.Fatalf("recorder retained nothing from %d requests", d.Requests)
 			}
 		})
 	}

@@ -27,7 +27,7 @@ func BenchmarkIOPathSampledTimeline(b *testing.B) {
 	// retention is the 1-in-64 sample stream alone — well under one alloc
 	// per op.
 	benchIOPath(b, 1, 8, 1, WithMetrics(met))
-	if met.Timeline().Requests() == 0 {
+	if met.Timeline().Dump("").Requests == 0 {
 		b.Fatal("recorder observed no requests")
 	}
 }
