@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Ten seconds of native fuzzing, split over the nine targets: the event
+# Eleven seconds of native fuzzing, split over the ten targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program (internal/sim
 # FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -27,7 +27,10 @@ test:
 # against any bytes: a crash-sweep or fleet export either fails to load or
 # renders, re-encodes and re-loads to the same value (internal/crash
 # FuzzLoadSweeps, internal/fleet FuzzFleetLoad; their seeds are whole real
-# exports, so minimisation is capped to keep the second fuzzing).
+# exports, so minimisation is capped to keep the second fuzzing), and the
+# SSD's block store under any program of aligned, torn, unaligned and partial
+# writes and range zeroes, every read path against a flat reference and the
+# whole-block exchange by pointer (internal/ssd FuzzBlockStore).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -40,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInitiatorReap$$' -fuzztime 2s ./internal/host
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSweeps$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/crash
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetLoad$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 1s ./internal/ssd
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

@@ -299,12 +299,14 @@ func TestQoSParksSpawnNoGoroutines(t *testing.T) {
 }
 
 // TestPayloadMovesWithoutAllocating: on a warmed BM-Store rig, overwriting a
-// 16 KiB page (a minidb page: four blocks, a PRP list) and reading it back
-// through the whole stack allocates nothing and touches no new page of host
-// memory. The caller's buffer is lent to the driver's slot, each block is
-// copied once by the SSD's DMA, and the store takes the staged block in
-// exchange for the one it held — there is no bounce page, staging copy or
-// fresh block left to allocate.
+// 16 KiB page (a minidb page: four blocks, a PRP list) and a write-ahead log's
+// block (a 436-byte record, then zeroes) and reading each back through the
+// whole stack allocates nothing and touches no new page of host memory. The
+// caller's buffer is lent to the driver's slot and each block is copied once
+// by the SSD's DMA; the store takes each staged page block in exchange for the
+// one it held, and copies the log record into the granule it already keeps for
+// that block — there is no bounce page, staging copy or fresh block left to
+// allocate.
 func TestPayloadMovesWithoutAllocating(t *testing.T) {
 	tb := smallTestbed(t, 2)
 	tb.Run(func(p *sim.Proc) {
@@ -320,25 +322,37 @@ func TestPayloadMovesWithoutAllocating(t *testing.T) {
 		}
 		bd := drv.BlockDev(0)
 		page, got := make([]byte, 16<<10), make([]byte, 16<<10)
+		for i := range page {
+			page[i] = byte(i | 1)
+		}
+		wal := make([]byte, 4<<10)
+		for i := range wal[:436] {
+			wal[i] = byte(i | 1)
+		}
+		roundTrip := func(lba uint64, data []byte) {
+			if err := bd.WriteAt(p, lba, uint32(len(data)/4096), data); err != nil {
+				panic(err)
+			}
+			if err := bd.ReadAt(p, lba, uint32(len(data)/4096), got[:len(data)]); err != nil {
+				panic(err)
+			}
+			if !bytes.Equal(got[:len(data)], data) {
+				panic("read back differs from what was just written")
+			}
+		}
 		round := func() {
 			page[0]++
 			page[len(page)-1]--
-			if err := bd.WriteAt(p, 128, 4, page); err != nil {
-				panic(err)
-			}
-			if err := bd.ReadAt(p, 128, 4, got); err != nil {
-				panic(err)
-			}
-			if !bytes.Equal(got, page) {
-				panic("read back differs from the page just written")
-			}
+			roundTrip(128, page)
+			wal[0]++
+			roundTrip(256, wal)
 		}
 		for i := 0; i < 1100; i++ { // wraps the 1024-deep rings: every ring page is touched
 			round()
 		}
 		touched := tb.Host.Mem.TouchedPages()
 		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-			t.Errorf("overwrite + read back of a written page: %v allocs, want 0", allocs)
+			t.Errorf("overwrite + read back of a written page and log block: %v allocs, want 0", allocs)
 		}
 		if now := tb.Host.Mem.TouchedPages(); now != touched {
 			t.Errorf("host memory grew by %d pages over 200 payload round trips", now-touched)

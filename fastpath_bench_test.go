@@ -19,7 +19,7 @@ import (
 // SSD command records, PRP segment lists, completion carriers — comes from
 // a per-env free list, and with CaptureData off no payload bytes are
 // materialised.
-func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8, 1) }
+func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8, 1, nil) }
 
 // BenchmarkIOPathDeepQueue is the same loop over 4 queues x QD 128 — the
 // shape of fio's rand-r-128 case that Table V and the repo benchmark's
@@ -27,7 +27,7 @@ func BenchmarkIOPathThroughput(b *testing.B) { benchIOPath(b, 1, 8, 1) }
 // a NAND die (sim.Resource under contention) and the event heap is hundreds
 // deep, neither of which the one-queue QD 8 loop reaches; both must stay
 // allocation-free.
-func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128, 1) }
+func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128, 1, nil) }
 
 // BenchmarkIOPathLargeIO is the QD 8 loop at 32 blocks = 128 KiB per I/O, the
 // size of the repo benchmark's seq128k workload: the driver builds a PRP list
@@ -35,19 +35,38 @@ func BenchmarkIOPathDeepQueue(b *testing.B) { benchIOPath(b, 4, 128, 1) }
 // controller's list reader (a list-page DMA fetch and a retry per command,
 // twice), and every read stripes over four NAND dies. None of that runs at
 // 4 KiB, so this row is the list path's allocs/op ceiling.
-func BenchmarkIOPathLargeIO(b *testing.B) { benchIOPath(b, 1, 8, 32) }
+func BenchmarkIOPathLargeIO(b *testing.B) { benchIOPath(b, 1, 8, 32, nil) }
 
 // BenchmarkIOPathPayload is the QD 8 loop carrying real bytes: payload capture
-// on, every worker writes its own 4 KiB buffer to a block and the next I/O
-// reads that block back into one (1:1, so events/op sits below the 3:1 rows').
-// After the warm-up batch every block the loop touches has been written, so a
-// write is the driver lending the buffer, one DMA copy into the SSD's staging
-// buffer and an exchange with the stored block, and a read is one DMA copy out
-// of the stored block into the lent buffer: no page of host memory and no
-// block of the store is allocated per I/O, and the row is pinned at 0
-// allocs/op like the dataless ones.
+// on, every worker writes its own 4 KiB buffer of data to a block and the next
+// I/O reads that block back into one (1:1, so events/op sits below the 3:1
+// rows'). After the warm-up batch every block the loop touches has been
+// written, so a write is the driver lending the buffer, one DMA copy into the
+// SSD's staging buffer and an exchange with the stored block, and a read is
+// one DMA copy out of the stored block into the lent buffer: no page of host
+// memory and no block of the store is allocated per I/O, and the row is pinned
+// at 0 allocs/op like the dataless ones.
 func BenchmarkIOPathPayload(b *testing.B) {
-	benchIOPath(b, 1, 8, 1, func(c *Config) { c.CaptureData = true })
+	benchIOPath(b, 1, 8, 1, func(buf []byte) {
+		for i := range buf {
+			buf[i] = byte(i | 1)
+		}
+	})
+}
+
+// BenchmarkIOPathPayloadWAL is the Payload loop with a write-ahead log's
+// block: a 436-byte record (a kvstore WAL batch of one YCSB update), then
+// zeroes, rewritten round the blocks. The store keeps the record's granule and
+// copies each rewrite into it in place, the staging buffer staying with the
+// command, and a read gathers the block in the command's staging buffer: 0
+// allocs/op, and the same events as the Payload row, for the store's choice
+// of copy or exchange is no part of the timing.
+func BenchmarkIOPathPayloadWAL(b *testing.B) {
+	benchIOPath(b, 1, 8, 1, func(buf []byte) {
+		for i := range buf[:436] {
+			buf[i] = byte(i | 1)
+		}
+	})
 }
 
 // BenchmarkIOPathTracedThroughput is the same loop with a digest tracer
@@ -56,7 +75,7 @@ func BenchmarkIOPathPayload(b *testing.B) {
 // digest folds words, so it too must stay at 0 allocs/op.
 func BenchmarkIOPathTracedThroughput(b *testing.B) {
 	tr := trace.NewDigest()
-	benchIOPath(b, 1, 8, 1, WithTrace(tr))
+	benchIOPath(b, 1, 8, 1, nil, WithTrace(tr))
 	if tr.Events() == 0 {
 		b.Fatal("tracer observed nothing")
 	}
@@ -71,19 +90,21 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchIOPath(b, 1, 8, 1, WithFaults(rules...))
+	benchIOPath(b, 1, 8, 1, nil, WithFaults(rules...))
 }
 
 // benchIOPath runs the shared R/W loop, qd I/Os of `blocks` 4 KiB blocks in
 // flight on each of the tenant's first `queues` queue pairs, on a two-SSD rig
-// built with opts; on a rig that captures payload each worker owns a buffer and
-// alternates writing it to a block and reading the block back. The warm-up
-// batch runs at the measured depth so the timed region starts with every pool
-// primed, every ring page touched, and the queues already wrapped. Besides time and allocations it reports the kernel
+// built with opts; given a fill, the rig captures payload and each worker owns
+// a buffer, filled once by fill, and alternates writing it to a block and
+// reading the block back (reads bring back what writes stored, so the contents
+// never change). The warm-up batch runs at the measured depth so the timed
+// region starts with every pool primed, every ring page touched, and the
+// queues already wrapped. Besides time and allocations it reports the kernel
 // events fired per I/O over the timed region ("events/op"), which at a fixed
 // -benchtime is exact and repeats: make bench-gate pins it, so an observer or
 // a fault probe that starts scheduling shows there.
-func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
+func benchIOPath(b *testing.B, queues, qd, blocks int, fill func(buf []byte), opts ...Option) {
 	const nsBlocks = 64 << 20 / 4096
 	// I/Os start 8 blocks apart (their own size apart once that is larger),
 	// on up to 1024 distinct offsets inside the namespace.
@@ -99,7 +120,8 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 		return c
 	}
 	cfg = cfg.With(opts...)
-	payload := cfg.CaptureData
+	payload := fill != nil
+	cfg.CaptureData = payload
 	tb, err := NewBMStoreTestbed(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -127,6 +149,7 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, opts ...Option) {
 			var buf []byte
 			if payload {
 				buf = make([]byte, blocks*4096)
+				fill(buf)
 			}
 			for claimed < target {
 				i := claimed

@@ -42,6 +42,20 @@ func refDecodeRecords(b []byte) []walRecord {
 	return out
 }
 
+// decodeRecords parses a batch byte stream up to its first invalid record,
+// record by record through nextRecord. The records alias b.
+func decodeRecords(b []byte) []walRecord {
+	var out []walRecord
+	for off := 0; ; {
+		rec, end, ok := nextRecord(b, off)
+		if !ok {
+			return out
+		}
+		out = append(out, rec)
+		off = end
+	}
+}
+
 // sameRecords compares field by field, nil-ness of the value included: a
 // nil value is a tombstone to everything above the decoder.
 func sameRecords(t *testing.T, what string, got, want []walRecord) {

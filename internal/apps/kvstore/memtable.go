@@ -21,7 +21,7 @@ func (m *memtable) put(key, value []byte) {
 	i := sort.Search(len(m.kvs), func(i int) bool {
 		return bytes.Compare(m.kvs[i].Key, key) >= 0
 	})
-	v := append([]byte(nil), value...) // detach from the caller's buffer (or the WAL ring)
+	v := append([]byte(nil), value...) // detach from the caller's buffer
 	if i < len(m.kvs) && bytes.Equal(m.kvs[i].Key, key) {
 		m.bytes += len(v) - len(m.kvs[i].Value)
 		m.kvs[i].Value = v

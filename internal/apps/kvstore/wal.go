@@ -1,12 +1,14 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"slices"
 	"sort"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/sim"
 )
 
@@ -69,13 +71,12 @@ type walRecord struct {
 	value []byte // nil = tombstone
 }
 
-// nextRecord parses the record at b[off:] and returns it with the offset
-// of the one after; ok is false at the first invalid record (torn write,
-// stale bytes, padding). The record's key and value are sub-slices of b.
-// A value of no bytes decodes as nil, like a tombstone.
-func nextRecord(b []byte, off int) (rec walRecord, end int, ok bool) {
+// recordEnd returns where the record at b[off:] ends: logring.Short if b ends
+// inside it, logring.Bad at the first bytes that are not one (torn write,
+// stale bytes, padding).
+func recordEnd(b []byte, off int) int {
 	if off+walRecordHeader > len(b) {
-		return walRecord{}, off, false
+		return logring.Short
 	}
 	crc := binary.LittleEndian.Uint32(b[off:])
 	klen := binary.LittleEndian.Uint32(b[off+12:])
@@ -83,37 +84,43 @@ func nextRecord(b []byte, off int) (rec walRecord, end int, ok bool) {
 	if vlen == 0xFFFFFFFF {
 		vlen = 0
 	}
-	if klen == 0 || klen > 1<<20 || vlen > 1<<24 ||
-		off+walRecordHeader+int(klen)+int(vlen) > len(b) {
-		return walRecord{}, off, false
+	if klen == 0 || klen > 1<<20 || vlen > 1<<24 {
+		return logring.Bad
 	}
-	vstart := off + walRecordHeader + int(klen)
-	end = vstart + int(vlen)
+	end := off + walRecordHeader + int(klen) + int(vlen)
+	if end > len(b) {
+		return logring.Short
+	}
 	if crc32.ChecksumIEEE(b[off+4:end]) != crc {
-		return walRecord{}, off, false
+		return logring.Bad
 	}
-	rec = walRecord{
-		lsn: binary.LittleEndian.Uint64(b[off+4:]),
-		key: b[off+walRecordHeader : vstart : vstart],
-	}
-	if vlen > 0 {
-		rec.value = b[vstart:end:end]
-	}
-	return rec, end, true
+	return end
 }
 
-// decodeRecords parses a batch byte stream up to its first invalid record.
-// The records alias b.
-func decodeRecords(b []byte) []walRecord {
-	var out []walRecord
-	for off := 0; ; {
-		rec, end, ok := nextRecord(b, off)
-		if !ok {
-			return out
-		}
-		out = append(out, rec)
-		off = end
+// parseRecord splits rec, one whole record recordEnd has vouched for, into
+// its fields; key and value are sub-slices of rec. A value of no bytes parses
+// as nil, like a tombstone.
+func parseRecord(rec []byte) walRecord {
+	vstart := walRecordHeader + int(binary.LittleEndian.Uint32(rec[12:]))
+	r := walRecord{
+		lsn: binary.LittleEndian.Uint64(rec[4:]),
+		key: rec[walRecordHeader:vstart:vstart],
 	}
+	if len(rec) > vstart {
+		r.value = rec[vstart:len(rec):len(rec)]
+	}
+	return r
+}
+
+// nextRecord parses the record at b[off:] and returns it with the offset
+// of the one after; ok is false at the first invalid record. The record's
+// key and value are sub-slices of b.
+func nextRecord(b []byte, off int) (rec walRecord, end int, ok bool) {
+	end = recordEnd(b, off)
+	if end < 0 {
+		return walRecord{}, off, false
+	}
+	return parseRecord(b[off:end]), end, true
 }
 
 // append adds one record and blocks until it is durable. It returns the
@@ -178,43 +185,12 @@ func (w *wal) sync(p *sim.Proc) error {
 	return w.s.dev.Flush(p)
 }
 
-// recover scans the whole ring, collects valid records newer than
-// flushedLSN, and replays them in LSN order.
+// recover replays the ring's records newer than flushedLSN in LSN order.
 func (w *wal) recover(p *sim.Proc, flushedLSN uint64) error {
-	bs := w.s.dev.BlockSize()
-	ring := make([]byte, w.blocks*uint64(bs))
-	const chunk = 256
-	for blk := uint64(0); blk < w.blocks; blk += chunk {
-		n := uint64(chunk)
-		if w.blocks-blk < n {
-			n = w.blocks - blk
-		}
-		if err := w.s.dev.ReadAt(p, w.baseBlock+blk, uint32(n), ring[blk*uint64(bs):(blk+n)*uint64(bs)]); err != nil {
-			return err
-		}
+	recs, err := w.scan(p, flushedLSN)
+	if err != nil {
+		return err
 	}
-	// Batches always start at block boundaries; parse from each boundary
-	// not already consumed by a previous batch.
-	var recs []walRecord
-	consumed := make([]bool, w.blocks)
-	for blk := uint64(0); blk < w.blocks; blk++ {
-		if consumed[blk] {
-			continue
-		}
-		batch := decodeRecords(ring[blk*uint64(bs):])
-		if len(batch) == 0 {
-			continue
-		}
-		var batchBytes int
-		for _, r := range batch {
-			batchBytes += recordLen(r.key, r.value)
-		}
-		for b := blk; b < blk+uint64((batchBytes+bs-1)/bs) && b < w.blocks; b++ {
-			consumed[b] = true
-		}
-		recs = append(recs, batch...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
 	var maxLSN uint64
 	for _, r := range recs {
 		if r.lsn <= flushedLSN {
@@ -232,6 +208,27 @@ func (w *wal) recover(p *sim.Proc, flushedLSN uint64) error {
 		w.nextLSN = flushedLSN + 1
 	}
 	return nil
+}
+
+// scan reads the whole ring and returns every record in it sorted by LSN.
+// Records newer than flushedLSN carry copies of their key and value; the
+// others carry their LSN alone, to sort among the rest exactly as before.
+func (w *wal) scan(p *sim.Proc, flushedLSN uint64) ([]walRecord, error) {
+	var recs []walRecord
+	err := logring.Scan(p, w.s.dev, w.baseBlock, w.blocks, recordEnd, func(rec []byte) {
+		r := parseRecord(rec)
+		if r.lsn > flushedLSN {
+			r.key, r.value = bytes.Clone(r.key), bytes.Clone(r.value)
+		} else {
+			r.key, r.value = nil, nil
+		}
+		recs = append(recs, r)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
+	return recs, nil
 }
 
 // allocator is a simple block-range allocator for table segments.

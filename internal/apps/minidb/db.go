@@ -59,6 +59,10 @@ type DB struct {
 	writeLock   *sim.Resource
 	ckptRunning bool
 	ckptReq     *sim.Event
+	// ckptBlob is the snapshot buffer of the last checkpoint, kept for the
+	// next: a checkpoint is the largest allocation the engine makes, and one
+	// at a time runs.
+	ckptBlob []byte
 
 	// Stats for the workload drivers.
 	Stats struct {
@@ -300,8 +304,10 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	slices.Sort(dirty)
 	// Each dirty page is encoded once, straight into the buffer that is
 	// both the journal blob and, page by page, the source of the in-place
-	// writes.
-	blob := make([]byte, len(dirty)*PageSize)
+	// writes. Encoding fills every byte of a page's slot, so the buffer is
+	// the last checkpoint's, grown when this dirty set is larger.
+	blob := slices.Grow(db.ckptBlob[:0], len(dirty)*PageSize)[:len(dirty)*PageSize]
+	db.ckptBlob = blob
 	versions := make([]uint64, len(dirty))
 	for i, id := range dirty {
 		f := db.pool.frames[id]

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/sim"
 )
 
@@ -55,26 +56,25 @@ func appendRedo(dst []byte, lsn, key uint64, row []byte) []byte {
 	return dst[:len(dst)+n]
 }
 
-func decodeRedo(b []byte) []redoRecord {
-	var out []redoRecord
-	off := 0
-	for off+redoHeader <= len(b) {
-		crc := binary.LittleEndian.Uint32(b[off:])
-		lsn := binary.LittleEndian.Uint64(b[off+4:])
-		key := binary.LittleEndian.Uint64(b[off+12:])
-		rl := binary.LittleEndian.Uint32(b[off+20:])
-		if lsn == 0 || rl > PageSize || off+24+int(rl) > len(b) {
-			break
-		}
-		end := off + 24 + int(rl)
-		if crc32.ChecksumIEEE(b[off+4:end]) != crc {
-			break
-		}
-		row := append([]byte(nil), b[off+24:end]...) // detach from b, recovery's image of the whole ring; the tree keeps this copy
-		out = append(out, redoRecord{lsn: lsn, key: key, row: row})
-		off = end
+// redoEnd returns where the record at b[off:] ends: logring.Short if b ends
+// inside it, logring.Bad at the first bytes that are not one.
+func redoEnd(b []byte, off int) int {
+	if off+redoHeader > len(b) {
+		return logring.Short
 	}
-	return out
+	lsn := binary.LittleEndian.Uint64(b[off+4:])
+	rl := binary.LittleEndian.Uint32(b[off+20:])
+	if lsn == 0 || rl > PageSize {
+		return logring.Bad
+	}
+	end := off + redoHeader + int(rl)
+	if end > len(b) {
+		return logring.Short
+	}
+	if crc32.ChecksumIEEE(b[off+4:end]) != binary.LittleEndian.Uint32(b[off:]) {
+		return logring.Bad
+	}
+	return end
 }
 
 // append logs a row image and returns its LSN without waiting.
@@ -129,38 +129,10 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 // recover replays records with LSN > checkpointLSN, in LSN order, through
 // the tree.
 func (r *redoLog) recover(p *sim.Proc, checkpointLSN uint64) error {
-	bs := r.db.dev.BlockSize()
-	ring := make([]byte, r.blocks*uint64(bs))
-	const chunk = 256
-	for blk := uint64(0); blk < r.blocks; blk += chunk {
-		n := uint64(chunk)
-		if r.blocks-blk < n {
-			n = r.blocks - blk
-		}
-		if err := r.db.dev.ReadAt(p, r.baseBlock+blk, uint32(n), ring[blk*uint64(bs):(blk+n)*uint64(bs)]); err != nil {
-			return err
-		}
+	recs, err := r.scan(p, checkpointLSN)
+	if err != nil {
+		return err
 	}
-	var recs []redoRecord
-	consumed := make([]bool, r.blocks)
-	for blk := uint64(0); blk < r.blocks; blk++ {
-		if consumed[blk] {
-			continue
-		}
-		batch := decodeRedo(ring[blk*uint64(bs):])
-		if len(batch) == 0 {
-			continue
-		}
-		var n int
-		for _, rec := range batch {
-			n += 24 + len(rec.row)
-		}
-		for b := blk; b < blk+uint64((n+bs-1)/bs) && b < r.blocks; b++ {
-			consumed[b] = true
-		}
-		recs = append(recs, batch...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
 	var maxLSN uint64
 	for _, rec := range recs {
 		if rec.lsn <= checkpointLSN {
@@ -178,4 +150,25 @@ func (r *redoLog) recover(p *sim.Proc, checkpointLSN uint64) error {
 		r.nextLSN = checkpointLSN + 1
 	}
 	return nil
+}
+
+// scan reads the whole ring and returns every record in it sorted by LSN.
+// Records newer than checkpointLSN carry a copy of their row image, which the
+// tree takes ownership of; the others carry their LSN alone, to sort among
+// the rest exactly as before.
+func (r *redoLog) scan(p *sim.Proc, checkpointLSN uint64) ([]redoRecord, error) {
+	var recs []redoRecord
+	err := logring.Scan(p, r.db.dev, r.baseBlock, r.blocks, redoEnd, func(b []byte) {
+		rec := redoRecord{lsn: binary.LittleEndian.Uint64(b[4:])}
+		if rec.lsn > checkpointLSN {
+			rec.key = binary.LittleEndian.Uint64(b[12:])
+			rec.row = append([]byte(nil), b[redoHeader:]...)
+		}
+		recs = append(recs, rec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
+	return recs, nil
 }

@@ -362,7 +362,8 @@ func (io *ssdIO) nandDone() {
 }
 
 // readPaced ends the media phase (NAND array + internal read bus) and streams
-// the payload upstream, one DMA per PRP segment. A misdirected read serves the
+// the payload upstream, one DMA per PRP segment, from where the bytes lie or
+// from the command's staging buffer (readSource). A misdirected read serves the
 // neighbouring block's bytes (an FTL mapping slip): only the data source
 // shifts — timing, stats and the completion status all describe the block
 // that was asked for. A corrupt read flips one byte mid-way through the first
@@ -381,26 +382,8 @@ func (io *ssdIO) readPaced() {
 	for _, seg := range io.segs {
 		var data []byte
 		if d.cfg.CaptureData {
-			at := src + uint64(off)
-			if in := int(at % BlockSize); in+seg.Len <= BlockSize && !corrupt {
-				// The DMA copies from where the bytes lie: DMAWrite is done
-				// with data when it returns.
-				blk := d.store.get(at / BlockSize)
-				if blk == nil {
-					blk = &zeroBlock
-				}
-				data = blk[in : in+seg.Len]
-			} else {
-				// Bytes to damage, or to gather from two blocks, are staged.
-				if cap(io.dbuf) < seg.Len {
-					io.dbuf = make([]byte, seg.Len)
-				}
-				data = d.readBytesInto(io.dbuf[:seg.Len], at, seg.Len)
-				if corrupt && len(data) > 0 {
-					data[len(data)/2] ^= 0xA5
-					corrupt = false
-				}
-			}
+			data = d.readSource(src+uint64(off), seg.Len, corrupt, &io.dbuf)
+			corrupt = false
 		}
 		if t := d.port.DMAWrite(seg.Addr, seg.Len, data); t > last {
 			last = t
@@ -467,31 +450,7 @@ func (io *ssdIO) writeDone() {
 		if io.hzd.torn {
 			keep = io.n / 2
 		}
-		off := 0
-		for i := range io.segs {
-			b := io.bufs[i]
-			if off >= keep {
-				break
-			}
-			at := io.devByte + uint64(off)
-			if len(b) == BlockSize && at%BlockSize == 0 && off+BlockSize <= keep {
-				// One whole block, all of it persisted: the staging buffer
-				// becomes the block, and the block it displaces (nil on a
-				// first write) stages this slot's next payload.
-				if old := d.store.put(at/BlockSize, (*block)(b)); old != nil {
-					io.bufs[i] = old[:]
-				} else {
-					io.bufs[i] = nil
-				}
-				off += BlockSize
-				continue
-			}
-			if off+len(b) > keep {
-				b = b[:keep-off]
-			}
-			d.writeBytes(at, b)
-			off += len(b)
-		}
+		d.persist(io.devByte, io.bufs[:len(io.segs)], keep)
 	}
 	d.WriteStats.Record(io.n, d.env.Now()-io.t0)
 	d.mWriteOps.Inc()
@@ -501,14 +460,15 @@ func (io *ssdIO) writeDone() {
 
 // wbuf returns the i-th pooled write segment buffer sized to n, contents
 // unspecified: the DMARead it is for fills all of it, sparse source pages
-// included.
+// included. A segment is at most one page, so an empty slot takes a whole
+// array: a spare, if the SSD has one.
 func (io *ssdIO) wbuf(i, n int) []byte {
 	for len(io.bufs) <= i {
 		io.bufs = append(io.bufs, nil)
 	}
 	b := io.bufs[i]
 	if cap(b) < n {
-		b = make([]byte, n)
+		b = io.d.wholeArray()
 	}
 	b = b[:n]
 	io.bufs[i] = b

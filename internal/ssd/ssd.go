@@ -130,7 +130,9 @@ type SSD struct {
 	fwActive  string
 	fwStaged  []byte
 	upgrades  int
-	store     blockTable // device LBA -> 4K block (CaptureData mode; store.go)
+	store     blockTable // device LBA -> stored prefix of its 4K block (CaptureData mode; store.go)
+	spares    [][]byte   // whole arrays the store let go of, for staging slots and growing blocks (store.go)
+	slab      []byte     // the uncut rest of the allocation short blocks are carved from (store.go)
 	readyAt   sim.Time   // end of the current reset window
 	onReady   []func()
 	jitterRng *rand.Rand

@@ -6,7 +6,8 @@
 # end-to-end I/O path benchmarks (root package: BenchmarkIOPathThroughput
 # bare at QD 8, the same loop 512 deep where commands queue for a die, at
 # 128 KiB per I/O where every command carries a PRP list, with payload
-# capture on and real bytes written and read back, and under each
+# capture on and real bytes written and read back (a block of data, and a
+# write-ahead log's mostly zero block), and under each
 # thing the gates attach — a digest tracer, an armed fault injector, sampled
 # timelines) with -benchmem
 # and compares each benchmark's allocs/op against the committed baseline in
