@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Eleven seconds of native fuzzing, split over the ten targets: the event
+# Twelve seconds of native fuzzing, split over the eleven targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program (internal/sim
 # FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -30,7 +30,11 @@ test:
 # exports, so minimisation is capped to keep the second fuzzing), and the
 # SSD's block store under any program of aligned, torn, unaligned and partial
 # writes and range zeroes, every read path against a flat reference and the
-# whole-block exchange by pointer (internal/ssd FuzzBlockStore).
+# whole-block exchange by pointer (internal/ssd FuzzBlockStore), and host
+# memory under any program of writes, reads and words across short pieces'
+# ends and page edges and loans of a lendable range, every read path against
+# a flat reference and each page short exactly when everything written to it
+# lies in its first 256 bytes (internal/hostmem FuzzMemory).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -44,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSweeps$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/crash
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetLoad$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 1s ./internal/ssd
+	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 1s ./internal/hostmem
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.
@@ -151,9 +156,10 @@ crash-smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Alloc-regression gate: the kernel throughput benchmarks AND the
-# end-to-end I/O path benchmark must stay at the committed allocs/op
-# baseline (scripts/bench_allocs_baseline.txt).
+# Alloc-regression gate: the kernel throughput benchmarks, the end-to-end
+# I/O path benchmarks, the application round and a 4-SSD rig's construction
+# must stay at the committed allocs/op baseline
+# (scripts/bench_allocs_baseline.txt).
 bench-gate:
 	bash scripts/check_bench_allocs.sh
 

@@ -1,7 +1,14 @@
-// Package hostmem models host physical memory as seen by DMA engines: a
-// sparse, page-granular byte store plus a simple physical allocator. NVMe
-// queues, PRP lists, and data buffers all live here, exactly as they do in
-// real host DRAM — devices never get Go pointers, only physical addresses.
+// Package hostmem models physical memory as seen by DMA engines — host DRAM,
+// and the engine's chip RAM — as a sparse, page-granular byte store plus a
+// simple physical allocator. NVMe queues, PRP lists, and data buffers all
+// live here, exactly as they do in real host DRAM — devices never get Go
+// pointers, only physical addresses.
+//
+// A page keeps only what it holds. It materialises on first write, as a
+// short piece of its first 256 bytes while every byte written to it lies
+// there — a PRP list of a 128 KiB transfer is 248 — and as a whole 4 KiB
+// page from the first write past them. The rest of a short page reads as
+// zero. Which way a page is kept shows in no address, length or timing.
 //
 // A payload buffer is the one exception to "bytes live in pages", and it is
 // still not a pointer a device sees: a driver may lend a Go buffer to a range
@@ -22,21 +29,41 @@ const PageSize = 4096
 
 // Memory is a sparse physical address space. Pages materialise on first
 // write; reads of untouched memory return zeros, like freshly scrubbed DRAM.
+// A page keeps only what it holds: while every byte written to it lies in
+// its first shortPage bytes it is a short piece of that length, cut from a
+// slab the memory shares out, and the first write past them makes it a whole
+// page with the piece copied across. Bytes past a short piece read as zero.
 // It is not safe for concurrent use outside the simulation kernel.
 type Memory struct {
-	pages map[uint64]*[PageSize]byte
-	next  uint64 // bump allocator cursor
+	pages map[uint64][]byte // a short piece or a whole page, by page number
+	next  uint64            // bump allocator cursor
 	size  uint64
+	// slab is the uncut rest of the slab short pieces come from; loose holds
+	// up to a slab's worth of the pieces whole pages replaced, to be cut
+	// again first. It is an array so that keeping one allocates nothing.
+	slab   []byte
+	loose  [slabBytes / shortPage][]byte
+	nloose int
 	// wins is nil until something lends a buffer: a memory that carries no
 	// payload pays one nil compare per access for the mechanism.
 	wins []*Windows
 }
 
+// shortPage is the length of a short piece: a PRP list of a 128 KiB transfer
+// (31 entries, 248 bytes) fits in one, as does a queue ring's first entries.
+const shortPage = 256
+
+// slabBytes is the allocation short pieces are cut from, after a first slab
+// of one page. Pages never leave a memory and loose pieces are cut first, so
+// while no more than a slab's worth wait at once a memory keeps at most one
+// slab beyond its pages and loose pieces.
+const slabBytes = 8 << 10
+
 // New returns a memory of the given size in bytes. Allocations start at
 // PageSize (physical page 0 is kept unmapped to catch null DMA).
 func New(size uint64) *Memory {
 	return &Memory{
-		pages: make(map[uint64]*[PageSize]byte),
+		pages: make(map[uint64][]byte),
 		next:  PageSize,
 		size:  size,
 	}
@@ -76,13 +103,13 @@ func (m *Memory) Write(addr uint64, data []byte) {
 		}
 	}
 	for len(data) > 0 {
-		pg, off := addr/PageSize, addr%PageSize
+		pg, off := addr/PageSize, int(addr%PageSize)
+		n := min(len(data), PageSize-off)
 		p := m.pages[pg]
-		if p == nil {
-			p = new([PageSize]byte)
-			m.pages[pg] = p
+		if off+n > len(p) {
+			p = m.grow(pg, p, off+n)
 		}
-		n := copy(p[off:], data)
+		copy(p[off:], data[:n])
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -98,17 +125,13 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 		}
 	}
 	for len(buf) > 0 {
-		pg, off := addr/PageSize, addr%PageSize
-		var n int
-		if p := m.pages[pg]; p != nil {
-			n = copy(buf, p[off:])
-		} else {
-			n = PageSize - int(off)
-			if n > len(buf) {
-				n = len(buf)
-			}
-			clear(buf[:n])
+		pg, off := addr/PageSize, int(addr%PageSize)
+		n := min(len(buf), PageSize-off)
+		var c int
+		if p := m.pages[pg]; off < len(p) {
+			c = copy(buf[:n], p[off:])
 		}
+		clear(buf[c:n])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -119,7 +142,7 @@ func (m *Memory) Read(addr uint64, buf []byte) {
 // word straddling two pages takes the byte path, as does every word of a
 // memory that has lent ranges.
 func (m *Memory) WriteU64(addr uint64, v uint64) {
-	off := addr % PageSize
+	off := int(addr % PageSize)
 	if off > PageSize-8 || m.wins != nil {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
@@ -128,28 +151,70 @@ func (m *Memory) WriteU64(addr uint64, v uint64) {
 	}
 	m.check(addr, 8)
 	p := m.pages[addr/PageSize]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[addr/PageSize] = p
+	if off+8 > len(p) {
+		p = m.grow(addr/PageSize, p, off+8)
 	}
 	binary.LittleEndian.PutUint64(p[off:], v)
 }
 
 // ReadU64 loads a little-endian uint64 from addr; an untouched page reads 0
-// and stays untouched.
+// and stays untouched. A word across a short piece's end — never an aligned
+// one — takes the byte path too.
 func (m *Memory) ReadU64(addr uint64) uint64 {
-	off := addr % PageSize
-	if off > PageSize-8 || m.wins != nil {
-		var b [8]byte
-		m.Read(addr, b[:])
-		return binary.LittleEndian.Uint64(b[:])
+	if off := int(addr % PageSize); off <= PageSize-8 && m.wins == nil {
+		m.check(addr, 8)
+		p := m.pages[addr/PageSize]
+		switch {
+		case off+8 <= len(p):
+			return binary.LittleEndian.Uint64(p[off:])
+		case off >= len(p):
+			return 0
+		}
 	}
-	m.check(addr, 8)
-	p := m.pages[addr/PageSize]
-	if p == nil {
-		return 0
+	var b [8]byte
+	m.Read(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// grow makes page pg, which holds p, long enough for its first end bytes and
+// returns it: a new page is a short piece if end allows, and anything longer
+// is a whole page with what p held copied across.
+func (m *Memory) grow(pg uint64, p []byte, end int) []byte {
+	if p == nil && end <= shortPage {
+		p = m.shortPiece()
+	} else {
+		w := new([PageSize]byte)
+		copy(w[:], p)
+		if p != nil && m.nloose < len(m.loose) {
+			m.loose[m.nloose] = p
+			m.nloose++
+		}
+		p = w[:]
 	}
-	return binary.LittleEndian.Uint64(p[off:])
+	m.pages[pg] = p
+	return p
+}
+
+// shortPiece returns a zeroed short piece: a loose one if there is one, else
+// the next cut of the slab.
+func (m *Memory) shortPiece() []byte {
+	if m.nloose > 0 {
+		m.nloose--
+		p := m.loose[m.nloose]
+		m.loose[m.nloose] = nil
+		clear(p)
+		return p
+	}
+	if len(m.slab) < shortPage {
+		n := slabBytes
+		if m.slab == nil {
+			n = PageSize // the first: a small rig's few pieces cost one page
+		}
+		m.slab = make([]byte, n)
+	}
+	p := m.slab[:shortPage:shortPage]
+	m.slab = m.slab[shortPage:]
+	return p
 }
 
 func (m *Memory) check(addr, n uint64) {

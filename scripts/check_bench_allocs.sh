@@ -42,6 +42,11 @@
 # count, ~7 per worker: two for the stream, three for the process and its
 # Done event's first waiter, the name and the closure).
 #
+# BenchmarkRigBuild (root package) builds what the repo benchmark builds
+# before its first I/O — a 4-SSD testbed, a namespace per SSD and four
+# attached tenant drivers — once per op, and is pinned like the application
+# round, at its measured allocs/op plus 5 %: what a fleet pays once per host.
+#
 # Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
@@ -62,6 +67,8 @@ out+=$'\n'
 out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
 out+=$'\n'
 out+=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benchmem .)
+out+=$'\n'
+out+=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 echo "$out"
 
 status=0
