@@ -112,7 +112,7 @@ modelpin-diff:
 	@test -n "$(REF)" || { echo "usage: make modelpin-diff REF=<commit> [SEEDS=400]"; exit 2; }
 	bash scripts/modelpin_diff.sh "$(REF)" "$(SEEDS)"
 
-# Fault-injection smoke: a faulted fiosim run must complete (the driver's
+# Fault-injection smoke: a faulted `bmsctl fio` run must complete (the driver's
 # timeout/retry recovery absorbs the injections), count them, and stay
 # byte-identical between serial and parallel execution.
 fault-smoke:
@@ -122,12 +122,12 @@ fault-smoke:
 # under a write-then-verify workload must come back green (no data-integrity
 # or CID-accounting invariant violated), catch at least one injected hazard,
 # and stay byte-identical between serial and parallel execution. Failing
-# seeds are printed with their copy-pasteable `fiosim -chaos <seed>,1`
+# seeds are printed with their copy-pasteable `bmsctl chaos <seed>,1`
 # replay.
 chaos-smoke:
 	bash scripts/chaos_smoke.sh
 
-# Always-on telemetry smoke: a timeline-recording fiosim run must export a
+# Always-on telemetry smoke: a timeline-recording `bmsctl fio` run must export a
 # Perfetto trace that is byte-identical between serial and parallel
 # execution, matches the committed golden digest
 # (goldens/timeline_smoke.sha256), and round-trips through the offline
@@ -173,7 +173,7 @@ bench-baseline:
 PROFILE_OUT ?= /tmp/bmstore-profile
 profile-sweep:
 	mkdir -p $(PROFILE_OUT)
-	$(GO) run ./cmd/bmstore-bench -scale fast -parallel 1 \
+	$(GO) run ./cmd/bmsctl sweep -scale fast -parallel 1 \
 		-cpuprofile $(PROFILE_OUT)/cpu.pprof -memprofile $(PROFILE_OUT)/mem.pprof \
 		> $(PROFILE_OUT)/bench_tables.txt
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_OUT)/cpu.pprof
@@ -192,7 +192,7 @@ figures-gate:
 # bench_tables.txt in one run. Refused if the fresh results violate any
 # paper-shape rule — recalibration may move numbers, never the story.
 goldens:
-	$(GO) run ./cmd/bmstore-bench -scale fast -trace-digest -write-goldens goldens > bench_tables.txt
+	$(GO) run ./cmd/bmsctl sweep -scale fast -trace-digest -write-goldens goldens > bench_tables.txt
 
 # Flakiness sweep: the full suite twice, fresh processes, no test cache.
 flaky:

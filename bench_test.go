@@ -4,7 +4,7 @@ package bmstore_test
 // Each iteration regenerates the artifact through internal/experiments at
 // the fast scale and reports a headline metric alongside the usual
 // wall-clock numbers. `go test -bench=. -benchmem` therefore reproduces
-// the whole evaluation; cmd/bmstore-bench renders the same data as tables.
+// the whole evaluation; `bmsctl sweep` renders the same data as tables.
 
 import (
 	"strconv"

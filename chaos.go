@@ -268,7 +268,7 @@ func (c *ChaosCampaign) WriteReport(w io.Writer) {
 			for _, f := range r.Findings {
 				fmt.Fprintf(w, "      finding: %s\n", f)
 			}
-			fmt.Fprintf(w, "      replay:  fiosim -chaos %d,1\n", r.Seed)
+			fmt.Fprintf(w, "      replay:  bmsctl chaos %d,1\n", r.Seed)
 		}
 	}
 	fmt.Fprintf(w, "campaign digest: %s\n", c.Digest)

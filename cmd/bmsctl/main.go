@@ -1,62 +1,89 @@
-// Command bmsctl is the cloud operator's out-of-band management console,
-// demonstrated against an in-process BM-Store testbed: every action below
-// travels as NVMe-MI over MCTP over PCIe VDMs to the BMS-Controller, never
-// through the (tenant-owned) host OS.
+// Command bmsctl is the one front door to the simulator. Given a script, or
+// nothing, it is the cloud operator's out-of-band management console against
+// an in-process BM-Store testbed: every console action travels as NVMe-MI
+// over MCTP over PCIe VDMs to the BMS-Controller, never through the
+// (tenant-owned) host OS. Given a verb, it runs a workload, a sweep or a
+// campaign, or renders an export offline.
 //
 // Usage:
 //
-//	bmsctl [-ssds N] <script>
+//	bmsctl [-ssds N] [<script>]
+//	bmsctl <verb> [flags] [args]
 //
-// where <script> is a semicolon-separated command list, e.g.:
+// A script is a semicolon-separated list of console commands (`bmsctl -h`
+// lists them):
 //
 //	bmsctl "inventory; create vol0 256; bind vol0 5; qos vol0 50000 0; \
 //	        health 0; upgrade 0 VDV10200; inventory"
 //
-// With no script, a demonstration sequence runs.
+// A command with a missing, stray or malformed argument prints its usage,
+// and the script goes on and exits 1. With no script, a demo sequence runs.
 //
-// The offline subcommands need no testbed:
+// The run verbs (`bmsctl <verb> -h` lists each one's flags):
 //
-//	bmsctl stats <snapshot.json> [topN]
+//	bmsctl fio [-scheme bmstore] [-rw randread] [-bs 4096] [-iodepth 128] [-runs N] ...
 //
-// pretty-prints a metrics snapshot produced by fiosim/bmstore-bench
-// -metrics-out — the hottest latency stages across all rigs and the
-// queue-depth peaks —
+// runs an fio-style workload on one of the schemes the paper compares
+// (native, vfio, bmstore, bmstore-vm, spdk), on -runs rigs seeded seed,
+// seed+1, ... A spec fio cannot run (a -bs that is not a positive multiple
+// of 4096, a count below 1, an unknown -scheme or -rw) exits 2 before any rig
+// is built. A run that dies (a fault schedule takes its only drive away) or
+// wedges (it is not over by a horizon computed from the spec) is one stderr
+// line naming the run, its seed and the cause; the other runs still report,
+// and the exit status is 1.
 //
-//	bmsctl timeline <trace.json> [waterfallN]
+//	bmsctl sweep [-scale fast|full] [-only fig8,...] [-list] [-json f] [-check dir] [-write-goldens dir]
 //
-// inspects a -timeline-out Perfetto export offline: tail-latency
-// attribution across the worst-K requests plus ASCII waterfalls of the
-// slowest ones — and
+// regenerates every table and figure of the paper's evaluation; with
+// -trace-digest its stdout is bench_tables.txt. -check holds the results to
+// the goldens and the paper-shape assertions and exits 1 on any drift;
+// -write-goldens blesses them once the shape layer accepts them.
 //
-//	bmsctl fidelity-diff <goldens-dir> <results.json>
+//	bmsctl fleet-run [-hosts 64] [-wave 4] [-seed 1] [-host K] [-json f]
 //
-// checks a `bmstore-bench -json` export against the checked-in goldens:
-// exact cell-level drift plus the paper-shape assertions, printed as a
-// report naming each artifact, cell, golden-vs-got value, and violated
-// rule. Exit status 1 means the gate would fail. And
+// rolls a firmware hot-upgrade through -hosts BM-Store hosts, -wave at a
+// time, with a health gate between waves; exit 1 means a wave tripped it.
+// -host K replays one host alone, the reproducer a failure points at.
 //
-//	bmsctl fleet <fleet.json>
+//	bmsctl crash-sweep [-seed 1] [-seeds 1] [-point P] [-json f]
 //
-// re-renders a `bmstore-bench -fleet -fleet-json` export as the fleet
-// rollout report — per-host health, pause windows, SLO rollup, digests —
-// with exit status 1 when the rollout aborted. And
+// hard-crashes the BM-Engine at every pipeline-stage boundary of a probed
+// request, one rig per instant, and checks each recovery for lost acked
+// writes, CID-book balance and bounded time; -point P replays one instant.
 //
-//	bmsctl crash <crash.json>
+//	bmsctl chaos <seed>[,count]
 //
-// re-renders a `bmstore-bench -crash-sweep -crash-json` export as the
-// crash-point sweep report — per-stage crash instants, recovery times,
-// violations — with exit status 1 when any point failed.
+// runs count seeded fault schedules under a write-then-verify workload; exit
+// 1 means an invariant was violated. Every failure report of fleet-run,
+// crash-sweep and chaos names the bmsctl command that replays it.
 //
-// Every offline subcommand shares one error contract: unusable input
-// (missing file, malformed JSON, bad arguments) prints the usage or cause
-// to stderr and exits 2; a loadable artifact whose verdict is FAIL exits 1.
+// fio, sweep and fleet-run share one set of run-option flags (runOptions):
+// -trace, -trace-digest, -metrics, -metrics-out, -breakdown, -timeline,
+// -timeline-out, -sample, -slowest, -parallel and -faults. chaos and
+// crash-sweep take -parallel alone. Stdout and every -json export are
+// byte-identical for any -parallel; timing goes to stderr.
+//
+// The offline verbs build no testbed:
+//
+//	bmsctl stats <snapshot.json> [topN]                 a -metrics-out snapshot
+//	bmsctl timeline <trace.json> [waterfallN]           a -timeline-out Perfetto export
+//	bmsctl fidelity-diff <goldens-dir> <results.json>   a sweep -json export against the goldens
+//	bmsctl fleet <fleet.json>                           a fleet-run -json export
+//	bmsctl crash <crash.json>                           a crash-sweep -json export
+//
+// Every verb shares one exit contract: 0 success; 1 a run failed or a
+// verdict is FAIL; 2 unusable input (an unknown flag, a stray argument, a
+// bad value, a missing or malformed file), with the cause on stderr.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,78 +100,181 @@ import (
 
 const demoScript = `version; subsys; ds 0; inventory; create vol0 256; bind vol0 5; qos vol0 50000 0; health 0; counters 5; upgrade 0 VDV10200 256; inventory; events`
 
-// subcommands is the offline-viewer dispatch table. Every entry follows
-// one contract: err means unusable input (usage or cause goes to stderr,
-// exit 2); ok=false means the loaded artifact's verdict failed (exit 1).
-// A test walks this table and pins the contract for every subcommand.
-var subcommands = map[string]func(args []string) (bool, error){
-	"stats":         noVerdict(runStats),
-	"timeline":      noVerdict(runTimeline),
-	"fleet":         runFleetView,
-	"fidelity-diff": runFidelityDiff,
-	"crash":         runCrashView,
+// A verb registers its flags on fs and returns its body, which runs on the
+// positional arguments once fs has parsed them and returns the exit status.
+type verb func(fs *flag.FlagSet) func(args []string) int
+
+// verbs is the one dispatch table. A command line that does not start with
+// one of them is a console script.
+var verbs = map[string]verb{
+	"fio":           fioVerb,
+	"sweep":         sweepVerb,
+	"fleet-run":     fleetRunVerb,
+	"crash-sweep":   crashSweepVerb,
+	"chaos":         chaosVerb,
+	"stats":         view(noVerdict(runStats)),
+	"timeline":      view(noVerdict(runTimeline)),
+	"fleet":         view(runFleetView),
+	"fidelity-diff": view(runFidelityDiff),
+	"crash":         view(runCrashView),
 }
 
-// noVerdict adapts a pure viewer (no pass/fail verdict) to the subcommand
+func main() { os.Exit(bmsctl(os.Args[1:])) }
+
+// bmsctl runs one invocation and returns its exit status. Nothing below it
+// exits the process.
+func bmsctl(args []string) int {
+	name, v := "bmsctl", verb(console)
+	if len(args) > 0 {
+		if w, ok := verbs[args[0]]; ok {
+			name, v, args = "bmsctl "+args[0], w, args[1:]
+		}
+	}
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	body := v(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	return body(fs.Args())
+}
+
+// fail prints err on stderr under the verb's name and returns code.
+func fail(fs *flag.FlagSet, code int, err error) int {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", fs.Name(), err)
+	return code
+}
+
+// status is the exit status of a run or a verdict: 0 ok, 1 failed.
+func status(ok bool) int {
+	if ok {
+		return 0
+	}
+	return 1
+}
+
+// view adapts an offline viewer to a verb. A viewer takes no flags; its err
+// is unusable input (exit 2) and ok=false a FAIL verdict (exit 1).
+func view(fn func(args []string) (bool, error)) verb {
+	return func(fs *flag.FlagSet) func([]string) int {
+		return func(args []string) int {
+			ok, err := fn(args)
+			if err != nil {
+				return fail(fs, 2, err)
+			}
+			return status(ok)
+		}
+	}
+}
+
+// noVerdict adapts a pure viewer (no pass/fail verdict) to the viewer
 // contract.
 func noVerdict(fn func(args []string) error) func(args []string) (bool, error) {
 	return func(args []string) (bool, error) { return true, fn(args) }
 }
 
-func main() {
-	ssds := flag.Int("ssds", 2, "number of backend SSDs in the testbed")
-	flag.Parse()
-	if args := flag.Args(); len(args) > 0 {
-		if sub, found := subcommands[args[0]]; found {
-			ok, err := sub(args[1:])
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bmsctl %s: %v\n", args[0], err)
-				os.Exit(2)
-			}
-			if !ok {
-				os.Exit(1)
-			}
-			return
+// console runs a script of console commands against a fresh testbed, or the
+// demonstration sequence when there is none. Exit 1 when a command failed.
+func console(fs *flag.FlagSet) func([]string) int {
+	ssds := fs.Int("ssds", 2, "number of backend SSDs in the testbed")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: bmsctl [-ssds N] [<script>]\n       bmsctl <verb> [flags] [args]\nverbs: %s\ncommands:\n",
+			strings.Join(slices.Sorted(maps.Keys(verbs)), " "))
+		for _, cmd := range slices.Sorted(maps.Keys(consoleUsage)) {
+			fmt.Fprintln(fs.Output(), " ", strings.TrimSpace(cmd+" "+consoleUsage[cmd]))
 		}
-	}
-	script := strings.Join(flag.Args(), " ")
-	if strings.TrimSpace(script) == "" {
-		script = demoScript
-		fmt.Println("# no script given; running the demo sequence:")
-		fmt.Println("#", script)
+		fs.PrintDefaults()
 	}
 
-	cfg := bmstore.DefaultConfig()
-	cfg.NumSSDs = *ssds
-	// Keep the demo's firmware window short.
-	fmt.Printf("# building BM-Store testbed with %d SSDs...\n\n", *ssds)
-	tb, err := bmstore.NewBMStoreTestbed(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bmsctl:", err)
-		os.Exit(1)
-	}
-
-	ok := true
-	tb.Run(func(p *sim.Proc) {
-		for _, cmd := range strings.Split(script, ";") {
-			fields := strings.Fields(strings.TrimSpace(cmd))
-			if len(fields) == 0 {
-				continue
-			}
-			fmt.Printf("bmsctl> %s\n", strings.Join(fields, " "))
-			if err := run(tb, p, fields); err != nil {
-				fmt.Printf("  error: %v\n", err)
-				ok = false
-			}
-			fmt.Println()
+	return func(args []string) int {
+		script := strings.Join(args, " ")
+		if strings.TrimSpace(script) == "" {
+			script = demoScript
+			fmt.Println("# no script given; running the demo sequence:")
+			fmt.Println("#", script)
 		}
-	})
-	if !ok {
-		os.Exit(1)
+
+		cfg := bmstore.DefaultConfig()
+		cfg.NumSSDs = *ssds
+		fmt.Printf("# building BM-Store testbed with %d SSDs...\n\n", *ssds)
+		tb, err := bmstore.NewBMStoreTestbed(cfg)
+		if err != nil {
+			return fail(fs, 1, err)
+		}
+
+		ok := true
+		tb.Run(func(p *sim.Proc) {
+			for _, cmd := range strings.Split(script, ";") {
+				fields := strings.Fields(strings.TrimSpace(cmd))
+				if len(fields) == 0 {
+					continue
+				}
+				fmt.Printf("bmsctl> %s\n", strings.Join(fields, " "))
+				if err := consoleCmd(tb, p, fields); err != nil {
+					fmt.Printf("  error: %v\n", err)
+					ok = false
+				}
+				fmt.Println()
+			}
+		})
+		return status(ok)
 	}
 }
 
-func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
+// consoleUsage is each console command's argument list: <x> is required,
+// [x] optional, [x...] any number more. consoleCmd checks a command's arity
+// against it before anything reaches the card.
+var consoleUsage = map[string]string{
+	"version":   "",
+	"inventory": "",
+	"subsys":    "",
+	"events":    "",
+	"create":    "<name> <GB> [ssd...]",
+	"bind":      "<name> <fn>",
+	"qos":       "<name> <iops> <MBps>",
+	"health":    "<ssd>",
+	"counters":  "<fn>",
+	"upgrade":   "<ssd> <version> [imageKB]",
+	"ds":        "<0|1|2>",
+}
+
+// usageError is the error of a console command whose arguments do not fit
+// its usage line.
+func usageError(f []string) error {
+	return fmt.Errorf("usage: %s", strings.TrimSpace(f[0]+" "+consoleUsage[f[0]]))
+}
+
+// intArg parses f[i], an integer argument of a console command.
+func intArg(f []string, i int) (int, error) {
+	n, err := strconv.Atoi(f[i])
+	if err != nil {
+		return 0, fmt.Errorf("%q is not an integer; %v", f[i], usageError(f))
+	}
+	return n, nil
+}
+
+// floatArg parses f[i], a numeric argument of a console command.
+func floatArg(f []string, i int) (float64, error) {
+	x, err := strconv.ParseFloat(f[i], 64)
+	if err != nil {
+		return 0, fmt.Errorf("%q is not a number; %v", f[i], usageError(f))
+	}
+	return x, nil
+}
+
+// consoleCmd runs one console command, f[0] with its arguments f[1:].
+func consoleCmd(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
+	usage, known := consoleUsage[f[0]]
+	if !known {
+		return fmt.Errorf("unknown command %q", f[0])
+	}
+	n := len(f) - 1
+	if n < strings.Count(usage, "<") || n > len(strings.Fields(usage)) && !strings.HasSuffix(usage, "...]") {
+		return usageError(f)
+	}
+
 	c := tb.Console
 	switch f[0] {
 	case "version":
@@ -168,21 +298,18 @@ func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
 			}
 			fmt.Printf("  namespace %q: %d GB, %s\n", ns.Name, ns.SizeGB, bound)
 		}
-	case "create": // create <name> <GB> [ssd...]
-		if len(f) < 3 {
-			return fmt.Errorf("usage: create <name> <GB> [ssd...]")
-		}
-		gb, err := strconv.Atoi(f[2])
+	case "create":
+		gb, err := intArg(f, 2)
 		if err != nil {
 			return err
 		}
 		var ssds []int
-		for _, a := range f[3:] {
-			i, err := strconv.Atoi(a)
+		for i := range f[3:] {
+			ssd, err := intArg(f, 3+i)
 			if err != nil {
 				return err
 			}
-			ssds = append(ssds, i)
+			ssds = append(ssds, ssd)
 		}
 		if len(ssds) == 0 {
 			ssds = []int{0}
@@ -191,8 +318,8 @@ func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
 			return err
 		}
 		fmt.Printf("  created %q (%d GB) on SSDs %v\n", f[1], gb, ssds)
-	case "bind": // bind <name> <fn>
-		fn, err := strconv.Atoi(f[2])
+	case "bind":
+		fn, err := intArg(f, 2)
 		if err != nil {
 			return err
 		}
@@ -200,32 +327,49 @@ func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
 			return err
 		}
 		fmt.Printf("  bound %q to function %d\n", f[1], fn)
-	case "qos": // qos <name> <iops> <MBps>
-		iops, _ := strconv.ParseFloat(f[2], 64)
-		mbps, _ := strconv.ParseFloat(f[3], 64)
+	case "qos":
+		iops, err := floatArg(f, 2)
+		if err != nil {
+			return err
+		}
+		mbps, err := floatArg(f, 3)
+		if err != nil {
+			return err
+		}
 		if err := c.SetQoS(p, f[1], iops, mbps*1e6); err != nil {
 			return err
 		}
 		fmt.Printf("  qos on %q: %.0f IOPS, %.0f MB/s\n", f[1], iops, mbps)
-	case "health": // health <ssd>
-		i, _ := strconv.Atoi(f[1])
+	case "health":
+		i, err := intArg(f, 1)
+		if err != nil {
+			return err
+		}
 		h, err := c.Health(p, i)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  ssd %d: %d C, %d%% used, fw %s\n", h.SSD, h.TempC, h.PercentUsed, h.Firmware)
-	case "counters": // counters <fn>
-		fn, _ := strconv.Atoi(f[1])
+	case "counters":
+		fn, err := intArg(f, 1)
+		if err != nil {
+			return err
+		}
 		ctr, err := c.Counters(p, uint8(fn))
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  fn %d: reads=%v writes=%v\n", fn, ctr["ReadOps"], ctr["WriteOps"])
-	case "upgrade": // upgrade <ssd> <version> [imageKB]
-		i, _ := strconv.Atoi(f[1])
+	case "upgrade":
+		i, err := intArg(f, 1)
+		if err != nil {
+			return err
+		}
 		kb := 256
 		if len(f) > 3 {
-			kb, _ = strconv.Atoi(f[3])
+			if kb, err = intArg(f, 3); err != nil {
+				return err
+			}
 		}
 		rep, err := c.HotUpgrade(p, i, f[2], kb)
 		if err != nil {
@@ -240,8 +384,11 @@ func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
 		}
 		fmt.Printf("  healthy=%v composite %d C, max %d%% used, degraded drives: %d\n",
 			h.Healthy, h.CompositeTempC, h.MaxPercentUsed, h.DegradedDrives)
-	case "ds": // ds <0|1|2>
-		typ, _ := strconv.Atoi(f[1])
+	case "ds":
+		typ, err := intArg(f, 1)
+		if err != nil {
+			return err
+		}
 		ds, err := c.ReadDataStructure(p, uint8(typ))
 		if err != nil {
 			return err
@@ -261,16 +408,14 @@ func run(tb *bmstore.Testbed, p *sim.Proc, f []string) error {
 		for _, e := range tb.Controller.Events {
 			fmt.Printf("  %s\n", e)
 		}
-	default:
-		return fmt.Errorf("unknown command %q", f[0])
 	}
 	return nil
 }
 
 // runFleetView implements `bmsctl fleet <fleet.json>`: the offline viewer
-// for -fleet-json exports. It re-renders the same deterministic report the
-// fleet run printed — the Result carries every field the report needs, so
-// no simulation runs. Returns ok=false (exit 1) when the rollout aborted.
+// for `fleet-run -json` exports. It re-renders the same deterministic report
+// the fleet run printed — the Result carries every field the report needs,
+// so no simulation runs. Returns ok=false (exit 1) when the rollout aborted.
 func runFleetView(args []string) (bool, error) {
 	if len(args) != 1 {
 		return false, fmt.Errorf("usage: bmsctl fleet <fleet.json>")
@@ -291,8 +436,8 @@ func runFleetView(args []string) (bool, error) {
 }
 
 // runCrashView implements `bmsctl crash <crash.json>`: the offline viewer
-// for -crash-json exports of the engine crash-point sweep. It re-renders
-// the per-seed sweep tables — the Reports carry every field — so no
+// for `crash-sweep -json` exports of the engine crash-point sweep. It
+// re-renders the per-seed sweep tables — the Reports carry every field — so no
 // simulation runs. Returns ok=false (exit 1) when any point failed.
 func runCrashView(args []string) (bool, error) {
 	if len(args) != 1 {
@@ -319,8 +464,8 @@ func runCrashView(args []string) (bool, error) {
 
 // runFidelityDiff implements `bmsctl fidelity-diff <goldens-dir>
 // <results.json>`: the offline half of the paper-fidelity gate. It loads
-// the goldens and a -json export, runs the exact comparator and the shape
-// checker, and prints the drift report to stdout. Returns ok=false when
+// the goldens and a `sweep -json` export, runs the exact comparator and the
+// shape checker, and prints the drift report to stdout. Returns ok=false when
 // the report has findings (exit 1), an error for unusable inputs (exit 2).
 func runFidelityDiff(args []string) (bool, error) {
 	if len(args) != 2 {

@@ -61,7 +61,7 @@ func (r *SweepReport) Clean() bool {
 	return true
 }
 
-// LoadSweeps reads a -crash-json export: either a single SweepReport
+// LoadSweeps reads a `bmsctl crash-sweep -json` export: either a single SweepReport
 // object (one-seed sweep) or an array of them (multi-seed sweep). A null
 // sweep or one with no points is an error, not a clean sweep: a truncated
 // export must not read as a passed gate.
@@ -77,7 +77,7 @@ func LoadSweeps(path string) ([]*SweepReport, error) {
 	return reps, nil
 }
 
-// decodeSweeps parses and checks the bytes of a -crash-json export.
+// decodeSweeps parses and checks the bytes of a `crash-sweep -json` export.
 func decodeSweeps(b []byte) ([]*SweepReport, error) {
 	var reps []*SweepReport
 	if t := bytes.TrimLeft(b, " \t\r\n"); len(t) > 0 && t[0] == '[' {

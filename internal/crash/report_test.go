@@ -23,7 +23,7 @@ var (
 		Violations: []string{"lba 3 lost", "lba 9 corrupt"}, Findings: []string{"cid 7 leaked"}, Digest: "fnv64w:bad"}
 )
 
-// writeExport writes reports the way bmstore-bench -crash-json does: one
+// writeExport writes reports the way `bmsctl crash-sweep -json` does: one
 // object for a one-seed sweep, an array for several.
 func writeExport(t *testing.T, reps []*SweepReport) string {
 	t.Helper()
@@ -129,7 +129,7 @@ func TestConfigWithDefaultsKeepsExplicitValues(t *testing.T) {
 	}
 }
 
-// FuzzLoadSweeps feeds any bytes to the -crash-json decoder: it never
+// FuzzLoadSweeps feeds any bytes to the `crash-sweep -json` decoder: it never
 // panics, and an export it accepts renders, re-encodes (in the array shape)
 // and re-loads to the same reports — same encoding, same rendering.
 func FuzzLoadSweeps(f *testing.F) {

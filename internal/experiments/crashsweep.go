@@ -67,7 +67,7 @@ func (s *CrashSweep) WriteReport(w io.Writer) {
 		r.WriteText(w)
 		for i, p := range r.Points {
 			if len(p.Violations)+len(p.Findings) > 0 {
-				fmt.Fprintf(w, "  replay: bmstore-bench -crash-sweep -crash-seed %d -crash-point %d\n", r.Seed, i)
+				fmt.Fprintf(w, "  replay: bmsctl crash-sweep -seed %d -point %d\n", r.Seed, i)
 			}
 		}
 	}

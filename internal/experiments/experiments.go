@@ -1,7 +1,7 @@
 // Package experiments contains one runnable harness per table and figure
 // of the paper's evaluation (§V). Each experiment builds the appropriate
 // rig (native, VFIO, SPDK vhost, or BM-Store), runs the paper's workload,
-// and returns typed rows that cmd/bmstore-bench renders and bench_test.go
+// and returns typed rows that `bmsctl sweep` renders and bench_test.go
 // exercises. EXPERIMENTS.md records paper-vs-measured for each one.
 package experiments
 

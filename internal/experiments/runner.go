@@ -96,7 +96,7 @@ func (p *Pool) Each(n int, fn func(i int)) {
 // Harness bundles the cross-cutting configuration of an experiment run: the
 // scale, the worker pool that cells fan out on, and (optionally) a family of
 // per-rig determinism tracers. Every experiment takes a *Harness; tests and
-// benchmarks use Serial, cmd/bmstore-bench builds one from its flags.
+// benchmarks use Serial, `bmsctl sweep` builds one from its flags.
 type Harness struct {
 	Scale   Scale
 	pool    *Pool

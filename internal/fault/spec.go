@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// ParseSpec parses the command-line fault language used by fiosim -faults:
+// ParseSpec parses the command-line fault language used by `bmsctl fio -faults`:
 // semicolon-separated rules, each a kind followed by comma-separated
 // key=value fields.
 //

@@ -141,7 +141,7 @@ func (r *Report) Write(w io.Writer) error {
 
 // Check runs both layers: exact comparison of got against goldens, then
 // the shape assertions over got. This is the single entry point the gate,
-// `bmstore-bench -check`, and `bmsctl fidelity-diff` share.
+// `bmsctl sweep -check`, and `bmsctl fidelity-diff` share.
 func Check(goldens, got []experiments.Result) *Report {
 	rep := Compare(goldens, got)
 	shapes := CheckShapes(got)
@@ -303,7 +303,7 @@ func WriteGoldens(dir, scale string, results []experiments.Result) error {
 }
 
 // FilterByID keeps only the results whose ids are in the given set; used
-// by `bmstore-bench -only ... -check` so a partial run is compared against
+// by `bmsctl sweep -only ... -check` so a partial run is compared against
 // the matching subset of goldens instead of reporting everything else
 // missing.
 func FilterByID(results []experiments.Result, ids map[string]bool) []experiments.Result {

@@ -135,7 +135,7 @@ func Run(p *sim.Proc, devs []host.BlockDevice, spec Spec) *Result {
 	if len(devs) == 0 {
 		panic("fio: no devices")
 	}
-	if spec.IODepth <= 0 || spec.NumJobs <= 0 || spec.BlockSize <= 0 {
+	if spec.IODepth <= 0 || spec.NumJobs <= 0 || spec.BlockSize <= 0 || spec.BlockSize%devs[0].BlockSize() != 0 {
 		panic(fmt.Sprintf("fio: bad spec %+v", spec))
 	}
 	env := p.Env()

@@ -1,6 +1,8 @@
 package fio_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bmstore/internal/fio"
@@ -183,4 +185,21 @@ func BenchmarkFioWorkerStart(b *testing.B) {
 		b.Fatalf("%d reads over %d rounds, want one per worker per round", dev.reads, b.N+1)
 	}
 	env.Shutdown()
+}
+
+// TestRunRejectsPartialBlocks: a block size that is not a whole number of
+// the device's blocks would be truncated to the whole blocks it holds while
+// the result still counted the full size as moved, so Run refuses the spec.
+func TestRunRejectsPartialBlocks(t *testing.T) {
+	for _, bs := range []int{1000, 6144} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "bad spec") {
+					t.Errorf("bs %d: recovered %v, want the bad-spec panic", bs, r)
+				}
+			}()
+			run(t, &fakeDev{lat: sim.Microsecond}, fio.Spec{Name: "x", Pattern: fio.RandRead,
+				BlockSize: bs, IODepth: 1, NumJobs: 1, Runtime: sim.Millisecond})
+		}()
+	}
 }

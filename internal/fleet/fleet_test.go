@@ -161,7 +161,7 @@ func TestFleetWaveAbort(t *testing.T) {
 	if err := r.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	replay := fmt.Sprintf("bmstore-bench -fleet %d -fleet-seed %d -fleet-host %d", hosts, seed, victim)
+	replay := fmt.Sprintf("bmsctl fleet-run -hosts %d -seed %d -host %d", hosts, seed, victim)
 	if !strings.Contains(buf.String(), replay) {
 		t.Errorf("report lacks the replay line %q:\n%s", replay, buf.String())
 	}

@@ -32,7 +32,7 @@ func (t Tenant) pattern() fio.Pattern {
 // same construction the chaos scheduler uses) so a placement is a pure
 // function of (placement seed, host index) — independent of Go version,
 // math/rand internals, and crucially of every *other* host, which is what
-// lets `-fleet-host K` replay one host bit-identically outside the fleet.
+// lets `bmsctl fleet-run -host K` replay one host bit-identically outside the fleet.
 type splitmix64 struct{ x uint64 }
 
 func (s *splitmix64) next() uint64 {

@@ -115,7 +115,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 		bw.printf(" | %s\n", h.Digest)
 		if !h.Healthy {
 			bw.printf("           reason: %s\n", h.Reason)
-			bw.printf("           replay: bmstore-bench -fleet %d -fleet-seed %d -fleet-host %d\n",
+			bw.printf("           replay: bmsctl fleet-run -hosts %d -seed %d -host %d\n",
 				r.Hosts, r.Seed, h.Host)
 		}
 	}
@@ -133,7 +133,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 	return bw.err
 }
 
-// WriteReport renders a single replayed host — the `-fleet-host K` view,
+// WriteReport renders a single replayed host — the `fleet-run -host K` view,
 // with the same fields the fleet report prints for that host.
 func (h *HostResult) WriteReport(w io.Writer) error {
 	bw := &errWriter{w: w}

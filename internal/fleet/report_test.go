@@ -19,7 +19,7 @@ func TestLoadRejectsResultsWithNoHostsToJudge(t *testing.T) {
 	}
 }
 
-// FuzzFleetLoad feeds any bytes to the -fleet-json loader: it never panics,
+// FuzzFleetLoad feeds any bytes to the `fleet-run -json` loader: it never panics,
 // and a result it accepts renders, re-encodes and re-loads to the same
 // result — same encoding, same report.
 func FuzzFleetLoad(f *testing.F) {

@@ -6,19 +6,19 @@
 # detectors (nonzero caught violations across the campaign), and print a
 # byte-identical report and digest for any -parallel value. On a red
 # campaign the report already names each failing seed with its
-# copy-pasteable `fiosim -chaos <seed>,1` replay; it is echoed here so the
+# copy-pasteable `bmsctl chaos <seed>,1` replay; it is echoed here so the
 # CI log carries the recipe.
 set -euo pipefail
 
 CAMPAIGN='1,12'
 
-if ! out_serial=$(go run ./cmd/fiosim -chaos "$CAMPAIGN" -parallel 1 2>/dev/null); then
+if ! out_serial=$(go run ./cmd/bmsctl chaos -parallel 1 "$CAMPAIGN" 2>/dev/null); then
 	echo "chaos campaign failed; failing seeds and replay commands:" >&2
 	echo "$out_serial" >&2
-	echo "replay any failing seed with: go run ./cmd/fiosim -chaos <seed>,1" >&2
+	echo "replay any failing seed with: go run ./cmd/bmsctl chaos <seed>,1" >&2
 	exit 1
 fi
-if ! out_parallel=$(go run ./cmd/fiosim -chaos "$CAMPAIGN" -parallel 4 2>/dev/null); then
+if ! out_parallel=$(go run ./cmd/bmsctl chaos -parallel 4 "$CAMPAIGN" 2>/dev/null); then
 	echo "chaos campaign failed under -parallel 4:" >&2
 	echo "$out_parallel" >&2
 	exit 1

@@ -7,7 +7,7 @@
 # golden (goldens/crash_smoke.digest — re-bless by running this script
 # with BLESS=1 after an intentional behaviour change). A failing crash
 # point is printed by the report itself as an exact replay command
-# (`bmstore-bench -crash-sweep -crash-seed S -crash-point N`).
+# (`bmsctl crash-sweep -seed S -point N`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,14 +15,14 @@ golden=goldens/crash_smoke.digest
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-ARGS="-crash-sweep -crash-seed 1 -crash-seeds 2"
+ARGS="-seed 1 -seeds 2"
 
 # shellcheck disable=SC2086 # ARGS is a deliberate word-split flag list
-GOMAXPROCS=1 go run ./cmd/bmstore-bench $ARGS -parallel 1 -crash-json "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
+GOMAXPROCS=1 go run ./cmd/bmsctl crash-sweep $ARGS -parallel 1 -json "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
 # shellcheck disable=SC2086
-GOMAXPROCS=2 go run ./cmd/bmstore-bench $ARGS -parallel 4 -crash-json "$tmp/p2.json" > "$tmp/p2.txt" 2>/dev/null
+GOMAXPROCS=2 go run ./cmd/bmsctl crash-sweep $ARGS -parallel 4 -json "$tmp/p2.json" > "$tmp/p2.txt" 2>/dev/null
 # shellcheck disable=SC2086
-GOMAXPROCS=8 go run ./cmd/bmstore-bench $ARGS -parallel 4 -crash-json "$tmp/p8.json" > "$tmp/p8.txt" 2>/dev/null
+GOMAXPROCS=8 go run ./cmd/bmsctl crash-sweep $ARGS -parallel 4 -json "$tmp/p8.json" > "$tmp/p8.txt" 2>/dev/null
 
 for v in p2 p8; do
 	if ! cmp -s "$tmp/serial.txt" "$tmp/$v.txt"; then

@@ -24,9 +24,9 @@ status=0
 echo "figures-gate: regenerating the fast sweep (artifacts in $out)"
 # -check runs the in-process comparison (report on stderr, nonzero exit on
 # drift); stdout must stay pure tables so the rendered diff below works.
-if ! go run ./cmd/bmstore-bench -scale fast -trace-digest \
+if ! go run ./cmd/bmsctl sweep -scale fast -trace-digest \
 	-json "$out/results.json" -check goldens > "$out/bench_tables.txt"; then
-	echo "figures-gate: bmstore-bench -check flagged drift or a shape violation" >&2
+	echo "figures-gate: bmsctl sweep -check flagged drift or a shape violation" >&2
 	status=1
 fi
 

@@ -14,12 +14,12 @@ golden=goldens/fleet_smoke.digest
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-ARGS="-fleet 8 -fleet-wave 4 -fleet-seed 1 -scale fast"
+ARGS="-hosts 8 -wave 4 -seed 1 -scale fast"
 
 # shellcheck disable=SC2086 # ARGS is a deliberate word-split flag list
-go run ./cmd/bmstore-bench $ARGS -parallel 1 -fleet-json "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
+go run ./cmd/bmsctl fleet-run $ARGS -parallel 1 -json "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
 # shellcheck disable=SC2086
-go run ./cmd/bmstore-bench $ARGS -parallel 4 -fleet-json "$tmp/parallel.json" > "$tmp/parallel.txt" 2>/dev/null
+go run ./cmd/bmsctl fleet-run $ARGS -parallel 4 -json "$tmp/parallel.json" > "$tmp/parallel.txt" 2>/dev/null
 
 if ! cmp -s "$tmp/serial.txt" "$tmp/parallel.txt"; then
 	echo "fleet smoke: report diverges between -parallel 1 and -parallel 4" >&2

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI smoke for the always-on telemetry layer: run fiosim with timeline
+# CI smoke for the always-on telemetry layer: run `bmsctl fio` with timeline
 # recording (1-in-64 sampling + worst-16 forensics) twice, serial and
 # parallel. The Perfetto trace export must be byte-identical for any
 # -parallel value, match the committed golden digest
@@ -17,9 +17,9 @@ trap 'rm -rf "$tmp"' EXIT
 ARGS="-scheme bmstore -rw randrw -bs 4096 -iodepth 16 -numjobs 2 -runtime 30ms -runs 2 -sample 64 -slowest 16"
 
 # shellcheck disable=SC2086 # ARGS is a deliberate word-split flag list
-go run ./cmd/fiosim $ARGS -parallel 1 -timeline -timeline-out "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
+go run ./cmd/bmsctl fio $ARGS -parallel 1 -timeline -timeline-out "$tmp/serial.json" > "$tmp/serial.txt" 2>/dev/null
 # shellcheck disable=SC2086
-go run ./cmd/fiosim $ARGS -parallel 2 -timeline -timeline-out "$tmp/parallel.json" > "$tmp/parallel.txt" 2>/dev/null
+go run ./cmd/bmsctl fio $ARGS -parallel 2 -timeline -timeline-out "$tmp/parallel.json" > "$tmp/parallel.txt" 2>/dev/null
 
 if ! cmp -s "$tmp/serial.json" "$tmp/parallel.json"; then
 	echo "timeline smoke: Perfetto export diverges between -parallel 1 and -parallel 2" >&2
@@ -50,7 +50,7 @@ if [ "$digest" != "$want" ]; then
 fi
 
 # The exported trace must survive the offline round trip: bmsctl timeline
-# reparses it and rebuilds the identical tail-attribution summary fiosim
+# reparses it and rebuilds the identical tail-attribution summary `bmsctl fio`
 # printed from the live recorders.
 go run ./cmd/bmsctl timeline "$tmp/serial.json" 0 > "$tmp/viewer.txt"
 sed -n '/^timelines:/,$p' "$tmp/serial.txt" > "$tmp/summary_live.txt"
