@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fuzz-smoke race race-runner lint gates pins modelpin-diff determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test fuzz-smoke race race-runner lint gates pins modelpin-diff determinism bench-smoke bench-gate bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -91,13 +91,11 @@ determinism:
 pins:
 	$(GO) test -run 'TestModelledBehaviourPinned|TestEventBudgetPerCommand|TestObserverExportsPinned' -count=1 .
 
-# "Every pinned digest is unchanged", in one command: the replay suite, the
-# cross-commit pins and the five smoke gates, each of which compares against
-# a committed digest or a serial/parallel twin. CI runs the same targets as
-# separate steps, for per-gate logs. With figures-gate and bench-gate this is
-# the full check that a change to the data path moved no virtual nanosecond
-# and no alloc.
-gates: determinism pins fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke
+# "Every pinned digest is unchanged": the replay suite, the cross-commit pins
+# and the five smoke gates of cmd/bmsctl/gate_test.go. With figures-gate and
+# bench-gate, no change to the data path moved a virtual nanosecond or alloc.
+gates: determinism pins
+	$(GO) test -count=1 -run '^TestGate(Fault|Chaos|Timeline|Fleet|Crash)$$' ./cmd/bmsctl
 
 # Neutrality against another commit, beyond what pinned seeds and goldens
 # see: both pin tests' rigs at seeds 1..SEEDS on this tree and on REF
@@ -111,45 +109,6 @@ SEEDS ?= 400
 modelpin-diff:
 	@test -n "$(REF)" || { echo "usage: make modelpin-diff REF=<commit> [SEEDS=400]"; exit 2; }
 	bash scripts/modelpin_diff.sh "$(REF)" "$(SEEDS)"
-
-# Fault-injection smoke: a faulted `bmsctl fio` run must complete (the driver's
-# timeout/retry recovery absorbs the injections), count them, and stay
-# byte-identical between serial and parallel execution.
-fault-smoke:
-	bash scripts/fault_smoke.sh
-
-# Chaos-campaign smoke: a fixed-seed campaign of generated fault schedules
-# under a write-then-verify workload must come back green (no data-integrity
-# or CID-accounting invariant violated), catch at least one injected hazard,
-# and stay byte-identical between serial and parallel execution. Failing
-# seeds are printed with their copy-pasteable `bmsctl chaos <seed>,1`
-# replay.
-chaos-smoke:
-	bash scripts/chaos_smoke.sh
-
-# Always-on telemetry smoke: a timeline-recording `bmsctl fio` run must export a
-# Perfetto trace that is byte-identical between serial and parallel
-# execution, matches the committed golden digest
-# (goldens/timeline_smoke.sha256), and round-trips through the offline
-# viewer (`bmsctl timeline`) to the same tail-attribution summary.
-timeline-smoke:
-	bash scripts/timeline_smoke.sh
-
-# Fleet-simulator smoke: a small rolling hot-upgrade fleet must PASS the
-# health gate with zero tenant I/O errors, report byte-identically between
-# serial and parallel execution, match the committed fleet digest
-# (goldens/fleet_smoke.digest), and round-trip through `bmsctl fleet`.
-fleet-smoke:
-	bash scripts/fleet_smoke.sh
-
-# Crash-recovery smoke: a fixed-seed crash-point sweep (one crash per
-# pipeline-stage boundary, verified through recovery by the chaos oracle)
-# must PASS, report byte-identically across serial/parallel and
-# GOMAXPROCS 1/2/8, match the committed sweep digest
-# (goldens/crash_smoke.digest), and load in `bmsctl crash`. Failing
-# points are printed as exact replay commands.
-crash-smoke:
-	bash scripts/crash_smoke.sh
 
 # One iteration of every benchmark — catches bit-rot in benchmark code and
 # gives a cheap overhead spot-check without a full measurement run.
@@ -179,14 +138,10 @@ profile-sweep:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_OUT)/cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 -sample_index=alloc_objects $(PROFILE_OUT)/mem.pprof
 
-# Paper-fidelity gate: regenerate the fast evaluation sweep, compare every
-# structured Result against goldens/*.json (exact cells + the paper-shape
-# assertions in internal/fidelity), and verify the committed
-# bench_tables.txt matches the regenerated rendering byte for byte.
-# Artifacts (results.json, fidelity_report.txt, bench_tables.txt/diff)
-# land in $$FIGURES_OUT for CI upload.
+# Paper-fidelity gate (TestGateFigures): the fast sweep against the goldens,
+# the shape rules and bench_tables.txt; artifacts land in $$FIGURES_OUT.
 figures-gate:
-	bash scripts/figures_gate.sh
+	$(GO) test -count=1 -run '^TestGateFigures$$' ./cmd/bmsctl
 
 # Bless the current fast-sweep numbers: rewrite goldens/*.json and
 # bench_tables.txt in one run. Refused if the fresh results violate any

@@ -16,24 +16,33 @@ import (
 // invoke runs bmsctl on args with stdout and stderr captured.
 func invoke(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	dir := t.TempDir()
+	code, stdout, stderr, err := capture(t.TempDir(), args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, stdout, stderr
+}
+
+// capture runs bmsctl on args with stdout and stderr captured in files under
+// dir. It calls no testing.T method, so any goroutine may run it.
+func capture(dir string, args ...string) (code int, stdout, stderr string, err error) {
 	out, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", "", err
 	}
+	defer out.Close()
 	errOut, err := os.Create(filepath.Join(dir, "stderr"))
 	if err != nil {
-		t.Fatal(err)
+		return 0, "", "", err
 	}
+	defer errOut.Close()
 	savedOut, savedErr := os.Stdout, os.Stderr
 	os.Stdout, os.Stderr = out, errOut
 	code = bmsctl(args)
 	os.Stdout, os.Stderr = savedOut, savedErr
-	out.Close()
-	errOut.Close()
 	o, _ := os.ReadFile(out.Name())
 	e, _ := os.ReadFile(errOut.Name())
-	return code, string(o), string(e)
+	return code, string(o), string(e), nil
 }
 
 // TestSubcommandErrorContract walks the verb table and pins the one error
