@@ -56,10 +56,11 @@ race:
 	$(GO) test -race -short ./...
 
 # The parallel fan-out path under the race detector, uncached: the worker
-# pool's claiming/panic plumbing plus the serial-vs-parallel equivalence
-# sweep that runs real rigs on concurrent goroutines.
+# pool's claiming/panic plumbing, the serial-vs-parallel equivalence sweeps
+# and the crash sweep's serial-vs-parallel check, which run real rigs (chaos
+# and crash-recovery ones among them) on concurrent goroutines.
 race-runner:
-	$(GO) test -race -count=1 -run 'Pool|Harness|SerialParallel|SetDigest' ./internal/experiments/ ./internal/trace/
+	$(GO) test -race -count=1 -run 'Pool|Harness|SerialParallel|SetDigest|CrashSweepDeterminism' ./internal/experiments/ ./internal/trace/
 
 lint:
 	@fmt_out=$$(gofmt -l .); \

@@ -44,10 +44,6 @@ type Config struct {
 	NumSSDs int
 	// SSD returns the configuration of SSD i; nil means a P4510.
 	SSD func(i int) ssd.Config
-	// SSDWithEnv is like SSD but receives the simulation environment, for
-	// device configs derived from env-bound state (its clock or RNG
-	// streams). Takes precedence over SSD.
-	SSDWithEnv func(env *sim.Env, i int) ssd.Config
 	// CaptureData materialises payload bytes end to end. Benchmarks turn
 	// it off; integrity-sensitive work leaves it on.
 	CaptureData bool
@@ -149,14 +145,11 @@ type Testbed struct {
 	cfg Config
 }
 
-func (c *Config) ssdConfig(env *sim.Env, i int) ssd.Config {
+func (c *Config) ssdConfig(i int) ssd.Config {
 	var sc ssd.Config
-	switch {
-	case c.SSDWithEnv != nil:
-		sc = c.SSDWithEnv(env, i)
-	case c.SSD != nil:
+	if c.SSD != nil {
 		sc = c.SSD(i)
-	default:
+	} else {
 		sc = ssd.P4510(fmt.Sprintf("PHLJ%04d", i))
 	}
 	sc.CaptureData = c.CaptureData
@@ -227,7 +220,7 @@ func NewBMStoreTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	tb.EnginePort = port
 
 	for i := 0; i < cfg.NumSSDs; i++ {
-		dev := ssd.New(env, cfg.ssdConfig(env, i))
+		dev := ssd.New(env, cfg.ssdConfig(i))
 		eng.AttachBackend(dev, newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)))
 		tb.SSDs = append(tb.SSDs, dev)
 	}
@@ -262,7 +255,7 @@ func NewDirectTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	h := host.New(env, cfg.MemSize, cfg.Kernel)
 	tb := &Testbed{Env: env, Host: h, cfg: cfg}
 	for i := 0; i < cfg.NumSSDs; i++ {
-		dev := ssd.New(env, cfg.ssdConfig(env, i))
+		dev := ssd.New(env, cfg.ssdConfig(i))
 		port := h.Connect(newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)), dev, nil)
 		dev.Attach(port)
 		tb.SSDs = append(tb.SSDs, dev)

@@ -49,7 +49,8 @@
 //
 // hard-crashes the BM-Engine at every pipeline-stage boundary of a probed
 // request, one rig per instant, and checks each recovery for lost acked
-// writes, CID-book balance and bounded time; -point P replays one instant.
+// writes, CID-book balance and bounded time; -point P replays one instant
+// of -seed alone, so it takes neither -seeds above 1 nor -json.
 //
 //	bmsctl chaos <seed>[,count]
 //

@@ -95,6 +95,8 @@ func TestSubcommandErrorContract(t *testing.T) {
 		{"sweep", "-only", "nosuch"},
 		{"fleet-run", "-hosts", "0"},
 		{"fleet-run", "-hosts", "4", "-host", "4"},
+		{"crash-sweep", "-seeds", "3", "-point", "2"},
+		{"crash-sweep", "-point", "2", "-json", "x.json"},
 		{"chaos", "x"},
 		{"chaos", "1,0"},
 		{"chaos", "1,2,3"},

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"bmstore"
 	"bmstore/internal/crash"
 	"bmstore/internal/experiments"
 	"bmstore/internal/fidelity"
@@ -243,9 +242,16 @@ func crashSweepVerb(fs *flag.FlagSet) func([]string) int {
 		if err := atLeastOne("seeds", *seeds); err != nil {
 			return fail(fs, 2, err)
 		}
+		// A point replay is one seed's single cell and writes no export.
+		if *point >= 0 && *seeds != 1 {
+			return fail(fs, 2, fmt.Errorf("-point replays one point of -seed alone; it cannot be combined with -seeds %d", *seeds))
+		}
+		if *point >= 0 && *jsonOut != "" {
+			return fail(fs, 2, fmt.Errorf("-point replays one point and writes no -json export"))
+		}
 		start := time.Now()
 		if *point >= 0 {
-			pt, err := experiments.RunCrashPoint(*seed, *point, crash.Config{}, 0)
+			pt, err := experiments.RunCrashPoint(*seed, *point, crash.Config{})
 			if err != nil {
 				return fail(fs, 2, err)
 			}
@@ -305,7 +311,7 @@ func chaosVerb(fs *flag.FlagSet) func([]string) int {
 			}
 		}
 		start := time.Now()
-		c := bmstore.RunChaosCampaign(bmstore.ChaosOptions{Seed: seed, Runs: count, Parallel: parallel})
+		c := experiments.RunChaosCampaign(experiments.ChaosOptions{Seed: seed, Runs: count, Parallel: parallel})
 		c.WriteReport(os.Stdout)
 		fmt.Fprintf(os.Stderr, "(%d chaos runs in %.1fs wall, parallel=%d)\n",
 			count, time.Since(start).Seconds(), parallel)

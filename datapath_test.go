@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"bmstore/internal/chaos"
 	"bmstore/internal/fault"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
@@ -101,72 +100,6 @@ func TestTelemetryIsTimingNeutral(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"bmstore_rig"`)) {
 		t.Error("trace export looks empty; the recorder never saw the workload")
-	}
-}
-
-// faultRecords matches the fired-fault records of a trace dump.
-var faultRecords = regexp.MustCompile(`(?m)^ *\d+ fault .*$`)
-
-// TestFaultRulesFireOnTheSameCommand walks every data-path fault kind with
-// an nth= and a t= rule (stall windows have only t=) on the campaign rig's
-// write-then-verify workload. Each rule must fire, be visible as a `fault`
-// record in the trace and — for the three CaptureData hazards — damage bytes
-// the oracle catches; and a replay of the same schedule must fire it on the
-// same commands at the same virtual instants (byte-equal trace dumps) with
-// the same evidence (workload tallies, driver counters, oracle violations
-// and their LBAs).
-func TestFaultRulesFireOnTheSameCommand(t *testing.T) {
-	faultedRun := func(t *testing.T, sch chaos.Schedule) (string, ChaosRun) {
-		var dump bytes.Buffer
-		tr := trace.New(trace.Options{Dump: &dump})
-		run := RunChaosSchedule(sch, ChaosOptions{}, tr, nil)
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return dump.String(), run
-	}
-	for _, tc := range []struct {
-		spec   string
-		hazard bool
-	}{
-		{"media-err,nth=5,status=0x281", false},
-		{"media-err,t=1ms,status=0x281", false},
-		{"media-slow,nth=7,count=3,dur=400us", false},
-		{"media-slow,t=1ms,dur=400us", false},
-		{"ssd-stall,t=200us,dur=2ms,target=CH0", false},
-		{"backend-stall,t=200us,dur=2ms,target=CH0", false},
-		{"media-corrupt,nth=9", true},
-		{"media-corrupt,t=1ms,count=2", true},
-		{"misdirected-read,nth=4", true},
-		{"misdirected-read,t=1ms", true},
-		{"torn-write,nth=11", true},
-		{"torn-write,t=900us,count=2", true},
-	} {
-		tc := tc
-		t.Run(tc.spec, func(t *testing.T) {
-			rules, err := fault.ParseSpec(tc.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sch := chaos.Schedule{Seed: 7, Hazard: tc.hazard, Rules: rules}
-			dump, run := faultedRun(t, sch)
-			fired := faultRecords.FindAllString(dump, -1)
-			if run.Report.Injected == 0 || len(fired) == 0 {
-				t.Fatalf("rule never fired (injected %d)", run.Report.Injected)
-			}
-			if tc.hazard && len(run.Report.Violations) == 0 {
-				t.Errorf("hazard fired %d times but the oracle saw no damaged block", run.Report.Injected)
-			}
-			again, rerun := faultedRun(t, sch)
-			if again != dump {
-				t.Errorf("replay diverged: fault records %v, then %v", fired, faultRecords.FindAllString(again, -1))
-			}
-			if !reflect.DeepEqual(run.Report, rerun.Report) || !reflect.DeepEqual(run.Findings, rerun.Findings) {
-				t.Errorf("replay evidence diverged:\nfirst:  %+v\nreplay: %+v", run.Report, rerun.Report)
-			}
-			t.Logf("injected %d, violations %d, first firing: %s",
-				run.Report.Injected, len(run.Report.Violations), fired[0])
-		})
 	}
 }
 

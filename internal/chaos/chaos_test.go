@@ -342,8 +342,8 @@ func targets() Targets {
 
 func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		a := Generate(seed, targets(), Params{})
-		b := Generate(seed, targets(), Params{})
+		a := Generate(seed, targets())
+		b := Generate(seed, targets())
 		if a.Hazard != b.Hazard || len(a.Rules) != len(b.Rules) {
 			t.Fatalf("seed %d: schedules diverge", seed)
 		}
@@ -358,7 +358,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestGenerateRegimes(t *testing.T) {
 	sawHazard, sawBenign := false, false
 	for seed := int64(0); seed < 100; seed++ {
-		s := Generate(seed, targets(), Params{})
+		s := Generate(seed, targets())
 		if len(s.Rules) == 0 {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}

@@ -12,15 +12,6 @@ type Targets struct {
 	Links []string // PCIe link names (replay rules)
 }
 
-// Params tunes the schedule generator. Zero values select the defaults.
-type Params struct {
-	// MaxRules bounds the rules per schedule (default 4, minimum 1).
-	MaxRules int
-	// HazardNumerator/32 is the probability that a schedule is a hazard
-	// schedule (default 16/32 — an even split).
-	HazardNumerator int
-}
-
 // Schedule is one generated chaos run: a reproducible rule set plus the
 // invariant regime it must be checked under.
 type Schedule struct {
@@ -40,8 +31,15 @@ const (
 	maxAt = 8_000_000 // 8 ms
 )
 
+// Generation shape: at most maxRules rules per schedule, and a schedule is
+// a hazard schedule with probability hazardNumerator/32 (an even split).
+const (
+	maxRules        = 4
+	hazardNumerator = 16
+)
+
 // Generate derives the fault schedule for seed, deterministically: the same
-// (seed, targets, params) triple always yields the identical schedule, so a
+// (seed, targets) pair always yields the identical schedule, so a
 // failing seed replays exactly.
 //
 // Benign schedules draw only from faults the recovering driver absorbs:
@@ -51,15 +49,9 @@ const (
 // or two silent data hazards plus optional latency-only companions; they
 // exclude stalls and error statuses so a host-side timeout can never retry
 // away a fired hazard before the oracle sees it.
-func Generate(seed int64, tg Targets, p Params) Schedule {
-	if p.MaxRules <= 0 {
-		p.MaxRules = 4
-	}
-	if p.HazardNumerator <= 0 {
-		p.HazardNumerator = 16
-	}
+func Generate(seed int64, tg Targets) Schedule {
 	rng := rand.New(rand.NewSource(seed))
-	s := Schedule{Seed: seed, Hazard: rng.Intn(32) < p.HazardNumerator}
+	s := Schedule{Seed: seed, Hazard: rng.Intn(32) < hazardNumerator}
 
 	ssd := func() string { return tg.SSDs[rng.Intn(len(tg.SSDs))] }
 	at := func() int64 { return minAt + rng.Int63n(maxAt-minAt) }
@@ -77,7 +69,7 @@ func Generate(seed int64, tg Targets, p Params) Schedule {
 			})
 		}
 		// Latency-only companions: pressure without error statuses.
-		for len(s.Rules) < p.MaxRules && rng.Intn(2) == 0 {
+		for len(s.Rules) < maxRules && rng.Intn(2) == 0 {
 			if rng.Intn(2) == 0 {
 				s.Rules = append(s.Rules, fault.Rule{
 					Point: fault.SSDMediaRead, Target: ssd(), At: at(),
@@ -95,7 +87,7 @@ func Generate(seed int64, tg Targets, p Params) Schedule {
 	}
 
 	// Benign pool: every entry recoverable under CmdTimeout+retry.
-	n := 1 + rng.Intn(p.MaxRules)
+	n := 1 + rng.Intn(maxRules)
 	for i := 0; i < n; i++ {
 		switch rng.Intn(5) {
 		case 0: // retryable media error (internal error status)

@@ -1,23 +1,19 @@
-package bmstore
+package experiments
 
 import (
 	"fmt"
 	"io"
-	"sync"
 
+	"bmstore"
 	"bmstore/internal/chaos"
-	"bmstore/internal/fault"
-	"bmstore/internal/fio"
 	"bmstore/internal/host"
 	"bmstore/internal/obs"
-	"bmstore/internal/sim"
-	"bmstore/internal/ssd"
 	"bmstore/internal/trace"
 )
 
 // ChaosOptions configures a chaos campaign: Runs seeded fault schedules
-// (seeds Seed, Seed+1, …), each executed on a fresh two-SSD BM-Store rig
-// under a write-then-verify workload, with every run's evidence checked
+// (seeds Seed, Seed+1, …), each executed on a fresh verify-campaign rig
+// under the write-then-verify workload, with every run's evidence checked
 // against the chaos invariants (see internal/chaos).
 type ChaosOptions struct {
 	Seed int64 // base seed (default 1)
@@ -26,18 +22,12 @@ type ChaosOptions struct {
 	// are independent simulations; the campaign's output and digest are
 	// byte-identical for any value.
 	Parallel int
-	// Horizon is the per-run liveness watchdog (virtual time, default 5s):
-	// a run that has not finished by then is reported as a liveness
-	// violation with the blocked processes named, instead of hanging.
-	Horizon sim.Time
 	// DisableRecovery attaches the fail-fast driver (no command timeout, no
 	// retries) instead of the recovering one. Generated benign schedules
 	// need recovery to verify clean; planted hazard schedules run fine
 	// without it, which is how the oracle is proven to catch silent damage
 	// with no recovery machinery in the way.
 	DisableRecovery bool
-	// Params tunes the schedule generator.
-	Params chaos.Params
 	// Metrics, when non-nil, attaches a per-run metrics registry to every
 	// rig. Metrics are passive observers: attaching them must not move a
 	// single digest (the trace equivalence tests pin this for campaigns).
@@ -61,13 +51,13 @@ type ChaosCampaign struct {
 	Opts ChaosOptions
 	Runs []ChaosRun
 	// Digest folds every run's trace digest; it is a pure function of
-	// (Seed, Runs, Params), independent of Parallel and wall-clock, so two
+	// (Seed, Runs), independent of Parallel and wall-clock, so two
 	// invocations of the same campaign must produce the same digest.
 	Digest string
 }
 
-// Failed returns the indices of runs with findings.
-func (c *ChaosCampaign) Failed() []int {
+// failed returns the indices of runs with findings.
+func (c *ChaosCampaign) failed() []int {
 	var idx []int
 	for i := range c.Runs {
 		if !c.Runs[i].OK() {
@@ -78,7 +68,7 @@ func (c *ChaosCampaign) Failed() []int {
 }
 
 // OK reports whether every run came back green.
-func (c *ChaosCampaign) OK() bool { return len(c.Failed()) == 0 }
+func (c *ChaosCampaign) OK() bool { return len(c.failed()) == 0 }
 
 // chaosTargets names the components of the campaign rig that schedules may
 // aim rules at: the two SSDs and the three PCIe links.
@@ -89,111 +79,24 @@ func chaosTargets() chaos.Targets {
 	}
 }
 
-// chaosConfig is the campaign rig: two small SSDs behind the engine with
-// 1 MB chunks (so the verify region stripes across both), payload capture
-// on, and the schedule's rules armed.
-func chaosConfig(seed int64, rules []fault.Rule, tr *trace.Tracer, met *obs.Registry) Config {
-	cfg := DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumSSDs = 2
-	cfg.CaptureData = true
-	cfg.Engine.ChunkBytes = 1 << 20
-	cfg.SSD = func(i int) ssd.Config {
-		c := ssd.P4510(fmt.Sprintf("CH%d", i))
-		c.CapacityBytes = 1 << 30
-		return c
-	}
-	return cfg.With(WithFaults(rules...), WithTrace(tr), WithMetrics(met))
-}
-
-// chaosDriverConfig is the recovering tenant driver: timeouts, aborts and
-// bounded retries sized for millisecond-scale injected faults.
-func chaosDriverConfig() host.DriverConfig {
-	dcfg := host.DefaultDriverConfig()
-	dcfg.CmdTimeout = 3 * sim.Millisecond
-	dcfg.MaxRetries = 10
-	dcfg.RetryBackoff = 200 * sim.Microsecond
-	return dcfg
-}
-
-// RunChaosSchedule executes one schedule on a fresh rig and returns the
+// runChaosSchedule executes one schedule on a fresh rig and returns the
 // checked run. tr, when non-nil, is attached to the rig and its digest
 // recorded (pass trace.NewDigest() for a standalone replay); met, when
 // non-nil, collects the rig's metrics.
-func RunChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, met *obs.Registry) ChaosRun {
+func runChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, met *obs.Registry) ChaosRun {
 	run := ChaosRun{Seed: sch.Seed}
 	run.Report.Schedule = sch
-	horizon := opts.Horizon
-	if horizon <= 0 {
-		horizon = 5 * sim.Second
-	}
-
-	tb, err := NewBMStoreTestbed(chaosConfig(sch.Seed, sch.Rules, tr, met))
+	tb, err := bmstore.NewBMStoreTestbed(verifyRigConfig(sch.Seed, sch.Rules, tr, met))
 	if err != nil {
 		run.Findings = []chaos.Finding{{Name: "rig-build", Detail: err.Error()}}
 		return run
 	}
-	dcfg := chaosDriverConfig()
+	dcfg := recoveringDriver()
 	if opts.DisableRecovery {
 		dcfg = host.DefaultDriverConfig()
 	}
-	oracle := chaos.NewOracle(sch.Seed, int(ssd.BlockSize))
-
-	var drv *host.Driver
-	var vres *fio.VerifyResult
-	var setupErr error
-	diag := tb.RunWatched(func(p *sim.Proc) {
-		if setupErr = tb.Console.CreateNamespace(p, "vol", 16<<20, []int{0, 1}); setupErr != nil {
-			return
-		}
-		if setupErr = tb.Console.Bind(p, "vol", 0); setupErr != nil {
-			return
-		}
-		if drv, setupErr = tb.AttachTenant(p, 0, dcfg); setupErr != nil {
-			return
-		}
-		vres, setupErr = fio.RunVerify(p, []host.BlockDevice{drv.BlockDev(0)},
-			fio.VerifySpec{Name: fmt.Sprintf("chaos-%d", sch.Seed)}, oracle)
-	}, horizon)
-
-	flt := tb.Env.Faults()
-	run.Report.Injected = flt.Injected()
-	run.Report.Fired = make(map[fault.Point]uint64)
-	for _, pt := range []fault.Point{fault.MediaCorrupt, fault.WriteTorn, fault.ReadMisdirect} {
-		if n := flt.InjectedBy(pt); n > 0 {
-			run.Report.Fired[pt] = n
-		}
-	}
-	if drv != nil {
-		c := drv.Counters()
-		run.Report.Counters = chaos.Counters{
-			Submitted: c.Submitted, Completed: c.Completed,
-			Timeouts: c.Timeouts, Aborts: c.Aborts, Retries: c.Retries,
-			Stragglers: c.Stragglers, Spurious: c.Spurious,
-			Reclaimed: c.Reclaimed, ZombiesLeft: c.ZombiesLeft,
-		}
-	}
-	if vres != nil {
-		run.Report.Writes = vres.Writes
-		run.Report.Reads = vres.Reads
-		run.Report.WriteErrs = vres.WriteErrs
-		run.Report.ReadErrs = vres.ReadErrs
-	}
-	run.Report.InDoubt = oracle.InDoubt()
-	run.Report.Violations = oracle.Violations()
-	run.Report.ViolOverflow = oracle.Overflow()
-	if diag != nil {
-		run.Report.Stall = &chaos.Stall{
-			At: int64(diag.At), HorizonHit: diag.HorizonHit,
-			Pending: diag.Pending, Blocked: diag.Blocked,
-		}
-	}
-
-	if setupErr != nil {
-		run.Findings = append(run.Findings,
-			chaos.Finding{Name: "workload-setup", Detail: setupErr.Error()})
-	}
-	run.Findings = append(run.Findings, chaos.Check(&run.Report)...)
+	v := runVerify(tb, sch.Seed, fmt.Sprintf("chaos-%d", sch.Seed), dcfg)
+	run.Report, run.Findings = v.evidence(tb, sch)
 	if tr != nil {
 		run.Digest = tr.Digest()
 		run.Events = tr.Events()
@@ -201,10 +104,8 @@ func RunChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, m
 	return run
 }
 
-// RunChaosCampaign generates and executes the campaign. Results are in seed
-// order regardless of Parallel. The campaign cannot use the experiments
-// sweep pool (that package imports this one), so it carries its own bounded
-// worker loop.
+// RunChaosCampaign generates and executes the campaign on the worker pool.
+// Results are in seed order regardless of Parallel.
 func RunChaosCampaign(opts ChaosOptions) *ChaosCampaign {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -227,19 +128,10 @@ func RunChaosCampaign(opts ChaosOptions) *ChaosCampaign {
 			registries[i] = opts.Metrics.Registry(fmt.Sprintf("chaos%04d", i))
 		}
 	}
-	sem := make(chan struct{}, opts.Parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sch := chaos.Generate(opts.Seed+int64(i), chaosTargets(), opts.Params)
-			c.Runs[i] = RunChaosSchedule(sch, opts, tracers[i], registries[i])
-		}(i)
-	}
-	wg.Wait()
+	NewPool(opts.Parallel).Each(opts.Runs, func(i int) {
+		sch := chaos.Generate(opts.Seed+int64(i), chaosTargets())
+		c.Runs[i] = runChaosSchedule(sch, opts, tracers[i], registries[i])
+	})
 	c.Digest = set.Digest()
 	return c
 }
@@ -272,7 +164,7 @@ func (c *ChaosCampaign) WriteReport(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "campaign digest: %s\n", c.Digest)
-	if failed := c.Failed(); len(failed) > 0 {
+	if failed := c.failed(); len(failed) > 0 {
 		fmt.Fprintf(w, "verdict: FAIL (%d/%d runs violated invariants)\n", len(failed), len(c.Runs))
 	} else {
 		fmt.Fprintf(w, "verdict: PASS (%d/%d runs green)\n", len(c.Runs), len(c.Runs))

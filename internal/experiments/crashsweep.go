@@ -8,11 +8,8 @@ import (
 	"bmstore/internal/chaos"
 	"bmstore/internal/crash"
 	"bmstore/internal/fault"
-	"bmstore/internal/fio"
-	"bmstore/internal/host"
 	"bmstore/internal/obs/timeline"
 	"bmstore/internal/sim"
-	"bmstore/internal/ssd"
 	"bmstore/internal/trace"
 )
 
@@ -22,9 +19,10 @@ import (
 // a representative mid-run request whose timeline carries every stage
 // mark, and uses those timestamps (doorbell, dispatch, mapping, NAND, DMA,
 // CQE, ...) as the crash instants. Each instant then gets its own rig with
-// an engine-crash@t rule, crash recovery armed, and the write-then-verify
-// oracle workload; the per-point verdict combines the oracle's
-// data-integrity violations with the crash-regime invariant checks.
+// an engine-crash@t rule, crash recovery armed, and the verify campaign's
+// write-then-verify oracle workload (verify.go); the per-point verdict
+// combines the oracle's data-integrity violations with the crash-regime
+// invariant checks.
 
 // CrashSweepOptions configures a sweep.
 type CrashSweepOptions struct {
@@ -34,8 +32,6 @@ type CrashSweepOptions struct {
 	// independent simulations; the reports and digest are byte-identical
 	// for any value.
 	Parallel int
-	// Horizon is the per-run liveness watchdog (default 5s).
-	Horizon sim.Time
 	// Crash is the recovery configuration applied to every point run —
 	// including, for planted-violation tests, TruncateJournal /
 	// TamperCheckpoint / DisableRecovery.
@@ -79,87 +75,28 @@ func (s *CrashSweep) WriteReport(w io.Writer) {
 	}
 }
 
-// crashRigConfig is the sweep rig: the chaos campaign's two-SSD layout
-// (small drives, 1 MB chunks so the verify region stripes across both,
-// payload capture on), restated here because that configuration lives
-// unexported in package bmstore.
-func crashRigConfig(seed int64, rules []fault.Rule, tr *trace.Tracer) bmstore.Config {
-	cfg := bmstore.DefaultConfig()
-	cfg.Seed = seed
-	cfg.NumSSDs = 2
-	cfg.CaptureData = true
-	cfg.Engine.ChunkBytes = 1 << 20
-	cfg.SSD = func(i int) ssd.Config {
-		c := ssd.P4510(fmt.Sprintf("CH%d", i))
-		c.CapacityBytes = 1 << 30
-		return c
-	}
-	return cfg.With(bmstore.WithFaults(rules...), bmstore.WithTrace(tr))
-}
-
-// crashDriverConfig is the recovering tenant driver, sized so the default
-// 8ms outage sits far inside the retry budget (~237ms): episodes that span
-// the crash come back as retried successes, never errors.
-func crashDriverConfig() host.DriverConfig {
-	dcfg := host.DefaultDriverConfig()
-	dcfg.CmdTimeout = 3 * sim.Millisecond
-	dcfg.MaxRetries = 10
-	dcfg.RetryBackoff = 200 * sim.Microsecond
-	return dcfg
-}
-
 // crashInstant is one discovered crash point.
 type crashInstant struct {
 	Stage string
 	At    int64
 }
 
-// runCrashWorkload is the shared rig body: namespace, tenant, verify
-// workload, final zombie reclaim. It returns the driver, verify result and
-// watchdog diagnosis; setup errors surface through the error.
-func runCrashWorkload(tb *bmstore.Testbed, name string, oracle *chaos.Oracle, horizon sim.Time) (*host.Driver, *fio.VerifyResult, *sim.Diagnosis, error) {
-	var drv *host.Driver
-	var vres *fio.VerifyResult
-	var setupErr error
-	diag := tb.RunWatched(func(p *sim.Proc) {
-		if setupErr = tb.Console.CreateNamespace(p, "vol", 16<<20, []int{0, 1}); setupErr != nil {
-			return
-		}
-		if setupErr = tb.Console.Bind(p, "vol", 0); setupErr != nil {
-			return
-		}
-		if drv, setupErr = tb.AttachTenant(p, 0, crashDriverConfig()); setupErr != nil {
-			return
-		}
-		vres, setupErr = fio.RunVerify(p, []host.BlockDevice{drv.BlockDev(0)},
-			fio.VerifySpec{Name: name}, oracle)
-		if drv != nil {
-			// Post-recovery zombies have no straggler CQE coming (their
-			// doorbells died with the card); reclaim them so the CID books
-			// can balance.
-			drv.ReclaimZombies()
-		}
-	}, horizon)
-	return drv, vres, diag, setupErr
-}
-
 // discoverCrashInstants runs the crash-free probe rig for one seed and
 // returns the crash instants: the stage-mark timestamps of one
 // deterministic, fully-marked, mid-run request timeline.
-func discoverCrashInstants(seed int64, horizon sim.Time) ([]crashInstant, error) {
-	cfg := crashRigConfig(seed, nil, nil)
+func discoverCrashInstants(seed int64) ([]crashInstant, error) {
+	cfg := verifyRigConfig(seed, nil, nil, nil)
 	tb, err := bmstore.NewBMStoreTestbed(cfg,
 		bmstore.WithTimeline(timeline.Config{SampleEvery: 1, MaxSamples: 1 << 16}))
 	if err != nil {
 		return nil, fmt.Errorf("crash sweep: probe rig: %w", err)
 	}
-	oracle := chaos.NewOracle(seed, int(ssd.BlockSize))
-	_, _, diag, err := runCrashWorkload(tb, fmt.Sprintf("crash-probe-%d", seed), oracle, horizon)
-	if err != nil {
-		return nil, fmt.Errorf("crash sweep: probe workload: %w", err)
+	v := runVerify(tb, seed, fmt.Sprintf("crash-probe-%d", seed), recoveringDriver())
+	if v.err != nil {
+		return nil, fmt.Errorf("crash sweep: probe workload: %w", v.err)
 	}
-	if diag != nil {
-		return nil, fmt.Errorf("crash sweep: probe stalled at t=%dns", diag.At)
+	if v.diag != nil {
+		return nil, fmt.Errorf("crash sweep: probe stalled at t=%dns", v.diag.At)
 	}
 	dump := tb.Metrics().Timeline().Dump("probe")
 	rec := pickProbeRec(dump.Samples)
@@ -217,59 +154,25 @@ func seqDist(a, b uint64) uint64 {
 }
 
 // runCrashPoint executes one crash-point rig and fills its report.
-func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Tracer, horizon sim.Time) crash.PointReport {
+func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Tracer) crash.PointReport {
 	pt := crash.PointReport{Stage: in.Stage, CrashAt: in.At}
 	rules := []fault.Rule{{Point: fault.EngineCrash, At: in.At}}
-	cfg := crashRigConfig(seed, rules, tr)
-	tb, err := bmstore.NewBMStoreTestbed(cfg, bmstore.WithCrashRecovery(cc))
+	tb, err := bmstore.NewBMStoreTestbed(verifyRigConfig(seed, rules, tr, nil), bmstore.WithCrashRecovery(cc))
 	if err != nil {
 		pt.Findings = append(pt.Findings, "rig-build: "+err.Error())
 		return pt
 	}
-	oracle := chaos.NewOracle(seed, int(ssd.BlockSize))
-	drv, vres, diag, setupErr := runCrashWorkload(tb,
-		fmt.Sprintf("crash-%d-%s", seed, in.Stage), oracle, horizon)
-
-	// Assemble the evidence for the crash-regime invariant checker.
-	rep := chaos.Report{
-		Schedule: chaos.Schedule{Seed: seed},
-		Crash:    true,
-		Injected: tb.Env.Faults().Injected(),
-		Fired:    map[fault.Point]uint64{},
-	}
-	if drv != nil {
-		c := drv.Counters()
-		rep.Counters = chaos.Counters{
-			Submitted: c.Submitted, Completed: c.Completed,
-			Timeouts: c.Timeouts, Aborts: c.Aborts, Retries: c.Retries,
-			Stragglers: c.Stragglers, Spurious: c.Spurious,
-			Reclaimed: c.Reclaimed, ZombiesLeft: c.ZombiesLeft,
-		}
-		pt.Timeouts, pt.Retries = c.Timeouts, c.Retries
-		pt.Stragglers, pt.Reclaimed = c.Stragglers, c.Reclaimed
-	}
-	if vres != nil {
-		rep.Writes, rep.Reads = vres.Writes, vres.Reads
-		rep.WriteErrs, rep.ReadErrs = vres.WriteErrs, vres.ReadErrs
-		pt.Writes, pt.Reads = int(vres.Writes), int(vres.Reads)
-	}
-	rep.InDoubt = oracle.InDoubt()
-	rep.Violations = oracle.Violations()
-	rep.ViolOverflow = oracle.Overflow()
+	v := runVerify(tb, seed, fmt.Sprintf("crash-%d-%s", seed, in.Stage), recoveringDriver())
+	rep, findings := v.evidence(tb, chaos.Schedule{Seed: seed})
+	c := rep.Counters
+	pt.Timeouts, pt.Retries = c.Timeouts, c.Retries
+	pt.Stragglers, pt.Reclaimed = c.Stragglers, c.Reclaimed
+	pt.Writes, pt.Reads = int(rep.Writes), int(rep.Reads)
 	pt.InDoubt = int(rep.InDoubt)
-	if diag != nil {
-		rep.Stall = &chaos.Stall{
-			At: int64(diag.At), HorizonHit: diag.HorizonHit,
-			Pending: diag.Pending, Blocked: diag.Blocked,
-		}
+	for _, viol := range rep.Violations {
+		pt.Violations = append(pt.Violations, viol.String())
 	}
-	if setupErr != nil {
-		pt.Findings = append(pt.Findings, "workload-setup: "+setupErr.Error())
-	}
-	for _, v := range rep.Violations {
-		pt.Violations = append(pt.Violations, v.String())
-	}
-	for _, f := range chaos.Check(&rep) {
+	for _, f := range findings {
 		if f.Name == "integrity" {
 			continue // the point report already lists the violations themselves
 		}
@@ -322,16 +225,13 @@ func RunCrashSweep(opts CrashSweepOptions) (*CrashSweep, error) {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
 	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = 5 * sim.Second
-	}
 	pool := NewPool(opts.Parallel)
 
 	// Phase 1: one probe per seed discovers that seed's crash instants.
 	instants := make([][]crashInstant, opts.Seeds)
 	errs := make([]error, opts.Seeds)
 	pool.Each(opts.Seeds, func(i int) {
-		instants[i], errs[i] = discoverCrashInstants(opts.Seed+int64(i), opts.Horizon)
+		instants[i], errs[i] = discoverCrashInstants(opts.Seed + int64(i))
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -349,7 +249,7 @@ func RunCrashSweep(opts CrashSweepOptions) (*CrashSweep, error) {
 	points := make([]crash.PointReport, opts.Seeds*perSeed)
 	pool.Each(len(points), func(i int) {
 		seed := opts.Seed + int64(i/perSeed)
-		points[i] = runCrashPoint(seed, instants[i/perSeed][i%perSeed], opts.Crash, tracers[i], opts.Horizon)
+		points[i] = runCrashPoint(seed, instants[i/perSeed][i%perSeed], opts.Crash, tracers[i])
 	})
 
 	sw := &CrashSweep{Opts: opts, Digest: set.Digest()}
@@ -378,16 +278,13 @@ func foldDigests(points []crash.PointReport) string {
 // RunCrashPoint replays one (seed, point) cell exactly as the sweep ran it
 // — probe first to rediscover the instants, then the single crash rig —
 // so a failing point reproduces standalone from its replay command.
-func RunCrashPoint(seed int64, point int, cc crash.Config, horizon sim.Time) (crash.PointReport, error) {
-	if horizon <= 0 {
-		horizon = 5 * sim.Second
-	}
-	instants, err := discoverCrashInstants(seed, horizon)
+func RunCrashPoint(seed int64, point int, cc crash.Config) (crash.PointReport, error) {
+	instants, err := discoverCrashInstants(seed)
 	if err != nil {
 		return crash.PointReport{}, err
 	}
 	if point < 0 || point >= len(instants) {
 		return crash.PointReport{}, fmt.Errorf("crash sweep: point %d out of range [0,%d)", point, len(instants))
 	}
-	return runCrashPoint(seed, instants[point], cc, trace.NewDigest(), horizon), nil
+	return runCrashPoint(seed, instants[point], cc, trace.NewDigest()), nil
 }

@@ -10,7 +10,6 @@ import (
 	"bmstore/internal/engine"
 	"bmstore/internal/fault"
 	"bmstore/internal/obs/timeline"
-	"bmstore/internal/sim"
 	"bmstore/internal/trace"
 )
 
@@ -85,7 +84,7 @@ func TestCrashSweepDeterminism(t *testing.T) {
 // proof that the invariant is load-bearing — a recovery path that silently
 // lost acked writes would fail exactly like this.
 func TestCrashSweepJournalTruncation(t *testing.T) {
-	pt, err := RunCrashPoint(1, int(timeline.PtNandStart), crash.Config{TruncateJournal: 4}, 0)
+	pt, err := RunCrashPoint(1, int(timeline.PtNandStart), crash.Config{TruncateJournal: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestCrashSweepCheckpointTamper(t *testing.T) {
 			}
 		}
 	}
-	pt, err := RunCrashPoint(1, int(timeline.PtNandStart), crash.Config{TamperCheckpoint: tamper}, 0)
+	pt, err := RunCrashPoint(1, int(timeline.PtNandStart), crash.Config{TamperCheckpoint: tamper})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +141,8 @@ func TestCrashSweepCheckpointTamper(t *testing.T) {
 // stage-boundary instants must inject the crash and leave both a `crash` and
 // a `recover` record in the trace.
 func TestCrashPointsCrashAndRecover(t *testing.T) {
-	const seed, horizon = 1, 5 * sim.Second
-	instants, err := discoverCrashInstants(seed, horizon)
+	const seed = 1
+	instants, err := discoverCrashInstants(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestCrashPointsCrashAndRecover(t *testing.T) {
 	for _, in := range instants {
 		var dump bytes.Buffer
 		tr := trace.New(trace.Options{Dump: &dump})
-		pt := runCrashPoint(seed, in, crash.Config{}, tr, horizon)
+		pt := runCrashPoint(seed, in, crash.Config{}, tr)
 		if err := tr.Flush(); err != nil {
 			t.Fatal(err)
 		}

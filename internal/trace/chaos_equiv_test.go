@@ -10,7 +10,7 @@ import (
 	"bytes"
 	"testing"
 
-	"bmstore"
+	"bmstore/internal/experiments"
 	"bmstore/internal/obs"
 )
 
@@ -19,8 +19,8 @@ const (
 	chaosEquivRuns = 6
 )
 
-func runChaosEquivCampaign(parallel int, mset *obs.Set) *bmstore.ChaosCampaign {
-	return bmstore.RunChaosCampaign(bmstore.ChaosOptions{
+func runChaosEquivCampaign(parallel int, mset *obs.Set) *experiments.ChaosCampaign {
+	return experiments.RunChaosCampaign(experiments.ChaosOptions{
 		Seed: chaosEquivSeed, Runs: chaosEquivRuns, Parallel: parallel, Metrics: mset,
 	})
 }

@@ -117,3 +117,18 @@ func TestWithTimelineRegistryConflict(t *testing.T) {
 		t.Errorf("constructor rejected a timeline-recording registry: %v", err)
 	}
 }
+
+// TestValidateRejectsDataHazardsWithoutCapture: satellite guard — arming
+// silent-data-damage rules on a rig that carries no payload bytes is a
+// configuration error, not a silently-inert campaign.
+func TestValidateRejectsDataHazardsWithoutCapture(t *testing.T) {
+	cfg := DefaultConfig().With(WithFaults(fault.Rule{Point: fault.MediaCorrupt, Target: "PHLJ0000", Count: 1}))
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), "CaptureData") {
+		t.Fatalf("want CaptureData validation error, got %v", err)
+	}
+	cfg.CaptureData = true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("CaptureData on should validate: %v", err)
+	}
+}
