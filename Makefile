@@ -96,7 +96,7 @@ pins:
 # and the five smoke gates of cmd/bmsctl/gate_test.go. With figures-gate and
 # bench-gate, no change to the data path moved a virtual nanosecond or alloc.
 gates: determinism pins
-	$(GO) test -count=1 -run '^TestGate(Fault|Chaos|Timeline|Fleet|Crash)$$' ./cmd/bmsctl
+	$(GO) test -count=1 -v -run '^TestGate(Fault|Chaos|Timeline|Fleet|Crash)$$' ./cmd/bmsctl
 
 # Neutrality against another commit, beyond what pinned seeds and goldens
 # see: both pin tests' rigs at seeds 1..SEEDS on this tree and on REF

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strings"
 	"time"
 
@@ -15,11 +14,7 @@ import (
 	"bmstore/internal/host"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
-	"bmstore/internal/spdkvhost"
 )
-
-// fioSchemes are the storage schemes `bmsctl fio -scheme` builds a rig for.
-var fioSchemes = []string{"native", "vfio", "bmstore", "bmstore-vm", "spdk"}
 
 // fioPatterns maps -rw to the fio access pattern.
 var fioPatterns = map[string]fio.Pattern{
@@ -29,14 +24,14 @@ var fioPatterns = map[string]fio.Pattern{
 
 // fioVerb is `bmsctl fio`, described in the package comment.
 func fioVerb(fs *flag.FlagSet) func([]string) int {
-	scheme := fs.String("scheme", "bmstore", strings.Join(fioSchemes, " | "))
+	scheme := fs.String("scheme", "bmstore", strings.Join(experiments.SchemeNames(), " | "))
 	rw := fs.String("rw", "randread", "randread | randwrite | read | write | randrw")
 	bs := fs.Int("bs", 4096, "block size in bytes (a multiple of 4096)")
 	iodepth := fs.Int("iodepth", 128, "outstanding I/Os per job")
 	numjobs := fs.Int("numjobs", 4, "concurrent jobs")
 	runtimeF := fs.Duration("runtime", 100*time.Millisecond, "virtual measurement window")
 	ramp := fs.Duration("ramp", 10*time.Millisecond, "virtual warm-up window")
-	ssds := fs.Int("ssds", 1, "backend SSDs (namespace striped across them for bmstore)")
+	ssds := fs.Int("ssds", 1, "backend SSDs the namespace stripes across (bmstore and bmstore-vm; the other schemes run on one)")
 	seed := fs.Int64("seed", 42, "simulation seed (first seed with -runs > 1)")
 	runs := fs.Int("runs", 1, "independent rigs, seeded seed..seed+runs-1")
 	var ropts runOptions
@@ -45,13 +40,16 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 
 	return func(args []string) int {
 		pat, known := fioPatterns[*rw]
+		sch := experiments.SchemeNamed(*scheme)
 		switch {
 		case len(args) > 0:
 			return fail(fs, 2, fmt.Errorf("unexpected argument %q", args[0]))
 		case !known:
 			return fail(fs, 2, fmt.Errorf("unknown -rw %q", *rw))
-		case !slices.Contains(fioSchemes, *scheme):
+		case sch == nil:
 			return fail(fs, 2, fmt.Errorf("unknown -scheme %q", *scheme))
+		case *ssds > 1 && !sch.Stripes():
+			return fail(fs, 2, fmt.Errorf("-ssds %d: -scheme %s runs on one SSD; only bmstore and bmstore-vm stripe", *ssds, *scheme))
 		case *bs < 1 || *bs%nvme.LBASize != 0:
 			return fail(fs, 2, fmt.Errorf("-bs %d is not a positive multiple of the %d-byte block", *bs, nvme.LBASize))
 		}
@@ -79,7 +77,7 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 			cfg := bmstore.DefaultConfig()
 			cfg.Seed = *seed + int64(i)
 			cfg.NumSSDs = *ssds
-			results[i], injected[i], errs[i] = runOne(cfg, run.rigOptions(rig(i)), run.driverConfig(), *scheme, *ssds, spec)
+			results[i], injected[i], errs[i] = runOne(cfg, run.rigOptions(rig(i)), run.driverConfig(), sch, spec)
 		})
 		wall := time.Since(start).Seconds()
 
@@ -191,15 +189,16 @@ func diagnosisError(d *sim.Diagnosis) error {
 		kind, time.Duration(d.At), d.Pending, len(d.Blocked), names)
 }
 
-// runOne builds the rig of scheme, one of fioSchemes, on a private
-// environment — observability and faults composed through opts — and runs
-// spec under a watchdog (runHorizon). The second result is the number of
-// faults the rig's injector fired. A run that dies inside the simulation — fio panics on the first I/O
-// error, which is what a fault schedule that removes a drive for good ends in
-// — comes back as an error carrying the panic's message (it names the process
-// and the status), and one that wedges as an error carrying the watchdog's
-// diagnosis, each with whatever the injector had counted until then.
-func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, scheme string, ssds int, spec fio.Spec) (res *fio.Result, injected uint64, err error) {
+// runOne builds the rig of scheme s on a private environment — observability
+// and faults composed through opts — with its disk striped over all
+// cfg.NumSSDs drives, and runs spec under a watchdog (runHorizon). The second
+// result is the number of faults the rig's injector fired. A run that dies
+// inside the simulation — fio panics on the first I/O error, which is what a
+// fault schedule that removes a drive for good ends in — comes back as an
+// error carrying the panic's message (it names the process and the status),
+// and one that wedges as an error carrying the watchdog's diagnosis, each
+// with whatever the injector had counted until then.
+func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s *experiments.Scheme, spec fio.Spec) (res *fio.Result, injected uint64, err error) {
 	var tbEnv *sim.Env
 	var diag *sim.Diagnosis
 	horizon := runHorizon(spec, dcfg)
@@ -217,55 +216,19 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 			injected = flt.Injected()
 		}
 	}()
-	card := strings.HasPrefix(scheme, "bmstore") // bmstore, bmstore-vm
-	build := bmstore.NewDirectTestbed
-	if card {
-		build = bmstore.NewBMStoreTestbed
-	}
-	if scheme == "spdk" {
-		cfg.Kernel = spdkvhost.PolledKernel()
-	}
-	tb, err := build(cfg, opts...)
+	tb, err := s.Testbed(cfg, opts...)
 	if err != nil {
 		return nil, 0, err
 	}
 	tbEnv = tb.Env
+	disk := experiments.Disk{Name: "vol0", Bytes: 1536 << 30}
+	for i := range cfg.NumSSDs {
+		disk.SSDs = append(disk.SSDs, i)
+	}
 	diag = tb.RunWatched(func(p *sim.Proc) {
-		if scheme == "vfio" || scheme == "bmstore-vm" {
-			vm := host.KVMGuest()
-			dcfg.VM = &vm
+		for _, devs := range s.Attach(p, tb, []experiments.Disk{disk}, dcfg, spec.NumJobs) {
+			res = fio.Run(p, devs, spec)
 		}
-		var drv *host.Driver
-		var err error
-		if card {
-			var stripe []int
-			for i := 0; i < ssds; i++ {
-				stripe = append(stripe, i)
-			}
-			if err := tb.Console.CreateNamespace(p, "vol0", 1536<<30, stripe); err != nil {
-				panic(err)
-			}
-			if err := tb.Console.Bind(p, "vol0", 0); err != nil {
-				panic(err)
-			}
-			drv, err = tb.AttachTenant(p, 0, dcfg)
-		} else {
-			drv, err = tb.AttachNative(p, 0, dcfg)
-		}
-		if err != nil {
-			panic(err)
-		}
-		devs := make([]host.BlockDevice, spec.NumJobs)
-		for i := range devs {
-			devs[i] = drv.BlockDev(i)
-		}
-		if scheme == "spdk" {
-			vdev := spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), 1).NewDevice(devs[0], host.CentOS("3.10.0"))
-			for i := range devs {
-				devs[i] = vdev
-			}
-		}
-		res = fio.Run(p, devs, spec)
 	}, horizon)
 	if diag != nil {
 		return nil, 0, diagnosisError(diag)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bmstore"
+	"bmstore/internal/experiments"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
@@ -31,7 +32,7 @@ func runWith(t *testing.T, spec fio.Spec, faults string, mutate ...func(*host.Dr
 	for _, m := range mutate {
 		m(&dcfg)
 	}
-	return runOne(cfg, run.rigOptions("run0000"), dcfg, "bmstore", 1, spec)
+	return runOne(cfg, run.rigOptions("run0000"), dcfg, experiments.SchemeNamed("bmstore"), spec)
 }
 
 // TestDeadRunIsAnErrorNotAPanic pins `bmsctl fio`'s contract for a run the
@@ -130,5 +131,80 @@ func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 	want := 9*110*sim.Millisecond + 9*4*5*sim.Millisecond + 256*200*sim.Microsecond + sim.Second
 	if got := runHorizon(spec, dcfg); got != want {
 		t.Errorf("horizon with 8 retries %d, want %d", got, want)
+	}
+}
+
+// TestFioSchemesPinned runs `bmsctl fio` briefly on each of the five schemes,
+// and on BM-Store striped over two SSDs, with the trace digest on, and holds
+// each run's stdout (the wall-clock line goes to stderr) to the bytes the
+// command printed before the schemes were defined in one table: the digest
+// covers every kernel event of bring-up and workload, so a scheme whose rig
+// is built or attached differently fails here.
+func TestFioSchemesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scheme", "native"}, `randread on native (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 633500
+  bandwidth : 2594.8 MB/s
+  avg lat   : 648.0 us
+  p50       : 753.7 us
+  p99       : 819.2 us
+  p99.9     : 835.6 us
+  trace     : 43079 events, digest fnv64w:1ed15bee21cf208b
+`},
+		{[]string{"-scheme", "vfio"}, `randread on vfio (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 295000
+  bandwidth : 1208.3 MB/s
+  avg lat   : 1010.2 us
+  p50       : 1032.2 us
+  p99       : 1703.9 us
+  p99.9     : 1736.7 us
+  trace     : 27875 events, digest fnv64w:00560932b9b7d2b3
+`},
+		{[]string{"-scheme", "bmstore"}, `randread on bmstore (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 633500
+  bandwidth : 2594.8 MB/s
+  avg lat   : 647.8 us
+  p50       : 753.7 us
+  p99       : 819.2 us
+  p99.9     : 835.6 us
+  trace     : 64161 events, digest fnv64w:31c92f1fda6e6f10
+`},
+		{[]string{"-scheme", "bmstore-vm"}, `randread on bmstore-vm (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 295000
+  bandwidth : 1208.3 MB/s
+  avg lat   : 1009.8 us
+  p50       : 1032.2 us
+  p99       : 1703.9 us
+  p99.9     : 1736.7 us
+  trace     : 40783 events, digest fnv64w:e9522da768ce4198
+`},
+		{[]string{"-scheme", "spdk"}, `randread on spdk (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 131500
+  bandwidth : 538.6 MB/s
+  avg lat   : 1568.7 us
+  p50       : 1605.6 us
+  p99       : 1966.1 us
+  p99.9     : 1966.1 us
+  trace     : 26250 events, digest fnv64w:90c80959fe257fa6
+`},
+		{[]string{"-scheme", "bmstore", "-ssds", "2"}, `randread on bmstore (2 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 813500
+  bandwidth : 3332.1 MB/s
+  avg lat   : 530.8 us
+  p50       : 589.8 us
+  p99       : 671.7 us
+  p99.9     : 704.5 us
+  trace     : 77640 events, digest fnv64w:54294bece52f7b31
+`},
+	} {
+		args := append([]string{"fio"}, tc.args...)
+		args = append(args, "-runtime", "2ms", "-ramp", "0s", "-trace-digest")
+		code, stdout, stderr := invoke(t, args...)
+		if code != 0 || stdout != tc.want {
+			t.Errorf("%v: exit %d, stderr %q, stdout:\n%s\nwant:\n%s", args, code, stderr, stdout, tc.want)
+		}
 	}
 }

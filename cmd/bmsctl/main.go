@@ -25,9 +25,11 @@
 //
 // runs an fio-style workload on one of the schemes the paper compares
 // (native, vfio, bmstore, bmstore-vm, spdk), on -runs rigs seeded seed,
-// seed+1, ... A spec fio cannot run (a -bs that is not a positive multiple
-// of 4096, a count below 1, an unknown -scheme or -rw) exits 2 before any rig
-// is built. A run that dies (a fault schedule takes its only drive away) or
+// seed+1, ... -ssds N stripes the namespace over N SSDs on bmstore and
+// bmstore-vm; the other schemes attach one SSD. A spec fio cannot run (a -bs
+// that is not a positive multiple of 4096, a count below 1, an unknown
+// -scheme or -rw, -ssds above 1 on a scheme that does not stripe) exits 2
+// before any rig is built. A run that dies (a fault schedule takes its only drive away) or
 // wedges (it is not over by a horizon computed from the spec) is one stderr
 // line naming the run, its seed and the cause; the other runs still report,
 // and the exit status is 1.

@@ -86,6 +86,8 @@ func TestSubcommandErrorContract(t *testing.T) {
 		{"fio", "-iodepth", "0"},
 		{"fio", "-numjobs", "0"},
 		{"fio", "-ssds", "0"},
+		{"fio", "-scheme", "native", "-ssds", "4"},
+		{"fio", "-scheme", "spdk", "-ssds", "4"},
 		{"fio", "-runs", "0"},
 		{"fio", "-scheme", "bogus"},
 		{"fio", "-rw", "bogus"},

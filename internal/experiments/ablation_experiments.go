@@ -6,7 +6,6 @@ import (
 	"bmstore"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
-	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
 
@@ -46,31 +45,13 @@ func AblationZeroCopy(h *Harness) *Table {
 func zeroCopyPoint(cfg bmstore.Config, sc Scale, storeAndForward bool) (mbs, latUS float64) {
 	cfg.NumSSDs = 4
 	cfg.Engine.StoreAndForward = storeAndForward
-	tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-	tb.Run(func(p *sim.Proc) {
-		var devs []host.BlockDevice
-		var lat0 *host.Driver
-		for i := 0; i < 4; i++ {
-			name := fmt.Sprintf("v%d", i)
-			must(tb.Console.CreateNamespace(p, name, 1536<<30, []int{i}))
-			must(tb.Console.Bind(p, name, uint8(i)))
-			drv, err := tb.AttachTenant(p, pcie.FuncID(i), host.DefaultDriverConfig())
-			if err != nil {
-				panic(err)
-			}
-			if i == 0 {
-				lat0 = drv
-			}
-			for j := 0; j < 4; j++ {
-				devs = append(devs, drv.BlockDev(j))
-			}
-		}
+	bmStore.run(cfg, disksOnSSDs("v", 4, 1536<<30, 4), host.DefaultDriverConfig(), 4, func(p *sim.Proc, _ *sim.Env, devs []host.BlockDevice) {
 		res := fio.Run(p, devs, fio.Spec{
 			Name: "ablz", Pattern: fio.SeqRead, BlockSize: 128 << 10,
 			IODepth: 256, NumJobs: 16, Ramp: sc.FioRampSeq, Runtime: sc.FioSeq,
 		})
 		mbs = res.BandwidthMBs()
-		lres := fio.Run(p, []host.BlockDevice{lat0.BlockDev(0)}, fio.Spec{
+		lres := fio.Run(p, devs[:1], fio.Spec{
 			Name: "ablz-lat", Pattern: fio.RandRead, BlockSize: 4096,
 			IODepth: 1, NumJobs: 1, Ramp: sim.Millisecond, Runtime: 10 * sim.Millisecond,
 		})

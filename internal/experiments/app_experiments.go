@@ -10,65 +10,17 @@ import (
 	"bmstore/internal/apps/tpcc"
 	"bmstore/internal/apps/ycsb"
 	"bmstore/internal/host"
-	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
-	"bmstore/internal/spdkvhost"
 )
 
-// Schemes compared in the application experiments, in paper order. "VFIO"
-// is the paper's native-disk baseline for VMs.
-var appSchemes = []string{"VFIO", "BM-Store", "SPDK vhost"}
-
-// withSchemeDevice builds the rig for one scheme and hands fn a guest
-// block device with data capture on (applications need real bytes). cfg
-// carries the rig's seed and tracer.
-func withSchemeDevice(scheme string, cfg bmstore.Config, fn func(p *sim.Proc, env *sim.Env, bd host.BlockDevice)) {
+// runApp runs fn on the one disk of a one-SSD rig of s, with data capture
+// on: applications need real bytes.
+func (s *Scheme) runApp(cfg bmstore.Config, fn func(p *sim.Proc, env *sim.Env, bd host.BlockDevice)) {
 	cfg.NumSSDs = 1
 	cfg.CaptureData = true
-	vm := host.KVMGuest()
-	switch scheme {
-	case "VFIO":
-		tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			dcfg := host.DefaultDriverConfig()
-			dcfg.VM = &vm
-			drv, err := tb.AttachNative(p, 0, dcfg)
-			if err != nil {
-				panic(err)
-			}
-			fn(p, tb.Env, drv.BlockDev(0))
-		})
-	case "BM-Store":
-		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			if err := tb.Console.CreateNamespace(p, "app", 1536<<30, []int{0}); err != nil {
-				panic(err)
-			}
-			if err := tb.Console.Bind(p, "app", 0); err != nil {
-				panic(err)
-			}
-			dcfg := host.DefaultDriverConfig()
-			dcfg.VM = &vm
-			drv, err := tb.AttachTenant(p, 0, dcfg)
-			if err != nil {
-				panic(err)
-			}
-			fn(p, tb.Env, drv.BlockDev(0))
-		})
-	case "SPDK vhost":
-		cfg.Kernel = spdkvhost.PolledKernel()
-		tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			drv, err := tb.AttachNative(p, 0, host.DefaultDriverConfig())
-			if err != nil {
-				panic(err)
-			}
-			tgt := spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), 1)
-			fn(p, tb.Env, tgt.NewDevice(drv.BlockDev(0), host.CentOS("3.10.0")))
-		})
-	default:
-		panic("unknown scheme " + scheme)
-	}
+	s.run(cfg, []Disk{{"app", 1536 << 30, []int{0}}}, host.DefaultDriverConfig(), 1, func(p *sim.Proc, env *sim.Env, devs []host.BlockDevice) {
+		fn(p, env, devs[0])
+	})
 }
 
 // Fig13a reproduces the TPC-C comparison: transactions per scheme,
@@ -87,11 +39,11 @@ func Fig13a(h *Harness) *Table {
 	tcfg.ItemsPerWarehouse /= sc.AppLoadCut
 	tcfg.CustomersPerDistrict /= sc.AppLoadCut
 	tcfg.Duration = sc.AppDuration
-	results := make([]*tpcc.Result, len(appSchemes))
-	h.each(len(appSchemes), func(i int) {
-		scheme := appSchemes[i]
-		cfg := h.config(fmt.Sprintf("fig13a/%s", scheme), int64(1300+i))
-		withSchemeDevice(scheme, cfg, func(p *sim.Proc, env *sim.Env, bd host.BlockDevice) {
+	results := make([]*tpcc.Result, len(guestSchemes))
+	h.each(len(guestSchemes), func(i int) {
+		s := guestSchemes[i]
+		cfg := h.config(fmt.Sprintf("fig13a/%s", s.label), int64(1300+i))
+		s.runApp(cfg, func(p *sim.Proc, env *sim.Env, bd host.BlockDevice) {
 			// Buffer pool scaled with the dataset so reads miss at a
 			// realistic rate (the paper's 100-warehouse database dwarfed
 			// MySQL's pool; the comparison is storage-bound).
@@ -108,10 +60,10 @@ func Fig13a(h *Harness) *Table {
 		})
 	})
 	base := float64(results[0].Total())
-	for i, scheme := range appSchemes {
+	for i, s := range guestSchemes {
 		res := results[i]
 		tab.Rows = append(tab.Rows, []string{
-			scheme, f0(res.TpmC()), fmt.Sprint(res.Total()),
+			s.label, f0(res.TpmC()), fmt.Sprint(res.Total()),
 			fmt.Sprintf("%.3f", float64(res.Total())/base),
 		})
 	}
@@ -131,11 +83,11 @@ func Fig13bTable8(h *Harness) *Table {
 	scfg := sysbench.DefaultConfig()
 	scfg.TableSize /= sc.AppLoadCut
 	scfg.Duration = sc.AppDuration
-	results := make([]*sysbench.Result, len(appSchemes))
-	h.each(len(appSchemes), func(i int) {
-		scheme := appSchemes[i]
-		cfg := h.config(fmt.Sprintf("fig13b/%s", scheme), int64(1400+i))
-		withSchemeDevice(scheme, cfg, func(p *sim.Proc, env *sim.Env, bd host.BlockDevice) {
+	results := make([]*sysbench.Result, len(guestSchemes))
+	h.each(len(guestSchemes), func(i int) {
+		s := guestSchemes[i]
+		cfg := h.config(fmt.Sprintf("fig13b/%s", s.label), int64(1400+i))
+		s.runApp(cfg, func(p *sim.Proc, env *sim.Env, bd host.BlockDevice) {
 			dbc := minidb.DefaultConfig()
 			dbc.PoolPages = 256
 			db, err := minidb.Open(p, env, bd, dbc)
@@ -149,10 +101,10 @@ func Fig13bTable8(h *Harness) *Table {
 		})
 	})
 	baseQPS, baseLat := results[0].QPS(), results[0].AvgLatencyMS()
-	for i, scheme := range appSchemes {
+	for i, s := range guestSchemes {
 		res := results[i]
 		tab.Rows = append(tab.Rows, []string{
-			scheme, f0(res.QPS()), f0(res.TPS()), fmt.Sprintf("%.2f", res.AvgLatencyMS()),
+			s.label, f0(res.QPS()), f0(res.TPS()), fmt.Sprintf("%.2f", res.AvgLatencyMS()),
 			fmt.Sprintf("%.3f", res.QPS()/baseQPS),
 			fmt.Sprintf("%+.1f%%", (res.AvgLatencyMS()/baseLat-1)*100),
 		})
@@ -169,20 +121,19 @@ func Fig14(h *Harness) *Table {
 		Header: []string{"scheme", "ycsb VM1 (ops/s)", "ycsb VM2 (ops/s)", "mysql VM3 lat(ms)", "mysql VM4 lat(ms)"},
 		Notes:  []string{"paper: BM-Store near native with consistent per-VM performance (isolation)"},
 	}
-	rows := make([][]string, len(appSchemes))
-	h.each(len(appSchemes), func(i int) {
-		scheme := appSchemes[i]
-		cfg := h.config(fmt.Sprintf("fig14/%s", scheme), int64(1500+10*i))
-		rows[i] = fig14Row(cfg, h.Scale, scheme)
+	rows := make([][]string, len(guestSchemes))
+	h.each(len(guestSchemes), func(i int) {
+		s := guestSchemes[i]
+		cfg := h.config(fmt.Sprintf("fig14/%s", s.label), int64(1500+10*i))
+		rows[i] = fig14Row(cfg, h.Scale, s)
 	})
 	tab.Rows = rows
 	return tab
 }
 
-func fig14Row(cfg bmstore.Config, sc Scale, scheme string) []string {
+func fig14Row(cfg bmstore.Config, sc Scale, scheme *Scheme) []string {
 	cfg.NumSSDs = 4
 	cfg.CaptureData = true
-	vm := host.KVMGuest()
 
 	ycfg := ycsb.DefaultYCSB()
 	ycfg.Records /= sc.AppLoadCut
@@ -196,7 +147,7 @@ func fig14Row(cfg bmstore.Config, sc Scale, scheme string) []string {
 	yOps := make([]float64, 2)
 	mLat := make([]float64, 2)
 
-	runAll := func(env *sim.Env, p *sim.Proc, devs []host.BlockDevice) {
+	runAll := func(p *sim.Proc, env *sim.Env, devs []host.BlockDevice) {
 		var done []*sim.Event
 		for i := 0; i < 2; i++ {
 			i := i
@@ -207,7 +158,7 @@ func fig14Row(cfg bmstore.Config, sc Scale, scheme string) []string {
 					panic(err)
 				}
 				c := ycfg
-				c.Seed = fmt.Sprintf("%s-%d", scheme, i)
+				c.Seed = fmt.Sprintf("%s-%d", scheme.label, i)
 				if err := ycsb.Load(vp, s, c); err != nil {
 					panic(err)
 				}
@@ -227,7 +178,7 @@ func fig14Row(cfg bmstore.Config, sc Scale, scheme string) []string {
 					panic(err)
 				}
 				c := scfg
-				c.Seed = fmt.Sprintf("%s-%d", scheme, i)
+				c.Seed = fmt.Sprintf("%s-%d", scheme.label, i)
 				if err := sysbench.Load(vp, db, c); err != nil {
 					panic(err)
 				}
@@ -241,60 +192,7 @@ func fig14Row(cfg bmstore.Config, sc Scale, scheme string) []string {
 		}
 	}
 
-	switch scheme {
-	case "VFIO":
-		tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			var devs []host.BlockDevice
-			for i := 0; i < 4; i++ {
-				dcfg := host.DefaultDriverConfig()
-				dcfg.VM = &vm
-				drv, err := tb.AttachNative(p, i, dcfg)
-				if err != nil {
-					panic(err)
-				}
-				devs = append(devs, drv.BlockDev(0))
-			}
-			runAll(tb.Env, p, devs)
-		})
-	case "BM-Store":
-		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			var devs []host.BlockDevice
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("vm%d", i)
-				if err := tb.Console.CreateNamespace(p, name, 256<<30, []int{i}); err != nil {
-					panic(err)
-				}
-				if err := tb.Console.Bind(p, name, uint8(i)); err != nil {
-					panic(err)
-				}
-				dcfg := host.DefaultDriverConfig()
-				dcfg.VM = &vm
-				drv, err := tb.AttachTenant(p, pcie.FuncID(i), dcfg)
-				if err != nil {
-					panic(err)
-				}
-				devs = append(devs, drv.BlockDev(0))
-			}
-			runAll(tb.Env, p, devs)
-		})
-	case "SPDK vhost":
-		cfg.Kernel = spdkvhost.PolledKernel()
-		tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			tgt := spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), 4)
-			var devs []host.BlockDevice
-			for i := 0; i < 4; i++ {
-				drv, err := tb.AttachNative(p, i, host.DefaultDriverConfig())
-				if err != nil {
-					panic(err)
-				}
-				devs = append(devs, tgt.NewDevice(drv.BlockDev(0), host.CentOS("3.10.0"), i))
-			}
-			runAll(tb.Env, p, devs)
-		})
-	}
-	return []string{scheme, f0(yOps[0]), f0(yOps[1]),
+	scheme.run(cfg, disksOnSSDs("vm", 4, 256<<30, 4), host.DefaultDriverConfig(), 1, runAll)
+	return []string{scheme.label, f0(yOps[0]), f0(yOps[1]),
 		fmt.Sprintf("%.2f", mLat[0]), fmt.Sprintf("%.2f", mLat[1])}
 }

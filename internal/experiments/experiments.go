@@ -1,6 +1,7 @@
 // Package experiments contains one runnable harness per table and figure
-// of the paper's evaluation (§V). Each experiment builds the appropriate
-// rig (native, VFIO, SPDK vhost, or BM-Store), runs the paper's workload,
+// of the paper's evaluation (§V). Each experiment builds the rig of one of
+// the compared storage stacks (native, VFIO, BM-Store, BM-Store in a VM or
+// SPDK vhost; the scheme table in schemes.go), runs the paper's workload,
 // and returns typed rows that `bmsctl sweep` renders and bench_test.go
 // exercises. EXPERIMENTS.md records paper-vs-measured for each one.
 package experiments
@@ -14,7 +15,6 @@ import (
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
-	"bmstore/internal/spdkvhost"
 )
 
 // mustTestbed unwraps a testbed constructor result. Experiment configs are
@@ -147,91 +147,8 @@ func fioDevs(drv *host.Driver, jobs int) []host.BlockDevice {
 	return devs
 }
 
-// nativeFio runs one fio spec on a bare-metal native disk. cfg carries the
-// rig's seed and tracer (see Harness.config); the helpers below only adjust
-// topology.
-func nativeFio(cfg bmstore.Config, spec fio.Spec) *fio.Result {
-	cfg.NumSSDs = 1
-	tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-	var res *fio.Result
-	tb.Run(func(p *sim.Proc) {
-		drv, err := tb.AttachNative(p, 0, host.DefaultDriverConfig())
-		if err != nil {
-			panic(err)
-		}
-		res = fio.Run(p, fioDevs(drv, spec.NumJobs), spec)
-	})
-	return res
-}
-
-// bmstoreFio runs one fio spec on a BM-Store virtual disk (bare-metal
-// tenant when vm is nil, guest otherwise).
-func bmstoreFio(cfg bmstore.Config, spec fio.Spec, nsBytes uint64, vm *host.VMProfile) *fio.Result {
-	cfg.NumSSDs = 1
-	tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-	var res *fio.Result
-	tb.Run(func(p *sim.Proc) {
-		if err := tb.Console.CreateNamespace(p, "vol0", nsBytes, []int{0}); err != nil {
-			panic(err)
-		}
-		if err := tb.Console.Bind(p, "vol0", 0); err != nil {
-			panic(err)
-		}
-		dcfg := host.DefaultDriverConfig()
-		dcfg.VM = vm
-		drv, err := tb.AttachTenant(p, 0, dcfg)
-		if err != nil {
-			panic(err)
-		}
-		res = fio.Run(p, fioDevs(drv, spec.NumJobs), spec)
-	})
-	return res
-}
-
-// vfioFio runs one fio spec on a passed-through native disk inside a VM.
-func vfioFio(cfg bmstore.Config, spec fio.Spec) *fio.Result {
-	cfg.NumSSDs = 1
-	tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-	var res *fio.Result
-	tb.Run(func(p *sim.Proc) {
-		vm := host.KVMGuest()
-		dcfg := host.DefaultDriverConfig()
-		dcfg.VM = &vm
-		drv, err := tb.AttachNative(p, 0, dcfg)
-		if err != nil {
-			panic(err)
-		}
-		res = fio.Run(p, fioDevs(drv, spec.NumJobs), spec)
-	})
-	return res
-}
-
-// spdkFio runs one fio spec in a VM whose disk is an SPDK vhost device
-// with one dedicated polling core.
-func spdkFio(cfg bmstore.Config, spec fio.Spec) *fio.Result {
-	cfg.NumSSDs = 1
-	cfg.Kernel = spdkvhost.PolledKernel()
-	tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
-	var res *fio.Result
-	tb.Run(func(p *sim.Proc) {
-		drv, err := tb.AttachNative(p, 0, host.DefaultDriverConfig())
-		if err != nil {
-			panic(err)
-		}
-		tgt := spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), 1)
-		vdev := tgt.NewDevice(drv.BlockDev(0), host.CentOS("3.10.0"))
-		devs := make([]host.BlockDevice, spec.NumJobs)
-		for i := range devs {
-			devs[i] = vdev
-		}
-		res = fio.Run(p, devs, spec)
-	})
-	return res
-}
-
 // guestSpec applies the scale's runtimes to a Table IV case.
-func guestSpec(s Spec0, sc Scale) fio.Spec {
-	spec := s.Spec
+func guestSpec(spec fio.Spec, sc Scale) fio.Spec {
 	if spec.Pattern == fio.SeqRead || spec.Pattern == fio.SeqWrite {
 		spec.Runtime = sc.FioSeq
 		spec.Ramp = sc.FioRampSeq
@@ -240,18 +157,4 @@ func guestSpec(s Spec0, sc Scale) fio.Spec {
 		spec.Ramp = 5 * sim.Millisecond
 	}
 	return spec
-}
-
-// Spec0 pairs a Table IV case with display metadata.
-type Spec0 struct {
-	Spec fio.Spec
-}
-
-// tableIV returns the six cases with placeholder runtimes.
-func tableIV() []Spec0 {
-	var out []Spec0
-	for _, s := range fio.TableIVCases(0) {
-		out = append(out, Spec0{Spec: s})
-	}
-	return out
 }

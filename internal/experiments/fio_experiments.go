@@ -6,7 +6,6 @@ import (
 	"bmstore"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
-	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/spdkvhost"
 )
@@ -83,18 +82,14 @@ func Fig8Table5(h *Harness) *Table {
 		Header: []string{"case", "native kIOPS", "bms kIOPS", "native MB/s", "bms MB/s", "native lat(us)", "bms lat(us)", "bms/native"},
 		Notes:  []string{"paper: 96.2-101.4% of native except rand-w-1 (82.5%); ~3us extra latency"},
 	}
-	cases := tableIV()
-	results := make([]*fio.Result, 2*len(cases)) // [case*2 + scheme], scheme 0=native 1=bms
+	cases := fio.TableIVCases(0)
+	pair, tags := []*Scheme{native, bmStore}, []string{"native", "bms"}
+	results := make([]*fio.Result, 2*len(cases)) // [case*2 + scheme]
 	h.each(len(results), func(j int) {
-		i, scheme := j/2, j%2
+		i, k := j/2, j%2
 		spec := guestSpec(cases[i], sc)
-		if scheme == 0 {
-			cfg := h.config(fmt.Sprintf("fig8/%s/native", spec.Name), int64(100+i))
-			results[j] = nativeFio(cfg, spec)
-		} else {
-			cfg := h.config(fmt.Sprintf("fig8/%s/bms", spec.Name), int64(100+i))
-			results[j] = bmstoreFio(cfg, spec, 1536<<30, nil)
-		}
+		cfg := h.config(fmt.Sprintf("fig8/%s/%s", spec.Name, tags[k]), int64(100+i))
+		results[j] = pair[k].runFio(cfg, fioVolume, spec)
 	})
 	for i, c := range cases {
 		spec := guestSpec(c, sc)
@@ -134,18 +129,8 @@ func Table6(h *Harness) *Table {
 	h.each(len(kernels), func(i int) {
 		k := kernels[i]
 		cfg := h.config(fmt.Sprintf("table6/%s-%s", k.OS, k.Version), int64(600+i))
-		cfg.NumSSDs = 1
 		cfg.Kernel = k
-		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			must(tb.Console.CreateNamespace(p, "v", 1536<<30, []int{0}))
-			must(tb.Console.Bind(p, "v", 0))
-			drv, err := tb.AttachTenant(p, 0, host.DefaultDriverConfig())
-			if err != nil {
-				panic(err)
-			}
-			results[i] = fio.Run(p, fioDevs(drv, spec.NumJobs), spec)
-		})
+		results[i] = bmStore.runFio(cfg, Disk{"v", 1536 << 30, []int{0}}, spec)
 	})
 	for i, k := range kernels {
 		res := results[i]
@@ -167,26 +152,19 @@ func Fig9Table7(h *Harness) *Table {
 		Header: []string{"case", "vfio kIOPS", "bms kIOPS", "spdk kIOPS", "vfio lat(us)", "bms lat(us)", "spdk lat(us)", "bms/vfio", "spdk/vfio"},
 		Notes:  []string{"paper: BM-Store 95.6-102.7% of VFIO (rand-w-1 81.2%); SPDK 63-96%; seq-r-256 SPDK collapse to 63%"},
 	}
-	cases := tableIV()
-	const schemes = 3
-	results := make([]*fio.Result, schemes*len(cases))
+	cases := fio.TableIVCases(0)
+	n := len(guestSchemes)
+	tags := []string{"vfio", "bms", "spdk"}
+	results := make([]*fio.Result, n*len(cases))
 	h.each(len(results), func(j int) {
-		i, scheme := j/schemes, j%schemes
+		i, k := j/n, j%n
 		spec := guestSpec(cases[i], sc)
-		seed := int64(700 + i)
-		switch scheme {
-		case 0:
-			results[j] = vfioFio(h.config(fmt.Sprintf("fig9/%s/vfio", spec.Name), seed), spec)
-		case 1:
-			vm := host.KVMGuest()
-			results[j] = bmstoreFio(h.config(fmt.Sprintf("fig9/%s/bms", spec.Name), seed), spec, 1536<<30, &vm)
-		case 2:
-			results[j] = spdkFio(h.config(fmt.Sprintf("fig9/%s/spdk", spec.Name), seed), spec)
-		}
+		cfg := h.config(fmt.Sprintf("fig9/%s/%s", spec.Name, tags[k]), int64(700+i))
+		results[j] = guestSchemes[k].runFio(cfg, fioVolume, spec)
 	})
 	for i, c := range cases {
 		spec := guestSpec(c, sc)
-		vf, bm, sp := results[schemes*i], results[schemes*i+1], results[schemes*i+2]
+		vf, bm, sp := results[n*i], results[n*i+1], results[n*i+2]
 		tab.Rows = append(tab.Rows, []string{
 			spec.Name,
 			f1(vf.IOPS() / 1000), f1(bm.IOPS() / 1000), f1(sp.IOPS() / 1000),
@@ -214,21 +192,7 @@ func Fig10(h *Harness) *Table {
 		n := counts[idx]
 		cfg := h.config(fmt.Sprintf("fig10/%dssd", n), int64(900+n))
 		cfg.NumSSDs = n
-		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-		tb.Run(func(p *sim.Proc) {
-			var devs []host.BlockDevice
-			for i := 0; i < n; i++ {
-				name := fmt.Sprintf("v%d", i)
-				must(tb.Console.CreateNamespace(p, name, 1536<<30, []int{i}))
-				must(tb.Console.Bind(p, name, uint8(i)))
-				drv, err := tb.AttachTenant(p, pcie.FuncID(i), host.DefaultDriverConfig())
-				if err != nil {
-					panic(err)
-				}
-				for j := 0; j < 4; j++ {
-					devs = append(devs, drv.BlockDev(j))
-				}
-			}
+		bmStore.run(cfg, disksOnSSDs("v", n, 1536<<30, n), host.DefaultDriverConfig(), 4, func(p *sim.Proc, _ *sim.Env, devs []host.BlockDevice) {
 			res := fio.Run(p, devs, fio.Spec{
 				Name: "fig10", Pattern: fio.SeqRead, BlockSize: 128 << 10,
 				IODepth: 256, NumJobs: 4 * n, Ramp: sc.FioRampSeq, Runtime: sc.FioSeq,
@@ -279,35 +243,17 @@ func Fig11(h *Harness) *Table {
 
 func fig11Point(cfg bmstore.Config, sc Scale, nVMs int) (total, minVM, maxVM float64) {
 	cfg.NumSSDs = 4
-	tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-	vm := host.KVMGuest()
+	jobs := sc.VMScaleJobs
+	dcfg := host.DefaultDriverConfig()
+	dcfg.Queues = jobs
 	perVM := make([]float64, nVMs)
-	tb.Run(func(p *sim.Proc) {
-		var drvs []*host.Driver
-		for i := 0; i < nVMs; i++ {
-			name := fmt.Sprintf("vm%d", i)
-			if err := tb.Console.CreateNamespace(p, name, 256<<30, []int{i % 4}); err != nil {
-				panic(err)
-			}
-			if err := tb.Console.Bind(p, name, uint8(i)); err != nil {
-				panic(err)
-			}
-			dcfg := host.DefaultDriverConfig()
-			dcfg.Queues = sc.VMScaleJobs
-			dcfg.VM = &vm
-			drv, err := tb.AttachTenant(p, pcie.FuncID(i), dcfg)
-			if err != nil {
-				panic(err)
-			}
-			drvs = append(drvs, drv)
-		}
+	bmStoreVM.run(cfg, disksOnSSDs("vm", nVMs, 256<<30, 4), dcfg, jobs, func(p *sim.Proc, env *sim.Env, devs []host.BlockDevice) {
 		var done []*sim.Event
-		for i, drv := range drvs {
-			i, drv := i, drv
-			proc := tb.Env.Go(fmt.Sprintf("vmfio%d", i), func(vp *sim.Proc) {
-				res := fio.Run(vp, fioDevs(drv, sc.VMScaleJobs), fio.Spec{
+		for i := range nVMs {
+			proc := env.Go(fmt.Sprintf("vmfio%d", i), func(vp *sim.Proc) {
+				res := fio.Run(vp, devs[i*jobs:(i+1)*jobs], fio.Spec{
 					Name: "fig11", Pattern: fio.SeqRead, BlockSize: 128 << 10,
-					IODepth: sc.VMScaleQD, NumJobs: sc.VMScaleJobs,
+					IODepth: sc.VMScaleQD, NumJobs: jobs,
 					Ramp: sc.FioRampSeq, Runtime: sc.FioSeq,
 					Seed: fmt.Sprintf("vm%d", i),
 				})
@@ -315,9 +261,8 @@ func fig11Point(cfg bmstore.Config, sc Scale, nVMs int) (total, minVM, maxVM flo
 			})
 			done = append(done, proc.Done())
 		}
-		main := p
 		for _, ev := range done {
-			main.Wait(ev)
+			p.Wait(ev)
 		}
 	})
 	minVM, maxVM = perVM[0], perVM[0]
@@ -354,26 +299,17 @@ func Fig12(h *Harness) *Table {
 		c.Ramp = 5 * sim.Millisecond
 		cfg := h.config(fmt.Sprintf("fig12/%s", c.Name), int64(1200+ci))
 		cfg.NumSSDs = 4
-		tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
-		vm := host.KVMGuest()
+		tb := mustTestbed(bmStoreVM.Testbed(cfg))
 		results := make([]*fio.Result, 4)
 		tb.Run(func(p *sim.Proc) {
+			// Each VM starts its fio as soon as its disk is attached, before
+			// the next disk is provisioned: that order is part of the timing.
 			var done []*sim.Event
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("vm%d", i)
-				must(tb.Console.CreateNamespace(p, name, 256<<30, []int{i}))
-				must(tb.Console.Bind(p, name, uint8(i)))
-				dcfg := host.DefaultDriverConfig()
-				dcfg.VM = &vm
-				drv, err := tb.AttachTenant(p, pcie.FuncID(i), dcfg)
-				if err != nil {
-					panic(err)
-				}
-				i := i
+			for i, devs := range bmStoreVM.Attach(p, tb, disksOnSSDs("vm", 4, 256<<30, 4), host.DefaultDriverConfig(), 1) {
 				spec := c
-				spec.Seed = name
-				proc := tb.Env.Go(name, func(vp *sim.Proc) {
-					results[i] = fio.Run(vp, fioDevs(drv, 1), spec)
+				spec.Seed = fmt.Sprintf("vm%d", i)
+				proc := tb.Env.Go(spec.Seed, func(vp *sim.Proc) {
+					results[i] = fio.Run(vp, devs, spec)
 				})
 				done = append(done, proc.Done())
 			}
