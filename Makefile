@@ -88,9 +88,10 @@ determinism:
 # (TestModelledBehaviourPinned), how many kernel events a command costs
 # (TestEventBudgetPerCommand) and what the observers export for a rig
 # (TestObserverExportsPinned), each against constants taken at an earlier
-# commit. Under a second.
+# commit, and how many coroutine resumes the I/O path costs (TestResumeBudget:
+# none per fio or fleet-tenant I/O, one per ReadAt). A few seconds.
 pins:
-	$(GO) test -run 'TestModelledBehaviourPinned|TestEventBudgetPerCommand|TestObserverExportsPinned' -count=1 .
+	$(GO) test -run 'TestModelledBehaviourPinned|TestEventBudgetPerCommand|TestObserverExportsPinned|TestResumeBudget' -count=1 .
 
 # "Every pinned digest is unchanged": the replay suite, the cross-commit pins
 # and the five smoke gates of cmd/bmsctl/gate_test.go. With figures-gate and

@@ -52,6 +52,10 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 			return fail(fs, 2, fmt.Errorf("-ssds %d: -scheme %s runs on one SSD; only bmstore and bmstore-vm stripe", *ssds, *scheme))
 		case *bs < 1 || *bs%nvme.LBASize != 0:
 			return fail(fs, 2, fmt.Errorf("-bs %d is not a positive multiple of the %d-byte block", *bs, nvme.LBASize))
+		case *runtimeF <= 0:
+			return fail(fs, 2, fmt.Errorf("-runtime must be > 0, got %v", *runtimeF))
+		case *ramp < 0:
+			return fail(fs, 2, fmt.Errorf("-ramp must be >= 0, got %v", *ramp))
 		}
 		if err := cmp.Or(atLeastOne("iodepth", *iodepth), atLeastOne("numjobs", *numjobs),
 			atLeastOne("ssds", *ssds), atLeastOne("runs", *runs), ropts.validate()); err != nil {

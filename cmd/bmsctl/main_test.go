@@ -89,6 +89,9 @@ func TestSubcommandErrorContract(t *testing.T) {
 		{"fio", "-scheme", "native", "-ssds", "4"},
 		{"fio", "-scheme", "spdk", "-ssds", "4"},
 		{"fio", "-runs", "0"},
+		{"fio", "-runtime", "0"},
+		{"fio", "-runtime", "-5ms"},
+		{"fio", "-ramp", "-1ms"},
 		{"fio", "-scheme", "bogus"},
 		{"fio", "-rw", "bogus"},
 		{"fio", "-faults", "bogus"},

@@ -5,6 +5,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
 	"bmstore/internal/trace"
@@ -94,7 +95,8 @@ func BenchmarkIOPathArmedFaultsThroughput(b *testing.B) {
 }
 
 // benchIOPath runs the shared R/W loop, qd I/Os of `blocks` 4 KiB blocks in
-// flight on each of the tenant's first `queues` queue pairs, on a two-SSD rig
+// flight on each of the tenant's first `queues` queue pairs — each a closed
+// loop of Submit callbacks, as fio's workers are — on a two-SSD rig
 // built with opts; given a fill, the rig captures payload and each worker owns
 // a buffer, filled once by fill, and alternates writing it to a block and
 // reading the block back (reads bring back what writes stored, so the contents
@@ -143,43 +145,57 @@ func benchIOPath(b *testing.B, queues, qd, blocks int, fill func(buf []byte), op
 		for q := range devs {
 			devs[q] = drv.BlockDev(q)
 		}
+		// Each worker is one outstanding I/O as a chain over Submit: its
+		// completion claims the next I/O and submits it, until the batch's
+		// target is claimed.
+		type ioWorker struct {
+			buf  []byte
+			done func(host.IOOutcome)
+		}
 		var claimed, target, active int
 		var batch *sim.Event
-		worker := func(wp *sim.Proc) {
-			var buf []byte
-			if payload {
-				buf = make([]byte, blocks*4096)
-				fill(buf)
+		next := func(w *ioWorker) {
+			if claimed >= target {
+				if active--; active == 0 {
+					batch.Trigger(nil)
+				}
+				return
 			}
-			for claimed < target {
-				i := claimed
-				claimed++
-				lba := uint64(i%offsets) * uint64(stride)
-				dev := devs[(i>>2)%queues] // >>2: every queue sees the 3:1 mix
-				write := i&3 == 3
-				if payload {
-					lba, write = uint64((i>>1)%offsets)*uint64(stride), i&1 == 0
-				}
-				var err error
-				if write {
-					err = dev.WriteAt(wp, lba, uint32(blocks), buf)
-				} else {
-					err = dev.ReadAt(wp, lba, uint32(blocks), buf)
-				}
-				if err != nil {
+			i := claimed
+			claimed++
+			lba := uint64(i%offsets) * uint64(stride)
+			dev := devs[(i>>2)%queues] // >>2: every queue sees the 3:1 mix
+			write := i&3 == 3
+			if payload {
+				lba, write = uint64((i>>1)%offsets)*uint64(stride), i&1 == 0
+			}
+			op := uint8(nvme.IORead)
+			if write {
+				op = nvme.IOWrite
+			}
+			dev.Submit(op, lba, uint32(blocks), w.buf, w.done)
+		}
+		workers := make([]*ioWorker, queues*qd)
+		for k := range workers {
+			w := &ioWorker{}
+			if payload {
+				w.buf = make([]byte, blocks*4096)
+				fill(w.buf)
+			}
+			w.done = func(oc host.IOOutcome) {
+				if err := oc.Err(); err != nil {
 					panic(err)
 				}
+				next(w)
 			}
-			if active--; active == 0 {
-				batch.Trigger(nil)
-			}
+			workers[k] = w
 		}
 		drain := func(n int) {
 			target = claimed + n
-			active = queues * qd
+			active = len(workers)
 			batch = env.NewEvent()
-			for w := queues * qd; w > 0; w-- {
-				env.Go("bench/ioworker", worker)
+			for _, w := range workers {
+				next(w)
 			}
 			p.Wait(batch)
 		}

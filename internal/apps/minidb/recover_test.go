@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 
+	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -22,6 +24,17 @@ func (m *ringDev) BlockSize() int         { return 4096 }
 func (m *ringDev) CapacityBlocks() uint64 { return uint64(len(m.data) / 4096) }
 func (m *ringDev) PerIOCPU() sim.Time     { return 0 }
 func (m *ringDev) Flush(*sim.Proc) error  { return nil }
+
+// Submit does the I/O at once, through ReadAt and WriteAt.
+func (m *ringDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
+	switch op {
+	case nvme.IORead:
+		m.ReadAt(nil, lba, blocks, buf)
+	case nvme.IOWrite:
+		m.WriteAt(nil, lba, blocks, buf)
+	}
+	done(host.IOOutcome{Attempts: 1})
+}
 func (m *ringDev) ReadAt(_ *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
 	m.reads = append(m.reads, [2]uint64{lba, uint64(blocks)})
 	copy(buf, m.data[lba*4096:(lba+uint64(blocks))*4096])

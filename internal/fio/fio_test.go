@@ -7,6 +7,7 @@ import (
 
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -19,27 +20,61 @@ type fakeDev struct {
 	writes   int
 	lbas     []uint64
 	sizes    []uint32
+	free     []*fakeIO
+	park     host.Parking
 }
 
-func (f *fakeDev) BlockSize() int          { return 4096 }
-func (f *fakeDev) CapacityBlocks() uint64  { return 1 << 20 }
-func (f *fakeDev) PerIOCPU() sim.Time      { return f.perIOCPU }
-func (f *fakeDev) Flush(p *sim.Proc) error { p.Sleep(f.lat); return nil }
-
-func (f *fakeDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, _ []byte) error {
-	f.reads++
-	f.lbas = append(f.lbas, lba)
-	f.sizes = append(f.sizes, blocks)
-	p.Sleep(f.lat)
-	return nil
+// fakeIO is one I/O in flight on a fakeDev; spent ones are reused, so the
+// device allocates nothing per I/O once warm.
+type fakeIO struct {
+	f    *fakeDev
+	done func(host.IOOutcome)
+	fire func()
 }
 
-func (f *fakeDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, _ []byte) error {
-	f.writes++
-	f.lbas = append(f.lbas, lba)
-	f.sizes = append(f.sizes, blocks)
-	p.Sleep(f.lat)
-	return nil
+func (f *fakeDev) BlockSize() int         { return 4096 }
+func (f *fakeDev) CapacityBlocks() uint64 { return 1 << 20 }
+func (f *fakeDev) PerIOCPU() sim.Time     { return f.perIOCPU }
+
+func (f *fakeDev) Submit(op uint8, lba uint64, blocks uint32, _ []byte, done func(host.IOOutcome)) {
+	switch op {
+	case nvme.IORead:
+		f.reads++
+	case nvme.IOWrite:
+		f.writes++
+	}
+	if op != nvme.IOFlush {
+		f.lbas = append(f.lbas, lba)
+		f.sizes = append(f.sizes, blocks)
+	}
+	var io *fakeIO
+	if n := len(f.free); n > 0 {
+		io, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		io = &fakeIO{f: f}
+		io.fire = io.complete
+	}
+	io.done = done
+	f.env.Schedule(f.lat, io.fire)
+}
+
+func (io *fakeIO) complete() {
+	done := io.done
+	io.done = nil
+	io.f.free = append(io.f.free, io)
+	done(host.IOOutcome{Attempts: 1})
+}
+
+func (f *fakeDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
+	return f.park.IO(p, f, nvme.IORead, lba, blocks, buf).Err()
+}
+
+func (f *fakeDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+	return f.park.IO(p, f, nvme.IOWrite, lba, blocks, data).Err()
+}
+
+func (f *fakeDev) Flush(p *sim.Proc) error {
+	return f.park.IO(p, f, nvme.IOFlush, 0, 0, nil).Err()
 }
 
 func run(t *testing.T, dev host.BlockDevice, spec fio.Spec) *fio.Result {
@@ -158,11 +193,12 @@ func TestTableIVPresets(t *testing.T) {
 }
 
 // BenchmarkFioWorkerStart is what a phase boundary costs: one Run of a
-// 1 × QD 64 spec whose runtime ends inside the first I/O, so an op is 64
-// worker start-ups — two names, a random stream, a process — and one I/O
-// each. Deep sequential phases restart thousands of workers that complete
-// three or four I/Os apiece, so this is where their allocations are; the
-// allocs/op has a ceiling in scripts/bench_allocs_baseline.txt.
+// 1 × QD 64 spec whose runtime ends inside the first I/O, so an op is one job
+// process and 64 worker start-ups — a stream name, a random stream, two bound
+// callbacks — and one I/O each. Deep sequential phases restart thousands of
+// workers that complete three or four I/Os apiece, so this is where their
+// allocations are; the allocs/op has a ceiling in
+// scripts/bench_allocs_baseline.txt.
 func BenchmarkFioWorkerStart(b *testing.B) {
 	env := sim.NewEnv(7)
 	dev := &fakeDev{env: env, lat: 50 * sim.Microsecond}
@@ -201,5 +237,40 @@ func TestRunRejectsPartialBlocks(t *testing.T) {
 			run(t, &fakeDev{lat: sim.Microsecond}, fio.Spec{Name: "x", Pattern: fio.RandRead,
 				BlockSize: bs, IODepth: 1, NumJobs: 1, Runtime: sim.Millisecond})
 		}()
+	}
+}
+
+// TestRunRejectsBadWindowAndMix: a measurement window that is not positive, a
+// negative ramp or a read share outside 0..100 used to run and report an
+// all-zero (or all-one-direction) result; Run refuses the spec instead.
+func TestRunRejectsBadWindowAndMix(t *testing.T) {
+	ok := fio.Spec{Name: "x", Pattern: fio.RandRW, BlockSize: 4096, IODepth: 1, NumJobs: 1, Runtime: sim.Millisecond}
+	for _, c := range []struct {
+		name string
+		bend func(*fio.Spec)
+	}{
+		{"runtime 0", func(s *fio.Spec) { s.Runtime = 0 }},
+		{"runtime -5ms", func(s *fio.Spec) { s.Runtime = -5 * sim.Millisecond }},
+		{"ramp -1ms", func(s *fio.Spec) { s.Ramp = -sim.Millisecond }},
+		{"rwmixread -1", func(s *fio.Spec) { s.RWMixRead = -1 }},
+		{"rwmixread 101", func(s *fio.Spec) { s.RWMixRead = 101 }},
+	} {
+		spec := ok
+		c.bend(&spec)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "bad spec") {
+					t.Errorf("%s: recovered %v, want the bad-spec panic", c.name, r)
+				}
+			}()
+			run(t, &fakeDev{lat: sim.Microsecond}, spec)
+		}()
+	}
+	for _, mix := range []int{0, 100} {
+		spec := ok
+		spec.RWMixRead = mix
+		if res := run(t, &fakeDev{lat: sim.Microsecond}, spec); res.IOPS() == 0 {
+			t.Errorf("rwmixread %d: no I/O", mix)
+		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"bmstore"
@@ -33,6 +34,7 @@ import (
 	"bmstore/internal/fault"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -340,8 +342,10 @@ func runHost(o Options, hostIdx int) HostResult {
 	var ops, errs uint64
 	var drivers []*host.Driver
 	diag := tb.RunWatched(func(p *sim.Proc) {
+		// The tenants are closed loops of callbacks, not processes: each
+		// completion books the I/O and submits the next, until stop.
 		stop := tb.Env.NewEvent()
-		var tenantProcs []*sim.Proc
+		ended := &tenantsEnded{}
 		for _, t := range hr.Tenants {
 			vol := fmt.Sprintf("vol%d", t.ID)
 			stripe := make([]int, o.SSDsPerHost)
@@ -366,32 +370,15 @@ func runHost(o Options, hostIdx int) HostResult {
 				return
 			}
 			drivers = append(drivers, drv)
-			pattern := t.pattern()
 			for j := 0; j < t.Jobs; j++ {
-				tenant, job := t.ID, j
-				tp := tb.Go(fmt.Sprintf("tenant%d/%d", tenant, job), func(tp *sim.Proc) {
-					bd := drv.BlockDev(job)
-					rng := tb.Env.Rand(fmt.Sprintf("fleet/t%d/%d", tenant, job))
-					for !stop.Processed() {
-						lba := uint64(rng.Intn(1 << 20))
-						write := pattern == fio.RandWrite ||
-							(pattern == fio.RandRW && rng.Intn(2) == 0)
-						t0 := tp.Now()
-						var e error
-						if write {
-							e = bd.WriteAt(tp, lba, 1, nil)
-						} else {
-							e = bd.ReadAt(tp, lba, 1, nil)
-						}
-						if e != nil {
-							errs++
-						} else {
-							ops++
-							hr.hist.Record(int64(tp.Now() - t0))
-						}
-					}
-				})
-				tenantProcs = append(tenantProcs, tp)
+				tj := &tenantJob{
+					env: tb.Env, dev: drv.BlockDev(j), stop: stop, ended: ended,
+					rng:     tb.Env.Rand(fmt.Sprintf("fleet/t%d/%d", t.ID, j)),
+					pattern: t.pattern(), ops: &ops, errs: &errs, hist: hr.hist,
+				}
+				tj.next, tj.done = tj.submit, tj.complete
+				ended.left++
+				tb.Env.Schedule(0, tj.next)
 			}
 		}
 
@@ -415,8 +402,9 @@ func runHost(o Options, hostIdx int) HostResult {
 		// Clean shutdown: stop the tenants, then wait for each to unwind
 		// its in-flight I/O, so the counter snapshot sees quiesced queues.
 		stop.Trigger(nil)
-		for _, tp := range tenantProcs {
-			p.Wait(tp.Done())
+		if ended.left > 0 {
+			ended.wake = tb.Env.PooledEvent()
+			p.Wait(ended.wake)
 		}
 		for _, d := range drivers {
 			c := d.Counters()
@@ -497,4 +485,60 @@ func fleetDigest(hosts []HostResult) string {
 		fmt.Fprintf(sum, "host%04d %s\n", hosts[i].Host, hosts[i].Digest)
 	}
 	return "sha256:" + hex.EncodeToString(sum.Sum(nil))[:16]
+}
+
+// tenantJob is one tenant job: a closed loop of 4 KiB I/Os at queue depth 1
+// over its own queue, until stop has fired. Each I/O's completion books it
+// and submits the next.
+type tenantJob struct {
+	env       *sim.Env
+	dev       host.BlockDevice
+	rng       *rand.Rand
+	pattern   fio.Pattern
+	stop      *sim.Event
+	ended     *tenantsEnded
+	ops, errs *uint64
+	hist      *stats.Hist
+	t0        sim.Time
+	next      func()
+	done      func(host.IOOutcome)
+}
+
+func (tj *tenantJob) submit() {
+	if tj.stop.Processed() {
+		tj.env.Schedule(0, tj.ended.one)
+		return
+	}
+	lba := uint64(tj.rng.Intn(1 << 20))
+	write := tj.pattern == fio.RandWrite ||
+		(tj.pattern == fio.RandRW && tj.rng.Intn(2) == 0)
+	tj.t0 = tj.env.Now()
+	op := uint8(nvme.IORead)
+	if write {
+		op = nvme.IOWrite
+	}
+	tj.dev.Submit(op, lba, 1, nil, tj.done)
+}
+
+func (tj *tenantJob) complete(oc host.IOOutcome) {
+	if oc.Status.IsError() {
+		*tj.errs++
+	} else {
+		*tj.ops++
+		tj.hist.Record(int64(tj.env.Now() - tj.t0))
+	}
+	tj.submit()
+}
+
+// tenantsEnded counts a host's tenant jobs out, each in a zero-delay queue
+// entry of its own: the last one wakes the host's main process.
+type tenantsEnded struct {
+	left int
+	wake *sim.Event
+}
+
+func (e *tenantsEnded) one() {
+	if e.left--; e.left == 0 && e.wake != nil {
+		e.wake.Fire(nil)
+	}
 }

@@ -27,15 +27,22 @@ func fill(n int, seed byte) []byte {
 }
 
 // recoverFrom runs fn as a process on the rig and returns what it panicked
-// with, as text ("<nil>" if it did not).
-func recoverFrom(r *nativeRig, fn func(p *sim.Proc)) string {
+// with, as text ("<nil>" if it did not): a panic in fn itself, or one that an
+// I/O it started raised in the driver's callbacks, out of the rig's Run.
+func recoverFrom(r *nativeRig, fn func(p *sim.Proc)) (msg string) {
 	var got any
+	defer func() {
+		if v := recover(); v != nil {
+			got = v
+		}
+		msg = fmt.Sprint(got)
+	}()
 	r.env.Go("test", func(p *sim.Proc) {
 		defer func() { got = recover() }()
 		fn(p)
 	})
 	r.env.Run()
-	return fmt.Sprint(got)
+	return
 }
 
 // TestBufferLengthMustMatchTheTransfer: a short write buffer used to persist

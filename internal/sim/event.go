@@ -44,11 +44,13 @@ func (ev *Event) TriggerDelayed(delay Time, val any) {
 // costs no kernel event. Firing an event that was already triggered, fired
 // or aborted is a no-op.
 //
-// The caller must be in scheduler context — a Schedule callback or an event
-// callback, never a process — and must be indifferent to what the woken
-// code does before it yields, because that code now runs in the middle of
-// the caller rather than after it and after everything else already queued
-// for this instant. The safe shape is a waiter whose first act on waking is
+// The caller is normally in scheduler context — a Schedule callback or an
+// event callback. A process may fire too (a recovery process handing an I/O
+// back to the process that waits for it): the woken process then runs nested
+// inside the caller's and hands back when it blocks. Either way the caller
+// must be indifferent to what the woken code does before it yields, because
+// that code now runs in the middle of the caller rather than after it and
+// after everything else already queued for this instant. The safe shape is a waiter whose first act on waking is
 // to block again (a Sleep that models the wake-up's own cost): it is back in
 // the queue before Fire returns, and only the position of that next entry
 // among same-instant ones differs from Trigger's.

@@ -14,7 +14,7 @@ type Proc struct {
 	fn     func(p *Proc) // the body, until it starts
 	co     *coro         // the coroutine running the body, while it runs
 	done   bool
-	doneEv *Event
+	doneEv *Event // nil for a process started in place
 }
 
 // Name returns the process name given to Go.
@@ -23,7 +23,8 @@ func (p *Proc) Name() string { return p.name }
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
 
-// Done returns an event that fires when the process function returns.
+// Done returns an event that fires when the process function returns, or nil
+// for a process started in place (Env.Start).
 func (p *Proc) Done() *Event { return p.doneEv }
 
 // Now returns the current virtual time.
@@ -36,7 +37,9 @@ func (p *Proc) run() {
 	defer func() {
 		p.done, p.co = true, nil
 		delete(p.env.live, p)
-		p.doneEv.Trigger(nil)
+		if p.doneEv != nil {
+			p.doneEv.Trigger(nil)
+		}
 	}()
 	defer func() {
 		if r := recover(); r != nil && r != errAborted {

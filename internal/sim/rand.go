@@ -177,16 +177,6 @@ func (pc *Pacer) Reserve(n int64) Time {
 	return pc.free
 }
 
-// Transfer books n bytes and blocks the calling process until the transfer
-// completes.
-func (pc *Pacer) Transfer(p *Proc, n int64) {
-	done := pc.Reserve(n)
-	d := done - pc.env.now
-	if d > 0 {
-		p.Sleep(d)
-	}
-}
-
 // Backlog returns how far in the future the wire is currently booked.
 func (pc *Pacer) Backlog() Time {
 	if pc.free <= pc.env.now {

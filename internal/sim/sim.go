@@ -544,6 +544,18 @@ func (e *Env) Shutdown() {
 	e.coFree = nil
 }
 
+// newProc registers a process that has not run yet, with no Done event.
+func (e *Env) newProc(name string, fn func(p *Proc)) *Proc {
+	e.procSeq++
+	p := &Proc{env: e, id: e.procSeq, name: name, fn: fn}
+	e.live[p] = struct{}{}
+	e.cSpawns.Inc()
+	if e.tracer != nil {
+		e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
+	}
+	return p
+}
+
 // Go starts fn as a new simulation process named name. The process begins
 // running at the current virtual time, once the scheduler reaches its
 // zero-delay start event, so processes start in the order they were spawned.
@@ -551,25 +563,27 @@ func (e *Env) Shutdown() {
 // on a pooled coroutine: a panic in it reaches the caller of Run as
 // `sim: process "<name>" panicked: …`.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	e.procSeq++
-	p := &Proc{
-		env:    e,
-		id:     e.procSeq,
-		name:   name,
-		fn:     fn,
-		doneEv: e.NewEvent(),
-	}
-	e.live[p] = struct{}{}
-	e.cSpawns.Inc()
-	if e.tracer != nil {
-		e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
-	}
+	p := e.newProc(name, fn)
+	p.doneEv = e.NewEvent()
 	// Activate via a zero-delay pooled event so start order is deterministic.
 	start := e.pooledEvent()
 	start.waiters = append(start.waiters, p)
 	e.push(e.now, start)
 	start.pending = true
 	return p
+}
+
+// Start runs fn as a new simulation process named name in place: the body
+// starts inside the call, at the caller's program point, and Start returns
+// when it first blocks or returns. It costs no queue entry, and the process
+// has no Done event (Done returns nil), so finishing costs none either — what
+// the process hands back, it hands back itself. Start is for a step of a
+// callback chain that must become sequential code part-way (a recovery that
+// waits on timers and on other commands): the code runs exactly where the
+// callback would have run it. It may be called from scheduler context or
+// from a process; a panic in fn reaches the caller of Start as Go's does.
+func (e *Env) Start(name string, fn func(p *Proc)) {
+	e.resume(e.newProc(name, fn), resumeMsg{})
 }
 
 var errAborted = fmt.Errorf("sim: process aborted")

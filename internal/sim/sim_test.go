@@ -420,13 +420,16 @@ func TestContendedAcquireDoesNotAllocate(t *testing.T) {
 	env.Shutdown()
 }
 
+// transfer books n bytes on pc and sleeps until they are through.
+func transfer(p *Proc, pc *Pacer, n int64) { p.Sleep(pc.Reserve(n) - p.Now()) }
+
 func TestPacerRate(t *testing.T) {
 	env := NewEnv(1)
 	pc := NewPacer(env, 1e9) // 1 GB/s => 1 byte per ns
 	var done Time
 	env.Go("xfer", func(p *Proc) {
-		pc.Transfer(p, 4096)
-		pc.Transfer(p, 4096)
+		transfer(p, pc, 4096)
+		transfer(p, pc, 4096)
 		done = p.Now()
 	})
 	env.Run()
@@ -441,7 +444,7 @@ func TestPacerQueuesConcurrentTransfers(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.Go("xfer", func(p *Proc) {
-			pc.Transfer(p, 1000)
+			transfer(p, pc, 1000)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -517,7 +520,7 @@ func TestPacerConservationProperty(t *testing.T) {
 			for _, s := range sizes {
 				n := int64(s) + 1
 				total += n
-				pc.Transfer(p, n)
+				transfer(p, pc, n)
 			}
 			end = p.Now()
 		})

@@ -19,9 +19,10 @@ var spanKeyCalls = map[string]bool{
 // those calls — where a component first meets a command, or last sees it —
 // each with what it resolves there.
 var spanAdmissionSites = map[string]string{
-	"host.Driver.ioAttempt SpanKey":     "the driver names the request by the (function, queue, CID) it is about to ring",
-	"host.Driver.ioAttempt SpanStart":   "the request starts here; the handle serves the attempt and the slot's CQE mark",
-	"host.Driver.ioAttempt SpanFinish":  "the request ends here, by key: a colliding driver may have taken the record over",
+	"host.ioReq.onSlot SpanKey":         "the driver names the request by the (function, queue, CID) it is about to ring",
+	"host.ioReq.onSlot SpanStart":       "the request starts here; the handle serves the attempt and the slot's CQE mark",
+	"host.ioReq.onCompleted SpanFinish": "the request ends here, by key: a colliding driver may have taken the record over",
+	"host.ioReq.onTimeout SpanFinish":   "an attempt given up on ends its request here, by key, on the error path",
 	"engine.feIO.start SpanKey":         "the front end computes the same identity from the SQE it dispatches",
 	"engine.feIO.start Span":            "the engine's one lookup; feIO and the backend submission carry the handle",
 	"engine.beSubmit.slot DevKey":       "the backend CID is allocated here, so the device-domain alias exists from here",
