@@ -22,7 +22,13 @@ type nativeRig struct {
 
 func newNativeRig(t *testing.T, kernel host.KernelProfile, vm *host.VMProfile, capture bool) *nativeRig {
 	t.Helper()
-	env := sim.NewEnv(3)
+	return newNativeRigOn(t, sim.NewEnv(3), kernel, vm, capture)
+}
+
+// newNativeRigOn is newNativeRig on a given environment, say one whose tracer
+// is set before the driver attaches and takes it.
+func newNativeRigOn(t *testing.T, env *sim.Env, kernel host.KernelProfile, vm *host.VMProfile, capture bool) *nativeRig {
+	t.Helper()
 	h := host.New(env, 768<<30, kernel)
 	cfg := ssd.P4510("SN001")
 	cfg.CaptureData = capture
