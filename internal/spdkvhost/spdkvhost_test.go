@@ -2,6 +2,8 @@ package spdkvhost_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"bmstore/internal/fio"
@@ -197,5 +199,23 @@ func TestVhostMultiCoreScalingShape(t *testing.T) {
 	}
 	if frac := b1 / native; frac > 0.25 {
 		t.Fatalf("1 core reaches %.0f%% of native, should be starved", frac*100)
+	}
+}
+
+// TestBackendErrorsNameTheBackend: a read or a write the SSD fails returns
+// its status error, wrapped under the target's prefix.
+func TestBackendErrorsNameTheBackend(t *testing.T) {
+	r := newVhostRig(t, 1, false)
+	beyond := r.dev.CapacityBlocks() // the first LBA past the namespace
+	var errs [2]error
+	r.env.Go("io", func(p *sim.Proc) {
+		errs[0] = r.dev.ReadAt(p, beyond, 1, nil)
+		errs[1] = r.dev.WriteAt(p, beyond, 1, nil)
+	})
+	r.env.Run()
+	for i, err := range errs {
+		if err == nil || !strings.HasPrefix(err.Error(), "spdkvhost: backend: nvme: status ") || errors.Unwrap(err) == nil {
+			t.Errorf("I/O %d past the end: got %v, want a wrapped \"spdkvhost: backend: nvme: status ...\"", i, err)
+		}
 	}
 }
