@@ -230,8 +230,11 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 		disk.SSDs = append(disk.SSDs, i)
 	}
 	diag = tb.RunWatched(func(p *sim.Proc) {
-		for _, devs := range s.Attach(p, tb, []experiments.Disk{disk}, dcfg, spec.NumJobs) {
+		err := s.Attach(p, tb, []experiments.Disk{disk}, dcfg, spec.NumJobs, func(_ int, _ *host.Driver, devs []host.BlockDevice) {
 			res = fio.Run(p, devs, spec)
+		})
+		if err != nil {
+			panic(err)
 		}
 	}, horizon)
 	if diag != nil {

@@ -45,7 +45,8 @@
 //
 // rolls a firmware hot-upgrade through -hosts BM-Store hosts, -wave at a
 // time, with a health gate between waves; exit 1 means a wave tripped it.
-// -host K replays one host alone, the reproducer a failure points at.
+// -host K replays one host alone, the reproducer a failure points at. A
+// -hosts, -wave or -ssds below 1, or a -host outside -1..hosts-1, exits 2.
 //
 //	bmsctl crash-sweep [-seed 1] [-seeds 1] [-point P] [-json f]
 //

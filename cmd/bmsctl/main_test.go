@@ -100,6 +100,11 @@ func TestSubcommandErrorContract(t *testing.T) {
 		{"sweep", "-only", "nosuch"},
 		{"fleet-run", "-hosts", "0"},
 		{"fleet-run", "-hosts", "4", "-host", "4"},
+		{"fleet-run", "-hosts", "2", "-host", "-7"},
+		{"fleet-run", "-hosts", "2", "-wave", "0"},
+		{"fleet-run", "-hosts", "2", "-wave", "-2"},
+		{"fleet-run", "-hosts", "2", "-ssds", "0"},
+		{"fleet-run", "-hosts", "2", "-ssds", "-3"},
 		{"crash-sweep", "-seeds", "3", "-point", "2"},
 		{"crash-sweep", "-point", "2", "-json", "x.json"},
 		{"chaos", "x"},

@@ -173,9 +173,10 @@ func fleetRunVerb(fs *flag.FlagSet) func([]string) int {
 			return fail(fs, 2, fmt.Errorf("unexpected argument %q", args[0]))
 		}
 		sc, err := parseScale(*scale)
-		err = cmp.Or(err, atLeastOne("hosts", *hosts), ropts.validate())
-		if err == nil && *replayHost >= *hosts {
-			err = fmt.Errorf("-host %d out of range: the fleet has hosts 0..%d", *replayHost, *hosts-1)
+		err = cmp.Or(err, atLeastOne("hosts", *hosts), atLeastOne("wave", *wave),
+			atLeastOne("ssds", *ssds), ropts.validate())
+		if err == nil && (*replayHost < -1 || *replayHost >= *hosts) {
+			err = fmt.Errorf("-host %d out of range: the fleet has hosts 0..%d (-1 runs them all)", *replayHost, *hosts-1)
 		}
 		if err != nil {
 			return fail(fs, 2, err)

@@ -18,7 +18,7 @@ import (
 func (s *Scheme) runApp(cfg bmstore.Config, fn func(p *sim.Proc, env *sim.Env, bd host.BlockDevice)) {
 	cfg.NumSSDs = 1
 	cfg.CaptureData = true
-	s.run(cfg, []Disk{{"app", 1536 << 30, []int{0}}}, host.DefaultDriverConfig(), 1, func(p *sim.Proc, env *sim.Env, devs []host.BlockDevice) {
+	s.run(cfg, []Disk{{Name: "app", Bytes: 1536 << 30, SSDs: []int{0}}}, host.DefaultDriverConfig(), 1, func(p *sim.Proc, env *sim.Env, devs []host.BlockDevice) {
 		fn(p, env, devs[0])
 	})
 }

@@ -58,29 +58,18 @@ func hotUpgradeRun(cfg bmstore.Config, sc Scale, pattern fio.Pattern) ([][]strin
 		c.FWCommitMin, c.FWCommitMax = fwMin, fwMax
 		return c
 	}
-	tb := mustTestbed(bmstore.NewBMStoreTestbed(cfg))
+	tb := mustTestbed(bmStoreVM.Testbed(cfg))
 
 	binNS := int64(500 * sim.Millisecond)
 	series := stats.NewSeries(binNS)
 	var rows [][]string
 	tb.Run(func(p *sim.Proc) {
-		if err := tb.Console.CreateNamespace(p, "vol", 256<<30, []int{0}); err != nil {
-			panic(err)
-		}
-		if err := tb.Console.Bind(p, "vol", 0); err != nil {
-			panic(err)
-		}
 		// Cap the tenant rate so long wall-clock windows stay simulable.
-		if err := tb.Console.SetQoS(p, "vol", 20000, 0); err != nil {
-			panic(err)
-		}
-		vm := host.KVMGuest()
-		dcfg := host.DefaultDriverConfig()
-		dcfg.VM = &vm
-		drv, err := tb.AttachTenant(p, 0, dcfg)
-		if err != nil {
-			panic(err)
-		}
+		vol := Disk{Name: "vol", Bytes: 256 << 30, SSDs: []int{0}, QoSIOPS: 20000}
+		var bd host.BlockDevice
+		must(bmStoreVM.Attach(p, tb, []Disk{vol}, host.DefaultDriverConfig(), 1, func(_ int, _ *host.Driver, devs []host.BlockDevice) {
+			bd = devs[0]
+		}))
 
 		// Tenant fio: 4K pattern, QD16, running for the whole window.
 		var errors int
@@ -91,7 +80,6 @@ func hotUpgradeRun(cfg bmstore.Config, sc Scale, pattern fio.Pattern) ([][]strin
 		}
 		for w := 0; w < 16; w++ {
 			tb.Go(fmt.Sprintf("tenant%d", w), func(tp *sim.Proc) {
-				bd := drv.BlockDev(0)
 				rng := tb.Env.Rand(fmt.Sprintf("hu/%d", w))
 				for !stop.Processed() {
 					var e error

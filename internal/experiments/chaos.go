@@ -91,7 +91,7 @@ func runChaosSchedule(sch chaos.Schedule, opts ChaosOptions, tr *trace.Tracer, m
 		run.Findings = []chaos.Finding{{Name: "rig-build", Detail: err.Error()}}
 		return run
 	}
-	dcfg := recoveringDriver()
+	dcfg := verifyDriver
 	if opts.DisableRecovery {
 		dcfg = host.DefaultDriverConfig()
 	}

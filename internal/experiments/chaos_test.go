@@ -140,22 +140,16 @@ func TestChaosPhaseTiming(t *testing.T) {
 	oracle := chaos.NewOracle(1, 4096)
 	var attached, verified sim.Time
 	diag := tb.RunWatched(func(p *sim.Proc) {
-		if err := tb.Console.CreateNamespace(p, "vol", 16<<20, []int{0, 1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.Console.Bind(p, "vol", 0); err != nil {
-			t.Fatal(err)
-		}
-		drv, err := tb.AttachTenant(p, 0, recoveringDriver())
+		err := bmStore.Attach(p, tb, []Disk{verifyVolume}, verifyDriver, 1, func(_ int, _ *host.Driver, devs []host.BlockDevice) {
+			attached = p.Now()
+			if _, err := fio.RunVerify(p, devs, fio.VerifySpec{Name: "timing"}, oracle); err != nil {
+				t.Fatal(err)
+			}
+			verified = p.Now()
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		attached = p.Now()
-		if _, err = fio.RunVerify(p, []host.BlockDevice{drv.BlockDev(0)},
-			fio.VerifySpec{Name: "timing"}, oracle); err != nil {
-			t.Fatal(err)
-		}
-		verified = p.Now()
 	}, 5*sim.Second)
 	if diag != nil {
 		t.Fatal(diag)

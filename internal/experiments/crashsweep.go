@@ -91,7 +91,7 @@ func discoverCrashInstants(seed int64) ([]crashInstant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("crash sweep: probe rig: %w", err)
 	}
-	v := runVerify(tb, seed, fmt.Sprintf("crash-probe-%d", seed), recoveringDriver())
+	v := runVerify(tb, seed, fmt.Sprintf("crash-probe-%d", seed), verifyDriver)
 	if v.err != nil {
 		return nil, fmt.Errorf("crash sweep: probe workload: %w", v.err)
 	}
@@ -162,7 +162,7 @@ func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Trace
 		pt.Findings = append(pt.Findings, "rig-build: "+err.Error())
 		return pt
 	}
-	v := runVerify(tb, seed, fmt.Sprintf("crash-%d-%s", seed, in.Stage), recoveringDriver())
+	v := runVerify(tb, seed, fmt.Sprintf("crash-%d-%s", seed, in.Stage), verifyDriver)
 	rep, findings := v.evidence(tb, chaos.Schedule{Seed: seed})
 	c := rep.Counters
 	pt.Timeouts, pt.Retries = c.Timeouts, c.Retries

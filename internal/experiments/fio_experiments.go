@@ -130,7 +130,7 @@ func Table6(h *Harness) *Table {
 		k := kernels[i]
 		cfg := h.config(fmt.Sprintf("table6/%s-%s", k.OS, k.Version), int64(600+i))
 		cfg.Kernel = k
-		results[i] = bmStore.runFio(cfg, Disk{"v", 1536 << 30, []int{0}}, spec)
+		results[i] = bmStore.runFio(cfg, Disk{Name: "v", Bytes: 1536 << 30, SSDs: []int{0}}, spec)
 	})
 	for i, k := range kernels {
 		res := results[i]
@@ -305,14 +305,14 @@ func Fig12(h *Harness) *Table {
 			// Each VM starts its fio as soon as its disk is attached, before
 			// the next disk is provisioned: that order is part of the timing.
 			var done []*sim.Event
-			for i, devs := range bmStoreVM.Attach(p, tb, disksOnSSDs("vm", 4, 256<<30, 4), host.DefaultDriverConfig(), 1) {
+			must(bmStoreVM.Attach(p, tb, disksOnSSDs("vm", 4, 256<<30, 4), host.DefaultDriverConfig(), 1, func(i int, _ *host.Driver, devs []host.BlockDevice) {
 				spec := c
 				spec.Seed = fmt.Sprintf("vm%d", i)
 				proc := tb.Env.Go(spec.Seed, func(vp *sim.Proc) {
 					results[i] = fio.Run(vp, devs, spec)
 				})
 				done = append(done, proc.Done())
-			}
+			}))
 			for _, ev := range done {
 				p.Wait(ev)
 			}

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"iter"
 
 	"bmstore"
 	"bmstore/internal/fio"
@@ -14,14 +14,15 @@ import (
 
 // A Scheme is one of the storage stacks the paper compares throughout §VI
 // (Fig. 8-14, Tables V-VIII). Each is defined once, in the table below:
-// `bmsctl fio -scheme` and every experiment that runs a stack build its rig
-// with Testbed and reach its disks with Attach.
+// `bmsctl fio -scheme`, every experiment that runs a stack, the fleet's
+// hosts and the verify campaign (verify.go) build their rigs with Testbed
+// and bring their disks up with Attach.
 //
-// A few rigs stay bespoke, each because it needs something no scheme has:
+// Two rigs stay bespoke, each because it needs something Attach does not do:
 // fig1Point sweeps the SPDK target's core count and places each device on
-// cores itself; qosPoint, hotUpgradeRun, the fleet's host runner and the
-// verify campaign (verify.go) put QoS or crash wiring between bind and
-// attach, or report a failed step as an error instead of panicking.
+// cores itself; qosPoint creates and binds both its namespaces before it
+// attaches either, and caps the neighbour in bytes per second. Brought up
+// disk by disk, its table holds but its rigs' trace digest moves.
 type Scheme struct {
 	name  string // `bmsctl fio -scheme`
 	label string // the paper's name: table rows, rig names, RNG streams
@@ -76,13 +77,14 @@ func SchemeNames() []string {
 func (s *Scheme) Stripes() bool { return s.card }
 
 // A Disk is one tenant disk: on a BM-Store scheme the namespace Name of
-// Bytes striped over SSDs, on a direct scheme the one SSD in SSDs. Names
-// travel to the card as MCTP payload bytes, so they are part of a rig's
-// timing.
+// Bytes striped over SSDs, capped at QoSIOPS when that is non-zero; on a
+// direct scheme the one SSD in SSDs, with no cap. Names travel to the card
+// as MCTP payload bytes, so they are part of a rig's timing.
 type Disk struct {
-	Name  string
-	Bytes uint64
-	SSDs  []int
+	Name    string
+	Bytes   uint64
+	SSDs    []int
+	QoSIOPS float64
 }
 
 // disksOnSSDs returns n disks named prefix0, prefix1, ... of bytes each,
@@ -90,7 +92,7 @@ type Disk struct {
 func disksOnSSDs(prefix string, n int, bytes uint64, ssds int) []Disk {
 	disks := make([]Disk, n)
 	for i := range disks {
-		disks[i] = Disk{fmt.Sprintf("%s%d", prefix, i), bytes, []int{i % ssds}}
+		disks[i] = Disk{Name: fmt.Sprintf("%s%d", prefix, i), Bytes: bytes, SSDs: []int{i % ssds}}
 	}
 	return disks
 }
@@ -107,54 +109,73 @@ func (s *Scheme) Testbed(cfg bmstore.Config, opts ...bmstore.Option) (*bmstore.T
 }
 
 // Attach brings disks to the tenant of tb, a testbed s built, from inside
-// the rig's process p. Disk i is attached when the loop reaches it, after
-// the body has run for disk i-1, and comes as jobs block devices: one per
-// NVMe queue, or on SPDK vhost jobs references to the one virtio disk. A
-// failed step panics; Run and RunWatched surface it at their caller.
-func (s *Scheme) Attach(p *sim.Proc, tb *bmstore.Testbed, disks []Disk, dcfg host.DriverConfig, jobs int) iter.Seq2[int, []host.BlockDevice] {
+// the rig's process p, and hands fn each disk as it comes up: its index, its
+// driver, and jobs block devices — one per NVMe queue, or on SPDK vhost jobs
+// references to the one virtio disk. Disk i is attached after fn has
+// returned for disk i-1. A failed step ends the bring-up: Attach returns its
+// error, which names the step and the disk, and attaches no further disk.
+func (s *Scheme) Attach(p *sim.Proc, tb *bmstore.Testbed, disks []Disk, dcfg host.DriverConfig, jobs int, fn func(i int, drv *host.Driver, devs []host.BlockDevice)) error {
 	if s.guest {
 		vm := host.KVMGuest()
 		dcfg.VM = &vm
 	}
-	return func(yield func(int, []host.BlockDevice) bool) {
-		var tgt *spdkvhost.Target
-		if s.vhost {
-			tgt = spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), len(disks))
-		}
-		for i, d := range disks {
-			drv, err := s.attach(p, tb, i, d, dcfg)
-			if err != nil {
-				panic(err)
-			}
-			devs := fioDevs(drv, jobs)
-			if tgt != nil {
-				vdev := tgt.NewDevice(devs[0], host.CentOS("3.10.0"))
-				for j := range devs {
-					devs[j] = vdev
-				}
-			}
-			if !yield(i, devs) {
-				return
-			}
-		}
+	var tgt *spdkvhost.Target
+	if s.vhost {
+		tgt = spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), len(disks))
 	}
+	for i, d := range disks {
+		drv, err := s.attach(p, tb, i, d, dcfg)
+		if err != nil {
+			return err
+		}
+		devs := fioDevs(drv, jobs)
+		if tgt != nil {
+			vdev := tgt.NewDevice(devs[0], host.CentOS("3.10.0"))
+			for j := range devs {
+				devs[j] = vdev
+			}
+		}
+		fn(i, drv, devs)
+	}
+	return nil
 }
 
-// attach brings disk d, the i-th, to the tenant and returns its driver.
+// attach brings disk d, the i-th, to the tenant and returns its driver: on a
+// card scheme the console's create, bind to function i and QoS cap, then the
+// tenant's driver; on a direct scheme the driver of d's one SSD.
 func (s *Scheme) attach(p *sim.Proc, tb *bmstore.Testbed, i int, d Disk, dcfg host.DriverConfig) (*host.Driver, error) {
+	fail := func(step string, err error) (*host.Driver, error) {
+		return nil, fmt.Errorf("experiments: %s disk %q: %s: %w", s.name, d.Name, step, err)
+	}
 	if !s.card {
-		if len(d.SSDs) != 1 {
-			return nil, fmt.Errorf("experiments: %s attaches one SSD per disk, disk %q lists %d", s.name, d.Name, len(d.SSDs))
+		switch {
+		case d.QoSIOPS != 0:
+			return fail("set QoS", errors.New("a direct disk has no QoS cap"))
+		case len(d.SSDs) != 1:
+			return fail("attach", fmt.Errorf("a direct disk is one SSD, it lists %d", len(d.SSDs)))
 		}
-		return tb.AttachNative(p, d.SSDs[0], dcfg)
+		drv, err := tb.AttachNative(p, d.SSDs[0], dcfg)
+		if err != nil {
+			return fail("attach", err)
+		}
+		return drv, nil
 	}
 	if err := tb.Console.CreateNamespace(p, d.Name, d.Bytes, d.SSDs); err != nil {
-		return nil, err
+		return fail("create namespace", err)
 	}
 	if err := tb.Console.Bind(p, d.Name, uint8(i)); err != nil {
-		return nil, err
+		return fail(fmt.Sprintf("bind to function %d", i), err)
 	}
-	return tb.AttachTenant(p, pcie.FuncID(i), dcfg)
+	if d.QoSIOPS != 0 {
+		if err := tb.Console.SetQoS(p, d.Name, d.QoSIOPS, 0); err != nil {
+			return fail("set QoS", err)
+		}
+	}
+	drv, err := tb.AttachTenant(p, pcie.FuncID(i), dcfg)
+	if err != nil {
+		return fail("attach", err)
+	}
+	return drv, nil
 }
 
 // run builds s's rig for cfg and, in its process, attaches disks with dcfg
@@ -163,15 +184,15 @@ func (s *Scheme) run(cfg bmstore.Config, disks []Disk, dcfg host.DriverConfig, j
 	tb := mustTestbed(s.Testbed(cfg))
 	tb.Run(func(p *sim.Proc) {
 		var devs []host.BlockDevice
-		for _, d := range s.Attach(p, tb, disks, dcfg, jobs) {
+		must(s.Attach(p, tb, disks, dcfg, jobs, func(_ int, _ *host.Driver, d []host.BlockDevice) {
 			devs = append(devs, d...)
-		}
+		}))
 		fn(p, tb.Env, devs)
 	})
 }
 
 // fioVolume is the disk the single-disk fio comparisons run on.
-var fioVolume = Disk{"vol0", 1536 << 30, []int{0}}
+var fioVolume = Disk{Name: "vol0", Bytes: 1536 << 30, SSDs: []int{0}}
 
 // runFio runs spec on disk d of a one-SSD rig of s with the default driver.
 func (s *Scheme) runFio(cfg bmstore.Config, d Disk, spec fio.Spec) (res *fio.Result) {

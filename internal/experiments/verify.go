@@ -43,15 +43,30 @@ func verifyRigConfig(seed int64, rules []fault.Rule, tr *trace.Tracer, met *obs.
 	return cfg.With(bmstore.WithFaults(rules...), bmstore.WithTrace(tr), bmstore.WithMetrics(met))
 }
 
-// recoveringDriver is the tenant driver the campaigns attach: timeouts,
-// aborts and bounded retries sized for millisecond-scale injected faults,
-// with the default 8 ms engine-crash outage far inside the retry budget
-// (~237 ms), so episodes that span a crash come back as retried successes,
-// never errors.
-func recoveringDriver() host.DriverConfig {
+// The recovering drivers: the stock driver plus command timeouts, aborts and
+// bounded retries, attempt n backing off 200 µs << n. Each is sized for the
+// outage its rigs must ride out; the retry budget is every attempt's timeout
+// plus every back-off.
+var (
+	// verifyDriver is the tenant of the verify campaign (chaos and crash
+	// sweep): 3 ms timeouts for millisecond-scale injected faults, and a
+	// ~237 ms budget that holds the default 8 ms engine-crash outage many
+	// times over, so episodes that span a crash come back as retried
+	// successes, never errors.
+	verifyDriver = recoveringDriver(3*sim.Millisecond, 10)
+	// FleetFaultDriver is a fleet host's tenant under an injected fault
+	// schedule: a ~96 ms budget for faults that land between upgrades.
+	FleetFaultDriver = recoveringDriver(5*sim.Millisecond, 8)
+	// FleetCrashDriver is a fleet host's tenant with crash recovery armed:
+	// a crash's retry storm can spill into an upgrade's I/O pause, so its
+	// ~884 ms budget rides out both back to back.
+	FleetCrashDriver = recoveringDriver(5*sim.Millisecond, 12)
+)
+
+func recoveringDriver(timeout sim.Time, retries int) host.DriverConfig {
 	dcfg := host.DefaultDriverConfig()
-	dcfg.CmdTimeout = 3 * sim.Millisecond
-	dcfg.MaxRetries = 10
+	dcfg.CmdTimeout = timeout
+	dcfg.MaxRetries = retries
 	dcfg.RetryBackoff = 200 * sim.Microsecond
 	return dcfg
 }
@@ -67,28 +82,27 @@ type verifyRun struct {
 	err    error // namespace, bind, attach or verify setup
 }
 
-// runVerify drives the verify workload on tb: namespace "vol" over both
-// SSDs, bound to function 0, a tenant attached with dcfg, and fio.RunVerify
-// named name against an oracle seeded with seed. On a rig with crash
-// recovery armed it finally reclaims the driver's zombies: post-recovery
-// zombies have no straggler CQE coming (their doorbells died with the
-// card), so the CID books only balance once they are reclaimed.
+// verifyVolume is the campaign's disk: a 16 MiB namespace over both SSDs.
+var verifyVolume = Disk{Name: "vol", Bytes: 16 << 20, SSDs: []int{0, 1}}
+
+// runVerify drives the verify workload on tb: verifyVolume attached to the
+// tenant with dcfg, and fio.RunVerify named name against an oracle seeded
+// with seed. On a rig with crash recovery armed it finally reclaims the
+// driver's zombies: post-recovery zombies have no straggler CQE coming (their
+// doorbells died with the card), so the CID books only balance once they are
+// reclaimed.
 func runVerify(tb *bmstore.Testbed, seed int64, name string, dcfg host.DriverConfig) verifyRun {
 	v := verifyRun{oracle: chaos.NewOracle(seed, int(ssd.BlockSize))}
 	v.diag = tb.RunWatched(func(p *sim.Proc) {
-		if v.err = tb.Console.CreateNamespace(p, "vol", 16<<20, []int{0, 1}); v.err != nil {
-			return
-		}
-		if v.err = tb.Console.Bind(p, "vol", 0); v.err != nil {
-			return
-		}
-		if v.drv, v.err = tb.AttachTenant(p, 0, dcfg); v.err != nil {
-			return
-		}
-		v.res, v.err = fio.RunVerify(p, []host.BlockDevice{v.drv.BlockDev(0)},
-			fio.VerifySpec{Name: name}, v.oracle)
-		if tb.Crash != nil {
-			v.drv.ReclaimZombies()
+		err := bmStore.Attach(p, tb, []Disk{verifyVolume}, dcfg, 1, func(_ int, drv *host.Driver, devs []host.BlockDevice) {
+			v.drv = drv
+			v.res, v.err = fio.RunVerify(p, devs, fio.VerifySpec{Name: name}, v.oracle)
+			if tb.Crash != nil {
+				drv.ReclaimZombies()
+			}
+		})
+		if err != nil {
+			v.err = err
 		}
 	}, verifyHorizon)
 	return v

@@ -6,6 +6,7 @@ import (
 
 	"bmstore/internal/chaos"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -47,9 +48,9 @@ type VerifyResult struct {
 // operations — the invariant the oracle's bookkeeping depends on.
 //
 // It fails fast — before any fault can arm — when the rig cannot support
-// verification at all: devices that don't report per-I/O outcomes, or a rig
-// built without payload capture (ssd.Config.CaptureData off), where every
-// read returns zeros and the oracle would drown in false losses.
+// verification at all: a rig built without payload capture
+// (ssd.Config.CaptureData off), where every read returns zeros and the
+// oracle would drown in false losses.
 func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.Oracle) (*VerifyResult, error) {
 	if spec.RegionBlocks == 0 {
 		spec.RegionBlocks = 128
@@ -76,25 +77,22 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 		return nil, fmt.Errorf("fio: verify %q: no devices", spec.Name)
 	}
 	bs := devs[0].BlockSize()
-	outs := make([]host.OutcomeBlockDevice, len(devs))
 	for i, d := range devs {
-		od, ok := d.(host.OutcomeBlockDevice)
-		if !ok {
-			return nil, fmt.Errorf("fio: verify %q: device %d (%T) does not report per-I/O outcomes (host.OutcomeBlockDevice) — the oracle cannot tell failed writes from indeterminate ones", spec.Name, i, d)
-		}
 		if d.BlockSize() != bs {
 			return nil, fmt.Errorf("fio: verify %q: device %d block size %d != %d", spec.Name, i, d.BlockSize(), bs)
 		}
 		if d.CapacityBlocks() < spec.RegionBlocks+2 {
 			return nil, fmt.Errorf("fio: verify %q: device %d holds %d blocks, region wants %d+probes", spec.Name, i, d.CapacityBlocks(), spec.RegionBlocks)
 		}
-		outs[i] = od
 	}
 	span := spec.RegionBlocks / uint64(spec.Workers)
 	if span == 0 {
 		return nil, fmt.Errorf("fio: verify %q: region %d blocks too small for %d workers", spec.Name, spec.RegionBlocks, spec.Workers)
 	}
-	if err := probe(p, outs[0], spec, o.Seed(), bs); err != nil {
+	// Every I/O reports its outcome, retries and indeterminacy included: what
+	// the oracle needs to tell failed writes from indeterminate ones.
+	var pk host.Parking
+	if err := probe(p, &pk, devs[0], spec, o.Seed(), bs); err != nil {
 		return nil, err
 	}
 
@@ -102,7 +100,7 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 	res := &VerifyResult{}
 	var done []*sim.Event
 	for w := 0; w < spec.Workers; w++ {
-		dev := outs[w%len(outs)]
+		dev := devs[w%len(devs)]
 		base := uint64(w) * span
 		rng := env.Rand(fmt.Sprintf("chaos-verify/%s/w%d", spec.Name, w))
 		proc := env.Go(fmt.Sprintf("verify/%s/w%d", spec.Name, w), func(wp *sim.Proc) {
@@ -121,7 +119,7 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 				}
 				chunk := buf[:int(n)*bs]
 				o.FillPayload(chunk, lba, gen)
-				out := dev.WriteAtOutcome(wp, lba, uint32(n), chunk)
+				out := pk.IO(wp, dev, nvme.IOWrite, lba, uint32(n), chunk)
 				o.EndWrite(lba, int(n), gen, res.writeOutcome(out))
 			}
 			// Churn: depth-1 single-block ops over the partition.
@@ -134,12 +132,12 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 						continue // wounded by an earlier indeterminate write
 					}
 					o.FillPayload(one, lba, gen)
-					out := dev.WriteAtOutcome(wp, lba, 1, one)
+					out := pk.IO(wp, dev, nvme.IOWrite, lba, 1, one)
 					o.EndWrite(lba, 1, gen, res.writeOutcome(out))
 				} else {
 					zero(one)
 					res.read(o, "churn", lba, 1, one,
-						dev.ReadAtOutcome(wp, lba, 1, one))
+						pk.IO(wp, dev, nvme.IORead, lba, 1, one))
 				}
 			}
 		})
@@ -156,7 +154,7 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 	// Sweep every partition from the device that wrote it.
 	sweep := make([]byte, spec.SweepBlocks*bs)
 	for w := 0; w < spec.Workers; w++ {
-		dev := outs[w%len(outs)]
+		dev := devs[w%len(devs)]
 		base := uint64(w) * span
 		for off := uint64(0); off < span; {
 			n := uint64(spec.SweepBlocks)
@@ -168,7 +166,7 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 			chunk := sweep[:int(n)*bs]
 			zero(chunk)
 			res.read(o, "sweep", lba, int(n), chunk,
-				dev.ReadAtOutcome(p, lba, uint32(n), chunk))
+				pk.IO(p, dev, nvme.IORead, lba, uint32(n), chunk))
 		}
 	}
 	return res, nil
@@ -182,23 +180,23 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 // reads leave the zeroed buffer as it was, and the written block "reads back"
 // as zeros. probe runs before any generated fault rule arms, so a failure
 // here is a setup error, never an injected one.
-func probe(p *sim.Proc, dev host.OutcomeBlockDevice, spec VerifySpec, seed int64, bs int) error {
+func probe(p *sim.Proc, pk *host.Parking, dev host.BlockDevice, spec VerifySpec, seed int64, bs int) error {
 	lba := spec.RegionBlocks
 	noCapture := fmt.Errorf("fio: verify %q: probe shows the rig is not carrying payload bytes — build it with ssd.Config.CaptureData (bmstore.Config.CaptureData) enabled", spec.Name)
 	want := make([]byte, bs)
 	chaos.FillBlock(want, seed, lba, ^uint64(0))
-	if out := dev.WriteAtOutcome(p, lba, 1, want); out.Status != 0 {
+	if out := pk.IO(p, dev, nvme.IOWrite, lba, 1, want); out.Status != 0 {
 		return fmt.Errorf("fio: verify %q: probe write failed: %v", spec.Name, out.Status)
 	}
 	got := make([]byte, bs)
-	if out := dev.ReadAtOutcome(p, lba+1, 1, got); out.Status != 0 {
+	if out := pk.IO(p, dev, nvme.IORead, lba+1, 1, got); out.Status != 0 {
 		return fmt.Errorf("fio: verify %q: probe read failed: %v", spec.Name, out.Status)
 	}
 	if !allZero(got) {
 		return fmt.Errorf("fio: verify %q: never-written probe block reads back nonzero before any fault armed — the rig is miswired", spec.Name)
 	}
 	zero(got)
-	if out := dev.ReadAtOutcome(p, lba, 1, got); out.Status != 0 {
+	if out := pk.IO(p, dev, nvme.IORead, lba, 1, got); out.Status != 0 {
 		return fmt.Errorf("fio: verify %q: probe read failed: %v", spec.Name, out.Status)
 	}
 	if bytes.Equal(got, want) {

@@ -99,19 +99,6 @@ func TestRunVerifyFailsFastWithoutCaptureData(t *testing.T) {
 	}
 }
 
-func TestRunVerifyRequiresOutcomeDevice(t *testing.T) {
-	env := sim.NewEnv(1)
-	var err error
-	env.Go("verify", func(p *sim.Proc) {
-		_, err = fio.RunVerify(p, []host.BlockDevice{&fakeDev{env: env}},
-			fio.VerifySpec{Name: "plain"}, chaos.NewOracle(1, 4096))
-	})
-	env.Run()
-	if err == nil || !strings.Contains(err.Error(), "OutcomeBlockDevice") {
-		t.Fatalf("want outcome-device error, got %v", err)
-	}
-}
-
 func TestRunVerifyCatchesPlantedCorruption(t *testing.T) {
 	// A media-corrupt rule armed mid-churn, with no driver recovery in the
 	// way (no timeouts or retries fire on silent corruption anyway): the

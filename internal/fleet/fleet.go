@@ -36,7 +36,6 @@ import (
 	"bmstore/internal/host"
 	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
-	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
 	"bmstore/internal/stats"
@@ -274,6 +273,10 @@ func RunHost(o Options, hostIdx int) HostResult {
 // ms converts virtual time to milliseconds.
 func ms(t sim.Time) float64 { return float64(t) / float64(sim.Millisecond) }
 
+// bmStore is the scheme every fleet host runs: tenants on BM-Store
+// namespaces, bare metal.
+var bmStore = experiments.SchemeNamed("bmstore")
+
 // runHost builds one host's testbed, runs its tenants through the
 // hot-upgrade window, and grades the result against the health gate.
 func runHost(o Options, hostIdx int) HostResult {
@@ -302,40 +305,37 @@ func runHost(o Options, hostIdx int) HostResult {
 
 	rules := append([]fault.Rule(nil), o.Faults...)
 	rules = append(rules, o.FaultsByHost[hostIdx]...)
-	opts := []bmstore.Option{bmstore.WithTrace(o.Traces.Tracer(rigName(hostIdx)))}
-	if o.Metrics != nil {
-		opts = append(opts, bmstore.WithMetrics(o.Metrics.Registry(rigName(hostIdx))))
-	}
-	if len(rules) > 0 {
-		opts = append(opts, bmstore.WithFaults(rules...))
-	}
-	if o.CrashRecovery != nil {
-		cfg.CaptureData = true
-		opts = append(opts, bmstore.WithCrashRecovery(*o.CrashRecovery))
+	cfg = cfg.With(bmstore.WithTrace(o.Traces.Tracer(rigName(hostIdx))),
+		bmstore.WithMetrics(o.Metrics.Registry(rigName(hostIdx))), bmstore.WithFaults(rules...))
+	// The crash journal redoes payload bytes, so recovery implies capture.
+	cfg.CrashRecovery, cfg.CaptureData = o.CrashRecovery, o.CrashRecovery != nil
+	// Under injected faults or crashes the tenant runs a recovering driver,
+	// as the chaos campaign does: timeouts, bounded retries, abort path.
+	dcfg := host.DefaultDriverConfig()
+	switch {
+	case o.CrashRecovery != nil:
+		dcfg = experiments.FleetCrashDriver
+	case len(rules) > 0:
+		dcfg = experiments.FleetFaultDriver
 	}
 
-	tb, err := bmstore.NewBMStoreTestbed(cfg, opts...)
+	tb, err := bmStore.Testbed(cfg)
 	if err != nil {
 		unhealthy("testbed: %v", err)
 		return hr
 	}
 
-	dcfg := host.DefaultDriverConfig()
-	if len(rules) > 0 {
-		// Under injected faults the tenant runs the recovering driver, as
-		// the chaos campaign does: timeouts, bounded retries, abort path.
-		dcfg.CmdTimeout = 5 * sim.Millisecond
-		dcfg.MaxRetries = 8
-		dcfg.RetryBackoff = 200 * sim.Microsecond
+	// Tenant i's disk is namespace vol<i> striped over every SSD, bound to
+	// function i and capped at the fleet's QoS.
+	stripe := make([]int, o.SSDsPerHost)
+	for s := range stripe {
+		stripe[s] = s
 	}
-	if o.CrashRecovery != nil {
-		// Crash recovery leans on the timeout/retry machinery, and a
-		// crash's retry storm can spill into an upgrade's I/O pause — the
-		// budget must ride out both back to back, so it gets more retries
-		// than the plain fault campaign.
-		dcfg.CmdTimeout = 5 * sim.Millisecond
-		dcfg.MaxRetries = 12
-		dcfg.RetryBackoff = 200 * sim.Microsecond
+	disks := make([]experiments.Disk, len(hr.Tenants))
+	jobs := 0
+	for i, t := range hr.Tenants {
+		disks[i] = experiments.Disk{Name: fmt.Sprintf("vol%d", t.ID), Bytes: 64 << 30, SSDs: stripe, QoSIOPS: o.QoSIOPS}
+		jobs = max(jobs, t.Jobs)
 	}
 
 	hr.hist = &stats.Hist{}
@@ -346,33 +346,12 @@ func runHost(o Options, hostIdx int) HostResult {
 		// completion books the I/O and submits the next, until stop.
 		stop := tb.Env.NewEvent()
 		ended := &tenantsEnded{}
-		for _, t := range hr.Tenants {
-			vol := fmt.Sprintf("vol%d", t.ID)
-			stripe := make([]int, o.SSDsPerHost)
-			for s := range stripe {
-				stripe[s] = s
-			}
-			if err := tb.Console.CreateNamespace(p, vol, 64<<30, stripe); err != nil {
-				unhealthy("create %s: %v", vol, err)
-				return
-			}
-			if err := tb.Console.Bind(p, vol, uint8(t.ID)); err != nil {
-				unhealthy("bind %s: %v", vol, err)
-				return
-			}
-			if err := tb.Console.SetQoS(p, vol, o.QoSIOPS, 0); err != nil {
-				unhealthy("qos %s: %v", vol, err)
-				return
-			}
-			drv, err := tb.AttachTenant(p, pcie.FuncID(t.ID), dcfg)
-			if err != nil {
-				unhealthy("attach fn%d: %v", t.ID, err)
-				return
-			}
+		err := bmStore.Attach(p, tb, disks, dcfg, jobs, func(i int, drv *host.Driver, devs []host.BlockDevice) {
+			t := hr.Tenants[i]
 			drivers = append(drivers, drv)
-			for j := 0; j < t.Jobs; j++ {
+			for j, dev := range devs[:t.Jobs] {
 				tj := &tenantJob{
-					env: tb.Env, dev: drv.BlockDev(j), stop: stop, ended: ended,
+					env: tb.Env, dev: dev, stop: stop, ended: ended,
 					rng:     tb.Env.Rand(fmt.Sprintf("fleet/t%d/%d", t.ID, j)),
 					pattern: t.pattern(), ops: &ops, errs: &errs, hist: hr.hist,
 				}
@@ -380,6 +359,10 @@ func runHost(o Options, hostIdx int) HostResult {
 				ended.left++
 				tb.Env.Schedule(0, tj.next)
 			}
+		})
+		if err != nil {
+			unhealthy("%v", err)
+			return
 		}
 
 		p.Sleep(o.Warmup)

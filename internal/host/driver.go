@@ -1017,15 +1017,6 @@ func (d *Driver) BlockDev(queue int) BlockDevice {
 	return &nvmeBlockDev{d: d, q: queue}
 }
 
-// OutcomeBlockDevice is implemented by block devices that can report the
-// driver's per-I/O recovery outcome (attempts, indeterminacy) alongside
-// the transfer — what a verify oracle needs to track acks across retries.
-type OutcomeBlockDevice interface {
-	BlockDevice
-	ReadAtOutcome(p *sim.Proc, lba uint64, blocks uint32, buf []byte) IOOutcome
-	WriteAtOutcome(p *sim.Proc, lba uint64, blocks uint32, data []byte) IOOutcome
-}
-
 type nvmeBlockDev struct {
 	d *Driver
 	q int
@@ -1049,16 +1040,6 @@ func (b *nvmeBlockDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []by
 
 func (b *nvmeBlockDev) Flush(p *sim.Proc) error {
 	return b.d.h.parking.IO(p, b, nvme.IOFlush, 0, 0, nil).Err()
-}
-
-// ReadAtOutcome is ReadAt with the driver's full recovery outcome.
-func (b *nvmeBlockDev) ReadAtOutcome(p *sim.Proc, lba uint64, blocks uint32, buf []byte) IOOutcome {
-	return b.d.h.parking.IO(p, b, nvme.IORead, lba, blocks, buf)
-}
-
-// WriteAtOutcome is WriteAt with the driver's full recovery outcome.
-func (b *nvmeBlockDev) WriteAtOutcome(p *sim.Proc, lba uint64, blocks uint32, data []byte) IOOutcome {
-	return b.d.h.parking.IO(p, b, nvme.IOWrite, lba, blocks, data)
 }
 
 func (b *nvmeBlockDev) PerIOCPU() sim.Time {

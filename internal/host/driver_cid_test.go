@@ -54,10 +54,11 @@ func TestZombieFlagsAndCount(t *testing.T) {
 	// The drive is pulled for good after attach: nothing it was sent ever
 	// completes, so every CQE from here on is one the test injects.
 	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
+	var pk host.Parking
 	for i := 0; i < 3; i++ {
 		r.env.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Millisecond)
-			if oc := r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil); !oc.TimedOut {
+			if oc := pk.IO(p, r.drv.BlockDev(0), nvme.IOWrite, 0, 1, nil); !oc.TimedOut {
 				t.Errorf("write to a pulled drive: %+v, want a timeout", oc)
 			}
 		})

@@ -40,13 +40,14 @@ func newFaultedRig(t *testing.T, dcfg host.DriverConfig, rules ...fault.Rule) *n
 func TestIOCountersCleanRun(t *testing.T) {
 	r := newNativeRig(t, host.CentOS("3.10.0"), nil, false)
 	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
+		bd := r.drv.BlockDev(0)
+		var pk host.Parking
 		for i := uint64(0); i < 8; i++ {
-			if oc := bd.WriteAtOutcome(p, i*8, 8, nil); oc.Status.IsError() || oc.Attempts != 1 || oc.TimedOut {
+			if oc := pk.IO(p, bd, nvme.IOWrite, i*8, 8, nil); oc.Status.IsError() || oc.Attempts != 1 || oc.TimedOut {
 				t.Fatalf("write outcome %+v", oc)
 			}
 		}
-		if oc := bd.ReadAtOutcome(p, 0, 8, nil); oc.Status.IsError() || oc.Attempts != 1 {
+		if oc := pk.IO(p, bd, nvme.IORead, 0, 8, nil); oc.Status.IsError() || oc.Attempts != 1 {
 			t.Fatalf("read outcome %+v", oc)
 		}
 	})
@@ -69,8 +70,9 @@ func TestIOCountersAcrossRetries(t *testing.T) {
 	r := newFaultedRig(t, dcfg,
 		fault.Rule{Point: fault.SSDMediaRead, Status: uint16(nvme.StatusInternal), Count: 2})
 	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
-		oc := bd.ReadAtOutcome(p, 0, 1, nil)
+		bd := r.drv.BlockDev(0)
+		var pk host.Parking
+		oc := pk.IO(p, bd, nvme.IORead, 0, 1, nil)
 		if oc.Status.IsError() || oc.TimedOut {
 			t.Fatalf("recovered read outcome %+v", oc)
 		}
@@ -100,8 +102,9 @@ func TestIOCountersTimeoutAndStraggler(t *testing.T) {
 		fault.Rule{Point: fault.SSDStall, Target: "SN001", At: int64(200 * sim.Microsecond), Duration: int64(4 * sim.Millisecond)})
 	r.env.Go("test", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond) // land the submission inside the stall window
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
-		oc := bd.WriteAtOutcome(p, 0, 1, nil)
+		bd := r.drv.BlockDev(0)
+		var pk host.Parking
+		oc := pk.IO(p, bd, nvme.IOWrite, 0, 1, nil)
 		if oc.Status.IsError() || oc.TimedOut {
 			t.Fatalf("recovered write outcome %+v", oc)
 		}
@@ -136,8 +139,9 @@ func TestIOOutcomeIndeterminateWithoutRecovery(t *testing.T) {
 		fault.Rule{Point: fault.SSDStall, Target: "SN001", At: int64(200 * sim.Microsecond), Duration: int64(10 * sim.Millisecond)})
 	r.env.Go("test", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond) // land the submission inside the stall window
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
-		oc := bd.WriteAtOutcome(p, 0, 1, nil)
+		bd := r.drv.BlockDev(0)
+		var pk host.Parking
+		oc := pk.IO(p, bd, nvme.IOWrite, 0, 1, nil)
 		if !oc.TimedOut || oc.Status != nvme.StatusAborted || oc.Attempts != 1 {
 			t.Fatalf("outcome %+v, want indeterminate single-attempt abort", oc)
 		}
@@ -166,10 +170,11 @@ func TestDroppedDriveUnderADeepQueueFailsTheIO(t *testing.T) {
 	dcfg.CmdTimeout, dcfg.MaxRetries, dcfg.RetryBackoff = sim.Millisecond, 3, 100*sim.Microsecond
 	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
 	var early, late []host.IOOutcome
+	var pk host.Parking
 	write := func(at sim.Time, into *[]host.IOOutcome) {
 		r.env.Go("io", func(p *sim.Proc) {
 			p.Sleep(at)
-			*into = append(*into, r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil))
+			*into = append(*into, pk.IO(p, r.drv.BlockDev(0), nvme.IOWrite, 0, 1, nil))
 		})
 	}
 	for i := 0; i < 4; i++ {
@@ -207,10 +212,11 @@ func TestAbortGivesUpWithoutAnAdminSlot(t *testing.T) {
 	dcfg.Queues, dcfg.QueueDepth, dcfg.CmdTimeout = 1, 64, sim.Millisecond
 	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
 	ended := 0
+	var pk host.Parking
 	for i := 0; i < 40; i++ {
 		r.env.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Millisecond)
-			if oc := r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil); !oc.TimedOut {
+			if oc := pk.IO(p, r.drv.BlockDev(0), nvme.IOWrite, 0, 1, nil); !oc.TimedOut {
 				t.Errorf("write to a pulled drive: %+v, want a timeout", oc)
 			}
 			ended++

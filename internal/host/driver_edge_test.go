@@ -20,8 +20,8 @@ func TestCmdTimeoutBelowMediaLatency(t *testing.T) {
 	dcfg.RetryBackoff = 50 * sim.Microsecond
 	r := newFaultedRig(t, dcfg) // no fault rules: media latency does the work
 	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
-		oc := bd.ReadAtOutcome(p, 0, 1, nil)
+		var pk host.Parking
+		oc := pk.IO(p, r.drv.BlockDev(0), nvme.IORead, 0, 1, nil)
 		if !oc.TimedOut || oc.Status != nvme.StatusAborted {
 			t.Fatalf("outcome %+v, want indeterminate timeout", oc)
 		}
@@ -56,8 +56,8 @@ func TestMaxRetriesZeroFailFast(t *testing.T) {
 	dcfg.MaxRetries = 0
 	r := newFaultedRig(t, dcfg)
 	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0).(host.OutcomeBlockDevice)
-		oc := bd.ReadAtOutcome(p, 0, 1, nil)
+		var pk host.Parking
+		oc := pk.IO(p, r.drv.BlockDev(0), nvme.IORead, 0, 1, nil)
 		if !oc.TimedOut || oc.Status != nvme.StatusAborted || oc.Attempts != 1 {
 			t.Fatalf("outcome %+v, want single-attempt indeterminate abort", oc)
 		}

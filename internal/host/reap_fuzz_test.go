@@ -151,10 +151,11 @@ func reapDriver(t *testing.T, prog []byte) {
 	dcfg := host.DefaultDriverConfig()
 	dcfg.Queues, dcfg.QueueDepth, dcfg.MaxIOBytes, dcfg.CmdTimeout = 1, reapDepth, 4096, sim.Millisecond
 	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
+	var pk host.Parking
 	for i := 0; i < 3; i++ {
 		r.env.Go("io", func(p *sim.Proc) {
 			p.Sleep(sim.Millisecond)
-			r.drv.BlockDev(0).(host.OutcomeBlockDevice).WriteAtOutcome(p, 0, 1, nil)
+			pk.IO(p, r.drv.BlockDev(0), nvme.IOWrite, 0, 1, nil)
 		})
 	}
 	r.env.Run()

@@ -28,7 +28,7 @@ type diffCase struct {
 // diffRun drives one seeded stream of I/Os — four streams, one per queue,
 // each a closed loop of reads and writes of random size and place — through
 // the driver on a native rig, either as Submit callbacks or as processes
-// calling ReadAtOutcome/WriteAtOutcome. It returns each stream's outcomes,
+// parked on host.Parking.IO. It returns each stream's outcomes,
 // the trace records of every component but the kernel's, the kernel events
 // fired and the driver's counters.
 func diffRun(t *testing.T, c diffCase, procs bool) ([][]host.IOOutcome, []string, uint64, host.IOCounters) {
@@ -65,6 +65,7 @@ func diffRun(t *testing.T, c diffCase, procs bool) ([][]host.IOOutcome, []string
 	env.Run()
 
 	outs := make([][]host.IOOutcome, streams)
+	var pk host.Parking
 	for s := range outs {
 		rng := env.Rand(fmt.Sprintf("diff/%d", s))
 		bd := drv.BlockDev(s)
@@ -76,15 +77,10 @@ func diffRun(t *testing.T, c diffCase, procs bool) ([][]host.IOOutcome, []string
 			return op, uint64(rng.Intn(1<<16)) * maxBlocks, uint32(1 + rng.Intn(maxBlocks))
 		}
 		if procs {
-			ob := bd.(host.OutcomeBlockDevice)
 			env.Go(fmt.Sprintf("stream%d", s), func(p *sim.Proc) {
 				for range ops {
 					op, lba, n := draw()
-					oc := ob.ReadAtOutcome
-					if op == nvme.IOWrite {
-						oc = ob.WriteAtOutcome
-					}
-					outs[s] = append(outs[s], oc(p, lba, n, nil))
+					outs[s] = append(outs[s], pk.IO(p, bd, op, lba, n, nil))
 				}
 			})
 			continue
