@@ -78,6 +78,10 @@ lint:
 	else \
 		echo "lint: shellcheck not installed; skipping (CI runs it)"; \
 	fi
+	@# A rig without a tracer pays one compare per trace site only while
+	@# (*Tracer).Emit, the nil check in front of the digest fold, inlines.
+	@$(GO) build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Tracer).Emit' || \
+		{ echo "lint: (*trace.Tracer).Emit no longer inlines"; exit 1; }
 
 # The determinism gate: every replay scenario twice with the same seed,
 # asserting bit-identical trace digests (see internal/trace/replay_test.go).

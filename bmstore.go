@@ -170,12 +170,8 @@ func newEnv(cfg *Config) *sim.Env {
 		})
 	}
 	env := sim.NewEnv(cfg.Seed)
-	if cfg.tracer != nil {
-		env.SetTracer(cfg.tracer)
-	}
-	if cfg.metrics != nil {
-		env.SetMetrics(cfg.metrics)
-	}
+	env.SetTracer(cfg.tracer)
+	env.SetMetrics(cfg.metrics)
 	if len(cfg.faults) > 0 {
 		env.SetFaults(fault.New(cfg.faults...))
 	}

@@ -76,12 +76,13 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 		results := make([]*fio.Result, *runs)
 		injected := make([]uint64, *runs)
 		errs := make([]error, *runs)
+		h := run.harness(experiments.Scale{})
 		start := time.Now()
 		experiments.NewPool(ropts.parallel).Each(*runs, func(i int) {
 			cfg := bmstore.DefaultConfig()
 			cfg.Seed = *seed + int64(i)
 			cfg.NumSSDs = *ssds
-			results[i], injected[i], errs[i] = runOne(cfg, run.rigOptions(rig(i)), run.driverConfig(), sch, spec)
+			results[i], injected[i], errs[i] = runOne(cfg, h.Options(rig(i)), run.driverConfig(), sch, spec)
 		})
 		wall := time.Since(start).Seconds()
 

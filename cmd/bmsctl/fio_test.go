@@ -32,7 +32,7 @@ func runWith(t *testing.T, spec fio.Spec, faults string, mutate ...func(*host.Dr
 	for _, m := range mutate {
 		m(&dcfg)
 	}
-	return runOne(cfg, run.rigOptions("run0000"), dcfg, experiments.SchemeNamed("bmstore"), spec)
+	return runOne(cfg, run.harness(experiments.Scale{}).Options("run0000"), dcfg, experiments.SchemeNamed("bmstore"), spec)
 }
 
 // TestDeadRunIsAnErrorNotAPanic pins `bmsctl fio`'s contract for a run the

@@ -65,7 +65,8 @@
 // -trace, -trace-digest, -metrics, -metrics-out, -breakdown, -timeline,
 // -timeline-out, -sample, -slowest, -parallel and -faults. chaos and
 // crash-sweep take -parallel alone. Stdout and every -json export are
-// byte-identical for any -parallel; timing goes to stderr.
+// byte-identical for any -parallel; timing goes to stderr. A -parallel below
+// 1, and a seed of 0 for chaos, crash-sweep or fleet-run, exit 2.
 //
 // The offline verbs build no testbed:
 //

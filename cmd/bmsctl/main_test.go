@@ -105,11 +105,20 @@ func TestSubcommandErrorContract(t *testing.T) {
 		{"fleet-run", "-hosts", "2", "-wave", "-2"},
 		{"fleet-run", "-hosts", "2", "-ssds", "0"},
 		{"fleet-run", "-hosts", "2", "-ssds", "-3"},
+		{"fleet-run", "-hosts", "2", "-seed", "0"},
 		{"crash-sweep", "-seeds", "3", "-point", "2"},
 		{"crash-sweep", "-point", "2", "-json", "x.json"},
+		{"crash-sweep", "-seed", "0"},
 		{"chaos", "x"},
 		{"chaos", "1,0"},
 		{"chaos", "1,2,3"},
+		{"chaos", "0,2"},
+		// -parallel below 1 is a usage error on every verb that takes it.
+		{"fio", "-parallel", "0"},
+		{"sweep", "-parallel", "-1"},
+		{"fleet-run", "-hosts", "2", "-parallel", "0"},
+		{"crash-sweep", "-parallel", "-2"},
+		{"chaos", "-parallel", "-3", "1,2"},
 	} {
 		code, stdout, stderr := invoke(t, args...)
 		if code != 2 || stdout != "" || strings.Count(stderr, "\n") != 1 {

@@ -8,12 +8,11 @@ import (
 	"runtime"
 	"strings"
 
-	"bmstore"
+	"bmstore/internal/experiments"
 	"bmstore/internal/fault"
 	"bmstore/internal/host"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
-	"bmstore/internal/sim"
 	"bmstore/internal/trace"
 )
 
@@ -58,9 +57,12 @@ func registerParallel(fs *flag.FlagSet, p *int) {
 	fs.IntVar(p, "parallel", runtime.GOMAXPROCS(0), "max concurrent rigs (1 = serial)")
 }
 
-// validate parses the -faults spec and checks the -timeline knobs; an error
-// is a usage error (exit 2).
+// validate parses the -faults spec and checks the worker bound and the
+// -timeline knobs; an error is a usage error (exit 2).
 func (o *runOptions) validate() (err error) {
+	if err := atLeastOne("parallel", o.parallel); err != nil {
+		return err
+	}
 	if o.faults != "" {
 		if o.rules, err = fault.ParseSpec(o.faults); err != nil {
 			return err
@@ -131,35 +133,25 @@ func (r *wiring) close() error {
 	return nil
 }
 
-// rigOptions returns the bmstore.Option slice wiring one named rig: its
-// child tracer and metrics registry and the fault schedule. This is the only
-// way a verb attaches observability to a testbed.
-func (r *wiring) rigOptions(rig string) []bmstore.Option {
-	var opts []bmstore.Option
-	if r.traces != nil {
-		opts = append(opts, bmstore.WithTrace(r.traces.Tracer(rig)))
-	}
-	if r.metrics != nil {
-		opts = append(opts, bmstore.WithMetrics(r.metrics.Registry(rig)))
-	}
-	if len(r.opts.rules) > 0 {
-		opts = append(opts, bmstore.WithFaults(r.opts.rules...))
-	}
-	return opts
+// harness returns the experiments harness carrying the invocation's wiring:
+// each rig's child tracer and metrics registry, the fault schedule and the
+// worker bound. Its Options are the only way a verb attaches observability
+// to a testbed. fio passes a zero Scale: it runs its own spec.
+func (r *wiring) harness(sc experiments.Scale) *experiments.Harness {
+	return experiments.NewHarness(sc, r.opts.parallel, r.traces).
+		WithMetrics(r.metrics).
+		WithFaults(r.opts.rules)
 }
 
 // driverConfig returns the tenant driver configuration matching the run:
-// the default fail-fast driver, or — when faults are armed — one with the
-// recovery machinery (command timeout, abort, bounded retry) enabled, so
-// transient injected faults are absorbed instead of killing the workload.
+// the default fail-fast driver, or — when faults are armed — the fleet's
+// recovering one (command timeout, abort, bounded retry), so transient
+// injected faults are absorbed instead of killing the workload.
 func (r *wiring) driverConfig() host.DriverConfig {
-	dcfg := host.DefaultDriverConfig()
 	if len(r.opts.rules) > 0 {
-		dcfg.CmdTimeout = 5 * sim.Millisecond
-		dcfg.MaxRetries = 8
-		dcfg.RetryBackoff = 200 * sim.Microsecond
+		return experiments.FleetFaultDriver
 	}
-	return dcfg
+	return host.DefaultDriverConfig()
 }
 
 // finish drains the shared sinks after a run, in one order for every verb:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bmstore"
+	"bmstore/internal/experiments"
 	"bmstore/internal/sim"
 )
 
@@ -101,7 +102,7 @@ func TestClassicFlagIsGone(t *testing.T) {
 	}
 }
 
-// TestBuildRigOptions exercises the build -> rigOptions -> testbed chain:
+// TestBuildRigOptions exercises the build -> harness Options -> testbed chain:
 // the composed options must arm tracing, metrics and faults on a real rig
 // without any direct Config field writes.
 func TestBuildRigOptions(t *testing.T) {
@@ -111,6 +112,7 @@ func TestBuildRigOptions(t *testing.T) {
 		faults:      "media-slow,nth=1,count=-1,dur=1ms",
 		sampleEvery: 64,
 		slowestK:    4,
+		parallel:    1,
 	}
 	if err := o.validate(); err != nil {
 		t.Fatal(err)
@@ -123,12 +125,12 @@ func TestBuildRigOptions(t *testing.T) {
 	if r.traces == nil || r.metrics == nil || len(o.rules) != 1 {
 		t.Fatalf("build wiring incomplete: traces=%v metrics=%v rules=%d", r.traces, r.metrics, len(o.rules))
 	}
-	if dcfg := r.driverConfig(); dcfg.MaxRetries == 0 {
-		t.Error("faulted run should get the recovering driver config")
+	if dcfg := r.driverConfig(); dcfg != experiments.FleetFaultDriver {
+		t.Errorf("faulted run got driver %+v, want the recovering experiments.FleetFaultDriver", dcfg)
 	}
 
 	cfg := bmstore.DefaultConfig()
-	tb, err := bmstore.NewBMStoreTestbed(cfg, r.rigOptions("rig0")...)
+	tb, err := bmstore.NewBMStoreTestbed(cfg, r.harness(experiments.Scale{}).Options("rig0")...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,7 @@ func sweepVerb(fs *flag.FlagSet) func([]string) int {
 				}
 			}()
 		}
-		h := experiments.NewHarness(sc, ropts.parallel, run.traces).
-			WithMetrics(run.metrics).
-			WithFaults(ropts.rules)
+		h := run.harness(sc)
 
 		fmt.Printf("BM-Store evaluation reproduction (scale=%s)\n\n", sc.Name)
 		sweepStart := time.Now()
@@ -174,7 +172,7 @@ func fleetRunVerb(fs *flag.FlagSet) func([]string) int {
 		}
 		sc, err := parseScale(*scale)
 		err = cmp.Or(err, atLeastOne("hosts", *hosts), atLeastOne("wave", *wave),
-			atLeastOne("ssds", *ssds), ropts.validate())
+			atLeastOne("ssds", *ssds), nonzeroSeed(*seed), ropts.validate())
 		if err == nil && (*replayHost < -1 || *replayHost >= *hosts) {
 			err = fmt.Errorf("-host %d out of range: the fleet has hosts 0..%d (-1 runs them all)", *replayHost, *hosts-1)
 		}
@@ -226,6 +224,15 @@ func fleetRunVerb(fs *flag.FlagSet) func([]string) int {
 	}
 }
 
+// nonzeroSeed rejects seed 0, which the verify campaigns and the fleet read
+// as unset and replace with seed 1.
+func nonzeroSeed(seed int64) error {
+	if seed == 0 {
+		return fmt.Errorf("seed must be nonzero, got 0 (a zero seed stands for the default, 1)")
+	}
+	return nil
+}
+
 // crashSweepVerb is `bmsctl crash-sweep`, described in the package comment.
 // A sweep that cannot run (probe failure, bad point index) exits 2.
 func crashSweepVerb(fs *flag.FlagSet) func([]string) int {
@@ -240,7 +247,7 @@ func crashSweepVerb(fs *flag.FlagSet) func([]string) int {
 		if len(args) > 0 {
 			return fail(fs, 2, fmt.Errorf("unexpected argument %q", args[0]))
 		}
-		if err := atLeastOne("seeds", *seeds); err != nil {
+		if err := cmp.Or(atLeastOne("seeds", *seeds), nonzeroSeed(*seed), atLeastOne("parallel", parallel)); err != nil {
 			return fail(fs, 2, err)
 		}
 		// A point replay is one seed's single cell and writes no export.
@@ -304,6 +311,9 @@ func chaosVerb(fs *flag.FlagSet) func([]string) int {
 		seed, err := strconv.ParseInt(strings.TrimSpace(seedArg), 10, 64)
 		if err != nil {
 			return fail(fs, 2, fmt.Errorf("seed %q: %v", seedArg, err))
+		}
+		if err := cmp.Or(nonzeroSeed(seed), atLeastOne("parallel", parallel)); err != nil {
+			return fail(fs, 2, err)
 		}
 		count := 1
 		if hasCount {

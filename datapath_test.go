@@ -103,6 +103,33 @@ func TestTelemetryIsTimingNeutral(t *testing.T) {
 	}
 }
 
+// TestRegistryKeepsCountsNotTheRig: an obs.Set keeps each rig's registry
+// until it exports, after the rig is gone, so a registry must hold the counts
+// it reads at export and not the components that keep them. Once the rig is
+// dropped, the registry alone may keep no more than its own instruments.
+func TestRegistryKeepsCountsNotTheRig(t *testing.T) {
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	met := obs.NewRegistry()
+	runDataPath(t, WithMetrics(met))
+	if met.Component("sim").Counter("events_fired").Value() == 0 {
+		t.Fatal("the registry read no kernel events")
+	}
+	held := liveHeap()
+	runtime.KeepAlive(met)
+	kept := held - liveHeap()
+	t.Logf("the registry alone keeps %d KiB", kept>>10)
+	const bound = 1 << 20
+	if kept > bound {
+		t.Errorf("the registry keeps %d KiB after its rig is gone, bound %d KiB: a counter's read holds a component", kept>>10, bound>>10)
+	}
+}
+
 // TestMediaErrorReachesTheTenant: a media-error rule aimed at one backend's
 // serial fires once, on that drive only, leaves a `fault media` record under
 // its serial and reaches the tenant behind the BMS-Engine as the injected

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bmstore/internal/fault"
+	"bmstore/internal/host"
 )
 
 const blockSize = 4096
@@ -194,7 +195,7 @@ func greenReport() *Report {
 		Schedule: Schedule{Seed: 1, Rules: []fault.Rule{{Point: fault.SSDMediaRead, Status: 0x06}}},
 		Injected: 1,
 		Fired:    map[fault.Point]uint64{fault.SSDMediaRead: 1},
-		Counters: Counters{Submitted: 100, Completed: 100, Retries: 1},
+		Counters: host.IOCounters{Submitted: 100, Completed: 100, Retries: 1},
 		Writes:   50, Reads: 50,
 	}
 }

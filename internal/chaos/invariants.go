@@ -4,22 +4,8 @@ import (
 	"fmt"
 
 	"bmstore/internal/fault"
+	"bmstore/internal/host"
 )
-
-// Counters mirrors the host driver's CID accounting (host.IOCounters),
-// restated here so the checker depends only on internal/fault and the
-// standard library. The campaign runner copies the fields across.
-type Counters struct {
-	Submitted   uint64
-	Completed   uint64
-	Timeouts    uint64
-	Aborts      uint64
-	Retries     uint64
-	Stragglers  uint64
-	Spurious    uint64
-	Reclaimed   uint64
-	ZombiesLeft int
-}
 
 // Stall mirrors the sim watchdog's structured diagnosis for a run that
 // failed to finish.
@@ -39,7 +25,8 @@ type Report struct {
 	Injected uint64
 	Fired    map[fault.Point]uint64
 
-	Counters Counters
+	// Counters is the tenant driver's CID accounting at quiesce.
+	Counters host.IOCounters
 
 	// Crash selects the crash-recovery invariant regime: the rig killed
 	// and recovered the engine, so timed-out CIDs may have been force-

@@ -8,9 +8,10 @@
 // Everything here is deterministic: schedules come from a seeded PRNG,
 // payloads are derivable pure functions of (seed, LBA, generation), and the
 // checker is plain arithmetic — so a failing campaign seed replays exactly,
-// byte for byte. The package deliberately depends only on internal/fault
-// and the standard library; the rig-facing glue (running schedules against
-// testbeds) lives in the root package, and the workload that feeds the
+// byte for byte. The package builds no rig: it reads the fault rule space
+// (internal/fault) and the driver's CID accounting as the driver keeps it
+// (host.IOCounters); the rig-facing glue (running schedules against
+// testbeds) lives in internal/experiments, and the workload that feeds the
 // oracle lives in internal/fio.
 package chaos
 

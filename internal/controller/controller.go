@@ -15,7 +15,6 @@ import (
 	"bmstore/internal/fault"
 	"bmstore/internal/mctp"
 	"bmstore/internal/nvme"
-	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
@@ -59,8 +58,10 @@ type Controller struct {
 	ep  *mctp.Endpoint
 	tr  *trace.Tracer
 
-	// mMI counts NVMe-MI commands served (nil-safe when metrics are off).
-	mMI *obs.Counter
+	// nMI counts NVMe-MI commands served, read at export as mi_cmds. It
+	// lives apart from the Controller so that a registry outliving the rig
+	// (an obs.Set keeps every rig's) holds the count, not the rig.
+	nMI *uint64
 
 	namespaces map[string]*engine.Namespace
 	reqQ       *sim.Queue[inbound]
@@ -97,8 +98,10 @@ func New(env *sim.Env, eng *engine.Engine, cfg Config) *Controller {
 		reqQ:       sim.NewQueue[inbound](env, 0),
 		monitor:    make(map[pcie.FuncID][]MonitorSample),
 		lastCtr:    make(map[pcie.FuncID]engine.IOCounters),
+		nMI:        new(uint64),
 	}
-	c.mMI = env.Metrics().Component("bmsc").Counter("mi_cmds")
+	nMI := c.nMI
+	env.Metrics().Component("bmsc").CounterOf("mi_cmds", func() uint64 { return *nMI })
 	c.ep = mctp.NewEndpoint(cfg.EID, func(raw []byte) { eng.VDMToHost(raw) })
 	if flt := env.Faults(); flt != nil {
 		// fault.MCTPRx rules targeting "controller" eat inbound packets on
@@ -146,10 +149,8 @@ func (c *Controller) serve(p *sim.Proc) {
 }
 
 func (c *Controller) handle(p *sim.Proc, msg mctp.MIMessage) mctp.MIMessage {
-	if c.tr != nil {
-		c.tr.Emit(c.env.Now(), "bmsc", "mi", uint64(msg.Opcode), uint64(msg.RequestID), "")
-	}
-	c.mMI.Inc()
+	c.tr.Emit(c.env.Now(), "bmsc", "mi", uint64(msg.Opcode), uint64(msg.RequestID), "")
+	*c.nMI++
 	fail := func(status uint8, err error) mctp.MIMessage {
 		c.logf("op %#x failed: %v", msg.Opcode, err)
 		return mctp.MIMessage{Status: status, Payload: []byte(err.Error())}
@@ -497,9 +498,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 	tq := p.Now()
 	c.eng.QuiesceBackend(p, req.SSD)
 	p.Sleep(c.cfg.CtxSaveLatency)
-	if c.tr != nil {
-		c.tr.Emit(c.env.Now(), "bmsc", "hu-save", uint64(req.SSD), uint64(p.Now()-tq), "")
-	}
+	c.tr.Emit(c.env.Now(), "bmsc", "hu-save", uint64(req.SSD), uint64(p.Now()-tq), "")
 
 	// 3. Activate. The commit completes, then the device drops off the bus.
 	tc := p.Now()
@@ -519,9 +518,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 		return HotUpgradeResp{}, fmt.Errorf("resume: %w", err)
 	}
 	tEnd := p.Now()
-	if c.tr != nil {
-		c.tr.Emit(tEnd, "bmsc", "hu-restore", uint64(req.SSD), uint64(tEnd-tr), "")
-	}
+	c.tr.Emit(tEnd, "bmsc", "hu-restore", uint64(req.SSD), uint64(tEnd-tr), "")
 
 	rep := HotUpgradeResp{
 		Firmware:     c.eng.BackendFirmware(req.SSD),

@@ -42,7 +42,10 @@ type backend struct {
 	gateClosed bool
 	gateWait   []*sim.Event
 	inflight   int
-	drainEv    *sim.Event
+	// submitted counts commands sent, read at export as io_submitted; it
+	// lives apart from the backend, as Engine.fe does.
+	submitted *uint64
+	drainEv   *sim.Event
 
 	ready  bool
 	nextRR int
@@ -54,7 +57,6 @@ type backend struct {
 
 	// Per-backend instruments (nil-safe no-ops when metrics are off).
 	mInflight *obs.Gauge
-	mSubmits  *obs.Counter
 }
 
 type bePending struct {
@@ -70,12 +72,13 @@ func (e *Engine) AttachBackend(dev *ssd.SSD, link *pcie.Link) int {
 	if idx > MaxSSDID {
 		panic("engine: backend index does not fit the 2-bit mapping field")
 	}
-	b := &backend{e: e, idx: idx, dev: dev}
+	b := &backend{e: e, idx: idx, dev: dev, submitted: new(uint64)}
 	if e.met != nil {
 		b.spanDev = e.met.Device(dev.Config().Serial)
 		comp := e.met.Instance("engine/backend")
 		b.mInflight = comp.Gauge("inflight")
-		b.mSubmits = comp.Counter("io_submitted")
+		submitted := b.submitted
+		comp.CounterOf("io_submitted", func() uint64 { return *submitted })
 	}
 	b.port = pcie.Connect(e.env, link, backendTarget{e}, func(fn pcie.FuncID, vec int) {
 		b.onIRQ(vec)
@@ -270,9 +273,7 @@ func (b *backend) closeGate(p *sim.Proc) {
 // arrive, and complete() tolerates stragglers anyway.
 func (b *backend) abandonPending() {
 	for cid := range b.pending.All() {
-		if b.e.tr != nil {
-			b.e.tr.Emit(b.e.env.Now(), "engine", "abandon", uint64(b.idx)<<16|uint64(cid), 0, b.dev.Config().Serial)
-		}
+		b.e.tr.Emit(b.e.env.Now(), "engine", "abandon", uint64(b.idx)<<16|uint64(cid), 0, b.dev.Config().Serial)
 		b.complete(nvme.Completion{CID: cid, Status: nvme.StatusNSNotReady})
 	}
 }

@@ -63,19 +63,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// frontCounts are the front end's counts.
+type frontCounts struct {
+	dispatched uint64 // reads and writes past the namespace and opcode checks
+	flushes    uint64 // flushes fanned out to at least one backend
+}
+
 // Engine is the BMS-Engine instance.
 type Engine struct {
 	env *sim.Env
 	cfg Config
 	// tr is the determinism tracer cached at construction; nil when
-	// tracing is off, so every instrumentation point costs one compare.
+	// tracing is off, and Emit on nil does nothing.
 	tr *trace.Tracer
 	// met is the metrics registry, cached under the same contract; the
-	// front end marks span stages through it and the counters below are
-	// nil-safe no-ops when metrics are off.
-	met       *obs.Registry
-	mDispatch *obs.Counter
-	mFlushes  *obs.Counter
+	// front end marks span stages through it, and it reads fe at export.
+	met *obs.Registry
+	// fe lives apart from the Engine so that a registry outliving the rig
+	// (an obs.Set keeps every rig's) holds the counts, not the rig.
+	fe *frontCounts
 	// flt is the rig's fault injector, cached like tr/met; the back-end
 	// submit path consults it for injected stalls.
 	flt *fault.Injector
@@ -131,12 +137,13 @@ func New(env *sim.Env, cfg Config) *Engine {
 		met:      env.Metrics(),
 		flt:      env.Faults(),
 		chip:     hostmem.New(cfg.ChipMemBytes),
+		fe:       new(frontCounts),
 		Firmware: "BMS_1.0",
 	}
 	if e.met != nil {
-		fe := e.met.Component("engine/frontend")
-		e.mDispatch = fe.Counter("io_dispatched")
-		e.mFlushes = fe.Counter("flushes")
+		fe, comp := e.fe, e.met.Component("engine/frontend")
+		comp.CounterOf("io_dispatched", func() uint64 { return fe.dispatched })
+		comp.CounterOf("flushes", func() uint64 { return fe.flushes })
 	}
 	e.funcs = make([]*function, cfg.NumPFs+cfg.NumVFs)
 	for i := range e.funcs {
@@ -236,9 +243,7 @@ func (t backendTarget) DMAWrite(addr uint64, n int, data []byte) sim.Time {
 	if int(fn) >= len(e.funcs) {
 		panic(fmt.Sprintf("engine: DMA write routed to unknown function %d", fn))
 	}
-	if e.tr != nil {
-		e.tr.Emit(e.env.Now(), "engine", "route-w", uint64(fn)<<48|hostAddr, uint64(n), "")
-	}
+	e.tr.Emit(e.env.Now(), "engine", "route-w", uint64(fn)<<48|hostAddr, uint64(n), "")
 	if e.staging != nil {
 		// Ablation: land in engine DRAM first, then re-DMA to the host.
 		in := e.staging.Reserve(int64(n)) - e.env.Now()
@@ -259,9 +264,7 @@ func (t backendTarget) DMARead(addr uint64, n int, buf []byte) sim.Time {
 	if int(fn) >= len(e.funcs) {
 		panic(fmt.Sprintf("engine: DMA read routed to unknown function %d", fn))
 	}
-	if e.tr != nil {
-		e.tr.Emit(e.env.Now(), "engine", "route-r", uint64(fn)<<48|hostAddr, uint64(n), "")
-	}
+	e.tr.Emit(e.env.Now(), "engine", "route-r", uint64(fn)<<48|hostAddr, uint64(n), "")
 	if e.staging != nil {
 		out := e.staging.Reserve(int64(n)) - e.env.Now()
 		return e.hostPort.DMARead(hostAddr, n, buf) + out + e.cfg.RouteLatency

@@ -49,7 +49,7 @@ func TestChipMemoryPRPListRecycling(t *testing.T) {
 // QoS command buffer drains strictly FIFO (the Fig. 5 dispatcher).
 func TestQoSBufferFIFOOrder(t *testing.T) {
 	env := sim.NewEnv(3)
-	ns := &Namespace{env: env, qos: newQoSBucket(env, QoSLimits{IOPS: 1000})}
+	ns := &Namespace{env: env, qos: newQoSBucket(env, QoSLimits{IOPS: 1000}), parked: new(uint64)}
 	ns.dispatchFn = ns.dispatchStep
 	// Exhaust the burst.
 	for {

@@ -231,12 +231,12 @@ func TestFullPathDataIntegrity(t *testing.T) {
 		}
 		// The two SSDs must each have seen part of the write.
 		d0, d1 := h.eng.backends[0].dev, h.eng.backends[1].dev
-		r0, w0, r1, w1 := d0.ReadStats, d0.WriteStats, d1.ReadStats, d1.WriteStats
-		if w0.Ops == 0 || w1.Ops == 0 {
-			t.Fatalf("write not split across SSDs: %d/%d", w0.Ops, w1.Ops)
+		r0, w0, r1, w1 := d0.Ops.Reads, d0.Ops.Writes, d1.Ops.Reads, d1.Ops.Writes
+		if w0 == 0 || w1 == 0 {
+			t.Fatalf("write not split across SSDs: %d/%d", w0, w1)
 		}
-		if r0.Ops == 0 || r1.Ops == 0 {
-			t.Fatalf("read not split across SSDs: %d/%d", r0.Ops, r1.Ops)
+		if r0 == 0 || r1 == 0 {
+			t.Fatalf("read not split across SSDs: %d/%d", r0, r1)
 		}
 	})
 }

@@ -148,11 +148,11 @@ func TestQuiesceLeavesNothingInFlight(t *testing.T) {
 					}
 				}
 				quiet("when QuiesceBackend returned")
-				served := b.dev.ReadStats
+				served := b.dev.Ops.Reads
 				p.Sleep(2 * sim.Millisecond)
 				quiet("2 ms into the quiesced window")
-				if now := b.dev.ReadStats; now.Ops != served.Ops {
-					t.Fatalf("the SSD served %d reads inside the quiesced window", now.Ops-served.Ops)
+				if now := b.dev.Ops.Reads; now != served {
+					t.Fatalf("the SSD served %d reads inside the quiesced window", now-served)
 				}
 				before := completions
 				if err := h.eng.ResumeBackend(p, 0); err != nil {

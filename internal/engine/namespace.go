@@ -32,9 +32,11 @@ type Namespace struct {
 	ReadStats  stats.IOStats
 	WriteStats stats.IOStats
 
-	// QoS command-buffer instruments (nil-safe no-ops when metrics are off).
+	// parked counts commands the QoS gate held in the command buffer, read
+	// at export as qos_parked; it lives apart from the namespace, as
+	// Engine.fe does. mBuffered is nil when metrics are off.
+	parked    *uint64
 	mBuffered *obs.Gauge
-	mParked   *obs.Counter
 
 	env *sim.Env
 }
@@ -70,13 +72,15 @@ func (e *Engine) CreateNamespace(name string, sizeBytes uint64, ssds []int) (*Na
 		blockSize: ssd.BlockSize,
 		mt:        mt,
 		qos:       newQoSBucket(e.env, QoSLimits{}),
+		parked:    new(uint64),
 		env:       e.env,
 	}
 	ns.dispatchFn = ns.dispatchStep
 	if e.met != nil {
 		comp := e.met.Component("engine/ns/" + name)
 		ns.mBuffered = comp.Gauge("qos_buffered")
-		ns.mParked = comp.Counter("qos_parked")
+		parked := ns.parked
+		comp.CounterOf("qos_parked", func() uint64 { return *parked })
 	}
 	for i := 0; i < nChunks; i++ {
 		be := e.backends[ssds[i%len(ssds)]]
@@ -186,7 +190,7 @@ func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	ev.AddCallback(cb)
 	be := ns.getBufEntry(ev, nBytes)
 	ns.buffer = append(ns.buffer, be)
-	ns.mParked.Inc()
+	*ns.parked++
 	ns.mBuffered.Inc(ns.env.Now())
 	if !ns.dispatching {
 		ns.dispatching = true

@@ -116,10 +116,8 @@ func (io *feIO) start() {
 		return
 	}
 	io.epoch = e.epoch
-	if e.tr != nil {
-		e.tr.Emit(e.env.Now(), "engine", "dispatch",
-			uint64(f.id)<<32|uint64(io.sq.ID)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
-	}
+	e.tr.Emit(e.env.Now(), "engine", "dispatch",
+		uint64(f.id)<<32|uint64(io.sq.ID)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
 	ns := f.ns
 	if ns == nil || io.cmd.NSID != FrontNSID {
 		io.finish(nvme.StatusInvalidNamespace)
@@ -140,7 +138,7 @@ func (io *feIO) start() {
 	// afterwards — the back end's share included — goes through the handle.
 	io.span = e.met.Span(obs.SpanKey(uint8(f.id), io.sq.ID, io.cmd.CID))
 	io.span.Mark(timeline.PtDispatch, e.env.Now())
-	e.mDispatch.Inc()
+	e.fe.dispatched++
 
 	io.slba = io.cmd.SLBA()
 	io.nlb = io.cmd.NLB()
@@ -163,9 +161,7 @@ func (io *feIO) mapped() {
 		io.finish(nvme.StatusInternal)
 		return
 	}
-	if tr := io.e.tr; tr != nil {
-		tr.Emit(io.e.env.Now(), "engine", "map", io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
-	}
+	io.e.tr.Emit(io.e.env.Now(), "engine", "map", io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
 	// QoS admission: over-threshold commands park in the command buffer
 	// until the dispatcher re-admits them.
 	io.qosT0 = io.e.env.Now()
@@ -272,7 +268,7 @@ func (io *feIO) startFlush() {
 		io.finish(nvme.StatusSuccess)
 		return
 	}
-	io.e.mFlushes.Inc()
+	io.e.fe.flushes++
 	io.remaining = len(io.ssds)
 	io.worst = nvme.StatusSuccess
 	io.subIdx = 0
@@ -361,9 +357,7 @@ func (s *beSubmit) gate(any) {
 	if flt := b.e.flt; flt != nil {
 		now := b.e.env.Now()
 		if end := sim.Time(flt.StallUntil(fault.BackendSubmit, b.dev.Config().Serial, int64(now))); end > now {
-			if b.e.tr != nil {
-				b.e.tr.Emit(now, "fault", "backend-stall", uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
-			}
+			b.e.tr.Emit(now, "fault", "backend-stall", uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
 			// Re-check the gate afterwards in case a quiesce started meanwhile.
 			b.e.env.Schedule(end-now, s.stalledFn)
 			return
@@ -401,8 +395,8 @@ func (s *beSubmit) slot(any) {
 		s.span.Wait(timeline.WaitBackend, b.e.env.Now()-s.t0)
 		b.e.met.SpanAlias(s.span, obs.DevKey(b.spanDev, q.ID, cid))
 		b.mInflight.Inc(b.e.env.Now())
-		b.mSubmits.Inc()
 	}
+	*b.submitted++
 	b.pending.Put(cid, b.getPending(q, s.done))
 	submitted := s.submitted
 	b.putSubmit(s)

@@ -126,13 +126,7 @@ func (v *verifyRun) evidence(tb *bmstore.Testbed, sch chaos.Schedule) (chaos.Rep
 		}
 	}
 	if v.drv != nil {
-		c := v.drv.Counters()
-		rep.Counters = chaos.Counters{
-			Submitted: c.Submitted, Completed: c.Completed,
-			Timeouts: c.Timeouts, Aborts: c.Aborts, Retries: c.Retries,
-			Stragglers: c.Stragglers, Spurious: c.Spurious,
-			Reclaimed: c.Reclaimed, ZombiesLeft: c.ZombiesLeft,
-		}
+		rep.Counters = v.drv.Counters()
 	}
 	if v.res != nil {
 		rep.Writes, rep.Reads = v.res.Writes, v.res.Reads

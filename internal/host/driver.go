@@ -67,14 +67,9 @@ type Driver struct {
 	// I/O then pays one nil check per observation point. The driver opens
 	// a request span per non-flush I/O, keyed by (fn, qid, CID) — the same
 	// identity the engine front end sees on the other side of the wire.
+	// Its counters are ioc's, which the registry reads at export.
 	met          *obs.Registry
 	mInflight    *obs.Gauge
-	mDoorbells   *obs.Counter
-	mCQEs        *obs.Counter
-	mSplits      *obs.Counter
-	mTimeouts    *obs.Counter
-	mAborts      *obs.Counter
-	mRetries     *obs.Counter
 	mEventsPerIO *obs.Hist
 
 	// cplFree recycles the completion carriers the IRQ handler passes to
@@ -84,7 +79,9 @@ type Driver struct {
 	admin  *dq
 	queues []*dq
 
-	ioc IOCounters
+	// ioc lives apart from the Driver so that a registry outliving the rig
+	// (an obs.Set keeps every rig's) holds the counts, not the rig.
+	ioc *ioCounts
 
 	nsid     uint32
 	nsBlocks uint64
@@ -119,9 +116,16 @@ type IOCounters struct {
 	ZombiesLeft int
 }
 
+// ioCounts is everything the driver counts: the CID accounting and the
+// block layer's splits.
+type ioCounts struct {
+	IOCounters
+	splits uint64 // I/Os split at Kernel.SplitBytes
+}
+
 // Counters snapshots the driver's I/O CID accounting.
 func (d *Driver) Counters() IOCounters {
-	c := d.ioc
+	c := d.ioc.IOCounters
 	for _, q := range d.queues {
 		c.ZombiesLeft += q.zombies
 	}
@@ -196,17 +200,18 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 	if cfg.MaxIOBytes <= 0 {
 		cfg.MaxIOBytes = 1 << 20
 	}
-	d := &Driver{h: h, port: port, fn: fn, cfg: cfg, tr: h.Env.Tracer()}
+	d := &Driver{h: h, port: port, fn: fn, cfg: cfg, tr: h.Env.Tracer(), ioc: new(ioCounts)}
 	if met := h.Env.Metrics(); met != nil {
 		d.met = met
 		comp := met.Instance("host/driver")
 		d.mInflight = comp.Gauge("inflight")
-		d.mDoorbells = comp.Counter("doorbells")
-		d.mCQEs = comp.Counter("cqes")
-		d.mSplits = comp.Counter("block_splits")
-		d.mTimeouts = comp.Counter("timeouts")
-		d.mAborts = comp.Counter("aborts")
-		d.mRetries = comp.Counter("retries")
+		ioc := d.ioc
+		comp.CounterOf("doorbells", func() uint64 { return ioc.Submitted })
+		comp.CounterOf("cqes", func() uint64 { return ioc.Completed + ioc.Stragglers + ioc.Spurious })
+		comp.CounterOf("block_splits", func() uint64 { return ioc.splits })
+		comp.CounterOf("timeouts", func() uint64 { return ioc.Timeouts })
+		comp.CounterOf("aborts", func() uint64 { return ioc.Aborts })
+		comp.CounterOf("retries", func() uint64 { return ioc.Retries })
 		d.mEventsPerIO = comp.Hist("events_per_io")
 	}
 	h.register(d)
@@ -336,10 +341,8 @@ func (d *Driver) IRQ(vec int) {
 	}
 	var cpl nvme.Completion
 	for q.Next(&cpl) {
-		if d.tr != nil {
-			d.tr.Emit(h.Env.Now(), "host", "cqe",
-				uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
-		}
+		d.tr.Emit(h.Env.Now(), "host", "cqe",
+			uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
 		// The CID is the device's word: one outside the queue's slots can be
 		// neither waited for nor zombied, and has no span.
 		var ev *sim.Event
@@ -347,13 +350,10 @@ func (d *Driver) IRQ(vec int) {
 		if known {
 			ev = q.wait[cpl.CID]
 		}
-		if d.met != nil && q.ID != 0 {
+		if known && d.met != nil && q.ID != 0 {
 			// Admin completions (q 0) carry no span; a flush's slot holds a
 			// nil handle and the mark is a no-op.
-			if known {
-				q.span[cpl.CID].Mark(timeline.PtCQE, h.Env.Now())
-			}
-			d.mCQEs.Inc()
+			q.span[cpl.CID].Mark(timeline.PtCQE, h.Env.Now())
 		}
 		if ev != nil {
 			q.wait[cpl.CID] = nil
@@ -401,7 +401,7 @@ func (d *Driver) ReclaimZombies() int {
 	for _, q := range d.queues {
 		n += d.reclaimQueue(q)
 	}
-	if d.tr != nil && n > 0 {
+	if n > 0 {
 		d.tr.Emit(d.h.Env.Now(), "host", "reclaim", uint64(d.fn), uint64(n), "")
 	}
 	return n
@@ -521,9 +521,7 @@ func (d *Driver) Reattach(p *sim.Proc) error {
 			return fmt.Errorf("host: reattach: %w", err)
 		}
 	}
-	if d.tr != nil {
-		d.tr.Emit(d.h.Env.Now(), "host", "reattach", uint64(d.fn), 0, "")
-	}
+	d.tr.Emit(d.h.Env.Now(), "host", "reattach", uint64(d.fn), 0, "")
 	for _, q := range d.queues {
 		d.reclaimQueue(q)
 	}
@@ -628,7 +626,7 @@ func (d *Driver) submit(op uint8, lba uint64, blocks uint32, buf []byte, qIdx in
 	}
 	// Block-layer split on old kernels.
 	if sp := d.h.Kernel.SplitBytes; sp > 0 && op != nvme.IOFlush && nBytes > sp {
-		d.mSplits.Inc()
+		d.ioc.splits++
 		d.h.Env.Start("host/split-io", r.onSplit)
 		return
 	}
@@ -731,10 +729,8 @@ func (r *ioReq) onSlot(any) {
 	ev.AddCallback(r.reaped)
 	r.cqe = ev
 	q.wait[cmd.CID] = ev
-	if d.tr != nil {
-		d.tr.Emit(d.h.Env.Now(), "host", "doorbell",
-			uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
-	}
+	d.tr.Emit(d.h.Env.Now(), "host", "doorbell",
+		uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
 	// The span is found once, here; the handle serves this attempt and, from
 	// the slot's entry, the IRQ handler's CQE mark. It stays nil for a flush.
 	r.span = nil
@@ -756,7 +752,6 @@ func (r *ioReq) onSlot(any) {
 		}
 		q.span[cmd.CID] = r.span
 	}
-	d.mDoorbells.Inc()
 	q.Ring()
 	if d.cfg.CmdTimeout > 0 {
 		r.timer = d.h.Env.Timeout(d.cfg.CmdTimeout, nil)
@@ -811,11 +806,8 @@ func (r *ioReq) onTimeout(any) {
 	}
 	q.zombify(slot)
 	d.ioc.Timeouts++
-	d.mTimeouts.Inc()
-	if d.tr != nil {
-		d.tr.Emit(d.h.Env.Now(), "host", "timeout",
-			uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(slot), uint64(r.op), "")
-	}
+	d.tr.Emit(d.h.Env.Now(), "host", "timeout",
+		uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(slot), uint64(r.op), "")
 	if d.met != nil && r.op != nvme.IOFlush {
 		r.span.Error()
 		d.met.SpanFinish(r.spanKey, d.h.Env.Now())
@@ -865,11 +857,8 @@ func (d *Driver) retry(p *sim.Proc, r *ioReq) IOOutcome {
 			return oc
 		}
 		d.ioc.Retries++
-		d.mRetries.Inc()
-		if d.tr != nil {
-			d.tr.Emit(d.h.Env.Now(), "host", "retry",
-				uint64(d.fn)<<32|uint64(r.op)<<16|uint64(attempt), uint64(st), "")
-		}
+		d.tr.Emit(d.h.Env.Now(), "host", "retry",
+			uint64(d.fn)<<32|uint64(r.op)<<16|uint64(attempt), uint64(st), "")
 		if d.cfg.RetryBackoff > 0 {
 			p.Sleep(d.cfg.RetryBackoff << uint(attempt))
 		}
@@ -921,7 +910,6 @@ func (d *Driver) completeLatency() sim.Time {
 // the zombie list too.
 func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	d.ioc.Aborts++
-	d.mAborts.Inc()
 	q := d.admin
 	if !q.Slots.AcquireTimeout(p, d.cfg.CmdTimeout) {
 		return // a device dead enough to have zombied every admin slot
@@ -934,10 +922,8 @@ func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	q.Push(&cmd)
 	ev := d.h.Env.NewEvent()
 	q.wait[slot] = ev
-	if d.tr != nil {
-		d.tr.Emit(d.h.Env.Now(), "host", "abort",
-			uint64(d.fn)<<32|uint64(sqid)<<16|uint64(cid), 0, "")
-	}
+	d.tr.Emit(d.h.Env.Now(), "host", "abort",
+		uint64(d.fn)<<32|uint64(sqid)<<16|uint64(cid), 0, "")
 	q.Ring()
 	got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
 	if !ok {

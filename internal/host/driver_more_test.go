@@ -102,8 +102,8 @@ func TestSplitBytesInsideVM(t *testing.T) {
 			}
 		}
 		// 128K / 32K = 4 split writes + 4 split reads at the device.
-		if r.dev.WriteStats.Ops != 4 || r.dev.ReadStats.Ops != 4 {
-			t.Fatalf("device ops r=%d w=%d, want 4/4", r.dev.ReadStats.Ops, r.dev.WriteStats.Ops)
+		if r.dev.Ops.Writes != 4 || r.dev.Ops.Reads != 4 {
+			t.Fatalf("device ops r=%d w=%d, want 4/4", r.dev.Ops.Reads, r.dev.Ops.Writes)
 		}
 	})
 	r.env.Run()

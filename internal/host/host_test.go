@@ -123,8 +123,8 @@ func TestKernelSplitBytes(t *testing.T) {
 			t.Fatal("split I/O corrupted data")
 		}
 		// Device saw the writes as two commands.
-		if r.dev.WriteStats.Ops != 2 {
-			t.Fatalf("device write ops %d, want 2 (split)", r.dev.WriteStats.Ops)
+		if r.dev.Ops.Writes != 2 {
+			t.Fatalf("device write ops %d, want 2 (split)", r.dev.Ops.Writes)
 		}
 	})
 	r.env.Run()

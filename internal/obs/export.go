@@ -114,7 +114,7 @@ func (r *Registry) Snapshot() Snapshot {
 		cs := ComponentSnap{Name: name}
 		for _, n := range sortedKeys(c.counters) {
 			ctr := c.counters[n]
-			snap := CounterSnap{Name: n, Value: ctr.v}
+			snap := CounterSnap{Name: n, Value: ctr.Value()}
 			if ctr.series != nil {
 				snap.Series = &SeriesSnap{IntervalNS: ctr.series.Interval, Bins: ctr.series.Bins}
 			}

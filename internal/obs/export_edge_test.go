@@ -17,7 +17,7 @@ func TestCSVQuotesLabelCommas(t *testing.T) {
 	s := NewSet(Options{})
 	r := s.Registry(`run,one`)
 	c := r.Component(`pcie/link "a",b`)
-	c.Counter("plain").Inc()
+	c.CounterOf("plain", func() uint64 { return 1 })
 	c.Hist(`lat,ns`).Record(500)
 	var buf bytes.Buffer
 	if err := s.WriteCSV(&buf); err != nil {

@@ -23,9 +23,18 @@
 //     what keeps trace digests identical with and without metrics.
 //
 //   - Nil means free. Every method on every type is safe on a nil
-//     receiver and does nothing, the same discipline as internal/trace:
-//     components cache instrument pointers at construction and a rig built
-//     without a registry pays one nil check per observation point.
+//     receiver and does nothing, as does trace.Tracer.Emit: components cache
+//     instrument pointers at construction and a rig built without a
+//     registry pays one nil check per observation point.
+//
+//   - Each count is kept once. A plain count is a field of the component
+//     that owns it, incremented whether or not a registry is attached; the
+//     component registers a read of it at construction (CounterOf), and the
+//     registry reads it at export. The field lives in a small block the
+//     component allocates apart from itself, and the read captures only
+//     that block: a registry outlives its rig in a Set, and must keep the
+//     counts, not the rig. Only rate counters, which carry a time series,
+//     are pushed into the registry (AddAt).
 //
 // The package depends only on internal/stats, the CID table of internal/nvme
 // (which imports nothing of the simulator) and the standard library —
@@ -158,6 +167,16 @@ func (c *Component) Counter(name string) *Counter {
 	return ctr
 }
 
+// CounterOf registers the named counter as a count its component keeps in
+// its own field: read is called at export, never on the model's path. A
+// name registered again (a second instance under the same component name)
+// reads the sum of every registered count, as one shared counter would.
+func (c *Component) CounterOf(name string, read func() uint64) {
+	if ctr := c.Counter(name); ctr != nil {
+		ctr.reads = append(ctr.reads, read)
+	}
+}
+
 // RateCounter returns the named counter with a fixed-interval series
 // attached (when the registry has one configured), so AddAt calls feed a
 // per-bin rate usable for bandwidth/IOPS-over-time plots.
@@ -202,20 +221,13 @@ func (c *Component) Hist(name string) *Hist {
 	return h
 }
 
-// Counter is a monotonically increasing event count, optionally with a
-// fixed-interval series (see Component.RateCounter).
+// Counter is a monotonically increasing event count: the counts its
+// components registered (Component.CounterOf) plus what AddAt pushed, with
+// a fixed-interval series of the pushes (see Component.RateCounter).
 type Counter struct {
 	v      uint64
+	reads  []func() uint64
 	series *stats.Series
-}
-
-// Inc adds one. The series, if any, is not touched — Inc is the hot-path
-// form for call sites that have no timestamp at hand (the sim kernel).
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v++
 }
 
 // AddAt adds n and accounts it to the series bin containing virtual time t.
@@ -234,7 +246,11 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, read := range c.reads {
+		v += read()
+	}
+	return v
 }
 
 // Gauge is an instantaneous level (queue depth, in-flight I/Os). Between

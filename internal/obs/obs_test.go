@@ -21,8 +21,8 @@ func TestNilChainIsFree(t *testing.T) {
 		t.Fatal("nil registry returned a non-nil instance")
 	}
 	// None of these may panic, and all reads must return zero values.
+	c.CounterOf("n", func() uint64 { return 1 })
 	ctr := c.Counter("n")
-	ctr.Inc()
 	ctr.AddAt(10, 4)
 	if ctr.Value() != 0 {
 		t.Fatal("nil counter has a value")
@@ -80,6 +80,24 @@ func TestInstanceNaming(t *testing.T) {
 	}
 }
 
+// TestCounterOfReadsTheOwnersCount: a registered count is read when the
+// counter is, never copied, and a name registered twice reads the sum.
+func TestCounterOfReadsTheOwnersCount(t *testing.T) {
+	r := NewRegistry()
+	c := r.Component("engine/frontend")
+	var a, b uint64
+	c.CounterOf("flushes", func() uint64 { return a })
+	a = 3
+	if got := c.Counter("flushes").Value(); got != 3 {
+		t.Fatalf("value %d, want the owner's 3", got)
+	}
+	r.Component("engine/frontend").CounterOf("flushes", func() uint64 { return b })
+	b = 4
+	if got := r.Snapshot().Components[0].Counters[0].Value; got != 7 {
+		t.Fatalf("exported %d, want 3+4 from both owners", got)
+	}
+}
+
 // TestGaugeTimeWeighting: between updates the level is integrated over
 // virtual time, so per-bin means are true time-weighted averages — the
 // passive replacement for a scheduled sampler.
@@ -113,14 +131,13 @@ func TestGaugeTimeWeighting(t *testing.T) {
 	}
 }
 
-// TestRateCounterSeries: AddAt feeds the per-bin series, Inc does not.
+// TestRateCounterSeries: AddAt feeds the per-bin series.
 func TestRateCounterSeries(t *testing.T) {
 	r := New(Options{SeriesInterval: 100})
 	ctr := r.Component("link").RateCounter("bytes")
 	ctr.AddAt(10, 4096)
 	ctr.AddAt(150, 4096)
-	ctr.Inc() // hot-path form: counts, no series sample
-	if ctr.Value() != 8193 {
+	if ctr.Value() != 8192 {
 		t.Fatalf("value %d", ctr.Value())
 	}
 	if ctr.series == nil {

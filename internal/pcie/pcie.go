@@ -118,9 +118,7 @@ func (l *Link) replayPenalty(n int) sim.Time {
 	if extra <= 0 {
 		extra = defaultReplayLatency
 	}
-	if l.tr != nil {
-		l.tr.Emit(l.env.Now(), "fault", "pcie-replay", uint64(n), uint64(extra), l.Name)
-	}
+	l.tr.Emit(l.env.Now(), "fault", "pcie-replay", uint64(n), uint64(extra), l.Name)
 	return extra
 }
 

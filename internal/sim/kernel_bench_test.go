@@ -76,8 +76,8 @@ func BenchmarkSchedulerDeepThroughput(b *testing.B) {
 }
 
 // BenchmarkSchedulerMetricsOnThroughput is BenchmarkSchedulerThroughput with
-// a metrics registry attached: the kernel's counters are plain scalar
-// increments cached at SetMetrics time, so enabling observability must keep
+// a metrics registry attached: the kernel's counters are its own fields,
+// which the registry reads at export, so enabling observability must keep
 // the fire loop allocation-free. Guarded by the same bench-gate baseline.
 func BenchmarkSchedulerMetricsOnThroughput(b *testing.B) {
 	const chains = 64

@@ -62,24 +62,20 @@ type Env struct {
 	// the parked ones.
 	coFree []*coro
 
-	seed    int64
-	procSeq uint64
-	tracer  *trace.Tracer
-	faults  *fault.Injector
+	seed   int64
+	tracer *trace.Tracer
+	faults *fault.Injector
 
-	// nEvents counts queue entries fired since the environment was
-	// created. It is always maintained (one add per event) so the host
-	// driver can report events-per-I/O without a metrics registry.
-	nEvents uint64
+	// n holds the kernel's own counts, kept with or without a registry: the
+	// host driver reads n.events for its events-per-I/O, and the registry
+	// reads all three at export as the "sim" counters events_fired,
+	// proc_resumes and procs_spawned. They live apart from the Env so that
+	// a registry outliving the run (an obs.Set keeps every rig's) holds
+	// three words, not the rig.
+	n *kernelCounts
 
-	// met is the metrics registry; the kernel counters below are cached
-	// instrument pointers (nil when metrics are off, making each
-	// observation point a single nil check — obs instruments are
-	// nil-receiver-safe, the same zero-overhead discipline as the tracer).
-	met      *obs.Registry
-	cEvents  *obs.Counter
-	cSpawns  *obs.Counter
-	cResumes *obs.Counter
+	// met is the metrics registry, nil when metrics are off.
+	met *obs.Registry
 
 	// evFree recycles kernel-internal one-shot events (Sleep timers,
 	// process-start events). Only events the kernel itself created and that
@@ -93,12 +89,20 @@ func NewEnv(seed int64) *Env {
 	return &Env{
 		live: make(map[*Proc]struct{}),
 		seed: seed,
+		n:    new(kernelCounts),
 	}
+}
+
+// kernelCounts are the scheduler's counts since the environment was created.
+type kernelCounts struct {
+	events  uint64 // queue entries fired
+	resumes uint64 // process resumptions, aborts included
+	spawned uint64 // processes spawned; the last one's id
 }
 
 // Events returns the number of queue entries fired so far — the kernel-level
 // cost measure behind the driver's events-per-I/O accounting.
-func (e *Env) Events() uint64 { return e.nEvents }
+func (e *Env) Events() uint64 { return e.n.events }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -121,10 +125,11 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 // trace digests. Pass nil to detach.
 func (e *Env) SetMetrics(m *obs.Registry) {
 	e.met = m
-	kernel := m.Component("sim") // nil registry -> nil component -> nil counters
-	e.cEvents = kernel.Counter("events_fired")
-	e.cSpawns = kernel.Counter("procs_spawned")
-	e.cResumes = kernel.Counter("proc_resumes")
+	kernel := m.Component("sim") // nil registry -> nil component -> no-op
+	n := e.n
+	kernel.CounterOf("events_fired", func() uint64 { return n.events })
+	kernel.CounterOf("procs_spawned", func() uint64 { return n.spawned })
+	kernel.CounterOf("proc_resumes", func() uint64 { return n.resumes })
 }
 
 // Metrics returns the attached registry, or nil when metrics are off.
@@ -341,13 +346,11 @@ func (e *Env) RunUntilEventWatched(ev *Event, horizon Time) (Time, *Diagnosis) {
 	for _, p := range procs {
 		d.Blocked = append(d.Blocked, fmt.Sprintf("%d:%s", p.id, p.name))
 	}
-	if e.tracer != nil {
-		kind := "deadlock"
-		if d.HorizonHit {
-			kind = "horizon"
-		}
-		e.tracer.Emit(e.now, "sim", kind, uint64(len(d.Blocked)), uint64(d.Pending), "")
+	kind := "deadlock"
+	if d.HorizonHit {
+		kind = "horizon"
 	}
+	e.tracer.Emit(e.now, "sim", kind, uint64(len(d.Blocked)), uint64(d.Pending), "")
 	return e.now, d
 }
 
@@ -386,11 +389,8 @@ func (e *Env) run(limit Time, until *Event) Time {
 			panic("sim: event queue went backwards")
 		}
 		e.now = it.at
-		e.nEvents++
-		e.cEvents.Inc()
-		if e.tracer != nil {
-			e.tracer.Emit(e.now, "sim", "fire", it.seq, 0, "")
-		}
+		e.n.events++
+		e.tracer.Emit(e.now, "sim", "fire", it.seq, 0, "")
 		if it.fn != nil {
 			it.fn()
 		} else {
@@ -490,8 +490,8 @@ func (e *Env) newCoro() *coro {
 // A panic in the process body (or a runtime.Goexit, as from t.FailNow)
 // surfaces here, in the goroutine that called Run.
 func (e *Env) resume(p *Proc, m resumeMsg) {
-	e.cResumes.Inc()
-	if e.tracer != nil && !m.abort {
+	e.n.resumes++
+	if !m.abort {
 		e.tracer.Emit(e.now, "sim", "resume", p.id, 0, p.name)
 	}
 	c := p.co
@@ -532,9 +532,7 @@ func (e *Env) Shutdown() {
 			if _, alive := e.live[p]; !alive {
 				continue // unwound as a side effect of an earlier abort
 			}
-			if e.tracer != nil {
-				e.tracer.Emit(e.now, "sim", "abort", p.id, 0, p.name)
-			}
+			e.tracer.Emit(e.now, "sim", "abort", p.id, 0, p.name)
 			e.resume(p, resumeMsg{abort: true})
 		}
 	}
@@ -546,13 +544,10 @@ func (e *Env) Shutdown() {
 
 // newProc registers a process that has not run yet, with no Done event.
 func (e *Env) newProc(name string, fn func(p *Proc)) *Proc {
-	e.procSeq++
-	p := &Proc{env: e, id: e.procSeq, name: name, fn: fn}
+	e.n.spawned++
+	p := &Proc{env: e, id: e.n.spawned, name: name, fn: fn}
 	e.live[p] = struct{}{}
-	e.cSpawns.Inc()
-	if e.tracer != nil {
-		e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
-	}
+	e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
 	return p
 }
 

@@ -18,17 +18,13 @@ func (d *SSD) execAdmin(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Status) {
 	p.Sleep(adminLatency)
 	// Injected admin failure (firmware bugs, bring-up flakes): the command
 	// completes with the rule's status instead of executing.
-	if d.flt != nil {
-		if r := d.flt.Hit(fault.SSDAdmin, d.cfg.Serial, p.Now()); r != nil {
-			st := nvme.Status(r.Status)
-			if st == nvme.StatusSuccess {
-				st = nvme.StatusInternal
-			}
-			if d.tr != nil {
-				d.tr.Emit(p.Now(), "fault", "admin", uint64(cmd.Opcode), uint64(st), d.cfg.Serial)
-			}
-			return 0, st
+	if r := d.flt.Hit(fault.SSDAdmin, d.cfg.Serial, p.Now()); r != nil {
+		st := nvme.Status(r.Status)
+		if st == nvme.StatusSuccess {
+			st = nvme.StatusInternal
 		}
+		d.tr.Emit(p.Now(), "fault", "admin", uint64(cmd.Opcode), uint64(st), d.cfg.Serial)
+		return 0, st
 	}
 	switch cmd.Opcode {
 	case nvme.AdminIdentify:
@@ -102,8 +98,8 @@ func (d *SSD) adminGetLogPage(p *sim.Proc, cmd nvme.Command) nvme.Status {
 	case 0x02: // SMART / health information
 		binary.LittleEndian.PutUint16(page[1:], 273+35) // 35 C
 		page[5] = 3                                     // 3% used
-		binary.LittleEndian.PutUint64(page[32:], d.ReadStats.Ops)
-		binary.LittleEndian.PutUint64(page[48:], d.WriteStats.Ops)
+		binary.LittleEndian.PutUint64(page[32:], d.Ops.Reads)
+		binary.LittleEndian.PutUint64(page[48:], d.Ops.Writes)
 	case 0x03: // firmware slot information
 		copy(page[8:16], padTo(d.fwActive, 8))
 	default:

@@ -17,10 +17,10 @@ package ssd
 // hence every timestamp downstream. Comments below call out the positions
 // that are load-bearing.
 //
-// The tracer (d.tr) and the fault injector (d.flt) are nil-checked probes:
-// `ssd issue`/`complete`, `media` latency/status, and the CaptureData hazards
-// (`media-corrupt`, `misdirected-read`, `torn-write`); the `ssd-stall` window
-// of the fetch step is SSD.FetchStall (ssd.go).
+// The tracer (d.tr) and the fault injector (d.flt) are probes that do
+// nothing when nil: `ssd issue`/`complete`, `media` latency/status, and the
+// CaptureData hazards (`media-corrupt`, `misdirected-read`, `torn-write`);
+// the `ssd-stall` window of the fetch step is SSD.FetchStall (ssd.go).
 //
 // Admin commands run on processes instead (admin.go): they are rare and
 // stateful.
@@ -228,9 +228,7 @@ func (io *ssdIO) walkAttempt() {
 	// request is behind the command. Die waits, media time and the NAND/DMA
 	// phase intervals go through the handle.
 	io.span = d.met.SpanByAlias(obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID))
-	if d.tr != nil {
-		d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
-	}
+	d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
 	if d.flt != nil {
 		io.injectFaults()
 		return
@@ -279,7 +277,7 @@ type hazards struct {
 func (d *SSD) mediaFault(devByte uint64) *fault.Rule {
 	die := int(devByte / uint64(d.cfg.StripeBytes) % uint64(d.cfg.Dies))
 	r := d.flt.HitMedia(d.cfg.Serial, die, d.env.Now())
-	if r != nil && d.tr != nil {
+	if r != nil {
 		d.tr.Emit(d.env.Now(), "fault", "media", uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
 	}
 	return r
@@ -297,9 +295,7 @@ func (d *SSD) dataHazards(op uint8, devByte uint64, n int) (hzd hazards) {
 		if d.flt.Hit(pt, d.cfg.Serial, d.env.Now()) == nil {
 			return false
 		}
-		if d.tr != nil {
-			d.tr.Emit(d.env.Now(), "fault", pt.String(), devByte, uint64(n), d.cfg.Serial)
-		}
+		d.tr.Emit(d.env.Now(), "fault", pt.String(), devByte, uint64(n), d.cfg.Serial)
 		return true
 	}
 	switch op {
@@ -395,8 +391,7 @@ func (io *ssdIO) readPaced() {
 
 func (io *ssdIO) readOut() {
 	d := io.d
-	d.ReadStats.Record(io.n, d.env.Now()-io.t0)
-	d.mReadOps.Inc()
+	d.Ops.Reads++
 	d.mReadBytes.AddAt(int64(d.env.Now()), uint64(io.n))
 	io.finishMedia()
 }
@@ -452,8 +447,7 @@ func (io *ssdIO) writeDone() {
 		}
 		d.persist(io.devByte, io.bufs[:len(io.segs)], keep)
 	}
-	d.WriteStats.Record(io.n, d.env.Now()-io.t0)
-	d.mWriteOps.Inc()
+	d.Ops.Writes++
 	d.mWriteBytes.AddAt(int64(d.env.Now()), uint64(io.n))
 	io.finishMedia()
 }
@@ -491,9 +485,7 @@ func (io *ssdIO) finishMedia() {
 			io.span.Phases(now-m, now, io.t0, now-m)
 		}
 	}
-	if d.tr != nil {
-		d.tr.Emit(d.env.Now(), "ssd", "complete", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(d.env.Now()-io.t0), d.cfg.Serial)
-	}
+	d.tr.Emit(d.env.Now(), "ssd", "complete", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(d.env.Now()-io.t0), d.cfg.Serial)
 	io.finish(nvme.StatusSuccess)
 }
 

@@ -244,8 +244,8 @@ func TestObserversDoNotGateFusedPath(t *testing.T) {
 		if n := strings.Count(io, " spawn "); n != 0 {
 			t.Errorf("%d processes spawned, want none:\n%s", n, io)
 		}
-		if h.dev.ReadStats.Ops != 1 || h.dev.WriteStats.Ops != 1 {
-			t.Errorf("device stats count %d reads, %d writes; want one each", h.dev.ReadStats.Ops, h.dev.WriteStats.Ops)
+		if h.dev.Ops.Reads != 1 || h.dev.Ops.Writes != 1 {
+			t.Errorf("device stats count %d reads, %d writes; want one each", h.dev.Ops.Reads, h.dev.Ops.Writes)
 		}
 	})
 }

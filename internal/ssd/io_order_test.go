@@ -37,9 +37,9 @@ func TestCommandStartsOneHopAfterDispatch(t *testing.T) {
 				pageTime = h.conn.Port.DMARead(page, nvme.PageSize, nil) - h.env.Now()
 			})
 		}
-		writes := h.dev.WriteStats.Ops
+		writes := h.dev.Ops.Writes
 		writeDone = h.env.Run() // the last event is the completion's interrupt
-		if h.dev.WriteStats.Ops != writes+1 {
+		if h.dev.Ops.Writes != writes+1 {
 			t.Fatal("the write did not execute")
 		}
 		return pageTime, writeDone

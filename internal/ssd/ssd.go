@@ -21,7 +21,6 @@ import (
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
-	"bmstore/internal/stats"
 	"bmstore/internal/trace"
 )
 
@@ -142,21 +141,23 @@ type SSD struct {
 	ioFree     []*ssdIO
 	stripeFree []*nandStripe
 
-	// ReadStats and WriteStats accumulate device-level I/O accounting,
-	// exposed to the BMS-Controller's I/O monitor.
-	ReadStats  stats.IOStats
-	WriteStats stats.IOStats
+	// Ops counts the reads and writes the device completed: the SMART log
+	// reports them, and the registry reads them at export as read_ops and
+	// write_ops. It lives apart from the SSD so that a registry outliving
+	// the rig (an obs.Set keeps every rig's) holds the counts, not the rig.
+	Ops *OpCounts
 
 	// Per-device instruments, cached at construction; all nil-safe no-ops
 	// when the environment has no metrics registry.
 	met         *obs.Registry
 	spanDev     uint32 // this device in the registry's span-alias domain
 	mMedia      *obs.Hist
-	mReadOps    *obs.Counter
-	mWriteOps   *obs.Counter
 	mReadBytes  *obs.Counter
 	mWriteBytes *obs.Counter
 }
+
+// OpCounts are the I/O commands an SSD completed.
+type OpCounts struct{ Reads, Writes uint64 }
 
 // New returns an unattached SSD. Call Attach to put it on a link.
 func New(env *sim.Env, cfg Config) *SSD {
@@ -175,6 +176,7 @@ func New(env *sim.Env, cfg Config) *SSD {
 		writePacer: sim.NewPacer(env, cfg.WriteBandwidth),
 		fwActive:   cfg.Firmware,
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
+		Ops:        new(OpCounts),
 	}
 	d.ctl = nvmet.New(env, d, 0, nvmet.Config{
 		FetchLatency: cfg.CmdLatency,
@@ -185,8 +187,9 @@ func New(env *sim.Env, cfg Config) *SSD {
 		d.spanDev = d.met.Device(cfg.Serial)
 		comp := d.met.Component("ssd/" + cfg.Serial)
 		d.mMedia = comp.Hist("media_ns")
-		d.mReadOps = comp.Counter("read_ops")
-		d.mWriteOps = comp.Counter("write_ops")
+		ops := d.Ops
+		comp.CounterOf("read_ops", func() uint64 { return ops.Reads })
+		comp.CounterOf("write_ops", func() uint64 { return ops.Writes })
 		d.mReadBytes = comp.RateCounter("read_bytes")
 		d.mWriteBytes = comp.RateCounter("write_bytes")
 	}
@@ -228,11 +231,9 @@ func (d *SSD) gone() bool {
 	if d.dropped {
 		return true
 	}
-	if d.flt != nil && d.flt.Dropped(d.cfg.Serial, d.env.Now()) {
+	if d.flt.Dropped(d.cfg.Serial, d.env.Now()) {
 		d.dropped = true
-		if d.tr != nil {
-			d.tr.Emit(d.env.Now(), "fault", "ssd-drop", 0, 0, d.cfg.Serial)
-		}
+		d.tr.Emit(d.env.Now(), "fault", "ssd-drop", 0, 0, d.cfg.Serial)
 	}
 	return d.dropped
 }
@@ -284,9 +285,7 @@ func (d *SSD) FetchStall(sqid uint16) sim.Time {
 	if end <= now {
 		return 0
 	}
-	if d.tr != nil {
-		d.tr.Emit(now, "fault", "ssd-stall", uint64(sqid), uint64(end-now), d.cfg.Serial)
-	}
+	d.tr.Emit(now, "fault", "ssd-stall", uint64(sqid), uint64(end-now), d.cfg.Serial)
 	return end - now
 }
 

@@ -484,8 +484,8 @@ func TestFlushAndStats(t *testing.T) {
 		if cpl := h.submit(p, 1, cmd); cpl.Status.IsError() {
 			t.Fatalf("flush: %#x", cpl.Status)
 		}
-		if h.dev.ReadStats.Ops != 1 || h.dev.WriteStats.Ops != 1 {
-			t.Fatalf("stats r=%d w=%d", h.dev.ReadStats.Ops, h.dev.WriteStats.Ops)
+		if h.dev.Ops.Reads != 1 || h.dev.Ops.Writes != 1 {
+			t.Fatalf("stats r=%d w=%d", h.dev.Ops.Reads, h.dev.Ops.Writes)
 		}
 	})
 }

@@ -7,8 +7,10 @@
 //
 // The tracer is deliberately dependency-free (virtual timestamps travel as
 // plain int64 nanoseconds) so the sim kernel can hold one without an import
-// cycle. Instrumentation sites cache a *Tracer and guard every emit with a
-// nil check, which keeps tracing literally free when disabled.
+// cycle. Instrumentation sites cache a *Tracer and call Emit on it whether
+// or not it is nil: a nil tracer is the off switch, and Emit inlines to one
+// nil check at the site, the discipline of internal/obs and of the fault
+// injector.
 package trace
 
 import (
@@ -80,7 +82,17 @@ func NewDigest() *Tracer { return New(Options{}) }
 // Callers must only pass values that are pure functions of the simulation
 // seed — no pointers, no map-iteration-order-dependent values, no wall
 // clock — or the digest stops being a determinism witness.
+//
+// Emit on a nil tracer does nothing. It is kept small enough to inline, so
+// an untraced site costs its arguments and one compare; `make lint` checks
+// that it still inlines.
 func (t *Tracer) Emit(at int64, subsys, kind string, a, b uint64, detail string) {
+	if t != nil {
+		t.emit(at, subsys, kind, a, b, detail)
+	}
+}
+
+func (t *Tracer) emit(at int64, subsys, kind string, a, b uint64, detail string) {
 	t.n++
 	h := mixU64(t.h, uint64(at))
 	h = mixString(h, subsys)

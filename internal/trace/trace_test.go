@@ -91,6 +91,9 @@ func TestEmptyDigest(t *testing.T) {
 	if !strings.HasPrefix(a.Digest(), "fnv64w:") {
 		t.Fatalf("digest %q", a.Digest())
 	}
+	// A nil tracer is tracing off: Emit on it does nothing.
+	var off *Tracer
+	off.Emit(1, "sim", "fire", 0, 0, "")
 }
 
 func TestDumpOutput(t *testing.T) {
