@@ -37,9 +37,8 @@ import (
 // Config describes a testbed: the host, the SSD population, and (for
 // BM-Store rigs) the engine and controller.
 type Config struct {
-	Seed    int64
-	Kernel  host.KernelProfile
-	MemSize uint64
+	Seed   int64
+	Kernel host.KernelProfile
 
 	NumSSDs int
 	// SSD returns the configuration of SSD i; nil means a P4510.
@@ -48,14 +47,7 @@ type Config struct {
 	// it off; integrity-sensitive work leaves it on.
 	CaptureData bool
 
-	Engine     engine.Config
-	Controller controller.Config
-	// BMCLatency is the console <-> card network + BMC forwarding delay.
-	BMCLatency sim.Time
-
-	// HostLinkLanes/SSDLinkLanes size the PCIe links (x16 / x4 defaults).
-	HostLinkLanes int
-	SSDLinkLanes  int
+	Engine engine.Config
 
 	// Timeline enables sampled request-timeline recording and worst-K tail
 	// forensics (see internal/obs/timeline), set via WithTimeline. When no
@@ -88,10 +80,6 @@ func (c *Config) Validate() error {
 	if c.NumSSDs <= 0 {
 		return fmt.Errorf("bmstore: config needs NumSSDs >= 1, got %d", c.NumSSDs)
 	}
-	if c.HostLinkLanes <= 0 || c.SSDLinkLanes <= 0 {
-		return fmt.Errorf("bmstore: config needs positive link lane counts, got host=%d ssd=%d",
-			c.HostLinkLanes, c.SSDLinkLanes)
-	}
 	if c.Kernel == (host.KernelProfile{}) {
 		return fmt.Errorf("bmstore: config needs a kernel profile (e.g. host.CentOS)")
 	}
@@ -111,18 +99,24 @@ func (c *Config) Validate() error {
 // 3.10 kernel, four 2 TB P4510s, a Gen3 x16 card slot.
 func DefaultConfig() Config {
 	return Config{
-		Seed:          42,
-		Kernel:        host.CentOS("3.10.0"),
-		MemSize:       768 << 30,
-		NumSSDs:       4,
-		CaptureData:   false,
-		Engine:        engine.DefaultConfig(),
-		Controller:    controller.DefaultConfig(),
-		BMCLatency:    80 * sim.Microsecond,
-		HostLinkLanes: 16,
-		SSDLinkLanes:  4,
+		Seed:        42,
+		Kernel:      host.CentOS("3.10.0"),
+		NumSSDs:     4,
+		CaptureData: false,
+		Engine:      engine.DefaultConfig(),
 	}
 }
+
+// The testbed's fixed hardware (Table III).
+const (
+	hostMemBytes = 768 << 30
+	// bmcLatency is the console <-> card network + BMC forwarding delay.
+	bmcLatency = 80 * sim.Microsecond
+	// hostLinkLanes/ssdLinkLanes size the PCIe links: the card's Gen3 x16
+	// slot and each SSD's x4.
+	hostLinkLanes = 16
+	ssdLinkLanes  = 4
+)
 
 // Testbed is a fully wired rig.
 type Testbed struct {
@@ -180,8 +174,8 @@ func newEnv(cfg *Config) *sim.Env {
 
 // newSSDLink builds one downstream (engine/host -> SSD) link, named so
 // fault rules can target it.
-func newSSDLink(env *sim.Env, lanes int, name string) *pcie.Link {
-	l := pcie.NewLink(env, lanes, 300*sim.Nanosecond)
+func newSSDLink(env *sim.Env, name string) *pcie.Link {
+	l := pcie.NewLink(env, ssdLinkLanes, 300*sim.Nanosecond)
 	l.Name = name
 	return l
 }
@@ -199,31 +193,31 @@ func NewBMStoreTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 		return nil, err
 	}
 	env := newEnv(&cfg)
-	h := host.New(env, cfg.MemSize, cfg.Kernel)
+	h := host.New(env, hostMemBytes, cfg.Kernel)
 	eng := engine.New(env, cfg.Engine)
 
 	tb := &Testbed{Env: env, Host: h, Engine: eng, cfg: cfg}
 
 	// The console speaks MCTP through the BMC: model the network hop both
-	// ways with BMCLatency.
+	// ways with bmcLatency.
 	var console *controller.Console
-	hostLink := pcie.NewLink(env, cfg.HostLinkLanes, 250*sim.Nanosecond)
+	hostLink := pcie.NewLink(env, hostLinkLanes, 250*sim.Nanosecond)
 	hostLink.Name = "host"
 	port := h.Connect(hostLink, eng, func(raw []byte) {
-		env.Schedule(cfg.BMCLatency, func() { console.Receive(raw) })
+		env.Schedule(bmcLatency, func() { console.Receive(raw) })
 	})
 	eng.AttachHost(port)
 	tb.EnginePort = port
 
 	for i := 0; i < cfg.NumSSDs; i++ {
 		dev := ssd.New(env, cfg.ssdConfig(i))
-		eng.AttachBackend(dev, newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)))
+		eng.AttachBackend(dev, newSSDLink(env, fmt.Sprintf("ssd%d", i)))
 		tb.SSDs = append(tb.SSDs, dev)
 	}
 
-	tb.Controller = controller.New(env, eng, cfg.Controller)
-	console = controller.NewConsole(env, cfg.Controller.EID, func(raw []byte) {
-		env.Schedule(cfg.BMCLatency, func() { port.VDMToDevice(raw) })
+	tb.Controller = controller.New(env, eng)
+	console = controller.NewConsole(env, controller.EID, func(raw []byte) {
+		env.Schedule(bmcLatency, func() { port.VDMToDevice(raw) })
 	})
 	tb.Console = console
 
@@ -248,11 +242,11 @@ func NewDirectTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 		return nil, err
 	}
 	env := newEnv(&cfg)
-	h := host.New(env, cfg.MemSize, cfg.Kernel)
+	h := host.New(env, hostMemBytes, cfg.Kernel)
 	tb := &Testbed{Env: env, Host: h, cfg: cfg}
 	for i := 0; i < cfg.NumSSDs; i++ {
 		dev := ssd.New(env, cfg.ssdConfig(i))
-		port := h.Connect(newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)), dev, nil)
+		port := h.Connect(newSSDLink(env, fmt.Sprintf("ssd%d", i)), dev, nil)
 		dev.Attach(port)
 		tb.SSDs = append(tb.SSDs, dev)
 		tb.SSDPorts = append(tb.SSDPorts, port)
@@ -329,5 +323,5 @@ func (tb *Testbed) AttachNative(p *sim.Proc, i int, dcfg host.DriverConfig) (*ho
 func (tb *Testbed) NewSSD(sc ssd.Config) (*ssd.SSD, *pcie.Link) {
 	sc.CaptureData = tb.cfg.CaptureData
 	dev := ssd.New(tb.Env, sc)
-	return dev, newSSDLink(tb.Env, tb.cfg.SSDLinkLanes, sc.Serial)
+	return dev, newSSDLink(tb.Env, sc.Serial)
 }

@@ -94,11 +94,177 @@ func main() { fmt.Println(lib.New()) }
 	}
 }
 
-// orphan is one export nothing reaches.
+// allowedUnreadFields are unexported struct fields under internal/ that no
+// non-test code reads, each with the reason it stays.
+var allowedUnreadFields = map[string]string{
+	"obs.Component.name": "obs TestInstanceNaming checks through it the numbered names Registry.Instance hands out",
+}
+
+// TestEveryFieldIsRead keeps dead state from accumulating: an unexported
+// struct field under internal/ must be read by a non-test file, or carry a
+// reason in allowedUnreadFields. A read is any use but the target of = or a
+// composite-literal key. Embedded fields are exempt, and so are the fields of
+// a struct type used as a map key, which hashing reads.
+func TestEveryFieldIsRead(t *testing.T) {
+	fset := token.NewFileSet()
+	mod, pkgs := parseModule(t, fset)
+	found, err := unreadFields(fset, pkgs, stdImporter(fset), mod+"/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := maps.Clone(allowedUnreadFields)
+	for _, o := range found {
+		if allowedUnreadFields[o.name] == "" {
+			t.Errorf("%v: no non-test code reads it; delete it, or add it to allowedUnreadFields with the reason", o)
+		}
+		delete(stale, o.name)
+	}
+	for name := range stale {
+		t.Errorf("allowedUnreadFields lists %s, which is read or no longer exists: delete the entry", name)
+	}
+}
+
+// TestFieldCheckFlagsAPlantedField proves the field check on a one-package
+// module: of a field read, one assigned and read, the fields of a map key
+// set only through a composite literal, an exported field and a field
+// assigned and set through a composite literal but never read, it flags
+// exactly the last.
+func TestFieldCheckFlagsAPlantedField(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "m/internal/lib/x.go", `package lib
+type key struct{ a, b int }
+type T struct {
+	read, written, planted int
+	Exported               int
+}
+func New() *T { return &T{planted: 1} }
+func (t *T) Set(v int) { t.written = v; t.planted = v }
+func (t *T) Get() int { return t.read + t.written }
+var seen = map[key]bool{}
+func Mark(a, b int) { seen[key{a: a, b: b}] = true }
+`, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, err := unreadFields(fset, map[string][]*ast.File{"m/internal/lib": {f}}, stdImporter(fset), "m/internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != 1 || found[0].name != "lib.T.planted" || found[0].kind != "field" {
+		t.Fatalf("flagged %v, want exactly lib.T.planted field", found)
+	}
+}
+
+// unreadFields type-checks pkgs and returns, in declaration order, the
+// unexported, non-embedded struct fields of the packages under scope that no
+// file in pkgs reads, leaving out the fields of struct types used as map
+// keys.
+func unreadFields(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, scope string) ([]orphan, error) {
+	m, err := typeCheck(fset, pkgs, std)
+	if err != nil {
+		return nil, err
+	}
+	paths := slices.Sorted(maps.Keys(pkgs))
+
+	// Every field in scope, named by the type it is declared in.
+	var fields []orphan
+	byObj := map[types.Object]int{}
+	addStruct := func(prefix string, expr ast.Expr) {
+		ast.Inspect(expr, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if !id.IsExported() && id.Name != "_" {
+							byObj[m.info.Defs[id]] = len(fields)
+							fields = append(fields, orphan{fset.Position(id.Pos()), prefix + "." + id.Name, "field"})
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, scope) {
+			continue
+		}
+		for _, f := range pkgs[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					addStruct(f.Name.Name+"."+n.Name.Name, n.Type)
+					return false
+				case *ast.StructType:
+					addStruct(f.Name.Name+".struct", n)
+					return false
+				}
+				return true
+			})
+		}
+	}
+
+	// Uses that only store: targets of = and composite-literal keys.
+	store := map[*ast.Ident]bool{}
+	for _, p := range paths {
+		for _, f := range pkgs[p] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						for _, lhs := range n.Lhs {
+							if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+								store[sel.Sel] = true
+							}
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						store[id] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	read := make([]bool, len(fields))
+	for id, obj := range m.info.Uses {
+		if i, ok := byObj[origin(obj)]; ok && !store[id] {
+			read[i] = true
+		}
+	}
+	// Hashing a map key reads every field of it.
+	var readAll func(types.Type)
+	readAll = func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if j, ok := byObj[st.Field(i).Origin()]; ok {
+					read[j] = true
+				}
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range m.info.Types {
+		if mt, ok := tv.Type.(*types.Map); ok {
+			readAll(mt.Key())
+		}
+	}
+
+	var out []orphan
+	for i, f := range fields {
+		if !read[i] {
+			out = append(out, f)
+		}
+	}
+	return out, nil
+}
+
+// orphan is one export nothing reaches, or one field nothing reads.
 type orphan struct {
 	pos  token.Position
 	name string // package.Name or package.Recv.Method
-	kind string // func, method, type or var
+	kind string // func, method, type, var or field
 }
 
 func (o orphan) String() string {
@@ -169,21 +335,11 @@ func parseModule(t *testing.T, fset *token.FileSet) (string, map[string][]*ast.F
 // funcs, methods, types and package-level vars of the packages under scope
 // that no file in pkgs uses outside the declaration itself.
 func orphans(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, scope string) ([]orphan, error) {
-	m := &moduleImporter{
-		fset: fset, files: pkgs, std: std,
-		done: map[string]*types.Package{},
-		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		},
+	m, err := typeCheck(fset, pkgs, std)
+	if err != nil {
+		return nil, err
 	}
 	paths := slices.Sorted(maps.Keys(pkgs))
-	for _, p := range paths {
-		if _, err := m.Import(p); err != nil {
-			return nil, err
-		}
-	}
 
 	// Every declaration in scope, with the extent its mentions of itself
 	// fall in; a method's receiver names its type without using it either.
@@ -337,6 +493,27 @@ func recvName(fd *ast.FuncDecl) string {
 		t = x.X
 	}
 	return t.(*ast.Ident).Name
+}
+
+// typeCheck type-checks every package in pkgs (import path → non-test files;
+// anything else is imported through std), recording their definitions, uses
+// and expression types in one shared Info.
+func typeCheck(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer) (*moduleImporter, error) {
+	m := &moduleImporter{
+		fset: fset, files: pkgs, std: std,
+		done: map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	for _, p := range slices.Sorted(maps.Keys(pkgs)) {
+		if _, err := m.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
 }
 
 // moduleImporter type-checks module packages from their parsed files, in

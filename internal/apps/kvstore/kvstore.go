@@ -19,29 +19,27 @@ import (
 
 // Config tunes the store.
 type Config struct {
-	MemtableBytes   int // flush threshold
-	L0CompactAt     int // number of L0 tables that triggers compaction
-	LevelRatio      int // size ratio between levels
-	BlockBytes      int // SSTable block size
-	WALBytes        uint64
-	GroupCommitWait sim.Time // WAL batching window
-	BloomBitsPerKey int
-	MaxLevels       int
+	MemtableBytes int // flush threshold
+	WALBytes      uint64
 }
 
 // DefaultConfig mirrors a small RocksDB instance.
 func DefaultConfig() Config {
 	return Config{
-		MemtableBytes:   4 << 20,
-		L0CompactAt:     4,
-		LevelRatio:      10,
-		BlockBytes:      16 << 10,
-		WALBytes:        64 << 20,
-		GroupCommitWait: 20 * sim.Microsecond,
-		BloomBitsPerKey: 10,
-		MaxLevels:       4,
+		MemtableBytes: 4 << 20,
+		WALBytes:      64 << 20,
 	}
 }
+
+// The store's fixed shape, that of a small RocksDB instance.
+const (
+	l0CompactAt     = 4        // number of L0 tables that triggers compaction
+	levelRatio      = 10       // size ratio between levels
+	blockBytes      = 16 << 10 // SSTable block size
+	groupCommitWait = 20 * sim.Microsecond
+	bloomBitsPerKey = 10
+	maxLevels       = 4
+)
 
 // Store is one LSM instance.
 type Store struct {
@@ -75,14 +73,14 @@ type Store struct {
 // Open initialises (or recovers) a store on dev: it loads the manifest,
 // reopens the live tables, and replays WAL records newer than the tables.
 func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, error) {
-	if cfg.BlockBytes%dev.BlockSize() != 0 {
-		return nil, fmt.Errorf("kvstore: block size %d not a multiple of device blocks", cfg.BlockBytes)
+	if blockBytes%dev.BlockSize() != 0 {
+		return nil, fmt.Errorf("kvstore: block size %d not a multiple of device blocks", blockBytes)
 	}
 	walBlocks := cfg.WALBytes / uint64(dev.BlockSize())
 	s := &Store{
 		env: env, dev: dev, cfg: cfg,
 		mem:    newMemtable(),
-		levels: make([][]*table, cfg.MaxLevels),
+		levels: make([][]*table, maxLevels),
 		alloc:  newAllocator(manifestBlocks+walBlocks, dev.CapacityBlocks()),
 	}
 	s.wal = newWAL(s, manifestBlocks, walBlocks)
@@ -237,7 +235,7 @@ func (s *Store) startFlush() {
 			ev.Trigger(nil)
 		}
 		s.flushDone = nil
-		if len(s.levels[0]) >= s.cfg.L0CompactAt && !s.compBusy {
+		if len(s.levels[0]) >= l0CompactAt && !s.compBusy {
 			s.startCompaction()
 		}
 	})
@@ -248,7 +246,7 @@ func (s *Store) startCompaction() {
 	s.compBusy = true
 	s.env.Go("kv/compact", func(cp *sim.Proc) {
 		defer func() { s.compBusy = false }()
-		for lvl := 0; lvl < s.cfg.MaxLevels-1; lvl++ {
+		for lvl := 0; lvl < maxLevels-1; lvl++ {
 			if !s.levelOverflow(lvl) {
 				continue
 			}
@@ -265,11 +263,11 @@ func (s *Store) startCompaction() {
 
 func (s *Store) levelOverflow(lvl int) bool {
 	if lvl == 0 {
-		return len(s.levels[0]) >= s.cfg.L0CompactAt
+		return len(s.levels[0]) >= l0CompactAt
 	}
 	budget := s.cfg.MemtableBytes
 	for i := 0; i < lvl; i++ {
-		budget *= s.cfg.LevelRatio
+		budget *= levelRatio
 	}
 	var size int
 	for _, t := range s.levels[lvl] {
@@ -302,7 +300,7 @@ func (s *Store) compactLevel(p *sim.Proc, lvl int) error {
 		iters = append(iters, it)
 	}
 	merged := mergeScanAll(iters)
-	if lvl+1 == s.cfg.MaxLevels-1 {
+	if lvl+1 == maxLevels-1 {
 		kept := merged[:0]
 		for _, kv := range merged {
 			if kv.Value != nil {

@@ -211,6 +211,38 @@ func TestReopenAfterCleanFlush(t *testing.T) {
 	})
 }
 
+// TestFlushDuringAWALWriteReturns: a Flush that arrives while a group
+// commit's device write is in flight, with no Put after it, returns once that
+// write is durable instead of waiting for an append that never comes.
+func TestFlushDuringAWALWriteReturns(t *testing.T) {
+	r := newRig(t)
+	flushed := false
+	main := r.env.Go("test", func(p *sim.Proc) {
+		s, err := kvstore.Open(p, r.env, r.drv.BlockDev(0), smallCfg())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		put := r.env.Go("put", func(pp *sim.Proc) {
+			if err := s.Put(pp, key(1), val(1)); err != nil {
+				t.Error(err)
+			}
+		})
+		// The batch's write starts when the 20 µs group-commit window
+		// closes and is still in flight 2 µs later.
+		p.Sleep(22 * sim.Microsecond)
+		if err := s.Flush(p); err != nil {
+			t.Error(err)
+		}
+		flushed = true
+		p.Wait(put.Done())
+	})
+	if _, diag := r.env.RunUntilEventWatched(main.Done(), sim.Second); diag != nil {
+		t.Fatalf("flushed=%v: %v", flushed, diag)
+	}
+	r.env.Shutdown()
+}
+
 func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {

@@ -38,7 +38,7 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	bs := s.cfg.BlockBytes
+	bs := blockBytes
 	t := &table{s: s}
 
 	// Build the table image in one buffer, each record encoded where it
@@ -55,7 +55,7 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 			all = append(all, make([]byte, bs-fill)...)
 		}
 	}
-	t.bloom = newBloom(len(kvs), s.cfg.BloomBitsPerKey)
+	t.bloom = newBloom(len(kvs))
 	for _, kv := range kvs {
 		n := recordLen(kv.Key, kv.Value)
 		if n > bs {
@@ -120,7 +120,7 @@ func appendMeta(b []byte, t *table) []byte {
 
 // readDataBlock fetches data block i (one table block) from the device.
 func (t *table) readDataBlock(p *sim.Proc, i int) ([]byte, error) {
-	bs := t.s.cfg.BlockBytes
+	bs := blockBytes
 	devBS := t.s.dev.BlockSize()
 	perTB := uint64(bs / devBS)
 	buf := make([]byte, bs)
@@ -215,7 +215,7 @@ func decodeBlock(b []byte) []KV {
 // openTable reconstructs a table from its manifest descriptor by reading
 // the metadata blocks (index, bloom) back from the device.
 func (s *Store) openTable(p *sim.Proc, d tableDesc) (*table, error) {
-	bs := s.cfg.BlockBytes
+	bs := blockBytes
 	devBS := s.dev.BlockSize()
 	perTB := uint64(bs / devBS)
 	dataDev := uint64(d.NDataBlocks) * perTB
@@ -288,22 +288,10 @@ type bloomFilter struct {
 	k    int
 }
 
-func newBloom(n, bitsPerKey int) bloomFilter {
-	if n < 1 {
-		n = 1
-	}
-	nBits := n * bitsPerKey
-	if nBits < 64 {
-		nBits = 64
-	}
-	k := bitsPerKey * 69 / 100 // ln2 * bitsPerKey
-	if k < 1 {
-		k = 1
-	}
-	if k > 8 {
-		k = 8
-	}
-	return bloomFilter{bits: make([]byte, (nBits+7)/8), k: k}
+// newBloom sizes a filter for n keys at bloomBitsPerKey bits each.
+func newBloom(n int) bloomFilter {
+	nBits := max(n*bloomBitsPerKey, 64)
+	return bloomFilter{bits: make([]byte, (nBits+7)/8), k: bloomBitsPerKey * 69 / 100} // ln2 * bits per key
 }
 
 func bloomHash(key []byte) (uint32, uint32) {

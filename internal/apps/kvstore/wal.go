@@ -141,11 +141,13 @@ func (w *wal) append(p *sim.Proc, key, value []byte) (uint64, error) {
 
 // commitLoop gathers appends for the group-commit window, writes the batch
 // in whole blocks (never wrapping mid-batch, so recovery can parse batches
-// at block granularity), and wakes every waiter.
+// at block granularity), and wakes every waiter. It runs while anyone waits,
+// so a sync that arrives during a batch's write is woken by the next round,
+// which writes nothing if no append came.
 func (w *wal) commitLoop(p *sim.Proc) {
 	defer func() { w.flushing = false }()
-	for len(w.pending) > 0 {
-		p.Sleep(w.s.cfg.GroupCommitWait)
+	for len(w.pending) > 0 || len(w.waiters) > 0 {
+		p.Sleep(groupCommitWait)
 		batch := w.pending
 		waiters := w.waiters
 		w.pending = w.spare[:0]
@@ -156,13 +158,15 @@ func (w *wal) commitLoop(p *sim.Proc) {
 		if nBlocks > w.blocks {
 			panic("kvstore: WAL batch larger than the whole ring")
 		}
-		if w.writeBlock+nBlocks > w.blocks {
-			w.writeBlock = 0 // keep the batch contiguous
-		}
-		// Zero-pad to whole blocks in place.
-		batch = append(batch, make([]byte, int(nBlocks)*bs-len(batch))...)
-		if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), batch); err == nil {
-			w.writeBlock += nBlocks
+		if nBlocks > 0 {
+			if w.writeBlock+nBlocks > w.blocks {
+				w.writeBlock = 0 // keep the batch contiguous
+			}
+			// Zero-pad to whole blocks in place.
+			batch = append(batch, make([]byte, int(nBlocks)*bs-len(batch))...)
+			if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), batch); err == nil {
+				w.writeBlock += nBlocks
+			}
 		}
 		w.spare = batch
 		for _, ev := range waiters {

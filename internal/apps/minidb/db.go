@@ -15,7 +15,6 @@ import (
 type Config struct {
 	PoolPages          int
 	RedoBytes          uint64
-	GroupCommitWait    sim.Time
 	CheckpointInterval sim.Time
 }
 
@@ -24,7 +23,6 @@ func DefaultConfig() Config {
 	return Config{
 		PoolPages:          2048, // 32 MB buffer pool
 		RedoBytes:          64 << 20,
-		GroupCommitWait:    20 * sim.Microsecond,
 		CheckpointInterval: 500 * sim.Millisecond,
 	}
 }
@@ -95,7 +93,7 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*DB, err
 	if pageBase+64*blocksPerPage > dev.CapacityBlocks() {
 		return nil, fmt.Errorf("minidb: device too small for layout")
 	}
-	db.pool = newPager(env, dev, pageBase, cfg.PoolPages)
+	db.pool = newPager(dev, pageBase, cfg.PoolPages)
 	db.redo = &redoLog{db: db, baseBlock: redoBase, blocks: redoBlks, nextLSN: 1}
 
 	sb, haveSuper, err := db.readSuper(p)

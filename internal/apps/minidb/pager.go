@@ -61,7 +61,6 @@ func (f *frame) image(dst []byte) {
 // pager is the buffer pool plus the on-disk page file. Pages live after
 // the superblock and redo regions.
 type pager struct {
-	env      *sim.Env
 	dev      host.BlockDevice
 	baseBlk  uint64 // first device block of the page region
 	capacity int    // pool size in frames
@@ -98,9 +97,9 @@ func (pg *pager) markClean(f *frame) {
 	}
 }
 
-func newPager(env *sim.Env, dev host.BlockDevice, baseBlk uint64, poolPages int) *pager {
+func newPager(dev host.BlockDevice, baseBlk uint64, poolPages int) *pager {
 	return &pager{
-		env: env, dev: dev, baseBlk: baseBlk, capacity: poolPages,
+		dev: dev, baseBlk: baseBlk, capacity: poolPages,
 		frames: make(map[pageID]*frame),
 	}
 }

@@ -29,10 +29,10 @@ type redoLog struct {
 	spare    []byte
 	waiters  []*sim.Event
 	flushing bool
-
-	// Commits counts group-commit flushes (observability).
-	Commits uint64
 }
+
+// groupCommitWait is the redo log's batching window.
+const groupCommitWait = 20 * sim.Microsecond
 
 // crc u32 | lsn u64 | key u64 | rowLen u32.
 const redoHeader = 24
@@ -100,7 +100,7 @@ func (r *redoLog) commitWait(p *sim.Proc) {
 func (r *redoLog) flushLoop(p *sim.Proc) {
 	defer func() { r.flushing = false }()
 	for len(r.pending) > 0 || len(r.waiters) > 0 {
-		p.Sleep(r.db.cfg.GroupCommitWait)
+		p.Sleep(groupCommitWait)
 		batch := r.pending
 		waiters := r.waiters
 		r.pending = r.spare[:0]
@@ -117,7 +117,6 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 			if err := r.db.dev.WriteAt(p, r.baseBlock+r.writeBlock, uint32(nBlocks), batch); err == nil {
 				r.writeBlock += nBlocks
 			}
-			r.Commits++
 		}
 		r.spare = batch
 		for _, ev := range waiters {

@@ -17,7 +17,6 @@ import (
 // Config sizes a run.
 type Config struct {
 	TableSize int
-	RowBytes  int
 	Threads   int
 	Duration  sim.Time
 	Seed      string
@@ -29,9 +28,12 @@ type Config struct {
 
 // DefaultConfig is a scaled-down sbtest table.
 func DefaultConfig() Config {
-	return Config{TableSize: 50000, RowBytes: 190, Threads: 16, Duration: 2 * sim.Second,
+	return Config{TableSize: 50000, Threads: 16, Duration: 2 * sim.Second,
 		QueryCPU: 40 * sim.Microsecond}
 }
+
+// rowBytes is the size of an sbtest row.
+const rowBytes = 190
 
 // Result is one run's outcome.
 type Result struct {
@@ -83,7 +85,7 @@ func rowData(rng *rand.Rand, n int) []byte {
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
 	rng := rand.New(rand.NewSource(777))
 	for i := 0; i < cfg.TableSize; i++ {
-		if err := db.Put(p, uint64(i), rowData(rng, cfg.RowBytes)); err != nil {
+		if err := db.Put(p, uint64(i), rowData(rng, rowBytes)); err != nil {
 			return err
 		}
 	}
@@ -118,14 +120,14 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 				// 2 updates.
 				for i := 0; i < 2; i++ {
 					tp.Sleep(cfg.QueryCPU)
-					tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, cfg.RowBytes))
+					tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, rowBytes))
 					queries++
 				}
 				// delete + insert pair (modelled as a rewrite plus a fresh row).
 				tp.Sleep(2 * cfg.QueryCPU)
-				tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, cfg.RowBytes))
+				tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, rowBytes))
 				nextInsert++
-				tx.Write(nextInsert, rowData(rng, cfg.RowBytes))
+				tx.Write(nextInsert, rowData(rng, rowBytes))
 				queries += 2
 				if err := tx.Commit(tp); err != nil {
 					panic(fmt.Sprintf("sysbench: commit: %v", err))

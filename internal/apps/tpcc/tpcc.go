@@ -34,6 +34,13 @@ func k(table int, w, d, id uint64) uint64 {
 	return uint64(table)<<56 | w<<40 | d<<32 | id
 }
 
+// TPC-C's fixed shape: ten districts per warehouse, and the row size every
+// table is written with.
+const (
+	districtsPerWH = 10
+	rowBytes       = 220
+)
+
 // Config sizes the run. ItemsPerWarehouse and CustomersPerDistrict are
 // scaled from TPC-C's 100000/3000 to keep simulated load times sane; the
 // access skew and per-transaction row counts are preserved.
@@ -41,11 +48,8 @@ type Config struct {
 	Warehouses           int
 	ItemsPerWarehouse    int
 	CustomersPerDistrict int
-	DistrictsPerWH       int
-	RowBytes             int
 	Threads              int
 	Duration             sim.Time
-	Seed                 string
 	// QueryCPU models MySQL's CPU work per row access (parse, plan,
 	// buffer-pool bookkeeping), keeping the compute/storage balance
 	// realistic at scaled-down populations.
@@ -58,8 +62,6 @@ func DefaultConfig() Config {
 		Warehouses:           16,
 		ItemsPerWarehouse:    2000,
 		CustomersPerDistrict: 120,
-		DistrictsPerWH:       10,
-		RowBytes:             220,
 		Threads:              32,
 		Duration:             2 * sim.Second,
 		QueryCPU:             40 * sim.Microsecond,
@@ -112,7 +114,7 @@ func rowData(rng *rand.Rand, n int) []byte {
 // Load populates the database.
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
 	rng := rand.New(rand.NewSource(1234))
-	put := func(key uint64) error { return db.Put(p, key, rowData(rng, cfg.RowBytes)) }
+	put := func(key uint64) error { return db.Put(p, key, rowData(rng, rowBytes)) }
 	for w := 0; w < cfg.Warehouses; w++ {
 		wid := uint64(w)
 		if err := put(k(tWarehouse, wid, 0, 0)); err != nil {
@@ -123,7 +125,7 @@ func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
 				return err
 			}
 		}
-		for d := 0; d < cfg.DistrictsPerWH; d++ {
+		for d := 0; d < districtsPerWH; d++ {
 			did := uint64(d)
 			if err := put(k(tDistrict, wid, did, 0)); err != nil {
 				return err
@@ -150,7 +152,9 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	var orderSeq uint64
 	var done []*sim.Event
 	for th := 0; th < cfg.Threads; th++ {
-		rng := env.Rand(fmt.Sprintf("tpcc/%s/%d", cfg.Seed, th))
+		// The empty segment is part of the stream names the pinned runs
+		// draw from.
+		rng := env.Rand(fmt.Sprintf("tpcc//%d", th))
 		proc := env.Go(fmt.Sprintf("tpcc/t%d", th), func(tp *sim.Proc) {
 			for tp.Now() < end {
 				start := tp.Now()
@@ -200,7 +204,7 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 }
 
 func (c Config) anyW(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.Warehouses)) }
-func (c Config) anyD(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.DistrictsPerWH)) }
+func (c Config) anyD(rng *rand.Rand) uint64 { return uint64(rng.Intn(districtsPerWH)) }
 func (c Config) anyC(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.CustomersPerDistrict)) }
 func (c Config) anyI(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.ItemsPerWarehouse)) }
 
@@ -213,7 +217,7 @@ func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64
 	p.Sleep(4 * cfg.QueryCPU)
 	tx.Read(p, k(tWarehouse, w, 0, 0))
 	tx.Read(p, k(tDistrict, w, d, 0))
-	tx.Write(k(tDistrict, w, d, 0), rowData(rng, cfg.RowBytes)) // next_o_id++
+	tx.Write(k(tDistrict, w, d, 0), rowData(rng, rowBytes)) // next_o_id++
 	tx.Read(p, k(tCustomer, w, d, c))
 	lines := 5 + rng.Intn(11)
 	for l := 0; l < lines; l++ {
@@ -226,11 +230,11 @@ func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64
 		}
 		tx.Read(p, k(tItem, 0, 0, item))
 		tx.Read(p, k(tStock, sw, 0, item))
-		tx.Write(k(tStock, sw, 0, item), rowData(rng, cfg.RowBytes))
-		tx.Write(k(tOrderLine, w, d, seq<<4|uint64(l)), rowData(rng, cfg.RowBytes))
+		tx.Write(k(tStock, sw, 0, item), rowData(rng, rowBytes))
+		tx.Write(k(tOrderLine, w, d, seq<<4|uint64(l)), rowData(rng, rowBytes))
 	}
-	tx.Write(k(tOrder, w, d, seq), rowData(rng, cfg.RowBytes))
-	tx.Write(k(tNewOrder, w, d, seq), rowData(rng, cfg.RowBytes))
+	tx.Write(k(tOrder, w, d, seq), rowData(rng, rowBytes))
+	tx.Write(k(tNewOrder, w, d, seq), rowData(rng, rowBytes))
 	tx.Commit(p)
 }
 
@@ -241,12 +245,12 @@ func payment(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand) {
 	tx := db.Begin()
 	p.Sleep(7 * cfg.QueryCPU)
 	tx.Read(p, k(tWarehouse, w, 0, 0))
-	tx.Write(k(tWarehouse, w, 0, 0), rowData(rng, cfg.RowBytes))
+	tx.Write(k(tWarehouse, w, 0, 0), rowData(rng, rowBytes))
 	tx.Read(p, k(tDistrict, w, d, 0))
-	tx.Write(k(tDistrict, w, d, 0), rowData(rng, cfg.RowBytes))
+	tx.Write(k(tDistrict, w, d, 0), rowData(rng, rowBytes))
 	tx.Read(p, k(tCustomer, w, d, c))
-	tx.Write(k(tCustomer, w, d, c), rowData(rng, cfg.RowBytes))
-	tx.Write(k(tHistory, w, d, uint64(rng.Int63())>>20), rowData(rng, cfg.RowBytes))
+	tx.Write(k(tCustomer, w, d, c), rowData(rng, rowBytes))
+	tx.Write(k(tHistory, w, d, uint64(rng.Int63())>>20), rowData(rng, rowBytes))
 	tx.Commit(p)
 }
 
@@ -266,13 +270,13 @@ func delivery(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64
 	w := cfg.anyW(rng)
 	tx := db.Begin()
 	p.Sleep(10 * cfg.QueryCPU)
-	for d := 0; d < 10 && d < cfg.DistrictsPerWH; d++ {
+	for d := 0; d < districtsPerWH; d++ {
 		rows, _ := tx.ReadRange(p, k(tNewOrder, w, uint64(d), 0), 1)
 		if len(rows) == 0 {
 			continue
 		}
-		tx.Write(rows[0].Key, rowData(rng, cfg.RowBytes)) // mark delivered
-		tx.Write(k(tCustomer, w, uint64(d), cfg.anyC(rng)), rowData(rng, cfg.RowBytes))
+		tx.Write(rows[0].Key, rowData(rng, rowBytes)) // mark delivered
+		tx.Write(k(tCustomer, w, uint64(d), cfg.anyC(rng)), rowData(rng, rowBytes))
 	}
 	_ = seq
 	tx.Commit(p)

@@ -1,6 +1,6 @@
 // Package ycsb implements the Yahoo! Cloud Serving Benchmark core
-// workloads (A-F) against the kvstore engine, with the standard zipfian
-// and latest request distributions. It drives the paper's RocksDB
+// workloads against the kvstore engine, with the standard zipfian request
+// distribution. It drives the paper's RocksDB
 // experiments (Fig. 14's mixed-workload VMs).
 package ycsb
 
@@ -14,36 +14,25 @@ import (
 	"bmstore/internal/stats"
 )
 
-// Dist selects the request key distribution.
-type Dist int
-
-const (
-	DistZipfian Dist = iota
-	DistUniform
-	DistLatest
-)
-
-// Workload is one YCSB core workload definition. Proportions sum to 1.
+// Workload is one YCSB core workload definition: the proportions of reads,
+// updates and inserts, and scans of up to MaxScanLen records for the rest.
 type Workload struct {
 	Name       string
 	ReadProp   float64
 	UpdateProp float64
 	InsertProp float64
-	ScanProp   float64
-	RMWProp    float64
-	Dist       Dist
 	MaxScanLen int
 }
 
 // The standard core workloads.
 func WorkloadA() Workload {
-	return Workload{Name: "A", ReadProp: 0.5, UpdateProp: 0.5, Dist: DistZipfian}
+	return Workload{Name: "A", ReadProp: 0.5, UpdateProp: 0.5}
 }
 func WorkloadB() Workload {
-	return Workload{Name: "B", ReadProp: 0.95, UpdateProp: 0.05, Dist: DistZipfian}
+	return Workload{Name: "B", ReadProp: 0.95, UpdateProp: 0.05}
 }
 func WorkloadC() Workload {
-	return Workload{Name: "C", ReadProp: 1.0, Dist: DistZipfian}
+	return Workload{Name: "C", ReadProp: 1.0}
 }
 
 // Config sizes a run.
@@ -141,7 +130,7 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 		zipf := consts.withRand(rng)
 		proc := env.Go(fmt.Sprintf("ycsb/%s/t%d", wl.Name, th), func(tp *sim.Proc) {
 			for tp.Now() < end {
-				k := nextKey(wl, rng, zipf, inserted)
+				k := zipf.Next()
 				start := tp.Now()
 				var err error
 				switch pick(wl, rng) {
@@ -155,11 +144,6 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 				case opScan:
 					n := 1 + rng.Intn(wl.MaxScanLen)
 					_, err = s.Scan(tp, key(k), n)
-				case opRMW:
-					_, _, err = s.Get(tp, key(k))
-					if err == nil {
-						err = s.Put(tp, key(k), value(rng, cfg.ValueBytes))
-					}
 				}
 				if tp.Now() <= end {
 					res.Ops++
@@ -185,7 +169,6 @@ const (
 	opUpdate
 	opInsert
 	opScan
-	opRMW
 )
 
 func pick(wl Workload, rng *rand.Rand) op {
@@ -197,27 +180,8 @@ func pick(wl Workload, rng *rand.Rand) op {
 		return opUpdate
 	case x < wl.ReadProp+wl.UpdateProp+wl.InsertProp:
 		return opInsert
-	case x < wl.ReadProp+wl.UpdateProp+wl.InsertProp+wl.ScanProp:
+	default:
 		return opScan
-	default:
-		return opRMW
-	}
-}
-
-func nextKey(wl Workload, rng *rand.Rand, z *Zipfian, inserted int) int {
-	switch wl.Dist {
-	case DistUniform:
-		return rng.Intn(inserted)
-	case DistLatest:
-		// Skewed toward the most recent inserts.
-		off := z.Next()
-		k := inserted - 1 - off
-		if k < 0 {
-			k = 0
-		}
-		return k
-	default:
-		return z.Next()
 	}
 }
 

@@ -83,7 +83,7 @@ func TestWorkloadEScans(t *testing.T) {
 		if err := ycsb.Load(p, s, cfg); err != nil {
 			t.Fatal(err)
 		}
-		res := ycsb.Run(p, env, s, ycsb.Workload{Name: "E", ScanProp: 0.95, InsertProp: 0.05, Dist: ycsb.DistZipfian, MaxScanLen: 100}, cfg)
+		res := ycsb.Run(p, env, s, ycsb.Workload{Name: "E", InsertProp: 0.05, MaxScanLen: 100}, cfg)
 		if s.Stats.Scans == 0 {
 			t.Fatal("workload E produced no scans")
 		}

@@ -24,37 +24,26 @@ import (
 // Version is the BMS-Controller firmware revision reported to the console.
 const Version = "BMSC 1.0.3"
 
-// Config tunes the controller's timing model.
-type Config struct {
-	// AXILatency is charged per engine register access from the ARM side.
-	AXILatency sim.Time
-	// CtxSave/CtxRestore model the engine-context store/reload work around
-	// a firmware activation; together they are the ~100 ms "BM-Store
-	// processing time" of Table IX.
-	CtxSaveLatency    sim.Time
-	CtxRestoreLatency sim.Time
-	// MonitorInterval is the I/O monitor sampling period.
-	MonitorInterval sim.Time
-	// EID is the controller's MCTP endpoint ID.
-	EID uint8
-}
+// The controller's timing model, as deployed.
+const (
+	// axiLatency is charged per engine register access from the ARM side.
+	axiLatency = 2 * sim.Microsecond
+	// ctxSaveLatency/ctxRestoreLatency model the engine-context
+	// store/reload work around a firmware activation; together they are
+	// the ~100 ms "BM-Store processing time" of Table IX.
+	ctxSaveLatency    = 45 * sim.Millisecond
+	ctxRestoreLatency = 45 * sim.Millisecond
+	// monitorInterval is the I/O monitor sampling period.
+	monitorInterval = 100 * sim.Millisecond
+)
 
-// DefaultConfig matches the paper's deployment.
-func DefaultConfig() Config {
-	return Config{
-		AXILatency:        2 * sim.Microsecond,
-		CtxSaveLatency:    45 * sim.Millisecond,
-		CtxRestoreLatency: 45 * sim.Millisecond,
-		MonitorInterval:   100 * sim.Millisecond,
-		EID:               0x1D,
-	}
-}
+// EID is the controller's MCTP endpoint ID.
+const EID = 0x1D
 
 // Controller is one BMS-Controller instance bound to an engine.
 type Controller struct {
 	env *sim.Env
 	eng *engine.Engine
-	cfg Config
 	ep  *mctp.Endpoint
 	tr  *trace.Tracer
 
@@ -90,9 +79,9 @@ type MonitorSample struct {
 
 // New starts a controller on the engine: it claims the engine's VDM path,
 // spawns the command server and the I/O monitor.
-func New(env *sim.Env, eng *engine.Engine, cfg Config) *Controller {
+func New(env *sim.Env, eng *engine.Engine) *Controller {
 	c := &Controller{
-		env: env, eng: eng, cfg: cfg,
+		env: env, eng: eng,
 		tr:         env.Tracer(),
 		namespaces: make(map[string]*engine.Namespace),
 		reqQ:       sim.NewQueue[inbound](env, 0),
@@ -102,7 +91,7 @@ func New(env *sim.Env, eng *engine.Engine, cfg Config) *Controller {
 	}
 	nMI := c.nMI
 	env.Metrics().Component("bmsc").CounterOf("mi_cmds", func() uint64 { return *nMI })
-	c.ep = mctp.NewEndpoint(cfg.EID, func(raw []byte) { eng.VDMToHost(raw) })
+	c.ep = mctp.NewEndpoint(EID, func(raw []byte) { eng.VDMToHost(raw) })
 	if flt := env.Faults(); flt != nil {
 		// fault.MCTPRx rules targeting "controller" eat inbound packets on
 		// the card side of the out-of-band path.
@@ -134,7 +123,7 @@ func (c *Controller) logf(format string, args ...any) {
 }
 
 // axi charges one engine access over the AXI bus.
-func (c *Controller) axi(p *sim.Proc) { p.Sleep(c.cfg.AXILatency) }
+func (c *Controller) axi(p *sim.Proc) { p.Sleep(axiLatency) }
 
 // serve is the NVMe-MI command loop.
 func (c *Controller) serve(p *sim.Proc) {
@@ -436,7 +425,7 @@ func (c *Controller) health(p *sim.Proc, idx int) (HealthResp, error) {
 // counter registers over AXI and keeps a per-function rate history.
 func (c *Controller) runMonitor(p *sim.Proc) {
 	for {
-		p.Sleep(c.cfg.MonitorInterval)
+		p.Sleep(monitorInterval)
 		for fn := 0; fn < c.eng.NumFunctions(); fn++ {
 			id := pcie.FuncID(fn)
 			cur, ok := c.eng.Counters(id)
@@ -446,7 +435,7 @@ func (c *Controller) runMonitor(p *sim.Proc) {
 			c.axi(p)
 			prev := c.lastCtr[id]
 			c.lastCtr[id] = cur
-			dt := float64(c.cfg.MonitorInterval) / 1e9
+			dt := float64(monitorInterval) / 1e9
 			c.monitor[id] = append(c.monitor[id], MonitorSample{
 				AtMS:       float64(p.Now()) / 1e6,
 				ReadIOPS:   float64(cur.ReadOps-prev.ReadOps) / dt,
@@ -497,7 +486,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 	// 2. Quiesce: drain in-flight commands and store the I/O context.
 	tq := p.Now()
 	c.eng.QuiesceBackend(p, req.SSD)
-	p.Sleep(c.cfg.CtxSaveLatency)
+	p.Sleep(ctxSaveLatency)
 	c.tr.Emit(c.env.Now(), "bmsc", "hu-save", uint64(req.SSD), uint64(p.Now()-tq), "")
 
 	// 3. Activate. The commit completes, then the device drops off the bus.
@@ -513,7 +502,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 	tr := p.Now()
 
 	// 4. Restore: rebuild the backend queues and reload the I/O context.
-	p.Sleep(c.cfg.CtxRestoreLatency)
+	p.Sleep(ctxRestoreLatency)
 	if err := c.eng.ResumeBackend(p, req.SSD); err != nil {
 		return HotUpgradeResp{}, fmt.Errorf("resume: %w", err)
 	}

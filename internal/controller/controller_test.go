@@ -11,17 +11,12 @@ import (
 // monitor) is exercised end-to-end in the root bmstore package tests; this
 // file covers the pure pieces.
 
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.EID == 0 || cfg.EID == ConsoleEID {
-		t.Fatalf("controller EID %#x collides", cfg.EID)
-	}
-	if cfg.MonitorInterval <= 0 || cfg.AXILatency <= 0 {
-		t.Fatalf("bad timings %+v", cfg)
+func TestDeployedConstantsSane(t *testing.T) {
+	if EID == 0 || EID == ConsoleEID {
+		t.Fatalf("controller EID %#x collides", EID)
 	}
 	// The paper's ~100 ms BM-Store processing = save + restore.
-	total := cfg.CtxSaveLatency + cfg.CtxRestoreLatency
-	if total < 50e6 || total > 200e6 {
+	if total := ctxSaveLatency + ctxRestoreLatency; total < 50e6 || total > 200e6 {
 		t.Fatalf("context save+restore %v ns, want ~90-100 ms", total)
 	}
 }

@@ -47,8 +47,7 @@ type backend struct {
 	submitted *uint64
 	drainEv   *sim.Event
 
-	ready  bool
-	nextRR int
+	ready bool
 
 	// Data-path free lists (see pipeline.go).
 	submitFree []*beSubmit

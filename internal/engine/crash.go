@@ -182,7 +182,7 @@ func (e *Engine) enterCrash() {
 		if ns == nil {
 			continue
 		}
-		ns.mt = NewMappingTable(e.cfg.MTRows, e.cfg.ChunkBytes, ns.blockSize)
+		ns.mt = NewMappingTable(mtRows, e.cfg.ChunkBytes, ns.blockSize)
 		ns.chunks = nil
 	}
 	dropped := 0
@@ -281,7 +281,7 @@ func (e *Engine) RestoreCheckpoint(cp *Checkpoint) error {
 		if ns == nil {
 			return fmt.Errorf("engine: checkpoint has namespace %q on function %d but none is bound", nc.Name, nc.Fn)
 		}
-		mt := NewMappingTable(e.cfg.MTRows, e.cfg.ChunkBytes, ns.blockSize)
+		mt := NewMappingTable(mtRows, e.cfg.ChunkBytes, ns.blockSize)
 		for i, ent := range nc.Chunks {
 			if err := mt.Set(i, ent); err != nil {
 				return fmt.Errorf("engine: checkpoint chunk %d of %q: %w", i, nc.Name, err)

@@ -12,54 +12,51 @@ import (
 	"bmstore/internal/trace"
 )
 
-// Config holds the BMS-Engine's geometry and pipeline timings. The latency
-// knobs are calibrated so the whole engine adds roughly 3 µs to the I/O
-// path, matching Table V of the paper.
+// The BMS-Engine's fixed geometry and pipeline timings. The latencies are
+// calibrated so the whole engine adds roughly 3 µs to the I/O path,
+// matching Table V of the paper.
+const (
+	numPFs = 4   // physical functions exposed to the host
+	numVFs = 124 // virtual functions
+
+	mtRows       = 8        // mapping-table rows per namespace
+	chipMemBytes = 64 << 20 // on-chip RAM for back-end rings and PRP lists
+
+	fetchLatency      = 250 * sim.Nanosecond // SR-IOV layer + target controller, per SQE
+	mapLatency        = 300 * sim.Nanosecond // LBA mapping + QoS pipeline
+	forwardLatency    = 250 * sim.Nanosecond // host-adaptor submit stage
+	completeLatency   = 300 * sim.Nanosecond // CQE writeback stage
+	routeLatency      = 150 * sim.Nanosecond // DMA request routing per transaction
+	chipAccessLatency = 100 * sim.Nanosecond // chip-RAM access seen by back-end DMA
+
+	// stagingBandwidth is the engine DRAM bandwidth available to the
+	// store-and-forward path (per direction): one DDR4 channel's effective
+	// bandwidth.
+	stagingBandwidth = 6.4e9
+)
+
+// Every function's number fits the 7-bit global PRP tag.
+const _ uint = pcie.MaxFunctions - (numPFs + numVFs)
+
+// Config holds the BMS-Engine settings that callers choose.
 type Config struct {
-	NumPFs int // physical functions exposed to the host (4)
-	NumVFs int // virtual functions (124)
-
-	ChunkBytes uint64 // mapping chunk size (64 GB in production)
-	MTRows     int    // mapping-table rows per namespace (8 default)
-
-	ChipMemBytes  uint64 // on-chip RAM for back-end rings and PRP lists
+	ChunkBytes    uint64 // mapping chunk size (64 GB in production)
 	BackendQDepth uint32 // back-end submission queue depth
 	BackendQPairs int    // I/O queue pairs per back-end SSD
-
-	FetchLatency      sim.Time // SR-IOV layer + target controller, per SQE
-	MapLatency        sim.Time // LBA mapping + QoS pipeline
-	ForwardLatency    sim.Time // host-adaptor submit stage
-	CompleteLatency   sim.Time // CQE writeback stage
-	RouteLatency      sim.Time // DMA request routing per transaction
-	ChipAccessLatency sim.Time // chip-RAM access seen by back-end DMA
 
 	// StoreAndForward disables the global-PRP zero-copy routing: data is
 	// staged in engine DRAM and re-transferred, the naive design §IV-C
 	// argues against. It exists purely as an ablation — the bench shows
 	// the bandwidth/latency cost the DMA-routing mechanism avoids.
 	StoreAndForward bool
-	// StagingBandwidth is the engine DRAM bandwidth available to the
-	// store-and-forward path (per direction).
-	StagingBandwidth float64
 }
 
 // DefaultConfig returns the production-shaped configuration.
 func DefaultConfig() Config {
 	return Config{
-		NumPFs:            4,
-		NumVFs:            124,
-		ChunkBytes:        64 << 30,
-		MTRows:            8,
-		ChipMemBytes:      64 << 20,
-		BackendQDepth:     1024,
-		BackendQPairs:     4,
-		FetchLatency:      250 * sim.Nanosecond,
-		MapLatency:        300 * sim.Nanosecond,
-		ForwardLatency:    250 * sim.Nanosecond,
-		CompleteLatency:   300 * sim.Nanosecond,
-		RouteLatency:      150 * sim.Nanosecond,
-		ChipAccessLatency: 100 * sim.Nanosecond,
-		StagingBandwidth:  6.4e9, // one DDR4 channel's effective bandwidth
+		ChunkBytes:    64 << 30,
+		BackendQDepth: 1024,
+		BackendQPairs: 4,
 	}
 }
 
@@ -127,16 +124,13 @@ type Engine struct {
 // New constructs an engine. Attach it to the host link with pcie.Connect
 // (the engine is the RegDevice and VDMHandler) followed by AttachHost.
 func New(env *sim.Env, cfg Config) *Engine {
-	if cfg.NumPFs+cfg.NumVFs > pcie.MaxFunctions {
-		panic("engine: function count exceeds the 7-bit global PRP tag")
-	}
 	e := &Engine{
 		env:      env,
 		cfg:      cfg,
 		tr:       env.Tracer(),
 		met:      env.Metrics(),
 		flt:      env.Faults(),
-		chip:     hostmem.New(cfg.ChipMemBytes),
+		chip:     hostmem.New(chipMemBytes),
 		fe:       new(frontCounts),
 		Firmware: "BMS_1.0",
 	}
@@ -145,16 +139,12 @@ func New(env *sim.Env, cfg Config) *Engine {
 		comp.CounterOf("io_dispatched", func() uint64 { return fe.dispatched })
 		comp.CounterOf("flushes", func() uint64 { return fe.flushes })
 	}
-	e.funcs = make([]*function, cfg.NumPFs+cfg.NumVFs)
+	e.funcs = make([]*function, numPFs+numVFs)
 	for i := range e.funcs {
 		e.funcs[i] = newFunction(e, pcie.FuncID(i))
 	}
 	if cfg.StoreAndForward {
-		bw := cfg.StagingBandwidth
-		if bw <= 0 {
-			bw = 6.4e9
-		}
-		e.staging = sim.NewPacer(env, bw)
+		e.staging = sim.NewPacer(env, stagingBandwidth)
 	}
 	return e
 }
@@ -237,7 +227,7 @@ func (t backendTarget) DMAWrite(addr uint64, n int, data []byte) sim.Time {
 		if data != nil {
 			e.chip.Write(ChipAddr(addr), data)
 		}
-		return e.env.Now() + e.cfg.ChipAccessLatency
+		return e.env.Now() + chipAccessLatency
 	}
 	fn, hostAddr, _ := DecodeGlobalPRP(addr)
 	if int(fn) >= len(e.funcs) {
@@ -247,9 +237,9 @@ func (t backendTarget) DMAWrite(addr uint64, n int, data []byte) sim.Time {
 	if e.staging != nil {
 		// Ablation: land in engine DRAM first, then re-DMA to the host.
 		in := e.staging.Reserve(int64(n)) - e.env.Now()
-		return e.hostPort.DMAWrite(hostAddr, n, data) + in + e.cfg.RouteLatency
+		return e.hostPort.DMAWrite(hostAddr, n, data) + in + routeLatency
 	}
-	return e.hostPort.DMAWrite(hostAddr, n, data) + e.cfg.RouteLatency
+	return e.hostPort.DMAWrite(hostAddr, n, data) + routeLatency
 }
 
 func (t backendTarget) DMARead(addr uint64, n int, buf []byte) sim.Time {
@@ -258,7 +248,7 @@ func (t backendTarget) DMARead(addr uint64, n int, buf []byte) sim.Time {
 		if buf != nil {
 			e.chip.Read(ChipAddr(addr), buf)
 		}
-		return e.env.Now() + e.cfg.ChipAccessLatency
+		return e.env.Now() + chipAccessLatency
 	}
 	fn, hostAddr, _ := DecodeGlobalPRP(addr)
 	if int(fn) >= len(e.funcs) {
@@ -267,7 +257,7 @@ func (t backendTarget) DMARead(addr uint64, n int, buf []byte) sim.Time {
 	e.tr.Emit(e.env.Now(), "engine", "route-r", uint64(fn)<<48|hostAddr, uint64(n), "")
 	if e.staging != nil {
 		out := e.staging.Reserve(int64(n)) - e.env.Now()
-		return e.hostPort.DMARead(hostAddr, n, buf) + out + e.cfg.RouteLatency
+		return e.hostPort.DMARead(hostAddr, n, buf) + out + routeLatency
 	}
-	return e.hostPort.DMARead(hostAddr, n, buf) + e.cfg.RouteLatency
+	return e.hostPort.DMARead(hostAddr, n, buf) + routeLatency
 }

@@ -28,7 +28,7 @@ type function struct {
 func newFunction(e *Engine, id pcie.FuncID) *function {
 	f := &function{e: e, id: id}
 	f.ctl = nvmet.New(e.env, f, id, nvmet.Config{
-		FetchLatency: e.cfg.FetchLatency,
+		FetchLatency: fetchLatency,
 		FetchProc:    fmt.Sprintf("engine/fn%d/sq0", id),
 		ExecProc:     "engine/admin",
 	})

@@ -62,7 +62,7 @@ func (e *Engine) CreateNamespace(name string, sizeBytes uint64, ssds []int) (*Na
 		}
 	}
 	nChunks := int((sizeBytes + e.cfg.ChunkBytes - 1) / e.cfg.ChunkBytes)
-	mt := NewMappingTable(e.cfg.MTRows, e.cfg.ChunkBytes, ssd.BlockSize)
+	mt := NewMappingTable(mtRows, e.cfg.ChunkBytes, ssd.BlockSize)
 	if nChunks > mt.Slots() {
 		return nil, fmt.Errorf("engine: %d chunks exceed the %d-entry mapping table", nChunks, mt.Slots())
 	}

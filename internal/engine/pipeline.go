@@ -147,7 +147,7 @@ func (io *feIO) start() {
 		return
 	}
 	io.nBytes = int(io.nlb) * int(ns.blockSize)
-	e.env.After(e.cfg.MapLatency, io.mappedFn) // LBA mapping (step 2)
+	e.env.After(mapLatency, io.mappedFn) // LBA mapping (step 2)
 }
 
 func (io *feIO) mapped() {
@@ -217,7 +217,7 @@ func (io *feIO) forwardNext() {
 	if io.subIdx >= len(io.subs) {
 		return // all submitted; completions drive the rest
 	}
-	io.e.env.After(io.e.cfg.ForwardLatency, io.forwardSubFn)
+	io.e.env.After(forwardLatency, io.forwardSubFn)
 }
 
 func (io *feIO) forwardSub() {
@@ -441,7 +441,7 @@ func (b *backend) scheduleDone(fn func(nvme.Completion), cpl nvme.Completion) {
 		m.run = m.fire
 	}
 	m.fn, m.cpl = fn, cpl
-	b.e.env.Schedule(b.e.cfg.CompleteLatency, m.run)
+	b.e.env.Schedule(completeLatency, m.run)
 }
 
 func (m *doneMsg) fire() {

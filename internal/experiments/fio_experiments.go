@@ -46,7 +46,7 @@ func fig1Point(cfg bmstore.Config, sc Scale, cores int) float64 {
 	tb := mustTestbed(bmstore.NewDirectTestbed(cfg))
 	var bw float64
 	tb.Run(func(p *sim.Proc) {
-		tgt := spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), cores)
+		tgt := spdkvhost.NewTarget(tb.Env, cores)
 		var devs []host.BlockDevice
 		for i := 0; i < 4; i++ {
 			drv, err := tb.AttachNative(p, i, host.DefaultDriverConfig())

@@ -121,7 +121,7 @@ func (s *Scheme) Attach(p *sim.Proc, tb *bmstore.Testbed, disks []Disk, dcfg hos
 	}
 	var tgt *spdkvhost.Target
 	if s.vhost {
-		tgt = spdkvhost.NewTarget(tb.Env, spdkvhost.DefaultConfig(), len(disks))
+		tgt = spdkvhost.NewTarget(tb.Env, len(disks))
 	}
 	for i, d := range disks {
 		drv, err := s.attach(p, tb, i, d, dcfg)

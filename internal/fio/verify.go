@@ -22,16 +22,19 @@ type VerifySpec struct {
 	RegionBlocks uint64
 	Workers      int // concurrent depth-1 workers (default 2)
 	OpsPerWorker int // churn operations per worker (default 32)
-	WriteRatio   int // percent of churn ops that write (default 50)
-
-	PrefillBlocks int // blocks per prefill write (default 4)
-	SweepBlocks   int // blocks per sweep read (default 8)
-
-	// Grace is the quiet period between churn and sweep, letting timed-out
-	// commands' stragglers drain so the final read-back and the driver's CID
-	// books are both settled (default 50ms).
-	Grace sim.Time
 }
+
+// The verify workload's fixed shape.
+const (
+	verifyWriteRatio    = 50 // percent of churn ops that write
+	verifyPrefillBlocks = 4  // blocks per prefill write
+	verifySweepBlocks   = 8  // blocks per sweep read
+
+	// verifyGrace is the quiet period between churn and sweep, letting
+	// timed-out commands' stragglers drain so the final read-back and the
+	// driver's CID books are both settled.
+	verifyGrace = 50 * sim.Millisecond
+)
 
 // VerifyResult tallies the workload's acknowledged operations and errors.
 // Integrity verdicts live in the oracle, not here.
@@ -60,18 +63,6 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 	}
 	if spec.OpsPerWorker <= 0 {
 		spec.OpsPerWorker = 32
-	}
-	if spec.WriteRatio <= 0 {
-		spec.WriteRatio = 50
-	}
-	if spec.PrefillBlocks <= 0 {
-		spec.PrefillBlocks = 4
-	}
-	if spec.SweepBlocks <= 0 {
-		spec.SweepBlocks = 8
-	}
-	if spec.Grace <= 0 {
-		spec.Grace = 50 * sim.Millisecond
 	}
 	if len(devs) == 0 {
 		return nil, fmt.Errorf("fio: verify %q: no devices", spec.Name)
@@ -105,9 +96,9 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 		rng := env.Rand(fmt.Sprintf("chaos-verify/%s/w%d", spec.Name, w))
 		proc := env.Go(fmt.Sprintf("verify/%s/w%d", spec.Name, w), func(wp *sim.Proc) {
 			// Prefill the partition with multi-block tagged writes.
-			buf := make([]byte, spec.PrefillBlocks*bs)
+			buf := make([]byte, verifyPrefillBlocks*bs)
 			for off := uint64(0); off < span; {
-				n := uint64(spec.PrefillBlocks)
+				n := uint64(verifyPrefillBlocks)
 				if off+n > span {
 					n = span - off
 				}
@@ -126,7 +117,7 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 			one := buf[:bs]
 			for i := 0; i < spec.OpsPerWorker; i++ {
 				lba := base + uint64(rng.Int63n(int64(span)))
-				if rng.Intn(100) < spec.WriteRatio {
+				if rng.Intn(100) < verifyWriteRatio {
 					gen, ok := o.BeginWrite(lba, 1)
 					if !ok {
 						continue // wounded by an earlier indeterminate write
@@ -149,15 +140,15 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 
 	// Quiet period: let stragglers from timed-out commands land before the
 	// final verdicts are taken.
-	p.Sleep(spec.Grace)
+	p.Sleep(verifyGrace)
 
 	// Sweep every partition from the device that wrote it.
-	sweep := make([]byte, spec.SweepBlocks*bs)
+	sweep := make([]byte, verifySweepBlocks*bs)
 	for w := 0; w < spec.Workers; w++ {
 		dev := devs[w%len(devs)]
 		base := uint64(w) * span
 		for off := uint64(0); off < span; {
-			n := uint64(spec.SweepBlocks)
+			n := uint64(verifySweepBlocks)
 			if off+n > span {
 				n = span - off
 			}

@@ -70,20 +70,6 @@ type Options struct {
 	FWCommitMin sim.Time
 	FWCommitMax sim.Time
 
-	// PauseMinMS/MaxMS is the acceptance band for every upgrade's
-	// tenant-visible I/O pause. Defaults derive from the commit window:
-	// [0.5 x FWCommitMin, FWCommitMax + 400ms], which brackets the golden
-	// Table IX pauses (1480-1842ms at the fast scale) with the engine's
-	// ~100ms processing and queue-drain overhead on top.
-	PauseMinMS float64
-	PauseMaxMS float64
-
-	// Horizon is the per-host liveness watchdog budget (virtual time). A
-	// host that neither finishes nor deadlocks inside it is reported as
-	// stalled and fails its wave's health gate. Default: generous multiple
-	// of the planned window.
-	Horizon sim.Time
-
 	// Faults arms the same schedule on every host; FaultsByHost adds
 	// per-host rules on top (the planted-failure knob for gate tests).
 	Faults       []fault.Rule
@@ -135,22 +121,18 @@ func (o Options) withDefaults() Options {
 	if o.FWCommitMax <= 0 {
 		o.FWCommitMax = 1800 * sim.Millisecond
 	}
-	if o.PauseMinMS == 0 {
-		o.PauseMinMS = 0.5 * float64(o.FWCommitMin) / float64(sim.Millisecond)
-	}
-	if o.PauseMaxMS == 0 {
-		o.PauseMaxMS = float64(o.FWCommitMax)/float64(sim.Millisecond) + 400
-	}
-	if o.Horizon <= 0 {
-		// Planned window: warmup, one commit+cooldown per SSD, final
-		// cooldown — then x4 slack before declaring a host stalled.
-		planned := o.Warmup + sim.Time(o.SSDsPerHost)*(o.FWCommitMax+o.Cooldown) + o.Cooldown
-		o.Horizon = 4*planned + 10*sim.Second
-	}
 	if o.Traces == nil {
 		o.Traces = trace.NewSet(trace.Options{})
 	}
 	return o
+}
+
+// pauseBandMS is the acceptance band for every upgrade's tenant-visible I/O
+// pause, derived from the commit window: [0.5 x FWCommitMin, FWCommitMax +
+// 400ms], which brackets the golden Table IX pauses (1480-1842ms at the fast
+// scale) with the engine's ~100ms processing and queue-drain overhead on top.
+func (o Options) pauseBandMS() (lo, hi float64) {
+	return 0.5 * ms(o.FWCommitMin), ms(o.FWCommitMax) + 400
 }
 
 // UpgradeStats is the Table IX breakdown of one SSD hot-upgrade on one
@@ -212,6 +194,7 @@ func rigName(host int) string { return fmt.Sprintf("host%04d", host) }
 func Run(o Options) *Result {
 	o = o.withDefaults()
 	waves := (o.Hosts + o.WaveSize - 1) / o.WaveSize
+	pauseLo, pauseHi := o.pauseBandMS()
 	res := &Result{
 		Hosts:       o.Hosts,
 		WaveSize:    o.WaveSize,
@@ -219,7 +202,7 @@ func Run(o Options) *Result {
 		Seed:        o.Seed,
 		SSDsPerHost: o.SSDsPerHost,
 		FWCommitMS:  [2]float64{ms(o.FWCommitMin), ms(o.FWCommitMax)},
-		PauseBandMS: [2]float64{o.PauseMinMS, o.PauseMaxMS},
+		PauseBandMS: [2]float64{pauseLo, pauseHi},
 		AbortedWave: -1,
 		PerHost:     make([]HostResult, o.Hosts),
 	}
@@ -338,6 +321,12 @@ func runHost(o Options, hostIdx int) HostResult {
 		jobs = max(jobs, t.Jobs)
 	}
 
+	// The liveness watchdog: a host that neither finishes nor deadlocks
+	// inside four times its planned window (warmup, one commit+cooldown per
+	// SSD, final cooldown) plus 10s is stalled and fails its wave's gate.
+	planned := o.Warmup + sim.Time(o.SSDsPerHost)*(o.FWCommitMax+o.Cooldown) + o.Cooldown
+	horizon := 4*planned + 10*sim.Second
+
 	hr.hist = &stats.Hist{}
 	var ops, errs uint64
 	var drivers []*host.Driver
@@ -402,7 +391,7 @@ func runHost(o Options, hostIdx int) HostResult {
 			hr.Counters.SlotTimeouts += c.SlotTimeouts
 			hr.Counters.ZombiesLeft += c.ZombiesLeft
 		}
-	}, o.Horizon)
+	}, horizon)
 
 	if tb.Crash != nil {
 		st := tb.Crash.Stats()
@@ -440,10 +429,11 @@ func runHost(o Options, hostIdx int) HostResult {
 	if len(hr.Upgrades) != o.SSDsPerHost {
 		unhealthy("only %d/%d SSD upgrades ran", len(hr.Upgrades), o.SSDsPerHost)
 	}
+	pauseLo, pauseHi := o.pauseBandMS()
 	for _, u := range hr.Upgrades {
-		if u.Err == "" && (u.IOPauseMS < o.PauseMinMS || u.IOPauseMS > o.PauseMaxMS) {
+		if u.Err == "" && (u.IOPauseMS < pauseLo || u.IOPauseMS > pauseHi) {
 			unhealthy("ssd%d pause %.0fms outside band [%.0f, %.0f]ms",
-				u.SSD, u.IOPauseMS, o.PauseMinMS, o.PauseMaxMS)
+				u.SSD, u.IOPauseMS, pauseLo, pauseHi)
 		}
 	}
 	if c := hr.Counters; c.ZombiesLeft != 0 || c.Spurious != 0 ||

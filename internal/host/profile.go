@@ -48,7 +48,6 @@ func Fedora(version string) KernelProfile {
 
 // VMProfile is the additional tax of running the driver inside a guest.
 type VMProfile struct {
-	Name string
 	// ExtraSubmit is added on the submission path (mapped BARs make
 	// doorbell writes cheap; virtio kicks are costlier).
 	ExtraSubmit sim.Time
@@ -58,17 +57,14 @@ type VMProfile struct {
 	// with device time (exit handling, EOI, mapping) — it lowers the
 	// per-vCPU IOPS ceiling without stretching a lone I/O.
 	ExtraCPUPerIO sim.Time
-	VCPUs         int
 }
 
 // KVMGuest models the paper's VM configuration: 4 vCPUs, 4 GB, with
 // device interrupts posted into the guest.
 func KVMGuest() VMProfile {
 	return VMProfile{
-		Name:          "kvm-4vcpu",
 		ExtraSubmit:   400 * sim.Nanosecond,
 		ExtraComplete: 2100 * sim.Nanosecond,
 		ExtraCPUPerIO: 8200 * sim.Nanosecond,
-		VCPUs:         4,
 	}
 }

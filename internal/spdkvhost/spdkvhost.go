@@ -16,39 +16,24 @@ import (
 	"bmstore/internal/sim"
 )
 
-// Config tunes the vhost service model.
-type Config struct {
-	PerIOCost      sim.Time // fixed descriptor/NVMe handling per I/O
-	ReadNSPerByte  float64  // read-path per-byte core cost (ns/B)
-	WriteNSPerByte float64  // write-path per-byte core cost (ns/B)
-	PollDelay      sim.Time // queue pickup latency
-	// MultiDevPenalty divides a core's service rate when it polls queues
+// The calibrated vhost service model.
+const (
+	perIOCost      = 1500 * sim.Nanosecond // fixed descriptor/NVMe handling per I/O
+	readNSPerByte  = 0.481                 // read-path per-byte core cost (ns/B)
+	writeNSPerByte = 0.833                 // write-path per-byte core cost (ns/B)
+	pollDelay      = 300 * sim.Nanosecond  // queue pickup latency
+	// multiDevPenalty divides a core's service rate when it polls queues
 	// of more than one backing SSD (cache and NUMA churn).
-	MultiDevPenalty float64
-	// CrossCoreContention is the per-extra-core efficiency loss of a
+	multiDevPenalty = 0.61
+	// crossCoreContention is the per-extra-core efficiency loss of a
 	// multi-core target (shared ring and completion structures).
-	CrossCoreContention float64
+	crossCoreContention = 0.085
 
 	// Guest-side virtio costs.
-	GuestKick     sim.Time // virtio kick (pio exit) on submission
-	GuestIRQ      sim.Time // interrupt injection on completion
-	GuestCPUPerIO sim.Time // guest virtio-blk CPU tax per I/O (overlapped)
-}
-
-// DefaultConfig returns the calibrated model.
-func DefaultConfig() Config {
-	return Config{
-		PerIOCost:           1500 * sim.Nanosecond,
-		ReadNSPerByte:       0.481,
-		WriteNSPerByte:      0.833,
-		PollDelay:           300 * sim.Nanosecond,
-		MultiDevPenalty:     0.61,
-		CrossCoreContention: 0.085,
-		GuestKick:           900 * sim.Nanosecond,
-		GuestIRQ:            1900 * sim.Nanosecond,
-		GuestCPUPerIO:       7000 * sim.Nanosecond,
-	}
-}
+	guestKick     = 900 * sim.Nanosecond  // virtio kick (pio exit) on submission
+	guestIRQ      = 1900 * sim.Nanosecond // interrupt injection on completion
+	guestCPUPerIO = 7000 * sim.Nanosecond // guest virtio-blk CPU tax per I/O (overlapped)
+)
 
 // PolledKernel is the host-side profile the target drives SSDs with: SPDK's
 // userspace polled-mode driver has no interrupt path and negligible
@@ -65,7 +50,6 @@ func PolledKernel() host.KernelProfile {
 // Target is one vhost process with a set of dedicated polling cores.
 type Target struct {
 	env   *sim.Env
-	cfg   Config
 	cores []*vcore
 	nDevs int
 	eff   float64 // cross-core efficiency factor
@@ -80,12 +64,12 @@ type vcore struct {
 }
 
 // NewTarget creates a vhost target with the given number of polling cores.
-func NewTarget(env *sim.Env, cfg Config, cores int) *Target {
+func NewTarget(env *sim.Env, cores int) *Target {
 	if cores <= 0 {
 		panic("spdkvhost: need at least one core")
 	}
-	t := &Target{env: env, cfg: cfg}
-	t.eff = 1 / (1 + cfg.CrossCoreContention*float64(cores-1))
+	t := &Target{env: env}
+	t.eff = 1 / (1 + crossCoreContention*float64(cores-1))
 	for i := 0; i < cores; i++ {
 		t.cores = append(t.cores, &vcore{busy: sim.NewPacer(env, 1e9)})
 	}
@@ -100,7 +84,6 @@ type Device struct {
 	next    int
 	backend host.BlockDevice
 	guest   host.KernelProfile
-	vmName  string
 }
 
 // NewDevice exposes backend as a virtio-blk disk served by the given
@@ -124,19 +107,18 @@ func (t *Target) NewDevice(backend host.BlockDevice, guestKernel host.KernelProf
 // coreCost books core CPU time for one I/O leg and returns how long until
 // the core has done it.
 func (d *Device) coreCost(bytes int, read bool) sim.Time {
-	cfg := d.t.cfg
-	perByte := cfg.WriteNSPerByte
+	perByte := writeNSPerByte
 	if read {
-		perByte = cfg.ReadNSPerByte
+		perByte = readNSPerByte
 	}
 	// Each I/O passes the core twice (submit + complete legs); the fixed
 	// descriptor cost splits across them.
-	cost := float64(cfg.PerIOCost)/2 + perByte*float64(bytes)
+	cost := float64(perIOCost)/2 + perByte*float64(bytes)
 	c := d.cores[d.next%len(d.cores)]
 	d.next++
 	mult := 1.0 / d.t.eff
 	if c.devs > 1 {
-		mult /= cfg.MultiDevPenalty
+		mult /= multiDevPenalty
 	}
 	return c.busy.Reserve(int64(sim.Time(cost*mult))) - d.t.env.Now()
 }
@@ -182,7 +164,7 @@ func (d *Device) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done fu
 	r.d, r.op, r.lba, r.blocks, r.buf, r.done = d, op, lba, blocks, buf, done
 	r.n = int(blocks) * d.backend.BlockSize()
 	r.stage = picked
-	t.env.After(t.cfg.GuestKick+t.cfg.PollDelay, r.step)
+	t.env.After(guestKick+pollDelay, r.step)
 }
 
 // stage is where a vhost request stands: what its next step does.
@@ -238,7 +220,7 @@ func (r *vreq) onStep() {
 		d.backend.Submit(r.op, r.lba, r.blocks, r.buf, r.backendDone)
 	case coreDone:
 		r.stage = interrupted
-		env.After(r.t.cfg.GuestIRQ, r.step)
+		env.After(guestIRQ, r.step)
 	case interrupted:
 		done, oc := r.done, r.oc
 		r.d, r.buf, r.done = nil, nil, nil
@@ -260,5 +242,5 @@ func (r *vreq) onBackend(oc host.IOOutcome) {
 // PerIOCPU implements host.BlockDevice: the guest-side CPU tax (the vhost
 // cores' cost is modelled directly above).
 func (d *Device) PerIOCPU() sim.Time {
-	return d.guest.PerIOCPU + d.t.cfg.GuestCPUPerIO
+	return d.guest.PerIOCPU + guestCPUPerIO
 }

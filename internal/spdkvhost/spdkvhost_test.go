@@ -45,7 +45,7 @@ func newVhostRig(t *testing.T, cores int, capture bool) *vhostRig {
 	if err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	r.tgt = spdkvhost.NewTarget(env, spdkvhost.DefaultConfig(), cores)
+	r.tgt = spdkvhost.NewTarget(env, cores)
 	r.dev = r.tgt.NewDevice(drv.BlockDev(0), host.CentOS("3.10.0"))
 	return r
 }
@@ -149,7 +149,7 @@ func TestVhostMultiCoreScalingShape(t *testing.T) {
 	bw := func(cores int) float64 {
 		env := sim.NewEnv(9)
 		h := host.New(env, 768<<30, spdkvhost.PolledKernel())
-		tgt := spdkvhost.NewTarget(env, spdkvhost.DefaultConfig(), cores)
+		tgt := spdkvhost.NewTarget(env, cores)
 		var devs []host.BlockDevice
 		for i := 0; i < 4; i++ {
 			cfg := ssd.P4510("SN")

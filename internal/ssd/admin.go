@@ -65,7 +65,7 @@ func (d *SSD) adminIdentify(p *sim.Proc, cmd nvme.Command) nvme.Status {
 			Serial:        d.cfg.Serial,
 			Model:         d.cfg.Model,
 			Firmware:      d.fwActive,
-			NN:            uint32(d.cfg.MaxNamespaces),
+			NN:            maxNamespaces,
 			TotalCapBytes: d.cfg.CapacityBytes,
 		}
 		ic.Encode(page)
@@ -123,14 +123,14 @@ func (d *SSD) adminNSManagement(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Sta
 		if sizeLBA == 0 {
 			return 0, nvme.StatusInvalidField
 		}
-		if len(d.Namespaces()) >= d.cfg.MaxNamespaces {
+		if len(d.Namespaces()) >= maxNamespaces {
 			return 0, nvme.StatusNSIDUnavailable
 		}
 		if d.allocLBA+sizeLBA > d.totalLBAs {
 			return 0, nvme.StatusNSInsufficientCap
 		}
 		id := uint32(len(d.nss))
-		d.nss = append(d.nss, &namespace{id: id, startLBA: d.allocLBA, sizeLBA: sizeLBA})
+		d.nss = append(d.nss, &namespace{startLBA: d.allocLBA, sizeLBA: sizeLBA})
 		d.allocLBA += sizeLBA
 		return id, nvme.StatusSuccess
 	case 1: // delete
@@ -191,7 +191,6 @@ func (d *SSD) adminFWCommit(p *sim.Proc, cmd nvme.Command) nvme.Status {
 
 func (d *SSD) beginReset(dur sim.Time, newVer string) {
 	d.resetting = true
-	d.readyAt = d.env.Now() + dur
 	d.env.Schedule(dur, func() {
 		d.fwActive = newVer
 		d.fwStaged = nil

@@ -176,7 +176,7 @@ func (io *ssdIO) start() {
 	}
 	switch io.cmd.Opcode {
 	case nvme.IOFlush:
-		d.env.After(d.cfg.FlushLatency, io.flushDoneFn)
+		d.env.After(flushLatency, io.flushDoneFn)
 		return
 	case nvme.IORead, nvme.IOWrite, nvme.IOWriteZeroes:
 		// handled below
@@ -198,7 +198,7 @@ func (io *ssdIO) start() {
 	io.devByte = (ns.startLBA + slba) * BlockSize
 	if io.cmd.Opcode == nvme.IOWriteZeroes {
 		d.zeroBlocks(ns.startLBA+slba, nlb)
-		d.env.After(d.cfg.WriteCacheLatency, io.wzDoneFn)
+		d.env.After(writeCacheLatency, io.wzDoneFn)
 		return
 	}
 	io.n = int(nlb) * BlockSize
@@ -275,7 +275,7 @@ type hazards struct {
 // serving the operation's first stripe, so die-targeted rules model a single
 // failing NAND package. Callers hold a non-nil injector.
 func (d *SSD) mediaFault(devByte uint64) *fault.Rule {
-	die := int(devByte / uint64(d.cfg.StripeBytes) % uint64(d.cfg.Dies))
+	die := int(devByte / stripeBytes % dies)
 	r := d.flt.HitMedia(d.cfg.Serial, die, d.env.Now())
 	if r != nil {
 		d.tr.Emit(d.env.Now(), "fault", "media", uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
@@ -321,10 +321,10 @@ func (io *ssdIO) startMedia() {
 func (io *ssdIO) startRead() {
 	d := io.d
 	io.mt0 = d.env.Now()
-	stripes := (io.n + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
+	stripes := (io.n + stripeBytes - 1) / stripeBytes
 	if stripes == 1 {
 		// The jitter draw precedes the die acquire.
-		io.lat = d.jitter(d.cfg.NANDReadLatency)
+		io.lat = d.jitter(nandReadLatency)
 		io.acq0 = d.env.Now()
 		d.dies.AcquireCB(io.dieAcqFn)
 		return
@@ -333,7 +333,7 @@ func (io *ssdIO) startRead() {
 	// order now, and each stripe starts one queue hop later.
 	io.remaining = stripes
 	for i := 0; i < stripes; i++ {
-		s := d.getStripe(io, d.jitter(d.cfg.NANDReadLatency))
+		s := d.getStripe(io, d.jitter(nandReadLatency))
 		d.env.Schedule(0, s.startFn)
 	}
 }
@@ -431,7 +431,7 @@ func (io *ssdIO) writeFetched() {
 // the cache insertion.
 func (io *ssdIO) writePaced() {
 	d := io.d
-	d.env.After(d.jitter(d.cfg.WriteCacheLatency), io.writeDoneFn)
+	d.env.After(d.jitter(writeCacheLatency), io.writeDoneFn)
 }
 
 func (io *ssdIO) writeDone() {

@@ -24,33 +24,13 @@ import (
 	"bmstore/internal/trace"
 )
 
-// Config holds the performance and identity parameters of one SSD.
+// Config holds the identity, capacity and firmware window of one SSD.
 type Config struct {
 	Serial   string
 	Model    string
 	Firmware string
 
 	CapacityBytes uint64
-
-	// Read path.
-	Dies            int      // parallel NAND read units
-	NANDReadLatency sim.Time // per-stripe NAND array read
-	StripeBytes     int      // bytes one die serves per NAND read
-	ReadBandwidth   float64  // sustained internal read path, bytes/s
-
-	// Write path.
-	WriteCacheLatency sim.Time // cache-hit insertion latency
-	WriteBandwidth    float64  // sustained write admission, bytes/s
-
-	// Command front end.
-	CmdLatency   sim.Time // controller processing per command
-	FlushLatency sim.Time
-
-	// Jitter is the uniform relative spread (+/- fraction) applied to NAND
-	// and cache service times. Real flash arrays are not metronomes; this
-	// is what gives latency distributions their tails (the paper's
-	// Fig. 12) without moving the means the calibration targets.
-	Jitter float64
 
 	// Firmware activation: commit + controller reset duration bounds.
 	FWCommitMin sim.Time
@@ -60,33 +40,47 @@ type Config struct {
 	// returned. Benchmarks turn this off to avoid copying gigabytes that
 	// nothing inspects; integrity tests leave it on.
 	CaptureData bool
-
-	MaxNamespaces int
 }
 
-// P4510 returns a configuration calibrated against the paper's measured
-// native numbers for the 2 TB Intel P4510 (Table V and Fig. 8/10): ~77 µs
-// 4K QD1 reads, ~640 K random-read IOPS, 3.3 GB/s sequential read,
-// 1.45 GB/s sequential write, ~11.6 µs cached 4K writes.
+// The performance model is calibrated against the paper's measured native
+// numbers for the 2 TB Intel P4510 (Table V and Fig. 8/10): ~77 µs 4K QD1
+// reads, ~640 K random-read IOPS, 3.3 GB/s sequential read, 1.45 GB/s
+// sequential write, ~11.6 µs cached 4K writes.
+const (
+	// Read path.
+	dies            = 45                   // parallel NAND read units
+	nandReadLatency = 69 * sim.Microsecond // per-stripe NAND array read
+	stripeBytes     = 32 << 10             // bytes one die serves per NAND read
+	readBandwidth   = 3.31e9               // sustained internal read path, bytes/s
+
+	// Write path.
+	writeCacheLatency = 1500 * sim.Nanosecond // cache-hit insertion latency
+	writeBandwidth    = 1.45e9                // sustained write admission, bytes/s
+
+	// Command front end.
+	cmdLatency   = 700 * sim.Nanosecond // controller processing per command
+	flushLatency = 12 * sim.Microsecond
+
+	// jitterSpread is the uniform relative spread (+/- fraction) applied
+	// to NAND and cache service times. Real flash arrays are not
+	// metronomes; this is what gives latency distributions their tails
+	// (the paper's Fig. 12) without moving the means the calibration
+	// targets.
+	jitterSpread = 0.08
+
+	maxNamespaces = 32
+)
+
+// P4510 returns the identity of a 2 TB Intel P4510 with the given serial.
 func P4510(serial string) Config {
 	return Config{
-		Serial:            serial,
-		Model:             "INTEL SSDPE2KX020T8",
-		Firmware:          "VDV10131",
-		CapacityBytes:     2000 << 30, // 2 TB class
-		Dies:              45,
-		NANDReadLatency:   69 * sim.Microsecond,
-		StripeBytes:       32 << 10,
-		ReadBandwidth:     3.31e9,
-		WriteCacheLatency: 1500 * sim.Nanosecond,
-		WriteBandwidth:    1.45e9,
-		CmdLatency:        700 * sim.Nanosecond,
-		FlushLatency:      12 * sim.Microsecond,
-		Jitter:            0.08,
-		FWCommitMin:       5 * sim.Second,
-		FWCommitMax:       8 * sim.Second,
-		CaptureData:       true,
-		MaxNamespaces:     32,
+		Serial:        serial,
+		Model:         "INTEL SSDPE2KX020T8",
+		Firmware:      "VDV10131",
+		CapacityBytes: 2000 << 30, // 2 TB class
+		FWCommitMin:   5 * sim.Second,
+		FWCommitMax:   8 * sim.Second,
+		CaptureData:   true,
 	}
 }
 
@@ -94,7 +88,6 @@ func P4510(serial string) Config {
 const BlockSize = nvme.LBASize
 
 type namespace struct {
-	id       uint32
 	startLBA uint64 // offset into the flat device LBA space
 	sizeLBA  uint64
 }
@@ -132,7 +125,6 @@ type SSD struct {
 	store     blockTable // device LBA -> stored prefix of its 4K block (CaptureData mode; store.go)
 	spares    [][]byte   // whole arrays the store let go of, for staging slots and growing blocks (store.go)
 	slab      []byte     // the uncut rest of the allocation short blocks are carved from (store.go)
-	readyAt   sim.Time   // end of the current reset window
 	onReady   []func()
 	jitterRng *rand.Rand
 
@@ -161,9 +153,6 @@ type OpCounts struct{ Reads, Writes uint64 }
 
 // New returns an unattached SSD. Call Attach to put it on a link.
 func New(env *sim.Env, cfg Config) *SSD {
-	if cfg.Dies <= 0 || cfg.StripeBytes <= 0 {
-		panic("ssd: invalid die configuration")
-	}
 	d := &SSD{
 		env:        env,
 		cfg:        cfg,
@@ -171,15 +160,15 @@ func New(env *sim.Env, cfg Config) *SSD {
 		flt:        env.Faults(),
 		nss:        make([]*namespace, 1),
 		totalLBAs:  cfg.CapacityBytes / BlockSize,
-		dies:       sim.NewResource(env, cfg.Dies),
-		readPacer:  sim.NewPacer(env, cfg.ReadBandwidth),
-		writePacer: sim.NewPacer(env, cfg.WriteBandwidth),
+		dies:       sim.NewResource(env, dies),
+		readPacer:  sim.NewPacer(env, readBandwidth),
+		writePacer: sim.NewPacer(env, writeBandwidth),
 		fwActive:   cfg.Firmware,
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
 		Ops:        new(OpCounts),
 	}
 	d.ctl = nvmet.New(env, d, 0, nvmet.Config{
-		FetchLatency: cfg.CmdLatency,
+		FetchLatency: cmdLatency,
 		FetchProc:    "ssd/" + cfg.Serial + "/sq0",
 		ExecProc:     "ssd/exec",
 	})
@@ -196,13 +185,10 @@ func New(env *sim.Env, cfg Config) *SSD {
 	return d
 }
 
-// jitter spreads a nominal service time by the configured uniform factor,
+// jitter spreads a nominal service time by the calibrated uniform factor,
 // preserving its mean.
 func (d *SSD) jitter(t sim.Time) sim.Time {
-	if d.cfg.Jitter <= 0 {
-		return t
-	}
-	f := 1 + d.cfg.Jitter*(2*d.jitterRng.Float64()-1)
+	f := 1 + jitterSpread*(2*d.jitterRng.Float64()-1)
 	return sim.Time(float64(t) * f)
 }
 
