@@ -10,10 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Twelve seconds of native fuzzing, split over the eleven targets: the event
+# Thirteen seconds of native fuzzing, split over the twelve targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
-# against math/rand's under any seed and draw program (internal/sim
-# FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
+# against math/rand's under any seed and draw program, Text's bulk letters
+# included (internal/sim FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
 # pages and record streams, each differentially against the copying decoder
 # it replaced (minidb FuzzLeafCodec, kvstore FuzzDecodeRecords), the
 # target controller's PRP-list fetch against a one-shot walk over resident
@@ -34,7 +34,9 @@ test:
 # memory under any program of writes, reads and words across short pieces'
 # ends and page edges and loans of a lendable range, every read path against
 # a flat reference and each page short exactly when everything written to it
-# lies in its first 256 bytes (internal/hostmem FuzzMemory).
+# lies in its first 256 bytes (internal/hostmem FuzzMemory), and the fault
+# spec language under any string: an error, or rules at known points with no
+# negative time, latency or die (internal/fault FuzzParseSpec).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -49,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetLoad$$' -fuzztime 1s -fuzzminimizetime 100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 1s ./internal/ssd
 	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 1s ./internal/hostmem
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 1s ./internal/fault
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

@@ -94,6 +94,74 @@ func TestPutGetBasics(t *testing.T) {
 	})
 }
 
+// TestStoreCopiesWhatItKeeps: the store keeps its own copy of every key and
+// value handed to Put and reads a Get's or Scan's key only during the call,
+// so a caller may refill one key and one value buffer per operation, as the
+// YCSB clients do. After every call the test scribbles over the buffers it
+// passed, then reads everything back — from the memtable, from the tables
+// the scribbled memtables were flushed to, and through a scan.
+func TestStoreCopiesWhatItKeeps(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		s, err := kvstore.Open(p, r.env, r.drv.BlockDev(0), smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kb, vb []byte
+		scribble := func() {
+			for i := range kb {
+				kb[i] = '#'
+			}
+			for i := range vb {
+				vb[i] = '#'
+			}
+		}
+		want := func(i int) []byte { return append(val(i), "-v2"...) }
+		for i := 0; i < 3000; i++ { // several memtables' worth
+			kb, vb = append(kb[:0], key(i)...), append(vb[:0], val(i)...)
+			if err := s.Put(p, kb, vb); err != nil {
+				t.Fatal(err)
+			}
+			scribble()
+		}
+		for i := 2990; i < 3000; i++ { // an update keeps the stored key
+			kb, vb = append(kb[:0], key(i)...), append(vb[:0], want(i)...)
+			if err := s.Put(p, kb, vb); err != nil {
+				t.Fatal(err)
+			}
+			scribble()
+		}
+		for i := 0; i < 3000; i++ {
+			kb = append(kb[:0], key(i)...)
+			v, ok, err := s.Get(p, kb)
+			scribble()
+			w := val(i)
+			if i >= 2990 {
+				w = want(i)
+			}
+			if err != nil || !ok || !bytes.Equal(v, w) {
+				t.Fatalf("get %d: %q ok=%v err=%v, want %q", i, v, ok, err, w)
+			}
+		}
+		kb = append(kb[:0], key(2985)...)
+		got, err := s.Scan(p, kb, 10)
+		scribble()
+		if err != nil || len(got) != 10 {
+			t.Fatalf("scan: %d rows, err=%v", len(got), err)
+		}
+		for j, kv := range got {
+			i := 2985 + j
+			w := val(i)
+			if i >= 2990 {
+				w = want(i)
+			}
+			if !bytes.Equal(kv.Key, key(i)) || !bytes.Equal(kv.Value, w) {
+				t.Fatalf("scan row %d = %q=%q, want %q=%q", j, kv.Key, kv.Value, key(i), w)
+			}
+		}
+	})
+}
+
 func TestFlushAndTableReads(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {

@@ -7,7 +7,6 @@ package sysbench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"bmstore/internal/apps/minidb"
 	"bmstore/internal/sim"
@@ -62,30 +61,17 @@ func (r *Result) QPS() float64 {
 // AvgLatencyMS returns mean transaction latency in milliseconds.
 func (r *Result) AvgLatencyMS() float64 { return r.Lat.Mean() / 1e6 }
 
-// rowData draws n digits, each exactly as rng.Intn(10) would: math/rand
-// takes the top 31 bits of one Int63 and redraws while they fall in the
-// short last cycle of 10, so the stream of Int63 draws — and every key
-// choice made from rng afterwards — is the one Intn produces. The test
-// beside this file holds the two streams against each other.
-func rowData(rng *rand.Rand, n int) []byte {
-	const digits = 10
-	const limit = int32(1<<31 - 1 - (1<<31)%digits)
-	b := make([]byte, n)
-	for i := range b {
-		x := int32(rng.Int63() >> 32)
-		for x > limit {
-			x = int32(rng.Int63() >> 32)
-		}
-		b[i] = byte('0' + x%digits)
-	}
-	return b
-}
+// digits is the alphabet of a row.
+const digits = "0123456789"
 
-// Load populates the sbtest table.
+// Load populates the sbtest table. The database keeps its own copy of each
+// row, so one buffer serves every row.
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
-	rng := rand.New(rand.NewSource(777))
+	rng := sim.NewRand(777)
+	row := make([]byte, rowBytes)
 	for i := 0; i < cfg.TableSize; i++ {
-		if err := db.Put(p, uint64(i), rowData(rng, rowBytes)); err != nil {
+		rng.Text(row, digits)
+		if err := db.Put(p, uint64(i), row); err != nil {
 			return err
 		}
 	}
@@ -100,6 +86,12 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	var done []*sim.Event
 	for th := 0; th < cfg.Threads; th++ {
 		rng := env.Rand(fmt.Sprintf("sysbench/%s/%d", cfg.Seed, th))
+		// Txn.Write copies the row, so a thread refills one buffer per write.
+		buf := make([]byte, rowBytes)
+		row := func() []byte {
+			rng.Text(buf, digits)
+			return buf
+		}
 		proc := env.Go(fmt.Sprintf("sysbench/t%d", th), func(tp *sim.Proc) {
 			for tp.Now() < end {
 				start := tp.Now()
@@ -120,14 +112,14 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 				// 2 updates.
 				for i := 0; i < 2; i++ {
 					tp.Sleep(cfg.QueryCPU)
-					tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, rowBytes))
+					tx.Write(uint64(rng.Intn(cfg.TableSize)), row())
 					queries++
 				}
 				// delete + insert pair (modelled as a rewrite plus a fresh row).
 				tp.Sleep(2 * cfg.QueryCPU)
-				tx.Write(uint64(rng.Intn(cfg.TableSize)), rowData(rng, rowBytes))
+				tx.Write(uint64(rng.Intn(cfg.TableSize)), row())
 				nextInsert++
-				tx.Write(nextInsert, rowData(rng, rowBytes))
+				tx.Write(nextInsert, row())
 				queries += 2
 				if err := tx.Commit(tp); err != nil {
 					panic(fmt.Sprintf("sysbench: commit: %v", err))

@@ -10,7 +10,6 @@ package tpcc
 
 import (
 	"fmt"
-	"math/rand"
 
 	"bmstore/internal/apps/minidb"
 	"bmstore/internal/sim"
@@ -92,29 +91,26 @@ func (r *Result) TpmC() float64 {
 	return float64(r.NewOrders) / (float64(r.Duration) / 1e9) * 60
 }
 
-// rowData draws n capitals, each exactly as rng.Intn(26) would: math/rand
-// takes the top 31 bits of one Int63 and redraws while they fall in the
-// short last cycle of 26, so the stream of Int63 draws — and every key
-// choice made from rng afterwards — is the one Intn produces. The test
-// beside this file holds the two streams against each other.
-func rowData(rng *rand.Rand, n int) []byte {
-	const letters = 26
-	const limit = int32(1<<31 - 1 - (1<<31)%letters)
-	b := make([]byte, n)
-	for i := range b {
-		x := int32(rng.Int63() >> 32)
-		for x > limit {
-			x = int32(rng.Int63() >> 32)
-		}
-		b[i] = byte('A' + x%letters)
-	}
-	return b
+// capitals is the alphabet of a row.
+const capitals = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+// terminal is one client's stream and the row buffer it refills for every
+// write: Txn.Write and DB.Put keep their own copy of a row.
+type terminal struct {
+	rng *sim.Rand
+	buf [rowBytes]byte
+}
+
+// row fills the buffer with fresh capitals and returns it.
+func (t *terminal) row() []byte {
+	t.rng.Text(t.buf[:], capitals)
+	return t.buf[:]
 }
 
 // Load populates the database.
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
-	rng := rand.New(rand.NewSource(1234))
-	put := func(key uint64) error { return db.Put(p, key, rowData(rng, rowBytes)) }
+	t := &terminal{rng: sim.NewRand(1234)}
+	put := func(key uint64) error { return db.Put(p, key, t.row()) }
 	for w := 0; w < cfg.Warehouses; w++ {
 		wid := uint64(w)
 		if err := put(k(tWarehouse, wid, 0, 0)); err != nil {
@@ -154,7 +150,8 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	for th := 0; th < cfg.Threads; th++ {
 		// The empty segment is part of the stream names the pinned runs
 		// draw from.
-		rng := env.Rand(fmt.Sprintf("tpcc//%d", th))
+		t := &terminal{rng: env.Rand(fmt.Sprintf("tpcc//%d", th))}
+		rng := t.rng
 		proc := env.Go(fmt.Sprintf("tpcc/t%d", th), func(tp *sim.Proc) {
 			for tp.Now() < end {
 				start := tp.Now()
@@ -163,16 +160,16 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 				case x < 45:
 					kind = 0
 					orderSeq++
-					newOrder(tp, db, cfg, rng, orderSeq)
+					newOrder(tp, db, cfg, t, orderSeq)
 				case x < 88:
 					kind = 1
-					payment(tp, db, cfg, rng)
+					payment(tp, db, cfg, t)
 				case x < 92:
 					kind = 2
 					orderStatus(tp, db, cfg, rng)
 				case x < 96:
 					kind = 3
-					delivery(tp, db, cfg, rng, orderSeq)
+					delivery(tp, db, cfg, t, orderSeq)
 				default:
 					kind = 4
 					stockLevel(tp, db, cfg, rng)
@@ -203,21 +200,22 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	return res
 }
 
-func (c Config) anyW(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.Warehouses)) }
-func (c Config) anyD(rng *rand.Rand) uint64 { return uint64(rng.Intn(districtsPerWH)) }
-func (c Config) anyC(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.CustomersPerDistrict)) }
-func (c Config) anyI(rng *rand.Rand) uint64 { return uint64(rng.Intn(c.ItemsPerWarehouse)) }
+func (c Config) anyW(rng *sim.Rand) uint64 { return uint64(rng.Intn(c.Warehouses)) }
+func (c Config) anyD(rng *sim.Rand) uint64 { return uint64(rng.Intn(districtsPerWH)) }
+func (c Config) anyC(rng *sim.Rand) uint64 { return uint64(rng.Intn(c.CustomersPerDistrict)) }
+func (c Config) anyI(rng *sim.Rand) uint64 { return uint64(rng.Intn(c.ItemsPerWarehouse)) }
 
 // newOrder: reads warehouse/district/customer, then 5-15 order lines each
 // reading the item and read-modify-writing the stock row; inserts the
 // order, its lines, and the new-order marker.
-func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64) {
+func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal, seq uint64) {
+	rng := t.rng
 	w, d, c := cfg.anyW(rng), cfg.anyD(rng), cfg.anyC(rng)
 	tx := db.Begin()
 	p.Sleep(4 * cfg.QueryCPU)
 	tx.Read(p, k(tWarehouse, w, 0, 0))
 	tx.Read(p, k(tDistrict, w, d, 0))
-	tx.Write(k(tDistrict, w, d, 0), rowData(rng, rowBytes)) // next_o_id++
+	tx.Write(k(tDistrict, w, d, 0), t.row()) // next_o_id++
 	tx.Read(p, k(tCustomer, w, d, c))
 	lines := 5 + rng.Intn(11)
 	for l := 0; l < lines; l++ {
@@ -230,32 +228,33 @@ func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64
 		}
 		tx.Read(p, k(tItem, 0, 0, item))
 		tx.Read(p, k(tStock, sw, 0, item))
-		tx.Write(k(tStock, sw, 0, item), rowData(rng, rowBytes))
-		tx.Write(k(tOrderLine, w, d, seq<<4|uint64(l)), rowData(rng, rowBytes))
+		tx.Write(k(tStock, sw, 0, item), t.row())
+		tx.Write(k(tOrderLine, w, d, seq<<4|uint64(l)), t.row())
 	}
-	tx.Write(k(tOrder, w, d, seq), rowData(rng, rowBytes))
-	tx.Write(k(tNewOrder, w, d, seq), rowData(rng, rowBytes))
+	tx.Write(k(tOrder, w, d, seq), t.row())
+	tx.Write(k(tNewOrder, w, d, seq), t.row())
 	tx.Commit(p)
 }
 
 // payment: updates warehouse, district and customer balances and logs
 // history.
-func payment(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand) {
+func payment(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal) {
+	rng := t.rng
 	w, d, c := cfg.anyW(rng), cfg.anyD(rng), cfg.anyC(rng)
 	tx := db.Begin()
 	p.Sleep(7 * cfg.QueryCPU)
 	tx.Read(p, k(tWarehouse, w, 0, 0))
-	tx.Write(k(tWarehouse, w, 0, 0), rowData(rng, rowBytes))
+	tx.Write(k(tWarehouse, w, 0, 0), t.row())
 	tx.Read(p, k(tDistrict, w, d, 0))
-	tx.Write(k(tDistrict, w, d, 0), rowData(rng, rowBytes))
+	tx.Write(k(tDistrict, w, d, 0), t.row())
 	tx.Read(p, k(tCustomer, w, d, c))
-	tx.Write(k(tCustomer, w, d, c), rowData(rng, rowBytes))
-	tx.Write(k(tHistory, w, d, uint64(rng.Int63())>>20), rowData(rng, rowBytes))
+	tx.Write(k(tCustomer, w, d, c), t.row())
+	tx.Write(k(tHistory, w, d, uint64(rng.Int63())>>20), t.row())
 	tx.Commit(p)
 }
 
 // orderStatus: read-only lookup of a customer's latest order.
-func orderStatus(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand) {
+func orderStatus(p *sim.Proc, db *minidb.DB, cfg Config, rng *sim.Rand) {
 	w, d, c := cfg.anyW(rng), cfg.anyD(rng), cfg.anyC(rng)
 	tx := db.Begin()
 	p.Sleep(3 * cfg.QueryCPU)
@@ -266,7 +265,8 @@ func orderStatus(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand) {
 
 // delivery: drains up to 10 new-order markers, updating each order and
 // customer.
-func delivery(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64) {
+func delivery(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal, seq uint64) {
+	rng := t.rng
 	w := cfg.anyW(rng)
 	tx := db.Begin()
 	p.Sleep(10 * cfg.QueryCPU)
@@ -275,15 +275,15 @@ func delivery(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand, seq uint64
 		if len(rows) == 0 {
 			continue
 		}
-		tx.Write(rows[0].Key, rowData(rng, rowBytes)) // mark delivered
-		tx.Write(k(tCustomer, w, uint64(d), cfg.anyC(rng)), rowData(rng, rowBytes))
+		tx.Write(rows[0].Key, t.row()) // mark delivered
+		tx.Write(k(tCustomer, w, uint64(d), cfg.anyC(rng)), t.row())
 	}
 	_ = seq
 	tx.Commit(p)
 }
 
 // stockLevel: district read plus a stock range scan.
-func stockLevel(p *sim.Proc, db *minidb.DB, cfg Config, rng *rand.Rand) {
+func stockLevel(p *sim.Proc, db *minidb.DB, cfg Config, rng *sim.Rand) {
 	w, d := cfg.anyW(rng), cfg.anyD(rng)
 	tx := db.Begin()
 	p.Sleep(3 * cfg.QueryCPU)

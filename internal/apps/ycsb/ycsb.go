@@ -7,7 +7,6 @@ package ycsb
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bmstore/internal/apps/kvstore"
 	"bmstore/internal/sim"
@@ -67,44 +66,33 @@ func (r *Result) Throughput() float64 {
 	return float64(r.Ops) / (float64(r.Duration) / 1e9)
 }
 
-// key is fmt.Sprintf("user%012d", i), written digit by digit for the record
-// indexes the workloads use.
-func key(i int) []byte {
+// key appends fmt.Sprintf("user%012d", i) to dst, written digit by digit
+// for the record indexes the workloads use.
+func key(dst []byte, i int) []byte {
 	if i < 0 || i >= 1e12 {
-		return []byte(fmt.Sprintf("user%012d", i))
+		return fmt.Appendf(dst, "user%012d", i)
 	}
-	k := []byte("user000000000000")
-	for p := len(k) - 1; i > 0; p-- {
-		k[p] = byte('0' + i%10)
+	dst = append(dst, "user000000000000"...)
+	for p := len(dst) - 1; i > 0; p-- {
+		dst[p] = byte('0' + i%10)
 		i /= 10
 	}
-	return k
+	return dst
 }
 
-// value draws n letters, each exactly as rng.Intn(26) would: math/rand
-// takes the top 31 bits of one Int63 and redraws while they fall in the
-// short last cycle of 26, so the stream of Int63 draws — and every key
-// choice made from rng afterwards — is the one Intn produces. The test
-// beside this file holds the two streams against each other.
-func value(rng *rand.Rand, n int) []byte {
-	const letters = 26
-	const limit = int32(1<<31 - 1 - (1<<31)%letters)
-	v := make([]byte, n)
-	for i := range v {
-		x := int32(rng.Int63() >> 32)
-		for x > limit {
-			x = int32(rng.Int63() >> 32)
-		}
-		v[i] = byte('a' + x%letters)
-	}
-	return v
-}
+// letters is the alphabet of a value.
+const letters = "abcdefghijklmnopqrstuvwxyz"
 
-// Load inserts the initial records and flushes.
+// Load inserts the initial records and flushes. The store keeps its own
+// copy of each key and value, so one buffer of each serves every record.
 func Load(p *sim.Proc, s *kvstore.Store, cfg Config) error {
-	rng := rand.New(rand.NewSource(4242))
+	rng := sim.NewRand(4242)
+	var k []byte
+	v := make([]byte, cfg.ValueBytes)
 	for i := 0; i < cfg.Records; i++ {
-		if err := s.Put(p, key(i), value(rng, cfg.ValueBytes)); err != nil {
+		k = key(k[:0], i)
+		rng.Text(v, letters)
+		if err := s.Put(p, k, v); err != nil {
 			return err
 		}
 	}
@@ -128,22 +116,29 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 	for th := 0; th < cfg.Threads; th++ {
 		rng := env.Rand(fmt.Sprintf("ycsb/%s/%s/%d", cfg.Seed, wl.Name, th))
 		zipf := consts.withRand(rng)
+		// The store copies what it keeps and reads a key only during the
+		// call, so a thread refills one key and one value buffer per op.
+		var kb []byte
+		vb := make([]byte, cfg.ValueBytes)
 		proc := env.Go(fmt.Sprintf("ycsb/%s/t%d", wl.Name, th), func(tp *sim.Proc) {
 			for tp.Now() < end {
-				k := zipf.Next()
+				kb = key(kb[:0], zipf.Next())
 				start := tp.Now()
 				var err error
 				switch pick(wl, rng) {
 				case opRead:
-					_, _, err = s.Get(tp, key(k))
+					_, _, err = s.Get(tp, kb)
 				case opUpdate:
-					err = s.Put(tp, key(k), value(rng, cfg.ValueBytes))
+					rng.Text(vb, letters)
+					err = s.Put(tp, kb, vb)
 				case opInsert:
 					inserted++
-					err = s.Put(tp, key(inserted), value(rng, cfg.ValueBytes))
+					kb = key(kb[:0], inserted)
+					rng.Text(vb, letters)
+					err = s.Put(tp, kb, vb)
 				case opScan:
 					n := 1 + rng.Intn(wl.MaxScanLen)
-					_, err = s.Scan(tp, key(k), n)
+					_, err = s.Scan(tp, kb, n)
 				}
 				if tp.Now() <= end {
 					res.Ops++
@@ -171,7 +166,7 @@ const (
 	opScan
 )
 
-func pick(wl Workload, rng *rand.Rand) op {
+func pick(wl Workload, rng *sim.Rand) op {
 	x := rng.Float64()
 	switch {
 	case x < wl.ReadProp:
@@ -189,7 +184,7 @@ func pick(wl Workload, rng *rand.Rand) op {
 // (theta 0.99), with the scrambled variant folded in by the caller's use
 // of hashed string keys.
 type Zipfian struct {
-	rng   *rand.Rand
+	rng   *sim.Rand
 	n     int
 	theta float64
 	alpha float64
@@ -209,7 +204,7 @@ func zipfian(n int) Zipfian {
 }
 
 // withRand returns a copy of z that draws from rng.
-func (z Zipfian) withRand(rng *rand.Rand) *Zipfian {
+func (z Zipfian) withRand(rng *sim.Rand) *Zipfian {
 	z.rng = rng
 	return &z
 }

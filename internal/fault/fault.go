@@ -129,8 +129,8 @@ func HasDataHazards(rules []Rule) bool {
 // mean "unconstrained": empty Target matches any component of the point's
 // class, zero At arms the rule from simulation start, zero Nth fires from
 // the first matching operation, zero Count means fire once (use a negative
-// Count for "every matching operation"), Die -1 or 0-with-AnyDie matches
-// any die.
+// Count for "every matching operation"), zero Die matches any die. At,
+// Duration and Die are never negative in a rule ParseSpec returns.
 type Rule struct {
 	Point  Point
 	Target string // SSD serial, link name, or endpoint name; "" = any

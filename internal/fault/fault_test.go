@@ -216,6 +216,13 @@ func TestParseSpecFailuresNameOffendingToken(t *testing.T) {
 		{"status overflow", "admin-err,status=0x10000", []string{`"status"`, `"0x10000"`}},
 		{"bad die", "media-err,die=north", []string{`"die"`, `"north"`}},
 		{"error in second rule", "media-err;torn-write,t=oops", []string{`"torn-write,t=oops"`, `"oops"`}},
+		// Negative values parse as numbers but leave the rule a silent no-op:
+		// a window that covers no time, a latency that adds none, a die that
+		// never matches.
+		{"negative t", "ssd-stall,t=-5ms,dur=2ms", []string{`"t"`, `"-5ms"`, "negative"}},
+		{"negative dur", "ssd-stall,t=5ms,dur=-2ms", []string{`"dur"`, `"-2ms"`, "negative"}},
+		{"negative latency", "media-slow,nth=10,count=-1,dur=-1ms", []string{`"dur"`, `"-1ms"`, "negative"}},
+		{"negative die", "media-err,die=-3", []string{`"die"`, `"-3"`, "negative"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -356,4 +363,38 @@ func TestParseSpecRejectsDuplicateRules(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseSpec: whatever the input, ParseSpec either errors or returns at
+// least one rule, each at a known point with a non-negative At, Duration
+// and Die — never a panic, never a rule that parses and cannot act.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"",
+		"media-err",
+		"ssd-drop,t=20ms,target=PHLJ0000;media-slow,nth=100,count=-1,dur=2ms",
+		"ssd-stall,t=-5ms,dur=2ms",
+		"media-err,die=-3,status=0x82",
+		"engine-crash,nth=3;torn-write,count=2;mctp-drop,t=1h",
+		"media-err;media-err",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(rules) == 0 {
+			t.Fatalf("ParseSpec(%q) returned no rules and no error", spec)
+		}
+		for i, r := range rules {
+			if r.Point >= numPoints {
+				t.Fatalf("ParseSpec(%q): rule %d at unknown point %d", spec, i, r.Point)
+			}
+			if r.At < 0 || r.Duration < 0 || r.Die < 0 {
+				t.Fatalf("ParseSpec(%q): rule %d = %+v has a negative At, Duration or Die", spec, i, r)
+			}
+		}
+	})
 }

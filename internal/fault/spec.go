@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -17,9 +18,9 @@ import (
 // Kinds: media-err, media-slow, admin-err, ssd-stall, ssd-drop,
 // pcie-replay, mctp-drop, backend-stall, media-corrupt, torn-write,
 // misdirected-read, engine-crash. Times (t, dur) use Go duration syntax and
-// are virtual time; status accepts decimal or 0x-hex. A rule token may
-// appear at most once: exact duplicates double their firings silently, so
-// they are rejected.
+// are virtual time; status accepts decimal or 0x-hex; t, dur and die must
+// not be negative. A rule token may appear at most once: exact duplicates
+// double their firings silently, so they are rejected.
 //
 // Example — drop SSD PHLJ0000 20 ms in, and make every 100th media read on
 // any drive take an extra 2 ms:
@@ -80,6 +81,16 @@ func validKinds() string {
 	return strings.Join(kinds, ", ")
 }
 
+// nonNegative rejects a negative t, dur or die: the rule would parse and
+// then never act — a window that covers no time, a latency that adds none,
+// a die that never matches.
+func nonNegative(x int64) error {
+	if x < 0 {
+		return errors.New("must not be negative: the rule would never take effect")
+	}
+	return nil
+}
+
 func parseRule(s string) (Rule, error) {
 	fields := strings.Split(s, ",")
 	kind := strings.TrimSpace(fields[0])
@@ -101,12 +112,12 @@ func parseRule(s string) (Rule, error) {
 		case "t":
 			var d time.Duration
 			if d, err = time.ParseDuration(v); err == nil {
-				r.At = int64(d)
+				r.At, err = int64(d), nonNegative(int64(d))
 			}
 		case "dur":
 			var d time.Duration
 			if d, err = time.ParseDuration(v); err == nil {
-				r.Duration = int64(d)
+				r.Duration, err = int64(d), nonNegative(int64(d))
 			}
 		case "nth":
 			r.Nth, err = strconv.ParseUint(v, 10, 64)
@@ -120,7 +131,9 @@ func parseRule(s string) (Rule, error) {
 				r.Status = uint16(st)
 			}
 		case "die":
-			r.Die, err = strconv.Atoi(v)
+			if r.Die, err = strconv.Atoi(v); err == nil {
+				err = nonNegative(int64(r.Die))
+			}
 		default:
 			return Rule{}, fmt.Errorf("unknown field %q (valid fields: t, dur, nth, count, target, status, die)", k)
 		}

@@ -6,7 +6,6 @@ package fio
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"bmstore/internal/host"
@@ -267,7 +266,7 @@ func (jb *job) workerEnded() {
 // submit, and on completion book the CPU, record, and go again.
 type worker struct {
 	job     *job
-	rng     *rand.Rand
+	rng     *sim.Rand
 	read    bool
 	start   sim.Time
 	ownDone sim.Time

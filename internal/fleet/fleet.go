@@ -25,7 +25,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"bmstore"
@@ -466,7 +465,7 @@ func fleetDigest(hosts []HostResult) string {
 type tenantJob struct {
 	env       *sim.Env
 	dev       host.BlockDevice
-	rng       *rand.Rand
+	rng       *sim.Rand
 	pattern   fio.Pattern
 	stop      *sim.Event
 	ended     *tenantsEnded

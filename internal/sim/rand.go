@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -14,20 +15,76 @@ import (
 // and pinned digest in the repo was drawn from it, so that identity is a
 // compatibility promise (TestRandMatchesMathRand, FuzzRandStream) — from a
 // source that costs what is drawn from it (randSource).
-func (e *Env) Rand(name string) *rand.Rand {
+func (e *Env) Rand(name string) *Rand {
 	// FNV-1a over the name, in place.
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return newRand(e.seed ^ int64(h))
+	return NewRand(e.seed ^ int64(h))
 }
 
-// newRand is rand.New(rand.NewSource(seed)) over a randSource.
-func newRand(seed int64) *rand.Rand {
-	s := new(randSource)
-	s.Seed(seed)
-	return rand.New(s)
+// Rand is one stream: a math/rand Rand and the randSource it draws from,
+// allocated together. It points into itself, so it is only used by pointer.
+type Rand struct {
+	rand.Rand
+	src randSource
+}
+
+// NewRand returns the stream rand.New(rand.NewSource(seed)) draws — the one
+// constructor behind Env.Rand and the load generators' fixed-seed streams.
+func NewRand(seed int64) *Rand {
+	r := new(Rand)
+	r.src.Seed(seed)
+	r.Rand = *rand.New(&r.src)
+	return r
+}
+
+// Text fills dst with letters of alphabet, each alphabet[r.Intn(len(alphabet))],
+// and leaves the stream where those draws leave it. It runs the source's
+// recurrence in place, over stretches of the register where neither index
+// wraps, and takes the remainder by Lemire's fastmod instead of a divide:
+// for a 31-bit v, v mod n is the high word of (m·v mod 2⁶⁴)·n with
+// m = ⌈2⁶⁴/n⌉. Int31n's power-of-two mask is the same function — no draw is
+// rejected and v & (n−1) is v mod n. A source still seeding its words
+// (randSource.left) and an alphabet Intn does not take through Int31n draw
+// one letter at a time.
+func (r *Rand) Text(dst []byte, alphabet string) {
+	s := &r.src
+	n := uint64(len(alphabet))
+	i := 0
+	for ; i < len(dst) && (s.left != 0 || n-1 >= 1<<31-1); i++ {
+		dst[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	if i == len(dst) {
+		return
+	}
+	limit := uint32(1<<31 - 1 - (1<<31)%n) // Int31n's rejection bound
+	m := ^uint64(0)/n + 1
+	tap, feed := s.tap, s.feed
+	for i < len(dst) {
+		if tap == 0 {
+			tap = rngLen
+		}
+		if feed == 0 {
+			feed = rngLen
+		}
+		run := min(tap, feed)
+		fv, tv := s.vec[feed-run:feed], s.vec[tap-run:tap]
+		j := run
+		for j > 0 && i < len(dst) {
+			j--
+			x := fv[j] + tv[j]
+			fv[j] = x
+			if v := uint32(uint64(x) << 1 >> 33); v <= limit { // Int31: bits 32..62
+				hi, _ := bits.Mul64(m*uint64(v), n)
+				dst[i] = alphabet[hi]
+				i++
+			}
+		}
+		tap, feed = tap-run+j, feed-run+j
+	}
+	s.tap, s.feed = tap, feed
 }
 
 // randSource is math/rand's seeded Source — the additive lagged-Fibonacci

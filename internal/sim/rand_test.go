@@ -8,12 +8,16 @@ import (
 	"testing"
 )
 
+// letters64 holds the alphabets Text draws from in the tests: its first k
+// bytes for k in 2..64, power-of-two lengths included.
+const letters64 = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+/"
+
 // drawBoth makes one draw of the given kind from both generators and reports
 // whether they agree. arg shapes the draw (bounds, lengths).
-func drawBoth(t *testing.T, got, want *rand.Rand, kind, arg int) {
+func drawBoth(t *testing.T, got *Rand, want *rand.Rand, kind, arg int) {
 	t.Helper()
 	var g, w any
-	switch kind % 6 {
+	switch kind % 7 {
 	case 0:
 		g, w = got.Int63(), want.Int63()
 	case 1:
@@ -31,9 +35,29 @@ func drawBoth(t *testing.T, got, want *rand.Rand, kind, arg int) {
 			t.Fatalf("Perm(%d) = %v, math/rand draws %v", arg%9, pg, pw)
 		}
 		return
+	case 6:
+		textBoth(t, got, want, letters64[:2+arg%63], arg%2001)
+		return
 	}
 	if g != w {
-		t.Fatalf("draw kind %d arg %d = %v, math/rand draws %v", kind%6, arg, g, w)
+		t.Fatalf("draw kind %d arg %d = %v, math/rand draws %v", kind%7, arg, g, w)
+	}
+}
+
+// textBoth draws n letters of alphabet through Text and through math/rand's
+// Intn, then one Int63 from each: the letters and the position they leave
+// the stream at must both agree.
+func textBoth(t *testing.T, got *Rand, want *rand.Rand, alphabet string, n int) {
+	t.Helper()
+	buf := make([]byte, n)
+	got.Text(buf, alphabet)
+	for i, c := range buf {
+		if w := alphabet[want.Intn(len(alphabet))]; c != w {
+			t.Fatalf("Text(%d letters of %q): letter %d = %q, math/rand draws %q", n, alphabet, i, c, w)
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("after Text(%d letters of %q) the next draw is %d, math/rand draws %d", n, alphabet, g, w)
 	}
 }
 
@@ -49,7 +73,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 		seeds = append(seeds, int64(pick.Uint64()))
 	}
 	for _, seed := range seeds {
-		got, want := newRand(seed), rand.New(rand.NewSource(seed))
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
 		mix := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
 		for i := 0; i < 3000; i++ {
 			if i == 1700 {
@@ -58,7 +82,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 				got.Seed(seed + 7)
 				want.Seed(seed + 7)
 			}
-			drawBoth(t, got, want, mix.Intn(6), mix.Intn(1000))
+			drawBoth(t, got, want, mix.Intn(7), mix.Intn(1000))
 		}
 	}
 }
@@ -94,8 +118,9 @@ func TestEnvRandStreams(t *testing.T) {
 // FuzzRandStream: the input is a seed and a draw program — one byte picks
 // the kind of draw, the next its argument; kind 6 re-seeds, kind 7 draws a
 // burst, which is what carries a short input across the on-demand seeding's
-// hand-over and the register's wrap-around — run differentially against
-// math/rand.
+// hand-over and the register's wrap-around, kind 8 draws Text (the kind
+// byte's high part widens its argument, so lengths reach 2 000) — run
+// differentially against math/rand.
 func FuzzRandStream(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -105,9 +130,10 @@ func FuzzRandStream(f *testing.F) {
 		var sb [8]byte
 		data = data[copy(sb[:], data):]
 		seed := int64(binary.LittleEndian.Uint64(sb[:]))
-		got, want := newRand(seed), rand.New(rand.NewSource(seed))
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
 		for len(data) >= 2 {
-			kind, arg := int(data[0]%8), int(data[1])
+			kind, arg := int(data[0]%9), int(data[1])
+			wide := int(data[0]/9)<<8 | arg
 			data = data[2:]
 			switch kind {
 			case 6:
@@ -118,6 +144,8 @@ func FuzzRandStream(f *testing.F) {
 				for i := 0; i < 3*arg; i++ {
 					drawBoth(t, got, want, i, arg)
 				}
+			case 8:
+				drawBoth(t, got, want, 6, wide)
 			default:
 				drawBoth(t, got, want, kind, arg)
 			}
@@ -127,13 +155,48 @@ func FuzzRandStream(f *testing.F) {
 	})
 }
 
+// TestTextMatchesIntn: Text starting anywhere in a fresh stream's first
+// draws — inside the on-demand seeding's prefix, at its hand-over, and
+// either side of the register's wrap — gives Intn's letters and leaves the
+// stream where Intn leaves it, for alphabets that take the rejection path,
+// the power-of-two mask, and a single letter.
+func TestTextMatchesIntn(t *testing.T) {
+	NewRand(1).Text(nil, "") // draws nothing, so it cannot fail as Intn(0) would
+	alphabets := []string{"0123456789", letters64[:26], letters64[:2], letters64, letters64[:63], "x"}
+	skips := []int{0, 1, 5, lazyDraws - 1, lazyDraws, lazyDraws + 1, rngTap - 1, rngLen - rngTap, rngLen - 1, rngLen, rngLen + 3}
+	for _, seed := range []int64{0, 1, 4242, 777, -7, 1 << 40} {
+		for _, alphabet := range alphabets {
+			for _, skip := range skips {
+				for _, n := range []int{0, 1, 40, 700, 2000} {
+					got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+					for i := 0; i < skip; i++ {
+						got.Int63()
+						want.Int63()
+					}
+					textBoth(t, got, want, alphabet, n)
+				}
+			}
+		}
+	}
+}
+
+// TestTextAllocatesNothing: the load generators call Text once per value
+// or row.
+func TestTextAllocatesNothing(t *testing.T) {
+	r := NewRand(1)
+	buf := make([]byte, 400)
+	if a := testing.AllocsPerRun(100, func() { r.Text(buf, letters64[:26]) }); a != 0 {
+		t.Fatalf("Text allocates %v times per call", a)
+	}
+}
+
 var randSink int64
 
 // BenchmarkRandDraw is one steady-state Int63 through rand.Rand over the
 // in-package source; BenchmarkRandDrawMathRand is its math/rand twin. The
 // application generators draw hundreds of numbers per block I/O, so the two
 // must stay within 15 % of each other.
-func BenchmarkRandDraw(b *testing.B) { benchDraw(b, newRand(1)) }
+func BenchmarkRandDraw(b *testing.B) { benchDraw(b, &NewRand(1).Rand) }
 
 func BenchmarkRandDrawMathRand(b *testing.B) { benchDraw(b, rand.New(rand.NewSource(1))) }
 
@@ -147,9 +210,29 @@ func benchDraw(b *testing.B, r *rand.Rand) {
 	}
 }
 
+var textSink [400]byte
+
+// BenchmarkRandText is one YCSB value, 400 letters of 26, through Text;
+// BenchmarkRandTextIntn draws the same letters one Intn at a time.
+func BenchmarkRandText(b *testing.B) {
+	r := NewRand(1)
+	for i := 0; i < b.N; i++ {
+		r.Text(textSink[:], letters64[:26])
+	}
+}
+
+func BenchmarkRandTextIntn(b *testing.B) {
+	r := NewRand(1)
+	for i := 0; i < b.N; i++ {
+		for j := range textSink {
+			textSink[j] = letters64[r.Intn(26)]
+		}
+	}
+}
+
 // BenchmarkEnvRand is what a fio worker pays for its stream: creation and
-// the three draws a short-lived worker makes. Two allocations, the rand.Rand
-// and its source (make bench-gate). BenchmarkEnvRandMathRand is the
+// the three draws a short-lived worker makes. One allocation, the Rand with
+// its source inside (make bench-gate). BenchmarkEnvRandMathRand is the
 // math/rand twin, which seeds all 607 words up front.
 func BenchmarkEnvRand(b *testing.B) {
 	env := NewEnv(1)

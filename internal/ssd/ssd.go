@@ -13,8 +13,6 @@
 package ssd
 
 import (
-	"math/rand"
-
 	"bmstore/internal/fault"
 	"bmstore/internal/nvme"
 	"bmstore/internal/nvmet"
@@ -126,7 +124,7 @@ type SSD struct {
 	spares    [][]byte   // whole arrays the store let go of, for staging slots and growing blocks (store.go)
 	slab      []byte     // the uncut rest of the allocation short blocks are carved from (store.go)
 	onReady   []func()
-	jitterRng *rand.Rand
+	jitterRng *sim.Rand
 
 	// Free lists of the I/O data path (io.go): command records and NAND
 	// stripe records.

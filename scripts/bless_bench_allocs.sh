@@ -47,11 +47,12 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # Processes run on pooled coroutines, so a spawn costs its Proc and Done
 # event (ProcessSpawn: 2) and nothing else; the process benchmarks create
 # their coroutines in an untimed warm-up round. The application tier
-# allocates by design (rows, values, page buffers), so
-# BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A guest and
-# a minidb + sysbench guest, 20x — is pinned at its measured allocs/op plus
-# 5 %, rounded up: a ceiling against a per-row or per-record allocation
-# coming back. The eight BenchmarkIOPath rows carry a second ceiling: kernel
+# allocates by design (page buffers, the engines' own copies of what they
+# keep), so BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A
+# guest and a minidb + sysbench guest, 20x — is pinned at its measured
+# allocs/op plus 5 %, rounded up: a ceiling against a per-row or per-record
+# allocation coming back (20076 while the clients made a fresh key, value
+# and row per operation instead of refilling one buffer each). The eight BenchmarkIOPath rows carry a second ceiling: kernel
 # events fired per I/O over the timed region (the benchmark's events/op,
 # exact and repeatable at the gate's fixed -benchtime), at their measured
 # values — a fused event that comes apart again, or an observer or fault
@@ -61,11 +62,13 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # work on one face of the card — miss, fetch over a real root complex into a
 # buffer sized to the entries used, hit, release
 # (BenchmarkPRPListFetchWalk128K: 0); a named random stream and its first
-# draws (BenchmarkEnvRand: 2, the rand.Rand and its source, seeded as drawn);
+# draws (BenchmarkEnvRand: 1, the sim.Rand with its source inside, seeded as
+# drawn; 2 while the rand.Rand and its source were apart);
 # and 64 fio worker start-ups with one I/O each (BenchmarkFioWorkerStart, at
-# its measured count: ~4 per worker — stream name, random stream, two bound
-# callbacks; 461 while each worker was a process with a Done event, 719
-# while fmt built the names and math/rand the streams). Rig construction allocates by design too (components,
+# its measured count: ~3 per worker — stream name, random stream, two bound
+# callbacks; 275 while a stream was two objects, 461 while each worker was a
+# process with a Done event, 719 while fmt built the names and math/rand the
+# streams). Rig construction allocates by design too (components,
 # queues, pools), so BenchmarkRigBuild — a 4-SSD testbed, a namespace per SSD
 # and four attached tenant drivers, what the repo benchmark builds before its
 # first I/O and a fleet once per host — is pinned like the application round,

@@ -22,8 +22,9 @@
 # Fig. 14 and the repo benchmark's apps-mixed run — kvstore + YCSB-A and
 # minidb + sysbench guests with payload capture on, one 20 ms round per op —
 # and is pinned at its measured allocs/op plus 5 %: the application tier
-# allocates by design (rows, values, page buffers), so its ceiling guards
-# against a per-row or per-record allocation coming back, not against any.
+# allocates by design (page buffers, the engines' own copies), so its
+# ceiling guards against a per-row or per-record allocation coming back,
+# not against any.
 #
 # The I/O path benchmarks also report events/op — kernel events fired per I/O
 # over the timed region — and a baseline row with a third column pins that
@@ -36,11 +37,10 @@
 # kernel: BenchmarkPRPListFetchWalk128K (internal/nvmet: one command's
 # PRP-list work on one face of the card — miss, fetch over a real root
 # complex, hit, release — 0), BenchmarkEnvRand (internal/sim: a named random
-# stream and its first draws — 2, the rand.Rand and its source) and
+# stream and its first draws — 1, the sim.Rand with its source inside) and
 # BenchmarkFioWorkerStart (internal/fio: one Run of a 1 × QD 64 spec that
 # ends inside the first I/O, i.e. 64 worker start-ups — at its measured
-# count, ~7 per worker: two for the stream, three for the process and its
-# Done event's first waiter, the name and the closure).
+# count, ~3 per worker: the stream name, the stream, two bound callbacks).
 #
 # BenchmarkRigBuild (root package) builds what the repo benchmark builds
 # before its first I/O — a 4-SSD testbed, a namespace per SSD and four
