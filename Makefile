@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Thirteen seconds of native fuzzing, split over the twelve targets: the event
+# Fourteen seconds of native fuzzing, split over the thirteen targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program, Text's bulk letters
 # included (internal/sim FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -36,7 +36,9 @@ test:
 # a flat reference and each page short exactly when everything written to it
 # lies in its first 256 bytes (internal/hostmem FuzzMemory), and the fault
 # spec language under any string: an error, or rules at known points with no
-# negative time, latency or die (internal/fault FuzzParseSpec).
+# negative time, latency or die (internal/fault FuzzParseSpec), and the
+# applications' CRC-framed header codec under any bytes and any one-byte flip
+# of a frame (internal/apps/logring FuzzFrame).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 1s ./internal/ssd
 	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 1s ./internal/hostmem
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 1s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 1s ./internal/apps/logring
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
 )
@@ -36,7 +37,6 @@ const (
 	l0CompactAt     = 4        // number of L0 tables that triggers compaction
 	levelRatio      = 10       // size ratio between levels
 	blockBytes      = 16 << 10 // SSTable block size
-	groupCommitWait = 20 * sim.Microsecond
 	bloomBitsPerKey = 10
 	maxLevels       = 4
 )
@@ -51,7 +51,7 @@ type Store struct {
 	imm    *memtable // memtable being flushed
 	levels [][]*table
 
-	wal        *wal
+	wal        *logring.Log
 	alloc      *allocator
 	flushedLSN uint64 // highest LSN covered by flushed tables
 	memMaxLSN  uint64 // highest LSN in the active memtable
@@ -83,7 +83,7 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, 
 		levels: make([][]*table, maxLevels),
 		alloc:  newAllocator(manifestBlocks+walBlocks, dev.CapacityBlocks()),
 	}
-	s.wal = newWAL(s, manifestBlocks, walBlocks)
+	s.wal = logring.New(env, dev, "kv/wal", manifestBlocks, walBlocks)
 	m, found, err := s.readManifest(p)
 	if err != nil {
 		return nil, err
@@ -94,10 +94,15 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, 
 			return nil, err
 		}
 	}
-	if err := s.wal.recover(p, s.flushedLSN); err != nil {
+	err = s.wal.Recover(p, s.flushedLSN, recordEnd, recordLSN, func(rec []byte) error {
+		r := parseRecord(rec)
+		s.mem.put(r.key, r.value)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	s.memMaxLSN = s.wal.nextLSN - 1
+	s.memMaxLSN = s.wal.NextLSN() - 1
 	return s, nil
 }
 
@@ -105,8 +110,8 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, 
 // value deletes key: it is written as a tombstone.
 func (s *Store) Put(p *sim.Proc, key, value []byte) error {
 	s.Stats.Puts++
-	lsn, err := s.wal.append(p, key, value)
-	if err != nil {
+	lsn := s.wal.Append(func(batch []byte, lsn uint64) []byte { return appendRecord(batch, lsn, key, value) })
+	if err := s.wal.Wait(p, lsn); err != nil {
 		return err
 	}
 	s.mem.put(key, value)
@@ -190,7 +195,10 @@ func (s *Store) Scan(p *sim.Proc, start []byte, limit int) ([]KV, error) {
 
 // Flush forces the memtable to disk and waits for it.
 func (s *Store) Flush(p *sim.Proc) error {
-	if err := s.wal.sync(p); err != nil {
+	if err := s.wal.Sync(p); err != nil {
+		return err
+	}
+	if err := s.dev.Flush(p); err != nil {
 		return err
 	}
 	if s.mem.bytes > 0 && !s.flushBusy {

@@ -1,18 +1,18 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/sim"
 )
 
 // The manifest occupies a fixed region at the front of the device (like
-// RocksDB's MANIFEST/CURRENT pair): a JSON document with a CRC header,
-// rewritten atomically-enough on every flush and compaction. It records
-// which LSN the tables already cover and where every live table lives.
+// RocksDB's MANIFEST/CURRENT pair): a JSON document in a CRC frame
+// (logring.PutFrame), rewritten atomically-enough on every flush and
+// compaction. It records which LSN the tables already cover and where every
+// live table lives.
 const (
 	manifestMagic  = 0xB3570125
 	manifestBlocks = 128 // 512 KB region
@@ -51,15 +51,11 @@ func (s *Store) writeManifest(p *sim.Proc) error {
 		return err
 	}
 	bs := s.dev.BlockSize()
-	if len(doc)+16 > manifestBlocks*bs {
+	if logring.FrameHeader+len(doc) > manifestBlocks*bs {
 		return fmt.Errorf("kvstore: manifest too large (%d bytes)", len(doc))
 	}
 	buf := make([]byte, manifestBlocks*bs)
-	binary.LittleEndian.PutUint32(buf[0:], manifestMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(doc)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(doc))
-	copy(buf[16:], doc)
-	used := (16 + len(doc) + bs - 1) / bs
+	used := (logring.PutFrame(buf, manifestMagic, 0, doc) + bs - 1) / bs
 	if err := s.dev.WriteAt(p, 0, uint32(used), buf[:used*bs]); err != nil {
 		return err
 	}
@@ -73,21 +69,17 @@ func (s *Store) readManifest(p *sim.Proc) (manifest, bool, error) {
 	if err := s.dev.ReadAt(p, 0, 1, head); err != nil {
 		return manifest{}, false, err
 	}
-	if binary.LittleEndian.Uint32(head) != manifestMagic {
+	n := logring.FrameLen(head, manifestMagic)
+	if n == 0 || n > manifestBlocks*bs {
 		return manifest{}, false, nil
 	}
-	n := int(binary.LittleEndian.Uint32(head[4:]))
-	want := binary.LittleEndian.Uint32(head[8:])
-	if n <= 0 || 16+n > manifestBlocks*bs {
-		return manifest{}, false, nil
-	}
-	blocks := (16 + n + bs - 1) / bs
+	blocks := (n + bs - 1) / bs
 	buf := make([]byte, blocks*bs)
 	if err := s.dev.ReadAt(p, 0, uint32(blocks), buf); err != nil {
 		return manifest{}, false, err
 	}
-	doc := buf[16 : 16+n]
-	if crc32.ChecksumIEEE(doc) != want {
+	doc, _, ok := logring.ReadFrame(buf, manifestMagic)
+	if !ok {
 		return manifest{}, false, nil
 	}
 	var m manifest

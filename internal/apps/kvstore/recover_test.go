@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/host"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
@@ -113,7 +114,8 @@ func (r *ringPlanter) batch(blk, n, valueBytes int) int {
 // byte, torn batches (one torn in the chunk after it began), a ring rewritten over older batches with stale LSNs, a
 // wrapped write position and a record cut by the ring's end — and over random
 // rings of overlapping, damaged batches: the same read commands, the same
-// records in the same order, each replayed one with its own key and value.
+// records newer than the flushed LSN replayed in the same order, each with its
+// own key and value, and the next LSN past them.
 func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 	const base, blocks = 3, 600 // chunks of 256, 256 and 88 blocks
 	planted := []struct {
@@ -177,10 +179,26 @@ func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 		var err1, err2 error
 		env := sim.NewEnv(1)
 		env.Go("scan", func(p *sim.Proc) {
-			w := &wal{s: &Store{dev: dev}, baseBlock: base, blocks: blocks}
-			got, err1 = w.scan(p, flushed)
+			w := logring.New(env, dev, "kv/wal", base, blocks)
+			err1 = w.Recover(p, flushed, recordEnd, recordLSN, func(rec []byte) error {
+				got = append(got, parseRecord(rec))
+				return nil
+			})
 			gotReads, dev.reads = dev.reads, nil
-			want, err2 = oracleScan(p, dev, base, blocks)
+			var all []walRecord
+			all, err2 = oracleScan(p, dev, base, blocks)
+			for _, r := range all {
+				if r.lsn > flushed {
+					want = append(want, r)
+				}
+			}
+			wantNext := flushed + 1
+			if len(want) > 0 {
+				wantNext = want[len(want)-1].lsn + 1
+			}
+			if next := w.NextLSN(); next != wantNext {
+				t.Errorf("%s: next LSN %d after recovery, want %d", name, next, wantNext)
+			}
 		})
 		env.Run()
 		if err1 != nil || err2 != nil {
@@ -197,7 +215,7 @@ func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 			if g.lsn != w.lsn {
 				t.Fatalf("%s: record %d has LSN %d, want %d", name, i, g.lsn, w.lsn)
 			}
-			if g.lsn > flushed && (!bytes.Equal(g.key, w.key) || !bytes.Equal(g.value, w.value) || (g.value == nil) != (w.value == nil)) {
+			if !bytes.Equal(g.key, w.key) || !bytes.Equal(g.value, w.value) || (g.value == nil) != (w.value == nil) {
 				t.Fatalf("%s: record %d (LSN %d) differs from the whole-ring decoder's", name, i, g.lsn)
 			}
 		}

@@ -1,48 +1,20 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"sort"
 
 	"bmstore/internal/apps/logring"
-	"bmstore/internal/sim"
 )
 
-// wal is the write-ahead log: a ring of device blocks after the manifest
-// region. Records carry a monotone LSN and a CRC; appends batch under a
-// group-commit window so concurrent writers share one device write, the
-// way RocksDB's write group works. Recovery replays records with LSN
-// greater than the manifest's FlushedLSN, so records already captured by a
-// flushed table are never re-applied.
-type wal struct {
-	s          *Store
-	baseBlock  uint64
-	blocks     uint64
-	writeBlock uint64
-
-	nextLSN uint64
-
-	// pending is the batch being gathered; spare is the previous batch's
-	// buffer, free again once its device write has returned. Records are
-	// encoded straight into pending and the batch is padded and written
-	// from it, so a record is copied once on its way to the device.
-	pending  []byte
-	spare    []byte
-	waiters  []*sim.Event
-	flushing bool
-}
-
-// record layout: crc32(rest) | lsn u64 | klen u32 | vlen u32 | key | value.
-// vlen 0xFFFFFFFF marks a tombstone.
+// The write-ahead log is a logring.Log on a ring of device blocks after the
+// manifest region; recovery replays records with LSN greater than the
+// manifest's FlushedLSN, so records already captured by a flushed table are
+// never re-applied. A record is crc32(rest) | lsn u64 | klen u32 | vlen u32 |
+// key | value; vlen 0xFFFFFFFF marks a tombstone.
 const walRecordHeader = 20
-
-func newWAL(s *Store, base, blocks uint64) *wal {
-	return &wal{s: s, baseBlock: base, blocks: blocks, nextLSN: 1}
-}
 
 // recordLen is the encoded size of one record.
 func recordLen(key, value []byte) int { return walRecordHeader + len(key) + len(value) }
@@ -112,6 +84,9 @@ func parseRecord(rec []byte) walRecord {
 	return r
 }
 
+// recordLSN returns the LSN of rec, one whole record.
+func recordLSN(rec []byte) uint64 { return parseRecord(rec).lsn }
+
 // nextRecord parses the record at b[off:] and returns it with the offset
 // of the one after; ok is false at the first invalid record. The record's
 // key and value are sub-slices of b.
@@ -121,118 +96,6 @@ func nextRecord(b []byte, off int) (rec walRecord, end int, ok bool) {
 		return walRecord{}, off, false
 	}
 	return parseRecord(b[off:end]), end, true
-}
-
-// append adds one record and blocks until it is durable. It returns the
-// record's LSN.
-func (w *wal) append(p *sim.Proc, key, value []byte) (uint64, error) {
-	lsn := w.nextLSN
-	w.nextLSN++
-	w.pending = appendRecord(w.pending, lsn, key, value)
-	ev := w.s.env.NewEvent()
-	w.waiters = append(w.waiters, ev)
-	if !w.flushing {
-		w.flushing = true
-		w.s.env.Go("kv/wal", func(fp *sim.Proc) { w.commitLoop(fp) })
-	}
-	p.Wait(ev)
-	return lsn, nil
-}
-
-// commitLoop gathers appends for the group-commit window, writes the batch
-// in whole blocks (never wrapping mid-batch, so recovery can parse batches
-// at block granularity), and wakes every waiter. It runs while anyone waits,
-// so a sync that arrives during a batch's write is woken by the next round,
-// which writes nothing if no append came.
-func (w *wal) commitLoop(p *sim.Proc) {
-	defer func() { w.flushing = false }()
-	for len(w.pending) > 0 || len(w.waiters) > 0 {
-		p.Sleep(groupCommitWait)
-		batch := w.pending
-		waiters := w.waiters
-		w.pending = w.spare[:0]
-		w.spare = nil
-		w.waiters = nil
-		bs := w.s.dev.BlockSize()
-		nBlocks := uint64((len(batch) + bs - 1) / bs)
-		if nBlocks > w.blocks {
-			panic("kvstore: WAL batch larger than the whole ring")
-		}
-		if nBlocks > 0 {
-			if w.writeBlock+nBlocks > w.blocks {
-				w.writeBlock = 0 // keep the batch contiguous
-			}
-			// Zero-pad to whole blocks in place.
-			batch = append(batch, make([]byte, int(nBlocks)*bs-len(batch))...)
-			if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), batch); err == nil {
-				w.writeBlock += nBlocks
-			}
-		}
-		w.spare = batch
-		for _, ev := range waiters {
-			ev.Trigger(nil)
-		}
-	}
-}
-
-// sync waits until everything appended so far is durable.
-func (w *wal) sync(p *sim.Proc) error {
-	for w.flushing || len(w.pending) > 0 {
-		ev := w.s.env.NewEvent()
-		w.waiters = append(w.waiters, ev)
-		if !w.flushing {
-			w.flushing = true
-			w.s.env.Go("kv/wal", func(fp *sim.Proc) { w.commitLoop(fp) })
-		}
-		p.Wait(ev)
-	}
-	return w.s.dev.Flush(p)
-}
-
-// recover replays the ring's records newer than flushedLSN in LSN order.
-func (w *wal) recover(p *sim.Proc, flushedLSN uint64) error {
-	recs, err := w.scan(p, flushedLSN)
-	if err != nil {
-		return err
-	}
-	var maxLSN uint64
-	for _, r := range recs {
-		if r.lsn <= flushedLSN {
-			continue
-		}
-		w.s.mem.put(r.key, r.value)
-		if r.lsn > maxLSN {
-			maxLSN = r.lsn
-		}
-	}
-	if maxLSN >= w.nextLSN {
-		w.nextLSN = maxLSN + 1
-	}
-	if flushedLSN >= w.nextLSN {
-		w.nextLSN = flushedLSN + 1
-	}
-	return nil
-}
-
-// scan reads the whole ring and returns every record in it sorted by LSN.
-// Records newer than flushedLSN carry copies of their key and value; the
-// others carry their LSN alone, to sort among the rest exactly as before.
-func (w *wal) scan(p *sim.Proc, flushedLSN uint64) ([]walRecord, error) {
-	var recs []walRecord
-	err := logring.Scan(p, w.s.dev, w.baseBlock, w.blocks, recordEnd, func(rec []byte) {
-		r := parseRecord(rec)
-		if r.lsn > flushedLSN {
-			r.key, r.value = bytes.Clone(r.key), bytes.Clone(r.value)
-		} else {
-			r.key, r.value = nil, nil
-		}
-		recs = append(recs, r)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].lsn < recs[j].lsn })
-	return recs, nil
 }
 
 // allocator is a simple block-range allocator for table segments.

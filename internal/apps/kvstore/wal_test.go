@@ -1,0 +1,87 @@
+package kvstore
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"bmstore/internal/sim"
+)
+
+var errWrite = errors.New("injected write failure")
+
+// faultyDev is a ringDev whose writes to any of the blocks [failFrom,
+// failTo) fail after 10 µs. It notes the blocks each write covers.
+type faultyDev struct {
+	ringDev
+	failFrom, failTo uint64
+	writes           [][2]uint64 // lba, blocks
+}
+
+func (d *faultyDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+	d.writes = append(d.writes, [2]uint64{lba, uint64(blocks)})
+	if lba < d.failTo && d.failFrom < lba+uint64(blocks) {
+		p.Sleep(10 * sim.Microsecond)
+		return errWrite
+	}
+	return d.ringDev.WriteAt(p, lba, blocks, data)
+}
+
+// TestFailedWALWriteIsNotAcknowledged: when the device fails a WAL batch's
+// write, the Put in that batch and a Flush that waits for it both return the
+// error, and the put is not applied.
+func TestFailedWALWriteIsNotAcknowledged(t *testing.T) {
+	const walBlocks = 64
+	dev := &faultyDev{
+		ringDev:  ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)},
+		failFrom: manifestBlocks, failTo: manifestBlocks + walBlocks,
+	}
+	var putErr, flushErr error
+	env := sim.NewEnv(1)
+	env.Go("test", func(p *sim.Proc) {
+		s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		put := env.Go("put", func(pp *sim.Proc) { putErr = s.Put(pp, []byte("k"), []byte("v")) })
+		p.Sleep(sim.Microsecond) // inside the group-commit window
+		flushErr = s.Flush(p)
+		p.Wait(put.Done())
+		if _, ok, _ := s.Get(p, []byte("k")); ok {
+			t.Error("the failed put is visible")
+		}
+	})
+	env.Run()
+	if !errors.Is(putErr, errWrite) || !errors.Is(flushErr, errWrite) {
+		t.Fatalf("Put returned %v and Flush %v, want both %v", putErr, flushErr, errWrite)
+	}
+}
+
+// TestWALBatchLargerThanTheRing: a Put whose record does not fit the whole
+// WAL ring returns an error naming the ring's size, and nothing is written
+// outside the ring.
+func TestWALBatchLargerThanTheRing(t *testing.T) {
+	for _, walBlocks := range []uint64{2, 0} {
+		dev := &faultyDev{ringDev: ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)}}
+		env := sim.NewEnv(1)
+		env.Go("test", func(p *sim.Proc) {
+			s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			err = s.Put(p, []byte("k"), make([]byte, 3*4096))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-block", walBlocks)) {
+				t.Errorf("%d-block ring: Put of a 3-block record returned %v", walBlocks, err)
+			}
+		})
+		env.Run()
+		for _, w := range dev.writes {
+			if w[0] < manifestBlocks || w[0]+w[1] > manifestBlocks+walBlocks {
+				t.Errorf("%d-block ring: wrote blocks [%d, %d), outside the ring [%d, %d)", walBlocks, w[0], w[0]+w[1], manifestBlocks, manifestBlocks+walBlocks)
+			}
+		}
+	}
+}

@@ -1,6 +1,9 @@
-// Package logring reads back the block ring of a write-ahead log — kvstore's
-// WAL and minidb's redo log share its layout — through one buffer, whatever
-// the ring's size.
+// Package logring is the write-ahead log both applications keep — kvstore's
+// WAL and minidb's redo log — as one block ring: Log gathers records under
+// group commit, writes each batch to the ring and replays the ring on
+// recovery; Scan reads the ring back through one buffer, whatever its size.
+// The package also holds the CRC-framed header codec (PutFrame, ReadFrame)
+// the applications' manifest, superblock and journal are written in.
 //
 // A log writes each group-commit batch as records back to back from a block
 // boundary, zero-padded to whole blocks, and never wraps a batch round the

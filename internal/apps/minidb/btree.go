@@ -30,9 +30,10 @@ import (
 //   - While resident, the decoded node is the page. put mutates it and marks
 //     the frame dirty; nothing is re-encoded. Rows are immutable: put
 //     replaces a row's slice and never edits its bytes, and it takes
-//     ownership of the slice it is given (Txn.Write and redoLog.scan detach
-//     it from their callers' buffers). get and scan therefore hand out the rows
-//     themselves; callers must not modify them.
+//     ownership of the slice it is given (Txn.Write and redo recovery,
+//     logring.Log.Recover, detach it from their callers' buffers). get and
+//     scan therefore hand out the rows themselves; callers must not modify
+//     them.
 //   - Going out, frame.image encodes the node straight into the buffer the
 //     device write is issued from — the checkpoint's journal blob, or
 //     writeback's private image — once per image written. Only dirty frames

@@ -1,12 +1,12 @@
 package minidb
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"slices"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
 )
@@ -28,7 +28,13 @@ func DefaultConfig() Config {
 }
 
 // On-disk layout: superblock region, doublewrite journal, redo ring, pages.
-const superBlocks = 8
+// The superblock and the journal's header are logring frames under their own
+// magic; the journal's spare word holds the CRC of its page images.
+const (
+	superBlocks  = 8
+	superMagic   = 0xD1DB0001
+	journalMagic = 0xD1DB00DD
+)
 
 // DB is one engine instance.
 //
@@ -47,7 +53,7 @@ type DB struct {
 
 	pool *pager
 	tree btree
-	redo *redoLog
+	redo *logring.Log
 	root pageID
 
 	epoch       uint64 // checkpoint epoch
@@ -94,7 +100,7 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*DB, err
 		return nil, fmt.Errorf("minidb: device too small for layout")
 	}
 	db.pool = newPager(dev, pageBase, cfg.PoolPages)
-	db.redo = &redoLog{db: db, baseBlock: redoBase, blocks: redoBlks, nextLSN: 1}
+	db.redo = logring.New(env, dev, "minidb/redo", redoBase, redoBlks)
 
 	sb, haveSuper, err := db.readSuper(p)
 	if err != nil {
@@ -134,7 +140,11 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*DB, err
 	db.ckptLSN = sb.CkptLSN
 	db.root = sb.Root
 	db.pool.nextPage = sb.NextPage
-	if err := db.redo.recover(p, sb.CkptLSN); err != nil {
+	err = db.redo.Recover(p, sb.CkptLSN, redoEnd, redoLSN, func(rec []byte) error {
+		key, row := parseRedo(rec)
+		return db.tree.put(p, key, row)
+	})
+	if err != nil {
 		return nil, err
 	}
 	db.ckptReq = env.NewEvent()
@@ -147,12 +157,8 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*DB, err
 
 func (db *DB) writeSuper(p *sim.Proc, sb superblock) error {
 	doc, _ := json.Marshal(sb)
-	bs := db.dev.BlockSize()
-	buf := make([]byte, superBlocks*bs)
-	binary.LittleEndian.PutUint32(buf, 0xD1DB0001)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(doc)))
-	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(doc))
-	copy(buf[16:], doc)
+	buf := make([]byte, superBlocks*db.dev.BlockSize())
+	logring.PutFrame(buf, superMagic, 0, doc)
 	if err := db.dev.WriteAt(p, 0, uint32(superBlocks), buf); err != nil {
 		return err
 	}
@@ -160,20 +166,12 @@ func (db *DB) writeSuper(p *sim.Proc, sb superblock) error {
 }
 
 func (db *DB) readSuper(p *sim.Proc) (superblock, bool, error) {
-	bs := db.dev.BlockSize()
-	buf := make([]byte, superBlocks*bs)
+	buf := make([]byte, superBlocks*db.dev.BlockSize())
 	if err := db.dev.ReadAt(p, 0, uint32(superBlocks), buf); err != nil {
 		return superblock{}, false, err
 	}
-	if binary.LittleEndian.Uint32(buf) != 0xD1DB0001 {
-		return superblock{}, false, nil
-	}
-	n := int(binary.LittleEndian.Uint32(buf[4:]))
-	if n <= 0 || 16+n > len(buf) {
-		return superblock{}, false, nil
-	}
-	doc := buf[16 : 16+n]
-	if crc32.ChecksumIEEE(doc) != binary.LittleEndian.Uint32(buf[8:]) {
+	doc, _, ok := logring.ReadFrame(buf, superMagic)
+	if !ok {
 		return superblock{}, false, nil
 	}
 	var sb superblock
@@ -197,11 +195,7 @@ func (db *DB) writeJournal(p *sim.Proc, rec journalRec, blob []byte) error {
 	bs := db.dev.BlockSize()
 	meta, _ := json.Marshal(rec)
 	head := make([]byte, blocksPerPage*4096)
-	binary.LittleEndian.PutUint32(head, 0xD1DB00DD)
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(meta)))
-	binary.LittleEndian.PutUint32(head[8:], crc32.ChecksumIEEE(meta))
-	binary.LittleEndian.PutUint32(head[12:], crc32.ChecksumIEEE(blob))
-	copy(head[16:], meta)
+	logring.PutFrame(head, journalMagic, crc32.ChecksumIEEE(blob), meta)
 	// Images first, header last: a valid header implies complete images.
 	const chunk = 512 << 10
 	imgBase := db.journalBase + blocksPerPage
@@ -228,15 +222,8 @@ func (db *DB) readJournalHeader(p *sim.Proc) (journalRec, bool, error) {
 	if err := db.dev.ReadAt(p, db.journalBase, blocksPerPage, head); err != nil {
 		return journalRec{}, false, err
 	}
-	if binary.LittleEndian.Uint32(head) != 0xD1DB00DD {
-		return journalRec{}, false, nil
-	}
-	n := int(binary.LittleEndian.Uint32(head[4:]))
-	if n <= 0 || 16+n > len(head) {
-		return journalRec{}, false, nil
-	}
-	meta := head[16 : 16+n]
-	if crc32.ChecksumIEEE(meta) != binary.LittleEndian.Uint32(head[8:]) {
+	meta, blobCRC, ok := logring.ReadFrame(head, journalMagic)
+	if !ok {
 		return journalRec{}, false, nil
 	}
 	var rec journalRec
@@ -252,7 +239,7 @@ func (db *DB) readJournalHeader(p *sim.Proc) (journalRec, bool, error) {
 			return journalRec{}, false, err
 		}
 	}
-	if crc32.ChecksumIEEE(blob) != binary.LittleEndian.Uint32(head[12:]) {
+	if crc32.ChecksumIEEE(blob) != blobCRC {
 		return journalRec{}, false, nil
 	}
 	return rec, true, nil
@@ -289,7 +276,7 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	defer func() { db.ckptRunning = false }()
 
 	db.writeLock.Acquire(p)
-	cpLSN := db.redo.nextLSN - 1
+	cpLSN := db.redo.NextLSN() - 1
 	// Snapshot in sorted page order: map iteration order must not leak
 	// into the journal layout or the write sequence, or the trace digest
 	// stops being a pure function of the seed.
@@ -397,7 +384,7 @@ func (db *DB) checkpointer(p *sim.Proc) {
 // Txn buffers a transaction's writes until Commit.
 type Txn struct {
 	db     *DB
-	writes []redoRecord
+	writes []Row
 }
 
 // Begin starts a transaction.
@@ -409,8 +396,8 @@ func (tx *Txn) Read(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	tx.db.Stats.Reads++
 	// Read-your-writes within the transaction.
 	for i := len(tx.writes) - 1; i >= 0; i-- {
-		if tx.writes[i].key == key {
-			return tx.writes[i].row, true, nil
+		if tx.writes[i].Key == key {
+			return tx.writes[i].Data, true, nil
 		}
 	}
 	return tx.db.tree.get(p, key)
@@ -426,7 +413,7 @@ func (tx *Txn) ReadRange(p *sim.Proc, key uint64, n int) ([]Row, error) {
 func (tx *Txn) Write(key uint64, row []byte) {
 	tx.db.Stats.Writes++
 	own := append([]byte(nil), row...) // detach from the caller's buffer; the tree keeps this copy
-	tx.writes = append(tx.writes, redoRecord{key: key, row: own})
+	tx.writes = append(tx.writes, Row{Key: key, Data: own})
 }
 
 // Commit applies the transaction under the writer lock, logs it, and waits
@@ -434,15 +421,21 @@ func (tx *Txn) Write(key uint64, row []byte) {
 func (tx *Txn) Commit(p *sim.Proc) error {
 	if len(tx.writes) > 0 {
 		tx.db.writeLock.Acquire(p)
+		var first uint64
 		for _, w := range tx.writes {
-			tx.db.redo.append(w.key, w.row)
-			if err := tx.db.tree.put(p, w.key, w.row); err != nil {
+			lsn := tx.db.redo.Append(func(batch []byte, lsn uint64) []byte { return appendRedo(batch, lsn, w.Key, w.Data) })
+			if first == 0 {
+				first = lsn
+			}
+			if err := tx.db.tree.put(p, w.Key, w.Data); err != nil {
 				tx.db.writeLock.Release()
 				return err
 			}
 		}
 		tx.db.writeLock.Release()
-		tx.db.redo.commitWait(p)
+		if err := tx.db.redo.Wait(p, first); err != nil {
+			return err
+		}
 	}
 	tx.db.Stats.Txns++
 	tx.writes = nil

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"bmstore/internal/apps/logring"
 	"bmstore/internal/host"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
@@ -43,6 +44,13 @@ func (m *ringDev) ReadAt(_ *sim.Proc, lba uint64, blocks uint32, buf []byte) err
 func (m *ringDev) WriteAt(_ *sim.Proc, lba uint64, _ uint32, data []byte) error {
 	copy(m.data[lba*4096:], data)
 	return nil
+}
+
+// redoRecord is one record as the whole-ring decoder finds it.
+type redoRecord struct {
+	lsn uint64
+	key uint64
+	row []byte
 }
 
 // oracleDecodeRedo is the batch decoder recovery used while it read the whole
@@ -135,8 +143,9 @@ func (r *ringPlanter) batch(blk, n, rowBytes int) int {
 // boundaries, a batch that fills its blocks to the last byte, torn batches
 // (one torn in the chunk after it began), a ring rewritten over older batches with stale LSNs, a wrapped write position
 // and a record cut by the ring's end — and over random rings of overlapping,
-// damaged batches: the same read commands, the same records in the same
-// order, each replayed one with its own copy of the row.
+// damaged batches: the same read commands, the same records newer than the
+// checkpoint replayed in the same order, each with its own copy of the row,
+// and the next LSN past them.
 func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 	const base, blocks = 5, 600 // chunks of 256, 256 and 88 blocks
 	planted := []struct {
@@ -198,10 +207,27 @@ func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 		var err1, err2 error
 		env := sim.NewEnv(1)
 		env.Go("scan", func(p *sim.Proc) {
-			r := &redoLog{db: &DB{dev: dev}, baseBlock: base, blocks: blocks}
-			got, err1 = r.scan(p, checkpoint)
+			r := logring.New(env, dev, "minidb/redo", base, blocks)
+			err1 = r.Recover(p, checkpoint, redoEnd, redoLSN, func(rec []byte) error {
+				key, row := parseRedo(rec)
+				got = append(got, redoRecord{lsn: redoLSN(rec), key: key, row: row})
+				return nil
+			})
 			gotReads, dev.reads = dev.reads, nil
-			want, err2 = oracleScan(p, dev, base, blocks)
+			var all []redoRecord
+			all, err2 = oracleScan(p, dev, base, blocks)
+			for _, rec := range all {
+				if rec.lsn > checkpoint {
+					want = append(want, rec)
+				}
+			}
+			wantNext := checkpoint + 1
+			if len(want) > 0 {
+				wantNext = want[len(want)-1].lsn + 1
+			}
+			if next := r.NextLSN(); next != wantNext {
+				t.Errorf("%s: next LSN %d after recovery, want %d", name, next, wantNext)
+			}
 		})
 		env.Run()
 		if err1 != nil || err2 != nil {
@@ -218,7 +244,7 @@ func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 			if g.lsn != w.lsn {
 				t.Fatalf("%s: record %d has LSN %d, want %d", name, i, g.lsn, w.lsn)
 			}
-			if g.lsn > checkpoint && (g.key != w.key || !bytes.Equal(g.row, w.row) || (g.row == nil) != (w.row == nil)) {
+			if g.key != w.key || !bytes.Equal(g.row, w.row) || (g.row == nil) != (w.row == nil) {
 				t.Fatalf("%s: record %d (LSN %d) differs from the whole-ring decoder's", name, i, g.lsn)
 			}
 		}

@@ -81,7 +81,7 @@ type Driver struct {
 
 	// ioc lives apart from the Driver so that a registry outliving the rig
 	// (an obs.Set keeps every rig's) holds the counts, not the rig.
-	ioc *ioCounts
+	ioc *IOCounters
 
 	nsid     uint32
 	nsBlocks uint64
@@ -116,16 +116,9 @@ type IOCounters struct {
 	ZombiesLeft int
 }
 
-// ioCounts is everything the driver counts: the CID accounting and the
-// block layer's splits.
-type ioCounts struct {
-	IOCounters
-	splits uint64 // I/Os split at Kernel.SplitBytes
-}
-
 // Counters snapshots the driver's I/O CID accounting.
 func (d *Driver) Counters() IOCounters {
-	c := d.ioc.IOCounters
+	c := *d.ioc
 	for _, q := range d.queues {
 		c.ZombiesLeft += q.zombies
 	}
@@ -200,7 +193,7 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 	if cfg.MaxIOBytes <= 0 {
 		cfg.MaxIOBytes = 1 << 20
 	}
-	d := &Driver{h: h, port: port, fn: fn, cfg: cfg, tr: h.Env.Tracer(), ioc: new(ioCounts)}
+	d := &Driver{h: h, port: port, fn: fn, cfg: cfg, tr: h.Env.Tracer(), ioc: new(IOCounters)}
 	if met := h.Env.Metrics(); met != nil {
 		d.met = met
 		comp := met.Instance("host/driver")
@@ -208,7 +201,6 @@ func AttachDriver(p *sim.Proc, h *Host, port *pcie.Port, fn pcie.FuncID, cfg Dri
 		ioc := d.ioc
 		comp.CounterOf("doorbells", func() uint64 { return ioc.Submitted })
 		comp.CounterOf("cqes", func() uint64 { return ioc.Completed + ioc.Stragglers + ioc.Spurious })
-		comp.CounterOf("block_splits", func() uint64 { return ioc.splits })
 		comp.CounterOf("timeouts", func() uint64 { return ioc.Timeouts })
 		comp.CounterOf("aborts", func() uint64 { return ioc.Aborts })
 		comp.CounterOf("retries", func() uint64 { return ioc.Retries })
@@ -547,8 +539,7 @@ func (d *Driver) AdminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 // cost, SQ slot, SQE and doorbell, CQE, completion cost — that runs at the
 // queue positions a process blocked in the driver would resume at. Only a
 // timeout, a missing slot or a retryable status hands the episode to a
-// recovery process (retry), and an old kernel's split to a process that fans
-// it out (splitIO). The host recycles spent records, whose data-path
+// recovery process (retry). The host recycles spent records, whose data-path
 // callbacks are bound once, when a record is made, so a steady stream of
 // episodes allocates nothing.
 type ioReq struct {
@@ -623,12 +614,6 @@ func (d *Driver) submit(op uint8, lba uint64, blocks uint32, buf []byte, qIdx in
 	r.op, r.lba, r.blocks, r.buf, r.qIdx, r.done = op, lba, blocks, buf, qIdx, done
 	if d.mEventsPerIO != nil {
 		r.ev0 = d.h.Env.Events()
-	}
-	// Block-layer split on old kernels.
-	if sp := d.h.Kernel.SplitBytes; sp > 0 && op != nvme.IOFlush && nBytes > sp {
-		d.ioc.splits++
-		d.h.Env.Start("host/split-io", r.onSplit)
-		return
 	}
 	// Span start: the timestamp is taken here (kernel entry), the key once
 	// the queue slot — and with it the CID — is known. Retried attempts
@@ -837,10 +822,6 @@ func (r *ioReq) ended(st nvme.Status, end attemptEnd) {
 
 func (r *ioReq) onRecover(p *sim.Proc) { r.finish(r.d.retry(p, r)) }
 
-func (r *ioReq) onSplit(p *sim.Proc) {
-	r.finish(r.d.splitIO(p, r.op, r.lba, r.blocks, r.buf, r.qIdx, r.d.h.Kernel.SplitBytes))
-}
-
 // retry is an episode's recovery, from the end of its first attempt: the
 // Abort a timed-out attempt owes, then re-issues with bounded exponential
 // backoff while the failure is retryable and retries are left, each attempt
@@ -932,45 +913,6 @@ func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	}
 	d.putCpl(got.(*nvme.Completion))
 	q.give(slot)
-}
-
-// splitIO fans a large I/O out as concurrent split requests, the way the
-// block layer does when a request exceeds max_sectors_kb. The merged
-// outcome keeps the first fragment error, the worst attempt count, and is
-// indeterminate if any fragment was.
-func (d *Driver) splitIO(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx, splitBytes int) IOOutcome {
-	splitBlocks := uint32(splitBytes / nvme.LBASize)
-	worst := IOOutcome{Status: nvme.StatusSuccess}
-	dev := &nvmeBlockDev{d: d, q: qIdx}
-	var done []*sim.Event
-	for off := uint32(0); off < blocks; off += splitBlocks {
-		n := splitBlocks
-		if blocks-off < n {
-			n = blocks - off
-		}
-		var part []byte
-		if buf != nil {
-			part = buf[int(off)*nvme.LBASize : int(off+n)*nvme.LBASize]
-		}
-		off := off
-		proc := d.h.Env.Go("host/split", func(sp *sim.Proc) {
-			oc := d.h.parking.IO(sp, dev, op, lba+uint64(off), n, part)
-			if oc.Status.IsError() && worst.Status == nvme.StatusSuccess {
-				worst.Status = oc.Status
-			}
-			if oc.TimedOut {
-				worst.TimedOut = true
-			}
-			if oc.Attempts > worst.Attempts {
-				worst.Attempts = oc.Attempts
-			}
-		})
-		done = append(done, proc.Done())
-	}
-	for _, ev := range done {
-		p.Wait(ev)
-	}
-	return worst
 }
 
 // buildPRPs lays the slot's preallocated buffer out as PRP1/PRP2, writing

@@ -78,37 +78,6 @@ func TestFlushThroughBlockDevice(t *testing.T) {
 	r.env.Run()
 }
 
-func TestSplitBytesInsideVM(t *testing.T) {
-	k := host.CentOS("3.10.0")
-	k.SplitBytes = 32 << 10
-	vm := host.KVMGuest()
-	r := newNativeRig(t, k, &vm, true)
-	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0)
-		data := make([]byte, 128<<10)
-		for i := range data {
-			data[i] = byte(i >> 4)
-		}
-		if err := bd.WriteAt(p, 100, 32, data); err != nil {
-			t.Error(err)
-		}
-		got := make([]byte, len(data))
-		if err := bd.ReadAt(p, 100, 32, got); err != nil {
-			t.Error(err)
-		}
-		for i := range got {
-			if got[i] != data[i] {
-				t.Fatal("split VM I/O corrupted data")
-			}
-		}
-		// 128K / 32K = 4 split writes + 4 split reads at the device.
-		if r.dev.Ops.Writes != 4 || r.dev.Ops.Reads != 4 {
-			t.Fatalf("device ops r=%d w=%d, want 4/4", r.dev.Ops.Reads, r.dev.Ops.Writes)
-		}
-	})
-	r.env.Run()
-}
-
 func TestPerIOCPUReflectsVM(t *testing.T) {
 	vm := host.KVMGuest()
 	r := newNativeRig(t, host.CentOS("3.10.0"), &vm, false)

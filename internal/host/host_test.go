@@ -102,34 +102,6 @@ func TestDriverDataIntegrity(t *testing.T) {
 	r.env.Run()
 }
 
-func TestKernelSplitBytes(t *testing.T) {
-	k := host.CentOS("3.10.0")
-	k.SplitBytes = 64 << 10
-	r := newNativeRig(t, k, nil, true)
-	r.env.Go("test", func(p *sim.Proc) {
-		bd := r.drv.BlockDev(0)
-		data := make([]byte, 128<<10) // splits into 2 x 64K
-		for i := range data {
-			data[i] = byte(i * 3)
-		}
-		if err := bd.WriteAt(p, 0, 32, data); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, len(data))
-		if err := bd.ReadAt(p, 0, 32, got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("split I/O corrupted data")
-		}
-		// Device saw the writes as two commands.
-		if r.dev.Ops.Writes != 2 {
-			t.Fatalf("device write ops %d, want 2 (split)", r.dev.Ops.Writes)
-		}
-	})
-	r.env.Run()
-}
-
 // Calibration tests: Table V native-disk column.
 
 func TestNativeQD1ReadLatency(t *testing.T) {

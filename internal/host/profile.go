@@ -14,11 +14,6 @@ type KernelProfile struct {
 	SubmitLatency   sim.Time // fio -> doorbell, in path
 	CompleteLatency sim.Time // MSI -> fio wakeup, in path
 	PerIOCPU        sim.Time // per-core CPU time per I/O (throughput cap)
-
-	// SplitBytes, when nonzero, is the block layer's maximum request
-	// size: larger I/Os are split before reaching the driver. Old kernels
-	// combined with vhost expose this (§V-C's seq-r anomaly).
-	SplitBytes int
 }
 
 // The CentOS 7 kernels of Table III/VI. The paper measures identical IOPS

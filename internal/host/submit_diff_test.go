@@ -121,18 +121,15 @@ func diffRun(t *testing.T, c diffCase, procs bool) ([][]host.IOOutcome, []string
 // stream through either must end every I/O the same way — status, attempts,
 // in doubt or not — and leave the same trace records from every component
 // but the kernel, and fire the same kernel events, under slow media with the
-// driver's timeouts and retries armed, a dropped drive, a kernel whose
+// driver's timeouts and retries armed, a dropped drive, and a kernel whose
 // in-path costs are zero (where the interrupt handler queues the completion
-// callback instead of running it in place), and an old kernel that splits
-// large requests.
+// callback instead of running it in place).
 func TestSubmitMatchesParkedProcessAPI(t *testing.T) {
 	recovery := func(d *host.DriverConfig) {
 		d.CmdTimeout, d.MaxRetries, d.RetryBackoff = sim.Millisecond, 3, 100*sim.Microsecond
 	}
 	zeroCost := host.CentOS("3.10.0")
 	zeroCost.SubmitLatency, zeroCost.CompleteLatency, zeroCost.PerIOCPU = 0, 0, 0
-	split := host.CentOS("3.10.0")
-	split.SplitBytes = 16 << 10
 	for _, c := range []diffCase{
 		{"media-slow", host.CentOS("3.10.0"), "media-slow,nth=5,count=-1,dur=2ms", recovery,
 			func(c host.IOCounters, _ [][]host.IOOutcome) error {
@@ -156,13 +153,6 @@ func TestSubmitMatchesParkedProcessAPI(t *testing.T) {
 			func(c host.IOCounters, _ [][]host.IOOutcome) error {
 				if c.Completed == 0 || c.Timeouts == 0 {
 					return fmt.Errorf("no completion or no timeout: %+v", c)
-				}
-				return nil
-			}},
-		{"old-kernel split", split, "", nil,
-			func(c host.IOCounters, _ [][]host.IOOutcome) error {
-				if c.Submitted <= 4*16 {
-					return fmt.Errorf("%d commands for 64 I/Os: nothing was split", c.Submitted)
 				}
 				return nil
 			}},

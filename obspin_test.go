@@ -39,8 +39,10 @@ import (
 // The exports include the kernel's own process counters (`sim`
 // procs_spawned and proc_resumes), which count how the kernel ran the model —
 // as processes or as scheduled callbacks — not what the model did; the
-// constants were retaken once, when the I/O path stopped running as
-// processes, and only those two counters moved then.
+// constants were retaken when the I/O path stopped running as processes, and
+// only those two counters moved then. They were retaken again when the
+// block layer's split, which no kernel profile enabled, was deleted: only
+// the driver's `block_splits` counter rows, always 0, left the exports.
 //
 // It uses only API both sides of that change have, because
 // scripts/modelpin_diff.sh copies this file over the reference tree; like the
@@ -94,9 +96,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"125501:23eb40cdd31bce9f08ad1b2439f85bbdb6f992499b5559a9d14c7f77ba35fe24",
-				"125464:cddf8e6a30aacde17f44d3196c323b6d21977a7a62eaef3e172e6cd16c6723a4",
-				"124284:556fd76cbeef2e278248a9aad01d5fb7b7528b61b2b7bf42a68953831630415d",
+				"125361:1344c5fc84e81f163cd67510ec0d757474927ef09b3442991518ed48605c04eb",
+				"125324:c4d48fb98f34611e76f69fafb107e89c80a4df7ac9f25f8bad2acd8ef3520e25",
+				"124144:8e0f7c245d4f16a9a61d881fa557cdf36c90935f27631640fcbbba3ca13a2f4e",
 			}},
 		{"split-faulted", false, faults,
 			func(tb *Testbed, p *sim.Proc) { split(tb, p, recoveryDriverConfig()) },
@@ -107,9 +109,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"65977:ed1a10de854b05d6897f6329b22017a12a5c22b239f578da4d4f3953b25f58b3",
-				"66194:638c30d25987ee95db6ac059c83a2cad38de2fede1ac052bf92c61bae7158994",
-				"66150:cbba20d9ac6db2c8ff71dca645d708b6d0f60b9f21ea06368dc70e6d0b2df594",
+				"65829:e0d7d896a9b83aa613bc4b475c486e2388086b8e481fd14d96a6e8b1b506dcb7",
+				"66046:6fe9af5646bc2af74f74e07599d4a0e77a41d18a85e4b99670ee9d9e706694b6",
+				"66002:510e4a46034ebe79f0a4ff3f575c579ff5014d846b9a7acefef98da040be8b37",
 			}},
 		{"direct-shared-fn", true, nil,
 			func(tb *Testbed, p *sim.Proc) {
@@ -130,9 +132,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"76705:f4c72b4a33f5cce2e3c5fd6c95f61cc3fc318457b25cbe11bcdea259c2176dea",
-				"75342:98be2aecb254823a6691d88d54ab9fb4c76f4a039beceff41b04c064f877fc52",
-				"79186:2f685bb658c1bb4c85dfd046ba82f8ada81b09f0599b3e6072eec2238b440b6d",
+				"76403:8f39b2151ca32859e95c92e6d27727475989c9db90528b728a9e703d114ca72b",
+				"75040:6a1aa93d195e66f783ca4707ea167436edb58f694fcfa19707c0658383e53de9",
+				"78884:7fa6678c1225a1b3d9e783fba5dd09aded3dfac73a72da07f81a29e75d21dbc1",
 			}},
 	}
 	for _, rig := range rigs {
