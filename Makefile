@@ -10,7 +10,7 @@ build:
 test:
 	$(GO) test ./...
 
-# Fourteen seconds of native fuzzing, split over the thirteen targets: the event
+# Fifteen seconds of native fuzzing, split over the fourteen targets: the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program, Text's bulk letters
 # included (internal/sim FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -38,7 +38,10 @@ test:
 # spec language under any string: an error, or rules at known points with no
 # negative time, latency or die (internal/fault FuzzParseSpec), and the
 # applications' CRC-framed header codec under any bytes and any one-byte flip
-# of a frame (internal/apps/logring FuzzFrame).
+# of a frame (internal/apps/logring FuzzFrame), and the trace digest under any
+# subsystem, kind and detail: a record keyed with NewKey folds the FNV and
+# SHA-256 digests and the dump exactly as its strings did (internal/trace
+# FuzzEmitKey).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:
@@ -55,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 1s ./internal/hostmem
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 1s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 1s ./internal/apps/logring
+	$(GO) test -run '^$$' -fuzz '^FuzzEmitKey$$' -fuzztime 1s ./internal/trace
 
 # Race job runs the short suite: long soak tests carry testing.Short()
 # guards so the race detector's ~10x slowdown stays within CI budget.
@@ -127,8 +131,9 @@ modelpin-diff:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Alloc-regression gate: the kernel throughput benchmarks, the end-to-end
-# I/O path benchmarks, the application round and a 4-SSD rig's construction
+# Alloc-regression gate: the kernel throughput benchmarks, the trace digest's
+# per-record fold, the end-to-end I/O path benchmarks, the application round
+# and a 4-SSD rig's construction
 # must stay at the committed allocs/op baseline
 # (scripts/bench_allocs_baseline.txt).
 bench-gate:

@@ -61,6 +61,13 @@ type Store struct {
 	compBusy  bool
 	flushDone []*sim.Event
 
+	// bgErr is the first failure of a background flush, compaction or
+	// manifest write, and it is sticky, as RocksDB's background error is:
+	// the memtable whose flush failed stays readable as imm, and Flush and
+	// every later Put return the error, since another flush would have no
+	// room to keep a second immutable memtable.
+	bgErr error
+
 	// Stats counts logical operations and physical effects.
 	Stats struct {
 		Puts, Gets, Scans    uint64
@@ -109,6 +116,9 @@ func Open(p *sim.Proc, env *sim.Env, dev host.BlockDevice, cfg Config) (*Store, 
 // Put stores value under key, durable once Put returns (WAL committed). A nil
 // value deletes key: it is written as a tombstone.
 func (s *Store) Put(p *sim.Proc, key, value []byte) error {
+	if s.bgErr != nil {
+		return s.bgErr
+	}
 	s.Stats.Puts++
 	lsn := s.wal.Append(func(batch []byte, lsn uint64) []byte { return appendRecord(batch, lsn, key, value) })
 	if err := s.wal.Wait(p, lsn); err != nil {
@@ -193,8 +203,12 @@ func (s *Store) Scan(p *sim.Proc, start []byte, limit int) ([]KV, error) {
 	return mergeScan(iters, limit), nil
 }
 
-// Flush forces the memtable to disk and waits for it.
+// Flush forces the memtable to disk and waits for it. It returns the
+// store's background error, if a flush or compaction has failed.
 func (s *Store) Flush(p *sim.Proc) error {
+	if s.bgErr != nil {
+		return s.bgErr
+	}
 	if err := s.wal.Sync(p); err != nil {
 		return err
 	}
@@ -209,7 +223,7 @@ func (s *Store) Flush(p *sim.Proc) error {
 		s.flushDone = append(s.flushDone, ev)
 		p.Wait(ev)
 	}
-	return nil
+	return s.bgErr
 }
 
 // WaitIdle blocks until background flush and compaction settle (tests and
@@ -229,15 +243,20 @@ func (s *Store) startFlush() {
 	imm := s.imm
 	s.env.Go("kv/flush", func(fp *sim.Proc) {
 		t, err := s.writeTable(fp, imm.sorted())
-		if err == nil && t != nil {
-			s.levels[0] = append(s.levels[0], t)
-			s.flushedLSN = s.immMaxLSN
-			s.Stats.Flushes++
-			if err := s.writeManifest(fp); err != nil {
-				panic(fmt.Sprintf("kvstore: manifest write failed: %v", err))
+		if err != nil {
+			// imm stays: its keys are nowhere else until the WAL is replayed.
+			s.fail(fmt.Errorf("kvstore: flush: %w", err))
+		} else {
+			if t != nil {
+				s.levels[0] = append(s.levels[0], t)
+				s.flushedLSN = s.immMaxLSN
+				s.Stats.Flushes++
+				if err := s.writeManifest(fp); err != nil {
+					s.fail(fmt.Errorf("kvstore: manifest: %w", err))
+				}
 			}
+			s.imm = nil
 		}
-		s.imm = nil
 		s.flushBusy = false
 		for _, ev := range s.flushDone {
 			ev.Trigger(nil)
@@ -259,14 +278,22 @@ func (s *Store) startCompaction() {
 				continue
 			}
 			if err := s.compactLevel(cp, lvl); err != nil {
+				s.fail(fmt.Errorf("kvstore: compaction: %w", err))
 				return
 			}
 			s.Stats.Compactions++
 		}
 		if err := s.writeManifest(cp); err != nil {
-			panic(fmt.Sprintf("kvstore: manifest write failed: %v", err))
+			s.fail(fmt.Errorf("kvstore: manifest: %w", err))
 		}
 	})
+}
+
+// fail records err as the store's background error unless one is set.
+func (s *Store) fail(err error) {
+	if s.bgErr == nil {
+		s.bgErr = err
+	}
 }
 
 func (s *Store) levelOverflow(lvl int) bool {

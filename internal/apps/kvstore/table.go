@@ -97,10 +97,12 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 		end := min(off+chunk, len(all))
 		lba := base + uint64(off/devBS)
 		if err := s.dev.WriteAt(p, lba, uint32((end-off)/devBS), all[off:end]); err != nil {
+			s.alloc.release(base, totalDevBlocks)
 			return nil, err
 		}
 	}
 	if err := s.dev.Flush(p); err != nil {
+		s.alloc.release(base, totalDevBlocks)
 		return nil, err
 	}
 	return t, nil

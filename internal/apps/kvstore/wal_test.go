@@ -59,6 +59,42 @@ func TestFailedWALWriteIsNotAcknowledged(t *testing.T) {
 	}
 }
 
+// TestFailedFlushKeepsTheMemtable: when the device fails a flush's table
+// write, Flush returns the error, the flushed keys stay readable, and the
+// error is sticky: a later Put returns it too.
+func TestFailedFlushKeepsTheMemtable(t *testing.T) {
+	const walBlocks = 64
+	dev := &faultyDev{
+		ringDev:  ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)},
+		failFrom: manifestBlocks + walBlocks, failTo: ^uint64(0),
+	}
+	env := sim.NewEnv(1)
+	env.Go("test", func(p *sim.Proc) {
+		s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := s.Put(p, []byte("k"), []byte("v")); err != nil {
+			t.Errorf("Put: %v", err)
+			return
+		}
+		if err := s.Flush(p); !errors.Is(err, errWrite) {
+			t.Errorf("Flush returned %v, want %v", err, errWrite)
+		}
+		if v, ok, err := s.Get(p, []byte("k")); err != nil || !ok || string(v) != "v" {
+			t.Errorf("after the failed flush Get(k) = %q, %v, %v", v, ok, err)
+		}
+		if err := s.Put(p, []byte("k2"), []byte("v2")); !errors.Is(err, errWrite) {
+			t.Errorf("Put after the failed flush returned %v, want %v", err, errWrite)
+		}
+		if err := s.Flush(p); !errors.Is(err, errWrite) {
+			t.Errorf("second Flush returned %v, want %v", err, errWrite)
+		}
+	})
+	env.Run()
+}
+
 // TestWALBatchLargerThanTheRing: a Put whose record does not fit the whole
 // WAL ring returns an error naming the ring's size, and nothing is written
 // outside the ring.

@@ -67,6 +67,11 @@ type DB struct {
 	// next: a checkpoint is the largest allocation the engine makes, and one
 	// at a time runs.
 	ckptBlob []byte
+	// failed is the error of the first commit whose redo write failed. A
+	// commit updates the tree before its log write lands, so from then on
+	// the tree may hold rows the log lost: like InnoDB on a failed log write,
+	// the DB stops, and every later read, commit and checkpoint returns it.
+	failed error
 
 	// Stats for the workload drivers.
 	Stats struct {
@@ -265,6 +270,9 @@ func (db *DB) applyJournal(p *sim.Proc, rec journalRec) error {
 // captured under the writer lock, journaled, written in place, and the
 // superblock commits the new epoch.
 func (db *DB) Checkpoint(p *sim.Proc) error {
+	if db.failed != nil {
+		return db.failed
+	}
 	if db.ckptRunning {
 		// Someone else is checkpointing; wait for it.
 		for db.ckptRunning {
@@ -373,6 +381,9 @@ func (db *DB) checkpointer(p *sim.Proc) {
 		if db.ckptReq.Processed() {
 			db.ckptReq = db.env.NewEvent()
 		}
+		if db.failed != nil {
+			return
+		}
 		if err := db.Checkpoint(p); err != nil {
 			panic(fmt.Sprintf("minidb: checkpoint failed: %v", err))
 		}
@@ -393,6 +404,9 @@ func (db *DB) Begin() *Txn { return &Txn{db: db} }
 // Read returns the latest committed row for key (read committed; the
 // paper's workloads measure I/O throughput, not anomaly rates).
 func (tx *Txn) Read(p *sim.Proc, key uint64) ([]byte, bool, error) {
+	if tx.db.failed != nil {
+		return nil, false, tx.db.failed
+	}
 	tx.db.Stats.Reads++
 	// Read-your-writes within the transaction.
 	for i := len(tx.writes) - 1; i >= 0; i-- {
@@ -405,6 +419,9 @@ func (tx *Txn) Read(p *sim.Proc, key uint64) ([]byte, bool, error) {
 
 // ReadRange scans n rows from key upward.
 func (tx *Txn) ReadRange(p *sim.Proc, key uint64, n int) ([]Row, error) {
+	if tx.db.failed != nil {
+		return nil, tx.db.failed
+	}
 	tx.db.Stats.Reads += uint64(n)
 	return tx.db.tree.scan(p, key, n)
 }
@@ -417,8 +434,11 @@ func (tx *Txn) Write(key uint64, row []byte) {
 }
 
 // Commit applies the transaction under the writer lock, logs it, and waits
-// for group-commit durability.
+// for group-commit durability. A failed log write fails the DB.
 func (tx *Txn) Commit(p *sim.Proc) error {
+	if tx.db.failed != nil {
+		return tx.db.failed
+	}
 	if len(tx.writes) > 0 {
 		tx.db.writeLock.Acquire(p)
 		var first uint64
@@ -434,6 +454,9 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 		}
 		tx.db.writeLock.Release()
 		if err := tx.db.redo.Wait(p, first); err != nil {
+			if tx.db.failed == nil {
+				tx.db.failed = err
+			}
 			return err
 		}
 	}

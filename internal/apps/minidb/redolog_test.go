@@ -67,6 +67,30 @@ func TestFailedRedoWriteIsNotAcknowledged(t *testing.T) {
 	}
 }
 
+// TestFailedRedoWriteFailsTheDB: a commit whose redo write fails leaves no
+// row visible — the DB has failed, and every later read and commit returns
+// the error instead of the tree's rows.
+func TestFailedRedoWriteFailsTheDB(t *testing.T) {
+	const redoBlocks = 64
+	dev := &faultyDev{}
+	redoTestDB(t, dev, redoBlocks, func(p *sim.Proc, db *DB, redoBase uint64) {
+		dev.failFrom, dev.failTo = redoBase, redoBase+redoBlocks
+		if err := db.Put(p, 7, []byte("seven")); !errors.Is(err, errWrite) {
+			t.Errorf("Put returned %v, want %v", err, errWrite)
+		}
+		if v, ok, err := db.Begin().Read(p, 7); string(v) == "seven" || !errors.Is(err, errWrite) {
+			t.Errorf("after the failed commit Read(7) = %q, %v, %v", v, ok, err)
+		}
+		if rows, err := db.Begin().ReadRange(p, 0, 10); len(rows) > 0 || !errors.Is(err, errWrite) {
+			t.Errorf("after the failed commit ReadRange = %v, %v", rows, err)
+		}
+		dev.failFrom, dev.failTo = 0, 0
+		if err := db.Put(p, 8, []byte("eight")); !errors.Is(err, errWrite) {
+			t.Errorf("a later Put returned %v, want %v", err, errWrite)
+		}
+	})
+}
+
 // TestRedoBatchLargerThanTheRing: a commit whose records do not fit the whole
 // redo ring returns an error naming the ring's size, and nothing is written
 // outside the ring — not into the pages after it.

@@ -21,6 +21,13 @@ import (
 	"bmstore/internal/trace"
 )
 
+// The BMS-Controller's trace records.
+var (
+	trMI        = trace.NewKey("bmsc", "mi")
+	trHuSave    = trace.NewKey("bmsc", "hu-save")
+	trHuRestore = trace.NewKey("bmsc", "hu-restore")
+)
+
 // Version is the BMS-Controller firmware revision reported to the console.
 const Version = "BMSC 1.0.3"
 
@@ -138,7 +145,7 @@ func (c *Controller) serve(p *sim.Proc) {
 }
 
 func (c *Controller) handle(p *sim.Proc, msg mctp.MIMessage) mctp.MIMessage {
-	c.tr.Emit(c.env.Now(), "bmsc", "mi", uint64(msg.Opcode), uint64(msg.RequestID), "")
+	c.tr.Emit(c.env.Now(), trMI, uint64(msg.Opcode), uint64(msg.RequestID), "")
 	*c.nMI++
 	fail := func(status uint8, err error) mctp.MIMessage {
 		c.logf("op %#x failed: %v", msg.Opcode, err)
@@ -487,7 +494,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 	tq := p.Now()
 	c.eng.QuiesceBackend(p, req.SSD)
 	p.Sleep(ctxSaveLatency)
-	c.tr.Emit(c.env.Now(), "bmsc", "hu-save", uint64(req.SSD), uint64(p.Now()-tq), "")
+	c.tr.Emit(c.env.Now(), trHuSave, uint64(req.SSD), uint64(p.Now()-tq), "")
 
 	// 3. Activate. The commit completes, then the device drops off the bus.
 	tc := p.Now()
@@ -507,7 +514,7 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 		return HotUpgradeResp{}, fmt.Errorf("resume: %w", err)
 	}
 	tEnd := p.Now()
-	c.tr.Emit(tEnd, "bmsc", "hu-restore", uint64(req.SSD), uint64(tEnd-tr), "")
+	c.tr.Emit(tEnd, trHuRestore, uint64(req.SSD), uint64(tEnd-tr), "")
 
 	rep := HotUpgradeResp{
 		Firmware:     c.eng.BackendFirmware(req.SSD),

@@ -272,7 +272,7 @@ func (b *backend) closeGate(p *sim.Proc) {
 // arrive, and complete() tolerates stragglers anyway.
 func (b *backend) abandonPending() {
 	for cid := range b.pending.All() {
-		b.e.tr.Emit(b.e.env.Now(), "engine", "abandon", uint64(b.idx)<<16|uint64(cid), 0, b.dev.Config().Serial)
+		b.e.tr.Emit(b.e.env.Now(), trAbandon, uint64(b.idx)<<16|uint64(cid), 0, b.dev.Config().Serial)
 		b.complete(nvme.Completion{CID: cid, Status: nvme.StatusNSNotReady})
 	}
 }

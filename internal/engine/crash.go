@@ -194,7 +194,7 @@ func (e *Engine) enterCrash() {
 		// command timeouts (the honest in-doubt window).
 		b.gateClosed = true
 	}
-	e.tr.Emit(now, "engine", "crash", e.epoch, uint64(dropped), "")
+	e.tr.Emit(now, trCrash, e.epoch, uint64(dropped), "")
 	if e.onCrash != nil {
 		e.onCrash(CrashInfo{At: int64(now), Epoch: e.epoch, Dropped: dropped})
 	}
@@ -322,7 +322,7 @@ func (e *Engine) Recover(cp *Checkpoint) error {
 	for _, b := range e.backends {
 		b.openGate()
 	}
-	e.tr.Emit(e.env.Now(), "engine", "recover", e.epoch, 0, "")
+	e.tr.Emit(e.env.Now(), trRecover, e.epoch, 0, "")
 	return nil
 }
 

@@ -12,6 +12,18 @@ import (
 	"bmstore/internal/trace"
 )
 
+// The engine's trace records.
+var (
+	trDispatch          = trace.NewKey("engine", "dispatch")
+	trMap               = trace.NewKey("engine", "map")
+	trRouteW            = trace.NewKey("engine", "route-w")
+	trRouteR            = trace.NewKey("engine", "route-r")
+	trAbandon           = trace.NewKey("engine", "abandon")
+	trCrash             = trace.NewKey("engine", "crash")
+	trRecover           = trace.NewKey("engine", "recover")
+	trFaultBackendStall = trace.NewKey("fault", "backend-stall")
+)
+
 // The BMS-Engine's fixed geometry and pipeline timings. The latencies are
 // calibrated so the whole engine adds roughly 3 µs to the I/O path,
 // matching Table V of the paper.
@@ -233,7 +245,7 @@ func (t backendTarget) DMAWrite(addr uint64, n int, data []byte) sim.Time {
 	if int(fn) >= len(e.funcs) {
 		panic(fmt.Sprintf("engine: DMA write routed to unknown function %d", fn))
 	}
-	e.tr.Emit(e.env.Now(), "engine", "route-w", uint64(fn)<<48|hostAddr, uint64(n), "")
+	e.tr.Emit(e.env.Now(), trRouteW, uint64(fn)<<48|hostAddr, uint64(n), "")
 	if e.staging != nil {
 		// Ablation: land in engine DRAM first, then re-DMA to the host.
 		in := e.staging.Reserve(int64(n)) - e.env.Now()
@@ -254,7 +266,7 @@ func (t backendTarget) DMARead(addr uint64, n int, buf []byte) sim.Time {
 	if int(fn) >= len(e.funcs) {
 		panic(fmt.Sprintf("engine: DMA read routed to unknown function %d", fn))
 	}
-	e.tr.Emit(e.env.Now(), "engine", "route-r", uint64(fn)<<48|hostAddr, uint64(n), "")
+	e.tr.Emit(e.env.Now(), trRouteR, uint64(fn)<<48|hostAddr, uint64(n), "")
 	if e.staging != nil {
 		out := e.staging.Reserve(int64(n)) - e.env.Now()
 		return e.hostPort.DMARead(hostAddr, n, buf) + out + routeLatency

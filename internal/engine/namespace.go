@@ -21,8 +21,7 @@ type Namespace struct {
 	chunks []Entry // allocated chunks in logical order
 
 	qos         *qosBucket
-	buffer      []*bufEntry // the QoS command buffer (Fig. 5)
-	bufFree     []*bufEntry // recycled buffer entries
+	buffer      sim.FIFO[bufEntry] // the QoS command buffer (Fig. 5)
 	dispatching bool
 	dispatchFn  func() // dispatchStep, bound once at creation
 
@@ -41,6 +40,8 @@ type Namespace struct {
 	env *sim.Env
 }
 
+// bufEntry is one command parked in the QoS command buffer: the event that
+// re-admits it and the bytes it asks the token bucket for.
 type bufEntry struct {
 	ev     *sim.Event
 	nBytes int
@@ -176,11 +177,11 @@ func (ns *Namespace) ssdSetInto(out []int) []int {
 // (dispatchStep): a capped tenant parks nearly every command, so a process
 // per park would be the dominant spawn cost of a fleet host.
 func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
-	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
+	if ns.qos.Unlimited() && ns.buffer.Len() == 0 {
 		cb(nil)
 		return
 	}
-	if len(ns.buffer) == 0 {
+	if ns.buffer.Len() == 0 {
 		if ok, _ := ns.qos.Admit(nBytes); ok {
 			cb(nil)
 			return
@@ -188,8 +189,7 @@ func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	}
 	ev := ns.env.PooledEvent()
 	ev.AddCallback(cb)
-	be := ns.getBufEntry(ev, nBytes)
-	ns.buffer = append(ns.buffer, be)
+	ns.buffer.Push(bufEntry{ev: ev, nBytes: nBytes})
 	*ns.parked++
 	ns.mBuffered.Inc(ns.env.Now())
 	if !ns.dispatching {
@@ -199,22 +199,12 @@ func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	}
 }
 
-func (ns *Namespace) getBufEntry(ev *sim.Event, nBytes int) *bufEntry {
-	if n := len(ns.bufFree); n > 0 {
-		be := ns.bufFree[n-1]
-		ns.bufFree = ns.bufFree[:n-1]
-		be.ev, be.nBytes = ev, nBytes
-		return be
-	}
-	return &bufEntry{ev: ev, nBytes: nBytes}
-}
-
 // dispatchStep is the command dispatcher of Fig. 5: it drains the buffer in
 // order as tokens accrue, re-scheduling itself for each token wait (Admit
 // never returns a wait below 1 µs, so the wait is always a real hop).
 func (ns *Namespace) dispatchStep() {
-	for len(ns.buffer) > 0 {
-		ok, wait := ns.qos.Admit(ns.buffer[0].nBytes)
+	for ns.buffer.Len() > 0 {
+		ok, wait := ns.qos.Admit(ns.buffer.Front().nBytes)
 		if !ok {
 			ns.env.Schedule(wait, ns.dispatchFn)
 			return
@@ -226,11 +216,7 @@ func (ns *Namespace) dispatchStep() {
 
 // release re-admits the head of the command buffer.
 func (ns *Namespace) release() {
-	head := ns.buffer[0]
-	ns.buffer = ns.buffer[1:]
+	head := ns.buffer.Pop()
 	ns.mBuffered.Dec(ns.env.Now())
-	ev := head.ev
-	head.ev = nil
-	ns.bufFree = append(ns.bufFree, head)
-	ev.Trigger(nil)
+	head.ev.Trigger(nil)
 }

@@ -116,7 +116,7 @@ func (io *feIO) start() {
 		return
 	}
 	io.epoch = e.epoch
-	e.tr.Emit(e.env.Now(), "engine", "dispatch",
+	e.tr.Emit(e.env.Now(), trDispatch,
 		uint64(f.id)<<32|uint64(io.sq.ID)<<16|uint64(io.cmd.Opcode), uint64(io.cmd.CID), "")
 	ns := f.ns
 	if ns == nil || io.cmd.NSID != FrontNSID {
@@ -161,7 +161,7 @@ func (io *feIO) mapped() {
 		io.finish(nvme.StatusInternal)
 		return
 	}
-	io.e.tr.Emit(io.e.env.Now(), "engine", "map", io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
+	io.e.tr.Emit(io.e.env.Now(), trMap, io.slba, uint64(io.nlb)<<32|uint64(len(io.extents)), "")
 	// QoS admission: over-threshold commands park in the command buffer
 	// until the dispatcher re-admits them.
 	io.qosT0 = io.e.env.Now()
@@ -357,7 +357,7 @@ func (s *beSubmit) gate(any) {
 	if flt := b.e.flt; flt != nil {
 		now := b.e.env.Now()
 		if end := sim.Time(flt.StallUntil(fault.BackendSubmit, b.dev.Config().Serial, int64(now))); end > now {
-			b.e.tr.Emit(now, "fault", "backend-stall", uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
+			b.e.tr.Emit(now, trFaultBackendStall, uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
 			// Re-check the gate afterwards in case a quiesce started meanwhile.
 			b.e.env.Schedule(end-now, s.stalledFn)
 			return

@@ -13,6 +13,9 @@ import (
 	"bmstore/internal/trace"
 )
 
+// trPoint is the record foldDigests folds per crash point.
+var trPoint = trace.NewKey("sweep", "point")
+
 // The crash-point sweep kills the BM-Engine at every pipeline-stage
 // boundary and verifies recovery at each one. Per seed it runs one probe
 // rig — identical configuration, no crash, full timeline sampling — picks
@@ -270,7 +273,7 @@ func RunCrashSweep(opts CrashSweepOptions) (*CrashSweep, error) {
 func foldDigests(points []crash.PointReport) string {
 	h := trace.NewDigest()
 	for i, p := range points {
-		h.Emit(int64(i), "sweep", "point", uint64(len(p.Violations)), uint64(len(p.Findings)), p.Digest)
+		h.Emit(int64(i), trPoint, uint64(len(p.Violations)), uint64(len(p.Findings)), p.Digest)
 	}
 	return h.Digest()
 }

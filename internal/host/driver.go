@@ -15,6 +15,17 @@ import (
 	"bmstore/internal/trace"
 )
 
+// The driver's trace records.
+var (
+	trDoorbell = trace.NewKey("host", "doorbell")
+	trCQE      = trace.NewKey("host", "cqe")
+	trTimeout  = trace.NewKey("host", "timeout")
+	trRetry    = trace.NewKey("host", "retry")
+	trAbort    = trace.NewKey("host", "abort")
+	trReclaim  = trace.NewKey("host", "reclaim")
+	trReattach = trace.NewKey("host", "reattach")
+)
+
 // adminDepth is the admin queue-pair depth.
 const adminDepth = 32
 
@@ -333,7 +344,7 @@ func (d *Driver) IRQ(vec int) {
 	}
 	var cpl nvme.Completion
 	for q.Next(&cpl) {
-		d.tr.Emit(h.Env.Now(), "host", "cqe",
+		d.tr.Emit(h.Env.Now(), trCQE,
 			uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
 		// The CID is the device's word: one outside the queue's slots can be
 		// neither waited for nor zombied, and has no span.
@@ -394,7 +405,7 @@ func (d *Driver) ReclaimZombies() int {
 		n += d.reclaimQueue(q)
 	}
 	if n > 0 {
-		d.tr.Emit(d.h.Env.Now(), "host", "reclaim", uint64(d.fn), uint64(n), "")
+		d.tr.Emit(d.h.Env.Now(), trReclaim, uint64(d.fn), uint64(n), "")
 	}
 	return n
 }
@@ -513,7 +524,7 @@ func (d *Driver) Reattach(p *sim.Proc) error {
 			return fmt.Errorf("host: reattach: %w", err)
 		}
 	}
-	d.tr.Emit(d.h.Env.Now(), "host", "reattach", uint64(d.fn), 0, "")
+	d.tr.Emit(d.h.Env.Now(), trReattach, uint64(d.fn), 0, "")
 	for _, q := range d.queues {
 		d.reclaimQueue(q)
 	}
@@ -714,7 +725,7 @@ func (r *ioReq) onSlot(any) {
 	ev.AddCallback(r.reaped)
 	r.cqe = ev
 	q.wait[cmd.CID] = ev
-	d.tr.Emit(d.h.Env.Now(), "host", "doorbell",
+	d.tr.Emit(d.h.Env.Now(), trDoorbell,
 		uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
 	// The span is found once, here; the handle serves this attempt and, from
 	// the slot's entry, the IRQ handler's CQE mark. It stays nil for a flush.
@@ -791,7 +802,7 @@ func (r *ioReq) onTimeout(any) {
 	}
 	q.zombify(slot)
 	d.ioc.Timeouts++
-	d.tr.Emit(d.h.Env.Now(), "host", "timeout",
+	d.tr.Emit(d.h.Env.Now(), trTimeout,
 		uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(slot), uint64(r.op), "")
 	if d.met != nil && r.op != nvme.IOFlush {
 		r.span.Error()
@@ -838,7 +849,7 @@ func (d *Driver) retry(p *sim.Proc, r *ioReq) IOOutcome {
 			return oc
 		}
 		d.ioc.Retries++
-		d.tr.Emit(d.h.Env.Now(), "host", "retry",
+		d.tr.Emit(d.h.Env.Now(), trRetry,
 			uint64(d.fn)<<32|uint64(r.op)<<16|uint64(attempt), uint64(st), "")
 		if d.cfg.RetryBackoff > 0 {
 			p.Sleep(d.cfg.RetryBackoff << uint(attempt))
@@ -903,7 +914,7 @@ func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	q.Push(&cmd)
 	ev := d.h.Env.NewEvent()
 	q.wait[slot] = ev
-	d.tr.Emit(d.h.Env.Now(), "host", "abort",
+	d.tr.Emit(d.h.Env.Now(), trAbort,
 		uint64(d.fn)<<32|uint64(sqid)<<16|uint64(cid), 0, "")
 	q.Ring()
 	got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)

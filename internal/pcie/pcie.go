@@ -21,6 +21,9 @@ import (
 	"bmstore/internal/trace"
 )
 
+// trFaultPCIeReplay records an injected link-level replay.
+var trFaultPCIeReplay = trace.NewKey("fault", "pcie-replay")
+
 // FuncID identifies one PCIe function (PF or VF) of a device. The paper's
 // global-PRP tag reserves 7 bits for it, so valid values are 0..127.
 type FuncID uint8
@@ -118,7 +121,7 @@ func (l *Link) replayPenalty(n int) sim.Time {
 	if extra <= 0 {
 		extra = defaultReplayLatency
 	}
-	l.tr.Emit(l.env.Now(), "fault", "pcie-replay", uint64(n), uint64(extra), l.Name)
+	l.tr.Emit(l.env.Now(), trFaultPCIeReplay, uint64(n), uint64(extra), l.Name)
 	return extra
 }
 

@@ -5,9 +5,9 @@ package sim
 // strict insertion order; blocked getters are served in arrival order.
 type Queue[T any] struct {
 	env     *Env
-	items   fifo[T]
+	items   FIFO[T]
 	cap     int
-	getters fifo[*Event] // each fires with the delivered item
+	getters FIFO[*Event] // each fires with the delivered item
 }
 
 // NewQueue returns a queue bound to env. capacity <= 0 means unbounded.
@@ -18,24 +18,24 @@ func NewQueue[T any](env *Env, capacity int) *Queue[T] {
 // TryPut hands v to the oldest blocked getter, or appends it; it reports
 // false if the queue is full.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.getters.n > 0 {
-		q.getters.pop().Trigger(v)
+	if q.getters.Len() > 0 {
+		q.getters.Pop().Trigger(v)
 		return true
 	}
-	if q.cap > 0 && q.items.n >= q.cap {
+	if q.cap > 0 && q.items.Len() >= q.cap {
 		return false
 	}
-	q.items.push(v)
+	q.items.Push(v)
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	if q.items.n > 0 {
-		return q.items.pop()
+	if q.items.Len() > 0 {
+		return q.items.Pop()
 	}
 	ev := q.env.NewEvent()
-	q.getters.push(ev)
+	q.getters.Push(ev)
 	v := p.Wait(ev)
 	return v.(T)
 }

@@ -17,7 +17,7 @@ func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			if v := q.items.pop(); v != want {
+			if v := q.items.Pop(); v != want {
 				t.Fatalf("got %d, want %d", v, want)
 			}
 			want++
@@ -25,8 +25,8 @@ func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("steady-state put/get: %v allocs per 5 items, want 0", n)
 	}
-	if q.items.n != 3 {
-		t.Fatalf("%d items resident, want 3", q.items.n)
+	if q.items.Len() != 3 {
+		t.Fatalf("%d items resident, want 3", q.items.Len())
 	}
 }
 

@@ -7,7 +7,7 @@ type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters fifo[*Event]
+	waiters FIFO[*Event]
 }
 
 // NewResource returns a resource with capacity units.
@@ -31,7 +31,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	ev := r.env.pooledEvent()
-	r.waiters.push(ev)
+	r.waiters.Push(ev)
 	p.Wait(ev)
 }
 
@@ -73,7 +73,7 @@ func (r *Resource) AcquireCB(cb func(val any)) {
 	}
 	ev := r.env.pooledEvent()
 	ev.callbacks = append(ev.callbacks, cb)
-	r.waiters.push(ev)
+	r.waiters.Push(ev)
 }
 
 // AcquireTimeoutCB is AcquireTimeout for callback-chain callers: cb(true)
@@ -90,7 +90,7 @@ func (r *Resource) AcquireTimeoutCB(d Time, cb func(ok bool)) {
 	}
 	// Not pooled: the waiter event may be abandoned in the queue.
 	w := &timedAcquire{cb: cb, ev: r.env.NewEvent()}
-	r.waiters.push(w.ev)
+	r.waiters.Push(w.ev)
 	w.timer = r.env.Timeout(d, nil)
 	w.ev.callbacks = append(w.ev.callbacks, w.granted)
 	w.timer.callbacks = append(w.timer.callbacks, w.expired)
@@ -138,8 +138,8 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource")
 	}
-	for r.waiters.n > 0 {
-		if ev := r.waiters.pop(); !ev.aborted {
+	for r.waiters.Len() > 0 {
+		if ev := r.waiters.Pop(); !ev.aborted {
 			ev.Trigger(nil) // unit passes to the waiter; inUse unchanged
 			return
 		}

@@ -31,6 +31,16 @@ import (
 	"bmstore/internal/trace"
 )
 
+// The kernel's trace records.
+var (
+	trFire     = trace.NewKey("sim", "fire")
+	trResume   = trace.NewKey("sim", "resume")
+	trAbort    = trace.NewKey("sim", "abort")
+	trSpawn    = trace.NewKey("sim", "spawn")
+	trDeadlock = trace.NewKey("sim", "deadlock")
+	trHorizon  = trace.NewKey("sim", "horizon")
+)
+
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time = int64
 
@@ -346,11 +356,11 @@ func (e *Env) RunUntilEventWatched(ev *Event, horizon Time) (Time, *Diagnosis) {
 	for _, p := range procs {
 		d.Blocked = append(d.Blocked, fmt.Sprintf("%d:%s", p.id, p.name))
 	}
-	kind := "deadlock"
+	k := trDeadlock
 	if d.HorizonHit {
-		kind = "horizon"
+		k = trHorizon
 	}
-	e.tracer.Emit(e.now, "sim", kind, uint64(len(d.Blocked)), uint64(d.Pending), "")
+	e.tracer.Emit(e.now, k, uint64(len(d.Blocked)), uint64(d.Pending), "")
 	return e.now, d
 }
 
@@ -390,7 +400,7 @@ func (e *Env) run(limit Time, until *Event) Time {
 		}
 		e.now = it.at
 		e.n.events++
-		e.tracer.Emit(e.now, "sim", "fire", it.seq, 0, "")
+		e.tracer.Emit(e.now, trFire, it.seq, 0, "")
 		if it.fn != nil {
 			it.fn()
 		} else {
@@ -492,7 +502,7 @@ func (e *Env) newCoro() *coro {
 func (e *Env) resume(p *Proc, m resumeMsg) {
 	e.n.resumes++
 	if !m.abort {
-		e.tracer.Emit(e.now, "sim", "resume", p.id, 0, p.name)
+		e.tracer.Emit(e.now, trResume, p.id, 0, p.name)
 	}
 	c := p.co
 	if c == nil { // first activation
@@ -532,7 +542,7 @@ func (e *Env) Shutdown() {
 			if _, alive := e.live[p]; !alive {
 				continue // unwound as a side effect of an earlier abort
 			}
-			e.tracer.Emit(e.now, "sim", "abort", p.id, 0, p.name)
+			e.tracer.Emit(e.now, trAbort, p.id, 0, p.name)
 			e.resume(p, resumeMsg{abort: true})
 		}
 	}
@@ -547,7 +557,7 @@ func (e *Env) newProc(name string, fn func(p *Proc)) *Proc {
 	e.n.spawned++
 	p := &Proc{env: e, id: e.n.spawned, name: name, fn: fn}
 	e.live[p] = struct{}{}
-	e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
+	e.tracer.Emit(e.now, trSpawn, p.id, 0, name)
 	return p
 }
 

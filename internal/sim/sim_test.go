@@ -242,7 +242,7 @@ func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 	if got != "item" {
 		t.Fatalf("got %q", got)
 	}
-	if q.items.n != 0 {
+	if q.items.Len() != 0 {
 		t.Fatal("item left buffered after direct handoff")
 	}
 }

@@ -84,13 +84,18 @@ func (w *wheel) push(it scheduled) bool {
 	}
 	w.n++
 
-	// Link node i after prev, or at the head when there is none.
+	// Link node i after prev, or at the head when there is none. The node
+	// is stored field by field: a composite literal is built in a stack
+	// temporary by word stores and copied out by wider loads that the CPU
+	// cannot forward from them, a stall that cost more than the rest of push.
 	next := &w.head[s]
 	if prev != 0 {
 		next = &nodes[prev].next
 	}
-	nodes[i] = wheelNode{it: it, next: *next}
-	if *next = i; nodes[i].next == 0 {
+	n := &nodes[i]
+	n.it.at, n.it.seq, n.it.fn, n.it.ev = it.at, it.seq, it.fn, it.ev
+	n.next = *next
+	if *next = i; n.next == 0 {
 		w.tail[s] = i
 	}
 	w.occupied[s/64] |= 1 << (s % 64)
@@ -124,12 +129,13 @@ func (w *wheel) first(now Time) uint {
 func (w *wheel) pop(s uint) scheduled {
 	i := w.head[s]
 	n := &w.nodes[i]
-	it := n.it
+	it := scheduled{at: n.it.at, seq: n.it.seq, fn: n.it.fn, ev: n.it.ev}
 	if w.head[s] = n.next; n.next == 0 {
 		w.tail[s] = 0
 		w.occupied[s/64] &^= 1 << (s % 64)
 	}
-	*n = wheelNode{next: w.free}
+	n.it.at, n.it.seq, n.it.fn, n.it.ev = 0, 0, nil, nil
+	n.next = w.free
 	w.free = i
 	w.n--
 	return it

@@ -23,7 +23,7 @@ func (d *SSD) execAdmin(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Status) {
 		if st == nvme.StatusSuccess {
 			st = nvme.StatusInternal
 		}
-		d.tr.Emit(p.Now(), "fault", "admin", uint64(cmd.Opcode), uint64(st), d.cfg.Serial)
+		d.tr.Emit(p.Now(), trFaultAdmin, uint64(cmd.Opcode), uint64(st), d.cfg.Serial)
 		return 0, st
 	}
 	switch cmd.Opcode {
@@ -150,15 +150,20 @@ func (d *SSD) adminFWDownload(p *sim.Proc, cmd nvme.Command) nvme.Status {
 	numd := int(cmd.CDW10) + 1
 	off := int(cmd.CDW11) * 4
 	n := numd * 4
-	buf := make([]byte, n)
-	done := d.port.DMARead(cmd.PRP1, n, buf)
+	// The staging area grows by doubling: an image arrives as many small
+	// chunks, and growing it by each chunk would copy it once per chunk.
+	// Bytes past the length are zero, so a chunk beyond the end leaves a
+	// zero gap.
+	if end := off + n; end > len(d.fwStaged) {
+		if end > cap(d.fwStaged) {
+			d.fwStaged = append(make([]byte, 0, max(end, 2*cap(d.fwStaged))), d.fwStaged...)
+		}
+		d.fwStaged = d.fwStaged[:end]
+	}
+	done := d.port.DMARead(cmd.PRP1, n, d.fwStaged[off:off+n])
 	if w := done - p.Now(); w > 0 {
 		p.Sleep(w)
 	}
-	for len(d.fwStaged) < off+n {
-		d.fwStaged = append(d.fwStaged, 0)
-	}
-	copy(d.fwStaged[off:], buf)
 	// Flash staging area programming.
 	p.Sleep(sim.Time(n) * 30) // ~30ns/byte: ~4ms for a 128K chunk
 	return nvme.StatusSuccess

@@ -228,7 +228,7 @@ func (io *ssdIO) walkAttempt() {
 	// request is behind the command. Die waits, media time and the NAND/DMA
 	// phase intervals go through the handle.
 	io.span = d.met.SpanByAlias(obs.DevKey(d.spanDev, io.sq.ID, io.cmd.CID))
-	d.tr.Emit(io.t0, "ssd", "issue", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
+	d.tr.Emit(io.t0, trIssue, uint64(io.cmd.Opcode)<<56|io.devByte, uint64(io.n), d.cfg.Serial)
 	if d.flt != nil {
 		io.injectFaults()
 		return
@@ -278,7 +278,7 @@ func (d *SSD) mediaFault(devByte uint64) *fault.Rule {
 	die := int(devByte / stripeBytes % dies)
 	r := d.flt.HitMedia(d.cfg.Serial, die, d.env.Now())
 	if r != nil {
-		d.tr.Emit(d.env.Now(), "fault", "media", uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
+		d.tr.Emit(d.env.Now(), trFaultMedia, uint64(die)<<16|uint64(r.Status), uint64(r.Duration), d.cfg.Serial)
 	}
 	return r
 }
@@ -295,7 +295,7 @@ func (d *SSD) dataHazards(op uint8, devByte uint64, n int) (hzd hazards) {
 		if d.flt.Hit(pt, d.cfg.Serial, d.env.Now()) == nil {
 			return false
 		}
-		d.tr.Emit(d.env.Now(), "fault", pt.String(), devByte, uint64(n), d.cfg.Serial)
+		d.tr.Emit(d.env.Now(), trFaultHazard[pt], devByte, uint64(n), d.cfg.Serial)
 		return true
 	}
 	switch op {
@@ -485,7 +485,7 @@ func (io *ssdIO) finishMedia() {
 			io.span.Phases(now-m, now, io.t0, now-m)
 		}
 	}
-	d.tr.Emit(d.env.Now(), "ssd", "complete", uint64(io.cmd.Opcode)<<56|io.devByte, uint64(d.env.Now()-io.t0), d.cfg.Serial)
+	d.tr.Emit(d.env.Now(), trComplete, uint64(io.cmd.Opcode)<<56|io.devByte, uint64(d.env.Now()-io.t0), d.cfg.Serial)
 	io.finish(nvme.StatusSuccess)
 }
 

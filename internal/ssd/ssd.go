@@ -22,6 +22,21 @@ import (
 	"bmstore/internal/trace"
 )
 
+// The SSD's trace records; an injected fault's record names its point.
+var (
+	trIssue         = trace.NewKey("ssd", "issue")
+	trComplete      = trace.NewKey("ssd", "complete")
+	trFaultMedia    = trace.NewKey("fault", "media")
+	trFaultAdmin    = trace.NewKey("fault", "admin")
+	trFaultSSDStall = trace.NewKey("fault", "ssd-stall")
+	trFaultSSDDrop  = trace.NewKey("fault", "ssd-drop")
+	trFaultHazard   = [...]*trace.Key{
+		fault.MediaCorrupt:  trace.NewKey("fault", fault.MediaCorrupt.String()),
+		fault.WriteTorn:     trace.NewKey("fault", fault.WriteTorn.String()),
+		fault.ReadMisdirect: trace.NewKey("fault", fault.ReadMisdirect.String()),
+	}
+)
+
 // Config holds the identity, capacity and firmware window of one SSD.
 type Config struct {
 	Serial   string
@@ -217,7 +232,7 @@ func (d *SSD) gone() bool {
 	}
 	if d.flt.Dropped(d.cfg.Serial, d.env.Now()) {
 		d.dropped = true
-		d.tr.Emit(d.env.Now(), "fault", "ssd-drop", 0, 0, d.cfg.Serial)
+		d.tr.Emit(d.env.Now(), trFaultSSDDrop, 0, 0, d.cfg.Serial)
 	}
 	return d.dropped
 }
@@ -269,7 +284,7 @@ func (d *SSD) FetchStall(sqid uint16) sim.Time {
 	if end <= now {
 		return 0
 	}
-	d.tr.Emit(now, "fault", "ssd-stall", uint64(sqid), uint64(end-now), d.cfg.Serial)
+	d.tr.Emit(now, trFaultSSDStall, uint64(sqid), uint64(end-now), d.cfg.Serial)
 	return end - now
 }
 

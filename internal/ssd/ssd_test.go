@@ -436,6 +436,42 @@ func TestFirmwareUpgradeCycle(t *testing.T) {
 	})
 }
 
+// TestFirmwareStagedInChunks: chunks staged in any order assemble exactly
+// the image, and a gap that a chunk past the end leaves reads zero until it
+// is filled — while the staging area grows and while it does not.
+func TestFirmwareStagedInChunks(t *testing.T) {
+	h := newHarness(t, P4510("SN001"))
+	h.run(func(p *sim.Proc) {
+		img := make([]byte, 5*4096)
+		for i := range img {
+			img[i] = byte(i*7 + 1)
+		}
+		var want []byte
+		page := h.mem.AllocPages(1)
+		for _, c := range []int{1, 2, 4, 0, 3} {
+			chunk := img[c*4096 : (c+1)*4096]
+			h.mem.Write(page, chunk)
+			cpl := h.submit(p, 0, nvme.Command{
+				Opcode: nvme.AdminFWDownload, PRP1: page,
+				CDW10: 4096/4 - 1, CDW11: uint32(c * 4096 / 4),
+			})
+			if cpl.Status.IsError() {
+				t.Fatalf("download of chunk %d: %#x", c, cpl.Status)
+			}
+			if end := (c + 1) * 4096; end > len(want) {
+				want = append(want, make([]byte, end-len(want))...)
+			}
+			copy(want[c*4096:], chunk)
+			if !bytes.Equal(h.dev.fwStaged, want) {
+				t.Fatalf("after chunk %d the staged bytes differ from the chunks sent", c)
+			}
+		}
+		if !bytes.Equal(want, img) {
+			t.Fatal("test bug: chunks do not cover the image")
+		}
+	})
+}
+
 func TestFWCommitWithoutImageFails(t *testing.T) {
 	h := newHarness(t, P4510("SN001"))
 	h.run(func(p *sim.Proc) {

@@ -340,10 +340,10 @@ func TestSetDigestOrderIndependence(t *testing.T) {
 	run := func(names []string) string {
 		set := trace.NewSet(trace.Options{})
 		for _, n := range names {
-			tr := set.Tracer(n)
+			tr, k := set.Tracer(n), trace.NewKey(n, "op")
 			// Each rig's content depends only on its name, not creation order.
 			for i := 0; i < len(n); i++ {
-				tr.Emit(sim.Time(i), n, "op", uint64(i), 0, "")
+				tr.Emit(sim.Time(i), k, uint64(i), 0, "")
 			}
 		}
 		return set.Digest()

@@ -16,7 +16,6 @@ package trace
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash"
@@ -72,12 +71,30 @@ func New(opts Options) *Tracer {
 // NewDigest returns the default digest-only tracer (word-folded FNV-64, no dump).
 func NewDigest() *Tracer { return New(Options{}) }
 
+// Key is a record's subsystem and kind, packed once: build one per call site
+// with NewKey (a package-level var) and pass it to every Emit of that
+// record. Folding a key's pre-packed words yields exactly the digest that
+// folding its two strings would, so a key changes the cost of a record and
+// nothing it witnesses.
+type Key struct {
+	subsys, kind string
+	words        []uint64 // the words mixString folds for subsys, then for kind
+}
+
+// NewKey returns the key of records (subsys, kind): subsys names the
+// emitting component ("sim", "engine", "bmsc", "host", "ssd", "fault"), kind
+// the event within it.
+func NewKey(subsys, kind string) *Key {
+	k := &Key{subsys: subsys, kind: kind}
+	k.words = appendStringWords(appendStringWords(nil, subsys), kind)
+	return k
+}
+
 // Emit folds one event into the digest (and the dump, when enabled). The
 // canonical record is (at, subsys, kind, a, b, detail): at is the virtual
-// timestamp in nanoseconds, subsys names the emitting component ("sim",
-// "engine", "bmsc", "host", "ssd"), kind the event within it, and a/b
-// carry event-specific words (sequence numbers, addresses, sizes). detail
-// is an optional deterministic string such as a process name or serial.
+// timestamp in nanoseconds, k carries subsys and kind, and a/b carry
+// event-specific words (sequence numbers, addresses, sizes). detail is an
+// optional deterministic string such as a process name or serial.
 //
 // Callers must only pass values that are pure functions of the simulation
 // seed — no pointers, no map-iteration-order-dependent values, no wall
@@ -86,31 +103,36 @@ func NewDigest() *Tracer { return New(Options{}) }
 // Emit on a nil tracer does nothing. It is kept small enough to inline, so
 // an untraced site costs its arguments and one compare; `make lint` checks
 // that it still inlines.
-func (t *Tracer) Emit(at int64, subsys, kind string, a, b uint64, detail string) {
+func (t *Tracer) Emit(at int64, k *Key, a, b uint64, detail string) {
 	if t != nil {
-		t.emit(at, subsys, kind, a, b, detail)
+		t.emit(at, k, a, b, detail)
 	}
 }
 
-func (t *Tracer) emit(at int64, subsys, kind string, a, b uint64, detail string) {
+func (t *Tracer) emit(at int64, k *Key, a, b uint64, detail string) {
 	t.n++
 	h := mixU64(t.h, uint64(at))
-	h = mixString(h, subsys)
-	h = mixString(h, kind)
+	for _, w := range k.words {
+		h = mixU64(h, w)
+	}
 	h = mixU64(h, a)
 	h = mixU64(h, b)
-	h = mixString(h, detail)
+	if detail == "" {
+		h = mixU64(mixU64(mixU64(h, 0), 0), 0) // mixString(h, "")
+	} else {
+		h = mixString(h, detail)
+	}
 	t.h = h
 	if t.sha != nil {
 		t.shaU64(uint64(at))
-		t.shaString(subsys)
-		t.shaString(kind)
+		t.shaString(k.subsys)
+		t.shaString(k.kind)
 		t.shaU64(a)
 		t.shaU64(b)
 		t.shaString(detail)
 	}
 	if t.w != nil {
-		if _, err := fmt.Fprintf(t.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, subsys, kind, a, b, detail); err != nil && t.werr == nil {
+		if _, err := fmt.Fprintf(t.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, k.subsys, k.kind, a, b, detail); err != nil && t.werr == nil {
 			t.werr = err
 		}
 	}
@@ -124,21 +146,63 @@ func mixU64(h, v uint64) uint64 {
 }
 
 // mixString folds a length-prefixed string in, 16 zero-padded bytes per
-// block loaded as two little-endian words (a memmove plus two loads beats a
-// per-byte pack loop). The length prefix keeps fields canonical: ("ab","c")
-// and ("a","bc") digest differently even though their padded blocks match.
+// block read as two little-endian words. The length prefix keeps fields
+// canonical: ("ab","c") and ("a","bc") digest differently even though their
+// padded blocks match. The words are read straight from the string, not
+// copied into a padded buffer first: a copy's small stores cannot be
+// forwarded to the word loads that follow, and that stall cost more than the
+// whole fold.
 func mixString(h uint64, s string) uint64 {
 	h = mixU64(h, uint64(len(s)))
-	for {
-		var b [16]byte
-		copy(b[:], s)
-		h = mixU64(h, binary.LittleEndian.Uint64(b[0:]))
-		h = mixU64(h, binary.LittleEndian.Uint64(b[8:]))
-		if len(s) <= 16 {
-			return h
-		}
+	for len(s) > 16 {
+		h = mixU64(h, le64(s))
+		h = mixU64(h, le64(s[8:]))
 		s = s[16:]
 	}
+	if len(s) > 8 {
+		return mixU64(mixU64(h, le64(s)), leTail(s[8:]))
+	}
+	return mixU64(mixU64(h, leTail(s)), 0)
+}
+
+// appendStringWords appends the words mixString folds for s, in order.
+func appendStringWords(w []uint64, s string) []uint64 {
+	w = append(w, uint64(len(s)))
+	for len(s) > 16 {
+		w = append(w, le64(s), le64(s[8:]))
+		s = s[16:]
+	}
+	if len(s) > 8 {
+		return append(w, le64(s), leTail(s[8:]))
+	}
+	return append(w, leTail(s), 0)
+}
+
+// le64 reads s's first eight bytes as a little-endian word; the compiler
+// merges the byte loads into one.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// leTail reads up to eight bytes as a little-endian word, zero-padded, in
+// two loads that may overlap: a byte both cover lands on the same bits.
+func leTail(s string) uint64 {
+	n := len(s)
+	switch {
+	case n >= 4:
+		return le32(s) | le32(s[n-4:])<<(8*(n-4))
+	case n > 0:
+		return uint64(s[0]) | uint64(s[n/2])<<(8*(n/2)) | uint64(s[n-1])<<(8*(n-1))
+	}
+	return 0
+}
+
+// le32 reads s's first four bytes as a little-endian word.
+func le32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
 }
 
 func (t *Tracer) shaU64(v uint64) {

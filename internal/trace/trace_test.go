@@ -1,14 +1,20 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
 	"strings"
 	"testing"
 )
 
 func TestDigestStableAndOrderSensitive(t *testing.T) {
 	emitAB := func(tr *Tracer) {
-		tr.Emit(100, "sim", "fire", 1, 0, "")
-		tr.Emit(200, "ssd", "issue", 2, 4096, "SN0")
+		tr.Emit(100, NewKey("sim", "fire"), 1, 0, "")
+		tr.Emit(200, NewKey("ssd", "issue"), 2, 4096, "SN0")
 	}
 	a, b := New(Options{}), New(Options{})
 	emitAB(a)
@@ -22,8 +28,8 @@ func TestDigestStableAndOrderSensitive(t *testing.T) {
 
 	// Swapped order must change the digest.
 	c := New(Options{})
-	c.Emit(200, "ssd", "issue", 2, 4096, "SN0")
-	c.Emit(100, "sim", "fire", 1, 0, "")
+	c.Emit(200, NewKey("ssd", "issue"), 2, 4096, "SN0")
+	c.Emit(100, NewKey("sim", "fire"), 1, 0, "")
 	if c.Digest() == a.Digest() {
 		t.Fatal("event order not reflected in digest")
 	}
@@ -32,17 +38,17 @@ func TestDigestStableAndOrderSensitive(t *testing.T) {
 func TestDigestSensitiveToEveryField(t *testing.T) {
 	base := func() *Tracer {
 		tr := New(Options{})
-		tr.Emit(7, "engine", "map", 1, 2, "x")
+		tr.Emit(7, NewKey("engine", "map"), 1, 2, "x")
 		return tr
 	}
 	ref := base().Digest()
 	muts := []func(tr *Tracer){
-		func(tr *Tracer) { tr.Emit(8, "engine", "map", 1, 2, "x") },
-		func(tr *Tracer) { tr.Emit(7, "host", "map", 1, 2, "x") },
-		func(tr *Tracer) { tr.Emit(7, "engine", "mip", 1, 2, "x") },
-		func(tr *Tracer) { tr.Emit(7, "engine", "map", 9, 2, "x") },
-		func(tr *Tracer) { tr.Emit(7, "engine", "map", 1, 9, "x") },
-		func(tr *Tracer) { tr.Emit(7, "engine", "map", 1, 2, "y") },
+		func(tr *Tracer) { tr.Emit(8, NewKey("engine", "map"), 1, 2, "x") },
+		func(tr *Tracer) { tr.Emit(7, NewKey("host", "map"), 1, 2, "x") },
+		func(tr *Tracer) { tr.Emit(7, NewKey("engine", "mip"), 1, 2, "x") },
+		func(tr *Tracer) { tr.Emit(7, NewKey("engine", "map"), 9, 2, "x") },
+		func(tr *Tracer) { tr.Emit(7, NewKey("engine", "map"), 1, 9, "x") },
+		func(tr *Tracer) { tr.Emit(7, NewKey("engine", "map"), 1, 2, "y") },
 	}
 	for i, m := range muts {
 		tr := New(Options{})
@@ -56,9 +62,9 @@ func TestDigestSensitiveToEveryField(t *testing.T) {
 func TestStringBoundariesCanonical(t *testing.T) {
 	// Length prefixing: ("ab","c") and ("a","bc") must differ.
 	a := New(Options{})
-	a.Emit(0, "ab", "c", 0, 0, "")
+	a.Emit(0, NewKey("ab", "c"), 0, 0, "")
 	b := New(Options{})
-	b.Emit(0, "a", "bc", 0, 0, "")
+	b.Emit(0, NewKey("a", "bc"), 0, 0, "")
 	if a.Digest() == b.Digest() {
 		t.Fatal("string field boundaries not canonicalized")
 	}
@@ -66,18 +72,18 @@ func TestStringBoundariesCanonical(t *testing.T) {
 
 func TestSHA256Mode(t *testing.T) {
 	tr := New(Options{SHA256: true})
-	tr.Emit(1, "sim", "fire", 0, 0, "")
+	tr.Emit(1, NewKey("sim", "fire"), 0, 0, "")
 	d := tr.Digest()
 	if !strings.HasPrefix(d, "sha256:") || len(d) != len("sha256:")+64 {
 		t.Fatalf("sha digest %q", d)
 	}
 	tr2 := New(Options{SHA256: true})
-	tr2.Emit(1, "sim", "fire", 0, 0, "")
+	tr2.Emit(1, NewKey("sim", "fire"), 0, 0, "")
 	if tr2.Digest() != d {
 		t.Fatal("sha digest not reproducible")
 	}
 	tr3 := New(Options{SHA256: true})
-	tr3.Emit(2, "sim", "fire", 0, 0, "")
+	tr3.Emit(2, NewKey("sim", "fire"), 0, 0, "")
 	if tr3.Digest() == d {
 		t.Fatal("sha digest insensitive to timestamp")
 	}
@@ -93,14 +99,14 @@ func TestEmptyDigest(t *testing.T) {
 	}
 	// A nil tracer is tracing off: Emit on it does nothing.
 	var off *Tracer
-	off.Emit(1, "sim", "fire", 0, 0, "")
+	off.Emit(1, NewKey("sim", "fire"), 0, 0, "")
 }
 
 func TestDumpOutput(t *testing.T) {
 	var sb strings.Builder
 	tr := New(Options{Dump: &sb})
-	tr.Emit(1500, "host", "doorbell", 0x10001, 3, "")
-	tr.Emit(2500, "ssd", "issue", 0, 4096, "PHLJ0000")
+	tr.Emit(1500, NewKey("host", "doorbell"), 0x10001, 3, "")
+	tr.Emit(2500, NewKey("ssd", "issue"), 0, 4096, "PHLJ0000")
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +123,8 @@ func TestDumpOutput(t *testing.T) {
 	}
 	// Dump must not perturb the digest.
 	plain := New(Options{})
-	plain.Emit(1500, "host", "doorbell", 0x10001, 3, "")
-	plain.Emit(2500, "ssd", "issue", 0, 4096, "PHLJ0000")
+	plain.Emit(1500, NewKey("host", "doorbell"), 0x10001, 3, "")
+	plain.Emit(2500, NewKey("ssd", "issue"), 0, 4096, "PHLJ0000")
 	if plain.Digest() != tr.Digest() {
 		t.Fatal("dump writer changed the digest")
 	}
@@ -145,7 +151,7 @@ func TestFlushSurfacesDumpWriteErrors(t *testing.T) {
 
 	// Error during Flush itself: the buffered bytes don't fit.
 	tr := New(Options{Dump: &failWriter{room: 0, err: wantErr}})
-	tr.Emit(1, "sim", "fire", 0, 0, "")
+	tr.Emit(1, NewKey("sim", "fire"), 0, 0, "")
 	if err := tr.Flush(); err != wantErr {
 		t.Fatalf("Flush returned %v, want %v", err, wantErr)
 	}
@@ -156,7 +162,7 @@ func TestFlushSurfacesDumpWriteErrors(t *testing.T) {
 	fw := &failWriter{room: 16, err: wantErr}
 	tr = New(Options{Dump: fw})
 	for i := 0; i < 200; i++ { // > bufio default 4096 bytes of dump lines
-		tr.Emit(int64(i), "engine", "dispatch", uint64(i), 42, "spilling")
+		tr.Emit(int64(i), NewKey("engine", "dispatch"), uint64(i), 42, "spilling")
 	}
 	if err := tr.Flush(); err != wantErr {
 		t.Fatalf("Flush returned %v, want the emit-path write error %v", err, wantErr)
@@ -165,7 +171,7 @@ func TestFlushSurfacesDumpWriteErrors(t *testing.T) {
 	// A healthy writer still flushes clean.
 	var sb strings.Builder
 	tr = New(Options{Dump: &sb})
-	tr.Emit(1, "sim", "fire", 0, 0, "")
+	tr.Emit(1, NewKey("sim", "fire"), 0, 0, "")
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("clean flush returned %v", err)
 	}
@@ -175,13 +181,133 @@ type errMock string
 
 func (e errMock) Error() string { return string(e) }
 
-// BenchmarkEmit prices the digest fast path per event: a representative mix
-// of numeric words and short strings, as the scheduler hooks emit it.
-func BenchmarkEmit(b *testing.B) {
-	tr := NewDigest()
+// refTracer is the fold as it was before keys: every record's subsystem,
+// kind and detail packed from their strings through a zero-padded copy. It
+// is the reference that keyed records must match bit for bit, in both digest
+// modes and in the dump.
+type refTracer struct {
+	h   uint64
+	sha hash.Hash
+	w   *strings.Builder
+}
+
+func newRefTracer() *refTracer {
+	return &refTracer{h: fnvOffset64, sha: sha256.New(), w: &strings.Builder{}}
+}
+
+func refMixString(h uint64, s string) uint64 {
+	h = mixU64(h, uint64(len(s)))
+	for {
+		var b [16]byte
+		copy(b[:], s)
+		h = mixU64(h, binary.LittleEndian.Uint64(b[0:]))
+		h = mixU64(h, binary.LittleEndian.Uint64(b[8:]))
+		if len(s) <= 16 {
+			return h
+		}
+		s = s[16:]
+	}
+}
+
+func (r *refTracer) emit(at int64, subsys, kind string, a, b uint64, detail string) {
+	h := mixU64(r.h, uint64(at))
+	h = refMixString(h, subsys)
+	h = refMixString(h, kind)
+	h = mixU64(h, a)
+	h = mixU64(h, b)
+	r.h = refMixString(h, detail)
+	u64 := func(v uint64) { r.sha.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	str := func(s string) { u64(uint64(len(s))); io.WriteString(r.sha, s) }
+	u64(uint64(at))
+	str(subsys)
+	str(kind)
+	u64(a)
+	u64(b)
+	str(detail)
+	fmt.Fprintf(r.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, subsys, kind, a, b, detail)
+}
+
+// checkKeyFold emits the same records through keys and through the
+// reference and compares the FNV digest, the SHA-256 digest and the dump.
+func checkKeyFold(t *testing.T, recs [][3]string) {
+	t.Helper()
+	ref := newRefTracer()
+	var dump strings.Builder
+	fnv, sha := NewDigest(), New(Options{SHA256: true, Dump: &dump})
+	for i, r := range recs {
+		at, a, b := int64(i)*977-5, uint64(i)*0x9e3779b97f4a7c15, ^uint64(i)
+		k := NewKey(r[0], r[1])
+		ref.emit(at, r[0], r[1], a, b, r[2])
+		fnv.Emit(at, k, a, b, r[2])
+		sha.Emit(at, k, a, b, r[2])
+	}
+	if err := sha.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("fnv64w:%016x", ref.h); fnv.Digest() != want {
+		t.Fatalf("%q: fnv digest %s, string fold %s", recs, fnv.Digest(), want)
+	}
+	if want := "sha256:" + hex.EncodeToString(ref.sha.Sum(nil)); sha.Digest() != want {
+		t.Fatalf("%q: sha256 digest %s, string fold %s", recs, sha.Digest(), want)
+	}
+	if dump.String() != ref.w.String() {
+		t.Fatalf("%q: dump\n%s\nwant\n%s", recs, dump.String(), ref.w.String())
+	}
+	if fnv.Events() != uint64(len(recs)) {
+		t.Fatalf("events %d, want %d", fnv.Events(), len(recs))
+	}
+}
+
+// TestKeyFoldMatchesStringFold: a key's pre-packed words and the direct
+// word reads of a detail fold exactly what the zero-padded string fold did,
+// at every length around the 8- and 16-byte boundaries of a block — and, for
+// the detail, whose words are read in the fold, at every length to 40.
+func TestKeyFoldMatchesStringFold(t *testing.T) {
+	const text = "abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGH"
+	lens := []int{0, 1, 7, 8, 9, 15, 16, 17, 40}
+	for _, ls := range lens {
+		for _, lk := range lens {
+			for ld := 0; ld <= 40; ld++ {
+				checkKeyFold(t, [][3]string{
+					{text[:ls], text[1 : 1+lk], text[2 : 2+ld]},
+					{"sim", "fire", ""},
+				})
+			}
+		}
+	}
+}
+
+// FuzzEmitKey: any subsystem, kind and detail fold through a key exactly as
+// the string fold did.
+func FuzzEmitKey(f *testing.F) {
+	f.Add("sim", "fire", "", "ssd", "complete", "PHLJ0000")
+	f.Add("", "", "", "fault", "misdirected-read", "a process named seventeen")
+	f.Fuzz(func(t *testing.T, s1, k1, d1, s2, k2, d2 string) {
+		checkKeyFold(t, [][3]string{{s1, k1, d1}, {s2, k2, d2}})
+	})
+}
+
+// BenchmarkTraceEmit prices the digest fast path per record: a key and an
+// empty detail, as the scheduler's fire record — most of a traced run's
+// records — emits it.
+func BenchmarkTraceEmit(b *testing.B) {
+	tr, k := NewDigest(), NewKey("sim", "fire")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "engine", "dispatch", uint64(i)<<16|3, 42, "ssd/nand")
+		tr.Emit(int64(i), k, uint64(i), 0, "")
+	}
+	if tr.Events() == 0 {
+		b.Fatal("no events")
+	}
+}
+
+// BenchmarkTraceEmitDetail is the same record with a device serial as its
+// detail, as the SSDs' records carry one.
+func BenchmarkTraceEmitDetail(b *testing.B) {
+	tr, k := NewDigest(), NewKey("ssd", "complete")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(int64(i), k, uint64(i)<<16|3, 42, "PHLJ0000TEST001")
 	}
 	if tr.Events() == 0 {
 		b.Fatal("no events")

@@ -10,6 +10,7 @@ cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
 sim=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$|^BenchmarkEnvRand$' -benchtime=100x -benchmem ./internal/sim/)
+tr=$(go test -run '^$' -bench '^BenchmarkTraceEmit$' -benchtime=1000x -benchmem ./internal/trace/)
 prp=$(go test -run '^$' -bench '^BenchmarkPRPListFetchWalk128K$' -benchtime=1000x -benchmem ./internal/nvmet/)
 fio=$(go test -run '^$' -bench '^BenchmarkFioWorkerStart$' -benchtime=100x -benchmem ./internal/fio/)
 io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
@@ -44,6 +45,8 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # the 3:1 rows; PayloadWAL: the same loop with a write-ahead log's block, a
 # 436-byte record then zeroes, which the store keeps as its used granule and
 # rewrites in place — the same events, no more allocations).
+# A traced rig's per-record digest fold (BenchmarkTraceEmit: one keyed
+# record with an empty detail) allocates nothing either.
 # Processes run on pooled coroutines, so a spawn costs its Proc and Done
 # event (ProcessSpawn: 2) and nothing else; the process benchmarks create
 # their coroutines in an untimed warm-up round. The application tier
@@ -77,7 +80,7 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # would have seen it. Raising any of these numbers needs a written
 # justification; regenerate with `make bench-baseline`.
 EOF
-	printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$sim" "$io" "$apps" "$prp" "$fio" "$rig" | awk '
+	printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$sim" "$tr" "$io" "$apps" "$prp" "$fio" "$rig" | awk '
 		$1 ~ /^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)

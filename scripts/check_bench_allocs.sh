@@ -33,6 +33,9 @@
 # per command, which is what the gate is for (a fusion undone, an observer or
 # a fault probe that starts scheduling).
 #
+# BenchmarkTraceEmit (internal/trace) folds one keyed record with an empty
+# detail into a digest tracer, what every traced rig pays per record: 0.
+#
 # Three rows guard what a 128 KiB command and a phase boundary cost off the
 # kernel: BenchmarkPRPListFetchWalk128K (internal/nvmet: one command's
 # PRP-list work on one face of the card — miss, fetch over a real root
@@ -59,6 +62,8 @@ cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
 out=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$|^BenchmarkEnvRand$' -benchtime=100x -benchmem ./internal/sim/)
+out+=$'\n'
+out+=$(go test -run '^$' -bench '^BenchmarkTraceEmit$' -benchtime=1000x -benchmem ./internal/trace/)
 out+=$'\n'
 out+=$(go test -run '^$' -bench '^BenchmarkPRPListFetchWalk128K$' -benchtime=1000x -benchmem ./internal/nvmet/)
 out+=$'\n'
