@@ -59,7 +59,7 @@ type Store struct {
 
 	flushBusy bool
 	compBusy  bool
-	flushDone []*sim.Event
+	flushWake *sim.Event // what Flush callers wait on, one pooled event per flush
 
 	// bgErr is the first failure of a background flush, compaction or
 	// manifest write, and it is sticky, as RocksDB's background error is:
@@ -219,9 +219,10 @@ func (s *Store) Flush(p *sim.Proc) error {
 		s.startFlush()
 	}
 	for s.flushBusy {
-		ev := s.env.NewEvent()
-		s.flushDone = append(s.flushDone, ev)
-		p.Wait(ev)
+		if s.flushWake == nil {
+			s.flushWake = s.env.PooledEvent()
+		}
+		p.Wait(s.flushWake)
 	}
 	return s.bgErr
 }
@@ -258,10 +259,10 @@ func (s *Store) startFlush() {
 			s.imm = nil
 		}
 		s.flushBusy = false
-		for _, ev := range s.flushDone {
+		if ev := s.flushWake; ev != nil {
+			s.flushWake = nil
 			ev.Trigger(nil)
 		}
-		s.flushDone = nil
 		if len(s.levels[0]) >= l0CompactAt && !s.compBusy {
 			s.startCompaction()
 		}

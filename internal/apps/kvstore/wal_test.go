@@ -6,26 +6,58 @@ import (
 	"strings"
 	"testing"
 
+	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
 var errWrite = errors.New("injected write failure")
 
 // faultyDev is a ringDev whose writes to any of the blocks [failFrom,
-// failTo) fail after 10 µs. It notes the blocks each write covers.
+// failTo) fail after 10 µs, whether a process writes or a caller submits. It
+// notes the blocks each write covers. A submitted write fails on env, the
+// environment of the last process that read or wrote through the device.
 type faultyDev struct {
 	ringDev
+	env              *sim.Env
 	failFrom, failTo uint64
 	writes           [][2]uint64 // lba, blocks
 }
 
-func (d *faultyDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+// fails notes a write and reports whether it fails.
+func (d *faultyDev) fails(lba uint64, blocks uint32) bool {
 	d.writes = append(d.writes, [2]uint64{lba, uint64(blocks)})
-	if lba < d.failTo && d.failFrom < lba+uint64(blocks) {
+	return lba < d.failTo && d.failFrom < lba+uint64(blocks)
+}
+
+func (d *faultyDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
+	d.env = p.Env()
+	return d.ringDev.ReadAt(p, lba, blocks, buf)
+}
+
+func (d *faultyDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+	d.env = p.Env()
+	if d.fails(lba, blocks) {
 		p.Sleep(10 * sim.Microsecond)
 		return errWrite
 	}
 	return d.ringDev.WriteAt(p, lba, blocks, data)
+}
+
+func (d *faultyDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
+	if op == nvme.IOWrite && d.fails(lba, blocks) {
+		d.env.Schedule(10*sim.Microsecond, func() { done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1}) })
+		return
+	}
+	d.ringDev.Submit(op, lba, blocks, buf, done)
+}
+
+// WriteErr words a failed submitted write as WriteAt does.
+func (d *faultyDev) WriteErr(oc host.IOOutcome) error {
+	if oc.Status.IsError() {
+		return errWrite
+	}
+	return nil
 }
 
 // TestFailedWALWriteIsNotAcknowledged: when the device fails a WAL batch's

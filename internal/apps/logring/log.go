@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -14,8 +15,8 @@ import (
 const commitWindow = 20 * sim.Microsecond
 
 // Log is one write-ahead log on the block ring [base, base+blocks) of a
-// device. Records carry a monotone LSN; appends gather in a pending batch, and
-// one writer process per log, started when someone waits, writes each batch
+// device. Records carry a monotone LSN; appends gather in a pending batch,
+// and a chain of callbacks, started when someone waits, writes each batch
 // after the group-commit window so that concurrent committers share one
 // device write. Recovery replays the ring's records newer than what the
 // application already holds, in LSN order. The records' layout is the
@@ -23,7 +24,7 @@ const commitWindow = 20 * sim.Microsecond
 type Log struct {
 	env    *sim.Env
 	dev    host.BlockDevice
-	writer string // the commit loop's process name
+	name   string // the log's name in its errors
 	base   uint64
 	blocks uint64
 
@@ -33,21 +34,32 @@ type Log struct {
 	failed     uint64 // last LSN of the last batch that did not reach the device
 	failErr    error  // and why
 
-	// pending is the batch being gathered; spare is the previous batch's
-	// buffer, free again once its device write has returned. Records are
-	// encoded straight into pending and the batch is padded and written
-	// from it, so a record is copied once on its way to the device.
-	pending  []byte
-	spare    []byte
-	waiters  []*sim.Event
-	flushing bool
+	// pending is the batch being gathered and wake the event its committers
+	// wait on (nil while none does); batch, batchWake and batchLast are the
+	// round's batch in flight, its event and its last LSN. spare is the
+	// previous batch's buffer, free again once its device write has
+	// returned. Records are encoded straight into pending and the batch is
+	// padded and written from it, so a record is copied once on its way to
+	// the device.
+	pending   []byte
+	wake      *sim.Event
+	batch     []byte
+	batchWake *sim.Event
+	batchLast uint64
+	spare     []byte
+	flushing  bool
+
+	// The chain's steps, bound once.
+	startFn, roundFn func()
+	writtenFn        func(host.IOOutcome)
 }
 
-// New returns the log on blocks [base, base+blocks) of dev, whose commit loop
-// runs as process writer. Its first LSN is 1; Recover moves it past the
-// ring's records.
-func New(env *sim.Env, dev host.BlockDevice, writer string, base, blocks uint64) *Log {
-	return &Log{env: env, dev: dev, writer: writer, base: base, blocks: blocks, nextLSN: 1}
+// New returns the log on blocks [base, base+blocks) of dev, named name in its
+// errors. Its first LSN is 1; Recover moves it past the ring's records.
+func New(env *sim.Env, dev host.BlockDevice, name string, base, blocks uint64) *Log {
+	l := &Log{env: env, dev: dev, name: name, base: base, blocks: blocks, nextLSN: 1}
+	l.startFn, l.roundFn, l.writtenFn = l.start, l.round, l.written
+	return l
 }
 
 // NextLSN is the LSN the next record appended gets.
@@ -83,15 +95,18 @@ func (l *Log) Sync(p *sim.Proc) error {
 }
 
 // await waits for the end of the commit round after the current one, starting
-// the commit loop if it is not running.
+// the commit chain if it is not running. Every committer of a round waits on
+// the one pooled event the round triggers, and the kernel resumes them in the
+// order they came.
 func (l *Log) await(p *sim.Proc) {
-	ev := l.env.NewEvent()
-	l.waiters = append(l.waiters, ev)
+	if l.wake == nil {
+		l.wake = l.env.PooledEvent()
+	}
 	if !l.flushing {
 		l.flushing = true
-		l.env.Go(l.writer, l.commitLoop)
+		l.env.Schedule(0, l.startFn)
 	}
-	p.Wait(ev)
+	p.Wait(l.wake)
 }
 
 func (l *Log) errSince(from uint64) error {
@@ -101,49 +116,77 @@ func (l *Log) errSince(from uint64) error {
 	return nil
 }
 
-// commitLoop gathers appends for the group-commit window, writes the batch
-// and wakes every waiter, in the order they came. It runs while anyone
-// waits, so a sync that arrives during a batch's write is woken by the next
-// round, which writes nothing if no append came.
-func (l *Log) commitLoop(p *sim.Proc) {
-	defer func() { l.flushing = false }()
-	for len(l.pending) > 0 || len(l.waiters) > 0 {
-		p.Sleep(commitWindow)
-		batch, waiters, last := l.pending, l.waiters, l.nextLSN-1
-		l.pending, l.spare, l.waiters = l.spare[:0], nil, nil
-		batch, err := l.write(p, batch)
-		l.spare, l.done = batch, last
-		if err != nil {
-			l.failed, l.failErr = last, err
-		}
-		for _, ev := range waiters {
-			ev.Trigger(nil)
-		}
-	}
-}
+// start opens the first round's group-commit window. It is a step of its own,
+// queued when the chain starts, so that the window's end takes the queue
+// position a writer process's first sleep took.
+func (l *Log) start() { l.env.Schedule(commitWindow, l.roundFn) }
 
-// write zero-pads batch to whole blocks in place and writes it at the write
-// position, or from the ring's start if it does not fit before the end: a
-// batch never wraps, so recovery finds each at a block boundary. It returns
-// the padded batch.
-func (l *Log) write(p *sim.Proc, batch []byte) ([]byte, error) {
+// round ends a group-commit window: it takes the pending batch and the event
+// its committers wait on, and zero-pads the batch to whole blocks in place
+// and writes it at the write position, or from the ring's start if it does
+// not fit before the end: a batch never wraps, so recovery finds each at a
+// block boundary. A batch of no bytes, or one larger than the ring, ends the
+// round at once.
+func (l *Log) round() {
+	l.batch, l.batchWake, l.batchLast = l.pending, l.wake, l.nextLSN-1
+	l.pending, l.spare, l.wake = l.spare[:0], nil, nil
 	bs := l.dev.BlockSize()
-	n := uint64((len(batch) + bs - 1) / bs)
+	n := uint64((len(l.batch) + bs - 1) / bs)
 	if n == 0 {
-		return batch, nil
+		l.end(nil)
+		return
 	}
 	if n > l.blocks {
-		return batch, fmt.Errorf("%s: a %d-byte batch does not fit the %d-block (%d-byte) ring", l.writer, len(batch), l.blocks, l.blocks*uint64(bs))
+		l.end(fmt.Errorf("%s: a %d-byte batch does not fit the %d-block (%d-byte) ring", l.name, len(l.batch), l.blocks, l.blocks*uint64(bs)))
+		return
 	}
 	if l.writeBlock+n > l.blocks {
 		l.writeBlock = 0
 	}
-	batch = append(batch, make([]byte, int(n)*bs-len(batch))...)
-	if err := l.dev.WriteAt(p, l.base+l.writeBlock, uint32(n), batch); err != nil {
-		return batch, fmt.Errorf("%s: writing a %d-block batch at block %d: %w", l.writer, n, l.base+l.writeBlock, err)
+	l.batch = append(l.batch, make([]byte, int(n)*bs-len(l.batch))...)
+	l.dev.Submit(nvme.IOWrite, l.base+l.writeBlock, uint32(n), l.batch, l.writtenFn)
+}
+
+// written is the batch write's completion.
+func (l *Log) written(oc host.IOOutcome) {
+	n := uint64(len(l.batch) / l.dev.BlockSize())
+	if err := writeErr(l.dev, oc); err != nil {
+		l.end(fmt.Errorf("%s: writing a %d-block batch at block %d: %w", l.name, n, l.base+l.writeBlock, err))
+		return
 	}
 	l.writeBlock += n
-	return batch, nil
+	l.end(nil)
+}
+
+// end ends the round in flight, which failed with err if it is not nil: it
+// frees the batch's buffer, acknowledges its records, wakes its committers
+// and, while anyone waits or anything is pending, opens the next round's
+// window. A sync that arrives during a batch's write is so woken by the next
+// round, which writes nothing if no append came.
+func (l *Log) end(err error) {
+	l.spare, l.done, l.batch = l.batch, l.batchLast, nil
+	if err != nil {
+		l.failed, l.failErr = l.batchLast, err
+	}
+	if ev := l.batchWake; ev != nil {
+		l.batchWake = nil
+		ev.Trigger(nil)
+	}
+	if len(l.pending) > 0 || l.wake != nil {
+		l.env.Schedule(commitWindow, l.roundFn)
+	} else {
+		l.flushing = false
+	}
+}
+
+// writeErr is the error a write that ended with oc returns, worded as dev's
+// WriteAt words it: through the device's WriteErr where it has one, else the
+// outcome's own. It is nil for a write that reached the device.
+func writeErr(dev host.BlockDevice, oc host.IOOutcome) error {
+	if d, ok := dev.(interface{ WriteErr(host.IOOutcome) error }); ok {
+		return d.WriteErr(oc)
+	}
+	return oc.Err()
 }
 
 // Recover scans the ring for records, which end where end says (see Scan),

@@ -8,13 +8,16 @@ import (
 	"testing"
 
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
-// memDev is a block device over a flat byte slice whose writes take
-// writeTime, during which inFlight is set. It keeps a copy of every write.
-// While failing is above zero, each write fails instead, and counts it down.
+// memDev is a block device over a flat byte slice whose writes, submitted on
+// env, take writeTime, during which inFlight is set. It keeps a copy of every
+// write. While failing is above zero, each write fails instead, and counts it
+// down.
 type memDev struct {
+	env       *sim.Env
 	data      []byte
 	writeTime sim.Time
 	inFlight  bool
@@ -33,23 +36,38 @@ func (m *memDev) BlockSize() int         { return 4096 }
 func (m *memDev) CapacityBlocks() uint64 { return uint64(len(m.data) / 4096) }
 func (m *memDev) PerIOCPU() sim.Time     { return 0 }
 func (m *memDev) Flush(*sim.Proc) error  { return nil }
-func (m *memDev) Submit(uint8, uint64, uint32, []byte, func(host.IOOutcome)) {
-	panic("memDev: Submit")
-}
 func (m *memDev) ReadAt(_ *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
 	copy(buf, m.data[lba*4096:(lba+uint64(blocks))*4096])
 	return nil
 }
-func (m *memDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+func (m *memDev) WriteAt(*sim.Proc, uint64, uint32, []byte) error {
+	panic("memDev: WriteAt")
+}
+
+// Submit takes writes only, as the log submits nothing else.
+func (m *memDev) Submit(op uint8, lba uint64, blocks uint32, data []byte, done func(host.IOOutcome)) {
+	if op != nvme.IOWrite {
+		panic("memDev: Submit of a non-write")
+	}
 	m.writes = append(m.writes, write{lba, slices.Clone(data[:blocks*4096])})
 	m.inFlight = true
-	p.Sleep(m.writeTime)
-	m.inFlight = false
-	if m.failing > 0 {
-		m.failing--
+	m.env.Schedule(m.writeTime, func() {
+		m.inFlight = false
+		if m.failing > 0 {
+			m.failing--
+			done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1})
+			return
+		}
+		copy(m.data[lba*4096:], data[:blocks*4096])
+		done(host.IOOutcome{Attempts: 1})
+	})
+}
+
+// WriteErr words a failed write as errWrite.
+func (m *memDev) WriteErr(oc host.IOOutcome) error {
+	if oc.Status.IsError() {
 		return errWrite
 	}
-	copy(m.data[lba*4096:], data[:blocks*4096])
 	return nil
 }
 
@@ -93,8 +111,8 @@ func testEnd(b []byte, off int) int {
 // returns every acknowledged record after it, intact and in LSN order.
 func TestLogAcrossRingWraps(t *testing.T) {
 	const base, blocks = 7, 16
-	dev := &memDev{data: make([]byte, (base+2*blocks)*4096), writeTime: 30 * sim.Microsecond}
 	env := sim.NewEnv(1)
+	dev := &memDev{env: env, data: make([]byte, (base+2*blocks)*4096), writeTime: 30 * sim.Microsecond}
 	log := New(env, dev, "test/log", base, blocks)
 	payload := func(lsn uint64) []byte {
 		b := make([]byte, 100+int(lsn*7919%1400))
@@ -213,8 +231,8 @@ func TestLogAcrossRingWraps(t *testing.T) {
 // failed batch was in flight; a committer whose records all came after it,
 // and a later sync, get nil.
 func TestWaitReportsEveryBatchSinceFrom(t *testing.T) {
-	dev := &memDev{data: make([]byte, 32*4096), writeTime: 30 * sim.Microsecond, failing: 1}
 	env := sim.NewEnv(1)
+	dev := &memDev{env: env, data: make([]byte, 32*4096), writeTime: 30 * sim.Microsecond, failing: 1}
 	log := New(env, dev, "test/log", 0, 16)
 	put := func() uint64 {
 		return log.Append(func(batch []byte, lsn uint64) []byte { return appendTest(batch, lsn, []byte("row")) })
@@ -244,5 +262,30 @@ func TestWaitReportsEveryBatchSinceFrom(t *testing.T) {
 	}
 	if len(dev.writes) != 2 {
 		t.Fatalf("%d writes, want the failed batch and the next", len(dev.writes))
+	}
+}
+
+// TestFailedWriteWordedAsWriteAt: a failed batch write's error wraps what the
+// device's WriteAt would have returned — the device's WriteErr where it has
+// one, the outcome's NVMe status otherwise.
+func TestFailedWriteWordedAsWriteAt(t *testing.T) {
+	for _, own := range []bool{true, false} {
+		env := sim.NewEnv(1)
+		dev := &memDev{env: env, data: make([]byte, 8*4096), writeTime: sim.Microsecond, failing: 1}
+		var bd host.BlockDevice = dev
+		want := "test/log: writing a 1-block batch at block 2: injected write failure"
+		if !own {
+			bd = struct{ host.BlockDevice }{dev} // no WriteErr
+			want = "test/log: writing a 1-block batch at block 2: nvme: status 0x6"
+		}
+		log := New(env, bd, "test/log", 2, 4)
+		var err error
+		env.Go("committer", func(p *sim.Proc) {
+			err = log.Wait(p, log.Append(func(batch []byte, lsn uint64) []byte { return appendTest(batch, lsn, []byte("row")) }))
+		})
+		env.Run()
+		if err == nil || err.Error() != want || errors.Is(err, errWrite) != own {
+			t.Errorf("own wording %v: Wait returned %v, want %q", own, err, want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"bmstore/internal/apps/minidb"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 )
 
@@ -52,6 +53,16 @@ func (r *recorder) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) 
 func (r *recorder) Flush(p *sim.Proc) error {
 	r.note('F', 0, 0, nil)
 	return r.BlockDevice.Flush(p)
+}
+
+// Submit notes a write at submission, as WriteAt does; the log submits its
+// batch writes.
+func (r *recorder) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
+	if op != nvme.IOWrite {
+		panic("recorder: Submit of a non-write")
+	}
+	r.note('W', lba, blocks, buf)
+	r.BlockDevice.Submit(op, lba, blocks, buf, done)
 }
 
 // minidbTrafficSHA256 is the digest of the script below, taken on the

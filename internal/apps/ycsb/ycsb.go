@@ -184,19 +184,19 @@ func pick(wl Workload, rng *sim.Rand) op {
 // (theta 0.99), with the scrambled variant folded in by the caller's use
 // of hashed string keys.
 type Zipfian struct {
-	rng   *sim.Rand
-	n     int
-	theta float64
-	alpha float64
-	zetan float64
-	eta   float64
+	rng    *sim.Rand
+	n      int
+	alpha  float64
+	zetan  float64
+	eta    float64
+	second float64 // 1 + 0.5^theta: where key 1's share of u·zetan ends
 }
 
 // zipfian returns a generator over n keys that has its constants and no
 // random source yet.
 func zipfian(n int) Zipfian {
 	const theta = 0.99
-	z := Zipfian{n: n, theta: theta}
+	z := Zipfian{n: n, second: 1 + math.Pow(0.5, theta)}
 	z.zetan = zeta(n, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
@@ -224,7 +224,7 @@ func (z *Zipfian) Next() int {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, z.theta) {
+	if uz < z.second {
 		return 1
 	}
 	k := int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))

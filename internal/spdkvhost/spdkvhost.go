@@ -136,8 +136,13 @@ func (d *Device) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) erro
 
 // WriteAt carries one write through the path.
 func (d *Device) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	return backendErr(d.t.parking.IO(p, d, nvme.IOWrite, lba, blocks, data))
+	return d.WriteErr(d.t.parking.IO(p, d, nvme.IOWrite, lba, blocks, data))
 }
+
+// WriteErr is the error WriteAt returns for a write that ended with oc, for a
+// caller that submits its writes (the apps' logs word a failed batch write
+// with it).
+func (d *Device) WriteErr(oc host.IOOutcome) error { return backendErr(oc) }
 
 // backendErr is a read's or write's error, which only the backend can cause.
 func backendErr(oc host.IOOutcome) error {

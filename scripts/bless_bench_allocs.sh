@@ -55,7 +55,9 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # guest and a minidb + sysbench guest, 20x — is pinned at its measured
 # allocs/op plus 5 %, rounded up: a ceiling against a per-row or per-record
 # allocation coming back (20076 while the clients made a fresh key, value
-# and row per operation instead of refilling one buffer each). The eight BenchmarkIOPath rows carry a second ceiling: kernel
+# and row per operation instead of refilling one buffer each; 13451 while
+# each log ran a writer process per busy period and made an event per
+# committer). The eight BenchmarkIOPath rows carry a second ceiling: kernel
 # events fired per I/O over the timed region (the benchmark's events/op,
 # exact and repeatable at the gate's fixed -benchtime), at their measured
 # values — a fused event that comes apart again, or an observer or fault
