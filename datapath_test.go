@@ -60,7 +60,7 @@ func runDataPath(t *testing.T, opts ...Option) (out dataPathOutcome) {
 			data[i] = byte(i * 7)
 		}
 		must(bd.WriteAt(p, 900, 16, data))
-		must(bd.(interface{ Flush(*sim.Proc) error }).Flush(p))
+		must(bd.Flush(p))
 		got := make([]byte, len(data))
 		must(bd.ReadAt(p, 900, 16, got))
 		if !bytes.Equal(got, data) {

@@ -38,8 +38,8 @@ var allowedOrphans = map[string]string{
 // func, method, type or package-level var under internal/ must be reached by a
 // non-test file somewhere in the module — the root package, cmd/, bench/ and
 // examples/ count — or carry a reason in allowedOrphans. A method is reached
-// as well when its receiver implements a module or stdlib interface that
-// declares it. Constants are exempt: the NVMe opcode and status tables
+// as well when its receiver, or a type that embeds it, implements a module or
+// stdlib interface that declares it. Constants are exempt: the NVMe opcode and status tables
 // document the wire format.
 func TestEveryExportHasACaller(t *testing.T) {
 	fset := token.NewFileSet()
@@ -444,25 +444,43 @@ func orphans(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importe
 		walk(p)
 	}
 
+	// A method promoted into a type that embeds its receiver is reached as
+	// that type's: the named types that embed each type.
+	embedders := map[types.Type][]types.Type{}
+	for _, obj := range m.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if f := st.Field(i); f.Embedded() {
+						embedders[f.Type()] = append(embedders[f.Type()], tn.Type())
+					}
+				}
+			}
+		}
+	}
+
 	var out []orphan
 	for _, d := range decls {
-		if !reached[d] && (d.kind != "method" || !satisfiesInterface(d.obj.(*types.Func), ifaces)) {
+		if !reached[d] && (d.kind != "method" || !satisfiesInterface(d.obj.(*types.Func), ifaces, embedders)) {
 			out = append(out, d.orphan)
 		}
 	}
 	return out, nil
 }
 
-// satisfiesInterface reports whether fn's receiver type, or a pointer to it,
-// implements an interface that declares a method of fn's name.
-func satisfiesInterface(fn *types.Func, ifaces map[string][]*types.Interface) bool {
+// satisfiesInterface reports whether fn's receiver type, or a type that
+// embeds it (embedders), or a pointer to either, implements an interface that
+// declares a method of fn's name.
+func satisfiesInterface(fn *types.Func, ifaces map[string][]*types.Interface, embedders map[types.Type][]types.Type) bool {
 	recv := fn.Type().(*types.Signature).Recv().Type()
 	if ptr, ok := recv.(*types.Pointer); ok {
 		recv = ptr.Elem()
 	}
 	for _, it := range ifaces[fn.Name()] {
-		if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
-			return true
+		for _, t := range append([]types.Type{recv}, embedders[recv]...) {
+			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+				return true
+			}
 		}
 	}
 	return false

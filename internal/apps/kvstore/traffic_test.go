@@ -16,13 +16,25 @@ import (
 	"bmstore/internal/sim"
 )
 
-// recorder is a host.BlockDevice that folds every call the store makes —
-// (op, lba, blocks, payload), in call order — into one SHA-256. A write's
-// payload is what the store handed over; a read's is what came back.
+// recorder is a host.BlockDevice over dev that folds every call the store
+// makes — (op, lba, blocks, payload), in call order — into h, a SHA-256. A
+// write's payload is what the store handed over, noted at submission; a
+// read's is what came back, noted at completion.
 type recorder struct {
-	host.BlockDevice
-	h hash.Hash
+	host.Parking
+	dev host.BlockDevice
+	h   hash.Hash
 }
+
+func newRecorder(dev host.BlockDevice, h hash.Hash) *recorder {
+	r := &recorder{dev: dev, h: h}
+	r.Parking = host.NewParking(r)
+	return r
+}
+
+func (r *recorder) BlockSize() int         { return r.dev.BlockSize() }
+func (r *recorder) CapacityBlocks() uint64 { return r.dev.CapacityBlocks() }
+func (r *recorder) PerIOCPU() sim.Time     { return r.dev.PerIOCPU() }
 
 func (r *recorder) note(op byte, lba uint64, blocks uint32, payload []byte) {
 	var hdr [13]byte
@@ -33,30 +45,20 @@ func (r *recorder) note(op byte, lba uint64, blocks uint32, payload []byte) {
 	r.h.Write(payload)
 }
 
-func (r *recorder) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	err := r.BlockDevice.ReadAt(p, lba, blocks, buf)
-	r.note('R', lba, blocks, buf)
-	return err
-}
-
-func (r *recorder) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	r.note('W', lba, blocks, data)
-	return r.BlockDevice.WriteAt(p, lba, blocks, data)
-}
-
-func (r *recorder) Flush(p *sim.Proc) error {
-	r.note('F', 0, 0, nil)
-	return r.BlockDevice.Flush(p)
-}
-
-// Submit notes a write at submission, as WriteAt does; the log submits its
-// batch writes.
 func (r *recorder) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
-	if op != nvme.IOWrite {
-		panic("recorder: Submit of a non-write")
+	switch op {
+	case nvme.IORead:
+		read := done
+		done = func(oc host.IOOutcome) {
+			r.note('R', lba, blocks, buf)
+			read(oc)
+		}
+	case nvme.IOWrite:
+		r.note('W', lba, blocks, buf)
+	default:
+		r.note('F', 0, 0, nil)
 	}
-	r.note('W', lba, blocks, buf)
-	r.BlockDevice.Submit(op, lba, blocks, buf, done)
+	r.dev.Submit(op, lba, blocks, buf, done)
 }
 
 // kvstoreTrafficSHA256 is the digest of the script below, taken on the
@@ -75,7 +77,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 	r := newRig(t)
 	r.run(t, func(p *sim.Proc) {
 		cfg := smallCfg()
-		rec := &recorder{BlockDevice: r.drv.BlockDev(0), h: sha256.New()}
+		rec := newRecorder(r.drv.BlockDev(0), sha256.New())
 		s, err := kvstore.Open(p, r.env, rec, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -160,7 +162,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 			s.Put(p, key(k), v)
 			model[k] = v
 		}
-		s2, err := kvstore.Open(p, r.env, &recorder{BlockDevice: r.drv.BlockDev(1), h: rec.h}, cfg)
+		s2, err := kvstore.Open(p, r.env, newRecorder(r.drv.BlockDev(1), rec.h), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

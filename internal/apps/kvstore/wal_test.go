@@ -11,66 +11,17 @@ import (
 	"bmstore/internal/sim"
 )
 
-var errWrite = errors.New("injected write failure")
-
-// faultyDev is a ringDev whose writes to any of the blocks [failFrom,
-// failTo) fail after 10 µs, whether a process writes or a caller submits. It
-// notes the blocks each write covers. A submitted write fails on env, the
-// environment of the last process that read or wrote through the device.
-type faultyDev struct {
-	ringDev
-	env              *sim.Env
-	failFrom, failTo uint64
-	writes           [][2]uint64 // lba, blocks
-}
-
-// fails notes a write and reports whether it fails.
-func (d *faultyDev) fails(lba uint64, blocks uint32) bool {
-	d.writes = append(d.writes, [2]uint64{lba, uint64(blocks)})
-	return lba < d.failTo && d.failFrom < lba+uint64(blocks)
-}
-
-func (d *faultyDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	d.env = p.Env()
-	return d.ringDev.ReadAt(p, lba, blocks, buf)
-}
-
-func (d *faultyDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	d.env = p.Env()
-	if d.fails(lba, blocks) {
-		p.Sleep(10 * sim.Microsecond)
-		return errWrite
-	}
-	return d.ringDev.WriteAt(p, lba, blocks, data)
-}
-
-func (d *faultyDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
-	if op == nvme.IOWrite && d.fails(lba, blocks) {
-		d.env.Schedule(10*sim.Microsecond, func() { done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1}) })
-		return
-	}
-	d.ringDev.Submit(op, lba, blocks, buf, done)
-}
-
-// WriteErr words a failed submitted write as WriteAt does.
-func (d *faultyDev) WriteErr(oc host.IOOutcome) error {
-	if oc.Status.IsError() {
-		return errWrite
-	}
-	return nil
-}
+// errWrite is a failing write's error, matched by its status.
+var errWrite = host.StatusError(nvme.StatusInternal)
 
 // TestFailedWALWriteIsNotAcknowledged: when the device fails a WAL batch's
 // write, the Put in that batch and a Flush that waits for it both return the
 // error, and the put is not applied.
 func TestFailedWALWriteIsNotAcknowledged(t *testing.T) {
 	const walBlocks = 64
-	dev := &faultyDev{
-		ringDev:  ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)},
-		failFrom: manifestBlocks, failTo: manifestBlocks + walBlocks,
-	}
-	var putErr, flushErr error
 	env := sim.NewEnv(1)
+	dev := newRingDev(env, make([]byte, (manifestBlocks+walBlocks+64)*4096), manifestBlocks, manifestBlocks+walBlocks)
+	var putErr, flushErr error
 	env.Go("test", func(p *sim.Proc) {
 		s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
 		if err != nil {
@@ -96,11 +47,8 @@ func TestFailedWALWriteIsNotAcknowledged(t *testing.T) {
 // error is sticky: a later Put returns it too.
 func TestFailedFlushKeepsTheMemtable(t *testing.T) {
 	const walBlocks = 64
-	dev := &faultyDev{
-		ringDev:  ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)},
-		failFrom: manifestBlocks + walBlocks, failTo: ^uint64(0),
-	}
 	env := sim.NewEnv(1)
+	dev := newRingDev(env, make([]byte, (manifestBlocks+walBlocks+64)*4096), manifestBlocks+walBlocks, ^uint64(0))
 	env.Go("test", func(p *sim.Proc) {
 		s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
 		if err != nil {
@@ -132,8 +80,8 @@ func TestFailedFlushKeepsTheMemtable(t *testing.T) {
 // outside the ring.
 func TestWALBatchLargerThanTheRing(t *testing.T) {
 	for _, walBlocks := range []uint64{2, 0} {
-		dev := &faultyDev{ringDev: ringDev{data: make([]byte, (manifestBlocks+walBlocks+64)*4096)}}
 		env := sim.NewEnv(1)
+		dev := newRingDev(env, make([]byte, (manifestBlocks+walBlocks+64)*4096), 0, 0)
 		env.Go("test", func(p *sim.Proc) {
 			s, err := Open(p, env, dev, Config{MemtableBytes: 1 << 20, WALBytes: walBlocks * 4096})
 			if err != nil {

@@ -150,7 +150,7 @@ func (l *Log) round() {
 // written is the batch write's completion.
 func (l *Log) written(oc host.IOOutcome) {
 	n := uint64(len(l.batch) / l.dev.BlockSize())
-	if err := writeErr(l.dev, oc); err != nil {
+	if err := oc.Err(); err != nil {
 		l.end(fmt.Errorf("%s: writing a %d-block batch at block %d: %w", l.name, n, l.base+l.writeBlock, err))
 		return
 	}
@@ -177,16 +177,6 @@ func (l *Log) end(err error) {
 	} else {
 		l.flushing = false
 	}
-}
-
-// writeErr is the error a write that ended with oc returns, worded as dev's
-// WriteAt words it: through the device's WriteErr where it has one, else the
-// outcome's own. It is nil for a write that reached the device.
-func writeErr(dev host.BlockDevice, oc host.IOOutcome) error {
-	if d, ok := dev.(interface{ WriteErr(host.IOOutcome) error }); ok {
-		return d.WriteErr(oc)
-	}
-	return oc.Err()
 }
 
 // Recover scans the ring for records, which end where end says (see Scan),

@@ -12,11 +12,13 @@ import (
 	"bmstore/internal/sim"
 )
 
-// memDev is a block device over a flat byte slice whose writes, submitted on
-// env, take writeTime, during which inFlight is set. It keeps a copy of every
-// write. While failing is above zero, each write fails instead, and counts it
+// memDev is a block device over a flat byte slice whose reads complete inside
+// Submit and whose writes, submitted on env, take writeTime, during which
+// inFlight is set. It keeps a copy of every write. While failing is above
+// zero, each write fails instead, with nvme.StatusInternal, and counts it
 // down.
 type memDev struct {
+	host.Parking
 	env       *sim.Env
 	data      []byte
 	writeTime sim.Time
@@ -25,31 +27,36 @@ type memDev struct {
 	failing   int
 }
 
-var errWrite = errors.New("injected write failure")
+// errWrite is a write's error while memDev is failing, matched by its status.
+var errWrite = host.StatusError(nvme.StatusInternal)
 
 type write struct {
 	lba  uint64
 	data []byte
 }
 
+func newMemDev(env *sim.Env, blocks int, writeTime sim.Time, failing int) *memDev {
+	m := &memDev{env: env, data: make([]byte, blocks*4096), writeTime: writeTime, failing: failing}
+	m.Parking = host.NewParking(m)
+	return m
+}
+
 func (m *memDev) BlockSize() int         { return 4096 }
 func (m *memDev) CapacityBlocks() uint64 { return uint64(len(m.data) / 4096) }
 func (m *memDev) PerIOCPU() sim.Time     { return 0 }
-func (m *memDev) Flush(*sim.Proc) error  { return nil }
-func (m *memDev) ReadAt(_ *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	copy(buf, m.data[lba*4096:(lba+uint64(blocks))*4096])
-	return nil
-}
-func (m *memDev) WriteAt(*sim.Proc, uint64, uint32, []byte) error {
-	panic("memDev: WriteAt")
-}
 
-// Submit takes writes only, as the log submits nothing else.
+// Submit takes reads and writes only; the log never flushes.
 func (m *memDev) Submit(op uint8, lba uint64, blocks uint32, data []byte, done func(host.IOOutcome)) {
-	if op != nvme.IOWrite {
-		panic("memDev: Submit of a non-write")
+	n := uint64(blocks) * 4096
+	switch op {
+	case nvme.IORead:
+		copy(data, m.data[lba*4096:lba*4096+n])
+		done(host.IOOutcome{Attempts: 1})
+		return
+	case nvme.IOFlush:
+		panic("memDev: Submit of a flush")
 	}
-	m.writes = append(m.writes, write{lba, slices.Clone(data[:blocks*4096])})
+	m.writes = append(m.writes, write{lba, slices.Clone(data[:n])})
 	m.inFlight = true
 	m.env.Schedule(m.writeTime, func() {
 		m.inFlight = false
@@ -58,17 +65,9 @@ func (m *memDev) Submit(op uint8, lba uint64, blocks uint32, data []byte, done f
 			done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1})
 			return
 		}
-		copy(m.data[lba*4096:], data[:blocks*4096])
+		copy(m.data[lba*4096:], data[:n])
 		done(host.IOOutcome{Attempts: 1})
 	})
-}
-
-// WriteErr words a failed write as errWrite.
-func (m *memDev) WriteErr(oc host.IOOutcome) error {
-	if oc.Status.IsError() {
-		return errWrite
-	}
-	return nil
 }
 
 // A test record: crc32(rest) u32 | lsn u64 | payload length u32 | payload.
@@ -112,7 +111,7 @@ func testEnd(b []byte, off int) int {
 func TestLogAcrossRingWraps(t *testing.T) {
 	const base, blocks = 7, 16
 	env := sim.NewEnv(1)
-	dev := &memDev{env: env, data: make([]byte, (base+2*blocks)*4096), writeTime: 30 * sim.Microsecond}
+	dev := newMemDev(env, base+2*blocks, 30*sim.Microsecond, 0)
 	log := New(env, dev, "test/log", base, blocks)
 	payload := func(lsn uint64) []byte {
 		b := make([]byte, 100+int(lsn*7919%1400))
@@ -232,7 +231,7 @@ func TestLogAcrossRingWraps(t *testing.T) {
 // and a later sync, get nil.
 func TestWaitReportsEveryBatchSinceFrom(t *testing.T) {
 	env := sim.NewEnv(1)
-	dev := &memDev{env: env, data: make([]byte, 32*4096), writeTime: 30 * sim.Microsecond, failing: 1}
+	dev := newMemDev(env, 32, 30*sim.Microsecond, 1)
 	log := New(env, dev, "test/log", 0, 16)
 	put := func() uint64 {
 		return log.Append(func(batch []byte, lsn uint64) []byte { return appendTest(batch, lsn, []byte("row")) })
@@ -266,26 +265,18 @@ func TestWaitReportsEveryBatchSinceFrom(t *testing.T) {
 }
 
 // TestFailedWriteWordedAsWriteAt: a failed batch write's error wraps what the
-// device's WriteAt would have returned — the device's WriteErr where it has
-// one, the outcome's NVMe status otherwise.
+// device's WriteAt returns for the same failure: the outcome's StatusError.
 func TestFailedWriteWordedAsWriteAt(t *testing.T) {
-	for _, own := range []bool{true, false} {
-		env := sim.NewEnv(1)
-		dev := &memDev{env: env, data: make([]byte, 8*4096), writeTime: sim.Microsecond, failing: 1}
-		var bd host.BlockDevice = dev
-		want := "test/log: writing a 1-block batch at block 2: injected write failure"
-		if !own {
-			bd = struct{ host.BlockDevice }{dev} // no WriteErr
-			want = "test/log: writing a 1-block batch at block 2: nvme: status 0x6"
-		}
-		log := New(env, bd, "test/log", 2, 4)
-		var err error
-		env.Go("committer", func(p *sim.Proc) {
-			err = log.Wait(p, log.Append(func(batch []byte, lsn uint64) []byte { return appendTest(batch, lsn, []byte("row")) }))
-		})
-		env.Run()
-		if err == nil || err.Error() != want || errors.Is(err, errWrite) != own {
-			t.Errorf("own wording %v: Wait returned %v, want %q", own, err, want)
-		}
+	env := sim.NewEnv(1)
+	dev := newMemDev(env, 8, sim.Microsecond, 2)
+	log := New(env, dev, "test/log", 2, 4)
+	var err, direct error
+	env.Go("committer", func(p *sim.Proc) {
+		err = log.Wait(p, log.Append(func(batch []byte, lsn uint64) []byte { return appendTest(batch, lsn, []byte("row")) }))
+		direct = dev.WriteAt(p, 2, 1, make([]byte, 4096))
+	})
+	env.Run()
+	if want := "test/log: writing a 1-block batch at block 2: nvme: status 0x6"; err == nil || err.Error() != want || !errors.Is(err, errWrite) || !errors.Is(direct, errWrite) {
+		t.Errorf("Wait returned %v, want %q; WriteAt returned %v", err, want, direct)
 	}
 }

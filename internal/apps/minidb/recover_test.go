@@ -15,35 +15,43 @@ import (
 	"bmstore/internal/sim"
 )
 
-// ringDev is a block device over a flat byte slice that logs its reads.
+// ringDev is a block device over a flat byte slice that logs the blocks of
+// its reads and writes. Its I/O completes inside Submit, except that a write
+// to any of the blocks [failFrom, failTo) fails with nvme.StatusInternal
+// after 10 µs on env.
 type ringDev struct {
-	data  []byte
-	reads [][2]uint64 // lba, blocks
+	host.Parking
+	env              *sim.Env
+	data             []byte
+	reads, writes    [][2]uint64 // lba, blocks
+	failFrom, failTo uint64
+}
+
+func newRingDev(env *sim.Env, data []byte, failFrom, failTo uint64) *ringDev {
+	m := &ringDev{env: env, data: data, failFrom: failFrom, failTo: failTo}
+	m.Parking = host.NewParking(m)
+	return m
 }
 
 func (m *ringDev) BlockSize() int         { return 4096 }
 func (m *ringDev) CapacityBlocks() uint64 { return uint64(len(m.data) / 4096) }
 func (m *ringDev) PerIOCPU() sim.Time     { return 0 }
-func (m *ringDev) Flush(*sim.Proc) error  { return nil }
 
-// Submit does the I/O at once, through ReadAt and WriteAt.
 func (m *ringDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
+	ext := [2]uint64{lba, uint64(blocks)}
 	switch op {
 	case nvme.IORead:
-		m.ReadAt(nil, lba, blocks, buf)
+		m.reads = append(m.reads, ext)
+		copy(buf, m.data[lba*4096:(lba+uint64(blocks))*4096])
 	case nvme.IOWrite:
-		m.WriteAt(nil, lba, blocks, buf)
+		m.writes = append(m.writes, ext)
+		if lba < m.failTo && m.failFrom < lba+uint64(blocks) {
+			m.env.Schedule(10*sim.Microsecond, func() { done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1}) })
+			return
+		}
+		copy(m.data[lba*4096:], buf)
 	}
 	done(host.IOOutcome{Attempts: 1})
-}
-func (m *ringDev) ReadAt(_ *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	m.reads = append(m.reads, [2]uint64{lba, uint64(blocks)})
-	copy(buf, m.data[lba*4096:(lba+uint64(blocks))*4096])
-	return nil
-}
-func (m *ringDev) WriteAt(_ *sim.Proc, lba uint64, _ uint32, data []byte) error {
-	copy(m.data[lba*4096:], data)
-	return nil
 }
 
 // redoRecord is one record as the whole-ring decoder finds it.
@@ -201,7 +209,7 @@ func TestScanMatchesTheWholeRingDecoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	check := func(name string, ring []byte, checkpoint uint64) {
 		t.Helper()
-		dev := &ringDev{data: append(make([]byte, base*4096), ring...)}
+		dev := newRingDev(nil, append(make([]byte, base*4096), ring...), 0, 0)
 		var got, want []redoRecord
 		var gotReads [][2]uint64
 		var err1, err2 error

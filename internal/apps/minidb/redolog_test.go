@@ -11,70 +11,25 @@ import (
 	"bmstore/internal/sim"
 )
 
-var errWrite = errors.New("injected write failure")
+// errWrite is a failing write's error, matched by its status.
+var errWrite = host.StatusError(nvme.StatusInternal)
 
-// faultyDev is a ringDev whose writes to any of the blocks [failFrom,
-// failTo) fail after 10 µs, whether a process writes or a caller submits. It
-// notes the blocks each write covers. A submitted write fails on env, the
-// environment of the last process that read or wrote through the device.
-type faultyDev struct {
-	ringDev
-	env              *sim.Env
-	failFrom, failTo uint64
-	writes           [][2]uint64 // lba, blocks
-}
-
-// fails notes a write and reports whether it fails.
-func (d *faultyDev) fails(lba uint64, blocks uint32) bool {
-	d.writes = append(d.writes, [2]uint64{lba, uint64(blocks)})
-	return lba < d.failTo && d.failFrom < lba+uint64(blocks)
-}
-
-func (d *faultyDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	d.env = p.Env()
-	return d.ringDev.ReadAt(p, lba, blocks, buf)
-}
-
-func (d *faultyDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	d.env = p.Env()
-	if d.fails(lba, blocks) {
-		p.Sleep(10 * sim.Microsecond)
-		return errWrite
-	}
-	return d.ringDev.WriteAt(p, lba, blocks, data)
-}
-
-func (d *faultyDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
-	if op == nvme.IOWrite && d.fails(lba, blocks) {
-		d.env.Schedule(10*sim.Microsecond, func() { done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1}) })
-		return
-	}
-	d.ringDev.Submit(op, lba, blocks, buf, done)
-}
-
-// WriteErr words a failed submitted write as WriteAt does.
-func (d *faultyDev) WriteErr(oc host.IOOutcome) error {
-	if oc.Status.IsError() {
-		return errWrite
-	}
-	return nil
-}
-
-// redoTestDB opens a database with a redo ring of redoBlocks blocks on dev and
-// runs body on it, with the block the ring starts at.
-func redoTestDB(t *testing.T, dev *faultyDev, redoBlocks uint64, body func(p *sim.Proc, db *DB, redoBase uint64)) {
+// redoTestDB opens a database with a redo ring of redoBlocks blocks on a
+// ringDev that fails nothing yet and runs body on it, with the device and the
+// block the ring starts at.
+func redoTestDB(t *testing.T, redoBlocks uint64, body func(p *sim.Proc, db *DB, dev *ringDev, redoBase uint64)) {
 	t.Helper()
 	cfg := Config{PoolPages: 64, RedoBytes: redoBlocks * 4096, CheckpointInterval: sim.Second}
 	journalBlks := uint64(2*cfg.PoolPages+1024) * blocksPerPage
-	dev.data = make([]byte, (superBlocks+journalBlks+redoBlocks+128*blocksPerPage)*4096)
 	env := sim.NewEnv(1)
+	dev := newRingDev(env, make([]byte, (superBlocks+journalBlks+redoBlocks+128*blocksPerPage)*4096), 0, 0)
 	main := env.Go("test", func(p *sim.Proc) {
 		db, err := Open(p, env, dev, cfg)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		body(p, db, db.journalBase+db.journalBlks)
+		body(p, db, dev, db.journalBase+db.journalBlks)
 	})
 	env.RunUntilEvent(main.Done())
 	env.Shutdown()
@@ -84,9 +39,8 @@ func redoTestDB(t *testing.T, dev *faultyDev, redoBlocks uint64, body func(p *si
 // write, the commits in that batch return the error.
 func TestFailedRedoWriteIsNotAcknowledged(t *testing.T) {
 	const redoBlocks = 64
-	dev := &faultyDev{}
 	var errs [2]error
-	redoTestDB(t, dev, redoBlocks, func(p *sim.Proc, db *DB, redoBase uint64) {
+	redoTestDB(t, redoBlocks, func(p *sim.Proc, db *DB, dev *ringDev, redoBase uint64) {
 		dev.failFrom, dev.failTo = redoBase, redoBase+redoBlocks
 		other := db.env.Go("other", func(op *sim.Proc) { errs[1] = db.Put(op, 2, []byte("two")) })
 		errs[0] = db.Put(p, 1, []byte("one"))
@@ -104,8 +58,7 @@ func TestFailedRedoWriteIsNotAcknowledged(t *testing.T) {
 // the error instead of the tree's rows.
 func TestFailedRedoWriteFailsTheDB(t *testing.T) {
 	const redoBlocks = 64
-	dev := &faultyDev{}
-	redoTestDB(t, dev, redoBlocks, func(p *sim.Proc, db *DB, redoBase uint64) {
+	redoTestDB(t, redoBlocks, func(p *sim.Proc, db *DB, dev *ringDev, redoBase uint64) {
 		dev.failFrom, dev.failTo = redoBase, redoBase+redoBlocks
 		if err := db.Put(p, 7, []byte("seven")); !errors.Is(err, errWrite) {
 			t.Errorf("Put returned %v, want %v", err, errWrite)
@@ -128,10 +81,7 @@ func TestFailedRedoWriteFailsTheDB(t *testing.T) {
 // outside the ring — not into the pages after it.
 func TestRedoBatchLargerThanTheRing(t *testing.T) {
 	for _, redoBlocks := range []uint64{2, 0} {
-		dev := &faultyDev{}
-		var base uint64
-		redoTestDB(t, dev, redoBlocks, func(p *sim.Proc, db *DB, redoBase uint64) {
-			base = redoBase
+		redoTestDB(t, redoBlocks, func(p *sim.Proc, db *DB, dev *ringDev, base uint64) {
 			dev.writes = nil
 			tx := db.Begin()
 			for k := uint64(1); k <= 3; k++ {
@@ -141,11 +91,11 @@ func TestRedoBatchLargerThanTheRing(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-block", redoBlocks)) {
 				t.Errorf("%d-block ring: commit of a 3-block batch returned %v", redoBlocks, err)
 			}
-		})
-		for _, w := range dev.writes {
-			if w[0] < base || w[0]+w[1] > base+redoBlocks {
-				t.Errorf("%d-block ring: wrote blocks [%d, %d), outside the ring [%d, %d)", redoBlocks, w[0], w[0]+w[1], base, base+redoBlocks)
+			for _, w := range dev.writes {
+				if w[0] < base || w[0]+w[1] > base+redoBlocks {
+					t.Errorf("%d-block ring: wrote blocks [%d, %d), outside the ring [%d, %d)", redoBlocks, w[0], w[0]+w[1], base, base+redoBlocks)
+				}
 			}
-		}
+		})
 	}
 }

@@ -16,16 +16,28 @@ import (
 	"bmstore/internal/sim"
 )
 
-// recorder is a host.BlockDevice that folds every call the engine makes —
-// (op, lba, blocks, payload), in call order — into one SHA-256. A write's
-// payload is what the engine handed over; a read's is what came back.
+// recorder is a host.BlockDevice over dev that folds every call the engine
+// makes — (op, lba, blocks, payload), in call order — into h, a SHA-256. A
+// write's payload is what the engine handed over, noted at submission; a
+// read's is what came back, noted at completion.
 type recorder struct {
-	host.BlockDevice
-	h hash.Hash
+	host.Parking
+	dev host.BlockDevice
+	h   hash.Hash
 	// journalHeads counts writes to the doublewrite journal's header page:
 	// one per checkpoint pass.
 	journalHeads int
 }
+
+func newRecorder(dev host.BlockDevice, h hash.Hash) *recorder {
+	r := &recorder{dev: dev, h: h}
+	r.Parking = host.NewParking(r)
+	return r
+}
+
+func (r *recorder) BlockSize() int         { return r.dev.BlockSize() }
+func (r *recorder) CapacityBlocks() uint64 { return r.dev.CapacityBlocks() }
+func (r *recorder) PerIOCPU() sim.Time     { return r.dev.PerIOCPU() }
 
 func (r *recorder) note(op byte, lba uint64, blocks uint32, payload []byte) {
 	var hdr [13]byte
@@ -36,33 +48,23 @@ func (r *recorder) note(op byte, lba uint64, blocks uint32, payload []byte) {
 	r.h.Write(payload)
 }
 
-func (r *recorder) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	err := r.BlockDevice.ReadAt(p, lba, blocks, buf)
-	r.note('R', lba, blocks, buf)
-	return err
-}
-
-func (r *recorder) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	if lba == 8 { // superblock region is 8 blocks; the journal header follows
-		r.journalHeads++
-	}
-	r.note('W', lba, blocks, data)
-	return r.BlockDevice.WriteAt(p, lba, blocks, data)
-}
-
-func (r *recorder) Flush(p *sim.Proc) error {
-	r.note('F', 0, 0, nil)
-	return r.BlockDevice.Flush(p)
-}
-
-// Submit notes a write at submission, as WriteAt does; the log submits its
-// batch writes.
 func (r *recorder) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(host.IOOutcome)) {
-	if op != nvme.IOWrite {
-		panic("recorder: Submit of a non-write")
+	switch op {
+	case nvme.IORead:
+		read := done
+		done = func(oc host.IOOutcome) {
+			r.note('R', lba, blocks, buf)
+			read(oc)
+		}
+	case nvme.IOWrite:
+		if lba == 8 { // superblock region is 8 blocks; the journal header follows
+			r.journalHeads++
+		}
+		r.note('W', lba, blocks, buf)
+	default:
+		r.note('F', 0, 0, nil)
 	}
-	r.note('W', lba, blocks, buf)
-	r.BlockDevice.Submit(op, lba, blocks, buf, done)
+	r.dev.Submit(op, lba, blocks, buf, done)
 }
 
 // minidbTrafficSHA256 is the digest of the script below, taken on the
@@ -82,7 +84,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		cfg := dbCfg()
 		cfg.CheckpointInterval = 3600 * sim.Second // only forced and pressure checkpoints
-		rec := &recorder{BlockDevice: r.drv.BlockDev(0), h: sha256.New()}
+		rec := newRecorder(r.drv.BlockDev(0), sha256.New())
 		db, err := minidb.Open(p, r.env, rec, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -192,7 +194,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 			}
 			model[k] = v
 		}
-		rec2 := &recorder{BlockDevice: r.drv.BlockDev(1), h: rec.h}
+		rec2 := newRecorder(r.drv.BlockDev(1), rec.h)
 		db2, err := minidb.Open(p, r.env, rec2, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -33,19 +33,23 @@ import (
 	"bmstore/internal/ssd"
 )
 
-// Config tunes the crash/recovery model.
-type Config struct {
+// The recovery sequence's delays.
+const (
 	// Outage is how long the card stays dark after a crash before the
-	// reboot begins. The default 8ms sits well inside a recovering
-	// driver's retry budget (CmdTimeout x MaxRetries), so episodes that
-	// span the outage come back as retried successes, not errors.
-	Outage sim.Time
+	// reboot begins. It sits well inside a recovering driver's retry
+	// budget (CmdTimeout x MaxRetries), so episodes that span the outage
+	// come back as retried successes, not errors.
+	Outage = 8 * sim.Millisecond
 	// RebootLatency models firmware boot + checkpoint load.
-	RebootLatency sim.Time
+	RebootLatency = sim.Millisecond
 	// ReplayPerRecord is the virtual time charged per redone journal
 	// record.
-	ReplayPerRecord sim.Time
+	ReplayPerRecord = 2 * sim.Microsecond
+)
 
+// Config plants violations in the crash/recovery model; the zero value is
+// the faithful model.
+type Config struct {
 	// TruncateJournal, when nonzero, drops that many records from the
 	// TAIL of the journal before replay — a planted violation: the
 	// clobbered blocks of the dropped records stay zeroed, so the verify
@@ -58,39 +62,6 @@ type Config struct {
 	// DisableRecovery leaves the card dead after the crash: the outage
 	// never ends and every in-flight episode exhausts its retries.
 	DisableRecovery bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Outage == 0 {
-		c.Outage = 8 * sim.Millisecond
-	}
-	if c.RebootLatency == 0 {
-		c.RebootLatency = sim.Millisecond
-	}
-	if c.ReplayPerRecord == 0 {
-		c.ReplayPerRecord = 2 * sim.Microsecond
-	}
-	return c
-}
-
-// Record is one journal entry: an acknowledged write and where it landed.
-type Record struct {
-	At      int64 // virtual time of the ack
-	Fn      int   // front-end function
-	SLBA    uint64
-	NLB     uint32
-	Extents []Extent
-}
-
-// Extent is one physical piece of a journaled write. Data is the payload
-// read back from the media at ack time (nil on content-free rigs).
-type Extent struct {
-	Backend int // index into the rig's SSD slice
-	Serial  string
-	NSID    uint32
-	PhysLBA uint64
-	Blocks  uint32
-	Data    []byte
 }
 
 // Stats is the manager's cumulative accounting.
@@ -114,16 +85,19 @@ type Manager struct {
 	ssds    []*ssd.SSD
 	drivers []*host.Driver
 
-	cp      *engine.Checkpoint
-	journal []Record
-	stats   Stats
+	cp    *engine.Checkpoint
+	stats Stats
+	// journal holds one record per acknowledged write: the extents it
+	// landed on, each with the payload read back from the media at ack time
+	// (nil Data on content-free rigs).
+	journal [][]engine.WriteExtent
 }
 
 // New wires a manager to the engine: it registers the crash hooks and
 // takes the initial checkpoint. ssds must be the rig's backend slice in
 // engine order (journal extents index into it).
 func New(env *sim.Env, eng *engine.Engine, ssds []*ssd.SSD, cfg Config) *Manager {
-	m := &Manager{env: env, eng: eng, cfg: cfg.withDefaults(), ssds: ssds}
+	m := &Manager{env: env, eng: eng, cfg: cfg, ssds: ssds}
 	eng.SetCrashHooks(m.onCrash, m.onWriteAck, m.onCtlChange)
 	m.cp = eng.TakeCheckpoint()
 	return m
@@ -134,7 +108,7 @@ func (m *Manager) RegisterDriver(d *host.Driver) {
 	m.drivers = append(m.drivers, d)
 }
 
-// Config returns the effective (default-filled) configuration.
+// Config returns the configuration the manager was built with.
 func (m *Manager) Config() Config { return m.cfg }
 
 // Stats snapshots the manager's accounting.
@@ -151,19 +125,17 @@ func (m *Manager) onCtlChange() {
 	m.stats.Journaled = 0
 }
 
-// onWriteAck journals one acknowledged write, capturing the payload bytes
-// as they sit on the media at ack time (write-through: data is on flash
-// when the CQE goes out, so a read-back is the ground truth to redo).
-func (m *Manager) onWriteAck(a engine.WriteAck) {
-	rec := Record{At: a.At, Fn: a.Fn, SLBA: a.SLBA, NLB: a.NLB}
-	for _, e := range a.Extents {
-		ext := Extent{Backend: e.Backend, Serial: e.Serial, NSID: e.NSID, PhysLBA: e.PhysLBA, Blocks: e.Blocks}
-		if e.Backend >= 0 && e.Backend < len(m.ssds) {
-			ext.Data = m.ssds[e.Backend].CaptureRead(e.NSID, e.PhysLBA, e.Blocks)
+// onWriteAck journals one acknowledged write's extents, capturing the
+// payload bytes as they sit on the media at ack time (write-through: data is
+// on flash when the CQE goes out, so a read-back is the ground truth to
+// redo).
+func (m *Manager) onWriteAck(exts []engine.WriteExtent) {
+	for i := range exts {
+		if e := &exts[i]; e.Backend >= 0 && e.Backend < len(m.ssds) {
+			e.Data = m.ssds[e.Backend].CaptureRead(e.NSID, e.PhysLBA, e.Blocks)
 		}
-		rec.Extents = append(rec.Extents, ext)
 	}
-	m.journal = append(m.journal, rec)
+	m.journal = append(m.journal, exts)
 	m.stats.Journaled++
 }
 
@@ -177,7 +149,7 @@ func (m *Manager) onCrash(ci engine.CrashInfo) {
 	m.stats.InFlightAtCrash = ci.Dropped
 	m.stats.RecoveredAt = 0
 	for _, rec := range m.journal {
-		for _, e := range rec.Extents {
+		for _, e := range rec {
 			if e.Backend >= 0 && e.Backend < len(m.ssds) {
 				m.ssds[e.Backend].CaptureZero(e.NSID, e.PhysLBA, e.Blocks)
 			}
@@ -187,7 +159,7 @@ func (m *Manager) onCrash(ci engine.CrashInfo) {
 		return
 	}
 	m.env.Go("crash/recovery", func(p *sim.Proc) {
-		p.Sleep(m.cfg.Outage)
+		p.Sleep(Outage)
 		m.recover(p)
 	})
 }
@@ -197,7 +169,7 @@ func (m *Manager) onCrash(ci engine.CrashInfo) {
 // side sees only an outage — its in-flight attempts time out, park as
 // zombies, and retry their way back in once the queues exist again.
 func (m *Manager) recover(p *sim.Proc) {
-	p.Sleep(m.cfg.RebootLatency)
+	p.Sleep(RebootLatency)
 	if m.cfg.TamperCheckpoint != nil {
 		m.cfg.TamperCheckpoint(m.cp)
 	}
@@ -212,13 +184,13 @@ func (m *Manager) recover(p *sim.Proc) {
 	m.stats.Dropped += len(m.journal) - n
 	m.stats.Replayed = 0
 	for _, rec := range m.journal[:n] {
-		for _, e := range rec.Extents {
+		for _, e := range rec {
 			if e.Backend >= 0 && e.Backend < len(m.ssds) && e.Data != nil {
 				m.ssds[e.Backend].CaptureWrite(e.NSID, e.PhysLBA, e.Data)
 			}
 		}
 		m.stats.Replayed++
-		p.Sleep(m.cfg.ReplayPerRecord)
+		p.Sleep(ReplayPerRecord)
 	}
 	m.journal = m.journal[:0]
 	m.stats.Journaled = 0

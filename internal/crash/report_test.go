@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bmstore/internal/engine"
 	"bmstore/internal/sim"
 )
 
@@ -118,14 +119,14 @@ func TestClean(t *testing.T) {
 	}
 }
 
-func TestConfigWithDefaultsKeepsExplicitValues(t *testing.T) {
-	def := Config{}.withDefaults()
-	if def.Outage != 8*sim.Millisecond || def.RebootLatency != sim.Millisecond || def.ReplayPerRecord != 2*sim.Microsecond {
-		t.Fatalf("defaults %+v", def)
-	}
-	set := Config{Outage: 3, RebootLatency: 4, ReplayPerRecord: 5, TruncateJournal: 2, DisableRecovery: true}
-	if got := set.withDefaults(); !reflect.DeepEqual(got, set) {
-		t.Fatalf("withDefaults moved explicit values: %+v, want %+v", got, set)
+// TestManagerKeepsExplicitConfig: no field of Config has a default to fill
+// in, so a manager runs with the values it was given.
+func TestManagerKeepsExplicitConfig(t *testing.T) {
+	env := sim.NewEnv(1)
+	for _, set := range []Config{{}, {TruncateJournal: 2, DisableRecovery: true}} {
+		if got := New(env, engine.New(env, engine.Config{}), nil, set).Config(); !reflect.DeepEqual(got, set) {
+			t.Fatalf("manager config %+v, want %+v", got, set)
+		}
 	}
 }
 

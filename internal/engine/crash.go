@@ -42,25 +42,16 @@ type CrashInfo struct {
 	Dropped int
 }
 
-// WriteExtent is the physical placement of one piece of an acked write.
+// WriteExtent is one physical piece of an acknowledged write, reported to the
+// journal hook at the instant before the write's CQE is posted: "acked" and
+// "journaled" are atomic in the model, mirroring a capacitor-backed intent
+// log written before the completion doorbell.
 type WriteExtent struct {
 	Backend int    // engine backend index
-	Serial  string // backend SSD serial
 	NSID    uint32 // backend namespace the data lives in
 	PhysLBA uint64
 	Blocks  uint32
-}
-
-// WriteAck describes one successfully acknowledged write, reported to the
-// journal hook at the instant before its CQE is posted: "acked" and
-// "journaled" are atomic in the model, mirroring a capacitor-backed intent
-// log written before the completion doorbell.
-type WriteAck struct {
-	At      int64
-	Fn      int // front-end function the write arrived on
-	SLBA    uint64
-	NLB     uint32
-	Extents []WriteExtent
+	Data    []byte // the payload, which the journal captures; nil from the engine
 }
 
 // NamespaceCheckpoint is the durable image of one bound namespace: name,
@@ -87,7 +78,6 @@ type BackendCheckpoint struct {
 
 // Checkpoint is a serializable snapshot of the engine's volatile state.
 type Checkpoint struct {
-	Taken      int64 // virtual time the snapshot was taken
 	Namespaces []NamespaceCheckpoint
 	Backends   []BackendCheckpoint
 }
@@ -97,10 +87,11 @@ func (e *Engine) Dead() bool { return e.dead }
 
 // SetCrashHooks registers the crash manager's callbacks: onCrash fires at
 // the crash instant (after volatile state is gone), onWriteAck on every
-// successful write acknowledgement (the journal feed), and onCtlChange on
-// every control-plane mutation (the manager re-takes its checkpoint, so
-// the snapshot a crash restores from is never stale). All three may be nil.
-func (e *Engine) SetCrashHooks(onCrash func(CrashInfo), onWriteAck func(WriteAck), onCtlChange func()) {
+// successful write acknowledgement with the extents it landed on, which the
+// hook may keep (the journal feed), and onCtlChange on every control-plane
+// mutation (the manager re-takes its checkpoint, so the snapshot a crash
+// restores from is never stale). All three may be nil.
+func (e *Engine) SetCrashHooks(onCrash func(CrashInfo), onWriteAck func([]WriteExtent), onCtlChange func()) {
 	e.onCrash, e.onWriteAck, e.onCtlChange = onCrash, onWriteAck, onCtlChange
 }
 
@@ -233,7 +224,7 @@ func (b *backend) crashDropPending() int {
 // plane, which has its own persistence — the checkpoint covers only the
 // card's per-function I/O state.
 func (e *Engine) TakeCheckpoint() *Checkpoint {
-	cp := &Checkpoint{Taken: int64(e.env.Now())}
+	cp := &Checkpoint{}
 	for _, f := range e.funcs {
 		if f.ns == nil {
 			continue
@@ -326,19 +317,17 @@ func (e *Engine) Recover(cp *Checkpoint) error {
 	return nil
 }
 
-// journalAck reports one acknowledged write with its physical placement to
-// the crash manager. Callers only invoke it when onWriteAck is set.
-func (e *Engine) journalAck(f *function, slba uint64, nlb uint32, subs []subCommand) {
-	wa := WriteAck{At: int64(e.env.Now()), Fn: int(f.id), SLBA: slba, NLB: nlb}
-	for _, sub := range subs {
-		be := e.backends[sub.ssd]
-		wa.Extents = append(wa.Extents, WriteExtent{
+// journalAck reports one acknowledged write's physical placement to the
+// crash manager. Callers only invoke it when onWriteAck is set.
+func (e *Engine) journalAck(subs []subCommand) {
+	exts := make([]WriteExtent, len(subs))
+	for i, sub := range subs {
+		exts[i] = WriteExtent{
 			Backend: sub.ssd,
-			Serial:  be.dev.Config().Serial,
-			NSID:    be.backendNSID,
+			NSID:    e.backends[sub.ssd].backendNSID,
 			PhysLBA: sub.physLBA,
 			Blocks:  sub.blocks,
-		})
+		}
 	}
-	e.onWriteAck(wa)
+	e.onWriteAck(exts)
 }

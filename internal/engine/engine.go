@@ -108,7 +108,7 @@ type Engine struct {
 	crashOnDispatch bool
 	// Crash-manager hooks (all optional; see SetCrashHooks).
 	onCrash     func(CrashInfo)
-	onWriteAck  func(WriteAck)
+	onWriteAck  func([]WriteExtent)
 	onCtlChange func()
 
 	hostPort *pcie.Port

@@ -255,7 +255,7 @@ func (io *feIO) subDone(c nvme.Completion) {
 		io.ns.WriteStats.Record(io.nBytes, lat)
 	}
 	if e.onWriteAck != nil && io.cmd.Opcode == nvme.IOWrite && !io.worst.IsError() {
-		e.journalAck(io.f, io.slba, io.nlb, io.subs)
+		e.journalAck(io.subs)
 	}
 	io.finish(io.worst)
 }

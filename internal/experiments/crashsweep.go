@@ -202,8 +202,8 @@ func runCrashPoint(seed int64, in crashInstant, cc crash.Config, tr *trace.Trace
 		pt.Findings = append(pt.Findings, "recovery-missing: crash at t="+fmt.Sprint(st.CrashedAt)+" never recovered")
 	case st.RecoveredAt > 0:
 		pt.RecoveryNS = st.RecoveredAt - st.CrashedAt
-		budget := int64(ecfg.Outage) + int64(ecfg.RebootLatency) +
-			int64(st.Replayed)*int64(ecfg.ReplayPerRecord) + int64(5*sim.Millisecond)
+		budget := int64(crash.Outage) + int64(crash.RebootLatency) +
+			int64(st.Replayed)*int64(crash.ReplayPerRecord) + int64(5*sim.Millisecond)
 		if pt.RecoveryNS > budget {
 			pt.Findings = append(pt.Findings, fmt.Sprintf("recovery-unbounded: %dns > budget %dns", pt.RecoveryNS, budget))
 		}

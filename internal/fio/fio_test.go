@@ -11,8 +11,10 @@ import (
 	"bmstore/internal/sim"
 )
 
-// fakeDev is a deterministic 50us device with request recording.
+// fakeDev is a deterministic 50us device with request recording. fio drives
+// devices through Submit only, so its process API is left unbound.
 type fakeDev struct {
+	host.Parking
 	env      *sim.Env
 	lat      sim.Time
 	perIOCPU sim.Time
@@ -21,7 +23,6 @@ type fakeDev struct {
 	lbas     []uint64
 	sizes    []uint32
 	free     []*fakeIO
-	park     host.Parking
 }
 
 // fakeIO is one I/O in flight on a fakeDev; spent ones are reused, so the
@@ -63,18 +64,6 @@ func (io *fakeIO) complete() {
 	io.done = nil
 	io.f.free = append(io.f.free, io)
 	done(host.IOOutcome{Attempts: 1})
-}
-
-func (f *fakeDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	return f.park.IO(p, f, nvme.IORead, lba, blocks, buf).Err()
-}
-
-func (f *fakeDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	return f.park.IO(p, f, nvme.IOWrite, lba, blocks, data).Err()
-}
-
-func (f *fakeDev) Flush(p *sim.Proc) error {
-	return f.park.IO(p, f, nvme.IOFlush, 0, 0, nil).Err()
 }
 
 func run(t *testing.T, dev host.BlockDevice, spec fio.Spec) *fio.Result {

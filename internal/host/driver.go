@@ -150,14 +150,20 @@ type IOOutcome struct {
 	TimedOut bool
 }
 
-// Err is the episode's status as the error ReadAt and WriteAt return: nil on
-// success.
+// Err is the episode's status as the error the process API returns: nil on
+// success, else its StatusError.
 func (oc IOOutcome) Err() error {
 	if oc.Status.IsError() {
-		return fmt.Errorf("nvme: status %#x", uint16(oc.Status))
+		return StatusError(oc.Status)
 	}
 	return nil
 }
+
+// StatusError is a failed I/O's error on every device: its NVMe status,
+// which errors.Is matches it by.
+type StatusError nvme.Status
+
+func (e StatusError) Error() string { return fmt.Sprintf("nvme: status %#x", uint16(e)) }
 
 // dq is one driver-side queue pair: the shared initiator's rings and slot
 // count, plus the driver's CID policy — a slot's index is its command's CID,
@@ -953,10 +959,13 @@ func (d *Driver) buildPRPs(q *dq, slot uint16, nBytes int) (uint64, uint64) {
 // BlockDev exposes the driver's namespace as a BlockDevice pinned to one
 // I/O queue (one per workload thread, like per-CPU queues).
 func (d *Driver) BlockDev(queue int) BlockDevice {
-	return &nvmeBlockDev{d: d, q: queue}
+	b := &nvmeBlockDev{d: d, q: queue}
+	b.Parking = NewParking(b)
+	return b
 }
 
 type nvmeBlockDev struct {
+	Parking
 	d *Driver
 	q int
 }
@@ -967,18 +976,6 @@ func (b *nvmeBlockDev) CapacityBlocks() uint64 { return b.d.nsBlocks }
 // Submit starts one I/O episode on the device's queue (BlockDevice).
 func (b *nvmeBlockDev) Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(IOOutcome)) {
 	b.d.submit(op, lba, blocks, buf, b.q, done)
-}
-
-func (b *nvmeBlockDev) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	return b.d.h.parking.IO(p, b, nvme.IORead, lba, blocks, buf).Err()
-}
-
-func (b *nvmeBlockDev) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	return b.d.h.parking.IO(p, b, nvme.IOWrite, lba, blocks, data).Err()
-}
-
-func (b *nvmeBlockDev) Flush(p *sim.Proc) error {
-	return b.d.h.parking.IO(p, b, nvme.IOFlush, 0, 0, nil).Err()
 }
 
 func (b *nvmeBlockDev) PerIOCPU() sim.Time {

@@ -20,7 +20,7 @@ import (
 func TestFabricatedCQEIsSpurious(t *testing.T) {
 	r := newNativeRig(t, host.CentOS("3.10.0"), nil, false)
 	r.env.Go("test", func(p *sim.Proc) {
-		if st := r.drv.IO(p, nvme.IORead, 0, 1, nil, 0); st.IsError() {
+		if st := r.drv.IO(p, nvme.IORead, 0, 1, nil, 0).Status; st.IsError() {
 			t.Errorf("read: status %#x", st)
 		}
 	})

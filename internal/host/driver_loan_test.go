@@ -84,10 +84,10 @@ func TestPayloadLeavesTheSlotsPagesUntouched(t *testing.T) {
 				if payload {
 					w, got = fill(int(blocks)*nvme.LBASize, byte(i)), make([]byte, int(blocks)*nvme.LBASize)
 				}
-				if st := r.drv.IO(p, nvme.IOWrite, uint64(i)*8, blocks, w, 0); st.IsError() {
+				if st := r.drv.IO(p, nvme.IOWrite, uint64(i)*8, blocks, w, 0).Status; st.IsError() {
 					t.Fatalf("write %d: %#x", i, st)
 				}
-				if st := r.drv.IO(p, nvme.IORead, uint64(i)*8, blocks, got, 0); st.IsError() {
+				if st := r.drv.IO(p, nvme.IORead, uint64(i)*8, blocks, got, 0).Status; st.IsError() {
 					t.Fatalf("read %d: %#x", i, st)
 				}
 				if !bytes.Equal(got, w) {
@@ -114,7 +114,7 @@ func stalledRig(t *testing.T, dcfg host.DriverConfig, stall sim.Time, stored []b
 	r := newFaultedRig(t, dcfg,
 		fault.Rule{Point: fault.SSDStall, Target: "SN001", At: int64(200 * sim.Microsecond), Duration: int64(stall)})
 	r.env.Go("seed", func(p *sim.Proc) {
-		if st := r.drv.IO(p, nvme.IOWrite, 0, uint32(len(stored)/nvme.LBASize), stored, 0); st.IsError() {
+		if st := r.drv.IO(p, nvme.IOWrite, 0, uint32(len(stored)/nvme.LBASize), stored, 0).Status; st.IsError() {
 			t.Errorf("seeding write: %#x", st)
 		}
 	})
@@ -134,7 +134,7 @@ func TestTimedOutWriteFetchedLatePersistsThePayload(t *testing.T) {
 	want := bytes.Clone(payload)
 	r.env.Go("test", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		oc := r.drv.IOWithOutcome(p, nvme.IOWrite, 0, 2, payload, 0)
+		oc := r.drv.IO(p, nvme.IOWrite, 0, 2, payload, 0)
 		if !oc.TimedOut {
 			t.Fatalf("outcome %+v, want a timeout", oc)
 		}
@@ -161,7 +161,7 @@ func TestTimedOutReadLeavesTheCallersBufferAlone(t *testing.T) {
 	var slot uint16
 	r.env.Go("test", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		oc := r.drv.IOWithOutcome(p, nvme.IORead, 0, 2, buf, 0)
+		oc := r.drv.IO(p, nvme.IORead, 0, 2, buf, 0)
 		if !oc.TimedOut {
 			t.Fatalf("outcome %+v, want a timeout", oc)
 		}
@@ -202,7 +202,7 @@ func TestRetriedReadIsWhole(t *testing.T) {
 	r.env.Go("test", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
 		buf := make([]byte, len(stored))
-		oc := r.drv.IOWithOutcome(p, nvme.IORead, 0, 8, buf, 0)
+		oc := r.drv.IO(p, nvme.IORead, 0, 8, buf, 0)
 		if oc.Status.IsError() || oc.Attempts < 2 {
 			t.Fatalf("outcome %+v, want success after a timeout", oc)
 		}

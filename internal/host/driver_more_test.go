@@ -2,6 +2,7 @@ package host_test
 
 import (
 	"bytes"
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,5 +168,76 @@ func TestCompletionWakeUpQueuesOnlyWhenTheWaiterWouldRunOn(t *testing.T) {
 				t.Errorf("ReadAt returned at %d, want %d ns after the CQE at %d", returned, tc.comp, cqeAt)
 			}
 		})
+	}
+}
+
+// lagDev ends each I/O with status st, lat after Submit, or inside Submit
+// when lat is 0.
+type lagDev struct {
+	host.Parking
+	env *sim.Env
+	lat sim.Time
+	st  nvme.Status
+}
+
+func (d *lagDev) BlockSize() int         { return 4096 }
+func (d *lagDev) CapacityBlocks() uint64 { return 1 }
+func (d *lagDev) PerIOCPU() sim.Time     { return 0 }
+func (d *lagDev) Submit(_ uint8, _ uint64, _ uint32, _ []byte, done func(host.IOOutcome)) {
+	oc := host.IOOutcome{Status: d.st, Attempts: 1}
+	if d.lat == 0 {
+		done(oc)
+		return
+	}
+	d.env.Schedule(d.lat, func() { done(oc) })
+}
+
+// TestParkingParksOnlyToWait: the process API parks a caller only when Submit
+// has not completed the I/O by the time it returns, and then exactly once
+// per call, at no kernel event of its own; and a failed I/O's error is its
+// StatusError, matched by the device's status.
+func TestParkingParksOnlyToWait(t *testing.T) {
+	for _, c := range []struct {
+		lat     sim.Time
+		st      nvme.Status
+		want    error
+		events  uint64 // fired during the three calls: the device's own
+		resumes int    // the caller's start, and one per park
+	}{
+		{0, nvme.StatusSuccess, nil, 0, 1},
+		{5 * sim.Microsecond, nvme.StatusSuccess, nil, 3, 1 + 3},
+		{sim.Microsecond, nvme.StatusInternal, host.StatusError(nvme.StatusInternal), 3, 1 + 3},
+	} {
+		env := sim.NewEnv(1)
+		var dump bytes.Buffer
+		tr := trace.New(trace.Options{Dump: &dump})
+		env.SetTracer(tr)
+		dev := &lagDev{env: env, lat: c.lat, st: c.st}
+		dev.Parking = host.NewParking(dev)
+		var errs [3]error
+		var events uint64
+		caller := env.Go("caller", func(p *sim.Proc) {
+			before := env.Events()
+			errs = [3]error{dev.ReadAt(p, 0, 1, nil), dev.WriteAt(p, 0, 1, nil), dev.Flush(p)}
+			events = env.Events() - before
+		})
+		env.Run()
+		if err := tr.Flush(); err != nil || !caller.Done().Processed() {
+			t.Fatalf("lat %d: trace flush %v; caller returned: %v", c.lat, err, caller.Done().Processed())
+		}
+		resumes := 0 // of the one process
+		for _, l := range strings.Split(dump.String(), "\n") {
+			if f := strings.Fields(l); len(f) > 2 && f[1] == "sim" && f[2] == "resume" {
+				resumes++
+			}
+		}
+		for i, err := range errs {
+			if !errors.Is(err, c.want) {
+				t.Errorf("lat %d, status %#x: I/O %d returned %v", c.lat, c.st, i, err)
+			}
+		}
+		if events != c.events || resumes != c.resumes {
+			t.Errorf("lat %d: %d events and %d resumes, want %d and %d", c.lat, events, resumes, c.events, c.resumes)
+		}
 	}
 }

@@ -56,12 +56,8 @@ func (d *Driver) GiveWhileLent(p *sim.Proc, qIdx int) {
 }
 
 // IO performs one read/write/flush on queue qIdx for process p and returns
-// its status: ReadAt's park-once wait with the op and queue chosen per call.
-func (d *Driver) IO(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int) nvme.Status {
-	return d.IOWithOutcome(p, op, lba, blocks, buf, qIdx).Status
-}
-
-// IOWithOutcome is IO with the episode's whole outcome.
-func (d *Driver) IOWithOutcome(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int) IOOutcome {
-	return d.h.parking.IO(p, &nvmeBlockDev{d: d, q: qIdx}, op, lba, blocks, buf)
+// its outcome: the process API's park-once wait with the op and queue chosen
+// per call.
+func (d *Driver) IO(p *sim.Proc, op uint8, lba uint64, blocks uint32, buf []byte, qIdx int) IOOutcome {
+	return new(Parking).IO(p, d.BlockDev(qIdx), op, lba, blocks, buf)
 }

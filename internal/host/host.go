@@ -8,6 +8,7 @@ package host
 
 import (
 	"bmstore/internal/hostmem"
+	"bmstore/internal/nvme"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 )
@@ -20,11 +21,9 @@ type Host struct {
 	Kernel KernelProfile
 
 	ports []*hostPort
-	// reqFree recycles the drivers' I/O episode records (ioReq) and parking
-	// their process callers' waits: one free list per host, whichever of
-	// its drivers an I/O goes through.
+	// reqFree recycles the drivers' I/O episode records (ioReq): one free
+	// list per host, whichever of its drivers an I/O goes through.
 	reqFree []*ioReq
-	parking Parking
 }
 
 // hostPort is one link below the host with the drivers attached to its
@@ -79,7 +78,8 @@ func New(env *sim.Env, memBytes uint64, kernel KernelProfile) *Host {
 // buffer skips data movement into the model's sparse memory while still
 // paying full transfer time — benchmarks use it, applications pass data.
 //
-// Submit is the data path; the other I/O methods are the process API over it.
+// Submit is the data path. A device implements it (with BlockSize,
+// CapacityBlocks and PerIOCPU) and embeds a Parking for the process API.
 type BlockDevice interface {
 	BlockSize() int
 	CapacityBlocks() uint64
@@ -87,13 +87,14 @@ type BlockDevice interface {
 	// blocks and buf unused) — and returns without blocking. done runs
 	// exactly once, with the episode's outcome after any retries, at the
 	// instant the I/O's full latency has passed: in scheduler context, or
-	// inside a recovery process the device started. done may submit the
-	// next I/O. buf, when non-nil, is exactly the transfer's length and must
-	// not change until done runs. An argument the device cannot take (an
-	// oversized transfer, a buffer of the wrong length) panics inside Submit.
+	// inside a recovery process the device started — or inside Submit, on a
+	// device that takes no time. done may submit the next I/O. buf, when
+	// non-nil, is exactly the transfer's length and must not change until
+	// done runs. An argument the device cannot take (an oversized transfer, a
+	// buffer of the wrong length) panics inside Submit.
 	Submit(op uint8, lba uint64, blocks uint32, buf []byte, done func(IOOutcome))
 	// ReadAt/WriteAt/Flush block the calling process for the I/O's full
-	// latency: one Submit, and one park (Parking.IO).
+	// latency (Parking): one Submit, and at most one park.
 	ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error
 	WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error
 	Flush(p *sim.Proc) error
@@ -103,16 +104,23 @@ type BlockDevice interface {
 	PerIOCPU() sim.Time
 }
 
-// Parking is the process API of a BlockDevice, written once over Submit: a
-// process that calls IO parks once and resumes at the instant done runs —
+// Parking is the process API of a BlockDevice, written once over Submit:
+// every device embeds the Parking NewParking binds to it, for ReadAt, WriteAt
+// and Flush, and a caller that needs an I/O's whole outcome parks on any
+// device with IO (the zero value is ready for that). A process that calls
+// them submits the I/O and parks once, resuming at the instant done runs —
 // where a process blocked through the whole I/O would resume — so a process
-// caller costs one coroutine resume per I/O. The devices of one host (its
-// drivers; an SPDK target's disks) share one Parking, which recycles the
-// waits, so a steady stream of I/Os allocates nothing. The zero value is
-// ready.
+// caller costs one coroutine resume per I/O; an I/O whose done runs inside
+// Submit returns without parking or firing an event. A failed I/O's error
+// is its StatusError. Parking recycles its waits, so a steady stream of I/Os
+// allocates nothing.
 type Parking struct {
+	dev  BlockDevice // where ReadAt, WriteAt and Flush go
 	free []*parked
 }
+
+// NewParking returns the process API of dev, for dev to embed.
+func NewParking(dev BlockDevice) Parking { return Parking{dev: dev} }
 
 // parked is one process's wait for one Submit.
 type parked struct {
@@ -122,7 +130,24 @@ type parked struct {
 	done  func(IOOutcome) // end, bound once
 }
 
-// IO submits one I/O on dev and parks p until it ends.
+// ReadAt reads blocks blocks at lba into buf.
+func (pk *Parking) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
+	return pk.IO(p, pk.dev, nvme.IORead, lba, blocks, buf).Err()
+}
+
+// WriteAt writes data, blocks blocks long, at lba.
+func (pk *Parking) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
+	return pk.IO(p, pk.dev, nvme.IOWrite, lba, blocks, data).Err()
+}
+
+// Flush flushes the device's volatile write cache.
+func (pk *Parking) Flush(p *sim.Proc) error {
+	return pk.IO(p, pk.dev, nvme.IOFlush, 0, 0, nil).Err()
+}
+
+// IO submits one I/O on dev and parks p until it ends, for a caller that
+// needs the whole outcome (fio.RunVerify tells failed writes from in-doubt
+// ones by it).
 func (pk *Parking) IO(p *sim.Proc, dev BlockDevice, op uint8, lba uint64, blocks uint32, buf []byte) IOOutcome {
 	var w *parked
 	if n := len(pk.free); n > 0 {

@@ -9,8 +9,6 @@
 package spdkvhost
 
 import (
-	"fmt"
-
 	"bmstore/internal/host"
 	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
@@ -54,8 +52,7 @@ type Target struct {
 	nDevs int
 	eff   float64 // cross-core efficiency factor
 
-	reqFree []*vreq      // spent requests
-	parking host.Parking // the devices' process API
+	reqFree []*vreq // spent requests
 }
 
 type vcore struct {
@@ -79,6 +76,7 @@ func NewTarget(env *sim.Env, cores int) *Target {
 // Device is the virtio-blk device a guest sees, backed by one SSD
 // namespace on the host side.
 type Device struct {
+	host.Parking
 	t       *Target
 	cores   []*vcore // cores assigned to this device's queues
 	next    int
@@ -92,6 +90,7 @@ type Device struct {
 // single-VM configuration ("one extra CPU core for the SPDK vhost layer").
 func (t *Target) NewDevice(backend host.BlockDevice, guestKernel host.KernelProfile, coreIDs ...int) *Device {
 	d := &Device{t: t, backend: backend, guest: guestKernel}
+	d.Parking = host.NewParking(d)
 	if len(coreIDs) == 0 {
 		coreIDs = []int{t.nDevs % len(t.cores)}
 	}
@@ -128,34 +127,6 @@ func (d *Device) BlockSize() int { return d.backend.BlockSize() }
 
 // CapacityBlocks implements host.BlockDevice.
 func (d *Device) CapacityBlocks() uint64 { return d.backend.CapacityBlocks() }
-
-// ReadAt carries one read through the full virtio -> vhost -> SSD path.
-func (d *Device) ReadAt(p *sim.Proc, lba uint64, blocks uint32, buf []byte) error {
-	return backendErr(d.t.parking.IO(p, d, nvme.IORead, lba, blocks, buf))
-}
-
-// WriteAt carries one write through the path.
-func (d *Device) WriteAt(p *sim.Proc, lba uint64, blocks uint32, data []byte) error {
-	return d.WriteErr(d.t.parking.IO(p, d, nvme.IOWrite, lba, blocks, data))
-}
-
-// WriteErr is the error WriteAt returns for a write that ended with oc, for a
-// caller that submits its writes (the apps' logs word a failed batch write
-// with it).
-func (d *Device) WriteErr(oc host.IOOutcome) error { return backendErr(oc) }
-
-// backendErr is a read's or write's error, which only the backend can cause.
-func backendErr(oc host.IOOutcome) error {
-	if err := oc.Err(); err != nil {
-		return fmt.Errorf("spdkvhost: backend: %w", err)
-	}
-	return nil
-}
-
-// Flush forwards a flush (cheap on the core, real on the device).
-func (d *Device) Flush(p *sim.Proc) error {
-	return d.t.parking.IO(p, d, nvme.IOFlush, 0, 0, nil).Err()
-}
 
 // Submit carries one I/O through the path as a chain of callbacks
 // (host.BlockDevice). The guest builds descriptors and kicks; the target

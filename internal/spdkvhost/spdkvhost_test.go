@@ -3,11 +3,11 @@ package spdkvhost_test
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
 	"bmstore/internal/spdkvhost"
@@ -202,20 +202,34 @@ func TestVhostMultiCoreScalingShape(t *testing.T) {
 	}
 }
 
-// TestBackendErrorsNameTheBackend: a read or a write the SSD fails returns
-// its status error, wrapped under the target's prefix.
+// deadDisk is a backend that fails every command, inside Submit.
+type deadDisk struct{ host.Parking }
+
+func (*deadDisk) BlockSize() int         { return 4096 }
+func (*deadDisk) CapacityBlocks() uint64 { return 1 }
+func (*deadDisk) PerIOCPU() sim.Time     { return 0 }
+func (*deadDisk) Submit(_ uint8, _ uint64, _ uint32, _ []byte, done func(host.IOOutcome)) {
+	done(host.IOOutcome{Status: nvme.StatusInternal, Attempts: 1})
+}
+
+// TestBackendErrorsNameTheBackend: what the backend fails, the vhost disk
+// fails with the backend's own status error, worded as on every other device
+// — a read and a write past the end of the namespace, and a flush the backend
+// fails.
 func TestBackendErrorsNameTheBackend(t *testing.T) {
 	r := newVhostRig(t, 1, false)
+	dead := r.tgt.NewDevice(&deadDisk{}, host.CentOS("3.10.0"))
 	beyond := r.dev.CapacityBlocks() // the first LBA past the namespace
-	var errs [2]error
+	var errs [3]error
 	r.env.Go("io", func(p *sim.Proc) {
 		errs[0] = r.dev.ReadAt(p, beyond, 1, nil)
 		errs[1] = r.dev.WriteAt(p, beyond, 1, nil)
+		errs[2] = dead.Flush(p)
 	})
 	r.env.Run()
-	for i, err := range errs {
-		if err == nil || !strings.HasPrefix(err.Error(), "spdkvhost: backend: nvme: status ") || errors.Unwrap(err) == nil {
-			t.Errorf("I/O %d past the end: got %v, want a wrapped \"spdkvhost: backend: nvme: status ...\"", i, err)
+	for i, want := range []nvme.Status{nvme.StatusLBAOutOfRange, nvme.StatusLBAOutOfRange, nvme.StatusInternal} {
+		if !errors.Is(errs[i], host.StatusError(want)) {
+			t.Errorf("I/O %d: got %v, want %v", i, errs[i], host.StatusError(want))
 		}
 	}
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Re-bless scripts/bench_allocs_baseline.txt (`make bench-baseline`): rerun
-# the gated benchmarks at the gate's own benchtimes and rewrite the baseline
+# the gated benchmarks (scripts/gated_benches.sh) and rewrite the baseline
 # from what they report — allocs/op, and events/op for the benchmarks that
 # report it. Use after an intentional allocation change — the
 # diff the commit carries IS the written justification the baseline header
@@ -9,13 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
-sim=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$|^BenchmarkEnvRand$' -benchtime=100x -benchmem ./internal/sim/)
-tr=$(go test -run '^$' -bench '^BenchmarkTraceEmit$' -benchtime=1000x -benchmem ./internal/trace/)
-prp=$(go test -run '^$' -bench '^BenchmarkPRPListFetchWalk128K$' -benchtime=1000x -benchmem ./internal/nvmet/)
-fio=$(go test -run '^$' -bench '^BenchmarkFioWorkerStart$' -benchtime=100x -benchmem ./internal/fio/)
-io=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
-apps=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benchmem .)
-rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
+out=$(bash scripts/gated_benches.sh)
 
 {
 	cat <<'EOF'
@@ -82,7 +76,7 @@ rig=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
 # would have seen it. Raising any of these numbers needs a written
 # justification; regenerate with `make bench-baseline`.
 EOF
-	printf '%s\n%s\n%s\n%s\n%s\n%s\n%s\n' "$sim" "$tr" "$io" "$apps" "$prp" "$fio" "$rig" | awk '
+	printf '%s\n' "$out" | awk '
 		$1 ~ /^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)

@@ -50,7 +50,9 @@
 # attached tenant drivers — once per op, and is pinned like the application
 # round, at its measured allocs/op plus 5 %: what a fleet pays once per host.
 #
-# Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
+# The benchmarks and their benchtimes are listed once, in
+# scripts/gated_benches.sh, which the bless script runs too. Short fixed
+# benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
 # baselines account for it. The I/O path benchmarks run 4000x so their fixed
@@ -61,19 +63,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
-out=$(go test -run '^$' -bench 'Throughput$|^BenchmarkProcessSpawn$|^BenchmarkEnvRand$' -benchtime=100x -benchmem ./internal/sim/)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkTraceEmit$' -benchtime=1000x -benchmem ./internal/trace/)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkPRPListFetchWalk128K$' -benchtime=1000x -benchmem ./internal/nvmet/)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkFioWorkerStart$' -benchtime=100x -benchmem ./internal/fio/)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkIOPath' -benchtime=4000x -benchmem .)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkAppsMixedRound$' -benchtime=20x -benchmem .)
-out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkRigBuild$' -benchtime=20x -benchmem .)
+out=$(bash scripts/gated_benches.sh)
 echo "$out"
 
 status=0
