@@ -10,7 +10,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Fifteen seconds of native fuzzing, split over the fourteen targets: the event
+# Fifteen seconds of native fuzzing, split over the fourteen targets (one line
+# each below; TestEveryFuzzTargetIsSmoked holds this list to the module's
+# func Fuzz… declarations, both ways): the event
 # queue's fire order against a sorted reference and Env.Rand's stream
 # against math/rand's under any seed and draw program, Text's bulk letters
 # included (internal/sim FuzzFireOrder, FuzzRandStream), the two on-disk decoders against hostile
@@ -39,9 +41,8 @@ test:
 # negative time, latency or die (internal/fault FuzzParseSpec), and the
 # applications' CRC-framed header codec under any bytes and any one-byte flip
 # of a frame (internal/apps/logring FuzzFrame), and the trace digest under any
-# subsystem, kind and detail: a record keyed with NewKey folds the FNV and
-# SHA-256 digests and the dump exactly as its strings did (internal/trace
-# FuzzEmitKey).
+# subsystem, kind and detail: a record keyed with NewKey folds the digest and
+# the dump exactly as its strings did (internal/trace FuzzEmitKey).
 # The committed corpora under testdata/fuzz already run as part of
 # `make test`; this looks for new inputs.
 fuzz-smoke:

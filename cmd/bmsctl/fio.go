@@ -36,7 +36,6 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 	runs := fs.Int("runs", 1, "independent rigs, seeded seed..seed+runs-1")
 	var ropts runOptions
 	ropts.register(fs)
-	fs.BoolVar(&ropts.traceSHA256, "trace-sha256", false, "use SHA-256 for the digest instead of the fast 64-bit digest")
 
 	return func(args []string) int {
 		pat, known := fioPatterns[*rw]

@@ -154,7 +154,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 753.7 us
   p99       : 819.2 us
   p99.9     : 835.6 us
-  trace     : 33776 events, digest fnv64w:23b4628625ca0a15
+  trace     : 33716 events, digest fnv64w:6a69965db6a57db0
 `},
 		{[]string{"-scheme", "vfio"}, `randread on vfio (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 295000
@@ -163,7 +163,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1032.2 us
   p99       : 1703.9 us
   p99.9     : 1736.7 us
-  trace     : 21366 events, digest fnv64w:05106b15bbe152f2
+  trace     : 21306 events, digest fnv64w:a8cd18542e7eb616
 `},
 		{[]string{"-scheme", "bmstore"}, `randread on bmstore (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 633500
@@ -172,7 +172,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 753.7 us
   p99       : 819.2 us
   p99.9     : 835.6 us
-  trace     : 54846 events, digest fnv64w:6753fab695bff1b7
+  trace     : 54736 events, digest fnv64w:3686f851678b9645
 `},
 		{[]string{"-scheme", "bmstore-vm"}, `randread on bmstore-vm (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 295000
@@ -181,7 +181,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1032.2 us
   p99       : 1703.9 us
   p99.9     : 1736.7 us
-  trace     : 34274 events, digest fnv64w:bb94a847aed203b6
+  trace     : 34164 events, digest fnv64w:68bed3a30efd7370
 `},
 		{[]string{"-scheme", "spdk"}, `randread on spdk (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 131500
@@ -190,7 +190,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1605.6 us
   p99       : 1966.1 us
   p99.9     : 1966.1 us
-  trace     : 18253 events, digest fnv64w:c907143442d0b8b1
+  trace     : 18193 events, digest fnv64w:c17273a82f4400d2
 `},
 		{[]string{"-scheme", "bmstore", "-ssds", "2"}, `randread on bmstore (2 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 813500
@@ -199,7 +199,7 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 589.8 us
   p99       : 671.7 us
   p99.9     : 704.5 us
-  trace     : 65950 events, digest fnv64w:de5ad3e204e0d1ea
+  trace     : 65785 events, digest fnv64w:a36cda286cd7b711
 `},
 	} {
 		args := append([]string{"fio"}, tc.args...)

@@ -23,7 +23,6 @@ import (
 type runOptions struct {
 	trace       string
 	traceDigest bool
-	traceSHA256 bool // fio only; not part of the shared set
 	metrics     bool
 	metricsOut  string
 	breakdown   bool
@@ -108,8 +107,8 @@ func (o *runOptions) build() (*wiring, error) {
 			r.dump = f
 		}
 	}
-	if r.dump != nil || o.traceDigest || o.traceSHA256 {
-		topts := trace.Options{SHA256: o.traceSHA256}
+	if r.dump != nil || o.traceDigest {
+		var topts trace.Options
 		if r.dump != nil {
 			topts.Dump = r.dump // destination flag; rigs buffer privately
 		}

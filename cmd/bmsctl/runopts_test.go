@@ -61,7 +61,7 @@ func TestSharedFlagParity(t *testing.T) {
 
 // ownFlags lists each verb's flags outside the shared set.
 var ownFlags = map[string][]string{
-	"fio":         {"bs", "iodepth", "numjobs", "ramp", "runs", "runtime", "rw", "scheme", "seed", "ssds", "trace-sha256"},
+	"fio":         {"bs", "iodepth", "numjobs", "ramp", "runs", "runtime", "rw", "scheme", "seed", "ssds"},
 	"sweep":       {"check", "cpuprofile", "json", "list", "memprofile", "only", "scale", "write-goldens"},
 	"fleet-run":   {"host", "hosts", "json", "scale", "seed", "ssds", "wave"},
 	"crash-sweep": {"json", "point", "seed", "seeds"},

@@ -73,16 +73,6 @@ func BenchmarkRigTraceDigest(b *testing.B) {
 	}
 }
 
-// BenchmarkRigTraceSHA256 prices the stronger hash for when a collision-
-// resistant witness is wanted (e.g. archiving digests across releases).
-func BenchmarkRigTraceSHA256(b *testing.B) {
-	s := benchScenario(42)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runScenario(s, trace.New(trace.Options{SHA256: true}))
-	}
-}
-
 // TestDeterminismCheckReportsDivergence proves the checker can actually
 // fail: a body that consults wall-clock-free but run-varying state (a
 // package counter) must produce different digests on the two runs.

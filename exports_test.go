@@ -14,6 +14,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -277,9 +278,8 @@ func stdImporter(fset *token.FileSet) types.Importer {
 }
 
 // parseModule reads the module path from go.mod and parses every non-test Go
-// file the default build context selects, walking the directory tree itself
-// (skipping testdata, hidden and underscore directories) so that go test's
-// cache sees each file read. Packages are keyed by import path.
+// file the default build context selects (see walkGoFiles). Packages are
+// keyed by import path.
 func parseModule(t *testing.T, fset *token.FileSet) (string, map[string][]*ast.File) {
 	t.Helper()
 	gomod, err := os.Open("go.mod")
@@ -295,25 +295,14 @@ func parseModule(t *testing.T, fset *token.FileSet) (string, map[string][]*ast.F
 		t.Fatal("go.mod names no module")
 	}
 	pkgs := map[string][]*ast.File{}
-	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
+	walkGoFiles(t, func(dir, name string) error {
+		if strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(p)
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -324,10 +313,109 @@ func parseModule(t *testing.T, fset *token.FileSet) (string, map[string][]*ast.F
 		pkgs[ip] = append(pkgs[ip], f)
 		return nil
 	})
+	return mod, pkgs
+}
+
+// walkGoFiles calls fn with the directory and name of every Go file in the
+// module, test files included, walking the directory tree itself (skipping
+// testdata, hidden and underscore directories) so that go test's cache sees
+// each file read. The first error fails t.
+func walkGoFiles(t *testing.T, fn func(dir, name string) error) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		return fn(filepath.Dir(p), name)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mod, pkgs
+}
+
+// fuzzSmokeLine is one run of the Makefile's fuzz-smoke recipe: the target
+// it fuzzes and the package directory it runs in.
+var fuzzSmokeLine = regexp.MustCompile(`-fuzz '\^(\w+)\$\$' .*\./(\S+)$`)
+
+// TestEveryFuzzTargetIsSmoked keeps `make fuzz-smoke` and the module's fuzz
+// targets one list: every `func Fuzz…(*testing.F)` in a test file is fuzzed
+// by a line of the recipe, run in its own package, and every line of the
+// recipe names a target that exists there.
+func TestEveryFuzzTargetIsSmoked(t *testing.T) {
+	targets := map[string]bool{} // "dir FuzzName"
+	fset := token.NewFileSet()
+	walkGoFiles(t, func(dir, name string) error {
+		if !strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Fuzz") {
+				targets[filepath.ToSlash(dir)+" "+fd.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if len(targets) == 0 {
+		t.Fatal("found no fuzz targets")
+	}
+	smoked, err := fuzzSmoked("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range smoked {
+		if !targets[s] {
+			t.Errorf("make fuzz-smoke runs %q, which names no fuzz target in that package", s)
+		}
+	}
+	for _, target := range slices.Sorted(maps.Keys(targets)) {
+		if !slices.Contains(smoked, target) {
+			t.Errorf("fuzz target %q is not run by make fuzz-smoke", target)
+		}
+	}
+}
+
+// fuzzSmoked returns "dir FuzzName" for each line of the fuzz-smoke recipe
+// in the makefile at path, in order. A recipe line that names no target in
+// the expected shape is an error.
+func fuzzSmoked(path string) ([]string, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	in := false
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case line == "fuzz-smoke:":
+			in = true
+		case in && strings.HasPrefix(line, "\t"):
+			m := fuzzSmokeLine.FindStringSubmatch(line)
+			if m == nil {
+				return nil, fmt.Errorf("%s: fuzz-smoke line %q names no -fuzz target and package", path, line)
+			}
+			out = append(out, m[2]+" "+m[1])
+		case in:
+			in = false
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no fuzz-smoke recipe", path)
+	}
+	return out, nil
 }
 
 // orphans type-checks pkgs (import path → non-test files; anything else is

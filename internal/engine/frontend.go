@@ -29,7 +29,6 @@ func newFunction(e *Engine, id pcie.FuncID) *function {
 	f := &function{e: e, id: id}
 	f.ctl = nvmet.New(e.env, f, id, nvmet.Config{
 		FetchLatency: fetchLatency,
-		FetchProc:    fmt.Sprintf("engine/fn%d/sq0", id),
 		ExecProc:     "engine/admin",
 	})
 	return f

@@ -71,30 +71,17 @@ func hotUpgradeRun(cfg bmstore.Config, sc Scale, pattern fio.Pattern) ([][]strin
 			bd = devs[0]
 		}))
 
-		// Tenant fio: 4K pattern, QD16, running for the whole window.
+		// Tenant fio: 4K pattern, QD16 as sixteen depth-1 loops, running for
+		// the whole window.
 		var errors int
-		stop := tb.Env.NewEvent()
-		op := uint8(2) // read
-		if pattern == fio.RandWrite {
-			op = 1
-		}
+		tenants := fio.NewTenants(tb.Env, func(oc host.IOOutcome, _ sim.Time) {
+			if oc.Status.IsError() {
+				errors++
+			}
+			series.Add(tb.Env.Now(), 1)
+		})
 		for w := 0; w < 16; w++ {
-			tb.Go(fmt.Sprintf("tenant%d", w), func(tp *sim.Proc) {
-				rng := tb.Env.Rand(fmt.Sprintf("hu/%d", w))
-				for !stop.Processed() {
-					var e error
-					lba := uint64(rng.Intn(1 << 20))
-					if op == 2 {
-						e = bd.ReadAt(tp, lba, 1, nil)
-					} else {
-						e = bd.WriteAt(tp, lba, 1, nil)
-					}
-					if e != nil {
-						errors++
-					}
-					series.Add(tp.Now(), 1)
-				}
-			})
+			tenants.Start(bd, tb.Env.Rand(fmt.Sprintf("hu/%d", w)), pattern)
 		}
 
 		p.Sleep(2 * sim.Second)
@@ -111,7 +98,7 @@ func hotUpgradeRun(cfg bmstore.Config, sc Scale, pattern fio.Pattern) ([][]strin
 			p.Sleep(2 * sim.Second)
 		}
 		p.Sleep(sim.Second)
-		stop.Trigger(nil)
+		tenants.Stop()
 	})
 	return rows, series
 }

@@ -142,7 +142,7 @@ func TestChaosPhaseTiming(t *testing.T) {
 	diag := tb.RunWatched(func(p *sim.Proc) {
 		err := bmStore.Attach(p, tb, []Disk{verifyVolume}, verifyDriver, 1, func(_ int, _ *host.Driver, devs []host.BlockDevice) {
 			attached = p.Now()
-			if _, err := fio.RunVerify(p, devs, fio.VerifySpec{Name: "timing"}, oracle); err != nil {
+			if _, err := fio.RunVerify(p, devs, "timing", oracle); err != nil {
 				t.Fatal(err)
 			}
 			verified = p.Now()

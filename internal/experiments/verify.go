@@ -96,7 +96,7 @@ func runVerify(tb *bmstore.Testbed, seed int64, name string, dcfg host.DriverCon
 	v.diag = tb.RunWatched(func(p *sim.Proc) {
 		err := bmStore.Attach(p, tb, []Disk{verifyVolume}, dcfg, 1, func(_ int, drv *host.Driver, devs []host.BlockDevice) {
 			v.drv = drv
-			v.res, v.err = fio.RunVerify(p, devs, fio.VerifySpec{Name: name}, v.oracle)
+			v.res, v.err = fio.RunVerify(p, devs, name, v.oracle)
 			if tb.Crash != nil {
 				drv.ReclaimZombies()
 			}

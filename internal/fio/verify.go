@@ -10,22 +10,21 @@ import (
 	"bmstore/internal/sim"
 )
 
-// VerifySpec describes one write-then-verify workload: prefill a region with
-// tagged payloads, churn it with depth-1 read/write workers, then sweep the
-// whole region and check every block against the chaos oracle.
-type VerifySpec struct {
-	Name string
-	// RegionBlocks is the verified LBA region [0, RegionBlocks), partitioned
-	// between workers (default 128). The two probe blocks live at
-	// RegionBlocks and RegionBlocks+1, so devices must hold at least
-	// RegionBlocks+2 blocks.
-	RegionBlocks uint64
-	Workers      int // concurrent depth-1 workers (default 2)
-	OpsPerWorker int // churn operations per worker (default 32)
-}
-
-// The verify workload's fixed shape.
+// The verify workload's fixed shape: prefill a region with tagged payloads,
+// churn it with depth-1 read/write workers, then sweep the whole region and
+// check every block against the chaos oracle.
 const (
+	// verifyRegionBlocks is the verified LBA region [0, verifyRegionBlocks),
+	// partitioned between the workers. The two probe blocks live at
+	// verifyRegionBlocks and verifyRegionBlocks+1, so devices must hold at
+	// least verifyRegionBlocks+2 blocks.
+	verifyRegionBlocks = 128
+	verifyWorkers      = 2  // concurrent depth-1 workers
+	verifyOpsPerWorker = 32 // churn operations per worker
+	// verifySpan is each worker's slice: a whole number of prefill writes
+	// and of sweep reads.
+	verifySpan = verifyRegionBlocks / verifyWorkers
+
 	verifyWriteRatio    = 50 // percent of churn ops that write
 	verifyPrefillBlocks = 4  // blocks per prefill write
 	verifySweepBlocks   = 8  // blocks per sweep read
@@ -45,78 +44,61 @@ type VerifyResult struct {
 	ReadErrs  uint64 // reads that failed with a determinate error
 }
 
-// RunVerify executes the verify workload against the devices, feeding every
-// operation through the oracle. Worker w uses devs[w%len(devs)] and owns an
-// exclusive slice of the region, so no LBA ever has two concurrent
-// operations — the invariant the oracle's bookkeeping depends on.
+// RunVerify executes the verify workload named name against the devices,
+// feeding every operation through the oracle. Worker w uses
+// devs[w%len(devs)] and owns an exclusive slice of the region, so no LBA
+// ever has two concurrent operations — the invariant the oracle's
+// bookkeeping depends on.
 //
 // It fails fast — before any fault can arm — when the rig cannot support
 // verification at all: a rig built without payload capture
 // (ssd.Config.CaptureData off), where every read returns zeros and the
 // oracle would drown in false losses.
-func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.Oracle) (*VerifyResult, error) {
-	if spec.RegionBlocks == 0 {
-		spec.RegionBlocks = 128
-	}
-	if spec.Workers <= 0 {
-		spec.Workers = 2
-	}
-	if spec.OpsPerWorker <= 0 {
-		spec.OpsPerWorker = 32
-	}
+func RunVerify(p *sim.Proc, devs []host.BlockDevice, name string, o *chaos.Oracle) (*VerifyResult, error) {
 	if len(devs) == 0 {
-		return nil, fmt.Errorf("fio: verify %q: no devices", spec.Name)
+		return nil, fmt.Errorf("fio: verify %q: no devices", name)
 	}
 	bs := devs[0].BlockSize()
 	for i, d := range devs {
 		if d.BlockSize() != bs {
-			return nil, fmt.Errorf("fio: verify %q: device %d block size %d != %d", spec.Name, i, d.BlockSize(), bs)
+			return nil, fmt.Errorf("fio: verify %q: device %d block size %d != %d", name, i, d.BlockSize(), bs)
 		}
-		if d.CapacityBlocks() < spec.RegionBlocks+2 {
-			return nil, fmt.Errorf("fio: verify %q: device %d holds %d blocks, region wants %d+probes", spec.Name, i, d.CapacityBlocks(), spec.RegionBlocks)
+		if d.CapacityBlocks() < verifyRegionBlocks+2 {
+			return nil, fmt.Errorf("fio: verify %q: device %d holds %d blocks, region wants %d+probes", name, i, d.CapacityBlocks(), verifyRegionBlocks)
 		}
-	}
-	span := spec.RegionBlocks / uint64(spec.Workers)
-	if span == 0 {
-		return nil, fmt.Errorf("fio: verify %q: region %d blocks too small for %d workers", spec.Name, spec.RegionBlocks, spec.Workers)
 	}
 	// Every I/O reports its outcome, retries and indeterminacy included: what
 	// the oracle needs to tell failed writes from indeterminate ones.
 	var pk host.Parking
-	if err := probe(p, &pk, devs[0], spec, o.Seed(), bs); err != nil {
+	if err := probe(p, &pk, devs[0], name, o.Seed(), bs); err != nil {
 		return nil, err
 	}
 
 	env := p.Env()
 	res := &VerifyResult{}
 	var done []*sim.Event
-	for w := 0; w < spec.Workers; w++ {
+	for w := 0; w < verifyWorkers; w++ {
 		dev := devs[w%len(devs)]
-		base := uint64(w) * span
-		rng := env.Rand(fmt.Sprintf("chaos-verify/%s/w%d", spec.Name, w))
-		proc := env.Go(fmt.Sprintf("verify/%s/w%d", spec.Name, w), func(wp *sim.Proc) {
+		base := uint64(w) * verifySpan
+		rng := env.Rand(fmt.Sprintf("chaos-verify/%s/w%d", name, w))
+		proc := env.Go(fmt.Sprintf("verify/%s/w%d", name, w), func(wp *sim.Proc) {
 			// Prefill the partition with multi-block tagged writes.
 			buf := make([]byte, verifyPrefillBlocks*bs)
-			for off := uint64(0); off < span; {
-				n := uint64(verifyPrefillBlocks)
-				if off+n > span {
-					n = span - off
-				}
+			for off := uint64(0); off < verifySpan; off += verifyPrefillBlocks {
+				const n = verifyPrefillBlocks
 				lba := base + off
-				off += n
-				gen, ok := o.BeginWrite(lba, int(n))
+				gen, ok := o.BeginWrite(lba, n)
 				if !ok {
 					continue
 				}
-				chunk := buf[:int(n)*bs]
-				o.FillPayload(chunk, lba, gen)
-				out := pk.IO(wp, dev, nvme.IOWrite, lba, uint32(n), chunk)
-				o.EndWrite(lba, int(n), gen, res.writeOutcome(out))
+				o.FillPayload(buf, lba, gen)
+				out := pk.IO(wp, dev, nvme.IOWrite, lba, n, buf)
+				o.EndWrite(lba, n, gen, res.writeOutcome(out))
 			}
 			// Churn: depth-1 single-block ops over the partition.
 			one := buf[:bs]
-			for i := 0; i < spec.OpsPerWorker; i++ {
-				lba := base + uint64(rng.Int63n(int64(span)))
+			for i := 0; i < verifyOpsPerWorker; i++ {
+				lba := base + uint64(rng.Int63n(verifySpan))
 				if rng.Intn(100) < verifyWriteRatio {
 					gen, ok := o.BeginWrite(lba, 1)
 					if !ok {
@@ -144,20 +126,14 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 
 	// Sweep every partition from the device that wrote it.
 	sweep := make([]byte, verifySweepBlocks*bs)
-	for w := 0; w < spec.Workers; w++ {
+	for w := 0; w < verifyWorkers; w++ {
 		dev := devs[w%len(devs)]
-		base := uint64(w) * span
-		for off := uint64(0); off < span; {
-			n := uint64(verifySweepBlocks)
-			if off+n > span {
-				n = span - off
-			}
+		base := uint64(w) * verifySpan
+		for off := uint64(0); off < verifySpan; off += verifySweepBlocks {
 			lba := base + off
-			off += n
-			chunk := sweep[:int(n)*bs]
-			zero(chunk)
-			res.read(o, "sweep", lba, int(n), chunk,
-				pk.IO(p, dev, nvme.IORead, lba, uint32(n), chunk))
+			zero(sweep)
+			res.read(o, "sweep", lba, verifySweepBlocks, sweep,
+				pk.IO(p, dev, nvme.IORead, lba, verifySweepBlocks, sweep))
 		}
 	}
 	return res, nil
@@ -171,24 +147,24 @@ func RunVerify(p *sim.Proc, devs []host.BlockDevice, spec VerifySpec, o *chaos.O
 // reads leave the zeroed buffer as it was, and the written block "reads back"
 // as zeros. probe runs before any generated fault rule arms, so a failure
 // here is a setup error, never an injected one.
-func probe(p *sim.Proc, pk *host.Parking, dev host.BlockDevice, spec VerifySpec, seed int64, bs int) error {
-	lba := spec.RegionBlocks
-	noCapture := fmt.Errorf("fio: verify %q: probe shows the rig is not carrying payload bytes — build it with ssd.Config.CaptureData (bmstore.Config.CaptureData) enabled", spec.Name)
+func probe(p *sim.Proc, pk *host.Parking, dev host.BlockDevice, name string, seed int64, bs int) error {
+	lba := uint64(verifyRegionBlocks)
+	noCapture := fmt.Errorf("fio: verify %q: probe shows the rig is not carrying payload bytes — build it with ssd.Config.CaptureData (bmstore.Config.CaptureData) enabled", name)
 	want := make([]byte, bs)
 	chaos.FillBlock(want, seed, lba, ^uint64(0))
 	if out := pk.IO(p, dev, nvme.IOWrite, lba, 1, want); out.Status != 0 {
-		return fmt.Errorf("fio: verify %q: probe write failed: %v", spec.Name, out.Status)
+		return fmt.Errorf("fio: verify %q: probe write failed: %v", name, out.Status)
 	}
 	got := make([]byte, bs)
 	if out := pk.IO(p, dev, nvme.IORead, lba+1, 1, got); out.Status != 0 {
-		return fmt.Errorf("fio: verify %q: probe read failed: %v", spec.Name, out.Status)
+		return fmt.Errorf("fio: verify %q: probe read failed: %v", name, out.Status)
 	}
 	if !allZero(got) {
-		return fmt.Errorf("fio: verify %q: never-written probe block reads back nonzero before any fault armed — the rig is miswired", spec.Name)
+		return fmt.Errorf("fio: verify %q: never-written probe block reads back nonzero before any fault armed — the rig is miswired", name)
 	}
 	zero(got)
 	if out := pk.IO(p, dev, nvme.IORead, lba, 1, got); out.Status != 0 {
-		return fmt.Errorf("fio: verify %q: probe read failed: %v", spec.Name, out.Status)
+		return fmt.Errorf("fio: verify %q: probe read failed: %v", name, out.Status)
 	}
 	if bytes.Equal(got, want) {
 		return nil
@@ -196,7 +172,7 @@ func probe(p *sim.Proc, pk *host.Parking, dev host.BlockDevice, spec VerifySpec,
 	if allZero(got) {
 		return noCapture
 	}
-	return fmt.Errorf("fio: verify %q: probe read-back mismatch before any fault armed — the rig is miswired", spec.Name)
+	return fmt.Errorf("fio: verify %q: probe read-back mismatch before any fault armed — the rig is miswired", name)
 }
 
 func allZero(b []byte) bool {

@@ -48,13 +48,13 @@ func newVerifyRig(t *testing.T, capture bool, rules ...fault.Rule) *verifyRig {
 	return r
 }
 
-func (r *verifyRig) runVerify(t *testing.T, spec fio.VerifySpec, o *chaos.Oracle) (*fio.VerifyResult, error) {
+func (r *verifyRig) runVerify(t *testing.T, name string, o *chaos.Oracle) (*fio.VerifyResult, error) {
 	t.Helper()
 	var res *fio.VerifyResult
 	var err error
 	finished := false
 	r.env.Go("verify", func(p *sim.Proc) {
-		res, err = fio.RunVerify(p, []host.BlockDevice{r.drv.BlockDev(0)}, spec, o)
+		res, err = fio.RunVerify(p, []host.BlockDevice{r.drv.BlockDev(0)}, name, o)
 		finished = true
 	})
 	r.env.Run()
@@ -67,8 +67,7 @@ func (r *verifyRig) runVerify(t *testing.T, spec fio.VerifySpec, o *chaos.Oracle
 func TestRunVerifyCleanRig(t *testing.T) {
 	r := newVerifyRig(t, true)
 	o := chaos.NewOracle(42, 4096)
-	spec := fio.VerifySpec{Name: "clean", RegionBlocks: 64, Workers: 2, OpsPerWorker: 24}
-	res, err := r.runVerify(t, spec, o)
+	res, err := r.runVerify(t, "clean", o)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -90,7 +89,7 @@ func TestRunVerifyCleanRig(t *testing.T) {
 func TestRunVerifyFailsFastWithoutCaptureData(t *testing.T) {
 	r := newVerifyRig(t, false)
 	o := chaos.NewOracle(42, 4096)
-	_, err := r.runVerify(t, fio.VerifySpec{Name: "nocap", RegionBlocks: 32, Workers: 1}, o)
+	_, err := r.runVerify(t, "nocap", o)
 	if err == nil || !strings.Contains(err.Error(), "CaptureData") {
 		t.Fatalf("want fail-fast naming CaptureData, got %v", err)
 	}
@@ -100,16 +99,15 @@ func TestRunVerifyFailsFastWithoutCaptureData(t *testing.T) {
 }
 
 func TestRunVerifyCatchesPlantedCorruption(t *testing.T) {
-	// A media-corrupt rule armed mid-churn, with no driver recovery in the
-	// way (no timeouts or retries fire on silent corruption anyway): the
-	// read-back oracle must catch the flipped byte.
+	// A media-corrupt rule armed at 200 µs, inside the prefill (churn starts
+	// near 0.7 ms), with no driver recovery in the way (no timeouts or
+	// retries fire on silent corruption anyway): the read-back oracle must
+	// catch the flipped byte.
 	r := newVerifyRig(t, true, fault.Rule{
 		Point: fault.MediaCorrupt, Target: "SN001", At: 200_000, Nth: 3, Count: 1,
 	})
 	o := chaos.NewOracle(7, 4096)
-	res, err := r.runVerify(t, fio.VerifySpec{
-		Name: "planted", RegionBlocks: 64, Workers: 2, OpsPerWorker: 24,
-	}, o)
+	res, err := r.runVerify(t, "planted", o)
 	if err != nil {
 		t.Fatalf("verify: %v", err)
 	}

@@ -33,7 +33,6 @@ import (
 	"bmstore/internal/fault"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
-	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
 	"bmstore/internal/sim"
 	"bmstore/internal/ssd"
@@ -331,21 +330,20 @@ func runHost(o Options, hostIdx int) HostResult {
 	var drivers []*host.Driver
 	diag := tb.RunWatched(func(p *sim.Proc) {
 		// The tenants are closed loops of callbacks, not processes: each
-		// completion books the I/O and submits the next, until stop.
-		stop := tb.Env.NewEvent()
-		ended := &tenantsEnded{}
+		// completion books the I/O and submits the next, until Stop.
+		tenants := fio.NewTenants(tb.Env, func(oc host.IOOutcome, lat sim.Time) {
+			if oc.Status.IsError() {
+				errs++
+			} else {
+				ops++
+				hr.hist.Record(int64(lat))
+			}
+		})
 		err := bmStore.Attach(p, tb, disks, dcfg, jobs, func(i int, drv *host.Driver, devs []host.BlockDevice) {
 			t := hr.Tenants[i]
 			drivers = append(drivers, drv)
 			for j, dev := range devs[:t.Jobs] {
-				tj := &tenantJob{
-					env: tb.Env, dev: dev, stop: stop, ended: ended,
-					rng:     tb.Env.Rand(fmt.Sprintf("fleet/t%d/%d", t.ID, j)),
-					pattern: t.pattern(), ops: &ops, errs: &errs, hist: hr.hist,
-				}
-				tj.next, tj.done = tj.submit, tj.complete
-				ended.left++
-				tb.Env.Schedule(0, tj.next)
+				tenants.Start(dev, tb.Env.Rand(fmt.Sprintf("fleet/t%d/%d", t.ID, j)), t.pattern())
 			}
 		})
 		if err != nil {
@@ -372,11 +370,8 @@ func runHost(o Options, hostIdx int) HostResult {
 
 		// Clean shutdown: stop the tenants, then wait for each to unwind
 		// its in-flight I/O, so the counter snapshot sees quiesced queues.
-		stop.Trigger(nil)
-		if ended.left > 0 {
-			ended.wake = tb.Env.PooledEvent()
-			p.Wait(ended.wake)
-		}
+		tenants.Stop()
+		tenants.Drain(p)
 		for _, d := range drivers {
 			c := d.Counters()
 			hr.Counters.Submitted += c.Submitted
@@ -457,60 +452,4 @@ func fleetDigest(hosts []HostResult) string {
 		fmt.Fprintf(sum, "host%04d %s\n", hosts[i].Host, hosts[i].Digest)
 	}
 	return "sha256:" + hex.EncodeToString(sum.Sum(nil))[:16]
-}
-
-// tenantJob is one tenant job: a closed loop of 4 KiB I/Os at queue depth 1
-// over its own queue, until stop has fired. Each I/O's completion books it
-// and submits the next.
-type tenantJob struct {
-	env       *sim.Env
-	dev       host.BlockDevice
-	rng       *sim.Rand
-	pattern   fio.Pattern
-	stop      *sim.Event
-	ended     *tenantsEnded
-	ops, errs *uint64
-	hist      *stats.Hist
-	t0        sim.Time
-	next      func()
-	done      func(host.IOOutcome)
-}
-
-func (tj *tenantJob) submit() {
-	if tj.stop.Processed() {
-		tj.env.Schedule(0, tj.ended.one)
-		return
-	}
-	lba := uint64(tj.rng.Intn(1 << 20))
-	write := tj.pattern == fio.RandWrite ||
-		(tj.pattern == fio.RandRW && tj.rng.Intn(2) == 0)
-	tj.t0 = tj.env.Now()
-	op := uint8(nvme.IORead)
-	if write {
-		op = nvme.IOWrite
-	}
-	tj.dev.Submit(op, lba, 1, nil, tj.done)
-}
-
-func (tj *tenantJob) complete(oc host.IOOutcome) {
-	if oc.Status.IsError() {
-		*tj.errs++
-	} else {
-		*tj.ops++
-		tj.hist.Record(int64(tj.env.Now() - tj.t0))
-	}
-	tj.submit()
-}
-
-// tenantsEnded counts a host's tenant jobs out, each in a zero-delay queue
-// entry of its own: the last one wakes the host's main process.
-type tenantsEnded struct {
-	left int
-	wake *sim.Event
-}
-
-func (e *tenantsEnded) one() {
-	if e.left--; e.left == 0 && e.wake != nil {
-		e.wake.Fire(nil)
-	}
 }

@@ -133,7 +133,7 @@ func newRig(t *testing.T, tag uint64) *rig {
 		io: map[int]*Queue{}, got: map[uint16][]nvme.Completion{}, waiting: map[uint16]*sim.Event{},
 	}
 	r.dev = &target{r: r}
-	r.ctl = nvmet.New(r.env, r.dev, testFn, nvmet.Config{FetchLatency: 500 * sim.Nanosecond, FetchProc: "t/sq0", ExecProc: "t/exec"})
+	r.ctl = nvmet.New(r.env, r.dev, testFn, nvmet.Config{FetchLatency: 500 * sim.Nanosecond, ExecProc: "t/exec"})
 	port := pcie.Connect(r.env, pcie.NewLink(r.env, 4, 300*sim.Nanosecond), tagged{r, pcie.NewRoot(r.env, r.mem)}, r.irq, nil, r)
 	r.ctl.Attach(port)
 	r.conn = Conn{Env: r.env, Mem: r.mem, Port: port, Fn: testFn, Tag: tag}

@@ -6,8 +6,8 @@
 // the SSD model each hold one Controller and keep only what is theirs.
 //
 // A Controller owns the register window (CC/AQA/ASQ/ACQ and the doorbells),
-// the SQ/CQ tables, SQE fetch (a process for the admin queue, a continuation
-// chain per I/O queue), Create/Delete I/O SQ/CQ, the PRP-list reader with its
+// the SQ/CQ tables, SQE fetch (one continuation chain per queue, the admin
+// queue's included), Create/Delete I/O SQ/CQ, the PRP-list reader with its
 // page pool, and CQE post + interrupt. What a command *does* belongs to the
 // Owner, which also answers the few questions on which the two devices
 // differ. DESIGN.md §11's rule holds throughout: the order of the
@@ -51,9 +51,9 @@ type Owner interface {
 type Config struct {
 	// FetchLatency is the controller's processing time per fetched SQE.
 	FetchLatency sim.Time
-	// FetchProc and ExecProc name the admin queue's fetch process and the
-	// per-command execution processes (trace digests fold spawn names).
-	FetchProc, ExecProc string
+	// ExecProc names the admin commands' execution processes (trace digests
+	// fold spawn names).
+	ExecProc string
 }
 
 // SQ is one submission queue. Fetch is strictly sequential per queue;
@@ -69,7 +69,7 @@ type SQ struct {
 	fetching bool
 	buf      [nvme.SQESize]byte
 
-	// I/O queue fetch chain: the command parked between SQE decode and the
+	// Fetch chain: the command parked between SQE decode and the
 	// FetchLatency continuation, and the steps, bound at the first doorbell.
 	pendCmd    nvme.Command
 	pendHead   uint32
@@ -216,48 +216,18 @@ func (c *Controller) doorbell(qid uint16, isCQ bool, val uint32) {
 		return
 	}
 	sq.fetching = true
-	if qid == 0 {
-		// The admin queue is served by processes: admin commands are rare
-		// and stateful (namespace management, firmware commit and reset).
-		c.env.Go(c.cfg.FetchProc, func(p *sim.Proc) { c.adminFetchLoop(p, sq) })
-		return
-	}
-	// I/O queues are served by a continuation chain, starting one queue hop
-	// from now: step books the SQE read on the link, and events already
-	// queued for this instant book theirs first. The hop is part of the
-	// timing model (TestFetchStartsOneHopAfterTheDoorbell).
+	// Every queue, the admin queue included, is served by one continuation
+	// chain, starting one queue hop from now: step books the SQE read on the
+	// link, and events already queued for this instant book theirs first.
+	// The hop is part of the timing model
+	// (TestFetchStartsOneHopAfterTheDoorbell).
 	if sq.stepFn == nil {
 		sq.stepFn, sq.decodedFn, sq.dispatchFn = sq.step, sq.decoded, sq.dispatch
 	}
 	c.env.Schedule(0, sq.stepFn)
 }
 
-// adminFetchLoop drains the admin submission queue: it DMA-reads SQEs in
-// arrival order and spawns one execution process per command. I/O queues
-// run the same steps as continuations (step, decoded, dispatch).
-func (c *Controller) adminFetchLoop(p *sim.Proc, sq *SQ) {
-	defer func() { sq.fetching = false }()
-	for sq.head != sq.tail {
-		if !c.enabled || !c.owner.MayFetch() {
-			return
-		}
-		if stall := c.owner.FetchStall(sq.ID); stall > 0 {
-			p.Sleep(stall)
-			continue // re-check liveness after the stall
-		}
-		done := c.port.DMARead(sq.ring.SlotAddr(sq.head), nvme.SQESize, sq.buf[:])
-		if w := done - p.Now(); w > 0 {
-			p.Sleep(w)
-		}
-		cmd := nvme.DecodeCommand(&sq.buf)
-		sq.head = sq.ring.Next(sq.head)
-		sqHead := sq.head
-		p.Sleep(c.cfg.FetchLatency)
-		c.env.Go(c.cfg.ExecProc, func(ap *sim.Proc) { c.owner.ExecAdmin(ap, sq, cmd, sqHead) })
-	}
-}
-
-// step is one iteration of an I/O queue's fetch loop: exit checks, the
+// step is one iteration of a queue's fetch loop: exit checks, the
 // injected-stall window, then the SQE DMA fetch.
 func (sq *SQ) step() {
 	c := sq.c
@@ -292,9 +262,17 @@ func (sq *SQ) decoded() {
 
 // dispatch hands the decoded command to the owner and continues fetching
 // immediately: this queue's next SQE fetch is booked on the link before the
-// command's own DMAs.
+// command's own DMAs. An admin command runs on an execution process of its
+// own, since admin commands are rare and stateful (namespace management,
+// firmware commit and reset); an I/O command starts its owner's chain.
 func (sq *SQ) dispatch() {
-	sq.c.owner.StartIO(sq, sq.pendCmd, sq.pendHead)
+	c := sq.c
+	if sq.ID == 0 {
+		cmd, sqHead := sq.pendCmd, sq.pendHead
+		c.env.Go(c.cfg.ExecProc, func(p *sim.Proc) { c.owner.ExecAdmin(p, sq, cmd, sqHead) })
+	} else {
+		c.owner.StartIO(sq, sq.pendCmd, sq.pendHead)
+	}
 	sq.step()
 }
 

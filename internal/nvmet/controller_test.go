@@ -7,6 +7,7 @@ package nvmet
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"bmstore/internal/hostmem"
@@ -14,6 +15,7 @@ import (
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
+	"bmstore/internal/trace"
 )
 
 // testFn is the controller's function number: non-zero, so an interrupt
@@ -46,7 +48,8 @@ type fakeOwner struct {
 	onStart           func(cid uint16) // runs inside StartIO, before it returns
 
 	started   []started
-	completed []uint16 // CIDs, in the order their completions were posted
+	execAt    []sim.Time // when each ExecAdmin began
+	completed []uint16   // CIDs, in the order their completions were posted
 }
 
 func (o *fakeOwner) MayFetch() bool { return o.mayFetch }
@@ -75,6 +78,7 @@ func (o *fakeOwner) StartIO(sq *SQ, cmd nvme.Command, sqHead uint32) {
 }
 
 func (o *fakeOwner) ExecAdmin(p *sim.Proc, sq *SQ, cmd nvme.Command, sqHead uint32) {
+	o.execAt = append(o.execAt, p.Now())
 	p.Sleep(sim.Microsecond)
 	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.ID, SQHead: uint16(sqHead)}
 	switch cmd.Opcode {
@@ -136,7 +140,6 @@ func newRigWith(t testing.TB, met *obs.Registry) *rig {
 	r.own = &fakeOwner{r: r, mayFetch: true, mayPost: true}
 	r.c = New(r.env, r.own, testFn, Config{
 		FetchLatency: 500 * sim.Nanosecond,
-		FetchProc:    "test/sq0",
 		ExecProc:     "test/exec",
 	})
 	link := pcie.NewLink(r.env, 4, 300*sim.Nanosecond)
@@ -628,6 +631,96 @@ func TestMayFetchAndStallGateFetch(t *testing.T) {
 	r.env.Run()
 	if len(r.own.started) != 0 {
 		t.Fatalf("fetched %v after the owner stopped fetching during a stall", r.startedCIDs())
+	}
+}
+
+// TestAdminFetchRunsTheIOChain: an admin doorbell starts the fetch chain an
+// I/O queue runs. The admin command's one process is its ExecAdmin; the
+// fetch spawns none. Under the same stall window, the admin command and an
+// I/O command on a twin rig are dispatched at the same offset from their
+// doorbells, and a doorbell rung while the owner may not fetch, or a fetch
+// the owner stops during a stall, leaves no trace.
+func TestAdminFetchRunsTheIOChain(t *testing.T) {
+	// identify is any admin opcode the fake owner does not route to
+	// QueueAdmin.
+	const identify = nvme.AdminIdentify
+	// dispatch rings one command into queue qid with fetch stalled for stall
+	// from just before the ring, and returns how long after its doorbell the
+	// command was dispatched and the names of the processes spawned
+	// meanwhile.
+	dispatch := func(qid uint16, stall sim.Time) (sim.Time, []string) {
+		r := newRig(t)
+		q := r.pair(1, 8)
+		r.own.execAt = nil
+		op := uint8(ioOp)
+		if qid == 0 {
+			q, op = r.admin, identify
+		}
+		var dump strings.Builder
+		tr := trace.New(trace.Options{Dump: &dump})
+		r.env.SetTracer(tr)
+		r.own.stallUntil = r.env.Now() + stall
+		r.push(q, nvme.Command{Opcode: op})
+		regs := len(r.regAt)
+		r.ring(q)
+		r.env.Run()
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var spawned []string
+		for _, line := range strings.Split(dump.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 6 && f[1] == "sim" && f[2] == "spawn" {
+				spawned = append(spawned, f[5])
+			}
+		}
+		at := r.own.execAt
+		if qid != 0 {
+			at = nil
+			for _, s := range r.own.started {
+				at = append(at, s.at)
+			}
+		}
+		if len(at) != 1 || len(r.regAt) != regs+1 {
+			t.Fatalf("queue %d: %d dispatches after %d register writes, want one of each", qid, len(at), len(r.regAt)-regs)
+		}
+		if got := len(r.reap(q)); got != 1 {
+			t.Fatalf("queue %d: reaped %d completions, want 1", qid, got)
+		}
+		return at[0] - r.regAt[regs], spawned
+	}
+	for _, stall := range []sim.Time{0, 50 * sim.Microsecond} {
+		admin, spawned := dispatch(0, stall)
+		io, ioSpawned := dispatch(1, stall)
+		if !slices.Equal(spawned, []string{"test/exec"}) || len(ioSpawned) != 0 {
+			t.Fatalf("stall %d: an admin command spawned %q and an I/O command %q, want only its ExecAdmin and none", stall, spawned, ioSpawned)
+		}
+		if admin != io {
+			t.Errorf("stall %d: admin command dispatched %d ns after its doorbell, an I/O command %d ns", stall, admin, io)
+		}
+		if stall > 0 && admin < stall {
+			t.Errorf("admin command dispatched %d ns after its doorbell, inside the %d ns stall", admin, stall)
+		}
+	}
+
+	r := newRig(t)
+	events := r.env.Events()
+	r.own.mayFetch = false
+	r.push(r.admin, nvme.Command{Opcode: identify})
+	r.ring(r.admin)
+	r.env.Run()
+	r.own.mayFetch = true
+	r.env.Run()
+	if len(r.own.execAt) != 0 || r.env.Events() != events+1 {
+		t.Fatalf("%d admin commands ran in %d events: a doorbell rung while the owner may not fetch is lost on arrival", len(r.own.execAt), r.env.Events()-events)
+	}
+	r.own.stallUntil = r.env.Now() + 50*sim.Microsecond
+	r.push(r.admin, nvme.Command{Opcode: identify})
+	r.ring(r.admin)
+	r.env.RunUntil(r.own.stallUntil - sim.Microsecond)
+	r.own.mayFetch = false
+	r.env.Run()
+	if len(r.own.execAt) != 0 {
+		t.Fatalf("an admin command ran after the owner stopped fetching during a stall")
 	}
 }
 

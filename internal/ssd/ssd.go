@@ -182,7 +182,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 	}
 	d.ctl = nvmet.New(env, d, 0, nvmet.Config{
 		FetchLatency: cmdLatency,
-		FetchProc:    "ssd/" + cfg.Serial + "/sq0",
 		ExecProc:     "ssd/exec",
 	})
 	if d.met = env.Metrics(); d.met != nil {

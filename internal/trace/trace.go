@@ -15,10 +15,7 @@ package trace
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 )
 
@@ -33,12 +30,10 @@ const (
 )
 
 // Options configures a Tracer. The zero value is the cheapest useful
-// tracer: a word-folded FNV-64 digest and nothing else.
+// tracer: a word-folded FNV-64 digest and nothing else. The fold is integer
+// arithmetic only, so a digest reads the same on every toolchain and can be
+// archived as it is.
 type Options struct {
-	// SHA256 switches the digest to SHA-256. Slower, but collision
-	// resistance becomes cryptographic — use it when a digest is archived
-	// and compared across toolchain versions rather than within one test.
-	SHA256 bool
 	// Dump, when non-nil, additionally receives one human-readable line
 	// per event. Call Flush before reading the destination.
 	Dump io.Writer
@@ -48,20 +43,15 @@ type Options struct {
 // concurrent use; the simulation kernel's run-to-completion handoff
 // guarantees single-threaded access.
 type Tracer struct {
-	h    uint64    // streaming word-folded FNV-64 state
-	sha  hash.Hash // non-nil in SHA-256 mode
-	n    uint64    // events folded in
+	h    uint64 // streaming word-folded FNV-64 state
+	n    uint64 // events folded in
 	w    *bufio.Writer
-	werr error   // first dump-write error, surfaced by Flush
-	buf  [8]byte // scratch for SHA-256 number writes
+	werr error // first dump-write error, surfaced by Flush
 }
 
 // New returns a tracer with the given options.
 func New(opts Options) *Tracer {
 	t := &Tracer{h: fnvOffset64}
-	if opts.SHA256 {
-		t.sha = sha256.New()
-	}
 	if opts.Dump != nil {
 		t.w = bufio.NewWriter(opts.Dump)
 	}
@@ -123,14 +113,6 @@ func (t *Tracer) emit(at int64, k *Key, a, b uint64, detail string) {
 		h = mixString(h, detail)
 	}
 	t.h = h
-	if t.sha != nil {
-		t.shaU64(uint64(at))
-		t.shaString(k.subsys)
-		t.shaString(k.kind)
-		t.shaU64(a)
-		t.shaU64(b)
-		t.shaString(detail)
-	}
 	if t.w != nil {
 		if _, err := fmt.Fprintf(t.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, k.subsys, k.kind, a, b, detail); err != nil && t.werr == nil {
 			t.werr = err
@@ -205,20 +187,6 @@ func le32(s string) uint64 {
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
 }
 
-func (t *Tracer) shaU64(v uint64) {
-	for i := range t.buf {
-		t.buf[i] = byte(v >> (8 * i))
-	}
-	t.sha.Write(t.buf[:])
-}
-
-// shaString writes the same length-prefixed canonical form to the SHA-256
-// state, so both digest modes agree on event boundaries.
-func (t *Tracer) shaString(s string) {
-	t.shaU64(uint64(len(s)))
-	io.WriteString(t.sha, s)
-}
-
 // Events returns how many events have been folded in.
 func (t *Tracer) Events() uint64 { return t.n }
 
@@ -226,9 +194,6 @@ func (t *Tracer) Events() uint64 { return t.n }
 // prefixed with the algorithm name. Emitting after Digest is allowed; the
 // digest simply keeps evolving.
 func (t *Tracer) Digest() string {
-	if t.sha != nil {
-		return "sha256:" + hex.EncodeToString(t.sha.Sum(nil))
-	}
 	return fmt.Sprintf("fnv64w:%016x", t.h)
 }
 

@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash"
-	"io"
 	"strings"
 	"testing"
 )
@@ -67,25 +63,6 @@ func TestStringBoundariesCanonical(t *testing.T) {
 	b.Emit(0, NewKey("a", "bc"), 0, 0, "")
 	if a.Digest() == b.Digest() {
 		t.Fatal("string field boundaries not canonicalized")
-	}
-}
-
-func TestSHA256Mode(t *testing.T) {
-	tr := New(Options{SHA256: true})
-	tr.Emit(1, NewKey("sim", "fire"), 0, 0, "")
-	d := tr.Digest()
-	if !strings.HasPrefix(d, "sha256:") || len(d) != len("sha256:")+64 {
-		t.Fatalf("sha digest %q", d)
-	}
-	tr2 := New(Options{SHA256: true})
-	tr2.Emit(1, NewKey("sim", "fire"), 0, 0, "")
-	if tr2.Digest() != d {
-		t.Fatal("sha digest not reproducible")
-	}
-	tr3 := New(Options{SHA256: true})
-	tr3.Emit(2, NewKey("sim", "fire"), 0, 0, "")
-	if tr3.Digest() == d {
-		t.Fatal("sha digest insensitive to timestamp")
 	}
 }
 
@@ -183,16 +160,15 @@ func (e errMock) Error() string { return string(e) }
 
 // refTracer is the fold as it was before keys: every record's subsystem,
 // kind and detail packed from their strings through a zero-padded copy. It
-// is the reference that keyed records must match bit for bit, in both digest
-// modes and in the dump.
+// is the reference that keyed records must match bit for bit, in the digest
+// and in the dump.
 type refTracer struct {
-	h   uint64
-	sha hash.Hash
-	w   *strings.Builder
+	h uint64
+	w *strings.Builder
 }
 
 func newRefTracer() *refTracer {
-	return &refTracer{h: fnvOffset64, sha: sha256.New(), w: &strings.Builder{}}
+	return &refTracer{h: fnvOffset64, w: &strings.Builder{}}
 }
 
 func refMixString(h uint64, s string) uint64 {
@@ -216,39 +192,26 @@ func (r *refTracer) emit(at int64, subsys, kind string, a, b uint64, detail stri
 	h = mixU64(h, a)
 	h = mixU64(h, b)
 	r.h = refMixString(h, detail)
-	u64 := func(v uint64) { r.sha.Write(binary.LittleEndian.AppendUint64(nil, v)) }
-	str := func(s string) { u64(uint64(len(s))); io.WriteString(r.sha, s) }
-	u64(uint64(at))
-	str(subsys)
-	str(kind)
-	u64(a)
-	u64(b)
-	str(detail)
 	fmt.Fprintf(r.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, subsys, kind, a, b, detail)
 }
 
 // checkKeyFold emits the same records through keys and through the
-// reference and compares the FNV digest, the SHA-256 digest and the dump.
+// reference and compares the digest and the dump.
 func checkKeyFold(t *testing.T, recs [][3]string) {
 	t.Helper()
 	ref := newRefTracer()
 	var dump strings.Builder
-	fnv, sha := NewDigest(), New(Options{SHA256: true, Dump: &dump})
+	fnv := New(Options{Dump: &dump})
 	for i, r := range recs {
 		at, a, b := int64(i)*977-5, uint64(i)*0x9e3779b97f4a7c15, ^uint64(i)
-		k := NewKey(r[0], r[1])
 		ref.emit(at, r[0], r[1], a, b, r[2])
-		fnv.Emit(at, k, a, b, r[2])
-		sha.Emit(at, k, a, b, r[2])
+		fnv.Emit(at, NewKey(r[0], r[1]), a, b, r[2])
 	}
-	if err := sha.Flush(); err != nil {
+	if err := fnv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if want := fmt.Sprintf("fnv64w:%016x", ref.h); fnv.Digest() != want {
 		t.Fatalf("%q: fnv digest %s, string fold %s", recs, fnv.Digest(), want)
-	}
-	if want := "sha256:" + hex.EncodeToString(ref.sha.Sum(nil)); sha.Digest() != want {
-		t.Fatalf("%q: sha256 digest %s, string fold %s", recs, sha.Digest(), want)
 	}
 	if dump.String() != ref.w.String() {
 		t.Fatalf("%q: dump\n%s\nwant\n%s", recs, dump.String(), ref.w.String())
@@ -277,8 +240,8 @@ func TestKeyFoldMatchesStringFold(t *testing.T) {
 	}
 }
 
-// FuzzEmitKey: any subsystem, kind and detail fold through a key exactly as
-// the string fold did.
+// FuzzEmitKey: any subsystem, kind and detail fold through a key into the
+// digest and the dump exactly as the string fold did.
 func FuzzEmitKey(f *testing.F) {
 	f.Add("sim", "fire", "", "ssd", "complete", "PHLJ0000")
 	f.Add("", "", "", "fault", "misdirected-read", "a process named seventeen")

@@ -42,7 +42,10 @@ import (
 // constants were retaken when the I/O path stopped running as processes, and
 // only those two counters moved then. They were retaken again when the
 // block layer's split, which no kernel profile enabled, was deleted: only
-// the driver's `block_splits` counter rows, always 0, left the exports.
+// the driver's `block_splits` counter rows, always 0, left the exports. They
+// were retaken once more when the admin queue's fetch stopped running as a
+// process: only the two process counters and `events_fired` moved, which
+// lost the process's unwaited `Done` event per admin fetch burst.
 //
 // It uses only API both sides of that change have, because
 // scripts/modelpin_diff.sh copies this file over the reference tree; like the
@@ -96,9 +99,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"125361:1344c5fc84e81f163cd67510ec0d757474927ef09b3442991518ed48605c04eb",
-				"125324:c4d48fb98f34611e76f69fafb107e89c80a4df7ac9f25f8bad2acd8ef3520e25",
-				"124144:8e0f7c245d4f16a9a61d881fa557cdf36c90935f27631640fcbbba3ca13a2f4e",
+				"125361:2df41d6bb1e4cdc18c918540cd9375256c5d34c0df1959b840c0b422ca24138d",
+				"125324:a0944e2bfdfb908f8a51f39ccf381d3ff4937819929088ff1dc745a987c8b4b0",
+				"124144:802d2177e8266917475e3e167b3fd161006aced1934593fc7b956129e0fa0851",
 			}},
 		{"split-faulted", false, faults,
 			func(tb *Testbed, p *sim.Proc) { split(tb, p, recoveryDriverConfig()) },
@@ -109,9 +112,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"65829:e0d7d896a9b83aa613bc4b475c486e2388086b8e481fd14d96a6e8b1b506dcb7",
-				"66046:6fe9af5646bc2af74f74e07599d4a0e77a41d18a85e4b99670ee9d9e706694b6",
-				"66002:510e4a46034ebe79f0a4ff3f575c579ff5014d846b9a7acefef98da040be8b37",
+				"65827:5eba5369fc7d1aa541bc5712f4a2897603847b7391edda688c1097855a15251d",
+				"66048:6c0c5d267b00673122f03738a6655d7f26faf15e9c4e49ea915e03bce19f6840",
+				"66002:9e287e3c0cbe68504f1b426bc69fefe39bdb61ed0492fd5db2790f41fa231511",
 			}},
 		{"direct-shared-fn", true, nil,
 			func(tb *Testbed, p *sim.Proc) {
@@ -132,9 +135,9 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"76403:8f39b2151ca32859e95c92e6d27727475989c9db90528b728a9e703d114ca72b",
-				"75040:6a1aa93d195e66f783ca4707ea167436edb58f694fcfa19707c0658383e53de9",
-				"78884:7fa6678c1225a1b3d9e783fba5dd09aded3dfac73a72da07f81a29e75d21dbc1",
+				"76401:a4c3637d1bf8a9c452571ae6a98e5eab9856c5fb8cea6697b2bfe3fd7c959105",
+				"75038:d36970f544084e5eb810382bc0e56640b1caa90ba854320e602ac4c5d0117b6e",
+				"78882:d70c8a9afb9f1c34dcfa12d05b67d032c77c0f285ba832cfc9b724596e7aee86",
 			}},
 	}
 	for _, rig := range rigs {
