@@ -17,6 +17,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -43,12 +44,8 @@ var allowedOrphans = map[string]string{
 // stdlib interface that declares it. Constants are exempt: the NVMe opcode and status tables
 // document the wire format.
 func TestEveryExportHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	mod, pkgs := parseModule(t, fset)
-	found, err := orphans(fset, pkgs, stdImporter(fset), mod+"/internal/")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod, m := checkedModule(t)
+	found := orphans(m, mod+"/internal/")
 	stale := maps.Clone(allowedOrphans)
 	for _, o := range found {
 		if allowedOrphans[o.name] == "" {
@@ -86,10 +83,11 @@ func main() { fmt.Println(lib.New()) }
 		}
 		pkgs[p] = []*ast.File{f}
 	}
-	found, err := orphans(fset, pkgs, stdImporter(fset), "m/internal/")
+	m, err := typeCheck(fset, pkgs, stdImporter(fset))
 	if err != nil {
 		t.Fatal(err)
 	}
+	found := orphans(m, "m/internal/")
 	if len(found) != 1 || found[0].name != "lib.Planted" || found[0].kind != "func" {
 		t.Fatalf("flagged %v, want exactly lib.Planted func", found)
 	}
@@ -107,12 +105,8 @@ var allowedUnreadFields = map[string]string{
 // composite-literal key. Embedded fields are exempt, and so are the fields of
 // a struct type used as a map key, which hashing reads.
 func TestEveryFieldIsRead(t *testing.T) {
-	fset := token.NewFileSet()
-	mod, pkgs := parseModule(t, fset)
-	found, err := unreadFields(fset, pkgs, stdImporter(fset), mod+"/internal/")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod, m := checkedModule(t)
+	found := unreadFields(m, mod+"/internal/")
 	stale := maps.Clone(allowedUnreadFields)
 	for _, o := range found {
 		if allowedUnreadFields[o.name] == "" {
@@ -147,24 +141,21 @@ func Mark(a, b int) { seen[key{a: a, b: b}] = true }
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := unreadFields(fset, map[string][]*ast.File{"m/internal/lib": {f}}, stdImporter(fset), "m/internal/")
+	m, err := typeCheck(fset, map[string][]*ast.File{"m/internal/lib": {f}}, stdImporter(fset))
 	if err != nil {
 		t.Fatal(err)
 	}
+	found := unreadFields(m, "m/internal/")
 	if len(found) != 1 || found[0].name != "lib.T.planted" || found[0].kind != "field" {
 		t.Fatalf("flagged %v, want exactly lib.T.planted field", found)
 	}
 }
 
-// unreadFields type-checks pkgs and returns, in declaration order, the
-// unexported, non-embedded struct fields of the packages under scope that no
-// file in pkgs reads, leaving out the fields of struct types used as map
-// keys.
-func unreadFields(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, scope string) ([]orphan, error) {
-	m, err := typeCheck(fset, pkgs, std)
-	if err != nil {
-		return nil, err
-	}
+// unreadFields returns, in declaration order, the unexported, non-embedded
+// struct fields of the checked packages under scope that no file of m reads,
+// leaving out the fields of struct types used as map keys.
+func unreadFields(m *moduleImporter, scope string) []orphan {
+	fset, pkgs := m.fset, m.files
 	paths := slices.Sorted(maps.Keys(pkgs))
 
 	// Every field in scope, named by the type it is declared in.
@@ -258,7 +249,7 @@ func unreadFields(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Im
 			out = append(out, f)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // orphan is one export nothing reaches, or one field nothing reads.
@@ -275,6 +266,33 @@ func (o orphan) String() string {
 // stdImporter type-checks standard-library imports from GOROOT source.
 func stdImporter(fset *token.FileSet) types.Importer {
 	return importer.ForCompiler(fset, "source", nil)
+}
+
+// module is the whole module, parsed and type-checked once per test binary
+// for the walkers that read all of it (see checkedModule).
+var module struct {
+	once sync.Once
+	path string
+	m    *moduleImporter
+}
+
+// checkedModule returns the module's path and its non-test packages,
+// type-checked, parsing and checking them on first use.
+func checkedModule(t *testing.T) (string, *moduleImporter) {
+	t.Helper()
+	module.once.Do(func() {
+		fset := token.NewFileSet()
+		mod, pkgs := parseModule(t, fset)
+		m, err := typeCheck(fset, pkgs, stdImporter(fset))
+		if err != nil {
+			t.Fatal(err)
+		}
+		module.path, module.m = mod, m
+	})
+	if module.m == nil {
+		t.Fatal("the module failed to parse or type-check in an earlier test")
+	}
+	return module.path, module.m
 }
 
 // parseModule reads the module path from go.mod and parses every non-test Go
@@ -418,15 +436,11 @@ func fuzzSmoked(path string) ([]string, error) {
 	return out, nil
 }
 
-// orphans type-checks pkgs (import path → non-test files; anything else is
-// imported through std) and returns, in declaration order, the exported
-// funcs, methods, types and package-level vars of the packages under scope
-// that no file in pkgs uses outside the declaration itself.
-func orphans(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importer, scope string) ([]orphan, error) {
-	m, err := typeCheck(fset, pkgs, std)
-	if err != nil {
-		return nil, err
-	}
+// orphans returns, in declaration order, the exported funcs, methods, types
+// and package-level vars of the checked packages under scope that no file of
+// m uses outside the declaration itself.
+func orphans(m *moduleImporter, scope string) []orphan {
+	fset, pkgs := m.fset, m.files
 	paths := slices.Sorted(maps.Keys(pkgs))
 
 	// Every declaration in scope, with the extent its mentions of itself
@@ -553,7 +567,7 @@ func orphans(fset *token.FileSet, pkgs map[string][]*ast.File, std types.Importe
 			out = append(out, d.orphan)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // satisfiesInterface reports whether fn's receiver type, or a type that

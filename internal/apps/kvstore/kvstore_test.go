@@ -68,7 +68,7 @@ func TestPutGetBasics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := s.Get(p, key(1)); ok {
+		if _, ok, _ := s.Get(p, key(1), nil); ok {
 			t.Fatal("ghost key")
 		}
 		for i := 0; i < 100; i++ {
@@ -77,7 +77,7 @@ func TestPutGetBasics(t *testing.T) {
 			}
 		}
 		for i := 0; i < 100; i++ {
-			v, ok, err := s.Get(p, key(i))
+			v, ok, err := s.Get(p, key(i), nil)
 			if err != nil || !ok || !bytes.Equal(v, val(i)) {
 				t.Fatalf("get %d: %q ok=%v err=%v", i, v, ok, err)
 			}
@@ -85,10 +85,10 @@ func TestPutGetBasics(t *testing.T) {
 		// Overwrite and delete.
 		s.Put(p, key(5), []byte("new"))
 		s.Put(p, key(6), nil)
-		if v, ok, _ := s.Get(p, key(5)); !ok || string(v) != "new" {
+		if v, ok, _ := s.Get(p, key(5), nil); !ok || string(v) != "new" {
 			t.Fatalf("overwrite lost: %q", v)
 		}
-		if _, ok, _ := s.Get(p, key(6)); ok {
+		if _, ok, _ := s.Get(p, key(6), nil); ok {
 			t.Fatal("delete lost")
 		}
 	})
@@ -133,7 +133,7 @@ func TestStoreCopiesWhatItKeeps(t *testing.T) {
 		}
 		for i := 0; i < 3000; i++ {
 			kb = append(kb[:0], key(i)...)
-			v, ok, err := s.Get(p, kb)
+			v, ok, err := s.Get(p, kb, nil)
 			scribble()
 			w := val(i)
 			if i >= 2990 {
@@ -182,7 +182,7 @@ func TestFlushAndTableReads(t *testing.T) {
 		}
 		// All keys must now be served, many from tables.
 		for i := 0; i < n; i += 97 {
-			v, ok, err := s.Get(p, key(i))
+			v, ok, err := s.Get(p, key(i), nil)
 			if err != nil || !ok || !bytes.Equal(v, val(i)) {
 				t.Fatalf("get %d after flush: ok=%v err=%v", i, ok, err)
 			}
@@ -214,7 +214,7 @@ func TestCompactionKeepsData(t *testing.T) {
 			t.Fatal("no compaction ran")
 		}
 		for k, ver := range live {
-			v, ok, err := s.Get(p, key(k))
+			v, ok, err := s.Get(p, key(k), nil)
 			if err != nil || !ok || !bytes.Equal(v, val(ver)) {
 				t.Fatalf("key %d after compaction: ok=%v err=%v", k, ok, err)
 			}
@@ -271,7 +271,7 @@ func TestReopenAfterCleanFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2000; i += 53 {
-			v, ok, err := s2.Get(p, key(i))
+			v, ok, err := s2.Get(p, key(i), nil)
 			if err != nil || !ok || !bytes.Equal(v, val(i)) {
 				t.Fatalf("reopened get %d: ok=%v err=%v", i, ok, err)
 			}
@@ -327,7 +327,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
-			v, ok, _ := s2.Get(p, key(i))
+			v, ok, _ := s2.Get(p, key(i), nil)
 			if i == 100 {
 				if ok {
 					t.Fatal("deleted key resurrected by recovery")
@@ -357,7 +357,7 @@ func TestRecoveryDoesNotReplayFlushedRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, ok, _ := s2.Get(p, key(1))
+		v, ok, _ := s2.Get(p, key(1), nil)
 		if !ok || string(v) != "new" {
 			t.Fatalf("stale value after reopen: %q ok=%v", v, ok)
 		}
@@ -383,7 +383,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 				s.Put(p, k, nil)
 				delete(model, string(k))
 			default: // get
-				v, ok, err := s.Get(p, k)
+				v, ok, err := s.Get(p, k, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -395,7 +395,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 		}
 		s.WaitIdle(p)
 		for k, want := range model {
-			v, ok, _ := s.Get(p, []byte(k))
+			v, ok, _ := s.Get(p, []byte(k), nil)
 			if !ok || string(v) != want {
 				t.Fatalf("final check %q: %q ok=%v", k, v, ok)
 			}

@@ -120,49 +120,58 @@ func appendMeta(b []byte, t *table) []byte {
 	return binary.LittleEndian.AppendUint32(b, uint32(t.bloom.k))
 }
 
-// readDataBlock fetches data block i (one table block) from the device.
+// readDataBlock fetches data block i (one table block) from the device into
+// a buffer of its own, which range scans and compaction keep: the records
+// decodeBlock finds alias it.
 func (t *table) readDataBlock(p *sim.Proc, i int) ([]byte, error) {
-	bs := blockBytes
-	devBS := t.s.dev.BlockSize()
-	perTB := uint64(bs / devBS)
-	buf := make([]byte, bs)
-	lba := t.baseBlock + uint64(i)*perTB
-	if err := t.s.dev.ReadAt(p, lba, uint32(perTB), buf); err != nil {
+	buf := make([]byte, blockBytes)
+	if err := t.readBlock(p, i, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
-// get does a point lookup: bloom check, index search, one block read.
-func (t *table) get(p *sim.Proc, key []byte) ([]byte, bool, error) {
+// readBlock reads data block i into buf (blockBytes long).
+func (t *table) readBlock(p *sim.Proc, i int, buf []byte) error {
+	perTB := uint64(blockBytes / t.s.dev.BlockSize())
+	return t.s.dev.ReadAt(p, t.baseBlock+uint64(i)*perTB, uint32(perTB), buf)
+}
+
+// get does a point lookup: bloom check, index search, one block read. On a
+// hit it returns the value appended to dst (a tombstone appends nothing).
+// The block is read into one of the store's recycled buffers, which goes
+// back once the value is copied out. Like every recycled buffer, it is
+// fully overwritten by the read only on a rig that captures payload bytes,
+// as application rigs do.
+func (t *table) get(p *sim.Proc, key, dst []byte) ([]byte, bool, error) {
 	if bytes.Compare(key, t.minKey) < 0 || bytes.Compare(key, t.maxKey) > 0 {
-		return nil, false, nil
+		return dst, false, nil
 	}
 	if !t.bloom.mayContain(key) {
 		t.s.Stats.BloomSkips++
-		return nil, false, nil
+		return dst, false, nil
 	}
 	i := sort.Search(len(t.blockFirstKey), func(i int) bool {
 		return bytes.Compare(t.blockFirstKey[i], key) > 0
 	}) - 1
 	if i < 0 {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	blk, err := t.readDataBlock(p, i)
-	if err != nil {
-		return nil, false, err
+	blk := t.s.blocks.Get()
+	defer t.s.blocks.Put(blk)
+	if err := t.readBlock(p, i, blk); err != nil {
+		return dst, false, err
 	}
-	// Walk the block's records where they lie. The value returned aliases
-	// blk, which nothing else holds.
+	// Walk the block's records where they lie.
 	for off := 0; ; {
 		rec, end, ok := nextRecord(blk, off)
 		if !ok {
-			return nil, false, nil
+			return dst, false, nil
 		}
 		if c := bytes.Compare(rec.key, key); c == 0 {
-			return rec.value, true, nil
+			return append(dst, rec.value...), true, nil
 		} else if c > 0 {
-			return nil, false, nil
+			return dst, false, nil
 		}
 		off = end
 	}

@@ -123,7 +123,7 @@ func TestDeviceTrafficUnchanged(t *testing.T) {
 
 		check := func(st *kvstore.Store, stage string) {
 			for k := 0; k < keys; k += 3 {
-				v, ok, err := st.Get(p, key(k))
+				v, ok, err := st.Get(p, key(k), nil)
 				if err != nil || ok != (model[k] != nil) || !bytes.Equal(v, model[k]) {
 					t.Fatalf("%s: get %d: ok=%v err=%v", stage, k, ok, err)
 				}

@@ -32,7 +32,7 @@ func TestFailedWALWriteIsNotAcknowledged(t *testing.T) {
 		p.Sleep(sim.Microsecond) // inside the group-commit window
 		flushErr = s.Flush(p)
 		p.Wait(put.Done())
-		if _, ok, _ := s.Get(p, []byte("k")); ok {
+		if _, ok, _ := s.Get(p, []byte("k"), nil); ok {
 			t.Error("the failed put is visible")
 		}
 	})
@@ -62,7 +62,7 @@ func TestFailedFlushKeepsTheMemtable(t *testing.T) {
 		if err := s.Flush(p); !errors.Is(err, errWrite) {
 			t.Errorf("Flush returned %v, want %v", err, errWrite)
 		}
-		if v, ok, err := s.Get(p, []byte("k")); err != nil || !ok || string(v) != "v" {
+		if v, ok, err := s.Get(p, []byte("k"), nil); err != nil || !ok || string(v) != "v" {
 			t.Errorf("after the failed flush Get(k) = %q, %v, %v", v, ok, err)
 		}
 		if err := s.Put(p, []byte("k2"), []byte("v2")); !errors.Is(err, errWrite) {

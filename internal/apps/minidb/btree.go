@@ -19,26 +19,31 @@ import (
 // internal node stores n separators and n+1 children (the final child id
 // rides after the array).
 //
-// Ownership rule: a page image is copied once per device crossing and
-// encoded once per image consumed.
+// Ownership rule: the engine owns its bytes, and what crosses its API is
+// copied. A page image is copied once per device crossing and encoded once
+// per image consumed.
 //
-//   - Coming in, pager.fault reads a page into a fresh buffer and decodeNode
-//     turns it into a node whose rows are sub-slices of that buffer: no row is
-//     copied. The buffer is never written again — the frame drops its own
-//     reference (frame.setNode) and nothing recycles it — so the rows stay
-//     valid for as long as anything holds them.
+//   - Coming in, pager.fault reads a page into a buffer from the pager's free
+//     list, and decodeNode turns it into a node. A leaf owns that buffer
+//     (leafNode.buf) and its rows are sub-slices of it: no row is copied. An
+//     internal node copies its words out, and its buffer goes back at once.
 //   - While resident, the decoded node is the page. put mutates it and marks
-//     the frame dirty; nothing is re-encoded. Rows are immutable: put
-//     replaces a row's slice and never edits its bytes, and it takes
-//     ownership of the slice it is given (Txn.Write and redo recovery,
-//     logring.Log.Recover, detach it from their callers' buffers). get and
-//     scan therefore hand out the rows themselves; callers must not modify
-//     them.
+//     the frame dirty; nothing is re-encoded. put never keeps the slice it is
+//     given: a same-length update copies into the row's existing bytes, and
+//     anything else keeps a fresh copy. So a row's bytes may be rewritten, and
+//     the buffer they lie in recycled, whenever the caller parks: get and scan
+//     hand rows only to callers that copy them before they park (Txn.Read and
+//     Txn.ReadRange copy into the Txn's arena, scan row by row as it goes).
 //   - Going out, frame.image encodes the node straight into the buffer the
-//     device write is issued from — the checkpoint's journal blob, or
-//     writeback's private image — once per image written. Only dirty frames
-//     are ever written, and eviction takes only clean ones, so dropping an
-//     evicted frame's node loses nothing.
+//     device write is issued from — the checkpoint's journal blob, or a
+//     free-list buffer in writeback — once per image written. Only dirty
+//     frames are ever written, and eviction takes only clean ones, so giving
+//     an evicted leaf back, with its buffer and entry slice, loses nothing.
+//   - splitLeaf is the one place a leaf is held across a park: making room
+//     for the new page can evict the left one, whose re-fault parks. It
+//     detaches the leaf from its frame first, so that eviction gives back
+//     neither the leaf nor its buffer, and it gives the right half a buffer
+//     of its own.
 const (
 	nodeLeaf     = 1
 	nodeInternal = 2
@@ -60,6 +65,10 @@ type leafNode struct {
 	// size is the directory plus payload bytes the entries encode to,
 	// maintained by put and splitLeaf.
 	size int
+	// buf is the page buffer the leaf owns, which rows decoded or split into
+	// it alias (nil for the empty root a new database starts with). The
+	// pager takes it back with the leaf on eviction.
+	buf []byte
 }
 
 type internalNode struct {
@@ -67,9 +76,11 @@ type internalNode struct {
 	children []pageID // len(seps)+1
 }
 
-// decodeNode parses a page image. A leaf's rows alias data; the caller
-// must not write to data afterwards.
-func decodeNode(data []byte) (any, error) {
+// decodeNode parses a page image. A leaf is decoded into reuse, an empty
+// leaf whose entry slice it reuses, or into a new one if reuse is nil; the
+// leaf's rows alias data, which becomes its buf, and the caller must not
+// write to data afterwards.
+func decodeNode(data []byte, reuse *leafNode) (any, error) {
 	if len(data) != PageSize {
 		return nil, fmt.Errorf("minidb: corrupt page: %d bytes", len(data))
 	}
@@ -80,7 +91,12 @@ func decodeNode(data []byte) (any, error) {
 		if dirEnd > PageSize {
 			return nil, fmt.Errorf("minidb: corrupt page: leaf directory of %d rows", n)
 		}
-		ln := &leafNode{entries: make([]leafEntry, n)}
+		ln := reuse
+		if ln == nil {
+			ln = &leafNode{}
+		}
+		ln.entries = slices.Grow(ln.entries[:0], n)[:n]
+		ln.buf = data
 		off := PageSize
 		for i := range ln.entries {
 			dir := 3 + leafDirEntry*i
@@ -158,14 +174,23 @@ type btree struct {
 	db *DB
 }
 
-// node returns the decoded form of a frame, decoding it on first use.
+// node returns the decoded form of a frame, decoding it on first use: a
+// leaf into a recycled one, and an internal node's buffer goes back.
 func (bt *btree) node(f *frame) any {
 	if f.node == nil {
-		n, err := decodeNode(f.data)
+		pool := bt.db.pool
+		var reuse *leafNode
+		if len(f.data) == PageSize && f.data[0] == nodeLeaf {
+			reuse = pool.newLeaf()
+		}
+		n, err := decodeNode(f.data, reuse)
 		if err != nil {
 			panic(err)
 		}
-		f.setNode(n)
+		if _, isLeaf := n.(*leafNode); !isLeaf {
+			pool.bufs.Put(f.data)
+		}
+		f.node, f.data = n, nil
 	}
 	return f.node
 }
@@ -198,8 +223,8 @@ func (in *internalNode) child(key uint64) pageID {
 	return in.children[i]
 }
 
-// get returns the row for key. The row is the tree's own; see the
-// ownership rule above.
+// get returns the row for key. The row is the tree's own, valid until the
+// caller parks; see the ownership rule above.
 func (bt *btree) get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	for {
 		_, leaf, missing, ok := bt.findResident(key)
@@ -216,8 +241,8 @@ func (bt *btree) get(p *sim.Proc, key uint64) ([]byte, bool, error) {
 	}
 }
 
-// put inserts or updates key and takes ownership of row. The mutation
-// itself never yields.
+// put inserts or updates key with a copy of row (see the ownership rule
+// above). The mutation itself never yields.
 func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 	if len(row) > maxLeafPayload/2 {
 		return fmt.Errorf("minidb: row of %d bytes too large", len(row))
@@ -232,12 +257,16 @@ func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 		}
 		idx, found := leaf.search(key)
 		if found {
-			leaf.size += len(row) - len(leaf.entries[idx].row)
-			leaf.entries[idx].row = row
+			if old := leaf.entries[idx].row; len(old) == len(row) {
+				copy(old, row) // in its leaf's buffer, or a copy of its own
+			} else {
+				leaf.size += len(row) - len(old)
+				leaf.entries[idx].row = append([]byte(nil), row...)
+			}
 		} else {
 			leaf.entries = append(leaf.entries, leafEntry{})
 			copy(leaf.entries[idx+1:], leaf.entries[idx:])
-			leaf.entries[idx] = leafEntry{key: key, row: row}
+			leaf.entries[idx] = leafEntry{key: key, row: append([]byte(nil), row...)}
 			leaf.size += leafDirEntry + len(row)
 		}
 		if leaf.size <= maxLeafPayload {
@@ -250,36 +279,50 @@ func (bt *btree) put(p *sim.Proc, key uint64, row []byte) error {
 
 // splitLeaf divides an overflowing leaf and pushes the separator upward.
 func (bt *btree) splitLeaf(p *sim.Proc, f *frame, leaf *leafNode) error {
+	pool := bt.db.pool
 	mid := len(leaf.entries) / 2
-	right := &leafNode{entries: append([]leafEntry(nil), leaf.entries[mid:]...)}
-	for _, e := range right.entries {
+	right := pool.newLeaf()
+	right.entries = append(right.entries, leaf.entries[mid:]...)
+	// The right half's rows lie in the left's buffer: copy them into one of
+	// its own, packed from the end as encode packs them.
+	right.buf = pool.bufs.Get()
+	off := PageSize
+	for i := range right.entries {
+		e := &right.entries[i]
+		off -= len(e.row)
+		copy(right.buf[off:], e.row)
+		e.row = right.buf[off : off+len(e.row) : off+len(e.row)]
 		right.size += leafDirEntry + len(e.row)
 	}
+	clear(leaf.entries[mid:])
 	leaf.entries = leaf.entries[:mid]
 	leaf.size -= right.size
 	sep := right.entries[0].key
 
-	// Making room for the new page may have evicted the left one (it is
-	// clean until marked below); re-fault it.
-	rf := bt.db.pool.alloc()
-	lf, ok := bt.db.pool.get(f.id)
+	// Making room for the new page may evict the left one (it is clean until
+	// marked below), and re-faulting it parks. The leaf is detached from its
+	// frame first, so that an eviction gives back neither the leaf nor the
+	// buffer its rows lie in.
+	f.node = nil
+	rf := pool.alloc()
+	lf, ok := pool.get(f.id)
 	if !ok {
 		var err error
-		if lf, err = bt.db.pool.fault(p, f.id); err != nil {
+		if lf, err = pool.fault(p, f.id); err != nil {
 			return err
 		}
 	}
-	lf.setNode(leaf)
-	bt.db.pool.markDirty(lf)
-	rf.setNode(right)
-	bt.db.pool.markDirty(rf)
+	pool.setNode(lf, leaf)
+	pool.markDirty(lf)
+	pool.setNode(rf, right)
+	pool.markDirty(rf)
 	return bt.insertSep(p, lf.id, sep, rf.id)
 }
 
 // growRoot puts a new root above left and right.
 func (bt *btree) growRoot(left pageID, sep uint64, right pageID) {
 	nf := bt.db.pool.alloc()
-	nf.setNode(&internalNode{seps: []uint64{sep}, children: []pageID{left, right}})
+	bt.db.pool.setNode(nf, &internalNode{seps: []uint64{sep}, children: []pageID{left, right}})
 	bt.db.pool.markDirty(nf)
 	bt.db.root = nf.id
 }
@@ -356,9 +399,9 @@ func (bt *btree) insertSep(p *sim.Proc, left pageID, sep uint64, right pageID) e
 				return err
 			}
 		}
-		pf.setNode(pnode)
+		bt.db.pool.setNode(pf, pnode)
 		bt.db.pool.markDirty(pf)
-		rf.setNode(rn)
+		bt.db.pool.setNode(rf, rn)
 		bt.db.pool.markDirty(rf)
 		left, sep, right = pf.id, up, rf.id
 		if left == bt.db.root {
@@ -368,49 +411,48 @@ func (bt *btree) insertSep(p *sim.Proc, left pageID, sep uint64, right pageID) e
 	}
 }
 
-// maxScanPresize caps how much of a scan's result is allocated before any
-// row is found: limit is the caller's wish, not the table's size.
-const maxScanPresize = 256
-
-// scan returns up to limit rows with key >= start in key order. The rows
-// are the tree's own; see the ownership rule above.
-func (bt *btree) scan(p *sim.Proc, start uint64, limit int) ([]Row, error) {
+// scan appends to rows up to limit rows with key >= start in key order, and
+// returns the rows and arena extended. Each row's bytes are copied onto the
+// end of arena as the row is collected, before the next fault parks.
+func (bt *btree) scan(p *sim.Proc, start uint64, limit int, rows []Row, arena []byte) ([]Row, []byte, error) {
 	if limit <= 0 {
-		return nil, nil
+		return rows, arena, nil
 	}
-	out := make([]Row, 0, min(limit, maxScanPresize))
+	want := len(rows) + limit
 	key := start
 	for {
 		_, leaf, missing, ok := bt.findResident(key)
 		if !ok {
 			if _, err := bt.db.pool.fault(p, missing); err != nil {
-				return nil, err
+				return rows, arena, err
 			}
 			continue
 		}
 		from, _ := leaf.search(key)
 		for _, e := range leaf.entries[from:] {
-			out = append(out, Row{Key: e.key, Data: e.row})
-			if len(out) >= limit {
-				return out, nil
+			n := len(arena)
+			arena = append(arena, e.row...)
+			rows = append(rows, Row{Key: e.key, Data: arena[n:len(arena):len(arena)]})
+			if len(rows) >= want {
+				return rows, arena, nil
 			}
 		}
 		if len(leaf.entries) == 0 {
-			return out, nil
+			return rows, arena, nil
 		}
 		last := leaf.entries[len(leaf.entries)-1].key
 		// This leaf covered key; if its last entry is below key, it is the
 		// rightmost leaf and the scan is done. The overflow check keeps
 		// the max key from wrapping.
 		if last < key || last == ^uint64(0) {
-			return out, nil
+			return rows, arena, nil
 		}
 		key = last + 1
 	}
 }
 
-// Row is one scanned record. Data is the engine's own copy of the row:
-// read it, do not modify it.
+// Row is one scanned record. Data is a copy of the row in the reading Txn's
+// storage, valid until that Txn commits.
 type Row struct {
 	Key  uint64
 	Data []byte

@@ -106,7 +106,7 @@ func encodeNodeInto(n any, page []byte) []byte {
 func checkPage(t *testing.T, page []byte) {
 	t.Helper()
 	pristine := bytes.Clone(page)
-	n, err := decodeNode(page)
+	n, err := decodeNode(page, nil)
 	if err != nil {
 		return
 	}
@@ -127,7 +127,7 @@ func checkPage(t *testing.T, page []byte) {
 	if !bytes.Equal(again, encodeNodeInto(n, make([]byte, PageSize))) {
 		t.Fatal("encoding over a dirty buffer differs from encoding over zeros")
 	}
-	n2, err := decodeNode(again)
+	n2, err := decodeNode(again, nil)
 	if err != nil {
 		t.Fatalf("re-encoded page does not decode: %v", err)
 	}
@@ -136,6 +136,18 @@ func checkPage(t *testing.T, page []byte) {
 	}
 	if !bytes.Equal(encodeNode(n2), again) {
 		t.Fatal("encoding is not a fixed point")
+	}
+	// A leaf decoded into a recycled one, whose entry slice still holds
+	// another page's rows, is the same leaf.
+	if _, isLeaf := n.(*leafNode); isLeaf {
+		stale := &leafNode{entries: []leafEntry{{key: 1, row: []byte("stale")}, {key: 2}}, size: 99}
+		n3, err := decodeNode(page, stale)
+		if err != nil || n3 != any(stale) {
+			t.Fatalf("decoding into a recycled leaf: %T, %v", n3, err)
+		}
+		if err := sameNode(n, n3); err != nil || stale.size != refLeafBytes(stale) {
+			t.Fatalf("decoding into a recycled leaf differs (%v), or tracks %d bytes against %d", err, stale.size, refLeafBytes(stale))
+		}
 	}
 }
 
@@ -193,7 +205,7 @@ func TestCodecAgainstReference(t *testing.T) {
 			n = randomInternal(rng)
 		}
 		page := encodeNode(n)
-		got, err := decodeNode(page)
+		got, err := decodeNode(page, nil)
 		if err != nil {
 			t.Fatalf("node %d: own encoding rejected: %v", i, err)
 		}
@@ -210,7 +222,7 @@ func TestCodecAgainstReference(t *testing.T) {
 				}
 				bad[at] = byte(rng.Intn(256))
 			}
-			if _, err := decodeNode(bad); err != nil {
+			if _, err := decodeNode(bad, nil); err != nil {
 				rejected++
 			}
 			checkPage(t, bad)
@@ -246,19 +258,19 @@ func TestDecodeRejectsOverruns(t *testing.T) {
 		"unknown kind":                make([]byte, PageSize),
 		"short page":                  make([]byte, 100),
 	} {
-		if _, err := decodeNode(page); err == nil {
+		if _, err := decodeNode(page, nil); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
 	// The largest shapes that do fit still decode.
-	if _, err := decodeNode(leaf(1638)); err != nil {
+	if _, err := decodeNode(leaf(1638), nil); err != nil {
 		t.Errorf("1638 empty rows: %v", err)
 	}
-	if _, err := decodeNode(leaf(2, 8000, 8361)); err != nil {
+	if _, err := decodeNode(leaf(2, 8000, 8361), nil); err != nil {
 		t.Errorf("rows meeting the directory exactly: %v", err)
 	}
 	binary.LittleEndian.PutUint16(internal[1:], 1364)
-	if _, err := decodeNode(internal); err != nil {
+	if _, err := decodeNode(internal, nil); err != nil {
 		t.Errorf("1364 separators: %v", err)
 	}
 }

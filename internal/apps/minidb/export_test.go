@@ -11,3 +11,6 @@ func (db *DB) DirtyFrames() (tracked, counted int) {
 	}
 	return db.pool.dirty, counted
 }
+
+// PoolMisses is the number of page faults the buffer pool has taken.
+func (db *DB) PoolMisses() uint64 { return db.pool.Misses }

@@ -10,6 +10,7 @@ package minidb
 import (
 	"slices"
 
+	"bmstore/internal/apps/pagebuf"
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
 )
@@ -24,9 +25,13 @@ type pageID uint32
 // checkpoint can tell whether a page was re-dirtied after its snapshot.
 //
 // A frame holds its page in exactly one form. Until the btree layer first
-// looks at it, that is data, the image the device returned. From setNode
-// on it is node, the decoded B+tree node, and data is dropped: nothing
-// re-encodes a page until image is asked for the bytes (see btree.go).
+// looks at it, that is data, the image the device returned into a buffer of
+// the pager's free list. From setNode on it is node, the decoded B+tree node:
+// a leaf keeps the buffer (its rows alias it), an internal node gives it back.
+// Nothing re-encodes a page until image is asked for the bytes (see btree.go).
+//
+// Frames themselves are never recycled: splitLeaf and insertSep hold a
+// *frame across alloc, and a recycled one could by then be another page.
 type frame struct {
 	id      pageID
 	data    []byte
@@ -34,12 +39,6 @@ type frame struct {
 	version uint64
 	ref     bool // clock bit
 	node    any  // *leafNode or *internalNode
-}
-
-// setNode makes n the frame's page content.
-func (f *frame) setNode(n any) {
-	f.node = n
-	f.data = nil
 }
 
 // image writes the page's current on-disk form into dst (PageSize bytes),
@@ -72,6 +71,17 @@ type pager struct {
 
 	nextPage pageID
 
+	// bufs recycles page buffers: a fault reads into one, an internal node
+	// gives its back once decoded, and an evicted leaf gives its back along
+	// with itself (leaves, at most pagebuf.Cap of them), whose entry slice
+	// the next leaf decode reuses. A device read overwrites the whole
+	// buffer only on a rig that captures payload bytes (CaptureData), which
+	// is how every application rig runs: without it a read leaves a
+	// recycled buffer's old bytes in place, and the page would decode as
+	// whatever page the buffer last held.
+	bufs   pagebuf.List
+	leaves []*leafNode
+
 	// onPressure fires when the pool cannot evict (everything dirty under
 	// the no-steal policy); the DB responds with a checkpoint.
 	onPressure func()
@@ -101,6 +111,7 @@ func newPager(dev host.BlockDevice, baseBlk uint64, poolPages int) *pager {
 	return &pager{
 		dev: dev, baseBlk: baseBlk, capacity: poolPages,
 		frames: make(map[pageID]*frame),
+		bufs:   pagebuf.New(PageSize),
 	}
 }
 
@@ -127,12 +138,14 @@ func (pg *pager) fault(p *sim.Proc, id pageID) (*frame, error) {
 		return f, nil
 	}
 	pg.Misses++
-	data := make([]byte, PageSize)
+	data := pg.bufs.Get()
 	if err := pg.dev.ReadAt(p, pg.pageLBA(id), blocksPerPage, data); err != nil {
+		pg.bufs.Put(data)
 		return nil, err
 	}
 	// The fault slept; someone else may have brought the page in.
 	if f, ok := pg.frames[id]; ok {
+		pg.bufs.Put(data)
 		return f, nil
 	}
 	f := &frame{id: id, data: data, ref: true}
@@ -147,6 +160,45 @@ func (pg *pager) alloc() *frame {
 	f := &frame{id: id, dirty: true, version: 1, ref: true}
 	pg.insert(f)
 	return f
+}
+
+// setNode makes n the frame's page content in place of what it held, which
+// it gives back.
+func (pg *pager) setNode(f *frame, n any) {
+	if f.node != n {
+		pg.release(f)
+	}
+	f.node = n
+}
+
+// release gives back what a frame's content holds — an image not yet
+// decoded, or a leaf with its buffer — and leaves the frame empty.
+func (pg *pager) release(f *frame) {
+	if f.data != nil {
+		pg.bufs.Put(f.data)
+		f.data = nil
+	}
+	if ln, ok := f.node.(*leafNode); ok {
+		if ln.buf != nil {
+			pg.bufs.Put(ln.buf)
+		}
+		clear(ln.entries) // drop the rows that are copies of their own
+		ln.entries, ln.size, ln.buf = ln.entries[:0], 0, nil
+		if len(pg.leaves) < pagebuf.Cap {
+			pg.leaves = append(pg.leaves, ln)
+		}
+	}
+	f.node = nil
+}
+
+// newLeaf returns an empty leaf, a recycled one if there is one.
+func (pg *pager) newLeaf() *leafNode {
+	if n := len(pg.leaves); n > 0 {
+		ln := pg.leaves[n-1]
+		pg.leaves = pg.leaves[:n-1]
+		return ln
+	}
+	return &leafNode{}
 }
 
 // minCleanFloor keeps enough clean frames resident that concurrent tree
@@ -199,6 +251,7 @@ func (pg *pager) evictClean() bool {
 		}
 		delete(pg.frames, id)
 		pg.clock = append(pg.clock[:pg.hand], pg.clock[pg.hand+1:]...)
+		pg.release(f)
 		return true
 	}
 	return false
@@ -209,9 +262,11 @@ func (pg *pager) writeback(p *sim.Proc, f *frame) error {
 	pg.markClean(f)
 	// A private image, so a modification between I/O start and finish
 	// doesn't tear what is written.
-	img := make([]byte, PageSize)
+	img := pg.bufs.Get()
 	f.image(img)
-	return pg.dev.WriteAt(p, pg.pageLBA(f.id), blocksPerPage, img)
+	err := pg.dev.WriteAt(p, pg.pageLBA(f.id), blocksPerPage, img)
+	pg.bufs.Put(img)
+	return err
 }
 
 // flushAll writes back every dirty page (checkpoint). The id snapshot is

@@ -117,8 +117,9 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 		rng := env.Rand(fmt.Sprintf("ycsb/%s/%s/%d", cfg.Seed, wl.Name, th))
 		zipf := consts.withRand(rng)
 		// The store copies what it keeps and reads a key only during the
-		// call, so a thread refills one key and one value buffer per op.
-		var kb []byte
+		// call, so a thread refills one key and one value buffer per op; a
+		// read appends the value it gets to a third.
+		var kb, rb []byte
 		vb := make([]byte, cfg.ValueBytes)
 		proc := env.Go(fmt.Sprintf("ycsb/%s/t%d", wl.Name, th), func(tp *sim.Proc) {
 			for tp.Now() < end {
@@ -127,7 +128,7 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 				var err error
 				switch pick(wl, rng) {
 				case opRead:
-					_, _, err = s.Get(tp, kb)
+					rb, _, err = s.Get(tp, kb, rb[:0])
 				case opUpdate:
 					rng.Text(vb, letters)
 					err = s.Put(tp, kb, vb)

@@ -35,9 +35,12 @@ func must(err error) {
 	}
 }
 
-// Scale selects run lengths: Fast for tests/benches, Full for the numbers
-// in EXPERIMENTS.md. Virtual time only — absolute results barely move, the
-// confidence intervals shrink.
+// Scale selects run lengths and dataset cuts: Fast for tests, benches and
+// the numbers in EXPERIMENTS.md (the goldens pin it), Full for longer
+// windows over larger datasets. Between the two, the fio figures move by at
+// most 2.3 % a cell (fig1 by 9.9 % at one core), but the application
+// figures move by multiples (fig13a's BM-Store/VFIO ratio from 1.0 to 1.8),
+// and at full scale they also swing with the seed: see ROADMAP item 25.
 type Scale struct {
 	Name        string
 	FioRand     sim.Time // runtime for random-I/O fio cases

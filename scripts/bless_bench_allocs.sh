@@ -44,14 +44,16 @@ out=$(bash scripts/gated_benches.sh)
 # Processes run on pooled coroutines, so a spawn costs its Proc and Done
 # event (ProcessSpawn: 2) and nothing else; the process benchmarks create
 # their coroutines in an untimed warm-up round. The application tier
-# allocates by design (page buffers, the engines' own copies of what they
-# keep), so BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A
+# allocates by design (a frame per page fault, the engines' own copies of
+# the new keys, values and rows they keep), so BenchmarkAppsMixedRound — one 20 ms round of a kvstore + YCSB-A
 # guest and a minidb + sysbench guest, 20x — is pinned at its measured
 # allocs/op plus 5 %, rounded up: a ceiling against a per-row or per-record
 # allocation coming back (20076 while the clients made a fresh key, value
 # and row per operation instead of refilling one buffer each; 13451 while
 # each log ran a writer process per busy period and made an event per
-# committer). The eight BenchmarkIOPath rows carry a second ceiling: kernel
+# committer; 5942 while every page fault and table block read took a fresh
+# buffer and every write kept a fresh copy, where buffers now come from
+# bounded free lists and same-length updates are copied in place). The eight BenchmarkIOPath rows carry a second ceiling: kernel
 # events fired per I/O over the timed region (the benchmark's events/op,
 # exact and repeatable at the gate's fixed -benchtime), at their measured
 # values — a fused event that comes apart again, or an observer or fault
