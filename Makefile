@@ -90,9 +90,14 @@ lint:
 		echo "lint: shellcheck not installed; skipping (CI runs it)"; \
 	fi
 	@# A rig without a tracer pays one compare per trace site only while
-	@# (*Tracer).Emit, the nil check in front of the digest fold, inlines.
-	@$(GO) build -gcflags=-m ./internal/trace 2>&1 | grep -q 'can inline (\*Tracer).Emit' || \
-		{ echo "lint: (*trace.Tracer).Emit no longer inlines"; exit 1; }
+	@# (*Tracer).Emit, the nil check in front of the digest fold, inlines; and
+	@# a traced rig without a dump pays one per kernel event only while
+	@# (*Tracer).Note, the nil-and-dump check in front of the dump line, does.
+	@inl=$$($(GO) build -gcflags=-m ./internal/trace 2>&1); \
+	for m in Emit Note; do \
+		echo "$$inl" | grep -q "can inline (\*Tracer).$$m\b" || \
+			{ echo "lint: (*trace.Tracer).$$m no longer inlines"; exit 1; }; \
+	done
 
 # The determinism gate: every replay scenario twice with the same seed,
 # asserting bit-identical trace digests (see internal/trace/replay_test.go).

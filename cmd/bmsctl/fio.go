@@ -74,6 +74,7 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 		rig := func(i int) string { return fmt.Sprintf("run%04d", i) }
 		results := make([]*fio.Result, *runs)
 		injected := make([]uint64, *runs)
+		kernels := make([]kernelCount, *runs)
 		errs := make([]error, *runs)
 		h := run.harness(experiments.Scale{})
 		start := time.Now()
@@ -81,7 +82,7 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 			cfg := bmstore.DefaultConfig()
 			cfg.Seed = *seed + int64(i)
 			cfg.NumSSDs = *ssds
-			results[i], injected[i], errs[i] = runOne(cfg, h.Options(rig(i)), run.driverConfig(), sch, spec)
+			results[i], injected[i], kernels[i], errs[i] = runOne(cfg, h.Options(rig(i)), run.driverConfig(), sch, spec)
 		})
 		wall := time.Since(start).Seconds()
 
@@ -104,6 +105,7 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 			fmt.Fprintf(os.Stderr, "(simulated %v in %.1fs wall)\n", *runtimeF, wall)
 			if run.traces != nil {
 				tr := run.traces.Tracer(rig(0))
+				fmt.Printf("  kernel    : %v\n", kernels[0])
 				fmt.Printf("  trace     : %d events, digest %s\n", tr.Events(), tr.Digest())
 			}
 		} else {
@@ -144,6 +146,13 @@ func fioVerb(fs *flag.FlagSet) func([]string) int {
 			fmt.Fprintf(os.Stderr, "(%d runs x %v simulated in %.1fs wall, parallel=%d)\n",
 				*runs, *runtimeF, wall, ropts.parallel)
 			if run.traces != nil {
+				var sum kernelCount
+				for _, k := range kernels {
+					sum.events += k.events
+					sum.spawned += k.spawned
+					sum.resumes += k.resumes
+				}
+				fmt.Printf("  kernel    : %v across %d rigs\n", sum, *runs)
 				fmt.Printf("  trace     : %d events across %d rigs, combined digest %s\n",
 					run.traces.Events(), run.traces.Rigs(), run.traces.Digest())
 			}
@@ -193,16 +202,28 @@ func diagnosisError(d *sim.Diagnosis) error {
 		kind, time.Duration(d.At), d.Pending, len(d.Blocked), names)
 }
 
+// kernelCount is what a rig's scheduler did to run the model: queue entries
+// fired, processes spawned and process resumptions. The trace digest leaves
+// these out (the kernel's records go to a dump only), so the -trace-digest
+// output prints them beside it, and a pinned run that fires one more event
+// fails on this line.
+type kernelCount struct{ events, spawned, resumes uint64 }
+
+func (k kernelCount) String() string {
+	return fmt.Sprintf("%d events, %d spawns, %d resumes", k.events, k.spawned, k.resumes)
+}
+
 // runOne builds the rig of scheme s on a private environment — observability
 // and faults composed through opts — with its disk striped over all
 // cfg.NumSSDs drives, and runs spec under a watchdog (runHorizon). The second
-// result is the number of faults the rig's injector fired. A run that dies
+// result is the number of faults the rig's injector fired, the third what
+// its kernel did. A run that dies
 // inside the simulation — fio panics on the first I/O error, which is what a
 // fault schedule that removes a drive for good ends in — comes back as an
 // error carrying the panic's message (it names the process and the status),
 // and one that wedges as an error carrying the watchdog's diagnosis, each
 // with whatever the injector had counted until then.
-func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s *experiments.Scheme, spec fio.Spec) (res *fio.Result, injected uint64, err error) {
+func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s *experiments.Scheme, spec fio.Spec) (res *fio.Result, injected uint64, kernel kernelCount, err error) {
 	var tbEnv *sim.Env
 	var diag *sim.Diagnosis
 	horizon := runHorizon(spec, dcfg)
@@ -219,10 +240,11 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 		if flt := tbEnv.Faults(); flt != nil {
 			injected = flt.Injected()
 		}
+		kernel = kernelCount{tbEnv.Events(), tbEnv.Spawned(), tbEnv.Resumes()}
 	}()
 	tb, err := s.Testbed(cfg, opts...)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, kernelCount{}, err
 	}
 	tbEnv = tb.Env
 	disk := experiments.Disk{Name: "vol0", Bytes: 1536 << 30}
@@ -238,9 +260,9 @@ func runOne(cfg bmstore.Config, opts []bmstore.Option, dcfg host.DriverConfig, s
 		}
 	}, horizon)
 	if diag != nil {
-		return nil, 0, diagnosisError(diag)
+		return nil, 0, kernelCount{}, diagnosisError(diag)
 	}
-	return res, 0, nil
+	return res, 0, kernelCount{}, nil
 }
 
 func printResult(res *fio.Result) {

@@ -32,7 +32,8 @@ func runWith(t *testing.T, spec fio.Spec, faults string, mutate ...func(*host.Dr
 	for _, m := range mutate {
 		m(&dcfg)
 	}
-	return runOne(cfg, run.harness(experiments.Scale{}).Options("run0000"), dcfg, experiments.SchemeNamed("bmstore"), spec)
+	res, injected, _, err := runOne(cfg, run.harness(experiments.Scale{}).Options("run0000"), dcfg, experiments.SchemeNamed("bmstore"), spec)
+	return res, injected, err
 }
 
 // TestDeadRunIsAnErrorNotAPanic pins `bmsctl fio`'s contract for a run the
@@ -137,11 +138,15 @@ func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 // TestFioSchemesPinned runs `bmsctl fio` briefly on each of the five schemes,
 // and on BM-Store striped over two SSDs, with the trace digest on, and holds
 // each run's stdout (the wall-clock line goes to stderr) to the bytes the
-// command printed before the schemes were defined in one table: the digest
-// covers every kernel event of bring-up and workload, so a scheme whose rig
-// is built or attached differently fails here. The trace lines were retaken
-// once, when fio's workers stopped being processes: the kernel's spawn and
-// resume records changed and every other record stayed byte for byte.
+// command printed before the schemes were defined in one table. The digest
+// folds every model record of bring-up and workload, so a scheme whose rig is
+// built or attached differently fails here; the kernel line counts the queue
+// entries, spawns and resumes that ran them, which the digest leaves out, so
+// a run that fires one event more or less fails there and says by how many.
+// The trace lines were retaken twice: when fio's workers stopped being
+// processes (the kernel's spawn and resume records changed, every other
+// record stayed byte for byte), and when the kernel's records left the digest
+// for the dump and the kernel line (no model record moved).
 func TestFioSchemesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -154,7 +159,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 753.7 us
   p99       : 819.2 us
   p99.9     : 835.6 us
-  trace     : 33716 events, digest fnv64w:6a69965db6a57db0
+  kernel    : 26532 events, 17 spawns, 51 resumes
+  trace     : 7116 events, digest fnv64w:330703d68389d71c
 `},
 		{[]string{"-scheme", "vfio"}, `randread on vfio (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 295000
@@ -163,7 +169,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1032.2 us
   p99       : 1703.9 us
   p99.9     : 1736.7 us
-  trace     : 21306 events, digest fnv64w:a8cd18542e7eb616
+  kernel    : 16834 events, 17 spawns, 51 resumes
+  trace     : 4404 events, digest fnv64w:cc4218a5ba02a71e
 `},
 		{[]string{"-scheme", "bmstore"}, `randread on bmstore (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 633500
@@ -172,7 +179,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 753.7 us
   p99       : 819.2 us
   p99.9     : 835.6 us
-  trace     : 54736 events, digest fnv64w:3686f851678b9645
+  kernel    : 42157 events, 30 spawns, 97 resumes
+  trace     : 12452 events, digest fnv64w:c1fbfae2c58be4bf
 `},
 		{[]string{"-scheme", "bmstore-vm"}, `randread on bmstore-vm (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 295000
@@ -181,7 +189,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1032.2 us
   p99       : 1703.9 us
   p99.9     : 1736.7 us
-  trace     : 34164 events, digest fnv64w:68bed3a30efd7370
+  kernel    : 26338 events, 30 spawns, 97 resumes
+  trace     : 7699 events, digest fnv64w:0241e466c5f8cfff
 `},
 		{[]string{"-scheme", "spdk"}, `randread on spdk (1 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 131500
@@ -190,7 +199,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 1605.6 us
   p99       : 1966.1 us
   p99.9     : 1966.1 us
-  trace     : 18193 events, digest fnv64w:c17273a82f4400d2
+  kernel    : 15029 events, 17 spawns, 51 resumes
+  trace     : 3096 events, digest fnv64w:fced73a68251dadb
 `},
 		{[]string{"-scheme", "bmstore", "-ssds", "2"}, `randread on bmstore (2 SSDs): bs=4096 iodepth=128 numjobs=4
   IOPS      : 813500
@@ -199,7 +209,8 @@ func TestFioSchemesPinned(t *testing.T) {
   p50       : 589.8 us
   p99       : 671.7 us
   p99.9     : 704.5 us
-  trace     : 65785 events, digest fnv64w:a36cda286cd7b711
+  kernel    : 50652 events, 41 spawns, 134 resumes
+  trace     : 14958 events, digest fnv64w:f374947a59627138
 `},
 	} {
 		args := append([]string{"fio"}, tc.args...)

@@ -75,6 +75,12 @@
 //	bmsctl fidelity-diff <goldens-dir> <results.json>   a sweep -json export against the goldens
 //	bmsctl fleet <fleet.json>                           a fleet-run -json export
 //	bmsctl crash <crash.json>                           a crash-sweep -json export
+//	bmsctl trace-diff <dump-A> <dump-B>                 two -trace dumps, by their model records
+//
+// trace-diff prints the first record the two dumps' digests would fold
+// differently, with a few records of context on each side, and skips the
+// scheduler's dump-only records (`sim fire`, `spawn`, `resume`, `abort`):
+// exit 0 when every model record matches, 1 at the first that does not.
 //
 // Every verb shares one exit contract: 0 success; 1 a run failed or a
 // verdict is FAIL; 2 unusable input (an unknown flag, a stray argument, a
@@ -122,6 +128,7 @@ var verbs = map[string]verb{
 	"fleet":         view(runFleetView),
 	"fidelity-diff": view(runFidelityDiff),
 	"crash":         view(runCrashView),
+	"trace-diff":    view(runTraceDiff),
 }
 
 func main() { os.Exit(bmsctl(os.Args[1:])) }

@@ -64,6 +64,7 @@ func TestSubcommandErrorContract(t *testing.T) {
 		"fleet":         {"f.json", "x"},
 		"crash":         {"c.json", "x"},
 		"fidelity-diff": {"goldens", "r.json", "x"},
+		"trace-diff":    {"a.dump", "b.dump", "x"},
 	}
 	for _, name := range slices.Sorted(maps.Keys(verbs)) {
 		if code, _, _ := invoke(t, name, "-nosuch"); code != 2 {

@@ -134,9 +134,16 @@ func TestBuildRigOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Run(func(p *sim.Proc) {})
+	// The kernel's own records reach a dump only, so the digest's first
+	// record is a bring-up step of the model: the controller's MI command
+	// that creates a namespace.
+	tb.Run(func(p *sim.Proc) {
+		if err := tb.Console.CreateNamespace(p, "vol0", 1<<30, []int{0}); err != nil {
+			panic(err)
+		}
+	})
 	if r.traces.Tracer("rig0").Events() == 0 {
-		t.Error("rig tracer recorded no events — WithTrace wiring broken")
+		t.Error("rig tracer folded no bring-up record — WithTrace wiring broken")
 	}
 	if tb.Metrics() == nil {
 		t.Error("rig has no metrics registry — WithMetrics wiring broken")

@@ -263,6 +263,9 @@ type Gauge struct {
 	interval int64
 	lastT    int64
 	sums     []float64 // per-bin integral of v dt, in value-nanoseconds
+	// bin is the bin lastT lies in while lastT < binEnd, its end: an
+	// advance that stays inside it compares instead of dividing.
+	bin, binEnd int64
 }
 
 // Set moves the gauge to v at virtual time t. Updates must arrive in
@@ -307,6 +310,14 @@ func (g *Gauge) Value() int64 {
 // sums.
 func (g *Gauge) advance(t int64) {
 	if g.interval <= 0 || t <= g.lastT {
+		if t < g.lastT {
+			g.binEnd = 0 // lastT moves back, out of the bin it knew
+		}
+		g.lastT = t
+		return
+	}
+	if t < g.binEnd {
+		g.sums[g.bin] += float64(g.v) * float64(t-g.lastT)
 		g.lastT = t
 		return
 	}
@@ -322,6 +333,7 @@ func (g *Gauge) advance(t int64) {
 		}
 		g.sums[bin] += float64(g.v) * float64(seg)
 		g.lastT += seg
+		g.bin, g.binEnd = bin, binEnd
 	}
 }
 

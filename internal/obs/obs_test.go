@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"bmstore/internal/obs/timeline"
@@ -129,6 +130,82 @@ func TestGaugeTimeWeighting(t *testing.T) {
 	if g2.Value() != 1 || g2.peak != 2 || g2.meanBins(100) != nil {
 		t.Fatalf("intervalless gauge: value %d peak %d", g2.Value(), g2.peak)
 	}
+}
+
+// TestGaugeBinsByComparison: advance divides only when an update leaves the
+// bin the last one ended in. Against the divide-every-time reference, on
+// updates that mostly stay within a bin, land on bin edges, repeat an
+// instant, span bins and go back, every mean reads bit for bit the same.
+func TestGaugeBinsByComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := &Gauge{interval: 100}
+	ref := &refGauge{interval: 100}
+	at := int64(0)
+	for i := range 5000 {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			at = rng.Int63n(at + 1) // back
+		case r == 1:
+			at = (at/100 + 1) * 100 // onto the next edge
+		case r == 2:
+			at += 100 * rng.Int63n(4) // across bins
+		case r < 6: // the same instant
+		default:
+			at += rng.Int63n(30)
+		}
+		v := rng.Int63n(64)
+		g.Set(at, v)
+		ref.set(at, v)
+		if i%1000 == 999 {
+			got, want := g.meanBins(at+50), ref.meanBins(at+50)
+			if len(got) != len(want) {
+				t.Fatalf("update %d: %d bins, reference %d", i, len(got), len(want))
+			}
+			for b := range want {
+				if got[b] != want[b] {
+					t.Fatalf("update %d: bin %d = %v, reference %v", i, b, got[b], want[b])
+				}
+			}
+		}
+	}
+}
+
+// refGauge is Gauge's time weighting as it was written first: every update
+// divides to find its bin.
+type refGauge struct {
+	v, interval, lastT int64
+	sums               []float64
+}
+
+func (g *refGauge) set(t, v int64) {
+	g.advance(t)
+	g.v = v
+}
+
+func (g *refGauge) advance(t int64) {
+	if t <= g.lastT {
+		g.lastT = t
+		return
+	}
+	for g.lastT < t {
+		bin := g.lastT / g.interval
+		binEnd := (bin + 1) * g.interval
+		seg := min(t-g.lastT, binEnd-g.lastT)
+		for int64(len(g.sums)) <= bin {
+			g.sums = append(g.sums, 0)
+		}
+		g.sums[bin] += float64(g.v) * float64(seg)
+		g.lastT += seg
+	}
+}
+
+func (g *refGauge) meanBins(now int64) []float64 {
+	g.advance(now)
+	out := make([]float64, len(g.sums))
+	for i, s := range g.sums {
+		out[i] = s / float64(g.interval)
+	}
+	return out
 }
 
 // TestRateCounterSeries: AddAt feeds the per-bin series.

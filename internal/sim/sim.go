@@ -31,7 +31,10 @@ import (
 	"bmstore/internal/trace"
 )
 
-// The kernel's trace records.
+// The kernel's trace records. fire, resume, abort and spawn say how the
+// model was run, not what it did: they go to a dump only (trace.Tracer.Note),
+// and the digest counts none of them. deadlock and horizon are a run's
+// outcome, once per run, and are folded.
 var (
 	trFire     = trace.NewKey("sim", "fire")
 	trResume   = trace.NewKey("sim", "resume")
@@ -114,11 +117,19 @@ type kernelCounts struct {
 // cost measure behind the driver's events-per-I/O accounting.
 func (e *Env) Events() uint64 { return e.n.events }
 
+// Spawned returns the number of processes spawned so far.
+func (e *Env) Spawned() uint64 { return e.n.spawned }
+
+// Resumes returns the number of process resumptions so far, aborts included.
+func (e *Env) Resumes() uint64 { return e.n.resumes }
+
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
 // SetTracer attaches a determinism tracer to the environment. The scheduler
-// emits process-spawn, event-fire, resume and abort records into it; model
+// notes its process-spawn, event-fire, resume and abort records in the
+// tracer's dump (not its digest), and folds a watched run's deadlock or
+// horizon record; model
 // components cache the pointer at construction for their own instrumentation
 // points, so attach the tracer before building anything on the environment.
 // Pass nil to detach.
@@ -336,8 +347,8 @@ func (d *Diagnosis) String() string {
 // as soon as ev fires (returning a nil Diagnosis), the queue drains, or the
 // clock passes horizon — the latter two produce a structured Diagnosis
 // instead of a hang. The watchdog costs no extra events and is fully
-// deterministic: the emitted trace record folds into the digest like any
-// other kernel record, so a watched run replays bit-identically.
+// deterministic: a run that ends without ev folds one deadlock or horizon
+// record into the digest, so a watched run replays bit-identically.
 func (e *Env) RunUntilEventWatched(ev *Event, horizon Time) (Time, *Diagnosis) {
 	e.run(horizon, ev)
 	if ev.processed {
@@ -400,7 +411,7 @@ func (e *Env) run(limit Time, until *Event) Time {
 		}
 		e.now = it.at
 		e.n.events++
-		e.tracer.Emit(e.now, trFire, it.seq, 0, "")
+		e.tracer.Note(e.now, trFire, it.seq, 0, "")
 		if it.fn != nil {
 			it.fn()
 		} else {
@@ -502,7 +513,7 @@ func (e *Env) newCoro() *coro {
 func (e *Env) resume(p *Proc, m resumeMsg) {
 	e.n.resumes++
 	if !m.abort {
-		e.tracer.Emit(e.now, trResume, p.id, 0, p.name)
+		e.tracer.Note(e.now, trResume, p.id, 0, p.name)
 	}
 	c := p.co
 	if c == nil { // first activation
@@ -529,8 +540,8 @@ func (e *Env) resume(p *Proc, m resumeMsg) {
 // coroutines, so an environment that was shut down holds no goroutine. Use
 // it when a rig is done to avoid leaking the goroutines of server-style
 // processes. Processes are unwound in spawn order, so shutdown — like
-// everything else on the environment — is deterministic and safe to include
-// in a trace digest.
+// everything else on the environment — is deterministic, and its abort records
+// replay in a trace dump.
 func (e *Env) Shutdown() {
 	for len(e.live) > 0 {
 		procs := make([]*Proc, 0, len(e.live))
@@ -542,7 +553,7 @@ func (e *Env) Shutdown() {
 			if _, alive := e.live[p]; !alive {
 				continue // unwound as a side effect of an earlier abort
 			}
-			e.tracer.Emit(e.now, trAbort, p.id, 0, p.name)
+			e.tracer.Note(e.now, trAbort, p.id, 0, p.name)
 			e.resume(p, resumeMsg{abort: true})
 		}
 	}
@@ -557,7 +568,7 @@ func (e *Env) newProc(name string, fn func(p *Proc)) *Proc {
 	e.n.spawned++
 	p := &Proc{env: e, id: e.n.spawned, name: name, fn: fn}
 	e.live[p] = struct{}{}
-	e.tracer.Emit(e.now, trSpawn, p.id, 0, name)
+	e.tracer.Note(e.now, trSpawn, p.id, 0, name)
 	return p
 }
 

@@ -44,6 +44,11 @@ func (s *IOStats) Merge(o *IOStats) {
 type Series struct {
 	Interval int64 // ns per bin
 	Bins     []float64
+
+	// cur is the bin the last Add went to, covering [lo, hi): an Add inside
+	// it compares instead of dividing.
+	cur    int
+	lo, hi int64
 }
 
 // NewSeries returns a series with the given bin width in nanoseconds.
@@ -56,11 +61,20 @@ func NewSeries(intervalNS int64) *Series {
 
 // Add accumulates v into the bin containing virtual time t.
 func (s *Series) Add(t int64, v float64) {
+	if t < s.lo || t >= s.hi {
+		s.enter(t)
+	}
+	s.Bins[s.cur] += v
+}
+
+// enter makes the bin containing t the current one, growing Bins to it.
+func (s *Series) enter(t int64) {
 	idx := int(t / s.Interval)
 	for len(s.Bins) <= idx {
 		s.Bins = append(s.Bins, 0)
 	}
-	s.Bins[idx] += v
+	s.cur, s.lo = idx, int64(idx)*s.Interval
+	s.hi = s.lo + s.Interval
 }
 
 // Rate returns bin i normalised to a per-second rate.

@@ -157,6 +157,44 @@ func TestSeries(t *testing.T) {
 	}
 }
 
+// TestSeriesBinsByComparison: Add divides only when t leaves the bin the
+// last Add went to. Against the divide-every-time reference, on times that
+// mostly advance within a bin, land on bin edges, skip bins and go back,
+// every bin reads bit for bit the same.
+func TestSeriesBinsByComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSeries(100)
+	var ref []float64
+	at := int64(0)
+	for range 5000 {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			at = rng.Int63n(at + 1) // back
+		case r == 1:
+			at = (at/100 + 1) * 100 // onto the next edge
+		case r == 2:
+			at += 100 * rng.Int63n(4) // whole bins on
+		default:
+			at += rng.Int63n(30)
+		}
+		v := rng.Float64()
+		s.Add(at, v)
+		idx := int(at / 100)
+		for len(ref) <= idx {
+			ref = append(ref, 0)
+		}
+		ref[idx] += v
+	}
+	if len(s.Bins) != len(ref) {
+		t.Fatalf("%d bins, reference %d", len(s.Bins), len(ref))
+	}
+	for i := range ref {
+		if s.Bins[i] != ref[i] {
+			t.Fatalf("bin %d = %v, reference %v", i, s.Bins[i], ref[i])
+		}
+	}
+}
+
 func TestHistPercentileDegenerateQ(t *testing.T) {
 	// Out-of-range quantiles must clamp to min/max, never index off the
 	// bucket array — including on an empty histogram, where everything is 0.

@@ -8,6 +8,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"bmstore"
@@ -353,4 +354,36 @@ func TestSetDigestOrderIndependence(t *testing.T) {
 	if a != b {
 		t.Fatalf("set digest depends on rig creation order: %s vs %s", a, b)
 	}
+}
+
+// dumpSweep runs two experiments of the representative subset with every
+// rig dumping into a Set and returns the Set's flushed dump.
+func dumpSweep(t *testing.T, parallel int) []byte {
+	set := trace.NewSet(trace.Options{Dump: io.Discard})
+	h := experiments.NewHarness(tinyScale(), parallel, set)
+	for _, e := range experiments.All() {
+		if e.ID == "fig12" || e.ID == "abl-qos" {
+			e.Run(h)
+		}
+	}
+	var out bytes.Buffer
+	if err := set.Flush(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestSetDumpSerialParallelEquivalence: each rig of a Set dumps into its own
+// file as it runs, and Flush concatenates the files in sorted-name order, so
+// the flushed dump is byte-identical whether the rigs ran one after another
+// or four at a time.
+func TestSetDumpSerialParallelEquivalence(t *testing.T) {
+	serial, par := dumpSweep(t, 1), dumpSweep(t, 4)
+	if rigs := bytes.Count(serial, []byte("\n=== rig ")); rigs < 2 {
+		t.Fatalf("the serial dump holds %d rig headers after the first; want several rigs", rigs)
+	}
+	if !bytes.Equal(serial, par) {
+		t.Fatalf("flushed dumps differ: serial %d bytes, parallel %d bytes", len(serial), len(par))
+	}
+	t.Logf("%d rigs, %d bytes", bytes.Count(serial, []byte("=== rig ")), len(serial))
 }

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
@@ -28,14 +28,16 @@ type Set struct {
 }
 
 type setChild struct {
-	tr  *Tracer
-	buf *bytes.Buffer // per-rig dump, replayed in name order by Flush
+	tr   *Tracer
+	file *os.File // per-rig dump, replayed in name order by Flush
+	err  error    // why the rig has no dump file
 }
 
 // NewSet returns a tracer family with the given per-child options. When
-// opts.Dump is set it is remembered as the final destination: children dump
-// into private buffers and Flush writes them out grouped by rig name, so a
-// parallel run's dump is byte-identical to a serial run's.
+// opts.Dump is set, the children dump: each into a temporary file of its
+// own, as its rig runs, and Flush copies the files to its destination
+// grouped by rig name, so a parallel run's dump is byte-identical to a
+// serial run's and a sweep's dump costs disk, not memory.
 func NewSet(opts Options) *Set {
 	return &Set{opts: opts, children: make(map[string]*setChild)}
 }
@@ -52,8 +54,15 @@ func (s *Set) Tracer(name string) *Tracer {
 	c := &setChild{}
 	opts := s.opts
 	if opts.Dump != nil {
-		c.buf = &bytes.Buffer{}
-		opts.Dump = c.buf
+		// The file is unlinked at once where the system allows it, so a
+		// run that never reaches Flush leaves nothing behind.
+		c.file, c.err = os.CreateTemp("", "bmstore-trace-*")
+		if c.err == nil {
+			os.Remove(c.file.Name())
+			opts.Dump = c.file
+		} else {
+			opts.Dump = io.Discard
+		}
 	}
 	c.tr = New(opts)
 	s.children[name] = c
@@ -94,27 +103,46 @@ func (s *Set) Digest() string {
 	return fmt.Sprintf("fnv64w-set:%016x", h)
 }
 
-// Flush writes the buffered per-rig dumps to w, grouped under one header
-// per rig in sorted-name order. It is a no-op when dumping was not enabled.
+// Flush writes the per-rig dumps to w, grouped under one header per rig in
+// sorted-name order, and deletes the rigs' files. Call it once, after every
+// rig has run. It is a no-op when dumping was not enabled.
 func (s *Set) Flush(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var first error
 	for _, name := range s.sortedNames() {
 		c := s.children[name]
-		if c.buf == nil {
+		if c.file == nil && c.err == nil {
 			continue
 		}
-		if err := c.tr.Flush(); err != nil {
-			return err
+		if first == nil {
+			first = c.flush(w, name)
 		}
-		if _, err := fmt.Fprintf(w, "=== rig %s (%d events, %s)\n", name, c.tr.Events(), c.tr.Digest()); err != nil {
-			return err
-		}
-		if _, err := w.Write(c.buf.Bytes()); err != nil {
-			return err
+		if c.file != nil {
+			c.file.Close()
+			os.Remove(c.file.Name())
+			c.file = nil
 		}
 	}
-	return nil
+	return first
+}
+
+// flush writes one rig's header and dump to w.
+func (c *setChild) flush(w io.Writer, name string) error {
+	if c.err != nil {
+		return c.err
+	}
+	if err := c.tr.Flush(); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "=== rig %s (%d events, %s)\n", name, c.tr.Events(), c.tr.Digest()); err != nil {
+		return err
+	}
+	if _, err := c.file.Seek(0, io.SeekStart); err != nil {
+		return err
+	}
+	_, err := io.Copy(w, c.file)
+	return err
 }
 
 // sortedNames returns child names sorted; callers hold s.mu.

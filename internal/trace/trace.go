@@ -1,9 +1,14 @@
 // Package trace is the determinism-verification layer of the simulator: a
 // low-overhead structured event trace that every instrumented component
 // (the sim scheduler, the BMS-Engine pipeline, the BMS-Controller, the host
-// driver, the SSDs) streams into. Each run folds its canonicalized event
-// stream into a single digest, so "same seed, bit-identical behaviour" is a
-// checkable property: two runs are equivalent iff their digests match.
+// driver, the SSDs) streams into. Each run folds the model's records — what
+// the host, engine, controller and SSDs did, at which virtual nanosecond —
+// into a single digest, so "same seed, bit-identical behaviour" is a
+// checkable property: two runs are equivalent iff their digests match. The
+// scheduler's own bookkeeping (which queue entry fired, which process was
+// spawned, resumed or aborted) says how the model was run, not what it did:
+// it goes through Note to the dump, when one is attached, and into no
+// digest, so moving a step between a process and a callback moves no digest.
 //
 // The tracer is deliberately dependency-free (virtual timestamps travel as
 // plain int64 nanoseconds) so the sim kernel can hold one without an import
@@ -35,7 +40,8 @@ const (
 // archived as it is.
 type Options struct {
 	// Dump, when non-nil, additionally receives one human-readable line
-	// per event. Call Flush before reading the destination.
+	// per record, emitted or noted. Call Flush before reading the
+	// destination.
 	Dump io.Writer
 }
 
@@ -114,9 +120,28 @@ func (t *Tracer) emit(at int64, k *Key, a, b uint64, detail string) {
 	}
 	t.h = h
 	if t.w != nil {
-		if _, err := fmt.Fprintf(t.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, k.subsys, k.kind, a, b, detail); err != nil && t.werr == nil {
-			t.werr = err
-		}
+		t.write(at, k, a, b, detail)
+	}
+}
+
+// Note writes one record to the dump, when a dump is attached, and does
+// nothing else: the record is not folded into the digest and not counted by
+// Events. It is for the kernel's own bookkeeping — which queue entry fired,
+// which process was spawned, resumed or aborted — which says how the
+// simulation was run, not what the model did, but which a dump reader still
+// needs to follow the schedule. Note is kept small enough to inline, so a
+// digest-only or nil tracer costs its arguments and two compares; `make lint`
+// checks that it still inlines.
+func (t *Tracer) Note(at int64, k *Key, a, b uint64, detail string) {
+	if t != nil && t.w != nil {
+		t.write(at, k, a, b, detail)
+	}
+}
+
+// write appends one record's line to the dump.
+func (t *Tracer) write(at int64, k *Key, a, b uint64, detail string) {
+	if _, err := fmt.Fprintf(t.w, "%12d %-6s %-12s a=%#x b=%#x %s\n", at, k.subsys, k.kind, a, b, detail); err != nil && t.werr == nil {
+		t.werr = err
 	}
 }
 

@@ -107,6 +107,42 @@ func TestDumpOutput(t *testing.T) {
 	}
 }
 
+// TestNoteDumpsAndDoesNotFold: a noted record is written to the dump as an
+// emitted one would be, in its place among them, and neither moves the
+// digest nor counts as an event; on a digest-only or nil tracer it does
+// nothing.
+func TestNoteDumpsAndDoesNotFold(t *testing.T) {
+	fire, issue := NewKey("sim", "fire"), NewKey("ssd", "issue")
+	var noted, emitted strings.Builder
+	tr, ref := New(Options{Dump: &noted}), New(Options{Dump: &emitted})
+	digestOnly := New(Options{})
+	tr.Note(100, fire, 7, 0, "")
+	tr.Emit(100, issue, 2, 4096, "SN0")
+	tr.Note(200, fire, 8, 0, "")
+	digestOnly.Note(100, fire, 7, 0, "")
+	digestOnly.Emit(100, issue, 2, 4096, "SN0")
+	ref.Emit(100, fire, 7, 0, "")
+	ref.Emit(100, issue, 2, 4096, "SN0")
+	ref.Emit(200, fire, 8, 0, "")
+	for _, x := range []*Tracer{tr, ref} {
+		if err := x.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if noted.String() != emitted.String() {
+		t.Fatalf("noted dump\n%s\nwant\n%s", noted.String(), emitted.String())
+	}
+	plain := New(Options{})
+	plain.Emit(100, issue, 2, 4096, "SN0")
+	for _, x := range []*Tracer{tr, digestOnly} {
+		if x.Digest() != plain.Digest() || x.Events() != 1 {
+			t.Fatalf("notes folded: digest %s, %d events; want %s, 1", x.Digest(), x.Events(), plain.Digest())
+		}
+	}
+	var off *Tracer
+	off.Note(1, fire, 0, 0, "")
+}
+
 // failWriter fails every write after the first n bytes have been accepted.
 type failWriter struct {
 	room int
@@ -251,10 +287,9 @@ func FuzzEmitKey(f *testing.F) {
 }
 
 // BenchmarkTraceEmit prices the digest fast path per record: a key and an
-// empty detail, as the scheduler's fire record — most of a traced run's
-// records — emits it.
+// empty detail, as the engine's dispatch record emits it.
 func BenchmarkTraceEmit(b *testing.B) {
-	tr, k := NewDigest(), NewKey("sim", "fire")
+	tr, k := NewDigest(), NewKey("engine", "dispatch")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(int64(i), k, uint64(i), 0, "")

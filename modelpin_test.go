@@ -70,7 +70,11 @@ var modelpinSeeds = flag.Int("modelpin.seeds", 0, "TestModelledBehaviourPinned: 
 // the kernel or to where the data path's steps are scheduled: five small
 // traced rigs must emit exactly the component records, at exactly the
 // virtual nanoseconds, that they emitted at the commit their constants were
-// taken from. The goldens round to a few digits; this does not. The rigs: a
+// taken from. The goldens round to a few digits; this does not. The trace
+// digests fold the same records, less `sim abort`, in emission order; this
+// hash sums them, so a restructuring that only reorders same-instant records
+// passes here and moves a digest, and `bmsctl trace-diff` on two dumps names
+// the first record that differs. The rigs: a
 // 4 KiB random mix deep enough to queue for dies, a 128 KiB sequential read
 // over two SSDs (PRP lists, striped NAND reads, two-extent splits), and a
 // random mix under fetch stalls, slow media, a wedged host adaptor, link

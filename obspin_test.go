@@ -3,7 +3,6 @@ package bmstore
 import (
 	"bytes"
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"io"
 	"testing"
@@ -36,23 +35,21 @@ import (
 //   - direct-shared-fn: two drivers on function 0 of a direct rig, whose span
 //     keys collide.
 //
-// The exports include the kernel's own process counters (`sim`
-// procs_spawned and proc_resumes), which count how the kernel ran the model —
-// as processes or as scheduled callbacks — not what the model did; the
-// constants were retaken when the I/O path stopped running as processes, and
-// only those two counters moved then. They were retaken again when the
-// block layer's split, which no kernel profile enabled, was deleted: only
-// the driver's `block_splits` counter rows, always 0, left the exports. They
-// were retaken once more when the admin queue's fetch stopped running as a
-// process: only the two process counters and `events_fired` moved, which
-// lost the process's unwaited `Done` event per admin fetch burst.
+// The hash leaves out the kernel's own process counters (`sim`
+// procs_spawned and proc_resumes), as TestModelledBehaviourPinned leaves out
+// the `sim spawn` and `sim resume` records: they count how the kernel ran the
+// model — as processes or as scheduled callbacks — not what the model did.
+// They are pinned beside the hash instead, as numbers, so a change that
+// starts one process more fails here and says by how many. The constants were
+// retaken when the block layer's split, which no kernel profile enabled, was
+// deleted: only the driver's `block_splits` counter rows, always 0, left the
+// exports; when the admin queue's fetch stopped running as a process:
+// `events_fired` lost the process's unwaited `Done` event per admin fetch
+// burst; and when the process counters left the hash for the pinned numbers.
 //
 // It uses only API both sides of that change have, because
 // scripts/modelpin_diff.sh copies this file over the reference tree; like the
-// model pin it also runs and logs seeds 1..-modelpin.seeds. The script passes
-// -obspin.noprocs, which leaves the two process counters out of the logged
-// hash, as TestModelledBehaviourPinned always leaves out the `sim spawn` and
-// `sim resume` records, and checks no constant.
+// model pin it also runs and logs seeds 1..-modelpin.seeds.
 func TestObserverExportsPinned(t *testing.T) {
 	faults, err := fault.ParseSpec("ssd-stall,t=1ms,dur=4ms,target=MPA;media-slow,nth=40,count=-1,dur=300us")
 	if err != nil {
@@ -88,7 +85,8 @@ func TestObserverExportsPinned(t *testing.T) {
 		faults []fault.Rule
 		body   func(tb *Testbed, p *sim.Proc)
 		check  func(agg *obs.SpanAgg) error
-		want   []string // export:sha256 for each of the pinned seeds
+		want   []string    // export:sha256 for each of the pinned seeds
+		procs  [][2]uint64 // procs_spawned, proc_resumes for each of the pinned seeds
 	}{
 		{"split", false, nil,
 			func(tb *Testbed, p *sim.Proc) { split(tb, p, host.DefaultDriverConfig()) },
@@ -99,10 +97,10 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"125361:2df41d6bb1e4cdc18c918540cd9375256c5d34c0df1959b840c0b422ca24138d",
-				"125324:a0944e2bfdfb908f8a51f39ccf381d3ff4937819929088ff1dc745a987c8b4b0",
-				"124144:802d2177e8266917475e3e167b3fd161006aced1934593fc7b956129e0fa0851",
-			}},
+				"125091:393a70135212addd1b643c5e120d513734613ffa448d807261a7a2a06825dcd1",
+				"125054:7f453be931be124a8e6fce72573923d2ab39e210b9ce76245a36b914713c1bab",
+				"123874:9cb7c7ae4678b095bbaf36e1d97da9c94000cbf6168f81167ba478afef7a79bc",
+			}, [][2]uint64{{40, 133}, {40, 133}, {40, 133}}},
 		{"split-faulted", false, faults,
 			func(tb *Testbed, p *sim.Proc) { split(tb, p, recoveryDriverConfig()) },
 			func(agg *obs.SpanAgg) error {
@@ -112,10 +110,10 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"65827:5eba5369fc7d1aa541bc5712f4a2897603847b7391edda688c1097855a15251d",
-				"66048:6c0c5d267b00673122f03738a6655d7f26faf15e9c4e49ea915e03bce19f6840",
-				"66002:9e287e3c0cbe68504f1b426bc69fefe39bdb61ed0492fd5db2790f41fa231511",
-			}},
+				"65541:4964032e33c5d3dcac605d95502df4dab746f1efb3d98fc5ba087fc72554c44a",
+				"65762:1540cae65834391c874bd8a6bf9f52747fba07551393711ca44ff3f39bd0dd3e",
+				"65716:ed50231e3aa66d3d1023d46797f97cf9743795756dfa33374fb6cff60dfb10cc",
+			}, [][2]uint64{{56, 181}, {56, 180}, {56, 180}}},
 		{"direct-shared-fn", true, nil,
 			func(tb *Testbed, p *sim.Proc) {
 				var devs []host.BlockDevice
@@ -135,10 +133,10 @@ func TestObserverExportsPinned(t *testing.T) {
 				return nil
 			},
 			[]string{
-				"76401:a4c3637d1bf8a9c452571ae6a98e5eab9856c5fb8cea6697b2bfe3fd7c959105",
-				"75038:d36970f544084e5eb810382bc0e56640b1caa90ba854320e602ac4c5d0117b6e",
-				"78882:d70c8a9afb9f1c34dcfa12d05b67d032c77c0f285ba832cfc9b724596e7aee86",
-			}},
+				"76111:f97a7fcaf6df3df7888d640b4f8b11ab0e8c47ce1d226de1e251c0a583bb489b",
+				"74748:dc30c97488d4db6bc7d2ed18d8c0e6bc3e8e77b89e8cf8ee45d59afe1a40b5f7",
+				"78592:44c66e74b7bf2134edcfa9077c0add8bbc19fe4807128adfc53ebbbb659f7638",
+			}, [][2]uint64{{27, 88}, {27, 88}, {27, 88}}},
 	}
 	for _, rig := range rigs {
 		for i, seed := range seeds {
@@ -162,34 +160,32 @@ func TestObserverExportsPinned(t *testing.T) {
 					t.Fatalf("the rig does not exercise what it is pinned for: %v", err)
 				}
 				var out bytes.Buffer
-				writeJSON, writeCSV := set.WriteJSON, set.WriteCSV
-				if *obspinNoProcs {
-					snap := withoutProcessCounters(set.Snapshot())
-					writeJSON, writeCSV = snap.WriteJSON, snap.WriteCSV
-				}
-				for _, write := range []func(io.Writer) error{writeJSON, writeCSV, set.WriteBreakdown, set.WriteTimeline} {
+				snap, procs := withoutProcessCounters(set.Snapshot())
+				for _, write := range []func(io.Writer) error{snap.WriteJSON, snap.WriteCSV, set.WriteBreakdown, set.WriteTimeline} {
 					if err := write(&out); err != nil {
 						t.Fatal(err)
 					}
 				}
 				got := fmt.Sprintf("%d:%x", out.Len(), sha256.Sum256(out.Bytes()))
 				t.Logf("%s seed %d export:sha256 %s", rig.name, seed, got)
-				if !*obspinNoProcs && i < len(rig.want) && got != rig.want[i] {
+				if i < len(rig.want) && got != rig.want[i] {
 					t.Errorf("observer exports moved: got %s, pinned %s (bytes:sha256)", got, rig.want[i])
+				}
+				t.Logf("%s seed %d kernel: %d processes spawned, %d resumes", rig.name, seed, procs[0], procs[1])
+				if i < len(rig.procs) && procs != rig.procs[i] {
+					t.Errorf("the kernel ran the rig with %d processes and %d resumes, pinned %d and %d",
+						procs[0], procs[1], rig.procs[i][0], rig.procs[i][1])
 				}
 			})
 		}
 	}
 }
 
-// obspinNoProcs narrows TestObserverExportsPinned's logged hash for `make
-// modelpin-diff`, whose two sides may run the same model as processes on one
-// and as callbacks on the other.
-var obspinNoProcs = flag.Bool("obspin.noprocs", false, "TestObserverExportsPinned: leave the sim process counters out of the logged hash; check no constant")
-
 // withoutProcessCounters drops the `sim` component's process counters from
-// every rig of snap; everything else, events_fired included, stays.
-func withoutProcessCounters(snap obs.MultiSnapshot) obs.MultiSnapshot {
+// every rig of snap, and returns their sums: procs_spawned, proc_resumes.
+// Everything else, events_fired included, stays.
+func withoutProcessCounters(snap obs.MultiSnapshot) (obs.MultiSnapshot, [2]uint64) {
+	var procs [2]uint64
 	for r := range snap.Rigs {
 		for c := range snap.Rigs[r].Components {
 			comp := &snap.Rigs[r].Components[c]
@@ -198,12 +194,17 @@ func withoutProcessCounters(snap obs.MultiSnapshot) obs.MultiSnapshot {
 			}
 			kept := comp.Counters[:0:0]
 			for _, ctr := range comp.Counters {
-				if ctr.Name != "procs_spawned" && ctr.Name != "proc_resumes" {
+				switch ctr.Name {
+				case "procs_spawned":
+					procs[0] += ctr.Value
+				case "proc_resumes":
+					procs[1] += ctr.Value
+				default:
 					kept = append(kept, ctr)
 				}
 			}
 			comp.Counters = kept
 		}
 	}
-	return snap
+	return snap, procs
 }

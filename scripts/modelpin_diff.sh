@@ -14,13 +14,11 @@
 #       -seeds 2`: the fleet host, verify campaign and crash rigs, which the
 #       pin tests never build, still run the same simulation.
 #
-# Neither pin line counts how the kernel ran the model: the model hash skips the
-# `sim spawn`/`sim resume` records, and the export hash is taken with
-# -obspin.noprocs, which leaves out the `sim` process counters, so a change
-# that moves a step between a process and a callback can read 0 here. The
-# export pin's committed constants still hold those counters.
-#
-# The verb digests are trace digests, which do count it.
+# No line here counts how the kernel ran the model: the model hash skips the
+# `sim fire`/`spawn`/`resume` records, the export hash leaves out the `sim`
+# process counters, and the trace digests fold no kernel record either, so a
+# change that moves a step between a process and a callback reads 0 here. The
+# pin tests hold the kernel's counts apart, as numbers.
 #
 # The pinned seeds and the goldens do not see a restructuring that is neutral
 # "unless two events coincide" (one rig in a hundred, PR 18's lesson); a few
@@ -51,7 +49,7 @@ cp "${pins[@]}" "$tmp/ref/"
 # it on one side, and the diff below says so anyway); a test that logs
 # nothing is.
 hashes() {
-    (cd "$1" && go test . -count=1 -timeout 60m -run "$tests" -v -args -modelpin.seeds="$seeds" -obspin.noprocs) >"$2.log" 2>&1 || true
+    (cd "$1" && go test . -count=1 -timeout 60m -run "$tests" -v -args -modelpin.seeds="$seeds") >"$2.log" 2>&1 || true
     sed -nE 's/.*: (.* seed [0-9]+ (records:hash|export:sha256) .*)$/\1/p' "$2.log" | sort -u >"$2"
     for kind in records:hash export:sha256; do
         if ! grep -q " $kind " "$2"; then
