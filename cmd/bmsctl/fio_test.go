@@ -136,7 +136,11 @@ func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 }
 
 // TestFioSchemesPinned runs `bmsctl fio` briefly on each of the five schemes,
-// and on BM-Store striped over two SSDs, with the trace digest on, and holds
+// on BM-Store striped over two SSDs, on the write path (native and BM-Store:
+// a write's SSD issue and the engine's DMA of its payload share an instant)
+// and on a deep 128 KiB sequential phase (512 workers that complete an I/O
+// or two each, every one drawing its CPU jitter from a fresh stream), with
+// the trace digest on, and holds
 // each run's stdout (the wall-clock line goes to stderr) to the bytes the
 // command printed before the schemes were defined in one table. The digest
 // folds every model record of bring-up and workload, so a scheme whose rig is
@@ -211,6 +215,36 @@ func TestFioSchemesPinned(t *testing.T) {
   p99.9     : 704.5 us
   kernel    : 50652 events, 41 spawns, 134 resumes
   trace     : 14958 events, digest fnv64w:f374947a59627138
+`},
+		{[]string{"-scheme", "native", "-rw", "randwrite"}, `randwrite on native (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 351500
+  bandwidth : 1439.7 MB/s
+  avg lat   : 928.6 us
+  p50       : 999.4 us
+  p99       : 1441.8 us
+  p99.9     : 1441.8 us
+  kernel    : 16067 events, 17 spawns, 51 resumes
+  trace     : 4864 events, digest fnv64w:c186c42e8b1fe7df
+`},
+		{[]string{"-scheme", "bmstore", "-rw", "randwrite"}, `randwrite on bmstore (1 SSDs): bs=4096 iodepth=128 numjobs=4
+  IOPS      : 351500
+  bandwidth : 1439.7 MB/s
+  avg lat   : 928.2 us
+  p50       : 999.4 us
+  p99       : 1441.8 us
+  p99.9     : 1441.8 us
+  kernel    : 26578 events, 30 spawns, 97 resumes
+  trace     : 8504 events, digest fnv64w:5c0440ea1019532c
+`},
+		{[]string{"-scheme", "bmstore", "-rw", "read", "-bs", "131072"}, `read on bmstore (1 SSDs): bs=131072 iodepth=128 numjobs=4
+  IOPS      : 23500
+  bandwidth : 3080.2 MB/s
+  avg lat   : 1071.0 us
+  p50       : 1048.6 us
+  p99       : 1966.1 us
+  p99.9     : 1966.1 us
+  kernel    : 20348 events, 30 spawns, 97 resumes
+  trace     : 21255 events, digest fnv64w:2ffe9628a46a4b0d
 `},
 	} {
 		args := append([]string{"fio"}, tc.args...)

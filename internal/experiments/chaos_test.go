@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bmstore"
@@ -12,6 +14,7 @@ import (
 	"bmstore/internal/fault"
 	"bmstore/internal/fio"
 	"bmstore/internal/host"
+	"bmstore/internal/nvme"
 	"bmstore/internal/sim"
 	"bmstore/internal/trace"
 )
@@ -188,6 +191,34 @@ func TestTornDuringPrefill(t *testing.T) {
 // faultRecords matches the fired-fault records of a trace dump.
 var faultRecords = regexp.MustCompile(`(?m)^ *\d+ fault .*$`)
 
+// issueRecord matches an SSD's issue record of an NVM read or write; a
+// holds the opcode in its top byte.
+var issueRecord = regexp.MustCompile(`^ *\d+ ssd +issue +a=0x([0-9a-f]+) `)
+
+// opsBeforeFiring counts, in a trace dump, the SSD commands of opcode op
+// issued before the one the first fault record fires on. The SSD evaluates
+// a command's rules right after its issue record, with no queue entry
+// between, so the firing command's issue is the record just before the
+// fault record; ok is false when it is not one of op.
+func opsBeforeFiring(dump string, op uint8) (n int, ok bool) {
+	last := false
+	for _, line := range strings.Split(dump, "\n") {
+		if faultRecords.MatchString(line) {
+			if !last {
+				return n, false
+			}
+			return n - 1, true
+		}
+		last = false
+		if m := issueRecord.FindStringSubmatch(line); m != nil {
+			if a, err := strconv.ParseUint(m[1], 16, 64); err == nil && uint8(a>>56) == op {
+				n, last = n+1, true
+			}
+		}
+	}
+	return n, false
+}
+
 // TestFaultRulesFireOnTheSameCommand walks every data-path fault kind with
 // an nth= and a t= rule (stall windows have only t=) on the campaign rig's
 // write-then-verify workload. Each rule must fire, be visible as a `fault`
@@ -195,7 +226,10 @@ var faultRecords = regexp.MustCompile(`(?m)^ *\d+ fault .*$`)
 // the oracle catches; and a replay of the same schedule must fire it on the
 // same commands at the same virtual instants (byte-equal trace dumps) with
 // the same evidence (workload tallies, driver counters, oracle violations
-// and their LBAs).
+// and their LBAs). An nth= rule must fire on the nth matching command: the
+// dump's first fault record follows exactly nth−1 issued commands of the
+// rule's opcode (writes for torn-write, reads for the rest), so a rule that
+// fires one command late on every run fails here, not only its replay.
 func TestFaultRulesFireOnTheSameCommand(t *testing.T) {
 	faultedRun := func(t *testing.T, sch chaos.Schedule) (string, ChaosRun) {
 		var dump bytes.Buffer
@@ -237,6 +271,16 @@ func TestFaultRulesFireOnTheSameCommand(t *testing.T) {
 			}
 			if tc.hazard && len(run.Report.Violations) == 0 {
 				t.Errorf("hazard fired %d times but the oracle saw no damaged block", run.Report.Injected)
+			}
+			if r := rules[0]; r.Nth > 0 {
+				op := uint8(nvme.IORead)
+				if r.Point == fault.WriteTorn {
+					op = nvme.IOWrite
+				}
+				if n, ok := opsBeforeFiring(dump, op); !ok || uint64(n) != r.Nth-1 {
+					t.Errorf("first firing %s follows %d commands of opcode %#x (fired on one: %v), want nth-1 = %d",
+						strings.TrimSpace(fired[0]), n, op, ok, r.Nth-1)
+				}
 			}
 			again, rerun := faultedRun(t, sch)
 			if again != dump {

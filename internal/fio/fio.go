@@ -230,7 +230,8 @@ func (jb *job) main(jp *sim.Proc) {
 	for w := range jb.workers {
 		wk := &jb.workers[w]
 		name = spec.streamName(name[:0], jb.id, w)
-		wk.job, wk.rng = jb, env.Rand(string(name))
+		wk.job = jb
+		env.InitRand(&wk.rng, string(name))
 		wk.step, wk.done = wk.onStep, wk.onDone
 		env.Schedule(0, wk.step)
 	}
@@ -263,10 +264,13 @@ func (jb *job) workerEnded() {
 }
 
 // worker is one of a job's IODepth outstanding I/Os, a closed loop: draw,
-// submit, and on completion book the CPU, record, and go again.
+// submit, and on completion book the CPU, record, and go again. It holds its
+// random stream in place (job.workers never moves after make), so a start
+// allocates only its two bound callbacks, and a worker that draws past the
+// stream's lazy draws its register.
 type worker struct {
 	job     *job
-	rng     *sim.Rand
+	rng     sim.Rand
 	read    bool
 	start   sim.Time
 	ownDone sim.Time

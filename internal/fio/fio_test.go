@@ -183,10 +183,10 @@ func TestTableIVPresets(t *testing.T) {
 
 // BenchmarkFioWorkerStart is what a phase boundary costs: one Run of a
 // 1 × QD 64 spec whose runtime ends inside the first I/O, so an op is one job
-// process and 64 worker start-ups — a stream name, a random stream, two bound
-// callbacks — and one I/O each. Deep sequential phases restart thousands of
-// workers that complete three or four I/Os apiece, so this is where their
-// allocations are; the allocs/op has a ceiling in
+// process and 64 worker start-ups — a stream seeded in place in the worker,
+// two bound callbacks — and one I/O each. Deep sequential phases restart
+// thousands of workers that complete three or four I/Os apiece, so this is
+// where their allocations are; allocs/op and B/op have ceilings in
 // scripts/bench_allocs_baseline.txt.
 func BenchmarkFioWorkerStart(b *testing.B) {
 	env := sim.NewEnv(7)

@@ -16,28 +16,44 @@ import (
 // compatibility promise (TestRandMatchesMathRand, FuzzRandStream) — from a
 // source that costs what is drawn from it (randSource).
 func (e *Env) Rand(name string) *Rand {
+	r := new(Rand)
+	e.InitRand(r, name)
+	return r
+}
+
+// InitRand makes *r the stream Rand(name) returns, in place, for a caller
+// that holds its streams by value (fio's workers, thousands a phase). A
+// register r already has is kept for the new stream. r points into itself,
+// so it must not be copied or moved afterwards.
+func (e *Env) InitRand(r *Rand, name string) {
 	// FNV-1a over the name, in place.
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	return NewRand(e.seed ^ int64(h))
+	r.init(e.seed ^ int64(h))
 }
 
 // Rand is one stream: a math/rand Rand and the randSource it draws from,
-// allocated together. It points into itself, so it is only used by pointer.
+// one object of 96 bytes until the stream's 33rd draw allocates the source's
+// register. It points into itself, so it is only used by pointer, or in
+// place inside a value that never moves.
 type Rand struct {
 	rand.Rand
 	src randSource
 }
 
 // NewRand returns the stream rand.New(rand.NewSource(seed)) draws — the one
-// constructor behind Env.Rand and the load generators' fixed-seed streams.
+// constructor behind the load generators' fixed-seed streams.
 func NewRand(seed int64) *Rand {
 	r := new(Rand)
+	r.init(seed)
+	return r
+}
+
+func (r *Rand) init(seed int64) {
 	r.src.Seed(seed)
 	r.Rand = *rand.New(&r.src)
-	return r
 }
 
 // Text fills dst with letters of alphabet, each alphabet[r.Intn(len(alphabet))],
@@ -46,9 +62,9 @@ func NewRand(seed int64) *Rand {
 // wraps, and takes the remainder by Lemire's fastmod instead of a divide:
 // for a 31-bit v, v mod n is the high word of (m·v mod 2⁶⁴)·n with
 // m = ⌈2⁶⁴/n⌉. Int31n's power-of-two mask is the same function — no draw is
-// rejected and v & (n−1) is v mod n. A source still seeding its words
-// (randSource.left) and an alphabet Intn does not take through Int31n draw
-// one letter at a time.
+// rejected and v & (n−1) is v mod n. A source whose register is not built
+// yet (randSource.left) and an alphabet Intn does not take through Int31n
+// draw one letter at a time.
 func (r *Rand) Text(dst []byte, alphabet string) {
 	s := &r.src
 	n := uint64(len(alphabet))
@@ -91,18 +107,24 @@ func (r *Rand) Text(dst []byte, alphabet string) {
 // generator x[n] = x[n-607] + x[n-273] of its rngSource — with the seeding
 // done on demand. math/rand fills all 607 words at Seed by stepping
 // seedrand, x ← 48271·x mod (2³¹−1), 1 841 times, each step waiting on the
-// last: ~10 µs, where a simulation makes thousands of streams (one per fio
-// worker per phase) that draw a handful of numbers each. The recurrence has
-// a closed form, step k is 48271ᵏ·x₀ mod (2³¹−1), so any word can be
-// computed alone from a table of powers: a new stream seeds nothing, each
-// of its first lazyDraws draws seeds the two words it reads, and the last of
-// them seeds the rest in one pass, so a long-lived stream checks one counter
-// against zero per draw and otherwise runs rngSource's loop.
+// last: ~10 µs and a 4 856-byte register, where a simulation makes
+// thousands of streams (one per fio worker per phase) that draw a handful
+// of numbers each. The recurrence has a closed form, step k is
+// 48271ᵏ·x₀ mod (2³¹−1), so any word can be computed alone from a table of
+// powers. Over its first lazyDraws draws the feed and tap indices each walk
+// down a stretch of the register of their own, so each of those draws reads
+// two words nothing has written yet: it computes both, returns their sum
+// and keeps nothing. The next draw allocates the register (or reuses the
+// one a re-Seed left), seeds every word, and replays the lazy draws' stores
+// — each feed word it passed plus the tap word read with it — so a stream
+// that draws no more than lazyDraws numbers never has a register, and a
+// long-lived one checks one counter against zero per draw and otherwise
+// runs rngSource's loop.
 type randSource struct {
 	tap, feed int
-	left      int    // draws still seeding their own words; 0 once every word is seeded
+	left      int    // draws until the register is built, that one included; 0 once it is
 	x0        uint64 // the seed, reduced as rngSource.Seed reduces it
-	vec       [rngLen]int64
+	vec       *[rngLen]int64
 }
 
 const (
@@ -133,7 +155,7 @@ func (s *randSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	s.x0, s.left = uint64(seed), lazyDraws
+	s.x0, s.left = uint64(seed), lazyDraws+1
 }
 
 // word returns what rngSource.Seed stores in vec[i].
@@ -143,21 +165,26 @@ func (s *randSource) word(i int) int64 {
 	return int64(a<<40^b<<20^c) ^ rngCooked[i]
 }
 
-// seedDraw seeds the two words the draw in progress reads — untouched so
-// far: over the first lazyDraws draws feed and tap each walk down their own
-// stretch of vec — and after the last such draw every word neither has
-// reached.
-func (s *randSource) seedDraw() {
-	s.vec[s.feed], s.vec[s.tap] = s.word(s.feed), s.word(s.tap)
+// lazyDraw makes the draw in progress of a source whose register is not
+// built: one of the first lazyDraws draws returns its value, computed from
+// the two words it reads, and ok; the draw after them builds the register
+// and returns !ok, to read it as every later draw does.
+func (s *randSource) lazyDraw() (x int64, ok bool) {
 	if s.left--; s.left > 0 {
-		return
+		return s.word(s.feed) + s.word(s.tap), true
 	}
-	for i := 0; i < s.feed; i++ {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	for i := range s.vec {
 		s.vec[i] = s.word(i)
 	}
-	for i := rngLen - rngTap; i < s.tap; i++ {
-		s.vec[i] = s.word(i)
+	// Draw k (from 1) read feed word rngLen-rngTap-k and tap word rngLen-k,
+	// and stored their sum at the feed word.
+	for k := 1; k <= lazyDraws; k++ {
+		s.vec[rngLen-rngTap-k] += s.vec[rngLen-k]
 	}
+	return 0, false
 }
 
 // Int63 implements rand.Source. It and Uint64 are one flat body each: the
@@ -174,7 +201,9 @@ func (s *randSource) Int63() int64 {
 	}
 	s.tap, s.feed = tap, feed
 	if s.left != 0 {
-		s.seedDraw()
+		if x, ok := s.lazyDraw(); ok {
+			return x & rngMask
+		}
 	}
 	x := s.vec[feed] + s.vec[tap]
 	s.vec[feed] = x
@@ -192,7 +221,9 @@ func (s *randSource) Uint64() uint64 {
 	}
 	s.tap, s.feed = tap, feed
 	if s.left != 0 {
-		s.seedDraw()
+		if x, ok := s.lazyDraw(); ok {
+			return uint64(x)
+		}
 	}
 	x := s.vec[feed] + s.vec[tap]
 	s.vec[feed] = x

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -61,11 +62,26 @@ func textBoth(t *testing.T, got *Rand, want *rand.Rand, alphabet string, n int) 
 	}
 }
 
+// nameSeed is the seed Env.Rand(name) hands math/rand in an environment
+// seeded env: FNV-1a 64 of the name, computed here so the tests do not
+// share the loop under test, XOR the environment's seed.
+func nameSeed(env int64, name string) int64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range []byte(name) {
+		h ^= uint64(c)
+		h *= 0x100000001b3
+	}
+	return env ^ int64(h)
+}
+
 // TestRandMatchesMathRand: the stream behind Env.Rand is math/rand's for the
-// same seed, whatever mix of draws consumes it — through the draws that seed
-// their own words, the one that seeds the rest, the register's wrap-around
-// (607 draws) and a re-Seed in mid-stream. Every golden in the repo depends
-// on this.
+// same seed, whatever mix of draws consumes it — through the draws that
+// compute their own words, the one that builds the register, the register's
+// wrap-around (607 draws), a re-Seed in mid-stream and a re-initialisation
+// in place under another name, which keeps the register — and Text started
+// after every draw count across the hand-over, on a fresh stream and on one
+// initialised in place over a register. Every golden in the repo depends on
+// this.
 func TestRandMatchesMathRand(t *testing.T) {
 	seeds := []int64{0, 1, -1, seedMod, -seedMod, 1 << 31, 89482311, 1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64}
 	pick := rand.New(rand.NewSource(19))
@@ -75,16 +91,43 @@ func TestRandMatchesMathRand(t *testing.T) {
 	for _, seed := range seeds {
 		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
 		mix := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
+		env := NewEnv(seed)
 		for i := 0; i < 3000; i++ {
 			if i == 1700 {
 				// Re-seed mid-stream: stale words must not leak into the
-				// new stream's on-demand seeding.
+				// new stream's lazy draws or its rebuilt register.
 				got.Seed(seed + 7)
 				want.Seed(seed + 7)
 			}
+			if i == 2400 {
+				// Re-initialise in place, as a fio worker's stream is
+				// at each phase: the register is reused and nothing of
+				// the old stream may show.
+				name := "fio/round2/w" + strconv.Itoa(i)
+				env.InitRand(got, name)
+				want = rand.New(rand.NewSource(nameSeed(seed, name)))
+			}
 			drawBoth(t, got, want, mix.Intn(7), mix.Intn(1000))
 		}
+		for skip := 0; skip <= lazyDraws+1; skip++ {
+			fresh, name := NewRand(seed), "fio/w"+strconv.Itoa(skip)
+			textAfter(t, fresh, rand.New(rand.NewSource(seed)), skip, mix.Intn(300))
+			env.InitRand(got, name) // got holds a register by now
+			textAfter(t, got, rand.New(rand.NewSource(nameSeed(seed, name))), skip, mix.Intn(300))
+		}
 	}
+}
+
+// textAfter makes skip Int63 draws from both generators, then compares n
+// letters of Text with math/rand's Intn and the draw after them.
+func textAfter(t *testing.T, got *Rand, want *rand.Rand, skip, n int) {
+	t.Helper()
+	for i := 0; i < skip; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d = %d, math/rand draws %d", i, g, w)
+		}
+	}
+	textBoth(t, got, want, letters64[:26], n)
 }
 
 // TestEnvRandStreams: a stream is a function of the environment seed and the
@@ -93,14 +136,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 func TestEnvRandStreams(t *testing.T) {
 	env := NewEnv(42)
 	const name = "fio/round3/seqr256/j15/w255"
-	// FNV-1a 64 of name, computed by hand here so the test does not share
-	// the loop under test.
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range []byte(name) {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	want := rand.New(rand.NewSource(42 ^ int64(h)))
+	want := rand.New(rand.NewSource(nameSeed(42, name)))
 	got, other := env.Rand(name), env.Rand(name+"x")
 	same := true
 	for i := 0; i < 100; i++ {
@@ -116,13 +152,28 @@ func TestEnvRandStreams(t *testing.T) {
 }
 
 // FuzzRandStream: the input is a seed and a draw program — one byte picks
-// the kind of draw, the next its argument; kind 6 re-seeds, kind 7 draws a
-// burst, which is what carries a short input across the on-demand seeding's
-// hand-over and the register's wrap-around, kind 8 draws Text (the kind
-// byte's high part widens its argument, so lengths reach 2 000) — run
-// differentially against math/rand.
+// the kind of draw, the next its argument; kind 6 re-seeds, or with the kind
+// byte's high part set re-initialises the stream in place under a name
+// (Env.InitRand, keeping its register), kind 7 draws a burst, which is what
+// carries a short input across the lazy draws' hand-over and the register's
+// wrap-around, kind 8 draws Text (the kind byte's high part widens its
+// argument, so lengths reach 2 000) — run differentially against math/rand.
+// The seeds added here start Text after every draw count from 0 to
+// lazyDraws+1, on a fresh stream and after an in-place re-initialisation
+// over a register.
 func FuzzRandStream(f *testing.F) {
 	f.Add([]byte{})
+	for skip := 0; skip <= lazyDraws+1; skip++ {
+		prog := []byte{byte(skip), 0, 0, 0, 0, 0, 0, 0}
+		for i := 0; i < skip; i++ {
+			prog = append(prog, 0, 0)
+		}
+		f.Add(append(prog, 8, 40))
+		// A burst of 60 draws builds the register, kind 15 re-initialises
+		// over it, and the same skip and Text follow.
+		prog = append([]byte{byte(skip), 0, 0, 0, 0, 0, 0, 0, 7, 20, 15, byte(skip)}, prog[8:]...)
+		f.Add(append(prog, 8, 40))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip("longer programs only repeat shorter ones")
@@ -138,8 +189,14 @@ func FuzzRandStream(f *testing.F) {
 			switch kind {
 			case 6:
 				seed = seed*31 + int64(arg)
-				got.Seed(seed)
-				want.Seed(seed)
+				if wide>>8 == 0 {
+					got.Seed(seed)
+					want.Seed(seed)
+					break
+				}
+				name := "w" + strconv.Itoa(arg)
+				NewEnv(seed).InitRand(got, name)
+				want = rand.New(rand.NewSource(nameSeed(seed, name)))
 			case 7:
 				for i := 0; i < 3*arg; i++ {
 					drawBoth(t, got, want, i, arg)
@@ -156,7 +213,7 @@ func FuzzRandStream(f *testing.F) {
 }
 
 // TestTextMatchesIntn: Text starting anywhere in a fresh stream's first
-// draws — inside the on-demand seeding's prefix, at its hand-over, and
+// draws — inside the lazy draws, at the one that builds the register, and
 // either side of the register's wrap — gives Intn's letters and leaves the
 // stream where Intn leaves it, for alphabets that take the rejection path,
 // the power-of-two mask, and a single letter.
@@ -187,6 +244,48 @@ func TestTextAllocatesNothing(t *testing.T) {
 	buf := make([]byte, 400)
 	if a := testing.AllocsPerRun(100, func() { r.Text(buf, letters64[:26]) }); a != 0 {
 		t.Fatalf("Text allocates %v times per call", a)
+	}
+}
+
+// TestRandAllocatesOnlyItsRegister: a stream held in place allocates
+// nothing to be initialised or over its first lazyDraws draws; the draw
+// after them allocates the register, once; a re-Seed or a re-initialisation
+// in place reuses it.
+func TestRandAllocatesOnlyItsRegister(t *testing.T) {
+	env := NewEnv(1)
+	w := new(struct {
+		id  int
+		rng Rand // in place, as fio's worker holds it
+	})
+	const name = "fio/round1/seqr256/j15/w255"
+	if a := testing.AllocsPerRun(100, func() {
+		env.InitRand(&w.rng, name)
+		for i := 0; i < lazyDraws; i++ {
+			randSink += w.rng.Int63()
+		}
+	}); a != 0 || w.rng.src.vec != nil {
+		t.Fatalf("init and %d draws: %v allocations, register %p; want none", lazyDraws, a, w.rng.src.vec)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		w.rng = Rand{}
+		env.InitRand(&w.rng, name)
+		for i := 0; i <= lazyDraws; i++ {
+			randSink += w.rng.Int63()
+		}
+	}); a != 1 || w.rng.src.vec == nil {
+		t.Fatalf("init and %d draws: %v allocations, register %p; want the register, once", lazyDraws+1, a, w.rng.src.vec)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		w.rng.Seed(7)
+		for i := 0; i < 2*lazyDraws; i++ {
+			randSink += w.rng.Int63()
+		}
+		env.InitRand(&w.rng, name)
+		for i := 0; i < 2*lazyDraws; i++ {
+			randSink += w.rng.Int63()
+		}
+	}); a != 0 {
+		t.Fatalf("re-Seed and re-init over a register: %v allocations, want none", a)
 	}
 }
 
@@ -230,9 +329,10 @@ func BenchmarkRandTextIntn(b *testing.B) {
 	}
 }
 
-// BenchmarkEnvRand is what a fio worker pays for its stream: creation and
-// the three draws a short-lived worker makes. One allocation, the Rand with
-// its source inside (make bench-gate). BenchmarkEnvRandMathRand is the
+// BenchmarkEnvRand is a named stream made on the heap and the three draws
+// a short-lived fio worker makes: one allocation, a 96-byte Rand and no
+// register (make bench-gate pins allocs/op and B/op; a worker holds its
+// stream in place and pays none). BenchmarkEnvRandMathRand is the
 // math/rand twin, which seeds all 607 words up front.
 func BenchmarkEnvRand(b *testing.B) {
 	env := NewEnv(1)

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Re-bless scripts/bench_allocs_baseline.txt (`make bench-baseline`): rerun
 # the gated benchmarks (scripts/gated_benches.sh) and rewrite the baseline
-# from what they report — allocs/op, and events/op for the benchmarks that
-# report it. Use after an intentional allocation change — the
-# diff the commit carries IS the written justification the baseline header
-# asks for.
+# from what they report — allocs/op, events/op for the benchmarks that
+# report it, and B/op for the two rows that gate it. Use after an
+# intentional allocation change — the diff the commit carries IS the
+# written justification the baseline header asks for.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,8 +14,9 @@ out=$(bash scripts/gated_benches.sh)
 {
 	cat <<'EOF'
 # allocs/op ceilings for the hot-path benchmarks — and, where a row has a
-# third column, events/op ceilings — checked by
-# scripts/check_bench_allocs.sh (make bench-gate, CI).
+# third column, events/op ceilings ("-" for none), and where it has a
+# fourth, B/op ceilings — checked by scripts/check_bench_allocs.sh (make
+# bench-gate, CI).
 #
 # The event free-list, the Schedule callback fast path and the timing
 # wheel's recycled node arena make the kernel's steady state allocation-free
@@ -63,13 +64,19 @@ out=$(bash scripts/gated_benches.sh)
 # work on one face of the card — miss, fetch over a real root complex into a
 # buffer sized to the entries used, hit, release
 # (BenchmarkPRPListFetchWalk128K: 0); a named random stream and its first
-# draws (BenchmarkEnvRand: 1, the sim.Rand with its source inside, seeded as
-# drawn; 2 while the rand.Rand and its source were apart);
-# and 64 fio worker start-ups with one I/O each (BenchmarkFioWorkerStart, at
-# its measured count: ~3 per worker — stream name, random stream, two bound
-# callbacks; 275 while a stream was two objects, 461 while each worker was a
-# process with a Done event, 719 while fmt built the names and math/rand the
-# streams). Rig construction allocates by design too (components,
+# draws (BenchmarkEnvRand: 1, a 96-byte sim.Rand seeded as drawn, with no
+# register until a 33rd draw allocates its 607 words; 2 while the rand.Rand
+# and its source were apart); and 64 fio worker
+# start-ups with one I/O each (BenchmarkFioWorkerStart, at its measured
+# count: ~2 per worker, its two bound callbacks — the worker holds its
+# stream in place; 211 while each stream was an object of its own, 275
+# while a stream was two objects, 461 while each worker was a process with
+# a Done event, 719 while fmt built the names and math/rand the streams).
+# Those two rows also carry a B/op ceiling, at the measured value plus 5 %,
+# rounded up (the count takes in the runtime's own stray bytes: 55 816 or
+# 55 817 for the same tree): a stream carried its 5 376-byte register from
+# birth (395 272 B/op for the 64 start-ups) for as long as allocs/op, which
+# counts it once, was all the gate saw. Rig construction allocates by design too (components,
 # queues, pools), so BenchmarkRigBuild — a 4-SSD testbed, a namespace per SSD
 # and four attached tenant drivers, what the repo benchmark builds before its
 # first I/O and a fleet once per host — is pinned like the application round,
@@ -84,9 +91,13 @@ EOF
 			sub(/-[0-9]+$/, "", name)
 			n = $(NF-1)
 			if (name == "BenchmarkAppsMixedRound" || name == "BenchmarkRigBuild") n = int((n * 105 + 99) / 100)
-			events = ""
-			for (i = 2; i < NF; i++) if ($(i+1) == "events/op") events = " " $i
-			print name, n events
+			cols = ""
+			for (i = 2; i < NF; i++) if ($(i+1) == "events/op") cols = " " $i
+			if (name == "BenchmarkEnvRand" || name == "BenchmarkFioWorkerStart") {
+				if (cols == "") cols = " -"
+				for (i = 2; i < NF; i++) if ($(i+1) == "B/op") cols = cols " " int(($i * 105 + 99) / 100)
+			}
+			print name, n cols
 		}'
 } > "$baseline"
 echo "bench-baseline: wrote $baseline:"

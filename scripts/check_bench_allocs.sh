@@ -40,10 +40,14 @@
 # kernel: BenchmarkPRPListFetchWalk128K (internal/nvmet: one command's
 # PRP-list work on one face of the card — miss, fetch over a real root
 # complex, hit, release — 0), BenchmarkEnvRand (internal/sim: a named random
-# stream and its first draws — 1, the sim.Rand with its source inside) and
-# BenchmarkFioWorkerStart (internal/fio: one Run of a 1 × QD 64 spec that
-# ends inside the first I/O, i.e. 64 worker start-ups — at its measured
-# count, ~3 per worker: the stream name, the stream, two bound callbacks).
+# stream and its first draws — 1, a 96-byte sim.Rand with no register
+# yet) and BenchmarkFioWorkerStart (internal/fio: one Run of a
+# 1 × QD 64 spec that ends inside the first I/O, i.e. 64 worker start-ups —
+# at its measured count, ~2 per worker: two bound callbacks, the worker
+# holding its stream in place). A register is one allocation of 4 864
+# bytes, so these two rows also pin B/op, a baseline row's fourth column
+# ("-" in the third where no events/op is gated), at the measured value
+# plus 5 %: B/op takes in the runtime's own stray bytes.
 #
 # BenchmarkRigBuild (root package) builds what the repo benchmark builds
 # before its first I/O — a 4-SSD testbed, a namespace per SSD and four
@@ -67,7 +71,25 @@ out=$(bash scripts/gated_benches.sh)
 echo "$out"
 
 status=0
-while read -r name allowed events; do
+# ceiling NAME UNIT MAX checks the unit NAME reports (events/op, B/op)
+# against MAX, one of the baseline's optional columns; "-" or no column
+# gates nothing.
+ceiling() {
+    local name=$1 unit=$2 max=${3:--} got
+    [ "$max" != - ] || return 0
+    got=$(printf '%s\n' "$out" | awk -v n="$name" -v u="$unit" '{ b = $1; sub(/-[0-9]+$/, "", b) } b == n { for (i = 2; i < NF; i++) if ($(i+1) == u) print $i }')
+    if [ -z "$got" ]; then
+        echo "bench-gate: benchmark $name reported no $unit" >&2
+        status=1
+    elif awk -v g="$got" -v a="$max" 'BEGIN { exit !(g + 0 > a + 0) }'; then
+        echo "bench-gate: FAIL $name $unit = $got, baseline $max" >&2
+        status=1
+    else
+        echo "bench-gate: ok   $name $unit = $got (baseline $max)"
+    fi
+}
+
+while read -r name allowed events bytes; do
     case "$name" in ''|\#*) continue ;; esac
     # Exact name, with or without go test's -<procs> suffix: a prefix match
     # would count BenchmarkFoo and BenchmarkFooBar under one baseline line.
@@ -83,16 +105,7 @@ while read -r name allowed events; do
     else
         echo "bench-gate: ok   $name allocs/op = $got (baseline $allowed)"
     fi
-    [ -n "$events" ] || continue
-    got=$(printf '%s\n' "$out" | awk -v n="$name" '{ b = $1; sub(/-[0-9]+$/, "", b) } b == n { for (i = 2; i < NF; i++) if ($(i+1) == "events/op") print $i }')
-    if [ -z "$got" ]; then
-        echo "bench-gate: benchmark $name reported no events/op" >&2
-        status=1
-    elif awk -v g="$got" -v a="$events" 'BEGIN { exit !(g + 0 > a + 0) }'; then
-        echo "bench-gate: FAIL $name events/op = $got, baseline $events" >&2
-        status=1
-    else
-        echo "bench-gate: ok   $name events/op = $got (baseline $events)"
-    fi
+    ceiling "$name" events/op "$events"
+    ceiling "$name" B/op "$bytes"
 done < "$baseline"
 exit $status
