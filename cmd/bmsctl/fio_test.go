@@ -139,8 +139,10 @@ func TestRunHorizonCoversTheAttemptBudget(t *testing.T) {
 // on BM-Store striped over two SSDs, on the write path (native and BM-Store:
 // a write's SSD issue and the engine's DMA of its payload share an instant)
 // and on a deep 128 KiB sequential phase (512 workers that complete an I/O
-// or two each, every one drawing its CPU jitter from a fresh stream), with
-// the trace digest on, and holds
+// or two each, every one drawing its CPU jitter from a fresh stream) and its
+// write twin on one and two SSDs (the SSD walks the engine's global-PRP list
+// and fetches the payload over it before the media phase), with the trace
+// digest on, and holds
 // each run's stdout (the wall-clock line goes to stderr) to the bytes the
 // command printed before the schemes were defined in one table. The digest
 // folds every model record of bring-up and workload, so a scheme whose rig is
@@ -245,6 +247,26 @@ func TestFioSchemesPinned(t *testing.T) {
   p99.9     : 1966.1 us
   kernel    : 20348 events, 30 spawns, 97 resumes
   trace     : 21255 events, digest fnv64w:2ffe9628a46a4b0d
+`},
+		{[]string{"-scheme", "bmstore", "-rw", "write", "-bs", "131072"}, `write on bmstore (1 SSDs): bs=131072 iodepth=128 numjobs=4
+  IOPS      : 10500
+  bandwidth : 1376.3 MB/s
+  avg lat   : 1048.6 us
+  p50       : 1048.6 us
+  p99       : 1933.3 us
+  p99.9     : 1933.3 us
+  kernel    : 13051 events, 30 spawns, 97 resumes
+  trace     : 20267 events, digest fnv64w:5d2a0ab071870748
+`},
+		{[]string{"-scheme", "bmstore", "-ssds", "2", "-rw", "write", "-bs", "131072"}, `write on bmstore (2 SSDs): bs=131072 iodepth=128 numjobs=4
+  IOPS      : 10500
+  bandwidth : 1376.3 MB/s
+  avg lat   : 1048.6 us
+  p50       : 1048.6 us
+  p99       : 1933.3 us
+  p99.9     : 1933.3 us
+  kernel    : 13180 events, 41 spawns, 134 resumes
+  trace     : 20267 events, digest fnv64w:3ee1a9ec5d0a15a8
 `},
 	} {
 		args := append([]string{"fio"}, tc.args...)
