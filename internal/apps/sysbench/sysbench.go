@@ -64,14 +64,26 @@ func (r *Result) AvgLatencyMS() float64 { return r.Lat.Mean() / 1e6 }
 // digits is the alphabet of a row.
 const digits = "0123456789"
 
-// Load populates the sbtest table. The database keeps its own copy of each
-// row, so one buffer serves every row.
+// client is one sysbench client: its stream, held in place, and the row
+// buffer it refills for every write — DB.Put and Txn.Write copy the row. One
+// allocation holds both, and the stream's register is its only other.
+type client struct {
+	rng sim.Rand
+	buf [rowBytes]byte
+}
+
+// row fills the buffer with fresh digits and returns it.
+func (c *client) row() []byte {
+	c.rng.Text(c.buf[:], digits)
+	return c.buf[:]
+}
+
+// Load populates the sbtest table.
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
-	rng := sim.NewRand(777)
-	row := make([]byte, rowBytes)
+	c := new(client)
+	sim.InitRand(&c.rng, 777)
 	for i := 0; i < cfg.TableSize; i++ {
-		rng.Text(row, digits)
-		if err := db.Put(p, uint64(i), row); err != nil {
+		if err := db.Put(p, uint64(i), c.row()); err != nil {
 			return err
 		}
 	}
@@ -85,14 +97,10 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	nextInsert := uint64(cfg.TableSize)
 	var done []*sim.Event
 	for th := 0; th < cfg.Threads; th++ {
-		rng := env.Rand(fmt.Sprintf("sysbench/%s/%d", cfg.Seed, th))
-		// Txn.Write copies the row, so a thread refills one buffer per write.
-		buf := make([]byte, rowBytes)
-		row := func() []byte {
-			rng.Text(buf, digits)
-			return buf
-		}
+		c := new(client)
+		env.InitRand(&c.rng, fmt.Sprintf("sysbench/%s/%d", cfg.Seed, th))
 		proc := env.Go(fmt.Sprintf("sysbench/t%d", th), func(tp *sim.Proc) {
+			rng, row := &c.rng, c.row
 			for tp.Now() < end {
 				start := tp.Now()
 				tx := db.Begin()

@@ -94,10 +94,12 @@ func (r *Result) TpmC() float64 {
 // capitals is the alphabet of a row.
 const capitals = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-// terminal is one client's stream and the row buffer it refills for every
-// write: Txn.Write and DB.Put keep their own copy of a row.
+// terminal is one client: its stream, held in place, and the row buffer it
+// refills for every write — Txn.Write and DB.Put keep their own copy of a
+// row. One allocation holds both, and the stream's register is its only
+// other.
 type terminal struct {
-	rng *sim.Rand
+	rng sim.Rand
 	buf [rowBytes]byte
 }
 
@@ -109,7 +111,8 @@ func (t *terminal) row() []byte {
 
 // Load populates the database.
 func Load(p *sim.Proc, db *minidb.DB, cfg Config) error {
-	t := &terminal{rng: sim.NewRand(1234)}
+	t := new(terminal)
+	sim.InitRand(&t.rng, 1234)
 	put := func(key uint64) error { return db.Put(p, key, t.row()) }
 	for w := 0; w < cfg.Warehouses; w++ {
 		wid := uint64(w)
@@ -150,9 +153,10 @@ func Run(p *sim.Proc, env *sim.Env, db *minidb.DB, cfg Config) *Result {
 	for th := 0; th < cfg.Threads; th++ {
 		// The empty segment is part of the stream names the pinned runs
 		// draw from.
-		t := &terminal{rng: env.Rand(fmt.Sprintf("tpcc//%d", th))}
-		rng := t.rng
+		t := new(terminal)
+		env.InitRand(&t.rng, fmt.Sprintf("tpcc//%d", th))
 		proc := env.Go(fmt.Sprintf("tpcc/t%d", th), func(tp *sim.Proc) {
+			rng := &t.rng
 			for tp.Now() < end {
 				start := tp.Now()
 				var kind int
@@ -209,7 +213,7 @@ func (c Config) anyI(rng *sim.Rand) uint64 { return uint64(rng.Intn(c.ItemsPerWa
 // reading the item and read-modify-writing the stock row; inserts the
 // order, its lines, and the new-order marker.
 func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal, seq uint64) {
-	rng := t.rng
+	rng := &t.rng
 	w, d, c := cfg.anyW(rng), cfg.anyD(rng), cfg.anyC(rng)
 	tx := db.Begin()
 	p.Sleep(4 * cfg.QueryCPU)
@@ -239,7 +243,7 @@ func newOrder(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal, seq uint64) {
 // payment: updates warehouse, district and customer balances and logs
 // history.
 func payment(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal) {
-	rng := t.rng
+	rng := &t.rng
 	w, d, c := cfg.anyW(rng), cfg.anyD(rng), cfg.anyC(rng)
 	tx := db.Begin()
 	p.Sleep(7 * cfg.QueryCPU)
@@ -266,7 +270,7 @@ func orderStatus(p *sim.Proc, db *minidb.DB, cfg Config, rng *sim.Rand) {
 // delivery: drains up to 10 new-order markers, updating each order and
 // customer.
 func delivery(p *sim.Proc, db *minidb.DB, cfg Config, t *terminal, seq uint64) {
-	rng := t.rng
+	rng := &t.rng
 	w := cfg.anyW(rng)
 	tx := db.Begin()
 	p.Sleep(10 * cfg.QueryCPU)

@@ -83,16 +83,30 @@ func key(dst []byte, i int) []byte {
 // letters is the alphabet of a value.
 const letters = "abcdefghijklmnopqrstuvwxyz"
 
+// client is one YCSB client: its stream, held in place, the generator that
+// draws keys from it, and the key, value and read buffers it refills per
+// operation — the store copies what it keeps and reads a key only during the
+// call. One allocation holds them all, and the stream's register is its
+// only other.
+type client struct {
+	rng        sim.Rand
+	zipf       Zipfian
+	kb, vb, rb []byte
+}
+
+func newClient(valueBytes int) *client {
+	return &client{vb: make([]byte, valueBytes)}
+}
+
 // Load inserts the initial records and flushes. The store keeps its own
 // copy of each key and value, so one buffer of each serves every record.
 func Load(p *sim.Proc, s *kvstore.Store, cfg Config) error {
-	rng := sim.NewRand(4242)
-	var k []byte
-	v := make([]byte, cfg.ValueBytes)
+	c := newClient(cfg.ValueBytes)
+	sim.InitRand(&c.rng, 4242)
 	for i := 0; i < cfg.Records; i++ {
-		k = key(k[:0], i)
-		rng.Text(v, letters)
-		if err := s.Put(p, k, v); err != nil {
+		c.kb = key(c.kb[:0], i)
+		c.rng.Text(c.vb, letters)
+		if err := s.Put(p, c.kb, c.vb); err != nil {
 			return err
 		}
 	}
@@ -110,36 +124,34 @@ func Run(p *sim.Proc, env *sim.Env, s *kvstore.Store, wl Workload, cfg Config) *
 	end := p.Now() + cfg.Duration
 	inserted := cfg.Records
 	// The generator's constants depend on the key count alone and cost one
-	// math.Pow per key to compute: once per run, a copy per thread.
+	// math.Pow per key to compute: once per run, a copy per client.
 	consts := zipfian(cfg.Records)
 	var done []*sim.Event
 	for th := 0; th < cfg.Threads; th++ {
-		rng := env.Rand(fmt.Sprintf("ycsb/%s/%s/%d", cfg.Seed, wl.Name, th))
-		zipf := consts.withRand(rng)
-		// The store copies what it keeps and reads a key only during the
-		// call, so a thread refills one key and one value buffer per op; a
-		// read appends the value it gets to a third.
-		var kb, rb []byte
-		vb := make([]byte, cfg.ValueBytes)
+		c := newClient(cfg.ValueBytes)
+		env.InitRand(&c.rng, fmt.Sprintf("ycsb/%s/%s/%d", cfg.Seed, wl.Name, th))
+		c.zipf = consts
+		c.zipf.rng = &c.rng
 		proc := env.Go(fmt.Sprintf("ycsb/%s/t%d", wl.Name, th), func(tp *sim.Proc) {
+			rng := &c.rng
 			for tp.Now() < end {
-				kb = key(kb[:0], zipf.Next())
+				c.kb = key(c.kb[:0], c.zipf.Next())
 				start := tp.Now()
 				var err error
 				switch pick(wl, rng) {
 				case opRead:
-					rb, _, err = s.Get(tp, kb, rb[:0])
+					c.rb, _, err = s.Get(tp, c.kb, c.rb[:0])
 				case opUpdate:
-					rng.Text(vb, letters)
-					err = s.Put(tp, kb, vb)
+					rng.Text(c.vb, letters)
+					err = s.Put(tp, c.kb, c.vb)
 				case opInsert:
 					inserted++
-					kb = key(kb[:0], inserted)
-					rng.Text(vb, letters)
-					err = s.Put(tp, kb, vb)
+					c.kb = key(c.kb[:0], inserted)
+					rng.Text(c.vb, letters)
+					err = s.Put(tp, c.kb, c.vb)
 				case opScan:
 					n := 1 + rng.Intn(wl.MaxScanLen)
-					_, err = s.Scan(tp, kb, n)
+					_, err = s.Scan(tp, c.kb, n)
 				}
 				if tp.Now() <= end {
 					res.Ops++
@@ -194,7 +206,7 @@ type Zipfian struct {
 }
 
 // zipfian returns a generator over n keys that has its constants and no
-// random source yet.
+// random source yet: its owner sets rng.
 func zipfian(n int) Zipfian {
 	const theta = 0.99
 	z := Zipfian{n: n, second: 1 + math.Pow(0.5, theta)}
@@ -202,12 +214,6 @@ func zipfian(n int) Zipfian {
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/z.zetan)
 	return z
-}
-
-// withRand returns a copy of z that draws from rng.
-func (z Zipfian) withRand(rng *sim.Rand) *Zipfian {
-	z.rng = rng
-	return &z
 }
 
 func zeta(n int, theta float64) float64 {

@@ -9,8 +9,8 @@ import (
 
 func TestZipfianBoundsAndSkew(t *testing.T) {
 	env := sim.NewEnv(1)
-	rng := env.Rand("zipf")
-	z := zipfian(1000).withRand(rng)
+	z := zipfian(1000)
+	z.rng = env.Rand("zipf")
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
 		k := z.Next()
@@ -31,9 +31,11 @@ func TestZipfianBoundsAndSkew(t *testing.T) {
 func TestZipfianSecondKeyBoundIsTheFormula(t *testing.T) {
 	const theta = 0.99
 	for _, n := range []int{2, 1000, 5000} {
-		z := zipfian(n).withRand(sim.NewRand(int64(n)))
-		ref := zipfian(n)
-		rng := sim.NewRand(int64(n))
+		var zr, rng sim.Rand
+		sim.InitRand(&zr, int64(n))
+		sim.InitRand(&rng, int64(n))
+		z, ref := zipfian(n), zipfian(n)
+		z.rng = &zr
 		for i := 0; i < 100000; i++ {
 			var want int
 			u := rng.Float64()

@@ -5,6 +5,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/hostmem"
+	"bmstore/internal/nvme"
 	"bmstore/internal/nvmet"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
@@ -131,6 +132,15 @@ type Engine struct {
 	// Firmware version of the engine bitstream, reported by front-end
 	// identify so tenants see a stable virtual device.
 	Firmware string
+
+	// The PRP walk's scratch (pipeline.go): the host segments a command's
+	// walk resolves and one extent's share of them. Both are valid only
+	// inside one feIO.walkAttempt → assembleSubs call: a walk that has to
+	// fetch a list page returns before it reads them and its retry starts
+	// over from [:0], so no wait crosses them and they belong to the engine,
+	// not to the command. They come last so that no hot field above moves.
+	segScratch []nvme.Segment
+	extScratch []nvme.Segment
 }
 
 // New constructs an engine. Attach it to the host link with pcie.Connect

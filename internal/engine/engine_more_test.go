@@ -46,6 +46,53 @@ func TestChipMemoryPRPListRecycling(t *testing.T) {
 	}
 }
 
+// TestWalkHoldsNoPageOnceAssembled: the tenant's PRP-list page a front-end
+// walk fetched has no reader once assembleSubs has rewritten the list as
+// global PRPs, so it goes back to the function's pool then, not at
+// completion: no command holds a list page across its back-end round trip.
+// The test plants a record on the free list, which the next command takes,
+// and watches it from submission to completion.
+func TestWalkHoldsNoPageOnceAssembled(t *testing.T) {
+	h := newFeHarness(t, 1)
+	ns, err := h.eng.CreateNamespace("v", 4*testChunk, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Bind(0, ns)
+	io := h.eng.getFeIO(h.eng.funcs[0], nil, nvme.Command{}, 0)
+	h.eng.putFeIO(io)
+	h.run(func(p *sim.Proc) {
+		h.initFunc(p, 0, 64)
+		buf := h.mem.AllocPages(32)
+		p1, p2, lists := nvme.BuildPRPs(h.mem, buf, 32*ssd.BlockSize)
+		if len(lists) != 1 {
+			t.Fatalf("a 128 KiB transfer uses %d list pages, want 1", len(lists))
+		}
+		cmd := nvme.Command{Opcode: nvme.IORead, NSID: FrontNSID, PRP1: p1, PRP2: p2}
+		cmd.SetNLB(32)
+		done := h.submitAsync(0, 1, cmd)
+		held, assembled := false, false
+		for !done.Processed() {
+			switch {
+			case len(io.subs) > 0:
+				assembled = true
+				if io.walk.ReadU64(p2) != 0 {
+					t.Fatalf("at %d ns the command is assembled into %d sub-commands and its walk still holds list page %#x", p.Now(), len(io.subs), p2)
+				}
+			case io.walk.ReadU64(p2) != 0:
+				held = true
+			}
+			p.Sleep(10 * sim.Nanosecond)
+		}
+		if cpl := p.Wait(done).(nvme.Completion); cpl.Status.IsError() {
+			t.Fatalf("read failed: %#x", cpl.Status)
+		}
+		if !held || !assembled {
+			t.Fatalf("the walk was seen holding its page: %v; the command was seen assembled: %v; want both", held, assembled)
+		}
+	})
+}
+
 // QoS command buffer drains strictly FIFO (the Fig. 5 dispatcher).
 func TestQoSBufferFIFOOrder(t *testing.T) {
 	env := sim.NewEnv(3)

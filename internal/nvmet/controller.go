@@ -17,6 +17,7 @@ package nvmet
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"bmstore/internal/nvme"
 	"bmstore/internal/pcie"
@@ -384,6 +385,13 @@ func (m *irqPost) fire() {
 // list, not 4 KiB. The walk reads entries in order, nvme.PRPsPerList from
 // every list page before the last, so the position of the page it missed is
 // its read count divided by that.
+//
+// The walk keeps its pages until ReleasePRPs, which the owner calls right
+// after the step that last reads them: the engine once it has rewritten the
+// list as global PRPs, an SSD once it has re-walked the list (Rewalk) for
+// its payload DMAs. The pool is LIFO, so the next command's fetch takes a
+// buffer that is still in cache. Segments are the caller's: neither call
+// keeps them.
 type PRPWalk struct {
 	fetched []listPage // in fetch order
 	reads   int        // entries the current attempt has read
@@ -443,9 +451,25 @@ func (c *Controller) WalkPRPs(w *PRPWalk, segs []nvme.Segment, prp1, prp2 uint64
 	return nil, true, nil
 }
 
-// ReleasePRPs returns a finished command's list buffers to the pool, last
-// fetched first, so a command of the same shape pops each at the size it
-// needs.
+// Rewalk resolves a command's PRPs into segs again, over the list pages a
+// finished WalkPRPs of the same command kept: it reads no memory, fetches
+// nothing and takes no time, so an owner need not keep the segments across a
+// wait. want is the segment count the first walk resolved. A page that is
+// not kept, an error or another count is a simulator bug, and Rewalk panics.
+func (c *Controller) Rewalk(w *PRPWalk, segs []nvme.Segment, prp1, prp2 uint64, n, want int) []nvme.Segment {
+	w.missSet, w.reads = false, 0
+	out, err := nvme.WalkPRPsInto(segs, w, prp1, prp2, n)
+	if w.missSet || err != nil || len(out)-len(segs) != want {
+		panic(fmt.Sprintf("nvmet: function %d: re-walk of PRP1 %#x PRP2 %#x (%d bytes) missed %v, err %v, %d segments, want %d",
+			c.fn, prp1, prp2, n, w.missSet, err, len(out)-len(segs), want))
+	}
+	return out
+}
+
+// ReleasePRPs returns a command's list buffers to the pool, last fetched
+// first, so a command of the same shape pops each at the size it needs. The
+// owner calls it after the walk's last reader; calling it again, as the
+// owner's record recycling does for the error and crash paths, is a no-op.
 func (c *Controller) ReleasePRPs(w *PRPWalk) {
 	for i := len(w.fetched) - 1; i >= 0; i-- {
 		c.listFree = append(c.listFree, w.fetched[i].entries)

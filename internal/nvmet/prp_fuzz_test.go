@@ -129,7 +129,12 @@ func (r *touchRecorder) ReadU64(addr uint64) uint64 {
 // and having kept of each page exactly the entries the reference reads from
 // it: none missing, and on a walk that completes not a byte more (a walk that
 // ends in an error stops short of what its page was fetched for, which is
-// what a transfer of that shape uses of a page at that position).
+// what a transfer of that shape uses of a page at that position). An owner's
+// second walk of a command that walked cleanly, Rewalk, must resolve the same
+// segments from the kept pages alone — with the list scribbled over in
+// memory, no event scheduled and the pool untouched — and one that expects
+// another count, or re-walks a failed walk, must panic. Once the last reader
+// releases, every buffer is back in the pool.
 func FuzzPRPFetch(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -173,9 +178,36 @@ func FuzzPRPFetch(f *testing.F) {
 		if attempts != len(w.fetched)+1 {
 			t.Fatalf("%d attempts for %d list pages, want one fetch per failed attempt", attempts, len(w.fetched))
 		}
+		if wantErr == nil {
+			for _, tp := range ref.pages {
+				r.mem.Write(tp.addr, make([]byte, nvme.PageSize))
+			}
+			events, now, pooled := r.env.Events(), r.env.Now(), len(r.c.listFree)
+			again := r.c.Rewalk(&w, nil, prp1, prp2, n, len(want))
+			r.env.Run()
+			if !slices.Equal(again, want) {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: re-walk resolved %d segments, the walk %d, or different ones", prp1, prp2, n, len(again), len(want))
+			}
+			if len(w.fetched) != len(ref.pages) || len(r.c.listFree) != pooled || r.env.Events() != events || r.env.Now() != now {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: re-walk holds %d pages (want %d), pool %d (want %d), %d events, %d ns: it must fetch nothing",
+					prp1, prp2, n, len(w.fetched), len(ref.pages), len(r.c.listFree), pooled, r.env.Events()-events, r.env.Now()-now)
+			}
+			if !rewalkPanics(r.c, &w, prp1, prp2, n, len(want)+1) {
+				t.Fatalf("prp1 %#x prp2 %#x n %d: a re-walk expecting %d segments of %d did not panic", prp1, prp2, n, len(want)+1, len(want))
+			}
+		} else if !rewalkPanics(r.c, &w, prp1, prp2, n, 0) {
+			t.Fatalf("prp1 %#x prp2 %#x n %d: a re-walk of a walk that failed (%v) did not panic", prp1, prp2, n, wantErr)
+		}
 		r.c.ReleasePRPs(&w)
 		if len(r.c.listFree) != len(ref.pages) || len(w.fetched) != 0 {
 			t.Fatalf("released %d buffers to the pool with %d still held, want all %d back", len(r.c.listFree), len(w.fetched), len(ref.pages))
 		}
 	})
+}
+
+// rewalkPanics reports whether Rewalk panics for want segments.
+func rewalkPanics(c *Controller, w *PRPWalk, prp1, prp2 uint64, n, want int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	c.Rewalk(w, nil, prp1, prp2, n, want)
+	return false
 }

@@ -31,7 +31,7 @@ func (e *Env) InitRand(r *Rand, name string) {
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
-	r.init(e.seed ^ int64(h))
+	InitRand(r, e.seed^int64(h))
 }
 
 // Rand is one stream: a math/rand Rand and the randSource it draws from,
@@ -43,15 +43,12 @@ type Rand struct {
 	src randSource
 }
 
-// NewRand returns the stream rand.New(rand.NewSource(seed)) draws — the one
-// constructor behind the load generators' fixed-seed streams.
-func NewRand(seed int64) *Rand {
-	r := new(Rand)
-	r.init(seed)
-	return r
-}
-
-func (r *Rand) init(seed int64) {
+// InitRand makes *r the stream rand.New(rand.NewSource(seed)) draws, in
+// place: the seed-in-place twin of Env.InitRand, behind the load generators'
+// fixed-seed streams, which their clients hold by value so that a stream costs
+// one allocation, its register, and none for itself. Like Env.InitRand, it
+// keeps a register r already has, and r must not move afterwards.
+func InitRand(r *Rand, seed int64) {
 	r.src.Seed(seed)
 	r.Rand = *rand.New(&r.src)
 }

@@ -89,7 +89,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 		seeds = append(seeds, int64(pick.Uint64()))
 	}
 	for _, seed := range seeds {
-		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		got, want := newRand(seed), rand.New(rand.NewSource(seed))
 		mix := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
 		env := NewEnv(seed)
 		for i := 0; i < 3000; i++ {
@@ -110,7 +110,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 			drawBoth(t, got, want, mix.Intn(7), mix.Intn(1000))
 		}
 		for skip := 0; skip <= lazyDraws+1; skip++ {
-			fresh, name := NewRand(seed), "fio/w"+strconv.Itoa(skip)
+			fresh, name := newRand(seed), "fio/w"+strconv.Itoa(skip)
 			textAfter(t, fresh, rand.New(rand.NewSource(seed)), skip, mix.Intn(300))
 			env.InitRand(got, name) // got holds a register by now
 			textAfter(t, got, rand.New(rand.NewSource(nameSeed(seed, name))), skip, mix.Intn(300))
@@ -181,7 +181,7 @@ func FuzzRandStream(f *testing.F) {
 		var sb [8]byte
 		data = data[copy(sb[:], data):]
 		seed := int64(binary.LittleEndian.Uint64(sb[:]))
-		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		got, want := newRand(seed), rand.New(rand.NewSource(seed))
 		for len(data) >= 2 {
 			kind, arg := int(data[0]%9), int(data[1])
 			wide := int(data[0]/9)<<8 | arg
@@ -218,14 +218,14 @@ func FuzzRandStream(f *testing.F) {
 // stream where Intn leaves it, for alphabets that take the rejection path,
 // the power-of-two mask, and a single letter.
 func TestTextMatchesIntn(t *testing.T) {
-	NewRand(1).Text(nil, "") // draws nothing, so it cannot fail as Intn(0) would
+	newRand(1).Text(nil, "") // draws nothing, so it cannot fail as Intn(0) would
 	alphabets := []string{"0123456789", letters64[:26], letters64[:2], letters64, letters64[:63], "x"}
 	skips := []int{0, 1, 5, lazyDraws - 1, lazyDraws, lazyDraws + 1, rngTap - 1, rngLen - rngTap, rngLen - 1, rngLen, rngLen + 3}
 	for _, seed := range []int64{0, 1, 4242, 777, -7, 1 << 40} {
 		for _, alphabet := range alphabets {
 			for _, skip := range skips {
 				for _, n := range []int{0, 1, 40, 700, 2000} {
-					got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+					got, want := newRand(seed), rand.New(rand.NewSource(seed))
 					for i := 0; i < skip; i++ {
 						got.Int63()
 						want.Int63()
@@ -240,7 +240,7 @@ func TestTextMatchesIntn(t *testing.T) {
 // TestTextAllocatesNothing: the load generators call Text once per value
 // or row.
 func TestTextAllocatesNothing(t *testing.T) {
-	r := NewRand(1)
+	r := newRand(1)
 	buf := make([]byte, 400)
 	if a := testing.AllocsPerRun(100, func() { r.Text(buf, letters64[:26]) }); a != 0 {
 		t.Fatalf("Text allocates %v times per call", a)
@@ -295,7 +295,7 @@ var randSink int64
 // in-package source; BenchmarkRandDrawMathRand is its math/rand twin. The
 // application generators draw hundreds of numbers per block I/O, so the two
 // must stay within 15 % of each other.
-func BenchmarkRandDraw(b *testing.B) { benchDraw(b, &NewRand(1).Rand) }
+func BenchmarkRandDraw(b *testing.B) { benchDraw(b, &newRand(1).Rand) }
 
 func BenchmarkRandDrawMathRand(b *testing.B) { benchDraw(b, rand.New(rand.NewSource(1))) }
 
@@ -314,14 +314,14 @@ var textSink [400]byte
 // BenchmarkRandText is one YCSB value, 400 letters of 26, through Text;
 // BenchmarkRandTextIntn draws the same letters one Intn at a time.
 func BenchmarkRandText(b *testing.B) {
-	r := NewRand(1)
+	r := newRand(1)
 	for i := 0; i < b.N; i++ {
 		r.Text(textSink[:], letters64[:26])
 	}
 }
 
 func BenchmarkRandTextIntn(b *testing.B) {
-	r := NewRand(1)
+	r := newRand(1)
 	for i := 0; i < b.N; i++ {
 		for j := range textSink {
 			textSink[j] = letters64[r.Intn(26)]
@@ -349,4 +349,12 @@ func BenchmarkEnvRandMathRand(b *testing.B) {
 		r := rand.New(rand.NewSource(int64(i)))
 		randSink += r.Int63() + r.Int63() + r.Int63()
 	}
+}
+
+// newRand returns a fresh stream for seed, as a caller that owns no value to
+// hold it in would make one.
+func newRand(seed int64) *Rand {
+	r := new(Rand)
+	InitRand(r, seed)
+	return r
 }

@@ -98,7 +98,7 @@ type ssdIO struct {
 
 	devByte uint64
 	n       int
-	segs    []nvme.Segment
+	nsegs   int      // PRP segments of the transfer, counted by the first walk
 	t0      sim.Time // post-PRP-walk timestamp: stats + media attribution base
 	mt0     sim.Time // media phase start (after any injected latency spike)
 	lat     sim.Time // single-stripe NAND latency
@@ -114,9 +114,13 @@ type ssdIO struct {
 	fltStatus nvme.Status
 	hzd       hazards
 
-	walk nvmet.PRPWalk // PRP-list pages; only transfers over two pages fetch any
-	dbuf []byte        // pooled staging for a read segment that is damaged or straddles blocks (CaptureData only)
-	bufs [][]byte      // pooled write-payload segment buffers (CaptureData only)
+	// walk keeps the PRP-list pages the first walk fetched (only transfers
+	// over two pages fetch any) across the media wait of a read, until the
+	// payload DMAs re-walk them into SSD.segScratch; a write re-walks them
+	// at once. bufs holds a write's payload from its DMA to persist, so it
+	// crosses the media wait (CaptureData only).
+	walk nvmet.PRPWalk
+	bufs [][]byte
 
 	startFn      func()
 	walkFn       func()
@@ -159,11 +163,8 @@ func (d *SSD) getIO(sq *nvmet.SQ, cmd nvme.Command, sqHead uint32) *ssdIO {
 }
 
 func (d *SSD) putIO(io *ssdIO) {
-	d.ctl.ReleasePRPs(&io.walk)
+	d.ctl.ReleasePRPs(&io.walk) // a no-op unless the command ended before its payload DMAs
 	io.sq = nil
-	if io.segs != nil {
-		io.segs = io.segs[:0]
-	}
 	d.ioFree = append(d.ioFree, io)
 }
 
@@ -202,7 +203,6 @@ func (io *ssdIO) start() {
 		return
 	}
 	io.n = int(nlb) * BlockSize
-	io.segs = slices.Grow(io.segs[:0], nvme.PagesSpanned(io.cmd.PRP1, io.n))
 	io.walkAttempt()
 }
 
@@ -210,10 +210,11 @@ func (io *ssdIO) flushDone() { io.finish(nvme.StatusSuccess) }
 func (io *ssdIO) wzDone()    { io.finish(nvme.StatusSuccess) }
 
 // walkAttempt resolves the command's PRPs, fetching at most one missing list
-// page per attempt (see nvmet.PRPWalk).
+// page per attempt (see nvmet.PRPWalk). It validates the PRPs and counts the
+// segments; the payload DMAs walk the kept pages again (segments).
 func (io *ssdIO) walkAttempt() {
 	d := io.d
-	segs, pending, err := d.ctl.WalkPRPs(&io.walk, io.segs[:0], io.cmd.PRP1, io.cmd.PRP2, io.n, io.walkFn)
+	segs, pending, err := d.ctl.WalkPRPs(&io.walk, d.scratchSegs(io.cmd.PRP1, io.n), io.cmd.PRP1, io.cmd.PRP2, io.n, io.walkFn)
 	if pending {
 		return
 	}
@@ -221,7 +222,8 @@ func (io *ssdIO) walkAttempt() {
 		io.finish(nvme.StatusInvalidField)
 		return
 	}
-	io.segs = segs
+	d.segScratch = segs
+	io.nsegs = len(segs)
 	io.t0 = d.env.Now()
 	// The device's one lookup of the request: this queue and CID under the
 	// device's id are the alias the engine backend registered, if a tenant
@@ -316,6 +318,23 @@ func (io *ssdIO) startMedia() {
 	}
 }
 
+// scratchSegs returns the SSD's segment scratch, emptied, with room for a
+// transfer of n bytes at prp1.
+func (d *SSD) scratchSegs(prp1 uint64, n int) []nvme.Segment {
+	d.segScratch = slices.Grow(d.segScratch[:0], nvme.PagesSpanned(prp1, n))
+	return d.segScratch
+}
+
+// segments re-walks the command's PRPs over the list pages its first walk
+// kept, into the SSD's scratch: no memory read, no fetch, no virtual time.
+// The result is valid until the next walk on this SSD, so the payload DMA
+// loops that call it keep it only for the step.
+func (io *ssdIO) segments() []nvme.Segment {
+	d := io.d
+	d.segScratch = d.ctl.Rewalk(&io.walk, d.scratchSegs(io.cmd.PRP1, io.n), io.cmd.PRP1, io.cmd.PRP2, io.n, io.nsegs)
+	return d.segScratch
+}
+
 // --- read path ---
 
 func (io *ssdIO) startRead() {
@@ -375,10 +394,10 @@ func (io *ssdIO) readPaced() {
 	corrupt := io.hzd.corrupt
 	var last sim.Time
 	off := 0
-	for _, seg := range io.segs {
+	for _, seg := range io.segments() {
 		var data []byte
 		if d.cfg.CaptureData {
-			data = d.readSource(src+uint64(off), seg.Len, corrupt, &io.dbuf)
+			data = d.readSource(src+uint64(off), seg.Len, corrupt, &d.dbuf)
 			corrupt = false
 		}
 		if t := d.port.DMAWrite(seg.Addr, seg.Len, data); t > last {
@@ -386,6 +405,7 @@ func (io *ssdIO) readPaced() {
 		}
 		off += seg.Len
 	}
+	d.ctl.ReleasePRPs(&io.walk)
 	d.env.After(last-d.env.Now(), io.readOutFn)
 }
 
@@ -401,7 +421,7 @@ func (io *ssdIO) readOut() {
 func (io *ssdIO) startWrite() {
 	d := io.d
 	var last sim.Time
-	for i, seg := range io.segs {
+	for i, seg := range io.segments() {
 		var buf []byte
 		if d.cfg.CaptureData {
 			buf = io.wbuf(i, seg.Len)
@@ -410,6 +430,7 @@ func (io *ssdIO) startWrite() {
 			last = t
 		}
 	}
+	d.ctl.ReleasePRPs(&io.walk)
 	d.env.After(last-d.env.Now(), io.writeFetchFn)
 }
 
@@ -445,7 +466,7 @@ func (io *ssdIO) writeDone() {
 		if io.hzd.torn {
 			keep = io.n / 2
 		}
-		d.persist(io.devByte, io.bufs[:len(io.segs)], keep)
+		d.persist(io.devByte, io.bufs[:io.nsegs], keep)
 	}
 	d.Ops.Writes++
 	d.mWriteBytes.AddAt(int64(d.env.Now()), uint64(io.n))

@@ -159,6 +159,15 @@ type SSD struct {
 	mMedia      *obs.Hist
 	mReadBytes  *obs.Counter
 	mWriteBytes *obs.Counter
+
+	// Scratch of the I/O data path (io.go) that no wait crosses, so it
+	// belongs to the device, not to the command: the segments of one PRP
+	// walk, valid within the step that walked them, and the staging of one
+	// read segment that is damaged or straddles blocks (CaptureData only),
+	// which readSource fills and the same iteration's DMAWrite copies out.
+	// They come last so that no hot field above moves.
+	segScratch []nvme.Segment
+	dbuf       []byte
 }
 
 // OpCounts are the I/O commands an SSD completed.

@@ -54,7 +54,9 @@ out=$(bash scripts/gated_benches.sh)
 # each log ran a writer process per busy period and made an event per
 # committer; 5942 while every page fault and table block read took a fresh
 # buffer and every write kept a fresh copy, where buffers now come from
-# bounded free lists and same-length updates are copied in place). The eight BenchmarkIOPath rows carry a second ceiling: kernel
+# bounded free lists and same-length updates are copied in place; 1218 while
+# each client's stream was an object of its own, where each client now holds
+# its stream by value beside its buffers). The eight BenchmarkIOPath rows carry a second ceiling: kernel
 # events fired per I/O over the timed region (the benchmark's events/op,
 # exact and repeatable at the gate's fixed -benchtime), at their measured
 # values — a fused event that comes apart again, or an observer or fault
