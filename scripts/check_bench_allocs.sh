@@ -9,7 +9,8 @@
 # capture on and real bytes written and read back (a block of data, and a
 # write-ahead log's mostly zero block), and under each
 # thing the gates attach — a digest tracer, an armed fault injector, sampled
-# timelines) with -benchmem
+# timelines, the verify campaign's recovering driver with its command
+# timeouts armed) with -benchmem
 # and compares each benchmark's allocs/op against the committed baseline in
 # scripts/bench_allocs_baseline.txt. The kernel free-lists events and pools
 # process coroutines, the fused data path pools every per-command carrier,
@@ -47,7 +48,9 @@
 # holding its stream in place). A register is one allocation of 4 864
 # bytes, so these two rows also pin B/op, a baseline row's fourth column
 # ("-" in the third where no events/op is gated), at the measured value
-# plus 5 %: B/op takes in the runtime's own stray bytes.
+# plus 5 %: B/op takes in the runtime's own stray bytes. So does
+# BenchmarkIOPathRecoveringThroughput, whose allocations are the per-attempt
+# CmdTimeout timer's, a few dozen bytes each.
 #
 # BenchmarkRigBuild (root package) builds what the repo benchmark builds
 # before its first I/O — a 4-SSD testbed, a namespace per SSD and four

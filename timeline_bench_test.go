@@ -3,6 +3,7 @@ package bmstore
 import (
 	"testing"
 
+	"bmstore/internal/host"
 	"bmstore/internal/obs"
 	"bmstore/internal/obs/timeline"
 )
@@ -26,7 +27,7 @@ func BenchmarkIOPathSampledTimeline(b *testing.B) {
 	// The warm-up batch also fills the worst-K heap, so timed-region
 	// retention is the 1-in-64 sample stream alone — well under one alloc
 	// per op.
-	benchIOPath(b, 1, 8, 1, nil, WithMetrics(met))
+	benchIOPath(b, host.DefaultDriverConfig(), 1, 8, 1, nil, WithMetrics(met))
 	if met.Timeline().Dump("").Requests == 0 {
 		b.Fatal("recorder observed no requests")
 	}
