@@ -91,7 +91,7 @@ func New(env *sim.Env, eng *engine.Engine) *Controller {
 		env: env, eng: eng,
 		tr:         env.Tracer(),
 		namespaces: make(map[string]*engine.Namespace),
-		reqQ:       sim.NewQueue[inbound](env, 0),
+		reqQ:       sim.NewQueue[inbound](env),
 		monitor:    make(map[pcie.FuncID][]MonitorSample),
 		lastCtr:    make(map[pcie.FuncID]engine.IOCounters),
 		nMI:        new(uint64),
@@ -118,7 +118,7 @@ func New(env *sim.Env, eng *engine.Engine) *Controller {
 		if msg.Response {
 			return
 		}
-		c.reqQ.TryPut(inbound{src: src, msg: msg})
+		c.reqQ.Put(inbound{src: src, msg: msg})
 	})
 	env.Go("bmsc/server", c.serve)
 	env.Go("bmsc/monitor", c.runMonitor)

@@ -40,7 +40,7 @@ type backend struct {
 	ringPages   []uint64
 
 	gateClosed bool
-	gateWait   []*sim.Event
+	gateWait   []func() // submissions held at the closed gate, in arrival order
 	inflight   int
 	// submitted counts commands sent, read at export as io_submitted; it
 	// lives apart from the backend, as Engine.fe does.
@@ -281,8 +281,8 @@ func (b *backend) openGate() {
 	b.gateClosed = false
 	ws := b.gateWait
 	b.gateWait = nil
-	for _, ev := range ws {
-		ev.Trigger(nil)
+	for _, fn := range ws {
+		b.e.env.Schedule(0, fn)
 	}
 }
 

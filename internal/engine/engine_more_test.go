@@ -109,7 +109,7 @@ func TestQoSBufferFIFOOrder(t *testing.T) {
 		i := i
 		// Deterministic arrival order, one command per nanosecond.
 		env.Schedule(sim.Time(i), func() {
-			ns.admitCB(4096, func(any) { order = append(order, i) })
+			ns.admitCB(4096, func() { order = append(order, i) })
 		})
 	}
 	env.Run()

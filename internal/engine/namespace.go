@@ -40,10 +40,10 @@ type Namespace struct {
 	env *sim.Env
 }
 
-// bufEntry is one command parked in the QoS command buffer: the event that
-// re-admits it and the bytes it asks the token bucket for.
+// bufEntry is one command parked in the QoS command buffer: the
+// continuation that re-admits it and the bytes it asks the token bucket for.
 type bufEntry struct {
-	ev     *sim.Event
+	admit  func()
 	nBytes int
 }
 
@@ -176,20 +176,18 @@ func (ns *Namespace) ssdSetInto(out []int) []int {
 // re-admits it, in FIFO order. The dispatcher is a continuation too
 // (dispatchStep): a capped tenant parks nearly every command, so a process
 // per park would be the dominant spawn cost of a fleet host.
-func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
+func (ns *Namespace) admitCB(nBytes int, cb func()) {
 	if ns.qos.Unlimited() && ns.buffer.Len() == 0 {
-		cb(nil)
+		cb()
 		return
 	}
 	if ns.buffer.Len() == 0 {
 		if ok, _ := ns.qos.Admit(nBytes); ok {
-			cb(nil)
+			cb()
 			return
 		}
 	}
-	ev := ns.env.PooledEvent()
-	ev.AddCallback(cb)
-	ns.buffer.Push(bufEntry{ev: ev, nBytes: nBytes})
+	ns.buffer.Push(bufEntry{admit: cb, nBytes: nBytes})
 	*ns.parked++
 	ns.mBuffered.Inc(ns.env.Now())
 	if !ns.dispatching {
@@ -214,9 +212,9 @@ func (ns *Namespace) dispatchStep() {
 	ns.dispatching = false
 }
 
-// release re-admits the head of the command buffer.
+// release re-admits the head of the command buffer, one queue hop from now.
 func (ns *Namespace) release() {
 	head := ns.buffer.Pop()
 	ns.mBuffered.Dec(ns.env.Now())
-	head.ev.Trigger(nil)
+	ns.env.Schedule(0, head.admit)
 }

@@ -60,7 +60,7 @@ type feIO struct {
 	worst     nvme.Status
 
 	mappedFn      func()
-	admittedFn    func(any)
+	admittedFn    func()
 	walkFn        func()
 	forwardNextFn func()
 	forwardSubFn  func()
@@ -172,7 +172,7 @@ func (io *feIO) mapped() {
 	io.ns.admitCB(io.nBytes, io.admittedFn)
 }
 
-func (io *feIO) admitted(any) {
+func (io *feIO) admitted() {
 	if io.e.dead || io.e.epoch != io.epoch {
 		io.e.putFeIO(io) // the QoS park outlived a crash
 		return
@@ -319,9 +319,8 @@ type beSubmit struct {
 	done      func(nvme.Completion)
 	submitted func()
 
-	gateFn    func(any)
-	slotFn    func(any)
-	stalledFn func()
+	gateFn func()
+	slotFn func(any)
 }
 
 // submit sends one I/O command to the SSD, respecting the quiesce gate
@@ -340,28 +339,25 @@ func (b *backend) submit(cmd nvme.Command, qhint int, span *obs.Span, done func(
 		s = &beSubmit{b: b}
 		s.gateFn = s.gate
 		s.slotFn = s.slot
-		s.stalledFn = s.stalled
 	}
 	s.cmd, s.qhint, s.span, s.done, s.submitted = cmd, qhint, span, done, submitted
 	s.t0 = b.e.env.Now()
 	s.epoch = b.e.epoch
-	s.gate(nil)
+	s.gate()
 }
 
 // gate re-checks the quiesce gate, parking on it while closed — commands
 // held here are the "stored I/O context" of the paper: the host sees added
 // latency, never an error — then sits out any injected host-adaptor stall (a
 // congested or wedged back-end path) before queueing for an SQ slot.
-func (s *beSubmit) gate(any) {
+func (s *beSubmit) gate() {
 	b := s.b
 	if b.e.dead || b.e.epoch != s.epoch {
 		b.putSubmit(s)
 		return // crash swallowed the submission; host timeout covers it
 	}
 	if b.gateClosed {
-		ev := b.e.env.PooledEvent()
-		ev.AddCallback(s.gateFn)
-		b.gateWait = append(b.gateWait, ev)
+		b.gateWait = append(b.gateWait, s.gateFn)
 		return
 	}
 	if flt := b.e.flt; flt != nil {
@@ -369,15 +365,13 @@ func (s *beSubmit) gate(any) {
 		if end := sim.Time(flt.StallUntil(fault.BackendSubmit, b.dev.Config().Serial, int64(now))); end > now {
 			b.e.tr.Emit(now, trFaultBackendStall, uint64(b.idx), uint64(end-now), b.dev.Config().Serial)
 			// Re-check the gate afterwards in case a quiesce started meanwhile.
-			b.e.env.Schedule(end-now, s.stalledFn)
+			b.e.env.Schedule(end-now, s.gateFn)
 			return
 		}
 	}
 	s.q = b.ioQs[s.qhint%len(b.ioQs)]
 	s.q.Slots.AcquireCB(s.slotFn)
 }
-
-func (s *beSubmit) stalled() { s.gate(nil) }
 
 func (s *beSubmit) slot(any) {
 	b, q := s.b, s.q
@@ -391,7 +385,7 @@ func (s *beSubmit) slot(any) {
 		// its next holder one event later: the drain may already have seen
 		// zero in flight. Give the slot back and park like any held command.
 		q.Slots.Release()
-		s.gate(nil)
+		s.gate()
 		return
 	}
 	cid := b.allocCID()

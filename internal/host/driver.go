@@ -83,10 +83,6 @@ type Driver struct {
 	mInflight    *obs.Gauge
 	mEventsPerIO *obs.Hist
 
-	// cplFree recycles the completion carriers the IRQ handler passes to
-	// waiting attempts (a plain struct in an interface would re-box per CQE).
-	cplFree []*nvme.Completion
-
 	admin  *dq
 	queues []*dq
 
@@ -171,14 +167,15 @@ func (e StatusError) Error() string { return fmt.Sprintf("nvme: status %#x", uin
 type dq struct {
 	*nvmei.Queue
 	free []uint16 // free slot indices (used as CIDs)
-	// wait is the per-slot event of the attempt in flight under that CID, nil
-	// when nothing waits. A CID read from a CQE is checked against its length
+	// req is an I/O queue's attempt in flight under each CID, nil when none
+	// is: the IRQ handler hands a CQE straight to it. The admin queue's
+	// waiters are processes instead: wait is the event the one under each CID
+	// sleeps on (nil when none does), and cpl the completion the handler
+	// leaves it. A CID read from a CQE is checked against the slot count
 	// before it indexes anything here.
+	req  []*ioReq
 	wait []*sim.Event
-	// span is the per-slot span handle of the I/O in flight under that CID
-	// (nil for a flush), kept for the IRQ handler's CQE mark. Only an I/O
-	// queue of a driver with a metrics registry has the array.
-	span []*obs.Span
+	cpl  []nvme.Completion
 	// zombie flags the CIDs abandoned by a command timeout (zombies counts
 	// them): the slot stays out of circulation (the device may still DMA into
 	// its buffer) until the straggler CQE arrives and the IRQ handler
@@ -285,9 +282,11 @@ func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 	conn := nvmei.Conn{Env: d.h.Env, Mem: mem, Port: d.port, Fn: d.fn}
 	q := &dq{Queue: conn.NewQueue(qid, depth, sqb, cqb)}
 	nSlots := int(depth) - 1
-	q.wait = make([]*sim.Event, nSlots)
-	if d.met != nil && qid != 0 {
-		q.span = make([]*obs.Span, nSlots)
+	if qid == 0 {
+		q.wait = make([]*sim.Event, nSlots)
+		q.cpl = make([]nvme.Completion, nSlots)
+	} else {
+		q.req = make([]*ioReq, nSlots)
 	}
 	q.zombie = make([]bool, nSlots)
 	for s := 0; s < nSlots; s++ {
@@ -297,36 +296,6 @@ func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 		q.prpLen = append(q.prpLen, 0)
 	}
 	return q
-}
-
-// waitEvent returns the event one submission's CQE fires. Without a command
-// timeout the event fires exactly once and is never abandoned, so it can
-// come from the kernel's recycled pool; the timeout path abandons loser
-// events (their straggler CQE finds the zombie list, not the event), which
-// a pooled event's single-fire contract does not allow.
-func (d *Driver) waitEvent() *sim.Event {
-	if d.cfg.CmdTimeout == 0 {
-		return d.h.Env.PooledEvent()
-	}
-	return d.h.Env.NewEvent()
-}
-
-func (d *Driver) getCpl(c nvme.Completion) *nvme.Completion {
-	if n := len(d.cplFree); n > 0 {
-		p := d.cplFree[n-1]
-		d.cplFree = d.cplFree[:n-1]
-		*p = c
-		return p
-	}
-	p := new(nvme.Completion)
-	*p = c
-	return p
-}
-
-func (d *Driver) putCpl(c *nvme.Completion) nvme.Completion {
-	v := *c
-	d.cplFree = append(d.cplFree, c)
-	return v
 }
 
 // Identity returns the controller identify data the driver read at attach.
@@ -353,42 +322,39 @@ func (d *Driver) IRQ(vec int) {
 		d.tr.Emit(h.Env.Now(), trCQE,
 			uint64(d.fn)<<32|uint64(vec)<<16|uint64(cpl.CID), uint64(cpl.Status), "")
 		// The CID is the device's word: one outside the queue's slots can be
-		// neither waited for nor zombied, and has no span.
-		var ev *sim.Event
-		known := int(cpl.CID) < len(q.wait)
-		if known {
-			ev = q.wait[cpl.CID]
-		}
-		if known && d.met != nil && q.ID != 0 {
-			// Admin completions (q 0) carry no span; a flush's slot holds a
-			// nil handle and the mark is a no-op.
-			q.span[cpl.CID].Mark(timeline.PtCQE, h.Env.Now())
-		}
-		if ev != nil {
-			q.wait[cpl.CID] = nil
-			if q.ID != 0 {
-				d.ioc.Completed++
-			}
-			// An I/O attempt's first act on its CQE is to wait out the
-			// completion cost (ioReq.onCQE), so its callback can run right
-			// here and is back in the event queue before the next CQE is
-			// read: no entry just to wake it. An admin waiter carries
-			// straight on, and so would an I/O attempt under a zero-cost
-			// kernel profile; those queue, rather than run on inside this
-			// handler.
-			if q.ID != 0 && d.completeLatency() > 0 {
-				ev.Fire(d.getCpl(cpl))
+		// neither waited for nor zombied.
+		cid := cpl.CID
+		known := int(cid) < len(q.zombie)
+		switch {
+		case known && q.ID != 0 && q.req[cid] != nil:
+			r := q.req[cid]
+			q.req[cid] = nil
+			// A flush carries no span, and the mark is a no-op.
+			r.span.Mark(timeline.PtCQE, h.Env.Now())
+			r.cpl = cpl
+			// The attempt's first act on its CQE is to wait out the
+			// completion cost (ioReq.onCQE), so it can run right here and is
+			// back in the event queue before the next CQE is read: no entry
+			// just to reach it. Under a zero-cost kernel profile it would
+			// carry straight on inside this handler; there it queues.
+			if d.completeLatency() > 0 {
+				r.onCQE()
 			} else {
-				ev.Trigger(d.getCpl(cpl))
+				h.Env.Schedule(0, r.reaped)
 			}
-		} else if known && q.zombie[cpl.CID] {
+		case known && q.ID == 0 && q.wait[cid] != nil:
+			ev := q.wait[cid]
+			q.wait[cid] = nil
+			q.cpl[cid] = cpl
+			ev.Trigger(nil)
+		case known && q.zombie[cid]:
 			// Straggler completion for a timed-out command: nobody is
 			// waiting anymore, but the slot can go back into circulation.
 			if q.ID != 0 {
 				d.ioc.Stragglers++
 			}
-			q.unzombie(cpl.CID)
-		} else if q.ID != 0 {
+			q.unzombie(cid)
+		case q.ID != 0:
 			// A CQE for a CID nobody issued or already reaped: duplicate or
 			// fabricated completion. Nothing to deliver — just book it so
 			// the invariant checker can flag it.
@@ -431,9 +397,13 @@ func (d *Driver) reclaimQueue(q *dq) int {
 	return n
 }
 
-// zombify parks the CID of an attempt that timed out.
+// zombify parks the CID of an attempt that timed out: nothing waits on it.
 func (q *dq) zombify(cid uint16) {
-	q.wait[cid] = nil
+	if q.ID == 0 {
+		q.wait[cid] = nil
+	} else {
+		q.req[cid] = nil
+	}
 	q.zombie[cid] = true
 	q.zombies++
 }
@@ -546,7 +516,8 @@ func (d *Driver) AdminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	ev := d.h.Env.PooledEvent()
 	q.wait[cmd.CID] = ev
 	q.Ring()
-	cpl := d.putCpl(p.Wait(ev).(*nvme.Completion))
+	p.Wait(ev)
+	cpl := q.cpl[cmd.CID]
 	q.give(cmd.CID)
 	return cpl
 }
@@ -577,9 +548,8 @@ type ioReq struct {
 	lent    bool
 	span    *obs.Span
 	spanKey uint64
-	cqe     *sim.Event // what the IRQ handler fires for this attempt's CID
-	timer   *sim.Event // the CmdTimeout timer, nil without one
-	cpl     nvme.Completion
+	timer   *sim.Event      // the CmdTimeout timer, nil without one
+	cpl     nvme.Completion // what the IRQ handler found for this attempt's CID
 
 	// How the last attempt ended, for the recovery process; wake is that
 	// process's wait for the attempt, nil while none waits.
@@ -589,7 +559,7 @@ type ioReq struct {
 
 	submitted func()
 	slotted   func(any)
-	reaped    func(any)
+	reaped    func()
 	completed func()
 	// The CmdTimeout path's two, nil until a record first runs it.
 	slotWait func(bool)
@@ -653,7 +623,7 @@ func (r *ioReq) finish(oc IOOutcome) {
 		// matters for fusion.
 		d.mEventsPerIO.Record(int64(d.h.Env.Events() - r.ev0))
 	}
-	r.buf, r.done, r.q, r.span, r.cqe = nil, nil, nil, nil, nil
+	r.buf, r.done, r.q, r.span = nil, nil, nil, nil
 	d.h.reqFree = append(d.h.reqFree, r)
 	done(oc)
 }
@@ -727,14 +697,11 @@ func (r *ioReq) onSlot(any) {
 		}
 	}
 	q.Push(&cmd)
-	ev := d.waitEvent()
-	ev.AddCallback(r.reaped)
-	r.cqe = ev
-	q.wait[cmd.CID] = ev
+	q.req[slot] = r
 	d.tr.Emit(d.h.Env.Now(), trDoorbell,
 		uint64(d.fn)<<32|uint64(q.ID)<<16|uint64(op), uint64(q.Tail()), "")
-	// The span is found once, here; the handle serves this attempt and, from
-	// the slot's entry, the IRQ handler's CQE mark. It stays nil for a flush.
+	// The span is found once, here; the handle serves this attempt, the IRQ
+	// handler's CQE mark included. It stays nil for a flush.
 	r.span = nil
 	if d.met != nil {
 		if op != nvme.IOFlush {
@@ -752,7 +719,6 @@ func (r *ioReq) onSlot(any) {
 			r.span.Wait(timeline.WaitHostQ, slotWait)
 			d.mInflight.Inc(now)
 		}
-		q.span[cmd.CID] = r.span
 	}
 	q.Ring()
 	if d.cfg.CmdTimeout > 0 {
@@ -761,15 +727,23 @@ func (r *ioReq) onSlot(any) {
 	}
 }
 
-// onCQE takes the attempt's completion from the IRQ handler, which runs it
-// in place on the strength of its first act: waiting out the completion cost.
-func (r *ioReq) onCQE(val any) {
-	d := r.d
+// onCQE takes the attempt's completion, r.cpl, from the IRQ handler, which
+// runs it in place on the strength of its first act: waiting out the
+// completion cost. A CQE the handler queued instead (a zero completion cost)
+// may find its attempt timed out in the meantime, its slot zombied; then it
+// is that slot's straggler.
+func (r *ioReq) onCQE() {
+	d, q := r.d, r.q
+	if q.zombie[r.slot] {
+		d.ioc.Stragglers++
+		q.unzombie(r.slot)
+		return
+	}
+	d.ioc.Completed++
 	if r.timer != nil {
 		r.timer.Abort()
 		r.timer = nil
 	}
-	r.cpl = d.putCpl(val.(*nvme.Completion))
 	d.h.Env.After(d.completeLatency(), r.completed)
 }
 
@@ -794,8 +768,6 @@ func (r *ioReq) onCompleted() {
 func (r *ioReq) onTimeout(any) {
 	d, q, slot := r.d, r.q, r.slot
 	r.timer = nil
-	// A CQE the IRQ handler queued in this same instant is too late now.
-	r.cqe.Abort()
 	// The caller gets buf back now, but the device may still act on the
 	// command: from here a straggler read lands in the slot's own pages,
 	// and a straggler fetch of a write finds the payload there.
@@ -923,12 +895,10 @@ func (d *Driver) abort(p *sim.Proc, sqid, cid uint16) {
 	d.tr.Emit(d.h.Env.Now(), trAbort,
 		uint64(d.fn)<<32|uint64(sqid)<<16|uint64(cid), 0, "")
 	q.Ring()
-	got, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout)
-	if !ok {
+	if _, ok := p.WaitTimeout(ev, d.cfg.CmdTimeout); !ok {
 		q.zombify(slot)
 		return
 	}
-	d.putCpl(got.(*nvme.Completion))
 	q.give(slot)
 }
 

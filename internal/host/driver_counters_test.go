@@ -231,3 +231,46 @@ func TestAbortGivesUpWithoutAnAdminSlot(t *testing.T) {
 		t.Fatalf("ReclaimZombies freed %d slots, want the 40 I/O CIDs and the 31 admin slots the sent Aborts held", n)
 	}
 }
+
+// TestCQEQueuedAsItsAttemptTimesOutIsAStraggler: under a zero completion cost
+// the IRQ handler queues a CQE's delivery instead of running it. When the
+// attempt's CmdTimeout timer runs in that same instant, before the delivery,
+// the attempt has timed out and its slot is zombied, so the delivery is the
+// slot's straggler: counted as one, and the slot freed, not a completion on
+// top of a timeout. The drive is pulled and answers nothing; the test plays
+// the CQE, from an entry queued before the attempt was submitted, so that it
+// is reaped at the instant the timer is due and ahead of it.
+func TestCQEQueuedAsItsAttemptTimesOutIsAStraggler(t *testing.T) {
+	dcfg := host.DefaultDriverConfig()
+	dcfg.Queues, dcfg.QueueDepth, dcfg.CmdTimeout = 1, 8, sim.Millisecond
+	r := newFaultedRig(t, dcfg, fault.Rule{Point: fault.SSDDrop, Target: "SN001", At: int64(500 * sim.Microsecond)})
+	r.h.Kernel.CompleteLatency = 0
+	// The write starts at 1 ms, rings its doorbell and arms its timer
+	// SubmitLatency later, on the top slot of the free stack.
+	start := sim.Millisecond
+	due := start + r.h.Kernel.SubmitLatency + dcfg.CmdTimeout
+	free, _, _, _ := r.drv.QueueState(0)
+	cid := free[len(free)-1]
+	r.env.Schedule(due-r.env.Now(), func() {
+		if _, z, _, inUse := r.drv.QueueState(0); len(z) != 0 || inUse != 1 {
+			t.Errorf("at t=%d the write is not waiting for its CQE (zombies %v, %d slots in use)", r.env.Now(), z, inUse)
+		}
+		r.drv.InjectCQE(0, nvme.Completion{CID: cid, SQID: 1})
+	})
+	var oc host.IOOutcome
+	r.env.Go("io", func(p *sim.Proc) {
+		p.Sleep(start - p.Now())
+		oc = new(host.Parking).IO(p, r.drv.BlockDev(0), nvme.IOWrite, 0, 1, nil)
+	})
+	r.env.Run()
+	if want := (host.IOOutcome{Status: nvme.StatusAborted, Attempts: 1, TimedOut: true}); oc != want {
+		t.Errorf("outcome %+v, want %+v", oc, want)
+	}
+	want := host.IOCounters{Submitted: 1, Timeouts: 1, Aborts: 1, Stragglers: 1}
+	if c := r.drv.Counters(); c != want {
+		t.Errorf("counters %+v, want %+v: submitted = completed + timeouts, and the late CQE frees the zombied slot", c, want)
+	}
+	if free, _, _, inUse := r.drv.QueueState(0); inUse != 0 || len(free) != int(dcfg.QueueDepth)-1 {
+		t.Errorf("%d slots in use, %d free after the straggler; want every slot free", inUse, len(free))
+	}
+}

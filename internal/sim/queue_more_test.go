@@ -6,14 +6,14 @@ import "testing"
 // no slide off the backing array, no reallocation on the next append.
 func TestQueueSteadyStateDoesNotAllocate(t *testing.T) {
 	env := NewEnv(1)
-	q := NewQueue[int](env, 0)
+	q := NewQueue[int](env)
 	for i := 0; i < 3; i++ {
-		q.TryPut(i) // resident items: the queue never drains
+		q.Put(i) // resident items: the queue never drains
 	}
 	next, want := 3, 0
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 5; i++ {
-			q.TryPut(next)
+			q.Put(next)
 			next++
 		}
 		for i := 0; i < 5; i++ {

@@ -208,7 +208,7 @@ func TestWaitTimeout(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	env := NewEnv(1)
-	q := NewQueue[int](env, 0)
+	q := NewQueue[int](env)
 	var got []int
 	env.Go("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -217,7 +217,7 @@ func TestQueueFIFO(t *testing.T) {
 	})
 	env.Go("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			q.TryPut(i)
+			q.Put(i)
 			p.Sleep(1)
 		}
 	})
@@ -231,12 +231,12 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 	env := NewEnv(1)
-	q := NewQueue[string](env, 0)
+	q := NewQueue[string](env)
 	var got string
 	env.Go("consumer", func(p *Proc) { got = q.Get(p) })
 	env.Go("producer", func(p *Proc) {
 		p.Sleep(3)
-		q.TryPut("item")
+		q.Put("item")
 	})
 	env.Run()
 	if got != "item" {
@@ -247,20 +247,17 @@ func TestQueueHandsItemDirectlyToWaiter(t *testing.T) {
 	}
 }
 
-func TestTryGetTryPut(t *testing.T) {
+// TestQueuePutBeforeGet: an item put while no getter waits is kept, and the
+// next Get takes it without blocking.
+func TestQueuePutBeforeGet(t *testing.T) {
 	env := NewEnv(1)
-	q := NewQueue[int](env, 1)
-	if !q.TryPut(1) {
-		t.Fatal("TryPut on empty queue failed")
-	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut on full queue succeeded")
-	}
+	q := NewQueue[int](env)
+	q.Put(1)
 	var got int
 	env.Go("consumer", func(p *Proc) { got = q.Get(p) })
 	env.Run()
-	if got != 1 || !q.TryPut(2) {
-		t.Fatalf("Get = %d; want 1, and room for a put after it", got)
+	if got != 1 || q.items.Len() != 0 {
+		t.Fatalf("Get = %d with %d items left; want 1 and none", got, q.items.Len())
 	}
 }
 

@@ -20,7 +20,7 @@ var spanKeyCalls = map[string]bool{
 // each with what it resolves there.
 var spanAdmissionSites = map[string]string{
 	"host.ioReq.onSlot SpanKey":         "the driver names the request by the (function, queue, CID) it is about to ring",
-	"host.ioReq.onSlot SpanStart":       "the request starts here; the handle serves the attempt and the slot's CQE mark",
+	"host.ioReq.onSlot SpanStart":       "the request starts here; the handle serves the attempt, the IRQ handler's CQE mark included",
 	"host.ioReq.onCompleted SpanFinish": "the request ends here, by key: a colliding driver may have taken the record over",
 	"host.ioReq.onTimeout SpanFinish":   "an attempt given up on ends its request here, by key, on the error path",
 	"engine.feIO.start SpanKey":         "the front end computes the same identity from the SQE it dispatches",
