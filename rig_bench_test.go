@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bmstore"
+	"bmstore/internal/fleet"
 	"bmstore/internal/host"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -41,5 +42,24 @@ func BenchmarkRigBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFleetHost prices one host of the repo benchmark's fleet-rollout,
+// once per op: fleet.RunHost at that workload's options (16 hosts in waves
+// of 4, one tenant per host, one worker) — a rig built, its tenant's I/O
+// through a firmware hot-upgrade of its SSD, the health gate.
+//
+// make bench-gate pins its allocs/op and its B/op at the measured values
+// plus 5 %: a host allocates by design (its rig, its tenants), so the
+// ceilings guard against a per-chunk, per-command or per-append cost coming
+// back — a firmware image copied whole shows in B/op long before allocs/op.
+func BenchmarkFleetHost(b *testing.B) {
+	opts := fleet.Options{Hosts: 16, WaveSize: 4, MaxTenants: 1, Seed: 1, Parallel: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if hr := fleet.RunHost(opts, 0); !hr.Healthy {
+			b.Fatalf("host 0 unhealthy: %s", hr.Reason)
+		}
 	}
 }

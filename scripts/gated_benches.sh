@@ -15,4 +15,4 @@ bench '^BenchmarkIOPath' 4000x .
 bench '^BenchmarkAppsMixedRound$' 20x .
 bench '^BenchmarkPRPListFetchWalk128K$' 1000x ./internal/nvmet/
 bench '^BenchmarkFioWorkerStart$' 100x ./internal/fio/
-bench '^BenchmarkRigBuild$' 20x .
+bench '^Benchmark(RigBuild|FleetHost)$' 20x .
