@@ -30,6 +30,7 @@ var allowedOrphans = map[string]string{
 	"controller.Controller.PhysicalSwap": "the technician's swap between the two hot-plug console calls, in the same scenario tests",
 	"nvmei.Queue.CQ":                     "host's initiator fuzz harness plays the device: it writes CQEs into this ring",
 	"nvmei.Queue.Head":                   "host's initiator fuzz harness plays the device: it writes the next CQE at this index and phase",
+	"sim.Event.AddCallback":              "the kernel's fire-order tests and FuzzFireOrder's reference model attach callbacks through it; TestCommandPathContinuesWithoutEvents keeps it off the command path",
 	"sim.Resource.InUse":                 "the engine, nvmei and host harnesses assert an initiator's slot accounting through it",
 	"sim.Resource.TryAcquire":            "the engine and nvmei harnesses fill an initiator's slots through it",
 	"timeline.Recorder.Dropped":          "obs tests assert an error-path request is counted, not kept",

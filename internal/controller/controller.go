@@ -471,20 +471,23 @@ func (c *Controller) HotUpgrade(p *sim.Proc, req HotUpgradeReq) (HotUpgradeResp,
 	t0 := p.Now()
 	c.logf("hot-upgrade of SSD %d to %q starting (%d KB image)", req.SSD, req.Version, req.ImageKB)
 
-	// 1. Stage the image while tenant I/O continues.
-	img := make([]byte, req.ImageKB<<10)
-	copy(img, req.Version)
+	// 1. Stage the image while tenant I/O continues. The image is zeros
+	// past the version string at its head, so each chunk is built in one
+	// reused buffer rather than cut from a copy of the whole image.
 	const chunk = 4096
-	for off := 0; off < len(img); off += chunk {
-		end := off + chunk
-		if end > len(img) {
-			end = len(img)
+	size := req.ImageKB << 10
+	buf := make([]byte, chunk)
+	for off := 0; off < size; off += chunk {
+		piece := buf[:min(chunk, size-off)]
+		clear(piece)
+		if off < len(req.Version) {
+			copy(piece, req.Version[off:])
 		}
 		cpl := c.eng.BackendAdmin(p, req.SSD, nvme.Command{
 			Opcode: nvme.AdminFWDownload,
-			CDW10:  uint32(end-off)/4 - 1,
+			CDW10:  uint32(len(piece))/4 - 1,
 			CDW11:  uint32(off / 4),
-		}, img[off:end], nil)
+		}, piece, nil)
 		if cpl.Status.IsError() {
 			return HotUpgradeResp{}, fmt.Errorf("fw download: status %#x", cpl.Status)
 		}

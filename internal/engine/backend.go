@@ -53,6 +53,7 @@ type backend struct {
 	submitFree []*beSubmit
 	pendFree   []*bePending
 	doneFree   []*doneMsg
+	adminFree  []*adminWait
 
 	// Per-backend instruments (nil-safe no-ops when metrics are off).
 	mInflight *obs.Gauge
@@ -205,11 +206,43 @@ func (b *backend) adminCmd(p *sim.Proc, cmd nvme.Command) nvme.Completion {
 	}
 	b.admin.Slots.Acquire(p)
 	cmd.CID = b.allocCID()
-	ev := b.e.env.NewEvent()
-	b.pending.Put(cmd.CID, &bePending{q: b.admin, done: func(c nvme.Completion) { ev.Trigger(c) }})
+	w := b.getAdminWait()
+	w.ev = b.e.env.PooledEvent()
+	b.pending.Put(cmd.CID, b.getPending(b.admin, w.done))
 	b.admin.Push(&cmd)
 	b.admin.Ring()
-	return p.Wait(ev).(nvme.Completion)
+	p.Wait(w.ev)
+	cpl := w.cpl
+	w.ev = nil
+	b.adminFree = append(b.adminFree, w)
+	return cpl
+}
+
+// adminWait is a pooled admin-command wait: the calling process's one-shot
+// event and the completion that wakes it, which complete, bound once as
+// done, stores rather than boxing it into the event's value. A wait whose
+// completion never comes (a device that died under it) is never returned,
+// as its event is not.
+type adminWait struct {
+	ev   *sim.Event
+	cpl  nvme.Completion
+	done func(nvme.Completion)
+}
+
+func (w *adminWait) complete(cpl nvme.Completion) {
+	w.cpl = cpl
+	w.ev.Trigger(nil)
+}
+
+func (b *backend) getAdminWait() *adminWait {
+	if n := len(b.adminFree); n > 0 {
+		w := b.adminFree[n-1]
+		b.adminFree = b.adminFree[:n-1]
+		return w
+	}
+	w := &adminWait{}
+	w.done = w.complete
+	return w
 }
 
 // onIRQ scans the completion queue named by the MSI vector.

@@ -562,3 +562,29 @@ func TestBindErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBackendAdminAllocatesOnlyItsProcess: at steady state an admin round
+// trip to a backend SSD — here a firmware chunk, what a hot-upgrade sends
+// 128 of — allocates only the device's execution process, its Proc and Done
+// event (BenchmarkProcessSpawn's two): the engine's wait is a pooled record
+// on a pooled event, and the command reaches its process through a pooled
+// record rather than a closure.
+func TestBackendAdminAllocatesOnlyItsProcess(t *testing.T) {
+	h := newFeHarness(t, 1)
+	chunk := make([]byte, 4096)
+	copy(chunk, "VDV10199")
+	cmd := nvme.Command{Opcode: nvme.AdminFWDownload, CDW10: uint32(len(chunk)/4) - 1}
+	roundTrip := func(p *sim.Proc) {
+		if cpl := h.eng.BackendAdmin(p, 0, cmd, chunk, nil); cpl.Status.IsError() {
+			panic(fmt.Sprintf("fw download: %#x", cpl.Status))
+		}
+	}
+	h.run(func(p *sim.Proc) {
+		for range 4 { // warm the pools and the staged page
+			roundTrip(p)
+		}
+		if a := testing.AllocsPerRun(100, func() { roundTrip(p) }); a > 2 {
+			t.Errorf("admin round trip: %v allocs, want at most 2 (the execution process's Proc and Done event)", a)
+		}
+	})
+}

@@ -289,11 +289,14 @@ func (d *Driver) newQueue(qid uint16, depth uint32, maxIO int) *dq {
 		q.req = make([]*ioReq, nSlots)
 	}
 	q.zombie = make([]bool, nSlots)
-	for s := 0; s < nSlots; s++ {
-		q.free = append(q.free, uint16(s))
-		q.buf = append(q.buf, mem.AllocPages(maxIO/4096))
-		q.prpPg = append(q.prpPg, mem.AllocPages(1))
-		q.prpLen = append(q.prpLen, 0)
+	q.free = make([]uint16, nSlots)
+	q.buf = make([]uint64, nSlots)
+	q.prpPg = make([]uint64, nSlots)
+	q.prpLen = make([]int, nSlots)
+	for s := range nSlots {
+		q.free[s] = uint16(s)
+		q.buf[s] = mem.AllocPages(maxIO / 4096)
+		q.prpPg[s] = mem.AllocPages(1)
 	}
 	return q
 }
@@ -548,7 +551,7 @@ type ioReq struct {
 	lent    bool
 	span    *obs.Span
 	spanKey uint64
-	timer   *sim.Event      // the CmdTimeout timer, nil without one
+	timer   uint64          // the armed CmdTimeout timer's generation; any move cancels it
 	cpl     nvme.Completion // what the IRQ handler found for this attempt's CID
 
 	// How the last attempt ended, for the recovery process; wake is that
@@ -561,9 +564,8 @@ type ioReq struct {
 	slotted   func(any)
 	reaped    func()
 	completed func()
-	// The CmdTimeout path's two, nil until a record first runs it.
+	// The CmdTimeout path's slot wait, nil until a record first runs it.
 	slotWait func(bool)
-	expired  func(any)
 }
 
 // newReq takes a spent episode record from the host's free list, which all
@@ -663,7 +665,7 @@ func (r *ioReq) onSubmitted() {
 		return
 	}
 	if r.slotWait == nil { // bound on a record's first timed attempt
-		r.slotWait, r.expired = r.onSlotWait, r.onTimeout
+		r.slotWait = r.onSlotWait
 	}
 	r.q.Slots.AcquireTimeoutCB(d.cfg.CmdTimeout, r.slotWait)
 }
@@ -722,8 +724,44 @@ func (r *ioReq) onSlot(any) {
 	}
 	q.Ring()
 	if d.cfg.CmdTimeout > 0 {
-		r.timer = d.h.Env.Timeout(d.cfg.CmdTimeout, nil)
-		r.timer.AddCallback(r.expired)
+		d.h.armTimer(r, d.cfg.CmdTimeout)
+	}
+}
+
+// cmdTimer is one armed CmdTimeout timer: a pooled record whose queue entry,
+// made with Env.Schedule, sits where Env.Timeout's event would, and carries
+// the generation its attempt had when it was armed. The attempt cancels it by
+// moving its generation on; the entry still fires then, and only goes back
+// to the pool, as a cancelled timeout's event fired and did nothing — the
+// kernel's event count and queue order stay the same.
+type cmdTimer struct {
+	h   *Host
+	r   *ioReq
+	gen uint64
+	run func()
+}
+
+// armTimer queues r's attempt timer to fire after d.
+func (h *Host) armTimer(r *ioReq, d sim.Time) {
+	var t *cmdTimer
+	if n := len(h.timerFree); n > 0 {
+		t = h.timerFree[n-1]
+		h.timerFree = h.timerFree[:n-1]
+	} else {
+		t = &cmdTimer{h: h}
+		t.run = t.fire
+	}
+	r.timer++
+	t.r, t.gen = r, r.timer
+	h.Env.Schedule(d, t.run)
+}
+
+func (t *cmdTimer) fire() {
+	r, gen := t.r, t.gen
+	t.r = nil
+	t.h.timerFree = append(t.h.timerFree, t)
+	if r.timer == gen {
+		r.onTimeout()
 	}
 }
 
@@ -740,10 +778,7 @@ func (r *ioReq) onCQE() {
 		return
 	}
 	d.ioc.Completed++
-	if r.timer != nil {
-		r.timer.Abort()
-		r.timer = nil
-	}
+	r.timer++ // cancels the attempt's timer, if one is armed
 	d.h.Env.After(d.completeLatency(), r.completed)
 }
 
@@ -765,9 +800,8 @@ func (r *ioReq) onCompleted() {
 }
 
 // onTimeout gives up on the attempt's CQE.
-func (r *ioReq) onTimeout(any) {
+func (r *ioReq) onTimeout() {
 	d, q, slot := r.d, r.q, r.slot
-	r.timer = nil
 	// The caller gets buf back now, but the device may still act on the
 	// command: from here a straggler read lands in the slot's own pages,
 	// and a straggler fetch of a write finds the payload there.

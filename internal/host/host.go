@@ -24,6 +24,8 @@ type Host struct {
 	// reqFree recycles the drivers' I/O episode records (ioReq): one free
 	// list per host, whichever of its drivers an I/O goes through.
 	reqFree []*ioReq
+	// timerFree recycles the drivers' CmdTimeout timers (cmdTimer).
+	timerFree []*cmdTimer
 }
 
 // hostPort is one link below the host with the drivers attached to its

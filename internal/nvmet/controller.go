@@ -108,6 +108,7 @@ type Controller struct {
 	cqeBuf   [nvme.CQESize]byte
 	listFree [][]byte // PRP-list entry buffers, sized to what each command used
 	irqFree  []*irqPost
+	execFree []*adminExec
 }
 
 // New returns a disabled controller for function fn. Attach gives it the
@@ -269,12 +270,42 @@ func (sq *SQ) decoded() {
 func (sq *SQ) dispatch() {
 	c := sq.c
 	if sq.ID == 0 {
-		cmd, sqHead := sq.pendCmd, sq.pendHead
-		c.env.Go(c.cfg.ExecProc, func(p *sim.Proc) { c.owner.ExecAdmin(p, sq, cmd, sqHead) })
+		x := c.getExec()
+		x.sq, x.cmd, x.sqHead = sq, sq.pendCmd, sq.pendHead
+		c.env.Go(c.cfg.ExecProc, x.run)
 	} else {
 		c.owner.StartIO(sq, sq.pendCmd, sq.pendHead)
 	}
 	sq.step()
+}
+
+// adminExec carries one fetched admin command to the process that executes
+// it: a pooled record whose run, bound once, is the process body. The
+// record goes back to the pool as the body starts.
+type adminExec struct {
+	sq     *SQ
+	cmd    nvme.Command
+	sqHead uint32
+	run    func(p *sim.Proc)
+}
+
+func (c *Controller) getExec() *adminExec {
+	if n := len(c.execFree); n > 0 {
+		x := c.execFree[n-1]
+		c.execFree = c.execFree[:n-1]
+		return x
+	}
+	x := &adminExec{}
+	x.run = x.body
+	return x
+}
+
+func (x *adminExec) body(p *sim.Proc) {
+	sq, cmd, sqHead := x.sq, x.cmd, x.sqHead
+	c := sq.c
+	x.sq = nil
+	c.execFree = append(c.execFree, x)
+	c.owner.ExecAdmin(p, sq, cmd, sqHead)
 }
 
 // QueueAdmin executes Create/Delete I/O Submission/Completion Queue. Queue

@@ -1,6 +1,7 @@
 package ssd
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 
@@ -145,22 +146,18 @@ func (d *SSD) adminNSManagement(p *sim.Proc, cmd nvme.Command) (uint32, nvme.Sta
 }
 
 // adminFWDownload stages a chunk of a firmware image. CDW10 is the transfer
-// size in dwords minus one, CDW11 the dword offset.
+// size in dwords minus one, CDW11 the dword offset. The chunk lands in the
+// SSD's one chunk buffer and is copied into the staged image from there.
 func (d *SSD) adminFWDownload(p *sim.Proc, cmd nvme.Command) nvme.Status {
 	numd := int(cmd.CDW10) + 1
 	off := int(cmd.CDW11) * 4
 	n := numd * 4
-	// The staging area grows by doubling: an image arrives as many small
-	// chunks, and growing it by each chunk would copy it once per chunk.
-	// Bytes past the length are zero, so a chunk beyond the end leaves a
-	// zero gap.
-	if end := off + n; end > len(d.fwStaged) {
-		if end > cap(d.fwStaged) {
-			d.fwStaged = append(make([]byte, 0, max(end, 2*cap(d.fwStaged))), d.fwStaged...)
-		}
-		d.fwStaged = d.fwStaged[:end]
+	if cap(d.fwChunk) < n {
+		d.fwChunk = make([]byte, n)
 	}
-	done := d.port.DMARead(cmd.PRP1, n, d.fwStaged[off:off+n])
+	chunk := d.fwChunk[:n]
+	done := d.port.DMARead(cmd.PRP1, n, chunk)
+	d.stageFW(off, chunk)
 	if w := done - p.Now(); w > 0 {
 		p.Sleep(w)
 	}
@@ -169,15 +166,44 @@ func (d *SSD) adminFWDownload(p *sim.Proc, cmd nvme.Command) nvme.Status {
 	return nvme.StatusSuccess
 }
 
+// stageFW copies chunk into the staged image at byte offset off. The staged
+// image keeps only what it holds: a page of it is kept from the first chunk
+// that lands a non-zero byte in it, and a page never kept reads as zeroes, as
+// do the bytes between the chunks sent so far and the image's length — the
+// end of the furthest chunk.
+func (d *SSD) stageFW(off int, chunk []byte) {
+	d.fwLen = max(d.fwLen, off+len(chunk))
+	for len(chunk) > 0 {
+		pg, in := off/BlockSize, off%BlockSize
+		piece := chunk[:min(len(chunk), BlockSize-in)]
+		if pg < len(d.fwPages) && d.fwPages[pg] != nil {
+			copy(d.fwPages[pg][in:], piece)
+		} else if !bytes.Equal(piece, zeroBlock[:len(piece)]) {
+			for len(d.fwPages) <= pg {
+				d.fwPages = append(d.fwPages, nil)
+			}
+			d.fwPages[pg] = new(block)
+			copy(d.fwPages[pg][in:], piece)
+		}
+		off += len(piece)
+		chunk = chunk[len(piece):]
+	}
+}
+
 // adminFWCommit activates the staged image: the command completes
 // successfully, then the controller drops off the bus for the activation +
 // reset window (the 6-9 s the paper measures), after which it must be
 // re-enabled and its queues rebuilt by whoever owns it.
 func (d *SSD) adminFWCommit(p *sim.Proc, cmd nvme.Command) nvme.Status {
-	if len(d.fwStaged) == 0 {
+	if d.fwLen == 0 {
 		return nvme.StatusInvalidFWImage
 	}
-	newVer := strings.TrimRight(string(padTo(string(d.fwStaged[:min(8, len(d.fwStaged))]), 8)), " \x00")
+	// The version is the image's first eight bytes, on its first page.
+	var head [8]byte
+	if len(d.fwPages) > 0 && d.fwPages[0] != nil {
+		copy(head[:], d.fwPages[0][:])
+	}
+	newVer := strings.TrimRight(string(head[:]), " \x00")
 	if newVer == "" {
 		return nvme.StatusInvalidFWImage
 	}
@@ -198,7 +224,8 @@ func (d *SSD) beginReset(dur sim.Time, newVer string) {
 	d.resetting = true
 	d.env.Schedule(dur, func() {
 		d.fwActive = newVer
-		d.fwStaged = nil
+		clear(d.fwPages)
+		d.fwPages, d.fwLen = d.fwPages[:0], 0
 		d.upgrades++
 		d.resetting = false
 		d.ctl.Disable() // queues are gone; owner must re-initialise

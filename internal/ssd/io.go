@@ -325,13 +325,23 @@ func (d *SSD) scratchSegs(prp1 uint64, n int) []nvme.Segment {
 	return d.segScratch
 }
 
-// segments re-walks the command's PRPs over the list pages its first walk
-// kept, into the SSD's scratch: no memory read, no fetch, no virtual time.
-// The result is valid until the next walk on this SSD, so the payload DMA
-// loops that call it keep it only for the step.
+// segments returns the command's PRP segments in the SSD's scratch: no
+// memory read, no fetch, no virtual time. A transfer within two pages has no
+// PRP list, and its segments are PRP1's piece and PRP2's rest, which the
+// first walk checked; a longer one is re-walked over the list pages its first
+// walk kept. The result is valid until the next walk on this SSD, so the
+// payload DMA loops that call it keep it only for the step.
 func (io *ssdIO) segments() []nvme.Segment {
 	d := io.d
-	d.segScratch = d.ctl.Rewalk(&io.walk, d.scratchSegs(io.cmd.PRP1, io.n), io.cmd.PRP1, io.cmd.PRP2, io.n, io.nsegs)
+	prp1, n := io.cmd.PRP1, io.n
+	if first := nvme.PageSize - int(prp1%nvme.PageSize); n <= first+nvme.PageSize {
+		d.segScratch = append(d.segScratch[:0], nvme.Segment{Addr: prp1, Len: min(first, n)})
+		if n > first {
+			d.segScratch = append(d.segScratch, nvme.Segment{Addr: io.cmd.PRP2, Len: n - first})
+		}
+		return d.segScratch
+	}
+	d.segScratch = d.ctl.Rewalk(&io.walk, d.scratchSegs(prp1, n), prp1, io.cmd.PRP2, n, io.nsegs)
 	return d.segScratch
 }
 

@@ -133,7 +133,9 @@ type SSD struct {
 	writePacer *sim.Pacer
 
 	fwActive  string
-	fwStaged  []byte
+	fwLen     int      // staged firmware image length: the end of its furthest chunk (admin.go)
+	fwPages   []*block // staged firmware image by page, nil where it reads as zeroes (admin.go)
+	fwChunk   []byte   // FW Download's DMA landing buffer, reused
 	upgrades  int
 	store     blockTable // device LBA -> stored prefix of its 4K block (CaptureData mode; store.go)
 	spares    [][]byte   // whole arrays the store let go of, for staging slots and growing blocks (store.go)

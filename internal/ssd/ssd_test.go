@@ -436,9 +436,46 @@ func TestFirmwareUpgradeCycle(t *testing.T) {
 	})
 }
 
+// stagedFW assembles the staged firmware image: its kept pages, and zeroes
+// wherever none is kept, up to the image's length.
+func (d *SSD) stagedFW() []byte {
+	img := make([]byte, d.fwLen)
+	for i, pg := range d.fwPages {
+		if pg != nil {
+			copy(img[i*BlockSize:], pg[:])
+		}
+	}
+	return img
+}
+
+// keptFWPages counts the pages the staged image keeps.
+func (d *SSD) keptFWPages() int {
+	n := 0
+	for _, pg := range d.fwPages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// downloadFW stages chunk at byte offset off with one FW Download through
+// host page page.
+func (h *harness) downloadFW(p *sim.Proc, page uint64, off int, chunk []byte) {
+	h.t.Helper()
+	h.mem.Write(page, chunk)
+	cpl := h.submit(p, 0, nvme.Command{
+		Opcode: nvme.AdminFWDownload, PRP1: page,
+		CDW10: uint32(len(chunk)/4) - 1, CDW11: uint32(off / 4),
+	})
+	if cpl.Status.IsError() {
+		h.t.Fatalf("download of %d bytes at %d: %#x", len(chunk), off, cpl.Status)
+	}
+}
+
 // TestFirmwareStagedInChunks: chunks staged in any order assemble exactly
 // the image, and a gap that a chunk past the end leaves reads zero until it
-// is filled — while the staging area grows and while it does not.
+// is filled.
 func TestFirmwareStagedInChunks(t *testing.T) {
 	h := newHarness(t, P4510("SN001"))
 	h.run(func(p *sim.Proc) {
@@ -450,24 +487,84 @@ func TestFirmwareStagedInChunks(t *testing.T) {
 		page := h.mem.AllocPages(1)
 		for _, c := range []int{1, 2, 4, 0, 3} {
 			chunk := img[c*4096 : (c+1)*4096]
-			h.mem.Write(page, chunk)
-			cpl := h.submit(p, 0, nvme.Command{
-				Opcode: nvme.AdminFWDownload, PRP1: page,
-				CDW10: 4096/4 - 1, CDW11: uint32(c * 4096 / 4),
-			})
-			if cpl.Status.IsError() {
-				t.Fatalf("download of chunk %d: %#x", c, cpl.Status)
-			}
+			h.downloadFW(p, page, c*4096, chunk)
 			if end := (c + 1) * 4096; end > len(want) {
 				want = append(want, make([]byte, end-len(want))...)
 			}
 			copy(want[c*4096:], chunk)
-			if !bytes.Equal(h.dev.fwStaged, want) {
+			if !bytes.Equal(h.dev.stagedFW(), want) {
 				t.Fatalf("after chunk %d the staged bytes differ from the chunks sent", c)
 			}
 		}
 		if !bytes.Equal(want, img) {
 			t.Fatal("test bug: chunks do not cover the image")
+		}
+	})
+}
+
+// TestFirmwareStagingKeepsWhatItHolds: the staged image keeps a page only
+// once a non-zero byte lands in it. A 512 KiB image that is zero past its
+// version keeps one page; chunks that straddle pages, sent out of order, read
+// back exactly; and a zero chunk over a kept page zeroes it.
+func TestFirmwareStagingKeepsWhatItHolds(t *testing.T) {
+	h := newHarness(t, P4510("SN001"))
+	h.run(func(p *sim.Proc) {
+		page := h.mem.AllocPages(2)
+		chunk := make([]byte, 4096)
+		for off := 0; off < 512<<10; off += len(chunk) {
+			clear(chunk)
+			if off == 0 {
+				copy(chunk, "VDV20001")
+			}
+			h.downloadFW(p, page, off, chunk)
+		}
+		if got := h.dev.keptFWPages(); got != 1 {
+			t.Errorf("a 512 KiB image zero past its version keeps %d pages, want 1", got)
+		}
+		want := make([]byte, 512<<10)
+		copy(want, "VDV20001")
+		if !bytes.Equal(h.dev.stagedFW(), want) {
+			t.Fatal("the staged image differs from the one sent")
+		}
+
+		// Chunks of a page and a half at odd dword offsets, last first.
+		piece := make([]byte, 6144)
+		for _, off := range []int{5 * 4096, 4096 + 1024} {
+			for i := range piece {
+				piece[i] = byte(off + i | 1)
+			}
+			h.downloadFW(p, page, off, piece)
+			copy(want[off:], piece)
+		}
+		if !bytes.Equal(h.dev.stagedFW(), want) {
+			t.Fatal("out-of-order chunks across page edges differ from the ones sent")
+		}
+
+		// Zeroes over the kept pages 1 and 2 and part of 3.
+		zero := make([]byte, 2*4096+512)
+		h.downloadFW(p, page, 4096, zero)
+		copy(want[4096:], zero)
+		if !bytes.Equal(h.dev.stagedFW(), want) {
+			t.Fatal("a zero chunk over kept pages did not zero them")
+		}
+	})
+}
+
+// TestAllZeroFirmwareImageFailsCommit: an image that is zeroes throughout
+// keeps no page, and its commit fails as one with no version does.
+func TestAllZeroFirmwareImageFailsCommit(t *testing.T) {
+	h := newHarness(t, P4510("SN001"))
+	h.run(func(p *sim.Proc) {
+		page := h.mem.AllocPages(1)
+		for off := 0; off < 64<<10; off += 4096 {
+			h.downloadFW(p, page, off, make([]byte, 4096))
+		}
+		if got := h.dev.keptFWPages(); got != 0 {
+			t.Errorf("an all-zero image keeps %d pages, want 0", got)
+		}
+		cpl := h.submit(p, 0, nvme.Command{Opcode: nvme.AdminFWCommit, CDW10: 3 << 3})
+		if cpl.Status != nvme.StatusInvalidFWImage {
+			t.Fatalf("commit of an all-zero image: status %#x, want %#x", cpl.Status, nvme.StatusInvalidFWImage)
 		}
 	})
 }

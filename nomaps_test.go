@@ -54,11 +54,10 @@ func TestCommandPathDeclaresNoMaps(t *testing.T) {
 }
 
 // allowedCallbacks are the functions in those packages that may attach a
-// callback to a sim.Event (AddCallback), each with its reason: the one thing
-// on the command path that continues through an event rather than a func.
-var allowedCallbacks = map[string]string{
-	"host.ioReq.onSlot": "the CmdTimeout timer: a CQE cancels it with Abort, which a func queued with Env.Schedule cannot be",
-}
+// callback to a sim.Event (AddCallback), each with its reason. There are
+// none: even the CmdTimeout timer is a func queued with Env.Schedule, which
+// its attempt cancels by generation.
+var allowedCallbacks = map[string]string{}
 
 // TestCommandPathContinuesWithoutEvents keeps the command path's continuations
 // plain funcs. A step that waits for another — a CQE, a QoS re-admission, a
